@@ -30,18 +30,18 @@ fmt:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkEnginePipeline' -benchmem ./...
 
-# bench-compare diffs the barriered reference engine against the
-# pipelined engine on the skewed BenchmarkEnginePipeline workload,
+# bench-compare diffs the job graph's barrier edge policy against its
+# pipelined edge policy on the skewed BenchmarkEnginePipeline workload,
 # worker count by worker count. Host-parallelism caveat: on a
-# single-CPU machine the engines do identical work and should tie;
+# single-CPU machine both policies do identical work and should tie;
 # the pipelined overlap win needs real cores.
 bench-compare:
 	@tmp="$$(mktemp -d)"; \
 	trap 'rm -rf "$$tmp"' EXIT; \
-	echo "== barrier engine =="; \
+	echo "== barrier edge policy =="; \
 	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/barrier' -benchmem ./internal/mapreduce \
 		| grep '^Benchmark' | sed 's|/barrier/|/|' | tee "$$tmp/barrier.txt"; \
-	echo "== pipelined engine =="; \
+	echo "== pipelined edge policy =="; \
 	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/pipelined' -benchmem ./internal/mapreduce \
 		| grep '^Benchmark' | sed 's|/pipelined/|/|' | tee "$$tmp/pipelined.txt"; \
 	echo "== barrier -> pipelined =="; \

@@ -57,8 +57,8 @@ type Options struct {
 	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
 	// affects results or simulated timing.
 	Workers int
-	// Execution picks the engine for both jobs: the pipelined
-	// task-graph engine (default) or the barriered reference engine.
+	// Execution picks the task graph's edge policy for both jobs:
+	// pipelined (default) or the barriered no-overlap reference.
 	// Like Workers, a host knob that never affects results.
 	Execution mapreduce.ExecutionMode
 	// Transport, when non-nil, replaces in-process task execution for

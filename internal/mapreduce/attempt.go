@@ -103,15 +103,14 @@ type faultRuntime struct {
 	injector faults.Injector
 	policy   RetryPolicy
 	startup  costmodel.Units
-	// phases holds per-phase attempt histories, indexed by task. The
-	// slice for a phase is allocated before its worker pool starts and
-	// each worker writes only its own task index, so no locking is
-	// needed.
+	// phases holds per-phase attempt histories, indexed by task. Every
+	// phase's slice is allocated before the job graph starts and each
+	// node writes only its own task index, so no locking is needed.
 	phases map[faults.Phase][]*taskAttempts
 	// live is the run's live-introspection handle (nil when off): the
 	// attempt runtime reports retries, speculative launches, and
 	// permanent task failures through it. Set once in Run before any
-	// engine goroutine starts.
+	// graph goroutine starts.
 	live *live.Job
 }
 
@@ -259,73 +258,6 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 	// attempt); pin its terminal live state to failed.
 	fr.live.TaskFailed(live.Phase(phase), task, err)
 	return zero, 0, ta, err
-}
-
-// runPhase executes one engine phase of n tasks on the worker pool.
-// With fr nil every task runs exactly once and runPool aggregates any
-// failures; with the attempt runtime active each task runs its retry
-// ladder and stragglers get a speculative pass. Either way the
-// committed outputs and clean costs — returned indexed by task — are
-// byte-identical to a fault-free run, because commits only ever carry
-// what the deterministic task function produced.
-func runPhase[T any](fr *faultRuntime, phase faults.Phase, workers, n int,
-	exec func(i int) (T, costmodel.Units, error)) ([]T, []costmodel.Units, error) {
-	outs := make([]T, n)
-	costs := make([]costmodel.Units, n)
-	if fr == nil {
-		err := runPool(workers, n, func(i int) error {
-			out, cost, err := exec(i)
-			if err != nil {
-				return err
-			}
-			outs[i], costs[i] = out, cost
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return outs, costs, nil
-	}
-	attempts := fr.beginPhase(phase, n)
-	err := runPool(workers, n, func(i int) error {
-		out, cost, ta, err := runTaskAttempts(fr, phase, i, func() (T, costmodel.Units, error) {
-			return exec(i)
-		})
-		attempts[i] = ta
-		if err != nil {
-			return err
-		}
-		outs[i], costs[i] = out, cost
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if fr.policy.Speculation {
-		if err := speculatePhase(fr, phase, workers, outs, costs, exec); err != nil {
-			return nil, nil, err
-		}
-	}
-	return outs, costs, nil
-}
-
-// speculatePhase runs the straggler pass for the barrier engine: once
-// every task is in, each is checked against the phase-wide straggler
-// threshold on the worker pool. The pipelined engine wires the same
-// per-task check (speculateTask) into its graph as non-blocking nodes.
-func speculatePhase[T any](fr *faultRuntime, phase faults.Phase, workers int,
-	outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error)) error {
-	n := len(outs)
-	if n < 2 {
-		return nil
-	}
-	thr := quantile(costs, fr.policy.SpeculationQuantile)
-	if thr <= 0 {
-		return nil
-	}
-	return runPool(workers, n, func(i int) error {
-		return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec)
-	})
 }
 
 // speculateTask runs the straggler check for one committed task: if

@@ -2,11 +2,8 @@ package mapreduce
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -205,60 +202,6 @@ func TestAttemptSpansDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Error("seed 3 at rate 0.5 should produce at least one failed attempt span")
-	}
-}
-
-func TestRunPoolJoinsAllWorkerErrors(t *testing.T) {
-	// Every concurrently-failing task must survive into the joined
-	// error, in task-index order. The barrier guarantees all n tasks
-	// are dispatched before any failure is recorded, so the short-
-	// circuiting dispatcher cannot skip any of them.
-	const n = 4
-	sentinels := make([]error, n)
-	for i := range sentinels {
-		sentinels[i] = fmt.Errorf("task-%d-boom", i)
-	}
-	var barrier sync.WaitGroup
-	barrier.Add(n)
-	err := runPool(n, n, func(i int) error {
-		barrier.Done()
-		barrier.Wait()
-		return sentinels[i]
-	})
-	if err == nil {
-		t.Fatal("want joined error, got nil")
-	}
-	for _, s := range sentinels {
-		if !errors.Is(err, s) {
-			t.Errorf("joined error lost %v", s)
-		}
-	}
-	msg := err.Error()
-	if strings.Index(msg, "task-0-boom") > strings.Index(msg, "task-3-boom") {
-		t.Errorf("errors not in task-index order: %q", msg)
-	}
-}
-
-func TestRunPoolConvertsPanicToTaskFailure(t *testing.T) {
-	// A dying attempt must not take the job down: the panic becomes an
-	// attributable task error and already-started siblings finish.
-	var finished atomic.Int32
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	err := runPool(2, 2, func(i int) error {
-		barrier.Done()
-		barrier.Wait() // both tasks running before the panic fires
-		if i == 0 {
-			panic("attempt died")
-		}
-		finished.Add(1)
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "task 0 panicked: attempt died") {
-		t.Errorf("want task-0 panic error, got %v", err)
-	}
-	if finished.Load() != 1 {
-		t.Errorf("surviving task did not finish (finished=%d)", finished.Load())
 	}
 }
 

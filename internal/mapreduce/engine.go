@@ -1,18 +1,14 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"proger/internal/costmodel"
 	"proger/internal/faults"
-	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
@@ -52,25 +48,24 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		fr.live = lj
 	}
 
-	// Task execution: both engines fill an identical phaseOutputs — the
-	// barrier engine with three phase-pool passes, the pipelined engine
-	// with a dependency-driven task graph — so everything below this
-	// point (the simulated schedule, Result, spans, metrics, quality)
-	// is engine-independent by construction.
+	// Task execution: one job-graph builder fills phaseOutputs whatever
+	// the edge policy (cfg.Execution) and whoever runs the task bodies
+	// (this process, or workers leased by a remote master), so everything
+	// below this point (the simulated schedule, Result, spans, metrics,
+	// quality) is execution-independent by construction.
 	var (
 		po  *phaseOutputs
 		err error
 	)
 	if rt, ok := transportOf(&cfg).(RemoteTransport); ok {
 		po, err = runRemoteJob(&cfg, rt, fr, lj, workers, splits)
-	} else if cfg.Execution == ExecBarrier {
-		po, err = runBarrierEngine(&cfg, fr, lj, workers, splits)
 	} else {
-		po, err = runPipelinedEngine(&cfg, fr, lj, workers, splits)
+		po = newPhaseOutputs(&cfg)
+		err = runJobGraph(&cfg, fr, lj, workers, po, localBodies(&cfg, lj, splits, po))
 	}
 	if po != nil {
 		// Reduce inputs may hold host resources (spill files, budget
-		// accounts); settle them even when an engine errors out partway.
+		// accounts); settle them even when the graph errors out partway.
 		defer func() {
 			for _, s := range po.shufRes {
 				if s.in != nil {
@@ -216,10 +211,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 }
 
 // phaseOutputs is everything task execution produces, indexed by task.
-// Both engines (barrier and pipelined) must fill it identically: the
-// finalize half of Run derives the simulated schedule, Result, spans,
-// metrics, and quality exports from it, which is what keeps the two
-// engines byte-equivalent.
+// The job graph's nodes fill it (a remote worker fills it from the
+// master's broadcast): the finalize half of Run derives the simulated
+// schedule, Result, spans, metrics, and quality exports from it, which
+// is what keeps every execution mode byte-equivalent.
 type phaseOutputs struct {
 	mapRes      []mapTaskResult
 	mapCosts    []costmodel.Units
@@ -232,143 +227,95 @@ type phaseOutputs struct {
 }
 
 func newPhaseOutputs(cfg *Config) *phaseOutputs {
-	po := &phaseOutputs{}
+	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
+	po := &phaseOutputs{
+		mapRes:      make([]mapTaskResult, M),
+		mapCosts:    make([]costmodel.Units, M),
+		shufRes:     make([]shuffleTaskResult, R),
+		reduceRes:   make([]reduceTaskResult, R),
+		reduceCosts: make([]costmodel.Units, R),
+	}
 	if cfg.Trace != nil {
-		po.mapWall = make([]wallSpan, cfg.NumMapTasks)
-		po.shufWall = make([]wallSpan, cfg.NumReduceTasks)
-		po.reduceWall = make([]wallSpan, cfg.NumReduceTasks)
+		po.mapWall = make([]wallSpan, M)
+		po.shufWall = make([]wallSpan, R)
+		po.reduceWall = make([]wallSpan, R)
 	}
 	return po
 }
 
-// mapExec, shuffleExec, and reduceExec build the deterministic
-// per-task execution closures shared by the barrier engine, the
-// pipelined engine, and the speculation pass. Each records a host wall
-// span when `wall` is non-nil (tracing); re-executions (retries,
-// speculation) overwrite the wall measurement, never the committed
-// deterministic output. Live task-state publication sits here too —
-// the one wrap point both engines and every attempt share — so each
-// *execution* (first attempt, retry, speculative backup) reports its
-// own start/done/failed transition.
-func mapExec(cfg *Config, lj *live.Job, splits [][]KeyValue, wall []wallSpan) func(i int) (mapTaskResult, costmodel.Units, error) {
-	return func(i int) (mapTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseMap, i)
-		var w0 time.Time
-		if wall != nil {
-			w0 = time.Now()
-		}
-		out, cost, counters, spans, err := runMapTask(cfg, i, splits[i])
-		if err != nil {
-			lj.TaskFailed(live.PhaseMap, i, err)
-			return mapTaskResult{}, 0, err
-		}
-		if wall != nil {
-			wall[i] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseMap, i, float64(cost), len(splits[i]))
-		return mapTaskResult{out: out, counters: counters, spans: spans}, cost, nil
-	}
+// taskBodies is the job graph's body policy: how one execution of each
+// phase's task runs. Local bodies call the deterministic task functions
+// in this process; a remote master's bodies lease them to workers. Each
+// body is one *execution* — first attempts, retries, and speculative
+// backups all go through it.
+type taskBodies struct {
+	mapTask func(m int) (mapTaskResult, costmodel.Units, error)
+	shuffle func(r int) (shuffleTaskResult, costmodel.Units, error)
+	reduce  func(i int) (reduceTaskResult, costmodel.Units, error)
+	// inProcess marks bodies that leave map output in this process
+	// (po.mapRes[m].out), where the premerge tree can reach it.
+	inProcess bool
 }
 
-func shuffleExec(cfg *Config, lj *live.Job, mapOuts [][][]KeyValue, wall []wallSpan) func(r int) (shuffleTaskResult, costmodel.Units, error) {
-	return func(r int) (shuffleTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseShuffle, r)
-		var w0 time.Time
-		if wall != nil {
-			w0 = time.Now()
-		}
-		in, spilled, err := shuffleForTask(cfg, mapOuts, r)
-		if err != nil {
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
-		}
-		if wall != nil {
-			wall[r] = wallSpan{w0, time.Since(w0)}
-		}
-		// The merge has no scheduled cost of its own (the reduce tasks
-		// price shuffling on the simulated clock); the attempt runtime
-		// keys timeouts and speculation off its simulated sort cost.
-		cost := cfg.Cost.ShuffleSortCost(in.Len())
-		lj.SpilledRuns(r, spilled)
-		lj.TaskDone(live.PhaseShuffle, r, float64(cost), in.Len())
-		return shuffleTaskResult{in: in, spilledRuns: spilled}, cost, nil
+// trackTask is the one wrap point every task execution shares, in every
+// mode and on both ends of a remote transport: it publishes the
+// execution's live start/done/failed transition and, when wall is
+// non-nil (tracing), records its host wall span. Re-executions
+// (retries, speculation) overwrite the wall measurement, never the
+// committed deterministic output. body also reports the record count
+// the done transition carries.
+func trackTask[T any](lj *live.Job, p live.Phase, i int, wall []wallSpan,
+	body func() (T, costmodel.Units, int, error)) (T, costmodel.Units, error) {
+	lj.TaskStart(p, i)
+	var w0 time.Time
+	if wall != nil {
+		w0 = time.Now()
 	}
+	out, cost, records, err := body()
+	if err != nil {
+		lj.TaskFailed(p, i, err)
+		var zero T
+		return zero, 0, err
+	}
+	if wall != nil {
+		wall[i] = wallSpan{w0, time.Since(w0)}
+	}
+	lj.TaskDone(p, i, float64(cost), records)
+	return out, cost, nil
 }
 
-func reduceExec(cfg *Config, lj *live.Job, shufRes []shuffleTaskResult, wall []wallSpan) func(i int) (reduceTaskResult, costmodel.Units, error) {
-	return func(i int) (reduceTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseReduce, i)
-		var w0 time.Time
-		if wall != nil {
-			w0 = time.Now()
-		}
-		out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, shufRes[i].in)
-		if err != nil {
-			lj.TaskFailed(live.PhaseReduce, i, err)
-			return reduceTaskResult{}, 0, err
-		}
-		if wall != nil {
-			wall[i] = wallSpan{w0, time.Since(w0)}
-		}
-		records := 0
-		if shufRes[i].in != nil {
-			records = shufRes[i].in.Len()
-		}
-		lj.TaskDone(live.PhaseReduce, i, float64(cost), records)
-		return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, nil
+// localBodies runs every task body in this process: runMapTask,
+// shuffleForTask, and runReduceTask over po's own slots.
+func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs) taskBodies {
+	return taskBodies{
+		inProcess: true,
+		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
+				out, cost, counters, spans, err := runMapTask(cfg, m, splits[m])
+				return mapTaskResult{out: out, counters: counters, spans: spans}, cost, len(splits[m]), err
+			})
+		},
+		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
+				in, spilled, err := shuffleForTask(cfg, po.mapRes, r)
+				if err != nil {
+					return shuffleTaskResult{}, 0, 0, err
+				}
+				lj.SpilledRuns(r, spilled)
+				// The merge has no scheduled cost of its own (the reduce tasks
+				// price shuffling on the simulated clock); the attempt runtime
+				// keys timeouts and speculation off its simulated sort cost.
+				return shuffleTaskResult{in: in, spilledRuns: spilled}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
+			})
+		},
+		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
+				in := po.shufRes[i].in
+				out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, in)
+				return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, in.Len(), err
+			})
+		},
 	}
-}
-
-// runBarrierEngine is the reference execution: three fully barriered
-// phases (map → shuffle → reduce), each a worker-pool pass over its
-// tasks. The shuffle stage stably k-way merges each partition's
-// pre-sorted map runs (ties to the lower map-task index, reproducing
-// the order a stable sort of the map-order concatenation would give) —
-// in memory, or through the external spill-and-merge sorter when over
-// the memory limit.
-func runBarrierEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
-	po := newPhaseOutputs(cfg)
-	var err error
-	po.mapRes, po.mapCosts, err = runPhase(fr, faults.Map, workers, cfg.NumMapTasks,
-		mapExec(cfg, lj, splits, po.mapWall))
-	if err != nil {
-		return po, err
-	}
-	mapOuts := make([][][]KeyValue, cfg.NumMapTasks) // [task][partition][]kv
-	for i, r := range po.mapRes {
-		mapOuts[i] = r.out
-	}
-	// The barrier engine materializes every map output before the shuffle
-	// starts — charge that residency so the budget can squeeze other
-	// holders (shuffle stores, blocking stats) to compensate. The account
-	// is unspillable (the engine's structure requires the bytes) and is
-	// settled once the shuffle stores own the data.
-	var mapAcct *membudget.Account
-	if cfg.MemBudget != nil {
-		mapAcct = cfg.MemBudget.NewAccount(cfg.Name+"/map-output", nil)
-		var held int64
-		for _, mo := range mapOuts {
-			for _, p := range mo {
-				held += kvRunBytes(p)
-			}
-		}
-		if err := mapAcct.Charge(held); err != nil {
-			return po, err
-		}
-	}
-	defer mapAcct.Close()
-	po.shufRes, _, err = runPhase(fr, faults.Shuffle, workers, cfg.NumReduceTasks,
-		shuffleExec(cfg, lj, mapOuts, po.shufWall))
-	if err != nil {
-		return po, err
-	}
-	mapAcct.Close()
-	po.reduceRes, po.reduceCosts, err = runPhase(fr, faults.Reduce, workers, cfg.NumReduceTasks,
-		reduceExec(cfg, lj, po.shufRes, po.reduceWall))
-	if err != nil {
-		return po, err
-	}
-	return po, nil
 }
 
 // mapTaskResult, shuffleTaskResult, and reduceTaskResult bundle each
@@ -474,12 +421,12 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 // sequence: an in-memory merge, a forced-to-disk store (ShuffleMemLimit
 // exceeded), or a budget-governed store that buffers in memory until
 // the process-wide manager squeezes it out.
-func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, int64, error) {
+func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, int64, error) {
 	var n, nonEmpty int
 	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapOuts[m][r]) > 0 {
+		if len(mapRes[m].out[r]) > 0 {
 			nonEmpty++
-			n += len(mapOuts[m][r])
+			n += len(mapRes[m].out[r])
 		}
 	}
 	if nonEmpty == 1 && cfg.MemBudget == nil {
@@ -487,8 +434,8 @@ func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, in
 		// input, so skip the merge (and spill) machinery entirely. The
 		// run is aliased, not copied — reduce inputs are read-only.
 		for m := 0; m < cfg.NumMapTasks; m++ {
-			if len(mapOuts[m][r]) > 0 {
-				return memInput{kvs: mapOuts[m][r]}, 0, nil
+			if len(mapRes[m].out[r]) > 0 {
+				return memInput{kvs: mapRes[m].out[r]}, 0, nil
 			}
 		}
 	}
@@ -496,7 +443,7 @@ func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, in
 		// Deterministic spill: every run goes to disk, exactly as many
 		// runs as contribute — the count the trace reports.
 		st := newSpillStore(cfg, nil, r, true)
-		if err := addPartitionRuns(st, cfg, mapOuts, r); err != nil {
+		if err := addPartitionRuns(st, cfg, mapRes, r); err != nil {
 			st.Close()
 			return nil, 0, err
 		}
@@ -508,7 +455,7 @@ func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, in
 		// decides what actually reaches disk, so the deterministic
 		// spilled-run count stays zero.
 		st := newSpillStore(cfg, cfg.MemBudget, r, false)
-		if err := addPartitionRuns(st, cfg, mapOuts, r); err != nil {
+		if err := addPartitionRuns(st, cfg, mapRes, r); err != nil {
 			st.Close()
 			return nil, 0, err
 		}
@@ -516,8 +463,8 @@ func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, in
 	}
 	runs := make([][]KeyValue, 0, nonEmpty)
 	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapOuts[m][r]) > 0 {
-			runs = append(runs, mapOuts[m][r])
+		if len(mapRes[m].out[r]) > 0 {
+			runs = append(runs, mapRes[m].out[r])
 		}
 	}
 	return memInput{kvs: mergeSortedRuns(runs, n)}, 0, nil
@@ -525,9 +472,9 @@ func shuffleForTask(cfg *Config, mapOuts [][][]KeyValue, r int) (reduceInput, in
 
 // addPartitionRuns feeds every map task's partition-r run into the
 // store, tagged with its map index as merge priority.
-func addPartitionRuns(st *spillStore, cfg *Config, mapOuts [][][]KeyValue, r int) error {
+func addPartitionRuns(st *spillStore, cfg *Config, mapRes []mapTaskResult, r int) error {
 	for m := 0; m < cfg.NumMapTasks; m++ {
-		if err := st.addRun(m, mapOuts[m][r]); err != nil {
+		if err := st.addRun(m, mapRes[m].out[r]); err != nil {
 			return err
 		}
 	}
@@ -610,7 +557,7 @@ func mergeSortedRuns(runs [][]KeyValue, total int) []KeyValue {
 // unchanged — reduce inputs are read-only, so sharing is safe — which
 // makes single-contributor merges free. Pairwise merges of adjacent
 // map-index ranges compose to exactly the k-way stable merge order,
-// which is what lets the pipelined engine assemble a partition
+// which is what lets the premerge tree assemble a partition
 // incrementally without changing a byte of the result.
 func mergeTwo(a, b []KeyValue) []KeyValue {
 	if len(a) == 0 {
@@ -890,60 +837,4 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 	ctx.Inc(CounterReduceInGroups, int64(groups))
 	ctx.Inc(CounterReduceOutRecords, int64(len(emitter.out)))
 	return emitter.out, ctx.Now(), ctx.counters, ctx.spans, ctx.qobs, nil
-}
-
-// runPool runs fn(0..n-1) on up to `workers` goroutines. No new task
-// index is dispatched after the first failure — the phase
-// short-circuits instead of draining all n tasks — but already-started
-// tasks are allowed to finish and *every* failure is kept: the return
-// value joins all task errors (errors.Join) in task-index order, so a
-// multi-task failure is attributable task by task rather than
-// collapsing to whichever error won the race. A panicking task is
-// converted into a task failure rather than crashing the whole engine —
-// the moral equivalent of a Hadoop task attempt dying without taking
-// the job tracker down.
-func runPool(workers, n int, fn func(i int) error) error {
-	safe := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("mapreduce: task %d panicked: %v", i, r)
-			}
-		}()
-		return fn(i)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := safe(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-	)
-	taskErrs := make([]error, n) // each worker writes only its own indices
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := safe(i); err != nil {
-					taskErrs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n && !failed.Load(); i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(taskErrs...)
 }

@@ -134,10 +134,11 @@ const (
 	// barriers, so one straggling task no longer serializes the whole
 	// pipeline.
 	ExecPipelined ExecutionMode = iota
-	// ExecBarrier runs the job as three fully barriered phases
-	// (map → shuffle → reduce), each on its own worker-pool pass. Kept
-	// in-tree as the reference implementation the pipelined engine is
-	// equivalence-tested and benchmarked against.
+	// ExecBarrier is the barrier edge policy of the same task graph:
+	// all-to-all map→shuffle and shuffle→reduce edges and no incremental
+	// merge tree, so the job runs as three fully barriered phases
+	// (map → shuffle → reduce). Kept as the no-overlap reference the
+	// pipelined policy is equivalence-tested and benchmarked against.
 	ExecBarrier
 )
 
@@ -179,8 +180,8 @@ type Config struct {
 	// defaults to GOMAXPROCS. Purely a host-machine knob: it cannot
 	// change results or simulated timing.
 	Workers int
-	// Execution picks the pipelined task-graph engine (default) or the
-	// barriered reference engine. A host-machine knob like Workers.
+	// Execution picks the task graph's edge policy: pipelined (default)
+	// or barriered. A host-machine knob like Workers.
 	Execution ExecutionMode
 	// Transport selects where task bodies execute: in-process on the
 	// channel pool (nil / LocalTransport, the default) or leased to
@@ -282,8 +283,8 @@ func (c *Config) validate() error {
 				c.Name, c.Transport.TransportName())
 		}
 		// Remote execution replicates the pipelined task graph across
-		// processes; the barrier engine and the in-memory pressure knobs
-		// have no distributed counterpart (run files are the data plane).
+		// processes; the barrier edge policy and the in-memory pressure
+		// knobs are not offered there (run files are the data plane).
 		if c.Execution != ExecPipelined {
 			return fmt.Errorf("mapreduce: job %q: transport %q requires the pipelined engine",
 				c.Name, rt.TransportName())

@@ -13,13 +13,17 @@ import (
 	"proger/internal/obs/live"
 )
 
-// This file implements the pipelined engine (ExecPipelined): instead
-// of three barriered phase passes, the whole job becomes one static
-// dependency DAG executed on one shared worker pool. A node is
-// dispatched the moment its last dependency completes, so map output
-// flows into shuffle merges and shuffle output into reduce tasks
-// without any global barrier — a straggling map task only delays the
-// partitions it actually feeds work into, not the whole cluster.
+// This file implements the job graph: every job, in every execution
+// mode, becomes one static dependency DAG executed on one shared worker
+// pool. A node is dispatched the moment its last dependency completes.
+// Two policies shape it. The edge policy (Config.Execution) decides how
+// much may overlap: ExecPipelined lets map output flow into shuffle
+// merges and shuffle output into reduce tasks without any global
+// barrier — a straggling map task only delays the partitions it
+// actually feeds work into — while ExecBarrier adds all-to-all
+// map→shuffle and shuffle→reduce edges, so no phase starts before the
+// previous one has finished. The body policy (taskBodies) decides who
+// runs a task: this process, or a worker leased by the remote master.
 //
 // The graph per job:
 //
@@ -29,11 +33,10 @@ import (
 // Determinism is preserved because nothing about real execution order
 // is observable: every node writes only its own task-indexed slots of
 // phaseOutputs, and the simulated schedule, Result, spans, metrics,
-// and quality exports are all derived afterwards from those outputs —
-// exactly as in the barrier engine.
+// and quality exports are all derived afterwards from those outputs.
 
-// nodePhase ranks graph nodes for deterministic error reporting,
-// mirroring the barrier engine's phase order.
+// nodePhase ranks graph nodes for deterministic error reporting, in
+// phase order.
 type nodePhase int
 
 const (
@@ -104,10 +107,11 @@ type nodeFailure struct {
 // execute runs the graph on up to `workers` goroutines. After the
 // first failure no further node is dispatched (in-flight nodes drain),
 // and every collected failure is reported, joined in deterministic
-// (phase, task, insertion) order — the same stop-dispatch-and-join
-// contract runPool gives the barrier engine. A panicking node becomes
-// a node failure with runPool's message shape rather than a dead
-// engine.
+// (phase, task, insertion) order, so a multi-task failure is
+// attributable task by task rather than collapsing to whichever error
+// won the race. A panicking node becomes a node failure rather than a
+// dead engine — the moral equivalent of a Hadoop task attempt dying
+// without taking the job tracker down.
 func (g *taskGraph) execute(workers int) error {
 	if len(g.nodes) == 0 {
 		return nil
@@ -175,9 +179,8 @@ func (r *dagRun) work() {
 			r.inflight++
 			r.mu.Unlock()
 			// Each node runs on a fresh goroutine (the worker blocks on
-			// it, so concurrency stays capped at `workers`). This mirrors
-			// runPool's per-phase goroutines: task goroutines start with
-			// zero GC assist debt, instead of long-lived workers
+			// it, so concurrency stays capped at `workers`): task goroutines
+			// start with zero GC assist debt, instead of long-lived workers
 			// accumulating the whole job's debt and stalling on assists.
 			ch := make(chan error, 1)
 			go func() { ch <- runNodeSafe(n) }()
@@ -222,8 +225,7 @@ func runNodeSafe(n *dagNode) (err error) {
 
 // runAttempted executes one task body — through the attempt runtime's
 // retry ladder when it is active, directly otherwise — recording the
-// attempt history in att[i]. Identical to what runPhase does per task,
-// shared here so both engines produce identical attempt records.
+// attempt history in att[i].
 func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttempts, i int,
 	exec func(i int) (T, costmodel.Units, error)) (T, costmodel.Units, error) {
 	if fr == nil {
@@ -236,21 +238,14 @@ func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttemp
 	return out, cost, err
 }
 
-// runPipelinedEngine executes the job as a dependency-driven task
-// graph, filling phaseOutputs byte-identically to runBarrierEngine.
-func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
+// runJobGraph is the one job-graph builder: it wires cfg's map, shuffle,
+// reduce, and speculation nodes under the edge policy cfg.Execution,
+// gives them the bodies b, and executes the graph, filling po. po
+// carries live reduce inputs even when this returns an error; Run
+// settles them.
+func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *phaseOutputs, b taskBodies) error {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	po := newPhaseOutputs(cfg)
-	po.mapRes = make([]mapTaskResult, M)
-	po.mapCosts = make([]costmodel.Units, M)
-	po.shufRes = make([]shuffleTaskResult, R)
-	po.reduceRes = make([]reduceTaskResult, R)
-	po.reduceCosts = make([]costmodel.Units, R)
-
-	mapOuts := make([][][]KeyValue, M) // [task][partition][]kv
-	mExec := mapExec(cfg, lj, splits, po.mapWall)
-	sExec := shuffleExec(cfg, lj, mapOuts, po.shufWall)
-	rExec := reduceExec(cfg, lj, po.shufRes, po.reduceWall)
+	barrier := cfg.Execution == ExecBarrier
 
 	// Out-of-core mode: with a memory budget (and no fault runtime or
 	// deterministic spill limit claiming the shuffle as attempt-tracked
@@ -270,9 +265,9 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 		}
 	}
 
-	// All three phases' attempt slots are allocated up front: with no
-	// barriers, tasks of different phases run interleaved, and each
-	// node writes only its own index.
+	// All three phases' attempt slots are allocated up front: tasks of
+	// different phases may run interleaved, and each node writes only
+	// its own index.
 	var mapAtt, shufAtt, redAtt []*taskAttempts
 	if fr != nil {
 		mapAtt = fr.beginPhase(faults.Map, M)
@@ -285,12 +280,11 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 	for m := 0; m < M; m++ {
 		m := m
 		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
-			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, mExec)
+			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, b.mapTask)
 			if err != nil {
 				return err
 			}
 			po.mapRes[m], po.mapCosts[m] = out, cost
-			mapOuts[m] = out.out
 			if budgetMode {
 				// Hand the committed runs to the partition stores and drop
 				// the task's own references: from here on, residency of
@@ -300,27 +294,26 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 						return err
 					}
 				}
-				mapOuts[m] = nil
 				po.mapRes[m].out = nil
 			}
 			return nil
 		})
 	}
 
-	// Shuffle wiring. With no fault runtime and no spill limit, each
-	// partition merges incrementally: a binary tree of pairwise stable
-	// merges over adjacent map-index ranges, each node firing as soon
-	// as its two inputs commit — partition r's input starts assembling
-	// while other map tasks are still running. Pairwise adjacent stable
-	// merges compose to exactly the k-way stable merge order, so the
-	// bytes match the barrier shuffle.
+	// Shuffle wiring. With in-process bodies, pipelined edges, no fault
+	// runtime and no spill limit, each partition merges incrementally: a
+	// binary tree of pairwise stable merges over adjacent map-index
+	// ranges, each node firing as soon as its two inputs commit —
+	// partition r's input starts assembling while other map tasks are
+	// still running. Pairwise adjacent stable merges compose to exactly
+	// the k-way stable merge order, so the bytes match the single merge.
 	//
 	// With the attempt runtime or the spill path active, a partition's
 	// shuffle must remain ONE attempt-tracked unit of work — fault
 	// decisions are keyed (phase, task, attempt) and the spill decision
 	// needs the partition's total record count — so it runs as a single
-	// node (shuffleForTask) gated on all map tasks, preserving the
-	// barrier engine's attempt history and spill counts byte-for-byte.
+	// node gated on all map tasks, which is also what barrier edges and a
+	// remote master (whose map output lives in run files) always use.
 	//
 	// The tree trades extra intermediate copies for overlap, so it is
 	// only worth building when the host can actually run merge nodes
@@ -329,11 +322,58 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 	// k-way merge is used instead. Either way the merged bytes — and
 	// hence everything derived from them — are identical.
 	hostParallel := workers > 1 && runtime.GOMAXPROCS(0) > 1
-	premerge := fr == nil && cfg.ShuffleMemLimit <= 0 && !budgetMode && M > 1 && hostParallel
+	premerge := !barrier && b.inProcess && fr == nil && cfg.ShuffleMemLimit <= 0 && !budgetMode && M > 1 && hostParallel
+
+	// mergeRange builds partition r's incremental merge over the map
+	// tasks in [lo, hi). A leaf (hi-lo == 1) is the map node itself, its
+	// output the map task's pre-sorted run for r; an internal node stably
+	// merges its two halves the moment both commit. The returned getter is
+	// valid once the returned node has completed. The root node (lo, hi =
+	// 0, M) publishes the partition's shuffleTaskResult (spilledRuns 0,
+	// matching the single merge's in-memory path).
+	var mergeRange func(wt *mergeWall, r, lo, hi int) (*dagNode, func() []KeyValue)
+	mergeRange = func(wt *mergeWall, r, lo, hi int) (*dagNode, func() []KeyValue) {
+		if hi-lo == 1 {
+			return mapNodes[lo], func() []KeyValue { return po.mapRes[lo].out[r] }
+		}
+		mid := (lo + hi) / 2
+		ln, lget := mergeRange(wt, r, lo, mid)
+		rn, rget := mergeRange(wt, r, mid, hi)
+		root := hi-lo == M
+		var out []KeyValue
+		n := g.node(nodeKey{nodeShuffle, r}, func() error {
+			if wt != nil {
+				wt.begin()
+			}
+			out = mergeTwo(lget(), rget())
+			if wt != nil {
+				wt.end()
+			}
+			if root {
+				po.shufRes[r] = shuffleTaskResult{in: memInput{kvs: out}}
+				if wt != nil {
+					po.shufWall[r] = wt.span()
+				}
+			}
+			lj.MergeCommitted(r, root)
+			return nil
+		})
+		g.edge(ln, n)
+		g.edge(rn, n)
+		return n, func() []KeyValue { return out }
+	}
+
 	shufNodes := make([]*dagNode, R)
 	for r := 0; r < R; r++ {
 		r := r
-		if budgetMode {
+		switch {
+		case premerge:
+			var wt *mergeWall
+			if po.shufWall != nil {
+				wt = &mergeWall{}
+			}
+			shufNodes[r], _ = mergeRange(wt, r, 0, M)
+		case budgetMode:
 			// The store already holds (or spilled) every run by the time
 			// all map nodes committed; the node is pure dependency glue
 			// keeping reduce r gated on the complete shuffle input. It still
@@ -345,27 +385,19 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 				lj.TaskDone(live.PhaseShuffle, r, 0, stores[r].Len())
 				return nil
 			})
-			for _, mn := range mapNodes {
-				g.edge(mn, shufNodes[r])
-			}
-		} else if premerge {
-			var wt *mergeWall
-			if po.shufWall != nil {
-				wt = &mergeWall{}
-			}
-			shufNodes[r], _ = buildMergeRange(g, po, lj, mapNodes, mapOuts, wt, r, 0, M, true)
-		} else {
+		default:
 			shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-				out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, sExec)
+				// The merge's simulated sort cost is dropped here: reduce
+				// tasks price shuffling on the simulated clock.
+				out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, b.shuffle)
 				if err != nil {
 					return err
 				}
-				// Like the barrier engine, the merge's simulated sort cost
-				// is dropped here: reduce tasks price shuffling on the
-				// simulated clock.
 				po.shufRes[r] = out
 				return nil
 			})
+		}
+		if !premerge {
 			for _, mn := range mapNodes {
 				g.edge(mn, shufNodes[r])
 			}
@@ -376,31 +408,33 @@ func runPipelinedEngine(cfg *Config, fr *faultRuntime, lj *live.Job, workers int
 	for i := 0; i < R; i++ {
 		i := i
 		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
-			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, rExec)
+			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, b.reduce)
 			if err != nil {
 				return err
 			}
 			po.reduceRes[i], po.reduceCosts[i] = out, cost
 			return nil
 		})
-		g.edge(shufNodes[i], redNodes[i])
+		// Pipelined: reduce i waits for its own partition only. Barrier:
+		// for every partition.
+		for r, sn := range shufNodes {
+			if barrier || r == i {
+				g.edge(sn, redNodes[i])
+			}
+		}
 	}
 
 	if fr != nil && fr.policy.Speculation {
-		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, mExec)
-		// The shuffle phase speculates off its simulated sort costs,
-		// which runPhase returns but both engines otherwise discard;
-		// recompute them the same way for the gate's quantile.
+		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask)
+		// The shuffle phase speculates off its simulated sort costs, which
+		// the shuffle nodes discard; recompute them the same way for the
+		// gate's quantile.
 		shufCosts := make([]costmodel.Units, R)
 		shufCostOf := func(i int) costmodel.Units { return cfg.Cost.ShuffleSortCost(po.shufRes[i].in.Len()) }
-		addSpeculationNodesWithCosts(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, shufCosts, shufCostOf, sExec)
-		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, rExec)
+		addSpeculationNodesWithCosts(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, shufCosts, shufCostOf, b.shuffle)
+		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce)
 	}
-
-	if err := (LocalTransport{}).execGraph(g, workers); err != nil {
-		return po, err // po carries live stores; Run settles them
-	}
-	return po, nil
+	return g.execute(workers)
 }
 
 // mergeWall tracks the host wall window of one partition's incremental
@@ -434,52 +468,14 @@ func (w *mergeWall) span() wallSpan {
 	return wallSpan{w.first, w.last.Sub(w.first)}
 }
 
-// buildMergeRange builds partition r's incremental merge over the map
-// tasks in [lo, hi). A leaf (hi-lo == 1) is the map node itself, its
-// output the map task's pre-sorted run for r; an internal node stably
-// merges its two halves the moment both commit. The returned getter is
-// valid once the returned node has completed. The root node publishes
-// the partition's shuffleTaskResult (spilledRuns 0, matching the
-// barrier engine's in-memory path).
-func buildMergeRange(g *taskGraph, po *phaseOutputs, lj *live.Job, mapNodes []*dagNode, mapOuts [][][]KeyValue,
-	wt *mergeWall, r, lo, hi int, root bool) (*dagNode, func() []KeyValue) {
-	if hi-lo == 1 {
-		return mapNodes[lo], func() []KeyValue { return mapOuts[lo][r] }
-	}
-	mid := (lo + hi) / 2
-	ln, lget := buildMergeRange(g, po, lj, mapNodes, mapOuts, wt, r, lo, mid, false)
-	rn, rget := buildMergeRange(g, po, lj, mapNodes, mapOuts, wt, r, mid, hi, false)
-	out := new([]KeyValue)
-	n := g.node(nodeKey{nodeShuffle, r}, func() error {
-		if wt != nil {
-			wt.begin()
-		}
-		*out = mergeTwo(lget(), rget())
-		if wt != nil {
-			wt.end()
-		}
-		if root {
-			po.shufRes[r] = shuffleTaskResult{in: memInput{kvs: *out}}
-			if wt != nil {
-				po.shufWall[r] = wt.span()
-			}
-		}
-		lj.MergeCommitted(r, root)
-		return nil
-	})
-	g.edge(ln, n)
-	g.edge(rn, n)
-	return n, func() []KeyValue { return *out }
-}
-
 // addSpeculationNodes wires one phase's straggler pass into the graph:
 // a gate node, dependent on every task of the phase, computes the
 // straggler threshold (the quantile needs the whole phase's cost
 // distribution — the one ordering constraint speculation genuinely
-// has); then one node per task runs the same speculateTask check the
-// barrier engine uses. Speculation nodes have no successors — a
-// winning backup is verified byte-identical to the committed output —
-// so reduce work never waits on them.
+// has); then one node per task runs the speculateTask check.
+// Speculation nodes have no successors — a winning backup is verified
+// byte-identical to the committed output — so reduce work never waits
+// on them.
 func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase faults.Phase, np nodePhase,
 	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error)) {
 	addSpeculationNodesWithCosts(g, fr, phase, np, taskNodes, outs, costs,

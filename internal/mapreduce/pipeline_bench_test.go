@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// The engine benchmark reproduces the workload shape the pipelined
-// engine targets: a straggling map task plus a skewed shuffle, where
-// the barrier engine serializes map-straggler wait → all merges →
-// all reduces, while the task graph premerges the seven fast map
-// tasks' runs during the straggler and fires each reduce the moment
-// its partition's merge commits.
+// The engine benchmark reproduces the workload shape pipelined edges
+// target: a straggling map task plus a skewed shuffle, where barrier
+// edges serialize map-straggler wait → all merges → all reduces, while
+// pipelined edges premerge the seven fast map tasks' runs during the
+// straggler and fire each reduce the moment its partition's merge
+// commits.
 
 const (
 	benchMapTasks    = 8
@@ -20,7 +20,7 @@ const (
 	// benchEmitPerMap records per fast map task; ~80% of them key into
 	// partition 0, making its merge the shuffle-side straggler. Kept
 	// small so the workload is compute- rather than allocation-bound:
-	// the engines' structural difference (barriers vs overlap) is the
+	// the edge policies' structural difference (barriers vs overlap) is the
 	// signal, not GC pressure from shuffle volume.
 	benchEmitPerMap = 2000
 	// benchStragglerSpin is map task 0's CPU burn, sized so the other
@@ -87,8 +87,8 @@ func (pipelineBenchMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) err
 }
 
 // pipelineBenchReducer makes partitions 1..3 CPU-heavy: their reduce
-// work is exactly what the barrier engine cannot start until partition
-// 0's big merge has finished, and what the task graph overlaps with it.
+// work is exactly what barrier edges cannot start until partition 0's
+// big merge has finished, and what pipelined edges overlap with it.
 type pipelineBenchReducer struct{ ReducerBase }
 
 func (pipelineBenchReducer) Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error {
@@ -128,9 +128,9 @@ func pipelineBenchConfig(workers int, mode ExecutionMode) Config {
 	}
 }
 
-// BenchmarkEnginePipeline compares host wall time of the barriered
-// reference engine against the dependency-driven task graph on the
-// skewed workload above. Sub-benchmark names split on the engine so
+// BenchmarkEnginePipeline compares host wall time of the job graph's
+// barrier edge policy against its pipelined edge policy on the skewed
+// workload above. Sub-benchmark names split on the policy so
 // `make bench-compare` can diff barrier vs pipelined per worker count.
 func BenchmarkEnginePipeline(b *testing.B) {
 	in := pipelineBenchInput()

@@ -1,17 +1,25 @@
 package mapreduce
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"proger/internal/faults"
+	"proger/internal/membudget"
 	"proger/internal/obs"
+	"proger/internal/obs/live"
 )
 
 // ---- taskGraph unit tests ----
@@ -60,35 +68,58 @@ func TestTaskGraphRespectsDependencies(t *testing.T) {
 
 // TestTaskGraphFailureStopsDispatch: once a node fails, no
 // not-yet-dispatched node runs — including ready siblings still in the
-// queue when the failure lands (workers=1 makes that deterministic).
+// queue when the failure lands (workers=1 makes that deterministic, and
+// dispatches independent nodes strictly in insertion order).
 func TestTaskGraphFailureStopsDispatch(t *testing.T) {
-	var ran []string
-	g := &taskGraph{}
-	a := g.node(nodeKey{nodeMap, 0}, func() error {
-		ran = append(ran, "a")
-		return errors.New("boom")
-	})
-	b := g.node(nodeKey{nodeMap, 1}, func() error {
-		ran = append(ran, "b")
-		return nil
-	})
-	c := g.node(nodeKey{nodeReduce, 0}, func() error {
-		ran = append(ran, "c")
-		return nil
-	})
-	g.edge(a, c)
-	g.edge(b, c)
-	err := g.execute(1)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if !reflect.DeepEqual(ran, []string{"a"}) {
-		t.Errorf("ran %v, want only the failing node", ran)
+	for _, tc := range []struct {
+		name     string
+		nodes    int  // independent root nodes
+		failAt   int  // the root that fails
+		joinRoot bool // add one node depending on every root
+	}{
+		{name: "ready sibling and dependent", nodes: 2, failAt: 0, joinRoot: true},
+		{name: "sequential short-circuit", nodes: 100, failAt: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ran []int
+			g := &taskGraph{}
+			roots := make([]*dagNode, tc.nodes)
+			for i := range roots {
+				i := i
+				roots[i] = g.node(nodeKey{nodeMap, i}, func() error {
+					ran = append(ran, i)
+					if i == tc.failAt {
+						return errors.New("boom")
+					}
+					return nil
+				})
+			}
+			if tc.joinRoot {
+				join := g.node(nodeKey{nodeReduce, 0}, func() error {
+					ran = append(ran, -1)
+					return nil
+				})
+				for _, n := range roots {
+					g.edge(n, join)
+				}
+			}
+			err := g.execute(1)
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			want := make([]int, tc.failAt+1)
+			for i := range want {
+				want[i] = i
+			}
+			if !reflect.DeepEqual(ran, want) {
+				t.Errorf("ran %v, want exactly the nodes up to the failing one %v", ran, want)
+			}
+		})
 	}
 }
 
-// TestTaskGraphPanicBecomesError: a panicking node is converted to the
-// same error shape runPool produces, not a dead process.
+// TestTaskGraphPanicBecomesError: a panicking node is converted to an
+// attributable task error, not a dead process.
 func TestTaskGraphPanicBecomesError(t *testing.T) {
 	g := &taskGraph{}
 	g.node(nodeKey{nodeMap, 7}, func() error { panic("kaboom") })
@@ -127,17 +158,22 @@ func TestTaskGraphFailureOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestTaskGraphWorkerClamp: degenerate worker counts still complete.
+// TestTaskGraphWorkerClamp: every node runs exactly once without error,
+// at degenerate worker counts and with far more nodes than workers.
 func TestTaskGraphWorkerClamp(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 100} {
-		n := 0
+	for _, tc := range []struct{ workers, nodes int }{
+		{-1, 1}, {0, 1}, {1, 1}, {100, 1}, {8, 257},
+	} {
+		var executed atomic.Int64
 		g := &taskGraph{}
-		g.node(nodeKey{nodeMap, 0}, func() error { n++; return nil })
-		if err := g.execute(workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for i := 0; i < tc.nodes; i++ {
+			g.node(nodeKey{nodeMap, i}, func() error { executed.Add(1); return nil })
 		}
-		if n != 1 {
-			t.Fatalf("workers=%d: node ran %d times", workers, n)
+		if err := g.execute(tc.workers); err != nil {
+			t.Fatalf("workers=%d: %v", tc.workers, err)
+		}
+		if got := executed.Load(); got != int64(tc.nodes) {
+			t.Fatalf("workers=%d: executed %d of %d nodes", tc.workers, got, tc.nodes)
 		}
 	}
 	if err := (&taskGraph{}).execute(4); err != nil {
@@ -266,7 +302,7 @@ func TestPipelinedTraceMatchesBarrier(t *testing.T) {
 }
 
 // TestPipelinedErrorPropagates: task errors surface through the graph
-// with the same wrapping as the barrier engine's runPool.
+// with the task function's own wrapping.
 func TestPipelinedErrorPropagates(t *testing.T) {
 	cfg := wordCountConfig(4)
 	cfg.Execution = ExecPipelined
@@ -274,5 +310,149 @@ func TestPipelinedErrorPropagates(t *testing.T) {
 	_, err := Run(cfg, wordCountInput(), 0)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want map failure", err)
+	}
+}
+
+// ---- barrier edge policy ----
+
+// gatedReducer blocks the first reduce task to reach Setup until
+// released — the reduce-side twin of gatedMapper.
+type gatedReducer struct {
+	wordCountReducer
+	gate *mapGate
+}
+
+func (r gatedReducer) Setup(*TaskContext) error {
+	r.gate.once.Do(func() {
+		close(r.gate.entered)
+		<-r.gate.release
+	})
+	return nil
+}
+
+// TestBarrierModeNeverOverlapsPhases pins the one property the barrier
+// edge policy has to provide as the no-overlap reference: no shuffle or
+// reduce body starts before the last map body returns, and no reduce
+// body starts before the last shuffle finishes. The gates hold a map
+// and a reduce body open while the live task table is inspected; the
+// event log (one mutex-ordered sequence of every body's start and done
+// transition) then proves the ordering over the whole run.
+func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
+	mGate := &mapGate{entered: make(chan struct{}), release: make(chan struct{})}
+	rGate := &mapGate{entered: make(chan struct{}), release: make(chan struct{})}
+	var events bytes.Buffer
+	run := live.NewRun(live.NewEventLog(&events))
+	cfg := wordCountConfig(8)
+	cfg.NumReduceTasks = 4
+	cfg.Execution = ExecBarrier
+	cfg.Live = run
+	cfg.NewMapper = func() Mapper { return gatedMapper{gate: mGate} }
+	cfg.NewReducer = func() Reducer { return gatedReducer{gate: rGate} }
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg, wordCountInput(), 0)
+		done <- err
+	}()
+	// wantStates asserts every task row of the given phases is in state.
+	wantStates := func(when, state string, phases ...live.Phase) {
+		t.Helper()
+		for _, row := range run.Tasks() {
+			if slices.Contains(phases, row.Phase) && row.State != state {
+				t.Errorf("%s: %s task %d is %s, want %s", when, row.Phase, row.Task, row.State, state)
+			}
+		}
+	}
+	await := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case err := <-done:
+			t.Fatalf("job ended (err=%v) before %s", err, what)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	await("the gated map body", mGate.entered)
+	wantStates("map body open", "pending", live.PhaseShuffle, live.PhaseReduce)
+	close(mGate.release)
+	await("the gated reduce body", rGate.entered)
+	wantStates("reduce body open", "done", live.PhaseMap, live.PhaseShuffle)
+	close(rGate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// Whole-run ordering: the last done of a phase precedes the first
+	// start of every later phase.
+	lastDone := map[string]int{}
+	firstStart := map[string]int{}
+	sc := bufio.NewScanner(&events)
+	for line := 0; sc.Scan(); line++ {
+		var ev struct {
+			Event, Phase string
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("event line %d: %v", line, err)
+		}
+		switch ev.Event {
+		case live.EventTaskDone:
+			lastDone[ev.Phase] = line
+		case live.EventTaskStart:
+			if _, seen := firstStart[ev.Phase]; !seen {
+				firstStart[ev.Phase] = line
+			}
+		}
+	}
+	for _, ord := range [][2]string{{"map", "shuffle"}, {"map", "reduce"}, {"shuffle", "reduce"}} {
+		done, okDone := lastDone[ord[0]]
+		start, okStart := firstStart[ord[1]]
+		if !okDone || !okStart {
+			t.Fatalf("event log misses %s done or %s start events", ord[0], ord[1])
+		}
+		if start < done {
+			t.Errorf("a %s body started (event %d) before the last %s body finished (event %d)",
+				ord[1], start, ord[0], done)
+		}
+	}
+}
+
+// TestJobGraphShuffleFailureLeavesNoSpill: when one partition's shuffle
+// exhausts its retry ladder, the spill state of the partitions that did
+// shuffle successfully must still be settled — every graph node
+// publishes into phaseOutputs, and Run closes whatever is there.
+func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
+	for _, mode := range []ExecutionMode{ExecPipelined, ExecBarrier} {
+		for _, storage := range []string{"force-disk", "budget"} {
+			t.Run(fmt.Sprintf("mode=%v/%s", mode, storage), func(t *testing.T) {
+				cfg := wordCountConfig(1) // one worker: shuffle 0 commits before shuffle 1 fails
+				cfg.Execution = mode
+				cfg.SpillDir = t.TempDir()
+				cfg.Retry = RetryPolicy{MaxRetries: 2}
+				cfg.Faults = faults.Script{
+					{Phase: faults.Shuffle, Task: 1, Attempt: 1}: {Kind: faults.Crash},
+					{Phase: faults.Shuffle, Task: 1, Attempt: 2}: {Kind: faults.Crash},
+					{Phase: faults.Shuffle, Task: 1, Attempt: 3}: {Kind: faults.Crash},
+				}
+				if storage == "budget" {
+					cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
+				} else {
+					cfg.ShuffleMemLimit = 1
+				}
+				if _, err := Run(cfg, wordCountInput(), 0); err == nil {
+					t.Fatal("Run succeeded; the scripted shuffle failure never fired")
+				}
+				entries, err := os.ReadDir(cfg.SpillDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != 0 {
+					t.Errorf("%d entries left under SpillDir after the failed run", len(entries))
+				}
+				if used := cfg.MemBudget.Used(); used != 0 {
+					t.Errorf("MemBudget.Used() = %d after the failed run, want 0", used)
+				}
+			})
+		}
 	}
 }

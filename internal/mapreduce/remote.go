@@ -14,14 +14,14 @@ package mapreduce
 // spans, and quality observations travel back inline over RPC: they
 // are exactly the per-task state phaseOutputs needs.
 //
-// Determinism: the master drives the same task graph (map → shuffle r
-// gated on all maps → reduce r) through the same runAttempted /
-// speculation machinery as the local pipelined engine — its node
-// bodies just dispatch over RPC instead of calling the task function.
-// Committed results are byte-identical to local execution because the
-// task bodies are the same deterministic functions, so everything
-// derived in Run's finalize half (schedule, Result, spans, metrics,
-// quality) is transport-independent. Workers fill the same
+// Determinism: the master runs the same job-graph builder (map →
+// shuffle r gated on all maps → reduce r), with the same runAttempted /
+// speculation machinery, as local execution — only its body policy
+// differs: its bodies dispatch over RPC instead of calling the task
+// function. Committed results are byte-identical to local execution
+// because the task bodies are the same deterministic functions, so
+// everything derived in Run's finalize half (schedule, Result, spans,
+// metrics, quality) is transport-independent. Workers fill the same
 // phaseOutputs from the master's end-of-job broadcast, which keeps
 // every process's driver loop (job-2 schedule generation feeds on
 // job-1's Result) in lockstep.
@@ -32,21 +32,20 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"proger/internal/costmodel"
 	"proger/internal/extsort"
-	"proger/internal/faults"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
 )
 
-// Remote phase names, the wire form of a leased task's phase.
+// Remote phase names, the wire form of a leased task's phase. They are
+// the live phase names, so either converts to the other directly.
 const (
-	RemotePhaseMap     = "map"
-	RemotePhaseShuffle = "shuffle"
-	RemotePhaseReduce  = "reduce"
+	RemotePhaseMap     = string(live.PhaseMap)
+	RemotePhaseShuffle = string(live.PhaseShuffle)
+	RemotePhaseReduce  = string(live.PhaseReduce)
 )
 
 // RemoteJobSpec describes one job as a process derived it from its own
@@ -260,84 +259,86 @@ func (rr *RemoteRunner) RunTask(phase string, task, inputLen int) (*RemoteTaskRe
 	if rr.execCfg == nil {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
 	}
+	var body func() (*RemoteTaskResult, costmodel.Units, int, error)
 	switch phase {
 	case RemotePhaseMap:
-		return rr.runMap(task)
+		if task < 0 || task >= len(rr.splits) {
+			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", task, len(rr.splits))
+		}
+		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runMap(task) }
 	case RemotePhaseShuffle:
-		return rr.runShuffle(task)
+		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runShuffle(task) }
 	case RemotePhaseReduce:
-		return rr.runReduce(task, inputLen)
+		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, inputLen) }
+	default:
+		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
 	}
-	return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
+	p := live.Phase(phase)
+	res, _, err := trackTask(rr.lj, p, task, nil, body)
+	if err != nil {
+		return nil, err
+	}
+	rr.lj.TaskWorker(p, task, rr.workerID)
+	rr.markDone(phase, task)
+	return res, nil
 }
 
-func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, error) {
-	if m < 0 || m >= len(rr.splits) {
-		return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", m, len(rr.splits))
-	}
-	rr.lj.TaskStart(live.PhaseMap, m)
+// runMap, runShuffle, and runReduce are the worker-side task bodies;
+// beside the wire-form result each reports what trackTask publishes —
+// the task's cost and the record count of its live done transition.
+func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, error) {
 	out, cost, counters, spans, err := runMapTask(rr.execCfg, m, rr.splits[m])
 	if err != nil {
-		rr.lj.TaskFailed(live.PhaseMap, m, err)
-		return nil, err
+		return nil, 0, 0, err
 	}
 	res := &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, PartLens: make([]int, len(out))}
 	for r, part := range out {
 		res.PartLens[r] = len(part)
-		if err := writeRunFileAtomic(rr.jobDir(), mapRunName(m, r), uint64(m), part, rr.cWrite); err != nil {
-			rr.lj.TaskFailed(live.PhaseMap, m, err)
-			return nil, err
+		if err := rr.writeMapRun(m, r, part); err != nil {
+			return nil, 0, 0, err
 		}
 	}
-	rr.lj.TaskDone(live.PhaseMap, m, float64(cost), len(rr.splits[m]))
-	rr.lj.TaskWorker(live.PhaseMap, m, rr.workerID)
-	rr.markDone(RemotePhaseMap, m)
-	return res, nil
+	return res, cost, len(rr.splits[m]), nil
 }
 
 // runShuffle k-way merges partition r's map run files by (key, map
 // index) — the identical stable order every local storage mode yields —
 // streaming straight into the partition's merged run file.
-func (rr *RemoteRunner) runShuffle(r int) (*RemoteTaskResult, error) {
-	rr.lj.TaskStart(live.PhaseShuffle, r)
+func (rr *RemoteRunner) runShuffle(r int) (*RemoteTaskResult, costmodel.Units, int, error) {
 	n, err := rr.mergePartition(r)
 	if err != nil {
-		rr.lj.TaskFailed(live.PhaseShuffle, r, err)
-		return nil, err
+		return nil, 0, 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
 	}
 	cost := rr.execCfg.Cost.ShuffleSortCost(n)
-	rr.lj.TaskDone(live.PhaseShuffle, r, float64(cost), n)
-	rr.lj.TaskWorker(live.PhaseShuffle, r, rr.workerID)
-	rr.markDone(RemotePhaseShuffle, r)
-	return &RemoteTaskResult{Cost: cost, Len: n}, nil
+	return &RemoteTaskResult{Cost: cost, Len: n}, cost, n, nil
 }
 
-func (rr *RemoteRunner) mergePartition(r int) (n int, err error) {
+func (rr *RemoteRunner) mergePartition(r int) (int, error) {
 	dir := rr.jobDir()
-	final := filepath.Join(dir, shuffleRunName(r))
-	M := rr.execCfg.NumMapTasks
-	type src struct {
-		f  *os.File
-		rr *extsort.RunReader
+	// First-write-wins: if a previous lease of this task already merged
+	// the partition, count its records instead of rewriting identical
+	// bytes over a file a reduce task may be streaming.
+	if final := filepath.Join(dir, shuffleRunName(r)); fileExists(final) {
+		return countRunRecords(final, rr.cRead)
 	}
-	srcs := make([]*src, 0, M)
+	M := rr.execCfg.NumMapTasks
+	files := make([]*os.File, 0, M)
 	defer func() {
-		for _, s := range srcs {
-			s.f.Close()
+		for _, f := range files {
+			f.Close()
 		}
 	}()
 	var readErr error
 	pulls := make([]func() (prioKV, bool), 0, M)
-	total := 0
 	for m := 0; m < M; m++ {
 		f, err := os.Open(filepath.Join(dir, mapRunName(m, r)))
 		if err != nil {
-			return 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
+			return 0, err
 		}
-		s := &src{f: f, rr: extsort.NewRunReader(countingReader{f, rr.cRead})}
-		srcs = append(srcs, s)
+		files = append(files, f)
+		run := extsort.NewRunReader(countingReader{f, rr.cRead})
 		pulls = append(pulls, func() (prioKV, bool) {
-			seq, key, val, err := s.rr.Next()
+			seq, key, val, err := run.Next()
 			if err == io.EOF {
 				return prioKV{}, false
 			}
@@ -351,103 +352,87 @@ func (rr *RemoteRunner) mergePartition(r int) (n int, err error) {
 		})
 	}
 	merger := extsort.NewMerger(pulls, prioKVCmp)
-	// First-write-wins: if a previous lease of this task already merged
-	// the partition, count its records instead of rewriting identical
-	// bytes over a file a reduce task may be streaming.
-	if _, statErr := os.Stat(final); statErr == nil {
-		return countRunRecords(final, rr.cRead)
-	}
-	tmp, err := os.CreateTemp(dir, shuffleRunName(r)+".tmp-")
-	if err != nil {
-		return 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
-	}
-	fail := func(err error) (int, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
-	}
-	rw := extsort.NewRunWriter(countingWriter{tmp, rr.cWrite})
-	for {
-		rec, ok := merger.Next()
-		if !ok {
-			break
+	total := 0
+	err := commitRunFile(dir, shuffleRunName(r), rr.cWrite, func(rw *extsort.RunWriter) error {
+		for {
+			rec, ok := merger.Next()
+			if !ok {
+				return readErr
+			}
+			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
+				return err
+			}
+			total++
 		}
-		if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
-			return fail(err)
-		}
-		total++
-	}
-	if readErr != nil {
-		return fail(readErr)
-	}
-	if err := rw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
-	}
-	return total, nil
+	})
+	return total, err
 }
 
-func (rr *RemoteRunner) runReduce(i, inputLen int) (*RemoteTaskResult, error) {
-	rr.lj.TaskStart(live.PhaseReduce, i)
+func (rr *RemoteRunner) runReduce(i, inputLen int) (*RemoteTaskResult, costmodel.Units, int, error) {
 	in := runFileInput{path: filepath.Join(rr.jobDir(), shuffleRunName(i)), n: inputLen, c: rr.cRead}
 	out, cost, counters, spans, qobs, err := runReduceTask(rr.execCfg, i, in)
 	if err != nil {
-		rr.lj.TaskFailed(live.PhaseReduce, i, err)
-		return nil, err
+		return nil, 0, 0, err
 	}
-	rr.lj.TaskDone(live.PhaseReduce, i, float64(cost), inputLen)
-	rr.lj.TaskWorker(live.PhaseReduce, i, rr.workerID)
-	rr.markDone(RemotePhaseReduce, i)
-	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Out: out, Qobs: qobs}, nil
+	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Out: out, Qobs: qobs}, cost, inputLen, nil
 }
 
-// writeRunFileAtomic writes one pre-sorted run to dir/name with
-// first-write-wins semantics: temp file + rename, and an existing file
-// is left untouched (any two executions of the same deterministic task
-// produce identical bytes, so whichever landed first is the truth).
-// c, when non-nil, counts the bytes written.
-func writeRunFileAtomic(dir, name string, prio uint64, kvs []KeyValue, c *obs.Counter) error {
+// writeMapRun writes map task m's pre-sorted run for partition r into
+// the job's shared directory with first-write-wins semantics: an
+// existing file is left untouched (any two executions of the same
+// deterministic task produce identical bytes, so whichever landed first
+// is the truth).
+func (rr *RemoteRunner) writeMapRun(m, r int, kvs []KeyValue) error {
+	dir, name := rr.jobDir(), mapRunName(m, r)
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return fmt.Errorf("mapreduce: run dir: %w", err)
 	}
-	final := filepath.Join(dir, name)
-	if _, err := os.Stat(final); err == nil {
+	if fileExists(filepath.Join(dir, name)) {
 		return nil
 	}
-	tmp, err := os.CreateTemp(dir, name+".tmp-")
+	err := commitRunFile(dir, name, rr.cWrite, func(rw *extsort.RunWriter) error {
+		for _, kv := range kvs {
+			if err := rw.WriteRecord(uint64(m), kv.Key, kv.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
 	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
+	return nil
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// commitRunFile writes the run file dir/name atomically: write streams
+// the records into a temp file beside it, which is then flushed, closed,
+// and renamed into place. A failure at any step removes the temp file.
+// c, when non-nil, counts the bytes written.
+func commitRunFile(dir, name string, c *obs.Counter, write func(rw *extsort.RunWriter) error) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-")
+	if err != nil {
+		return err
 	}
 	rw := extsort.NewRunWriter(countingWriter{tmp, c})
-	for _, kv := range kvs {
-		if err := rw.WriteRecord(prio, kv.Key, kv.Value); err != nil {
-			return fail(err)
-		}
+	err = write(rw)
+	if err == nil {
+		err = rw.Flush()
 	}
-	if err := rw.Flush(); err != nil {
-		return fail(err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
-	}
-	return nil
+	return err
 }
 
 func countRunRecords(path string, c *obs.Counter) (int, error) {
@@ -495,7 +480,7 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 }
 
 // runRemoteJob executes one job over a remote transport, filling
-// phaseOutputs byte-identically to the local engines.
+// phaseOutputs byte-identically to local execution.
 func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
 	spec := RemoteJobSpec{
 		Name:           cfg.Name,
@@ -512,192 +497,96 @@ func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Jo
 	if job.Master() {
 		return runRemoteMaster(cfg, fr, lj, workers, splits, job)
 	}
-	return runRemoteWorker(cfg, lj, splits, job, runner)
+	return runRemoteWorker(cfg, splits, job, runner)
 }
 
-// runRemoteMaster drives the job's task graph with RPC-dispatching
-// node bodies: the same graph shape, attempt runtime, speculation
-// gates, and pool scheduling as the local pipelined engine's
-// non-premerge path, so attempt histories — and therefore trace
-// bytes — match a local run with the same fault configuration.
+// runRemoteMaster drives the job graph with RPC-dispatching bodies:
+// the same builder — graph shape, attempt runtime, speculation gates,
+// and pool scheduling — as local execution's single-shuffle-node path,
+// so attempt histories — and therefore trace bytes — match a local run
+// with the same fault configuration. The end-of-job broadcast is
+// assembled from the wire-form results the bodies left in po.
 func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
-	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
 	po := newPhaseOutputs(cfg)
-	po.mapRes = make([]mapTaskResult, M)
-	po.mapCosts = make([]costmodel.Units, M)
-	po.shufRes = make([]shuffleTaskResult, R)
-	po.reduceRes = make([]reduceTaskResult, R)
-	po.reduceCosts = make([]costmodel.Units, R)
-
-	// Raw wire-form results per committed task, collected by the graph
-	// nodes (single writer each) for the end-of-job broadcast.
-	rawMap := make([]*RemoteTaskResult, M)
-	rawShuf := make([]*RemoteTaskResult, R)
-	rawRed := make([]*RemoteTaskResult, R)
-	partLens := make([][]int, M)
-
-	// Lost leases (worker died mid-task) re-dispatch below the attempt
-	// runtime: host chaos stays off the simulated timeline.
-	lost := lostRetryBudget(cfg)
-	dispatch := func(phase string, task, inputLen int) (*RemoteTaskResult, error) {
-		return retryLost(lost, func() (*RemoteTaskResult, error) {
-			return rjob.RunTask(phase, task, inputLen)
-		})
-	}
-
-	mExec := func(m int) (mapTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseMap, m)
-		var w0 time.Time
-		if po.mapWall != nil {
-			w0 = time.Now()
-		}
-		res, err := dispatch(RemotePhaseMap, m, len(splits[m]))
-		if err != nil {
-			lj.TaskFailed(live.PhaseMap, m, err)
-			return mapTaskResult{}, 0, err
-		}
-		if po.mapWall != nil {
-			po.mapWall[m] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseMap, m, float64(res.Cost), len(splits[m]))
-		lj.TaskWorker(live.PhaseMap, m, res.Worker)
-		return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, nil
-	}
-	sExec := func(r int) (shuffleTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseShuffle, r)
-		var w0 time.Time
-		if po.shufWall != nil {
-			w0 = time.Now()
-		}
-		n := 0
-		for m := 0; m < M; m++ {
-			n += partLens[m][r]
-		}
-		res, err := dispatch(RemotePhaseShuffle, r, n)
-		if err != nil {
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
-		}
-		if res.Len != n {
-			err := fmt.Errorf("mapreduce: %s shuffle %d merged %d records, map tasks produced %d",
-				cfg.Name, r, res.Len, n)
-			lj.TaskFailed(live.PhaseShuffle, r, err)
-			return shuffleTaskResult{}, 0, err
-		}
-		if po.shufWall != nil {
-			po.shufWall[r] = wallSpan{w0, time.Since(w0)}
-		}
-		cost := cfg.Cost.ShuffleSortCost(res.Len)
-		lj.TaskDone(live.PhaseShuffle, r, float64(cost), res.Len)
-		lj.TaskWorker(live.PhaseShuffle, r, res.Worker)
-		return shuffleTaskResult{in: remoteInput{n: res.Len}, remote: res}, cost, nil
-	}
-	rExec := func(i int) (reduceTaskResult, costmodel.Units, error) {
-		lj.TaskStart(live.PhaseReduce, i)
-		var w0 time.Time
-		if po.reduceWall != nil {
-			w0 = time.Now()
-		}
-		res, err := dispatch(RemotePhaseReduce, i, po.shufRes[i].in.Len())
-		if err != nil {
-			lj.TaskFailed(live.PhaseReduce, i, err)
-			return reduceTaskResult{}, 0, err
-		}
-		if po.reduceWall != nil {
-			po.reduceWall[i] = wallSpan{w0, time.Since(w0)}
-		}
-		lj.TaskDone(live.PhaseReduce, i, float64(res.Cost), po.shufRes[i].in.Len())
-		lj.TaskWorker(live.PhaseReduce, i, res.Worker)
-		return reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, remote: res}, res.Cost, nil
-	}
-
-	var mapAtt, shufAtt, redAtt []*taskAttempts
-	if fr != nil {
-		mapAtt = fr.beginPhase(faults.Map, M)
-		shufAtt = fr.beginPhase(faults.Shuffle, R)
-		redAtt = fr.beginPhase(faults.Reduce, R)
-	}
-
-	g := &taskGraph{}
-	mapNodes := make([]*dagNode, M)
-	for m := 0; m < M; m++ {
-		m := m
-		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
-			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, mExec)
-			if err != nil {
-				return err
-			}
-			po.mapRes[m], po.mapCosts[m] = out, cost
-			partLens[m] = out.remote.PartLens
-			rawMap[m] = out.remote
-			return nil
-		})
-	}
-	shufNodes := make([]*dagNode, R)
-	for r := 0; r < R; r++ {
-		r := r
-		shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-			out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, sExec)
-			if err != nil {
-				return err
-			}
-			po.shufRes[r] = out
-			rawShuf[r] = out.remote
-			return nil
-		})
-		for _, mn := range mapNodes {
-			g.edge(mn, shufNodes[r])
-		}
-	}
-	redNodes := make([]*dagNode, R)
-	for i := 0; i < R; i++ {
-		i := i
-		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
-			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, rExec)
-			if err != nil {
-				return err
-			}
-			po.reduceRes[i], po.reduceCosts[i] = out, cost
-			rawRed[i] = out.remote
-			return nil
-		})
-		g.edge(shufNodes[i], redNodes[i])
-	}
-	if fr != nil && fr.policy.Speculation {
-		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, mExec)
-		shufCosts := make([]costmodel.Units, R)
-		shufCostOf := func(i int) costmodel.Units { return cfg.Cost.ShuffleSortCost(po.shufRes[i].in.Len()) }
-		addSpeculationNodesWithCosts(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, shufCosts, shufCostOf, sExec)
-		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, rExec)
-	}
-
-	err := (LocalTransport{}).execGraph(g, workers)
+	err := runJobGraph(cfg, fr, lj, workers, po, masterBodies(cfg, lj, splits, po, rjob))
 	var results *RemoteJobResults
 	if err == nil {
 		results = &RemoteJobResults{
-			Map:     make([]RemoteTaskResult, M),
-			Shuffle: make([]RemoteTaskResult, R),
-			Reduce:  make([]RemoteTaskResult, R),
+			Map:     make([]RemoteTaskResult, cfg.NumMapTasks),
+			Shuffle: make([]RemoteTaskResult, cfg.NumReduceTasks),
+			Reduce:  make([]RemoteTaskResult, cfg.NumReduceTasks),
 		}
-		for m, res := range rawMap {
-			results.Map[m] = *res
+		for m, res := range po.mapRes {
+			results.Map[m] = *res.remote
 		}
-		for r, res := range rawShuf {
-			results.Shuffle[r] = *res
+		for r, res := range po.shufRes {
+			results.Shuffle[r] = *res.remote
 		}
-		for i, res := range rawRed {
-			results.Reduce[i] = *res
+		for i, res := range po.reduceRes {
+			results.Reduce[i] = *res.remote
 		}
 	}
 	// Broadcast results — or the terminal error — so the worker fleet's
 	// lockstep drivers can proceed (or abort) too.
-	if ferr := rjob.Finish(results, err); err == nil && ferr != nil {
+	if ferr := rjob.Finish(results, err); err == nil {
 		err = ferr
 	}
-	if err != nil {
-		return po, err
+	return po, err
+}
+
+// masterBodies leases every task body to the worker fleet through
+// rjob.RunTask and wraps the wire-form result into po's slot types.
+func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
+	// Lost leases (worker died mid-task) re-dispatch below the attempt
+	// runtime: host chaos stays off the simulated timeline.
+	lost := lostRetryBudget(cfg)
+	dispatch := func(p live.Phase, task, inputLen int) (*RemoteTaskResult, error) {
+		res, err := retryLost(lost, func() (*RemoteTaskResult, error) {
+			return rjob.RunTask(string(p), task, inputLen)
+		})
+		if err == nil {
+			lj.TaskWorker(p, task, res.Worker)
+		}
+		return res, err
 	}
-	return po, nil
+	return taskBodies{
+		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
+				res, err := dispatch(live.PhaseMap, m, len(splits[m]))
+				if err != nil {
+					return mapTaskResult{}, 0, 0, err
+				}
+				return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, len(splits[m]), nil
+			})
+		},
+		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
+				n := 0
+				for _, mr := range po.mapRes {
+					n += mr.remote.PartLens[r]
+				}
+				res, err := dispatch(live.PhaseShuffle, r, n)
+				if err != nil {
+					return shuffleTaskResult{}, 0, 0, err
+				}
+				if res.Len != n {
+					return shuffleTaskResult{}, 0, 0, fmt.Errorf("mapreduce: %s shuffle %d merged %d records, map tasks produced %d",
+						cfg.Name, r, res.Len, n)
+				}
+				return shuffleTaskResult{in: remoteInput{n: n}, remote: res}, cfg.Cost.ShuffleSortCost(n), n, nil
+			})
+		},
+		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
+			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
+				n := po.shufRes[i].in.Len()
+				res, err := dispatch(live.PhaseReduce, i, n)
+				if err != nil {
+					return reduceTaskResult{}, 0, 0, err
+				}
+				return reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, remote: res}, res.Cost, n, nil
+			})
+		},
+	}
 }
 
 // runRemoteWorker is the follower side: leases execute concurrently
@@ -705,7 +594,7 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 // directly); here the driver just waits for the master's broadcast and
 // fills phaseOutputs from it, so the rest of Run — and the next job's
 // schedule generation — proceeds identically to the master's.
-func runRemoteWorker(cfg *Config, lj *live.Job, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
+func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
 	jr, err := rjob.Wait()
 	if err != nil {
 		return nil, err
@@ -716,24 +605,16 @@ func runRemoteWorker(cfg *Config, lj *live.Job, splits [][]KeyValue, rjob Remote
 			cfg.Name, len(jr.Map), len(jr.Shuffle), len(jr.Reduce), M, R, R)
 	}
 	po := newPhaseOutputs(cfg)
-	po.mapRes = make([]mapTaskResult, M)
-	po.mapCosts = make([]costmodel.Units, M)
-	po.shufRes = make([]shuffleTaskResult, R)
-	po.reduceRes = make([]reduceTaskResult, R)
-	po.reduceCosts = make([]costmodel.Units, R)
-	for m := 0; m < M; m++ {
-		res := jr.Map[m]
+	for m, res := range jr.Map {
 		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans}
 		po.mapCosts[m] = res.Cost
 		runner.publishRemaining(live.PhaseMap, RemotePhaseMap, m, res.Cost, len(splits[m]), res.Worker)
 	}
-	for r := 0; r < R; r++ {
-		res := jr.Shuffle[r]
+	for r, res := range jr.Shuffle {
 		po.shufRes[r] = shuffleTaskResult{in: remoteInput{n: res.Len}}
 		runner.publishRemaining(live.PhaseShuffle, RemotePhaseShuffle, r, res.Cost, res.Len, res.Worker)
 	}
-	for i := 0; i < R; i++ {
-		res := jr.Reduce[i]
+	for i, res := range jr.Reduce {
 		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs}
 		po.reduceCosts[i] = res.Cost
 		runner.publishRemaining(live.PhaseReduce, RemotePhaseReduce, i, res.Cost, jr.Shuffle[i].Len, res.Worker)

@@ -1,13 +1,11 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -142,54 +140,5 @@ func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	}
 	if mergeSortedRuns(nil, 0) != nil {
 		t.Error("empty merge should be nil")
-	}
-}
-
-func TestRunPoolShortCircuitsOnError(t *testing.T) {
-	const n = 1000
-	var executed atomic.Int64
-	err := runPool(4, n, func(i int) error {
-		executed.Add(1)
-		if i == 2 {
-			return errors.New("task failure")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task failure" {
-		t.Fatalf("err = %v, want task failure", err)
-	}
-	if got := executed.Load(); got >= n {
-		t.Errorf("pool drained all %d tasks after an early failure", n)
-	}
-}
-
-func TestRunPoolSequentialShortCircuits(t *testing.T) {
-	var executed int
-	err := runPool(1, 100, func(i int) error {
-		executed++
-		if i == 4 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if executed != 5 {
-		t.Errorf("executed %d tasks, want 5", executed)
-	}
-}
-
-func TestRunPoolCompletesAllWithoutError(t *testing.T) {
-	const n = 257
-	var executed atomic.Int64
-	if err := runPool(8, n, func(i int) error {
-		executed.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if executed.Load() != n {
-		t.Errorf("executed %d of %d tasks", executed.Load(), n)
 	}
 }

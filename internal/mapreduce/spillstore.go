@@ -13,8 +13,8 @@ package mapreduce
 // ingested exactly once and moved between memory and disk only whole,
 // a given prio lives in exactly one source at any time, so merging
 // arbitrary groupings of runs reproduces exactly the stable
-// (key, map-index) order of the barrier engine's in-memory k-way
-// merge, no matter when or how runs were spilled.
+// (key, map-index) order of the in-memory k-way merge
+// (mergeSortedRuns), no matter when or how runs were spilled.
 
 import (
 	"bytes"

@@ -1,17 +1,16 @@
 package mapreduce
 
-// The task transport layer: how one job's schedulable units of work
-// (the pipelined engine's DAG nodes) reach actual execution. The
-// default LocalTransport runs every node body in-process on the shared
-// channel pool; a RemoteTransport (internal/dist) instead leases the
+// The task transport layer: where one job's task bodies (the job
+// graph's body policy) execute. The default LocalTransport runs every
+// body in-process; a RemoteTransport (internal/dist) instead leases the
 // deterministic task bodies — map/shuffle/reduce, identified by
-// (job seq, phase, task index) — to worker processes, while graph
-// scheduling, the attempt/retry/speculation runtime, and all
-// observability stay in this package and are shared verbatim between
-// the two. That sharing is the determinism argument: both transports
-// drive the same graph with the same attempt machinery and fill the
-// same phaseOutputs, so Result, trace, and quality bytes cannot
-// depend on which transport executed the work.
+// (job seq, phase, task index) — to worker processes, while the graph
+// builder, its channel-pool scheduler, the attempt/retry/speculation
+// runtime, and all observability stay in this package and are shared
+// verbatim between the two. That sharing is the determinism argument:
+// both transports run the same builder with the same attempt machinery
+// and fill the same phaseOutputs, so Result, trace, and quality bytes
+// cannot depend on which transport executed the work.
 
 // TaskTransport selects how the engine executes a job's tasks. The
 // zero/nil value means LocalTransport. Like Workers, it is purely a
@@ -22,25 +21,13 @@ type TaskTransport interface {
 	TransportName() string
 }
 
-// LocalTransport is the default in-process transport: the job's task
-// graph executes on one shared channel-based worker pool inside this
-// process. It is the ExecPipelined fast path and the determinism
+// LocalTransport is the default in-process transport: every task body
+// of the job graph runs inside this process. It is the determinism
 // reference every other transport is byte-compared against.
 type LocalTransport struct{}
 
 // TransportName implements TaskTransport.
 func (LocalTransport) TransportName() string { return "local" }
-
-// execGraph runs a built task graph on the in-process channel pool —
-// the channel-pool scheduler that used to live on taskGraph directly,
-// ported here so every transport goes through the same seam. The
-// remote master path reuses it too: its dispatch closures (RPC waits)
-// run as graph nodes on this same pool, which is what keeps
-// scheduling, stop-dispatch, and deterministic error joining identical
-// across transports.
-func (LocalTransport) execGraph(g *taskGraph, workers int) error {
-	return g.execute(workers)
-}
 
 // transportOf resolves the configured transport, defaulting to local.
 func transportOf(cfg *Config) TaskTransport {

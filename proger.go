@@ -283,8 +283,9 @@ type RetryPolicy = mapreduce.RetryPolicy
 // both modes produce byte-identical results, traces, and telemetry.
 type ExecutionMode = mapreduce.ExecutionMode
 
-// Execution modes: the dependency-driven pipelined engine (default,
-// no phase barriers) and the three-phase barrier reference engine.
+// Execution modes, the two edge policies of the one task graph:
+// dependency-driven pipelined (default, no phase barriers) and the
+// three-phase barrier reference.
 const (
 	ExecPipelined = mapreduce.ExecPipelined
 	ExecBarrier   = mapreduce.ExecBarrier
@@ -385,7 +386,7 @@ type LiveRun = live.Run
 // LiveRun: run/job lifecycle, task transitions, retries, speculation,
 // shuffle merges and spills. The deterministic field subset (everything
 // except seq and wall_ms) is stable across worker counts for the
-// barrier engine.
+// barrier edge policy.
 type LiveEventLog = live.EventLog
 
 // ProgressSnapshot is one consistent-enough view of a run in flight:

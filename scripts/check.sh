@@ -62,11 +62,13 @@ go build ./...
 echo "== go test -race (fault runtime) =="
 go test -race -count=1 ./internal/mapreduce ./internal/faults
 
-# The pipelined task-graph scheduler is the most concurrency-dense code
-# in the repo (one shared pool, cross-phase interleaving, incremental
-# merges); hammer it repeatedly under the race detector.
-echo "== go test -race (pipelined scheduler) =="
-go test -race -count=3 -run 'TaskGraph|Pipelined' ./internal/mapreduce
+# The job-graph scheduler is the most concurrency-dense code in the
+# repo (one shared pool, cross-phase interleaving, incremental merges)
+# and runs every execution mode — pipelined and barrier edges, the
+# failed-run settlement — so hammer all of it repeatedly under the race
+# detector.
+echo "== go test -race (job-graph scheduler) =="
+go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode' ./internal/mapreduce
 
 echo "== go test -race =="
 go test -race ./...
