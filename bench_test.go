@@ -16,6 +16,8 @@ package proger_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"proger"
@@ -119,12 +121,24 @@ func BenchmarkFig11(b *testing.B) {
 
 // ---- Substrate micro-benchmarks ----
 
+// BenchmarkLevenshtein times the exact distance on a title-sized pair
+// (one 64-bit word) and on a 350-byte pair (the blocked path a
+// truncated abstract takes).
 func BenchmarkLevenshtein(b *testing.B) {
 	a := "parallel progressive approach to entity resolution"
 	c := "parralel progresive aproach to entity resolutoin"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		textsim.Levenshtein(a, c)
+	long := strings.Repeat(a+" ", 7)[:350]
+	longTypos := strings.Repeat(c+" ", 8)[:350]
+	for _, bc := range []struct{ name, x, y string }{
+		{"50", a, c},
+		{"350", long, longTypos},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				textsim.Levenshtein(bc.x, bc.y)
+			}
+		})
 	}
 }
 
@@ -165,6 +179,46 @@ func BenchmarkMatcher(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Match(ds.Entities[i%100], ds.Entities[(i+7)%100])
+	}
+}
+
+// BenchmarkMatcherAbstracts times the publications matcher on the two
+// kinds of pair a distance budget treats differently, both with
+// abstracts that fill the 350-char cut: a duplicate, whose three
+// distances are all computed, and a non-duplicate whose titles are
+// neighbours in sort order, which a budget abandons inside the title.
+func BenchmarkMatcherAbstracts(b *testing.B) {
+	w := experiments.PublicationsWorkload(2000, 1)
+	title, abstract := w.DS.Schema.Index("title"), w.DS.Schema.Index("abstract")
+	full := func(e *entity.Entity) bool { return e.Attr(title) != "" && len(e.Attr(abstract)) >= 350 }
+	var dup, nonDup [2]*entity.Entity
+	for _, p := range w.GT.DupPairs() {
+		if x, y := w.DS.Entities[p.Lo], w.DS.Entities[p.Hi]; full(x) && full(y) && w.Matcher.Match(x, y) {
+			dup = [2]*entity.Entity{x, y}
+			break
+		}
+	}
+	sorted := append([]*entity.Entity(nil), w.DS.Entities...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Attr(title) < sorted[j].Attr(title) })
+	for i := 0; i+1 < len(sorted); i++ {
+		if x, y := sorted[i], sorted[i+1]; full(x) && full(y) && !w.GT.IsDup(entity.MakePair(x.ID, y.ID)) {
+			nonDup = [2]*entity.Entity{x, y}
+			break
+		}
+	}
+	if dup[0] == nil || nonDup[0] == nil {
+		b.Fatal("workload has no titled pair with two full-length abstracts")
+	}
+	for _, bc := range []struct {
+		name string
+		pair [2]*entity.Entity
+	}{{"dup", dup}, {"nondup", nonDup}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.Matcher.Match(bc.pair[0], bc.pair[1])
+			}
+		})
 	}
 }
 

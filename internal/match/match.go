@@ -132,8 +132,32 @@ func MustNew(threshold float64, rules ...Rule) *Matcher {
 	return m
 }
 
-// Score returns the weighted similarity of a and b in [0,1].
+// Score returns the weighted similarity of a and b in [0,1]. When the
+// running sum shows the pair cannot reach the threshold it returns the
+// partial sum, which is below the threshold by construction.
 func (m *Matcher) Score(a, b *entity.Entity) float64 {
+	score, _ := m.evaluate(a, b, false)
+	return score
+}
+
+// Match applies the resolve function and reports whether the pair
+// co-refers: Match(a, b) == (Score(a, b) >= Threshold) for every input.
+// It gets there without computing distances the decision does not need
+// (see editBudget). Every call counts one comparison.
+func (m *Matcher) Match(a, b *entity.Entity) bool {
+	m.comparisons.Add(1)
+	_, ok := m.evaluate(a, b, true)
+	return ok
+}
+
+// evaluate is the one rule loop behind Score and Match. It returns the
+// running weighted sum and whether the pair reached the threshold; the
+// sum is final when it did and partial when a rule proved it cannot.
+// With budgeted set, an edit rule hands the kernel the largest distance
+// that still passes that rule's check, so a pair that fails it is
+// abandoned mid-string; whenever the kernel finishes, the distance is
+// exact and the sum has the same bits as the unbudgeted one.
+func (m *Matcher) evaluate(a, b *entity.Entity, budgeted bool) (float64, bool) {
 	suffix := m.suffixWeight
 	if suffix == nil {
 		// Matcher built without New (struct literal): fall back to
@@ -154,10 +178,31 @@ func (m *Matcher) Score(a, b *entity.Entity) float64 {
 				vb = vb[:r.MaxChars]
 			}
 		}
+		rest := suffix[i+1]
 		var sim float64
 		switch r.Kind {
 		case EditDistance:
-			sim = textsim.Similarity(va, vb)
+			maxLen := max(len(va), len(vb))
+			if maxLen == 0 {
+				sim = 1
+				break
+			}
+			var d int
+			// The budget argument needs a positive finite weight and a
+			// non-negative remainder, which New guarantees; a
+			// struct-literal Matcher without them takes the exact path.
+			if budgeted && r.Weight > 0 && !math.IsInf(r.Weight, 1) && rest >= 0 {
+				budget := m.editBudget(score, r.Weight, rest, maxLen)
+				if budget < 0 {
+					return score, false
+				}
+				if d = textsim.LevenshteinCapped(va, vb, budget); d > budget {
+					return score, false
+				}
+			} else {
+				d = textsim.Levenshtein(va, vb)
+			}
+			sim = editSimilarity(d, maxLen)
 		case ExactMatch:
 			sim = textsim.Exact(va, vb)
 		case JaroWinklerSim:
@@ -167,21 +212,56 @@ func (m *Matcher) Score(a, b *entity.Entity) float64 {
 		case TokenCosine:
 			sim = textsim.TokenCosine(va, vb)
 		}
-		score += r.Weight * sim
+		score = accumulate(score, r.Weight, sim)
 		// Early exit: even a perfect score on the remaining rules
 		// cannot reach the threshold.
-		if score+suffix[i+1] < m.Threshold {
-			return score // partial score; below threshold by construction
+		if score+rest < m.Threshold {
+			break
 		}
 	}
-	return score
+	return score, score >= m.Threshold
 }
 
-// Match applies the resolve function and reports whether the pair
-// co-refers. Every call counts one comparison.
-func (m *Matcher) Match(a, b *entity.Entity) bool {
-	m.comparisons.Add(1)
-	return m.Score(a, b) >= m.Threshold
+// editSimilarity is the normalized edit similarity of two strings at
+// distance d whose longer one has maxLen > 0 bytes.
+func editSimilarity(d, maxLen int) float64 {
+	return 1 - float64(d)/float64(maxLen)
+}
+
+// accumulate adds one rule's weighted similarity to the running sum.
+// The budget probe and the rule loop both go through it, and the
+// explicit conversion forbids fusing the multiply into the add, so the
+// two see the same float64 bits on every platform.
+func accumulate(score, weight, sim float64) float64 {
+	return score + float64(weight*sim)
+}
+
+// editBudget returns the largest distance d in [0, maxLen] at which an
+// edit rule of the given weight still passes its early-exit check —
+// f(d) = accumulate(score, weight, editSimilarity(d, maxLen)) + rest
+// >= Threshold — or -1 when not even d = 0 does. Every operation in f
+// is monotone, so f is non-increasing in d and "distance within the
+// budget" is exactly "the rule loop would not exit here". The
+// real-valued solution of f(d) = Threshold only seeds the search; the
+// answer is settled by evaluating f itself, one step either side, so
+// no epsilon is involved.
+func (m *Matcher) editBudget(score, weight, rest float64, maxLen int) int {
+	passes := func(d int) bool {
+		return accumulate(score, weight, editSimilarity(d, maxLen))+rest >= m.Threshold
+	}
+	k := 0
+	if x := float64(maxLen) * (1 - (m.Threshold-score-rest)/weight); x >= float64(maxLen) {
+		k = maxLen
+	} else if x > 0 {
+		k = int(x)
+	}
+	for k < maxLen && passes(k+1) {
+		k++
+	}
+	for k >= 0 && !passes(k) {
+		k--
+	}
+	return k
 }
 
 // Comparisons returns the number of Match invocations so far.

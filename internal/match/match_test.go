@@ -1,6 +1,8 @@
 package match
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"proger/internal/entity"
@@ -201,5 +203,182 @@ func TestScoreEarlyExitStillBelowThreshold(t *testing.T) {
 	)
 	if got := m.Score(ent("x", "same"), ent("y", "same")); got >= m.Threshold {
 		t.Errorf("early-exit score %v not below threshold", got)
+	}
+}
+
+// randText returns n random bytes over the first sigma lowercase letters.
+func randText(rng *rand.Rand, n, sigma int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + rng.Intn(sigma))
+	}
+	return string(b)
+}
+
+// mutateOnce applies one random insertion, deletion or substitution.
+func mutateOnce(rng *rand.Rand, s string) string {
+	b := []byte(s)
+	c := byte('a' + rng.Intn(26))
+	switch op := rng.Intn(3); {
+	case op == 0 || len(b) == 0:
+		i := rng.Intn(len(b) + 1)
+		b = append(b[:i], append([]byte{c}, b[i:]...)...)
+	case op == 1:
+		i := rng.Intn(len(b))
+		b = append(b[:i], b[i+1:]...)
+	default:
+		b[rng.Intn(len(b))] = c
+	}
+	return string(b)
+}
+
+// TestMatchEqualsScoreDecision is the property the distance budget
+// rests on: Match(a, b) == (Score(a, b) >= Threshold) for every matcher
+// and pair, and every Match call counts one comparison. Each base pair
+// is swept across its threshold by mutating one attribute a byte at a
+// time, so the pairs where budget and distance differ by one are hit.
+func TestMatchEqualsScoreDecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const attrs = 4
+	kinds := []SimKind{EditDistance, ExactMatch, JaroWinklerSim, JaccardQ2, TokenCosine}
+	niceThresholds := []float64{0.5, 0.62, 0.75, 0.8, 0.9, 1}
+	matched, unmatched := 0, 0
+	for iter := 0; iter < 600; iter++ {
+		rules := make([]Rule, 1+rng.Intn(4))
+		for i := range rules {
+			// Attr may point past the entity's last attribute.
+			r := Rule{Attr: rng.Intn(attrs + 1), Weight: 0.05 + rng.Float64()}
+			if rng.Intn(10) < 4 {
+				r.Kind = kinds[rng.Intn(len(kinds))]
+			}
+			if rng.Intn(3) == 0 {
+				r.MaxChars = 1 + rng.Intn(90)
+			}
+			rules[i] = r
+		}
+		threshold := 1 - rng.Float64() // (0, 1]
+		if rng.Intn(2) == 0 {
+			threshold = niceThresholds[rng.Intn(len(niceThresholds))]
+		}
+		var m *Matcher
+		if iter%4 == 3 {
+			// Struct literal: no suffix table, weights not normalized,
+			// and now and then a weight New would have refused.
+			if rng.Intn(3) == 0 {
+				rules[rng.Intn(len(rules))].Weight = float64(rng.Intn(2)) - 1 // -1 or 0
+			}
+			m = &Matcher{Rules: rules, Threshold: threshold}
+		} else {
+			m = MustNew(threshold, rules...)
+		}
+		a := &entity.Entity{ID: 1, Attrs: make([]string, attrs)}
+		for i := range a.Attrs {
+			if rng.Intn(8) > 0 { // else: empty attribute
+				a.Attrs[i] = randText(rng, 1+rng.Intn(130), 2+rng.Intn(25))
+			}
+		}
+		b := a.Clone()
+		b.ID = 2
+		if rng.Intn(8) == 0 {
+			b.Attrs = b.Attrs[:rng.Intn(attrs)] // ragged record
+		}
+		check := func() {
+			t.Helper()
+			before := m.Comparisons()
+			got, score := m.Match(a, b), m.Score(a, b)
+			if want := score >= m.Threshold; got != want {
+				t.Fatalf("Match = %v but Score = %v vs threshold %v\nrules %+v\na=%q\nb=%q",
+					got, score, m.Threshold, m.Rules, a.Attrs, b.Attrs)
+			}
+			if rev := m.Match(b, a); rev != got {
+				t.Fatalf("Match(b,a) = %v, Match(a,b) = %v", rev, got)
+			}
+			if n := m.Comparisons() - before; n != 2 {
+				t.Fatalf("two Match calls counted %d comparisons", n)
+			}
+			if got {
+				matched++
+			} else {
+				unmatched++
+			}
+		}
+		check()
+		for step := 0; step < 60 && len(b.Attrs) > 0; step++ {
+			i := rng.Intn(len(b.Attrs))
+			b.Attrs[i] = mutateOnce(rng, b.Attrs[i])
+			check()
+		}
+	}
+	if matched < 1000 || unmatched < 1000 {
+		t.Errorf("sweep is lopsided: %d matches, %d non-matches", matched, unmatched)
+	}
+}
+
+// TestEditBudgetIsLargestPassingDistance checks the budget directly:
+// the rule check passes at the budget and fails one past it.
+func TestEditBudgetIsLargestPassingDistance(t *testing.T) {
+	// (1-0.8)*5 is 0.999… in float64; the budget is still 1.
+	if got := MustNew(0.8, Rule{Weight: 1}).editBudget(0, 1, 0, 5); got != 1 {
+		t.Errorf("threshold 0.8, length 5: budget %d, want 1", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		m := &Matcher{Threshold: 1 - rng.Float64()}
+		weight := 0.01 + rng.Float64()
+		score, rest := rng.Float64()*(1-weight), rng.Float64()*(1-weight)
+		maxLen := 1 + rng.Intn(400)
+		passes := func(d int) bool {
+			return accumulate(score, weight, editSimilarity(d, maxLen))+rest >= m.Threshold
+		}
+		k := m.editBudget(score, weight, rest, maxLen)
+		if k < -1 || k > maxLen || (k >= 0 && !passes(k)) || (k < maxLen && passes(k+1)) {
+			t.Fatalf("editBudget(score %v, weight %v, rest %v, maxLen %d) at threshold %v = %d",
+				score, weight, rest, maxLen, m.Threshold, k)
+		}
+	}
+}
+
+// TestMatchConcurrentLongStrings drives the blocked kernel path (both
+// strings longer than 64 bytes) and its pooled scratch from several
+// goroutines at once; run it under -race.
+func TestMatchConcurrentLongStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := MustNew(0.75,
+		Rule{Attr: 0, Weight: 0.5, Kind: EditDistance},
+		Rule{Attr: 1, Weight: 0.5, Kind: EditDistance, MaxChars: 350},
+	)
+	type pair struct {
+		a, b *entity.Entity
+		want bool
+	}
+	pairs := make([]pair, 64)
+	for i := range pairs {
+		a := ent(randText(rng, 70+rng.Intn(60), 26), randText(rng, 300+rng.Intn(120), 26))
+		b := a.Clone()
+		for e := rng.Intn(160); e > 0; e-- {
+			j := rng.Intn(2)
+			b.Attrs[j] = mutateOnce(rng, b.Attrs[j])
+		}
+		pairs[i] = pair{a, b, m.Score(a, b) >= m.Threshold}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := range pairs {
+					p := pairs[(i+g*8)%len(pairs)]
+					if got := m.Match(p.a, p.b); got != p.want {
+						t.Errorf("goroutine %d: Match = %v, want %v", g, got, p.want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := m.Comparisons(), int64(8*20*len(pairs)); got != want {
+		t.Errorf("Comparisons = %d, want %d", got, want)
 	}
 }

@@ -182,20 +182,29 @@ func (env *Env) resolvePair(a, b *entity.Entity, st *VisitStats) bool {
 	return !env.stop(st)
 }
 
-// sortEntities orders the block's entities by the sort attribute
-// (ties broken by ID for determinism) and charges the hint cost.
+// sortEntities orders the block's entities by the lowercased sort
+// attribute (ties broken by ID for determinism) and charges the hint
+// cost. Each key is lowercased once, not on every comparison.
 func (env *Env) sortEntities(ents []*entity.Entity) []*entity.Entity {
-	sorted := make([]*entity.Entity, len(ents))
-	copy(sorted, ents)
-	env.Charge(env.Cost.HintCost(len(sorted)))
-	sort.Slice(sorted, func(i, j int) bool {
-		a := strings.ToLower(sorted[i].Attr(env.SortAttr))
-		b := strings.ToLower(sorted[j].Attr(env.SortAttr))
-		if a != b {
-			return a < b
+	type keyed struct {
+		key string
+		e   *entity.Entity
+	}
+	env.Charge(env.Cost.HintCost(len(ents)))
+	keys := make([]keyed, len(ents))
+	for i, e := range ents {
+		keys[i] = keyed{strings.ToLower(e.Attr(env.SortAttr)), e}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].key != keys[j].key {
+			return keys[i].key < keys[j].key
 		}
-		return sorted[i].ID < sorted[j].ID
+		return keys[i].e.ID < keys[j].e.ID
 	})
+	sorted := make([]*entity.Entity, len(keys))
+	for i, k := range keys {
+		sorted[i] = k.e
+	}
 	return sorted
 }
 

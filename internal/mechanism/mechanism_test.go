@@ -358,3 +358,28 @@ func TestVisitStatsConsistency(t *testing.T) {
 		}
 	}
 }
+
+func TestSortEntitiesFoldsCaseBreaksTiesByIDAndCharges(t *testing.T) {
+	te := newTestEnv(entity.PairSet{})
+	ents := []*entity.Entity{
+		{ID: 3, Attrs: []string{"beta"}},
+		{ID: 2, Attrs: []string{"ALPHA"}},
+		{ID: 1, Attrs: []string{"alpha"}},
+		{ID: 0, Attrs: []string{"Gamma"}},
+		{ID: 4, Attrs: nil}, // no sort attribute: the empty key sorts first
+	}
+	sorted := te.env.sortEntities(ents)
+	var got []entity.ID
+	for _, e := range sorted {
+		got = append(got, e.ID)
+	}
+	if want := []entity.ID{4, 1, 2, 3, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sorted IDs = %v, want %v", got, want)
+	}
+	if ents[0].ID != 3 || ents[4].ID != 4 {
+		t.Error("sortEntities reordered its input")
+	}
+	if want := te.env.Cost.HintCost(len(ents)); te.charged != want {
+		t.Errorf("charged %v, want the hint cost %v", te.charged, want)
+	}
+}

@@ -32,16 +32,23 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 	}
 
 	type cand struct{ i, d int }
-	visited := make(map[cand]bool)
+	// visited has one bit per candidate (i, d), d ∈ [1, maxD], at index
+	// (d−1)·n + i. A block visit touches most of them, so a flat bitset
+	// allocated once beats a map that grows by an entry per pair.
+	visited := make([]uint64, (n*maxD+63)/64)
 	// hot holds promoted candidates (LIFO: most recent hit expands
 	// first); the systematic sweep fills in everything else.
 	var hot []cand
 
 	process := func(c cand) (keep bool) {
-		if c.d > maxD || c.i+c.d >= n || visited[c] {
+		if c.d > maxD || c.i+c.d >= n {
 			return true
 		}
-		visited[c] = true
+		bit := (c.d-1)*n + c.i
+		if visited[bit>>6]&(1<<uint(bit&63)) != 0 {
+			return true
+		}
+		visited[bit>>6] |= 1 << uint(bit&63)
 		a, b := sorted[c.i], sorted[c.i+c.d]
 		p := entity.MakePair(a.ID, b.ID)
 		switch env.decide(p) {

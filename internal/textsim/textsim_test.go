@@ -8,6 +8,30 @@ import (
 	"testing/quick"
 )
 
+// levenshteinDP is the textbook O(len(a)·len(b)) row dynamic program —
+// the implementation the bit-parallel kernel replaced, kept here as the
+// oracle the kernel is tested against.
+func levenshteinDP(a, b string) int {
+	row := make([]int, len(b)+1)
+	for j := range row {
+		row[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		prev := row[0] // row[i-1][0]
+		row[0] = i
+		for j := 1; j <= len(b); j++ {
+			cur := row[j] // row[i-1][j]
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			row[j] = min(prev+cost, cur+1, row[j-1]+1)
+			prev = cur
+		}
+	}
+	return row[len(b)]
+}
+
 func TestLevenshteinBasics(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -74,7 +98,7 @@ func TestLevenshteinCappedAgreesWithFull(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		a, b := randStr(15), randStr(15)
-		full := Levenshtein(a, b)
+		full := levenshteinDP(a, b)
 		for _, capv := range []int{0, 1, 2, 3, 5, 20} {
 			got := LevenshteinCapped(a, b, capv)
 			if full <= capv {
@@ -128,32 +152,6 @@ func TestSimilarityRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSimilarityCappedAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	randStr := func() string {
-		n := rng.Intn(20)
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte('a' + rng.Intn(6))
-		}
-		return string(b)
-	}
-	for i := 0; i < 400; i++ {
-		a, b := randStr(), randStr()
-		for _, minSim := range []float64{0.5, 0.8, 0.9} {
-			full := Similarity(a, b)
-			got := SimilarityCapped(a, b, minSim)
-			if full >= minSim {
-				if got != full {
-					t.Fatalf("SimilarityCapped(%q,%q,%v) = %v, want %v", a, b, minSim, got, full)
-				}
-			} else if got != 0 && got < minSim {
-				t.Fatalf("SimilarityCapped(%q,%q,%v) = %v, below threshold but nonzero", a, b, minSim, got)
-			}
-		}
 	}
 }
 

@@ -73,6 +73,12 @@ go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode' ./interna
 echo "== go test -race =="
 go test -race ./...
 
+# The edit-distance kernel reads arbitrary attribute bytes; a short
+# coverage-guided run against the row-DP oracle rides along with the
+# race passes.
+echo "== fuzz (edit-distance kernel) =="
+go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
+
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
@@ -85,9 +91,9 @@ go test -race ./...
 echo "== bounded-memory + live-introspection smoke =="
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
-go run ./cmd/proger -generate publications -n 1200 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 4000 -seed 3 -machines 4 \
     -out "$smoke/base.tsv" -quality-out "$smoke/base-quality.json" 2>/dev/null
-go run ./cmd/proger -generate publications -n 1200 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 4000 -seed 3 -machines 4 \
     -mem-budget 64K -spill-dir "$smoke" -metrics-out "$smoke/budget.prom" \
     -status 127.0.0.1:0 -events "$smoke/events.jsonl" \
     -out "$smoke/budget.tsv" -quality-out "$smoke/budget-quality.json" \
@@ -134,10 +140,10 @@ grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
 # traffic. The /fleet endpoint must report both forked workers while
 # the run is in flight.
 echo "== distributed transport smoke =="
-go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
+go run ./cmd/proger -generate publications -n 4000 -seed 5 -machines 2 \
     -out "$smoke/dloc.tsv" -trace "$smoke/dloc-trace.json" \
     -quality-out "$smoke/dloc-quality.json" 2>/dev/null
-go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
+go run ./cmd/proger -generate publications -n 4000 -seed 5 -machines 2 \
     -dist 2 -status 127.0.0.1:0 -events "$smoke/dist-events.jsonl" \
     -out "$smoke/ddist.tsv" -trace "$smoke/ddist-trace.json" \
     -quality-out "$smoke/ddist-quality.json" 2>"$smoke/dist-stderr.log" &
