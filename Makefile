@@ -28,7 +28,7 @@ fmt:
 
 # bench regenerates the numbers recorded in BENCH_*.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkEnginePipeline' -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary|BenchmarkEnginePipeline' -benchmem ./...
 
 # bench-compare diffs the job graph's barrier edge policy against its
 # pipelined edge policy on the skewed BenchmarkEnginePipeline workload,

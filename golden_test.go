@@ -7,10 +7,41 @@ import (
 	"math"
 	"testing"
 
+	"proger"
 	"proger/internal/core"
 	"proger/internal/experiments"
 	"proger/internal/mechanism"
 )
+
+// resolveDigest hashes everything a Resolve hands back that a caller
+// can order a result by: every duplicate event (time, pair) in emission
+// order, then the total simulated time.
+func resolveDigest(res *core.Result) string {
+	h := sha256.New()
+	var buf [16]byte
+	for _, ev := range res.Events {
+		binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(ev.Time))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(ev.Pair.Lo))
+		binary.LittleEndian.PutUint32(buf[12:], uint32(ev.Pair.Hi))
+		h.Write(buf[:])
+	}
+	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(res.TotalTime))
+	h.Write(buf[:8])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// workloadOptions is the 4×2-slot configuration every golden case runs.
+func workloadOptions(w *experiments.Workload, mech mechanism.Mechanism) core.Options {
+	return core.Options{
+		Families:        w.Fams,
+		Matcher:         w.Matcher,
+		Mechanism:       mech,
+		Policy:          w.Policy,
+		DupModel:        w.Model,
+		Machines:        4,
+		SlotsPerMachine: 2,
+	}
+}
 
 // TestMatchKernelKeepsResolveBytes pins Resolve's output to digests
 // recorded at the commit before the bit-parallel edit-distance kernel
@@ -34,29 +65,65 @@ func TestMatchKernelKeepsResolveBytes(t *testing.T) {
 		{"books/PSNM", books, mechanism.PSNM{}, "bba22e074ad325fcf90f04da69c6266288b5ce5c8a462576c0a2f107a76a4093"},
 	}
 	for _, c := range cases {
-		res, err := core.Resolve(c.w.DS, core.Options{
-			Families:        c.w.Fams,
-			Matcher:         c.w.Matcher,
-			Mechanism:       c.mech,
-			Policy:          c.w.Policy,
-			DupModel:        c.w.Model,
-			Machines:        4,
-			SlotsPerMachine: 2,
-		})
+		res, err := core.Resolve(c.w.DS, workloadOptions(c.w, c.mech))
 		if err != nil {
 			t.Fatalf("%s: Resolve: %v", c.name, err)
 		}
-		h := sha256.New()
-		var buf [16]byte
-		for _, ev := range res.Events {
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(ev.Time))
-			binary.LittleEndian.PutUint32(buf[8:], uint32(ev.Pair.Lo))
-			binary.LittleEndian.PutUint32(buf[12:], uint32(ev.Pair.Hi))
-			h.Write(buf[:])
+		if got := resolveDigest(res); got != c.want {
+			t.Errorf("%s: %d events, total %v: digest %s, want %s", c.name, len(res.Events), res.TotalTime, got, c.want)
 		}
-		binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(res.TotalTime))
-		h.Write(buf[:8])
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+	}
+}
+
+// TestRecordPathKeepsResolveBytes pins the Job-2 record path — sequence
+// keys, the per-tree resolved-pair table, the entity codec, blocking-key
+// derivation — to digests recorded at the commit before PR 15 replaced
+// them (d8b2f14: fmt-rendered keys, a PairSet per tree, one string per
+// decoded attribute, whole-value lowercasing). The persons case is the
+// shape of the benchmark's persons-exact workload (Soundex and prefix
+// families, exact rules, SN); the compact cases drive the footnote-5
+// mapper and reducer, which share the resolve body with the expanded
+// ones.
+func TestRecordPathKeepsResolveBytes(t *testing.T) {
+	ds, _ := proger.GeneratePersons(5000, 3)
+	idx := ds.Schema.Index
+	persons := core.Options{
+		Families: proger.Families{
+			{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
+			{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
+			{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
+		},
+		Matcher: proger.MustMatcher(0.6,
+			proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
+			proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch},
+		),
+		Mechanism:       mechanism.SN{},
+		Policy:          proger.CiteSeerXPolicy(),
+		Machines:        4,
+		SlotsPerMachine: 2,
+	}
+	personsCompact := persons
+	personsCompact.CompactShuffle = true
+	pubs := experiments.PublicationsWorkload(1200, 3)
+	pubsCompact := workloadOptions(pubs, mechanism.SN{})
+	pubsCompact.CompactShuffle = true
+
+	cases := []struct {
+		name string
+		ds   *proger.Dataset
+		opts core.Options
+		want string
+	}{
+		{"persons/SN", ds, persons, "72e8f09897d5a22e2224b903d437bdbace1bb5add348facf0c721532a5f2f595"},
+		{"persons/SN/compact", ds, personsCompact, "71e7bdc3caf0502ae87d59bee9aa3c30dd46c50e028b18641e4db00c4857f0ec"},
+		{"publications/SN/compact", pubs.DS, pubsCompact, "ad7938a345b39f491ac3146efb219f3386d0837bef153cf3df2c4aaaec565884"},
+	}
+	for _, c := range cases {
+		res, err := core.Resolve(c.ds, c.opts)
+		if err != nil {
+			t.Fatalf("%s: Resolve: %v", c.name, err)
+		}
+		if got := resolveDigest(res); got != c.want {
 			t.Errorf("%s: %d events, total %v: digest %s, want %s", c.name, len(res.Events), res.TotalTime, got, c.want)
 		}
 	}

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"proger/internal/datagen"
 	"proger/internal/entity"
 	"proger/internal/mapreduce"
+	"proger/internal/textsim"
 )
 
 // peopleFamilies mirrors the paper's Table-I example: X keys on the
@@ -37,6 +39,57 @@ func TestFamilyKey(t *testing.T) {
 	empty := &entity.Entity{Attrs: []string{""}}
 	if got := fam.Key(empty, 1); got != "" {
 		t.Errorf("empty value key = %q, want empty", got)
+	}
+}
+
+// TestFamilyKeyMatchesWholeValueLowering holds Key — which lowers only
+// the prefix it returns when that prefix is ASCII — and Shallower to
+// the definition they replaced: lower (or Soundex-code) the whole
+// value, then truncate. Lowering can change byte lengths (İ grows, ẞ
+// and invalid UTF-8 change size), so the non-ASCII values are where a
+// shortcut would shift a key by a byte.
+func TestFamilyKeyMatchesWholeValueLowering(t *testing.T) {
+	values := []string{
+		"", "a", "Al", "john lopez", "John Lopez", "JOHN LOPEZ", "jOhN", "x1-Y2_z3",
+		"İstanbul", "aİb", "abcİ", "İ", "ẞtraße", "STRAẞE", "Ǆungla", "ÀÉÎõü", "naïve Café",
+		"\xff", "ab\xffCD", "AB\xc3", "\xc3\x28xyz", "A\u212Aelvin", "ΣΊΣΥΦΟΣ", "日本語テキスト",
+	}
+	fams := []*Family{
+		{Name: "P", Attr: 0, PrefixLens: []int{1, 2, 3, 4, 5, 8, 40}, Index: 1},
+		{Name: "S", Attr: 0, PrefixLens: []int{1, 2, 4}, Index: 1, Kind: KeySoundex},
+	}
+	for _, f := range fams {
+		for _, v := range values {
+			e := &entity.Entity{Attrs: []string{v}}
+			whole := strings.ToLower(v)
+			if f.Kind == KeySoundex {
+				whole = textsim.SoundexOfFirstWord(v)
+			}
+			deepest := f.Key(e, f.Levels())
+			for level := 1; level <= f.Levels(); level++ {
+				want := whole
+				if n := f.PrefixLens[level-1]; len(want) > n {
+					want = want[:n]
+				}
+				if got := f.Key(e, level); got != want {
+					t.Errorf("%s: Key(%q, %d) = %q, want %q", f.Name, v, level, got, want)
+				}
+				if got := f.Shallower(deepest, level); got != want {
+					t.Errorf("%s: Shallower(%q, %d) = %q, want %q", f.Name, deepest, level, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BlockID.String names every block in traces and quality telemetry; it
+// is built without fmt (one call per resolved block on the Job-2 reduce
+// path) and must keep the "F%d.L%d(%s)" form byte for byte.
+func TestBlockIDStringForm(t *testing.T) {
+	for _, id := range []BlockID{{}, {Family: 2, Level: 3, Key: "jo"}, {Family: 127, Level: 127, Key: "a(b)"}, {Family: -1, Level: -128, Key: "é\xff"}} {
+		if got, want := id.String(), fmt.Sprintf("F%d.L%d(%s)", id.Family, id.Level, id.Key); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -9,7 +9,9 @@ package blocking
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"proger/internal/entity"
 	"proger/internal/textsim"
@@ -74,18 +76,43 @@ func (f *Family) Key(e *entity.Entity, level int) string {
 	if level < 1 || level > f.Levels() {
 		panic(fmt.Sprintf("blocking: level %d out of range for family %s with %d levels", level, f.Name, f.Levels()))
 	}
-	var v string
-	switch f.Kind {
-	case KeySoundex:
-		v = textsim.SoundexOfFirstWord(e.Attr(f.Attr))
-	default:
-		v = strings.ToLower(e.Attr(f.Attr))
-	}
 	n := f.PrefixLens[level-1]
+	if f.Kind == KeySoundex {
+		return truncate(textsim.SoundexOfFirstWord(e.Attr(f.Attr)), n)
+	}
+	return lowerPrefix(e.Attr(f.Attr), n)
+}
+
+// Shallower returns the level-`level` key of the entity whose key at
+// some deeper (or the same) level is `deeper`: keys of one family nest
+// by prefix, so a caller that needs every level derives the deepest
+// key once and truncates.
+func (f *Family) Shallower(deeper string, level int) string {
+	return truncate(deeper, f.PrefixLens[level-1])
+}
+
+func truncate(v string, n int) string {
 	if len(v) > n {
-		v = v[:n]
+		return v[:n]
 	}
 	return v
+}
+
+// lowerPrefix returns the first n bytes of strings.ToLower(v) (all of
+// it when shorter). While the first n bytes of v are ASCII, lowering
+// maps them byte for byte and nothing behind them can move them, so
+// only those are lowered. ToLower can change the byte length of
+// anything else (İ, ẞ, invalid UTF-8), so a non-ASCII byte inside the
+// prefix falls back to lowering the whole value, which keeps keys
+// byte-identical.
+func lowerPrefix(v string, n int) string {
+	p := truncate(v, n)
+	for i := 0; i < len(p); i++ {
+		if p[i] >= utf8.RuneSelf {
+			return truncate(strings.ToLower(v), n)
+		}
+	}
+	return strings.ToLower(p)
 }
 
 // Validate checks the family's invariants.
@@ -179,17 +206,12 @@ type BlockID struct {
 // String renders like "X2(jo)" — family name unavailable here, so the
 // family's position is printed.
 func (b BlockID) String() string {
-	return fmt.Sprintf("F%d.L%d(%s)", b.Family, b.Level, b.Key)
+	return "F" + strconv.Itoa(int(b.Family)) + ".L" + strconv.Itoa(int(b.Level)) + "(" + b.Key + ")"
 }
 
 // TreeKey returns the BlockID of the tree root this block descends
 // from, under prefix nesting (the root key is the block key truncated
 // to the family's level-1 prefix length).
 func (b BlockID) TreeKey(fams Families) BlockID {
-	rootLen := fams[b.Family].PrefixLens[0]
-	key := b.Key
-	if len(key) > rootLen {
-		key = key[:rootLen]
-	}
-	return BlockID{Family: b.Family, Level: 1, Key: key}
+	return BlockID{Family: b.Family, Level: 1, Key: fams[b.Family].Shallower(b.Key, 1)}
 }

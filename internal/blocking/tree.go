@@ -55,6 +55,9 @@ type Block struct {
 	// SQ is the sequence value routing this block to its reduce task
 	// and position in the task's block schedule (§III-B).
 	SQ int64
+	// SQKey is sched.SQKey(SQ): the shuffle key of every Job-2 record
+	// emitted for this block, rendered once when SQ is assigned.
+	SQKey string
 }
 
 // IsLeaf reports whether the block has no children.

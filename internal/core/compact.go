@@ -5,13 +5,8 @@ import (
 
 	"proger/internal/blocking"
 	"proger/internal/costmodel"
-	"proger/internal/dedup"
 	"proger/internal/entity"
 	"proger/internal/mapreduce"
-	"proger/internal/mechanism"
-	"proger/internal/obs"
-	"proger/internal/obs/quality"
-	"proger/internal/sched"
 )
 
 // This file implements the paper's footnote-5 map-side optimization:
@@ -45,17 +40,17 @@ const (
 type CompactJob2Mapper struct {
 	mapreduce.MapperBase
 	side *job2Side
-	// firstSQ[treeIdx] is the tree's payload key.
-	firstSQ []int64
-	// lister provides buildList (and carries the per-task codec
-	// scratch); one instance per task, hoisted out of Map.
+	// firstKey[treeIdx] is the tree's payload key.
+	firstKey []string
+	// lister provides deepestKeys and buildList (and carries the
+	// per-task codec scratch); one instance per task, hoisted out of Map.
 	lister *Job2Mapper
 }
 
 // Setup charges schedule generation, as the expanded mapper does.
 func (m *CompactJob2Mapper) Setup(ctx *mapreduce.TaskContext) error {
-	if m.firstSQ == nil {
-		m.firstSQ = m.side.schedule.FirstSQOfTree()
+	if m.firstKey == nil {
+		m.firstKey = m.side.schedule.FirstKeyOfTree()
 	}
 	m.lister = &Job2Mapper{side: m.side}
 	return m.lister.Setup(ctx)
@@ -68,19 +63,14 @@ func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyVal
 		return err
 	}
 	s := m.side.schedule
-	fams := m.side.families
-	totalLevels := 0
-	for _, f := range fams {
-		totalLevels += f.Levels()
-	}
-	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
+	deep := m.lister.deepestKeys(ctx, e)
 
 	m.lister.encScratch = entity.EncodeBinary(m.lister.encScratch[:0], e)
 	entBuf := m.lister.encScratch
-	for j, f := range fams {
+	for j, f := range m.side.families {
 		lastTree := -1
 		for l := 1; l <= f.Levels(); l++ {
-			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Key(e, l)}
+			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
 			if _, ok := s.ByID[id]; !ok {
 				continue
 			}
@@ -89,12 +79,12 @@ func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyVal
 				continue // already shipped to this tree
 			}
 			lastTree = ti
-			list := m.lister.buildList(e, j, l, ti)
+			list := m.lister.buildList(e, deep, j, l, ti)
 			value := make([]byte, 0, 1+len(entBuf)+len(list))
 			value = append(value, compactTagEntity)
 			value = append(value, entBuf...)
 			value = append(value, list...)
-			emit.Emit(sched.SQKey(m.firstSQ[ti]), value)
+			emit.Emit(m.firstKey[ti], value)
 			ctx.Inc(CounterJob2Emitted, 1)
 		}
 	}
@@ -112,53 +102,30 @@ func (m *CompactJob2Mapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.E
 	}
 	for _, blocks := range m.side.schedule.TaskBlocks {
 		for _, b := range blocks {
-			emit.Emit(sched.SQKey(b.SQ), triggerValue)
+			emit.Emit(b.SQKey, triggerValue)
 			ctx.Inc(CounterJob2Triggers, 1)
 		}
 	}
 	return nil
 }
 
-// CompactJob2Reducer resolves blocks from cached tree entities.
-type CompactJob2Reducer struct {
-	mapreduce.ReducerBase
-	side *job2Side
-	// trees[treeIdx] caches the tree's entities and dominance lists.
-	trees map[int]*treeCache
-	// resolved[treeIdx] is the within-tree resolved-pair set.
-	resolved map[int]entity.PairSet
-}
-
-type treeCache struct {
-	ents  []*entity.Entity
-	lists map[entity.ID]dedup.List
-}
-
-// Setup implements mapreduce.Reducer, hoisting the per-task state maps
-// out of the per-block Reduce path. (The tree cache itself already
-// plays the decode cache's role here: each payload arrives, and is
-// decoded, exactly once per tree.)
-func (r *CompactJob2Reducer) Setup(*mapreduce.TaskContext) error {
-	r.trees = map[int]*treeCache{}
-	r.resolved = map[int]entity.PairSet{}
-	return nil
-}
+// CompactJob2Reducer resolves blocks from cached tree entities: each
+// payload arrives, and is decoded, exactly once per tree.
+type CompactJob2Reducer struct{ job2Blocks }
 
 // Reduce implements mapreduce.Reducer: one call per scheduled block key.
 func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
 	start := ctx.Now()
-	s := r.side.schedule
-	sq, err := sched.ParseSQKey(key)
+	b, sq, ts, err := r.scheduled(key)
 	if err != nil {
 		return err
 	}
-	b := s.Block(sq)
-	if b == nil {
-		return fmt.Errorf("core: compact reduce: no block for sequence %d", sq)
-	}
-	treeIdx := s.TreeOf[b.ID]
 
-	// Absorb payloads (they arrive under the tree's first block's key).
+	// Absorb payloads (they arrive under the tree's first block's key,
+	// alongside at most one trigger).
+	if ts.ents == nil {
+		ts.ents = make([]*entity.Entity, 0, len(values))
+	}
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("core: compact reduce: empty value at %s", key)
@@ -167,34 +134,17 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 		case compactTagTrigger:
 			continue
 		case compactTagEntity:
-			e, n, err := entity.DecodeBinary(v[1:])
+			p, err := decodeJob2Payload(v[1:])
 			if err != nil {
 				return err
 			}
-			l, _, err := dedup.Decode(v[1+n:])
-			if err != nil {
-				return err
-			}
-			tc := r.trees[treeIdx]
-			if tc == nil {
-				// len(values) bounds this tree's payload count in the
-				// common case (payloads all land under the tree's first
-				// block key, alongside at most one trigger).
-				tc = &treeCache{
-					ents:  make([]*entity.Entity, 0, len(values)),
-					lists: make(map[entity.ID]dedup.List, len(values)),
-				}
-				r.trees[treeIdx] = tc
-			}
-			tc.ents = append(tc.ents, e)
-			tc.lists[e.ID] = l
+			ts.payloads[p.ent.ID] = p
+			ts.ents = append(ts.ents, p.ent)
 		default:
 			return fmt.Errorf("core: compact reduce: unknown tag %q", v[0])
 		}
 	}
-
-	tc := r.trees[treeIdx]
-	if tc == nil {
+	if len(ts.ents) == 0 {
 		// A block whose tree shipped no entities (possible only if the
 		// whole tree was empty — pruning should prevent it).
 		return nil
@@ -203,79 +153,12 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 	// scan the compact emission trades for shuffle volume.
 	fam := r.side.families[b.ID.Family]
 	members := make([]*entity.Entity, 0, b.Size)
-	for _, e := range tc.ents {
+	for _, e := range ts.ents {
 		if fam.Key(e, int(b.ID.Level)) == b.ID.Key {
 			members = append(members, e)
 		}
 	}
-	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(tc.ents)))
-
-	set := r.resolved[treeIdx]
-	if set == nil {
-		set = entity.PairSet{}
-		r.resolved[treeIdx] = set
-	}
-	famIdx := int(b.ID.Family)
-	index := famIdx + 1
-	n := len(r.side.families)
-	var stop mechanism.StopFunc
-	if !b.FullResolve {
-		stop = mechanism.DistinctThreshold(b.Th)
-	}
-	env := &mechanism.Env{
-		SortAttr: fam.Attr,
-		Match:    r.side.matcher.Match,
-		Decide: func(p entity.Pair) mechanism.Decision {
-			if set.Has(p) {
-				return mechanism.SkipResolved
-			}
-			if !r.side.noDedup && !dedup.ShouldResolve(tc.lists[p.Lo], tc.lists[p.Hi], index, n) {
-				return mechanism.SkipNotResponsible
-			}
-			return mechanism.Resolve
-		},
-		Emit: func(p entity.Pair, isDup bool) {
-			set.Add(p)
-			if isDup {
-				emit.Emit("dup", dupValue(p))
-			}
-		},
-		Charge: ctx.Charge,
-		Stop:   stop,
-		Cost:   ctx.Cost,
-	}
-	window := r.side.policy.Window(b)
-	st := r.side.mech.ResolveBlock(env, members, window)
-	ctx.Inc(CounterJob2BlocksResolved, 1)
-	ctx.Inc(CounterJob2Compared, int64(st.Compared))
-	ctx.Inc(CounterJob2Dups, int64(st.Dups))
-	ctx.Inc(CounterJob2Skipped, int64(st.Skipped))
-	if b.FullResolve {
-		ctx.Inc(CounterJob2FullResolves, 1)
-	}
-	if ctx.QualityOn() {
-		ctx.ObserveBlock(quality.BlockObs{
-			ID:       b.ID.String(),
-			SQ:       sq,
-			Start:    start,
-			End:      ctx.Now(),
-			Compared: int64(st.Compared),
-			Dups:     int64(st.Dups),
-			Skipped:  int64(st.Skipped),
-			Full:     b.FullResolve,
-		})
-	}
-	if ctx.Tracing() {
-		ctx.Span("resolve", "block "+b.ID.String(), start, ctx.Now(),
-			obs.A("sq", sq),
-			obs.A("size", len(members)),
-			obs.A("window", window),
-			obs.A("th", b.Th),
-			obs.A("full", b.FullResolve),
-			obs.A("hint_cost", float64(ctx.Cost.HintCost(len(members)))),
-			obs.A("compared", st.Compared),
-			obs.A("dups", st.Dups),
-			obs.A("skipped", st.Skipped))
-	}
+	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(ts.ents)))
+	r.resolve(ctx, emit, start, b, sq, ts, members)
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"proger/internal/blocking"
@@ -43,6 +44,8 @@ type Job2Mapper struct {
 	encScratch  []byte
 	listScratch dedup.List
 	listEnc     []byte
+	// deepScratch backs deepestKeys.
+	deepScratch []string
 }
 
 // Setup implements mapreduce.Mapper.
@@ -67,6 +70,26 @@ func (m *Job2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 	return nil
 }
 
+// deepestKeys derives e's deepest-level key per family — the one key
+// derivation an entity pays; every shallower level is a prefix of it
+// (Family.Shallower). It also charges the simulated cost of one key
+// computation per level per family. The result is scratch, valid until
+// the next call.
+func (m *Job2Mapper) deepestKeys(ctx *mapreduce.TaskContext, e *entity.Entity) []string {
+	fams := m.side.families
+	if cap(m.deepScratch) < len(fams) {
+		m.deepScratch = make([]string, len(fams))
+	}
+	deep := m.deepScratch[:len(fams)]
+	totalLevels := 0
+	for j, f := range fams {
+		totalLevels += f.Levels()
+		deep[j] = f.Key(e, f.Levels())
+	}
+	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
+	return deep
+}
+
 // Map implements mapreduce.Mapper.
 func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
 	e, _, err := entity.DecodeBinary(rec.Value)
@@ -74,13 +97,7 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 		return err
 	}
 	s := m.side.schedule
-	fams := m.side.families
-	// Key computations: one prefix per level per family.
-	totalLevels := 0
-	for _, f := range fams {
-		totalLevels += f.Levels()
-	}
-	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
+	deep := m.deepestKeys(ctx, e)
 
 	// Enumerate the entity's block path per family and emit per block.
 	// The emitted value (entity ⊕ List) only changes when the path
@@ -89,11 +106,11 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 	// all reducers treat values as read-only, so aliasing is safe.
 	m.encScratch = entity.EncodeBinary(m.encScratch[:0], e)
 	entBuf := m.encScratch
-	for j, f := range fams {
+	for j, f := range m.side.families {
 		var lastTree = -1
 		var lastVal []byte
 		for l := 1; l <= f.Levels(); l++ {
-			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Key(e, l)}
+			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
 			b, ok := s.ByID[id]
 			if !ok {
 				continue // pruned block
@@ -101,12 +118,12 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 			ti := s.TreeOf[id]
 			if ti != lastTree {
 				lastTree = ti
-				list := m.buildList(e, j, l, ti)
+				list := m.buildList(e, deep, j, l, ti)
 				lastVal = make([]byte, 0, len(entBuf)+len(list))
 				lastVal = append(lastVal, entBuf...)
 				lastVal = append(lastVal, list...)
 			}
-			emit.Emit(sched.SQKey(b.SQ), lastVal)
+			emit.Emit(b.SQKey, lastVal)
 			ctx.Inc(CounterJob2Emitted, 1)
 		}
 	}
@@ -114,10 +131,11 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 }
 
 // buildList constructs List(e, T) per §V for the tree at index ti of
-// family j, whose shallowest block on e's path is at level `level`.
-// The returned encoding is scratch owned by the mapper — callers must
-// copy it into the emitted value before the next buildList call.
-func (m *Job2Mapper) buildList(e *entity.Entity, j, level, ti int) []byte {
+// family j, whose shallowest block on e's path is at level `level`;
+// deep is deepestKeys(e). The returned encoding is scratch owned by the
+// mapper — callers must copy it into the emitted value before the next
+// buildList call.
+func (m *Job2Mapper) buildList(e *entity.Entity, deep []string, j, level, ti int) []byte {
 	s := m.side.schedule
 	fams := m.side.families
 	tree := s.Trees[ti]
@@ -131,7 +149,7 @@ func (m *Job2Mapper) buildList(e *entity.Entity, j, level, ti int) []byte {
 			list[k] = tree.Dom
 			continue
 		}
-		id := blocking.BlockID{Family: int8(k), Level: 1, Key: f.Key(e, 1)}
+		id := blocking.BlockID{Family: int8(k), Level: 1, Key: f.Shallower(deep[k], 1)}
 		if t, ok := s.TreeOf[id]; ok {
 			list[k] = s.Trees[t].Dom
 		} else {
@@ -144,7 +162,7 @@ func (m *Job2Mapper) buildList(e *entity.Entity, j, level, ti int) []byte {
 	f := fams[j]
 	treeRootLevel := int(tree.Root.ID.Level)
 	for l := max(level, treeRootLevel) + 1; l <= f.Levels(); l++ {
-		id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Key(e, l)}
+		id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
 		t, ok := s.TreeOf[id]
 		if !ok {
 			break // pruned below; nothing deeper can be scheduled
@@ -174,48 +192,14 @@ func Job2Partitioner(key string, numReduce int) int {
 // dupValue encodes a discovered duplicate pair as a reduce-output value.
 func dupValue(p entity.Pair) []byte { return entity.EncodePair(nil, p) }
 
-// Job2Reducer resolves blocks in sequence order. Per-tree resolved-pair
-// state lives on the reducer instance (one per reduce task), which is
-// what makes incremental bottom-up resolution repeat-free (§III-A).
-type Job2Reducer struct {
-	mapreduce.ReducerBase
-	side *job2Side
-	// resolved[treeIdx] is the pair set already resolved within that tree.
-	resolved map[int]entity.PairSet
-	// decoded memoizes payload decoding by the payload's backing array.
-	// The mapper shares ONE value buffer per (entity, tree) across that
-	// tree's block emissions, so pointer identity implies byte identity
-	// and each entity ⊕ dominance-list payload is decoded once per tree
-	// instead of once per block it reaches. Distinct buffers (e.g.
-	// records read back from a shuffle spill) never share a first-byte
-	// address, so the worst a foreign buffer can cause is a miss.
-	decoded map[*byte]job2Payload
-}
-
+// job2Payload is one decoded map-output value: an entity and its
+// dominance list for the tree the value was emitted to.
 type job2Payload struct {
 	ent  *entity.Entity
 	list dedup.List
 }
 
-// Setup implements mapreduce.Reducer, hoisting the per-task state maps
-// out of the per-block Reduce path.
-func (r *Job2Reducer) Setup(*mapreduce.TaskContext) error {
-	r.resolved = map[int]entity.PairSet{}
-	r.decoded = map[*byte]job2Payload{}
-	return nil
-}
-
-// decodePayload decodes (or recalls) one entity ⊕ dominance-list
-// payload. Decoded entities are shared across blocks — safe because
-// entities are read-only downstream (mechanisms copy the slice they
-// sort and never mutate elements).
-func (r *Job2Reducer) decodePayload(v []byte) (job2Payload, error) {
-	if len(v) == 0 {
-		return job2Payload{}, fmt.Errorf("core: empty job-2 payload")
-	}
-	if p, ok := r.decoded[&v[0]]; ok {
-		return p, nil
-	}
+func decodeJob2Payload(v []byte) (job2Payload, error) {
 	e, n, err := entity.DecodeBinary(v)
 	if err != nil {
 		return job2Payload{}, err
@@ -224,44 +208,101 @@ func (r *Job2Reducer) decodePayload(v []byte) (job2Payload, error) {
 	if err != nil {
 		return job2Payload{}, err
 	}
-	p := job2Payload{ent: e, list: l}
-	r.decoded[&v[0]] = p
-	return p, nil
+	return job2Payload{ent: e, list: l}, nil
 }
 
-// Reduce implements mapreduce.Reducer: one call per scheduled block.
-func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
-	start := ctx.Now()
+// treeState is everything a reduce task keeps for one tree between that
+// tree's blocks. All of a tree's blocks belong to one reduce task, so
+// the state is created at the tree's first block and dropped after its
+// last; a task holds state only for the trees it is in the middle of.
+type treeState struct {
+	// resolved is the within-tree resolved-pair set, which is what makes
+	// incremental bottom-up resolution repeat-free (§III-A).
+	resolved pairTable
+	// payloads holds the tree's decoded entities and dominance lists by
+	// entity ID, each decoded once however many of the tree's blocks it
+	// reaches: the mapper sends one (entity ⊕ list) value per entity and
+	// tree, so the ID names the bytes. It is also where Decide finds the
+	// two lists of a candidate pair.
+	payloads map[entity.ID]job2Payload
+	// ents lists the tree's entities in arrival order (compact emission
+	// only, where block membership is recomputed from them).
+	ents []*entity.Entity
+	// blocksLeft counts the tree's scheduled blocks not yet resolved.
+	blocksLeft int
+	// tree is the tree's index in the schedule.
+	tree int
+}
+
+// job2Blocks is the state and the resolve body that the expanded and
+// the compact reducer share: per-tree state by tree index, one
+// instance per reduce task.
+type job2Blocks struct {
+	mapreduce.ReducerBase
+	side  *job2Side
+	trees map[int]*treeState
+}
+
+// Setup implements mapreduce.Reducer.
+func (r *job2Blocks) Setup(*mapreduce.TaskContext) error {
+	r.trees = map[int]*treeState{}
+	return nil
+}
+
+// scheduled finds the block a reduce key names and its tree's state,
+// creating the state at the tree's first block.
+func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, error) {
 	s := r.side.schedule
 	sq, err := sched.ParseSQKey(key)
 	if err != nil {
-		return err
+		return nil, 0, nil, err
 	}
 	b := s.Block(sq)
 	if b == nil {
-		return fmt.Errorf("core: no scheduled block for sequence %d", sq)
+		return nil, 0, nil, fmt.Errorf("core: no scheduled block for sequence %d", sq)
 	}
 	treeIdx, ok := s.TreeOf[b.ID]
 	if !ok {
-		return fmt.Errorf("core: block %s has no tree", b.ID)
+		return nil, 0, nil, fmt.Errorf("core: block %s has no tree", b.ID)
 	}
-	set := r.resolved[treeIdx]
-	if set == nil {
-		set = entity.PairSet{}
-		r.resolved[treeIdx] = set
-	}
-
-	ents := make([]*entity.Entity, 0, len(values))
-	lists := make(map[entity.ID]dedup.List, len(values))
-	for _, v := range values {
-		p, err := r.decodePayload(v)
-		if err != nil {
-			return err
+	ts := r.trees[treeIdx]
+	if ts == nil {
+		tree := s.Trees[treeIdx]
+		ts = &treeState{
+			tree:       treeIdx,
+			payloads:   make(map[entity.ID]job2Payload, tree.Root.Size),
+			resolved:   newPairTable(r.side.resolvedPairsEstimate(tree.Root)),
+			blocksLeft: len(tree.Blocks()),
 		}
-		ents = append(ents, p.ent)
-		lists[p.ent.ID] = p.list
+		r.trees[treeIdx] = ts
 	}
+	return b, sq, ts, nil
+}
 
+// resolvedPairsEstimate predicts how many pairs the resolved set of the
+// tree under root will hold once the whole tree is resolved, from what
+// the schedule knows: the root is resolved last and fully, examining
+// WindowPairs(|root|, w) pairs, of which the tree owns — resolves
+// rather than leaves to a more dominating family's tree — the fraction
+// Cov/Pairs that Job 1 counted; whatever the descendants resolved
+// before lies almost entirely inside that window. This is the
+// estimator's own CostF arithmetic (§IV-B), and on the benchmark's
+// three workloads it is within a few percent of the count, tree by
+// tree; the margin covers that, pairTable.grow covers the rest (a
+// mechanism that ignores the window, say).
+func (side *job2Side) resolvedPairsEstimate(root *blocking.Block) int {
+	pairs := float64(estimate.WindowPairs(root.Size, side.policy.Window(root)))
+	if all := entity.Pairs(root.Size); !side.noDedup && root.Cov < all {
+		pairs *= float64(root.Cov) / float64(all)
+	}
+	return int(pairs*1.05) + 8
+}
+
+// resolve runs the mechanism over one scheduled block's entities and
+// reports the visit: counters, quality observation, trace span. After
+// the tree's last block it drops the tree's state.
+func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter, start costmodel.Units,
+	b *blocking.Block, sq int64, ts *treeState, ents []*entity.Entity) {
 	famIdx := int(b.ID.Family)
 	index := famIdx + 1 // 1-based dominance Index of the family
 	n := len(r.side.families)
@@ -272,17 +313,21 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 	env := &mechanism.Env{
 		SortAttr: r.side.families[famIdx].Attr,
 		Match:    r.side.matcher.Match,
+		// A pair is entered into the resolved set the moment it is ruled
+		// Resolve — every mechanism emits a pair it was told to resolve
+		// before it asks about the next one, so nothing can observe the
+		// difference from entering it in Emit — and only after the
+		// ownership test, so a pair another tree owns never enters.
 		Decide: func(p entity.Pair) mechanism.Decision {
-			if set.Has(p) {
-				return mechanism.SkipResolved
-			}
-			if !r.side.noDedup && !dedup.ShouldResolve(lists[p.Lo], lists[p.Hi], index, n) {
+			if !r.side.noDedup && !dedup.ShouldResolve(ts.payloads[p.Lo].list, ts.payloads[p.Hi].list, index, n) {
 				return mechanism.SkipNotResponsible
+			}
+			if ts.resolved.testAndSet(p) {
+				return mechanism.SkipResolved
 			}
 			return mechanism.Resolve
 		},
 		Emit: func(p entity.Pair, isDup bool) {
-			set.Add(p)
 			if isDup {
 				emit.Emit("dup", dupValue(p))
 			}
@@ -324,5 +369,40 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 			obs.A("dups", st.Dups),
 			obs.A("skipped", st.Skipped))
 	}
+	if ts.blocksLeft--; ts.blocksLeft == 0 {
+		delete(r.trees, ts.tree)
+	}
+}
+
+// Job2Reducer resolves blocks in sequence order, one Reduce call per
+// scheduled block; one instance per reduce task.
+type Job2Reducer struct{ job2Blocks }
+
+// Reduce implements mapreduce.Reducer: one call per scheduled block.
+// Decoded entities are shared across the tree's blocks — safe because
+// entities are read-only downstream (mechanisms copy the slice they
+// sort and never mutate elements).
+func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
+	start := ctx.Now()
+	b, sq, ts, err := r.scheduled(key)
+	if err != nil {
+		return err
+	}
+	ents := make([]*entity.Entity, 0, len(values))
+	for _, v := range values {
+		id, n := binary.Uvarint(v)
+		if n <= 0 {
+			return fmt.Errorf("core: job-2 payload without an entity ID at %s", key)
+		}
+		p, ok := ts.payloads[entity.ID(id)]
+		if !ok {
+			if p, err = decodeJob2Payload(v); err != nil {
+				return err
+			}
+			ts.payloads[p.ent.ID] = p
+		}
+		ents = append(ents, p.ent)
+	}
+	r.resolve(ctx, emit, start, b, sq, ts, ents)
 	return nil
 }

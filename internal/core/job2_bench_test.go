@@ -7,8 +7,10 @@ import (
 	"proger/internal/blocking"
 	"proger/internal/costmodel"
 	"proger/internal/datagen"
+	"proger/internal/entity"
 	"proger/internal/estimate"
 	"proger/internal/mapreduce"
+	"proger/internal/match"
 	"proger/internal/mechanism"
 	"proger/internal/sched"
 )
@@ -19,14 +21,50 @@ type discardEmitter struct{ n int }
 
 func (e *discardEmitter) Emit(key string, value []byte) { e.n++ }
 
+// benchShape is one benchmark dataset with its pipeline options.
+type benchShape struct {
+	name string
+	make func() (*entity.Dataset, Options)
+}
+
+// benchShapes are the two ends of the Job-2 record path: publications
+// (few long attributes, compare-bound reduce) and persons (many short
+// records under Soundex and prefix families with exact rules, where the
+// per-record and per-pair bookkeeping is the work — the shape of the
+// wall-clock benchmark's persons-exact).
+var benchShapes = []benchShape{
+	{"publications", func() (*entity.Dataset, Options) {
+		ds, gt := datagen.Publications(datagen.DefaultPublications(1500, 5))
+		return ds, pubOptions(ds, gt, 5)
+	}},
+	{"persons", func() (*entity.Dataset, Options) {
+		ds, _ := datagen.PersonRecords(datagen.DefaultPeople(6000, 5))
+		idx := ds.Schema.Index
+		return ds, Options{
+			Families: blocking.Families{
+				{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: blocking.KeySoundex},
+				{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
+				{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
+			},
+			Matcher: match.MustNew(0.6,
+				match.Rule{Attr: idx("phone"), Weight: 0.6, Kind: match.ExactMatch},
+				match.Rule{Attr: idx("state"), Weight: 0.4, Kind: match.ExactMatch},
+			),
+			Mechanism:       mechanism.SN{},
+			Policy:          estimate.CiteSeerXPolicy(),
+			Machines:        5,
+			SlotsPerMachine: 2,
+		}
+	}},
+}
+
 // benchJob2Side builds the Job-2 side data (schedule included) for a
 // full generated dataset, shared by the map- and reduce-side
 // benchmarks. It also returns the job-1 input and the reduce-task
 // count the schedule was generated for.
-func benchJob2Side(b *testing.B) (*job2Side, []mapreduce.KeyValue, int) {
+func benchJob2Side(b *testing.B, shape benchShape) (*job2Side, []mapreduce.KeyValue, int) {
 	b.Helper()
-	ds, gt := datagen.Publications(datagen.DefaultPublications(1500, 5))
-	opts := pubOptions(ds, gt, 5)
+	ds, opts := shape.make()
 	opts = opts.withDefaults()
 	cluster := mapreduce.Cluster{Machines: opts.Machines, SlotsPerMachine: opts.SlotsPerMachine}
 	stats, _, err := blocking.RunJob1(ds, opts.Families, cluster, opts.Cost, 0)
@@ -64,28 +102,30 @@ func benchJob2Side(b *testing.B) (*job2Side, []mapreduce.KeyValue, int) {
 // dataset against a real generated schedule — the per-entity hot path
 // of the resolve pipeline's second job.
 func BenchmarkJob2Map(b *testing.B) {
-	side, input, _ := benchJob2Side(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := &Job2Mapper{side: side}
-		ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
-		emit := &discardEmitter{}
-		for _, rec := range input {
-			if err := m.Map(ctx, rec, emit); err != nil {
-				b.Fatal(err)
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			side, input, _ := benchJob2Side(b, shape)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := &Job2Mapper{side: side}
+				ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
+				emit := &discardEmitter{}
+				for _, rec := range input {
+					if err := m.Map(ctx, rec, emit); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if emit.n == 0 {
+					b.Fatal("mapper emitted nothing")
+				}
 			}
-		}
-		if emit.n == 0 {
-			b.Fatal("mapper emitted nothing")
-		}
+		})
 	}
 }
 
 // partEmitter collects map output per reduce partition without
-// copying values, exactly like the engine's shuffle: the mapper's
-// shared per-(entity, tree) buffers keep their pointer identity, which
-// is what the reducer's decode cache keys on.
+// copying values, exactly like the engine's shuffle.
 type partEmitter struct {
 	parts [][]mapreduce.KeyValue
 }
@@ -96,11 +136,17 @@ func (e *partEmitter) Emit(key string, value []byte) {
 }
 
 // BenchmarkJob2Reduce drives the Job-2 reduce function over real
-// shuffled map output, whole partitions at a time — the hot path the
-// per-task decode cache targets: every entity ⊕ dominance-list payload
-// is decoded once per tree rather than once per scheduled block.
+// shuffled map output, whole partitions at a time — per block the
+// payload lookup, per candidate pair the ownership test and the
+// resolved-set probe, per tree one decode of every entity.
 func BenchmarkJob2Reduce(b *testing.B) {
-	side, input, r := benchJob2Side(b)
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) { benchJob2Reduce(b, shape) })
+	}
+}
+
+func benchJob2Reduce(b *testing.B, shape benchShape) {
+	side, input, r := benchJob2Side(b, shape)
 
 	// Map once, partition, and group — the reduce input the engine
 	// would hand each reduce task.
@@ -142,7 +188,7 @@ func BenchmarkJob2Reduce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := range groups {
-			red := &Job2Reducer{side: side}
+			red := &Job2Reducer{job2Blocks: job2Blocks{side: side}}
 			ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
 			if err := red.Setup(ctx); err != nil {
 				b.Fatal(err)

@@ -47,6 +47,7 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 	for task, blocks := range s.TaskBlocks {
 		for pos, b := range blocks {
 			b.SQ = sched.SQFor(task, pos)
+			b.SQKey = sched.SQKey(b.SQ)
 		}
 	}
 	return s, fams
@@ -62,7 +63,8 @@ func TestBuildListWithSplitTree(t *testing.T) {
 	// Emission for the X main tree (tree 0, shallowest level 1): the
 	// list must carry [Dom(own X tree)=0, Dom(Y tree)=2] plus the
 	// (n+1)st value Dom(split descendant)=1.
-	buf := m.buildList(e, 0, 1, 0)
+	deep := []string{"abq", "z"}
+	buf := m.buildList(e, deep, 0, 1, 0)
 	list, _, err := dedup.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestBuildListWithSplitTree(t *testing.T) {
 
 	// Emission for the split tree itself (tree 1, level 2): own family
 	// position is the split tree's Dom; no deeper split exists.
-	buf = m.buildList(e, 0, 2, 1)
+	buf = m.buildList(e, deep, 0, 2, 1)
 	list, _, err = dedup.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func TestBuildListWithSplitTree(t *testing.T) {
 
 	// Emission for the Y tree: X position refers to the MAIN X tree
 	// (not the split), as §V specifies.
-	buf = m.buildList(e, 1, 1, 2)
+	buf = m.buildList(e, deep, 1, 1, 2)
 	list, _, err = dedup.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +104,8 @@ func TestSplitListsResolveExactlyOnce(t *testing.T) {
 	a := &entity.Entity{ID: 1, Attrs: []string{"abq", "z"}}
 	b := &entity.Entity{ID: 2, Attrs: []string{"abr", "z"}}
 	decode := func(e *entity.Entity, j, level, ti int) dedup.List {
-		l, _, err := dedup.Decode(m.buildList(e, j, level, ti))
+		deep := []string{fams[0].Key(e, 3), fams[1].Key(e, 1)}
+		l, _, err := dedup.Decode(m.buildList(e, deep, j, level, ti))
 		if err != nil {
 			t.Fatal(err)
 		}

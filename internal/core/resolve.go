@@ -159,10 +159,10 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 		noDedup:  opts.DisableRedundancyElimination,
 	}
 	newMapper := func() mapreduce.Mapper { return &Job2Mapper{side: side} }
-	newReducer := func() mapreduce.Reducer { return &Job2Reducer{side: side} }
+	newReducer := func() mapreduce.Reducer { return &Job2Reducer{job2Blocks: job2Blocks{side: side}} }
 	if opts.CompactShuffle {
 		newMapper = func() mapreduce.Mapper { return &CompactJob2Mapper{side: side} }
-		newReducer = func() mapreduce.Reducer { return &CompactJob2Reducer{side: side} }
+		newReducer = func() mapreduce.Reducer { return &CompactJob2Reducer{job2Blocks: job2Blocks{side: side}} }
 	}
 	job2Cfg := mapreduce.Config{
 		Name:           "job2-progressive-resolution",

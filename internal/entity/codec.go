@@ -29,7 +29,11 @@ func EncodeBinary(dst []byte, e *Entity) []byte {
 }
 
 // DecodeBinary decodes one entity from src, returning the entity and
-// the number of bytes consumed.
+// the number of bytes consumed. Every length is validated before
+// anything is copied; the attribute region (length prefixes included)
+// then becomes ONE string and the attributes are slices of it, so an
+// entity costs three allocations whatever its attribute count — and
+// holding on to any one attribute keeps the bytes of all of them alive.
 func DecodeBinary(src []byte) (*Entity, int, error) {
 	off := 0
 	id, n := binary.Uvarint(src[off:])
@@ -45,18 +49,26 @@ func DecodeBinary(src []byte) (*Entity, int, error) {
 	if cnt > uint64(len(src)) { // cheap sanity bound: each attr needs ≥1 byte of header
 		return nil, 0, fmt.Errorf("entity: corrupt attr count %d", cnt)
 	}
-	attrs := make([]string, cnt)
-	for i := range attrs {
+	start := off
+	for i := 0; i < int(cnt); i++ {
 		l, n := binary.Uvarint(src[off:])
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d len)", i)
 		}
 		off += n
-		if uint64(off)+l > uint64(len(src)) {
+		if l > uint64(len(src)-off) {
 			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d body)", i)
 		}
-		attrs[i] = string(src[off : off+int(l)])
 		off += int(l)
+	}
+	region := string(src[start:off])
+	attrs := make([]string, cnt)
+	pos := 0
+	for i := range attrs {
+		l, n := binary.Uvarint(src[start+pos:])
+		pos += n
+		attrs[i] = region[pos : pos+int(l)]
+		pos += int(l)
 	}
 	return &Entity{ID: ID(id), Attrs: attrs}, off, nil
 }

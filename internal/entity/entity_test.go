@@ -2,6 +2,9 @@ package entity
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -204,6 +207,122 @@ func TestBinaryCodecTruncated(t *testing.T) {
 	}
 }
 
+// decodeBinaryPerAttr is DecodeBinary as it was before the attribute
+// region became one shared string (one string allocation per
+// attribute), kept as the oracle for errors, consumed counts and
+// values. Its body check is the overflow-safe one: the original
+// `uint64(off)+l > len` wrapped for l near 2^64 and then panicked on
+// the slice, which no caller could rely on.
+func decodeBinaryPerAttr(src []byte) (*Entity, int, error) {
+	off := 0
+	id, n := binary.Uvarint(src[off:])
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("entity: truncated binary entity (id)")
+	}
+	off += n
+	cnt, n := binary.Uvarint(src[off:])
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("entity: truncated binary entity (attr count)")
+	}
+	off += n
+	if cnt > uint64(len(src)) {
+		return nil, 0, fmt.Errorf("entity: corrupt attr count %d", cnt)
+	}
+	attrs := make([]string, cnt)
+	for i := range attrs {
+		l, n := binary.Uvarint(src[off:])
+		if n <= 0 {
+			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d len)", i)
+		}
+		off += n
+		if l > uint64(len(src)-off) {
+			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d body)", i)
+		}
+		attrs[i] = string(src[off : off+int(l)])
+		off += int(l)
+	}
+	return &Entity{ID: ID(id), Attrs: attrs}, off, nil
+}
+
+// sameDecode fails unless DecodeBinary and the per-attribute oracle
+// agree on src: same error text, or same entity and consumed count.
+func sameDecode(t *testing.T, name string, src []byte) {
+	t.Helper()
+	got, gotN, gotErr := DecodeBinary(src)
+	want, wantN, wantErr := decodeBinaryPerAttr(src)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Errorf("%s: error %v, oracle %v", name, gotErr, wantErr)
+		return
+	}
+	if gotN != wantN || !Equal(got, want) {
+		t.Errorf("%s: decoded %v consuming %d, oracle %v consuming %d", name, got, gotN, want, wantN)
+	}
+}
+
+func TestDecodeBinaryMatchesPerAttributeDecoder(t *testing.T) {
+	rec := EncodeBinary(nil, &Entity{ID: 300, Attrs: []string{"hello", "", "wörld", strings.Repeat("x", 200)}})
+	for cut := 0; cut <= len(rec); cut++ {
+		sameDecode(t, fmt.Sprintf("prefix %d", cut), rec[:cut])
+	}
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	corrupt := map[string][]byte{
+		"empty":                  {},
+		"no attributes":          uv(7, 0),
+		"trailing bytes":         append(append([]byte{}, rec...), 0xde, 0xad),
+		"two records":            append(append([]byte{}, rec...), rec...),
+		"attr count over length": uv(1, 9),
+		"attr count huge":        uv(1, math.MaxUint64),
+		"id overflows varint":    {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"len overflows varint":   append(uv(1, 1), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"len past the end":       append(uv(1, 2, 1), 'a', 5, 'b'),
+		"len wraps uint64":       append(uv(0, 1, math.MaxUint64), 'a'),
+		"len wraps int":          append(uv(0, 1, 1<<63), 'a'),
+		"non-canonical varints":  {0x81, 0x00, 0x81, 0x00, 0x82, 0x00, 'o', 'k'},
+		"id beyond int32":        uv(1<<40, 1, 1, 'z'),
+	}
+	for name, src := range corrupt {
+		sameDecode(t, name, src)
+	}
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 2000; i++ {
+		src := make([]byte, rng.Intn(24))
+		for j := range src {
+			// Small values keep counts and lengths plausible, so random
+			// inputs reach the attribute loop instead of dying on the count.
+			src[j] = byte(rng.Intn(6))
+		}
+		sameDecode(t, fmt.Sprintf("random %x", src), src)
+	}
+}
+
+// TestDecodeBinaryAllocations pins the decode cost the Job-2 map and
+// reduce paths pay per entity: the entity, its attribute slice and one
+// string, whatever the attribute count.
+func TestDecodeBinaryAllocations(t *testing.T) {
+	for _, attrs := range [][]string{{"a"}, {"ann", "springfield", "il", "555-0101"}, make([]string, 40)} {
+		for i := range attrs {
+			if attrs[i] == "" {
+				attrs[i] = "value"
+			}
+		}
+		rec := EncodeBinary(nil, &Entity{ID: 9, Attrs: attrs})
+		got := testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeBinary(rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 3 {
+			t.Errorf("%d attributes: %v allocations per decode, want 3", len(attrs), got)
+		}
+	}
+}
+
 func TestBinaryCodecQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(id int32, a, b, c string) bool {
@@ -286,5 +405,34 @@ func TestEscapeUnescapeRoundTrip(t *testing.T) {
 	f := func(s string) bool { return unescapeTSV(escapeTSV(s)) == s }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+var sinkEntity *Entity
+
+// BenchmarkDecodeBinary decodes a persons-shaped record (four short
+// attributes) and a publications-shaped one (three, one of them long):
+// the per-entity cost of every Job-1 and Job-2 map call and of every
+// first contact of an entity with a tree on the reduce side.
+func BenchmarkDecodeBinary(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		attrs []string
+	}{
+		{"persons", []string{"Maria Gonzalez", "Springfield", "IL", "555-0142"}},
+		{"publications", []string{"A parallel progressive approach to entity resolution", strings.Repeat("abstract text ", 25), "ICDE"}},
+	} {
+		rec := EncodeBinary(nil, &Entity{ID: 123456, Attrs: c.attrs})
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(rec)))
+			for i := 0; i < b.N; i++ {
+				e, _, err := DecodeBinary(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkEntity = e
+			}
+		})
 	}
 }

@@ -2,17 +2,23 @@ package entity
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
-// FuzzDecodeBinary guards the binary entity codec against panics and
-// checks encode∘decode is the identity on whatever decodes cleanly.
+// FuzzDecodeBinary guards the binary entity codec against panics,
+// holds it to the per-attribute oracle (same error, same entity, same
+// consumed count) and checks encode∘decode is the identity on whatever
+// decodes cleanly.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(EncodeBinary(nil, &Entity{ID: 1, Attrs: []string{"a", "bb"}}))
 	f.Add(EncodeBinary(nil, &Entity{ID: 0}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add(append(binary.AppendUvarint([]byte{0, 1}, math.MaxUint64), 'a'))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecode(t, "fuzz input", data)
 		e, n, err := DecodeBinary(data)
 		if err != nil {
 			return

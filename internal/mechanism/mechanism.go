@@ -13,7 +13,8 @@
 package mechanism
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"proger/internal/costmodel"
@@ -195,11 +196,11 @@ func (env *Env) sortEntities(ents []*entity.Entity) []*entity.Entity {
 	for i, e := range ents {
 		keys[i] = keyed{strings.ToLower(e.Attr(env.SortAttr)), e}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].key != keys[j].key {
-			return keys[i].key < keys[j].key
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		return keys[i].e.ID < keys[j].e.ID
+		return cmp.Compare(a.e.ID, b.e.ID)
 	})
 	sorted := make([]*entity.Entity, len(keys))
 	for i, k := range keys {

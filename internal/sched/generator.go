@@ -438,7 +438,8 @@ func (h *blockHeap) Pop() any {
 
 // assignDomAndSQ finalizes the schedule: trees get dominance values in
 // deterministic (root-ID) order, blocks get sequence values in schedule
-// order within their task's range.
+// order within their task's range, each rendered to its shuffle key
+// here, once, for every record Job 2 will emit under it.
 func (g *generator) assignDomAndSQ() {
 	sort.Slice(g.trees, func(i, j int) bool { return idLess(g.trees[i].Root.ID, g.trees[j].Root.ID) })
 	for i, t := range g.trees {
@@ -447,6 +448,7 @@ func (g *generator) assignDomAndSQ() {
 	for task, blocks := range g.taskBlocks {
 		for pos, b := range blocks {
 			b.SQ = SQFor(task, pos)
+			b.SQKey = SQKey(b.SQ)
 		}
 	}
 }

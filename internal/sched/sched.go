@@ -18,6 +18,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 
 	"proger/internal/blocking"
@@ -221,15 +222,48 @@ func SQFor(task int, pos int) int64 { return int64(task)*taskRange + int64(pos) 
 // the job's partition function.
 func TaskOfSQ(sq int64) int { return int(sq / taskRange) }
 
-// SQKey renders a sequence value as a fixed-width decimal string so the
-// framework's lexicographic key sort equals numeric SQ order.
-func SQKey(sq int64) string { return fmt.Sprintf("%018d", sq) }
+// sqKeyWidth is the fixed width of a sequence key; maxSQ = 10^sqKeyWidth
+// bounds the values it can hold, which covers every SQFor(task, pos)
+// with task and pos below taskRange.
+const (
+	sqKeyWidth = 18
+	maxSQ      = taskRange * taskRange
+)
 
-// ParseSQKey inverts SQKey.
+// SQKey renders a sequence value as a fixed-width decimal string so the
+// framework's lexicographic key sort equals numeric SQ order. The
+// schedule generator renders each block's key once (Block.SQKey); the
+// Job-2 record path reads that instead of calling this per record.
+// Values outside [0, 10^18) — which no schedule produces — keep the
+// "%018d" form (a sign, or a 19th digit); ParseSQKey rejects those.
+func SQKey(sq int64) string {
+	if sq < 0 || sq >= maxSQ {
+		return fmt.Sprintf("%0*d", sqKeyWidth, sq)
+	}
+	var buf [sqKeyWidth]byte
+	for i := sqKeyWidth - 1; i >= 0; i-- {
+		buf[i] = byte('0' + sq%10)
+		sq /= 10
+	}
+	return string(buf[:])
+}
+
+var errSQKeyFormat = errors.New("want 18 decimal digits")
+
+// ParseSQKey inverts SQKey on [0, 10^18): it accepts exactly 18 ASCII
+// digits and nothing else — no sign, no spaces, no shorter or longer
+// run. It is called once per map-output record (Job2Partitioner), so
+// it neither allocates nor goes through fmt on a well-formed key.
 func ParseSQKey(key string) (int64, error) {
 	var sq int64
-	if _, err := fmt.Sscanf(key, "%d", &sq); err != nil {
-		return 0, fmt.Errorf("sched: bad sequence key %q: %w", key, err)
+	ok := len(key) == sqKeyWidth
+	for i := 0; ok && i < sqKeyWidth; i++ {
+		d := key[i] - '0'
+		ok = d <= 9
+		sq = sq*10 + int64(d)
+	}
+	if !ok {
+		return 0, fmt.Errorf("sched: bad sequence key %q: %w", key, errSQKeyFormat)
 	}
 	return sq, nil
 }
@@ -252,20 +286,18 @@ type Schedule struct {
 	R int
 }
 
-// FirstSQOfTree returns, per tree index, the smallest sequence value of
-// the tree's blocks — the key under which the compact (footnote-5) map
-// emission ships the tree's entities, guaranteeing they arrive before
-// any of the tree's blocks are resolved.
-func (s *Schedule) FirstSQOfTree() []int64 {
-	out := make([]int64, len(s.Trees))
+// FirstKeyOfTree returns, per tree index, the sequence key of the tree's
+// earliest scheduled block — the key under which the compact
+// (footnote-5) map emission ships the tree's entities, guaranteeing
+// they arrive before any of the tree's blocks are resolved.
+func (s *Schedule) FirstKeyOfTree() []string {
+	out := make([]string, len(s.Trees))
 	for i, t := range s.Trees {
-		first := int64(-1)
 		for _, b := range t.Blocks() {
-			if first < 0 || b.SQ < first {
-				first = b.SQ
+			if out[i] == "" || b.SQKey < out[i] {
+				out[i] = b.SQKey
 			}
 		}
-		out[i] = first
 	}
 	return out
 }

@@ -79,6 +79,11 @@ go test -race ./...
 echo "== fuzz (edit-distance kernel) =="
 go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
 
+# Every Job-2 map-output record goes through the hand-written sequence
+# key parser; it gets the same treatment, against strconv.
+echo "== fuzz (sequence-key parser) =="
+go test -run '^$' -fuzz FuzzParseSQKey -fuzztime 10s ./internal/sched
+
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
@@ -87,13 +92,15 @@ go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
 # introspection layer: the endpoints must answer while the run is in
 # flight, the mid-run scrape must be Prometheus text, the event log
 # must validate, and none of it may perturb the byte-determinism cmp
-# below.
+# below. The workload is sized so that the budget run lasts well over
+# half a second on a 2-core box (~0.9 s at n=12000): any shorter, and
+# the curls below race the end of the run.
 echo "== bounded-memory + live-introspection smoke =="
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
-go run ./cmd/proger -generate publications -n 4000 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
     -out "$smoke/base.tsv" -quality-out "$smoke/base-quality.json" 2>/dev/null
-go run ./cmd/proger -generate publications -n 4000 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
     -mem-budget 64K -spill-dir "$smoke" -metrics-out "$smoke/budget.prom" \
     -status 127.0.0.1:0 -events "$smoke/events.jsonl" \
     -out "$smoke/budget.tsv" -quality-out "$smoke/budget-quality.json" \
