@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt bench bench-compare trace-demo chaos
+.PHONY: check vet build test race fmt bench trace-demo chaos
 
 check: fmt vet build race
 
@@ -28,24 +28,7 @@ fmt:
 
 # bench regenerates the numbers recorded in BENCH_*.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary|BenchmarkEnginePipeline' -benchmem ./...
-
-# bench-compare diffs the job graph's barrier edge policy against its
-# pipelined edge policy on the skewed BenchmarkEnginePipeline workload,
-# worker count by worker count. Host-parallelism caveat: on a
-# single-CPU machine both policies do identical work and should tie;
-# the pipelined overlap win needs real cores.
-bench-compare:
-	@tmp="$$(mktemp -d)"; \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	echo "== barrier edge policy =="; \
-	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/barrier' -benchmem ./internal/mapreduce \
-		| grep '^Benchmark' | sed 's|/barrier/|/|' | tee "$$tmp/barrier.txt"; \
-	echo "== pipelined edge policy =="; \
-	$(GO) test -run '^$$' -bench 'BenchmarkEnginePipeline/pipelined' -benchmem ./internal/mapreduce \
-		| grep '^Benchmark' | sed 's|/pipelined/|/|' | tee "$$tmp/pipelined.txt"; \
-	echo "== barrier -> pipelined =="; \
-	./scripts/benchdiff.sh "$$tmp/barrier.txt" "$$tmp/pipelined.txt"
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary' -benchmem ./...
 
 # chaos runs the pipeline under deterministic fault injection and
 # asserts the output is byte-identical to the fault-free baseline.

@@ -76,7 +76,7 @@ func main() {
 	sampleEvery := flag.Float64("sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
 	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
 	pprofAddr := flag.String("pprof", "", "alias for -status (the status server includes /debug/pprof)")
-	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation, shuffle merges and spills) to this path; \"-\" writes to stderr")
+	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation, shuffle spills) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
 	engine := flag.String("engine", "pipelined", "host execution engine: pipelined (dependency-driven task graph) | barrier (three barriered phases); results are identical")
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle/statistics memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling compressed runs to disk when exceeded; results are identical")

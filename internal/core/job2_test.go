@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"proger/internal/dedup"
 	"proger/internal/entity"
 	"proger/internal/estimate"
+	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/sched"
 )
@@ -206,6 +208,37 @@ func TestCompactShuffleEquivalence(t *testing.T) {
 	for _, ev := range compact.Events {
 		if !seen.Add(ev.Pair) {
 			t.Fatalf("pair %v emitted twice in compact mode", ev.Pair)
+		}
+	}
+}
+
+// TestResolveLeavesInputUntouched pins what lets Resolve encode the
+// dataset once for both jobs: no mapper of either job, expanded or
+// compact, writes to a record it is handed, and the result is the one
+// Resolve itself gives.
+func TestResolveLeavesInputUntouched(t *testing.T) {
+	ds, gt := datagen.Publications(datagen.DefaultPublications(600, 73))
+	for _, compact := range []bool{false, true} {
+		opts := pubOptions(ds, gt, 3)
+		opts.CompactShuffle = compact
+		want, err := Resolve(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := blocking.MakeJob1Input(ds)
+		before := make([]mapreduce.KeyValue, len(input))
+		for i, kv := range input {
+			before[i] = mapreduce.KeyValue{Key: kv.Key, Value: bytes.Clone(kv.Value)}
+		}
+		got, err := resolve(ds, input, opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(input, before) {
+			t.Errorf("compact=%v: the jobs changed their input records", compact)
+		}
+		if !reflect.DeepEqual(got.Events, want.Events) || got.TotalTime != want.TotalTime {
+			t.Errorf("compact=%v: resolve on a caller's input departs from Resolve", compact)
 		}
 	}
 }

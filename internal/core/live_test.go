@@ -217,35 +217,41 @@ func eventMultiset(t *testing.T, raw []byte) []string {
 	return keys
 }
 
-// TestEventLogDeterministicSubset runs the barrier engine at 1 and 8
+// TestEventLogDeterministicSubset runs both edge policies at 1 and 8
 // workers and checks the event streams agree exactly once the
 // wall-clock fields are stripped: same events, same counts, only the
 // interleaving differs.
 func TestEventLogDeterministicSubset(t *testing.T) {
 	ds, _ := datagen.People()
-	streams := map[int][]string{}
-	for _, workers := range []int{1, 8} {
-		var events bytes.Buffer
-		run := live.NewRun(live.NewEventLog(&events))
-		opts := liveOpts(run, workers)
-		opts.Execution = mapreduce.ExecBarrier
-		_, err := Resolve(ds, opts)
-		run.Finish(err)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		streams[workers] = eventMultiset(t, events.Bytes())
-	}
-	if len(streams[1]) == 0 {
-		t.Fatal("no events recorded")
-	}
-	if !reflect.DeepEqual(streams[1], streams[8]) {
-		t.Errorf("event multisets diverge across workers:\n1: %d lines\n8: %d lines",
-			len(streams[1]), len(streams[8]))
-		for i := range streams[1] {
-			if i < len(streams[8]) && streams[1][i] != streams[8][i] {
-				t.Errorf("first divergence:\n  w1: %s\n  w8: %s", streams[1][i], streams[8][i])
-				break
+	var ref []string
+	for _, mode := range []mapreduce.ExecutionMode{mapreduce.ExecBarrier, mapreduce.ExecPipelined} {
+		for _, workers := range []int{1, 8} {
+			var events bytes.Buffer
+			run := live.NewRun(live.NewEventLog(&events))
+			opts := liveOpts(run, workers)
+			opts.Execution = mode
+			_, err := Resolve(ds, opts)
+			run.Finish(err)
+			if err != nil {
+				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
+			}
+			got := eventMultiset(t, events.Bytes())
+			if len(got) == 0 {
+				t.Fatal("no events recorded")
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("mode=%v workers=%d: event multiset diverges from barrier/1 worker: %d vs %d lines",
+					mode, workers, len(got), len(ref))
+				for i := range ref {
+					if i < len(got) && ref[i] != got[i] {
+						t.Errorf("first divergence:\n  ref: %s\n  got: %s", ref[i], got[i])
+						break
+					}
+				}
 			}
 		}
 	}

@@ -60,7 +60,13 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	return resolve(ds, blocking.MakeJob1Input(ds), opts.withDefaults())
+}
+
+// resolve is Resolve on validated options. input is ds encoded once for
+// both jobs: the engine only sub-slices its input and mappers treat a
+// record's value as read-only.
+func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Result, error) {
 	if opts.DisableSubBlocking {
 		opts.Families = truncateToMainFunctions(opts.Families)
 	}
@@ -87,7 +93,7 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 	job1Cfg.Live = opts.Live
 	job1Cfg.MemBudget = mgr
 	job1Cfg.SpillDir = opts.SpillDir
-	job1Res, err := mapreduce.Run(job1Cfg, blocking.MakeJob1Input(ds), 0)
+	job1Res, err := mapreduce.Run(job1Cfg, input, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: job 1: %w", err)
 	}
@@ -185,7 +191,7 @@ func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
 		MemBudget:      mgr,
 		SpillDir:       opts.SpillDir,
 	}
-	job2Res, err := mapreduce.Run(job2Cfg, blocking.MakeJob1Input(ds), job1Res.End)
+	job2Res, err := mapreduce.Run(job2Cfg, input, job1Res.End)
 	if err != nil {
 		return nil, fmt.Errorf("core: job 2: %w", err)
 	}

@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"strings"
 	"time"
 
 	"proger/internal/costmodel"
@@ -252,9 +250,6 @@ type taskBodies struct {
 	mapTask func(m int) (mapTaskResult, costmodel.Units, error)
 	shuffle func(r int) (shuffleTaskResult, costmodel.Units, error)
 	reduce  func(i int) (reduceTaskResult, costmodel.Units, error)
-	// inProcess marks bodies that leave map output in this process
-	// (po.mapRes[m].out), where the premerge tree can reach it.
-	inProcess bool
 }
 
 // trackTask is the one wrap point every task execution shares, in every
@@ -288,7 +283,6 @@ func trackTask[T any](lj *live.Job, p live.Phase, i int, wall []wallSpan,
 // shuffleForTask, and runReduceTask over po's own slots.
 func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs) taskBodies {
 	return taskBodies{
-		inProcess: true,
 		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
 				out, cost, counters, spans, err := runMapTask(cfg, m, splits[m])
@@ -302,7 +296,7 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 					return shuffleTaskResult{}, 0, 0, err
 				}
 				lj.SpilledRuns(r, spilled)
-				// The merge has no scheduled cost of its own (the reduce tasks
+				// The shuffle has no scheduled cost of its own (the reduce tasks
 				// price shuffling on the simulated clock); the attempt runtime
 				// keys timeouts and speculation off its simulated sort cost.
 				return shuffleTaskResult{in: in, spilledRuns: spilled}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
@@ -356,11 +350,13 @@ type wallSpan struct {
 // per map/reduce task and per shuffle merge, plus every task-local
 // span recorded through TaskContext.Span, rebased from the task-local
 // clock onto the global simulated timeline. The shuffle-merge spans
-// carry the host wall time of the real merge; their simulated position
-// is the map barrier (the reduce tasks separately account shuffle cost
-// on the simulated clock as task-local "shuffle" spans). With the
-// attempt runtime active, every task attempt additionally gets an
-// "attempt" span on the shadow attempt timeline.
+// carry the host wall time of the shuffle node — assembling the runs,
+// or spilling them; an in-memory merge itself runs inside the reduce
+// task's wall span — and their simulated position is the map barrier
+// (the reduce tasks separately account shuffle cost on the simulated
+// clock as task-local "shuffle" spans). With the attempt runtime
+// active, every task attempt additionally gets an "attempt" span on
+// the shadow attempt timeline.
 func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int, spilledRuns []int64,
 	mapSpans, reduceSpans [][]obs.Span, mapWall, shufWall, reduceWall []wallSpan) {
 	tr := cfg.Trace
@@ -414,32 +410,24 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 	}
 }
 
-// shuffleForTask assembles reduce task r's sorted input by merging the
+// shuffleForTask assembles reduce task r's sorted input from the
 // pre-sorted per-partition runs the map tasks produced, also reporting
 // how many runs went through the deterministic (ShuffleMemLimit-driven)
 // spiller. Storage mode is a host decision with no effect on the record
-// sequence: an in-memory merge, a forced-to-disk store (ShuffleMemLimit
-// exceeded), or a budget-governed store that buffers in memory until
-// the process-wide manager squeezes it out.
+// sequence: the runs themselves merged as they are read (memInput), a
+// forced-to-disk store (ShuffleMemLimit exceeded), or a budget-governed
+// store that buffers in memory until the process-wide manager squeezes
+// it out.
 func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, int64, error) {
-	var n, nonEmpty int
+	var n int
+	runs := make([][]KeyValue, 0, cfg.NumMapTasks)
 	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapRes[m].out[r]) > 0 {
-			nonEmpty++
-			n += len(mapRes[m].out[r])
+		if run := mapRes[m].out[r]; len(run) > 0 {
+			runs = append(runs, run)
+			n += len(run)
 		}
 	}
-	if nonEmpty == 1 && cfg.MemBudget == nil {
-		// Single-contributor partition: the run is already the reduce
-		// input, so skip the merge (and spill) machinery entirely. The
-		// run is aliased, not copied — reduce inputs are read-only.
-		for m := 0; m < cfg.NumMapTasks; m++ {
-			if len(mapRes[m].out[r]) > 0 {
-				return memInput{kvs: mapRes[m].out[r]}, 0, nil
-			}
-		}
-	}
-	if cfg.ShuffleMemLimit > 0 && n > cfg.ShuffleMemLimit && nonEmpty > 1 {
+	if cfg.ShuffleMemLimit > 0 && n > cfg.ShuffleMemLimit && len(runs) > 1 {
 		// Deterministic spill: every run goes to disk, exactly as many
 		// runs as contribute — the count the trace reports.
 		st := newSpillStore(cfg, nil, r, true)
@@ -461,13 +449,7 @@ func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, in
 		}
 		return st, 0, nil
 	}
-	runs := make([][]KeyValue, 0, nonEmpty)
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if len(mapRes[m].out[r]) > 0 {
-			runs = append(runs, mapRes[m].out[r])
-		}
-	}
-	return memInput{kvs: mergeSortedRuns(runs, n)}, 0, nil
+	return memInput{runs: runs}, 0, nil
 }
 
 // addPartitionRuns feeds every map task's partition-r run into the
@@ -479,106 +461,6 @@ func addPartitionRuns(st *spillStore, cfg *Config, mapRes []mapTaskResult, r int
 		}
 	}
 	return nil
-}
-
-// mergeSortedRuns stably merges key-sorted runs given in priority
-// (map-task) order; total is the combined length. Equal keys surface in
-// run order, then in within-run order — byte-identical to stably
-// sorting the concatenation of the runs.
-func mergeSortedRuns(runs [][]KeyValue, total int) []KeyValue {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	case 2:
-		// Two-way fast path: the common small-job shape.
-		return mergeTwo(runs[0], runs[1])
-	}
-	// Index-based loser tree over the run cursors: the same tournament
-	// extsort.Merger plays, specialized to slice sources so the hot loop
-	// avoids pull closures and record copies. Leaf s sits at node k+s;
-	// tree[1..k-1] store match losers, tree[0] the winner.
-	k := len(runs)
-	cursors := make([]int, k)
-	heads := make([]string, k) // current key per run; done runs hold ""
-	done := make([]bool, k)
-	for s, run := range runs {
-		heads[s] = run[0].Key // runs are non-empty by construction
-	}
-	beats := func(a, b int) bool {
-		if done[a] || done[b] {
-			return !done[a]
-		}
-		if heads[a] != heads[b] {
-			return heads[a] < heads[b]
-		}
-		return a < b // ties go to the earlier map task
-	}
-	tree := make([]int, k)
-	winners := make([]int, 2*k)
-	for s := 0; s < k; s++ {
-		winners[k+s] = s
-	}
-	for n := k - 1; n >= 1; n-- {
-		a, b := winners[2*n], winners[2*n+1]
-		if beats(a, b) {
-			winners[n], tree[n] = a, b
-		} else {
-			winners[n], tree[n] = b, a
-		}
-	}
-	tree[0] = winners[1]
-
-	out := make([]KeyValue, 0, total)
-	for len(out) < total {
-		s := tree[0]
-		out = append(out, runs[s][cursors[s]])
-		cursors[s]++
-		if cursors[s] < len(runs[s]) {
-			heads[s] = runs[s][cursors[s]].Key
-		} else {
-			heads[s] = ""
-			done[s] = true
-		}
-		winner := s
-		for n := (k + s) / 2; n >= 1; n /= 2 {
-			if beats(tree[n], winner) {
-				winner, tree[n] = tree[n], winner
-			}
-		}
-		tree[0] = winner
-	}
-	return out
-}
-
-// mergeTwo stably merges two key-sorted runs; a takes ties (it must
-// hold the lower map-task range). An empty side aliases the other run
-// unchanged — reduce inputs are read-only, so sharing is safe — which
-// makes single-contributor merges free. Pairwise merges of adjacent
-// map-index ranges compose to exactly the k-way stable merge order,
-// which is what lets the premerge tree assemble a partition
-// incrementally without changing a byte of the result.
-func mergeTwo(a, b []KeyValue) []KeyValue {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]KeyValue, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Key <= b[j].Key { // ties go to the earlier map task
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // splitInput divides input into n contiguous, near-equal splits.
@@ -677,10 +559,11 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	// sort is real-machine work the simulation prices on the reduce side
 	// (ShuffleSortCost), so no extra Charge happens here — moving the
 	// work cannot alter the simulated timeline.
+	var sorter runSorter
 	if cfg.Combine != nil {
 		for p := range emitter.out {
 			// applyCombiner leaves its output key-sorted.
-			emitter.out[p] = applyCombiner(ctx, cfg, emitter.out[p])
+			emitter.out[p] = applyCombiner(ctx, cfg, &sorter, emitter.out[p])
 		}
 		var combined int
 		for _, p := range emitter.out {
@@ -690,32 +573,21 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 		ctx.Inc(CounterCombineOutRecords, int64(combined))
 	} else {
 		for p := range emitter.out {
-			sortByKeyStable(emitter.out[p])
+			emitter.out[p] = sorter.sortByKeyStable(emitter.out[p])
 		}
 	}
 	return emitter.out, ctx.Now(), ctx.counters, ctx.spans, nil
-}
-
-// sortByKeyStable stably sorts one partition of map output by key,
-// preserving emission order within equal keys.
-func sortByKeyStable(out []KeyValue) {
-	if len(out) < 2 {
-		return
-	}
-	slices.SortStableFunc(out, func(a, b KeyValue) int {
-		return strings.Compare(a.Key, b.Key)
-	})
 }
 
 // applyCombiner sorts one partition of a map task's output by key,
 // groups equal keys, and replaces each group's values with the
 // combiner's output, exactly as Hadoop's map-side combine does. Sorting
 // and re-emission are charged to the task.
-func applyCombiner(ctx *TaskContext, cfg *Config, out []KeyValue) []KeyValue {
+func applyCombiner(ctx *TaskContext, cfg *Config, sorter *runSorter, out []KeyValue) []KeyValue {
 	if len(out) < 2 {
 		return out
 	}
-	sortByKeyStable(out)
+	out = sorter.sortByKeyStable(out)
 	ctx.Charge(cfg.Cost.ShuffleSortCost(len(out)))
 	combined := make([]KeyValue, 0, len(out))
 	var values [][]byte // scratch, reused across groups

@@ -128,17 +128,16 @@ type ExecutionMode int
 
 const (
 	// ExecPipelined (the default) runs the job as a dependency-driven
-	// task graph on one shared worker pool: a partition's shuffle merge
-	// starts incrementally as its map-side sorted runs commit, and
-	// reduce task r fires the moment its merge completes — no phase
-	// barriers, so one straggling task no longer serializes the whole
-	// pipeline.
+	// task graph on one shared worker pool: reduce task r fires the
+	// moment its own partition's shuffle completes — no barrier between
+	// the shuffle and reduce phases, so one partition that spills does
+	// not hold back the others' reduce tasks.
 	ExecPipelined ExecutionMode = iota
 	// ExecBarrier is the barrier edge policy of the same task graph:
-	// all-to-all map→shuffle and shuffle→reduce edges and no incremental
-	// merge tree, so the job runs as three fully barriered phases
+	// all-to-all shuffle→reduce edges beside the map→shuffle ones every
+	// job has, so the job runs as three fully barriered phases
 	// (map → shuffle → reduce). Kept as the no-overlap reference the
-	// pipelined policy is equivalence-tested and benchmarked against.
+	// pipelined policy is equivalence-tested against.
 	ExecBarrier
 )
 
@@ -240,7 +239,7 @@ type Config struct {
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state: per-task
 	// DAG node transitions, attempt/retry/speculation activity, shuffle
-	// merge/spill progress, and per-block resolution realizations as
+	// spill progress, and per-block resolution realizations as
 	// they happen — the feed behind the status server's /progress and
 	// /tasks endpoints. Strictly write-only from the engine's side
 	// (nothing in the run reads it back), so Result, traces, metrics,

@@ -3,10 +3,8 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"proger/internal/costmodel"
 	"proger/internal/faults"
@@ -17,17 +15,16 @@ import (
 // mode, becomes one static dependency DAG executed on one shared worker
 // pool. A node is dispatched the moment its last dependency completes.
 // Two policies shape it. The edge policy (Config.Execution) decides how
-// much may overlap: ExecPipelined lets map output flow into shuffle
-// merges and shuffle output into reduce tasks without any global
-// barrier — a straggling map task only delays the partitions it
-// actually feeds work into — while ExecBarrier adds all-to-all
-// map→shuffle and shuffle→reduce edges, so no phase starts before the
+// much may overlap: ExecPipelined fires reduce task r the moment its
+// own partition's shuffle node completes, without any global barrier
+// between the shuffle and reduce phases, while ExecBarrier adds
+// all-to-all shuffle→reduce edges, so no phase starts before the
 // previous one has finished. The body policy (taskBodies) decides who
 // runs a task: this process, or a worker leased by the remote master.
 //
 // The graph per job:
 //
-//	map m  ──┬─▶ shuffle merge(s) for partition r ──▶ reduce r
+//	map m  ──┬─▶ shuffle node for partition r ──▶ reduce r
 //	         └─▶ (speculation gate ──▶ per-task speculation checks)
 //
 // Determinism is preserved because nothing about real execution order
@@ -49,7 +46,6 @@ const (
 )
 
 // nodeKey identifies a node's (phase, task) for error attribution.
-// Several merge nodes may share one shuffle key; seq breaks ties.
 type nodeKey struct {
 	phase nodePhase
 	task  int
@@ -300,80 +296,16 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 		})
 	}
 
-	// Shuffle wiring. With in-process bodies, pipelined edges, no fault
-	// runtime and no spill limit, each partition merges incrementally: a
-	// binary tree of pairwise stable merges over adjacent map-index
-	// ranges, each node firing as soon as its two inputs commit —
-	// partition r's input starts assembling while other map tasks are
-	// still running. Pairwise adjacent stable merges compose to exactly
-	// the k-way stable merge order, so the bytes match the single merge.
-	//
-	// With the attempt runtime or the spill path active, a partition's
-	// shuffle must remain ONE attempt-tracked unit of work — fault
-	// decisions are keyed (phase, task, attempt) and the spill decision
-	// needs the partition's total record count — so it runs as a single
-	// node gated on all map tasks, which is also what barrier edges and a
-	// remote master (whose map output lives in run files) always use.
-	//
-	// The tree trades extra intermediate copies for overlap, so it is
-	// only worth building when the host can actually run merge nodes
-	// beside still-executing map tasks: with one worker or one
-	// schedulable CPU it is pure copy overhead and the single-node
-	// k-way merge is used instead. Either way the merged bytes — and
-	// hence everything derived from them — are identical.
-	hostParallel := workers > 1 && runtime.GOMAXPROCS(0) > 1
-	premerge := !barrier && b.inProcess && fr == nil && cfg.ShuffleMemLimit <= 0 && !budgetMode && M > 1 && hostParallel
-
-	// mergeRange builds partition r's incremental merge over the map
-	// tasks in [lo, hi). A leaf (hi-lo == 1) is the map node itself, its
-	// output the map task's pre-sorted run for r; an internal node stably
-	// merges its two halves the moment both commit. The returned getter is
-	// valid once the returned node has completed. The root node (lo, hi =
-	// 0, M) publishes the partition's shuffleTaskResult (spilledRuns 0,
-	// matching the single merge's in-memory path).
-	var mergeRange func(wt *mergeWall, r, lo, hi int) (*dagNode, func() []KeyValue)
-	mergeRange = func(wt *mergeWall, r, lo, hi int) (*dagNode, func() []KeyValue) {
-		if hi-lo == 1 {
-			return mapNodes[lo], func() []KeyValue { return po.mapRes[lo].out[r] }
-		}
-		mid := (lo + hi) / 2
-		ln, lget := mergeRange(wt, r, lo, mid)
-		rn, rget := mergeRange(wt, r, mid, hi)
-		root := hi-lo == M
-		var out []KeyValue
-		n := g.node(nodeKey{nodeShuffle, r}, func() error {
-			if wt != nil {
-				wt.begin()
-			}
-			out = mergeTwo(lget(), rget())
-			if wt != nil {
-				wt.end()
-			}
-			if root {
-				po.shufRes[r] = shuffleTaskResult{in: memInput{kvs: out}}
-				if wt != nil {
-					po.shufWall[r] = wt.span()
-				}
-			}
-			lj.MergeCommitted(r, root)
-			return nil
-		})
-		g.edge(ln, n)
-		g.edge(rn, n)
-		return n, func() []KeyValue { return out }
-	}
-
+	// Shuffle wiring: one node per partition, gated on every map task, in
+	// both edge policies. A partition's shuffle is ONE attempt-tracked
+	// unit of work — fault decisions are keyed (phase, task, attempt) and
+	// the spill decision needs the partition's total record count — and
+	// in memory it is nearly free: the node only collects the runs, the
+	// merge happens inside the reduce task as it reads them.
 	shufNodes := make([]*dagNode, R)
 	for r := 0; r < R; r++ {
 		r := r
-		switch {
-		case premerge:
-			var wt *mergeWall
-			if po.shufWall != nil {
-				wt = &mergeWall{}
-			}
-			shufNodes[r], _ = mergeRange(wt, r, 0, M)
-		case budgetMode:
+		if budgetMode {
 			// The store already holds (or spilled) every run by the time
 			// all map nodes committed; the node is pure dependency glue
 			// keeping reduce r gated on the complete shuffle input. It still
@@ -385,9 +317,9 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 				lj.TaskDone(live.PhaseShuffle, r, 0, stores[r].Len())
 				return nil
 			})
-		default:
+		} else {
 			shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-				// The merge's simulated sort cost is dropped here: reduce
+				// The shuffle's simulated sort cost is dropped here: reduce
 				// tasks price shuffling on the simulated clock.
 				out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, b.shuffle)
 				if err != nil {
@@ -397,10 +329,8 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 				return nil
 			})
 		}
-		if !premerge {
-			for _, mn := range mapNodes {
-				g.edge(mn, shufNodes[r])
-			}
+		for _, mn := range mapNodes {
+			g.edge(mn, shufNodes[r])
 		}
 	}
 
@@ -435,37 +365,6 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce)
 	}
 	return g.execute(workers)
-}
-
-// mergeWall tracks the host wall window of one partition's incremental
-// merge (first merge-node start → last merge-node end), tracing only.
-type mergeWall struct {
-	mu          sync.Mutex
-	first, last time.Time
-}
-
-func (w *mergeWall) begin() {
-	now := time.Now()
-	w.mu.Lock()
-	if w.first.IsZero() || now.Before(w.first) {
-		w.first = now
-	}
-	w.mu.Unlock()
-}
-
-func (w *mergeWall) end() {
-	now := time.Now()
-	w.mu.Lock()
-	if now.After(w.last) {
-		w.last = now
-	}
-	w.mu.Unlock()
-}
-
-func (w *mergeWall) span() wallSpan {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return wallSpan{w.first, w.last.Sub(w.first)}
 }
 
 // addSpeculationNodes wires one phase's straggler pass into the graph:

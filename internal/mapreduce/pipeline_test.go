@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -183,21 +182,10 @@ func TestTaskGraphWorkerClamp(t *testing.T) {
 
 // ---- barrier ↔ pipelined equivalence ----
 
-// forceHostParallel raises GOMAXPROCS to at least 2 for the test's
-// duration so the pipelined engine's incremental-premerge path (gated
-// on host parallelism) is exercised even on single-CPU machines.
-func forceHostParallel(t *testing.T) {
-	t.Helper()
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-}
-
 // pipelineVariants returns named config mutations covering the engine
-// paths that diverge structurally between the two execution modes:
-// the incremental premerge (plain), the combiner path, the spill path
-// (single shuffle node), and skewed task counts.
+// paths a job can take between map output and reduce input: the
+// in-memory streaming merge (plain), the combiner path, the spill
+// path, and skewed task counts.
 func pipelineVariants() map[string]func(*Config) {
 	return map[string]func(*Config){
 		"plain":       func(cfg *Config) {},
@@ -214,7 +202,6 @@ func pipelineVariants() map[string]func(*Config) {
 // between the barriered reference engine and the pipelined engine, for
 // every variant × worker count.
 func TestPipelinedMatchesBarrier(t *testing.T) {
-	forceHostParallel(t)
 	for name, mutate := range pipelineVariants() {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
@@ -246,7 +233,6 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 // and speculation active, both engines must produce the identical
 // Result at every worker count.
 func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
-	forceHostParallel(t)
 	for _, rate := range []float64{0, 0.5} {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("rate=%v/workers=%d", rate, workers), func(t *testing.T) {
@@ -278,7 +264,6 @@ func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
 // the pipelined engine's different host interleaving must leave no
 // fingerprint on the exported timeline.
 func TestPipelinedTraceMatchesBarrier(t *testing.T) {
-	forceHostParallel(t)
 	export := func(mode ExecutionMode, workers int) []byte {
 		cfg := wordCountConfig(workers)
 		cfg.Execution = mode

@@ -1,0 +1,247 @@
+package mapreduce
+
+// The in-memory shuffle. Between Emit and Reduce a record is moved
+// once — the map-side gather into its sorted run — and never copied
+// into a merged slice: a partition's reduce input is the runs
+// themselves, merged as the reduce task reads them.
+//
+// Both halves order records through a normalized-key prefix: ord, the
+// 8 key bytes that follow a prefix every key in play shares,
+// big-endian, zero-padded. Where two ords differ they order the keys;
+// where they tie (every record of a block carries one key, and zero
+// padding makes "ab" and "ab\x00" tie) the key bytes past the shared
+// prefix decide, then the record's position: emission index on the map
+// side, map index on the reduce side. That is exactly the stable
+// (key, map index, emission order) sequence a stable sort of the
+// concatenated map outputs yields.
+
+import (
+	"slices"
+	"strings"
+)
+
+// keyOrd returns key's normalized prefix past its first skip bytes.
+func keyOrd(key string, skip int) uint64 {
+	s := key[skip:]
+	if len(s) >= 8 {
+		return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
+			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
+	}
+	var ord uint64
+	for i := 0; i < len(s); i++ {
+		ord |= uint64(s[i]) << (56 - 8*i)
+	}
+	return ord
+}
+
+// commonPrefix returns the length of the longest prefix of ref[:n] that
+// key shares.
+func commonPrefix(ref, key string, n int) int {
+	if len(key) >= n && key[:n] == ref[:n] {
+		return n // what nearly every call finds once n has settled
+	}
+	if len(key) < n {
+		n = len(key)
+	}
+	for i := 0; i < n; i++ {
+		if ref[i] != key[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// sortEnt stands in for record idx while a run is sorted: 16
+// pointer-free bytes moved in place of a 40-byte KeyValue the garbage
+// collector would have to track through every swap.
+type sortEnt struct {
+	ord uint64
+	idx int
+}
+
+// runSorter sorts a map task's partitions one after another, reusing
+// its scratch arrays from one to the next.
+type runSorter struct {
+	ents, tmp []sortEnt
+}
+
+// sortByKeyStable returns one partition of map output stably sorted by
+// key — emission order within equal keys — as a new slice: out is read,
+// not reordered.
+func (rs *runSorter) sortByKeyStable(out []KeyValue) []KeyValue {
+	n := len(out)
+	if n < 2 {
+		return out
+	}
+	skip := len(out[0].Key)
+	for _, kv := range out[1:] {
+		skip = commonPrefix(out[0].Key, kv.Key, skip)
+	}
+	if cap(rs.ents) < n {
+		rs.ents, rs.tmp = make([]sortEnt, n), make([]sortEnt, n)
+	}
+	ents, tmp := rs.ents[:n], rs.tmp[:n]
+	var differ uint64 // the ord bits in which any two records differ
+	for i, kv := range out {
+		ents[i] = sortEnt{ord: keyOrd(kv.Key, skip), idx: i}
+		differ |= ents[i].ord ^ ents[0].ord
+	}
+	// Stable LSD radix sort on ord, a byte at a time, over the bytes in
+	// which the ords differ at all: four of the eight on 18-digit
+	// sequence keys that share 14 digits.
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, e := range ents {
+			next[e.ord>>shift&0xff]++
+		}
+		sum := 0
+		for b, c := range next {
+			next[b], sum = sum, sum+c
+		}
+		for _, e := range ents {
+			b := e.ord >> shift & 0xff
+			tmp[next[b]] = e
+			next[b]++
+		}
+		ents, tmp = tmp, ents
+	}
+	// Records whose ords tie are still in emission order; where their
+	// keys are not all one key, the bytes past the ord order them.
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		oneKey := true
+		for hi < n && ents[hi].ord == ents[lo].ord {
+			oneKey = oneKey && out[ents[hi].idx].Key == out[ents[lo].idx].Key
+			hi++
+		}
+		if !oneKey {
+			slices.SortStableFunc(ents[lo:hi], func(a, b sortEnt) int {
+				return strings.Compare(out[a.idx].Key[skip:], out[b.idx].Key[skip:])
+			})
+		}
+		lo = hi
+	}
+	run := make([]KeyValue, n)
+	for i, e := range ents {
+		run[i] = out[e.idx]
+	}
+	return run
+}
+
+// memInput is the in-memory reduceInput: the partition's non-empty
+// key-sorted runs in map-index order, aliased, never copied — reduce
+// inputs are read-only — so a single-contributor partition costs
+// nothing to assemble. Every Iter merges them afresh and mutates
+// nothing shared, so passes may repeat and overlap.
+type memInput struct {
+	runs [][]KeyValue
+}
+
+func (m memInput) Len() int {
+	n := 0
+	for _, run := range m.runs {
+		n += len(run)
+	}
+	return n
+}
+
+func (m memInput) Close() error { return nil }
+
+func (m memInput) Iter() (kvIter, error) { return newMergeIter(m.runs), nil }
+
+// mergeSrc is one run's cursor in a mergeIter.
+type mergeSrc struct {
+	rest []KeyValue // the head record and what follows; empty once drained
+	ord  uint64     // keyOrd of the head's key
+}
+
+// mergeIter streams the stable k-way merge of key-sorted runs through
+// an index-based loser tree — the tournament extsort.Merger plays,
+// specialized to slice sources and integer comparisons. Leaf s sits at
+// node k+s; tree[1..k-1] hold match losers, tree[0] the winner.
+type mergeIter struct {
+	srcs []mergeSrc
+	tree []int
+	skip int // prefix length every key of every run shares
+}
+
+func newMergeIter(runs [][]KeyValue) *mergeIter {
+	k := len(runs)
+	if k == 0 {
+		return &mergeIter{srcs: make([]mergeSrc, 1), tree: make([]int, 1)} // one drained run
+	}
+	// Ords of different runs compare only under one skip. A sorted run's
+	// keys all lie between its first and its last, so the prefix those
+	// share across every run is shared by every key.
+	ref := runs[0][0].Key
+	skip := len(ref)
+	for _, run := range runs {
+		skip = commonPrefix(ref, run[0].Key, skip)
+		skip = commonPrefix(ref, run[len(run)-1].Key, skip)
+	}
+	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), skip: skip}
+	for s, run := range runs {
+		it.srcs[s] = mergeSrc{rest: run, ord: keyOrd(run[0].Key, skip)}
+	}
+	winners := make([]int, 2*k)
+	for s := 0; s < k; s++ {
+		winners[k+s] = s
+	}
+	for n := k - 1; n >= 1; n-- {
+		a, b := winners[2*n], winners[2*n+1]
+		if it.beats(a, b) {
+			winners[n], it.tree[n] = a, b
+		} else {
+			winners[n], it.tree[n] = b, a
+		}
+	}
+	it.tree[0] = winners[1]
+	return it
+}
+
+// beats reports whether run a's head precedes run b's: a drained run
+// loses to everything, ties go to the earlier map task.
+func (it *mergeIter) beats(a, b int) bool {
+	sa, sb := &it.srcs[a], &it.srcs[b]
+	if len(sa.rest) == 0 || len(sb.rest) == 0 {
+		return len(sa.rest) > 0
+	}
+	if sa.ord != sb.ord {
+		return sa.ord < sb.ord
+	}
+	if c := strings.Compare(sa.rest[0].Key[it.skip:], sb.rest[0].Key[it.skip:]); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+func (it *mergeIter) Next() (KeyValue, bool, error) {
+	s := it.tree[0]
+	src := &it.srcs[s]
+	if len(src.rest) == 0 {
+		return KeyValue{}, false, nil
+	}
+	kv := src.rest[0]
+	src.rest = src.rest[1:]
+	if len(src.rest) > 0 {
+		if src.rest[0].Key == kv.Key {
+			// Still inside one key group of the winning run: (key, s) has
+			// not changed, so neither has the tournament.
+			return kv, true, nil
+		}
+		src.ord = keyOrd(src.rest[0].Key, it.skip)
+	}
+	winner := s
+	for n := (len(it.srcs) + s) / 2; n >= 1; n /= 2 {
+		if it.beats(it.tree[n], winner) {
+			winner, it.tree[n] = it.tree[n], winner
+		}
+	}
+	it.tree[0] = winner
+	return kv, true, nil
+}
+
+func (it *mergeIter) Close() error { return nil }

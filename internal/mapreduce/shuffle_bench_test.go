@@ -3,62 +3,74 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// benchRuns builds one reduce partition's worth of map-task runs:
-// mapTasks runs of perRun records each, unsorted, with duplicate keys.
-func benchRuns(mapTasks, perRun int) [][]KeyValue {
+// benchRuns builds one reduce partition's worth of raw map output:
+// mapTasks runs of perRun records each, in emission (unsorted) order.
+// The "job2" shape is what the progressive-resolution job shuffles:
+// 18-digit sequence keys of which a partition shares the first 14, a
+// few dozen blocks per partition so duplicates are heavy, and every
+// record of a block carrying the very same string. The "job1" shape is
+// the blocking job's: short "family|mainkey" keys of varying length,
+// each a string of its own.
+func benchRuns(shape string, mapTasks, perRun int) [][]KeyValue {
 	rng := rand.New(rand.NewSource(7))
+	blockKeys := make([]string, 60)
+	for i := range blockKeys {
+		blockKeys[i] = fmt.Sprintf("%014d%04d", 31415926535897, rng.Intn(10000))
+	}
 	runs := make([][]KeyValue, mapTasks)
 	for m := range runs {
 		run := make([]KeyValue, perRun)
 		for i := range run {
-			run[i] = KeyValue{
-				Key:   fmt.Sprintf("key-%05d", rng.Intn(perRun)),
-				Value: []byte("payload-payload-payload"),
+			key := blockKeys[rng.Intn(len(blockKeys))]
+			if shape == "job1" {
+				key = fmt.Sprintf("%d|%c%03d", rng.Intn(3), 'A'+rng.Intn(26), rng.Intn(700))
 			}
+			run[i] = KeyValue{Key: key, Value: []byte("payload-payload-payload")}
 		}
 		runs[m] = run
 	}
 	return runs
 }
 
-// BenchmarkShuffle compares the engine's two in-memory shuffle
-// generations end to end (map-side ordering work included in both):
-//
-//	legacy  — concatenate raw runs, sort.SliceStable the concatenation
-//	          (the pre-merge engine's shuffle);
-//	merge   — stably sort each run (as map tasks now do in the map
-//	          phase), then stable k-way loser-tree merge.
+// BenchmarkShuffle times the two halves of the in-memory shuffle on one
+// partition, 16 map tasks × 2000 records: sort is the map side (every
+// run through sortByKeyStable), merge the reduce side (one drain of the
+// streaming merge over the sorted runs).
 func BenchmarkShuffle(b *testing.B) {
 	const mapTasks, perRun = 16, 2000
-	runs := benchRuns(mapTasks, perRun)
-	total := mapTasks * perRun
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			in := make([]KeyValue, 0, total)
-			for _, run := range runs {
-				in = append(in, run...)
+	for _, shape := range []string{"job2", "job1"} {
+		runs := benchRuns(shape, mapTasks, perRun)
+		b.Run("sort/"+shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var sorter runSorter // one per map task
+				for _, run := range runs {
+					benchRun = sorter.sortByKeyStable(run)
+				}
 			}
-			sort.SliceStable(in, func(a, c int) bool { return in[a].Key < in[c].Key })
-		}
-	})
-	b.Run("merge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sorted := make([][]KeyValue, len(runs))
-			for s, run := range runs {
-				cp := append([]KeyValue(nil), run...)
-				sortByKeyStable(cp)
-				sorted[s] = cp
+		})
+		in := sortedRunsInput(runs)
+		b.Run("merge/"+shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it, _ := in.Iter()
+				for {
+					kv, ok, _ := it.Next()
+					if !ok {
+						break
+					}
+					benchRun[0] = kv
+				}
 			}
-			mergeSortedRuns(sorted, total)
-		}
-	})
+		})
+	}
 }
+
+// benchRun keeps the compiler from discarding the measured calls.
+var benchRun []KeyValue
 
 // BenchmarkShuffleEngine runs a whole job dominated by shuffle volume,
 // so the number tracks end-to-end engine throughput.

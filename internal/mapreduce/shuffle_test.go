@@ -1,11 +1,14 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,37 +44,199 @@ func legacyShuffle(runs [][]KeyValue) []KeyValue {
 	return out
 }
 
+// sortedRunsInput does the map side and the shuffle node's part of the
+// in-memory shuffle on raw map runs: sort each, keep the non-empty ones
+// in map-index order.
+func sortedRunsInput(runs [][]KeyValue) memInput {
+	var in memInput
+	for _, run := range runs {
+		if len(run) > 0 {
+			in.runs = append(in.runs, new(runSorter).sortByKeyStable(run))
+		}
+	}
+	return in
+}
+
+// sameRecords reports the first position at which got and want differ,
+// or -1: keys and values by bytes, and values by identity too — the
+// shuffle moves records, it never copies a value. (Every value the
+// tests below build is non-empty.)
+func sameRecords(got, want []KeyValue) int {
+	for i := range want {
+		if i >= len(got) || got[i].Key != want[i].Key ||
+			!bytes.Equal(got[i].Value, want[i].Value) || &got[i].Value[0] != &want[i].Value[0] {
+			return i
+		}
+	}
+	if len(got) > len(want) {
+		return len(want)
+	}
+	return -1
+}
+
 func TestMergeShuffleMatchesLegacySortProperty(t *testing.T) {
 	f := func(seed int64, mapTasks, maxPerRun uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		runs := randomKVRuns(rng, int(mapTasks%8)+1, int(maxPerRun%50))
-		want := legacyShuffle(runs)
-
-		// New path: stably pre-sort each run (as map tasks now do),
-		// then k-way merge with map-task tie-breaking.
-		sorted := make([][]KeyValue, 0, len(runs))
-		total := 0
-		for _, run := range runs {
-			cp := append([]KeyValue(nil), run...)
-			sortByKeyStable(cp)
-			if len(cp) > 0 {
-				sorted = append(sorted, cp)
-				total += len(cp)
-			}
-		}
-		got := mergeSortedRuns(sorted, total)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
-				return false
-			}
-		}
-		return true
+		return sameRecords(drainInput(t, sortedRunsInput(runs)), legacyShuffle(runs)) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// shuffleRunsFromBytes decodes arbitrary bytes into raw map runs whose
+// keys hit what a normalized-key shuffle can get wrong: empty keys,
+// NULs (zero padding makes "ab" and "ab\x00" tie on ord), keys that are
+// prefixes of one another, shared prefixes that reach more than 8 bytes
+// past the common one, duplicates within and across runs, empty runs.
+// data[0] picks 1–8 runs; every following byte pair is one record: the
+// first byte holds its run and one of four stems, the second a tail of
+// up to 3 bytes drawn from {NUL, 'a', 'b', 0xff}.
+func shuffleRunsFromBytes(data []byte) [][]KeyValue {
+	if len(data) == 0 {
+		return nil
+	}
+	stems := []string{"", "stem-", "stem-0123456789", "stem-0123456789\x00xy"}
+	const alphabet = "\x00ab\xff"
+	runs := make([][]KeyValue, int(data[0]%8)+1)
+	for i := 1; i+1 < len(data); i += 2 {
+		a, b := data[i], data[i+1]
+		m := int(a>>2) % len(runs)
+		key := stems[a&3]
+		for n := int(b >> 6); n > 0; n-- {
+			key += alphabet[b&3 : b&3+1]
+			b >>= 2
+		}
+		runs[m] = append(runs[m], KeyValue{Key: key, Value: []byte(fmt.Sprintf("m%d-i%d", m, len(runs[m])))})
+	}
+	return runs
+}
+
+// checkShuffleOrder asserts the two halves of the in-memory shuffle on
+// raw map runs: (a) the map-side sort equals the standard library's
+// stable sort, (b) draining the streaming merge equals legacyShuffle.
+func checkShuffleOrder(t *testing.T, runs [][]KeyValue) {
+	t.Helper()
+	for m, run := range runs {
+		want := slices.Clone(run)
+		slices.SortStableFunc(want, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
+		if i := sameRecords(new(runSorter).sortByKeyStable(run), want); i >= 0 {
+			t.Fatalf("run %d: sorted run departs from the stable-sort oracle at record %d (keys %q)", m, i, keysOf(want))
+		}
+	}
+	in := sortedRunsInput(runs)
+	want := legacyShuffle(runs)
+	if in.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", in.Len(), len(want))
+	}
+	if i := sameRecords(drainInput(t, in), want); i >= 0 {
+		t.Fatalf("streaming merge departs from legacyShuffle at record %d (keys %q)", i, keysOf(want))
+	}
+}
+
+func keysOf(kvs []KeyValue) []string {
+	keys := make([]string, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+	}
+	return keys
+}
+
+// seedRec is one record of a hand-written shuffleRunsFromBytes input:
+// its run, its stem, and its tail as indices into the tail alphabet
+// (0 = NUL, 1 = 'a', 2 = 'b', 3 = 0xff), at most three.
+type seedRec struct {
+	run, stem int
+	tail      []byte
+}
+
+// shuffleSeed encodes k runs (1–8) holding recs for shuffleRunsFromBytes.
+func shuffleSeed(k int, recs ...seedRec) []byte {
+	data := []byte{byte(k - 1)}
+	for _, r := range recs {
+		b := byte(len(r.tail)) << 6
+		for i, c := range r.tail {
+			b |= c << (2 * i)
+		}
+		data = append(data, byte(r.run<<2|r.stem), b)
+	}
+	return data
+}
+
+// shuffleOrderSeeds seed the fuzz corpus and run in the property test.
+var shuffleOrderSeeds = [][]byte{
+	{},
+	shuffleSeed(1),
+	// One run, every key empty.
+	shuffleSeed(1, seedRec{}, seedRec{}, seedRec{}),
+	// "", NUL, NUL NUL and NUL 'a' across runs: all tie on ord but the last.
+	shuffleSeed(3, seedRec{0, 0, []byte{0, 0}}, seedRec{1, 0, []byte{0}}, seedRec{2, 0, nil},
+		seedRec{0, 0, []byte{0, 1}}, seedRec{1, 0, []byte{0, 0}}, seedRec{2, 0, []byte{0}}),
+	// Keys that are prefixes of one another, under a shared "stem-".
+	shuffleSeed(2, seedRec{0, 1, []byte{1, 1}}, seedRec{1, 1, []byte{1}}, seedRec{0, 1, nil},
+		seedRec{1, 2, nil}, seedRec{0, 1, []byte{1, 1, 2}}, seedRec{1, 1, []byte{2}}),
+	// Keys that differ only 10+ bytes past the shared "stem-".
+	shuffleSeed(4, seedRec{0, 2, []byte{2}}, seedRec{1, 3, []byte{1}}, seedRec{2, 2, []byte{1}},
+		seedRec{3, 3, nil}, seedRec{0, 2, nil}, seedRec{1, 2, []byte{0}}, seedRec{2, 3, []byte{0, 3}}),
+	// One key in every run, several times over.
+	shuffleSeed(3, seedRec{0, 2, []byte{1}}, seedRec{1, 2, []byte{1}}, seedRec{2, 2, []byte{1}},
+		seedRec{0, 2, []byte{1}}, seedRec{1, 2, []byte{1}}, seedRec{2, 2, []byte{1}}),
+	// Seven empty runs and one record.
+	shuffleSeed(8, seedRec{5, 1, []byte{3}}),
+}
+
+func TestShuffleOrderProperty(t *testing.T) {
+	for _, seed := range shuffleOrderSeeds {
+		checkShuffleOrder(t, shuffleRunsFromBytes(seed))
+	}
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 2000; i++ {
+		data := make([]byte, rng.Intn(120))
+		rng.Read(data)
+		checkShuffleOrder(t, shuffleRunsFromBytes(data))
+	}
+}
+
+func FuzzShuffleOrder(f *testing.F) {
+	for _, seed := range shuffleOrderSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkShuffleOrder(t, shuffleRunsFromBytes(data))
+	})
+}
+
+// TestMemInputConcurrentIter: Iter may run several times at once (a
+// speculative shuffle check overlaps the reduce task); every pass must
+// see the same records.
+func TestMemInputConcurrentIter(t *testing.T) {
+	runs := randomKVRuns(rand.New(rand.NewSource(5)), 6, 400)
+	in := sortedRunsInput(runs)
+	want := legacyShuffle(runs)
+	const passes = 4
+	got := make([][]KeyValue, passes)
+	done := make(chan int, passes) // one send per pass
+	for p := 0; p < passes; p++ {
+		go func(p int) {
+			it, _ := in.Iter()
+			for {
+				kv, ok, _ := it.Next()
+				if !ok {
+					break
+				}
+				got[p] = append(got[p], kv)
+			}
+			done <- p
+		}(p)
+	}
+	for p := 0; p < passes; p++ {
+		<-done
+	}
+	for p := range got {
+		if i := sameRecords(got[p], want); i >= 0 {
+			t.Errorf("pass %d departs from legacyShuffle at record %d", p, i)
+		}
 	}
 }
 
@@ -133,12 +298,20 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 }
 
 func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
-	run := []KeyValue{{Key: "a"}, {Key: "b"}}
-	got := mergeSortedRuns([][]KeyValue{run}, 2)
-	if &got[0] != &run[0] {
-		t.Error("single-run merge should return the run itself, not a copy")
+	run := []KeyValue{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}
+	in, _, err := shuffleForTask(&Config{NumMapTasks: 3}, []mapTaskResult{
+		{out: [][]KeyValue{nil}}, {out: [][]KeyValue{run}}, {out: [][]KeyValue{nil}},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mergeSortedRuns(nil, 0) != nil {
-		t.Error("empty merge should be nil")
+	if mi := in.(memInput); len(mi.runs) != 1 || &mi.runs[0][0] != &run[0] {
+		t.Error("a single-contributor partition should alias the run itself, not a copy")
+	}
+	if i := sameRecords(drainInput(t, in), run); i >= 0 {
+		t.Errorf("single-run input departs from the run at record %d", i)
+	}
+	if got := drainInput(t, memInput{}); got != nil {
+		t.Errorf("empty input yielded %d records", len(got))
 	}
 }

@@ -1,9 +1,9 @@
 package mapreduce
 
 // The pluggable shuffle storage layer. A reduce task's input is a
-// reduceInput — either an in-memory record slice (memInput, the
-// classic path) or a spillStore holding sorted runs that may live in
-// memory, on disk, or both. Which one a partition gets is a pure
+// reduceInput — either the map tasks' in-memory runs (memInput in
+// shuffle.go, the classic path) or a spillStore holding sorted runs
+// that may live in memory, on disk, or both. Which one a partition gets is a pure
 // host-machine decision (ShuffleMemLimit, MemBudget); the record
 // sequence every implementation yields is byte-identical, which is
 // what keeps Result/trace/quality bytes independent of storage mode.
@@ -13,8 +13,8 @@ package mapreduce
 // ingested exactly once and moved between memory and disk only whole,
 // a given prio lives in exactly one source at any time, so merging
 // arbitrary groupings of runs reproduces exactly the stable
-// (key, map-index) order of the in-memory k-way merge
-// (mergeSortedRuns), no matter when or how runs were spilled.
+// (key, map-index) order of the in-memory k-way merge (mergeIter), no
+// matter when or how runs were spilled.
 
 import (
 	"bytes"
@@ -43,31 +43,6 @@ type kvIter interface {
 	Next() (KeyValue, bool, error)
 	Close() error
 }
-
-// memInput is the in-memory reduceInput: a fully merged record slice.
-type memInput struct {
-	kvs []KeyValue
-}
-
-func (m memInput) Len() int              { return len(m.kvs) }
-func (m memInput) Iter() (kvIter, error) { return &memIter{kvs: m.kvs}, nil }
-func (m memInput) Close() error          { return nil }
-
-type memIter struct {
-	kvs []KeyValue
-	pos int
-}
-
-func (it *memIter) Next() (KeyValue, bool, error) {
-	if it.pos >= len(it.kvs) {
-		return KeyValue{}, false, nil
-	}
-	kv := it.kvs[it.pos]
-	it.pos++
-	return kv, true, nil
-}
-
-func (it *memIter) Close() error { return nil }
 
 // kvMemOverhead approximates the per-record bookkeeping bytes beyond
 // the key/value payloads (string + slice headers, padding). Budget

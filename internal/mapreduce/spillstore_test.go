@@ -32,8 +32,7 @@ func storeRuns(mapTasks, perRun int) [][]KeyValue {
 				Value: []byte(fmt.Sprintf("m%d-i%d", m, i)),
 			}
 		}
-		sortByKeyStable(run)
-		runs[m] = run
+		runs[m] = new(runSorter).sortByKeyStable(run)
 	}
 	return runs
 }
@@ -65,12 +64,10 @@ func drainInput(t *testing.T, in reduceInput) []KeyValue {
 func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 	runs := storeRuns(5, 40)
 	var total int
-	sorted := make([][]KeyValue, len(runs))
-	for m, run := range runs {
-		sorted[m] = run
+	for _, run := range runs {
 		total += len(run)
 	}
-	want := mergeSortedRuns(sorted, total)
+	want := drainInput(t, memInput{runs: runs})
 
 	cfg, _ := storeConfig(t, 1<<30) // roomy: no pressure unless forced
 	st := newSpillStore(cfg, cfg.MemBudget, 0, false)
@@ -175,7 +172,7 @@ func TestForceDiskStoreCountsRuns(t *testing.T) {
 	if st.spilledRuns != 3 || len(st.files) != 3 {
 		t.Fatalf("spilledRuns=%d files=%d, want 3/3", st.spilledRuns, len(st.files))
 	}
-	want := mergeSortedRuns(runs, 60)
+	want := drainInput(t, memInput{runs: runs})
 	if got := drainInput(t, st); !reflect.DeepEqual(got, want) {
 		t.Fatal("force-disk merge diverged from in-memory stable merge")
 	}
@@ -187,7 +184,6 @@ func TestForceDiskStoreCountsRuns(t *testing.T) {
 // output bytes, timestamps, counters, schedule — exactly, across both
 // engines and worker counts, and the Chrome trace bytes too.
 func TestBudgetRunMatchesMemoryRun(t *testing.T) {
-	forceHostParallel(t)
 	type outcome struct {
 		res   *Result
 		trace []byte

@@ -2,7 +2,7 @@
 // Where internal/obs and internal/obs/quality export artifacts after a
 // run ends, this package answers "what is the run doing right now":
 // per-task DAG node states, attempt/retry/speculation counts, shuffle
-// merge and spill progress, memory-budget pressure, and an incremental
+// spill progress, memory-budget pressure, and an incremental
 // progressive-recall estimate — all published by the engines at atomic-
 // counter cost and readable at any instant, plus an HTTP status server
 // (server.go), a structured JSON event log (events.go), and a terminal
@@ -211,9 +211,6 @@ type Job struct {
 	name string
 	// phases index: 0 map, 1 shuffle, 2 reduce.
 	phases [3]*phaseLive
-	// merges counts committed incremental shuffle-merge nodes (the
-	// pipelined engine's pre-merge tree), including non-root nodes.
-	merges atomic.Int64
 	// spilledRuns counts sorted runs the shuffle routed to disk.
 	spilledRuns atomic.Int64
 	// retries and speculations count attempt-runtime activity.
@@ -342,24 +339,6 @@ func (j *Job) Speculate(p Phase, task int) {
 	j.speculations.Add(1)
 	j.run.log.Emit(EventTaskSpeculate,
 		KV("job", j.name), KV("phase", string(p)), KV("task", task))
-}
-
-// MergeCommitted records one incremental shuffle-merge node completing
-// for partition r; root marks the partition's shuffle input fully
-// assembled (the premerge tree has no single shuffle task execution to
-// report through TaskStart/TaskDone).
-func (j *Job) MergeCommitted(r int, root bool) {
-	if j == nil {
-		return
-	}
-	j.merges.Add(1)
-	if root {
-		ph := j.phases[1]
-		if r >= 0 && r < len(ph.states) {
-			ph.states[r].Store(int32(TaskDone))
-		}
-		j.run.log.Emit(EventShuffleMerged, KV("job", j.name), KV("partition", r))
-	}
 }
 
 // SpilledRuns records the shuffle routing n sorted runs to disk for

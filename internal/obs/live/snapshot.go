@@ -49,10 +49,8 @@ type ProgressSnapshot struct {
 type JobProgress struct {
 	Name   string          `json:"name"`
 	Phases []PhaseProgress `json:"phases"`
-	// Merges counts committed incremental shuffle-merge nodes;
-	// SpilledRuns sorted runs routed to disk; Retries and Speculations
-	// attempt-runtime activity.
-	Merges       int64 `json:"merges"`
+	// SpilledRuns counts sorted runs routed to disk; Retries and
+	// Speculations attempt-runtime activity.
 	SpilledRuns  int64 `json:"spilled_runs"`
 	Retries      int64 `json:"retries"`
 	Speculations int64 `json:"speculations"`
@@ -84,7 +82,6 @@ func (r *Run) Progress() ProgressSnapshot {
 	for _, j := range r.snapshotJobs() {
 		jp := JobProgress{
 			Name:         j.name,
-			Merges:       j.merges.Load(),
 			SpilledRuns:  j.spilledRuns.Load(),
 			Retries:      j.retries.Load(),
 			Speculations: j.speculations.Load(),

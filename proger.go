@@ -383,10 +383,10 @@ var NewQualityRecorder = quality.NewRecorder
 type LiveRun = live.Run
 
 // LiveEventLog is the structured JSON event log (log/slog) fed by a
-// LiveRun: run/job lifecycle, task transitions, retries, speculation,
-// shuffle merges and spills. The deterministic field subset (everything
-// except seq and wall_ms) is stable across worker counts for the
-// barrier edge policy.
+// LiveRun: run/job lifecycle, task transitions, retries, speculation
+// and shuffle spills. The deterministic field subset (everything
+// except seq and wall_ms) is stable across worker counts and edge
+// policies.
 type LiveEventLog = live.EventLog
 
 // ProgressSnapshot is one consistent-enough view of a run in flight:
@@ -448,7 +448,6 @@ const (
 	EventTaskFailed    = live.EventTaskFailed
 	EventTaskRetry     = live.EventTaskRetry
 	EventTaskSpeculate = live.EventTaskSpeculate
-	EventShuffleMerged = live.EventShuffleMerged
 	EventShuffleSpill  = live.EventShuffleSpill
 	// Distributed-runtime events, emitted by a dist.Master's lease
 	// ledger into the same log.

@@ -63,12 +63,12 @@ echo "== go test -race (fault runtime) =="
 go test -race -count=1 ./internal/mapreduce ./internal/faults
 
 # The job-graph scheduler is the most concurrency-dense code in the
-# repo (one shared pool, cross-phase interleaving, incremental merges)
-# and runs every execution mode — pipelined and barrier edges, the
-# failed-run settlement — so hammer all of it repeatedly under the race
-# detector.
+# repo (one shared pool, cross-phase interleaving, reduce inputs read
+# by several passes at once) and runs every execution mode — pipelined
+# and barrier edges, the failed-run settlement — so hammer all of it
+# repeatedly under the race detector.
 echo "== go test -race (job-graph scheduler) =="
-go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode' ./internal/mapreduce
+go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode|ConcurrentIter' ./internal/mapreduce
 
 echo "== go test -race =="
 go test -race ./...
@@ -84,6 +84,12 @@ go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
 echo "== fuzz (sequence-key parser) =="
 go test -run '^$' -fuzz FuzzParseSQKey -fuzztime 10s ./internal/sched
 
+# Every in-memory shuffle record is ordered by a normalized-key prefix,
+# with the key bytes consulted only on ties; arbitrary byte keys go
+# through both halves against a stable sort of the concatenation.
+echo "== fuzz (shuffle order) =="
+go test -run '^$' -fuzz FuzzShuffleOrder -fuzztime 10s ./internal/mapreduce
+
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
@@ -93,7 +99,7 @@ go test -run '^$' -fuzz FuzzParseSQKey -fuzztime 10s ./internal/sched
 # flight, the mid-run scrape must be Prometheus text, the event log
 # must validate, and none of it may perturb the byte-determinism cmp
 # below. The workload is sized so that the budget run lasts well over
-# half a second on a 2-core box (~0.9 s at n=12000): any shorter, and
+# half a second on a 2-core box (~1.1 s at n=12000): any shorter, and
 # the curls below race the end of the run.
 echo "== bounded-memory + live-introspection smoke =="
 smoke="$(mktemp -d)"
