@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt bench trace-demo chaos
+.PHONY: check vet build test race fmt bench profile trace-demo chaos
 
 check: fmt vet build race
 
@@ -28,7 +28,15 @@ fmt:
 
 # bench regenerates the numbers recorded in BENCH_*.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary' -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary|BenchmarkDecoder' -benchmem ./...
+
+# profile runs N Resolve operations on the inputs of a benchmark driver
+# workload (WORKLOAD=persons|books|pubs, i.e. persons-exact, books-local,
+# pubs-local) and leaves cpu.pprof and allocs.pprof in a temp dir.
+WORKLOAD ?= persons
+N ?= 15
+profile:
+	$(GO) run ./scripts/profile -workload $(WORKLOAD) -n $(N)
 
 # chaos runs the pipeline under deterministic fault injection and
 # asserts the output is byte-identical to the fault-free baseline.

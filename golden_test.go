@@ -75,19 +75,12 @@ func TestMatchKernelKeepsResolveBytes(t *testing.T) {
 	}
 }
 
-// TestRecordPathKeepsResolveBytes pins the Job-2 record path — sequence
-// keys, the per-tree resolved-pair table, the entity codec, blocking-key
-// derivation — to digests recorded at the commit before PR 15 replaced
-// them (d8b2f14: fmt-rendered keys, a PairSet per tree, one string per
-// decoded attribute, whole-value lowercasing). The persons case is the
-// shape of the benchmark's persons-exact workload (Soundex and prefix
-// families, exact rules, SN); the compact cases drive the footnote-5
-// mapper and reducer, which share the resolve body with the expanded
-// ones.
-func TestRecordPathKeepsResolveBytes(t *testing.T) {
-	ds, _ := proger.GeneratePersons(5000, 3)
+// personsOptions is the configuration of the benchmark's persons-exact
+// workload on a smaller cluster: Soundex and prefix families, exact
+// rules, SN.
+func personsOptions(ds *proger.Dataset) core.Options {
 	idx := ds.Schema.Index
-	persons := core.Options{
+	return core.Options{
 		Families: proger.Families{
 			{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
 			{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
@@ -102,6 +95,20 @@ func TestRecordPathKeepsResolveBytes(t *testing.T) {
 		Machines:        4,
 		SlotsPerMachine: 2,
 	}
+}
+
+// TestRecordPathKeepsResolveBytes pins the Job-2 record path — sequence
+// keys, the per-tree resolved-pair table, the entity codec, blocking-key
+// derivation — to digests recorded at the commit before PR 15 replaced
+// them (d8b2f14: fmt-rendered keys, a PairSet per tree, one string per
+// decoded attribute, whole-value lowercasing). The persons case is the
+// shape of the benchmark's persons-exact workload (Soundex and prefix
+// families, exact rules, SN); the compact cases drive the footnote-5
+// mapper and reducer, which share the resolve body with the expanded
+// ones.
+func TestRecordPathKeepsResolveBytes(t *testing.T) {
+	ds, _ := proger.GeneratePersons(5000, 3)
+	persons := personsOptions(ds)
 	personsCompact := persons
 	personsCompact.CompactShuffle = true
 	pubs := experiments.PublicationsWorkload(1200, 3)
@@ -126,5 +133,33 @@ func TestRecordPathKeepsResolveBytes(t *testing.T) {
 		if got := resolveDigest(res); got != c.want {
 			t.Errorf("%s: %d events, total %v: digest %s, want %s", c.name, len(res.Events), res.TotalTime, got, c.want)
 		}
+	}
+}
+
+// resolveAllocCeiling is 10 % over what one Resolve of the dataset
+// below allocates: 114 362 objects when recorded (173 286 before the
+// slab decoders and the columnar tree state), a count that repeats to
+// a few hundredths of a percent and is 1 % higher under -race.
+const resolveAllocCeiling = 125_800
+
+// TestResolveAllocBudget fails when a Resolve of 2 000 persons on one
+// worker allocates more objects than resolveAllocCeiling: a per-pair or
+// per-record allocation put back on the Job-1 or Job-2 record path
+// (80 000 candidate pairs and 17 000 shuffled records here) is told
+// by `go test`, not by a profile three PRs later. When a change
+// allocates more for a reason, record the new count here with the
+// reason in the commit.
+func TestResolveAllocBudget(t *testing.T) {
+	ds, _ := proger.GeneratePersons(2000, 3)
+	opts := personsOptions(ds)
+	opts.Workers = 1
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := core.Resolve(ds, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Resolve, ceiling %d", got, resolveAllocCeiling)
+	if got > resolveAllocCeiling {
+		t.Errorf("Resolve allocates %.0f objects, ceiling %d", got, resolveAllocCeiling)
 	}
 }

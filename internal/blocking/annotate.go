@@ -30,34 +30,82 @@ func EncodeAnnotated(dst []byte, a *Annotated) []byte {
 	return entity.EncodeBinary(dst, a.Ent)
 }
 
-// DecodeAnnotated decodes one annotated entity, returning it and the
-// number of bytes consumed.
-func DecodeAnnotated(src []byte) (*Annotated, int, error) {
-	off := 0
-	n64, n := binary.Uvarint(src[off:])
+// scanKeys validates the main-key list at the head of src and returns
+// the key count and the bounds src[start:end] of the key region (length
+// prefixes included).
+func scanKeys(src []byte) (cnt, start, end int, err error) {
+	c, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("blocking: truncated annotation (key count)")
+		return 0, 0, 0, fmt.Errorf("blocking: truncated annotation (key count)")
 	}
-	off += n
-	if n64 > uint64(len(src)) {
-		return nil, 0, fmt.Errorf("blocking: corrupt annotation key count %d", n64)
+	if c > uint64(len(src)) {
+		return 0, 0, 0, fmt.Errorf("blocking: corrupt annotation key count %d", c)
 	}
-	keys := make([]string, n64)
-	for i := range keys {
+	off := n
+	for i := 0; i < int(c); i++ {
 		l, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("blocking: truncated annotation (key %d len)", i)
+			return 0, 0, 0, fmt.Errorf("blocking: truncated annotation (key %d len)", i)
 		}
 		off += n
-		if uint64(off)+l > uint64(len(src)) {
-			return nil, 0, fmt.Errorf("blocking: truncated annotation (key %d body)", i)
+		if l > uint64(len(src)-off) {
+			return 0, 0, 0, fmt.Errorf("blocking: truncated annotation (key %d body)", i)
 		}
-		keys[i] = string(src[off : off+int(l)])
 		off += int(l)
 	}
-	e, n, err := entity.DecodeBinary(src[off:])
+	return int(c), n, off, nil
+}
+
+// DecodeAnnotated decodes one annotated entity, returning it and the
+// number of bytes consumed. It is the one-off form; a reduce call that
+// decodes a block's worth uses an AnnotatedDecoder.
+func DecodeAnnotated(src []byte) (*Annotated, int, error) {
+	cnt, start, end, err := scanKeys(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	return &Annotated{Ent: e, MainKeys: keys}, off + n, nil
+	e, n, err := entity.DecodeBinary(src[end:])
+	if err != nil {
+		return nil, 0, err
+	}
+	keys := make([]string, cnt)
+	entity.CutStrings(keys, src[start:end])
+	return &Annotated{Ent: e, MainKeys: keys}, end + n, nil
+}
+
+// AnnotatedDecoder is DecodeAnnotated on slabs, under entity.Decoder's
+// rules: Reset(n) makes room for n annotated entities and invalidates
+// the ones handed out before, each costs two allocations (the entity's
+// string and the keys'), and the zero value is ready to use.
+type AnnotatedDecoder struct {
+	ents entity.Decoder
+	keys []string
+	left int // entities Reset made room for and Decode has not yet used
+}
+
+// Reset implements the entity.Decoder contract for annotated entities.
+func (d *AnnotatedDecoder) Reset(n int) {
+	d.ents.Reset(n)
+	d.keys, d.left = d.keys[:0], n
+}
+
+// Decode decodes one annotated entity into the slabs, returning the
+// entity, its main keys and the number of bytes consumed.
+func (d *AnnotatedDecoder) Decode(src []byte) (*entity.Entity, []string, int, error) {
+	cnt, start, end, err := scanKeys(src)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	e, n, err := d.ents.Decode(src[end:])
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if cap(d.keys)-len(d.keys) < cnt {
+		d.keys = make([]string, 0, cnt*max(d.left, 1))
+	}
+	d.left--
+	keys := d.keys[len(d.keys) : len(d.keys)+cnt : len(d.keys)+cnt]
+	d.keys = d.keys[:len(d.keys)+cnt]
+	entity.CutStrings(keys, src[start:end])
+	return e, keys, end + n, nil
 }

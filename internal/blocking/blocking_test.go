@@ -309,7 +309,9 @@ func TestAnnotatedCodecRoundTrip(t *testing.T) {
 	if !entity.Equal(got.Ent, e) || !reflect.DeepEqual(got.MainKeys, a.MainKeys) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
+	sameAnnotatedDecoder(t, buf)
 	for cut := 0; cut < len(buf); cut++ {
+		sameAnnotatedDecoder(t, buf[:cut])
 		if _, _, err := DecodeAnnotated(buf[:cut]); err == nil {
 			t.Errorf("truncated at %d: want error", cut)
 		}

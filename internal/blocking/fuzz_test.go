@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"slices"
 	"testing"
 
 	"proger/internal/entity"
@@ -32,7 +33,49 @@ func FuzzDecodeStat(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAnnotated guards the annotated-entity codec.
+// sameAnnotatedDecoder fails unless an AnnotatedDecoder — announced
+// for two entities and overflowing, and in scratch mode — agrees with
+// DecodeAnnotated on src (error text, entity, keys, consumed count), and
+// unless what it handed out while holding on still reads the same after
+// the decodes that followed.
+func sameAnnotatedDecoder(t *testing.T, src []byte) {
+	t.Helper()
+	ref := EncodeAnnotated(nil, &Annotated{Ent: &entity.Entity{ID: 41, Attrs: []string{"kept", "alive"}}, MainKeys: []string{"ke", "", "al"}})
+	for _, scratch := range []bool{false, true} {
+		var d AnnotatedDecoder
+		d.Reset(2)
+		var held, snapshot []*Annotated
+		for i, in := range [][]byte{ref, src, src, ref, src} {
+			if scratch {
+				d.Reset(1)
+			}
+			e, keys, gotN, gotErr := d.Decode(in)
+			want, wantN, wantErr := DecodeAnnotated(in)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("scratch=%v decode %d: error %v, DecodeAnnotated %v", scratch, i, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if gotN != wantN || !entity.Equal(e, want.Ent) || !slices.Equal(keys, want.MainKeys) {
+				t.Fatalf("scratch=%v decode %d: %v %q consuming %d, DecodeAnnotated %v %q consuming %d",
+					scratch, i, e, keys, gotN, want.Ent, want.MainKeys, wantN)
+			}
+			if !scratch {
+				held, snapshot = append(held, &Annotated{Ent: e, MainKeys: keys}), append(snapshot, want)
+			}
+		}
+		for i := range held {
+			if !entity.Equal(held[i].Ent, snapshot[i].Ent) || !slices.Equal(held[i].MainKeys, snapshot[i].MainKeys) {
+				t.Fatalf("annotated entity %d reads %v %q after later decodes, was %v %q",
+					i, held[i].Ent, held[i].MainKeys, snapshot[i].Ent, snapshot[i].MainKeys)
+			}
+		}
+	}
+}
+
+// FuzzDecodeAnnotated guards the annotated-entity codec and holds the
+// slab decoder to it.
 func FuzzDecodeAnnotated(f *testing.F) {
 	f.Add(EncodeAnnotated(nil, &Annotated{
 		Ent:      &entity.Entity{ID: 2, Attrs: []string{"x"}},
@@ -40,6 +83,7 @@ func FuzzDecodeAnnotated(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAnnotatedDecoder(t, data)
 		a, n, err := DecodeAnnotated(data)
 		if err != nil {
 			return

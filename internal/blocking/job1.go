@@ -40,11 +40,15 @@ func ParseJob1Key(key string) (famIdx int, mainKey string, err error) {
 type Job1Mapper struct {
 	mapreduce.MapperBase
 	Families Families
+	// dec holds the one entity Map is looking at: nothing it derives
+	// from an entity outlives the call.
+	dec entity.Decoder
 }
 
 // Map implements mapreduce.Mapper.
 func (m *Job1Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, _, err := entity.DecodeBinary(rec.Value)
+	m.dec.Reset(1)
+	e, _, err := m.dec.Decode(rec.Value)
 	if err != nil {
 		return err
 	}
@@ -64,6 +68,11 @@ func (m *Job1Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 type Job1Reducer struct {
 	mapreduce.ReducerBase
 	Families Families
+	// One main block's decoded members, reused from Reduce call to
+	// Reduce call: a tree keeps structure and sizes, never entities.
+	dec      AnnotatedDecoder
+	ents     []*entity.Entity
+	mainKeys [][]string
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -76,16 +85,16 @@ func (r *Job1Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		return fmt.Errorf("blocking: job-1 key %q references family %d of %d", key, famIdx, len(r.Families))
 	}
 	fam := r.Families[famIdx]
-	ents := make([]*entity.Entity, len(values))
-	mainKeys := make([][]string, len(values))
-	for i, v := range values {
-		ann, _, err := DecodeAnnotated(v)
+	r.dec.Reset(len(values))
+	ents, mainKeys := r.ents[:0], r.mainKeys[:0]
+	for _, v := range values {
+		e, keys, _, err := r.dec.Decode(v)
 		if err != nil {
 			return err
 		}
-		ents[i] = ann.Ent
-		mainKeys[i] = ann.MainKeys
+		ents, mainKeys = append(ents, e), append(mainKeys, keys)
 	}
+	r.ents, r.mainKeys = ents, mainKeys
 	// Tree construction: one key computation per entity per sub-level.
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(ents)*(fam.Levels()-1)))
 	tree := BuildTree(fam, famIdx, mainKey, ents)

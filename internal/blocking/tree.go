@@ -58,6 +58,9 @@ type Block struct {
 	// SQKey is sched.SQKey(SQ): the shuffle key of every Job-2 record
 	// emitted for this block, rendered once when SQ is assigned.
 	SQKey string
+	// Tree is the position in Schedule.Trees of the tree the block
+	// belongs to after splitting.
+	Tree int
 }
 
 // IsLeaf reports whether the block has no children.

@@ -39,11 +39,13 @@ type basicSide struct {
 type BasicMapper struct {
 	mapreduce.MapperBase
 	side *basicSide
+	dec  entity.Decoder // the entity Map is looking at
 }
 
 // Map implements mapreduce.Mapper.
 func (m *BasicMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, _, err := entity.DecodeBinary(rec.Value)
+	m.dec.Reset(1)
+	e, _, err := m.dec.Decode(rec.Value)
 	if err != nil {
 		return err
 	}
@@ -60,6 +62,11 @@ func (m *BasicMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, em
 type BasicReducer struct {
 	mapreduce.ReducerBase
 	side *basicSide
+	// One block's decoded members, reused from Reduce call to Reduce
+	// call (mechanisms keep nothing of a block after ResolveBlock).
+	dec      blocking.AnnotatedDecoder
+	ents     []*entity.Entity
+	mainKeys [][]string
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -72,16 +79,16 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	if famIdx < 0 || famIdx >= len(r.side.families) {
 		return fmt.Errorf("core: basic key %q references family %d", key, famIdx)
 	}
-	ents := make([]*entity.Entity, 0, len(values))
-	keysOf := make(map[entity.ID][]string, len(values))
+	r.dec.Reset(len(values))
+	ents, mainKeys := r.ents[:0], r.mainKeys[:0]
 	for _, v := range values {
-		ann, _, err := blocking.DecodeAnnotated(v)
+		e, keys, _, err := r.dec.Decode(v)
 		if err != nil {
 			return err
 		}
-		ents = append(ents, ann.Ent)
-		keysOf[ann.Ent.ID] = ann.MainKeys
+		ents, mainKeys = append(ents, e), append(mainKeys, keys)
 	}
+	r.ents, r.mainKeys = ents, mainKeys
 
 	var stop mechanism.StopFunc
 	var observer func(bool)
@@ -93,8 +100,8 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	env := &mechanism.Env{
 		SortAttr: r.side.families[famIdx].Attr,
 		Match:    r.side.matcher.Match,
-		Decide: func(p entity.Pair) mechanism.Decision {
-			if !dedup.SmallestKeyResponsible(keysOf[p.Lo], keysOf[p.Hi], famIdx, blockKey) {
+		Decide: func(_ entity.Pair, i, j int) mechanism.Decision {
+			if !dedup.SmallestKeyResponsible(mainKeys[i], mainKeys[j], famIdx, blockKey) {
 				return mechanism.SkipNotResponsible
 			}
 			return mechanism.Resolve

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"proger/internal/blocking"
 	"proger/internal/costmodel"
-	"proger/internal/entity"
 	"proger/internal/mapreduce"
 )
 
@@ -42,8 +40,8 @@ type CompactJob2Mapper struct {
 	side *job2Side
 	// firstKey[treeIdx] is the tree's payload key.
 	firstKey []string
-	// lister provides deepestKeys and buildList (and carries the
-	// per-task codec scratch); one instance per task, hoisted out of Map.
+	// lister provides locate and buildList (and carries the per-task
+	// scratch); one instance per task, hoisted out of Map.
 	lister *Job2Mapper
 }
 
@@ -58,33 +56,23 @@ func (m *CompactJob2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 
 // Map emits one payload per tree containing the entity.
 func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, _, err := entity.DecodeBinary(rec.Value)
+	e, entBuf, err := m.lister.locate(ctx, rec)
 	if err != nil {
 		return err
 	}
-	s := m.side.schedule
-	deep := m.lister.deepestKeys(ctx, e)
-
-	m.lister.encScratch = entity.EncodeBinary(m.lister.encScratch[:0], e)
-	entBuf := m.lister.encScratch
-	for j, f := range m.side.families {
+	for j, path := range m.lister.path {
 		lastTree := -1
-		for l := 1; l <= f.Levels(); l++ {
-			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
-			if _, ok := s.ByID[id]; !ok {
-				continue
+		for l, b := range path {
+			if b == nil || b.Tree == lastTree {
+				continue // pruned, or already shipped to this tree
 			}
-			ti := s.TreeOf[id]
-			if ti == lastTree {
-				continue // already shipped to this tree
-			}
-			lastTree = ti
-			list := m.lister.buildList(e, deep, j, l, ti)
+			lastTree = b.Tree
+			list := m.lister.buildList(e.ID, j, l+1)
 			value := make([]byte, 0, 1+len(entBuf)+len(list))
 			value = append(value, compactTagEntity)
 			value = append(value, entBuf...)
 			value = append(value, list...)
-			emit.Emit(m.firstKey[ti], value)
+			emit.Emit(m.firstKey[b.Tree], value)
 			ctx.Inc(CounterJob2Emitted, 1)
 		}
 	}
@@ -121,10 +109,10 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 		return err
 	}
 
-	// Absorb payloads (they arrive under the tree's first block's key,
-	// alongside at most one trigger).
-	if ts.ents == nil {
-		ts.ents = make([]*entity.Entity, 0, len(values))
+	// Absorb payloads (they arrive, all of them, under the tree's first
+	// block's key, alongside at most one trigger).
+	if len(ts.ents) == 0 {
+		ts.dec.Grow(len(values))
 	}
 	for _, v := range values {
 		if len(v) == 0 {
@@ -134,12 +122,9 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 		case compactTagTrigger:
 			continue
 		case compactTagEntity:
-			p, err := decodeJob2Payload(v[1:])
-			if err != nil {
+			if err := ts.admit(r.side, v[1:]); err != nil {
 				return err
 			}
-			ts.payloads[p.ent.ID] = p
-			ts.ents = append(ts.ents, p.ent)
 		default:
 			return fmt.Errorf("core: compact reduce: unknown tag %q", v[0])
 		}
@@ -152,13 +137,13 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 	// Recompute the block's members from the cached tree: the per-block
 	// scan the compact emission trades for shuffle volume.
 	fam := r.side.families[b.ID.Family]
-	members := make([]*entity.Entity, 0, b.Size)
-	for _, e := range ts.ents {
+	r.slots = r.slots[:0]
+	for slot, e := range ts.ents {
 		if fam.Key(e, int(b.ID.Level)) == b.ID.Key {
-			members = append(members, e)
+			r.slots = append(r.slots, int32(slot))
 		}
 	}
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(ts.ents)))
-	r.resolve(ctx, emit, start, b, sq, ts, members)
+	r.resolve(ctx, emit, start, b, sq, ts)
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"proger/internal/blocking"
 	"proger/internal/costmodel"
@@ -38,14 +39,16 @@ type job2Side struct {
 type Job2Mapper struct {
 	mapreduce.MapperBase
 	side *job2Side
-	// Per-task codec scratch, reused across Map calls: every caller
-	// copies the encoded bytes into the emitted (retained) value buffer
-	// before the next encode, so reuse cannot alias live data.
-	encScratch  []byte
+	// Per-task scratch, reused across Map calls: nothing derived from
+	// one input record outlives its Map call except the emitted values,
+	// which are built in buffers of their own.
+	dec         entity.Decoder
 	listScratch dedup.List
 	listEnc     []byte
-	// deepScratch backs deepestKeys.
-	deepScratch []string
+	// path[j][l-1] is the scheduled block of family j at level l that
+	// holds the entity locate was last called on, nil where that block
+	// was pruned: the one schedule lookup a (family, level) costs.
+	path [][]*blocking.Block
 }
 
 // Setup implements mapreduce.Mapper.
@@ -70,55 +73,59 @@ func (m *Job2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 	return nil
 }
 
-// deepestKeys derives e's deepest-level key per family — the one key
+// locate decodes the input record's entity and fills m.path with its
+// block path. Per family it derives the deepest-level key — the one key
 // derivation an entity pays; every shallower level is a prefix of it
-// (Family.Shallower). It also charges the simulated cost of one key
-// computation per level per family. The result is scratch, valid until
-// the next call.
-func (m *Job2Mapper) deepestKeys(ctx *mapreduce.TaskContext, e *entity.Entity) []string {
-	fams := m.side.families
-	if cap(m.deepScratch) < len(fams) {
-		m.deepScratch = make([]string, len(fams))
+// (Family.Shallower) — and charges the simulated cost of one key
+// computation per level. It returns the entity, valid until the next
+// call, and its encoding, which is a prefix of the record's value.
+func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) (*entity.Entity, []byte, error) {
+	m.dec.Reset(1)
+	e, n, err := m.dec.Decode(rec.Value)
+	if err != nil {
+		return nil, nil, err
 	}
-	deep := m.deepScratch[:len(fams)]
+	fams := m.side.families
+	if m.path == nil {
+		m.path = make([][]*blocking.Block, len(fams))
+		for j, f := range fams {
+			m.path[j] = make([]*blocking.Block, f.Levels())
+		}
+	}
 	totalLevels := 0
 	for j, f := range fams {
 		totalLevels += f.Levels()
-		deep[j] = f.Key(e, f.Levels())
+		deep := f.Key(e, f.Levels())
+		for l := range m.path[j] {
+			id := blocking.BlockID{Family: int8(j), Level: int8(l + 1), Key: f.Shallower(deep, l+1)}
+			m.path[j][l] = m.side.schedule.ByID[id]
+		}
 	}
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
-	return deep
+	return e, rec.Value[:n], nil
 }
 
 // Map implements mapreduce.Mapper.
 func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, _, err := entity.DecodeBinary(rec.Value)
+	e, entBuf, err := m.locate(ctx, rec)
 	if err != nil {
 		return err
 	}
-	s := m.side.schedule
-	deep := m.deepestKeys(ctx, e)
-
-	// Enumerate the entity's block path per family and emit per block.
-	// The emitted value (entity ⊕ List) only changes when the path
-	// crosses into a different tree, so one buffer is built per tree and
-	// shared by every emission for that tree's blocks — the engine and
-	// all reducers treat values as read-only, so aliasing is safe.
-	m.encScratch = entity.EncodeBinary(m.encScratch[:0], e)
-	entBuf := m.encScratch
-	for j, f := range m.side.families {
+	// Emit per scheduled block of the entity's path. The emitted value
+	// (entity ⊕ List) only changes when the path crosses into a different
+	// tree, so one buffer is built per tree and shared by every emission
+	// for that tree's blocks — the engine and all reducers treat values
+	// as read-only, so aliasing is safe.
+	for j, path := range m.path {
 		var lastTree = -1
 		var lastVal []byte
-		for l := 1; l <= f.Levels(); l++ {
-			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
-			b, ok := s.ByID[id]
-			if !ok {
+		for l, b := range path {
+			if b == nil {
 				continue // pruned block
 			}
-			ti := s.TreeOf[id]
-			if ti != lastTree {
-				lastTree = ti
-				list := m.buildList(e, deep, j, l, ti)
+			if b.Tree != lastTree {
+				lastTree = b.Tree
+				list := m.buildList(e.ID, j, l+1)
 				lastVal = make([]byte, 0, len(entBuf)+len(list))
 				lastVal = append(lastVal, entBuf...)
 				lastVal = append(lastVal, list...)
@@ -130,48 +137,39 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 	return nil
 }
 
-// buildList constructs List(e, T) per §V for the tree at index ti of
-// family j, whose shallowest block on e's path is at level `level`;
-// deep is deepestKeys(e). The returned encoding is scratch owned by the
-// mapper — callers must copy it into the emitted value before the next
-// buildList call.
-func (m *Job2Mapper) buildList(e *entity.Entity, deep []string, j, level, ti int) []byte {
-	s := m.side.schedule
-	fams := m.side.families
-	tree := s.Trees[ti]
-	if cap(m.listScratch) < len(fams)+1 {
-		m.listScratch = make(dedup.List, 0, len(fams)+1)
-	}
-	list := m.listScratch[:len(fams)]
-	for k, f := range fams {
-		if k == j {
+// buildList constructs List(e, T) per §V for the entity locate was last
+// called on (id is its ID) and the tree T of its family-j block at
+// `level`, the shallowest block of T on its path. The returned encoding
+// is scratch owned by the mapper — callers must copy it into the
+// emitted value before the next buildList call.
+func (m *Job2Mapper) buildList(id entity.ID, j, level int) []byte {
+	trees := m.side.schedule.Trees
+	ti := m.path[j][level-1].Tree
+	list := m.listScratch[:0]
+	for k, path := range m.path {
+		switch main := path[0]; {
+		case k == j:
 			// Own family: the tree the emitted block belongs to.
-			list[k] = tree.Dom
-			continue
-		}
-		id := blocking.BlockID{Family: int8(k), Level: 1, Key: f.Shallower(deep[k], 1)}
-		if t, ok := s.TreeOf[id]; ok {
-			list[k] = s.Trees[t].Dom
-		} else {
-			list[k] = dedup.SentinelFor(int32(e.ID))
+			list = append(list, trees[ti].Dom)
+		case main != nil:
+			list = append(list, trees[main.Tree].Dom)
+		default:
+			list = append(list, dedup.SentinelFor(int32(id)))
 		}
 	}
 	// (n+1)st value: the highest split-off descendant tree containing
 	// the entity — the first deeper level on e's path whose block is
 	// the root of a different tree.
-	f := fams[j]
-	treeRootLevel := int(tree.Root.ID.Level)
-	for l := max(level, treeRootLevel) + 1; l <= f.Levels(); l++ {
-		id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
-		t, ok := s.TreeOf[id]
-		if !ok {
+	for _, b := range m.path[j][max(level, int(trees[ti].Root.ID.Level)):] {
+		if b == nil {
 			break // pruned below; nothing deeper can be scheduled
 		}
-		if t != ti && s.Trees[t].Root.ID == id {
-			list = append(list, s.Trees[t].Dom)
+		if b.Tree != ti && trees[b.Tree].Root == b {
+			list = append(list, trees[b.Tree].Dom)
 			break
 		}
 	}
+	m.listScratch = list
 	m.listEnc = dedup.Encode(m.listEnc[:0], list)
 	return m.listEnc
 }
@@ -192,46 +190,72 @@ func Job2Partitioner(key string, numReduce int) int {
 // dupValue encodes a discovered duplicate pair as a reduce-output value.
 func dupValue(p entity.Pair) []byte { return entity.EncodePair(nil, p) }
 
-// job2Payload is one decoded map-output value: an entity and its
-// dominance list for the tree the value was emitted to.
-type job2Payload struct {
-	ent  *entity.Entity
-	list dedup.List
-}
-
-func decodeJob2Payload(v []byte) (job2Payload, error) {
-	e, n, err := entity.DecodeBinary(v)
-	if err != nil {
-		return job2Payload{}, err
-	}
-	l, _, err := dedup.Decode(v[n:])
-	if err != nil {
-		return job2Payload{}, err
-	}
-	return job2Payload{ent: e, list: l}, nil
-}
-
 // treeState is everything a reduce task keeps for one tree between that
 // tree's blocks. All of a tree's blocks belong to one reduce task, so
 // the state is created at the tree's first block and dropped after its
 // last; a task holds state only for the trees it is in the middle of.
+//
+// It is columnar: an entity of the tree is a slot — its arrival rank —
+// and everything known about it is a row of an array indexed by slot,
+// all sized from the root's size, which is the tree's entity count. A
+// candidate pair reaches Decide as two positions in the block, the
+// block's slot list turns them into slots, and SHOULD-RESOLVE reads two
+// rows of doms; nothing per pair goes through a hash table but the
+// resolved set itself.
 type treeState struct {
 	// resolved is the within-tree resolved-pair set, which is what makes
-	// incremental bottom-up resolution repeat-free (§III-A).
+	// incremental bottom-up resolution repeat-free (§III-A). A tree of
+	// one block has no later visit to keep repeat-free — and one visit
+	// asks about no pair twice — so it has none (nil slots).
 	resolved pairTable
-	// payloads holds the tree's decoded entities and dominance lists by
-	// entity ID, each decoded once however many of the tree's blocks it
-	// reaches: the mapper sends one (entity ⊕ list) value per entity and
-	// tree, so the ID names the bytes. It is also where Decide finds the
-	// two lists of a candidate pair.
-	payloads map[entity.ID]job2Payload
-	// ents lists the tree's entities in arrival order (compact emission
-	// only, where block membership is recomputed from them).
+	// slotOf finds the slot of an entity that arrives again with a later
+	// block of the tree — one lookup per record. The mapper sends one
+	// (entity ⊕ list) value per entity and tree, so the ID names the
+	// bytes and a known ID is not decoded twice. (Expanded emission only:
+	// a compact payload arrives once.)
+	slotOf map[entity.ID]int32
+	// dec owns the storage of ents: a slab per block that brought new
+	// entities, sized for exactly those, all dropped with the tree.
+	dec  entity.Decoder
 	ents []*entity.Entity
+	// doms holds the dominance lists, stride len(families)+1. A list
+	// without the (n+1)st value gets the entity's own sentinel there,
+	// which equals no other entity's value, so ShouldResolve — handed
+	// two full rows — decides as it does on the lists themselves.
+	doms dedup.List
+	// sortKeys is the lower-cased sort attribute of the tree's family:
+	// lowered once per entity and tree, not once per block visit.
+	sortKeys []string
 	// blocksLeft counts the tree's scheduled blocks not yet resolved.
 	blocksLeft int
 	// tree is the tree's index in the schedule.
 	tree int
+}
+
+// admit decodes one (entity ⊕ list) map-output value into the tree's
+// next slot.
+func (ts *treeState) admit(side *job2Side, v []byte) error {
+	e, used, err := ts.dec.Decode(v)
+	if err != nil {
+		return err
+	}
+	n := len(side.families)
+	doms, _, err := dedup.AppendDecode(ts.doms, v[used:])
+	if err != nil {
+		return err
+	}
+	switch len(doms) - len(ts.doms) {
+	case n:
+		doms = append(doms, dedup.SentinelFor(int32(e.ID)))
+	case n + 1:
+	default:
+		return fmt.Errorf("core: job-2 payload of e%d has a dominance list of %d values, want %d or %d",
+			e.ID, len(doms)-len(ts.doms), n, n+1)
+	}
+	fam := side.families[side.schedule.Trees[ts.tree].Root.ID.Family]
+	ts.ents, ts.doms = append(ts.ents, e), doms
+	ts.sortKeys = append(ts.sortKeys, strings.ToLower(e.Attr(fam.Attr)))
+	return nil
 }
 
 // job2Blocks is the state and the resolve body that the expanded and
@@ -241,6 +265,12 @@ type job2Blocks struct {
 	mapreduce.ReducerBase
 	side  *job2Side
 	trees map[int]*treeState
+	// One block's members as the mechanism sees them, gathered from the
+	// tree's columns; scratch, reused from block to block (mechanisms
+	// keep nothing of a block after ResolveBlock returns).
+	slots []int32
+	ents  []*entity.Entity
+	keys  []string
 }
 
 // Setup implements mapreduce.Reducer.
@@ -261,20 +291,26 @@ func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, 
 	if b == nil {
 		return nil, 0, nil, fmt.Errorf("core: no scheduled block for sequence %d", sq)
 	}
-	treeIdx, ok := s.TreeOf[b.ID]
-	if !ok {
-		return nil, 0, nil, fmt.Errorf("core: block %s has no tree", b.ID)
-	}
-	ts := r.trees[treeIdx]
+	ts := r.trees[b.Tree]
 	if ts == nil {
-		tree := s.Trees[treeIdx]
+		root := s.Trees[b.Tree].Root
 		ts = &treeState{
-			tree:       treeIdx,
-			payloads:   make(map[entity.ID]job2Payload, tree.Root.Size),
-			resolved:   newPairTable(r.side.resolvedPairsEstimate(tree.Root)),
-			blocksLeft: len(tree.Blocks()),
+			tree:       b.Tree,
+			ents:       make([]*entity.Entity, 0, root.Size),
+			doms:       make(dedup.List, 0, root.Size*(len(r.side.families)+1)),
+			sortKeys:   make([]string, 0, root.Size),
+			blocksLeft: len(s.Trees[b.Tree].Blocks()),
 		}
-		r.trees[treeIdx] = ts
+		if ts.blocksLeft > 1 {
+			ts.resolved = newPairTable(r.side.resolvedPairsEstimate(root))
+		}
+		r.trees[b.Tree] = ts
+		if cap(r.slots) < root.Size {
+			// No block of the tree is larger than its root.
+			r.slots = make([]int32, 0, root.Size)
+			r.ents = make([]*entity.Entity, 0, root.Size)
+			r.keys = make([]string, 0, root.Size)
+		}
 	}
 	return b, sq, ts, nil
 }
@@ -298,31 +334,38 @@ func (side *job2Side) resolvedPairsEstimate(root *blocking.Block) int {
 	return int(pairs*1.05) + 8
 }
 
-// resolve runs the mechanism over one scheduled block's entities and
-// reports the visit: counters, quality observation, trace span. After
-// the tree's last block it drops the tree's state.
+// resolve runs the mechanism over one scheduled block — r.slots names
+// its members — and reports the visit: counters, quality observation,
+// trace span. After the tree's last block it drops the tree's state.
 func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter, start costmodel.Units,
-	b *blocking.Block, sq int64, ts *treeState, ents []*entity.Entity) {
+	b *blocking.Block, sq int64, ts *treeState) {
 	famIdx := int(b.ID.Family)
 	index := famIdx + 1 // 1-based dominance Index of the family
 	n := len(r.side.families)
+	slots, ents, keys := r.slots, r.ents[:0], r.keys[:0]
+	for _, s := range slots {
+		ents, keys = append(ents, ts.ents[s]), append(keys, ts.sortKeys[s])
+	}
+	r.ents, r.keys = ents, keys
 	var stop mechanism.StopFunc
 	if !b.FullResolve {
 		stop = mechanism.DistinctThreshold(b.Th)
 	}
 	env := &mechanism.Env{
 		SortAttr: r.side.families[famIdx].Attr,
+		SortKeys: keys,
 		Match:    r.side.matcher.Match,
 		// A pair is entered into the resolved set the moment it is ruled
 		// Resolve — every mechanism emits a pair it was told to resolve
 		// before it asks about the next one, so nothing can observe the
 		// difference from entering it in Emit — and only after the
 		// ownership test, so a pair another tree owns never enters.
-		Decide: func(p entity.Pair) mechanism.Decision {
-			if !r.side.noDedup && !dedup.ShouldResolve(ts.payloads[p.Lo].list, ts.payloads[p.Hi].list, index, n) {
+		Decide: func(p entity.Pair, i, j int) mechanism.Decision {
+			x, y := int(slots[i])*(n+1), int(slots[j])*(n+1)
+			if !r.side.noDedup && !dedup.ShouldResolve(ts.doms[x:x+n+1], ts.doms[y:y+n+1], index, n) {
 				return mechanism.SkipNotResponsible
 			}
-			if ts.resolved.testAndSet(p) {
+			if ts.resolved.slots != nil && ts.resolved.testAndSet(p) {
 				return mechanism.SkipResolved
 			}
 			return mechanism.Resolve
@@ -380,29 +423,46 @@ type Job2Reducer struct{ job2Blocks }
 
 // Reduce implements mapreduce.Reducer: one call per scheduled block.
 // Decoded entities are shared across the tree's blocks — safe because
-// entities are read-only downstream (mechanisms copy the slice they
-// sort and never mutate elements).
+// entities are read-only downstream (mechanisms never mutate the
+// entities or the slice they are given).
 func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
 	start := ctx.Now()
 	b, sq, ts, err := r.scheduled(key)
 	if err != nil {
 		return err
 	}
-	ents := make([]*entity.Entity, 0, len(values))
+	if ts.slotOf == nil && ts.blocksLeft > 1 {
+		// (Nobody arrives twice at a tree of one block: no index.)
+		ts.slotOf = make(map[entity.ID]int32, cap(ts.ents))
+	}
+	// Look every record's entity up once; -1 marks a first arrival.
+	r.slots = r.slots[:0]
+	arrivals := 0
 	for _, v := range values {
 		id, n := binary.Uvarint(v)
 		if n <= 0 {
 			return fmt.Errorf("core: job-2 payload without an entity ID at %s", key)
 		}
-		p, ok := ts.payloads[entity.ID(id)]
+		slot, ok := ts.slotOf[entity.ID(id)]
 		if !ok {
-			if p, err = decodeJob2Payload(v); err != nil {
-				return err
-			}
-			ts.payloads[p.ent.ID] = p
+			slot = -1
+			arrivals++
 		}
-		ents = append(ents, p.ent)
+		r.slots = append(r.slots, slot)
 	}
-	r.resolve(ctx, emit, start, b, sq, ts, ents)
+	ts.dec.Grow(arrivals)
+	for i, v := range values {
+		if r.slots[i] >= 0 {
+			continue
+		}
+		r.slots[i] = int32(len(ts.ents))
+		if err := ts.admit(r.side, v); err != nil {
+			return err
+		}
+		if ts.slotOf != nil {
+			ts.slotOf[ts.ents[r.slots[i]].ID] = r.slots[i]
+		}
+	}
+	r.resolve(ctx, emit, start, b, sq, ts)
 	return nil
 }

@@ -65,6 +65,12 @@ var benchShapes = []benchShape{
 func benchJob2Side(b *testing.B, shape benchShape) (*job2Side, []mapreduce.KeyValue, int) {
 	b.Helper()
 	ds, opts := shape.make()
+	return buildJob2Side(b, ds, opts)
+}
+
+// buildJob2Side runs the pipeline up to schedule generation.
+func buildJob2Side(b testing.TB, ds *entity.Dataset, opts Options) (*job2Side, []mapreduce.KeyValue, int) {
+	b.Helper()
 	opts = opts.withDefaults()
 	cluster := mapreduce.Cluster{Machines: opts.Machines, SlotsPerMachine: opts.SlotsPerMachine}
 	stats, _, err := blocking.RunJob1(ds, opts.Families, cluster, opts.Cost, 0)
@@ -83,7 +89,7 @@ func benchJob2Side(b *testing.B, shape benchShape) (*job2Side, []mapreduce.KeyVa
 	r := cluster.Slots()
 	cv := sched.AutoCostVector(trees, r, opts.CostVectorK)
 	schedule, err := sched.Generate(trees, sched.Config{
-		R: r, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Estimator: est,
+		R: r, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Estimator: est, Batch: opts.SplitBatch,
 	})
 	if err != nil {
 		b.Fatal(err)

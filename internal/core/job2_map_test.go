@@ -1,0 +1,205 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"proger/internal/blocking"
+	"proger/internal/costmodel"
+	"proger/internal/datagen"
+	"proger/internal/dedup"
+	"proger/internal/entity"
+	"proger/internal/estimate"
+	"proger/internal/mapreduce"
+	"proger/internal/match"
+	"proger/internal/mechanism"
+)
+
+// lookupMapper is the Job-2 map function as it was before the mapper
+// cached an entity's block path: one schedule lookup per (family, level)
+// to emit, more of them per emitted tree to build the list, and the
+// entity re-encoded from its decoded form. It is the oracle of
+// TestJob2MapperMatchesLookupPerLevelOracle — expanded and compact
+// emission in one body — and nothing else.
+type lookupMapper struct {
+	side     *job2Side
+	treeOf   map[blocking.BlockID]int
+	firstKey []string
+	compact  bool
+}
+
+func newLookupMapper(side *job2Side, compact bool) *lookupMapper {
+	m := &lookupMapper{side: side, treeOf: map[blocking.BlockID]int{}, firstKey: side.schedule.FirstKeyOfTree(), compact: compact}
+	for i, t := range side.schedule.Trees {
+		for _, b := range t.Blocks() {
+			m.treeOf[b.ID] = i
+		}
+	}
+	return m
+}
+
+func (m *lookupMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
+	e, _, err := entity.DecodeBinary(rec.Value)
+	if err != nil {
+		return err
+	}
+	s, fams := m.side.schedule, m.side.families
+	deep := make([]string, len(fams))
+	totalLevels := 0
+	for j, f := range fams {
+		totalLevels += f.Levels()
+		deep[j] = f.Key(e, f.Levels())
+	}
+	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
+	entBuf := entity.EncodeBinary(nil, e)
+	for j, f := range fams {
+		lastTree := -1
+		var lastVal []byte
+		for l := 1; l <= f.Levels(); l++ {
+			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
+			b, ok := s.ByID[id]
+			if !ok {
+				continue // pruned block
+			}
+			ti := m.treeOf[id]
+			if ti != lastTree {
+				lastTree = ti
+				lastVal = nil
+				if m.compact {
+					lastVal = []byte{compactTagEntity}
+				}
+				lastVal = append(lastVal, entBuf...)
+				lastVal = dedup.Encode(lastVal, m.list(e, deep, j, l, ti))
+				if m.compact {
+					emit.Emit(m.firstKey[ti], lastVal)
+					ctx.Inc(CounterJob2Emitted, 1)
+				}
+			}
+			if !m.compact {
+				emit.Emit(b.SQKey, lastVal)
+				ctx.Inc(CounterJob2Emitted, 1)
+			}
+		}
+	}
+	return nil
+}
+
+// list is List(e, T) per §V for the tree at index ti of family j, whose
+// shallowest block on e's path is at `level`.
+func (m *lookupMapper) list(e *entity.Entity, deep []string, j, level, ti int) dedup.List {
+	s, fams := m.side.schedule, m.side.families
+	tree := s.Trees[ti]
+	list := make(dedup.List, len(fams))
+	for k, f := range fams {
+		if k == j {
+			list[k] = tree.Dom
+			continue
+		}
+		id := blocking.BlockID{Family: int8(k), Level: 1, Key: f.Shallower(deep[k], 1)}
+		if t, ok := m.treeOf[id]; ok {
+			list[k] = s.Trees[t].Dom
+		} else {
+			list[k] = dedup.SentinelFor(int32(e.ID))
+		}
+	}
+	f := fams[j]
+	for l := max(level, int(tree.Root.ID.Level)) + 1; l <= f.Levels(); l++ {
+		id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
+		t, ok := m.treeOf[id]
+		if !ok {
+			break // pruned below; nothing deeper can be scheduled
+		}
+		if t != ti && s.Trees[t].Root.ID == id {
+			list = append(list, s.Trees[t].Dom)
+			break
+		}
+	}
+	return list
+}
+
+// recordingEmitter keeps what a mapper emits, copying each value at the
+// moment of emission so that later reuse of a buffer would show.
+type recordingEmitter struct{ recs []mapreduce.KeyValue }
+
+func (e *recordingEmitter) Emit(key string, value []byte) {
+	e.recs = append(e.recs, mapreduce.KeyValue{Key: key, Value: bytes.Clone(value)})
+}
+
+// TestJob2MapperMatchesLookupPerLevelOracle: over seeded random
+// datasets, family shapes and scheduler settings — schedules with
+// pruned blocks and with split-off trees, which the test insists on
+// having seen — the mappers emit, record for record and byte for byte,
+// what the lookup-per-level mapper emits, and charge the same simulated
+// cost.
+func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
+	sawSplit, sawPruned := false, false
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds, _ := datagen.PersonRecords(datagen.DefaultPeople(300+rng.Intn(1500), seed))
+		idx := ds.Schema.Index
+		opts := Options{
+			Families: blocking.Families{
+				{Name: "S", Attr: idx("name"), PrefixLens: [][]int{{1, 2, 4}, {1, 3}, {2}}[rng.Intn(3)], Index: 1, Kind: blocking.KeySoundex},
+				{Name: "C", Attr: idx("city"), PrefixLens: [][]int{{3, 5}, {1, 2, 4, 6}, {2}}[rng.Intn(3)], Index: 2},
+				{Name: "T", Attr: idx("state"), PrefixLens: [][]int{{2}, {1, 2}}[rng.Intn(2)], Index: 3},
+			}[:1+rng.Intn(3)],
+			Matcher:         match.MustNew(0.6, match.Rule{Attr: idx("phone"), Weight: 1, Kind: match.ExactMatch}),
+			Mechanism:       mechanism.SN{},
+			Policy:          estimate.CiteSeerXPolicy(),
+			Machines:        1 + rng.Intn(6),
+			SlotsPerMachine: 1 + rng.Intn(2),
+			CostVectorK:     1 + rng.Intn(8),
+			SplitBatch:      1 + rng.Intn(4),
+		}
+		side, input, _ := buildJob2Side(t, ds, opts)
+		for _, tree := range side.schedule.Trees {
+			sawSplit = sawSplit || tree.Root.ID.Level > 1
+		}
+		for _, compact := range []bool{false, true} {
+			name := fmt.Sprintf("seed %d compact=%v", seed, compact)
+			var got mapreduce.Mapper = &Job2Mapper{side: side}
+			if compact {
+				got = &CompactJob2Mapper{side: side}
+			}
+			want := newLookupMapper(side, compact)
+			gotCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
+			wantCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
+			if err := got.Setup(gotCtx); err != nil {
+				t.Fatal(err)
+			}
+			wantCtx.Charge(gotCtx.Now()) // the schedule-generation charge
+			var gotOut, wantOut recordingEmitter
+			for _, rec := range input {
+				if err := got.Map(gotCtx, rec, &gotOut); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := want.Map(wantCtx, rec, &wantOut); err != nil {
+					t.Fatalf("%s: oracle: %v", name, err)
+				}
+			}
+			if len(gotOut.recs) != len(wantOut.recs) {
+				t.Fatalf("%s: %d records emitted, oracle %d", name, len(gotOut.recs), len(wantOut.recs))
+			}
+			for i, w := range wantOut.recs {
+				if g := gotOut.recs[i]; g.Key != w.Key || !bytes.Equal(g.Value, w.Value) {
+					t.Fatalf("%s: record %d is (%s, %x), oracle (%s, %x)", name, i, g.Key, g.Value, w.Key, w.Value)
+				}
+			}
+			if g, w := gotCtx.Now(), wantCtx.Now(); g != w {
+				t.Errorf("%s: charged %v, oracle %v", name, g, w)
+			}
+			// Every entity has one block per (family, level): fewer
+			// emissions than that means the schedule pruned some.
+			levels := 0
+			for _, f := range side.families {
+				levels += f.Levels()
+			}
+			sawPruned = sawPruned || (!compact && len(wantOut.recs) < levels*len(input))
+		}
+	}
+	if !sawSplit || !sawPruned {
+		t.Errorf("schedules exercised: split-off trees %v, pruned blocks %v — want both", sawSplit, sawPruned)
+	}
+}

@@ -37,13 +37,12 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 		TaskOfTree: []int{0, 0, 0},
 		TaskBlocks: [][]*blocking.Block{{xSplit, xRoot, yRoot}},
 		ByID:       map[blocking.BlockID]*blocking.Block{},
-		TreeOf:     map[blocking.BlockID]int{},
 		R:          1,
 	}
 	for i, t := range trees {
 		for _, b := range t.Blocks() {
 			s.ByID[b.ID] = b
-			s.TreeOf[b.ID] = i
+			b.Tree = i
 		}
 	}
 	for task, blocks := range s.TaskBlocks {
@@ -53,6 +52,21 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 		}
 	}
 	return s, fams
+}
+
+// listOf locates e with the mapper and decodes List(e, T) for the tree
+// T of e's family-j block at the given level.
+func listOf(t *testing.T, m *Job2Mapper, e *entity.Entity, j, level int) dedup.List {
+	t.Helper()
+	rec := mapreduce.KeyValue{Value: entity.EncodeBinary(nil, e)}
+	if _, _, err := m.locate(&mapreduce.TaskContext{}, rec); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := dedup.Decode(m.buildList(e.ID, j, level))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func TestBuildListWithSplitTree(t *testing.T) {
@@ -65,35 +79,19 @@ func TestBuildListWithSplitTree(t *testing.T) {
 	// Emission for the X main tree (tree 0, shallowest level 1): the
 	// list must carry [Dom(own X tree)=0, Dom(Y tree)=2] plus the
 	// (n+1)st value Dom(split descendant)=1.
-	deep := []string{"abq", "z"}
-	buf := m.buildList(e, deep, 0, 1, 0)
-	list, _, err := dedup.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(list, dedup.List{0, 2, 1}) {
+	if list := listOf(t, m, e, 0, 1); !reflect.DeepEqual(list, dedup.List{0, 2, 1}) {
 		t.Errorf("List(e, T(X¹ₐ)) = %v, want [0 2 1]", list)
 	}
 
 	// Emission for the split tree itself (tree 1, level 2): own family
 	// position is the split tree's Dom; no deeper split exists.
-	buf = m.buildList(e, deep, 0, 2, 1)
-	list, _, err = dedup.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(list, dedup.List{1, 2}) {
+	if list := listOf(t, m, e, 0, 2); !reflect.DeepEqual(list, dedup.List{1, 2}) {
 		t.Errorf("List(e, T(X²ₐᵦ)) = %v, want [1 2]", list)
 	}
 
 	// Emission for the Y tree: X position refers to the MAIN X tree
 	// (not the split), as §V specifies.
-	buf = m.buildList(e, deep, 1, 1, 2)
-	list, _, err = dedup.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(list, dedup.List{0, 2}) {
+	if list := listOf(t, m, e, 1, 1); !reflect.DeepEqual(list, dedup.List{0, 2}) {
 		t.Errorf("List(e, T(Y¹)) = %v, want [0 2]", list)
 	}
 }
@@ -105,29 +103,21 @@ func TestSplitListsResolveExactlyOnce(t *testing.T) {
 	m := &Job2Mapper{side: &job2Side{schedule: s, families: fams}}
 	a := &entity.Entity{ID: 1, Attrs: []string{"abq", "z"}}
 	b := &entity.Entity{ID: 2, Attrs: []string{"abr", "z"}}
-	decode := func(e *entity.Entity, j, level, ti int) dedup.List {
-		deep := []string{fams[0].Key(e, 3), fams[1].Key(e, 1)}
-		l, _, err := dedup.Decode(m.buildList(e, deep, j, level, ti))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
 	n := len(fams)
 	resolvers := 0
 	// X main tree (index 1).
-	if dedup.ShouldResolve(decode(a, 0, 1, 0), decode(b, 0, 1, 0), 1, n) {
+	if dedup.ShouldResolve(listOf(t, m, a, 0, 1), listOf(t, m, b, 0, 1), 1, n) {
 		resolvers++
 		t.Error("main X tree must defer to the split descendant")
 	}
 	// Split tree (index 1).
-	if dedup.ShouldResolve(decode(a, 0, 2, 1), decode(b, 0, 2, 1), 1, n) {
+	if dedup.ShouldResolve(listOf(t, m, a, 0, 2), listOf(t, m, b, 0, 2), 1, n) {
 		resolvers++
 	} else {
 		t.Error("split tree must resolve its own pair")
 	}
 	// Y tree (index 2).
-	if dedup.ShouldResolve(decode(a, 1, 1, 2), decode(b, 1, 1, 2), 2, n) {
+	if dedup.ShouldResolve(listOf(t, m, a, 1, 1), listOf(t, m, b, 1, 1), 2, n) {
 		resolvers++
 		t.Error("Y tree must defer to the dominating X family")
 	}

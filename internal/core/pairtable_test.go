@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"proger/internal/costmodel"
@@ -122,14 +124,19 @@ func TestPairTableCollidingKeys(t *testing.T) {
 // fails on any departure from the contract the resolved set relies on:
 // a pair ruled Resolve is emitted — that pair, once — before the next
 // Decide, nothing else is ever emitted, and no pair is asked about
-// twice in one visit.
+// twice in one visit — and from the one the reduce task's columns rely
+// on: the positions Decide is given are those of the pair's entities in
+// the block it handed over.
 type contractEnv struct {
 	t       *testing.T
 	name    string
+	ents    []*entity.Entity
 	pending *entity.Pair
 	emitted int
 	asked   entity.PairSet
 	decide  func(entity.Pair) mechanism.Decision
+	// stream is every Decide and Emit of the visit, in order.
+	stream []string
 }
 
 func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.StopFunc) *mechanism.Env {
@@ -137,7 +144,10 @@ func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.S
 	return &mechanism.Env{
 		SortAttr: 0,
 		Match:    match,
-		Decide: func(p entity.Pair) mechanism.Decision {
+		Decide: func(p entity.Pair, i, j int) mechanism.Decision {
+			if got := entity.MakePair(c.ents[i].ID, c.ents[j].ID); i == j || got != p {
+				c.t.Errorf("%s: Decide(%v) with positions %d, %d, which hold %v", c.name, p, i, j, got)
+			}
 			if c.pending != nil {
 				c.t.Errorf("%s: Decide(%v) while %v, ruled Resolve, has not been emitted", c.name, p, *c.pending)
 			}
@@ -148,6 +158,7 @@ func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.S
 			if d == mechanism.Resolve {
 				c.pending = &p
 			}
+			c.stream = append(c.stream, fmt.Sprintf("decide %v %d", p, d))
 			return d
 		},
 		Emit: func(p entity.Pair, isDup bool) {
@@ -156,6 +167,7 @@ func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.S
 			}
 			c.pending = nil
 			c.emitted++
+			c.stream = append(c.stream, fmt.Sprintf("emit %v %v", p, isDup))
 		},
 		Charge: func(costmodel.Units) {},
 		Stop:   stop,
@@ -169,14 +181,21 @@ func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.S
 // nobody: every mechanism, under every mix of rulings, with and without
 // an early stop, emits exactly the pairs it was told to resolve, each
 // before it asks about another, and charges and counts both skip
-// rulings alike.
+// rulings alike. The block is in no particular order and its sort keys
+// tie, so the positions given to Decide are checked where they differ
+// from IDs and from sort ranks, and every visit is run a second time
+// with the sort keys supplied, which must change nothing.
 func TestMechanismsEmitEachResolvedPairBeforeNextDecide(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ents := make([]*entity.Entity, 60)
-	for i := range ents {
-		// A dozen distinct values: runs of equal keys, so matches chain
-		// (R-Swoosh merges, PSNM promotions).
-		ents[i] = &entity.Entity{ID: entity.ID(i), Attrs: []string{fmt.Sprintf("name%02d", rng.Intn(12))}}
+	sortKeys := make([]string, len(ents))
+	for i, id := range rng.Perm(len(ents)) {
+		// A dozen distinct values, six sort keys in two spellings: runs
+		// of equal keys, so matches chain (R-Swoosh merges, PSNM
+		// promotions).
+		name := fmt.Sprintf("%s%02d", []string{"name", "NAME"}[rng.Intn(2)], rng.Intn(6))
+		ents[i] = &entity.Entity{ID: entity.ID(id), Attrs: []string{name}}
+		sortKeys[i] = strings.ToLower(name)
 	}
 	match := func(a, b *entity.Entity) bool { return a.Attrs[0] == b.Attrs[0] }
 	rulings := map[string]func(entity.Pair) mechanism.Decision{
@@ -190,19 +209,25 @@ func TestMechanismsEmitEachResolvedPairBeforeNextDecide(t *testing.T) {
 	}
 	stops := map[string]mechanism.StopFunc{
 		"to exhaustion": nil,
-		"early stop":    mechanism.DistinctThreshold(25),
+		"early stop":    mechanism.DistinctThreshold(150),
 	}
 	mechs := []mechanism.Mechanism{mechanism.SN{}, mechanism.PSNM{}, mechanism.Hierarchy{}, mechanism.RSwoosh{}}
 	for _, m := range mechs {
 		for rname, ruling := range rulings {
 			for sname, stop := range stops {
-				c := &contractEnv{t: t, name: m.Name() + "/" + rname + "/" + sname, decide: ruling}
-				m.ResolveBlock(c.env(match, stop), ents, 8)
+				c := &contractEnv{t: t, name: m.Name() + "/" + rname + "/" + sname, ents: ents, decide: ruling}
+				st := m.ResolveBlock(c.env(match, stop), ents, 8)
 				if c.pending != nil {
 					t.Errorf("%s: visit ended with %v ruled Resolve and never emitted", c.name, *c.pending)
 				}
 				if (c.emitted == 0) != (rname == "all skipped") {
 					t.Errorf("%s: %d pairs emitted", c.name, c.emitted)
+				}
+				keyed := &contractEnv{t: t, name: c.name + "/SortKeys", ents: ents, decide: ruling}
+				env := keyed.env(match, stop)
+				env.SortKeys = sortKeys
+				if stKeyed := m.ResolveBlock(env, ents, 8); stKeyed != st || !reflect.DeepEqual(keyed.stream, c.stream) {
+					t.Errorf("%s: with SortKeys %+v after %d events, without %+v after %d", c.name, stKeyed, len(keyed.stream), st, len(c.stream))
 				}
 			}
 		}
@@ -210,7 +235,7 @@ func TestMechanismsEmitEachResolvedPairBeforeNextDecide(t *testing.T) {
 		// caller can see: same statistics, same total charge.
 		visit := func(skip mechanism.Decision) (mechanism.VisitStats, costmodel.Units) {
 			var charged costmodel.Units
-			c := &contractEnv{t: t, name: m.Name() + "/skip-kind", decide: func(p entity.Pair) mechanism.Decision {
+			c := &contractEnv{t: t, name: m.Name() + "/skip-kind", ents: ents, decide: func(p entity.Pair) mechanism.Decision {
 				if (p.Lo+p.Hi)%2 == 0 {
 					return skip
 				}

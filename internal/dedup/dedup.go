@@ -9,6 +9,7 @@ package dedup
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Dom is a tree dominance value. Every tree of the progressive schedule
@@ -67,7 +68,11 @@ func Encode(dst []byte, l List) []byte {
 }
 
 // Decode reads one list, returning bytes consumed.
-func Decode(src []byte) (List, int, error) {
+func Decode(src []byte) (List, int, error) { return AppendDecode(nil, src) }
+
+// AppendDecode is Decode appending the list's values to dst, for a
+// caller that keeps many lists in one array.
+func AppendDecode(dst List, src []byte) (List, int, error) {
 	cnt, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("dedup: truncated list (count)")
@@ -76,16 +81,16 @@ func Decode(src []byte) (List, int, error) {
 	if cnt > uint64(len(src)) {
 		return nil, 0, fmt.Errorf("dedup: corrupt list count %d", cnt)
 	}
-	l := make(List, cnt)
-	for i := range l {
+	dst = slices.Grow(dst, int(cnt))
+	for i := 0; i < int(cnt); i++ {
 		v, n := binary.Varint(src[off:])
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("dedup: truncated list (value %d)", i)
 		}
-		l[i] = Dom(v)
+		dst = append(dst, Dom(v))
 		off += n
 	}
-	return l, off, nil
+	return dst, off, nil
 }
 
 // SmallestKeyResponsible implements the redundancy-elimination rule of

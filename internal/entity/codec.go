@@ -28,49 +28,123 @@ func EncodeBinary(dst []byte, e *Entity) []byte {
 	return dst
 }
 
-// DecodeBinary decodes one entity from src, returning the entity and
-// the number of bytes consumed. Every length is validated before
-// anything is copied; the attribute region (length prefixes included)
-// then becomes ONE string and the attributes are slices of it, so an
-// entity costs three allocations whatever its attribute count — and
-// holding on to any one attribute keeps the bytes of all of them alive.
-func DecodeBinary(src []byte) (*Entity, int, error) {
-	off := 0
-	id, n := binary.Uvarint(src[off:])
+// scanBinary validates the encoded entity at the head of src — every
+// length, before anything is copied — and returns its ID, attribute
+// count, and the bounds src[start:end] of its attribute region (length
+// prefixes included); end is the number of bytes the entity occupies.
+func scanBinary(src []byte) (id uint64, cnt, start, end int, err error) {
+	id, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("entity: truncated binary entity (id)")
+		return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (id)")
+	}
+	off := n
+	c, n := binary.Uvarint(src[off:])
+	if n <= 0 {
+		return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (attr count)")
 	}
 	off += n
-	cnt, n := binary.Uvarint(src[off:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("entity: truncated binary entity (attr count)")
+	if c > uint64(len(src)) { // cheap sanity bound: each attr needs ≥1 byte of header
+		return 0, 0, 0, 0, fmt.Errorf("entity: corrupt attr count %d", c)
 	}
-	off += n
-	if cnt > uint64(len(src)) { // cheap sanity bound: each attr needs ≥1 byte of header
-		return nil, 0, fmt.Errorf("entity: corrupt attr count %d", cnt)
-	}
-	start := off
-	for i := 0; i < int(cnt); i++ {
+	start = off
+	for i := 0; i < int(c); i++ {
 		l, n := binary.Uvarint(src[off:])
 		if n <= 0 {
-			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d len)", i)
+			return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (attr %d len)", i)
 		}
 		off += n
 		if l > uint64(len(src)-off) {
-			return nil, 0, fmt.Errorf("entity: truncated binary entity (attr %d body)", i)
+			return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (attr %d body)", i)
 		}
 		off += int(l)
 	}
-	region := string(src[start:off])
-	attrs := make([]string, cnt)
+	return id, int(c), start, off, nil
+}
+
+// CutStrings copies region — len(dst) strings, each behind its varint
+// length, already validated — into ONE string and fills dst with slices
+// of it: a decoded entity's attributes (or an annotation's keys) cost
+// one allocation whatever their count — and holding on to any one of
+// them keeps the bytes of all of them alive.
+func CutStrings(dst []string, region []byte) {
+	s := string(region)
 	pos := 0
-	for i := range attrs {
-		l, n := binary.Uvarint(src[start+pos:])
+	for i := range dst {
+		l, n := binary.Uvarint(region[pos:])
 		pos += n
-		attrs[i] = region[pos : pos+int(l)]
+		dst[i] = s[pos : pos+int(l)]
 		pos += int(l)
 	}
-	return &Entity{ID: ID(id), Attrs: attrs}, off, nil
+}
+
+// DecodeBinary decodes one entity from src, returning the entity and
+// the number of bytes consumed, in three allocations: the entity, its
+// attribute slice and one string (CutStrings). It is the one-off form; a
+// caller that decodes many entities uses a Decoder.
+func DecodeBinary(src []byte) (*Entity, int, error) {
+	id, cnt, start, end, err := scanBinary(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	attrs := make([]string, cnt)
+	CutStrings(attrs, src[start:end])
+	return &Entity{ID: ID(id), Attrs: attrs}, end, nil
+}
+
+// Decoder is DecodeBinary for a caller that decodes many entities: the
+// Entity structs and attribute slices it hands out are cut from slabs,
+// so an entity costs one allocation (its string) and a share of two.
+// The caller says how many are coming — a reduce call's value count, a
+// block's new arrivals — and pays for exactly that many: Grow(n) before
+// n entities that must stay valid beside the earlier ones, Reset(n)
+// when the earlier ones are done with and their storage can be reused.
+// Holding one entity keeps its whole slab alive, so a Decoder's
+// entities should die together. Reset(1) before every Decode is the
+// scratch mode of a caller that is done with each entity before the
+// next. The zero Decoder is ready to use.
+type Decoder struct {
+	ents  []Entity
+	attrs []string
+}
+
+// Grow makes room for n more entities. Those handed out stay valid:
+// unless the slab in use has room for all n, a new one of exactly n is
+// started and the old one is left to its entities.
+func (d *Decoder) Grow(n int) {
+	if cap(d.ents)-len(d.ents) < n {
+		d.ents = make([]Entity, 0, n)
+	}
+}
+
+// Reset invalidates every entity the Decoder has handed out — their
+// storage is reused — and makes room for n more.
+func (d *Decoder) Reset(n int) {
+	d.ents, d.attrs = d.ents[:0], d.attrs[:0]
+	d.Grow(n)
+}
+
+// Decode is DecodeBinary into the slabs. Past the count it was told to
+// expect it carries on in small slabs of its own sizing.
+func (d *Decoder) Decode(src []byte) (*Entity, int, error) {
+	id, cnt, start, end, err := scanBinary(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(d.ents) == cap(d.ents) {
+		d.Grow(16)
+	}
+	if cap(d.attrs)-len(d.attrs) < cnt {
+		// Room for every entity the entity slab still has, this one
+		// included, at this one's attribute count.
+		d.attrs = make([]string, 0, cnt*(cap(d.ents)-len(d.ents)))
+	}
+	// The row's capacity is clipped so that appending to one entity's
+	// Attrs cannot write into the next one's.
+	attrs := d.attrs[len(d.attrs) : len(d.attrs)+cnt : len(d.attrs)+cnt]
+	d.attrs = d.attrs[:len(d.attrs)+cnt]
+	CutStrings(attrs, src[start:end])
+	d.ents = append(d.ents, Entity{ID: ID(id), Attrs: attrs})
+	return &d.ents[len(d.ents)-1], end, nil
 }
 
 // WriteTSV writes the dataset as tab-separated text: a header line

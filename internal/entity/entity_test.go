@@ -323,6 +323,95 @@ func TestDecodeBinaryAllocations(t *testing.T) {
 	}
 }
 
+// sameDecoder fails unless a Decoder, holding on to what it decodes
+// (Grow) and in scratch mode (Reset before every Decode), agrees with
+// DecodeBinary on src — error text, entity, consumed count — and on a
+// well-formed record decoded around it, and unless every entity it
+// handed out while holding on still reads the same after the decodes
+// that followed, the later of which overflow the slab that was announced.
+func sameDecoder(t *testing.T, name string, src []byte) {
+	t.Helper()
+	ref := EncodeBinary(nil, &Entity{ID: 41, Attrs: []string{"kept", "", "alive"}})
+	for _, scratch := range []bool{false, true} {
+		var d Decoder
+		d.Grow(2)
+		var held, snapshot []*Entity
+		for i, in := range [][]byte{ref, src, src, ref, src} {
+			if scratch {
+				d.Reset(1)
+			}
+			got, gotN, gotErr := d.Decode(in)
+			want, wantN, wantErr := DecodeBinary(in)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s (scratch=%v) decode %d: error %v, DecodeBinary %v", name, scratch, i, gotErr, wantErr)
+			}
+			if gotN != wantN || !Equal(got, want) {
+				t.Fatalf("%s (scratch=%v) decode %d: %v consuming %d, DecodeBinary %v consuming %d", name, scratch, i, got, gotN, want, wantN)
+			}
+			if got != nil && !scratch {
+				held, snapshot = append(held, got), append(snapshot, want)
+			}
+		}
+		for i := range held {
+			if !Equal(held[i], snapshot[i]) {
+				t.Fatalf("%s: entity %d handed out as %v reads %v after later decodes", name, i, snapshot[i], held[i])
+			}
+		}
+	}
+}
+
+func TestDecoderMatchesDecodeBinary(t *testing.T) {
+	rec := EncodeBinary(nil, &Entity{ID: 300, Attrs: []string{"hello", "", "wörld", strings.Repeat("x", 200)}})
+	for cut := 0; cut <= len(rec); cut++ {
+		sameDecoder(t, fmt.Sprintf("prefix %d", cut), rec[:cut])
+	}
+	sameDecoder(t, "no attributes", EncodeBinary(nil, &Entity{ID: 7}))
+	sameDecoder(t, "ragged", EncodeBinary(nil, &Entity{ID: 8, Attrs: make([]string, 9)}))
+}
+
+// TestDecoderSlabs pins what the slabs are for and what they must not
+// cost: n announced entities take n+2 allocations, a scratch decode one,
+// and one entity's Attrs cannot be appended into the next one's.
+func TestDecoderSlabs(t *testing.T) {
+	recs := make([][]byte, 50)
+	for i := range recs {
+		recs[i] = EncodeBinary(nil, &Entity{ID: ID(i), Attrs: []string{"ann", "springfield", "il", fmt.Sprint(i)}})
+	}
+	decodeAll := func(d *Decoder) {
+		for _, rec := range recs {
+			if _, _, err := d.Decode(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		var d Decoder
+		d.Grow(len(recs))
+		decodeAll(&d)
+	}); got != float64(len(recs)+2) {
+		t.Errorf("%d announced entities: %v allocations, want %d", len(recs), got, len(recs)+2)
+	}
+	var scratch Decoder
+	if got := testing.AllocsPerRun(20, func() {
+		for _, rec := range recs {
+			scratch.Reset(1)
+			if _, _, err := scratch.Decode(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got != float64(len(recs)) {
+		t.Errorf("%d scratch decodes: %v allocations, want %d", len(recs), got, len(recs))
+	}
+	var d Decoder
+	d.Grow(2)
+	a, _, _ := d.Decode(recs[0])
+	b, _, _ := d.Decode(recs[1])
+	a.Attrs = append(a.Attrs, "extra")
+	if b.Attrs[0] != "ann" || b.ID != 1 {
+		t.Errorf("appending to one entity's Attrs changed the next: %v", b)
+	}
+}
+
 func TestBinaryCodecQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(id int32, a, b, c string) bool {
@@ -428,6 +517,34 @@ func BenchmarkDecodeBinary(b *testing.B) {
 			b.SetBytes(int64(len(rec)))
 			for i := 0; i < b.N; i++ {
 				e, _, err := DecodeBinary(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkEntity = e
+			}
+		})
+	}
+}
+
+// BenchmarkDecoder is BenchmarkDecodeBinary through a Decoder: "slab"
+// announces 1000 entities and keeps them, as a reduce call does,
+// "scratch" reuses one entity's storage, as the mappers do.
+func BenchmarkDecoder(b *testing.B) {
+	rec := EncodeBinary(nil, &Entity{ID: 123456, Attrs: []string{"Maria Gonzalez", "Springfield", "IL", "555-0142"}})
+	for _, slab := range []int{1000, 1} {
+		name := "slab"
+		if slab == 1 {
+			name = "scratch"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(rec)))
+			var d Decoder
+			for i := 0; i < b.N; i++ {
+				if i%slab == 0 {
+					d.Reset(slab)
+				}
+				e, _, err := d.Decode(rec)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,8 +9,9 @@ import (
 
 // FuzzDecodeBinary guards the binary entity codec against panics,
 // holds it to the per-attribute oracle (same error, same entity, same
-// consumed count) and checks encode∘decode is the identity on whatever
-// decodes cleanly.
+// consumed count), holds a Decoder — keeping and scratch — to it in
+// turn, and checks encode∘decode is the identity on whatever decodes
+// cleanly.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Add(EncodeBinary(nil, &Entity{ID: 1, Attrs: []string{"a", "bb"}}))
 	f.Add(EncodeBinary(nil, &Entity{ID: 0}))
@@ -19,6 +20,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(append(binary.AppendUvarint([]byte{0, 1}, math.MaxUint64), 'a'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameDecode(t, "fuzz input", data)
+		sameDecoder(t, "fuzz input", data)
 		e, n, err := DecodeBinary(data)
 		if err != nil {
 			return

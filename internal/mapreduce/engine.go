@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"proger/internal/costmodel"
@@ -510,6 +511,9 @@ type mapEmitter struct {
 	cfg       *Config
 	partition Partitioner
 	out       [][]KeyValue
+	// read of the split's total input records have reached the mapper:
+	// what a full partition buffer is regrown from.
+	read, total int
 }
 
 // Emit implements Emitter.
@@ -519,7 +523,31 @@ func (e *mapEmitter) Emit(key string, value []byte) {
 	if p < 0 || p >= e.cfg.NumReduceTasks {
 		panic(fmt.Sprintf("mapreduce: partitioner returned %d for %d reduce tasks", p, e.cfg.NumReduceTasks))
 	}
-	e.out[p] = append(e.out[p], KeyValue{Key: key, Value: value})
+	out := e.out[p]
+	if len(out) == cap(out) {
+		out = e.grow(out)
+	}
+	e.out[p] = append(out, KeyValue{Key: key, Value: value})
+}
+
+// grow reallocates a full partition buffer. Left to append, a buffer of
+// some thousand records is copied a dozen times on its way up, five
+// times its final size in all; the split says where it is going. A
+// partition that got len(out) records from the first `read` inputs gets
+// about len(out)·total/read from all of them, so once there are enough
+// records to extrapolate from, the buffer is regrown to that — plus an
+// eighth, which covers the sampling error at the sizes this runs at —
+// and is usually regrown once. slices.Grow never grows by less than
+// append would, which is what an input whose records come clustered
+// falls back to.
+func (e *mapEmitter) grow(out []KeyValue) []KeyValue {
+	const enough = 32
+	extra := 1
+	if n := len(out); n >= enough && e.read > 0 {
+		predicted := int(int64(n) * int64(e.total) / int64(e.read))
+		extra = max(predicted+predicted/8-n, 1)
+	}
+	return slices.Grow(out, extra)
 }
 
 func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmodel.Units, Counters, []obs.Span, error) {
@@ -535,12 +563,13 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	}
 	ctx.Charge(cfg.Cost.TaskStartup)
 	mapper := cfg.NewMapper()
-	emitter := &mapEmitter{ctx: ctx, cfg: cfg, partition: cfg.Partition, out: make([][]KeyValue, cfg.NumReduceTasks)}
+	emitter := &mapEmitter{ctx: ctx, cfg: cfg, partition: cfg.Partition, out: make([][]KeyValue, cfg.NumReduceTasks), total: len(split)}
 	if err := mapper.Setup(ctx); err != nil {
 		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d setup: %w", cfg.Name, index, err)
 	}
-	for _, rec := range split {
+	for i, rec := range split {
 		ctx.Charge(cfg.Cost.ReadRecord)
+		emitter.read = i + 1
 		if err := mapper.Map(ctx, rec, emitter); err != nil {
 			return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d: %w", cfg.Name, index, err)
 		}

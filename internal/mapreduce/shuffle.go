@@ -18,38 +18,9 @@ package mapreduce
 import (
 	"slices"
 	"strings"
+
+	"proger/internal/normkey"
 )
-
-// keyOrd returns key's normalized prefix past its first skip bytes.
-func keyOrd(key string, skip int) uint64 {
-	s := key[skip:]
-	if len(s) >= 8 {
-		return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
-			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
-	}
-	var ord uint64
-	for i := 0; i < len(s); i++ {
-		ord |= uint64(s[i]) << (56 - 8*i)
-	}
-	return ord
-}
-
-// commonPrefix returns the length of the longest prefix of ref[:n] that
-// key shares.
-func commonPrefix(ref, key string, n int) int {
-	if len(key) >= n && key[:n] == ref[:n] {
-		return n // what nearly every call finds once n has settled
-	}
-	if len(key) < n {
-		n = len(key)
-	}
-	for i := 0; i < n; i++ {
-		if ref[i] != key[i] {
-			return i
-		}
-	}
-	return n
-}
 
 // sortEnt stands in for record idx while a run is sorted: 16
 // pointer-free bytes moved in place of a 40-byte KeyValue the garbage
@@ -75,7 +46,7 @@ func (rs *runSorter) sortByKeyStable(out []KeyValue) []KeyValue {
 	}
 	skip := len(out[0].Key)
 	for _, kv := range out[1:] {
-		skip = commonPrefix(out[0].Key, kv.Key, skip)
+		skip = normkey.CommonPrefix(out[0].Key, kv.Key, skip)
 	}
 	if cap(rs.ents) < n {
 		rs.ents, rs.tmp = make([]sortEnt, n), make([]sortEnt, n)
@@ -83,7 +54,7 @@ func (rs *runSorter) sortByKeyStable(out []KeyValue) []KeyValue {
 	ents, tmp := rs.ents[:n], rs.tmp[:n]
 	var differ uint64 // the ord bits in which any two records differ
 	for i, kv := range out {
-		ents[i] = sortEnt{ord: keyOrd(kv.Key, skip), idx: i}
+		ents[i] = sortEnt{ord: normkey.Ord(kv.Key, skip), idx: i}
 		differ |= ents[i].ord ^ ents[0].ord
 	}
 	// Stable LSD radix sort on ord, a byte at a time, over the bytes in
@@ -155,7 +126,7 @@ func (m memInput) Iter() (kvIter, error) { return newMergeIter(m.runs), nil }
 // mergeSrc is one run's cursor in a mergeIter.
 type mergeSrc struct {
 	rest []KeyValue // the head record and what follows; empty once drained
-	ord  uint64     // keyOrd of the head's key
+	ord  uint64     // normkey.Ord of the head's key
 }
 
 // mergeIter streams the stable k-way merge of key-sorted runs through
@@ -179,12 +150,12 @@ func newMergeIter(runs [][]KeyValue) *mergeIter {
 	ref := runs[0][0].Key
 	skip := len(ref)
 	for _, run := range runs {
-		skip = commonPrefix(ref, run[0].Key, skip)
-		skip = commonPrefix(ref, run[len(run)-1].Key, skip)
+		skip = normkey.CommonPrefix(ref, run[0].Key, skip)
+		skip = normkey.CommonPrefix(ref, run[len(run)-1].Key, skip)
 	}
 	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), skip: skip}
 	for s, run := range runs {
-		it.srcs[s] = mergeSrc{rest: run, ord: keyOrd(run[0].Key, skip)}
+		it.srcs[s] = mergeSrc{rest: run, ord: normkey.Ord(run[0].Key, skip)}
 	}
 	winners := make([]int, 2*k)
 	for s := 0; s < k; s++ {
@@ -232,7 +203,7 @@ func (it *mergeIter) Next() (KeyValue, bool, error) {
 			// not changed, so neither has the tournament.
 			return kv, true, nil
 		}
-		src.ord = keyOrd(src.rest[0].Key, it.skip)
+		src.ord = normkey.Ord(src.rest[0].Key, it.skip)
 	}
 	winner := s
 	for n := (len(it.srcs) + s) / 2; n >= 1; n /= 2 {

@@ -11,7 +11,6 @@ package match
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"proger/internal/entity"
 	"proger/internal/textsim"
@@ -83,8 +82,6 @@ type Matcher struct {
 	// per-call summation loop. Invariant: suffixWeight[0] == 1 (weights
 	// are normalized at construction).
 	suffixWeight []float64
-
-	comparisons atomic.Int64
 }
 
 // New builds a Matcher after validating and normalizing the rules so
@@ -143,9 +140,8 @@ func (m *Matcher) Score(a, b *entity.Entity) float64 {
 // Match applies the resolve function and reports whether the pair
 // co-refers: Match(a, b) == (Score(a, b) >= Threshold) for every input.
 // It gets there without computing distances the decision does not need
-// (see editBudget). Every call counts one comparison.
+// (see editBudget).
 func (m *Matcher) Match(a, b *entity.Entity) bool {
-	m.comparisons.Add(1)
 	_, ok := m.evaluate(a, b, true)
 	return ok
 }
@@ -263,9 +259,3 @@ func (m *Matcher) editBudget(score, weight, rest float64, maxLen int) int {
 	}
 	return k
 }
-
-// Comparisons returns the number of Match invocations so far.
-func (m *Matcher) Comparisons() int64 { return m.comparisons.Load() }
-
-// ResetComparisons zeroes the comparison counter (between experiments).
-func (m *Matcher) ResetComparisons() { m.comparisons.Store(0) }

@@ -50,13 +50,6 @@ func TestMatchExact(t *testing.T) {
 	if m.Match(ent("x"), ent("y")) {
 		t.Error("different should not match")
 	}
-	if m.Comparisons() != 2 {
-		t.Errorf("Comparisons = %d, want 2", m.Comparisons())
-	}
-	m.ResetComparisons()
-	if m.Comparisons() != 0 {
-		t.Error("ResetComparisons failed")
-	}
 }
 
 func TestMatchWeightedSum(t *testing.T) {
@@ -284,7 +277,6 @@ func TestMatchEqualsScoreDecision(t *testing.T) {
 		}
 		check := func() {
 			t.Helper()
-			before := m.Comparisons()
 			got, score := m.Match(a, b), m.Score(a, b)
 			if want := score >= m.Threshold; got != want {
 				t.Fatalf("Match = %v but Score = %v vs threshold %v\nrules %+v\na=%q\nb=%q",
@@ -292,9 +284,6 @@ func TestMatchEqualsScoreDecision(t *testing.T) {
 			}
 			if rev := m.Match(b, a); rev != got {
 				t.Fatalf("Match(b,a) = %v, Match(a,b) = %v", rev, got)
-			}
-			if n := m.Comparisons() - before; n != 2 {
-				t.Fatalf("two Match calls counted %d comparisons", n)
 			}
 			if got {
 				matched++
@@ -378,7 +367,4 @@ func TestMatchConcurrentLongStrings(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got, want := m.Comparisons(), int64(8*20*len(pairs)); got != want {
-		t.Errorf("Comparisons = %d, want %d", got, want)
-	}
 }

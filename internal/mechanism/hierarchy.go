@@ -31,18 +31,18 @@ func (h Hierarchy) ResolveBlock(env *Env, ents []*entity.Entity, window int) Vis
 	if leaf < 2 {
 		leaf = 4
 	}
-	sorted := env.sortEntities(ents)
+	order := env.sortEntities(ents)
 	if window < 2 {
 		window = 2
 	}
-	h.resolveRange(env, sorted, 0, n, leaf, window, &st)
+	h.resolveRange(env, ents, order, 0, n, leaf, window, &st)
 	return st
 }
 
 // resolveRange handles the partition [lo, hi): children first (deepest
 // partitions), then the cross-midpoint pairs owned by this node.
 // Returns false when the visit must terminate.
-func (h Hierarchy) resolveRange(env *Env, sorted []*entity.Entity, lo, hi, leaf, window int, st *VisitStats) bool {
+func (h Hierarchy) resolveRange(env *Env, ents []*entity.Entity, order []int32, lo, hi, leaf, window int, st *VisitStats) bool {
 	size := hi - lo
 	if size < 2 {
 		return true
@@ -51,7 +51,7 @@ func (h Hierarchy) resolveRange(env *Env, sorted []*entity.Entity, lo, hi, leaf,
 		// Exhaustive leaf resolution, small distances first.
 		for d := 1; d < size; d++ {
 			for i := lo; i+d < hi; i++ {
-				if !env.resolvePair(sorted[i], sorted[i+d], st) {
+				if !env.resolvePair(ents, order[i], order[i+d], st) {
 					return false
 				}
 			}
@@ -59,10 +59,10 @@ func (h Hierarchy) resolveRange(env *Env, sorted []*entity.Entity, lo, hi, leaf,
 		return true
 	}
 	mid := lo + size/2
-	if !h.resolveRange(env, sorted, lo, mid, leaf, window, st) {
+	if !h.resolveRange(env, ents, order, lo, mid, leaf, window, st) {
 		return false
 	}
-	if !h.resolveRange(env, sorted, mid, hi, leaf, window, st) {
+	if !h.resolveRange(env, ents, order, mid, hi, leaf, window, st) {
 		return false
 	}
 	// Pairs whose LCA is this node: i < mid ≤ j, within the window,
@@ -73,7 +73,7 @@ func (h Hierarchy) resolveRange(env *Env, sorted []*entity.Entity, lo, hi, leaf,
 			if j < mid || j >= hi {
 				continue
 			}
-			if !env.resolvePair(sorted[i], sorted[j], st) {
+			if !env.resolvePair(ents, order[i], order[j], st) {
 				return false
 			}
 		}

@@ -19,6 +19,7 @@ import (
 
 	"proger/internal/costmodel"
 	"proger/internal/entity"
+	"proger/internal/normkey"
 )
 
 // Decision is the verdict of Env.Decide for a candidate pair.
@@ -128,9 +129,16 @@ type Env struct {
 	SortAttr int
 	// Match applies the resolve function and reports co-reference.
 	Match func(a, b *entity.Entity) bool
-	// Decide rules on each candidate pair before resolution; nil means
-	// always Resolve.
-	Decide func(entity.Pair) Decision
+	// SortKeys, when non-nil, is parallel to the ents given to
+	// ResolveBlock: strings.ToLower of each entity's SortAttr, which a
+	// caller that resolves the same entities block after block derives
+	// once. Nil means the mechanism derives them.
+	SortKeys []string
+	// Decide rules on each candidate pair before resolution; i and j are
+	// the positions, in the ents given to ResolveBlock, of the pair's two
+	// entities (in either order), so per-entity state the caller keeps in
+	// slices parallel to ents needs no lookup. Nil means always Resolve.
+	Decide func(p entity.Pair, i, j int) Decision
 	// Emit reports each resolved pair's outcome.
 	Emit func(p entity.Pair, isDup bool)
 	// Charge accounts simulated cost.
@@ -144,11 +152,11 @@ type Env struct {
 	Cost costmodel.Model
 }
 
-func (env *Env) decide(p entity.Pair) Decision {
+func (env *Env) decide(p entity.Pair, i, j int32) Decision {
 	if env.Decide == nil {
 		return Resolve
 	}
-	return env.Decide(p)
+	return env.Decide(p, int(i), int(j))
 }
 
 func (env *Env) stop(st *VisitStats) bool {
@@ -158,11 +166,13 @@ func (env *Env) stop(st *VisitStats) bool {
 	return env.Stop(st)
 }
 
-// resolvePair runs the match function on one candidate pair, doing all
-// bookkeeping. It returns false when the visit must terminate.
-func (env *Env) resolvePair(a, b *entity.Entity, st *VisitStats) bool {
+// resolvePair runs the match function on the candidate pair at
+// positions i and j of ents, doing all bookkeeping. It returns false
+// when the visit must terminate.
+func (env *Env) resolvePair(ents []*entity.Entity, i, j int32, st *VisitStats) bool {
+	a, b := ents[i], ents[j]
 	p := entity.MakePair(a.ID, b.ID)
-	switch env.decide(p) {
+	switch env.decide(p, i, j) {
 	case SkipResolved, SkipNotResponsible:
 		env.Charge(env.Cost.SkipPair)
 		st.Skipped++
@@ -183,30 +193,48 @@ func (env *Env) resolvePair(a, b *entity.Entity, st *VisitStats) bool {
 	return !env.stop(st)
 }
 
-// sortEntities orders the block's entities by the lowercased sort
-// attribute (ties broken by ID for determinism) and charges the hint
-// cost. Each key is lowercased once, not on every comparison.
-func (env *Env) sortEntities(ents []*entity.Entity) []*entity.Entity {
-	type keyed struct {
-		key string
-		e   *entity.Entity
-	}
+// sortEntities charges the hint cost and returns the positions of ents
+// (two or more) in sort order: by lowercased sort attribute, ties broken
+// by ID for determinism. What is sorted is a pointer-free (ord,
+// position, ID) array, ord being the 8 key bytes past the prefix the
+// whole block shares — under prefix blocking, at least the block's key;
+// the keys themselves are compared only where ords tie.
+func (env *Env) sortEntities(ents []*entity.Entity) []int32 {
 	env.Charge(env.Cost.HintCost(len(ents)))
-	keys := make([]keyed, len(ents))
-	for i, e := range ents {
-		keys[i] = keyed{strings.ToLower(e.Attr(env.SortAttr)), e}
+	keys := env.SortKeys
+	if keys == nil {
+		keys = make([]string, len(ents))
+		for i, e := range ents {
+			keys[i] = strings.ToLower(e.Attr(env.SortAttr))
+		}
 	}
-	slices.SortFunc(keys, func(a, b keyed) int {
-		if c := strings.Compare(a.key, b.key); c != 0 {
+	skip := len(keys[0])
+	for _, k := range keys[1:] {
+		skip = normkey.CommonPrefix(keys[0], k, skip)
+	}
+	type item struct {
+		ord uint64
+		pos int32
+		id  entity.ID
+	}
+	items := make([]item, len(ents))
+	for i, k := range keys {
+		items[i] = item{normkey.Ord(k, skip), int32(i), ents[i].ID}
+	}
+	slices.SortFunc(items, func(a, b item) int {
+		if a.ord != b.ord {
+			return cmp.Compare(a.ord, b.ord)
+		}
+		if c := strings.Compare(keys[a.pos][skip:], keys[b.pos][skip:]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.e.ID, b.e.ID)
+		return cmp.Compare(a.id, b.id)
 	})
-	sorted := make([]*entity.Entity, len(keys))
-	for i, k := range keys {
-		sorted[i] = k.e
+	order := make([]int32, len(items))
+	for i, it := range items {
+		order[i] = it.pos
 	}
-	return sorted
+	return order
 }
 
 // Mechanism resolves one block progressively: it must identify

@@ -144,7 +144,7 @@ func TestDecideSkips(t *testing.T) {
 	te := newTestEnv(dups)
 	skip := entity.PairSet{}
 	skip.Add(entity.MakePair(0, 1))
-	te.env.Decide = func(p entity.Pair) Decision {
+	te.env.Decide = func(p entity.Pair, _, _ int) Decision {
 		if skip.Has(p) {
 			return SkipResolved
 		}
@@ -169,7 +169,7 @@ func TestSkipCostCheaperThanCompare(t *testing.T) {
 	all := newTestEnv(entity.PairSet{})
 	SN{}.ResolveBlock(all.env, block("a", "b"), 5)
 	skipped := newTestEnv(entity.PairSet{})
-	skipped.env.Decide = func(entity.Pair) Decision { return SkipResolved }
+	skipped.env.Decide = func(entity.Pair, int, int) Decision { return SkipResolved }
 	SN{}.ResolveBlock(skipped.env, block("a", "b"), 5)
 	if skipped.charged >= all.charged {
 		t.Errorf("skip-all cost %v should be below compare-all cost %v", skipped.charged, all.charged)
@@ -368,10 +368,9 @@ func TestSortEntitiesFoldsCaseBreaksTiesByIDAndCharges(t *testing.T) {
 		{ID: 0, Attrs: []string{"Gamma"}},
 		{ID: 4, Attrs: nil}, // no sort attribute: the empty key sorts first
 	}
-	sorted := te.env.sortEntities(ents)
 	var got []entity.ID
-	for _, e := range sorted {
-		got = append(got, e.ID)
+	for _, pos := range te.env.sortEntities(ents) {
+		got = append(got, ents[pos].ID)
 	}
 	if want := []entity.ID{4, 1, 2, 3, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("sorted IDs = %v, want %v", got, want)

@@ -22,7 +22,7 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 	if n < 2 {
 		return st
 	}
-	sorted := env.sortEntities(ents)
+	order := env.sortEntities(ents)
 	if window < 2 {
 		window = 2
 	}
@@ -49,9 +49,10 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 			return true
 		}
 		visited[bit>>6] |= 1 << uint(bit&63)
-		a, b := sorted[c.i], sorted[c.i+c.d]
+		ai, bi := order[c.i], order[c.i+c.d]
+		a, b := ents[ai], ents[bi]
 		p := entity.MakePair(a.ID, b.ID)
-		switch env.decide(p) {
+		switch env.decide(p, ai, bi) {
 		case SkipResolved, SkipNotResponsible:
 			env.Charge(env.Cost.SkipPair)
 			st.Skipped++

@@ -19,15 +19,15 @@ type RSwoosh struct{}
 func (RSwoosh) Name() string { return "R-Swoosh" }
 
 // profile is a merged record: the representative attribute values plus
-// the constituent entity IDs.
+// the constituent entities, by position in the block.
 type profile struct {
 	rep     *entity.Entity
-	members []entity.ID
+	members []int32
 }
 
 // mergeInto folds e into p, keeping the longest value per attribute
 // (Swoosh's merge domination idea in its simplest useful form).
-func (p *profile) mergeInto(e *entity.Entity) {
+func (p *profile) mergeInto(e *entity.Entity, pos int32) {
 	for i, v := range e.Attrs {
 		if i >= len(p.rep.Attrs) {
 			p.rep.Attrs = append(p.rep.Attrs, v)
@@ -37,7 +37,7 @@ func (p *profile) mergeInto(e *entity.Entity) {
 			p.rep.Attrs[i] = v
 		}
 	}
-	p.members = append(p.members, e.ID)
+	p.members = append(p.members, pos)
 }
 
 // ResolveBlock implements Mechanism. The window parameter is ignored —
@@ -51,7 +51,7 @@ func (RSwoosh) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitSt
 	env.Charge(env.Cost.ReadRecord * float64(len(ents)))
 
 	var merged []*profile
-	for _, e := range ents {
+	for pos, e := range ents {
 		matchedIdx := -1
 		for i, p := range merged {
 			env.Charge(env.Cost.PairCompare)
@@ -76,7 +76,7 @@ func (RSwoosh) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitSt
 		if matchedIdx < 0 {
 			merged = append(merged, &profile{
 				rep:     e.Clone(),
-				members: []entity.ID{e.ID},
+				members: []int32{int32(pos)},
 			})
 			continue
 		}
@@ -85,18 +85,18 @@ func (RSwoosh) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitSt
 		// beyond the first are bookkeeping, priced as skips.
 		p := merged[matchedIdx]
 		for i, m := range p.members {
-			pair := entity.MakePair(m, e.ID)
+			pair := entity.MakePair(ents[m].ID, e.ID)
 			if i > 0 {
 				env.Charge(env.Cost.SkipPair)
 			}
-			switch env.decide(pair) {
+			switch env.decide(pair, m, int32(pos)) {
 			case SkipResolved, SkipNotResponsible:
 				st.Skipped++
 				continue
 			}
 			env.Emit(pair, true)
 		}
-		p.mergeInto(e)
+		p.mergeInto(e, int32(pos))
 		if env.stop(&st) {
 			return st
 		}

@@ -61,8 +61,8 @@ func TestRSwooshOracleAgainstMergedProfile(t *testing.T) {
 }
 
 func TestRSwooshRepresentativeKeepsLongest(t *testing.T) {
-	p := &profile{rep: (&entity.Entity{ID: 0, Attrs: []string{"ab", "xyz"}}).Clone(), members: []entity.ID{0}}
-	p.mergeInto(&entity.Entity{ID: 1, Attrs: []string{"abcd", "x"}})
+	p := &profile{rep: (&entity.Entity{ID: 0, Attrs: []string{"ab", "xyz"}}).Clone(), members: []int32{0}}
+	p.mergeInto(&entity.Entity{ID: 1, Attrs: []string{"abcd", "x"}}, 1)
 	if p.rep.Attr(0) != "abcd" || p.rep.Attr(1) != "xyz" {
 		t.Errorf("representative = %v", p.rep.Attrs)
 	}
@@ -70,7 +70,7 @@ func TestRSwooshRepresentativeKeepsLongest(t *testing.T) {
 		t.Errorf("members = %v", p.members)
 	}
 	// Ragged records extend the representative.
-	p.mergeInto(&entity.Entity{ID: 2, Attrs: []string{"a", "b", "extra"}})
+	p.mergeInto(&entity.Entity{ID: 2, Attrs: []string{"a", "b", "extra"}}, 2)
 	if p.rep.Attr(2) != "extra" {
 		t.Errorf("ragged merge: %v", p.rep.Attrs)
 	}
@@ -80,7 +80,7 @@ func TestRSwooshRespectsDecide(t *testing.T) {
 	dups := entity.PairSet{}
 	dups.Add(entity.MakePair(0, 1))
 	te := newTestEnv(dups)
-	te.env.Decide = func(entity.Pair) Decision { return SkipNotResponsible }
+	te.env.Decide = func(entity.Pair, int, int) Decision { return SkipNotResponsible }
 	st := RSwoosh{}.ResolveBlock(te.env, block("a", "b"), 0)
 	if len(te.pairs) != 0 {
 		t.Errorf("pairs emitted despite SkipNotResponsible: %v", te.pairs)

@@ -21,13 +21,13 @@ func (SN) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats {
 	if n < 2 {
 		return st
 	}
-	sorted := env.sortEntities(ents)
+	order := env.sortEntities(ents)
 	if window < 2 {
 		window = 2
 	}
 	for d := 1; d < window && d < n; d++ {
 		for i := 0; i+d < n; i++ {
-			if !env.resolvePair(sorted[i], sorted[i+d], &st) {
+			if !env.resolvePair(ents, order[i], order[i+d], &st) {
 				return st
 			}
 		}

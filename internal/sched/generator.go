@@ -459,14 +459,13 @@ func (g *generator) schedule() *Schedule {
 		TaskOfTree: make([]int, len(g.trees)),
 		TaskBlocks: g.taskBlocks,
 		ByID:       map[blocking.BlockID]*blocking.Block{},
-		TreeOf:     map[blocking.BlockID]int{},
 		R:          g.cfg.R,
 	}
 	for i, t := range g.trees {
 		s.TaskOfTree[i] = g.taskOf[t]
 		for _, b := range t.Blocks() {
 			s.ByID[b.ID] = b
-			s.TreeOf[b.ID] = i
+			b.Tree = i
 		}
 	}
 	return s

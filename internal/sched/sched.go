@@ -278,10 +278,9 @@ type Schedule struct {
 	TaskOfTree []int
 	// TaskBlocks[task] is the task's block schedule, in resolution order.
 	TaskBlocks [][]*blocking.Block
-	// ByID indexes every scheduled block.
+	// ByID indexes every scheduled block; Block.Tree is its tree's
+	// position in Trees.
 	ByID map[blocking.BlockID]*blocking.Block
-	// TreeOf maps each block ID to its tree's position in Trees.
-	TreeOf map[blocking.BlockID]int
 	// R is the number of reduce tasks.
 	R int
 }
@@ -391,7 +390,7 @@ func (g *generator) emitQuality(s *Schedule) {
 				ID:     b.ID.String(),
 				SQ:     b.SQ,
 				Task:   r,
-				Tree:   s.TreeOf[b.ID],
+				Tree:   b.Tree,
 				Size:   b.Size,
 				Bucket: g.cfg.Estimator.FracBucketOf(b),
 				Dup:    b.DupEst,

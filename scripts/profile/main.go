@@ -1,0 +1,60 @@
+// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go) and writes cpu.pprof and allocs.pprof.
+package main
+
+import (
+	"flag"
+	"log"
+	"os"
+	"runtime/pprof"
+
+	"proger"
+)
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
+
+func main() {
+	workload := flag.String("workload", "persons", "persons, books or pubs")
+	n := flag.Int("n", 15, "Resolve operations to run")
+	flag.Parse()
+	gen, ok := map[string]func(n int, seed int64) (*proger.Dataset, *proger.GroundTruth){"persons": proger.GeneratePersons, "books": proger.GenerateBooks, "pubs": proger.GeneratePublications}[*workload]
+	if !ok {
+		log.Fatalf("profile: unknown workload %q (want persons, books or pubs)", *workload)
+	}
+	size := map[string]int{"persons": 50000, "books": 10000, "pubs": 5000}[*workload]
+	ds, _ := gen(size, 1)
+	idx, edit, exact := ds.Schema.Index, proger.EditDistance, proger.ExactMatch
+	rule := func(attr string, w float64, k proger.SimKind) proger.Rule {
+		return proger.Rule{Attr: idx(attr), Weight: w, Kind: k}
+	}
+	o := proger.Options{Machines: 10, SlotsPerMachine: 2, Mechanism: proger.SN, Policy: proger.CiteSeerXPolicy()}
+	switch *workload {
+	case "persons":
+		o.Families = proger.Families{{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex}, {Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2}, {Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3}}
+		o.Matcher = proger.MustMatcher(0.6, rule("phone", 0.6, exact), rule("state", 0.4, exact))
+	case "books":
+		o.Mechanism, o.Policy, o.Families = proger.PSNM, proger.OLBooksPolicy(), proger.OLBooksFamilies(ds.Schema)
+		o.Matcher = proger.MustMatcher(0.62, rule("title", 0.35, edit), rule("authors", 0.25, edit), rule("publisher", 0.10, edit), rule("year", 0.08, exact), rule("language", 0.06, exact), rule("format", 0.05, exact), rule("pages", 0.05, exact), rule("edition", 0.06, exact))
+	case "pubs":
+		o.Families = proger.CiteSeerXFamilies(ds.Schema)
+		abstract := proger.Rule{Attr: idx("abstract"), Weight: 0.3, Kind: edit, MaxChars: 350}
+		o.Matcher = proger.MustMatcher(0.75, rule("title", 0.5, edit), abstract, rule("venue", 0.2, edit))
+	}
+	if *workload != "persons" {
+		train, gt := gen(size/4, 100001)
+		o.DupModel = proger.TrainDupModel(train, gt, o.Families)
+	}
+	dir := must(os.MkdirTemp("", "proger-profile-"))
+	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
+	must(0, pprof.StartCPUProfile(cpu))
+	for i := 0; i < *n; i++ {
+		must(proger.Resolve(ds, o))
+	}
+	pprof.StopCPUProfile()
+	must(0, pprof.Lookup("allocs").WriteTo(allocs, 0))
+	log.Printf("%d × Resolve(%s): go tool pprof -top [-sample_index=alloc_objects] %s/{cpu,allocs}.pprof", *n, *workload, dir)
+}
