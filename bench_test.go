@@ -182,6 +182,36 @@ func BenchmarkMatcher(b *testing.B) {
 	}
 }
 
+// matchCase is one named pair of a matcher micro-benchmark.
+type matchCase struct {
+	name string
+	x, y *entity.Entity
+}
+
+// benchMatch times m.Match on each case's pair; every matcher
+// benchmark must read 0 allocs/op.
+func benchMatch(b *testing.B, m *proger.Matcher, cases ...matchCase) {
+	for _, bc := range cases {
+		if bc.x == nil {
+			b.Fatalf("workload has no %s pair", bc.name)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Match(bc.x, bc.y)
+			}
+		})
+	}
+}
+
+// sortedBy returns the entities in order of one attribute: neighbours
+// are the pairs a sorted-neighbourhood window compares.
+func sortedBy(ds *entity.Dataset, attr int) []*entity.Entity {
+	sorted := append([]*entity.Entity(nil), ds.Entities...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Attr(attr) < sorted[j].Attr(attr) })
+	return sorted
+}
+
 // BenchmarkMatcherAbstracts times the publications matcher on the two
 // kinds of pair a distance budget treats differently, both with
 // abstracts that fill the 350-char cut: a duplicate, whose three
@@ -191,35 +221,86 @@ func BenchmarkMatcherAbstracts(b *testing.B) {
 	w := experiments.PublicationsWorkload(2000, 1)
 	title, abstract := w.DS.Schema.Index("title"), w.DS.Schema.Index("abstract")
 	full := func(e *entity.Entity) bool { return e.Attr(title) != "" && len(e.Attr(abstract)) >= 350 }
-	var dup, nonDup [2]*entity.Entity
+	dup, nonDup := matchCase{name: "dup"}, matchCase{name: "nondup"}
 	for _, p := range w.GT.DupPairs() {
 		if x, y := w.DS.Entities[p.Lo], w.DS.Entities[p.Hi]; full(x) && full(y) && w.Matcher.Match(x, y) {
-			dup = [2]*entity.Entity{x, y}
+			dup.x, dup.y = x, y
 			break
 		}
 	}
-	sorted := append([]*entity.Entity(nil), w.DS.Entities...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Attr(title) < sorted[j].Attr(title) })
+	sorted := sortedBy(w.DS, title)
 	for i := 0; i+1 < len(sorted); i++ {
 		if x, y := sorted[i], sorted[i+1]; full(x) && full(y) && !w.GT.IsDup(entity.MakePair(x.ID, y.ID)) {
-			nonDup = [2]*entity.Entity{x, y}
+			nonDup.x, nonDup.y = x, y
 			break
 		}
 	}
-	if dup[0] == nil || nonDup[0] == nil {
-		b.Fatal("workload has no titled pair with two full-length abstracts")
+	benchMatch(b, w.Matcher, dup, nonDup)
+}
+
+// BenchmarkMatcherBooks times the books matcher (three edit rules, then
+// five exact ones) on a duplicate and on two title-sorted neighbours
+// that are not duplicates: one whose exact attributes all differ, which
+// bounds alone reject, and the one with the most exact attributes in
+// agreement, which needs a kernel.
+func BenchmarkMatcherBooks(b *testing.B) {
+	w := experiments.BooksWorkload(10000, 1)
+	title := w.DS.Schema.Index("title")
+	var exact []int
+	for _, r := range w.Matcher.Rules {
+		if r.Kind == proger.ExactMatch {
+			exact = append(exact, r.Attr)
+		}
 	}
-	for _, bc := range []struct {
-		name string
-		pair [2]*entity.Entity
-	}{{"dup", dup}, {"nondup", nonDup}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w.Matcher.Match(bc.pair[0], bc.pair[1])
+	dup := matchCase{name: "dup"}
+	differ, agree := matchCase{name: "nondup-exact-differ"}, matchCase{name: "nondup-exact-agree"}
+	for _, p := range w.GT.DupPairs() {
+		if x, y := w.DS.Entities[p.Lo], w.DS.Entities[p.Hi]; x.Attr(title) != "" && y.Attr(title) != "" && w.Matcher.Match(x, y) {
+			dup.x, dup.y = x, y
+			break
+		}
+	}
+	sorted, most := sortedBy(w.DS, title), 0
+	for i := 0; i+1 < len(sorted); i++ {
+		x, y := sorted[i], sorted[i+1]
+		if x.Attr(title) == "" || w.GT.IsDup(entity.MakePair(x.ID, y.ID)) {
+			continue
+		}
+		same := 0
+		for _, a := range exact {
+			if x.Attr(a) == y.Attr(a) {
+				same++
 			}
-		})
+		}
+		if same == 0 && differ.x == nil {
+			differ.x, differ.y = x, y
+		}
+		if same > most {
+			most, agree.x, agree.y = same, x, y
+		}
 	}
+	benchMatch(b, w.Matcher, dup, differ, agree)
+}
+
+// BenchmarkMatcherPersons guards the exact-only matcher of the
+// persons-exact workload: name-sorted neighbours that are not
+// duplicates, settled by the first rule that differs.
+func BenchmarkMatcherPersons(b *testing.B) {
+	ds, gt := proger.GeneratePersons(2000, 1)
+	idx := ds.Schema.Index
+	m := proger.MustMatcher(0.6,
+		proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
+		proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch},
+	)
+	nonDup := matchCase{name: "nondup"}
+	sorted := sortedBy(ds, idx("name"))
+	for i := 0; i+1 < len(sorted); i++ {
+		if x, y := sorted[i], sorted[i+1]; !gt.IsDup(entity.MakePair(x.ID, y.ID)) {
+			nonDup.x, nonDup.y = x, y
+			break
+		}
+	}
+	benchMatch(b, m, nonDup)
 }
 
 func BenchmarkDatagenPublications(b *testing.B) {

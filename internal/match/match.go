@@ -4,13 +4,17 @@
 // Following §VI-A2 of the paper, a Matcher applies a similarity
 // function to each configured attribute and declares a pair duplicate
 // when the weighted sum of the attribute similarities reaches a
-// threshold. The Matcher also counts invocations so experiments can
-// report comparison totals.
+// threshold. Score is that sum, rule by rule; Match is the same decision
+// reached from bounds first, so that a pair which provably cannot reach
+// the threshold costs string lengths and a few equality tests, not an
+// edit-distance kernel (DESIGN.md "Match kernel: bounds, budgets and
+// exactness").
 package match
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"proger/internal/entity"
 	"proger/internal/textsim"
@@ -82,6 +86,25 @@ type Matcher struct {
 	// per-call summation loop. Invariant: suffixWeight[0] == 1 (weights
 	// are normalized at construction).
 	suffixWeight []float64
+
+	// plan is how Match decides from bounds. It is nil — and Match is
+	// the rule loop of Score — when there is no kernel to save (every
+	// rule is an ExactMatch: the loop stops at the first rule that
+	// settles the pair and reads nothing else) and when the Matcher
+	// was not built by New: a bound is only sound over validated
+	// weights.
+	plan *plan
+}
+
+// plan is the static half of Match's bound propagation, fixed by New.
+type plan struct {
+	// exact lists the ExactMatch rules, heaviest first: their
+	// similarity costs one string comparison, and a mismatch on a
+	// heavy rule lowers the pair's upper bound the most.
+	exact []int
+	// kernel lists every other rule, in rule order; the order they run
+	// in is chosen per pair, cheapest first.
+	kernel []int
 }
 
 // New builds a Matcher after validating and normalizing the rules so
@@ -117,7 +140,22 @@ func New(threshold float64, rules ...Rule) (*Matcher, error) {
 	if math.Abs(suffix[0]-1) > 1e-9 {
 		return nil, fmt.Errorf("match: internal error: normalized weights sum to %v, want 1", suffix[0])
 	}
-	return &Matcher{Rules: normalized, Threshold: threshold, suffixWeight: suffix}, nil
+	m := &Matcher{Rules: normalized, Threshold: threshold, suffixWeight: suffix}
+	var p plan
+	for i, r := range normalized {
+		if r.Kind == ExactMatch {
+			p.exact = append(p.exact, i)
+		} else {
+			p.kernel = append(p.kernel, i)
+		}
+	}
+	if len(p.kernel) > 0 {
+		sort.SliceStable(p.exact, func(x, y int) bool {
+			return normalized[p.exact[x]].Weight > normalized[p.exact[y]].Weight
+		})
+		m.plan = &p
+	}
+	return m, nil
 }
 
 // MustNew is New that panics on error, for configuration literals.
@@ -129,93 +167,97 @@ func MustNew(threshold float64, rules ...Rule) *Matcher {
 	return m
 }
 
-// Score returns the weighted similarity of a and b in [0,1]. When the
-// running sum shows the pair cannot reach the threshold it returns the
-// partial sum, which is below the threshold by construction.
+// Score returns the weighted similarity of a and b in [0,1]: the sum,
+// in rule order, of weight × similarity. When the running sum shows the
+// pair cannot reach the threshold it returns the partial sum, which is
+// below the threshold by construction.
 func (m *Matcher) Score(a, b *entity.Entity) float64 {
-	score, _ := m.evaluate(a, b, false)
+	score, _ := m.sum(a, b)
 	return score
 }
 
 // Match applies the resolve function and reports whether the pair
 // co-refers: Match(a, b) == (Score(a, b) >= Threshold) for every input.
 // It gets there without computing distances the decision does not need
-// (see editBudget).
+// (see decide).
 func (m *Matcher) Match(a, b *entity.Entity) bool {
-	_, ok := m.evaluate(a, b, true)
-	return ok
+	if m.plan == nil {
+		_, ok := m.sum(a, b)
+		return ok
+	}
+	return m.decide(a, b)
 }
 
-// evaluate is the one rule loop behind Score and Match. It returns the
-// running weighted sum and whether the pair reached the threshold; the
-// sum is final when it did and partial when a rule proved it cannot.
-// With budgeted set, an edit rule hands the kernel the largest distance
-// that still passes that rule's check, so a pair that fails it is
-// abandoned mid-string; whenever the kernel finishes, the distance is
-// exact and the sum has the same bits as the unbudgeted one.
-func (m *Matcher) evaluate(a, b *entity.Entity, budgeted bool) (float64, bool) {
-	suffix := m.suffixWeight
-	if suffix == nil {
-		// Matcher built without New (struct literal): fall back to
-		// computing the suffix sums once here.
-		suffix = make([]float64, len(m.Rules)+1)
-		for i := len(m.Rules) - 1; i >= 0; i-- {
-			suffix[i] = suffix[i+1] + m.Rules[i].Weight
-		}
-	}
+// sum is the rule loop that defines the resolve function. It returns
+// the running weighted sum and whether the pair reached the threshold;
+// the sum is final when it did and partial when a rule proved it
+// cannot.
+func (m *Matcher) sum(a, b *entity.Entity) (float64, bool) {
 	score := 0.0
-	for i, r := range m.Rules {
-		va, vb := a.Attr(r.Attr), b.Attr(r.Attr)
-		if r.MaxChars > 0 {
-			if len(va) > r.MaxChars {
-				va = va[:r.MaxChars]
-			}
-			if len(vb) > r.MaxChars {
-				vb = vb[:r.MaxChars]
-			}
-		}
-		rest := suffix[i+1]
-		var sim float64
-		switch r.Kind {
-		case EditDistance:
-			maxLen := max(len(va), len(vb))
-			if maxLen == 0 {
-				sim = 1
-				break
-			}
-			var d int
-			// The budget argument needs a positive finite weight and a
-			// non-negative remainder, which New guarantees; a
-			// struct-literal Matcher without them takes the exact path.
-			if budgeted && r.Weight > 0 && !math.IsInf(r.Weight, 1) && rest >= 0 {
-				budget := m.editBudget(score, r.Weight, rest, maxLen)
-				if budget < 0 {
-					return score, false
-				}
-				if d = textsim.LevenshteinCapped(va, vb, budget); d > budget {
-					return score, false
-				}
-			} else {
-				d = textsim.Levenshtein(va, vb)
-			}
-			sim = editSimilarity(d, maxLen)
-		case ExactMatch:
-			sim = textsim.Exact(va, vb)
-		case JaroWinklerSim:
-			sim = textsim.JaroWinkler(va, vb)
-		case JaccardQ2:
-			sim = textsim.JaccardQGram(va, vb, 2)
-		case TokenCosine:
-			sim = textsim.TokenCosine(va, vb)
-		}
-		score = accumulate(score, r.Weight, sim)
+	for i := range m.Rules {
+		r := &m.Rules[i]
+		va, vb := r.value(a), r.value(b)
+		score = accumulate(score, r.Weight, similarity(r.Kind, va, vb))
 		// Early exit: even a perfect score on the remaining rules
 		// cannot reach the threshold.
-		if score+rest < m.Threshold {
+		if score+m.weightAfter(i) < m.Threshold {
 			break
 		}
 	}
 	return score, score >= m.Threshold
+}
+
+// weightAfter returns the total weight of Rules[i+1:]. A Matcher built
+// without New (struct literal) has no table and sums the tail, from the
+// back as New does, so both read the same bits.
+func (m *Matcher) weightAfter(i int) float64 {
+	if m.suffixWeight != nil {
+		return m.suffixWeight[i+1]
+	}
+	rest := 0.0
+	for j := len(m.Rules) - 1; j > i; j-- {
+		rest += m.Rules[j].Weight
+	}
+	return rest
+}
+
+// value returns the attribute value of e that the rule compares: the
+// first MaxChars bytes of it, when that is set.
+func (r *Rule) value(e *entity.Entity) string {
+	v := e.Attr(r.Attr)
+	if r.MaxChars > 0 && len(v) > r.MaxChars {
+		return v[:r.MaxChars]
+	}
+	return v
+}
+
+// similarity is one rule's similarity of two values (see Rule.value), every
+// distance computed in full. It is small enough to inline, so that an
+// ExactMatch rule — one string comparison — pays no call in sum's loop.
+func similarity(kind SimKind, va, vb string) float64 {
+	if kind == ExactMatch {
+		return textsim.Exact(va, vb)
+	}
+	return kernelSimilarity(kind, va, vb)
+}
+
+// kernelSimilarity is similarity for the kinds that run a kernel.
+func kernelSimilarity(kind SimKind, va, vb string) float64 {
+	switch kind {
+	case EditDistance:
+		maxLen := max(len(va), len(vb))
+		if maxLen == 0 {
+			return 1
+		}
+		return editSimilarity(textsim.Levenshtein(va, vb), maxLen)
+	case JaroWinklerSim:
+		return textsim.JaroWinkler(va, vb)
+	case JaccardQ2:
+		return textsim.JaccardQGram(va, vb, 2)
+	case TokenCosine:
+		return textsim.TokenCosine(va, vb)
+	}
+	return 0
 }
 
 // editSimilarity is the normalized edit similarity of two strings at
@@ -225,37 +267,146 @@ func editSimilarity(d, maxLen int) float64 {
 }
 
 // accumulate adds one rule's weighted similarity to the running sum.
-// The budget probe and the rule loop both go through it, and the
+// Score's loop and the last step of decide both go through it, and the
 // explicit conversion forbids fusing the multiply into the add, so the
 // two see the same float64 bits on every platform.
 func accumulate(score, weight, sim float64) float64 {
 	return score + float64(weight*sim)
 }
 
-// editBudget returns the largest distance d in [0, maxLen] at which an
-// edit rule of the given weight still passes its early-exit check —
-// f(d) = accumulate(score, weight, editSimilarity(d, maxLen)) + rest
-// >= Threshold — or -1 when not even d = 0 does. Every operation in f
-// is monotone, so f is non-increasing in d and "distance within the
-// budget" is exactly "the rule loop would not exit here". The
-// real-valued solution of f(d) = Threshold only seeds the search; the
-// answer is settled by evaluating f itself, one step either side, so
-// no epsilon is involved.
-func (m *Matcher) editBudget(score, weight, rest float64, maxLen int) int {
-	passes := func(d int) bool {
-		return accumulate(score, weight, editSimilarity(d, maxLen))+rest >= m.Threshold
+// boundSlack is the one tolerance in this package, and it sits on the
+// reject side only: decide gives a pair up when its upper bound is more
+// than boundSlack below the threshold. The bound is summed in another
+// order than the score and a budget is solved from it, so either can be
+// off by rounding — a few units of 1e-16 per rule, the weights summing
+// to 1 — and the slack keeps a pair that close to the threshold from
+// being rejected on it; such a pair goes on to be summed exactly. No
+// acceptance ever looks at it.
+const boundSlack = 1e-9
+
+// otherKindCost prices a rule that has no edit kernel, per byte of its
+// two values, in the unit of an edit rule's cost (one word step of one
+// kernel column): sorting q-grams or tokens measures at 2–10 of those a
+// byte (BenchmarkJaccardQ2, BenchmarkTokenCosine, BenchmarkLevenshtein).
+const otherKindCost = 8
+
+// stackRules is how many rules' per-pair state decide keeps on the
+// stack; a Matcher with more allocates it per call.
+const stackRules = 16
+
+// decide is Match for a Matcher with a plan: the decision of sum,
+// reached in three steps that only ever compute what sum would have.
+//
+//  1. Every rule gets an upper bound on its similarity that costs no
+//     kernel (see bound), and the pair is rejected at once if Σ weight ×
+//     bound cannot reach the threshold.
+//  2. The rules that are not ExactMatch run cheapest first. An edit
+//     kernel gets as its budget the distance past which the total, with
+//     every other rule at its current value or bound, falls short; each
+//     exact similarity replaces its bound, and the pair is rejected as
+//     soon as the total falls short.
+//  3. A pair that survives has every similarity exact, and is summed in
+//     rule order with the arithmetic and the early exits of sum, so the
+//     answer has the bits of Score >= Threshold.
+//
+// A rejection in steps 1 and 2 is sound because every similarity is at
+// most its bound, every weight is positive (New), and boundSlack
+// outweighs the rounding of either sum: the score — partial or final —
+// is then below the threshold as well.
+func (m *Matcher) decide(a, b *entity.Entity) bool {
+	p, floor := m.plan, m.Threshold-boundSlack
+	var simStack [stackRules]float64
+	var costStack [stackRules]int
+	sim, cost := simStack[:], costStack[:]
+	if len(m.Rules) > stackRules {
+		sim, cost = make([]float64, len(m.Rules)), make([]int, len(p.kernel))
 	}
-	k := 0
-	if x := float64(maxLen) * (1 - (m.Threshold-score-rest)/weight); x >= float64(maxLen) {
-		k = maxLen
-	} else if x > 0 {
-		k = int(x)
+	total := m.bound(a, b, sim, cost)
+	if total < floor {
+		return false
 	}
-	for k < maxLen && passes(k+1) {
-		k++
+
+	for range p.kernel {
+		k := 0
+		for j := range p.kernel {
+			if cost[j] < cost[k] {
+				k = j
+			}
+		}
+		cost[k] = math.MaxInt // done
+		i := p.kernel[k]
+		r := &m.Rules[i]
+		va, vb := r.value(a), r.value(b)
+		others := total - r.Weight*sim[i]
+		if r.Kind != EditDistance {
+			sim[i] = kernelSimilarity(r.Kind, va, vb)
+		} else if maxLen := max(len(va), len(vb)); maxLen > 0 {
+			// The total stays at floor or above up to the distance x
+			// that solves others + weight × (1 − x/maxLen) = floor; any
+			// budget from x up is sound, and the slack in floor covers
+			// the rounding of x.
+			budget := maxLen
+			if x := float64(maxLen) * (1 - (floor-others)/r.Weight); x < float64(maxLen) {
+				budget = int(max(x, 0)) + 1
+			}
+			d := textsim.LevenshteinCapped(va, vb, budget)
+			if d > budget {
+				return false
+			}
+			sim[i] = editSimilarity(d, maxLen)
+		}
+		if total = others + r.Weight*sim[i]; total < floor {
+			return false
+		}
 	}
-	for k >= 0 && !passes(k) {
-		k--
+
+	score := 0.0
+	for i, r := range m.Rules {
+		score = accumulate(score, r.Weight, sim[i])
+		if score+m.suffixWeight[i+1] < m.Threshold {
+			return false
+		}
 	}
-	return k
+	return score >= m.Threshold
+}
+
+// bound is step 1 of decide. It writes to sim (zeroed), by rule, an
+// upper bound on each similarity that costs no kernel — the exact value
+// for an ExactMatch rule, 1 − |len a − len b|/maxLen for an EditDistance
+// rule (a distance is at least the length difference), 1 for the rest —
+// and to cost, by position in plan.kernel, an estimate of what the
+// exact similarity would cost; it returns Σ weight × bound. It stops as soon
+// as that sum is more than boundSlack below the threshold, the rules it
+// has not reached still counted at 1.
+func (m *Matcher) bound(a, b *entity.Entity, sim []float64, cost []int) float64 {
+	floor := m.Threshold - boundSlack
+	total := m.suffixWeight[0] // every rule at similarity 1
+	for _, i := range m.plan.exact {
+		r := &m.Rules[i]
+		if r.value(a) == r.value(b) {
+			sim[i] = 1
+		} else if total -= r.Weight; total < floor {
+			return total
+		}
+	}
+	for k, i := range m.plan.kernel {
+		r := &m.Rules[i]
+		la, lb := len(r.value(a)), len(r.value(b))
+		sim[i] = 1
+		if r.Kind != EditDistance {
+			cost[k] = otherKindCost * (la + lb)
+			continue
+		}
+		if la > lb {
+			la, lb = lb, la
+		}
+		cost[k] = lb * ((la + 63) / 64) // columns × words a column
+		if la != lb {
+			sim[i] = editSimilarity(lb-la, lb)
+			if total -= r.Weight * (1 - sim[i]); total < floor {
+				return total
+			}
+		}
+	}
+	return total
 }

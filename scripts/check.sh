@@ -79,6 +79,12 @@ go test -race ./...
 echo "== fuzz (edit-distance kernel) =="
 go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
 
+# Match decides from bounds and budgets what Score decides by summing;
+# fuzzed rule sets, thresholds and attribute strings hold the two to the
+# same bit, at the fuzzed threshold and on the pair's own score.
+echo "== fuzz (match decision) =="
+go test -run '^$' -fuzz FuzzMatchDecision -fuzztime 10s ./internal/match
+
 # Every Job-2 map-output record goes through the hand-written sequence
 # key parser; it gets the same treatment, against strconv.
 echo "== fuzz (sequence-key parser) =="
