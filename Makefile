@@ -28,7 +28,7 @@ fmt:
 
 # bench regenerates the numbers recorded in BENCH_*.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkMatcherBooks|BenchmarkMatcherPersons|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary|BenchmarkDecoder' -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkShuffle|BenchmarkLevenshtein$$|BenchmarkMatcherAbstracts|BenchmarkMatcherBooks|BenchmarkMatcherPersons|BenchmarkJaccardQ2|BenchmarkTokenCosine|BenchmarkJob1Map|BenchmarkJob1Reduce|BenchmarkJob2Map$$|BenchmarkJob2Reduce|BenchmarkSQKey|BenchmarkParseSQKey|BenchmarkDecodeBinary|BenchmarkDecoder' -benchmem ./...
 
 # profile runs N Resolve operations on the inputs of a benchmark driver
 # workload (WORKLOAD=persons|books|pubs, i.e. persons-exact, books-local,

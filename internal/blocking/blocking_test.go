@@ -253,21 +253,24 @@ func TestUncovInclusionExclusion(t *testing.T) {
 		{"k1", "m2", "z"},
 		{"k9", "m2", "z"},
 	}
-	got := uncovPairs([]int{0, 1, 2, 3}, mainKeys, 2)
-	if got != 4 {
-		t.Errorf("uncovPairs = %d, want 4", got)
+	for name, uncov := range uncovImpls {
+		if got := uncov([]int{0, 1, 2, 3}, mainKeys, 2); got != 4 {
+			t.Errorf("%s: uncov = %d, want 4", name, got)
+		}
 	}
 }
 
 func TestUncovPairsEdgeCases(t *testing.T) {
-	if uncovPairs(nil, nil, 2) != 0 {
-		t.Error("empty members should give 0")
-	}
-	if uncovPairs([]int{0}, [][]string{{"a", "b"}}, 1) != 0 {
-		t.Error("single member should give 0")
-	}
-	if uncovPairs([]int{0, 1}, [][]string{{"a"}, {"a"}}, 0) != 0 {
-		t.Error("famIdx 0 should give 0")
+	for name, uncov := range uncovImpls {
+		if uncov(nil, nil, 2) != 0 {
+			t.Errorf("%s: empty members should give 0", name)
+		}
+		if uncov([]int{0}, [][]string{{"a", "b"}}, 1) != 0 {
+			t.Errorf("%s: single member should give 0", name)
+		}
+		if uncov([]int{0, 1}, [][]string{{"a"}, {"a"}}, 0) != 0 {
+			t.Errorf("%s: famIdx 0 should give 0", name)
+		}
 	}
 }
 
@@ -309,9 +312,9 @@ func TestAnnotatedCodecRoundTrip(t *testing.T) {
 	if !entity.Equal(got.Ent, e) || !reflect.DeepEqual(got.MainKeys, a.MainKeys) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
-	sameAnnotatedDecoder(t, buf)
+	sameAnnotatedView(t, buf)
 	for cut := 0; cut < len(buf); cut++ {
-		sameAnnotatedDecoder(t, buf[:cut])
+		sameAnnotatedView(t, buf[:cut])
 		if _, _, err := DecodeAnnotated(buf[:cut]); err == nil {
 			t.Errorf("truncated at %d: want error", cut)
 		}

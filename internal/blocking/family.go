@@ -73,14 +73,46 @@ func (f *Family) Levels() int { return len(f.PrefixLens) }
 // first-word Soundex code, so deeper levels still refine shallower
 // ones.
 func (f *Family) Key(e *entity.Entity, level int) string {
-	if level < 1 || level > f.Levels() {
-		panic(fmt.Sprintf("blocking: level %d out of range for family %s with %d levels", level, f.Name, f.Levels()))
-	}
-	n := f.PrefixLens[level-1]
+	n := f.prefixLen(level)
 	if f.Kind == KeySoundex {
 		return truncate(textsim.SoundexOfFirstWord(e.Attr(f.Attr)), n)
 	}
 	return lowerPrefix(e.Attr(f.Attr), n)
+}
+
+// AppendKey appends to dst the level-`level` key of an entity whose
+// blocking attribute holds the bytes v — Key on an encoded record
+// (entity.View), byte for byte the same key, with no string built
+// unless a non-ASCII byte inside the prefix forces lowerPrefix's
+// whole-value lowering.
+func (f *Family) AppendKey(dst, v []byte, level int) []byte {
+	n := f.prefixLen(level)
+	if f.Kind == KeySoundex {
+		at := len(dst)
+		dst = textsim.AppendSoundexOfFirstWord(dst, v)
+		return dst[:at+min(n, len(dst)-at)]
+	}
+	p := truncate(v, n)
+	for _, c := range p {
+		if c >= utf8.RuneSelf {
+			return append(dst, truncate(strings.ToLower(string(v)), n)...)
+		}
+	}
+	for _, c := range p {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// prefixLen returns the key length of the level-`level` function.
+func (f *Family) prefixLen(level int) int {
+	if level < 1 || level > f.Levels() {
+		panic(fmt.Sprintf("blocking: level %d out of range for family %s with %d levels", level, f.Name, f.Levels()))
+	}
+	return f.PrefixLens[level-1]
 }
 
 // Shallower returns the level-`level` key of the entity whose key at
@@ -91,7 +123,7 @@ func (f *Family) Shallower(deeper string, level int) string {
 	return truncate(deeper, f.PrefixLens[level-1])
 }
 
-func truncate(v string, n int) string {
+func truncate[T string | []byte](v T, n int) T {
 	if len(v) > n {
 		return v[:n]
 	}

@@ -3,6 +3,7 @@ package blocking
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"proger/internal/costmodel"
 	"proger/internal/entity"
@@ -40,39 +41,33 @@ func ParseJob1Key(key string) (famIdx int, mainKey string, err error) {
 type Job1Mapper struct {
 	mapreduce.MapperBase
 	Families Families
-	// dec holds the one entity Map is looking at: nothing it derives
-	// from an entity outlives the call.
-	dec entity.Decoder
+	ann      Annotator
 }
 
 // Map implements mapreduce.Mapper.
 func (m *Job1Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	m.dec.Reset(1)
-	e, _, err := m.dec.Decode(rec.Value)
+	buf, keys, err := m.ann.Annotate(m.Families, rec.Value)
 	if err != nil {
 		return err
 	}
-	ann := Annotate(m.Families, e)
 	// Key computation cost: one prefix extraction per family.
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(m.Families)))
-	buf := EncodeAnnotated(nil, ann)
-	for famIdx := range m.Families {
-		emit.Emit(Job1KeyOf(famIdx, ann.MainKeys[famIdx]), buf)
+	for _, key := range keys {
+		emit.Emit(key, buf)
 	}
 	ctx.Inc(CounterJob1Entities, 1)
 	return nil
 }
 
 // Job1Reducer builds one blocking tree per main block and emits its
-// statistics.
+// statistics. It reads keys, not entities: of each annotated entity the
+// family's blocking attribute and the main keys of the dominating
+// families, in place.
 type Job1Reducer struct {
 	mapreduce.ReducerBase
 	Families Families
-	// One main block's decoded members, reused from Reduce call to
-	// Reduce call: a tree keeps structure and sizes, never entities.
-	dec      AnnotatedDecoder
-	ents     []*entity.Entity
-	mainKeys [][]string
+	view     AnnotatedView
+	tree     rangeBuilder
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -85,44 +80,71 @@ func (r *Job1Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		return fmt.Errorf("blocking: job-1 key %q references family %d of %d", key, famIdx, len(r.Families))
 	}
 	fam := r.Families[famIdx]
-	r.dec.Reset(len(values))
-	ents, mainKeys := r.ents[:0], r.mainKeys[:0]
+	rb := &r.tree
+	rb.reset(fam, famIdx, famIdx)
 	for _, v := range values {
-		e, keys, _, err := r.dec.Decode(v)
-		if err != nil {
+		if _, err := r.view.Scan(v); err != nil {
 			return err
 		}
-		ents, mainKeys = append(ents, e), append(mainKeys, keys)
+		if len(r.view.MainKeys) < famIdx {
+			return fmt.Errorf("blocking: job-1 record at %q carries %d main keys, family %d needs %d",
+				key, len(r.view.MainKeys), famIdx, famIdx)
+		}
+		rb.keys = fam.AppendKey(rb.keys, r.view.Ent.Attr(fam.Attr), fam.Levels())
+		rb.member(r.view.MainKeys)
 	}
-	r.ents, r.mainKeys = ents, mainKeys
 	// Tree construction: one key computation per entity per sub-level.
-	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(ents)*(fam.Levels()-1)))
-	tree := BuildTree(fam, famIdx, mainKey, ents)
+	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(len(values)*(fam.Levels()-1)))
 	// Uncovered-pair accounting: inclusion-exclusion over the
-	// dominating families, one hash-group pass per subset per level.
+	// dominating families, one grouping pass per subset per level.
 	if famIdx > 0 {
 		subsets := (1 << famIdx) - 1
-		ctx.Charge(ctx.Cost.SkipPair * costmodel.Units(len(ents)*subsets*fam.Levels()))
+		ctx.Charge(ctx.Cost.SkipPair * costmodel.Units(len(values)*subsets*fam.Levels()))
 	}
-	ComputeUncov(fam, tree, ents, mainKeys)
-	for _, s := range StatsFromTree(tree) {
+	rb.build(mainKey, func(s *BlockStat) {
 		emit.Emit(s.ID.String(), EncodeStat(nil, s))
 		ctx.Inc(CounterJob1Blocks, 1)
-	}
+	})
 	ctx.Inc(CounterJob1Trees, 1)
 	return nil
 }
 
-// MakeJob1Input turns a dataset into the job's input records.
+// MakeJob1Input turns a dataset into the job's input records. The
+// values are cut from one arena and the decimal keys from one string;
+// a value's capacity is clipped to its length, so appending to one can
+// never write into its neighbour.
 func MakeJob1Input(ds *entity.Dataset) []mapreduce.KeyValue {
+	size, digits := 0, 0
+	for i, e := range ds.Entities {
+		size += entity.EncodedSize(e)
+		digits += decimalLen(i)
+	}
+	arena := make([]byte, 0, size)
+	var keyBuf strings.Builder
+	keyBuf.Grow(digits)
+	var decimal [20]byte
+	for i := range ds.Entities {
+		keyBuf.Write(strconv.AppendInt(decimal[:0], int64(i), 10))
+	}
+	keys := keyBuf.String()
 	in := make([]mapreduce.KeyValue, ds.Len())
 	for i, e := range ds.Entities {
-		in[i] = mapreduce.KeyValue{
-			Key:   strconv.Itoa(i),
-			Value: entity.EncodeBinary(nil, e),
-		}
+		at := len(arena)
+		arena = entity.EncodeBinary(arena, e)
+		n := decimalLen(i)
+		in[i] = mapreduce.KeyValue{Key: keys[:n], Value: arena[at:len(arena):len(arena)]}
+		keys = keys[n:]
 	}
 	return in
+}
+
+// decimalLen returns len(strconv.Itoa(i)) for i ≥ 0.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }
 
 // ParseJob1Output decodes the job's reduce output into a Stats index.

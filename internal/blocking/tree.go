@@ -3,6 +3,7 @@ package blocking
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"proger/internal/entity"
 )
@@ -107,39 +108,34 @@ func (t *Tree) Blocks() []*Block {
 // String identifies the tree by its root.
 func (t *Tree) String() string { return fmt.Sprintf("T(%s)", t.Root.ID) }
 
-// BuildTree constructs the blocking tree of one main block from its
-// member entities by recursively applying the family's sub-blocking
-// functions. famIdx is the family's 0-based position in Families.
-// Entities are not retained; only structure and sizes.
-func BuildTree(fam *Family, famIdx int, rootKey string, ents []*entity.Entity) *Tree {
-	root := buildBlock(fam, famIdx, 1, rootKey, ents)
-	return &Tree{Root: root}
-}
+// treeBuilders lends BuildTree its scratch: estimate.Train builds a tree
+// per main block of the training set, most of them a handful of members,
+// and a builder grown from nothing each time would cost more than the
+// tree.
+var treeBuilders = sync.Pool{New: func() any { return new(rangeBuilder) }}
 
-func buildBlock(fam *Family, famIdx int, level int, key string, ents []*entity.Entity) *Block {
-	b := &Block{
-		ID:   BlockID{Family: int8(famIdx), Level: int8(level), Key: key},
-		Size: len(ents),
-	}
-	if level >= fam.Levels() {
-		return b
-	}
-	groups := map[string][]*entity.Entity{}
+// BuildTree constructs the blocking tree of one main block from its
+// member entities by applying the family's sub-blocking functions.
+// famIdx is the family's 0-based position in Families. Entities are
+// not retained; only structure and sizes.
+func BuildTree(fam *Family, famIdx int, rootKey string, ents []*entity.Entity) *Tree {
+	rb := treeBuilders.Get().(*rangeBuilder)
+	defer treeBuilders.Put(rb)
+	rb.reset(fam, famIdx, 0)
 	for _, e := range ents {
-		k := fam.Key(e, level+1)
-		groups[k] = append(groups[k], e)
+		rb.keys = append(rb.keys, fam.Key(e, fam.Levels())...)
+		rb.member(nil)
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		child := buildBlock(fam, famIdx, level+1, k, groups[k])
-		child.Parent = b
-		b.Children = append(b.Children, child)
-	}
-	return b
+	path := make([]*Block, 0, fam.Levels()) // path[l-1] is the level-l block being filled in
+	rb.build(rootKey, func(s *BlockStat) {
+		b := &Block{ID: s.ID, Size: s.Size}
+		l := int(s.ID.Level)
+		if path = append(path[:l-1], b); l > 1 {
+			b.Parent = path[l-2]
+			b.Parent.Children = append(b.Parent.Children, b)
+		}
+	})
+	return &Tree{Root: path[0]}
 }
 
 // GroupByMainKey partitions the dataset's entities by their level-1 key
@@ -164,70 +160,26 @@ func GroupByMainKey(ds *entity.Dataset, fam *Family) (keys []string, groups map[
 // given each member entity's annotated main keys (in dominance order).
 // A pair of the block is *uncovered* when its two entities share a main
 // block under some more-dominating family; the count is the
-// inclusion-exclusion sum of §IV-A. ents must be the root block's
-// member set; sub-block membership is recomputed via fam.Key.
+// inclusion-exclusion sum of §IV-A. ents must be the member set the
+// tree was built from; sub-block membership is recomputed via fam.Key.
 func ComputeUncov(fam *Family, tree *Tree, ents []*entity.Entity, mainKeys [][]string) {
 	famIdx := int(tree.Root.ID.Family)
-	if famIdx == 0 {
-		// Most dominating family: Uncov ≡ 0 (nothing dominates it).
-		tree.Root.Walk(func(b *Block) { b.Uncov = 0 })
-		return
-	}
-	// Index members of every (level, key) block in one pass.
-	members := map[BlockID][]int{}
+	var rb rangeBuilder
+	rb.reset(fam, famIdx, famIdx)
+	doms := make([][]byte, famIdx)
 	for i, e := range ents {
-		for l := 1; l <= fam.Levels(); l++ {
-			id := BlockID{Family: int8(famIdx), Level: int8(l), Key: fam.Key(e, l)}
-			members[id] = append(members[id], i)
+		for f := range doms {
+			doms[f] = []byte(mainKeys[i][f])
 		}
+		rb.keys = append(rb.keys, fam.Key(e, fam.Levels())...)
+		rb.member(doms)
 	}
-	tree.Root.Walk(func(b *Block) {
-		b.Uncov = uncovPairs(members[b.ID], mainKeys, famIdx)
+	blocks := tree.Blocks()
+	rb.build(tree.Root.ID.Key, func(s *BlockStat) {
+		if len(blocks) == 0 || blocks[0].ID != s.ID {
+			panic(fmt.Sprintf("blocking: ComputeUncov: %s was not built from these entities (no block %s)", tree, s.ID))
+		}
+		blocks[0].Uncov = s.Uncov
+		blocks = blocks[1:]
 	})
-}
-
-// uncovPairs counts pairs among members sharing at least one main key
-// under families 0..famIdx-1, by inclusion-exclusion over non-empty
-// subsets of those families. mainKeys[i] is entity i's annotated main
-// keys in dominance order.
-func uncovPairs(members []int, mainKeys [][]string, famIdx int) int64 {
-	if len(members) < 2 || famIdx == 0 {
-		return 0
-	}
-	var total int64
-	nSubsets := 1 << famIdx
-	for mask := 1; mask < nSubsets; mask++ {
-		groups := map[string]int{}
-		for _, i := range members {
-			key := ""
-			for f := 0; f < famIdx; f++ {
-				if mask&(1<<f) != 0 {
-					key += mainKeys[i][f] + "\x00"
-				}
-			}
-			groups[key]++
-		}
-		var sum int64
-		for _, c := range groups {
-			sum += entity.Pairs(c)
-		}
-		if popcount(mask)%2 == 1 {
-			total += sum
-		} else {
-			total -= sum
-		}
-	}
-	if total < 0 {
-		total = 0
-	}
-	return total
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

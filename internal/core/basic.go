@@ -39,21 +39,18 @@ type basicSide struct {
 type BasicMapper struct {
 	mapreduce.MapperBase
 	side *basicSide
-	dec  entity.Decoder // the entity Map is looking at
+	ann  blocking.Annotator
 }
 
 // Map implements mapreduce.Mapper.
 func (m *BasicMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	m.dec.Reset(1)
-	e, _, err := m.dec.Decode(rec.Value)
+	buf, keys, err := m.ann.Annotate(m.side.families, rec.Value)
 	if err != nil {
 		return err
 	}
-	ann := blocking.Annotate(m.side.families, e)
 	ctx.Charge(ctx.Cost.ReadRecord * float64(len(m.side.families)))
-	buf := blocking.EncodeAnnotated(nil, ann)
-	for famIdx := range m.side.families {
-		emit.Emit(blocking.Job1KeyOf(famIdx, ann.MainKeys[famIdx]), buf)
+	for _, key := range keys {
+		emit.Emit(key, buf)
 	}
 	return nil
 }
@@ -64,9 +61,14 @@ type BasicReducer struct {
 	side *basicSide
 	// One block's decoded members, reused from Reduce call to Reduce
 	// call (mechanisms keep nothing of a block after ResolveBlock).
-	dec      blocking.AnnotatedDecoder
+	view     blocking.AnnotatedView
+	dec      entity.Decoder
 	ents     []*entity.Entity
+	keys     []string // the members' main keys, len(families) each
 	mainKeys [][]string
+	// keyOf holds one string per main key the task has seen: the keys
+	// of a block's members are compared, not kept.
+	keyOf map[string]string
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -79,16 +81,32 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	if famIdx < 0 || famIdx >= len(r.side.families) {
 		return fmt.Errorf("core: basic key %q references family %d", key, famIdx)
 	}
+	if r.keyOf == nil {
+		r.keyOf = map[string]string{}
+	}
 	r.dec.Reset(len(values))
-	ents, mainKeys := r.ents[:0], r.mainKeys[:0]
+	ents, keys, mainKeys := r.ents[:0], r.keys[:0], r.mainKeys[:0]
 	for _, v := range values {
-		e, keys, _, err := r.dec.Decode(v)
+		off, err := r.view.ScanKeys(v)
 		if err != nil {
 			return err
 		}
-		ents, mainKeys = append(ents, e), append(mainKeys, keys)
+		e, _, err := r.dec.Decode(v[off:])
+		if err != nil {
+			return err
+		}
+		first := len(keys)
+		for _, k := range r.view.MainKeys {
+			s, ok := r.keyOf[string(k)]
+			if !ok {
+				s = string(k)
+				r.keyOf[s] = s
+			}
+			keys = append(keys, s)
+		}
+		ents, mainKeys = append(ents, e), append(mainKeys, keys[first:len(keys):len(keys)])
 	}
-	r.ents, r.mainKeys = ents, mainKeys
+	r.ents, r.keys, r.mainKeys = ents, keys, mainKeys
 
 	var stop mechanism.StopFunc
 	var observer func(bool)

@@ -56,7 +56,7 @@ func (m *CompactJob2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 
 // Map emits one payload per tree containing the entity.
 func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, entBuf, err := m.lister.locate(ctx, rec)
+	id, entBuf, err := m.lister.locate(ctx, rec)
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyVal
 				continue // pruned, or already shipped to this tree
 			}
 			lastTree = b.Tree
-			list := m.lister.buildList(e.ID, j, l+1)
+			list := m.lister.buildList(id, j, l+1)
 			value := make([]byte, 0, 1+len(entBuf)+len(list))
 			value = append(value, compactTagEntity)
 			value = append(value, entBuf...)

@@ -42,7 +42,8 @@ type Job2Mapper struct {
 	// Per-task scratch, reused across Map calls: nothing derived from
 	// one input record outlives its Map call except the emitted values,
 	// which are built in buffers of their own.
-	dec         entity.Decoder
+	view        entity.View // the input record's entity, read in place
+	key         []byte      // the deepest-level key being looked up
 	listScratch dedup.List
 	listEnc     []byte
 	// path[j][l-1] is the scheduled block of family j at level l that
@@ -73,17 +74,17 @@ func (m *Job2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 	return nil
 }
 
-// locate decodes the input record's entity and fills m.path with its
-// block path. Per family it derives the deepest-level key — the one key
-// derivation an entity pays; every shallower level is a prefix of it
-// (Family.Shallower) — and charges the simulated cost of one key
-// computation per level. It returns the entity, valid until the next
-// call, and its encoding, which is a prefix of the record's value.
-func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) (*entity.Entity, []byte, error) {
-	m.dec.Reset(1)
-	e, n, err := m.dec.Decode(rec.Value)
+// locate fills m.path with the block path of the input record's entity,
+// which it reads in place: the ID and the blocking attributes are views
+// of the record. Per family it derives the deepest-level key — the one
+// key derivation an entity pays; every shallower level is a prefix of
+// it (Family.Shallower) — and charges the simulated cost of one key
+// computation per level. It returns the entity's ID and its encoding,
+// which is a prefix of the record's value.
+func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) (entity.ID, []byte, error) {
+	n, err := m.view.Scan(rec.Value)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	fams := m.side.families
 	if m.path == nil {
@@ -95,19 +96,19 @@ func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) 
 	totalLevels := 0
 	for j, f := range fams {
 		totalLevels += f.Levels()
-		deep := f.Key(e, f.Levels())
+		m.key = f.AppendKey(m.key[:0], m.view.Attr(f.Attr), f.Levels())
 		for l := range m.path[j] {
-			id := blocking.BlockID{Family: int8(j), Level: int8(l + 1), Key: f.Shallower(deep, l+1)}
-			m.path[j][l] = m.side.schedule.ByID[id]
+			k := m.key[:min(len(m.key), f.PrefixLens[l])]
+			m.path[j][l] = m.side.schedule.ByID.Lookup(j, l+1, k)
 		}
 	}
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
-	return e, rec.Value[:n], nil
+	return m.view.ID, rec.Value[:n], nil
 }
 
 // Map implements mapreduce.Mapper.
 func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	e, entBuf, err := m.locate(ctx, rec)
+	id, entBuf, err := m.locate(ctx, rec)
 	if err != nil {
 		return err
 	}
@@ -116,6 +117,7 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 	// tree, so one buffer is built per tree and shared by every emission
 	// for that tree's blocks — the engine and all reducers treat values
 	// as read-only, so aliasing is safe.
+	emitted := 0
 	for j, path := range m.path {
 		var lastTree = -1
 		var lastVal []byte
@@ -125,14 +127,17 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 			}
 			if b.Tree != lastTree {
 				lastTree = b.Tree
-				list := m.buildList(e.ID, j, l+1)
+				list := m.buildList(id, j, l+1)
 				lastVal = make([]byte, 0, len(entBuf)+len(list))
 				lastVal = append(lastVal, entBuf...)
 				lastVal = append(lastVal, list...)
 			}
 			emit.Emit(b.SQKey, lastVal)
-			ctx.Inc(CounterJob2Emitted, 1)
+			emitted++
 		}
+	}
+	if emitted > 0 { // (an entity whose every block was pruned must not create the counter)
+		ctx.Inc(CounterJob2Emitted, int64(emitted))
 	}
 	return nil
 }

@@ -59,8 +59,8 @@ func (m *lookupMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, e
 		var lastVal []byte
 		for l := 1; l <= f.Levels(); l++ {
 			id := blocking.BlockID{Family: int8(j), Level: int8(l), Key: f.Shallower(deep[j], l)}
-			b, ok := s.ByID[id]
-			if !ok {
+			b := s.ByID.Lookup(int(id.Family), int(id.Level), []byte(id.Key))
+			if b == nil {
 				continue // pruned block
 			}
 			ti := m.treeOf[id]

@@ -36,12 +36,11 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 		Trees:      trees,
 		TaskOfTree: []int{0, 0, 0},
 		TaskBlocks: [][]*blocking.Block{{xSplit, xRoot, yRoot}},
-		ByID:       map[blocking.BlockID]*blocking.Block{},
 		R:          1,
 	}
 	for i, t := range trees {
 		for _, b := range t.Blocks() {
-			s.ByID[b.ID] = b
+			s.ByID.Add(b)
 			b.Tree = i
 		}
 	}
@@ -59,7 +58,7 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 func listOf(t *testing.T, m *Job2Mapper, e *entity.Entity, j, level int) dedup.List {
 	t.Helper()
 	rec := mapreduce.KeyValue{Value: entity.EncodeBinary(nil, e)}
-	if _, _, err := m.locate(&mapreduce.TaskContext{}, rec); err != nil {
+	if id, _, err := m.locate(&mapreduce.TaskContext{}, rec); err != nil || id != e.ID {
 		t.Fatal(err)
 	}
 	l, _, err := dedup.Decode(m.buildList(e.ID, j, level))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 )
 
@@ -28,11 +29,27 @@ func EncodeBinary(dst []byte, e *Entity) []byte {
 	return dst
 }
 
+// EncodedSize returns len(EncodeBinary(nil, e)), for a caller that
+// sizes one buffer for many entities.
+func EncodedSize(e *Entity) int {
+	n := uvarintLen(uint64(e.ID)) + uvarintLen(uint64(len(e.Attrs)))
+	for _, a := range e.Attrs {
+		n += uvarintLen(uint64(len(a))) + len(a)
+	}
+	return n
+}
+
+// uvarintLen returns the number of bytes binary.AppendUvarint writes
+// for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // scanBinary validates the encoded entity at the head of src — every
 // length, before anything is copied — and returns its ID, attribute
 // count, and the bounds src[start:end] of its attribute region (length
 // prefixes included); end is the number of bytes the entity occupies.
-func scanBinary(src []byte) (id uint64, cnt, start, end int, err error) {
+// With views non-nil it also appends each attribute's bytes, as a
+// sub-slice of src, to *views (which an error leaves half filled).
+func scanBinary(src []byte, views *[][]byte) (id uint64, cnt, start, end int, err error) {
 	id, n := binary.Uvarint(src)
 	if n <= 0 {
 		return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (id)")
@@ -56,6 +73,9 @@ func scanBinary(src []byte) (id uint64, cnt, start, end int, err error) {
 		if l > uint64(len(src)-off) {
 			return 0, 0, 0, 0, fmt.Errorf("entity: truncated binary entity (attr %d body)", i)
 		}
+		if views != nil {
+			*views = append(*views, src[off:off+int(l):off+int(l)])
+		}
 		off += int(l)
 	}
 	return id, int(c), start, off, nil
@@ -77,12 +97,41 @@ func CutStrings(dst []string, region []byte) {
 	}
 }
 
+// View is an encoded entity read in place: Scan validates it exactly as
+// DecodeBinary does and leaves the ID and the attributes as sub-slices
+// of the encoding, so a caller that reads a key or two of a record pays
+// for no string. A View is scratch — the next Scan overwrites it — and
+// its attributes are only as valid, and as read-only, as the bytes they
+// were scanned from. The zero View is ready to use.
+type View struct {
+	ID    ID
+	Attrs [][]byte
+}
+
+// Scan points v at the encoded entity at the head of src and returns
+// the number of bytes it occupies; the errors are DecodeBinary's.
+func (v *View) Scan(src []byte) (int, error) {
+	v.Attrs = v.Attrs[:0]
+	id, _, _, end, err := scanBinary(src, &v.Attrs)
+	v.ID = ID(id)
+	return end, err
+}
+
+// Attr returns the bytes of attribute i, or nil if the entity has no
+// value at that position, as Entity.Attr returns "".
+func (v *View) Attr(i int) []byte {
+	if i < 0 || i >= len(v.Attrs) {
+		return nil
+	}
+	return v.Attrs[i]
+}
+
 // DecodeBinary decodes one entity from src, returning the entity and
 // the number of bytes consumed, in three allocations: the entity, its
 // attribute slice and one string (CutStrings). It is the one-off form; a
 // caller that decodes many entities uses a Decoder.
 func DecodeBinary(src []byte) (*Entity, int, error) {
-	id, cnt, start, end, err := scanBinary(src)
+	id, cnt, start, end, err := scanBinary(src, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -126,7 +175,7 @@ func (d *Decoder) Reset(n int) {
 // Decode is DecodeBinary into the slabs. Past the count it was told to
 // expect it carries on in small slabs of its own sizing.
 func (d *Decoder) Decode(src []byte) (*Entity, int, error) {
-	id, cnt, start, end, err := scanBinary(src)
+	id, cnt, start, end, err := scanBinary(src, nil)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -257,6 +257,40 @@ func sameDecode(t *testing.T, name string, src []byte) {
 	if gotN != wantN || !Equal(got, want) {
 		t.Errorf("%s: decoded %v consuming %d, oracle %v consuming %d", name, got, gotN, want, wantN)
 	}
+	sameView(t, name, src)
+}
+
+// sameView fails unless a View — reused, as a task reuses its own —
+// agrees with DecodeBinary on src: same error text, or same ID,
+// attribute bytes and consumed count, nil beyond the arity where
+// Entity.Attr says "", and the encoded size EncodedSize predicts.
+func sameView(t *testing.T, name string, src []byte) {
+	t.Helper()
+	var v View
+	if _, err := v.Scan(EncodeBinary(nil, &Entity{ID: 41, Attrs: []string{"left", "", "over"}})); err != nil {
+		t.Fatal(err)
+	}
+	gotN, gotErr := v.Scan(src)
+	want, wantN, wantErr := DecodeBinary(src)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Errorf("%s: View.Scan error %v, DecodeBinary %v", name, gotErr, wantErr)
+		return
+	}
+	if gotErr != nil {
+		return
+	}
+	if gotN != wantN || v.ID != want.ID || len(v.Attrs) != len(want.Attrs) {
+		t.Errorf("%s: view e%d %q consuming %d, DecodeBinary %v consuming %d", name, v.ID, v.Attrs, gotN, want, wantN)
+		return
+	}
+	for i := -1; i <= len(want.Attrs); i++ {
+		if got := v.Attr(i); string(got) != want.Attr(i) || (got == nil) != (i < 0 || i == len(want.Attrs)) {
+			t.Errorf("%s: view attribute %d is %q, entity's %q", name, i, got, want.Attr(i))
+		}
+	}
+	if re := EncodeBinary(nil, want); EncodedSize(want) != len(re) {
+		t.Errorf("%s: EncodedSize %d, encoding is %d bytes", name, EncodedSize(want), len(re))
+	}
 }
 
 func TestDecodeBinaryMatchesPerAttributeDecoder(t *testing.T) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
 	"proger/internal/blocking"
@@ -14,6 +15,7 @@ type generator struct {
 	trees []*blocking.Tree
 
 	// Per identify/split round:
+	sl       []*blocking.Block       // every block, by utility; reused from round to round
 	bucketOf map[*blocking.Block]int // block → SL bucket index
 	vc       map[*blocking.Tree][]costmodel.Units
 
@@ -61,6 +63,20 @@ func blockLess(a, b *blocking.Block) bool {
 	return idLess(a.ID, b.ID)
 }
 
+// blockCmp is blockLess as a three-way comparison. Over blocks with
+// distinct IDs — and every block of a forest has its own — blockLess
+// is a strict total order, so this returns 0 only for a block and
+// itself.
+func blockCmp(a, b *blocking.Block) int {
+	switch {
+	case blockLess(a, b):
+		return -1
+	case blockLess(b, a):
+		return 1
+	}
+	return 0
+}
+
 func idLess(a, b blocking.BlockID) bool {
 	if a.Family != b.Family {
 		return a.Family < b.Family
@@ -75,7 +91,7 @@ func idLess(a, b blocking.BlockID) bool {
 // each block its cost-vector bucket, and computes each tree's cost
 // vector VC (IDENTIFY-TREES preamble).
 func (g *generator) buildSL() {
-	var sl []*blocking.Block
+	sl := g.sl[:0]
 	blockTree := map[*blocking.Block]*blocking.Tree{}
 	for _, t := range g.trees {
 		for _, b := range t.Blocks() {
@@ -83,7 +99,10 @@ func (g *generator) buildSL() {
 			blockTree[b] = t
 		}
 	}
-	sort.Slice(sl, func(i, j int) bool { return blockLess(sl[i], sl[j]) })
+	// A total order has one sorted permutation, so any correct sort
+	// yields the list sort.Slice did — without its reflection swapper.
+	slices.SortFunc(sl, blockCmp)
+	g.sl = sl
 
 	g.bucketOf = make(map[*blocking.Block]int, len(sl))
 	g.vc = make(map[*blocking.Tree][]costmodel.Units, len(g.trees))
@@ -458,13 +477,12 @@ func (g *generator) schedule() *Schedule {
 		Trees:      g.trees,
 		TaskOfTree: make([]int, len(g.trees)),
 		TaskBlocks: g.taskBlocks,
-		ByID:       map[blocking.BlockID]*blocking.Block{},
 		R:          g.cfg.R,
 	}
 	for i, t := range g.trees {
 		s.TaskOfTree[i] = g.taskOf[t]
 		for _, b := range t.Blocks() {
-			s.ByID[b.ID] = b
+			s.ByID.Add(b)
 			b.Tree = i
 		}
 	}

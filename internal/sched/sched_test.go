@@ -471,3 +471,30 @@ func TestGenerateSingleTask(t *testing.T) {
 		t.Errorf("task blocks = %d", len(s.TaskBlocks))
 	}
 }
+
+func TestBlockIndexLookup(t *testing.T) {
+	var x BlockIndex
+	if x.Lookup(0, 1, []byte("a")) != nil {
+		t.Error("empty index: want nil")
+	}
+	blocks := []*blocking.Block{
+		{ID: blocking.BlockID{Family: 2, Level: 2, Key: "ab"}},
+		{ID: blocking.BlockID{Family: 0, Level: 1, Key: ""}},
+		{ID: blocking.BlockID{Family: 2, Level: 1, Key: "ab"}},
+	}
+	for _, b := range blocks {
+		x.Add(b)
+	}
+	for _, b := range blocks {
+		if got := x.Lookup(int(b.ID.Family), int(b.ID.Level), []byte(b.ID.Key)); got != b {
+			t.Errorf("Lookup(%s) = %v", b.ID, got)
+		}
+	}
+	for _, miss := range []blocking.BlockID{
+		{Family: 1, Level: 1, Key: "ab"}, {Family: 2, Level: 3, Key: "ab"}, {Family: 3, Level: 1, Key: ""}, {Family: 2, Level: 2, Key: "a"},
+	} {
+		if got := x.Lookup(int(miss.Family), int(miss.Level), []byte(miss.Key)); got != nil {
+			t.Errorf("Lookup(%s) = %v, want nil", miss, got.ID)
+		}
+	}
+}

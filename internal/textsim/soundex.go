@@ -1,12 +1,21 @@
 package textsim
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
 // Soundex returns the classic 4-character Soundex code of s (letter +
 // three digits, zero-padded), the phonetic key used by merge/purge-era
 // blocking functions [Hernández & Stolfo 1995]. Non-ASCII-letter input
 // characters are ignored; an empty or letterless input yields "0000".
 func Soundex(s string) string {
+	code := soundexCode(s)
+	return string(code[:])
+}
+
+// soundexCode is Soundex on a string or on its bytes.
+func soundexCode[T string | []byte](s T) [4]byte {
 	code := [4]byte{'0', '0', '0', '0'}
 	n := 0
 	var prev byte
@@ -41,7 +50,7 @@ func Soundex(s string) string {
 		}
 		prev = d
 	}
-	return string(code[:])
+	return code
 }
 
 // soundexDigit maps a letter to its Soundex group (0 for vowels and
@@ -74,4 +83,15 @@ func SoundexOfFirstWord(s string) string {
 		s = s[:i]
 	}
 	return Soundex(s)
+}
+
+// AppendSoundexOfFirstWord appends SoundexOfFirstWord(string(s)) to dst
+// without building either string.
+func AppendSoundexOfFirstWord(dst, s []byte) []byte {
+	s = bytes.TrimSpace(s)
+	if i := bytes.IndexByte(s, ' '); i >= 0 {
+		s = s[:i]
+	}
+	code := soundexCode(s)
+	return append(dst, code[:]...)
 }

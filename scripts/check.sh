@@ -96,6 +96,13 @@ go test -run '^$' -fuzz FuzzParseSQKey -fuzztime 10s ./internal/sched
 echo "== fuzz (shuffle order) =="
 go test -run '^$' -fuzz FuzzShuffleOrder -fuzztime 10s ./internal/mapreduce
 
+# Blocking derives its keys from the bytes of encoded records, and one
+# sort of deepest-level keys stands for a whole tree: arbitrary attribute
+# bytes and prefix lengths hold the byte keys to Family.Key at every
+# level, and every level's key to the deepest one truncated.
+echo "== fuzz (blocking keys on bytes) =="
+go test -run '^$' -fuzz FuzzFamilyKeyBytes -fuzztime 10s ./internal/blocking
+
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
