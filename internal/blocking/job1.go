@@ -67,7 +67,9 @@ type Job1Reducer struct {
 	mapreduce.ReducerBase
 	Families Families
 	view     AnnotatedView
-	tree     rangeBuilder
+	// tree is borrowed at the task's first main block and returned in
+	// Cleanup.
+	tree *rangeBuilder
 }
 
 // Reduce implements mapreduce.Reducer.
@@ -80,7 +82,10 @@ func (r *Job1Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		return fmt.Errorf("blocking: job-1 key %q references family %d of %d", key, famIdx, len(r.Families))
 	}
 	fam := r.Families[famIdx]
-	rb := &r.tree
+	if r.tree == nil {
+		r.tree = treeBuilders.Get().(*rangeBuilder)
+	}
+	rb := r.tree
 	rb.reset(fam, famIdx, famIdx)
 	for _, v := range values {
 		if _, err := r.view.Scan(v); err != nil {
@@ -106,6 +111,15 @@ func (r *Job1Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		ctx.Inc(CounterJob1Blocks, 1)
 	})
 	ctx.Inc(CounterJob1Trees, 1)
+	return nil
+}
+
+// Cleanup implements mapreduce.Reducer.
+func (r *Job1Reducer) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
+	if r.tree != nil {
+		r.tree.release()
+		r.tree = nil
+	}
 	return nil
 }
 

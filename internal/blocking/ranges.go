@@ -22,7 +22,8 @@ import (
 //
 // A builder is scratch for one main block at a time (reset, member per
 // member, build); a task reuses one for all its blocks, which is also
-// what keeps domID small: a main key is interned once per task. A main
+// what keeps domID small: a main key is interned once per task. Builders
+// are borrowed from treeBuilders and go back through release. A main
 // block has fewer than 2³¹ members (they arrive as one in-memory slice).
 type rangeBuilder struct {
 	fam    *Family
@@ -63,6 +64,20 @@ func (rb *rangeBuilder) reset(fam *Family, famIdx, nd int) {
 		rb.domID = append(rb.domID, map[string]uint32{})
 		rb.group = append(rb.group, nil)
 	}
+}
+
+// release puts the builder back into treeBuilders with every string it
+// held dropped — the interned main keys, the child keys, the last
+// block's statistics — so that the pool keeps the arrays and nothing of
+// the data. The id tables keep their buckets; count is all zeros between
+// builds and stays as long as it is.
+func (rb *rangeBuilder) release() {
+	for _, ids := range rb.domID {
+		clear(ids)
+	}
+	clear(rb.childKeys[:cap(rb.childKeys)])
+	rb.fam, rb.stat = nil, BlockStat{}
+	treeBuilders.Put(rb)
 }
 
 // member adds a member whose deepest-level key the caller has just

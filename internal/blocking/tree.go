@@ -105,13 +105,25 @@ func (t *Tree) Blocks() []*Block {
 	return out
 }
 
+// NumBlocks returns len(t.Blocks()) without building the slice.
+func (t *Tree) NumBlocks() int { return t.Root.count() }
+
+func (b *Block) count() int {
+	n := 1
+	for _, c := range b.Children {
+		n += c.count()
+	}
+	return n
+}
+
 // String identifies the tree by its root.
 func (t *Tree) String() string { return fmt.Sprintf("T(%s)", t.Root.ID) }
 
-// treeBuilders lends BuildTree its scratch: estimate.Train builds a tree
-// per main block of the training set, most of them a handful of members,
-// and a builder grown from nothing each time would cost more than the
-// tree.
+// treeBuilders lends BuildTree and Job 1's reduce tasks their scratch:
+// estimate.Train builds a tree per main block of the training set, most
+// of them a handful of members, and a builder grown from nothing each
+// time would cost more than the tree; a reduce task's builder grows to
+// its largest main block, which the next task need not repeat.
 var treeBuilders = sync.Pool{New: func() any { return new(rangeBuilder) }}
 
 // BuildTree constructs the blocking tree of one main block from its
@@ -120,7 +132,7 @@ var treeBuilders = sync.Pool{New: func() any { return new(rangeBuilder) }}
 // not retained; only structure and sizes.
 func BuildTree(fam *Family, famIdx int, rootKey string, ents []*entity.Entity) *Tree {
 	rb := treeBuilders.Get().(*rangeBuilder)
-	defer treeBuilders.Put(rb)
+	defer rb.release()
 	rb.reset(fam, famIdx, 0)
 	for _, e := range ents {
 		rb.keys = append(rb.keys, fam.Key(e, fam.Levels())...)

@@ -111,9 +111,6 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 
 	// Absorb payloads (they arrive, all of them, under the tree's first
 	// block's key, alongside at most one trigger).
-	if len(ts.ents) == 0 {
-		ts.dec.Grow(len(values))
-	}
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("core: compact reduce: empty value at %s", key)

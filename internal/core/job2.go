@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 
 	"proger/internal/blocking"
 	"proger/internal/costmodel"
@@ -197,8 +200,10 @@ func dupValue(p entity.Pair) []byte { return entity.EncodePair(nil, p) }
 
 // treeState is everything a reduce task keeps for one tree between that
 // tree's blocks. All of a tree's blocks belong to one reduce task, so
-// the state is created at the tree's first block and dropped after its
-// last; a task holds state only for the trees it is in the middle of.
+// the state is borrowed at the tree's first block and returned after its
+// last; a task holds state only for the trees it is in the middle of,
+// and the memory behind it is sized by those, not by how many trees the
+// process has resolved before.
 //
 // It is columnar: an entity of the tree is a slot — its arrival rank —
 // and everything known about it is a row of an array indexed by slot,
@@ -211,7 +216,7 @@ type treeState struct {
 	// resolved is the within-tree resolved-pair set, which is what makes
 	// incremental bottom-up resolution repeat-free (§III-A). A tree of
 	// one block has no later visit to keep repeat-free — and one visit
-	// asks about no pair twice — so it has none (nil slots).
+	// asks about no pair twice — so it has none (no slots).
 	resolved pairTable
 	// slotOf finds the slot of an entity that arrives again with a later
 	// block of the tree — one lookup per record. The mapper sends one
@@ -219,8 +224,8 @@ type treeState struct {
 	// bytes and a known ID is not decoded twice. (Expanded emission only:
 	// a compact payload arrives once.)
 	slotOf map[entity.ID]int32
-	// dec owns the storage of ents: a slab per block that brought new
-	// entities, sized for exactly those, all dropped with the tree.
+	// dec owns the storage of ents: slabs sized for the whole tree, all
+	// invalidated when the tree is done.
 	dec  entity.Decoder
 	ents []*entity.Entity
 	// doms holds the dominance lists, stride len(families)+1. A list
@@ -235,6 +240,62 @@ type treeState struct {
 	blocksLeft int
 	// tree is the tree's index in the schedule.
 	tree int
+	// class is the pool of treeStates the state goes back to.
+	class int
+}
+
+// treeStates lends reduce tasks their trees' states: of the ~10⁴ trees
+// of a run, only the ones some running task is in the middle of hold a
+// state at any time. There is a pool per size class — entity counts of
+// one bit length, fewer than 2³¹ — because a task's trees span three
+// orders of magnitude and are open by the hundred: handed out at random,
+// the few large states would go to small trees, every large tree would
+// start from a small state (and allocate, as if nothing were borrowed),
+// and the pooled memory would grow towards hundreds of states of the
+// largest size. Within a class a state fits its tree to a factor of two.
+//
+// A state comes back from the task that took it, after the tree's last
+// block, emptied (release): the pool keeps no entity, string or ID of a
+// finished tree. A task that fails keeps its states; the collector takes
+// them.
+var treeStates [32]sync.Pool
+
+// borrowTreeState takes a state for the tree at index `tree` of the
+// schedule, its columns and slabs grown to the root's size — the tree's
+// entity count, which no block of it exceeds — and its resolved set to
+// the size the schedule predicts.
+func (side *job2Side) borrowTreeState(tree int) *treeState {
+	t := side.schedule.Trees[tree]
+	size := t.Root.Size
+	class := bits.Len(uint(size))
+	ts, _ := treeStates[class].Get().(*treeState)
+	if ts == nil {
+		ts = &treeState{class: class}
+	}
+	ts.tree, ts.blocksLeft = tree, t.NumBlocks()
+	ts.ents = slices.Grow(ts.ents, size)
+	ts.doms = slices.Grow(ts.doms, size*(len(side.families)+1))
+	ts.sortKeys = slices.Grow(ts.sortKeys, size)
+	ts.dec.Grow(size)
+	if ts.blocksLeft > 1 {
+		ts.resolved.reset(side.resolvedPairsEstimate(t.Root))
+	}
+	return ts
+}
+
+// release empties the state and puts it back. Everything that points
+// at the finished tree's entities or into a record — the entity
+// pointers, their slabs, the sort keys — is cleared, so the pool pins
+// nothing; the pointer-free parts are just truncated (the resolved set is
+// cleared where it is next sized, to that size).
+func (ts *treeState) release() {
+	clear(ts.ents)
+	clear(ts.sortKeys)
+	clear(ts.slotOf)
+	ts.dec.Reset(0)
+	ts.ents, ts.doms, ts.sortKeys = ts.ents[:0], ts.doms[:0], ts.sortKeys[:0]
+	ts.resolved.slots = ts.resolved.slots[:0]
+	treeStates[ts.class].Put(ts)
 }
 
 // admit decodes one (entity ⊕ list) map-output value into the tree's
@@ -270,22 +331,40 @@ type job2Blocks struct {
 	mapreduce.ReducerBase
 	side  *job2Side
 	trees map[int]*treeState
-	// One block's members as the mechanism sees them, gathered from the
-	// tree's columns; scratch, reused from block to block (mechanisms
-	// keep nothing of a block after ResolveBlock returns).
+	*blockScratch
+}
+
+// blockScratch is one block's members as the mechanism sees them,
+// gathered from the tree's columns; reused from block to block
+// (mechanisms keep nothing of a block after ResolveBlock returns) and,
+// borrowed in Setup and returned in Cleanup, from task to task.
+type blockScratch struct {
 	slots []int32
 	ents  []*entity.Entity
 	keys  []string
 }
 
+var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
+
 // Setup implements mapreduce.Reducer.
 func (r *job2Blocks) Setup(*mapreduce.TaskContext) error {
 	r.trees = map[int]*treeState{}
+	r.blockScratch = blockScratches.Get().(*blockScratch)
+	return nil
+}
+
+// Cleanup implements mapreduce.Reducer: the scratch goes back without
+// the last blocks' entities and keys.
+func (r *job2Blocks) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
+	clear(r.ents[:cap(r.ents)])
+	clear(r.keys[:cap(r.keys)])
+	blockScratches.Put(r.blockScratch)
+	r.blockScratch = nil
 	return nil
 }
 
 // scheduled finds the block a reduce key names and its tree's state,
-// creating the state at the tree's first block.
+// borrowing the state at the tree's first block.
 func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, error) {
 	s := r.side.schedule
 	sq, err := sched.ParseSQKey(key)
@@ -298,19 +377,9 @@ func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, 
 	}
 	ts := r.trees[b.Tree]
 	if ts == nil {
-		root := s.Trees[b.Tree].Root
-		ts = &treeState{
-			tree:       b.Tree,
-			ents:       make([]*entity.Entity, 0, root.Size),
-			doms:       make(dedup.List, 0, root.Size*(len(r.side.families)+1)),
-			sortKeys:   make([]string, 0, root.Size),
-			blocksLeft: len(s.Trees[b.Tree].Blocks()),
-		}
-		if ts.blocksLeft > 1 {
-			ts.resolved = newPairTable(r.side.resolvedPairsEstimate(root))
-		}
+		ts = r.side.borrowTreeState(b.Tree)
 		r.trees[b.Tree] = ts
-		if cap(r.slots) < root.Size {
+		if root := s.Trees[b.Tree].Root; cap(r.slots) < root.Size {
 			// No block of the tree is larger than its root.
 			r.slots = make([]int32, 0, root.Size)
 			r.ents = make([]*entity.Entity, 0, root.Size)
@@ -370,7 +439,7 @@ func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter,
 			if !r.side.noDedup && !dedup.ShouldResolve(ts.doms[x:x+n+1], ts.doms[y:y+n+1], index, n) {
 				return mechanism.SkipNotResponsible
 			}
-			if ts.resolved.slots != nil && ts.resolved.testAndSet(p) {
+			if len(ts.resolved.slots) > 0 && ts.resolved.testAndSet(p) {
 				return mechanism.SkipResolved
 			}
 			return mechanism.Resolve
@@ -419,6 +488,7 @@ func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter,
 	}
 	if ts.blocksLeft--; ts.blocksLeft == 0 {
 		delete(r.trees, ts.tree)
+		ts.release()
 	}
 }
 
@@ -436,13 +506,16 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 	if err != nil {
 		return err
 	}
-	if ts.slotOf == nil && ts.blocksLeft > 1 {
-		// (Nobody arrives twice at a tree of one block: no index.)
+	// Whoever arrives with the tree's last block — with the only block of
+	// a tree of one — is not looked up again: no entry, and no index for
+	// a tree that never needs one.
+	index := ts.blocksLeft > 1
+	if index && ts.slotOf == nil {
 		ts.slotOf = make(map[entity.ID]int32, cap(ts.ents))
 	}
-	// Look every record's entity up once; -1 marks a first arrival.
+	// Look every record's entity up once; a first arrival is decoded into
+	// the tree's next slot (the tree's slabs have room for all of them).
 	r.slots = r.slots[:0]
-	arrivals := 0
 	for _, v := range values {
 		id, n := binary.Uvarint(v)
 		if n <= 0 {
@@ -450,23 +523,15 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		}
 		slot, ok := ts.slotOf[entity.ID(id)]
 		if !ok {
-			slot = -1
-			arrivals++
+			slot = int32(len(ts.ents))
+			if err := ts.admit(r.side, v); err != nil {
+				return err
+			}
+			if index {
+				ts.slotOf[entity.ID(id)] = slot
+			}
 		}
 		r.slots = append(r.slots, slot)
-	}
-	ts.dec.Grow(arrivals)
-	for i, v := range values {
-		if r.slots[i] >= 0 {
-			continue
-		}
-		r.slots[i] = int32(len(ts.ents))
-		if err := ts.admit(r.side, v); err != nil {
-			return err
-		}
-		if ts.slotOf != nil {
-			ts.slotOf[ts.ents[r.slots[i]].ID] = r.slots[i]
-		}
 	}
 	r.resolve(ctx, emit, start, b, sq, ts)
 	return nil

@@ -25,10 +25,19 @@ type pairTable struct {
 	n     int
 }
 
-// newPairTable sizes the table so that `pairs` insertions stay within
-// the 3/4 load bound, i.e. never grow it.
-func newPairTable(pairs int) pairTable {
-	return pairTable{slots: make([]uint64, pairs+pairs/3+4)}
+// reset empties the table and sizes it so that `pairs` insertions stay
+// within the 3/4 load bound, i.e. never grow it: exactly that many
+// slots, cleared, out of the array it already has when that is long
+// enough.
+func (t *pairTable) reset(pairs int) {
+	n := pairs + pairs/3 + 4
+	if cap(t.slots) < n {
+		t.slots = make([]uint64, n)
+	} else {
+		t.slots = t.slots[:n]
+		clear(t.slots)
+	}
+	t.n = 0
 }
 
 func pairKey(p entity.Pair) uint64 { return uint64(uint32(p.Lo))<<32 | uint64(uint32(p.Hi)) }

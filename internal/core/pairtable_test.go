@@ -60,13 +60,17 @@ func TestPairTableAgainstPairSet(t *testing.T) {
 		}
 		return out
 	}
+	// One table through every case, as one borrowed tree state after
+	// another sees it: reset must leave nothing of the case before, at
+	// whatever size it comes back.
+	var tab pairTable
 	// Few IDs: most insertions repeat. Many IDs: most are new.
 	for _, c := range []struct {
 		n    int
 		ids  int32
 		hint int
 	}{{5000, 40, 0}, {5000, 40, 800}, {20000, 1 << 20, 0}, {20000, 1 << 20, 20000}, {20000, math.MaxInt32, 100}} {
-		tab := newPairTable(c.hint)
+		tab.reset(c.hint)
 		checkAgainstPairSet(t, fmt.Sprintf("random n=%d ids=%d hint=%d", c.n, c.ids, c.hint), &tab, random(c.n, c.ids))
 	}
 
@@ -76,7 +80,7 @@ func TestPairTableAgainstPairSet(t *testing.T) {
 		{Lo: 0, Hi: 1}, {Lo: 0, Hi: top}, {Lo: top - 1, Hi: top}, {Lo: 1, Hi: 2}, {Lo: 0, Hi: 2},
 		{Lo: 1, Hi: 1 << 16}, {Lo: 1 << 16, Hi: 1<<16 + 1}, {Lo: 0, Hi: 1 << 30},
 	}
-	tab := newPairTable(0)
+	tab.reset(0)
 	checkAgainstPairSet(t, "corners", &tab, append(corners, corners...))
 
 	// Sized exactly: the predicted count must fit without growing, and
@@ -90,13 +94,16 @@ func TestPairTableAgainstPairSet(t *testing.T) {
 		return out
 	}
 	for _, hint := range []int{0, 1, 7, 100, 4096} {
-		tab := newPairTable(hint)
+		tab.reset(hint)
 		slots := len(tab.slots)
+		if want := hint + hint/3 + 4; slots != want {
+			t.Errorf("hint %d: reset left %d slots, want exactly %d", hint, slots, want)
+		}
 		checkAgainstPairSet(t, fmt.Sprintf("exact hint=%d", hint), &tab, seq(hint))
 		if len(tab.slots) != slots {
 			t.Errorf("hint %d: table grew from %d to %d slots while holding what it was sized for", hint, slots, len(tab.slots))
 		}
-		tab = newPairTable(hint)
+		tab.reset(hint)
 		checkAgainstPairSet(t, fmt.Sprintf("overfull hint=%d", hint), &tab, seq(4*hint+50))
 		if len(tab.slots) == slots {
 			t.Errorf("hint %d: table never grew", hint)
@@ -107,7 +114,8 @@ func TestPairTableAgainstPairSet(t *testing.T) {
 // TestPairTableCollidingKeys fills a table with keys that all start
 // their probe at the same slot, wrapping past the end of the array.
 func TestPairTableCollidingKeys(t *testing.T) {
-	tab := newPairTable(64)
+	var tab pairTable
+	tab.reset(64)
 	target := len(tab.slots) - 2 // runs of collisions must wrap around
 	var pairs []entity.Pair
 	for lo := entity.ID(0); len(pairs) < 40; lo++ {

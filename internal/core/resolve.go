@@ -203,8 +203,10 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		}
 	}
 
+	// Every output record of Job 2 is one duplicate pair, found once.
+	found := len(job2Res.Output)
 	res := &Result{
-		Duplicates: entity.PairSet{},
+		Duplicates: make(entity.PairSet, found),
 		TotalTime:  job2Res.End,
 		Job1:       job1Res,
 		Job2:       job2Res,
@@ -213,6 +215,9 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	}
 	res.Counters.Merge(job1Res.Counters)
 	res.Counters.Merge(job2Res.Counters)
+	if found > 0 { // (a run that finds nothing keeps its nil Events)
+		res.Events = make([]progress.Event, 0, found)
+	}
 	for _, kv := range job2Res.Output {
 		p, _, err := entity.DecodePair(kv.Value)
 		if err != nil {

@@ -166,8 +166,11 @@ func (d *Decoder) Grow(n int) {
 }
 
 // Reset invalidates every entity the Decoder has handed out — their
-// storage is reused — and makes room for n more.
+// storage is zeroed, so an idle Decoder keeps no attribute string alive,
+// and reused — and makes room for n more.
 func (d *Decoder) Reset(n int) {
+	clear(d.ents)
+	clear(d.attrs)
 	d.ents, d.attrs = d.ents[:0], d.attrs[:0]
 	d.Grow(n)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"proger/internal/costmodel"
@@ -505,15 +506,40 @@ func scheduleTasks(costs []costmodel.Units, slots int, phaseStart costmodel.Unit
 	return starts, slotOf, phaseEnd
 }
 
-// mapEmitter buffers map output per partition, charging emission cost.
+// mapStage is the working memory a map task borrows: where its records
+// wait, in emission order, until the mapper is done and the size of every
+// partition is known, and the scratch that turns them into sorted runs.
+// Only the runs — allocated then, one per partition, each at exactly its
+// length — outlive the task; the stage goes back to mapStages for the
+// next task, so in steady state a map task allocates its output and
+// nothing else.
+type mapStage struct {
+	kvs  []KeyValue // every emitted record; the value is the mapper's slice, not a copy
+	part []int32    // part[i] is the partition of kvs[i]
+	// sel lists the record indices partition by partition, emission order
+	// within each; partition p's are sel[ends[p-1]:ends[p]].
+	sel    []int32
+	ends   []int
+	sorter runSorter
+	// A combiner's sorted input, its output before it is cut to length,
+	// and one group's values.
+	sorted, combined []KeyValue
+	values           [][]byte
+}
+
+// mapStages lends map tasks their stage. A stage is put back by the
+// task that took it, after its runs are written, with every record slot
+// it filled cleared: the pool keeps no key or value alive. A task that
+// fails or panics keeps its stage; the collector takes it.
+var mapStages = sync.Pool{New: func() any { return new(mapStage) }}
+
+// mapEmitter stages map output in emission order, charging emission
+// cost.
 type mapEmitter struct {
 	ctx       *TaskContext
 	cfg       *Config
 	partition Partitioner
-	out       [][]KeyValue
-	// read of the split's total input records have reached the mapper:
-	// what a full partition buffer is regrown from.
-	read, total int
+	stage     *mapStage
 }
 
 // Emit implements Emitter.
@@ -523,31 +549,34 @@ func (e *mapEmitter) Emit(key string, value []byte) {
 	if p < 0 || p >= e.cfg.NumReduceTasks {
 		panic(fmt.Sprintf("mapreduce: partitioner returned %d for %d reduce tasks", p, e.cfg.NumReduceTasks))
 	}
-	out := e.out[p]
-	if len(out) == cap(out) {
-		out = e.grow(out)
-	}
-	e.out[p] = append(out, KeyValue{Key: key, Value: value})
+	st := e.stage
+	st.kvs, st.part = append(st.kvs, KeyValue{Key: key, Value: value}), append(st.part, int32(p))
 }
 
-// grow reallocates a full partition buffer. Left to append, a buffer of
-// some thousand records is copied a dozen times on its way up, five
-// times its final size in all; the split says where it is going. A
-// partition that got len(out) records from the first `read` inputs gets
-// about len(out)·total/read from all of them, so once there are enough
-// records to extrapolate from, the buffer is regrown to that — plus an
-// eighth, which covers the sampling error at the sizes this runs at —
-// and is usually regrown once. slices.Grow never grows by less than
-// append would, which is what an input whose records come clustered
-// falls back to.
-func (e *mapEmitter) grow(out []KeyValue) []KeyValue {
-	const enough = 32
-	extra := 1
-	if n := len(out); n >= enough && e.read > 0 {
-		predicted := int(int64(n) * int64(e.total) / int64(e.read))
-		extra = max(predicted+predicted/8-n, 1)
+// selectPartitions fills sel and ends from part: one counting pass, one
+// placing pass.
+func (st *mapStage) selectPartitions(numReduce int) {
+	ends := append(st.ends[:0], make([]int, numReduce)...)
+	for _, p := range st.part {
+		ends[p]++
 	}
-	return slices.Grow(out, extra)
+	sum := 0
+	for p, c := range ends {
+		ends[p], sum = sum, sum+c // where partition p starts, until it is placed
+	}
+	sel := slices.Grow(st.sel[:0], len(st.part))[:len(st.part)]
+	for i, p := range st.part {
+		sel[ends[p]] = int32(i)
+		ends[p]++
+	}
+	st.sel, st.ends = sel, ends
+}
+
+// release clears the staged records and puts the stage back.
+func (st *mapStage) release() {
+	clear(st.kvs)
+	st.kvs, st.part = st.kvs[:0], st.part[:0]
+	mapStages.Put(st)
 }
 
 func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmodel.Units, Counters, []obs.Span, error) {
@@ -563,13 +592,13 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	}
 	ctx.Charge(cfg.Cost.TaskStartup)
 	mapper := cfg.NewMapper()
-	emitter := &mapEmitter{ctx: ctx, cfg: cfg, partition: cfg.Partition, out: make([][]KeyValue, cfg.NumReduceTasks), total: len(split)}
+	st := mapStages.Get().(*mapStage)
+	emitter := &mapEmitter{ctx: ctx, cfg: cfg, partition: cfg.Partition, stage: st}
 	if err := mapper.Setup(ctx); err != nil {
 		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d setup: %w", cfg.Name, index, err)
 	}
-	for i, rec := range split {
+	for _, rec := range split {
 		ctx.Charge(cfg.Cost.ReadRecord)
-		emitter.read = i + 1
 		if err := mapper.Map(ctx, rec, emitter); err != nil {
 			return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d: %w", cfg.Name, index, err)
 		}
@@ -577,65 +606,71 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	if err := mapper.Cleanup(ctx, emitter); err != nil {
 		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d cleanup: %w", cfg.Name, index, err)
 	}
-	var outRecs int
-	for _, p := range emitter.out {
-		outRecs += len(p)
-	}
+	outRecs := len(st.kvs)
 	ctx.Inc(CounterMapInRecords, int64(len(split)))
 	ctx.Inc(CounterMapOutRecords, int64(outRecs))
 	// Map-side sort: leave every partition stably key-sorted so the
 	// shuffle can merge runs instead of re-sorting concatenations. The
 	// sort is real-machine work the simulation prices on the reduce side
 	// (ShuffleSortCost), so no extra Charge happens here — moving the
-	// work cannot alter the simulated timeline.
-	var sorter runSorter
+	// work cannot alter the simulated timeline. Each run is an allocation
+	// of its own, so that a store that spills one frees it.
+	st.selectPartitions(cfg.NumReduceTasks)
+	out := make([][]KeyValue, cfg.NumReduceTasks)
+	combined, lo := 0, 0
+	for p, hi := range st.ends {
+		switch sel := st.sel[lo:hi]; {
+		case len(sel) == 0:
+		case cfg.Combine != nil && len(sel) > 1:
+			out[p] = applyCombiner(ctx, cfg, st, sel)
+		default:
+			out[p] = make([]KeyValue, len(sel))
+			st.sorter.sortInto(out[p], st.kvs, sel)
+		}
+		combined += len(out[p])
+		lo = hi
+	}
 	if cfg.Combine != nil {
-		for p := range emitter.out {
-			// applyCombiner leaves its output key-sorted.
-			emitter.out[p] = applyCombiner(ctx, cfg, &sorter, emitter.out[p])
-		}
-		var combined int
-		for _, p := range emitter.out {
-			combined += len(p)
-		}
 		ctx.Inc(CounterCombineInRecords, int64(outRecs))
 		ctx.Inc(CounterCombineOutRecords, int64(combined))
-	} else {
-		for p := range emitter.out {
-			emitter.out[p] = sorter.sortByKeyStable(emitter.out[p])
-		}
 	}
-	return emitter.out, ctx.Now(), ctx.counters, ctx.spans, nil
+	st.release()
+	return out, ctx.Now(), ctx.counters, ctx.spans, nil
 }
 
-// applyCombiner sorts one partition of a map task's output by key,
-// groups equal keys, and replaces each group's values with the
-// combiner's output, exactly as Hadoop's map-side combine does. Sorting
-// and re-emission are charged to the task.
-func applyCombiner(ctx *TaskContext, cfg *Config, sorter *runSorter, out []KeyValue) []KeyValue {
-	if len(out) < 2 {
-		return out
-	}
-	out = sorter.sortByKeyStable(out)
-	ctx.Charge(cfg.Cost.ShuffleSortCost(len(out)))
-	combined := make([]KeyValue, 0, len(out))
-	var values [][]byte // scratch, reused across groups
-	for lo := 0; lo < len(out); {
+// applyCombiner sorts one partition of a map task's output (sel, two
+// records or more) by key, groups equal keys, and replaces each group's
+// values with the combiner's output, exactly as Hadoop's map-side
+// combine does. Sorting and re-emission are charged to the task. The
+// run it returns is key-sorted and, like every run, exactly its length;
+// the stage's scratch it went through is cleared as it is used.
+func applyCombiner(ctx *TaskContext, cfg *Config, st *mapStage, sel []int32) []KeyValue {
+	sorted := slices.Grow(st.sorted[:0], len(sel))[:len(sel)]
+	st.sorter.sortInto(sorted, st.kvs, sel)
+	ctx.Charge(cfg.Cost.ShuffleSortCost(len(sorted)))
+	combined, values := st.combined[:0], st.values
+	for lo := 0; lo < len(sorted); {
 		hi := lo + 1
-		for hi < len(out) && out[hi].Key == out[lo].Key {
+		for hi < len(sorted) && sorted[hi].Key == sorted[lo].Key {
 			hi++
 		}
 		values = values[:0]
 		for i := lo; i < hi; i++ {
-			values = append(values, out[i].Value)
+			values = append(values, sorted[i].Value)
 		}
-		for _, v := range cfg.Combine(out[lo].Key, values) {
+		for _, v := range cfg.Combine(sorted[lo].Key, values) {
 			ctx.Charge(cfg.Cost.EmitRecord)
-			combined = append(combined, KeyValue{Key: out[lo].Key, Value: v})
+			combined = append(combined, KeyValue{Key: sorted[lo].Key, Value: v})
 		}
+		clear(values)
 		lo = hi
 	}
-	return combined
+	run := make([]KeyValue, len(combined))
+	copy(run, combined)
+	clear(sorted)
+	clear(combined)
+	st.sorted, st.combined, st.values = sorted, combined, values
+	return run
 }
 
 // reduceEmitter stamps each output record with the task-local clock.
@@ -652,6 +687,12 @@ func (e *reduceEmitter) Emit(key string, value []byte) {
 		Task:     e.ctx.Index,
 	})
 }
+
+// groupScratch lends reduce tasks the slice their key groups' values are
+// gathered in: it grows to the task's largest group, which a task
+// starting from nothing reaches by doubling, five times the final size in
+// all. It is cleared group by group, so what comes back holds no value.
+var groupScratch = sync.Pool{New: func() any { return new([][]byte) }}
 
 func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel.Units, Counters, []obs.Span, []quality.BlockObs, error) {
 	ctx := &TaskContext{
@@ -690,7 +731,8 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 	// Stream the input and feed the reducer one key group at a time —
 	// the group buffer, not the whole partition, bounds the resident
 	// records when the input lives on disk.
-	var values [][]byte // scratch, reused across groups (see Reducer contract)
+	scratch := groupScratch.Get().(*[][]byte)
+	values := *scratch // reused across groups (see Reducer contract)
 	groups := 0
 	if n > 0 {
 		it, err := in.Iter()
@@ -723,6 +765,7 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 					return nil, 0, nil, nil, nil, err
 				}
 				curKey, have = kv.Key, true
+				clear(values)
 				values = values[:0]
 			}
 			values = append(values, kv.Value)
@@ -731,6 +774,9 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 			return nil, 0, nil, nil, nil, err
 		}
 	}
+	clear(values)
+	*scratch = values[:0]
+	groupScratch.Put(scratch)
 	if err := reducer.Cleanup(ctx, emitter); err != nil {
 		return nil, 0, nil, nil, nil, fmt.Errorf("mapreduce: %s reduce task %d cleanup: %w", cfg.Name, index, err)
 	}

@@ -1,9 +1,9 @@
 package mapreduce
 
 // The in-memory shuffle. Between Emit and Reduce a record is moved
-// once — the map-side gather into its sorted run — and never copied
-// into a merged slice: a partition's reduce input is the runs
-// themselves, merged as the reduce task reads them.
+// once — the map-side gather from the task's stage into its sorted run
+// — and never copied into a merged slice: a partition's reduce input is
+// the runs themselves, merged as the reduce task reads them.
 //
 // Both halves order records through a normalized-key prefix: ord, the
 // 8 key bytes that follow a prefix every key in play shares,
@@ -31,30 +31,38 @@ type sortEnt struct {
 }
 
 // runSorter sorts a map task's partitions one after another, reusing
-// its scratch arrays from one to the next.
+// its scratch arrays from one to the next — and, borrowed with the
+// task's mapStage, from one task to the next. The scratch is
+// pointer-free: nothing in it keeps a record alive.
 type runSorter struct {
 	ents, tmp []sortEnt
 }
 
-// sortByKeyStable returns one partition of map output stably sorted by
-// key — emission order within equal keys — as a new slice: out is read,
-// not reordered.
-func (rs *runSorter) sortByKeyStable(out []KeyValue) []KeyValue {
-	n := len(out)
+// sortInto writes the records stage[sel[0]], stage[sel[1]], … into dst
+// (len(dst) == len(sel)) stably sorted by key: emission order within
+// equal keys, sel being in emission order. The stage is read through the
+// selection and never reordered, so this gather is the one time a map
+// output record moves.
+func (rs *runSorter) sortInto(dst, stage []KeyValue, sel []int32) {
+	n := len(sel)
 	if n < 2 {
-		return out
+		for i, s := range sel {
+			dst[i] = stage[s]
+		}
+		return
 	}
-	skip := len(out[0].Key)
-	for _, kv := range out[1:] {
-		skip = normkey.CommonPrefix(out[0].Key, kv.Key, skip)
+	first := stage[sel[0]].Key
+	skip := len(first)
+	for _, s := range sel[1:] {
+		skip = normkey.CommonPrefix(first, stage[s].Key, skip)
 	}
 	if cap(rs.ents) < n {
 		rs.ents, rs.tmp = make([]sortEnt, n), make([]sortEnt, n)
 	}
 	ents, tmp := rs.ents[:n], rs.tmp[:n]
 	var differ uint64 // the ord bits in which any two records differ
-	for i, kv := range out {
-		ents[i] = sortEnt{ord: normkey.Ord(kv.Key, skip), idx: i}
+	for i, s := range sel {
+		ents[i] = sortEnt{ord: normkey.Ord(stage[s].Key, skip), idx: int(s)}
 		differ |= ents[i].ord ^ ents[0].ord
 	}
 	// Stable LSD radix sort on ord, a byte at a time, over the bytes in
@@ -85,21 +93,19 @@ func (rs *runSorter) sortByKeyStable(out []KeyValue) []KeyValue {
 		hi := lo + 1
 		oneKey := true
 		for hi < n && ents[hi].ord == ents[lo].ord {
-			oneKey = oneKey && out[ents[hi].idx].Key == out[ents[lo].idx].Key
+			oneKey = oneKey && stage[ents[hi].idx].Key == stage[ents[lo].idx].Key
 			hi++
 		}
 		if !oneKey {
 			slices.SortStableFunc(ents[lo:hi], func(a, b sortEnt) int {
-				return strings.Compare(out[a.idx].Key[skip:], out[b.idx].Key[skip:])
+				return strings.Compare(stage[a.idx].Key[skip:], stage[b.idx].Key[skip:])
 			})
 		}
 		lo = hi
 	}
-	run := make([]KeyValue, n)
 	for i, e := range ents {
-		run[i] = out[e.idx]
+		dst[i] = stage[e.idx]
 	}
-	return run
 }
 
 // memInput is the in-memory reduceInput: the partition's non-empty

@@ -37,18 +37,23 @@ func benchRuns(shape string, mapTasks, perRun int) [][]KeyValue {
 
 // BenchmarkShuffle times the two halves of the in-memory shuffle on one
 // partition, 16 map tasks × 2000 records: sort is the map side (every
-// run through sortByKeyStable), merge the reduce side (one drain of the
-// streaming merge over the sorted runs).
+// run through sortInto, into a run allocated at its length), merge the
+// reduce side (one drain of the streaming merge over the sorted runs).
 func BenchmarkShuffle(b *testing.B) {
 	const mapTasks, perRun = 16, 2000
 	for _, shape := range []string{"job2", "job1"} {
 		runs := benchRuns(shape, mapTasks, perRun)
+		sel := make([]int32, perRun)
+		for i := range sel {
+			sel[i] = int32(i)
+		}
 		b.Run("sort/"+shape, func(b *testing.B) {
 			b.ReportAllocs()
+			var sorter runSorter // borrowed: its scratch outlives the task
 			for i := 0; i < b.N; i++ {
-				var sorter runSorter // one per map task
 				for _, run := range runs {
-					benchRun = sorter.sortByKeyStable(run)
+					benchRun = make([]KeyValue, perRun)
+					sorter.sortInto(benchRun, run, sel)
 				}
 			}
 		})

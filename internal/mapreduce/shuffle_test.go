@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,18 @@ func legacyShuffle(runs [][]KeyValue) []KeyValue {
 	return out
 }
 
+// sortRun is the map side on a raw run that is a partition of its own:
+// sortInto through the identity selection, into a new slice.
+func sortRun(run []KeyValue) []KeyValue {
+	sel := make([]int32, len(run))
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	sorted := make([]KeyValue, len(run))
+	new(runSorter).sortInto(sorted, run, sel)
+	return sorted
+}
+
 // sortedRunsInput does the map side and the shuffle node's part of the
 // in-memory shuffle on raw map runs: sort each, keep the non-empty ones
 // in map-index order.
@@ -51,10 +64,29 @@ func sortedRunsInput(runs [][]KeyValue) memInput {
 	var in memInput
 	for _, run := range runs {
 		if len(run) > 0 {
-			in.runs = append(in.runs, new(runSorter).sortByKeyStable(run))
+			in.runs = append(in.runs, sortRun(run))
 		}
 	}
 	return in
+}
+
+// interleave stages raw runs the way one map task emitting into
+// len(runs) partitions would: the runs' records taken round-robin, each
+// run's own order kept, and per run the selection that finds its records
+// in the stage again.
+func interleave(runs [][]KeyValue) (stage []KeyValue, sels [][]int32) {
+	sels = make([][]int32, len(runs))
+	for i, more := 0, true; more; i++ {
+		more = false
+		for m, run := range runs {
+			if i < len(run) {
+				sels[m] = append(sels[m], int32(len(stage)))
+				stage = append(stage, run[i])
+				more = true
+			}
+		}
+	}
+	return stage, sels
 }
 
 // sameRecords reports the first position at which got and want differ,
@@ -115,14 +147,24 @@ func shuffleRunsFromBytes(data []byte) [][]KeyValue {
 
 // checkShuffleOrder asserts the two halves of the in-memory shuffle on
 // raw map runs: (a) the map-side sort equals the standard library's
-// stable sort, (b) draining the streaming merge equals legacyShuffle.
+// stable sort — of a run on its own, and of the same run picked out of
+// a stage it shares with the others, one sorter serving them all —
+// (b) draining the streaming merge equals legacyShuffle.
 func checkShuffleOrder(t *testing.T, runs [][]KeyValue) {
 	t.Helper()
+	stage, sels := interleave(runs)
+	var sorter runSorter
 	for m, run := range runs {
 		want := slices.Clone(run)
 		slices.SortStableFunc(want, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
-		if i := sameRecords(new(runSorter).sortByKeyStable(run), want); i >= 0 {
+		if i := sameRecords(sortRun(run), want); i >= 0 {
 			t.Fatalf("run %d: sorted run departs from the stable-sort oracle at record %d (keys %q)", m, i, keysOf(want))
+		}
+		picked := make([]KeyValue, len(run))
+		sorter.sortInto(picked, stage, sels[m])
+		if i := sameRecords(picked, want); i >= 0 {
+			t.Fatalf("run %d of %d, picked out of a shared stage: sorted run departs from the stable-sort oracle at record %d (keys %q)",
+				m, len(runs), i, keysOf(want))
 		}
 	}
 	in := sortedRunsInput(runs)
@@ -313,5 +355,160 @@ func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	}
 	if got := drainInput(t, memInput{}); got != nil {
 		t.Errorf("empty input yielded %d records", len(got))
+	}
+}
+
+// shapeMapper emits what its input record's value spells out — "n×p"
+// clauses separated by spaces: n records into partition p, the keys of
+// a clause descending so that the sort has work to do — or, for p = "*",
+// n records into every partition.
+type shapeMapper struct{ MapperBase }
+
+func (shapeMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) error {
+	for _, kv := range shapeRecords(rec, ctx.NumReduce) {
+		emit.Emit(kv.Key, kv.Value)
+	}
+	return nil
+}
+
+func shapeRecords(rec KeyValue, numReduce int) []KeyValue {
+	var out []KeyValue
+	for _, clause := range strings.Fields(string(rec.Value)) {
+		count, part, _ := strings.Cut(clause, "×")
+		n, _ := strconv.Atoi(count)
+		for i := n; i > 0; i-- {
+			for p := 0; p < numReduce; p++ {
+				if part == "*" || part == strconv.Itoa(p) {
+					out = append(out, KeyValue{
+						Key:   fmt.Sprintf("%d|%04d", p, i%997),
+						Value: []byte(fmt.Sprintf("%s-%s-%d", rec.Key, clause, i)),
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// shapePartitioner routes a shapeMapper key to the partition it names.
+func shapePartitioner(key string, _ int) int {
+	p, _ := strconv.Atoi(key[:strings.IndexByte(key, '|')])
+	return p
+}
+
+// echoReducer emits every record it is given, in the order given.
+type echoReducer struct{ ReducerBase }
+
+func (echoReducer) Reduce(_ *TaskContext, key string, values [][]byte, emit Emitter) error {
+	for _, v := range values {
+		emit.Emit(key, v)
+	}
+	return nil
+}
+
+// TestStageReuseAcrossTaskShapes: map tasks of very different shapes —
+// 50 000 records into one partition, then a handful into every one, and
+// the reverse — take their stage and sorter scratch from the same pool,
+// as do the reduce tasks their group scratch; whatever an earlier task
+// left there, the job's output is the stable sort of the concatenated
+// map outputs, partition by partition.
+func TestStageReuseAcrossTaskShapes(t *testing.T) {
+	const numReduce = 5
+	shapes := []string{"50000×2", "3×*", "2×* 1×4", "7×0 1×*"}
+	for _, order := range []string{"big first", "big last"} {
+		var in []KeyValue
+		for i := range shapes {
+			shape := shapes[i]
+			if order == "big last" {
+				shape = shapes[len(shapes)-1-i]
+			}
+			in = append(in, KeyValue{Key: fmt.Sprintf("m%d", i), Value: []byte(shape)})
+		}
+		var want []KeyValue
+		for p := 0; p < numReduce; p++ {
+			var part []KeyValue
+			for _, rec := range in {
+				for _, kv := range shapeRecords(rec, numReduce) {
+					if shapePartitioner(kv.Key, numReduce) == p {
+						part = append(part, kv)
+					}
+				}
+			}
+			sort.SliceStable(part, func(a, b int) bool { return part[a].Key < part[b].Key })
+			want = append(want, part...)
+		}
+		for _, workers := range []int{1, 3} {
+			cfg := Config{
+				Name:           "stage-reuse",
+				NewMapper:      func() Mapper { return shapeMapper{} },
+				NewReducer:     func() Reducer { return echoReducer{} },
+				Partition:      shapePartitioner,
+				NumMapTasks:    len(in), // one input record, one shape, per map task
+				NumReduceTasks: numReduce,
+				Cluster:        Cluster{Machines: 2, SlotsPerMachine: 2},
+				Workers:        workers,
+			}
+			for round := 0; round < 2; round++ {
+				res, err := Run(cfg, in, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Output) != len(want) {
+					t.Fatalf("%s, %d workers, round %d: %d output records, want %d", order, workers, round, len(res.Output), len(want))
+				}
+				for i, kv := range res.Output {
+					if kv.Key != want[i].Key || !bytes.Equal(kv.Value, want[i].Value) {
+						t.Fatalf("%s, %d workers, round %d: output record %d = (%q, %q), want (%q, %q)",
+							order, workers, round, i, kv.Key, kv.Value, want[i].Key, want[i].Value)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMapOutputRunsAreExact: every run a map task returns is an
+// allocation of its own at exactly its length — what lets a spill store
+// free one run by dropping it (its ledger charges len, not cap) — with
+// and without a combiner.
+func TestMapOutputRunsAreExact(t *testing.T) {
+	split := []KeyValue{{Key: "a", Value: []byte("40×0 3×2 1×3 5×4")}, {Key: "b", Value: []byte("2×0 9×1 2×4")}}
+	for _, combine := range []Combiner{nil, func(_ string, values [][]byte) [][]byte { return values[:1] }} {
+		cfg := &Config{
+			Name:           "exact-runs",
+			NewMapper:      func() Mapper { return shapeMapper{} },
+			Partition:      shapePartitioner,
+			Combine:        combine,
+			NumReduceTasks: 6, // partition 5 stays empty
+		}
+		for round := 0; round < 2; round++ { // the second task runs on the first one's stage
+			out, _, _, _, err := runMapTask(cfg, 0, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type span struct{ lo, hi uintptr }
+			var spans []span
+			size := reflect.TypeOf(KeyValue{}).Size()
+			for p, run := range out {
+				if (len(run) == 0) != (p == 5) {
+					t.Errorf("combiner %t: partition %d has %d records", combine != nil, p, len(run))
+				}
+				if cap(run) != len(run) {
+					t.Errorf("combiner %t: partition %d: cap %d, len %d", combine != nil, p, cap(run), len(run))
+				}
+				if len(run) == 0 {
+					continue
+				}
+				lo := reflect.ValueOf(run).Pointer()
+				spans = append(spans, span{lo, lo + uintptr(cap(run))*size})
+			}
+			for i, a := range spans {
+				for _, b := range spans[i+1:] {
+					if a.lo < b.hi && b.lo < a.hi {
+						t.Errorf("combiner %t: two runs of one task share a backing array", combine != nil)
+					}
+				}
+			}
+		}
 	}
 }

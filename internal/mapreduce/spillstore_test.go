@@ -32,7 +32,7 @@ func storeRuns(mapTasks, perRun int) [][]KeyValue {
 				Value: []byte(fmt.Sprintf("m%d-i%d", m, i)),
 			}
 		}
-		runs[m] = new(runSorter).sortByKeyStable(run)
+		runs[m] = sortRun(run)
 	}
 	return runs
 }

@@ -31,7 +31,9 @@ func (h Hierarchy) ResolveBlock(env *Env, ents []*entity.Entity, window int) Vis
 	if leaf < 2 {
 		leaf = 4
 	}
-	order := env.sortEntities(ents)
+	sc := sortScratches.Get().(*sortScratch)
+	defer sortScratches.Put(sc)
+	order := env.sortEntities(ents, sc)
 	if window < 2 {
 		window = 2
 	}

@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync"
 
 	"proger/internal/costmodel"
 	"proger/internal/entity"
@@ -193,13 +194,34 @@ func (env *Env) resolvePair(ents []*entity.Entity, i, j int32, st *VisitStats) b
 	return !env.stop(st)
 }
 
+// sortItem stands in for the entity at position pos while a block is
+// sorted: pointer-free, ord being the 8 key bytes past the prefix the
+// whole block shares.
+type sortItem struct {
+	ord uint64
+	pos int32
+	id  entity.ID
+}
+
+// sortScratch is what sortEntities sorts in and answers from. It holds
+// no pointer, so nothing of a block stays behind in it.
+type sortScratch struct {
+	items []sortItem
+	order []int32
+}
+
+// sortScratches lends a mechanism its sortScratch for the length of one
+// ResolveBlock: blocks are resolved by the ten thousand, two at a time.
+var sortScratches = sync.Pool{New: func() any { return new(sortScratch) }}
+
 // sortEntities charges the hint cost and returns the positions of ents
 // (two or more) in sort order: by lowercased sort attribute, ties broken
 // by ID for determinism. What is sorted is a pointer-free (ord,
-// position, ID) array, ord being the 8 key bytes past the prefix the
-// whole block shares — under prefix blocking, at least the block's key;
-// the keys themselves are compared only where ords tie.
-func (env *Env) sortEntities(ents []*entity.Entity) []int32 {
+// position, ID) array — under prefix blocking the shared prefix is at
+// least the block's key — and the keys themselves are compared only
+// where ords tie. The order is cut from sc and valid until sc is put
+// back.
+func (env *Env) sortEntities(ents []*entity.Entity, sc *sortScratch) []int32 {
 	env.Charge(env.Cost.HintCost(len(ents)))
 	keys := env.SortKeys
 	if keys == nil {
@@ -212,16 +234,11 @@ func (env *Env) sortEntities(ents []*entity.Entity) []int32 {
 	for _, k := range keys[1:] {
 		skip = normkey.CommonPrefix(keys[0], k, skip)
 	}
-	type item struct {
-		ord uint64
-		pos int32
-		id  entity.ID
-	}
-	items := make([]item, len(ents))
+	items := slices.Grow(sc.items[:0], len(ents))[:len(ents)]
 	for i, k := range keys {
-		items[i] = item{normkey.Ord(k, skip), int32(i), ents[i].ID}
+		items[i] = sortItem{normkey.Ord(k, skip), int32(i), ents[i].ID}
 	}
-	slices.SortFunc(items, func(a, b item) int {
+	slices.SortFunc(items, func(a, b sortItem) int {
 		if a.ord != b.ord {
 			return cmp.Compare(a.ord, b.ord)
 		}
@@ -230,10 +247,11 @@ func (env *Env) sortEntities(ents []*entity.Entity) []int32 {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	order := make([]int32, len(items))
+	order := slices.Grow(sc.order[:0], len(items))[:len(items)]
 	for i, it := range items {
 		order[i] = it.pos
 	}
+	sc.items, sc.order = items, order
 	return order
 }
 

@@ -369,7 +369,7 @@ func TestSortEntitiesFoldsCaseBreaksTiesByIDAndCharges(t *testing.T) {
 		{ID: 4, Attrs: nil}, // no sort attribute: the empty key sorts first
 	}
 	var got []entity.ID
-	for _, pos := range te.env.sortEntities(ents) {
+	for _, pos := range te.env.sortEntities(ents, new(sortScratch)) {
 		got = append(got, ents[pos].ID)
 	}
 	if want := []entity.ID{4, 1, 2, 3, 0}; !reflect.DeepEqual(got, want) {

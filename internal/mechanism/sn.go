@@ -21,7 +21,9 @@ func (SN) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats {
 	if n < 2 {
 		return st
 	}
-	order := env.sortEntities(ents)
+	sc := sortScratches.Get().(*sortScratch)
+	defer sortScratches.Put(sc)
+	order := env.sortEntities(ents, sc)
 	if window < 2 {
 		window = 2
 	}

@@ -69,6 +69,11 @@ go test -race -count=1 ./internal/mapreduce ./internal/faults
 # repeatedly under the race detector.
 echo "== go test -race (job-graph scheduler) =="
 go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode|ConcurrentIter' ./internal/mapreduce
+# Tasks borrow their working memory from process-wide pools, and a
+# buffer only changes hands between runs inside one process: tasks of
+# very different shapes on one stage, and whole Resolves overlapping.
+go test -race -count=5 -run 'StageReuseAcrossTaskShapes' ./internal/mapreduce
+go test -race -count=5 -run 'ConcurrentResolvesShareNothing' .
 
 echo "== go test -race =="
 go test -race ./...

@@ -1,11 +1,14 @@
-// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go) and writes cpu.pprof and allocs.pprof.
+// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go), writes cpu.pprof and allocs.pprof
+// and prints the collector's share: per operation MiB allocated, mallocs and cycles, plus GCCPUFraction and VmHWM.
 package main
 
 import (
 	"flag"
 	"log"
 	"os"
+	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"proger"
 )
@@ -15,6 +18,18 @@ func must[T any](v T, err error) T {
 		log.Fatal(err)
 	}
 	return v
+}
+
+// vmHWM returns the process's peak resident set as /proc/self/status
+// reports it ("VmHWM:   123456 kB"), or "n/a" where there is no procfs.
+func vmHWM() string {
+	status, _ := os.ReadFile("/proc/self/status") // (no file, no line: "n/a")
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "n/a"
 }
 
 func main() {
@@ -50,11 +65,21 @@ func main() {
 	}
 	dir := must(os.MkdirTemp("", "proger-profile-"))
 	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	must(0, pprof.StartCPUProfile(cpu))
 	for i := 0; i < *n; i++ {
 		must(proger.Resolve(ds, o))
 	}
 	pprof.StopCPUProfile()
+	runtime.ReadMemStats(&after)
 	must(0, pprof.Lookup("allocs").WriteTo(allocs, 0))
+	// The collector's share of the run, from the runtime's own counters:
+	// what a change to who allocates what moves first. (GCCPUFraction is
+	// since process start, set-up included.)
+	ops := float64(*n)
+	log.Printf("per Resolve: %.1f MiB allocated, %.0f mallocs, %.1f collector cycles; GCCPUFraction %.1f%%, VmHWM %s",
+		float64(after.TotalAlloc-before.TotalAlloc)/ops/(1<<20), float64(after.Mallocs-before.Mallocs)/ops,
+		float64(after.NumGC-before.NumGC)/ops, 100*after.GCCPUFraction, vmHWM())
 	log.Printf("%d × Resolve(%s): go tool pprof -top [-sample_index=alloc_objects] %s/{cpu,allocs}.pprof", *n, *workload, dir)
 }
