@@ -15,7 +15,6 @@
 package proger_test
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -27,7 +26,6 @@ import (
 	"proger/internal/entity"
 	"proger/internal/estimate"
 	"proger/internal/experiments"
-	"proger/internal/extsort"
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/sched"
@@ -431,28 +429,6 @@ func benchmarkMechanism(b *testing.B, m proger.Mechanism) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ResolveBlock(env, ds.Entities, 15)
-	}
-}
-
-func BenchmarkExternalSort(b *testing.B) {
-	dir := b.TempDir()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := extsort.NewSorter(dir, 1000)
-		for j := 0; j < 10000; j++ {
-			if err := s.Add(fmt.Sprintf("key-%04d", j%500), []byte("payload")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		it, err := s.Sort()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := it.Drain(); err != nil {
-			b.Fatal(err)
-		}
-		it.Close()
-		s.Close()
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/exec"
 	"strconv"
@@ -75,8 +76,7 @@ func main() {
 	qualityOut := flag.String("quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
 	sampleEvery := flag.Float64("sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
 	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
-	pprofAddr := flag.String("pprof", "", "alias for -status (the status server includes /debug/pprof)")
-	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation, shuffle spills) to this path; \"-\" writes to stderr")
+	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
 	engine := flag.String("engine", "pipelined", "host execution engine: pipelined (dependency-driven task graph) | barrier (three barriered phases); results are identical")
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle/statistics memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling compressed runs to disk when exceeded; results are identical")
@@ -89,14 +89,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
 	workerDie := flag.Int("worker-die-after", 0, "fault harness: a worker exits abruptly after taking this many task leases; in -dist mode, applied to the first forked worker")
 	flag.Parse()
-
-	if *statusAddr != "" && *pprofAddr != "" {
-		log.Fatal("-pprof is a deprecated alias of -status: pass one of them, not both")
-	}
-	serveAddr := *statusAddr
-	if serveAddr == "" {
-		serveAddr = *pprofAddr
-	}
 
 	modes := 0
 	for _, on := range []bool{*distN > 0, *masterMode, *workerMode} {
@@ -130,12 +122,12 @@ func main() {
 	if *tracePath != "" {
 		tracer = proger.NewTracer()
 	}
-	if *metricsPath != "" || *showReport || serveAddr != "" || *workerMode {
+	if *metricsPath != "" || *showReport || *statusAddr != "" || *workerMode {
 		// Workers always keep a registry: its counters feed the telemetry
 		// snapshot each heartbeat ships to the master's fleet table.
 		metrics = proger.NewMetricsRegistry()
 	}
-	if *qualityOut != "" || *showReport || serveAddr != "" {
+	if *qualityOut != "" || *showReport || *statusAddr != "" {
 		qrec = proger.NewQualityRecorder()
 	}
 
@@ -163,7 +155,7 @@ func main() {
 		relay = proger.NewRelayEventLog(0)
 	}
 	var lvRun *proger.LiveRun
-	if serveAddr != "" || elog != nil || relay != nil || *showProgress || *showReport {
+	if *statusAddr != "" || elog != nil || relay != nil || *showProgress || *showReport {
 		// -report also wants a live hub: the run summary's membudget
 		// pressure section reads the attached manager's snapshot.
 		runLog := elog
@@ -173,8 +165,8 @@ func main() {
 		lvRun = proger.NewLiveRun(runLog)
 	}
 	var statusSrv *proger.StatusServer
-	if serveAddr != "" {
-		srv, err := proger.ServeStatus(serveAddr, lvRun, metrics)
+	if *statusAddr != "" {
+		srv, err := proger.ServeStatus(*statusAddr, lvRun, metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -192,7 +184,10 @@ func main() {
 		retry = proger.RetryPolicy{MaxRetries: *maxRetries, Speculation: true}
 	}
 	execMode := pickEngine(*engine)
-	budgetBytes := parseSize(*memBudget)
+	budgetBytes, sizeErr := parseSize(*memBudget)
+	if sizeErr != nil {
+		log.Fatal(sizeErr)
+	}
 	if budgetBytes > 0 && metrics == nil {
 		// The budget pressure summary reads registry gauges, so a budget
 		// implies a registry even when no metrics output was requested.
@@ -253,7 +248,7 @@ func main() {
 		if *masterMode {
 			fmt.Fprintf(os.Stderr, "proger: master serving task leases on %s\n", m.Addr())
 		}
-		children = forkWorkers(*distN, m.Addr(), *workerDie, serveAddr != "")
+		children = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
 	}
 
 	var (
@@ -614,26 +609,29 @@ func pickScheduler(name string) proger.SchedulerKind {
 	return proger.SchedulerOurs
 }
 
-// parseSize parses a byte size with an optional K/M/G suffix ("64M",
-// "2G", "512"). Empty means no budget.
-func parseSize(s string) int64 {
+// parseSize parses a positive byte size with an optional K/M/G suffix
+// ("64M", "2G", "512"). Empty means no budget.
+func parseSize(s string) (int64, error) {
 	if s == "" {
-		return 0
+		return 0, nil
 	}
-	mult := int64(1)
+	num, mult := s, int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<10
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<20
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		num, mult = s[:len(s)-1], 1<<30
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
 	if err != nil || v <= 0 {
-		log.Fatalf("bad -mem-budget %q (want a positive size like 512K, 64M, or 2G)", s)
+		return 0, fmt.Errorf("bad -mem-budget %q (want a positive size like 512K, 64M, or 2G)", s)
 	}
-	return v * mult
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad -mem-budget %q: more bytes than an int64 holds", s)
+	}
+	return v * mult, nil
 }
 
 func pickEngine(name string) proger.ExecutionMode {

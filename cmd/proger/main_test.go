@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"proger"
@@ -119,5 +121,33 @@ func TestBuildFamiliesSoundex(t *testing.T) {
 	explicit := buildFamilies(ds, stringList{"name:prefix:2,3"}, "")
 	if explicit[0].Kind != proger.KeyPrefix {
 		t.Error("explicit prefix kind")
+	}
+}
+
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64 // -1: an error naming the input as given
+	}{
+		{"512", 512},
+		{"64K", 64 << 10},
+		{"2g", 2 << 30},
+		{"", 0},
+		{"0M", -1},
+		{"-1K", -1},
+		{"x", -1},
+		{"17179869185G", -1}, // v·2³⁰ wraps to exactly 1 GiB
+		{"9999999999G", -1},  // v·2³⁰ wraps negative
+	} {
+		got, err := parseSize(tc.in)
+		if tc.want < 0 {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.in)) {
+				t.Errorf("parseSize(%q) = %d, %v; want an error quoting %q", tc.in, got, err, tc.in)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -1,15 +1,14 @@
 package extsort
 
-// This file implements the stable k-way merge shared by the external
-// sorter's spill path and the MapReduce engine's in-memory shuffle: a
-// tournament (loser) tree over pre-sorted sources. Compared with
-// container/heap it avoids interface boxing and does exactly one
-// leaf-to-root pass of ⌈log₂ k⌉ comparisons per record.
+// This file implements the stable k-way merge the MapReduce shuffle
+// runs over its spilled and shared-directory run files: a tournament
+// (loser) tree over pre-sorted sources. Compared with container/heap it
+// avoids interface boxing and does exactly one leaf-to-root pass of
+// ⌈log₂ k⌉ comparisons per record.
 //
 // Stability: ties on the comparison function are broken by source
-// index, so giving the merger its sources in priority order (map-task
-// order in the engine, spill order in the sorter) reproduces the order
-// a stable sort of the concatenation would produce.
+// index, so giving the merger its sources in priority order reproduces
+// the order a stable sort of the concatenation would produce.
 
 // Merger merges k pre-sorted sources into one sorted stream. Each
 // source is a pull function returning its next record and whether one

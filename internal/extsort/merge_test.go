@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -119,116 +118,5 @@ func TestMergerStableAcrossSources(t *testing.T) {
 		if got[i].key == got[i-1].key && got[i].src < got[i-1].src {
 			t.Fatalf("tie broken out of source order at %d: %v after %v", i, got[i], got[i-1])
 		}
-	}
-}
-
-func TestAddSortedRunMatchesAdd(t *testing.T) {
-	// Feeding pre-sorted runs must produce the identical stream the
-	// record-at-a-time path produces for the same insertion order.
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(42))
-	var runs [][]Record
-	for r := 0; r < 6; r++ {
-		n := rng.Intn(40)
-		run := make([]Record, n)
-		for i := range run {
-			run[i] = Record{
-				Key:   fmt.Sprintf("k%02d", rng.Intn(15)),
-				Value: []byte(fmt.Sprintf("r%d-i%d", r, i)),
-			}
-		}
-		sort.SliceStable(run, func(a, b int) bool { return run[a].Key < run[b].Key })
-		runs = append(runs, run)
-	}
-
-	drain := func(s *Sorter) []Record {
-		it, err := s.Sort()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		out, err := it.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	ref := NewSorter(dir, 16)
-	for _, run := range runs {
-		for _, rec := range run {
-			if err := ref.Add(rec.Key, rec.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	defer ref.Close()
-	want := drain(ref)
-
-	fast := NewSorter(dir, 16)
-	for _, run := range runs {
-		if err := fast.AddSortedRun(run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer fast.Close()
-	got := drain(fast)
-
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
-			t.Fatalf("record %d differs: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if fast.Runs() != 6 {
-		t.Errorf("AddSortedRun spilled %d runs, want 6 (one per run)", fast.Runs())
-	}
-}
-
-func TestAddSortedRunInMemory(t *testing.T) {
-	s := NewSorter(t.TempDir(), 0) // no spill budget: buffered
-	if err := s.AddSortedRun([]Record{{Key: "b"}, {Key: "c"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddSortedRun([]Record{{Key: "a"}, {Key: "b", Value: []byte("2")}}); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	it, err := s.Sort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	out, err := it.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := []string{"a", "b", "b", "c"}
-	if len(out) != len(wantKeys) {
-		t.Fatalf("got %d records", len(out))
-	}
-	for i, k := range wantKeys {
-		if out[i].Key != k {
-			t.Fatalf("key %d = %q, want %q", i, out[i].Key, k)
-		}
-	}
-	// Stability: the run-1 "b" (inserted first) precedes run-2's.
-	if string(out[1].Value) != "" || string(out[2].Value) != "2" {
-		t.Error("equal keys surfaced out of insertion order")
-	}
-	if s.Runs() != 0 {
-		t.Errorf("in-memory path spilled %d runs", s.Runs())
-	}
-}
-
-func TestAddSortedRunAfterSortFails(t *testing.T) {
-	s := NewSorter(t.TempDir(), 0)
-	if _, err := s.Sort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddSortedRun([]Record{{Key: "x"}}); err == nil {
-		t.Error("AddSortedRun after Sort should fail")
 	}
 }

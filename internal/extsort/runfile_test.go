@@ -2,11 +2,9 @@ package extsort
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 )
@@ -130,116 +128,5 @@ func TestCompressRoundTripBlocks(t *testing.T) {
 		if !bytes.Equal(got, raw) {
 			t.Fatalf("case %d: round trip mismatch (%d bytes in, %d out)", i, len(raw), len(got))
 		}
-	}
-}
-
-// TestSorterUniqueTempDirs verifies two sorters given the same parent
-// never share spill paths (the old fixed SortDir collided across
-// concurrent runs).
-func TestSorterUniqueTempDirs(t *testing.T) {
-	parent := t.TempDir()
-	a := NewSorter(parent, 1)
-	b := NewSorter(parent, 1)
-	for i := 0; i < 4; i++ {
-		if err := a.Add(fmt.Sprint(i), []byte("a")); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Add(fmt.Sprint(i), []byte("b")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.dir == "" || b.dir == "" || a.dir == b.dir {
-		t.Fatalf("sorter temp dirs not unique: %q vs %q", a.dir, b.dir)
-	}
-	// Closing one sorter must not disturb the other's runs.
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := collect(t, b)
-	if len(out) != 4 {
-		t.Fatalf("sorter b lost records after a.Close: %d", len(out))
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("artifacts left in parent: %v", left)
-	}
-}
-
-// failingWriteCloser wraps a real file but fails after limit bytes, so
-// a leaked partial file would be observable on disk.
-type failingWriteCloser struct {
-	f       *os.File
-	written int
-	limit   int
-}
-
-func (fw *failingWriteCloser) Write(p []byte) (int, error) {
-	if fw.written+len(p) > fw.limit {
-		return 0, errors.New("injected write failure")
-	}
-	fw.written += len(p)
-	return fw.f.Write(p)
-}
-
-func (fw *failingWriteCloser) Close() error { return fw.f.Close() }
-
-// TestSpillErrorRemovesPartialRun injects a write failure mid-spill and
-// asserts the partial run file is removed immediately (not just at
-// Close — an errored spill never registers its file, so Close alone
-// would leak it).
-func TestSpillErrorRemovesPartialRun(t *testing.T) {
-	dir := t.TempDir()
-	s := NewSorter(dir, 2)
-	s.createRun = func() (io.WriteCloser, string, error) {
-		f, err := os.CreateTemp(dir, "run-*.spill")
-		if err != nil {
-			return nil, "", err
-		}
-		return &failingWriteCloser{f: f, limit: 8}, f.Name(), nil
-	}
-	var spillErr error
-	for i := 0; i < 10 && spillErr == nil; i++ {
-		spillErr = s.Add(fmt.Sprintf("key-%d", i), []byte("a value long enough to trip the limit"))
-	}
-	if spillErr == nil {
-		t.Fatal("injected write failure never surfaced")
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("partial run files leaked after failed spill: %v", left)
-	}
-}
-
-// TestAddSortedRunErrorRemovesPartialRun covers the same leak on the
-// pre-sorted ingest path.
-func TestAddSortedRunErrorRemovesPartialRun(t *testing.T) {
-	dir := t.TempDir()
-	s := NewSorter(dir, 1)
-	s.createRun = func() (io.WriteCloser, string, error) {
-		f, err := os.CreateTemp(dir, "run-*.spill")
-		if err != nil {
-			return nil, "", err
-		}
-		return &failingWriteCloser{f: f, limit: 4}, f.Name(), nil
-	}
-	recs := []Record{{Key: "a", Value: []byte("0123456789")}, {Key: "b", Value: []byte("0123456789")}}
-	if err := s.AddSortedRun(recs); err == nil {
-		t.Fatal("injected write failure never surfaced")
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("partial run files leaked after failed AddSortedRun: %v", left)
 	}
 }

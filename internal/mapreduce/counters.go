@@ -10,19 +10,8 @@ package mapreduce
 const (
 	// CounterMapInRecords counts records read by map tasks.
 	CounterMapInRecords = "mr.map.in_records"
-	// CounterMapOutRecords counts records emitted by map functions,
-	// before any combiner runs.
+	// CounterMapOutRecords counts records emitted by map functions.
 	CounterMapOutRecords = "mr.map.out_records"
-	// CounterCombineInRecords and CounterCombineOutRecords count the
-	// map-side combiner's input and surviving output records.
-	CounterCombineInRecords  = "mr.combine.in_records"
-	CounterCombineOutRecords = "mr.combine.out_records"
-	// CounterShuffleSpilledRuns counts sorted runs routed through the
-	// external spill-and-merge sorter (0 unless ShuffleMemLimit forced
-	// spilling). Spilling is a host-machine knob, so this counter is
-	// reported only through Config.Metrics — never Result.Counters,
-	// which must stay bit-for-bit identical across host configurations.
-	CounterShuffleSpilledRuns = "mr.shuffle.spilled_runs"
 	// CounterReduceInRecords and CounterReduceInGroups count reduce-task
 	// input records and distinct key groups.
 	CounterReduceInRecords = "mr.reduce.in_records"
@@ -34,9 +23,9 @@ const (
 	// speculative backups), failed attempts re-executed, speculative
 	// attempts launched for stragglers, and completed attempts killed
 	// because another attempt committed first. Fault injection is a
-	// chaos knob, so — like spill counts — these report only through
-	// Config.Metrics, never Result.Counters, which must stay
-	// bit-for-bit identical to the fault-free run.
+	// chaos knob, so these report only through Config.Metrics, never
+	// Result.Counters, which must stay bit-for-bit identical to the
+	// fault-free run.
 	CounterTaskAttempts       = "mr.attempt.started"
 	CounterTaskRetries        = "mr.attempt.retried"
 	CounterTaskSpeculations   = "mr.attempt.speculated"
@@ -44,8 +33,8 @@ const (
 	// Budget-forced spill activity across this job's shuffle stores:
 	// how often the process-wide memory budget (Config.MemBudget)
 	// squeezed buffered runs to disk and how many tracked bytes moved.
-	// Memory pressure is a host condition, so — like the spill counts
-	// above — these report only through Config.Metrics, never
+	// Memory pressure is a host condition, so — like the attempt
+	// counters above — these report only through Config.Metrics, never
 	// Result.Counters.
 	CounterBudgetForcedSpills = "mr.membudget.forced_spills"
 	CounterBudgetSpilledBytes = "mr.membudget.spilled_bytes"

@@ -57,7 +57,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		po  *phaseOutputs
 		err error
 	)
-	if rt, ok := transportOf(&cfg).(RemoteTransport); ok {
+	if rt, ok := cfg.Transport.(RemoteTransport); ok {
 		po, err = runRemoteJob(&cfg, rt, fr, lj, workers, splits)
 	} else {
 		po = newPhaseOutputs(&cfg)
@@ -87,12 +87,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	mapStarts, mapSlots, mapEnd := scheduleTasks(mapCosts, cfg.Cluster.Slots(), mapPhaseStart)
 
 	reduceLens := make([]int, cfg.NumReduceTasks)
-	spilledRuns := make([]int64, cfg.NumReduceTasks)
 	for r, s := range po.shufRes {
 		if s.in != nil {
 			reduceLens[r] = s.in.Len()
 		}
-		spilledRuns[r] = s.spilledRuns
 	}
 	reduceOuts := make([][]TimedKV, cfg.NumReduceTasks)
 	for i, r := range reduceRes {
@@ -160,22 +158,15 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		for i, r := range reduceRes {
 			reduceSpans[i] = r.spans
 		}
-		emitJobSpans(&cfg, fr, res, splits, reduceLens, spilledRuns,
+		emitJobSpans(&cfg, fr, res, splits, reduceLens,
 			mapSpans, reduceSpans, mapWall, shufWall, reduceWall)
 	}
 	if m := cfg.Metrics; m != nil {
 		m.AddCounters(counters)
-		// Spill counts depend on host knobs (ShuffleMemLimit), so they
-		// live in the metrics registry, not in the deterministic
-		// Result.Counters.
-		var spilledTotal int64
-		for _, n := range spilledRuns {
-			spilledTotal += n
-		}
-		m.Counter(CounterShuffleSpilledRuns).Add(spilledTotal)
 		if cfg.MemBudget != nil {
 			// Budget-forced spill stats are pure memory-pressure artifacts
-			// of the host — registry-only, like the spill counts above.
+			// of the host, so they live in the metrics registry, not in the
+			// deterministic Result.Counters.
 			var forced, bytes int64
 			for _, s := range po.shufRes {
 				if st, ok := s.in.(*spillStore); ok {
@@ -195,7 +186,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 			h.Observe(float64(c))
 		}
 		if fr != nil {
-			// Attempt accounting, like spill counts, reflects chaos/host
+			// Attempt accounting, like spill stats, reflects chaos/host
 			// knobs (the injector and retry policy), so it reports only
 			// through the registry — Result stays byte-identical to the
 			// fault-free run.
@@ -293,15 +284,14 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 		},
 		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
-				in, spilled, err := shuffleForTask(cfg, po.mapRes, r)
+				in, err := shuffleForTask(cfg, po.mapRes, r)
 				if err != nil {
 					return shuffleTaskResult{}, 0, 0, err
 				}
-				lj.SpilledRuns(r, spilled)
 				// The shuffle has no scheduled cost of its own (the reduce tasks
 				// price shuffling on the simulated clock); the attempt runtime
 				// keys timeouts and speculation off its simulated sort cost.
-				return shuffleTaskResult{in: in, spilledRuns: spilled}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
+				return shuffleTaskResult{in: in}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
 			})
 		},
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
@@ -329,9 +319,8 @@ type mapTaskResult struct {
 }
 
 type shuffleTaskResult struct {
-	in          reduceInput
-	spilledRuns int64
-	remote      *RemoteTaskResult
+	in     reduceInput
+	remote *RemoteTaskResult
 }
 
 type reduceTaskResult struct {
@@ -359,7 +348,7 @@ type wallSpan struct {
 // clock as task-local "shuffle" spans). With the attempt runtime
 // active, every task attempt additionally gets an "attempt" span on
 // the shadow attempt timeline.
-func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int, spilledRuns []int64,
+func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int,
 	mapSpans, reduceSpans [][]obs.Span, mapWall, shufWall, reduceWall []wallSpan) {
 	tr := cfg.Trace
 	pid := tr.PID(cfg.Name)
@@ -386,7 +375,7 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			PID: pid, TID: res.ReduceSlots[r],
 			Start: res.MapEnd, Dur: 0,
 			WallStart: shufWall[r].start, WallDur: shufWall[r].dur,
-			Args: []obs.Arg{obs.A("records", reduceLens[r]), obs.A("spilled_runs", spilledRuns[r])},
+			Args: []obs.Arg{obs.A("records", reduceLens[r])},
 		})
 	}
 	for i, cost := range res.ReduceTaskCosts {
@@ -413,56 +402,30 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 }
 
 // shuffleForTask assembles reduce task r's sorted input from the
-// pre-sorted per-partition runs the map tasks produced, also reporting
-// how many runs went through the deterministic (ShuffleMemLimit-driven)
-// spiller. Storage mode is a host decision with no effect on the record
-// sequence: the runs themselves merged as they are read (memInput), a
-// forced-to-disk store (ShuffleMemLimit exceeded), or a budget-governed
-// store that buffers in memory until the process-wide manager squeezes
-// it out.
-func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, int64, error) {
-	var n int
+// pre-sorted per-partition runs the map tasks produced. Storage mode is
+// a host decision with no effect on the record sequence: the runs
+// themselves merged as they are read (memInput), or, under a memory
+// budget, a store that buffers them in memory until the process-wide
+// manager squeezes it out.
+func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, error) {
+	if cfg.MemBudget != nil {
+		st := newSpillStore(cfg, r)
+		for m := 0; m < cfg.NumMapTasks; m++ {
+			// Each run is tagged with its map index as merge priority.
+			if err := st.addRun(m, mapRes[m].out[r]); err != nil {
+				st.Close()
+				return nil, err
+			}
+		}
+		return st, nil
+	}
 	runs := make([][]KeyValue, 0, cfg.NumMapTasks)
 	for m := 0; m < cfg.NumMapTasks; m++ {
 		if run := mapRes[m].out[r]; len(run) > 0 {
 			runs = append(runs, run)
-			n += len(run)
 		}
 	}
-	if cfg.ShuffleMemLimit > 0 && n > cfg.ShuffleMemLimit && len(runs) > 1 {
-		// Deterministic spill: every run goes to disk, exactly as many
-		// runs as contribute — the count the trace reports.
-		st := newSpillStore(cfg, nil, r, true)
-		if err := addPartitionRuns(st, cfg, mapRes, r); err != nil {
-			st.Close()
-			return nil, 0, err
-		}
-		return st, st.spilledRuns, nil
-	}
-	if cfg.MemBudget != nil {
-		// Budget-governed store: runs buffer in memory charged against
-		// the process-wide budget; pressure (not this job's config)
-		// decides what actually reaches disk, so the deterministic
-		// spilled-run count stays zero.
-		st := newSpillStore(cfg, cfg.MemBudget, r, false)
-		if err := addPartitionRuns(st, cfg, mapRes, r); err != nil {
-			st.Close()
-			return nil, 0, err
-		}
-		return st, 0, nil
-	}
-	return memInput{runs: runs}, 0, nil
-}
-
-// addPartitionRuns feeds every map task's partition-r run into the
-// store, tagged with its map index as merge priority.
-func addPartitionRuns(st *spillStore, cfg *Config, mapRes []mapTaskResult, r int) error {
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if err := st.addRun(m, mapRes[m].out[r]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return memInput{runs: runs}, nil
 }
 
 // splitInput divides input into n contiguous, near-equal splits.
@@ -521,10 +484,6 @@ type mapStage struct {
 	sel    []int32
 	ends   []int
 	sorter runSorter
-	// A combiner's sorted input, its output before it is cut to length,
-	// and one group's values.
-	sorted, combined []KeyValue
-	values           [][]byte
 }
 
 // mapStages lends map tasks their stage. A stage is put back by the
@@ -606,9 +565,8 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	if err := mapper.Cleanup(ctx, emitter); err != nil {
 		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d cleanup: %w", cfg.Name, index, err)
 	}
-	outRecs := len(st.kvs)
 	ctx.Inc(CounterMapInRecords, int64(len(split)))
-	ctx.Inc(CounterMapOutRecords, int64(outRecs))
+	ctx.Inc(CounterMapOutRecords, int64(len(st.kvs)))
 	// Map-side sort: leave every partition stably key-sorted so the
 	// shuffle can merge runs instead of re-sorting concatenations. The
 	// sort is real-machine work the simulation prices on the reduce side
@@ -617,60 +575,16 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	// of its own, so that a store that spills one frees it.
 	st.selectPartitions(cfg.NumReduceTasks)
 	out := make([][]KeyValue, cfg.NumReduceTasks)
-	combined, lo := 0, 0
+	lo := 0
 	for p, hi := range st.ends {
-		switch sel := st.sel[lo:hi]; {
-		case len(sel) == 0:
-		case cfg.Combine != nil && len(sel) > 1:
-			out[p] = applyCombiner(ctx, cfg, st, sel)
-		default:
+		if sel := st.sel[lo:hi]; len(sel) > 0 {
 			out[p] = make([]KeyValue, len(sel))
 			st.sorter.sortInto(out[p], st.kvs, sel)
 		}
-		combined += len(out[p])
 		lo = hi
-	}
-	if cfg.Combine != nil {
-		ctx.Inc(CounterCombineInRecords, int64(outRecs))
-		ctx.Inc(CounterCombineOutRecords, int64(combined))
 	}
 	st.release()
 	return out, ctx.Now(), ctx.counters, ctx.spans, nil
-}
-
-// applyCombiner sorts one partition of a map task's output (sel, two
-// records or more) by key, groups equal keys, and replaces each group's
-// values with the combiner's output, exactly as Hadoop's map-side
-// combine does. Sorting and re-emission are charged to the task. The
-// run it returns is key-sorted and, like every run, exactly its length;
-// the stage's scratch it went through is cleared as it is used.
-func applyCombiner(ctx *TaskContext, cfg *Config, st *mapStage, sel []int32) []KeyValue {
-	sorted := slices.Grow(st.sorted[:0], len(sel))[:len(sel)]
-	st.sorter.sortInto(sorted, st.kvs, sel)
-	ctx.Charge(cfg.Cost.ShuffleSortCost(len(sorted)))
-	combined, values := st.combined[:0], st.values
-	for lo := 0; lo < len(sorted); {
-		hi := lo + 1
-		for hi < len(sorted) && sorted[hi].Key == sorted[lo].Key {
-			hi++
-		}
-		values = values[:0]
-		for i := lo; i < hi; i++ {
-			values = append(values, sorted[i].Value)
-		}
-		for _, v := range cfg.Combine(sorted[lo].Key, values) {
-			ctx.Charge(cfg.Cost.EmitRecord)
-			combined = append(combined, KeyValue{Key: sorted[lo].Key, Value: v})
-		}
-		clear(values)
-		lo = hi
-	}
-	run := make([]KeyValue, len(combined))
-	copy(run, combined)
-	clear(sorted)
-	clear(combined)
-	st.sorted, st.combined, st.values = sorted, combined, values
-	return run
 }
 
 // reduceEmitter stamps each output record with the task-local clock.

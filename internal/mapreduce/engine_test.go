@@ -296,6 +296,49 @@ func TestReduceErrorPropagates(t *testing.T) {
 	}
 }
 
+// panicMapper crashes on the second record.
+type panicMapper struct {
+	MapperBase
+	n int
+}
+
+func (m *panicMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) error {
+	m.n++
+	if m.n == 2 {
+		panic("injected map failure")
+	}
+	emit.Emit(rec.Key, rec.Value)
+	return nil
+}
+
+func TestPanicInMapTaskBecomesError(t *testing.T) {
+	cfg := wordCountConfig(1)
+	cfg.NewMapper = func() Mapper { return &panicMapper{} } // the last split holds two records
+	_, err := Run(cfg, wordCountInput(), 0)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("want panic-derived error, got %v", err)
+	}
+}
+
+// panicReducer crashes on a specific key.
+type panicReducer struct{ ReducerBase }
+
+func (panicReducer) Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error {
+	if key == "dog" {
+		panic("injected reduce failure")
+	}
+	return nil
+}
+
+func TestPanicInReduceTaskBecomesError(t *testing.T) {
+	cfg := wordCountConfig(4)
+	cfg.NewReducer = func() Reducer { return panicReducer{} }
+	_, err := Run(cfg, wordCountInput(), 0)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("want panic-derived error, got %v", err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := wordCountConfig(1)
 	cases := []func(*Config){

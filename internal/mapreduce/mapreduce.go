@@ -94,14 +94,6 @@ func (ReducerBase) Setup(*TaskContext) error { return nil }
 // Cleanup implements Reducer.
 func (ReducerBase) Cleanup(*TaskContext, Emitter) error { return nil }
 
-// Combiner merges the values of one key on the map side before the
-// shuffle, cutting shuffle volume — Hadoop's combiner contract: it must
-// be associative/commutative in effect, since the framework may apply
-// it zero or more times. Like Reducer.Reduce, the values slice is
-// framework-owned scratch reused between key groups; return a fresh
-// slice rather than the input slice itself.
-type Combiner func(key string, values [][]byte) [][]byte
-
 // Partitioner routes a key to one of numReduce reduce tasks.
 type Partitioner func(key string, numReduce int) int
 
@@ -160,10 +152,6 @@ type Config struct {
 	NewReducer func() Reducer
 	// Partition routes map-output keys; HashPartitioner if nil.
 	Partition Partitioner
-	// Combine, when non-nil, merges each map task's output values per
-	// key before the shuffle (charged at EmitRecord per surviving
-	// record).
-	Combine Combiner
 	// NumMapTasks and NumReduceTasks size the job. The paper sets map
 	// tasks = map slots and reduce tasks = reduce slots.
 	NumMapTasks    int
@@ -183,20 +171,15 @@ type Config struct {
 	// or barriered. A host-machine knob like Workers.
 	Execution ExecutionMode
 	// Transport selects where task bodies execute: in-process on the
-	// channel pool (nil / LocalTransport, the default) or leased to
-	// worker processes through a RemoteTransport (internal/dist). A
-	// host-machine knob like Workers: every transport produces
-	// byte-identical Results, traces, and quality exports. Remote
-	// transports require the pipelined engine and are incompatible
-	// with MemBudget/ShuffleMemLimit (run files, not memory pressure,
-	// are the distributed data plane).
+	// channel pool (nil, the default) or leased to worker processes
+	// through a RemoteTransport (internal/dist). A host-machine knob
+	// like Workers: every transport produces byte-identical Results,
+	// traces, and quality exports. Remote transports require the
+	// pipelined engine and are incompatible with MemBudget (run files,
+	// not memory pressure, are the distributed data plane).
 	Transport TaskTransport
-	// ShuffleMemLimit, when > 0, bounds the records a reduce task's
-	// shuffle may buffer in host memory; beyond it, sorted runs spill
-	// to SpillDir and are k-way merged (Hadoop's spill-and-merge
-	// shuffle). Purely a host-machine knob, like Workers.
-	ShuffleMemLimit int
-	// SpillDir receives shuffle spill files; os.TempDir()-based default.
+	// SpillDir receives the spill files MemBudget forces out;
+	// os.TempDir()-based default.
 	SpillDir string
 	// MemBudget, when non-nil, is the process-wide memory budget
 	// manager governing out-of-core execution: reduce inputs buffer in
@@ -238,13 +221,12 @@ type Config struct {
 	// construction. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state: per-task
-	// DAG node transitions, attempt/retry/speculation activity, shuffle
-	// spill progress, and per-block resolution realizations as
-	// they happen — the feed behind the status server's /progress and
-	// /tasks endpoints. Strictly write-only from the engine's side
-	// (nothing in the run reads it back), so Result, traces, metrics,
-	// and quality exports are byte-identical with or without it. Nil
-	// disables at zero cost.
+	// DAG node transitions, attempt/retry/speculation activity, and
+	// per-block resolution realizations as they happen — the feed
+	// behind the status server's /progress and /tasks endpoints.
+	// Strictly write-only from the engine's side (nothing in the run
+	// reads it back), so Result, traces, metrics, and quality exports
+	// are byte-identical with or without it. Nil disables at zero cost.
 	Live *live.Run
 }
 
@@ -273,29 +255,23 @@ func (c *Config) validate() error {
 	if c.Execution != ExecPipelined && c.Execution != ExecBarrier {
 		return fmt.Errorf("mapreduce: job %q: unknown execution mode %d", c.Name, c.Execution)
 	}
-	switch c.Transport.(type) {
-	case nil, LocalTransport, *LocalTransport:
-	default:
-		rt, ok := c.Transport.(RemoteTransport)
-		if !ok {
-			return fmt.Errorf("mapreduce: job %q: transport %q is neither local nor a RemoteTransport",
-				c.Name, c.Transport.TransportName())
-		}
-		// Remote execution replicates the pipelined task graph across
-		// processes; the barrier edge policy and the in-memory pressure
-		// knobs are not offered there (run files are the data plane).
-		if c.Execution != ExecPipelined {
-			return fmt.Errorf("mapreduce: job %q: transport %q requires the pipelined engine",
-				c.Name, rt.TransportName())
-		}
-		if c.MemBudget != nil {
-			return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with MemBudget",
-				c.Name, rt.TransportName())
-		}
-		if c.ShuffleMemLimit > 0 {
-			return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with ShuffleMemLimit",
-				c.Name, rt.TransportName())
-		}
+	if c.Transport == nil {
+		return nil
+	}
+	if _, ok := c.Transport.(RemoteTransport); !ok {
+		return fmt.Errorf("mapreduce: job %q: transport %q is not a RemoteTransport",
+			c.Name, c.Transport.TransportName())
+	}
+	// Remote execution replicates the pipelined task graph across
+	// processes; the barrier edge policy and the memory budget are not
+	// offered there (run files are the data plane).
+	if c.Execution != ExecPipelined {
+		return fmt.Errorf("mapreduce: job %q: transport %q requires the pipelined engine",
+			c.Name, c.Transport.TransportName())
+	}
+	if c.MemBudget != nil {
+		return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with MemBudget",
+			c.Name, c.Transport.TransportName())
 	}
 	return nil
 }

@@ -243,20 +243,20 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
 	barrier := cfg.Execution == ExecBarrier
 
-	// Out-of-core mode: with a memory budget (and no fault runtime or
-	// deterministic spill limit claiming the shuffle as attempt-tracked
-	// work), every partition gets a budget-governed store up front. Map
-	// nodes feed their committed runs straight into the stores and drop
-	// their output buffers, so a map task's records stay referenced only
-	// through the stores — and the budget manager decides what stays
-	// resident. The stores are published into shufRes before execution
-	// so Run can settle them even if the graph errors out.
-	budgetMode := cfg.MemBudget != nil && fr == nil && cfg.ShuffleMemLimit <= 0
+	// Out-of-core mode: with a memory budget (and no fault runtime
+	// claiming the shuffle as attempt-tracked work), every partition gets
+	// a budget-governed store up front. Map nodes feed their committed
+	// runs straight into the stores and drop their output buffers, so a
+	// map task's records stay referenced only through the stores — and
+	// the budget manager decides what stays resident. The stores are
+	// published into shufRes before execution so Run can settle them even
+	// if the graph errors out.
+	budgetMode := cfg.MemBudget != nil && fr == nil
 	var stores []*spillStore
 	if budgetMode {
 		stores = make([]*spillStore, R)
 		for r := 0; r < R; r++ {
-			stores[r] = newSpillStore(cfg, cfg.MemBudget, r, false)
+			stores[r] = newSpillStore(cfg, r)
 			po.shufRes[r] = shuffleTaskResult{in: stores[r]}
 		}
 	}

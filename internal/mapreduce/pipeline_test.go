@@ -184,13 +184,12 @@ func TestTaskGraphWorkerClamp(t *testing.T) {
 
 // pipelineVariants returns named config mutations covering the engine
 // paths a job can take between map output and reduce input: the
-// in-memory streaming merge (plain), the combiner path, the spill
-// path, and skewed task counts.
+// in-memory streaming merge (plain), the budget-governed spill path,
+// and skewed task counts.
 func pipelineVariants() map[string]func(*Config) {
 	return map[string]func(*Config){
 		"plain":       func(cfg *Config) {},
-		"combiner":    func(cfg *Config) { cfg.Combine = sumCombiner },
-		"spill":       func(cfg *Config) { cfg.ShuffleMemLimit = 2 },
+		"spill":       spillEverything,
 		"singlemap":   func(cfg *Config) { cfg.NumMapTasks = 1 },
 		"manyreduce":  func(cfg *Config) { cfg.NumReduceTasks = 5 },
 		"singleslots": func(cfg *Config) { cfg.Cluster = Cluster{Machines: 1, SlotsPerMachine: 1} },
@@ -222,6 +221,10 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 				}
 				if !reflect.DeepEqual(bRes, pRes) {
 					t.Errorf("Result diverged between engines:\nbarrier:   %+v\npipelined: %+v", bRes, pRes)
+				}
+				if bCfg.MemBudget != nil {
+					requireSpilled(t, &bCfg)
+					requireSpilled(t, &pCfg)
 				}
 			})
 		}
@@ -408,36 +411,30 @@ func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
 // publishes into phaseOutputs, and Run closes whatever is there.
 func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
 	for _, mode := range []ExecutionMode{ExecPipelined, ExecBarrier} {
-		for _, storage := range []string{"force-disk", "budget"} {
-			t.Run(fmt.Sprintf("mode=%v/%s", mode, storage), func(t *testing.T) {
-				cfg := wordCountConfig(1) // one worker: shuffle 0 commits before shuffle 1 fails
-				cfg.Execution = mode
-				cfg.SpillDir = t.TempDir()
-				cfg.Retry = RetryPolicy{MaxRetries: 2}
-				cfg.Faults = faults.Script{
-					{Phase: faults.Shuffle, Task: 1, Attempt: 1}: {Kind: faults.Crash},
-					{Phase: faults.Shuffle, Task: 1, Attempt: 2}: {Kind: faults.Crash},
-					{Phase: faults.Shuffle, Task: 1, Attempt: 3}: {Kind: faults.Crash},
-				}
-				if storage == "budget" {
-					cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
-				} else {
-					cfg.ShuffleMemLimit = 1
-				}
-				if _, err := Run(cfg, wordCountInput(), 0); err == nil {
-					t.Fatal("Run succeeded; the scripted shuffle failure never fired")
-				}
-				entries, err := os.ReadDir(cfg.SpillDir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(entries) != 0 {
-					t.Errorf("%d entries left under SpillDir after the failed run", len(entries))
-				}
-				if used := cfg.MemBudget.Used(); used != 0 {
-					t.Errorf("MemBudget.Used() = %d after the failed run, want 0", used)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("mode=%v/budget", mode), func(t *testing.T) {
+			cfg := wordCountConfig(1) // one worker: shuffle 0 commits before shuffle 1 fails
+			cfg.Execution = mode
+			cfg.SpillDir = t.TempDir()
+			cfg.Retry = RetryPolicy{MaxRetries: 2}
+			cfg.Faults = faults.Script{
+				{Phase: faults.Shuffle, Task: 1, Attempt: 1}: {Kind: faults.Crash},
+				{Phase: faults.Shuffle, Task: 1, Attempt: 2}: {Kind: faults.Crash},
+				{Phase: faults.Shuffle, Task: 1, Attempt: 3}: {Kind: faults.Crash},
+			}
+			cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
+			if _, err := Run(cfg, wordCountInput(), 0); err == nil {
+				t.Fatal("Run succeeded; the scripted shuffle failure never fired")
+			}
+			entries, err := os.ReadDir(cfg.SpillDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 0 {
+				t.Errorf("%d entries left under SpillDir after the failed run", len(entries))
+			}
+			if used := cfg.MemBudget.Used(); used != 0 {
+				t.Errorf("MemBudget.Used() = %d after the failed run, want 0", used)
+			}
+		})
 	}
 }

@@ -312,7 +312,7 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 		parallel.Workers = runtime.GOMAXPROCS(0) + 3 // force the pool path
 		spilling := base
 		spilling.Workers = 4
-		spilling.ShuffleMemLimit = 2 // force the external merge path
+		spillEverything(&spilling)
 		spilling.SpillDir = t.TempDir()
 
 		a, err := Run(serial, in, 0)
@@ -326,6 +326,21 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 		c, err := Run(spilling, in, 0)
 		if err != nil {
 			return false
+		}
+		// A map task feeding two partitions guarantees a forced spill under
+		// any interleaving: its second run's charge finds its own first run
+		// settled, and spillable.
+		for _, split := range splitInput(in, spilling.NumMapTasks) {
+			parts := map[int]bool{}
+			for _, rec := range split {
+				for _, w := range strings.Fields(string(rec.Value)) {
+					parts[HashPartitioner(w, spilling.NumReduceTasks)] = true
+				}
+			}
+			if len(parts) > 1 && spilling.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
+				t.Logf("seed %d: the memory budget forced no spill", seed)
+				return false
+			}
 		}
 		return reflect.DeepEqual(a.Output, b.Output) &&
 			reflect.DeepEqual(a.Output, c.Output) &&
@@ -341,7 +356,7 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 
 func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	run := []KeyValue{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}
-	in, _, err := shuffleForTask(&Config{NumMapTasks: 3}, []mapTaskResult{
+	in, err := shuffleForTask(&Config{NumMapTasks: 3}, []mapTaskResult{
 		{out: [][]KeyValue{nil}}, {out: [][]KeyValue{run}}, {out: [][]KeyValue{nil}},
 	}, 0)
 	if err != nil {
@@ -469,44 +484,40 @@ func TestStageReuseAcrossTaskShapes(t *testing.T) {
 
 // TestMapOutputRunsAreExact: every run a map task returns is an
 // allocation of its own at exactly its length — what lets a spill store
-// free one run by dropping it (its ledger charges len, not cap) — with
-// and without a combiner.
+// free one run by dropping it (its ledger charges len, not cap).
 func TestMapOutputRunsAreExact(t *testing.T) {
 	split := []KeyValue{{Key: "a", Value: []byte("40×0 3×2 1×3 5×4")}, {Key: "b", Value: []byte("2×0 9×1 2×4")}}
-	for _, combine := range []Combiner{nil, func(_ string, values [][]byte) [][]byte { return values[:1] }} {
-		cfg := &Config{
-			Name:           "exact-runs",
-			NewMapper:      func() Mapper { return shapeMapper{} },
-			Partition:      shapePartitioner,
-			Combine:        combine,
-			NumReduceTasks: 6, // partition 5 stays empty
+	cfg := &Config{
+		Name:           "exact-runs",
+		NewMapper:      func() Mapper { return shapeMapper{} },
+		Partition:      shapePartitioner,
+		NumReduceTasks: 6, // partition 5 stays empty
+	}
+	for round := 0; round < 2; round++ { // the second task runs on the first one's stage
+		out, _, _, _, err := runMapTask(cfg, 0, split)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for round := 0; round < 2; round++ { // the second task runs on the first one's stage
-			out, _, _, _, err := runMapTask(cfg, 0, split)
-			if err != nil {
-				t.Fatal(err)
+		type span struct{ lo, hi uintptr }
+		var spans []span
+		size := reflect.TypeOf(KeyValue{}).Size()
+		for p, run := range out {
+			if (len(run) == 0) != (p == 5) {
+				t.Errorf("partition %d has %d records", p, len(run))
 			}
-			type span struct{ lo, hi uintptr }
-			var spans []span
-			size := reflect.TypeOf(KeyValue{}).Size()
-			for p, run := range out {
-				if (len(run) == 0) != (p == 5) {
-					t.Errorf("combiner %t: partition %d has %d records", combine != nil, p, len(run))
-				}
-				if cap(run) != len(run) {
-					t.Errorf("combiner %t: partition %d: cap %d, len %d", combine != nil, p, cap(run), len(run))
-				}
-				if len(run) == 0 {
-					continue
-				}
-				lo := reflect.ValueOf(run).Pointer()
-				spans = append(spans, span{lo, lo + uintptr(cap(run))*size})
+			if cap(run) != len(run) {
+				t.Errorf("partition %d: cap %d, len %d", p, cap(run), len(run))
 			}
-			for i, a := range spans {
-				for _, b := range spans[i+1:] {
-					if a.lo < b.hi && b.lo < a.hi {
-						t.Errorf("combiner %t: two runs of one task share a backing array", combine != nil)
-					}
+			if len(run) == 0 {
+				continue
+			}
+			lo := reflect.ValueOf(run).Pointer()
+			spans = append(spans, span{lo, lo + uintptr(cap(run))*size})
+		}
+		for i, a := range spans {
+			for _, b := range spans[i+1:] {
+				if a.lo < b.hi && b.lo < a.hi {
+					t.Error("two runs of one task share a backing array")
 				}
 			}
 		}

@@ -3,10 +3,10 @@ package mapreduce
 // The pluggable shuffle storage layer. A reduce task's input is a
 // reduceInput — either the map tasks' in-memory runs (memInput in
 // shuffle.go, the classic path) or a spillStore holding sorted runs
-// that may live in memory, on disk, or both. Which one a partition gets is a pure
-// host-machine decision (ShuffleMemLimit, MemBudget); the record
-// sequence every implementation yields is byte-identical, which is
-// what keeps Result/trace/quality bytes independent of storage mode.
+// that may live in memory, on disk, or both. Which one a partition gets
+// is a pure host-machine decision (MemBudget, the one road to disk);
+// the record sequence both yield is byte-identical, which is what keeps
+// Result/trace/quality bytes independent of storage mode.
 //
 // Ordering invariant: every run is tagged with a priority — its map
 // task index — and all merges compare (key, prio). Because one run is
@@ -87,22 +87,18 @@ func prioKVCmp(a, b prioKV) int {
 type spillRun struct {
 	prio    uint64
 	kvs     []KeyValue
-	bytes   int64
 	charged bool
 }
 
 // spillStore is the disk-capable reduceInput. Runs are ingested whole
-// (addRun); in forceDisk mode each goes straight to its own run file
-// (the deterministic ShuffleMemLimit path), otherwise runs buffer in
-// memory charged against the budget account, and a budget-forced spill
-// merges everything buffered into one compressed run file. Iter k-way
-// merges memory and disk sources by (key, prio).
+// (addRun) and buffer in memory charged against the budget account; a
+// budget-forced spill merges everything buffered into one compressed
+// run file. Iter k-way merges memory and disk sources by (key, prio).
 type spillStore struct {
-	job       string
-	r         int
-	parent    string // spill parent dir; "" = system temp
-	forceDisk bool
-	acct      *membudget.Account
+	job    string
+	r      int
+	parent string // spill parent dir; "" = system temp
+	acct   *membudget.Account
 
 	mu       sync.Mutex
 	tmpDir   string
@@ -113,22 +109,17 @@ type spillStore struct {
 	readers  int // live iterators; pins memory runs against spilling
 	closed   bool
 
-	// spilledRuns is the deterministic ShuffleMemLimit-driven count the
-	// trace reports; forcedSpills/spilledBytes are budget-pressure
-	// driven and reported only through the metrics registry.
-	spilledRuns  int64
+	// Budget-pressure driven, reported only through the metrics registry.
 	forcedSpills int64
 	spilledBytes int64
 }
 
-// newSpillStore creates a store for reduce partition r. With mgr
-// non-nil (and forceDisk false) buffered bytes are charged to a fresh
-// budget account whose forced-spill callback flushes the buffer.
-func newSpillStore(cfg *Config, mgr *membudget.Manager, r int, forceDisk bool) *spillStore {
-	st := &spillStore{job: cfg.Name, r: r, parent: cfg.SpillDir, forceDisk: forceDisk}
-	if !forceDisk {
-		st.acct = mgr.NewAccount(fmt.Sprintf("%s/shuffle-%d", cfg.Name, r), st.budgetSpill)
-	}
+// newSpillStore creates a store for reduce partition r whose buffered
+// bytes are charged to a fresh cfg.MemBudget account; the account's
+// forced-spill callback flushes the buffer.
+func newSpillStore(cfg *Config, r int) *spillStore {
+	st := &spillStore{job: cfg.Name, r: r, parent: cfg.SpillDir}
+	st.acct = cfg.MemBudget.NewAccount(fmt.Sprintf("%s/shuffle-%d", cfg.Name, r), st.budgetSpill)
 	return st
 }
 
@@ -145,17 +136,7 @@ func (st *spillStore) addRun(prio int, kvs []KeyValue) error {
 		return nil
 	}
 	b := kvRunBytes(kvs)
-	run := &spillRun{prio: uint64(prio), kvs: kvs, bytes: b}
-	if st.forceDisk {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if err := st.writeRunFileLocked([]*spillRun{run}); err != nil {
-			return err
-		}
-		st.spilledRuns++
-		st.total += len(kvs)
-		return nil
-	}
+	run := &spillRun{prio: uint64(prio), kvs: kvs}
 	st.mu.Lock()
 	st.memRuns = append(st.memRuns, run)
 	st.total += len(kvs)
@@ -438,13 +419,7 @@ func discardAttemptOutput[T any](out T) {
 // storage mode.
 func (s shuffleTaskResult) attemptEqual(other any) bool {
 	o, ok := other.(shuffleTaskResult)
-	if !ok {
-		return false
-	}
-	if s.spilledRuns != o.spilledRuns {
-		return false
-	}
-	return reduceInputsEqual(s.in, o.in)
+	return ok && reduceInputsEqual(s.in, o.in)
 }
 
 // discard implements discardable.

@@ -12,6 +12,24 @@ import (
 	"proger/internal/obs"
 )
 
+// spillEverything puts cfg under a memory budget below any two runs, so
+// that every run after the first forces a spill, and gives it the
+// registry that counts them (see requireSpilled).
+func spillEverything(cfg *Config) {
+	cfg.MemBudget = membudget.New(64)
+	cfg.Metrics = obs.NewRegistry()
+}
+
+// requireSpilled fails t unless the budget-governed run of cfg really
+// reached disk: a budget that turns out large enough to stay in memory
+// would quietly compare memInput with itself.
+func requireSpilled(t *testing.T, cfg *Config) {
+	t.Helper()
+	if cfg.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
+		t.Fatalf("job %q: the memory budget forced no spill", cfg.Name)
+	}
+}
+
 // storeConfig builds a minimal Config for driving a spillStore
 // directly in tests.
 func storeConfig(t *testing.T, budget int64) (*Config, *membudget.Manager) {
@@ -70,7 +88,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 	want := drainInput(t, memInput{runs: runs})
 
 	cfg, _ := storeConfig(t, 1<<30) // roomy: no pressure unless forced
-	st := newSpillStore(cfg, cfg.MemBudget, 0, false)
+	st := newSpillStore(cfg, 0)
 	defer st.Close()
 	// Ingest out of order, spilling the buffer partway through.
 	order := []int{3, 0, 4}
@@ -106,7 +124,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 // instead of mutating them.
 func TestSpillStoreIterPinsBuffer(t *testing.T) {
 	cfg, _ := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, cfg.MemBudget, 0, false)
+	st := newSpillStore(cfg, 0)
 	defer st.Close()
 	if err := st.addRun(0, storeRuns(1, 10)[0]); err != nil {
 		t.Fatal(err)
@@ -128,7 +146,7 @@ func TestSpillStoreIterPinsBuffer(t *testing.T) {
 // dir, and settles the budget account.
 func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	cfg, mgr := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, cfg.MemBudget, 3, false)
+	st := newSpillStore(cfg, 3)
 	if err := st.addRun(0, storeRuns(1, 50)[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -157,24 +175,25 @@ func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	}
 }
 
-// TestForceDiskStoreCountsRuns: the deterministic ShuffleMemLimit path
-// writes one file per ingested run and reports that count.
-func TestForceDiskStoreCountsRuns(t *testing.T) {
-	cfg := &Config{Name: "force", SpillDir: t.TempDir()}
-	st := newSpillStore(cfg, nil, 0, true)
-	defer st.Close()
-	runs := storeRuns(3, 20)
-	for m, run := range runs {
-		if err := st.addRun(m, run); err != nil {
-			t.Fatal(err)
-		}
+func TestSpillingShuffleEquivalence(t *testing.T) {
+	plain := wordCountConfig(2)
+	spill := wordCountConfig(2)
+	spillEverything(&spill)
+	spill.SpillDir = t.TempDir()
+	a, err := Run(plain, wordCountInput(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.spilledRuns != 3 || len(st.files) != 3 {
-		t.Fatalf("spilledRuns=%d files=%d, want 3/3", st.spilledRuns, len(st.files))
+	b, err := Run(spill, wordCountInput(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := drainInput(t, memInput{runs: runs})
-	if got := drainInput(t, st); !reflect.DeepEqual(got, want) {
-		t.Fatal("force-disk merge diverged from in-memory stable merge")
+	requireSpilled(t, &spill)
+	if !reflect.DeepEqual(a.Output, b.Output) {
+		t.Error("spilling shuffle changed results")
+	}
+	if a.End != b.End {
+		t.Error("spilling shuffle changed simulated timing (it must not)")
 	}
 }
 
@@ -200,6 +219,9 @@ func TestBudgetRunMatchesMemoryRun(t *testing.T) {
 		res, err := Run(cfg, wordCountInput(), 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if budget > 0 {
+			requireSpilled(t, &cfg)
 		}
 		var b bytes.Buffer
 		if err := cfg.Trace.WriteChromeTrace(&b); err != nil {

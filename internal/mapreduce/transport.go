@@ -1,40 +1,25 @@
 package mapreduce
 
 // The task transport layer: where one job's task bodies (the job
-// graph's body policy) execute. The default LocalTransport runs every
-// body in-process; a RemoteTransport (internal/dist) instead leases the
+// graph's body policy) execute. With no transport every body runs
+// in-process; a RemoteTransport (internal/dist) instead leases the
 // deterministic task bodies — map/shuffle/reduce, identified by
 // (job seq, phase, task index) — to worker processes, while the graph
 // builder, its channel-pool scheduler, the attempt/retry/speculation
 // runtime, and all observability stay in this package and are shared
 // verbatim between the two. That sharing is the determinism argument:
-// both transports run the same builder with the same attempt machinery
+// both placements run the same builder with the same attempt machinery
 // and fill the same phaseOutputs, so Result, trace, and quality bytes
 // cannot depend on which transport executed the work.
 
-// TaskTransport selects how the engine executes a job's tasks. The
-// zero/nil value means LocalTransport. Like Workers, it is purely a
-// host-machine knob: every transport produces byte-identical Results,
-// traces, counters, and quality exports.
+// TaskTransport selects how the engine executes a job's tasks. The nil
+// value runs every task body in this process — the determinism
+// reference every RemoteTransport is byte-compared against. Like
+// Workers, it is purely a host-machine knob: every transport produces
+// byte-identical Results, traces, counters, and quality exports.
 type TaskTransport interface {
 	// TransportName labels the transport in errors and diagnostics.
 	TransportName() string
-}
-
-// LocalTransport is the default in-process transport: every task body
-// of the job graph runs inside this process. It is the determinism
-// reference every other transport is byte-compared against.
-type LocalTransport struct{}
-
-// TransportName implements TaskTransport.
-func (LocalTransport) TransportName() string { return "local" }
-
-// transportOf resolves the configured transport, defaulting to local.
-func transportOf(cfg *Config) TaskTransport {
-	if cfg.Transport != nil {
-		return cfg.Transport
-	}
-	return LocalTransport{}
 }
 
 // RemoteTransport is a TaskTransport that executes task bodies in

@@ -22,7 +22,6 @@ const (
 	EventTaskFailed    = "task.failed"
 	EventTaskRetry     = "task.retry"
 	EventTaskSpeculate = "task.speculate"
-	EventShuffleSpill  = "shuffle.spill"
 	// Distributed-runtime events, emitted by the master's lease ledger:
 	// a worker process registering, a task lease being granted, and a
 	// lease expiring after its worker went silent. All host-side — they

@@ -1,8 +1,8 @@
 // Package live is the pipeline's *in-flight* introspection layer.
 // Where internal/obs and internal/obs/quality export artifacts after a
 // run ends, this package answers "what is the run doing right now":
-// per-task DAG node states, attempt/retry/speculation counts, shuffle
-// spill progress, memory-budget pressure, and an incremental
+// per-task DAG node states, attempt/retry/speculation counts,
+// memory-budget pressure (forced spills included), and an incremental
 // progressive-recall estimate — all published by the engines at atomic-
 // counter cost and readable at any instant, plus an HTTP status server
 // (server.go), a structured JSON event log (events.go), and a terminal
@@ -211,8 +211,6 @@ type Job struct {
 	name string
 	// phases index: 0 map, 1 shuffle, 2 reduce.
 	phases [3]*phaseLive
-	// spilledRuns counts sorted runs the shuffle routed to disk.
-	spilledRuns atomic.Int64
 	// retries and speculations count attempt-runtime activity.
 	retries      atomic.Int64
 	speculations atomic.Int64
@@ -339,17 +337,6 @@ func (j *Job) Speculate(p Phase, task int) {
 	j.speculations.Add(1)
 	j.run.log.Emit(EventTaskSpeculate,
 		KV("job", j.name), KV("phase", string(p)), KV("task", task))
-}
-
-// SpilledRuns records the shuffle routing n sorted runs to disk for
-// partition r (the deterministic ShuffleMemLimit path; budget-forced
-// spills surface through the membudget manager instead).
-func (j *Job) SpilledRuns(r int, n int64) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.spilledRuns.Add(n)
-	j.run.log.Emit(EventShuffleSpill, KV("job", j.name), KV("partition", r), KV("runs", n))
 }
 
 // End marks the job's DAG fully executed (or failed).

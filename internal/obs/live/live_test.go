@@ -114,7 +114,6 @@ func TestRunTaskLifecycleAndProgress(t *testing.T) {
 	j.Retry(PhaseMap, 1, 1, "crash")
 	j.TaskStart(PhaseMap, 1) // the retried execution begins
 	j.Speculate(PhaseMap, 1)
-	j.SpilledRuns(0, 3)
 	r.ObserveResolution(6, 2, 30)
 	r.Finish(nil)
 
@@ -126,9 +125,6 @@ func TestRunTaskLifecycleAndProgress(t *testing.T) {
 	}
 	if s.Jobs[0].Retries != 1 || s.Jobs[0].Speculations != 1 {
 		t.Errorf("retries/speculations = %d/%d, want 1/1", s.Jobs[0].Retries, s.Jobs[0].Speculations)
-	}
-	if s.Jobs[0].SpilledRuns != 3 {
-		t.Errorf("spilledRuns = %d, want 3", s.Jobs[0].SpilledRuns)
 	}
 	if s.BlocksResolved != 1 || s.PairsCompared != 6 || s.Dups != 2 || s.RealizedCost != 30 {
 		t.Errorf("resolution totals = %+v", s)
@@ -184,7 +180,6 @@ func TestNilRunSafe(t *testing.T) {
 	j.TaskFailed(PhaseMap, 0, fmt.Errorf("x"))
 	j.Retry(PhaseMap, 0, 1, "crash")
 	j.Speculate(PhaseMap, 0)
-	j.SpilledRuns(0, 1)
 	j.End(nil)
 	r.ObserveResolution(1, 1, 1)
 	r.AttachQuality(nil)

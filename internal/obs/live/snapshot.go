@@ -49,9 +49,7 @@ type ProgressSnapshot struct {
 type JobProgress struct {
 	Name   string          `json:"name"`
 	Phases []PhaseProgress `json:"phases"`
-	// SpilledRuns counts sorted runs routed to disk; Retries and
-	// Speculations attempt-runtime activity.
-	SpilledRuns  int64 `json:"spilled_runs"`
+	// Retries and Speculations count attempt-runtime activity.
 	Retries      int64 `json:"retries"`
 	Speculations int64 `json:"speculations"`
 }
@@ -82,7 +80,6 @@ func (r *Run) Progress() ProgressSnapshot {
 	for _, j := range r.snapshotJobs() {
 		jp := JobProgress{
 			Name:         j.name,
-			SpilledRuns:  j.spilledRuns.Load(),
 			Retries:      j.retries.Load(),
 			Speculations: j.speculations.Load(),
 		}

@@ -374,8 +374,8 @@ type QualityExport = quality.Export
 var NewQualityRecorder = quality.NewRecorder
 
 // LiveRun is the in-flight introspection hub: engines publish task DAG
-// states, attempt/speculation counts, shuffle/merge/spill progress, and
-// streamed per-block resolutions into it at low, lock-free cost, and
+// states, attempt/speculation counts, and streamed per-block
+// resolutions into it at low, lock-free cost, and
 // the status server reads racefree per-field-atomic snapshots back out.
 // Attach one via Options.Live (or BasicOptions.Live). Strictly
 // write-only from the run's perspective: results and every post-run
@@ -383,8 +383,8 @@ var NewQualityRecorder = quality.NewRecorder
 type LiveRun = live.Run
 
 // LiveEventLog is the structured JSON event log (log/slog) fed by a
-// LiveRun: run/job lifecycle, task transitions, retries, speculation
-// and shuffle spills. The deterministic field subset (everything
+// LiveRun: run/job lifecycle, task transitions, retries and
+// speculation. The deterministic field subset (everything
 // except seq and wall_ms) is stable across worker counts and edge
 // policies.
 type LiveEventLog = live.EventLog
@@ -448,7 +448,6 @@ const (
 	EventTaskFailed    = live.EventTaskFailed
 	EventTaskRetry     = live.EventTaskRetry
 	EventTaskSpeculate = live.EventTaskSpeculate
-	EventShuffleSpill  = live.EventShuffleSpill
 	// Distributed-runtime events, emitted by a dist.Master's lease
 	// ledger into the same log.
 	EventWorkerRegister = live.EventWorkerRegister

@@ -108,6 +108,12 @@ go test -run '^$' -fuzz FuzzShuffleOrder -fuzztime 10s ./internal/mapreduce
 echo "== fuzz (blocking keys on bytes) =="
 go test -run '^$' -fuzz FuzzFamilyKeyBytes -fuzztime 10s ./internal/blocking
 
+# The run-file decoder is the one reader of spilled and shared-directory
+# bytes; arbitrary input must end in io.EOF or an error, never a panic
+# or an endless stream.
+echo "== fuzz (run-file decoder) =="
+go test -run '^$' -fuzz FuzzRunReaderArbitraryInput -fuzztime 10s ./internal/extsort
+
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
