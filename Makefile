@@ -33,8 +33,9 @@ bench:
 # profile runs N Resolve operations on the inputs of a benchmark driver
 # workload (WORKLOAD=persons|books|pubs, i.e. persons-exact, books-local,
 # pubs-local), leaves cpu.pprof and allocs.pprof in a temp dir and prints,
-# per operation, MiB allocated, mallocs and collector cycles, plus
-# GCCPUFraction and VmHWM.
+# per operation, wall and CPU milliseconds and the collector's share of
+# that CPU (runtime/metrics), MiB allocated, mallocs and collector
+# cycles, plus GCCPUFraction and VmHWM.
 WORKLOAD ?= persons
 N ?= 15
 profile:

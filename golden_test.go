@@ -140,18 +140,21 @@ func TestRecordPathKeepsResolveBytes(t *testing.T) {
 }
 
 // resolveAllocCeiling is 10 % over what one Resolve of the dataset
-// below allocates: 39 100 objects when recorded (43 982 while every task
+// below allocates: 23 000 objects when recorded (39 100 while every map
+// value was an allocation of its own and every decoded entity's
+// attributes and sort key strings of their own, 43 982 while every task
 // allocated its working memory — stage, tree states, sort and group
 // scratch — afresh, 114 267 while Job 1's map and reduce functions and
 // Job 2's locate decoded every entity they read a key of, 173 286 before
 // the slab decoders and the columnar tree state), a count that repeats
-// to a few tenths of a percent and is 6 % higher under -race, where
-// sync.Pool drops a quarter of what is put back. The 3 900 to spare are
-// fewer than the 6 000 records Job 1 shuffles here or the 17 000 of
-// Job 2, so an allocation per record put back on either reduce side, or
-// per emission on a map side, fails the test; one per input record
-// (2 000) does not.
-const resolveAllocCeiling = 43_000
+// to about half a percent. Under -race, where sync.Pool drops a
+// quarter of what is put back — a block visit's decode scratch among
+// it —, it is 18 % higher, and the ceiling a fifth higher. The 2 300 to
+// spare are fewer than the 6 000 records Job 1 shuffles here or the
+// 17 000 of Job 2, so an allocation per record put back on either
+// reduce side, or per emission on a map side, fails the test; one per
+// input record (2 000) does not.
+const resolveAllocCeiling = 25_300
 
 // resolveAllocBytesCeiling is 10 % over the bytes one such Resolve
 // allocates once the pools are warm: 3.64 MB when recorded (7.63 MB
@@ -180,9 +183,13 @@ func TestResolveAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.0f allocations per Resolve, ceiling %d", got, resolveAllocCeiling)
-	if got > resolveAllocCeiling {
-		t.Errorf("Resolve allocates %.0f objects, ceiling %d", got, resolveAllocCeiling)
+	ceiling := resolveAllocCeiling
+	if raceDetector {
+		ceiling += ceiling / 5
+	}
+	t.Logf("%.0f allocations per Resolve, ceiling %d", got, ceiling)
+	if got > float64(ceiling) {
+		t.Errorf("Resolve allocates %.0f objects, ceiling %d", got, ceiling)
 	}
 	// Bytes, over five more operations on one processor (as AllocsPerRun
 	// ran the ones above) with the collector held off: the pools are warm

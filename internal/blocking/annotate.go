@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"proger/internal/entity"
+	"proger/internal/mapreduce"
 )
 
 // Annotated is the annotated entity e*ᵢ of §III-B: the entity plus its
@@ -120,12 +121,16 @@ type Annotator struct {
 	out  []string // the record's map-output key per family
 	// keyOf[f] maps a main key of family f to Job1KeyOf(f, key).
 	keyOf []map[string]string
+	// vals holds the annotated values handed out, which are the task's
+	// map output.
+	vals mapreduce.ValueChunks
 }
 
 // Annotate returns the annotated form of the encoded entity at the
 // head of value — byte for byte EncodeAnnotated of the decoded entity
 // and its Families.MainKeys — and the map-output key it goes out under
-// for each family. The keys are valid until the next call.
+// for each family. The keys are valid until the next call; the value is
+// cut from the Annotator's chunks, to be emitted and never written to.
 func (a *Annotator) Annotate(fams Families, value []byte) ([]byte, []string, error) {
 	n, err := a.view.Scan(value)
 	if err != nil {
@@ -149,7 +154,6 @@ func (a *Annotator) Annotate(fams Families, value []byte) ([]byte, []string, err
 		}
 		a.out[f] = out
 	}
-	buf := make([]byte, 0, len(a.hdr)+n)
-	buf = append(buf, a.hdr...)
+	buf := append(a.vals.Alloc(len(a.hdr)+n), a.hdr...)
 	return append(buf, value[:n]...), a.out, nil
 }

@@ -14,6 +14,7 @@ import (
 	"unicode/utf8"
 
 	"proger/internal/entity"
+	"proger/internal/normkey"
 	"proger/internal/textsim"
 )
 
@@ -87,24 +88,20 @@ func (f *Family) Key(e *entity.Entity, level int) string {
 // whole-value lowering.
 func (f *Family) AppendKey(dst, v []byte, level int) []byte {
 	n := f.prefixLen(level)
+	at := len(dst)
 	if f.Kind == KeySoundex {
-		at := len(dst)
 		dst = textsim.AppendSoundexOfFirstWord(dst, v)
-		return dst[:at+min(n, len(dst)-at)]
-	}
-	p := truncate(v, n)
-	for _, c := range p {
-		if c >= utf8.RuneSelf {
-			return append(dst, truncate(strings.ToLower(string(v)), n)...)
+	} else {
+		p := truncate(v, n)
+		for _, c := range p {
+			if c >= utf8.RuneSelf {
+				p = v
+				break
+			}
 		}
+		dst = normkey.AppendLower(dst, p)
 	}
-	for _, c := range p {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
+	return dst[:at+min(n, len(dst)-at)]
 }
 
 // prefixLen returns the key length of the level-`level` function.

@@ -63,7 +63,9 @@ type BasicReducer struct {
 	// call (mechanisms keep nothing of a block after ResolveBlock).
 	view     blocking.AnnotatedView
 	dec      entity.Decoder
+	srcs     [][]byte // each value's entity part
 	ents     []*entity.Entity
+	sortKeys []string
 	keys     []string // the members' main keys, len(families) each
 	mainKeys [][]string
 	// keyOf holds one string per main key the task has seen: the keys
@@ -84,14 +86,9 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	if r.keyOf == nil {
 		r.keyOf = map[string]string{}
 	}
-	r.dec.Reset(len(values))
-	ents, keys, mainKeys := r.ents[:0], r.keys[:0], r.mainKeys[:0]
+	srcs, keys, mainKeys := r.srcs[:0], r.keys[:0], r.mainKeys[:0]
 	for _, v := range values {
 		off, err := r.view.ScanKeys(v)
-		if err != nil {
-			return err
-		}
-		e, _, err := r.dec.Decode(v[off:])
 		if err != nil {
 			return err
 		}
@@ -104,9 +101,14 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 			}
 			keys = append(keys, s)
 		}
-		ents, mainKeys = append(ents, e), append(mainKeys, keys[first:len(keys):len(keys)])
+		srcs, mainKeys = append(srcs, v[off:]), append(mainKeys, keys[first:len(keys):len(keys)])
 	}
-	r.ents, r.keys, r.mainKeys = ents, keys, mainKeys
+	r.dec.Reset(len(values))
+	ents, sortKeys, err := r.dec.DecodeAll(r.ents[:0], r.sortKeys[:0], srcs, r.side.families[famIdx].Attr)
+	if err != nil {
+		return err
+	}
+	r.srcs, r.ents, r.sortKeys, r.keys, r.mainKeys = srcs, ents, sortKeys, keys, mainKeys
 
 	var stop mechanism.StopFunc
 	var observer func(bool)
@@ -117,6 +119,7 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	}
 	env := &mechanism.Env{
 		SortAttr: r.side.families[famIdx].Attr,
+		SortKeys: sortKeys,
 		Match:    r.side.matcher.Match,
 		Decide: func(_ entity.Pair, i, j int) mechanism.Decision {
 			if !dedup.SmallestKeyResponsible(mainKeys[i], mainKeys[j], famIdx, blockKey) {

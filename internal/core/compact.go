@@ -68,10 +68,8 @@ func (m *CompactJob2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyVal
 			}
 			lastTree = b.Tree
 			list := m.lister.buildList(id, j, l+1)
-			value := make([]byte, 0, 1+len(entBuf)+len(list))
-			value = append(value, compactTagEntity)
-			value = append(value, entBuf...)
-			value = append(value, list...)
+			value := append(m.lister.vals.Alloc(1+len(entBuf)+len(list)), compactTagEntity)
+			value = append(append(value, entBuf...), list...)
 			emit.Emit(m.firstKey[b.Tree], value)
 			ctx.Inc(CounterJob2Emitted, 1)
 		}
@@ -111,6 +109,7 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 
 	// Absorb payloads (they arrive, all of them, under the tree's first
 	// block's key, alongside at most one trigger).
+	r.fresh = r.fresh[:0]
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("core: compact reduce: empty value at %s", key)
@@ -119,12 +118,13 @@ func (r *CompactJob2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, valu
 		case compactTagTrigger:
 			continue
 		case compactTagEntity:
-			if err := ts.admit(r.side, v[1:]); err != nil {
-				return err
-			}
+			r.fresh = append(r.fresh, v[1:])
 		default:
 			return fmt.Errorf("core: compact reduce: unknown tag %q", v[0])
 		}
+	}
+	if err := ts.admit(r.side, r.fresh); err != nil {
+		return err
 	}
 	if len(ts.ents) == 0 {
 		// A block whose tree shipped no entities (possible only if the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 
 	"proger/internal/blocking"
@@ -44,11 +43,12 @@ type Job2Mapper struct {
 	side *job2Side
 	// Per-task scratch, reused across Map calls: nothing derived from
 	// one input record outlives its Map call except the emitted values,
-	// which are built in buffers of their own.
+	// which are cut from vals.
 	view        entity.View // the input record's entity, read in place
 	key         []byte      // the deepest-level key being looked up
 	listScratch dedup.List
 	listEnc     []byte
+	vals        mapreduce.ValueChunks
 	// path[j][l-1] is the scheduled block of family j at level l that
 	// holds the entity locate was last called on, nil where that block
 	// was pruned: the one schedule lookup a (family, level) costs.
@@ -131,9 +131,7 @@ func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emi
 			if b.Tree != lastTree {
 				lastTree = b.Tree
 				list := m.buildList(id, j, l+1)
-				lastVal = make([]byte, 0, len(entBuf)+len(list))
-				lastVal = append(lastVal, entBuf...)
-				lastVal = append(lastVal, list...)
+				lastVal = append(append(m.vals.Alloc(len(entBuf)+len(list)), entBuf...), list...)
 			}
 			emit.Emit(b.SQKey, lastVal)
 			emitted++
@@ -209,14 +207,13 @@ func dupValue(p entity.Pair) []byte { return entity.EncodePair(nil, p) }
 // and everything known about it is a row of an array indexed by slot,
 // all sized from the root's size, which is the tree's entity count. A
 // candidate pair reaches Decide as two positions in the block, the
-// block's slot list turns them into slots, and SHOULD-RESOLVE reads two
-// rows of doms; nothing per pair goes through a hash table but the
-// resolved set itself.
+// block's slot list turns them into slots, SHOULD-RESOLVE reads two rows
+// of doms and the resolved set is probed with the two slots.
 type treeState struct {
 	// resolved is the within-tree resolved-pair set, which is what makes
 	// incremental bottom-up resolution repeat-free (§III-A). A tree of
 	// one block has no later visit to keep repeat-free — and one visit
-	// asks about no pair twice — so it has none (no slots).
+	// asks about no pair twice — so it has none (no words).
 	resolved pairTable
 	// slotOf finds the slot of an entity that arrives again with a later
 	// block of the tree — one lookup per record. The mapper sends one
@@ -224,7 +221,8 @@ type treeState struct {
 	// bytes and a known ID is not decoded twice. (Expanded emission only:
 	// a compact payload arrives once.)
 	slotOf map[entity.ID]int32
-	// dec owns the storage of ents: slabs sized for the whole tree, all
+	// dec owns the storage of ents and sortKeys: slabs sized for the
+	// whole tree and strings shared by each group of arrivals, all
 	// invalidated when the tree is done.
 	dec  entity.Decoder
 	ents []*entity.Entity
@@ -278,7 +276,7 @@ func (side *job2Side) borrowTreeState(tree int) *treeState {
 	ts.sortKeys = slices.Grow(ts.sortKeys, size)
 	ts.dec.Grow(size)
 	if ts.blocksLeft > 1 {
-		ts.resolved.reset(side.resolvedPairsEstimate(t.Root))
+		ts.resolved.reset(size, side.resolvedPairsEstimate(t.Root))
 	}
 	return ts
 }
@@ -294,33 +292,41 @@ func (ts *treeState) release() {
 	clear(ts.slotOf)
 	ts.dec.Reset(0)
 	ts.ents, ts.doms, ts.sortKeys = ts.ents[:0], ts.doms[:0], ts.sortKeys[:0]
-	ts.resolved.slots = ts.resolved.slots[:0]
+	ts.resolved.off()
 	treeStates[ts.class].Put(ts)
 }
 
-// admit decodes one (entity ⊕ list) map-output value into the tree's
-// next slot.
-func (ts *treeState) admit(side *job2Side, v []byte) error {
-	e, used, err := ts.dec.Decode(v)
-	if err != nil {
+// admit decodes a block's new arrivals — (entity ⊕ list) map-output
+// values, in slot order — into the tree's next slots: their entities and
+// sort keys in one Decoder call, then each one's dominance list from the
+// bytes that follow its entity. It overwrites fresh.
+func (ts *treeState) admit(side *job2Side, fresh [][]byte) error {
+	if len(fresh) == 0 {
+		return nil
+	}
+	first := len(ts.ents)
+	fam := side.families[side.schedule.Trees[ts.tree].Root.ID.Family]
+	var err error
+	if ts.ents, ts.sortKeys, err = ts.dec.DecodeAll(ts.ents, ts.sortKeys, fresh, fam.Attr); err != nil {
 		return err
 	}
 	n := len(side.families)
-	doms, _, err := dedup.AppendDecode(ts.doms, v[used:])
-	if err != nil {
-		return err
+	for k, rest := range fresh {
+		id := ts.ents[first+k].ID
+		doms, _, err := dedup.AppendDecode(ts.doms, rest)
+		if err != nil {
+			return err
+		}
+		switch len(doms) - len(ts.doms) {
+		case n:
+			doms = append(doms, dedup.SentinelFor(int32(id)))
+		case n + 1:
+		default:
+			return fmt.Errorf("core: job-2 payload of e%d has a dominance list of %d values, want %d or %d",
+				id, len(doms)-len(ts.doms), n, n+1)
+		}
+		ts.doms = doms
 	}
-	switch len(doms) - len(ts.doms) {
-	case n:
-		doms = append(doms, dedup.SentinelFor(int32(e.ID)))
-	case n + 1:
-	default:
-		return fmt.Errorf("core: job-2 payload of e%d has a dominance list of %d values, want %d or %d",
-			e.ID, len(doms)-len(ts.doms), n, n+1)
-	}
-	fam := side.families[side.schedule.Trees[ts.tree].Root.ID.Family]
-	ts.ents, ts.doms = append(ts.ents, e), doms
-	ts.sortKeys = append(ts.sortKeys, strings.ToLower(e.Attr(fam.Attr)))
 	return nil
 }
 
@@ -335,13 +341,15 @@ type job2Blocks struct {
 }
 
 // blockScratch is one block's members as the mechanism sees them,
-// gathered from the tree's columns; reused from block to block
-// (mechanisms keep nothing of a block after ResolveBlock returns) and,
-// borrowed in Setup and returned in Cleanup, from task to task.
+// gathered from the tree's columns, and the values of its new arrivals;
+// reused from block to block (mechanisms keep nothing of a block after
+// ResolveBlock returns) and, borrowed in Setup and returned in Cleanup,
+// from task to task.
 type blockScratch struct {
 	slots []int32
 	ents  []*entity.Entity
 	keys  []string
+	fresh [][]byte
 }
 
 var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -354,10 +362,11 @@ func (r *job2Blocks) Setup(*mapreduce.TaskContext) error {
 }
 
 // Cleanup implements mapreduce.Reducer: the scratch goes back without
-// the last blocks' entities and keys.
+// the last blocks' entities, keys and values.
 func (r *job2Blocks) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
 	clear(r.ents[:cap(r.ents)])
 	clear(r.keys[:cap(r.keys)])
+	clear(r.fresh[:cap(r.fresh)])
 	blockScratches.Put(r.blockScratch)
 	r.blockScratch = nil
 	return nil
@@ -384,28 +393,43 @@ func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, 
 			r.slots = make([]int32, 0, root.Size)
 			r.ents = make([]*entity.Entity, 0, root.Size)
 			r.keys = make([]string, 0, root.Size)
+			r.fresh = make([][]byte, 0, root.Size)
 		}
 	}
 	return b, sq, ts, nil
 }
 
 // resolvedPairsEstimate predicts how many pairs the resolved set of the
-// tree under root will hold once the whole tree is resolved, from what
-// the schedule knows: the root is resolved last and fully, examining
-// WindowPairs(|root|, w) pairs, of which the tree owns — resolves
-// rather than leaves to a more dominating family's tree — the fraction
-// Cov/Pairs that Job 1 counted; whatever the descendants resolved
-// before lies almost entirely inside that window. This is the
-// estimator's own CostF arithmetic (§IV-B), and on the benchmark's
-// three workloads it is within a few percent of the count, tree by
-// tree; the margin covers that, pairTable.grow covers the rest (a
-// mechanism that ignores the window, say).
+// tree under root will hold when its last visit, the root's, begins:
+// that visit only tests the set, so what it holds is what the non-root
+// blocks resolved, each pair once. The sum below counts a pair a parent
+// finds already resolved by a child twice, which puts it over the count
+// — 1.7–2.2× on persons-exact's large trees, tree by tree — so that no
+// table grows on the benchmark's three workloads; pairTable.grow covers
+// the rest (a mechanism that ignores the window, say).
 func (side *job2Side) resolvedPairsEstimate(root *blocking.Block) int {
-	pairs := float64(estimate.WindowPairs(root.Size, side.policy.Window(root)))
-	if all := entity.Pairs(root.Size); !side.noDedup && root.Cov < all {
-		pairs *= float64(root.Cov) / float64(all)
+	return int(side.resolvedBelow(root)*1.05) + 8
+}
+
+// resolvedBelow sums, over the blocks strictly below b, the pairs each
+// resolves, from what the schedule knows — the estimator's own
+// arithmetic (§IV-B): a block examines WindowPairs(|X|, w) pairs, of
+// which its tree owns — resolves rather than leaves to a more
+// dominating family's tree — the fraction Cov/Pairs that Job 1 counted,
+// and a partial visit stops after about Dup + Dis of them.
+func (side *job2Side) resolvedBelow(b *blocking.Block) float64 {
+	sum := 0.0
+	for _, c := range b.Children {
+		pairs := float64(estimate.WindowPairs(c.Size, side.policy.Window(c)))
+		if all := entity.Pairs(c.Size); !side.noDedup && c.Cov < all {
+			pairs *= float64(c.Cov) / float64(all)
+		}
+		if p := c.DupEst + c.DisEst; p < pairs {
+			pairs = p
+		}
+		sum += pairs + side.resolvedBelow(c)
 	}
-	return int(pairs*1.05) + 8
+	return sum
 }
 
 // resolve runs the mechanism over one scheduled block — r.slots names
@@ -425,6 +449,9 @@ func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter,
 	if !b.FullResolve {
 		stop = mechanism.DistinctThreshold(b.Th)
 	}
+	// The tree's last visit only tests the resolved set: no visit asks
+	// about a pair twice, and no later one asks at all.
+	tracked, last := ts.resolved.tracked(), ts.blocksLeft == 1
 	env := &mechanism.Env{
 		SortAttr: r.side.families[famIdx].Attr,
 		SortKeys: keys,
@@ -434,12 +461,13 @@ func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter,
 		// before it asks about the next one, so nothing can observe the
 		// difference from entering it in Emit — and only after the
 		// ownership test, so a pair another tree owns never enters.
-		Decide: func(p entity.Pair, i, j int) mechanism.Decision {
-			x, y := int(slots[i])*(n+1), int(slots[j])*(n+1)
+		Decide: func(_ entity.Pair, i, j int) mechanism.Decision {
+			si, sj := slots[i], slots[j]
+			x, y := int(si)*(n+1), int(sj)*(n+1)
 			if !r.side.noDedup && !dedup.ShouldResolve(ts.doms[x:x+n+1], ts.doms[y:y+n+1], index, n) {
 				return mechanism.SkipNotResponsible
 			}
-			if len(ts.resolved.slots) > 0 && ts.resolved.testAndSet(p) {
+			if tracked && (last && ts.resolved.has(si, sj) || !last && ts.resolved.testAndSet(si, sj)) {
 				return mechanism.SkipResolved
 			}
 			return mechanism.Resolve
@@ -513,9 +541,10 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 	if index && ts.slotOf == nil {
 		ts.slotOf = make(map[entity.ID]int32, cap(ts.ents))
 	}
-	// Look every record's entity up once; a first arrival is decoded into
-	// the tree's next slot (the tree's slabs have room for all of them).
-	r.slots = r.slots[:0]
+	// Look every record's entity up once; a first arrival gets the tree's
+	// next slot, and the block's first arrivals are then decoded together
+	// (the tree's slabs have room for all of them).
+	r.slots, r.fresh = r.slots[:0], r.fresh[:0]
 	for _, v := range values {
 		id, n := binary.Uvarint(v)
 		if n <= 0 {
@@ -523,15 +552,16 @@ func (r *Job2Reducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][]
 		}
 		slot, ok := ts.slotOf[entity.ID(id)]
 		if !ok {
-			slot = int32(len(ts.ents))
-			if err := ts.admit(r.side, v); err != nil {
-				return err
-			}
+			slot = int32(len(ts.ents) + len(r.fresh))
+			r.fresh = append(r.fresh, v)
 			if index {
 				ts.slotOf[entity.ID(id)] = slot
 			}
 		}
 		r.slots = append(r.slots, slot)
+	}
+	if err := ts.admit(r.side, r.fresh); err != nil {
+		return err
 	}
 	r.resolve(ctx, emit, start, b, sq, ts)
 	return nil

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,15 +16,33 @@ import (
 	"proger/internal/sched"
 )
 
-// checkAgainstPairSet feeds the same pairs to a pairTable and to an
-// entity.PairSet: testAndSet must answer "seen before" exactly when the
-// set already holds the pair, and hold exactly the set's pairs after.
-func checkAgainstPairSet(t *testing.T, name string, tab *pairTable, pairs []entity.Pair) {
+// slotPair is a pair of tree slots, in either order, as Decide hands
+// them to the resolved set.
+type slotPair struct{ a, b int32 }
+
+// checkAgainstPairSet feeds the same slot pairs to a pairTable and to an
+// entity.PairSet: has must answer "seen before" exactly when the set
+// already holds the pair, without inserting it — the words do not
+// change —, testAndSet must give the same answer and insert it, and the
+// table must hold exactly the set's pairs after, in whichever layout
+// reset chose.
+func checkAgainstPairSet(t *testing.T, name string, tab *pairTable, pairs []slotPair) {
 	t.Helper()
 	oracle := entity.PairSet{}
-	for i, p := range pairs {
-		want := !oracle.Add(p)
-		if got := tab.testAndSet(p); got != want {
+	for i, sp := range pairs {
+		p := entity.MakePair(entity.ID(sp.a), entity.ID(sp.b))
+		want := oracle.Has(p)
+		if i%8 == 0 {
+			words, n := slices.Clone(tab.words), tab.n
+			if got := tab.has(sp.a, sp.b); got != want {
+				t.Fatalf("%s: pair %d %v: has = %v, PairSet says %v", name, i, p, got, want)
+			}
+			if tab.n != n || !slices.Equal(tab.words, words) {
+				t.Fatalf("%s: pair %d %v: has inserted", name, i, p)
+			}
+		}
+		oracle.Add(p)
+		if got := tab.testAndSet(sp.a, sp.b); got != want {
 			t.Fatalf("%s: pair %d %v: testAndSet = %v, PairSet says %v", name, i, p, got, want)
 		}
 	}
@@ -30,98 +50,151 @@ func checkAgainstPairSet(t *testing.T, name string, tab *pairTable, pairs []enti
 		t.Errorf("%s: table counts %d pairs, set holds %d", name, tab.n, len(oracle))
 	}
 	stored := 0
-	for _, k := range tab.slots {
-		if k != 0 {
-			stored++
-			if p := (entity.Pair{Lo: entity.ID(k >> 32), Hi: entity.ID(uint32(k))}); !oracle.Has(p) {
-				t.Errorf("%s: slot holds %v, which was never inserted", name, p)
+	if !tab.hashed {
+		for _, w := range tab.words {
+			stored += bits.OnesCount64(w)
+		}
+		for p := range oracle {
+			if w, m := tab.bit(int32(p.Lo), int32(p.Hi)); *w&m == 0 {
+				t.Errorf("%s: bitmap lacks %v", name, p)
 			}
+		}
+	} else {
+		for _, k := range tab.words {
+			if k != 0 {
+				stored++
+				if p := (entity.Pair{Lo: entity.ID(k >> 32), Hi: entity.ID(uint32(k))}); !oracle.Has(p) {
+					t.Errorf("%s: slot holds %v, which was never inserted", name, p)
+				}
+			}
+		}
+		if load := float64(tab.n) / float64(len(tab.words)); load > 0.75 {
+			t.Errorf("%s: load %.2f over the 3/4 bound", name, load)
 		}
 	}
 	if stored != len(oracle) {
-		t.Errorf("%s: %d occupied slots for %d pairs", name, stored, len(oracle))
+		t.Errorf("%s: %d stored for %d pairs", name, stored, len(oracle))
 	}
-	if load := float64(tab.n) / float64(len(tab.slots)); load > 0.75 {
-		t.Errorf("%s: load %.2f over the 3/4 bound", name, load)
+	// A tree's last visit only tests: asking about everything again, and
+	// about pairs never inserted, changes nothing.
+	words := slices.Clone(tab.words)
+	for _, sp := range pairs {
+		if !tab.has(sp.b, sp.a) {
+			t.Fatalf("%s: has lost %v", name, sp)
+		}
+	}
+	if !slices.Equal(tab.words, words) || tab.n != len(oracle) {
+		t.Errorf("%s: test-only probes changed the table", name)
 	}
 }
 
+// bitmapWords is the size of a tree's triangular bitmap, in words.
+func bitmapWords(size int) int { return (size*(size-1)/2 + 63) / 64 }
+
 func TestPairTableAgainstPairSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	random := func(n int, ids int32) []entity.Pair {
-		out := make([]entity.Pair, n)
+	random := func(n int, size int32) []slotPair {
+		out := make([]slotPair, n)
 		for i := range out {
-			a := rng.Int31n(ids)
-			b := rng.Int31n(ids - 1)
+			a := rng.Int31n(size)
+			b := rng.Int31n(size - 1)
 			if b >= a {
 				b++
 			}
-			out[i] = entity.MakePair(entity.ID(a), entity.ID(b))
+			out[i] = slotPair{a, b}
 		}
 		return out
 	}
 	// One table through every case, as one borrowed tree state after
 	// another sees it: reset must leave nothing of the case before, at
-	// whatever size it comes back.
+	// whatever size and in whichever layout it comes back.
 	var tab pairTable
-	// Few IDs: most insertions repeat. Many IDs: most are new.
+	// Small trees: most insertions repeat. Large ones: most are new.
 	for _, c := range []struct {
-		n    int
-		ids  int32
-		hint int
-	}{{5000, 40, 0}, {5000, 40, 800}, {20000, 1 << 20, 0}, {20000, 1 << 20, 20000}, {20000, math.MaxInt32, 100}} {
-		tab.reset(c.hint)
-		checkAgainstPairSet(t, fmt.Sprintf("random n=%d ids=%d hint=%d", c.n, c.ids, c.hint), &tab, random(c.n, c.ids))
+		n, hint int
+		size    int32
+	}{{5000, 0, 40}, {5000, 800, 40}, {20000, 0, 1 << 16}, {20000, 20000, 1 << 16}, {20000, 100, math.MaxInt32 / 2}, {2000, 50, 300}} {
+		tab.reset(int(c.size), c.hint)
+		checkAgainstPairSet(t, fmt.Sprintf("random n=%d size=%d hint=%d", c.n, c.size, c.hint), &tab, random(c.n, c.size))
 	}
 
-	// The corners of the ID space, each pair twice.
-	const top = entity.ID(math.MaxInt32)
-	corners := []entity.Pair{
-		{Lo: 0, Hi: 1}, {Lo: 0, Hi: top}, {Lo: top - 1, Hi: top}, {Lo: 1, Hi: 2}, {Lo: 0, Hi: 2},
-		{Lo: 1, Hi: 1 << 16}, {Lo: 1 << 16, Hi: 1<<16 + 1}, {Lo: 0, Hi: 1 << 30},
+	// The corners of the slot space, each pair twice, in both layouts.
+	const top = math.MaxInt32 / 2
+	corners := []slotPair{{0, 1}, {1, 0}, {0, top}, {top - 1, top}, {1, 2}, {2, 0}, {1, 1 << 16}, {1<<16 + 1, 1 << 16}, {0, 1 << 30}}
+	tab.reset(top+1, 0)
+	checkAgainstPairSet(t, "corners, hashed", &tab, append(corners, corners...))
+	tab.reset(3, 0)
+	checkAgainstPairSet(t, "corners, bitmap", &tab, []slotPair{{0, 1}, {1, 2}, {2, 0}, {1, 0}, {2, 1}, {0, 2}})
+
+	// At, under and over the cutover: the bitmap while it is no larger
+	// than the hash table the prediction needs, the hash beyond; either
+	// way every slot pair of the tree fits.
+	sawAt := 0
+	for _, size := range []int{2, 3, 12, 64, 65, 300, 2000} {
+		bm := bitmapWords(size)
+		for hint := max(0, 3*(bm-4)/4-3); hint <= 3*(bm-4)/4+3; hint++ {
+			tab.reset(size, hint)
+			hash := hint + hint/3 + 4
+			if hash == bm {
+				sawAt++
+			}
+			if want := hash < bm; tab.hashed != want {
+				t.Errorf("size %d hint %d: hashed = %v with %d hash words against %d bitmap words", size, hint, tab.hashed, hash, bm)
+			}
+			if want := min(hash, bm); len(tab.words) != want {
+				t.Errorf("size %d hint %d: %d words, want %d", size, hint, len(tab.words), want)
+			}
+			checkAgainstPairSet(t, fmt.Sprintf("cutover size=%d hint=%d", size, hint), &tab, random(min(4*size, 3000), int32(size)))
+		}
 	}
-	tab.reset(0)
-	checkAgainstPairSet(t, "corners", &tab, append(corners, corners...))
+	if sawAt == 0 {
+		t.Error("no case put the hash table at exactly the bitmap's size")
+	}
 
 	// Sized exactly: the predicted count must fit without growing, and
 	// one pair more than the bound allows must grow the table, not lose
 	// anything.
-	seq := func(n int) []entity.Pair {
-		out := make([]entity.Pair, n)
+	seq := func(n int) []slotPair {
+		out := make([]slotPair, n)
 		for i := range out {
-			out[i] = entity.Pair{Lo: entity.ID(i / 1000), Hi: entity.ID(1000 + i%1000)}
+			out[i] = slotPair{int32(i / 1000), int32(1000 + i%1000)}
 		}
 		return out
 	}
 	for _, hint := range []int{0, 1, 7, 100, 4096} {
-		tab.reset(hint)
-		slots := len(tab.slots)
-		if want := hint + hint/3 + 4; slots != want {
-			t.Errorf("hint %d: reset left %d slots, want exactly %d", hint, slots, want)
+		tab.reset(1<<16, hint)
+		words := len(tab.words)
+		if want := hint + hint/3 + 4; words != want || !tab.hashed {
+			t.Errorf("hint %d: reset left %d words (hashed %v), want exactly %d hashed", hint, words, tab.hashed, want)
 		}
 		checkAgainstPairSet(t, fmt.Sprintf("exact hint=%d", hint), &tab, seq(hint))
-		if len(tab.slots) != slots {
-			t.Errorf("hint %d: table grew from %d to %d slots while holding what it was sized for", hint, slots, len(tab.slots))
+		if len(tab.words) != words {
+			t.Errorf("hint %d: table grew from %d to %d words while holding what it was sized for", hint, words, len(tab.words))
 		}
-		tab.reset(hint)
+		tab.reset(1<<16, hint)
 		checkAgainstPairSet(t, fmt.Sprintf("overfull hint=%d", hint), &tab, seq(4*hint+50))
-		if len(tab.slots) == slots {
+		if len(tab.words) == words {
 			t.Errorf("hint %d: table never grew", hint)
 		}
 	}
+	tab.off()
+	if tab.tracked() {
+		t.Error("a table switched off is still tracked")
+	}
 }
 
-// TestPairTableCollidingKeys fills a table with keys that all start
-// their probe at the same slot, wrapping past the end of the array.
+// TestPairTableCollidingKeys fills a hashed table with keys that all
+// start their probe at the same slot, wrapping past the end of the
+// array.
 func TestPairTableCollidingKeys(t *testing.T) {
 	var tab pairTable
-	tab.reset(64)
-	target := len(tab.slots) - 2 // runs of collisions must wrap around
-	var pairs []entity.Pair
-	for lo := entity.ID(0); len(pairs) < 40; lo++ {
+	tab.reset(1<<16, 64)
+	target := len(tab.words) - 2 // runs of collisions must wrap around
+	var pairs []slotPair
+	for lo := int32(0); len(pairs) < 40; lo++ {
 		for hi := lo + 1; hi < lo+2000 && len(pairs) < 40; hi++ {
-			if p := (entity.Pair{Lo: lo, Hi: hi}); tab.home(pairKey(p)) == target {
-				pairs = append(pairs, p)
+			if tab.home(slotPairKey(lo, hi)) == target {
+				pairs = append(pairs, slotPair{hi, lo})
 			}
 		}
 	}
@@ -132,9 +205,10 @@ func TestPairTableCollidingKeys(t *testing.T) {
 // fails on any departure from the contract the resolved set relies on:
 // a pair ruled Resolve is emitted — that pair, once — before the next
 // Decide, nothing else is ever emitted, and no pair is asked about
-// twice in one visit — and from the one the reduce task's columns rely
-// on: the positions Decide is given are those of the pair's entities in
-// the block it handed over.
+// twice in one visit, which is what lets a tree's last visit test the
+// set without inserting — and from the one the reduce task's columns
+// rely on: the positions Decide is given are those of the pair's
+// entities in the block it handed over.
 type contractEnv struct {
 	t       *testing.T
 	name    string

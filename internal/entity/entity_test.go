@@ -357,30 +357,53 @@ func TestDecodeBinaryAllocations(t *testing.T) {
 	}
 }
 
+// decodeOne is DecodeAll on the one source src, in DecodeBinary's shape,
+// plus the entity's key on attribute `lower`.
+func decodeOne(d *Decoder, src []byte, lower int) (*Entity, string, int, error) {
+	srcs := [][]byte{src}
+	ents, keys, err := d.DecodeAll(nil, nil, srcs, lower)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	return ents[0], keys[0], len(src) - len(srcs[0]), nil
+}
+
 // sameDecoder fails unless a Decoder, holding on to what it decodes
-// (Grow) and in scratch mode (Reset before every Decode), agrees with
+// (Grow) and in scratch mode (Reset before every call), agrees with
 // DecodeBinary on src — error text, entity, consumed count — and on a
-// well-formed record decoded around it, and unless every entity it
-// handed out while holding on still reads the same after the decodes
-// that followed, the later of which overflow the slab that was announced.
+// well-formed record decoded around it, keys each entity by
+// strings.ToLower of the attribute asked for (in range or not), and
+// unless every entity it handed out while holding on still reads the
+// same after the decodes that followed, the later of which overflow the
+// slab that was announced. The same sources in one DecodeAll call must
+// decode the same, or fail with the first failure's error.
 func sameDecoder(t *testing.T, name string, src []byte) {
 	t.Helper()
-	ref := EncodeBinary(nil, &Entity{ID: 41, Attrs: []string{"kept", "", "alive"}})
+	ref := EncodeBinary(nil, &Entity{ID: 41, Attrs: []string{"Kept", "", "ALİVE"}})
+	ins := [][]byte{ref, src, src, ref, src}
+	var firstErr error
 	for _, scratch := range []bool{false, true} {
 		var d Decoder
 		d.Grow(2)
 		var held, snapshot []*Entity
-		for i, in := range [][]byte{ref, src, src, ref, src} {
+		for i, in := range ins {
 			if scratch {
 				d.Reset(1)
 			}
-			got, gotN, gotErr := d.Decode(in)
+			lower := i%4 - 1
+			got, key, gotN, gotErr := decodeOne(&d, in, lower)
 			want, wantN, wantErr := DecodeBinary(in)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("%s (scratch=%v) decode %d: error %v, DecodeBinary %v", name, scratch, i, gotErr, wantErr)
 			}
+			if firstErr == nil {
+				firstErr = wantErr
+			}
 			if gotN != wantN || !Equal(got, want) {
 				t.Fatalf("%s (scratch=%v) decode %d: %v consuming %d, DecodeBinary %v consuming %d", name, scratch, i, got, gotN, want, wantN)
+			}
+			if got != nil && key != strings.ToLower(want.Attr(lower)) {
+				t.Fatalf("%s (scratch=%v) decode %d: key %q on attribute %d of %v", name, scratch, i, key, lower, want)
 			}
 			if got != nil && !scratch {
 				held, snapshot = append(held, got), append(snapshot, want)
@@ -392,6 +415,19 @@ func sameDecoder(t *testing.T, name string, src []byte) {
 			}
 		}
 	}
+	var d Decoder
+	srcs := append([][]byte(nil), ins...)
+	ents, keys, err := d.DecodeAll(nil, nil, srcs, 2)
+	if (err == nil) != (firstErr == nil) || (err != nil && err.Error() != firstErr.Error()) {
+		t.Fatalf("%s: DecodeAll of all five: error %v, first DecodeBinary error %v", name, err, firstErr)
+	}
+	for i := 0; err == nil && i < len(ins); i++ {
+		want, n, _ := DecodeBinary(ins[i])
+		if !Equal(ents[i], want) || keys[i] != strings.ToLower(want.Attr(2)) || len(srcs[i]) != len(ins[i])-n {
+			t.Fatalf("%s: DecodeAll of all five: entity %d is %v keyed %q leaving %d bytes, DecodeBinary %v consuming %d",
+				name, i, ents[i], keys[i], len(srcs[i]), want, n)
+		}
+	}
 }
 
 func TestDecoderMatchesDecodeBinary(t *testing.T) {
@@ -401,47 +437,85 @@ func TestDecoderMatchesDecodeBinary(t *testing.T) {
 	}
 	sameDecoder(t, "no attributes", EncodeBinary(nil, &Entity{ID: 7}))
 	sameDecoder(t, "ragged", EncodeBinary(nil, &Entity{ID: 8, Attrs: make([]string, 9)}))
+	sameDecoder(t, "ẞ and invalid UTF-8", EncodeBinary(nil, &Entity{ID: 9, Attrs: []string{"x", "STRAẞE", "\xffİ\xc3"}}))
+	sameDecoder(t, "trailing bytes", append(EncodeBinary(nil, &Entity{ID: 10, Attrs: []string{"a", "B", "c"}}), 1, 2, 3))
 }
 
-// TestDecoderSlabs pins what the slabs are for and what they must not
-// cost: n announced entities take n+2 allocations, a scratch decode one,
-// and one entity's Attrs cannot be appended into the next one's.
+// TestDecoderSlabs pins what the slabs and the groups are for and what
+// they must not cost: a warm Decoder decodes a group of entities in two
+// allocations — its attribute string and its key string —, one where
+// lowering changes no key (the keys are the attributes), a cold one adds
+// its two slabs, a group closes before the entity that would take it
+// past groupBytes, an entity larger than that is a group of its own, and
+// one entity's Attrs cannot be appended into the next one's. (Under
+// -race, where sync.Pool drops the group scratch a quarter of the time,
+// the counts are held below one allocation per two entities more.)
 func TestDecoderSlabs(t *testing.T) {
-	recs := make([][]byte, 50)
-	for i := range recs {
-		recs[i] = EncodeBinary(nil, &Entity{ID: ID(i), Attrs: []string{"ann", "springfield", "il", fmt.Sprint(i)}})
+	entity := func(i, size int) *Entity {
+		return &Entity{ID: ID(i), Attrs: []string{"Ann", "Springfield", strings.Repeat("i", size), fmt.Sprintf("%02d", i)}}
 	}
-	decodeAll := func(d *Decoder) {
-		for _, rec := range recs {
-			if _, _, err := d.Decode(rec); err != nil {
-				t.Fatal(err)
-			}
+	encode := func(n, size int) [][]byte {
+		recs := make([][]byte, n)
+		for i := range recs {
+			recs[i] = EncodeBinary(nil, entity(i, size))
 		}
+		return recs
 	}
-	if got := testing.AllocsPerRun(20, func() {
-		var d Decoder
-		d.Grow(len(recs))
-		decodeAll(&d)
-	}); got != float64(len(recs)+2) {
-		t.Errorf("%d announced entities: %v allocations, want %d", len(recs), got, len(recs)+2)
+	region := func(size int) int {
+		_, _, start, end, _ := scanBinary(EncodeBinary(nil, entity(0, size)), nil)
+		return end - start
 	}
-	var scratch Decoder
-	if got := testing.AllocsPerRun(20, func() {
-		for _, rec := range recs {
-			scratch.Reset(1)
-			if _, _, err := scratch.Decode(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}); got != float64(len(recs)) {
-		t.Errorf("%d scratch decodes: %v allocations, want %d", len(recs), got, len(recs))
+	tenth := 0 // the size whose attribute region is the largest that ten fit in a group
+	for region(tenth+1) <= groupBytes/10 {
+		tenth++
 	}
 	var d Decoder
-	d.Grow(2)
-	a, _, _ := d.Decode(recs[0])
-	b, _, _ := d.Decode(recs[1])
+	srcs, ents, keys := make([][]byte, 0, 50), make([]*Entity, 0, 50), make([]string, 0, 50)
+	ten, one := encode(50, tenth), encode(50, groupBytes)
+	for _, c := range []struct {
+		name            string
+		recs            [][]byte
+		lower, groups   int
+		stringsPerGroup int
+	}{{"ten to a group", ten, 1, 5, 2}, {"one to a group", one, 1, 50, 2}, {"lower-case keys", ten, 2, 5, 1}} {
+		decodeAll := func(d *Decoder) {
+			if _, _, err := d.DecodeAll(ents, keys, append(srcs[:0], c.recs...), c.lower); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decodeAll(&d) // grows the slabs and the group scratch
+		warm := testing.AllocsPerRun(20, func() {
+			d.Reset(len(c.recs))
+			decodeAll(&d)
+		})
+		cold := testing.AllocsPerRun(20, func() {
+			var cold Decoder
+			cold.Grow(len(c.recs))
+			decodeAll(&cold)
+		})
+		for _, run := range []struct {
+			name      string
+			got, want float64
+		}{{"warm", warm, float64(c.stringsPerGroup * c.groups)}, {"cold", cold, float64(c.stringsPerGroup*c.groups + 2)}} {
+			if raceDetector {
+				// A dropped scratch costs a few allocations per call, one per
+				// entity is still too many.
+				if limit := run.want + float64(len(c.recs)/2); run.got > limit {
+					t.Errorf("%s: %d entities in %d groups: %v allocations %s, at most %v under -race", c.name, len(c.recs), c.groups, run.got, run.name, limit)
+				}
+			} else if run.got != run.want {
+				t.Errorf("%s: %d entities in %d groups: %v allocations %s, want %v", c.name, len(c.recs), c.groups, run.got, run.name, run.want)
+			}
+		}
+	}
+	d.Reset(2)
+	two, _, err := d.DecodeAll(nil, nil, append(srcs[:0], ten[:2]...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := two[0], two[1]
 	a.Attrs = append(a.Attrs, "extra")
-	if b.Attrs[0] != "ann" || b.ID != 1 {
+	if b.Attrs[0] != "Ann" || b.ID != 1 {
 		t.Errorf("appending to one entity's Attrs changed the next: %v", b)
 	}
 }
@@ -560,29 +634,29 @@ func BenchmarkDecodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkDecoder is BenchmarkDecodeBinary through a Decoder: "slab"
-// announces 1000 entities and keeps them, as a reduce call does,
-// "scratch" reuses one entity's storage, as the mappers do.
+// BenchmarkDecoder is BenchmarkDecodeBinary through a Decoder's
+// DecodeAll, keys on the name included: a block of "n" arrivals at a
+// time, announced and kept as a tree's reduce state keeps them.
 func BenchmarkDecoder(b *testing.B) {
 	rec := EncodeBinary(nil, &Entity{ID: 123456, Attrs: []string{"Maria Gonzalez", "Springfield", "IL", "555-0142"}})
-	for _, slab := range []int{1000, 1} {
-		name := "slab"
-		if slab == 1 {
-			name = "scratch"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, n := range []int{1, 4, 100} {
+		b.Run(fmt.Sprint("n=", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(rec)))
 			var d Decoder
-			for i := 0; i < b.N; i++ {
-				if i%slab == 0 {
-					d.Reset(slab)
+			block := make([][]byte, n)
+			var ents []*Entity
+			var keys []string
+			for i := 0; i < b.N; i += n {
+				d.Reset(n)
+				for j := range block {
+					block[j] = rec
 				}
-				e, _, err := d.Decode(rec)
-				if err != nil {
+				var err error
+				if ents, keys, err = d.DecodeAll(ents[:0], keys[:0], block, 0); err != nil {
 					b.Fatal(err)
 				}
-				sinkEntity = e
+				sinkEntity = ents[0]
 			}
 		})
 	}

@@ -595,3 +595,52 @@ func TestWordCountAgainstReferenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValueChunks: every value a mapper cuts from its chunks has exactly
+// the capacity it asked for, so appending past it reallocates instead of
+// writing into the next value; values never share bytes; chunks double
+// from firstValueChunk to lastValueChunk and no further; and a value
+// above a quarter chunk is an allocation of its own that leaves the
+// chunk in use be.
+func TestValueChunks(t *testing.T) {
+	var c ValueChunks
+	rng := rand.New(rand.NewSource(9))
+	var vals [][]byte
+	var sizes []int // each new chunk's size
+	for i := 0; i < 3000; i++ {
+		n := rng.Intn(300)
+		if i%500 == 0 {
+			n = lastValueChunk/4 + 1
+		}
+		before := c.chunk
+		v := c.Alloc(n)
+		if len(v) != 0 || cap(v) != n {
+			t.Fatalf("Alloc(%d) = len %d cap %d", n, len(v), cap(v))
+		}
+		if n > lastValueChunk/4 && (len(c.chunk) != len(before) || cap(c.chunk) != cap(before)) {
+			t.Fatalf("Alloc(%d) cut a large value from the chunk", n)
+		}
+		if cap(c.chunk) > 0 && (cap(before) == 0 || &c.chunk[:1][0] != &before[:1][0]) {
+			sizes = append(sizes, cap(c.chunk))
+		}
+		for j := 0; j < n; j++ {
+			v = append(v, byte(i))
+		}
+		vals = append(vals, v)
+	}
+	for i, v := range vals {
+		for _, b := range v {
+			if b != byte(i) {
+				t.Fatalf("value %d was overwritten by a later one", i)
+			}
+		}
+	}
+	for i, size := range sizes {
+		if want := min(firstValueChunk<<i, lastValueChunk); size != want {
+			t.Fatalf("chunk sizes %v: chunk %d should be %d", sizes, i, want)
+		}
+	}
+	if len(sizes) < 8 {
+		t.Fatalf("chunk sizes %v: never a chunk past the bound", sizes)
+	}
+}

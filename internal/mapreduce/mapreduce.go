@@ -85,6 +85,42 @@ func (MapperBase) Setup(*TaskContext) error { return nil }
 // Cleanup implements Mapper.
 func (MapperBase) Cleanup(*TaskContext, Emitter) error { return nil }
 
+// ValueChunks cuts a map task's emitted values from chunks the task's
+// Mapper owns, instead of one allocation per value. That is safe because
+// an Emit keeps the slice it is handed (it does not copy), values are
+// read-only downstream, and every value lives until its job ends: the
+// values of one task die together. (Under a memory budget each run's
+// values are copied into an array of the run's own before a store
+// charges them, so that spilling a run frees them.) Chunks grow
+// geometrically from 1 KiB to 32 KiB, so a small task does not pay for
+// a large chunk and every chunk is a small object, served from the
+// per-processor caches (one larger is placed by the heap itself). A
+// value's capacity is clipped to what was asked for, so appending to one
+// value can never write into its neighbour. The zero value is ready to
+// use.
+type ValueChunks struct {
+	chunk []byte
+}
+
+const (
+	firstValueChunk = 1 << 10
+	lastValueChunk  = 32 << 10
+)
+
+// Alloc returns an empty value of capacity n for the caller to append
+// to.
+func (c *ValueChunks) Alloc(n int) []byte {
+	if n > lastValueChunk/4 {
+		return make([]byte, 0, n) // a chunk of its own, leaving the current one be
+	}
+	if cap(c.chunk)-len(c.chunk) < n {
+		c.chunk = make([]byte, 0, min(max(2*cap(c.chunk), firstValueChunk), lastValueChunk))
+	}
+	at := len(c.chunk)
+	c.chunk = c.chunk[:at+n]
+	return c.chunk[at : at : at+n]
+}
+
 // ReducerBase provides no-op lifecycle methods for Reducers.
 type ReducerBase struct{}
 

@@ -284,8 +284,10 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 			if budgetMode {
 				// Hand the committed runs to the partition stores and drop
 				// the task's own references: from here on, residency of
-				// this map task's records is the budget manager's call.
+				// this map task's records is the budget manager's call —
+				// each run's values too, once they are its own.
 				for r := 0; r < R; r++ {
+					ownValues(out.out[r])
 					if err := stores[r].addRun(m, out.out[r]); err != nil {
 						return err
 					}

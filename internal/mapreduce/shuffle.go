@@ -22,20 +22,14 @@ import (
 	"proger/internal/normkey"
 )
 
-// sortEnt stands in for record idx while a run is sorted: 16
-// pointer-free bytes moved in place of a 40-byte KeyValue the garbage
-// collector would have to track through every swap.
-type sortEnt struct {
-	ord uint64
-	idx int
-}
-
 // runSorter sorts a map task's partitions one after another, reusing
 // its scratch arrays from one to the next — and, borrowed with the
-// task's mapStage, from one task to the next. The scratch is
-// pointer-free: nothing in it keeps a record alive.
+// task's mapStage, from one task to the next. What it sorts is a
+// normkey.Item per record: 16 pointer-free bytes moved in place of a
+// 40-byte KeyValue the garbage collector would have to track through
+// every swap, so nothing in the scratch keeps a record alive.
 type runSorter struct {
-	ents, tmp []sortEnt
+	ents, tmp []normkey.Item
 }
 
 // sortInto writes the records stage[sel[0]], stage[sel[1]], … into dst
@@ -57,54 +51,31 @@ func (rs *runSorter) sortInto(dst, stage []KeyValue, sel []int32) {
 		skip = normkey.CommonPrefix(first, stage[s].Key, skip)
 	}
 	if cap(rs.ents) < n {
-		rs.ents, rs.tmp = make([]sortEnt, n), make([]sortEnt, n)
+		rs.ents, rs.tmp = make([]normkey.Item, n), make([]normkey.Item, n)
 	}
-	ents, tmp := rs.ents[:n], rs.tmp[:n]
-	var differ uint64 // the ord bits in which any two records differ
+	ents := rs.ents[:n]
 	for i, s := range sel {
-		ents[i] = sortEnt{ord: normkey.Ord(stage[s].Key, skip), idx: int(s)}
-		differ |= ents[i].ord ^ ents[0].ord
+		ents[i] = normkey.Item{Ord: normkey.Ord(stage[s].Key, skip), Idx: s}
 	}
-	// Stable LSD radix sort on ord, a byte at a time, over the bytes in
-	// which the ords differ at all: four of the eight on 18-digit
-	// sequence keys that share 14 digits.
-	for shift := 0; shift < 64; shift += 8 {
-		if differ>>shift&0xff == 0 {
-			continue
-		}
-		var next [256]int
-		for _, e := range ents {
-			next[e.ord>>shift&0xff]++
-		}
-		sum := 0
-		for b, c := range next {
-			next[b], sum = sum, sum+c
-		}
-		for _, e := range ents {
-			b := e.ord >> shift & 0xff
-			tmp[next[b]] = e
-			next[b]++
-		}
-		ents, tmp = tmp, ents
-	}
+	ents = normkey.RadixSort(ents, rs.tmp)
 	// Records whose ords tie are still in emission order; where their
 	// keys are not all one key, the bytes past the ord order them.
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		oneKey := true
-		for hi < n && ents[hi].ord == ents[lo].ord {
-			oneKey = oneKey && stage[ents[hi].idx].Key == stage[ents[lo].idx].Key
+		for hi < n && ents[hi].Ord == ents[lo].Ord {
+			oneKey = oneKey && stage[ents[hi].Idx].Key == stage[ents[lo].Idx].Key
 			hi++
 		}
 		if !oneKey {
-			slices.SortStableFunc(ents[lo:hi], func(a, b sortEnt) int {
-				return strings.Compare(stage[a.idx].Key[skip:], stage[b.idx].Key[skip:])
+			slices.SortStableFunc(ents[lo:hi], func(a, b normkey.Item) int {
+				return strings.Compare(stage[a.Idx].Key[skip:], stage[b.Idx].Key[skip:])
 			})
 		}
 		lo = hi
 	}
 	for i, e := range ents {
-		dst[i] = stage[e.idx]
+		dst[i] = stage[e.Idx]
 	}
 }
 

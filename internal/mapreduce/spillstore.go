@@ -58,6 +58,29 @@ func kvRunBytes(kvs []KeyValue) int64 {
 	return b
 }
 
+// ownValues moves the values of a run the caller owns into one array of
+// the run's own, so that spilling the run frees the value bytes it was
+// charged for. A mapper may cut the values of all its partitions from
+// shared chunks (ValueChunks), and a chunk lives as long as any value
+// cut from it: without the copy a spilled run would free nothing while
+// another partition's run of the same task stayed resident. Each value
+// is copied whole, as kvRunBytes charges it, with its capacity clipped;
+// a nil value stays nil.
+func ownValues(kvs []KeyValue) {
+	n := 0
+	for _, kv := range kvs {
+		n += len(kv.Value)
+	}
+	own := make([]byte, 0, n)
+	for i, kv := range kvs {
+		if kv.Value != nil {
+			at := len(own)
+			own = append(own, kv.Value...)
+			kvs[i].Value = own[at:len(own):len(own)]
+		}
+	}
+}
+
 // prioKV is a record tagged with its run's merge priority.
 type prioKV struct {
 	prio uint64

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"proger/internal/membudget"
@@ -278,4 +280,74 @@ func TestBudgetRunRecordsPressure(t *testing.T) {
 	if cfg.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
 		t.Error("budget spill counter not exported to the registry")
 	}
+}
+
+// chunkMapper is wordCountMapper with its values cut from the task's
+// ValueChunks, every one of them logged — which also keeps each chunk
+// alive, so no later allocation can reuse its memory.
+type chunkMapper struct {
+	MapperBase
+	vals ValueChunks
+	log  *valueLog
+}
+
+type valueLog struct {
+	mu      sync.Mutex
+	emitted map[*byte]bool // the first byte of every emitted value
+	shared  int            // values a reducer read from a mapper's chunk
+}
+
+func (m *chunkMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) error {
+	for _, w := range strings.Fields(string(rec.Value)) {
+		v := append(m.vals.Alloc(len(w)), w...)
+		m.log.mu.Lock()
+		m.log.emitted[&v[0]] = true
+		m.log.mu.Unlock()
+		emit.Emit(w, v)
+	}
+	return nil
+}
+
+// TestBudgetedRunsOwnTheirValues: under a memory budget every run a
+// store holds has its values in an array of its own, not in the chunks
+// its mapper cut them from — chunks that the task's runs for every other
+// partition share, so that spilling the run would free none of what it
+// was charged for.
+func TestBudgetedRunsOwnTheirValues(t *testing.T) {
+	log := &valueLog{emitted: map[*byte]bool{}}
+	cfg := wordCountConfig(2)
+	cfg.NumReduceTasks = 3
+	cfg.NewMapper = func() Mapper { return &chunkMapper{log: log} }
+	cfg.NewReducer = func() Reducer {
+		return reduceFunc(func(key string, values [][]byte) {
+			log.mu.Lock()
+			defer log.mu.Unlock()
+			for _, v := range values {
+				if string(v) != key {
+					t.Errorf("key %q carries value %q", key, v)
+				}
+				if log.emitted[&v[0]] {
+					log.shared++
+				}
+			}
+		})
+	}
+	cfg.MemBudget = membudget.New(1 << 30) // nothing spills: the runs are read from memory
+	cfg.SpillDir = t.TempDir()
+	if _, err := Run(cfg, wordCountInput(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.emitted) == 0 || log.shared > 0 {
+		t.Errorf("%d of %d values reached a reducer in their mapper's chunk", log.shared, len(log.emitted))
+	}
+}
+
+// reduceFunc is a Reducer that hands each key group to a function.
+type reduceFunc func(key string, values [][]byte)
+
+func (f reduceFunc) Setup(*TaskContext) error            { return nil }
+func (f reduceFunc) Cleanup(*TaskContext, Emitter) error { return nil }
+func (f reduceFunc) Reduce(_ *TaskContext, key string, values [][]byte, _ Emitter) error {
+	f(key, values)
+	return nil
 }

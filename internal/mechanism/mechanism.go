@@ -194,65 +194,140 @@ func (env *Env) resolvePair(ents []*entity.Entity, i, j int32, st *VisitStats) b
 	return !env.stop(st)
 }
 
-// sortItem stands in for the entity at position pos while a block is
-// sorted: pointer-free, ord being the 8 key bytes past the prefix the
-// whole block shares.
-type sortItem struct {
-	ord uint64
-	pos int32
-	id  entity.ID
-}
-
-// sortScratch is what sortEntities sorts in and answers from. It holds
-// no pointer, so nothing of a block stays behind in it.
+// sortScratch is what a mechanism's ResolveBlock works in: sortEntities
+// sorts in items and tmp (a normkey.Item per entity, the ord being the 8
+// key bytes past the prefix the whole block shares) and answers in
+// order, lowers keys into lowered, and PSNM keeps its visited bits and
+// promoted candidates here. It holds no pointer, so nothing of a block
+// stays behind in it.
 type sortScratch struct {
-	items []sortItem
-	order []int32
+	items, tmp []normkey.Item
+	order      []int32
+	lowered    []byte
+	ends       []int32
+	visited    []uint64
+	hot        []cand
 }
 
 // sortScratches lends a mechanism its sortScratch for the length of one
 // ResolveBlock: blocks are resolved by the ten thousand, two at a time.
 var sortScratches = sync.Pool{New: func() any { return new(sortScratch) }}
 
+// radixMin is the block size from which sortEntities radix-sorts: below
+// it the radix sort's fixed cost — eight 256-entry count tables, a pass
+// per differing key byte — outweighs the comparator's n log n compares.
+const radixMin = 128
+
 // sortEntities charges the hint cost and returns the positions of ents
 // (two or more) in sort order: by lowercased sort attribute, ties broken
 // by ID for determinism. What is sorted is a pointer-free (ord,
-// position, ID) array — under prefix blocking the shared prefix is at
-// least the block's key — and the keys themselves are compared only
-// where ords tie. The order is cut from sc and valid until sc is put
-// back.
+// position) array — under prefix blocking the shared prefix is at least
+// the block's key — and the keys themselves are compared only where
+// ords tie. The order is cut from sc and valid until sc is put back.
 func (env *Env) sortEntities(ents []*entity.Entity, sc *sortScratch) []int32 {
 	env.Charge(env.Cost.HintCost(len(ents)))
 	keys := env.SortKeys
 	if keys == nil {
-		keys = make([]string, len(ents))
-		for i, e := range ents {
-			keys[i] = strings.ToLower(e.Attr(env.SortAttr))
-		}
+		keys = env.lowerKeys(ents, sc)
 	}
 	skip := len(keys[0])
 	for _, k := range keys[1:] {
 		skip = normkey.CommonPrefix(keys[0], k, skip)
 	}
-	items := slices.Grow(sc.items[:0], len(ents))[:len(ents)]
-	for i, k := range keys {
-		items[i] = sortItem{normkey.Ord(k, skip), int32(i), ents[i].ID}
+	n := len(ents)
+	if cap(sc.items) < n {
+		sc.items, sc.tmp = make([]normkey.Item, n), make([]normkey.Item, n)
 	}
-	slices.SortFunc(items, func(a, b sortItem) int {
-		if a.ord != b.ord {
-			return cmp.Compare(a.ord, b.ord)
+	items := sc.items[:n]
+	for i, k := range keys {
+		items[i] = normkey.Item{Ord: normkey.Ord(k, skip), Idx: int32(i)}
+	}
+	switch idOrder := inIDOrder(ents); {
+	case idOrder && n >= radixMin:
+		items = sc.radixSort(items, keys, skip)
+	case idOrder:
+		compareSort(items, keys, skip, nil)
+	default:
+		compareSort(items, keys, skip, ents)
+	}
+	order := slices.Grow(sc.order[:0], n)[:n]
+	for i, it := range items {
+		order[i] = it.Idx
+	}
+	sc.order = order
+	return order
+}
+
+// inIDOrder reports whether a block's positions are in ascending ID
+// order — the order the shuffle delivers a block's records in, (key, map
+// index, emission order) over map tasks that read ascending IDs — so
+// that positions break ties as IDs do: a stable sort by key leaves equal
+// keys in ID order. Only such a block, and not a small one, takes the
+// radix sort.
+func inIDOrder(ents []*entity.Entity) bool {
+	for i := 1; i < len(ents); i++ {
+		if ents[i-1].ID >= ents[i].ID {
+			return false
 		}
-		if c := strings.Compare(keys[a.pos][skip:], keys[b.pos][skip:]); c != 0 {
+	}
+	return true
+}
+
+// radixSort is the shuffle's run sort (mapreduce's runSorter.sortInto):
+// a stable radix sort on ord, then, where ords tie but the keys are not
+// all one key, that run sorted by (ord, key past skip, position) — the
+// order a stable re-sort by key leaves. It returns the sorted items, in
+// items or in sc.tmp.
+func (sc *sortScratch) radixSort(items []normkey.Item, keys []string, skip int) []normkey.Item {
+	items = normkey.RadixSort(items, sc.tmp)
+	for lo := 0; lo < len(items); {
+		hi := lo + 1
+		oneKey := true
+		for hi < len(items) && items[hi].Ord == items[lo].Ord {
+			oneKey = oneKey && keys[items[hi].Idx] == keys[items[lo].Idx]
+			hi++
+		}
+		if !oneKey {
+			compareSort(items[lo:hi], keys, skip, nil)
+		}
+		lo = hi
+	}
+	return items
+}
+
+// compareSort sorts items by (ord, key past skip, ID), the IDs read from
+// ents — or, with ents nil, positions standing in for them, for a block
+// in ID order.
+func compareSort(items []normkey.Item, keys []string, skip int, ents []*entity.Entity) {
+	slices.SortFunc(items, func(a, b normkey.Item) int {
+		if a.Ord != b.Ord {
+			return cmp.Compare(a.Ord, b.Ord)
+		}
+		if c := strings.Compare(keys[a.Idx][skip:], keys[b.Idx][skip:]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.id, b.id)
+		if ents == nil {
+			return cmp.Compare(a.Idx, b.Idx)
+		}
+		return cmp.Compare(ents[a.Idx].ID, ents[b.Idx].ID)
 	})
-	order := slices.Grow(sc.order[:0], len(items))[:len(items)]
-	for i, it := range items {
-		order[i] = it.pos
+}
+
+// lowerKeys derives the sort keys of a block whose caller supplied none:
+// strings.ToLower of each entity's SortAttr, lowered into one string.
+func (env *Env) lowerKeys(ents []*entity.Entity, sc *sortScratch) []string {
+	buf, ends := sc.lowered[:0], sc.ends[:0]
+	for _, e := range ents {
+		buf = normkey.AppendLower(buf, e.Attr(env.SortAttr))
+		ends = append(ends, int32(len(buf)))
 	}
-	sc.items, sc.order = items, order
-	return order
+	s, keys := string(buf), make([]string, len(ents))
+	at := 0
+	for i, end := range ends {
+		keys[i], at = s[at:end], int(end)
+	}
+	sc.lowered, sc.ends = buf, ends
+	return keys
 }
 
 // Mechanism resolves one block progressively: it must identify

@@ -1,6 +1,13 @@
 package mechanism
 
-import "proger/internal/entity"
+import (
+	"slices"
+
+	"proger/internal/entity"
+)
+
+// cand is a PSNM candidate pair: the entities at sort ranks i and i+d.
+type cand struct{ i, d int }
 
 // PSNM is the Progressive Sorted Neighborhood Method of Papenbrock,
 // Heise & Naumann [6]. Like SN it sorts the block and favors small rank
@@ -33,14 +40,17 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 		maxD = n - 1
 	}
 
-	type cand struct{ i, d int }
 	// visited has one bit per candidate (i, d), d ∈ [1, maxD], at index
 	// (d−1)·n + i. A block visit touches most of them, so a flat bitset
-	// allocated once beats a map that grows by an entry per pair.
-	visited := make([]uint64, (n*maxD+63)/64)
+	// beats a map that grows by an entry per pair; it is borrowed with
+	// the sort scratch, as is hot.
+	words := (n*maxD + 63) / 64
+	visited := slices.Grow(sc.visited[:0], words)[:words]
+	clear(visited)
 	// hot holds promoted candidates (LIFO: most recent hit expands
 	// first); the systematic sweep fills in everything else.
-	var hot []cand
+	hot := sc.hot[:0]
+	defer func() { sc.visited, sc.hot = visited, hot[:0] }()
 
 	process := func(c cand) (keep bool) {
 		if c.d > maxD || c.i+c.d >= n {

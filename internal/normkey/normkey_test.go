@@ -1,9 +1,63 @@
 package normkey
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// FuzzAppendLower holds AppendLower to strings.ToLower byte for byte, on
+// strings and on byte slices, behind whatever dst already holds — which
+// it must not touch — including where lowering changes the byte length:
+// İ (2 bytes) lowers to 3, ẞ (3) to ß (2), and invalid UTF-8 becomes
+// U+FFFD.
+func FuzzAppendLower(f *testing.F) {
+	for _, s := range []string{"", "abc", "Hello, WORLD 42", "İstanbul", "STRAẞE", "a\xffB", "AB\xc3", "ÀÉÎ", "\x00Z"} {
+		f.Add([]byte("pre"), s)
+	}
+	f.Fuzz(func(t *testing.T, dst []byte, s string) {
+		want := append(slices.Clone(dst), strings.ToLower(s)...)
+		for _, got := range [][]byte{
+			AppendLower(slices.Clip(dst), s),
+			AppendLower(slices.Clip(dst), []byte(s)),
+			AppendLower(append(slices.Clone(dst), make([]byte, len(s)+8)...)[:len(dst)], s),
+		} {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AppendLower(%q, %q) = %q, want %q", dst, s, got, want)
+			}
+		}
+	})
+}
+
+// TestRadixSortIsStableByOrd: over random ords that share bytes, tie
+// and differ in every position, RadixSort returns what a stable sort by
+// Ord returns, in whichever of its two buffers.
+func TestRadixSortIsStableByOrd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 500; iter++ {
+		n := rng.Intn(300)
+		mask := rng.Uint64() | 0xff // some bytes never differ
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{Ord: rng.Uint64() & mask & (uint64(rng.Intn(4)) * 0x0101010101010101), Idx: int32(i)}
+		}
+		want := slices.Clone(items)
+		slices.SortStableFunc(want, func(a, b Item) int {
+			switch {
+			case a.Ord < b.Ord:
+				return -1
+			case a.Ord > b.Ord:
+				return 1
+			}
+			return 0
+		})
+		if got := RadixSort(items, make([]Item, n)); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: %v, want %v", n, got, want)
+		}
+	}
+}
 
 func TestOrd(t *testing.T) {
 	for _, tc := range []struct {

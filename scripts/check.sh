@@ -108,6 +108,14 @@ go test -run '^$' -fuzz FuzzShuffleOrder -fuzztime 10s ./internal/mapreduce
 echo "== fuzz (blocking keys on bytes) =="
 go test -run '^$' -fuzz FuzzFamilyKeyBytes -fuzztime 10s ./internal/blocking
 
+# A block's sort keys are lowered by an ASCII loop that must equal
+# strings.ToLower byte for byte, and its order comes from a radix sort
+# wherever the block arrives in ID order: arbitrary strings hold the one
+# to strings.ToLower, random blocks the other to the comparator sort.
+echo "== fuzz (lowering, block order) =="
+go test -run '^$' -fuzz FuzzAppendLower -fuzztime 10s ./internal/normkey
+go test -run '^$' -fuzz FuzzBlockOrder -fuzztime 10s ./internal/mechanism
+
 # The run-file decoder is the one reader of spilled and shared-directory
 # bytes; arbitrary input must end in io.EOF or an error, never a panic
 # or an endless stream.

@@ -1,5 +1,6 @@
 // Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go), writes cpu.pprof and allocs.pprof
-// and prints the collector's share: per operation MiB allocated, mallocs and cycles, plus GCCPUFraction and VmHWM.
+// and prints, per operation, wall and CPU milliseconds and the collector's share of that CPU, MiB allocated, mallocs and
+// cycles, plus GCCPUFraction and VmHWM.
 package main
 
 import (
@@ -7,8 +8,10 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"proger"
 )
@@ -30,6 +33,15 @@ func vmHWM() string {
 		}
 	}
 	return "n/a"
+}
+
+// cpuSeconds reads the runtime's own CPU accounting (runtime/metrics,
+// an estimate as of the last collection): the CPU time the process's Go
+// code and runtime have used, and the collector's part of it.
+func cpuSeconds() (used, gc float64) {
+	s := []metrics.Sample{{Name: "/cpu/classes/total:cpu-seconds"}, {Name: "/cpu/classes/idle:cpu-seconds"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	metrics.Read(s)
+	return s[0].Value.Float64() - s[1].Value.Float64(), s[2].Value.Float64()
 }
 
 func main() {
@@ -66,18 +78,26 @@ func main() {
 	dir := must(os.MkdirTemp("", "proger-profile-"))
 	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
 	var before, after runtime.MemStats
+	runtime.GC() // the CPU classes are a snapshot each collection takes: one at either end frames the operations
+	usedBefore, gcBefore := cpuSeconds()
 	runtime.ReadMemStats(&before)
 	must(0, pprof.StartCPUProfile(cpu))
+	start := time.Now()
 	for i := 0; i < *n; i++ {
 		must(proger.Resolve(ds, o))
 	}
+	wall := time.Since(start)
 	pprof.StopCPUProfile()
 	runtime.ReadMemStats(&after)
+	runtime.GC()
+	usedAfter, gcAfter := cpuSeconds()
 	must(0, pprof.Lookup("allocs").WriteTo(allocs, 0))
 	// The collector's share of the run, from the runtime's own counters:
 	// what a change to who allocates what moves first. (GCCPUFraction is
 	// since process start, set-up included.)
 	ops := float64(*n)
+	used := usedAfter - usedBefore
+	log.Printf("per Resolve: %.1f ms wall, %.1f ms CPU, %.1f%% of it the collector's", wall.Seconds()*1e3/ops, used*1e3/ops, 100*(gcAfter-gcBefore)/used)
 	log.Printf("per Resolve: %.1f MiB allocated, %.0f mallocs, %.1f collector cycles; GCCPUFraction %.1f%%, VmHWM %s",
 		float64(after.TotalAlloc-before.TotalAlloc)/ops/(1<<20), float64(after.Mallocs-before.Mallocs)/ops,
 		float64(after.NumGC-before.NumGC)/ops, 100*after.GCCPUFraction, vmHWM())
