@@ -1,7 +1,6 @@
 package blocking
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -529,7 +528,10 @@ func TestSoundexFamilyPipelineBuildTree(t *testing.T) {
 	}
 }
 
-func TestStatsIORoundTrip(t *testing.T) {
+// TestParseJob1OutputRoundTrip: the statistics Job 1 emits (one
+// EncodeStat record per block) parse back into the index they came
+// from, and that index rebuilds the same forests.
+func TestParseJob1OutputRoundTrip(t *testing.T) {
 	ds, _ := datagen.Publications(datagen.DefaultPublications(400, 9))
 	fs := CiteSeerXFamilies(ds.Schema)
 	cluster := mapreduce.Cluster{Machines: 2, SlotsPerMachine: 2}
@@ -537,13 +539,13 @@ func TestStatsIORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteStats(&buf, stats); err != nil {
-		t.Fatalf("WriteStats: %v", err)
+	res := &mapreduce.Result{}
+	for _, s := range stats.Blocks {
+		res.Output = append(res.Output, mapreduce.TimedKV{KeyValue: mapreduce.KeyValue{Key: s.ID.String(), Value: EncodeStat(nil, s)}})
 	}
-	back, err := ReadStats(&buf)
+	back, err := ParseJob1Output(res)
 	if err != nil {
-		t.Fatalf("ReadStats: %v", err)
+		t.Fatalf("ParseJob1Output: %v", err)
 	}
 	if len(back.Blocks) != len(stats.Blocks) {
 		t.Fatalf("blocks = %d, want %d", len(back.Blocks), len(stats.Blocks))
@@ -554,7 +556,6 @@ func TestStatsIORoundTrip(t *testing.T) {
 			t.Fatalf("stat %s differs after round trip", id)
 		}
 	}
-	// The reloaded stats rebuild the same forests.
 	t1, err := stats.BuildForests(fs)
 	if err != nil {
 		t.Fatal(err)
@@ -568,12 +569,13 @@ func TestStatsIORoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadStatsErrors(t *testing.T) {
-	if _, err := ReadStats(strings.NewReader("\x05ab")); err == nil {
+func TestParseJob1OutputErrors(t *testing.T) {
+	truncated := &mapreduce.Result{Output: []mapreduce.TimedKV{{KeyValue: mapreduce.KeyValue{Value: []byte("\x05ab")}}}}
+	if _, err := ParseJob1Output(truncated); err == nil {
 		t.Error("truncated record: want error")
 	}
-	st, err := ReadStats(strings.NewReader(""))
+	st, err := ParseJob1Output(&mapreduce.Result{})
 	if err != nil || len(st.Blocks) != 0 {
-		t.Errorf("empty stream: %v, %d blocks", err, len(st.Blocks))
+		t.Errorf("empty output: %v, %d blocks", err, len(st.Blocks))
 	}
 }

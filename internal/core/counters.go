@@ -36,8 +36,8 @@ const (
 
 	// GaugeMemBudgetPeakBytes and GaugeMemBudgetChargedBytes report the
 	// memory-budget manager's high-water mark of tracked bytes and the
-	// cumulative bytes charged across the pipeline (the raw shuffle +
-	// stats volume). Host-pressure telemetry only — like the forced-spill
+	// cumulative bytes charged across the pipeline (the raw shuffle
+	// volume). Host-pressure telemetry only — like the forced-spill
 	// counters, these never appear in Result or trace bytes.
 	GaugeMemBudgetPeakBytes    = "pipeline.membudget_peak_bytes"
 	GaugeMemBudgetChargedBytes = "pipeline.membudget_charged_bytes"

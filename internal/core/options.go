@@ -112,14 +112,14 @@ type Options struct {
 	// identical with or without it. Nil disables at zero cost.
 	Live *live.Run
 	// MemBudget, when > 0, caps the tracked bytes held in memory by
-	// both jobs' shuffles and the Job-1 block statistics: a
-	// process-wide budget manager spills the largest holders to
-	// compressed disk runs when the cap is exceeded. A host knob like
-	// Workers — results, traces, and quality telemetry are identical
-	// with or without it. 0 keeps everything in memory.
+	// both jobs' shuffle runs: a process-wide budget manager spills the
+	// largest partition stores to compressed disk runs when the cap is
+	// exceeded. A host knob like Workers — results, traces, and quality
+	// telemetry are identical with or without it. 0 keeps everything in
+	// memory.
 	MemBudget int64
-	// SpillDir is where budget- and limit-forced spill files live
-	// (system temp when empty).
+	// SpillDir is where budget-forced spill files live (system temp
+	// when empty).
 	SpillDir string
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"proger/internal/datagen"
 	"proger/internal/estimate"
+	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs"
@@ -17,14 +18,15 @@ import (
 
 // These tests pin the PR-6 hard constraint end to end: the memory
 // budget and its spill storage are host knobs only. A budget tight
-// enough to force both jobs' shuffles and the Job-1 statistics through
-// compressed disk runs must reproduce the in-memory pipeline's Result,
-// Chrome trace bytes, and quality-telemetry JSON exactly.
+// enough to force both jobs' shuffles through compressed disk runs must
+// reproduce the in-memory pipeline's Result, Chrome trace bytes, and
+// quality-telemetry JSON exactly.
 
 // outOfCoreRun resolves the People toy dataset with full telemetry
-// under the given engine/workers/budget and returns the Result plus
-// the exported trace and quality bytes and the metrics registry.
-func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budget int64) (*Result, []byte, []byte, *obs.Registry) {
+// under the given engine/workers/budget, and whatever else mutate sets,
+// and returns the Result plus the exported trace and quality bytes and
+// the metrics registry.
+func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budget int64, mutate ...func(*Options)) (*Result, []byte, []byte, *obs.Registry) {
 	t.Helper()
 	ds, _ := datagen.People()
 	opts := Options{
@@ -44,6 +46,9 @@ func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budge
 	}
 	if budget > 0 {
 		opts.SpillDir = t.TempDir()
+	}
+	for _, m := range mutate {
+		m(&opts)
 	}
 	res, err := Resolve(ds, opts)
 	if err != nil {
@@ -92,6 +97,36 @@ func TestResolveBudgetMatchesInMemory(t *testing.T) {
 	}
 	if !sawPressure {
 		t.Error("no configuration recorded a forced spill — the budget never bit")
+	}
+}
+
+// TestResolveBudgetUnderFaultsMatchesFaultsAlone: with the fault
+// runtime on — retries, timeouts and speculation — a budget that forces
+// every shuffle to disk still moves no byte: the Result, trace and
+// quality exports equal those of the same faults without a budget.
+func TestResolveBudgetUnderFaultsMatchesFaultsAlone(t *testing.T) {
+	chaos := func(o *Options) {
+		o.Faults = faults.NewSeeded(11, 0.5)
+		o.Retry = mapreduce.RetryPolicy{MaxRetries: 3, Speculation: true}
+	}
+	for _, workers := range []int{1, 8} {
+		refRes, refTrace, refQual, _ := outOfCoreRun(t, mapreduce.ExecPipelined, workers, 0, chaos)
+		res, trace, qual, m := outOfCoreRun(t, mapreduce.ExecPipelined, workers, 1<<10, chaos)
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("workers=%d: Result diverged from the faults-only run", workers)
+		}
+		if !bytes.Equal(trace, refTrace) {
+			t.Errorf("workers=%d: Chrome trace JSON diverged from the faults-only run", workers)
+		}
+		if !bytes.Equal(qual, refQual) {
+			t.Errorf("workers=%d: quality-telemetry JSON diverged from the faults-only run", workers)
+		}
+		if m.Counter(mapreduce.CounterBudgetForcedSpills).Value() == 0 {
+			t.Errorf("workers=%d: the budget forced no spill", workers)
+		}
+		if m.Counter(mapreduce.CounterTaskRetries).Value() == 0 {
+			t.Errorf("workers=%d: the fault runtime retried nothing", workers)
+		}
 	}
 }
 

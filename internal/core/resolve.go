@@ -101,25 +101,12 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("core: job 1: %w", err)
 	}
-	// The block statistics live until the end of the pipeline; under a
-	// memory budget they become an eviction candidate whenever the
-	// shuffle needs headroom, so hold them through a spillable holder
-	// and pin them only while schedule generation reads them.
-	holder, err := blocking.NewStatsHolder(stats, mgr, opts.SpillDir)
-	if err != nil {
-		return nil, fmt.Errorf("core: job 1: %w", err)
-	}
-	defer holder.Close()
 
 	// ---- Schedule generation (executed by each Job-2 map task in the
 	// paper; computed once here, with its cost charged per map task in
-	// Job2Mapper.Setup) ----
-	stats, err = holder.Acquire()
-	if err != nil {
-		return nil, fmt.Errorf("core: schedule generation: %w", err)
-	}
+	// Job2Mapper.Setup). The block statistics have their one reader
+	// here: once the forests are built, nothing holds them. ----
 	trees, err := stats.BuildForests(opts.Families)
-	holder.Release()
 	if err != nil {
 		return nil, fmt.Errorf("core: building forests: %w", err)
 	}

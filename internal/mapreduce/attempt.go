@@ -1,9 +1,13 @@
 package mapreduce
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"slices"
 
 	"proger/internal/costmodel"
@@ -96,9 +100,9 @@ type taskAttempts struct {
 //
 // The runtime is a shadow simulation layered over the deterministic
 // task functions: every committed output and clean cost comes from a
-// real execution of runMapTask/shuffleForTask/runReduceTask, so
-// injected faults can delay, kill, and duplicate attempts at will
-// without ever being able to perturb Result.
+// real execution of the task bodies, so injected faults can delay,
+// kill, and duplicate attempts at will without ever being able to
+// perturb Result.
 type faultRuntime struct {
 	injector faults.Injector
 	policy   RetryPolicy
@@ -214,14 +218,12 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 			fr.live.Retry(live.Phase(phase), task, a, outcomeError)
 			now += cost + fr.backoff(a)
 		case f.Kind == faults.Crash:
-			discardAttemptOutput(out) // valid output, thrown away by the injected crash
 			d := cost * crashFraction
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeCrash, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: injected crash", a))
 			fr.live.Retry(live.Phase(phase), task, a, outcomeCrash)
 			now += d + fr.backoff(a)
 		case f.Kind == faults.Hang:
-			discardAttemptOutput(out)
 			d := fr.timeout(cost)
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: hung, killed at timeout %v", a, d))
@@ -238,7 +240,6 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 			}
 			if to := fr.timeout(cost); dur > to {
 				// Slowed past the attempt timeout: killed like a hang.
-				discardAttemptOutput(out)
 				ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: to})
 				attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: straggling, killed at timeout %v", a, to))
 				fr.live.Retry(live.Phase(phase), task, a, outcomeTimeout)
@@ -267,13 +268,15 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 // histogram), it gets a duplicate attempt, launched the moment the
 // straggler crossed the threshold. First finisher wins the commit on
 // the attempt timeline; the loser is killed. Deterministic task
-// functions make both attempts byte-identical, which is verified here
-// — speculation doubles as an engine self-check. The caller's
-// committed output always stands either way (a winning backup is, by
-// the verified determinism, the same bytes), so speculation can never
-// block or perturb downstream consumers.
+// functions make both attempts produce the same content, which a
+// winning backup is checked for with same — speculation doubles as an
+// engine self-check. The caller's committed output always stands either
+// way (a winning backup is, by the verified determinism, the same
+// bytes), so speculation can never block or perturb downstream
+// consumers.
 func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costmodel.Units,
-	out T, cost costmodel.Units, exec func(i int) (T, costmodel.Units, error)) error {
+	out T, cost costmodel.Units, exec func(i int) (T, costmodel.Units, error),
+	same func(backup, committed T) bool) error {
 	ta := fr.phases[phase][i]
 	if ta == nil || ta.committed < 0 || ta.commitDur <= thr {
 		return nil
@@ -282,9 +285,6 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 	f := fr.decide(phase, i, specIdx)
 	fr.live.Speculate(live.Phase(phase), i)
 	specOut, specCost, err := exec(i)
-	// Whatever the race outcome, the speculative output never replaces
-	// the committed one — release any host resources it holds.
-	defer discardAttemptOutput(specOut)
 	launch := ta.commitStart + thr // straggling detected thr units in
 	rec := attemptRecord{Attempt: specIdx, Speculative: true, Start: launch}
 	switch {
@@ -308,9 +308,9 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 		if launch+rec.Dur < ta.commitStart+ta.commitDur {
 			// The backup finishes first: it commits on the attempt
 			// timeline and the original is killed. Its output is verified
-			// byte-identical, so the already-published task output needs
-			// no replacement.
-			if specCost != cost || !attemptOutputsEqual(specOut, out) {
+			// to match, so the already-published task output needs no
+			// replacement.
+			if specCost != cost || !same(specOut, out) {
 				return fmt.Errorf("mapreduce: %s task %d speculative attempt diverged from committed attempt", phase, i)
 			}
 			ta.records[ta.committed].Killed = true
@@ -323,6 +323,64 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 	}
 	ta.records = append(ta.records, rec)
 	return nil
+}
+
+// The content comparers speculateTask checks a winning backup with: a
+// backup matches when it produced the committed attempt's records,
+// counters, spans and observations. Host-side facts are left out — wall
+// spans never enter a result, and a remote result's Worker names the
+// process that ran it, which a backup may well not share.
+
+func sameMapOutput(backup, committed mapTaskResult) bool {
+	return runsDigest(backup.out) == committed.sum &&
+		reflect.DeepEqual(backup.counters, committed.counters) &&
+		reflect.DeepEqual(backup.spans, committed.spans) &&
+		sameRemoteResult(backup.remote, committed.remote)
+}
+
+func sameShuffleOutput(backup, committed shuffleTaskResult) bool {
+	return reduceInputsEqual(backup.in, committed.in) &&
+		sameRemoteResult(backup.remote, committed.remote)
+}
+
+func sameReduceOutput(backup, committed reduceTaskResult) bool {
+	return reflect.DeepEqual(backup.out, committed.out) &&
+		reflect.DeepEqual(backup.counters, committed.counters) &&
+		reflect.DeepEqual(backup.spans, committed.spans) &&
+		reflect.DeepEqual(backup.qobs, committed.qobs) &&
+		sameRemoteResult(backup.remote, committed.remote)
+}
+
+// sameRemoteResult compares two wire-form results without their Worker.
+func sameRemoteResult(a, b *RemoteTaskResult) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	ac, bc := *a, *b
+	ac.Worker, bc.Worker = 0, 0
+	return reflect.DeepEqual(ac, bc)
+}
+
+// runsDigest is the SHA-256 of a map task's runs: per partition its
+// record count, then every key and value, each length-prefixed. It is
+// what map speculation compares, so that a committed task's runs can
+// leave the engine's hands the moment it commits.
+func runsDigest(runs [][]KeyValue) [sha256.Size]byte {
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	put := func(x int) { h.Write(n[:binary.PutUvarint(n[:], uint64(x))]) }
+	for _, run := range runs {
+		put(len(run))
+		for _, kv := range run {
+			put(len(kv.Key))
+			io.WriteString(h, kv.Key)
+			put(len(kv.Value))
+			h.Write(kv.Value)
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // quantile returns the nearest-rank q-th quantile of xs.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"proger/internal/costmodel"
 	"proger/internal/faults"
 	"proger/internal/obs"
 )
@@ -259,6 +260,51 @@ func TestRetryPolicyValidation(t *testing.T) {
 		cfg.Retry = p
 		if _, err := Run(cfg, wordCountInput(), 0); err == nil {
 			t.Errorf("case %d (%+v): want validation error", i, p)
+		}
+	}
+}
+
+// speculateAgainst runs task 0's speculation check against a committed
+// attempt that straggled to 100 units, with a backup that finishes at
+// 15: the backup wins the race and is compared through same.
+func speculateAgainst[T any](backup, committed T, same func(backup, committed T) bool) error {
+	fr := &faultRuntime{policy: RetryPolicy{MaxRetries: 3}, phases: map[faults.Phase][]*taskAttempts{
+		faults.Reduce: {{records: []attemptRecord{{Attempt: 1, Outcome: outcomeOK, Dur: 100}}, commitDur: 100}},
+	}}
+	return speculateTask(fr, faults.Reduce, 0, 10, committed, 5, func(int) (T, costmodel.Units, error) {
+		return backup, 5, nil
+	}, same)
+}
+
+// TestSpeculationIgnoresWorker: a winning backup that another worker
+// ran is no divergence — a remote result's Worker only says which
+// process ran it — in every phase, while a backup whose content differs
+// is one.
+func TestSpeculationIgnoresWorker(t *testing.T) {
+	on := func(worker int) *RemoteTaskResult {
+		return &RemoteTaskResult{Cost: 5, Worker: worker, PartLens: []int{2}, Len: 2,
+			Out: []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("v")}}}}
+	}
+	changed := on(2)
+	changed.Out = []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("w")}}}
+	noRuns := runsDigest(nil)
+	for _, tc := range []struct {
+		name     string
+		err      error
+		diverged bool
+	}{
+		{"map", speculateAgainst(mapTaskResult{remote: on(2)}, mapTaskResult{sum: noRuns, remote: on(1)}, sameMapOutput), false},
+		{"shuffle", speculateAgainst(shuffleTaskResult{in: remoteInput{n: 2}, remote: on(2)},
+			shuffleTaskResult{in: remoteInput{n: 2}, remote: on(1)}, sameShuffleOutput), false},
+		{"reduce", speculateAgainst(reduceTaskResult{out: on(2).Out, remote: on(2)},
+			reduceTaskResult{out: on(1).Out, remote: on(1)}, sameReduceOutput), false},
+		{"reduce content", speculateAgainst(reduceTaskResult{out: changed.Out, remote: changed},
+			reduceTaskResult{out: on(1).Out, remote: on(1)}, sameReduceOutput), true},
+		{"map runs", speculateAgainst(mapTaskResult{out: [][]KeyValue{{{Key: "k"}}}, remote: on(1)},
+			mapTaskResult{sum: noRuns, remote: on(1)}, sameMapOutput), true},
+	} {
+		if got := tc.err != nil && strings.Contains(tc.err.Error(), "diverged"); got != tc.diverged {
+			t.Errorf("%s: err = %v, want diverged = %v", tc.name, tc.err, tc.diverged)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func (t TaskType) String() string {
 }
 
 // TaskContext is the per-task environment handed to Mapper and Reducer
-// methods: identity, side data, the cost clock, and counters. It is not
+// methods: identity, the cost model, the cost clock, and counters. It is not
 // safe for concurrent use by multiple goroutines (a task is a single
 // logical thread, as in Hadoop).
 type TaskContext struct {
@@ -36,8 +36,6 @@ type TaskContext struct {
 	Type      TaskType
 	Index     int
 	NumReduce int
-	// Side is Config.Side: read-only job-wide side data.
-	Side any
 	// Cost is the job's cost model, for tasks that price their own work.
 	Cost costmodel.Model
 

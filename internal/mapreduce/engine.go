@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -61,16 +62,14 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		po, err = runRemoteJob(&cfg, rt, fr, lj, workers, splits)
 	} else {
 		po = newPhaseOutputs(&cfg)
-		err = runJobGraph(&cfg, fr, lj, workers, po, localBodies(&cfg, lj, splits, po))
+		err = runJobGraph(&cfg, fr, workers, po, localBodies(&cfg, lj, splits, po))
 	}
 	if po != nil {
-		// Reduce inputs may hold host resources (spill files, budget
-		// accounts); settle them even when the graph errors out partway.
+		// The stores hold host resources (spill files, budget accounts);
+		// settle them even when the graph errors out partway.
 		defer func() {
-			for _, s := range po.shufRes {
-				if s.in != nil {
-					s.in.Close()
-				}
+			for _, st := range po.stores {
+				st.Close()
 			}
 		}()
 	}
@@ -168,12 +167,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 			// of the host, so they live in the metrics registry, not in the
 			// deterministic Result.Counters.
 			var forced, bytes int64
-			for _, s := range po.shufRes {
-				if st, ok := s.in.(*spillStore); ok {
-					f, b := st.budgetStats()
-					forced += f
-					bytes += b
-				}
+			for _, st := range po.stores {
+				f, b := st.budgetStats()
+				forced += f
+				bytes += b
 			}
 			m.Counter(CounterBudgetForcedSpills).Add(forced)
 			m.Counter(CounterBudgetSpilledBytes).Add(bytes)
@@ -210,8 +207,14 @@ type phaseOutputs struct {
 	mapRes      []mapTaskResult
 	mapCosts    []costmodel.Units
 	shufRes     []shuffleTaskResult
+	shufCosts   []costmodel.Units
 	reduceRes   []reduceTaskResult
 	reduceCosts []costmodel.Units
+	// stores holds one budget-governed store per partition, made before
+	// the graph runs when a memory budget applies (nil otherwise): each
+	// map task hands its committed runs over and keeps no reference, so
+	// what stays resident is the budget manager's call. Run closes them.
+	stores []*spillStore
 	// Host wall-clock measurements per stage; allocated (and recorded)
 	// only when tracing. Wall data never feeds the simulated timeline.
 	mapWall, shufWall, reduceWall []wallSpan
@@ -223,8 +226,15 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 		mapRes:      make([]mapTaskResult, M),
 		mapCosts:    make([]costmodel.Units, M),
 		shufRes:     make([]shuffleTaskResult, R),
+		shufCosts:   make([]costmodel.Units, R),
 		reduceRes:   make([]reduceTaskResult, R),
 		reduceCosts: make([]costmodel.Units, R),
+	}
+	if cfg.MemBudget != nil {
+		po.stores = make([]*spillStore, R)
+		for r := range po.stores {
+			po.stores[r] = newSpillStore(cfg, r)
+		}
 	}
 	if cfg.Trace != nil {
 		po.mapWall = make([]wallSpan, M)
@@ -272,8 +282,9 @@ func trackTask[T any](lj *live.Job, p live.Phase, i int, wall []wallSpan,
 	return out, cost, nil
 }
 
-// localBodies runs every task body in this process: runMapTask,
-// shuffleForTask, and runReduceTask over po's own slots.
+// localBodies runs every task body in this process: runMapTask, the
+// partition's store or shuffleForTask, and runReduceTask over po's own
+// slots.
 func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs) taskBodies {
 	return taskBodies{
 		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
@@ -284,9 +295,11 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 		},
 		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
-				in, err := shuffleForTask(cfg, po.mapRes, r)
-				if err != nil {
-					return shuffleTaskResult{}, 0, 0, err
+				var in reduceInput
+				if po.stores != nil {
+					in = po.stores[r] // the map tasks handed their runs over as they committed
+				} else {
+					in = shuffleForTask(po.mapRes, r)
 				}
 				// The shuffle has no scheduled cost of its own (the reduce tasks
 				// price shuffling on the simulated clock); the attempt runtime
@@ -306,10 +319,14 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 
 // mapTaskResult, shuffleTaskResult, and reduceTaskResult bundle each
 // phase's deterministic per-task outcome for the attempt runtime —
-// committed outputs are compared byte-for-byte across attempts during
+// committed outputs are compared by content across attempts during
 // speculation, so host wall measurements stay outside.
 type mapTaskResult struct {
-	out      [][]KeyValue
+	out [][]KeyValue // nil once handed over to the stores
+	// sum is runsDigest(out), taken at commit when speculation is on: a
+	// backup attempt is checked against it, so nothing has to keep the
+	// committed runs alive for the check.
+	sum      [sha256.Size]byte
 	counters Counters
 	spans    []obs.Span
 	// remote carries the wire-form result when the task executed on a
@@ -341,11 +358,11 @@ type wallSpan struct {
 // per map/reduce task and per shuffle merge, plus every task-local
 // span recorded through TaskContext.Span, rebased from the task-local
 // clock onto the global simulated timeline. The shuffle-merge spans
-// carry the host wall time of the shuffle node — assembling the runs,
-// or spilling them; an in-memory merge itself runs inside the reduce
-// task's wall span — and their simulated position is the map barrier
-// (the reduce tasks separately account shuffle cost on the simulated
-// clock as task-local "shuffle" spans). With the attempt runtime
+// carry the host wall time of the shuffle node — collecting the runs or
+// handing over the partition's store; the merge itself runs inside the
+// reduce task's wall span — and their simulated position is the map
+// barrier (the reduce tasks separately account shuffle cost on the
+// simulated clock as task-local "shuffle" spans). With the attempt runtime
 // active, every task attempt additionally gets an "attempt" span on
 // the shadow attempt timeline.
 func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int,
@@ -401,31 +418,17 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 	}
 }
 
-// shuffleForTask assembles reduce task r's sorted input from the
-// pre-sorted per-partition runs the map tasks produced. Storage mode is
-// a host decision with no effect on the record sequence: the runs
-// themselves merged as they are read (memInput), or, under a memory
-// budget, a store that buffers them in memory until the process-wide
-// manager squeezes it out.
-func shuffleForTask(cfg *Config, mapRes []mapTaskResult, r int) (reduceInput, error) {
-	if cfg.MemBudget != nil {
-		st := newSpillStore(cfg, r)
-		for m := 0; m < cfg.NumMapTasks; m++ {
-			// Each run is tagged with its map index as merge priority.
-			if err := st.addRun(m, mapRes[m].out[r]); err != nil {
-				st.Close()
-				return nil, err
-			}
-		}
-		return st, nil
-	}
-	runs := make([][]KeyValue, 0, cfg.NumMapTasks)
-	for m := 0; m < cfg.NumMapTasks; m++ {
-		if run := mapRes[m].out[r]; len(run) > 0 {
+// shuffleForTask assembles reduce task r's sorted input when no memory
+// budget applies: the pre-sorted runs the map tasks produced for the
+// partition, merged as they are read.
+func shuffleForTask(mapRes []mapTaskResult, r int) memInput {
+	runs := make([][]KeyValue, 0, len(mapRes))
+	for _, mr := range mapRes {
+		if run := mr.out[r]; len(run) > 0 {
 			runs = append(runs, run)
 		}
 	}
-	return memInput{runs: runs}, nil
+	return memInput{runs: runs}
 }
 
 // splitInput divides input into n contiguous, near-equal splits.
@@ -544,7 +547,6 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 		Type:      MapTask,
 		Index:     index,
 		NumReduce: cfg.NumReduceTasks,
-		Side:      cfg.Side,
 		Cost:      cfg.Cost,
 		counters:  Counters{},
 		tracing:   cfg.Trace != nil,
@@ -614,7 +616,6 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 		Type:      ReduceTask,
 		Index:     index,
 		NumReduce: cfg.NumReduceTasks,
-		Side:      cfg.Side,
 		Cost:      cfg.Cost,
 		counters:  Counters{},
 		tracing:   cfg.Trace != nil,

@@ -196,9 +196,6 @@ type Config struct {
 	Cluster Cluster
 	// Cost is the cost model; costmodel.Default() if zero.
 	Cost costmodel.Model
-	// Side is arbitrary read-only side data visible to all tasks
-	// (Hadoop's distributed cache); e.g. Job 1's block statistics.
-	Side any
 	// Workers bounds real concurrency of the in-process execution;
 	// defaults to GOMAXPROCS. Purely a host-machine knob: it cannot
 	// change results or simulated timing.

@@ -8,7 +8,6 @@ import (
 
 	"proger/internal/costmodel"
 	"proger/internal/faults"
-	"proger/internal/obs/live"
 )
 
 // This file implements the job graph: every job, in every execution
@@ -236,30 +235,13 @@ func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttemp
 
 // runJobGraph is the one job-graph builder: it wires cfg's map, shuffle,
 // reduce, and speculation nodes under the edge policy cfg.Execution,
-// gives them the bodies b, and executes the graph, filling po. po
-// carries live reduce inputs even when this returns an error; Run
-// settles them.
-func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *phaseOutputs, b taskBodies) error {
+// gives them the bodies b, and executes the graph, filling po. po holds
+// the partition stores even when this returns an error; Run settles
+// them.
+func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b taskBodies) error {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
 	barrier := cfg.Execution == ExecBarrier
-
-	// Out-of-core mode: with a memory budget (and no fault runtime
-	// claiming the shuffle as attempt-tracked work), every partition gets
-	// a budget-governed store up front. Map nodes feed their committed
-	// runs straight into the stores and drop their output buffers, so a
-	// map task's records stay referenced only through the stores — and
-	// the budget manager decides what stays resident. The stores are
-	// published into shufRes before execution so Run can settle them even
-	// if the graph errors out.
-	budgetMode := cfg.MemBudget != nil && fr == nil
-	var stores []*spillStore
-	if budgetMode {
-		stores = make([]*spillStore, R)
-		for r := 0; r < R; r++ {
-			stores[r] = newSpillStore(cfg, r)
-			po.shufRes[r] = shuffleTaskResult{in: stores[r]}
-		}
-	}
+	speculate := fr != nil && fr.policy.Speculation
 
 	// All three phases' attempt slots are allocated up front: tasks of
 	// different phases may run interleaved, and each node writes only
@@ -280,57 +262,44 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 			if err != nil {
 				return err
 			}
-			po.mapRes[m], po.mapCosts[m] = out, cost
-			if budgetMode {
+			if speculate {
+				out.sum = runsDigest(out.out)
+			}
+			if po.stores != nil {
 				// Hand the committed runs to the partition stores and drop
 				// the task's own references: from here on, residency of
 				// this map task's records is the budget manager's call —
 				// each run's values too, once they are its own.
 				for r := 0; r < R; r++ {
 					ownValues(out.out[r])
-					if err := stores[r].addRun(m, out.out[r]); err != nil {
+					if err := po.stores[r].addRun(m, out.out[r]); err != nil {
 						return err
 					}
 				}
-				po.mapRes[m].out = nil
+				out.out = nil
 			}
+			po.mapRes[m], po.mapCosts[m] = out, cost
 			return nil
 		})
 	}
 
 	// Shuffle wiring: one node per partition, gated on every map task, in
 	// both edge policies. A partition's shuffle is ONE attempt-tracked
-	// unit of work — fault decisions are keyed (phase, task, attempt) and
-	// the spill decision needs the partition's total record count — and
-	// in memory it is nearly free: the node only collects the runs, the
-	// merge happens inside the reduce task as it reads them.
+	// unit of work — fault decisions are keyed (phase, task, attempt) —
+	// and it is nearly free: its body hands over the partition's store or
+	// collects its runs, and the merge happens inside the reduce task as
+	// it reads them.
 	shufNodes := make([]*dagNode, R)
 	for r := 0; r < R; r++ {
 		r := r
-		if budgetMode {
-			// The store already holds (or spilled) every run by the time
-			// all map nodes committed; the node is pure dependency glue
-			// keeping reduce r gated on the complete shuffle input. It still
-			// reports a live shuffle transition so the /tasks table shows
-			// partition assembly completing (zero cost: the reduce tasks
-			// price shuffling on the simulated clock).
-			shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-				lj.TaskStart(live.PhaseShuffle, r)
-				lj.TaskDone(live.PhaseShuffle, r, 0, stores[r].Len())
-				return nil
-			})
-		} else {
-			shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-				// The shuffle's simulated sort cost is dropped here: reduce
-				// tasks price shuffling on the simulated clock.
-				out, _, err := runAttempted(fr, faults.Shuffle, shufAtt, r, b.shuffle)
-				if err != nil {
-					return err
-				}
-				po.shufRes[r] = out
-				return nil
-			})
-		}
+		shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
+			out, cost, err := runAttempted(fr, faults.Shuffle, shufAtt, r, b.shuffle)
+			if err != nil {
+				return err
+			}
+			po.shufRes[r], po.shufCosts[r] = out, cost
+			return nil
+		})
 		for _, mn := range mapNodes {
 			g.edge(mn, shufNodes[r])
 		}
@@ -356,15 +325,10 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 		}
 	}
 
-	if fr != nil && fr.policy.Speculation {
-		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask)
-		// The shuffle phase speculates off its simulated sort costs, which
-		// the shuffle nodes discard; recompute them the same way for the
-		// gate's quantile.
-		shufCosts := make([]costmodel.Units, R)
-		shufCostOf := func(i int) costmodel.Units { return cfg.Cost.ShuffleSortCost(po.shufRes[i].in.Len()) }
-		addSpeculationNodesWithCosts(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, shufCosts, shufCostOf, b.shuffle)
-		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce)
+	if speculate {
+		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask, sameMapOutput)
+		addSpeculationNodes(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, po.shufCosts, b.shuffle, sameShuffleOutput)
+		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce, sameReduceOutput)
 	}
 	return g.execute(workers)
 }
@@ -373,32 +337,19 @@ func runJobGraph(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, po *p
 // a gate node, dependent on every task of the phase, computes the
 // straggler threshold (the quantile needs the whole phase's cost
 // distribution — the one ordering constraint speculation genuinely
-// has); then one node per task runs the speculateTask check.
+// has); then one node per task runs the speculateTask check, comparing
+// a winning backup with the committed output through same.
 // Speculation nodes have no successors — a winning backup is verified
-// byte-identical to the committed output — so reduce work never waits
-// on them.
+// to match the committed output — so reduce work never waits on them.
 func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase faults.Phase, np nodePhase,
-	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error)) {
-	addSpeculationNodesWithCosts(g, fr, phase, np, taskNodes, outs, costs,
-		func(i int) costmodel.Units { return costs[i] }, exec)
-}
-
-// addSpeculationNodesWithCosts is addSpeculationNodes for phases whose
-// per-task clean costs are not retained in phaseOutputs (the shuffle):
-// costOf recomputes task i's cost and the gate fills `costs` before
-// taking the quantile.
-func addSpeculationNodesWithCosts[T any](g *taskGraph, fr *faultRuntime, phase faults.Phase, np nodePhase,
-	taskNodes []*dagNode, outs []T, costs []costmodel.Units, costOf func(i int) costmodel.Units,
-	exec func(i int) (T, costmodel.Units, error)) {
+	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error),
+	same func(backup, committed T) bool) {
 	n := len(taskNodes)
 	if n < 2 {
 		return
 	}
 	var thr costmodel.Units
 	gate := g.node(nodeKey{np, -1}, func() error {
-		for i := range costs {
-			costs[i] = costOf(i)
-		}
 		thr = quantile(costs, fr.policy.SpeculationQuantile)
 		return nil
 	})
@@ -411,7 +362,7 @@ func addSpeculationNodesWithCosts[T any](g *taskGraph, fr *faultRuntime, phase f
 			if thr <= 0 {
 				return nil
 			}
-			return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec)
+			return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec, same)
 		})
 		g.edge(gate, sn)
 	}

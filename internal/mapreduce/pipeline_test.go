@@ -234,30 +234,44 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 // TestPipelinedMatchesBarrierUnderFaults extends the equivalence to
 // the attempt runtime: with deterministic fault injection, retries,
 // and speculation active, both engines must produce the identical
-// Result at every worker count.
+// Result at every worker count — in memory, and (the spill variant)
+// under a memory budget that forces the shuffle to disk.
 func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
 	for _, rate := range []float64{0, 0.5} {
 		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("rate=%v/workers=%d", rate, workers), func(t *testing.T) {
-				run := func(mode ExecutionMode) *Result {
-					cfg := wordCountConfig(workers)
-					cfg.Execution = mode
-					if rate > 0 {
-						cfg.Faults = faults.NewSeeded(11, rate)
-						cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
-					}
-					res, err := Run(cfg, wordCountInput(), 0)
-					if err != nil {
-						t.Fatalf("mode=%v: %v", mode, err)
-					}
-					return res
+			for _, spill := range []bool{false, true} {
+				name := fmt.Sprintf("rate=%v/workers=%d", rate, workers)
+				if spill {
+					name += "/spill"
 				}
-				bRes := run(ExecBarrier)
-				pRes := run(ExecPipelined)
-				if !reflect.DeepEqual(bRes, pRes) {
-					t.Errorf("Result diverged under faults:\nbarrier:   %+v\npipelined: %+v", bRes, pRes)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					run := func(mode ExecutionMode) *Result {
+						cfg := wordCountConfig(workers)
+						cfg.Execution = mode
+						if rate > 0 {
+							cfg.Faults = faults.NewSeeded(11, rate)
+							cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
+						}
+						if spill {
+							spillEverything(&cfg)
+							cfg.SpillDir = t.TempDir()
+						}
+						res, err := Run(cfg, wordCountInput(), 0)
+						if err != nil {
+							t.Fatalf("mode=%v: %v", mode, err)
+						}
+						if spill {
+							requireSpilled(t, &cfg)
+						}
+						return res
+					}
+					bRes := run(ExecBarrier)
+					pRes := run(ExecPipelined)
+					if !reflect.DeepEqual(bRes, pRes) {
+						t.Errorf("Result diverged under faults:\nbarrier:   %+v\npipelined: %+v", bRes, pRes)
+					}
+				})
+			}
 		}
 	}
 }

@@ -78,7 +78,8 @@ type RemoteTaskResult struct {
 	// the completion is accepted (first-completion-wins) and carried
 	// into the end-of-job broadcast so every process's live task table
 	// shows who ran what. Observability-only: nothing derived from the
-	// result reads it.
+	// result reads it, and speculation leaves it out when it compares a
+	// backup with the committed attempt.
 	Worker int
 	// PartLens is a map task's record count per partition.
 	PartLens []int
@@ -111,12 +112,11 @@ func (r remoteInput) Len() int { return r.n }
 func (r remoteInput) Iter() (kvIter, error) {
 	return nil, fmt.Errorf("mapreduce: remote reduce input holds no local records")
 }
-func (r remoteInput) Close() error { return nil }
 
 // runFileInput is the worker-side reduceInput streaming a merged
-// shuffle run file. The file is owned by the master's job cleanup, so
-// Close releases nothing; each Iter opens an independent handle. c,
-// when non-nil, counts bytes read off the file.
+// shuffle run file, which the master's job cleanup owns; each Iter
+// opens an independent handle. c, when non-nil, counts bytes read off
+// the file.
 type runFileInput struct {
 	path string
 	n    int
@@ -132,8 +132,6 @@ func (f runFileInput) Iter() (kvIter, error) {
 	}
 	return &runFileIter{f: fh, rr: extsort.NewRunReader(countingReader{fh, f.c})}, nil
 }
-
-func (f runFileInput) Close() error { return nil }
 
 type runFileIter struct {
 	f  *os.File
@@ -336,20 +334,7 @@ func (rr *RemoteRunner) mergePartition(r int) (int, error) {
 			return 0, err
 		}
 		files = append(files, f)
-		run := extsort.NewRunReader(countingReader{f, rr.cRead})
-		pulls = append(pulls, func() (prioKV, bool) {
-			seq, key, val, err := run.Next()
-			if err == io.EOF {
-				return prioKV{}, false
-			}
-			if err != nil {
-				if readErr == nil {
-					readErr = err
-				}
-				return prioKV{}, false
-			}
-			return prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}}, true
-		})
+		pulls = append(pulls, runFileSource(extsort.NewRunReader(countingReader{f, rr.cRead}), &readErr))
 	}
 	merger := extsort.NewMerger(pulls, prioKVCmp)
 	total := 0
@@ -508,7 +493,7 @@ func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Jo
 // assembled from the wire-form results the bodies left in po.
 func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
 	po := newPhaseOutputs(cfg)
-	err := runJobGraph(cfg, fr, lj, workers, po, masterBodies(cfg, lj, splits, po, rjob))
+	err := runJobGraph(cfg, fr, workers, po, masterBodies(cfg, lj, splits, po, rjob))
 	var results *RemoteJobResults
 	if err == nil {
 		results = &RemoteJobResults{

@@ -96,8 +96,6 @@ func (m memInput) Len() int {
 	return n
 }
 
-func (m memInput) Close() error { return nil }
-
 func (m memInput) Iter() (kvIter, error) { return newMergeIter(m.runs), nil }
 
 // mergeSrc is one run's cursor in a mergeIter.

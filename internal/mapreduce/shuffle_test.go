@@ -356,13 +356,10 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 
 func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	run := []KeyValue{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}
-	in, err := shuffleForTask(&Config{NumMapTasks: 3}, []mapTaskResult{
+	in := shuffleForTask([]mapTaskResult{
 		{out: [][]KeyValue{nil}}, {out: [][]KeyValue{run}}, {out: [][]KeyValue{nil}},
 	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mi := in.(memInput); len(mi.runs) != 1 || &mi.runs[0][0] != &run[0] {
+	if len(in.runs) != 1 || &in.runs[0][0] != &run[0] {
 		t.Error("a single-contributor partition should alias the run itself, not a copy")
 	}
 	if i := sameRecords(drainInput(t, in), run); i >= 0 {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sync"
 
 	"proger/internal/extsort"
@@ -32,10 +31,11 @@ import (
 // Iter may be called multiple times (retries, speculation) and
 // concurrently (a speculative shuffle check can overlap the reduce
 // task); each call yields an independent pass over the same records.
+// An input owns nothing its reader must release: the one that holds
+// host resources, a partition's spillStore, belongs to phaseOutputs.
 type reduceInput interface {
 	Len() int
 	Iter() (kvIter, error)
-	Close() error
 }
 
 // kvIter streams records in (key, map-index) order.
@@ -101,6 +101,39 @@ func prioKVCmp(a, b prioKV) int {
 		return 1
 	}
 	return 0
+}
+
+// sliceSource is an extsort.Merger source over one in-memory run, every
+// record tagged prio.
+func sliceSource(prio uint64, kvs []KeyValue) func() (prioKV, bool) {
+	pos := 0
+	return func() (prioKV, bool) {
+		if pos >= len(kvs) {
+			return prioKV{}, false
+		}
+		rec := prioKV{prio: prio, kv: kvs[pos]}
+		pos++
+		return rec, true
+	}
+}
+
+// runFileSource is an extsort.Merger source over one run file, each
+// record tagged with the priority it was written with. A read error
+// ends the source; the first one a merge meets is kept in *errp.
+func runFileSource(rr *extsort.RunReader, errp *error) func() (prioKV, bool) {
+	return func() (prioKV, bool) {
+		seq, key, val, err := rr.Next()
+		if err == io.EOF {
+			return prioKV{}, false
+		}
+		if err != nil {
+			if *errp == nil {
+				*errp = err
+			}
+			return prioKV{}, false
+		}
+		return prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}}, true
+	}
 }
 
 // spillRun is one map task's pre-sorted contribution, held in memory.
@@ -237,16 +270,7 @@ func (st *spillStore) writeRunFileLocked(runs []*spillRun) error {
 	}
 	pulls := make([]func() (prioKV, bool), len(runs))
 	for i, run := range runs {
-		run := run
-		pos := 0
-		pulls[i] = func() (prioKV, bool) {
-			if pos >= len(run.kvs) {
-				return prioKV{}, false
-			}
-			rec := prioKV{prio: run.prio, kv: run.kvs[pos]}
-			pos++
-			return rec, true
-		}
+		pulls[i] = sliceSource(run.prio, run.kvs)
 	}
 	merger := extsort.NewMerger(pulls, prioKVCmp)
 	rw := extsort.NewRunWriter(f)
@@ -297,16 +321,7 @@ func (st *spillStore) Iter() (kvIter, error) {
 	it := &storeIter{st: st}
 	pulls := make([]func() (prioKV, bool), 0, len(st.memRuns)+len(st.files))
 	for _, run := range st.memRuns {
-		run := run
-		pos := 0
-		pulls = append(pulls, func() (prioKV, bool) {
-			if pos >= len(run.kvs) {
-				return prioKV{}, false
-			}
-			rec := prioKV{prio: run.prio, kv: run.kvs[pos]}
-			pos++
-			return rec, true
-		})
+		pulls = append(pulls, sliceSource(run.prio, run.kvs))
 	}
 	for _, path := range st.files {
 		f, err := os.Open(path)
@@ -315,20 +330,7 @@ func (st *spillStore) Iter() (kvIter, error) {
 			return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
 		}
 		it.fhs = append(it.fhs, f)
-		rr := extsort.NewRunReader(f)
-		pulls = append(pulls, func() (prioKV, bool) {
-			seq, key, val, err := rr.Next()
-			if err == io.EOF {
-				return prioKV{}, false
-			}
-			if err != nil {
-				if it.err == nil {
-					it.err = fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
-				}
-				return prioKV{}, false
-			}
-			return prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}}, true
-		})
+		pulls = append(pulls, runFileSource(extsort.NewRunReader(f), &it.err))
 	}
 	it.merger = extsort.NewMerger(pulls, prioKVCmp)
 	st.readers++
@@ -344,12 +346,13 @@ type storeIter struct {
 }
 
 func (it *storeIter) Next() (KeyValue, bool, error) {
-	if it.err != nil {
-		return KeyValue{}, false, it.err
+	var rec prioKV
+	ok := false
+	if it.err == nil {
+		rec, ok = it.merger.Next()
 	}
-	rec, ok := it.merger.Next()
 	if it.err != nil {
-		return KeyValue{}, false, it.err
+		return KeyValue{}, false, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", it.st.job, it.st.r, it.err)
 	}
 	if !ok {
 		return KeyValue{}, false, nil
@@ -376,8 +379,8 @@ func (it *storeIter) Close() error {
 	return nil
 }
 
-// Close implements reduceInput: removes run files, drops the buffer,
-// and settles the budget account.
+// Close removes run files, drops the buffer, and settles the budget
+// account.
 func (st *spillStore) Close() error {
 	st.mu.Lock()
 	if st.closed {
@@ -404,52 +407,6 @@ func (st *spillStore) Close() error {
 		}
 	}
 	return first
-}
-
-// attemptComparer lets a task output type define value equality for
-// the speculation self-check; outputs holding host resources (file
-// paths, accounts) can't use reflect.DeepEqual.
-type attemptComparer interface {
-	attemptEqual(other any) bool
-}
-
-// discardable lets a task output release host resources when the
-// attempt runtime throws it away (crashed/hung/killed attempts and
-// every speculative duplicate).
-type discardable interface {
-	discard()
-}
-
-// attemptOutputsEqual compares two attempts' outputs, preferring the
-// type's own equality over reflect.DeepEqual.
-func attemptOutputsEqual[T any](a, b T) bool {
-	if c, ok := any(a).(attemptComparer); ok {
-		return c.attemptEqual(any(b))
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-// discardAttemptOutput releases a discarded attempt output's host
-// resources, if it holds any.
-func discardAttemptOutput[T any](out T) {
-	if d, ok := any(out).(discardable); ok {
-		d.discard()
-	}
-}
-
-// attemptEqual implements attemptComparer: two shuffle outputs are
-// equal when they yield the same record sequence, regardless of
-// storage mode.
-func (s shuffleTaskResult) attemptEqual(other any) bool {
-	o, ok := other.(shuffleTaskResult)
-	return ok && reduceInputsEqual(s.in, o.in)
-}
-
-// discard implements discardable.
-func (s shuffleTaskResult) discard() {
-	if s.in != nil {
-		s.in.Close()
-	}
 }
 
 // reduceInputsEqual streams both inputs and compares record by record.

@@ -2,16 +2,24 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"proger/internal/costmodel"
+	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
+	"proger/internal/obs/live"
 )
 
 // spillEverything puts cfg under a memory budget below any two runs, so
@@ -350,4 +358,148 @@ func (f reduceFunc) Cleanup(*TaskContext, Emitter) error { return nil }
 func (f reduceFunc) Reduce(_ *TaskContext, key string, values [][]byte, _ Emitter) error {
 	f(key, values)
 	return nil
+}
+
+// TestBudgetedMapRunsLeavePhaseOutputs: under a budget with the fault
+// runtime on — retries, crashed attempts and speculative backups
+// included — a map task's committed runs go to the partition stores
+// and nothing else keeps them: phaseOutputs holds no run, and once the
+// stores are closed every run any map execution made is collected. So
+// a spilled run frees what it was charged for.
+func TestBudgetedMapRunsLeavePhaseOutputs(t *testing.T) {
+	cfg := wordCountConfig(4)
+	spillEverything(&cfg)
+	cfg.SpillDir = t.TempDir()
+	cfg.Faults = faults.NewSeeded(11, 0.5)
+	cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
+	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
+	fr := newFaultRuntime(&cfg)
+	po := newPhaseOutputs(&cfg)
+	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
+	b := localBodies(&cfg, nil, splits, po)
+	var produced, collected atomic.Int32
+	mapTask := b.mapTask
+	b.mapTask = func(m int) (mapTaskResult, costmodel.Units, error) {
+		out, cost, err := mapTask(m)
+		for _, run := range out.out {
+			if len(run) > 0 {
+				produced.Add(1)
+				runtime.SetFinalizer(&run[0], func(*KeyValue) { collected.Add(1) })
+			}
+		}
+		return out, cost, err
+	}
+	if err := runJobGraph(&cfg, fr, cfg.Workers, po, b); err != nil {
+		t.Fatal(err)
+	}
+	for m, mr := range po.mapRes {
+		if mr.out != nil {
+			t.Errorf("map task %d's runs are still reachable from phaseOutputs", m)
+		}
+	}
+	var forced int64
+	for r, st := range po.stores {
+		if po.shufRes[r].in != reduceInput(st) {
+			t.Errorf("shuffle %d committed something other than its partition's store", r)
+		}
+		f, _ := st.budgetStats()
+		forced += f
+		st.Close()
+	}
+	if forced == 0 {
+		t.Fatal("the memory budget forced no spill")
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < produced.Load() && time.Now().Before(deadline); {
+		runtime.GC()
+	}
+	if n, c := produced.Load(), collected.Load(); c != n {
+		t.Errorf("%d of the %d runs map executions made outlived their stores", n-c, n)
+	}
+	runtime.KeepAlive(po)
+}
+
+// drawMapper is wordCountMapper whose values, one byte each, depend on
+// which execution of its task it is: equal costs, counters and lengths,
+// different bytes — what only a check of the content tells apart.
+type drawMapper struct {
+	MapperBase
+	draw byte
+}
+
+func (m drawMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) error {
+	for _, w := range strings.Fields(string(rec.Value)) {
+		emit.Emit(w, []byte{m.draw})
+	}
+	return nil
+}
+
+// TestSpeculationDigestCatchesDivergence: a map backup that wins its
+// race is checked against the committed attempt's digest — with or
+// without a budget, where the committed runs are gone by then — so a
+// nondeterministic mapper still fails the job.
+func TestSpeculationDigestCatchesDivergence(t *testing.T) {
+	for _, budget := range []bool{false, true} {
+		var execs atomic.Int32
+		cfg := wordCountConfig(2)
+		cfg.NewMapper = func() Mapper { return drawMapper{draw: byte('a' + execs.Add(1))} }
+		cfg.Faults = faults.Script{
+			{Phase: faults.Map, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 20},
+		}
+		// As in TestSpeculativeAttemptOutrunsStraggler: only the 20×-slowed
+		// map task straggles, and its backup finishes first.
+		cfg.Retry = RetryPolicy{MaxRetries: 2, TimeoutFactor: 50, Speculation: true, SpeculationQuantile: 0.9}
+		if budget {
+			spillEverything(&cfg)
+			cfg.SpillDir = t.TempDir()
+		}
+		_, err := Run(cfg, wordCountInput(), 0)
+		if err == nil || !strings.Contains(err.Error(), "map task 0 speculative attempt diverged") {
+			t.Errorf("budget=%v: err = %v, want the map backup's divergence", budget, err)
+		}
+	}
+}
+
+// TestEventLogSameUnderBudget: the event log's deterministic subset —
+// every field but seq and wall_ms, as a set — is the same with and
+// without a memory budget: under both, a shuffle's task.done carries
+// the partition's sort cost.
+func TestEventLogSameUnderBudget(t *testing.T) {
+	events := func(budget bool) []string {
+		var buf bytes.Buffer
+		cfg := wordCountConfig(4)
+		cfg.Live = live.NewRun(live.NewEventLog(&buf))
+		if budget {
+			spillEverything(&cfg)
+			cfg.SpillDir = t.TempDir()
+		}
+		if _, err := Run(cfg, wordCountInput(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if budget {
+			requireSpilled(t, &cfg)
+		}
+		var lines []string
+		shuffleCost := false
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev map[string]any
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("event %q: %v", line, err)
+			}
+			delete(ev, "seq")
+			delete(ev, "wall_ms")
+			if ev["event"] == live.EventTaskDone && ev["phase"] == string(live.PhaseShuffle) && ev["cost_units"] != 0.0 {
+				shuffleCost = true
+			}
+			det, _ := json.Marshal(ev)
+			lines = append(lines, string(det))
+		}
+		if !shuffleCost {
+			t.Errorf("budget=%v: no shuffle task.done carries a sort cost", budget)
+		}
+		slices.Sort(lines)
+		return lines
+	}
+	if plain, budgeted := events(false), events(true); !slices.Equal(plain, budgeted) {
+		t.Errorf("deterministic event subset differs under a budget:\nplain:    %v\nbudgeted: %v", plain, budgeted)
+	}
 }

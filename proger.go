@@ -350,7 +350,7 @@ var NewMetricsRegistry = obs.NewRegistry
 
 // Memory-budget telemetry keys (set only when Options.MemBudget > 0):
 // the high-water mark of tracked bytes, the cumulative bytes charged
-// (raw shuffle + statistics volume), and the spills the budget forced.
+// (the raw shuffle volume), and the spills the budget forced.
 const (
 	GaugeMemBudgetPeakBytes    = core.GaugeMemBudgetPeakBytes
 	GaugeMemBudgetChargedBytes = core.GaugeMemBudgetChargedBytes

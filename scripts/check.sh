@@ -125,12 +125,13 @@ go test -run '^$' -fuzz FuzzRunReaderArbitraryInput -fuzztime 10s ./internal/ext
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
-# run additionally serves the live status server and writes the
-# structured event log, so this one pass also gates the §13 live
-# introspection layer: the endpoints must answer while the run is in
-# flight, the mid-run scrape must be Prometheus text, the event log
-# must validate, and none of it may perturb the byte-determinism cmp
-# below. The workload is sized so that the budget run lasts well over
+# run also injects task faults (retries and speculation on top of the
+# budget's one road to disk), and additionally serves the live status
+# server and writes the structured event log, so this one pass also
+# gates the §13 live introspection layer: the endpoints must answer
+# while the run is in flight, the mid-run scrape must be Prometheus
+# text, the event log must validate, and none of it may perturb the
+# byte-determinism cmp below. The workload is sized so that the budget run lasts well over
 # half a second on a 2-core box (~1.1 s at n=12000): any shorter, and
 # the curls below race the end of the run.
 echo "== bounded-memory + live-introspection smoke =="
@@ -140,6 +141,7 @@ go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
     -out "$smoke/base.tsv" -quality-out "$smoke/base-quality.json" 2>/dev/null
 go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
     -mem-budget 64K -spill-dir "$smoke" -metrics-out "$smoke/budget.prom" \
+    -fault-rate 0.2 -fault-seed 7 \
     -status 127.0.0.1:0 -events "$smoke/events.jsonl" \
     -out "$smoke/budget.tsv" -quality-out "$smoke/budget-quality.json" \
     2>"$smoke/stderr.log" &
@@ -179,8 +181,9 @@ grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
 # byte-identical pairs, trace, and quality telemetry — first clean,
 # then with injected task faults AND a worker process that kills itself
 # after its third lease, so the lease-expiry/re-lease path is exercised
-# end to end. The event logs gate the dist event grammar through
-# tracecheck — the clean run with full fleet observability on (status
+# end to end, and last with faults heavy enough that speculative backups
+# win on the other worker. The event logs gate the dist event grammar
+# through tracecheck — the clean run with full fleet observability on (status
 # server, merged multi-process event log) — and must show actual lease
 # traffic. The /fleet endpoint must report both forked workers while
 # the run is in flight.
@@ -237,5 +240,15 @@ cmp "$smoke/floc-trace.json" "$smoke/fdist-trace.json" || {
 go run ./scripts/tracecheck -events "$smoke/fdist-events.jsonl"
 grep -q '"event":"lease.expire"' "$smoke/fdist-events.jsonl" || {
     echo "killed worker expired no leases — the smoke test is not exercising worker loss"; exit 1; }
+go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
+    -fault-rate 0.3 -fault-seed 3 \
+    -out "$smoke/sloc.tsv" -trace "$smoke/sloc-trace.json" 2>/dev/null
+go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
+    -fault-rate 0.3 -fault-seed 3 -dist 2 \
+    -out "$smoke/sdist.tsv" -trace "$smoke/sdist-trace.json" 2>/dev/null
+cmp "$smoke/sloc.tsv" "$smoke/sdist.tsv" || {
+    echo "speculation across workers changed the duplicate pairs"; exit 1; }
+cmp "$smoke/sloc-trace.json" "$smoke/sdist-trace.json" || {
+    echo "speculation across workers changed the trace"; exit 1; }
 
 echo "check: OK"
