@@ -79,7 +79,7 @@ func main() {
 	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
 	engine := flag.String("engine", "pipelined", "host execution engine: pipelined (dependency-driven task graph) | barrier (three barriered phases); results are identical")
-	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling compressed runs to disk when exceeded; results are identical")
+	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	distN := flag.Int("dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
 	masterMode := flag.Bool("master", false, "run as a distributed master: serve task leases on -listen, execute nothing locally (start workers with the same resolution flags plus -worker -connect)")

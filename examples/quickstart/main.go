@@ -23,7 +23,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for deterministic fault injection")
 	maxRetries := flag.Int("max-retries", 3, "per-task retry budget when -fault-rate > 0")
 	barrier := flag.Bool("barrier", false, "use the barrier edge policy instead of the pipelined default (results are identical)")
-	memBudget := flag.Int64("mem-budget", 0, "cap tracked shuffle memory at this many bytes, spilling compressed runs to disk (0 = all in memory; results are identical)")
+	memBudget := flag.Int64("mem-budget", 0, "cap tracked shuffle memory at this many bytes, spilling runs to checksummed run files (0 = all in memory; results are identical)")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	statusAddr := flag.String("status", "", "serve the live status server (/healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof) on this address while the run executes")
 	flag.Parse()
@@ -102,8 +102,8 @@ func main() {
 		opts.Execution = proger.ExecBarrier
 	}
 	// Out-of-core knob: a memory budget forces shuffle buffers through
-	// compressed disk runs. Like -barrier and
-	// -fault-rate, the output below is identical with or without it.
+	// run files on disk. Like -barrier and -fault-rate, the output below
+	// is identical with or without it.
 	opts.MemBudget = *memBudget
 	opts.SpillDir = *spillDir
 	res, err := proger.Resolve(ds, opts)

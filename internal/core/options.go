@@ -113,7 +113,7 @@ type Options struct {
 	Live *live.Run
 	// MemBudget, when > 0, caps the tracked bytes held in memory by
 	// both jobs' shuffle runs: a process-wide budget manager spills the
-	// largest partition stores to compressed disk runs when the cap is
+	// largest partition stores to run files on disk when the cap is
 	// exceeded. A host knob like Workers — results, traces, and quality
 	// telemetry are identical with or without it. 0 keeps everything in
 	// memory.

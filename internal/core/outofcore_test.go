@@ -18,7 +18,7 @@ import (
 
 // These tests pin the PR-6 hard constraint end to end: the memory
 // budget and its spill storage are host knobs only. A budget tight
-// enough to force both jobs' shuffles through compressed disk runs must
+// enough to force both jobs' shuffles through run files on disk must
 // reproduce the in-memory pipeline's Result, Chrome trace bytes, and
 // quality-telemetry JSON exactly.
 

@@ -3,12 +3,13 @@ package extsort
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 )
 
 // FuzzRecordRoundTrip drives arbitrary records through the full
-// RunWriter→RunReader stack (record codec + LZ compression + CRC
-// framing) and requires exact reconstruction.
+// RunWriter→RunReader stack (record codec + CRC framing) and requires
+// exact reconstruction.
 func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint64(0), "", []byte(nil), "k", []byte("v"))
 	f.Add(uint64(1<<63), "key with spaces", []byte{0, 255, 10}, "", bytes.Repeat([]byte("ab"), 5000))
@@ -76,21 +77,36 @@ func FuzzRunReaderArbitraryInput(f *testing.F) {
 	})
 }
 
-// FuzzDecompress hammers the LZ decoder directly with arbitrary op
-// streams and claimed lengths; it must error on garbage, never panic.
-func FuzzDecompress(f *testing.F) {
-	var c compressor
-	comp := c.compress(nil, bytes.Repeat([]byte("roundtrip material "), 50))
-	f.Add(comp, 19*50)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{1, 'x', 4, 1}, 5)
-	f.Fuzz(func(t *testing.T, data []byte, rawLen int) {
-		if rawLen < 0 || rawLen > compressBlockSize {
-			return
+// FuzzRunRecordsInValidFrames wraps arbitrary bytes in correctly
+// checksummed frames of a fuzzed size, so the record decoder behind the
+// CRC sees them. The reader must end in io.EOF or an error, never a
+// panic, a million records, or more allocation than the input could
+// justify: each record's key and value are copies of delivered bytes,
+// and the reader's buffer grows geometrically with the frames a long
+// record spans.
+func FuzzRunRecordsInValidFrames(f *testing.F) {
+	var stream []byte
+	for i := 0; i < 50; i++ {
+		stream = appendRecord(stream, uint64(i), "seed-key", []byte("seed value payload"))
+	}
+	f.Add(stream, uint16(7))
+	f.Add(stream[:len(stream)/2], uint16(0))
+	f.Add([]byte{0, 0x80, 0x80, 0x80, 0x80, 0x04, 'a', 'b', 'c', 'd'}, uint16(3))
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}, uint16(1))
+	f.Fuzz(func(t *testing.T, stream []byte, size uint16) {
+		data := frames(stream, 1+int(size)%maxFrame)
+		rr := NewRunReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 1<<20; i++ {
+			if _, _, _, err := rr.Next(); err != nil {
+				runtime.ReadMemStats(&after)
+				if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(data)+16<<10) {
+					t.Fatalf("reading %d framed bytes allocated %d bytes", len(data), alloc)
+				}
+				return
+			}
 		}
-		out, err := decompress(nil, data, rawLen)
-		if err == nil && len(out) != rawLen {
-			t.Fatalf("decompress returned %d bytes without error, want %d", len(out), rawLen)
-		}
+		t.Fatal("reader produced over a million records from fuzz input")
 	})
 }

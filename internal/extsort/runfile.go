@@ -1,11 +1,20 @@
 // Package extsort holds the two pieces of an external merge that the
 // MapReduce shuffle builds on, mirroring Hadoop's spill-and-merge: the
-// run-file codec (RunWriter/RunReader: length-prefixed (seq, key,
-// value) records over the compressed, CRC-framed blocks of compress.go)
-// and Merger, a stable k-way merge of pre-sorted sources (merge.go).
-// The engine's budget-governed shuffle store writes its spilled runs
-// with the codec and merges them back with Merger; the distributed
-// transport's shared-directory run files use the same codec.
+// run-file codec (RunWriter/RunReader: (seq, key, value) records in
+// checksummed frames) and Merger, a stable k-way merge of pre-sorted
+// sources (merge.go). The engine's budget-governed shuffle store writes
+// its spilled runs with the codec and merges them back with Merger; the
+// distributed transport's shared-directory run files use the same codec.
+//
+// A run file is a record stream cut into frames:
+//
+//	frame  := length (4B LE) crc32c(payload) (4B LE) payload
+//	record := uvarint(seq) uvarint(len(key)) key uvarint(len(value)) value
+//
+// A frame's payload holds 1 to maxFrame bytes of the stream, stored as
+// they are; records cross frame boundaries freely. The CRC catches media
+// corruption and torn writes. It is not a MAC, so the reader also trusts
+// no declared record length beyond the bytes the stream has delivered.
 //
 // Stability matters: the engine requires that records with equal keys
 // surface in map-task order, so every record carries a merge priority
@@ -13,25 +22,36 @@
 package extsort
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"slices"
 )
 
-// RunWriter encodes records into a compressed, CRC-framed run stream.
-// Flush must be called before the underlying writer is closed; records
-// written after Flush are lost.
+const (
+	// frameHeader is the length and CRC in front of every payload.
+	frameHeader = 8
+	// maxFrame bounds a frame's payload, and so the writer's buffer.
+	maxFrame = 64 << 10
+)
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// RunWriter encodes records into a run stream. Records are appended
+// straight into the frame buffer, which goes to the underlying writer
+// in one Write each time it fills; Flush writes the last partial frame
+// and must be called before the underlying writer is closed.
 type RunWriter struct {
-	fw *blockWriter
-	w  *bufio.Writer
+	w io.Writer
+	// buf is the frame being filled: header room, then payload.
+	buf []byte
 }
 
 // NewRunWriter wraps w. The caller retains ownership of w and must
 // close it (after Flush) itself.
 func NewRunWriter(w io.Writer) *RunWriter {
-	fw := newBlockWriter(w)
-	return &RunWriter{fw: fw, w: bufio.NewWriterSize(fw, 1<<15)}
+	return &RunWriter{w: w, buf: make([]byte, frameHeader, frameHeader+maxFrame)}
 }
 
 // WriteRecord appends one record: seq, key length, key, value length,
@@ -41,65 +61,145 @@ func (rw *RunWriter) WriteRecord(seq uint64, key string, value []byte) error {
 	var hdr [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], seq)
 	n += binary.PutUvarint(hdr[n:], uint64(len(key)))
-	if _, err := rw.w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("extsort: writing record: %w", err)
+	if err := put(rw, hdr[:n]); err != nil {
+		return err
 	}
-	if _, err := rw.w.WriteString(key); err != nil {
-		return fmt.Errorf("extsort: writing key: %w", err)
+	if err := put(rw, key); err != nil {
+		return err
 	}
 	n = binary.PutUvarint(hdr[:], uint64(len(value)))
-	if _, err := rw.w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("extsort: writing record: %w", err)
+	if err := put(rw, hdr[:n]); err != nil {
+		return err
 	}
-	if _, err := rw.w.Write(value); err != nil {
-		return fmt.Errorf("extsort: writing value: %w", err)
+	return put(rw, value)
+}
+
+// put appends p to the stream, writing each frame as it fills.
+func put[S string | []byte](rw *RunWriter, p S) error {
+	for {
+		n := copy(rw.buf[len(rw.buf):cap(rw.buf)], p)
+		rw.buf = rw.buf[:len(rw.buf)+n]
+		if p = p[n:]; len(p) == 0 {
+			return nil
+		}
+		if err := rw.Flush(); err != nil {
+			return err
+		}
+	}
+}
+
+// Flush writes the buffered records as one frame; with nothing
+// buffered it writes nothing.
+func (rw *RunWriter) Flush() error {
+	payload := rw.buf[frameHeader:]
+	if len(payload) == 0 {
+		return nil
+	}
+	binary.LittleEndian.PutUint32(rw.buf[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rw.buf[4:], crc32.Checksum(payload, crcTable))
+	_, err := rw.w.Write(rw.buf)
+	rw.buf = rw.buf[:frameHeader]
+	if err != nil {
+		return fmt.Errorf("extsort: writing frame: %w", err)
 	}
 	return nil
 }
 
-// Flush drains buffered records and emits the final partial block.
-func (rw *RunWriter) Flush() error {
-	if err := rw.w.Flush(); err != nil {
-		return err
-	}
-	return rw.fw.Close()
-}
-
-// RunReader decodes a stream produced by RunWriter.
+// RunReader decodes a stream produced by RunWriter straight out of the
+// frames it reads.
 type RunReader struct {
-	r *bufio.Reader
+	r   io.Reader
+	hdr [frameHeader]byte
+	// buf holds the unread stream: a record cut off by the end of one
+	// frame, then the frames read after it; pos is its first unread byte.
+	buf []byte
+	pos int
 }
 
 // NewRunReader wraps r; the caller retains ownership of r.
 func NewRunReader(r io.Reader) *RunReader {
-	return &RunReader{r: bufio.NewReaderSize(newBlockReader(r), 1<<15)}
+	return &RunReader{r: r}
+}
+
+// fill moves the unread bytes to the front of buf and appends the next
+// frame's payload after checking its CRC. It returns io.EOF only when
+// the stream ends between frames. buf grows only by frames delivered,
+// so a declared record length past the end of the stream fails here
+// before it is allocated.
+func (rr *RunReader) fill() error {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("extsort: truncated frame header: %w", err)
+	}
+	n := int(binary.LittleEndian.Uint32(rr.hdr[0:]))
+	if n == 0 || n > maxFrame {
+		return fmt.Errorf("extsort: corrupt frame length %d", n)
+	}
+	rest := copy(rr.buf, rr.buf[rr.pos:])
+	rr.buf, rr.pos = slices.Grow(rr.buf[:rest], n)[:rest+n], 0
+	payload := rr.buf[rest:]
+	if _, err := io.ReadFull(rr.r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		rr.buf = rr.buf[:rest]
+		return fmt.Errorf("extsort: truncated frame: %w", err)
+	}
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(rr.hdr[4:]); got != want {
+		rr.buf = rr.buf[:rest]
+		return fmt.Errorf("extsort: frame CRC mismatch (got %08x, want %08x)", got, want)
+	}
+	return nil
 }
 
 // Next returns the next record, or io.EOF at the clean end of the
-// stream. Any other error means a truncated or corrupt run.
+// stream. Any other error means a truncated or corrupt run. The key
+// and value are the caller's own.
 func (rr *RunReader) Next() (seq uint64, key string, value []byte, err error) {
-	seq, err = binary.ReadUvarint(rr.r)
-	if err != nil {
-		if err == io.EOF {
-			return 0, "", nil, io.EOF // clean end of run
+	for {
+		seq, k, v, n := decodeRecord(rr.buf[rr.pos:])
+		if n > 0 {
+			rr.pos += n
+			value = make([]byte, len(v))
+			copy(value, v)
+			return seq, string(k), value, nil
 		}
-		return 0, "", nil, fmt.Errorf("extsort: truncated run (seq): %w", err)
+		if n < 0 {
+			return 0, "", nil, fmt.Errorf("extsort: corrupt run (varint overflow)")
+		}
+		if err := rr.fill(); err != nil {
+			if err == io.EOF && rr.pos < len(rr.buf) {
+				err = fmt.Errorf("extsort: truncated run (%d bytes of a record): %w", len(rr.buf)-rr.pos, io.ErrUnexpectedEOF)
+			}
+			return 0, "", nil, err
+		}
 	}
-	kl, err := binary.ReadUvarint(rr.r)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("extsort: truncated run (key len): %w", err)
+}
+
+// decodeRecord decodes the record at the front of b, returning its
+// length n; n is 0 when b holds only part of it and negative when a
+// varint overflows. key and value alias b.
+func decodeRecord(b []byte) (seq uint64, key, value []byte, n int) {
+	seq, n = binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, nil, n
 	}
-	k := make([]byte, kl)
-	if _, err := io.ReadFull(rr.r, k); err != nil {
-		return 0, "", nil, fmt.Errorf("extsort: truncated run (key): %w", err)
+	kl, k := binary.Uvarint(b[n:])
+	if k <= 0 {
+		return 0, nil, nil, k
 	}
-	vl, err := binary.ReadUvarint(rr.r)
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("extsort: truncated run (value len): %w", err)
+	if n += k; kl > uint64(len(b)-n) {
+		return 0, nil, nil, 0
 	}
-	value = make([]byte, vl)
-	if _, err := io.ReadFull(rr.r, value); err != nil {
-		return 0, "", nil, fmt.Errorf("extsort: truncated run (value): %w", err)
+	key, n = b[n:n+int(kl)], n+int(kl)
+	vl, k := binary.Uvarint(b[n:])
+	if k <= 0 {
+		return 0, nil, nil, k
 	}
-	return seq, string(k), value, nil
+	if n += k; vl > uint64(len(b)-n) {
+		return 0, nil, nil, 0
+	}
+	return seq, key, b[n : n+int(vl)], n + int(vl)
 }

@@ -217,11 +217,11 @@ type Config struct {
 	// MemBudget, when non-nil, is the process-wide memory budget
 	// manager governing out-of-core execution: reduce inputs buffer in
 	// budget-charged stores, and the manager forces the largest holders
-	// to spill compressed runs to SpillDir when the total tracked bytes
-	// would exceed the budget. Purely a host-machine knob, like Workers:
-	// what reaches disk depends on memory pressure, but the record
-	// sequences — and therefore Result, traces, and quality exports —
-	// are byte-identical to the in-memory run.
+	// to spill their runs to run files in SpillDir when the total
+	// tracked bytes would exceed the budget. Purely a host-machine
+	// knob, like Workers: what reaches disk depends on memory pressure,
+	// but the record sequences — and therefore Result, traces, and
+	// quality exports — are byte-identical to the in-memory run.
 	MemBudget *membudget.Manager
 	// Faults, when non-nil, injects deterministic simulated task
 	// failures (crash/hang/slow) into the attempt runtime — see

@@ -395,29 +395,19 @@ func fileExists(path string) bool {
 }
 
 // commitRunFile writes the run file dir/name atomically: write streams
-// the records into a temp file beside it, which is then flushed, closed,
-// and renamed into place. A failure at any step removes the temp file.
-// c, when non-nil, counts the bytes written.
+// the records into a temp file beside it (writeRunFile), which is then
+// renamed into place. A failure at any step removes the temp file. c,
+// when non-nil, counts the bytes written.
 func commitRunFile(dir, name string, c *obs.Counter, write func(rw *extsort.RunWriter) error) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-")
+	tmp, err := writeRunFile(dir, name+".tmp-", func(f *os.File) io.Writer { return countingWriter{f, c} }, write)
 	if err != nil {
 		return err
 	}
-	rw := extsort.NewRunWriter(countingWriter{tmp, c})
-	err = write(rw)
-	if err == nil {
-		err = rw.Flush()
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		os.Remove(tmp)
+		return err
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return nil
 }
 
 func countRunRecords(path string, c *obs.Counter) (int, error) {

@@ -148,8 +148,8 @@ type spillRun struct {
 
 // spillStore is the disk-capable reduceInput. Runs are ingested whole
 // (addRun) and buffer in memory charged against the budget account; a
-// budget-forced spill merges everything buffered into one compressed
-// run file. Iter k-way merges memory and disk sources by (key, prio).
+// budget-forced spill merges everything buffered into one run file.
+// Iter k-way merges memory and disk sources by (key, prio).
 type spillStore struct {
 	job    string
 	r      int
@@ -249,8 +249,7 @@ func (st *spillStore) budgetSpill() (int64, error) {
 }
 
 // writeRunFileLocked merges the given runs by (key, prio) into one new
-// compressed run file. A failed write removes the partial file. Caller
-// holds st.mu.
+// run file. Caller holds st.mu.
 func (st *spillStore) writeRunFileLocked(runs []*spillRun) error {
 	if st.tmpDir == "" {
 		dir, err := os.MkdirTemp(st.parent, "proger-shuffle-*")
@@ -259,39 +258,56 @@ func (st *spillStore) writeRunFileLocked(runs []*spillRun) error {
 		}
 		st.tmpDir = dir
 	}
-	f, err := os.CreateTemp(st.tmpDir, "run-*.spill")
-	if err != nil {
-		return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
-	}
 	pulls := make([]func() (prioKV, bool), len(runs))
 	for i, run := range runs {
 		pulls[i] = sliceSource(run.prio, run.kvs)
 	}
 	merger := extsort.NewMerger(pulls, prioKVCmp)
-	rw := extsort.NewRunWriter(f)
-	for {
-		rec, ok := merger.Next()
-		if !ok {
-			break
+	path, err := writeRunFile(st.tmpDir, "run-*.spill", nil, func(rw *extsort.RunWriter) error {
+		for {
+			rec, ok := merger.Next()
+			if !ok {
+				return nil
+			}
+			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
+				return err
+			}
 		}
-		if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
-			return fail(err)
-		}
-	}
-	if err := rw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
+	})
+	if err != nil {
 		return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
 	}
-	st.files = append(st.files, f.Name())
+	st.files = append(st.files, path)
 	return nil
+}
+
+// writeRunFile creates a new run file in dir, named from pattern as by
+// os.CreateTemp, streams records into it and flushes and closes it. It
+// returns the file's path; a failure at any step removes the partial
+// file. out, when non-nil, wraps the file the records go to (to count
+// the bytes written).
+func writeRunFile(dir, pattern string, out func(*os.File) io.Writer, records func(*extsort.RunWriter) error) (string, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return "", err
+	}
+	var w io.Writer = f
+	if out != nil {
+		w = out(f)
+	}
+	rw := extsort.NewRunWriter(w)
+	err = records(rw)
+	if err == nil {
+		err = rw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // budgetStats reports the budget-pressure spill activity (forced spill

@@ -3,7 +3,9 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"time"
 
 	"proger/internal/costmodel"
+	"proger/internal/extsort"
 	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
@@ -185,6 +188,62 @@ func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	}
 }
 
+// failAfter accepts k bytes, then fails every write the way a full
+// disk does.
+type failAfter struct {
+	w io.Writer
+	k int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.k {
+		n, _ := f.w.Write(p[:f.k])
+		f.k = 0
+		return n, errDiskFull
+	}
+	f.k -= len(p)
+	return f.w.Write(p)
+}
+
+// TestRunFileWriteFailureLeavesNoFile: a run file whose writes fail
+// part-way — in a full frame, in the last partial one, or before the
+// first byte — is removed, and the writer's error comes back wrapped.
+func TestRunFileWriteFailureLeavesNoFile(t *testing.T) {
+	records := func(rw *extsort.RunWriter) error {
+		for i := 0; i < 3000; i++ {
+			if err := rw.WriteRecord(uint64(i), fmt.Sprintf("key-%05d", i), bytes.Repeat([]byte{'v'}, 100)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, k := range []int{0, 100, 200 << 10, 1 << 30} {
+		dir := t.TempDir()
+		path, err := writeRunFile(dir, "run-*.spill", func(f *os.File) io.Writer { return &failAfter{f, k} }, records)
+		entries, rerr := os.ReadDir(dir)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if k == 1<<30 {
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("k=%d: err %v, %d files, want the run file", k, err, len(entries))
+			}
+			if n, err := countRunRecords(path, nil); err != nil || n != 3000 {
+				t.Fatalf("k=%d: read back %d records, %v", k, n, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("k=%d: got error %v, want it to wrap %v", k, err, errDiskFull)
+		}
+		if len(entries) != 0 {
+			t.Errorf("k=%d: %d partial files left in %s", k, len(entries), dir)
+		}
+	}
+}
+
 func TestSpillingShuffleEquivalence(t *testing.T) {
 	plain := wordCountConfig(2)
 	spill := wordCountConfig(2)
@@ -209,7 +268,7 @@ func TestSpillingShuffleEquivalence(t *testing.T) {
 
 // TestBudgetRunMatchesMemoryRun is the storage-mode equivalence
 // property at the job level: a tiny budget that forces everything
-// through compressed disk runs must reproduce the in-memory Result —
+// through run files on disk must reproduce the in-memory Result —
 // output bytes, timestamps, counters, schedule — exactly, across both
 // engines and worker counts, and the Chrome trace bytes too.
 func TestBudgetRunMatchesMemoryRun(t *testing.T) {

@@ -118,9 +118,13 @@ go test -run '^$' -fuzz FuzzBlockOrder -fuzztime 10s ./internal/mechanism
 
 # The run-file decoder is the one reader of spilled and shared-directory
 # bytes; arbitrary input must end in io.EOF or an error, never a panic
-# or an endless stream.
+# or an endless stream. Arbitrary bytes rarely pass a frame's CRC, so
+# the second target wraps them in valid frames to reach the record
+# decoder, which must also never allocate more than the input justifies.
+# Minimising a new input is capped so that the ten seconds go to fuzzing.
 echo "== fuzz (run-file decoder) =="
-go test -run '^$' -fuzz FuzzRunReaderArbitraryInput -fuzztime 10s ./internal/extsort
+go test -run '^$' -fuzz FuzzRunReaderArbitraryInput -fuzztime 10s -fuzzminimizetime 200x ./internal/extsort
+go test -run '^$' -fuzz FuzzRunRecordsInValidFrames -fuzztime 10s -fuzzminimizetime 200x ./internal/extsort
 
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
