@@ -455,24 +455,3 @@ func BenchmarkAblation(b *testing.B) {
 	}
 	b.ReportMetric(full, "qty-full")
 }
-
-func BenchmarkResolveCompactShuffle(b *testing.B) {
-	ds, gt := proger.GeneratePublications(1500, 5)
-	fams := proger.CiteSeerXFamilies(ds.Schema)
-	model := proger.TrainDupModel(ds, gt, fams)
-	matcher := proger.MustMatcher(0.75,
-		proger.Rule{Attr: 0, Weight: 0.5, Kind: proger.EditDistance},
-		proger.Rule{Attr: 1, Weight: 0.3, Kind: proger.EditDistance, MaxChars: 350},
-		proger.Rule{Attr: 2, Weight: 0.2, Kind: proger.EditDistance},
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := proger.Resolve(ds, proger.Options{
-			Families: fams, Matcher: matcher, Mechanism: proger.SN,
-			Policy: proger.CiteSeerXPolicy(), DupModel: model,
-			Machines: 5, SlotsPerMachine: 2, CompactShuffle: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -818,31 +818,25 @@ func flushEvents(w *bufio.Writer) {
 }
 
 func writeClusters(path string, res *proger.Result, n int) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := clustering.WriteClusters(f, res.Clusters(n)); err != nil {
-		log.Fatal(err)
-	}
+	writeFileWith(path, func(w io.Writer) error { return clustering.WriteClusters(w, res.Clusters(n)) })
 }
 
+// writePairs writes the found pairs in discovery order to out, or to
+// stdout when out is empty.
 func writePairs(out string, res *proger.Result) {
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
+	write := func(w io.Writer) error {
+		fmt.Fprintln(w, "#lo\thi\ttime")
+		for _, ev := range res.Events {
+			fmt.Fprintf(w, "%d\t%d\t%.1f\n", ev.Pair.Lo, ev.Pair.Hi, ev.Time)
 		}
-		defer f.Close()
-		w = f
+		return nil // (a buffered writer's error surfaces at Flush)
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "#lo\thi\ttime")
-	for _, ev := range res.Events {
-		fmt.Fprintf(bw, "%d\t%d\t%.1f\n", ev.Pair.Lo, ev.Pair.Hi, ev.Time)
+	if out != "" {
+		writeFileWith(out, write)
+		return
 	}
+	bw := bufio.NewWriter(os.Stdout)
+	write(bw)
 	if err := bw.Flush(); err != nil {
 		log.Fatal(err)
 	}

@@ -106,36 +106,16 @@ func personsOptions(ds *proger.Dataset) core.Options {
 // them (d8b2f14: fmt-rendered keys, a PairSet per tree, one string per
 // decoded attribute, whole-value lowercasing). The persons case is the
 // shape of the benchmark's persons-exact workload (Soundex and prefix
-// families, exact rules, SN); the compact cases drive the footnote-5
-// mapper and reducer, which share the resolve body with the expanded
-// ones.
+// families, exact rules, SN).
 func TestRecordPathKeepsResolveBytes(t *testing.T) {
 	ds, _ := proger.GeneratePersons(5000, 3)
-	persons := personsOptions(ds)
-	personsCompact := persons
-	personsCompact.CompactShuffle = true
-	pubs := experiments.PublicationsWorkload(1200, 3)
-	pubsCompact := workloadOptions(pubs, mechanism.SN{})
-	pubsCompact.CompactShuffle = true
-
-	cases := []struct {
-		name string
-		ds   *proger.Dataset
-		opts core.Options
-		want string
-	}{
-		{"persons/SN", ds, persons, "72e8f09897d5a22e2224b903d437bdbace1bb5add348facf0c721532a5f2f595"},
-		{"persons/SN/compact", ds, personsCompact, "71e7bdc3caf0502ae87d59bee9aa3c30dd46c50e028b18641e4db00c4857f0ec"},
-		{"publications/SN/compact", pubs.DS, pubsCompact, "ad7938a345b39f491ac3146efb219f3386d0837bef153cf3df2c4aaaec565884"},
+	res, err := core.Resolve(ds, personsOptions(ds))
+	if err != nil {
+		t.Fatalf("persons/SN: Resolve: %v", err)
 	}
-	for _, c := range cases {
-		res, err := core.Resolve(c.ds, c.opts)
-		if err != nil {
-			t.Fatalf("%s: Resolve: %v", c.name, err)
-		}
-		if got := resolveDigest(res); got != c.want {
-			t.Errorf("%s: %d events, total %v: digest %s, want %s", c.name, len(res.Events), res.TotalTime, got, c.want)
-		}
+	const want = "72e8f09897d5a22e2224b903d437bdbace1bb5add348facf0c721532a5f2f595"
+	if got := resolveDigest(res); got != want {
+		t.Errorf("persons/SN: %d events, total %v: digest %s, want %s", len(res.Events), res.TotalTime, got, want)
 	}
 }
 
@@ -217,7 +197,7 @@ func TestResolveAllocBudget(t *testing.T) {
 // buffers to one another — a stage that held 8-attribute books to a
 // task staging 5-attribute persons, a large tree's state to a small
 // tree of another dataset. Six operations at a time over datasets of
-// different sizes, attribute counts, mechanisms and emission modes,
+// different sizes, attribute counts, mechanisms and ablation knobs,
 // three rounds, each goroutine moving on to another case every round:
 // every Result must equal its serial run's. Under -race this is also
 // the check that a buffer is never put back while something can still
@@ -225,8 +205,8 @@ func TestResolveAllocBudget(t *testing.T) {
 func TestConcurrentResolvesShareNothing(t *testing.T) {
 	persons, _ := proger.GeneratePersons(3000, 5)
 	fewPersons, _ := proger.GeneratePersons(400, 6)
-	compact := personsOptions(persons)
-	compact.CompactShuffle = true
+	noDedup := personsOptions(persons)
+	noDedup.DisableRedundancyElimination = true
 	books := experiments.BooksWorkload(1200, 4)
 	pubs := experiments.PublicationsWorkload(500, 4)
 	cases := []struct {
@@ -236,7 +216,7 @@ func TestConcurrentResolvesShareNothing(t *testing.T) {
 		want string
 	}{
 		{name: "persons/SN", ds: persons, opts: personsOptions(persons)},
-		{name: "persons/SN/compact", ds: persons, opts: compact},
+		{name: "persons/SN/no dedup", ds: persons, opts: noDedup},
 		{name: "few persons/SN", ds: fewPersons, opts: personsOptions(fewPersons)},
 		{name: "books/PSNM", ds: books.DS, opts: workloadOptions(books, mechanism.PSNM{})},
 		{name: "books/Hierarchy", ds: books.DS, opts: workloadOptions(books, mechanism.Hierarchy{})},

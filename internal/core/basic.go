@@ -12,7 +12,6 @@ import (
 	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/quality"
-	"proger/internal/progress"
 )
 
 // This file implements the Basic approach of §II-C (Fig. 2): a single
@@ -212,27 +211,5 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: basic job: %w", err)
 	}
-	if m := opts.Metrics; m != nil {
-		m.Gauge(GaugePipelineTotalTime).Set(float64(jobRes.End))
-		if mgr != nil {
-			m.Gauge(GaugeMemBudgetPeakBytes).Set(float64(mgr.Peak()))
-			m.Gauge(GaugeMemBudgetChargedBytes).Set(float64(mgr.ChargedTotal()))
-		}
-	}
-	res := &Result{
-		Duplicates: entity.PairSet{},
-		TotalTime:  jobRes.End,
-		Job2:       jobRes,
-		Counters:   mapreduce.Counters{},
-	}
-	res.Counters.Merge(jobRes.Counters)
-	for _, kv := range jobRes.Output {
-		p, _, err := entity.DecodePair(kv.Value)
-		if err != nil {
-			return nil, err
-		}
-		res.Duplicates.Add(p)
-		res.Events = append(res.Events, progress.Event{Time: kv.Global, Pair: p})
-	}
-	return res, nil
+	return newResult(jobRes, opts.Metrics, mgr)
 }

@@ -9,9 +9,6 @@ const (
 	CounterJob2ScheduleGen = "job2.schedule_gen"
 	// CounterJob2Emitted counts map-side (SQ, value) emissions.
 	CounterJob2Emitted = "job2.emitted"
-	// CounterJob2Triggers counts the compact shuffle's per-block trigger
-	// records (footnote 5).
-	CounterJob2Triggers = "job2.triggers"
 	// CounterJob2BlocksResolved counts reduce-side block resolutions.
 	CounterJob2BlocksResolved = "job2.blocks_resolved"
 	// CounterJob2Compared, CounterJob2Dups, and CounterJob2Skipped count

@@ -218,8 +218,7 @@ type treeState struct {
 	// slotOf finds the slot of an entity that arrives again with a later
 	// block of the tree — one lookup per record. The mapper sends one
 	// (entity ⊕ list) value per entity and tree, so the ID names the
-	// bytes and a known ID is not decoded twice. (Expanded emission only:
-	// a compact payload arrives once.)
+	// bytes and a known ID is not decoded twice.
 	slotOf map[entity.ID]int32
 	// dec owns the storage of ents and sortKeys: slabs sized for the
 	// whole tree and strings shared by each group of arrivals, all
@@ -330,11 +329,10 @@ func (ts *treeState) admit(side *job2Side, fresh [][]byte) error {
 	return nil
 }
 
-// job2Blocks is the state and the resolve body that the expanded and
-// the compact reducer share: per-tree state by tree index, one
-// instance per reduce task.
-type job2Blocks struct {
-	mapreduce.ReducerBase
+// Job2Reducer resolves blocks in sequence order, one Reduce call per
+// scheduled block; one instance per reduce task. It keeps the state of
+// each tree it is in the middle of, by tree index.
+type Job2Reducer struct {
 	side  *job2Side
 	trees map[int]*treeState
 	*blockScratch
@@ -355,7 +353,7 @@ type blockScratch struct {
 var blockScratches = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // Setup implements mapreduce.Reducer.
-func (r *job2Blocks) Setup(*mapreduce.TaskContext) error {
+func (r *Job2Reducer) Setup(*mapreduce.TaskContext) error {
 	r.trees = map[int]*treeState{}
 	r.blockScratch = blockScratches.Get().(*blockScratch)
 	return nil
@@ -363,7 +361,7 @@ func (r *job2Blocks) Setup(*mapreduce.TaskContext) error {
 
 // Cleanup implements mapreduce.Reducer: the scratch goes back without
 // the last blocks' entities, keys and values.
-func (r *job2Blocks) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
+func (r *Job2Reducer) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
 	clear(r.ents[:cap(r.ents)])
 	clear(r.keys[:cap(r.keys)])
 	clear(r.fresh[:cap(r.fresh)])
@@ -374,7 +372,7 @@ func (r *job2Blocks) Cleanup(*mapreduce.TaskContext, mapreduce.Emitter) error {
 
 // scheduled finds the block a reduce key names and its tree's state,
 // borrowing the state at the tree's first block.
-func (r *job2Blocks) scheduled(key string) (*blocking.Block, int64, *treeState, error) {
+func (r *Job2Reducer) scheduled(key string) (*blocking.Block, int64, *treeState, error) {
 	s := r.side.schedule
 	sq, err := sched.ParseSQKey(key)
 	if err != nil {
@@ -435,7 +433,7 @@ func (side *job2Side) resolvedBelow(b *blocking.Block) float64 {
 // resolve runs the mechanism over one scheduled block — r.slots names
 // its members — and reports the visit: counters, quality observation,
 // trace span. After the tree's last block it drops the tree's state.
-func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter, start costmodel.Units,
+func (r *Job2Reducer) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter, start costmodel.Units,
 	b *blocking.Block, sq int64, ts *treeState) {
 	famIdx := int(b.ID.Family)
 	index := famIdx + 1 // 1-based dominance Index of the family
@@ -519,10 +517,6 @@ func (r *job2Blocks) resolve(ctx *mapreduce.TaskContext, emit mapreduce.Emitter,
 		ts.release()
 	}
 }
-
-// Job2Reducer resolves blocks in sequence order, one Reduce call per
-// scheduled block; one instance per reduce task.
-type Job2Reducer struct{ job2Blocks }
 
 // Reduce implements mapreduce.Reducer: one call per scheduled block.
 // Decoded entities are shared across the tree's blocks — safe because

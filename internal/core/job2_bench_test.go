@@ -104,7 +104,7 @@ func buildJob2Side(b testing.TB, ds *entity.Dataset, opts Options) (*job2Side, [
 	return side, blocking.MakeJob1Input(ds), r
 }
 
-// BenchmarkJob2Map runs the expanded Job-2 map function over a full
+// BenchmarkJob2Map runs the Job-2 map function over a full
 // dataset against a real generated schedule — the per-entity hot path
 // of the resolve pipeline's second job.
 func BenchmarkJob2Map(b *testing.B) {
@@ -194,7 +194,7 @@ func benchJob2Reduce(b *testing.B, shape benchShape) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := range groups {
-			red := &Job2Reducer{job2Blocks: job2Blocks{side: side}}
+			red := &Job2Reducer{side: side}
 			ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
 			if err := red.Setup(ctx); err != nil {
 				b.Fatal(err)

@@ -21,17 +21,14 @@ import (
 // cached an entity's block path: one schedule lookup per (family, level)
 // to emit, more of them per emitted tree to build the list, and the
 // entity re-encoded from its decoded form. It is the oracle of
-// TestJob2MapperMatchesLookupPerLevelOracle — expanded and compact
-// emission in one body — and nothing else.
+// TestJob2MapperMatchesLookupPerLevelOracle and nothing else.
 type lookupMapper struct {
-	side     *job2Side
-	treeOf   map[blocking.BlockID]int
-	firstKey []string
-	compact  bool
+	side   *job2Side
+	treeOf map[blocking.BlockID]int
 }
 
-func newLookupMapper(side *job2Side, compact bool) *lookupMapper {
-	m := &lookupMapper{side: side, treeOf: map[blocking.BlockID]int{}, firstKey: side.schedule.FirstKeyOfTree(), compact: compact}
+func newLookupMapper(side *job2Side) *lookupMapper {
+	m := &lookupMapper{side: side, treeOf: map[blocking.BlockID]int{}}
 	for i, t := range side.schedule.Trees {
 		for _, b := range t.Blocks() {
 			m.treeOf[b.ID] = i
@@ -66,21 +63,10 @@ func (m *lookupMapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, e
 			ti := m.treeOf[id]
 			if ti != lastTree {
 				lastTree = ti
-				lastVal = nil
-				if m.compact {
-					lastVal = []byte{compactTagEntity}
-				}
-				lastVal = append(lastVal, entBuf...)
-				lastVal = dedup.Encode(lastVal, m.list(e, deep, j, l, ti))
-				if m.compact {
-					emit.Emit(m.firstKey[ti], lastVal)
-					ctx.Inc(CounterJob2Emitted, 1)
-				}
+				lastVal = dedup.Encode(bytes.Clone(entBuf), m.list(e, deep, j, l, ti))
 			}
-			if !m.compact {
-				emit.Emit(b.SQKey, lastVal)
-				ctx.Inc(CounterJob2Emitted, 1)
-			}
+			emit.Emit(b.SQKey, lastVal)
+			ctx.Inc(CounterJob2Emitted, 1)
 		}
 	}
 	return nil
@@ -130,8 +116,8 @@ func (e *recordingEmitter) Emit(key string, value []byte) {
 // TestJob2MapperMatchesLookupPerLevelOracle: over seeded random
 // datasets, family shapes and scheduler settings — schedules with
 // pruned blocks and with split-off trees, which the test insists on
-// having seen — the mappers emit, record for record and byte for byte,
-// what the lookup-per-level mapper emits, and charge the same simulated
+// having seen — the mapper emits, record for record and byte for byte,
+// what the lookup-per-level mapper emits, and charges the same simulated
 // cost.
 func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 	sawSplit, sawPruned := false, false
@@ -157,47 +143,41 @@ func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 		for _, tree := range side.schedule.Trees {
 			sawSplit = sawSplit || tree.Root.ID.Level > 1
 		}
-		for _, compact := range []bool{false, true} {
-			name := fmt.Sprintf("seed %d compact=%v", seed, compact)
-			var got mapreduce.Mapper = &Job2Mapper{side: side}
-			if compact {
-				got = &CompactJob2Mapper{side: side}
-			}
-			want := newLookupMapper(side, compact)
-			gotCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
-			wantCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
-			if err := got.Setup(gotCtx); err != nil {
-				t.Fatal(err)
-			}
-			wantCtx.Charge(gotCtx.Now()) // the schedule-generation charge
-			var gotOut, wantOut recordingEmitter
-			for _, rec := range input {
-				if err := got.Map(gotCtx, rec, &gotOut); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if err := want.Map(wantCtx, rec, &wantOut); err != nil {
-					t.Fatalf("%s: oracle: %v", name, err)
-				}
-			}
-			if len(gotOut.recs) != len(wantOut.recs) {
-				t.Fatalf("%s: %d records emitted, oracle %d", name, len(gotOut.recs), len(wantOut.recs))
-			}
-			for i, w := range wantOut.recs {
-				if g := gotOut.recs[i]; g.Key != w.Key || !bytes.Equal(g.Value, w.Value) {
-					t.Fatalf("%s: record %d is (%s, %x), oracle (%s, %x)", name, i, g.Key, g.Value, w.Key, w.Value)
-				}
-			}
-			if g, w := gotCtx.Now(), wantCtx.Now(); g != w {
-				t.Errorf("%s: charged %v, oracle %v", name, g, w)
-			}
-			// Every entity has one block per (family, level): fewer
-			// emissions than that means the schedule pruned some.
-			levels := 0
-			for _, f := range side.families {
-				levels += f.Levels()
-			}
-			sawPruned = sawPruned || (!compact && len(wantOut.recs) < levels*len(input))
+		name := fmt.Sprintf("seed %d", seed)
+		got, want := &Job2Mapper{side: side}, newLookupMapper(side)
+		gotCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
+		wantCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
+		if err := got.Setup(gotCtx); err != nil {
+			t.Fatal(err)
 		}
+		wantCtx.Charge(gotCtx.Now()) // the schedule-generation charge
+		var gotOut, wantOut recordingEmitter
+		for _, rec := range input {
+			if err := got.Map(gotCtx, rec, &gotOut); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := want.Map(wantCtx, rec, &wantOut); err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+		}
+		if len(gotOut.recs) != len(wantOut.recs) {
+			t.Fatalf("%s: %d records emitted, oracle %d", name, len(gotOut.recs), len(wantOut.recs))
+		}
+		for i, w := range wantOut.recs {
+			if g := gotOut.recs[i]; g.Key != w.Key || !bytes.Equal(g.Value, w.Value) {
+				t.Fatalf("%s: record %d is (%s, %x), oracle (%s, %x)", name, i, g.Key, g.Value, w.Key, w.Value)
+			}
+		}
+		if g, w := gotCtx.Now(), wantCtx.Now(); g != w {
+			t.Errorf("%s: charged %v, oracle %v", name, g, w)
+		}
+		// Every entity has one block per (family, level): fewer
+		// emissions than that means the schedule pruned some.
+		levels := 0
+		for _, f := range side.families {
+			levels += f.Levels()
+		}
+		sawPruned = sawPruned || len(wantOut.recs) < levels*len(input)
 	}
 	if !sawSplit || !sawPruned {
 		t.Errorf("schedules exercised: split-off trees %v, pruned blocks %v — want both", sawSplit, sawPruned)

@@ -159,75 +159,29 @@ func TestResolveWithHierarchyMechanism(t *testing.T) {
 	}
 }
 
-func TestCompactShuffleEquivalence(t *testing.T) {
-	// The footnote-5 compact emission must find exactly the same
-	// duplicate set as the expanded per-block emission, with a smaller
-	// shuffle.
-	ds, gt := datagen.Publications(datagen.DefaultPublications(1200, 73))
-	base := pubOptions(ds, gt, 3)
-	expanded, err := Resolve(ds, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compactOpts := base
-	compactOpts.CompactShuffle = true
-	compact, err := Resolve(ds, compactOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compact.Duplicates) != len(expanded.Duplicates) {
-		t.Fatalf("duplicate counts differ: compact %d vs expanded %d",
-			len(compact.Duplicates), len(expanded.Duplicates))
-	}
-	for p := range expanded.Duplicates {
-		if !compact.Duplicates.Has(p) {
-			t.Fatalf("compact run missed pair %v", p)
-		}
-	}
-	eEmit := expanded.Counters.Get("job2.emitted")
-	cEmit := compact.Counters.Get("job2.emitted")
-	if cEmit >= eEmit {
-		t.Errorf("compact emitted %d records, expanded %d — no shuffle saving", cEmit, eEmit)
-	}
-	if compact.Counters.Get("job2.triggers") == 0 {
-		t.Error("no trigger records emitted")
-	}
-	// Redundancy-free resolution must hold in compact mode too.
-	seen := entity.PairSet{}
-	for _, ev := range compact.Events {
-		if !seen.Add(ev.Pair) {
-			t.Fatalf("pair %v emitted twice in compact mode", ev.Pair)
-		}
-	}
-}
-
 // TestResolveLeavesInputUntouched pins what lets Resolve encode the
-// dataset once for both jobs: no mapper of either job, expanded or
-// compact, writes to a record it is handed, and the result is the one
-// Resolve itself gives.
+// dataset once for both jobs: no mapper of either job writes to a
+// record it is handed, and the result is the one Resolve itself gives.
 func TestResolveLeavesInputUntouched(t *testing.T) {
 	ds, gt := datagen.Publications(datagen.DefaultPublications(600, 73))
-	for _, compact := range []bool{false, true} {
-		opts := pubOptions(ds, gt, 3)
-		opts.CompactShuffle = compact
-		want, err := Resolve(ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		input := blocking.MakeJob1Input(ds)
-		before := make([]mapreduce.KeyValue, len(input))
-		for i, kv := range input {
-			before[i] = mapreduce.KeyValue{Key: kv.Key, Value: bytes.Clone(kv.Value)}
-		}
-		got, err := resolve(ds, input, opts.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(input, before) {
-			t.Errorf("compact=%v: the jobs changed their input records", compact)
-		}
-		if !reflect.DeepEqual(got.Events, want.Events) || got.TotalTime != want.TotalTime {
-			t.Errorf("compact=%v: resolve on a caller's input departs from Resolve", compact)
-		}
+	opts := pubOptions(ds, gt, 3)
+	want, err := Resolve(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := blocking.MakeJob1Input(ds)
+	before := make([]mapreduce.KeyValue, len(input))
+	for i, kv := range input {
+		before[i] = mapreduce.KeyValue{Key: kv.Key, Value: bytes.Clone(kv.Value)}
+	}
+	got, err := resolve(ds, input, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(input, before) {
+		t.Error("the jobs changed their input records")
+	}
+	if !reflect.DeepEqual(got.Events, want.Events) || got.TotalTime != want.TotalTime {
+		t.Error("resolve on a caller's input departs from Resolve")
 	}
 }

@@ -81,11 +81,6 @@ type Options struct {
 	// check, so shared pairs are resolved in every tree containing them.
 	// Ablation knob: quantifies what redundancy-free resolution buys.
 	DisableRedundancyElimination bool
-	// CompactShuffle enables the footnote-5 map-side optimization: one
-	// emission per (entity, tree) instead of one per (entity, block),
-	// with per-block trigger records and reduce-side tree caching.
-	// Results are identical; the shuffle is ~2–3× smaller.
-	CompactShuffle bool
 	// DisableSubBlocking truncates every family to its main function
 	// only — no progressive blocking, each tree a single root block.
 	// Ablation knob: quantifies what the §III-A block hierarchy buys.

@@ -258,7 +258,7 @@ func (c *contractEnv) env(match func(a, b *entity.Entity) bool, stop mechanism.S
 }
 
 // TestMechanismsEmitEachResolvedPairBeforeNextDecide pins the contract
-// that lets job2Blocks.resolve enter a pair into the resolved set in
+// that lets Job2Reducer.resolve enter a pair into the resolved set in
 // Decide instead of Emit, and the two skip rulings be told apart by
 // nobody: every mechanism, under every mix of rulings, with and without
 // an early stop, emits exactly the pairs it was told to resolve, each

@@ -105,41 +105,6 @@ func TestResolvePipelinedMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestResolveCompactPipelinedMatchesBarrier covers the compact-shuffle
-// job-2 variant (tree-encoded shuffle payloads) under both engines.
-func TestResolveCompactPipelinedMatchesBarrier(t *testing.T) {
-	ds, _ := datagen.People()
-	run := func(mode mapreduce.ExecutionMode, workers int) *Result {
-		opts := Options{
-			Families:        peopleFamilies(),
-			Matcher:         peopleMatcher(),
-			Mechanism:       mechanism.SN{},
-			Policy:          estimate.CiteSeerXPolicy(),
-			Machines:        2,
-			SlotsPerMachine: 2,
-			Scheduler:       sched.Ours,
-			Workers:         workers,
-			Execution:       mode,
-			CompactShuffle:  true,
-		}
-		res, err := Resolve(ds, opts)
-		if err != nil {
-			t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
-		}
-		return res
-	}
-	ref := run(mapreduce.ExecBarrier, 1)
-	for _, workers := range []int{1, 8} {
-		res := run(mapreduce.ExecPipelined, workers)
-		if !reflect.DeepEqual(res.Events, ref.Events) {
-			t.Errorf("workers=%d: compact-shuffle events diverged between engines", workers)
-		}
-		if res.TotalTime != ref.TotalTime {
-			t.Errorf("workers=%d: total time %v, want %v", workers, res.TotalTime, ref.TotalTime)
-		}
-	}
-}
-
 // TestResolveBasicPipelinedMatchesBarrier covers the Basic baseline's
 // single job under both engines.
 func TestResolveBasicPipelinedMatchesBarrier(t *testing.T) {

@@ -154,49 +154,6 @@ func TestQualityDeterministicAcrossWorkersAndFaults(t *testing.T) {
 	}
 }
 
-func TestQualityCompactShuffleMatchesExpanded(t *testing.T) {
-	// The compact shuffle changes simulated costs (per-block tree scans
-	// replace shuffle volume), so timings — and hence the curve — may
-	// differ; the realized per-block duplicates and comparisons must
-	// not, and the compact run must itself be deterministic.
-	ds, _ := datagen.People()
-	plain := qualityPeopleOptions(0)
-	if _, err := Resolve(ds, plain); err != nil {
-		t.Fatal(err)
-	}
-	compact := qualityPeopleOptions(1)
-	compact.CompactShuffle = true
-	if _, err := Resolve(ds, compact); err != nil {
-		t.Fatal(err)
-	}
-	type realized struct{ compared, dups int64 }
-	perSQ := func(q *quality.Recorder) map[int64]realized {
-		out := map[int64]realized{}
-		for _, o := range q.Observations() {
-			out[o.SQ] = realized{o.Compared, o.Dups}
-		}
-		return out
-	}
-	plainSQ, compactSQ := perSQ(plain.Quality), perSQ(compact.Quality)
-	if len(plainSQ) != len(compactSQ) {
-		t.Fatalf("observed blocks differ: %d expanded vs %d compact", len(plainSQ), len(compactSQ))
-	}
-	for sq, want := range plainSQ {
-		if got, ok := compactSQ[sq]; !ok || got != want {
-			t.Errorf("SQ %d realized %+v compact, want %+v", sq, compactSQ[sq], want)
-		}
-	}
-
-	compact8 := qualityPeopleOptions(8)
-	compact8.CompactShuffle = true
-	if _, err := Resolve(ds, compact8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(exportJSON(t, compact.Quality), exportJSON(t, compact8.Quality)) {
-		t.Error("compact quality export differs between 1 and 8 workers")
-	}
-}
-
 func TestQualityRecordingDoesNotChangeResults(t *testing.T) {
 	ds, _ := datagen.People()
 	plainOpts := qualityPeopleOptions(0)

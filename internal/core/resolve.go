@@ -10,6 +10,7 @@ import (
 	"proger/internal/estimate"
 	"proger/internal/mapreduce"
 	"proger/internal/membudget"
+	"proger/internal/obs"
 	"proger/internal/progress"
 	"proger/internal/sched"
 )
@@ -151,16 +152,10 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		policy:   opts.Policy,
 		noDedup:  opts.DisableRedundancyElimination,
 	}
-	newMapper := func() mapreduce.Mapper { return &Job2Mapper{side: side} }
-	newReducer := func() mapreduce.Reducer { return &Job2Reducer{job2Blocks: job2Blocks{side: side}} }
-	if opts.CompactShuffle {
-		newMapper = func() mapreduce.Mapper { return &CompactJob2Mapper{side: side} }
-		newReducer = func() mapreduce.Reducer { return &CompactJob2Reducer{job2Blocks: job2Blocks{side: side}} }
-	}
 	job2Cfg := mapreduce.Config{
 		Name:           "job2-progressive-resolution",
-		NewMapper:      newMapper,
-		NewReducer:     newReducer,
+		NewMapper:      func() mapreduce.Mapper { return &Job2Mapper{side: side} },
+		NewReducer:     func() mapreduce.Reducer { return &Job2Reducer{side: side} },
 		Partition:      Job2Partitioner,
 		NumMapTasks:    cluster.Slots(),
 		NumReduceTasks: r,
@@ -182,30 +177,38 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("core: job 2: %w", err)
 	}
-	if m := opts.Metrics; m != nil {
-		m.Gauge(GaugePipelineTotalTime).Set(float64(job2Res.End))
+	res, err := newResult(job2Res, opts.Metrics, mgr)
+	if err != nil {
+		return nil, err
+	}
+	res.Job1, res.Schedule = job1Res, schedule
+	res.Counters.Merge(job1Res.Counters)
+	return res, nil
+}
+
+// newResult builds the Result of a run whose last job is last — every
+// output record of it is one duplicate pair, found once — and sets the
+// pipeline gauges.
+func newResult(last *mapreduce.Result, m *obs.Registry, mgr *membudget.Manager) (*Result, error) {
+	if m != nil {
+		m.Gauge(GaugePipelineTotalTime).Set(float64(last.End))
 		if mgr != nil {
 			m.Gauge(GaugeMemBudgetPeakBytes).Set(float64(mgr.Peak()))
 			m.Gauge(GaugeMemBudgetChargedBytes).Set(float64(mgr.ChargedTotal()))
 		}
 	}
-
-	// Every output record of Job 2 is one duplicate pair, found once.
-	found := len(job2Res.Output)
+	found := len(last.Output)
 	res := &Result{
 		Duplicates: make(entity.PairSet, found),
-		TotalTime:  job2Res.End,
-		Job1:       job1Res,
-		Job2:       job2Res,
-		Schedule:   schedule,
+		TotalTime:  last.End,
+		Job2:       last,
 		Counters:   mapreduce.Counters{},
 	}
-	res.Counters.Merge(job1Res.Counters)
-	res.Counters.Merge(job2Res.Counters)
+	res.Counters.Merge(last.Counters)
 	if found > 0 { // (a run that finds nothing keeps its nil Events)
 		res.Events = make([]progress.Event, 0, found)
 	}
-	for _, kv := range job2Res.Output {
+	for _, kv := range last.Output {
 		p, _, err := entity.DecodePair(kv.Value)
 		if err != nil {
 			return nil, fmt.Errorf("core: decoding output pair: %w", err)

@@ -125,9 +125,6 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 		{label: "No sub-blocking", mech: mechanism.SN{}, mutate: func(o *core.Options) {
 			o.DisableSubBlocking = true
 		}},
-		{label: "Compact shuffle (fn.5)", mech: mechanism.SN{}, mutate: func(o *core.Options) {
-			o.CompactShuffle = true
-		}},
 	}
 	compRuns := make([]*Run, 0, len(compVariants))
 	for _, v := range compVariants {

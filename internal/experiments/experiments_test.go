@@ -309,10 +309,10 @@ func TestAblation(t *testing.T) {
 	if len(res.Mechanisms.Series) != 4 {
 		t.Fatalf("mechanism series = %d", len(res.Mechanisms.Series))
 	}
-	if len(res.Components.Series) != 4 {
+	if len(res.Components.Series) != 3 {
 		t.Fatalf("component series = %d", len(res.Components.Series))
 	}
-	if len(res.Summary.Rows) != 8 {
+	if len(res.Summary.Rows) != 7 {
 		t.Fatalf("summary rows = %d", len(res.Summary.Rows))
 	}
 	// The no-dedup variant must do at least as many comparisons as the

@@ -564,9 +564,6 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 			return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d: %w", cfg.Name, index, err)
 		}
 	}
-	if err := mapper.Cleanup(ctx, emitter); err != nil {
-		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d cleanup: %w", cfg.Name, index, err)
-	}
 	ctx.Inc(CounterMapInRecords, int64(len(split)))
 	ctx.Inc(CounterMapOutRecords, int64(len(st.kvs)))
 	// Map-side sort: leave every partition stably key-sorted so the

@@ -59,8 +59,6 @@ type Mapper interface {
 	Setup(ctx *TaskContext) error
 	// Map processes one input record.
 	Map(ctx *TaskContext, rec KeyValue, emit Emitter) error
-	// Cleanup runs after the last Map call.
-	Cleanup(ctx *TaskContext, emit Emitter) error
 }
 
 // Reducer is the user reduce function plus optional per-task lifecycle.
@@ -81,9 +79,6 @@ type MapperBase struct{}
 
 // Setup implements Mapper.
 func (MapperBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Mapper.
-func (MapperBase) Cleanup(*TaskContext, Emitter) error { return nil }
 
 // ValueChunks cuts a map task's emitted values from chunks the task's
 // Mapper owns, instead of one allocation per value. That is safe because

@@ -8,7 +8,7 @@
 //     published by sched.Generate once the schedule is final;
 //   - per-block *realizations* (duplicates emitted, pairs compared and
 //     skipped, start/end on the global simulated clock), recorded by
-//     the Job 2 / compact / Basic reduce functions through
+//     the Job 2 and Basic reduce functions through
 //     mapreduce.TaskContext.ObserveBlock and rebased by the engine
 //     exactly like trace spans;
 //

@@ -314,22 +314,6 @@ func (x BlockIndex) Lookup(f, level int, key []byte) *blocking.Block {
 	return x[f][level-1][string(key)]
 }
 
-// FirstKeyOfTree returns, per tree index, the sequence key of the tree's
-// earliest scheduled block — the key under which the compact
-// (footnote-5) map emission ships the tree's entities, guaranteeing
-// they arrive before any of the tree's blocks are resolved.
-func (s *Schedule) FirstKeyOfTree() []string {
-	out := make([]string, len(s.Trees))
-	for i, t := range s.Trees {
-		for _, b := range t.Blocks() {
-			if out[i] == "" || b.SQKey < out[i] {
-				out[i] = b.SQKey
-			}
-		}
-	}
-	return out
-}
-
 // Block returns the scheduled block with the given sequence value, or
 // nil. Used by the reduce function to find the block a key refers to.
 func (s *Schedule) Block(sq int64) *blocking.Block {

@@ -102,16 +102,7 @@ func TestGenerateRendersEachBlockKeyOnce(t *testing.T) {
 			}
 		}
 	}
-	first := s.FirstKeyOfTree()
 	for i, tr := range s.Trees {
-		minSQ := tr.Root.SQ
-		for _, b := range tr.Blocks() {
-			minSQ = min(minSQ, b.SQ)
-		}
-		want := SQKey(minSQ)
-		if first[i] != want {
-			t.Errorf("tree %d: first key %q, want %q", i, first[i], want)
-		}
 		// The root is a tree's last scheduled block (children before
 		// parents), which is when a reduce task drops the tree's state.
 		for _, b := range tr.Blocks() {

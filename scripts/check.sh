@@ -1,8 +1,8 @@
 #!/bin/sh
 # The repo's standard verification gate, equivalent to `make check`:
 # gofmt cleanliness, go vet (plus staticcheck when installed), a
-# telemetry-key lint, full build, and the race-enabled test suite. Run
-# from the repo root.
+# telemetry-key lint, full build, the bench module's vet and quick
+# suite, and the race-enabled test suite. Run from the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +55,13 @@ fi
 
 echo "== go build =="
 go build ./...
+
+# The benchmark harness is a module of its own (bench/go.mod) that
+# imports the library's internal packages, so the root's ./... never
+# builds it: vet it and run its quick in-process suite (< 10 s) here, so
+# that a library change that breaks the harness fails the gate.
+echo "== bench module =="
+(cd bench && go vet ./... && go test ./...)
 
 # Fast-fail on the fault-tolerance runtime before the full suite: the
 # attempt layer is where host concurrency and retries interleave, so it
