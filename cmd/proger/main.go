@@ -255,6 +255,18 @@ func main() {
 		res *proger.Result
 		err error
 	)
+	host := proger.Host{
+		Execution: execMode,
+		Transport: transport,
+		Faults:    injector,
+		Retry:     retry,
+		Trace:     tracer,
+		Metrics:   metrics,
+		Quality:   qrec,
+		Live:      lvRun,
+		MemBudget: budgetBytes,
+		SpillDir:  *spillDir,
+	}
 	if *basic {
 		res, err = proger.ResolveBasic(ds, proger.BasicOptions{
 			Families:         fams,
@@ -264,16 +276,7 @@ func main() {
 			PopcornThreshold: *popcorn,
 			Machines:         *machines,
 			SlotsPerMachine:  *slots,
-			Execution:        execMode,
-			Transport:        transport,
-			Faults:           injector,
-			Retry:            retry,
-			Trace:            tracer,
-			Metrics:          metrics,
-			Quality:          qrec,
-			Live:             lvRun,
-			MemBudget:        budgetBytes,
-			SpillDir:         *spillDir,
+			Host:             host,
 		})
 	} else {
 		opts := proger.Options{
@@ -284,16 +287,7 @@ func main() {
 			Machines:        *machines,
 			SlotsPerMachine: *slots,
 			Scheduler:       pickScheduler(*scheduler),
-			Execution:       execMode,
-			Transport:       transport,
-			Faults:          injector,
-			Retry:           retry,
-			Trace:           tracer,
-			Metrics:         metrics,
-			Quality:         qrec,
-			Live:            lvRun,
-			MemBudget:       budgetBytes,
-			SpillDir:        *spillDir,
+			Host:            host,
 		}
 		if gt != nil {
 			// Train the duplicate model on a disjoint sample when the

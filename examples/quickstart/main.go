@@ -86,10 +86,8 @@ func main() {
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       proger.SchedulerOurs,
-		Trace:           tracer,
-		Metrics:         metrics,
-		Quality:         quality,
-		Live:            lvRun,
+		// Host settings: how the run uses this machine, never what it finds.
+		Host: proger.Host{Trace: tracer, Metrics: metrics, Quality: quality, Live: lvRun},
 	}
 	// Chaos knob: deterministic fault injection. The attempt runtime
 	// retries, times out, and speculates around injected faults — the

@@ -9,7 +9,6 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
-	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/quality"
 )
@@ -181,12 +180,6 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		popcornThreshold: opts.PopcornThreshold,
 		popcornWindow:    opts.PopcornWindow,
 	}
-	var mgr *membudget.Manager
-	if opts.MemBudget > 0 {
-		mgr = membudget.New(opts.MemBudget)
-	}
-	opts.Live.AttachBudget(mgr)
-	opts.Live.AttachQuality(opts.Quality)
 	cfg := mapreduce.Config{
 		Name:           "basic-progressive-er",
 		NewMapper:      func() mapreduce.Mapper { return &BasicMapper{side: side} },
@@ -195,18 +188,8 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		NumReduceTasks: cluster.Slots(),
 		Cluster:        cluster,
 		Cost:           opts.Cost,
-		Workers:        opts.Workers,
-		Execution:      opts.Execution,
-		Transport:      opts.Transport,
-		Faults:         opts.Faults,
-		Retry:          opts.Retry,
-		Trace:          opts.Trace,
-		Metrics:        opts.Metrics,
-		Quality:        opts.Quality,
-		Live:           opts.Live,
-		MemBudget:      mgr,
-		SpillDir:       opts.SpillDir,
 	}
+	mgr := opts.configure(&cfg)
 	jobRes, err := mapreduce.Run(cfg, blocking.MakeJob1Input(ds), 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: basic job: %w", err)

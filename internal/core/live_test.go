@@ -33,8 +33,7 @@ func liveOpts(run *live.Run, workers int) Options {
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       sched.Ours,
-		Workers:         workers,
-		Live:            run,
+		Host:            Host{Workers: workers, Live: run},
 	}
 }
 

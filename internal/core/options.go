@@ -16,11 +16,101 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
+	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
+
+// Host holds the settings that decide how a run uses the host machine,
+// never what it finds: a run's Result, trace, metrics and quality bytes
+// are the same whatever Host holds. Options and BasicOptions embed it;
+// everything else in them decides the answer.
+type Host struct {
+	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
+	// affects results or simulated timing.
+	Workers int
+	// Execution picks the task graph's edge policy for every job:
+	// pipelined (default) or the barriered no-overlap reference.
+	Execution mapreduce.ExecutionMode
+	// Transport, when non-nil, replaces in-process task execution for
+	// every job: a dist.Master leases every task to worker processes, a
+	// dist.Worker executes leases and follows the master's broadcasts.
+	// Every process must run with identical resolution-affecting
+	// options.
+	Transport mapreduce.TaskTransport
+	// Faults, when non-nil, injects deterministic simulated task
+	// failures into every job's attempt runtime (chaos testing).
+	// Injected faults are retried, timed out, or speculated around and
+	// can never alter the Result.
+	Faults faults.Injector
+	// Retry tunes the attempt runtime (retries, backoff, timeouts,
+	// speculation); the zero value means engine defaults when Faults is
+	// set, disabled otherwise.
+	Retry mapreduce.RetryPolicy
+	// Trace, when non-nil, collects spans from every job, schedule
+	// generation, and per-block resolution. Nil disables at zero cost.
+	Trace *obs.Tracer
+	// Metrics, when non-nil, absorbs every job's counters and task-cost
+	// distributions plus pipeline-level gauges. Nil disables at zero
+	// cost.
+	Metrics *obs.Registry
+	// Quality, when non-nil, collects quality telemetry: the schedule's
+	// per-block predictions and per-task plans, and the realized
+	// per-block resolutions — the inputs to the progressive-recall
+	// curve and the calibration report. The Basic baseline has no
+	// schedule, so it records realizations only (curve yes, calibration
+	// join no). Deterministic across Workers and fault injection, like
+	// Trace. Nil disables at zero cost.
+	Quality *quality.Recorder
+	// Live, when non-nil, receives in-flight execution state from every
+	// job (task DAG transitions, retry/speculation activity, streamed
+	// per-block resolutions) plus the quality recorder and memory-budget
+	// manager attachments that denominate its recall/ETA estimates —
+	// the feed behind the live status server. With no schedule (Basic)
+	// there are no predicted totals, so /progress reports raw streamed
+	// counts without a recall estimate. Write-only from the run's
+	// perspective. Nil disables at zero cost.
+	Live *live.Run
+	// MemBudget, when > 0, caps the tracked bytes held in memory by
+	// every job's shuffle runs: one budget manager per run spills the
+	// largest partition stores to run files on disk when the cap is
+	// exceeded. 0 keeps everything in memory.
+	MemBudget int64
+	// SpillDir is where budget-forced spill files live (system temp
+	// when empty).
+	SpillDir string
+}
+
+// configure hands the run's host settings to its jobs: it makes the
+// run's memory-budget manager, attaches it and the quality recorder to
+// the live layer before any job starts (so /membudget and the recall
+// denominators are readable from the first scrape), and fills the host
+// fields of every job's config. It returns the manager (nil without a
+// budget).
+func (h *Host) configure(jobs ...*mapreduce.Config) *membudget.Manager {
+	var mgr *membudget.Manager
+	if h.MemBudget > 0 {
+		mgr = membudget.New(h.MemBudget)
+	}
+	h.Live.AttachBudget(mgr)
+	h.Live.AttachQuality(h.Quality)
+	for _, c := range jobs {
+		c.Workers = h.Workers
+		c.Execution = h.Execution
+		c.Transport = h.Transport
+		c.Faults = h.Faults
+		c.Retry = h.Retry
+		c.Trace = h.Trace
+		c.Metrics = h.Metrics
+		c.Quality = h.Quality
+		c.Live = h.Live
+		c.MemBudget = mgr
+		c.SpillDir = h.SpillDir
+	}
+	return mgr
+}
 
 // Options configures the full pipeline.
 type Options struct {
@@ -54,29 +144,6 @@ type Options struct {
 	Budget costmodel.Units
 	// SplitBatch is b: overflowed trees split per iteration (default 4).
 	SplitBatch int
-	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
-	// affects results or simulated timing.
-	Workers int
-	// Execution picks the task graph's edge policy for both jobs:
-	// pipelined (default) or the barriered no-overlap reference.
-	// Like Workers, a host knob that never affects results.
-	Execution mapreduce.ExecutionMode
-	// Transport, when non-nil, replaces in-process task execution for
-	// both jobs: a dist.Master leases every task to worker processes, a
-	// dist.Worker executes leases and follows the master's broadcasts.
-	// Like Workers, a host knob that never affects results — every
-	// process must run with identical resolution-affecting options.
-	Transport mapreduce.TaskTransport
-	// Faults, when non-nil, injects deterministic simulated task
-	// failures into both jobs' attempt runtimes (chaos testing).
-	// Injected faults are retried, timed out, or speculated around and
-	// can never alter the Result — like Workers, a pure host/chaos
-	// knob.
-	Faults faults.Injector
-	// Retry tunes the attempt runtime (retries, backoff, timeouts,
-	// speculation); the zero value means engine defaults when Faults is
-	// set, disabled otherwise.
-	Retry mapreduce.RetryPolicy
 	// DisableRedundancyElimination turns off the §V SHOULD-RESOLVE
 	// check, so shared pairs are resolved in every tree containing them.
 	// Ablation knob: quantifies what redundancy-free resolution buys.
@@ -85,51 +152,24 @@ type Options struct {
 	// only — no progressive blocking, each tree a single root block.
 	// Ablation knob: quantifies what the §III-A block hierarchy buys.
 	DisableSubBlocking bool
-	// Trace, when non-nil, collects spans from both jobs, schedule
-	// generation, and per-block resolution. Nil disables at zero cost.
-	Trace *obs.Tracer
-	// Metrics, when non-nil, absorbs both jobs' counters and task-cost
-	// distributions plus pipeline-level gauges. Nil disables at zero
-	// cost.
-	Metrics *obs.Registry
-	// Quality, when non-nil, collects quality telemetry: the schedule's
-	// per-block predictions and per-task plans, and Job 2's realized
-	// per-block resolutions — the inputs to the progressive-recall
-	// curve and the calibration report. Deterministic across Workers
-	// and fault injection, like Trace. Nil disables at zero cost.
-	Quality *quality.Recorder
-	// Live, when non-nil, receives in-flight execution state from both
-	// jobs (task DAG transitions, retry/speculation activity, streamed
-	// per-block resolutions) plus the quality recorder and memory-budget
-	// manager attachments that denominate its recall/ETA estimates —
-	// the feed behind the live status server. Write-only from the run's
-	// perspective: results and every post-run artifact are byte-
-	// identical with or without it. Nil disables at zero cost.
-	Live *live.Run
-	// MemBudget, when > 0, caps the tracked bytes held in memory by
-	// both jobs' shuffle runs: a process-wide budget manager spills the
-	// largest partition stores to run files on disk when the cap is
-	// exceeded. A host knob like Workers — results, traces, and quality
-	// telemetry are identical with or without it. 0 keeps everything in
-	// memory.
-	MemBudget int64
-	// SpillDir is where budget-forced spill files live (system temp
-	// when empty).
-	SpillDir string
+	// Host holds the settings that never change the Result.
+	Host
 }
 
-func (o *Options) validate() error {
-	if err := o.Families.Validate(); err != nil {
+// validateRun checks what both pipelines require: valid families, a
+// matcher, a mechanism and a non-empty simulated cluster.
+func validateRun(fams blocking.Families, m *match.Matcher, mech mechanism.Mechanism, machines, slots int) error {
+	if err := fams.Validate(); err != nil {
 		return err
 	}
-	if o.Matcher == nil {
+	if m == nil {
 		return fmt.Errorf("core: Matcher is required")
 	}
-	if o.Mechanism == nil {
+	if mech == nil {
 		return fmt.Errorf("core: Mechanism is required")
 	}
-	if o.Machines < 1 || o.SlotsPerMachine < 1 {
-		return fmt.Errorf("core: cluster %d×%d invalid", o.Machines, o.SlotsPerMachine)
+	if machines < 1 || slots < 1 {
+		return fmt.Errorf("core: cluster %d×%d invalid", machines, slots)
 	}
 	return nil
 }
@@ -172,41 +212,13 @@ type BasicOptions struct {
 	Machines        int
 	SlotsPerMachine int
 	Cost            costmodel.Model
-	Workers         int
-	// Execution mirrors Options.Execution.
-	Execution mapreduce.ExecutionMode
-	// Transport mirrors Options.Transport.
-	Transport mapreduce.TaskTransport
-	// Faults and Retry mirror Options.Faults / Options.Retry.
-	Faults faults.Injector
-	Retry  mapreduce.RetryPolicy
-	// Trace and Metrics mirror Options.Trace / Options.Metrics.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
-	// Quality mirrors Options.Quality. The baseline has no schedule, so
-	// only realizations are recorded (curve yes, calibration join no).
-	Quality *quality.Recorder
-	// Live mirrors Options.Live. With no schedule there are no predicted
-	// totals, so /progress reports raw streamed counts without a recall
-	// estimate.
-	Live *live.Run
-	// MemBudget and SpillDir mirror Options.MemBudget / Options.SpillDir.
-	MemBudget int64
-	SpillDir  string
+	// Host holds the settings that never change the Result.
+	Host
 }
 
 func (o *BasicOptions) validate() error {
-	if err := o.Families.Validate(); err != nil {
+	if err := validateRun(o.Families, o.Matcher, o.Mechanism, o.Machines, o.SlotsPerMachine); err != nil {
 		return err
-	}
-	if o.Matcher == nil {
-		return fmt.Errorf("core: Matcher is required")
-	}
-	if o.Mechanism == nil {
-		return fmt.Errorf("core: Mechanism is required")
-	}
-	if o.Machines < 1 || o.SlotsPerMachine < 1 {
-		return fmt.Errorf("core: cluster %d×%d invalid", o.Machines, o.SlotsPerMachine)
 	}
 	if o.Window < 2 {
 		return fmt.Errorf("core: window %d must be ≥ 2", o.Window)

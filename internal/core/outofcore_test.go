@@ -37,12 +37,14 @@ func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budge
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       sched.Ours,
-		Workers:         workers,
-		Execution:       mode,
-		Trace:           obs.New(),
-		Metrics:         obs.NewRegistry(),
-		Quality:         quality.NewRecorder(),
-		MemBudget:       budget,
+		Host: Host{
+			Workers:   workers,
+			Execution: mode,
+			Trace:     obs.New(),
+			Metrics:   obs.NewRegistry(),
+			Quality:   quality.NewRecorder(),
+			MemBudget: budget,
+		},
 	}
 	if budget > 0 {
 		opts.SpillDir = t.TempDir()
@@ -142,9 +144,7 @@ func TestResolveBasicBudgetMatchesInMemory(t *testing.T) {
 			Window:          5,
 			Machines:        2,
 			SlotsPerMachine: 2,
-			Workers:         workers,
-			Execution:       mode,
-			MemBudget:       budget,
+			Host:            Host{Workers: workers, Execution: mode, MemBudget: budget},
 		}
 		if budget > 0 {
 			opts.SpillDir = t.TempDir()

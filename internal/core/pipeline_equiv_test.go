@@ -36,11 +36,13 @@ func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, rate floa
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       sched.Ours,
-		Workers:         workers,
-		Execution:       mode,
-		Trace:           obs.New(),
-		Metrics:         obs.NewRegistry(),
-		Quality:         quality.NewRecorder(),
+		Host: Host{
+			Workers:   workers,
+			Execution: mode,
+			Trace:     obs.New(),
+			Metrics:   obs.NewRegistry(),
+			Quality:   quality.NewRecorder(),
+		},
 	}
 	if rate > 0 {
 		opts.Faults = faults.NewSeeded(11, rate)
@@ -117,8 +119,7 @@ func TestResolveBasicPipelinedMatchesBarrier(t *testing.T) {
 			Window:          5,
 			Machines:        2,
 			SlotsPerMachine: 2,
-			Workers:         workers,
-			Execution:       mode,
+			Host:            Host{Workers: workers, Execution: mode},
 		}
 		res, err := ResolveBasic(ds, opts)
 		if err != nil {

@@ -24,8 +24,7 @@ func qualityPeopleOptions(workers int) Options {
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       sched.Ours,
-		Workers:         workers,
-		Quality:         quality.NewRecorder(),
+		Host:            Host{Workers: workers, Quality: quality.NewRecorder()},
 	}
 }
 
@@ -185,7 +184,7 @@ func TestResolveBasicQuality(t *testing.T) {
 		PopcornThreshold: -1,
 		Machines:         2,
 		SlotsPerMachine:  2,
-		Quality:          q,
+		Host:             Host{Quality: q},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func (r *Result) EventsAgainst(isDup func(entity.Pair) bool) []progress.Event {
 // dataset: Job 1 (progressive blocking + statistics), schedule
 // generation, and Job 2 (progressive resolution).
 func Resolve(ds *entity.Dataset, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
+	if err := validateRun(opts.Families, opts.Matcher, opts.Mechanism, opts.Machines, opts.SlotsPerMachine); err != nil {
 		return nil, err
 	}
 	return resolve(ds, blocking.MakeJob1Input(ds), opts.withDefaults())
@@ -72,28 +72,29 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		opts.Families = truncateToMainFunctions(opts.Families)
 	}
 	cluster := mapreduce.Cluster{Machines: opts.Machines, SlotsPerMachine: opts.SlotsPerMachine}
-	var mgr *membudget.Manager
-	if opts.MemBudget > 0 {
-		mgr = membudget.New(opts.MemBudget)
+	r := cluster.Slots() // reduce tasks = reduce slots, as in the paper
+	// Job 2's side gets its schedule once Job 1 has run.
+	side := &job2Side{
+		families: opts.Families,
+		matcher:  opts.Matcher,
+		mech:     opts.Mechanism,
+		policy:   opts.Policy,
+		noDedup:  opts.DisableRedundancyElimination,
 	}
-	// Attach the run-scoped telemetry sources to the live layer before
-	// any job starts, so /membudget and the recall denominators are
-	// readable from the first scrape.
-	opts.Live.AttachBudget(mgr)
-	opts.Live.AttachQuality(opts.Quality)
+	job1Cfg := blocking.Job1Config(opts.Families, cluster, opts.Cost)
+	job2Cfg := mapreduce.Config{
+		Name:           "job2-progressive-resolution",
+		NewMapper:      func() mapreduce.Mapper { return &Job2Mapper{side: side} },
+		NewReducer:     func() mapreduce.Reducer { return &Job2Reducer{side: side} },
+		Partition:      Job2Partitioner,
+		NumMapTasks:    cluster.Slots(),
+		NumReduceTasks: r,
+		Cluster:        cluster,
+		Cost:           opts.Cost,
+	}
+	mgr := opts.configure(&job1Cfg, &job2Cfg)
 
 	// ---- Job 1: progressive blocking + statistics ----
-	job1Cfg := blocking.Job1Config(opts.Families, cluster, opts.Cost)
-	job1Cfg.Workers = opts.Workers
-	job1Cfg.Execution = opts.Execution
-	job1Cfg.Transport = opts.Transport
-	job1Cfg.Faults = opts.Faults
-	job1Cfg.Retry = opts.Retry
-	job1Cfg.Trace = opts.Trace
-	job1Cfg.Metrics = opts.Metrics
-	job1Cfg.Live = opts.Live
-	job1Cfg.MemBudget = mgr
-	job1Cfg.SpillDir = opts.SpillDir
 	job1Res, err := mapreduce.Run(job1Cfg, input, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: job 1: %w", err)
@@ -116,7 +117,6 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	for _, t := range trees {
 		est.EstimateTree(t)
 	}
-	r := cluster.Slots() // reduce tasks = reduce slots, as in the paper
 	var (
 		cv      []costmodel.Units
 		weights []float64
@@ -144,35 +144,7 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	}
 
 	// ---- Job 2: progressive resolution ----
-	side := &job2Side{
-		schedule: schedule,
-		families: opts.Families,
-		matcher:  opts.Matcher,
-		mech:     opts.Mechanism,
-		policy:   opts.Policy,
-		noDedup:  opts.DisableRedundancyElimination,
-	}
-	job2Cfg := mapreduce.Config{
-		Name:           "job2-progressive-resolution",
-		NewMapper:      func() mapreduce.Mapper { return &Job2Mapper{side: side} },
-		NewReducer:     func() mapreduce.Reducer { return &Job2Reducer{side: side} },
-		Partition:      Job2Partitioner,
-		NumMapTasks:    cluster.Slots(),
-		NumReduceTasks: r,
-		Cluster:        cluster,
-		Cost:           opts.Cost,
-		Workers:        opts.Workers,
-		Execution:      opts.Execution,
-		Transport:      opts.Transport,
-		Faults:         opts.Faults,
-		Retry:          opts.Retry,
-		Trace:          opts.Trace,
-		Metrics:        opts.Metrics,
-		Quality:        opts.Quality,
-		Live:           opts.Live,
-		MemBudget:      mgr,
-		SpillDir:       opts.SpillDir,
-	}
+	side.schedule = schedule
 	job2Res, err := mapreduce.Run(job2Cfg, input, job1Res.End)
 	if err != nil {
 		return nil, fmt.Errorf("core: job 2: %w", err)

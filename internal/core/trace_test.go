@@ -22,9 +22,7 @@ func tracedPeopleOptions(workers int) Options {
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Scheduler:       sched.Ours,
-		Workers:         workers,
-		Trace:           obs.New(),
-		Metrics:         obs.NewRegistry(),
+		Host:            Host{Workers: workers, Trace: obs.New(), Metrics: obs.NewRegistry()},
 	}
 }
 
@@ -153,8 +151,7 @@ func TestResolveBasicTrace(t *testing.T) {
 		PopcornThreshold: -1,
 		Machines:         2,
 		SlotsPerMachine:  2,
-		Trace:            tr,
-		Metrics:          m,
+		Host:             Host{Trace: tr, Metrics: m},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func baseOptions(faultRate float64) proger.Options {
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Policy:          proger.CiteSeerXPolicy(),
-		Workers:         2,
+		Host:            proger.Host{Workers: 2},
 	}
 	if faultRate > 0 {
 		opts.Faults = proger.NewSeededFaults(11, faultRate)

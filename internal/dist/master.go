@@ -41,7 +41,7 @@ type MasterOptions struct {
 }
 
 // Master is the lease-granting side of the distributed transport. It
-// implements mapreduce.RemoteTransport: the process that owns it runs
+// implements mapreduce.TaskTransport: the process that owns it runs
 // the deterministic driver as usual, and every task execution the
 // task graph requests is leased out to a registered worker process.
 type Master struct {
@@ -295,7 +295,7 @@ func (m *Master) deliverExpired(expired []*leaseEntry, ids []uint64) {
 // TransportName implements mapreduce.TaskTransport.
 func (m *Master) TransportName() string { return "master" }
 
-// BeginJob implements mapreduce.RemoteTransport: publish the job's
+// BeginJob implements mapreduce.TaskTransport: publish the job's
 // spec (unblocking worker JobInfo polls) and hand back the dispatch
 // handle the driver leases tasks through. The runner is unused on the
 // master — this process executes nothing locally.

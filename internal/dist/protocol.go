@@ -3,7 +3,7 @@
 // executions to worker processes over net/rpc (stdlib, gob encoding,
 // TCP or unix sockets). Every process runs the same driver with the
 // same resolution-affecting flags — the lockstep-replay contract of
-// mapreduce.RemoteTransport — so the wire carries only task identity,
+// mapreduce.TaskTransport — so the wire carries only task identity,
 // result metadata, and the master's end-of-job broadcast; bulk
 // intermediate data moves through run files on a shared directory.
 //

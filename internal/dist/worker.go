@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"proger/internal/mapreduce"
-	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 )
@@ -44,13 +43,10 @@ type WorkerOptions struct {
 	// at registration so the master's /fleet can link to it. Empty when
 	// the worker runs without a status server.
 	StatusAddr string
-	// Budget, when non-nil, is the process's memory-budget manager;
-	// its pressure snapshot rides along in heartbeat telemetry.
-	Budget *membudget.Manager
 }
 
 // Worker is the lease-executing side of the distributed transport. It
-// implements mapreduce.RemoteTransport: the process that owns it runs
+// implements mapreduce.TaskTransport: the process that owns it runs
 // the same deterministic driver as the master, executes whatever
 // leases the master grants (through its pump goroutines), and fills
 // each job's outputs from the master's end-of-job broadcast.
@@ -63,7 +59,6 @@ type Worker struct {
 	onLease func(n int)
 
 	relay      *live.EventLog
-	budget     *membudget.Manager
 	wantEvents bool
 
 	cIn, cOut, cRPC, cRunR, cRunW *obs.Counter
@@ -110,7 +105,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		conn:    conn,
 		onLease: opts.OnLease,
 		relay:   opts.Relay,
-		budget:  opts.Budget,
 		cIn:     cIn,
 		cOut:    cOut,
 		cRPC:    opts.Metrics.Counter(mapreduce.CounterDistRPCCalls),
@@ -188,7 +182,6 @@ func (w *Worker) telemetry() live.WorkerTelemetry {
 	tel.EventsDropped = w.relay.Dropped()
 	tel.HeapBytes = ms.HeapAlloc
 	tel.Goroutines = runtime.NumGoroutine()
-	tel.MemBudget = w.budget.Snapshot()
 	return tel
 }
 
@@ -308,7 +301,7 @@ func (w *Worker) runnerFor(seq int) *mapreduce.RemoteRunner {
 // TransportName implements mapreduce.TaskTransport.
 func (w *Worker) TransportName() string { return "worker" }
 
-// BeginJob implements mapreduce.RemoteTransport: fetch the master's
+// BeginJob implements mapreduce.TaskTransport: fetch the master's
 // spec for the next job in the chain, cross-check it against this
 // process's own derivation (lockstep replay is unsound if the fleet's
 // resolution flags diverge), bind the runner to the shared data dir,

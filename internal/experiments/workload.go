@@ -123,7 +123,7 @@ func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, e
 		Machines:        machines,
 		SlotsPerMachine: 2,
 		Scheduler:       kind,
-		Quality:         qrec,
+		Host:            core.Host{Quality: qrec},
 	})
 	if err != nil {
 		return nil, err
@@ -144,7 +144,7 @@ func (w *Workload) RunBasic(machines, window int, threshold float64, label strin
 		PopcornThreshold: threshold,
 		Machines:         machines,
 		SlotsPerMachine:  2,
-		Quality:          qrec,
+		Host:             core.Host{Quality: qrec},
 	})
 	if err != nil {
 		return nil, err

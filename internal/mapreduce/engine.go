@@ -58,8 +58,8 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		po  *phaseOutputs
 		err error
 	)
-	if rt, ok := cfg.Transport.(RemoteTransport); ok {
-		po, err = runRemoteJob(&cfg, rt, fr, lj, workers, splits)
+	if cfg.Transport != nil {
+		po, err = runRemoteJob(&cfg, fr, lj, workers, splits)
 	} else {
 		po = newPhaseOutputs(&cfg)
 		err = runJobGraph(&cfg, fr, workers, po, localBodies(&cfg, lj, splits, po))

@@ -200,11 +200,11 @@ type Config struct {
 	Execution ExecutionMode
 	// Transport selects where task bodies execute: in-process on the
 	// channel pool (nil, the default) or leased to worker processes
-	// through a RemoteTransport (internal/dist). A host-machine knob
-	// like Workers: every transport produces byte-identical Results,
-	// traces, and quality exports. Remote transports require the
-	// pipelined engine and are incompatible with MemBudget (run files,
-	// not memory pressure, are the distributed data plane).
+	// through a TaskTransport (internal/dist). A host-machine knob like
+	// Workers: every transport produces byte-identical Results, traces,
+	// and quality exports. A transport requires the pipelined engine and
+	// is incompatible with MemBudget (run files, not memory pressure,
+	// are the distributed data plane).
 	Transport TaskTransport
 	// SpillDir receives the spill files MemBudget forces out;
 	// os.TempDir()-based default.
@@ -285,10 +285,6 @@ func (c *Config) validate() error {
 	}
 	if c.Transport == nil {
 		return nil
-	}
-	if _, ok := c.Transport.(RemoteTransport); !ok {
-		return fmt.Errorf("mapreduce: job %q: transport %q is not a RemoteTransport",
-			c.Name, c.Transport.TransportName())
 	}
 	// Remote execution replicates the pipelined task graph across
 	// processes; the barrier edge policy and the memory budget are not

@@ -456,7 +456,7 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 
 // runRemoteJob executes one job over a remote transport, filling
 // phaseOutputs byte-identically to local execution.
-func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
+func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
 	spec := RemoteJobSpec{
 		Name:           cfg.Name,
 		NumMapTasks:    cfg.NumMapTasks,
@@ -465,7 +465,7 @@ func runRemoteJob(cfg *Config, rt RemoteTransport, fr *faultRuntime, lj *live.Jo
 		Quality:        cfg.Quality != nil,
 	}
 	runner := newRemoteRunner(cfg, splits, lj)
-	job, err := rt.BeginJob(spec, runner)
+	job, err := cfg.Transport.BeginJob(spec, runner)
 	if err != nil {
 		return nil, err
 	}

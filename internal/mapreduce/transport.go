@@ -2,7 +2,7 @@ package mapreduce
 
 // The task transport layer: where one job's task bodies (the job
 // graph's body policy) execute. With no transport every body runs
-// in-process; a RemoteTransport (internal/dist) instead leases the
+// in-process; a TaskTransport (internal/dist) instead leases the
 // deterministic task bodies — map/shuffle/reduce, identified by
 // (job seq, phase, task index) — to worker processes, while the graph
 // builder, its channel-pool scheduler, the attempt/retry/speculation
@@ -12,23 +12,19 @@ package mapreduce
 // and fill the same phaseOutputs, so Result, trace, and quality bytes
 // cannot depend on which transport executed the work.
 
-// TaskTransport selects how the engine executes a job's tasks. The nil
-// value runs every task body in this process — the determinism
-// reference every RemoteTransport is byte-compared against. Like
-// Workers, it is purely a host-machine knob: every transport produces
-// byte-identical Results, traces, counters, and quality exports.
-type TaskTransport interface {
-	// TransportName labels the transport in errors and diagnostics.
-	TransportName() string
-}
-
-// RemoteTransport is a TaskTransport that executes task bodies in
-// other OS processes (see internal/dist). Every process in the fleet —
-// the master and each worker — runs the *same* deterministic driver
-// (the full job chain with identical resolution-affecting
-// configuration); what crosses the wire is task identity and result
-// metadata, never closures or input payloads. The engine calls
-// BeginJob once per job, in job-chain order, on every process:
+// TaskTransport executes a job's task bodies in other OS processes
+// (see internal/dist); the nil value runs every task body in this
+// process — the determinism reference every transport is byte-compared
+// against. Like Workers, it is purely a host-machine knob: every
+// transport produces byte-identical Results, traces, counters, and
+// quality exports.
+//
+// Every process in the fleet — the master and each worker — runs the
+// *same* deterministic driver (the full job chain with identical
+// resolution-affecting configuration); what crosses the wire is task
+// identity and result metadata, never closures or input payloads. The
+// engine calls BeginJob once per job, in job-chain order, on every
+// process:
 //
 //   - on the master, the returned RemoteJob dispatches tasks
 //     (RunTask leases them to workers) and Finish broadcasts the
@@ -37,8 +33,9 @@ type TaskTransport interface {
 //     incoming leases, and Wait blocks until the master's broadcast,
 //     from which the worker fills the same phaseOutputs the master
 //     computed — keeping every process's driver loop in lockstep.
-type RemoteTransport interface {
-	TaskTransport
+type TaskTransport interface {
+	// TransportName labels the transport in errors and diagnostics.
+	TransportName() string
 	// BeginJob starts the next job in the chain. spec describes the
 	// job as this process derived it (used to cross-check lockstep);
 	// runner executes leased task bodies worker-side.

@@ -1,7 +1,5 @@
 package live
 
-import "proger/internal/membudget"
-
 // WorkerTelemetry is one worker process's self-reported activity
 // snapshot, piggybacked on every heartbeat. Everything in it is
 // wall-clock or host-resource territory — per-phase execution counts,
@@ -42,9 +40,6 @@ type WorkerTelemetry struct {
 	// HeapBytes and Goroutines are Go runtime vitals at snapshot time.
 	HeapBytes  uint64 `json:"heap_bytes"`
 	Goroutines int    `json:"goroutines"`
-	// MemBudget is the worker's memory-budget pressure snapshot (zero
-	// when the process runs without a budget manager).
-	MemBudget membudget.Stats `json:"membudget"`
 }
 
 // FleetWorker is one worker's row in the master's fleet table: lease

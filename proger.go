@@ -37,6 +37,17 @@
 //	// res.Events carries every duplicate discovery with its simulated
 //	// timestamp; res.Duplicates is the final pair set.
 //
+// # What decides the answer
+//
+// Options (and BasicOptions for the baseline) embed a Host: the worker
+// count, the execution mode, the transport, fault injection and retry
+// policy, the trace, metrics, quality and live sinks, and the memory
+// budget with its spill directory. Host settings decide how a run uses
+// the machine and never what it finds; every other field decides the
+// answer. Attach observability without touching the rest:
+//
+//	opts.Host = proger.Host{Trace: proger.NewTracer(), MemBudget: 64 << 20}
+//
 // See the examples directory for complete programs and internal/
 // experiments for the harnesses that regenerate every table and figure
 // of the paper.
@@ -224,6 +235,15 @@ type Options = core.Options
 // BasicOptions configures the Basic single-job baseline.
 type BasicOptions = core.BasicOptions
 
+// Host holds the settings both Options and BasicOptions embed that
+// decide how a run uses the host machine — workers, execution mode,
+// transport, faults and retries, the trace, metrics, quality and live
+// sinks, the memory budget and its spill directory — and never what it
+// finds: Result bytes are the same whatever Host holds. Set its fields
+// through the embedding (opts.Workers = 4) or as a whole
+// (Options{..., Host: proger.Host{Trace: tr}}).
+type Host = core.Host
+
 // Result is a pipeline run's outcome: duplicates, timestamped events,
 // and diagnostics.
 type Result = core.Result
@@ -243,7 +263,7 @@ func ResolveBasic(ds *Dataset, opts BasicOptions) (*Result, error) {
 // ---- Fault tolerance ----
 
 // FaultInjector decides, deterministically, which simulated fault (if
-// any) a given task attempt suffers. Attach one via Options.Faults to
+// any) a given task attempt suffers. Attach one via Host.Faults to
 // chaos-test a pipeline: injected faults are retried, timed out, or
 // speculated around by the attempt runtime and can never alter the
 // Result.
@@ -275,12 +295,12 @@ var NewSeededFaults = faults.NewSeeded
 // RetryPolicy tunes the attempt runtime: bounded retries with
 // exponential backoff in cost units, per-attempt timeouts, and
 // speculative re-execution of stragglers. Zero value = engine defaults
-// when Options.Faults is set.
+// when Host.Faults is set.
 type RetryPolicy = mapreduce.RetryPolicy
 
 // ExecutionMode selects how each job's tasks execute on the host
-// machine (Options.Execution). A host knob like Options.Workers:
-// both modes produce byte-identical results, traces, and telemetry.
+// machine (Host.Execution). Like every Host setting, both modes
+// produce byte-identical results, traces, and telemetry.
 type ExecutionMode = mapreduce.ExecutionMode
 
 // Execution modes, the two edge policies of the one task graph:
@@ -294,13 +314,13 @@ const (
 // ---- Distributed execution ----
 
 // TaskTransport selects how each job's task executions are placed
-// (Options.Transport): nil / the in-process default runs everything in
+// (Host.Transport): nil / the in-process default runs everything in
 // this process; a dist.Master leases every task to registered worker
 // processes over net/rpc; a dist.Worker executes leases and follows
-// the master's end-of-job broadcasts. A host knob like
-// Options.Workers: every transport produces byte-identical results,
-// traces, and quality telemetry — provided every process in the fleet
-// runs with identical resolution-affecting options.
+// the master's end-of-job broadcasts. Like every Host setting, every
+// transport produces byte-identical results, traces, and quality
+// telemetry — provided every process in the fleet runs with identical
+// resolution-affecting options (everything outside Host).
 type TaskTransport = mapreduce.TaskTransport
 
 // ErrTaskLost is the sentinel a transport reports when a leased task's
@@ -310,7 +330,7 @@ type TaskTransport = mapreduce.TaskTransport
 var ErrTaskLost = mapreduce.ErrTaskLost
 
 // Distributed-runtime telemetry keys, reported only through
-// Options.Metrics (master keys on the master process, worker keys on
+// Host.Metrics (master keys on the master process, worker keys on
 // each worker): workers registered, leases granted and expired, RPC
 // traffic (bytes, calls, latency histograms), lease-wait latency, and
 // shared-directory run-file bytes streamed.
@@ -331,14 +351,14 @@ const (
 // ---- Observability ----
 
 // Tracer collects timeline spans from a pipeline run. Attach one via
-// Options.Trace (or BasicOptions.Trace) and export it afterwards with
-// WriteChromeTrace — the JSON loads in chrome://tracing or Perfetto.
+// Host.Trace and export it afterwards with WriteChromeTrace — the JSON
+// loads in chrome://tracing or Perfetto.
 // Simulated-clock traces are deterministic: identical runs produce
 // byte-identical JSON regardless of host concurrency.
 type Tracer = obs.Tracer
 
 // MetricsRegistry collects counters, gauges, and histograms from a
-// pipeline run. Attach one via Options.Metrics and export it with
+// pipeline run. Attach one via Host.Metrics and export it with
 // WritePrometheus (text exposition format).
 type MetricsRegistry = obs.Registry
 
@@ -348,7 +368,7 @@ var NewTracer = obs.New
 // NewMetricsRegistry creates an enabled metrics registry.
 var NewMetricsRegistry = obs.NewRegistry
 
-// Memory-budget telemetry keys (set only when Options.MemBudget > 0):
+// Memory-budget telemetry keys (set only when Host.MemBudget > 0):
 // the high-water mark of tracked bytes, the cumulative bytes charged
 // (the raw shuffle volume), and the spills the budget forced.
 const (
@@ -360,10 +380,10 @@ const (
 
 // QualityRecorder collects quality telemetry from a pipeline run: the
 // schedule's per-block predictions and per-task plans plus Job 2's
-// realized per-block resolutions. Attach one via Options.Quality (or
-// BasicOptions.Quality) and export the progressive-recall curve and
-// calibration report afterwards with Export — deterministic across
-// worker counts and fault injection, like Tracer.
+// realized per-block resolutions. Attach one via Host.Quality and
+// export the progressive-recall curve and calibration report
+// afterwards with Export — deterministic across worker counts and
+// fault injection, like Tracer.
 type QualityRecorder = quality.Recorder
 
 // QualityExport bundles the derived curve and calibration report for
@@ -377,9 +397,9 @@ var NewQualityRecorder = quality.NewRecorder
 // states, attempt/speculation counts, and streamed per-block
 // resolutions into it at low, lock-free cost, and
 // the status server reads racefree per-field-atomic snapshots back out.
-// Attach one via Options.Live (or BasicOptions.Live). Strictly
-// write-only from the run's perspective: results and every post-run
-// artifact are byte-identical with or without it.
+// Attach one via Host.Live. Strictly write-only from the run's
+// perspective: results and every post-run artifact are byte-identical
+// with or without it.
 type LiveRun = live.Run
 
 // LiveEventLog is the structured JSON event log (log/slog) fed by a

@@ -84,9 +84,7 @@ func TestScaleOutOfCore(t *testing.T) {
 			Policy:          proger.CiteSeerXPolicy(),
 			Machines:        10,
 			SlotsPerMachine: 2,
-			Metrics:         metrics,
-			MemBudget:       budgetBytes,
-			SpillDir:        spillDir,
+			Host:            proger.Host{Metrics: metrics, MemBudget: budgetBytes, SpillDir: spillDir},
 		})
 		if err != nil {
 			t.Fatalf("Resolve (budget %d): %v", budgetBytes, err)

@@ -262,4 +262,28 @@ cmp "$smoke/sloc.tsv" "$smoke/sdist.tsv" || {
 cmp "$smoke/sloc-trace.json" "$smoke/sdist-trace.json" || {
     echo "speculation across workers changed the trace"; exit 1; }
 
+# Basic baseline smoke: the single-job baseline (-basic) run plain,
+# under a 64K memory budget with injected task faults, and across a
+# master and 2 forked workers must produce byte-identical pairs and
+# quality telemetry. The budget run must actually have spilled and the
+# fleet run must actually have leased tasks.
+echo "== basic baseline smoke =="
+basic="go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 -basic"
+$basic -out "$smoke/bloc.tsv" -quality-out "$smoke/bloc-quality.json" 2>/dev/null
+$basic -mem-budget 64K -spill-dir "$smoke" -fault-rate 0.2 -fault-seed 7 \
+    -metrics-out "$smoke/bbudget.prom" \
+    -out "$smoke/bbudget.tsv" -quality-out "$smoke/bbudget-quality.json" 2>/dev/null
+$basic -dist 2 -events "$smoke/bdist-events.jsonl" \
+    -out "$smoke/bdist.tsv" -quality-out "$smoke/bdist-quality.json" 2>/dev/null
+for run in bbudget bdist; do
+    cmp "$smoke/bloc.tsv" "$smoke/$run.tsv" || {
+        echo "basic $run run changed the duplicate pairs"; exit 1; }
+    cmp "$smoke/bloc-quality.json" "$smoke/$run-quality.json" || {
+        echo "basic $run run changed the quality telemetry"; exit 1; }
+done
+grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/bbudget.prom" || {
+    echo "basic 64K budget forced no spills"; exit 1; }
+grep -q '"event":"lease"' "$smoke/bdist-events.jsonl" || {
+    echo "basic distributed run granted no leases"; exit 1; }
+
 echo "check: OK"

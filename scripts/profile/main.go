@@ -1,6 +1,6 @@
-// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go), writes cpu.pprof and allocs.pprof
-// and prints, per operation, wall and CPU milliseconds and the collector's share of that CPU, MiB allocated, mallocs and
-// cycles, plus GCCPUFraction and VmHWM.
+// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go: pubs and books from the same
+// experiments constructors, persons restated), writes cpu.pprof and allocs.pprof and prints, per operation, wall and CPU
+// milliseconds and the collector's share of that CPU, MiB allocated, mallocs and cycles, plus GCCPUFraction and VmHWM.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"proger"
+	"proger/internal/experiments"
 )
 
 func must[T any](v T, err error) T {
@@ -44,37 +45,39 @@ func cpuSeconds() (used, gc float64) {
 	return s[0].Value.Float64() - s[1].Value.Float64(), s[2].Value.Float64()
 }
 
+// persons is persons-exact's input. It must match the persons function
+// of bench/workloads.go, which defines it: Soundex + city + state
+// blocking, phone and state compared exactly, no trained model.
+func persons() *experiments.Workload {
+	ds, gt := proger.GeneratePersons(50000, 1)
+	idx := ds.Schema.Index
+	return &experiments.Workload{
+		Name: "persons", DS: ds, GT: gt, Mech: proger.SN, Policy: proger.CiteSeerXPolicy(),
+		Fams: proger.Families{
+			{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
+			{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
+			{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
+		},
+		Matcher: proger.MustMatcher(0.6,
+			proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
+			proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch}),
+	}
+}
+
 func main() {
 	workload := flag.String("workload", "persons", "persons, books or pubs")
 	n := flag.Int("n", 15, "Resolve operations to run")
 	flag.Parse()
-	gen, ok := map[string]func(n int, seed int64) (*proger.Dataset, *proger.GroundTruth){"persons": proger.GeneratePersons, "books": proger.GenerateBooks, "pubs": proger.GeneratePublications}[*workload]
+	build, ok := map[string]func() *experiments.Workload{
+		"persons": persons,
+		"books":   func() *experiments.Workload { return experiments.BooksWorkload(10000, 1) },
+		"pubs":    func() *experiments.Workload { return experiments.PublicationsWorkload(5000, 1) },
+	}[*workload]
 	if !ok {
 		log.Fatalf("profile: unknown workload %q (want persons, books or pubs)", *workload)
 	}
-	size := map[string]int{"persons": 50000, "books": 10000, "pubs": 5000}[*workload]
-	ds, _ := gen(size, 1)
-	idx, edit, exact := ds.Schema.Index, proger.EditDistance, proger.ExactMatch
-	rule := func(attr string, w float64, k proger.SimKind) proger.Rule {
-		return proger.Rule{Attr: idx(attr), Weight: w, Kind: k}
-	}
-	o := proger.Options{Machines: 10, SlotsPerMachine: 2, Mechanism: proger.SN, Policy: proger.CiteSeerXPolicy()}
-	switch *workload {
-	case "persons":
-		o.Families = proger.Families{{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex}, {Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2}, {Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3}}
-		o.Matcher = proger.MustMatcher(0.6, rule("phone", 0.6, exact), rule("state", 0.4, exact))
-	case "books":
-		o.Mechanism, o.Policy, o.Families = proger.PSNM, proger.OLBooksPolicy(), proger.OLBooksFamilies(ds.Schema)
-		o.Matcher = proger.MustMatcher(0.62, rule("title", 0.35, edit), rule("authors", 0.25, edit), rule("publisher", 0.10, edit), rule("year", 0.08, exact), rule("language", 0.06, exact), rule("format", 0.05, exact), rule("pages", 0.05, exact), rule("edition", 0.06, exact))
-	case "pubs":
-		o.Families = proger.CiteSeerXFamilies(ds.Schema)
-		abstract := proger.Rule{Attr: idx("abstract"), Weight: 0.3, Kind: edit, MaxChars: 350}
-		o.Matcher = proger.MustMatcher(0.75, rule("title", 0.5, edit), abstract, rule("venue", 0.2, edit))
-	}
-	if *workload != "persons" {
-		train, gt := gen(size/4, 100001)
-		o.DupModel = proger.TrainDupModel(train, gt, o.Families)
-	}
+	w := build()
+	o := proger.Options{Families: w.Fams, Matcher: w.Matcher, Mechanism: w.Mech, Policy: w.Policy, DupModel: w.Model, Machines: 10, SlotsPerMachine: 2}
 	dir := must(os.MkdirTemp("", "proger-profile-"))
 	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
 	var before, after runtime.MemStats
@@ -84,7 +87,7 @@ func main() {
 	must(0, pprof.StartCPUProfile(cpu))
 	start := time.Now()
 	for i := 0; i < *n; i++ {
-		must(proger.Resolve(ds, o))
+		must(proger.Resolve(w.DS, o))
 	}
 	wall := time.Since(start)
 	pprof.StopCPUProfile()
