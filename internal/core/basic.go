@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"proger/internal/blocking"
+	"proger/internal/costmodel"
 	"proger/internal/dedup"
 	"proger/internal/entity"
 	"proger/internal/mapreduce"
@@ -28,7 +29,6 @@ type basicSide struct {
 	window   int
 	// popcornThreshold < 0 disables the stopping condition ("Basic F").
 	popcornThreshold float64
-	popcornWindow    int
 }
 
 // BasicMapper emits one (famID|mainKey, annotated entity) pair per
@@ -111,8 +111,8 @@ func (r *BasicReducer) Reduce(ctx *mapreduce.TaskContext, key string, values [][
 	var stop mechanism.StopFunc
 	var observer func(bool)
 	if r.side.popcornThreshold >= 0 {
-		pc := &mechanism.Popcorn{Threshold: r.side.popcornThreshold, Window: r.side.popcornWindow}
-		stop = pc.Func()
+		pc := &mechanism.Popcorn{Threshold: r.side.popcornThreshold}
+		stop = pc.Stop
 		observer = pc.Observe
 	}
 	env := &mechanism.Env{
@@ -170,7 +170,6 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	cluster := mapreduce.Cluster{Machines: opts.Machines, SlotsPerMachine: opts.SlotsPerMachine}
 	side := &basicSide{
 		families:         opts.Families,
@@ -178,7 +177,6 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		mech:             opts.Mechanism,
 		window:           opts.Window,
 		popcornThreshold: opts.PopcornThreshold,
-		popcornWindow:    opts.PopcornWindow,
 	}
 	cfg := mapreduce.Config{
 		Name:           "basic-progressive-er",
@@ -187,7 +185,7 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		NumMapTasks:    cluster.Slots(),
 		NumReduceTasks: cluster.Slots(),
 		Cluster:        cluster,
-		Cost:           opts.Cost,
+		Cost:           costmodel.Default(),
 	}
 	mgr := opts.configure(&cfg)
 	jobRes, err := mapreduce.Run(cfg, blocking.MakeJob1Input(ds), 0)

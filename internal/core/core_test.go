@@ -240,7 +240,6 @@ func TestResolveBasicPopcornTradeoff(t *testing.T) {
 			Mechanism:        mechanism.SN{},
 			Window:           15,
 			PopcornThreshold: threshold,
-			PopcornWindow:    100,
 			Machines:         3,
 			SlotsPerMachine:  2,
 		})
@@ -337,27 +336,6 @@ func TestOurApproachBeatsBasicOnQuality(t *testing.T) {
 		qOurs, qBasic, oursCurve.FinalRecall(), basicCurve.FinalRecall())
 	if qOurs <= qBasic {
 		t.Errorf("our approach Qty %v should beat Basic %v", qOurs, qBasic)
-	}
-}
-
-func TestResolveWithBudgetObjective(t *testing.T) {
-	ds, gt := datagen.Publications(datagen.DefaultPublications(800, 67))
-	opts := pubOptions(ds, gt, 2)
-	opts.Budget = 3000
-	res, err := Resolve(ds, opts)
-	if err != nil {
-		t.Fatalf("Resolve with budget: %v", err)
-	}
-	if len(res.Duplicates) == 0 {
-		t.Error("budget run found nothing")
-	}
-	// The budget objective changes scheduling, never correctness:
-	// every emitted pair is still unique.
-	seen := entity.PairSet{}
-	for _, ev := range res.Events {
-		if !seen.Add(ev.Pair) {
-			t.Fatalf("pair %v emitted twice under budget objective", ev.Pair)
-		}
 	}
 }
 

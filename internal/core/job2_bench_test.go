@@ -65,15 +65,17 @@ var benchShapes = []benchShape{
 func benchJob2Side(b *testing.B, shape benchShape) (*job2Side, []mapreduce.KeyValue, int) {
 	b.Helper()
 	ds, opts := shape.make()
-	return buildJob2Side(b, ds, opts)
+	return buildJob2Side(b, ds, opts, sched.CostPoints, sched.SplitBatch)
 }
 
-// buildJob2Side runs the pipeline up to schedule generation.
-func buildJob2Side(b testing.TB, ds *entity.Dataset, opts Options) (*job2Side, []mapreduce.KeyValue, int) {
+// buildJob2Side runs the pipeline up to schedule generation, with a
+// k-point cost vector and split batch batch.
+func buildJob2Side(b testing.TB, ds *entity.Dataset, opts Options, k, batch int) (*job2Side, []mapreduce.KeyValue, int) {
 	b.Helper()
 	opts = opts.withDefaults()
+	cost := costmodel.Default()
 	cluster := mapreduce.Cluster{Machines: opts.Machines, SlotsPerMachine: opts.SlotsPerMachine}
-	stats, _, err := blocking.RunJob1(ds, opts.Families, cluster, opts.Cost, 0)
+	stats, _, err := blocking.RunJob1(ds, opts.Families, cluster, cost, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,14 +84,14 @@ func buildJob2Side(b testing.TB, ds *entity.Dataset, opts Options) (*job2Side, [
 		b.Fatal(err)
 	}
 	trees = estimate.Prune(trees)
-	est := estimate.NewEstimator(opts.Policy, opts.Cost, opts.DupModel, ds.Len())
+	est := estimate.NewEstimator(opts.Policy, cost, opts.DupModel, ds.Len())
 	for _, t := range trees {
 		est.EstimateTree(t)
 	}
 	r := cluster.Slots()
-	cv := sched.AutoCostVector(trees, r, opts.CostVectorK)
+	cv := sched.AutoCostVector(trees, r, k)
 	schedule, err := sched.Generate(trees, sched.Config{
-		R: r, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Estimator: est, Batch: opts.SplitBatch,
+		R: r, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Estimator: est, Batch: batch,
 	})
 	if err != nil {
 		b.Fatal(err)

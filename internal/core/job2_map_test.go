@@ -136,10 +136,8 @@ func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 			Policy:          estimate.CiteSeerXPolicy(),
 			Machines:        1 + rng.Intn(6),
 			SlotsPerMachine: 1 + rng.Intn(2),
-			CostVectorK:     1 + rng.Intn(8),
-			SplitBatch:      1 + rng.Intn(4),
 		}
-		side, input, _ := buildJob2Side(t, ds, opts)
+		side, input, _ := buildJob2Side(t, ds, opts, 1+rng.Intn(8), 1+rng.Intn(4))
 		for _, tree := range side.schedule.Trees {
 			sawSplit = sawSplit || tree.Root.ID.Level > 1
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"proger/internal/blocking"
-	"proger/internal/costmodel"
 	"proger/internal/estimate"
 	"proger/internal/faults"
 	"proger/internal/mapreduce"
@@ -129,21 +128,8 @@ type Options struct {
 	// (paper: 2 map + 2 reduce slots per machine).
 	Machines        int
 	SlotsPerMachine int
-	// Cost is the simulated cost model; zero value uses the default.
-	Cost costmodel.Model
 	// Scheduler selects Ours / NoSplit / LPT (§VI-B2).
 	Scheduler sched.Kind
-	// CostVectorK is the number of sampling points in the auto-derived
-	// cost vector C (default 3).
-	CostVectorK int
-	// Budget, when > 0, switches the scheduler to the extended report's
-	// budget-constrained objective: generate the highest-quality result
-	// within Budget total cost units (uniform weights over a linear
-	// cost vector up to the per-task budget share). The run itself is
-	// not truncated — trim the returned events at the budget instead.
-	Budget costmodel.Units
-	// SplitBatch is b: overflowed trees split per iteration (default 4).
-	SplitBatch int
 	// DisableRedundancyElimination turns off the §V SHOULD-RESOLVE
 	// check, so shared pairs are resolved in every tree containing them.
 	// Ablation knob: quantifies what redundancy-free resolution buys.
@@ -176,15 +162,6 @@ func validateRun(fams blocking.Families, m *match.Matcher, mech mechanism.Mechan
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Cost == (costmodel.Model{}) {
-		out.Cost = costmodel.Default()
-	}
-	if out.CostVectorK <= 0 {
-		out.CostVectorK = 3
-	}
-	if out.SplitBatch <= 0 {
-		out.SplitBatch = 4
-	}
 	if out.DupModel == nil {
 		out.DupModel = estimate.DefaultModel{}
 	}
@@ -201,17 +178,14 @@ type BasicOptions struct {
 	Mechanism mechanism.Mechanism
 	// Window is the SN window w (the paper evaluates 5 and 15).
 	Window int
-	// PopcornThreshold is the stopping threshold; < 0 disables stopping
-	// entirely — the "Basic F" configuration that resolves every block
-	// to completion.
+	// PopcornThreshold is the stopping threshold on the duplicate rate
+	// over mechanism.Popcorn's default trailing window; < 0 disables
+	// stopping entirely — the "Basic F" configuration that resolves
+	// every block to completion.
 	PopcornThreshold float64
-	// PopcornWindow is the trailing-comparison window used to measure
-	// the duplicate rate (default 200).
-	PopcornWindow int
 
 	Machines        int
 	SlotsPerMachine int
-	Cost            costmodel.Model
 	// Host holds the settings that never change the Result.
 	Host
 }
@@ -224,15 +198,4 @@ func (o *BasicOptions) validate() error {
 		return fmt.Errorf("core: window %d must be ≥ 2", o.Window)
 	}
 	return nil
-}
-
-func (o *BasicOptions) withDefaults() BasicOptions {
-	out := *o
-	if out.Cost == (costmodel.Model{}) {
-		out.Cost = costmodel.Default()
-	}
-	if out.PopcornWindow <= 0 {
-		out.PopcornWindow = 200
-	}
-	return out
 }

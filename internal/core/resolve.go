@@ -81,7 +81,8 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		policy:   opts.Policy,
 		noDedup:  opts.DisableRedundancyElimination,
 	}
-	job1Cfg := blocking.Job1Config(opts.Families, cluster, opts.Cost)
+	cost := costmodel.Default()
+	job1Cfg := blocking.Job1Config(opts.Families, cluster, cost)
 	job2Cfg := mapreduce.Config{
 		Name:           "job2-progressive-resolution",
 		NewMapper:      func() mapreduce.Mapper { return &Job2Mapper{side: side} },
@@ -90,7 +91,7 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		NumMapTasks:    cluster.Slots(),
 		NumReduceTasks: r,
 		Cluster:        cluster,
-		Cost:           opts.Cost,
+		Cost:           cost,
 	}
 	mgr := opts.configure(&job1Cfg, &job2Cfg)
 
@@ -113,26 +114,16 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		return nil, fmt.Errorf("core: building forests: %w", err)
 	}
 	trees = estimate.Prune(trees)
-	est := estimate.NewEstimator(opts.Policy, opts.Cost, opts.DupModel, ds.Len())
+	est := estimate.NewEstimator(opts.Policy, cost, opts.DupModel, ds.Len())
 	for _, t := range trees {
 		est.EstimateTree(t)
 	}
-	var (
-		cv      []costmodel.Units
-		weights []float64
-	)
-	if opts.Budget > 0 {
-		cv = sched.BudgetCostVector(opts.Budget, r, opts.CostVectorK)
-		weights = sched.UniformWeights(len(cv))
-	} else {
-		cv = sched.AutoCostVector(trees, r, opts.CostVectorK)
-		weights = sched.LinearWeights(len(cv))
-	}
+	cv := sched.AutoCostVector(trees, r, sched.CostPoints)
 	schedule, err := sched.Generate(trees, sched.Config{
 		R:          r,
 		CostVector: cv,
-		Weights:    weights,
-		Batch:      opts.SplitBatch,
+		Weights:    sched.LinearWeights(len(cv)),
+		Batch:      sched.SplitBatch,
 		Estimator:  est,
 		Kind:       opts.Scheduler,
 		Trace:      opts.Trace,

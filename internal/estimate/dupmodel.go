@@ -31,10 +31,6 @@ const numBuckets = 8
 // report).
 const NumFracBuckets = numBuckets
 
-// FracBucket exposes fracBucket: the sub-range index of a size
-// fraction |X|/|D|.
-func FracBucket(frac float64) int { return fracBucket(frac) }
-
 // FracBucketLabels returns a printable label per sub-range, aligned
 // with BucketBounds.
 func FracBucketLabels() []string {

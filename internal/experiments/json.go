@@ -42,22 +42,6 @@ func (f *Figure) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadFigureJSON parses a figure written by WriteJSON.
-func ReadFigureJSON(r io.Reader) (*Figure, error) {
-	var in figureJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, err
-	}
-	f := &Figure{ID: in.ID, Title: in.Title, XLabel: in.XLabel, YLabel: in.YLabel}
-	for _, t := range in.Times {
-		f.Times = append(f.Times, t)
-	}
-	for _, s := range in.Series {
-		f.Series = append(f.Series, FigureSeries{Label: s.Label, Recalls: s.Recalls, AUC: s.AUC})
-	}
-	return f, nil
-}
-
 // tableJSON is the stable JSON shape of a Table.
 type tableJSON struct {
 	ID     string     `json:"id"`
@@ -71,13 +55,4 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(tableJSON{ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows})
-}
-
-// ReadTableJSON parses a table written by WriteJSON.
-func ReadTableJSON(r io.Reader) (*Table, error) {
-	var in tableJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, err
-	}
-	return &Table{ID: in.ID, Title: in.Title, Header: in.Header, Rows: in.Rows}, nil
 }

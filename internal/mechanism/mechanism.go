@@ -53,10 +53,6 @@ type VisitStats struct {
 // terminates the visit.
 type StopFunc func(*VisitStats) bool
 
-// NeverStop runs the mechanism to exhaustion (full resolve; also the
-// Basic F configuration of §VI-B1).
-func NeverStop(*VisitStats) bool { return false }
-
 // DistinctThreshold returns the paper's Th(X) stopping condition: the
 // visit terminates once th distinct (non-duplicate) pairs have been
 // resolved (§III-A).
@@ -64,9 +60,14 @@ func DistinctThreshold(th int64) StopFunc {
 	return func(st *VisitStats) bool { return int64(st.Distinct) >= th }
 }
 
+// defaultPopcornWindow is the trailing-comparison window a Popcorn
+// with zero Window measures its duplicate rate over.
+const defaultPopcornWindow = 200
+
 // Popcorn implements the popcorn scheme of [5]: terminate when the rate
 // of newly identified duplicate pairs over the trailing Window
-// comparisons drops below Threshold. The zero Window defaults to 200.
+// comparisons drops below Threshold. The zero Window means
+// defaultPopcornWindow.
 type Popcorn struct {
 	Threshold float64
 	Window    int
@@ -77,13 +78,8 @@ type Popcorn struct {
 	dups     int
 }
 
-// NewPopcorn builds a popcorn stopper with the default window.
-func NewPopcorn(threshold float64) *Popcorn {
-	return &Popcorn{Threshold: threshold, Window: 200}
-}
-
-// Stop implements StopFunc semantics; feed it after each resolution via
-// Func().
+// Stop is the popcorn StopFunc. The environment must also route
+// outcomes to Observe (Env does this when Observer is set).
 func (p *Popcorn) Stop(st *VisitStats) bool {
 	// The rate is maintained by Observe; Stop only applies the test
 	// once a full window of evidence exists.
@@ -99,7 +95,7 @@ func (p *Popcorn) Observe(isDup bool) {
 	if p.outcomes == nil {
 		w := p.Window
 		if w <= 0 {
-			w = 200
+			w = defaultPopcornWindow
 		}
 		p.outcomes = make([]bool, w)
 	}
@@ -116,11 +112,6 @@ func (p *Popcorn) Observe(isDup bool) {
 		p.filled = true
 	}
 }
-
-// Func adapts the popcorn stopper to a StopFunc. The environment must
-// also route outcomes to Observe (Env does this automatically when
-// Observer is set).
-func (p *Popcorn) Func() StopFunc { return p.Stop }
 
 // Env couples a mechanism invocation to its surrounding reduce task.
 type Env struct {
@@ -144,7 +135,7 @@ type Env struct {
 	Emit func(p entity.Pair, isDup bool)
 	// Charge accounts simulated cost.
 	Charge func(costmodel.Units)
-	// Stop terminates the visit; nil means NeverStop.
+	// Stop terminates the visit; nil never stops (full resolve).
 	Stop StopFunc
 	// Observer, when non-nil, receives every resolution outcome
 	// (the popcorn scheme's evidence stream).

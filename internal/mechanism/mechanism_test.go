@@ -199,18 +199,23 @@ func TestPopcornStopsOnRateDrop(t *testing.T) {
 	}
 }
 
+// TestPopcornNeedsFullWindow: no stop before Window observations, a
+// stop at the Window-th — with the zero Window meaning
+// defaultPopcornWindow.
 func TestPopcornNeedsFullWindow(t *testing.T) {
-	p := &Popcorn{Threshold: 0.9, Window: 100}
-	st := &VisitStats{}
-	for i := 0; i < 99; i++ {
-		p.Observe(false)
-		if p.Stop(st) {
-			t.Fatalf("stopped after %d observations, before window filled", i+1)
+	for _, tc := range []struct{ window, fill int }{{100, 100}, {0, defaultPopcornWindow}} {
+		p := &Popcorn{Threshold: 0.9, Window: tc.window}
+		st := &VisitStats{}
+		for i := 0; i < tc.fill-1; i++ {
+			p.Observe(false)
+			if p.Stop(st) {
+				t.Fatalf("window %d: stopped after %d observations, before window filled", tc.window, i+1)
+			}
 		}
-	}
-	p.Observe(false)
-	if !p.Stop(st) {
-		t.Error("full window of distinct pairs should stop")
+		p.Observe(false)
+		if !p.Stop(st) {
+			t.Errorf("window %d: full window of distinct pairs should stop", tc.window)
+		}
 	}
 }
 
@@ -223,13 +228,6 @@ func TestPopcornRingBuffer(t *testing.T) {
 	// Window now holds the last 4: false, false, true, false → 1 dup.
 	if p.dups != 1 {
 		t.Errorf("ring buffer dups = %d, want 1", p.dups)
-	}
-}
-
-func TestNewPopcornDefaults(t *testing.T) {
-	p := NewPopcorn(0.01)
-	if p.Window != 200 || p.Threshold != 0.01 {
-		t.Errorf("NewPopcorn = %+v", p)
 	}
 }
 

@@ -52,7 +52,7 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 	hot := sc.hot[:0]
 	defer func() { sc.visited, sc.hot = visited, hot[:0] }()
 
-	process := func(c cand) (keep bool) {
+	process := func(c cand) bool {
 		if c.d > maxD || c.i+c.d >= n {
 			return true
 		}
@@ -61,36 +61,16 @@ func (PSNM) ResolveBlock(env *Env, ents []*entity.Entity, window int) VisitStats
 			return true
 		}
 		visited[bit>>6] |= 1 << uint(bit&63)
-		ai, bi := order[c.i], order[c.i+c.d]
-		a, b := ents[ai], ents[bi]
-		p := entity.MakePair(a.ID, b.ID)
-		switch env.decide(p, ai, bi) {
-		case SkipResolved, SkipNotResponsible:
-			env.Charge(env.Cost.SkipPair)
-			st.Skipped++
-			// A skipped pair may still mark a promising neighborhood if
-			// it was resolved elsewhere, but we have no outcome to act
-			// on; move on.
-			return true
-		}
-		env.Charge(env.Cost.PairCompare)
-		isDup := env.Match(a, b)
-		st.Compared++
-		if isDup {
-			st.Dups++
+		dups := st.Dups
+		keep := env.resolvePair(ents, order[c.i], order[c.i+c.d], &st)
+		if st.Dups > dups {
 			// Expand the hit's neighborhood in both directions.
 			hot = append(hot, cand{i: c.i, d: c.d + 1})
 			if c.i > 0 {
 				hot = append(hot, cand{i: c.i - 1, d: c.d + 1})
 			}
-		} else {
-			st.Distinct++
 		}
-		if env.Observer != nil {
-			env.Observer(isDup)
-		}
-		env.Emit(p, isDup)
-		return !env.stop(&st)
+		return keep
 	}
 
 	for d := 1; d <= maxD; d++ {

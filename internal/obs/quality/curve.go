@@ -1,6 +1,15 @@
 package quality
 
-import "proger/internal/costmodel"
+import (
+	"math"
+
+	"proger/internal/costmodel"
+)
+
+// maxCurvePoints caps a curve's samples: a sampling interval shorter
+// than End/maxCurvePoints is raised to it, so a curve holds at most
+// maxCurvePoints+1 points (the last at End) whatever the caller asks.
+const maxCurvePoints = 1 << 16
 
 // CurvePoint is one sample of the progressive-recall curve.
 type CurvePoint struct {
@@ -40,12 +49,16 @@ type Curve struct {
 }
 
 // BuildCurve derives the progressive-recall curve from the recorded
-// block realizations. sampleEvery ≤ 0 picks End/64. Each block's
+// block realizations. sampleEvery ≤ 0, NaN or infinite picks End/64,
+// and one below End/maxCurvePoints is raised to it. Each block's
 // progress is attributed to its completion time — exact on the
 // simulated clock, since the engine replays block resolutions with
 // deterministic timestamps (sampling "during" and "after" the run are
 // the same operation when time is simulated; see DESIGN.md §10).
 func (r *Recorder) BuildCurve(sampleEvery costmodel.Units) *Curve {
+	if math.IsNaN(sampleEvery) || math.IsInf(sampleEvery, 0) {
+		sampleEvery = 0
+	}
 	obs := r.Observations()
 	c := &Curve{SampleEvery: float64(sampleEvery)}
 	if len(obs) == 0 {
@@ -62,6 +75,7 @@ func (r *Recorder) BuildCurve(sampleEvery costmodel.Units) *Curve {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = c.End / 64
 	}
+	c.SampleEvery = max(c.SampleEvery, c.End/maxCurvePoints)
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 1
 	}

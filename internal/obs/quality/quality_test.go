@@ -1,6 +1,8 @@
 package quality
 
 import (
+	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,28 @@ func TestBuildCurve(t *testing.T) {
 	empty := NewRecorder().BuildCurve(0)
 	if empty.AUC != 0 || len(empty.Points) != 0 {
 		t.Errorf("empty curve = %+v", empty)
+	}
+}
+
+// TestBuildCurveBoundsItsInterval: a tiny sampling interval is raised
+// to End/maxCurvePoints, and a non-finite one means the default, so
+// the curve stays small and its export encodes.
+func TestBuildCurveBoundsItsInterval(t *testing.T) {
+	r := NewRecorder()
+	r.ObserveBlock(BlockObs{ID: "a", SQ: 1, End: 1e4, Compared: 1, Dups: 1})
+	c := r.BuildCurve(1e-2)
+	if c.SampleEvery != 1e4/maxCurvePoints || len(c.Points) > maxCurvePoints+1 {
+		t.Errorf("interval 1e-2 on end 1e4: sampled every %g, %d points", c.SampleEvery, len(c.Points))
+	}
+	for _, every := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := r.BuildCurve(every).SampleEvery; got != 1e4/64 {
+			t.Errorf("interval %g: sampled every %g, want the default %g", every, got, 1e4/64)
+		}
+		for _, rec := range []*Recorder{r, NewRecorder()} {
+			if err := rec.Export(every).WriteJSON(io.Discard); err != nil {
+				t.Errorf("interval %g: WriteJSON: %v", every, err)
+			}
+		}
 	}
 }
 

@@ -184,23 +184,6 @@ func (c *Curve) AUC() float64 {
 	return area / float64(c.End)
 }
 
-// Milestone is the cost at which a recall level was first reached.
-type Milestone struct {
-	Recall  float64
-	Time    costmodel.Units
-	Reached bool
-}
-
-// Milestones tabulates when the curve reaches each recall level.
-func (c *Curve) Milestones(recalls []float64) []Milestone {
-	out := make([]Milestone, len(recalls))
-	for i, r := range recalls {
-		t, ok := c.TimeToRecall(r)
-		out[i] = Milestone{Recall: r, Time: t, Reached: ok}
-	}
-	return out
-}
-
 // Speedup returns how much faster `fast` reaches the given recall than
 // `slow`: time(slow, r) / time(fast, r). The second return is false if
 // either curve never reaches r. This is the recall speedup of Fig. 11

@@ -197,17 +197,3 @@ func TestAUC(t *testing.T) {
 		t.Error("zero-end AUC")
 	}
 }
-
-func TestMilestones(t *testing.T) {
-	c := BuildCurve([]Event{ev(10, 0, 1, true), ev(30, 2, 3, true)}, 2, 50)
-	ms := c.Milestones([]float64{0.5, 1.0, 1.5})
-	if !ms[0].Reached || ms[0].Time != 10 {
-		t.Errorf("milestone 0.5 = %+v", ms[0])
-	}
-	if !ms[1].Reached || ms[1].Time != 30 {
-		t.Errorf("milestone 1.0 = %+v", ms[1])
-	}
-	if ms[2].Reached {
-		t.Errorf("milestone 1.5 = %+v", ms[2])
-	}
-}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,24 @@ func TestWriteSegments(t *testing.T) {
 	}
 	if _, err := WriteSegments(res, 0, dir); err == nil {
 		t.Error("alpha 0: want error")
+	}
+}
+
+// TestWriteSegmentsRejectsTinyAlpha: an α that is not positive, or
+// that would cut a task's output into more than maxSegments segments,
+// is refused with an error naming the flag; the finest α that fits is
+// written.
+func TestWriteSegmentsRejectsTinyAlpha(t *testing.T) {
+	pair := entity.EncodePair(nil, entity.MakePair(0, 1))
+	res := &mapreduce.Result{Output: []mapreduce.TimedKV{
+		{KeyValue: mapreduce.KeyValue{Key: "dup", Value: pair}, Local: 25, Global: 125, Task: 0},
+	}}
+	for _, alpha := range []float64{0, math.NaN(), 25.0 / maxSegments} {
+		if _, err := WriteSegments(res, alpha, t.TempDir()); err == nil || !strings.Contains(err.Error(), "-alpha") {
+			t.Errorf("alpha %v: error %v, want one naming -alpha", alpha, err)
+		}
+	}
+	if n, err := WriteSegments(res, 25.0/(maxSegments-1), t.TempDir()); err != nil || n != 1 {
+		t.Errorf("alpha for %d segments: %d files, %v", maxSegments, n, err)
 	}
 }

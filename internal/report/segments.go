@@ -11,6 +11,11 @@ import (
 	"proger/internal/mapreduce"
 )
 
+// maxSegments caps the segments one reduce task's output is cut into:
+// Result.Segments builds every α interval up to a task's last record,
+// empty or not.
+const maxSegments = 1 << 16
+
 // WriteSegments materializes the paper's incremental result delivery
 // (§III-B: "outputs the results to a different file every α units of
 // cost"): each reduce task's duplicate output is cut into α-cost
@@ -19,10 +24,18 @@ import (
 // union of all files whose segment closed by t — exactly how a consumer
 // of the paper's system would read partial results off HDFS.
 //
-// Returns the number of files written.
+// Returns the number of files written. An α that would cut a task's
+// output into more than maxSegments segments is rejected before any
+// file is written.
 func WriteSegments(res *mapreduce.Result, alpha costmodel.Units, dir string) (int, error) {
-	if alpha <= 0 {
-		return 0, fmt.Errorf("report: alpha must be positive")
+	if !(alpha > 0) {
+		return 0, fmt.Errorf("report: -alpha must be positive, got %v", alpha)
+	}
+	for _, kv := range res.Output {
+		if kv.Local/alpha >= maxSegments {
+			return 0, fmt.Errorf("report: -alpha %v would cut task %d's output (local time %v) into more than %d segments; raise -alpha",
+				alpha, kv.Task, kv.Local, maxSegments)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("report: %w", err)

@@ -55,6 +55,14 @@ func (k Kind) String() string {
 	}
 }
 
+// CostPoints (K, the points of the auto-derived cost vector) and
+// SplitBatch (b, trees split per iteration) are the values the pipeline
+// generates its schedules with.
+const (
+	CostPoints = 3
+	SplitBatch = 4
+)
+
 // Config parameterizes schedule generation.
 type Config struct {
 	// R is the number of reduce tasks.
@@ -66,7 +74,8 @@ type Config struct {
 	// Weights is W(cᵢ) per bucket, non-increasing, in [0,1].
 	Weights []float64
 	// Batch is b: trees split per identify/split iteration (§IV-C2
-	// suggests a small value since few trees overflow).
+	// suggests a small value since few trees overflow); 0 means
+	// SplitBatch.
 	Batch int
 	// Estimator supplies the split-update arithmetic of §IV-C2.
 	Estimator *estimate.Estimator
@@ -159,54 +168,6 @@ func LinearWeights(k int) []float64 {
 	out := make([]float64, k)
 	for i := range out {
 		out[i] = float64(k-i) / float64(k)
-	}
-	return out
-}
-
-// ExponentialWeights returns W(cᵢ) = 2^−i: a sharper early emphasis
-// than LinearWeights, one of the alternative weighting functions the
-// paper's extended report discusses.
-func ExponentialWeights(k int) []float64 {
-	out := make([]float64, k)
-	w := 1.0
-	for i := range out {
-		out[i] = w
-		w /= 2
-	}
-	return out
-}
-
-// UniformWeights returns W(cᵢ) = 1 for all buckets: every unit of
-// progress counts equally — the weighting for the budget-constrained
-// objective below.
-func UniformWeights(k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
-// BudgetCostVector returns the cost vector for the extended report's
-// budget-constrained objective: maximize the quality achieved within a
-// total resolution budget B. The per-task share B/r is divided into k
-// equal sampling intervals; pair it with UniformWeights so the
-// scheduler cares about everything inside the budget and nothing
-// beyond it.
-func BudgetCostVector(budget costmodel.Units, r, k int) []costmodel.Units {
-	if r < 1 {
-		r = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	perTask := budget / costmodel.Units(r)
-	if perTask <= 0 {
-		perTask = 1
-	}
-	out := make([]costmodel.Units, k)
-	for i := range out {
-		out[i] = perTask * costmodel.Units(i+1) / costmodel.Units(k)
 	}
 	return out
 }
@@ -345,7 +306,7 @@ func Generate(trees []*blocking.Tree, cfg Config) (*Schedule, error) {
 		return nil, err
 	}
 	if cfg.Batch <= 0 {
-		cfg.Batch = 4
+		cfg.Batch = SplitBatch
 	}
 	if cfg.MaxSplitRounds <= 0 {
 		cfg.MaxSplitRounds = 64

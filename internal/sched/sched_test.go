@@ -392,46 +392,21 @@ func TestScheduleBlockLookupOutOfRange(t *testing.T) {
 	}
 }
 
-func TestExponentialAndUniformWeights(t *testing.T) {
-	e := ExponentialWeights(4)
-	want := []float64{1, 0.5, 0.25, 0.125}
-	for i := range want {
-		if e[i] != want[i] {
-			t.Errorf("exp[%d] = %v, want %v", i, e[i], want[i])
-		}
-	}
-	u := UniformWeights(3)
-	for _, w := range u {
-		if w != 1 {
-			t.Errorf("uniform weights = %v", u)
-		}
-	}
-}
-
-func TestBudgetCostVector(t *testing.T) {
-	cv := BudgetCostVector(1000, 4, 5)
-	// per-task share 250, five equal intervals: 50,100,150,200,250.
-	want := []costmodel.Units{50, 100, 150, 200, 250}
-	for i := range want {
-		if cv[i] != want[i] {
-			t.Errorf("cv[%d] = %v, want %v", i, cv[i], want[i])
-		}
-	}
-	// Degenerate inputs still give a valid (increasing) vector.
-	cv = BudgetCostVector(0, 0, 0)
-	if len(cv) != 1 || cv[0] <= 0 {
-		t.Errorf("degenerate cv = %v", cv)
-	}
-}
-
-func TestGenerateWithBudgetVectorAndUniformWeights(t *testing.T) {
+// TestGenerateWithLiteralVectorAndWeights: Config accepts any strictly
+// increasing cost vector and non-increasing weights, not only the
+// pipeline's AutoCostVector and LinearWeights — here equal intervals
+// of a 1000-unit per-task share, every bucket weighted 1.
+func TestGenerateWithLiteralVectorAndWeights(t *testing.T) {
 	trees, est := buildForest(t, 500, 37)
-	cv := BudgetCostVector(2000, 2, 4)
 	s, err := Generate(trees, Config{
-		R: 2, CostVector: cv, Weights: UniformWeights(len(cv)), Estimator: est, Kind: Ours,
+		R:          2,
+		CostVector: []costmodel.Units{250, 500, 750, 1000},
+		Weights:    []float64{1, 1, 1, 1},
+		Estimator:  est,
+		Kind:       Ours,
 	})
 	if err != nil {
-		t.Fatalf("Generate with budget vector: %v", err)
+		t.Fatalf("Generate with a literal vector: %v", err)
 	}
 	checkScheduleInvariants(t, s, 0)
 }

@@ -193,7 +193,9 @@ grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
 # then with injected task faults AND a worker process that kills itself
 # after its third lease, so the lease-expiry/re-lease path is exercised
 # end to end, and last with faults heavy enough that speculative backups
-# win on the other worker. The event logs gate the dist event grammar
+# win on the other worker. The clean local run's trace and quality
+# export go through tracecheck (span categories; curve and calibration
+# invariants). The event logs gate the dist event grammar
 # through tracecheck — the clean run with full fleet observability on (status
 # server, merged multi-process event log) — and must show actual lease
 # traffic. The /fleet endpoint must report both forked workers while
@@ -202,6 +204,7 @@ echo "== distributed transport smoke =="
 go run ./cmd/proger -generate publications -n 4000 -seed 5 -machines 2 \
     -out "$smoke/dloc.tsv" -trace "$smoke/dloc-trace.json" \
     -quality-out "$smoke/dloc-quality.json" 2>/dev/null
+go run ./scripts/tracecheck -quality "$smoke/dloc-quality.json" "$smoke/dloc-trace.json"
 go run ./cmd/proger -generate publications -n 4000 -seed 5 -machines 2 \
     -dist 2 -status 127.0.0.1:0 -events "$smoke/dist-events.jsonl" \
     -out "$smoke/ddist.tsv" -trace "$smoke/ddist-trace.json" \

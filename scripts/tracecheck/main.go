@@ -35,6 +35,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"proger/internal/obs/live"
+	"proger/internal/obs/quality"
 )
 
 type traceFile struct {
@@ -164,15 +167,15 @@ func checkEvents(path string) error {
 		job, _ := ev["job"].(string)
 		phase, _ := ev["phase"].(string)
 		switch name {
-		case "job.start":
+		case live.EventJobStart:
 			jobStarts[jobKey{proc, job}]++
-		case "job.end":
+		case live.EventJobEnd:
 			jobEnds[jobKey{proc, job}]++
-		case "task.start":
+		case live.EventTaskStart:
 			starts[phaseKey{proc, job, phase}]++
-		case "task.done", "task.failed":
+		case live.EventTaskDone, live.EventTaskFailed:
 			dones[phaseKey{proc, job, phase}]++
-		case "worker.register":
+		case live.EventWorkerRegister:
 			id, ok := ev["worker"].(float64)
 			if !ok {
 				return fmt.Errorf("%s: line %d (%s): missing worker id", path, lines, name)
@@ -181,14 +184,14 @@ func checkEvents(path string) error {
 				return fmt.Errorf("%s: line %d (%s): registration must come from the host, got proc %q", path, lines, name, proc)
 			}
 			registered[int(id)] = true
-		case "lease", "lease.expire":
+		case live.EventLease, live.EventLeaseExpire:
 			for _, key := range []string{"worker", "lease", "task"} {
 				if _, ok := ev[key].(float64); !ok {
 					return fmt.Errorf("%s: line %d (%s): missing %q", path, lines, name, key)
 				}
 			}
 			id := int(ev["worker"].(float64))
-			if name == "lease" {
+			if name == live.EventLease {
 				grants[id]++
 			} else {
 				expiries[id]++
@@ -201,13 +204,13 @@ func checkEvents(path string) error {
 	if lines == 0 {
 		return fmt.Errorf("%s: empty event log", path)
 	}
-	if first != "run.start" {
+	if first != live.EventRunStart {
 		return fmt.Errorf("%s: first event %q, want run.start", path, first)
 	}
-	if last != "run.end" || lastProc != "" {
+	if last != live.EventRunEnd || lastProc != "" {
 		return fmt.Errorf("%s: last event %q (proc %q), want host run.end", path, last, lastProc)
 	}
-	if names["job.start"] == 0 {
+	if names[live.EventJobStart] == 0 {
 		return fmt.Errorf("%s: no job.start events", path)
 	}
 	// Job accounting is strict for the host; a worker killed mid-run
@@ -234,8 +237,8 @@ func checkEvents(path string) error {
 	// Distributed-transport events: a lease cannot exist without a
 	// registered worker, and expiries are a subset of grants — per
 	// worker and therefore globally.
-	if names["lease"] > 0 && names["worker.register"] == 0 {
-		return fmt.Errorf("%s: %d leases but no worker.register", path, names["lease"])
+	if names[live.EventLease] > 0 && names[live.EventWorkerRegister] == 0 {
+		return fmt.Errorf("%s: %d leases but no worker.register", path, names[live.EventLease])
 	}
 	for id, g := range grants {
 		if !registered[id] {
@@ -248,33 +251,8 @@ func checkEvents(path string) error {
 		}
 	}
 	fmt.Printf("tracecheck: %s ok — %d events (%d task starts), %d jobs, %d procs, kinds %v\n",
-		path, lines, names["task.start"], names["job.start"], len(seqs), catNames(names))
+		path, lines, names[live.EventTaskStart], names[live.EventJobStart], len(seqs), catNames(names))
 	return nil
-}
-
-// qualityFile mirrors the JSON shape of quality.Export — only the
-// fields the checks need.
-type qualityFile struct {
-	Curve struct {
-		SampleEvery float64 `json:"sample_every"`
-		End         float64 `json:"end"`
-		FinalBlocks int64   `json:"final_blocks"`
-		FinalDups   int64   `json:"final_dups"`
-		AUC         float64 `json:"auc"`
-		Points      []struct {
-			Cost   float64 `json:"cost"`
-			Dups   int64   `json:"dups"`
-			Recall float64 `json:"recall"`
-		} `json:"points"`
-	} `json:"curve"`
-	Calibration struct {
-		Blocks []struct {
-			SQ int64 `json:"sq"`
-		} `json:"blocks"`
-		Tasks []struct {
-			Task int `json:"task"`
-		} `json:"tasks"`
-	} `json:"calibration"`
 }
 
 // checkQuality validates the invariants every quality export must hold:
@@ -285,9 +263,12 @@ func checkQuality(path string) error {
 	if err != nil {
 		return err
 	}
-	var qf qualityFile
+	var qf quality.Export
 	if err := json.Unmarshal(data, &qf); err != nil {
 		return fmt.Errorf("%s: invalid quality JSON: %w", path, err)
+	}
+	if qf.Curve == nil || qf.Calibration == nil {
+		return fmt.Errorf("%s: missing curve or calibration", path)
 	}
 	c := qf.Curve
 	if c.AUC < 0 || c.AUC > 1 {
