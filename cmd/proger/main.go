@@ -106,13 +106,8 @@ func main() {
 	if *connectAddr != "" && !*workerMode {
 		log.Fatal("-connect only applies to -worker mode")
 	}
-	if distActive {
-		if *engine != "pipelined" {
-			log.Fatal("distributed modes require the pipelined engine")
-		}
-		if *memBudget != "" {
-			log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
-		}
+	if distActive && *memBudget != "" {
+		log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
 	}
 	var (
 		tracer  *proger.Tracer

@@ -24,6 +24,7 @@ type fleet struct {
 	master     *Master
 	reg        *obs.Registry
 	masterLive *live.Run
+	exec       proger.ExecutionMode // every process's edge policy
 	workers    []*Worker
 	wg         sync.WaitGroup
 	mu         sync.Mutex
@@ -92,6 +93,7 @@ func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOpt
 		opts := baseOptions(faultRate)
 		fillDataset(ds, &opts)
 		opts.Transport = w
+		opts.Execution = f.exec
 		if wopts.Relay != nil {
 			// A relay-equipped worker publishes its live introspection
 			// into the relay log, exactly as cmd/proger wires a forked
@@ -115,6 +117,7 @@ func (f *fleet) run(ds *proger.Dataset, faultRate float64) (*proger.Result, *pro
 	opts := baseOptions(faultRate)
 	fillDataset(ds, &opts)
 	opts.Transport = f.master
+	opts.Execution = f.exec
 	opts.Trace = proger.NewTracer()
 	opts.Quality = proger.NewQualityRecorder()
 	opts.Live = f.masterLive
@@ -192,29 +195,41 @@ func assertIdentical(t *testing.T, what string, local, dist []byte) {
 }
 
 // TestFleetByteIdentity: a master plus two worker drivers produce
-// Result, trace, and quality bytes identical to a single-process run.
-// The workers run without their own trace/quality sinks, so span and
-// quality collection rides entirely on the spec-union dummy sinks.
+// Result, trace, and quality bytes identical to a single-process run,
+// under either edge policy. The workers run without their own
+// trace/quality sinks, so span and quality collection rides entirely on
+// the spec-union dummy sinks. A clean run grants one lease per map and
+// reduce task: the reduce lease merges its own input, so no shuffle is
+// leased.
 func TestFleetByteIdentity(t *testing.T) {
 	ds, _ := proger.GeneratePublications(600, 1)
 	lres, ltr, lq := localRun(t, ds, 0)
 
-	f := newFleet(t, 0)
-	f.addWorker(ds, 0, WorkerOptions{}, false)
-	f.addWorker(ds, 0, WorkerOptions{}, false)
-	res, tr, q := f.run(ds, 0)
+	for _, exec := range []proger.ExecutionMode{proger.ExecPipelined, proger.ExecBarrier} {
+		t.Run(fmt.Sprintf("mode=%d", exec), func(t *testing.T) {
+			f := newFleet(t, 0)
+			f.exec = exec
+			f.addWorker(ds, 0, WorkerOptions{}, false)
+			f.addWorker(ds, 0, WorkerOptions{}, false)
+			res, tr, q := f.run(ds, 0)
 
-	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
-	assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
-	assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
-	if got := f.reg.Counter(mapreduce.CounterDistWorkersRegistered).Value(); got != 2 {
-		t.Errorf("workers registered = %d, want 2", got)
-	}
-	if got := f.reg.Counter(mapreduce.CounterDistLeasesGranted).Value(); got == 0 {
-		t.Error("no leases granted")
-	}
-	if got := f.reg.Counter(mapreduce.CounterDistLeasesExpired).Value(); got != 0 {
-		t.Errorf("leases expired = %d, want 0 in a clean run", got)
+			assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
+			assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
+			assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
+			if got := f.reg.Counter(mapreduce.CounterDistWorkersRegistered).Value(); got != 2 {
+				t.Errorf("workers registered = %d, want 2", got)
+			}
+			want := 0
+			for _, job := range []*mapreduce.Result{res.Job1, res.Job2} {
+				want += len(job.MapTaskCosts) + len(job.ReduceTaskCosts)
+			}
+			if got := f.reg.Counter(mapreduce.CounterDistLeasesGranted).Value(); got != int64(want) {
+				t.Errorf("leases granted = %d, want %d (one per map and reduce task)", got, want)
+			}
+			if got := f.reg.Counter(mapreduce.CounterDistLeasesExpired).Value(); got != 0 {
+				t.Errorf("leases expired = %d, want 0 in a clean run", got)
+			}
+		})
 	}
 }
 
@@ -425,15 +440,13 @@ func TestFleetObservability(t *testing.T) {
 	for _, fw := range fs.Workers {
 		granted += fw.LeasesGranted
 		expired += fw.LeasesExpired
-		done += fw.MapDone + fw.ShuffleDone + fw.ReduceDone
+		done += fw.MapDone + fw.ReduceDone
 		if fw.Telemetry == nil {
 			t.Fatalf("worker %d: no telemetry snapshot after orderly goodbye", fw.ID)
 		}
-		if fw.Telemetry.MapTasks != fw.MapDone || fw.Telemetry.ShuffleTasks != fw.ShuffleDone ||
-			fw.Telemetry.ReduceTasks != fw.ReduceDone {
-			t.Errorf("worker %d: self-reported %d/%d/%d tasks, master attributed %d/%d/%d",
-				fw.ID, fw.Telemetry.MapTasks, fw.Telemetry.ShuffleTasks, fw.Telemetry.ReduceTasks,
-				fw.MapDone, fw.ShuffleDone, fw.ReduceDone)
+		if fw.Telemetry.MapTasks != fw.MapDone || fw.Telemetry.ReduceTasks != fw.ReduceDone {
+			t.Errorf("worker %d: self-reported %d/%d tasks, master attributed %d/%d",
+				fw.ID, fw.Telemetry.MapTasks, fw.Telemetry.ReduceTasks, fw.MapDone, fw.ReduceDone)
 		}
 		if fw.Telemetry.RPCBytesIn == 0 || fw.Telemetry.RPCBytesOut == 0 {
 			t.Errorf("worker %d: zero RPC traffic in telemetry", fw.ID)

@@ -85,7 +85,6 @@ type workerState struct {
 	granted    int64
 	expired    int64
 	mapDone    int64
-	shufDone   int64
 	redDone    int64
 	busyCost   float64
 	tel        live.WorkerTelemetry
@@ -569,8 +568,6 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 			switch le.task.phase {
 			case mapreduce.RemotePhaseMap:
 				ws.mapDone++
-			case mapreduce.RemotePhaseShuffle:
-				ws.shufDone++
 			case mapreduce.RemotePhaseReduce:
 				ws.redDone++
 			}
@@ -677,7 +674,6 @@ func (m *Master) FleetSnapshot() live.FleetSnapshot {
 			LeasesGranted:      ws.granted,
 			LeasesExpired:      ws.expired,
 			MapDone:            ws.mapDone,
-			ShuffleDone:        ws.shufDone,
 			ReduceDone:         ws.redDone,
 			BusyCostUnits:      ws.busyCost,
 		}

@@ -74,7 +74,6 @@ type Worker struct {
 	// tmu guards the telemetry tallies the pump goroutines accumulate.
 	tmu      sync.Mutex
 	mapDone  int64
-	shufDone int64
 	redDone  int64
 	busyCost float64
 	busyMs   int64
@@ -166,7 +165,6 @@ func (w *Worker) telemetry() live.WorkerTelemetry {
 	w.tmu.Lock()
 	tel := live.WorkerTelemetry{
 		MapTasks:        w.mapDone,
-		ShuffleTasks:    w.shufDone,
 		ReduceTasks:     w.redDone,
 		BusyCostUnits:   w.busyCost,
 		BusyMillis:      w.busyMs,
@@ -269,8 +267,6 @@ func (w *Worker) pump() {
 			switch lease.Phase {
 			case mapreduce.RemotePhaseMap:
 				w.mapDone++
-			case mapreduce.RemotePhaseShuffle:
-				w.shufDone++
 			case mapreduce.RemotePhaseReduce:
 				w.redDone++
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"proger/internal/progress"
+	"proger/internal/sched"
 )
 
 // qty computes the Eq.-1 quality of a figure series on the figure's own
@@ -210,6 +211,28 @@ func TestFigureRender(t *testing.T) {
 	lines := strings.Count(out, "\n")
 	if lines != 6 { // header + column line + 4 grid rows
 		t.Errorf("render has %d lines:\n%s", lines, out)
+	}
+}
+
+// TestFigureAUCIsThePlottedCurves: a figure's auc row is the area
+// under the curve it plots, the ground-truth recall curve: each
+// series' AUC is its run's Curve.AUC(), for the paper's approach and
+// for Basic alike.
+func TestFigureAUCIsThePlottedCurves(t *testing.T) {
+	w := PublicationsWorkload(600, 81)
+	ours, err := w.RunOurs(3, sched.Ours, "Our Approach")
+	if err != nil {
+		t.Fatal(err)
+	}
+	basic, err := w.RunBasic(3, 15, -1, "Basic F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := NewFigure("AUC", "auc demo", 8, ours, basic)
+	for i, r := range []*Run{ours, basic} {
+		if got, want := fig.Series[i].AUC, r.Curve.AUC(); got != want || want == 0 {
+			t.Errorf("%s: figure auc %.4f, plotted curve's area %.4f", r.Label, got, want)
+		}
 	}
 }
 

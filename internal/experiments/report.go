@@ -22,8 +22,8 @@ type Figure struct {
 type FigureSeries struct {
 	Label   string
 	Recalls []float64
-	// AUC is the run's normalized progressiveness area (0 when the run
-	// carried no quality telemetry).
+	// AUC is the normalized area under the plotted curve, the run's
+	// Curve.AUC().
 	AUC float64
 }
 
@@ -45,11 +45,7 @@ func NewFigure(id, title string, points int, runs ...*Run) *Figure {
 		f.Times[i] = end * costmodel.Units(i+1) / costmodel.Units(points)
 	}
 	for _, r := range runs {
-		s := FigureSeries{Label: r.Label, Recalls: r.Curve.Sample(f.Times)}
-		if r.Quality != nil {
-			s.AUC = r.Quality.AUC
-		}
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, FigureSeries{Label: r.Label, Recalls: r.Curve.Sample(f.Times), AUC: r.Curve.AUC()})
 	}
 	return f
 }

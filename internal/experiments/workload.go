@@ -18,7 +18,6 @@ import (
 	"proger/internal/estimate"
 	"proger/internal/match"
 	"proger/internal/mechanism"
-	"proger/internal/obs/quality"
 	"proger/internal/progress"
 	"proger/internal/sched"
 )
@@ -99,21 +98,16 @@ func BooksWorkload(n int, seed int64) *Workload {
 }
 
 // Run is one resolved configuration: its recall curve (against ground
-// truth), its self-relative quality curve, and identifiers.
+// truth) and identifiers.
 type Run struct {
 	Label string
 	Curve *progress.Curve
 	Total costmodel.Units
-	// Quality is the telemetry-derived progressive curve (recall proxy
-	// against the run's own final duplicates) with its normalized AUC —
-	// the progressiveness number reported alongside Figs. 8 and 9.
-	Quality *quality.Curve
 }
 
 // RunOurs executes the paper's approach on μ machines with the given
 // tree scheduler.
 func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, error) {
-	qrec := quality.NewRecorder()
 	res, err := core.Resolve(w.DS, core.Options{
 		Families:        w.Fams,
 		Matcher:         w.Matcher,
@@ -123,19 +117,17 @@ func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, e
 		Machines:        machines,
 		SlotsPerMachine: 2,
 		Scheduler:       kind,
-		Host:            core.Host{Quality: qrec},
 	})
 	if err != nil {
 		return nil, err
 	}
 	curve := progress.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
-	return &Run{Label: label, Curve: curve, Total: res.TotalTime, Quality: qrec.BuildCurve(0)}, nil
+	return &Run{Label: label, Curve: curve, Total: res.TotalTime}, nil
 }
 
 // RunBasic executes the Basic baseline with window w and popcorn
 // threshold (negative = Basic F).
 func (w *Workload) RunBasic(machines, window int, threshold float64, label string) (*Run, error) {
-	qrec := quality.NewRecorder()
 	res, err := core.ResolveBasic(w.DS, core.BasicOptions{
 		Families:         w.Fams,
 		Matcher:          w.Matcher,
@@ -144,11 +136,10 @@ func (w *Workload) RunBasic(machines, window int, threshold float64, label strin
 		PopcornThreshold: threshold,
 		Machines:         machines,
 		SlotsPerMachine:  2,
-		Host:             core.Host{Quality: qrec},
 	})
 	if err != nil {
 		return nil, err
 	}
 	curve := progress.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
-	return &Run{Label: label, Curve: curve, Total: res.TotalTime, Quality: qrec.BuildCurve(0)}, nil
+	return &Run{Label: label, Curve: curve, Total: res.TotalTime}, nil
 }

@@ -17,10 +17,11 @@ import (
 )
 
 // RetryPolicy configures the attempt runtime: how often a failed task
-// attempt is retried, how retries back off, when a hung or straggling
-// attempt is killed, and whether stragglers get speculative duplicate
-// attempts. All durations are simulated cost units, so the attempt
-// timeline — like everything else in the engine — is deterministic.
+// attempt is retried, and whether stragglers get speculative duplicate
+// attempts. How retries back off and when a hung or straggling attempt
+// is killed are the constants below. All durations are simulated cost
+// units, so the attempt timeline — like everything else in the engine —
+// is deterministic.
 //
 // The zero value leaves the attempt runtime disabled unless
 // Config.Faults is set; with an injector present (or any field set),
@@ -29,31 +30,30 @@ type RetryPolicy struct {
 	// MaxRetries bounds re-executions after the first attempt (so a
 	// task runs at most MaxRetries+1 times). 0 means the default (3).
 	MaxRetries int
-	// BackoffBase is the simulated wait before the first retry; each
-	// further retry doubles it (capped at 32×). 0 means 2×TaskStartup.
-	BackoffBase costmodel.Units
-	// TimeoutFactor sets the per-attempt timeout at TimeoutFactor × the
-	// attempt's clean cost (floored at TaskStartup): a hung attempt is
-	// killed and retried once the timeout elapses on the attempt
-	// timeline. 0 means the default (8).
-	TimeoutFactor float64
 	// Speculation enables duplicate attempts for stragglers: once a
 	// phase's tasks are in, any committed attempt that ran longer than
-	// the SpeculationQuantile of the phase's clean task costs gets a
-	// backup attempt, and whichever finishes first on the attempt
+	// the defaultSpeculationQuantile of the phase's clean task costs
+	// gets a backup attempt, and whichever finishes first on the attempt
 	// timeline commits (the loser is killed).
 	Speculation bool
-	// SpeculationQuantile is the straggler threshold quantile in (0,1).
-	// 0 means the default (0.95).
-	SpeculationQuantile float64
 }
 
 // Attempt-runtime defaults and tuning constants.
 const (
-	defaultMaxRetries          = 3
-	defaultBackoffBase         = costmodel.Units(100)
-	defaultTimeoutFactor       = 8
-	defaultSlowFactor          = 4
+	defaultMaxRetries = 3
+	// defaultBackoffBase is the simulated wait before the first retry
+	// when the cost model has no TaskStartup (otherwise 2×TaskStartup);
+	// each further retry doubles it (capped at 32×).
+	defaultBackoffBase = costmodel.Units(100)
+	// defaultTimeoutFactor sets the per-attempt timeout at this many
+	// times the attempt's clean cost (floored at TaskStartup): a hung
+	// attempt is killed and retried once the timeout elapses on the
+	// attempt timeline.
+	defaultTimeoutFactor = 8
+	defaultSlowFactor    = 4
+	// defaultSpeculationQuantile is the straggler threshold quantile:
+	// with ≤ 21 tasks in a phase it selects the phase's largest clean
+	// cost (quantile takes index ⌈q·(n−1)⌉).
 	defaultSpeculationQuantile = 0.95
 	// crashFraction is how far through its work a crash-faulted attempt
 	// gets before dying, as a fraction of its clean cost.
@@ -129,18 +129,6 @@ func newFaultRuntime(cfg *Config) *faultRuntime {
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = defaultMaxRetries
 	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 2 * cfg.Cost.TaskStartup
-		if p.BackoffBase <= 0 {
-			p.BackoffBase = defaultBackoffBase
-		}
-	}
-	if p.TimeoutFactor <= 0 {
-		p.TimeoutFactor = defaultTimeoutFactor
-	}
-	if p.SpeculationQuantile <= 0 || p.SpeculationQuantile >= 1 {
-		p.SpeculationQuantile = defaultSpeculationQuantile
-	}
 	return &faultRuntime{
 		injector: cfg.Faults,
 		policy:   p,
@@ -157,9 +145,13 @@ func (fr *faultRuntime) decide(phase faults.Phase, task, attempt int) faults.Fau
 }
 
 // backoff returns the simulated wait after failed attempt a:
-// BackoffBase doubling per retry, capped at 32×.
+// 2×TaskStartup (defaultBackoffBase without one) doubling per retry,
+// capped at 32×.
 func (fr *faultRuntime) backoff(attempt int) costmodel.Units {
-	b := fr.policy.BackoffBase
+	b := 2 * fr.startup
+	if b <= 0 {
+		b = defaultBackoffBase
+	}
 	for i := 1; i < attempt && i <= maxBackoffDoublings; i++ {
 		b *= 2
 	}
@@ -167,7 +159,7 @@ func (fr *faultRuntime) backoff(attempt int) costmodel.Units {
 }
 
 // timeout returns the attempt timeout for a task whose clean cost is
-// known: TimeoutFactor × max(clean, TaskStartup, 1).
+// known: defaultTimeoutFactor × max(clean, TaskStartup, 1).
 func (fr *faultRuntime) timeout(clean costmodel.Units) costmodel.Units {
 	floor := clean
 	if fr.startup > floor {
@@ -176,7 +168,7 @@ func (fr *faultRuntime) timeout(clean costmodel.Units) costmodel.Units {
 	if floor <= 0 {
 		floor = 1
 	}
-	return fr.policy.TimeoutFactor * floor
+	return defaultTimeoutFactor * floor
 }
 
 func (fr *faultRuntime) beginPhase(phase faults.Phase, n int) []*taskAttempts {
@@ -263,7 +255,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 
 // speculateTask runs the straggler check for one committed task: if
 // its committed attempt ran longer on the attempt timeline than thr
-// (the phase's SpeculationQuantile of clean task costs — the same
+// (the phase's defaultSpeculationQuantile of clean task costs — the same
 // per-task cost distribution the engine feeds obs's mr_task_cost_units
 // histogram), it gets a duplicate attempt, launched the moment the
 // straggler crossed the threshold. First finisher wins the commit on
@@ -339,8 +331,7 @@ func sameMapOutput(backup, committed mapTaskResult) bool {
 }
 
 func sameShuffleOutput(backup, committed shuffleTaskResult) bool {
-	return reduceInputsEqual(backup.in, committed.in) &&
-		sameRemoteResult(backup.remote, committed.remote)
+	return reduceInputsEqual(backup.in, committed.in)
 }
 
 func sameReduceOutput(backup, committed reduceTaskResult) bool {

@@ -293,20 +293,12 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 				return mapTaskResult{out: out, counters: counters, spans: spans}, cost, len(splits[m]), err
 			})
 		},
-		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
-				var in reduceInput
-				if po.stores != nil {
-					in = po.stores[r] // the map tasks handed their runs over as they committed
-				} else {
-					in = shuffleForTask(po.mapRes, r)
-				}
-				// The shuffle has no scheduled cost of its own (the reduce tasks
-				// price shuffling on the simulated clock); the attempt runtime
-				// keys timeouts and speculation off its simulated sort cost.
-				return shuffleTaskResult{in: in}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
-			})
-		},
+		shuffle: shuffleBody(cfg, lj, po, func(r int) reduceInput {
+			if po.stores != nil {
+				return po.stores[r] // the map tasks handed their runs over as they committed
+			}
+			return shuffleForTask(po.mapRes, r)
+		}),
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
 				in := po.shufRes[i].in
@@ -314,6 +306,21 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 				return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, in.Len(), err
 			})
 		},
+	}
+}
+
+// shuffleBody is the shuffle node's body in every mode: it names
+// partition r's reduce input, which input picks. The records are merged
+// as the reduce task reads them, in this process or in a reduce lease.
+// The shuffle has no scheduled cost of its own (the reduce tasks price
+// shuffling on the simulated clock); the attempt runtime keys timeouts
+// and speculation off its simulated sort cost.
+func shuffleBody(cfg *Config, lj *live.Job, po *phaseOutputs, input func(r int) reduceInput) func(r int) (shuffleTaskResult, costmodel.Units, error) {
+	return func(r int) (shuffleTaskResult, costmodel.Units, error) {
+		return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
+			in := input(r)
+			return shuffleTaskResult{in: in}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
+		})
 	}
 }
 
@@ -336,8 +343,7 @@ type mapTaskResult struct {
 }
 
 type shuffleTaskResult struct {
-	in     reduceInput
-	remote *RemoteTaskResult
+	in reduceInput
 }
 
 type reduceTaskResult struct {

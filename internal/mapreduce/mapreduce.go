@@ -202,9 +202,9 @@ type Config struct {
 	// channel pool (nil, the default) or leased to worker processes
 	// through a TaskTransport (internal/dist). A host-machine knob like
 	// Workers: every transport produces byte-identical Results, traces,
-	// and quality exports. A transport requires the pipelined engine and
-	// is incompatible with MemBudget (run files, not memory pressure,
-	// are the distributed data plane).
+	// and quality exports, under either Execution mode. A transport is
+	// incompatible with MemBudget (run files, not memory pressure, are
+	// the distributed data plane).
 	Transport TaskTransport
 	// SpillDir receives the spill files MemBudget forces out;
 	// os.TempDir()-based default.
@@ -274,26 +274,15 @@ func (c *Config) validate() error {
 	if c.Cluster.Machines <= 0 || c.Cluster.SlotsPerMachine <= 0 {
 		return fmt.Errorf("mapreduce: job %q: cluster %+v invalid", c.Name, c.Cluster)
 	}
-	if c.Retry.MaxRetries < 0 || c.Retry.BackoffBase < 0 || c.Retry.TimeoutFactor < 0 {
+	if c.Retry.MaxRetries < 0 {
 		return fmt.Errorf("mapreduce: job %q: retry policy %+v invalid", c.Name, c.Retry)
-	}
-	if q := c.Retry.SpeculationQuantile; q < 0 || q >= 1 {
-		return fmt.Errorf("mapreduce: job %q: speculation quantile %v outside [0,1)", c.Name, q)
 	}
 	if c.Execution != ExecPipelined && c.Execution != ExecBarrier {
 		return fmt.Errorf("mapreduce: job %q: unknown execution mode %d", c.Name, c.Execution)
 	}
-	if c.Transport == nil {
-		return nil
-	}
-	// Remote execution replicates the pipelined task graph across
-	// processes; the barrier edge policy and the memory budget are not
-	// offered there (run files are the data plane).
-	if c.Execution != ExecPipelined {
-		return fmt.Errorf("mapreduce: job %q: transport %q requires the pipelined engine",
-			c.Name, c.Transport.TransportName())
-	}
-	if c.MemBudget != nil {
+	// Remote execution does not offer the memory budget: run files are
+	// its data plane.
+	if c.Transport != nil && c.MemBudget != nil {
 		return fmt.Errorf("mapreduce: job %q: transport %q is incompatible with MemBudget",
 			c.Name, c.Transport.TransportName())
 	}

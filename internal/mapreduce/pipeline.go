@@ -286,9 +286,9 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	// Shuffle wiring: one node per partition, gated on every map task, in
 	// both edge policies. A partition's shuffle is ONE attempt-tracked
 	// unit of work — fault decisions are keyed (phase, task, attempt) —
-	// and it is nearly free: its body hands over the partition's store or
-	// collects its runs, and the merge happens inside the reduce task as
-	// it reads them.
+	// and it is nearly free: its body hands over the partition's store,
+	// collects its runs or, on a remote master, counts them, and the
+	// merge happens inside the reduce task as it reads them.
 	shufNodes := make([]*dagNode, R)
 	for r := 0; r < R; r++ {
 		r := r
@@ -350,7 +350,7 @@ func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase faults.Pha
 	}
 	var thr costmodel.Units
 	gate := g.node(nodeKey{np, -1}, func() error {
-		thr = quantile(costs, fr.policy.SpeculationQuantile)
+		thr = quantile(costs, defaultSpeculationQuantile)
 		return nil
 	})
 	for _, tn := range taskNodes {

@@ -5,23 +5,25 @@ package mapreduce
 // resolution-affecting configuration, so each can reconstruct the
 // job's Config (mappers, reducers, side data) locally: only task
 // identity and result metadata cross the wire, never closures or
-// input payloads. The shared-filesystem run files of the PR 6 spill
-// layer are the data plane: a map task writes one pre-sorted run file
-// per partition, a shuffle task k-way merges them into one merged run
-// per partition, and a reduce task streams that merged run — the
-// master hands workers run-file paths (implicitly, via task identity
-// and a shared data dir), not payloads. Reduce output, counters,
-// spans, and quality observations travel back inline over RPC: they
-// are exactly the per-task state phaseOutputs needs.
+// input payloads. The shared-filesystem run files are the data plane:
+// a map task writes one pre-sorted run file per partition, and a
+// reduce task merges its partition's M map run files as it reads them
+// (runMerge, the merge a budgeted spillStore reads with) — the master
+// hands workers run-file paths (implicitly, via task identity and a
+// shared data dir), not payloads. Reduce output, counters, spans, and
+// quality observations travel back inline over RPC: they are exactly
+// the per-task state phaseOutputs needs.
 //
 // Determinism: the master runs the same job-graph builder (map →
 // shuffle r gated on all maps → reduce r), with the same runAttempted /
 // speculation machinery, as local execution — only its body policy
-// differs: its bodies dispatch over RPC instead of calling the task
-// function. Committed results are byte-identical to local execution
-// because the task bodies are the same deterministic functions, so
-// everything derived in Run's finalize half (schedule, Result, spans,
-// metrics, quality) is transport-independent. Workers fill the same
+// differs: its map and reduce bodies dispatch over RPC instead of
+// calling the task function, and its shuffle body, like the local one,
+// only names the partition's input (remoteInput, a record count).
+// Committed results are byte-identical to local execution because the
+// task bodies are the same deterministic functions, so everything
+// derived in Run's finalize half (schedule, Result, spans, metrics,
+// quality) is transport-independent. Workers fill the same
 // phaseOutputs from the master's end-of-job broadcast, which keeps
 // every process's driver loop (job-2 schedule generation feeds on
 // job-1's Result) in lockstep.
@@ -40,12 +42,12 @@ import (
 	"proger/internal/obs/quality"
 )
 
-// Remote phase names, the wire form of a leased task's phase. They are
-// the live phase names, so either converts to the other directly.
+// Remote phase names, the wire form of a leased task's phase: map and
+// reduce, the two kinds of lease. They are the live phase names, so
+// either converts to the other directly.
 const (
-	RemotePhaseMap     = string(live.PhaseMap)
-	RemotePhaseShuffle = string(live.PhaseShuffle)
-	RemotePhaseReduce  = string(live.PhaseReduce)
+	RemotePhaseMap    = string(live.PhaseMap)
+	RemotePhaseReduce = string(live.PhaseReduce)
 )
 
 // RemoteJobSpec describes one job as a process derived it from its own
@@ -67,9 +69,9 @@ type RemoteJobSpec struct {
 // RemoteTaskResult is one completed task's wire-form outcome — the
 // per-task slice of phaseOutputs that must cross processes. Bulk data
 // stays on the shared filesystem: a map task reports only per-partition
-// record counts (the runs themselves are files), a shuffle task its
-// merged record count. Reduce output is the job's actual product and
-// returns inline.
+// record counts (the runs themselves are files), which is all any
+// process needs to know of a shuffle. Reduce output is the job's actual
+// product and returns inline.
 type RemoteTaskResult struct {
 	Cost     costmodel.Units
 	Counters Counters
@@ -83,27 +85,25 @@ type RemoteTaskResult struct {
 	Worker int
 	// PartLens is a map task's record count per partition.
 	PartLens []int
-	// Len is a shuffle task's merged record count.
-	Len int
 	// Out and Qobs are a reduce task's output records and quality
 	// observations.
 	Out  []TimedKV
 	Qobs []quality.BlockObs
 }
 
-// RemoteJobResults is the master's end-of-job broadcast: every task's
-// committed result, indexed by task. Workers fill phaseOutputs from it
-// and proceed exactly as if they had executed the job locally.
+// RemoteJobResults is the master's end-of-job broadcast: every map and
+// reduce task's committed result, indexed by task. Workers fill
+// phaseOutputs from it and proceed exactly as if they had executed the
+// job locally.
 type RemoteJobResults struct {
-	Map     []RemoteTaskResult
-	Shuffle []RemoteTaskResult
-	Reduce  []RemoteTaskResult
+	Map    []RemoteTaskResult
+	Reduce []RemoteTaskResult
 }
 
-// remoteInput is the master's stand-in reduceInput for a partition
-// merged on some worker: the record count is known (the schedule and
-// trace need it), the records themselves live in the shared run file
-// and are only ever streamed worker-side.
+// remoteInput is a shuffle node's reduceInput on a remote transport:
+// the record count is known (the schedule and trace need it), the
+// records themselves live in the map tasks' shared run files and are
+// only ever merged worker-side, by the reduce lease (mapRunsInput).
 type remoteInput struct {
 	n int
 }
@@ -113,48 +113,43 @@ func (r remoteInput) Iter() (kvIter, error) {
 	return nil, fmt.Errorf("mapreduce: remote reduce input holds no local records")
 }
 
-// runFileInput is the worker-side reduceInput streaming a merged
-// shuffle run file, which the master's job cleanup owns; each Iter
-// opens an independent handle. c, when non-nil, counts bytes read off
-// the file.
-type runFileInput struct {
-	path string
-	n    int
-	c    *obs.Counter
-}
-
-func (f runFileInput) Len() int { return f.n }
-
-func (f runFileInput) Iter() (kvIter, error) {
-	fh, err := os.Open(f.path)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: open shuffle run: %w", err)
+// partitionInput is partition r's remoteInput: Σ PartLens[r] over the
+// committed map tasks, the count the reduce lease's merge must reach.
+func partitionInput(po *phaseOutputs, r int) remoteInput {
+	n := 0
+	for _, mr := range po.mapRes {
+		n += mr.remote.PartLens[r]
 	}
-	return &runFileIter{f: fh, rr: extsort.NewRunReader(countingReader{fh, f.c})}, nil
+	return remoteInput{n: n}
 }
 
-type runFileIter struct {
-	f  *os.File
-	rr *extsort.RunReader
+// mapRunsInput is a worker's reduceInput: partition r's M map run files
+// in the job's shared directory, which the master's job cleanup owns,
+// merged by (key, map index) as they are read. n is the count the map
+// tasks reported; a merge that yields another count fails. Each Iter
+// opens independent handles; c, when non-nil, counts bytes read off the
+// files.
+type mapRunsInput struct {
+	job     string
+	dir     string
+	maps, r int
+	n       int
+	c       *obs.Counter
 }
 
-func (it *runFileIter) Next() (KeyValue, bool, error) {
-	_, key, val, err := it.rr.Next()
-	if err == io.EOF {
-		return KeyValue{}, false, nil
+func (in mapRunsInput) Len() int { return in.n }
+
+func (in mapRunsInput) Iter() (kvIter, error) {
+	paths := make([]string, in.maps)
+	for m := range paths {
+		paths[m] = filepath.Join(in.dir, mapRunName(m, in.r))
 	}
-	if err != nil {
-		return KeyValue{}, false, fmt.Errorf("mapreduce: read shuffle run: %w", err)
-	}
-	return KeyValue{Key: key, Value: val}, true, nil
+	return openRunMerge(in.job, in.r, in.n, nil, paths, in.c)
 }
-
-func (it *runFileIter) Close() error { return it.f.Close() }
 
 // Run-file naming inside one job's shared directory.
 func remoteJobDirName(seq int) string { return fmt.Sprintf("job%d", seq) }
 func mapRunName(m, r int) string      { return fmt.Sprintf("m%d.p%d.run", m, r) }
-func shuffleRunName(r int) string     { return fmt.Sprintf("shuf%d.run", r) }
 func remoteJobDir(dataDir string, seq int) string {
 	return filepath.Join(dataDir, remoteJobDirName(seq))
 }
@@ -192,7 +187,7 @@ type RemoteRunner struct {
 }
 
 type remoteTaskKey struct {
-	phase string
+	phase live.Phase
 	task  int
 }
 
@@ -227,19 +222,19 @@ func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int, tracing, qu
 
 func (rr *RemoteRunner) jobDir() string { return remoteJobDir(rr.dataDir, rr.seq) }
 
-func (rr *RemoteRunner) markDone(phase string, task int) {
+func (rr *RemoteRunner) markDone(p live.Phase, task int) {
 	rr.mu.Lock()
-	rr.done[remoteTaskKey{phase, task}] = struct{}{}
+	rr.done[remoteTaskKey{p, task}] = struct{}{}
 	rr.mu.Unlock()
 }
 
 // publishRemaining back-fills the local live snapshot hub with the
-// tasks other workers executed, from the master's broadcast — worker
-// attribution included — so a worker's status server converges to the
-// complete job view.
-func (rr *RemoteRunner) publishRemaining(p live.Phase, phase string, task int, cost costmodel.Units, records, worker int) {
+// tasks this process did not execute, from the master's broadcast —
+// worker attribution included (0 for a shuffle, which no worker runs) —
+// so a worker's status server converges to the complete job view.
+func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.Units, records, worker int) {
 	rr.mu.Lock()
-	_, ran := rr.done[remoteTaskKey{phase, task}]
+	_, ran := rr.done[remoteTaskKey{p, task}]
 	rr.mu.Unlock()
 	if ran {
 		return
@@ -264,8 +259,6 @@ func (rr *RemoteRunner) RunTask(phase string, task, inputLen int) (*RemoteTaskRe
 			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", task, len(rr.splits))
 		}
 		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runMap(task) }
-	case RemotePhaseShuffle:
-		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runShuffle(task) }
 	case RemotePhaseReduce:
 		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, inputLen) }
 	default:
@@ -277,13 +270,13 @@ func (rr *RemoteRunner) RunTask(phase string, task, inputLen int) (*RemoteTaskRe
 		return nil, err
 	}
 	rr.lj.TaskWorker(p, task, rr.workerID)
-	rr.markDone(phase, task)
+	rr.markDone(p, task)
 	return res, nil
 }
 
-// runMap, runShuffle, and runReduce are the worker-side task bodies;
-// beside the wire-form result each reports what trackTask publishes —
-// the task's cost and the record count of its live done transition.
+// runMap and runReduce are the worker-side task bodies; beside the
+// wire-form result each reports what trackTask publishes — the task's
+// cost and the record count of its live done transition.
 func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, error) {
 	out, cost, counters, spans, err := runMapTask(rr.execCfg, m, rr.splits[m])
 	if err != nil {
@@ -299,62 +292,10 @@ func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, 
 	return res, cost, len(rr.splits[m]), nil
 }
 
-// runShuffle k-way merges partition r's map run files by (key, map
-// index) — the identical stable order every local storage mode yields —
-// streaming straight into the partition's merged run file.
-func (rr *RemoteRunner) runShuffle(r int) (*RemoteTaskResult, costmodel.Units, int, error) {
-	n, err := rr.mergePartition(r)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("mapreduce: shuffle %d: %w", r, err)
-	}
-	cost := rr.execCfg.Cost.ShuffleSortCost(n)
-	return &RemoteTaskResult{Cost: cost, Len: n}, cost, n, nil
-}
-
-func (rr *RemoteRunner) mergePartition(r int) (int, error) {
-	dir := rr.jobDir()
-	// First-write-wins: if a previous lease of this task already merged
-	// the partition, count its records instead of rewriting identical
-	// bytes over a file a reduce task may be streaming.
-	if final := filepath.Join(dir, shuffleRunName(r)); fileExists(final) {
-		return countRunRecords(final, rr.cRead)
-	}
-	M := rr.execCfg.NumMapTasks
-	files := make([]*os.File, 0, M)
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	var readErr error
-	pulls := make([]func() (prioKV, bool), 0, M)
-	for m := 0; m < M; m++ {
-		f, err := os.Open(filepath.Join(dir, mapRunName(m, r)))
-		if err != nil {
-			return 0, err
-		}
-		files = append(files, f)
-		pulls = append(pulls, runFileSource(extsort.NewRunReader(countingReader{f, rr.cRead}), &readErr))
-	}
-	merger := extsort.NewMerger(pulls, prioKVCmp)
-	total := 0
-	err := commitRunFile(dir, shuffleRunName(r), rr.cWrite, func(rw *extsort.RunWriter) error {
-		for {
-			rec, ok := merger.Next()
-			if !ok {
-				return readErr
-			}
-			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
-				return err
-			}
-			total++
-		}
-	})
-	return total, err
-}
-
+// runReduce streams partition i straight from the map run files:
+// inputLen is the lease's Σ PartLens[i], which the merge must reach.
 func (rr *RemoteRunner) runReduce(i, inputLen int) (*RemoteTaskResult, costmodel.Units, int, error) {
-	in := runFileInput{path: filepath.Join(rr.jobDir(), shuffleRunName(i)), n: inputLen, c: rr.cRead}
+	in := mapRunsInput{job: rr.execCfg.Name, dir: rr.jobDir(), maps: rr.execCfg.NumMapTasks, r: i, n: inputLen, c: rr.cRead}
 	out, cost, counters, spans, qobs, err := runReduceTask(rr.execCfg, i, in)
 	if err != nil {
 		return nil, 0, 0, err
@@ -408,26 +349,6 @@ func commitRunFile(dir, name string, c *obs.Counter, write func(rw *extsort.RunW
 		return err
 	}
 	return nil
-}
-
-func countRunRecords(path string, c *obs.Counter) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	rr := extsort.NewRunReader(countingReader{f, c})
-	n := 0
-	for {
-		_, _, _, err := rr.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		n++
-	}
 }
 
 // countingReader/countingWriter feed a run-file byte counter from the
@@ -487,15 +408,11 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 	var results *RemoteJobResults
 	if err == nil {
 		results = &RemoteJobResults{
-			Map:     make([]RemoteTaskResult, cfg.NumMapTasks),
-			Shuffle: make([]RemoteTaskResult, cfg.NumReduceTasks),
-			Reduce:  make([]RemoteTaskResult, cfg.NumReduceTasks),
+			Map:    make([]RemoteTaskResult, cfg.NumMapTasks),
+			Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks),
 		}
 		for m, res := range po.mapRes {
 			results.Map[m] = *res.remote
-		}
-		for r, res := range po.shufRes {
-			results.Shuffle[r] = *res.remote
 		}
 		for i, res := range po.reduceRes {
 			results.Reduce[i] = *res.remote
@@ -509,8 +426,10 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 	return po, err
 }
 
-// masterBodies leases every task body to the worker fleet through
-// rjob.RunTask and wraps the wire-form result into po's slot types.
+// masterBodies leases every map and reduce body to the worker fleet
+// through rjob.RunTask and wraps the wire-form result into po's slot
+// types. The shuffle body dispatches nothing: the reduce lease merges
+// its own input, so the node only names it.
 func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
 	// Lost leases (worker died mid-task) re-dispatch below the attempt
 	// runtime: host chaos stays off the simulated timeline.
@@ -534,23 +453,7 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 				return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, len(splits[m]), nil
 			})
 		},
-		shuffle: func(r int) (shuffleTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
-				n := 0
-				for _, mr := range po.mapRes {
-					n += mr.remote.PartLens[r]
-				}
-				res, err := dispatch(live.PhaseShuffle, r, n)
-				if err != nil {
-					return shuffleTaskResult{}, 0, 0, err
-				}
-				if res.Len != n {
-					return shuffleTaskResult{}, 0, 0, fmt.Errorf("mapreduce: %s shuffle %d merged %d records, map tasks produced %d",
-						cfg.Name, r, res.Len, n)
-				}
-				return shuffleTaskResult{in: remoteInput{n: n}, remote: res}, cfg.Cost.ShuffleSortCost(n), n, nil
-			})
-		},
+		shuffle: shuffleBody(cfg, lj, po, func(r int) reduceInput { return partitionInput(po, r) }),
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
 				n := po.shufRes[i].in.Len()
@@ -567,32 +470,40 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 // runRemoteWorker is the follower side: leases execute concurrently
 // through the transport's pump loops (which call RemoteRunner.RunTask
 // directly); here the driver just waits for the master's broadcast and
-// fills phaseOutputs from it, so the rest of Run — and the next job's
-// schedule generation — proceeds identically to the master's.
+// fills phaseOutputs from it — each partition's input from the map
+// tasks' PartLens, as the master's shuffle node does — so the rest of
+// Run, and the next job's schedule generation, proceeds identically to
+// the master's.
 func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
 	jr, err := rjob.Wait()
 	if err != nil {
 		return nil, err
 	}
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	if len(jr.Map) != M || len(jr.Shuffle) != R || len(jr.Reduce) != R {
-		return nil, fmt.Errorf("mapreduce: %s: master broadcast %d/%d/%d task results, this process expects %d/%d/%d — fleet configs diverged",
-			cfg.Name, len(jr.Map), len(jr.Shuffle), len(jr.Reduce), M, R, R)
+	if len(jr.Map) != M || len(jr.Reduce) != R {
+		return nil, fmt.Errorf("mapreduce: %s: master broadcast %d/%d task results, this process expects %d/%d — fleet configs diverged",
+			cfg.Name, len(jr.Map), len(jr.Reduce), M, R)
 	}
 	po := newPhaseOutputs(cfg)
-	for m, res := range jr.Map {
-		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans}
+	for m := range jr.Map {
+		res := &jr.Map[m]
+		if len(res.PartLens) != R {
+			return nil, fmt.Errorf("mapreduce: %s: master broadcast map task %d with %d partitions, this process expects %d — fleet configs diverged",
+				cfg.Name, m, len(res.PartLens), R)
+		}
+		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}
 		po.mapCosts[m] = res.Cost
-		runner.publishRemaining(live.PhaseMap, RemotePhaseMap, m, res.Cost, len(splits[m]), res.Worker)
+		runner.publishRemaining(live.PhaseMap, m, res.Cost, len(splits[m]), res.Worker)
 	}
-	for r, res := range jr.Shuffle {
-		po.shufRes[r] = shuffleTaskResult{in: remoteInput{n: res.Len}}
-		runner.publishRemaining(live.PhaseShuffle, RemotePhaseShuffle, r, res.Cost, res.Len, res.Worker)
+	for r := range po.shufRes {
+		in := partitionInput(po, r)
+		po.shufRes[r] = shuffleTaskResult{in: in}
+		runner.publishRemaining(live.PhaseShuffle, r, cfg.Cost.ShuffleSortCost(in.n), in.n, 0)
 	}
 	for i, res := range jr.Reduce {
 		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs}
 		po.reduceCosts[i] = res.Cost
-		runner.publishRemaining(live.PhaseReduce, RemotePhaseReduce, i, res.Cost, jr.Shuffle[i].Len, res.Worker)
+		runner.publishRemaining(live.PhaseReduce, i, res.Cost, po.shufRes[i].in.Len(), res.Worker)
 	}
 	return po, nil
 }

@@ -1,0 +1,144 @@
+package mapreduce
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"proger/internal/costmodel"
+	"proger/internal/extsort"
+)
+
+// TestRemoteReduceChecksItsInputCount: a reduce lease merges its
+// partition's map run files itself and must reach the lease's input
+// length, the Σ PartLens the map tasks reported. An intact partition
+// reduces to exactly the records a local run's reduce task emits; with
+// one record cut from one map run file the lease fails, naming the job,
+// the partition and both counts.
+func TestRemoteReduceChecksItsInputCount(t *testing.T) {
+	cfg := wordCountConfig(1)
+	local, err := Run(cfg, wordCountInput(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
+	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
+	rr := newRemoteRunner(&cfg, splits, nil)
+	rr.Configure(t.TempDir(), 1, 1, false, false)
+	lens := make([]int, cfg.NumReduceTasks)
+	for m := range splits {
+		res, err := rr.RunTask(RemotePhaseMap, m, len(splits[m]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, n := range res.PartLens {
+			lens[r] += n
+		}
+	}
+
+	for r := range lens {
+		res, err := rr.RunTask(RemotePhaseReduce, r, lens[r])
+		if err != nil {
+			t.Fatalf("intact reduce %d: %v", r, err)
+		}
+		var want []TimedKV
+		for _, kv := range local.Output {
+			if kv.Task == r {
+				kv.Global = 0
+				want = append(want, kv)
+			}
+		}
+		if !reflect.DeepEqual(res.Out, want) {
+			t.Errorf("reduce %d: lease emitted %v, local run %v", r, res.Out, want)
+		}
+	}
+
+	// Cut the last record of map 0's run for the first partition it feeds.
+	r := 0
+	for cutRun(t, rr.jobDir(), mapRunName(0, r)) == 0 {
+		r++
+	}
+	_, err = rr.RunTask(RemotePhaseReduce, r, lens[r])
+	want := fmt.Sprintf("wordcount shuffle for reduce %d: merged %d records, map tasks produced %d", r, lens[r]-1, lens[r])
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("short reduce %d: err = %v, want it to contain %q", r, err, want)
+	}
+}
+
+// cutRun rewrites the run file dir/name without its last record and
+// returns how many records it held.
+func cutRun(t *testing.T, dir, name string) int {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []prioKV
+	rd := extsort.NewRunReader(f)
+	for {
+		seq, key, val, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}})
+	}
+	if len(recs) == 0 {
+		return 0
+	}
+	err = commitRunFile(dir, name, nil, func(rw *extsort.RunWriter) error {
+		for _, rec := range recs[:len(recs)-1] {
+			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(recs)
+}
+
+// broadcastJob is a worker's RemoteJob whose master broadcast jr.
+type broadcastJob struct{ jr *RemoteJobResults }
+
+func (broadcastJob) Master() bool                                        { return false }
+func (broadcastJob) RunTask(string, int, int) (*RemoteTaskResult, error) { return nil, nil }
+func (broadcastJob) Finish(*RemoteJobResults, error) error               { return nil }
+func (j broadcastJob) Wait() (*RemoteJobResults, error)                  { return j.jr, nil }
+
+// TestWorkerDerivesShuffleFromPartLens: a worker sizes each partition's
+// input from the broadcast's map PartLens, and a map result with
+// another partition count than this process derived is a diverged
+// fleet, not an index out of range.
+func TestWorkerDerivesShuffleFromPartLens(t *testing.T) {
+	cfg := wordCountConfig(1)
+	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
+	jr := &RemoteJobResults{Map: make([]RemoteTaskResult, cfg.NumMapTasks), Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks)}
+	for m := range jr.Map {
+		jr.Map[m].PartLens = []int{m, 10 * m}
+	}
+	po, err := runRemoteWorker(&cfg, splits, broadcastJob{jr}, newRemoteRunner(&cfg, splits, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range []int{0 + 1 + 2, 0 + 10 + 20} {
+		if got := po.shufRes[r].in.Len(); got != want {
+			t.Errorf("partition %d: input of %d records, want Σ PartLens = %d", r, got, want)
+		}
+	}
+
+	jr.Map[1].PartLens = jr.Map[1].PartLens[:1]
+	_, err = runRemoteWorker(&cfg, splits, broadcastJob{jr}, newRemoteRunner(&cfg, splits, nil))
+	if err == nil || !strings.Contains(err.Error(), "map task 1 with 1 partitions, this process expects 2") {
+		t.Errorf("err = %v, want the diverged broadcast named", err)
+	}
+}

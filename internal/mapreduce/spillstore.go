@@ -2,11 +2,14 @@ package mapreduce
 
 // The pluggable shuffle storage layer. A reduce task's input is a
 // reduceInput — either the map tasks' in-memory runs (memInput in
-// shuffle.go, the classic path) or a spillStore holding sorted runs
-// that may live in memory, on disk, or both. Which one a partition gets
-// is a pure host-machine decision (MemBudget, the one road to disk);
-// the record sequence both yield is byte-identical, which is what keeps
-// Result/trace/quality bytes independent of storage mode.
+// shuffle.go, the classic path), a spillStore holding sorted runs that
+// may live in memory, on disk, or both, or, in a reduce lease, the map
+// tasks' shared run files (mapRunsInput in remote.go). Which one a
+// partition gets is a pure host-machine decision (MemBudget, the one
+// road to disk, or a transport); the record sequence each yields is
+// byte-identical, which is what keeps Result/trace/quality bytes
+// independent of storage mode. The last two read through one merge,
+// runMerge.
 //
 // Ordering invariant: every run is tagged with a priority — its map
 // task index — and all merges compare (key, prio). Because one run is
@@ -25,6 +28,7 @@ import (
 
 	"proger/internal/extsort"
 	"proger/internal/membudget"
+	"proger/internal/obs"
 )
 
 // reduceInput is a reduce task's shuffled, merge-sorted input.
@@ -334,64 +338,93 @@ func (st *spillStore) Iter() (kvIter, error) {
 	if st.closed {
 		return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: Iter after Close", st.job, st.r)
 	}
-	it := &storeIter{st: st}
 	pulls := make([]func() (prioKV, bool), 0, len(st.memRuns)+len(st.files))
 	for _, run := range st.memRuns {
 		pulls = append(pulls, sliceSource(run.prio, run.kvs))
 	}
-	for _, path := range st.files {
-		f, err := os.Open(path)
-		if err != nil {
-			it.closeFiles()
-			return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
-		}
-		it.fhs = append(it.fhs, f)
-		pulls = append(pulls, runFileSource(extsort.NewRunReader(f), &it.err))
+	it, err := openRunMerge(st.job, st.r, st.total, pulls, st.files, nil)
+	if err != nil {
+		return nil, err
 	}
-	it.merger = extsort.NewMerger(pulls, prioKVCmp)
 	st.readers++
+	it.release = func() {
+		st.mu.Lock()
+		st.readers--
+		st.mu.Unlock()
+	}
 	return it, nil
 }
 
-type storeIter struct {
-	st     *spillStore
-	fhs    []*os.File
-	merger *extsort.Merger[prioKV]
-	err    error
-	done   bool
+// runMerge is the one merged pass over a partition's sorted runs, held
+// in memory or in run files, used by a spillStore and by a reduce
+// lease reading the map tasks' shared run files (mapRunsInput): an
+// extsort.Merger by (key, prio). It must yield exactly want records; a
+// pass that ends short or long fails, naming the job, the partition and
+// both counts.
+type runMerge struct {
+	job     string
+	r       int
+	want, n int
+	fhs     []*os.File
+	merger  *extsort.Merger[prioKV]
+	err     error
+	release func() // run once by Close; nil = nothing to release
+	done    bool
 }
 
-func (it *storeIter) Next() (KeyValue, bool, error) {
+// openRunMerge opens the run files at paths and merges them with the
+// in-memory sources pulls. c, when non-nil, counts the bytes read off
+// the files.
+func openRunMerge(job string, r, want int, pulls []func() (prioKV, bool), paths []string, c *obs.Counter) (*runMerge, error) {
+	it := &runMerge{job: job, r: r, want: want}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			it.closeFiles()
+			return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", job, r, err)
+		}
+		it.fhs = append(it.fhs, f)
+		pulls = append(pulls, runFileSource(extsort.NewRunReader(countingReader{f, c}), &it.err))
+	}
+	it.merger = extsort.NewMerger(pulls, prioKVCmp)
+	return it, nil
+}
+
+func (it *runMerge) Next() (KeyValue, bool, error) {
 	var rec prioKV
 	ok := false
 	if it.err == nil {
 		rec, ok = it.merger.Next()
 	}
+	if it.err == nil && !ok && it.n != it.want {
+		it.err = fmt.Errorf("merged %d records, map tasks produced %d", it.n, it.want)
+	}
 	if it.err != nil {
-		return KeyValue{}, false, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", it.st.job, it.st.r, it.err)
+		return KeyValue{}, false, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", it.job, it.r, it.err)
 	}
 	if !ok {
 		return KeyValue{}, false, nil
 	}
+	it.n++
 	return rec.kv, true, nil
 }
 
-func (it *storeIter) closeFiles() {
+func (it *runMerge) closeFiles() {
 	for _, f := range it.fhs {
 		f.Close()
 	}
 	it.fhs = nil
 }
 
-func (it *storeIter) Close() error {
+func (it *runMerge) Close() error {
 	if it.done {
 		return nil
 	}
 	it.done = true
 	it.closeFiles()
-	it.st.mu.Lock()
-	it.st.readers--
-	it.st.mu.Unlock()
+	if it.release != nil {
+		it.release()
+	}
 	return nil
 }
 
@@ -427,8 +460,8 @@ func (st *spillStore) Close() error {
 
 // reduceInputsEqual streams both inputs and compares record by record.
 // Remote inputs hold no local records — two are equal when their
-// counts agree (the records themselves were proven equal worker-side,
-// where duplicate executions hit the same first-write-wins run file).
+// counts agree (the records are the map tasks' first-write-wins run
+// files, and the reduce lease's merge checks the count).
 func reduceInputsEqual(a, b reduceInput) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil

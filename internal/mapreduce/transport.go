@@ -3,14 +3,15 @@ package mapreduce
 // The task transport layer: where one job's task bodies (the job
 // graph's body policy) execute. With no transport every body runs
 // in-process; a TaskTransport (internal/dist) instead leases the
-// deterministic task bodies — map/shuffle/reduce, identified by
-// (job seq, phase, task index) — to worker processes, while the graph
-// builder, its channel-pool scheduler, the attempt/retry/speculation
-// runtime, and all observability stay in this package and are shared
-// verbatim between the two. That sharing is the determinism argument:
-// both placements run the same builder with the same attempt machinery
-// and fill the same phaseOutputs, so Result, trace, and quality bytes
-// cannot depend on which transport executed the work.
+// deterministic map and reduce bodies — identified by (job seq, phase,
+// task index); a reduce merges its own input — to worker processes,
+// while the graph builder, its channel-pool scheduler, the
+// attempt/retry/speculation runtime, and all observability stay in
+// this package and are shared verbatim between the two. That sharing
+// is the determinism argument: both placements run the same builder
+// with the same attempt machinery and fill the same phaseOutputs, so
+// Result, trace, and quality bytes cannot depend on which transport
+// executed the work.
 
 // TaskTransport executes a job's task bodies in other OS processes
 // (see internal/dist); the nil value runs every task body in this

@@ -8,11 +8,10 @@ package live
 // contract: the master records it in its fleet table and nothing else
 // ever reads it.
 type WorkerTelemetry struct {
-	// MapTasks/ShuffleTasks/ReduceTasks count lease executions this
-	// worker completed successfully, by phase.
-	MapTasks     int64 `json:"map_tasks"`
-	ShuffleTasks int64 `json:"shuffle_tasks"`
-	ReduceTasks  int64 `json:"reduce_tasks"`
+	// MapTasks/ReduceTasks count lease executions this worker completed
+	// successfully, by phase.
+	MapTasks    int64 `json:"map_tasks"`
+	ReduceTasks int64 `json:"reduce_tasks"`
 	// BusyCostUnits sums the simulated cost of completed executions —
 	// the worker-local view of realized load, comparable across the
 	// fleet because the simulated clock is host-independent.
@@ -26,8 +25,8 @@ type WorkerTelemetry struct {
 	LeaseWaits      int64 `json:"lease_waits"`
 	LeaseWaitMillis int64 `json:"lease_wait_ms"`
 	// RunBytesRead/RunBytesWritten are shared-directory run-file bytes
-	// this process moved (map runs written, shuffle merges read+written,
-	// reduce inputs streamed).
+	// this process moved (map runs written, reduce inputs merged off the
+	// map runs).
 	RunBytesRead    int64 `json:"run_bytes_read"`
 	RunBytesWritten int64 `json:"run_bytes_written"`
 	// RPCBytesIn/RPCBytesOut count raw bytes on this worker's RPC
@@ -59,12 +58,11 @@ type FleetWorker struct {
 	LeasesHeld    int   `json:"leases_held"`
 	LeasesGranted int64 `json:"leases_granted"`
 	LeasesExpired int64 `json:"leases_expired"`
-	// MapDone/ShuffleDone/ReduceDone count completions the master
-	// accepted from this worker (first-completion-wins; late duplicates
-	// are not counted).
-	MapDone     int64 `json:"map_done"`
-	ShuffleDone int64 `json:"shuffle_done"`
-	ReduceDone  int64 `json:"reduce_done"`
+	// MapDone/ReduceDone count completions the master accepted from
+	// this worker (first-completion-wins; late duplicates are not
+	// counted).
+	MapDone    int64 `json:"map_done"`
+	ReduceDone int64 `json:"reduce_done"`
 	// BusyCostUnits sums accepted completions' simulated cost;
 	// SkewVsMean is this worker's share against the mean over workers
 	// that received any lease — the fleet-level straggler signal.

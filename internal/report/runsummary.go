@@ -73,8 +73,8 @@ func writeFleetSummary(w io.Writer, fleet live.FleetSnapshot) error {
 		if !fw.Alive {
 			state = "  [dead]"
 		}
-		fmt.Fprintf(&b, "  w%-3d %4d map %4d shuffle %4d reduce  busy %.0f units (skew %.2f)  leases %d granted / %d expired%s\n",
-			fw.ID, fw.MapDone, fw.ShuffleDone, fw.ReduceDone,
+		fmt.Fprintf(&b, "  w%-3d %4d map %4d reduce  busy %.0f units (skew %.2f)  leases %d granted / %d expired%s\n",
+			fw.ID, fw.MapDone, fw.ReduceDone,
 			fw.BusyCostUnits, fw.SkewVsMean, fw.LeasesGranted, fw.LeasesExpired, state)
 		if t := fw.Telemetry; t != nil {
 			busyFrac := 0.0

@@ -40,8 +40,7 @@ func TestWriteRunSummary(t *testing.T) {
 
 	fleet := live.FleetSnapshot{
 		Workers: []live.FleetWorker{
-			{ID: 1, Alive: true, LeasesGranted: 9, MapDone: 4, ShuffleDone: 2,
-				ReduceDone: 3, BusyCostUnits: 120, SkewVsMean: 1.2,
+			{ID: 1, Alive: true, LeasesGranted: 9, MapDone: 4, ReduceDone: 3, BusyCostUnits: 120, SkewVsMean: 1.2,
 				Telemetry: &live.WorkerTelemetry{BusyMillis: 75, IdleMillis: 25,
 					RunBytesRead: 1000, RunBytesWritten: 2000,
 					RPCBytesIn: 300, RPCBytesOut: 400}},

@@ -18,8 +18,9 @@
 // is strict for the host but relaxed for workers (a killed worker ends
 // fewer jobs than it starts). Distributed-transport events
 // (worker.register, lease, lease.expire) must carry their identity
-// keys, leases imply a registered worker, and expiries never exceed
-// grants — globally and per worker. Used by `make trace-demo` and
+// keys, a lease's phase is one of the two lease kinds (map, reduce),
+// leases imply a registered worker, and expiries never exceed grants —
+// globally and per worker. Used by `make trace-demo` and
 // scripts/check.sh as a CI-grade sanity check.
 //
 // Usage: tracecheck [-quality QUALITY_FILE] [-events EVENTS_FILE] [TRACE_FILE [required-cat ...]]
@@ -36,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"proger/internal/mapreduce"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
 )
@@ -189,6 +191,10 @@ func checkEvents(path string) error {
 				if _, ok := ev[key].(float64); !ok {
 					return fmt.Errorf("%s: line %d (%s): missing %q", path, lines, name, key)
 				}
+			}
+			if phase != mapreduce.RemotePhaseMap && phase != mapreduce.RemotePhaseReduce {
+				return fmt.Errorf("%s: line %d (%s): phase %q is not a lease kind (%s or %s)",
+					path, lines, name, phase, mapreduce.RemotePhaseMap, mapreduce.RemotePhaseReduce)
 			}
 			id := int(ev["worker"].(float64))
 			if name == live.EventLease {
