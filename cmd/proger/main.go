@@ -78,7 +78,6 @@ func main() {
 	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
 	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
-	engine := flag.String("engine", "pipelined", "host execution engine: pipelined (dependency-driven task graph) | barrier (three barriered phases); results are identical")
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	distN := flag.Int("dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
@@ -178,7 +177,6 @@ func main() {
 		injector = proger.NewSeededFaults(*faultSeed, *faultRate)
 		retry = proger.RetryPolicy{MaxRetries: *maxRetries, Speculation: true}
 	}
-	execMode := pickEngine(*engine)
 	budgetBytes, sizeErr := parseSize(*memBudget)
 	if sizeErr != nil {
 		log.Fatal(sizeErr)
@@ -251,7 +249,6 @@ func main() {
 		err error
 	)
 	host := proger.Host{
-		Execution: execMode,
 		Transport: transport,
 		Faults:    injector,
 		Retry:     retry,
@@ -623,17 +620,6 @@ func parseSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
-func pickEngine(name string) proger.ExecutionMode {
-	switch name {
-	case "pipelined":
-		return proger.ExecPipelined
-	case "barrier":
-		return proger.ExecBarrier
-	}
-	log.Fatalf("unknown engine %q (want pipelined or barrier)", name)
-	return proger.ExecPipelined
-}
-
 func pickPolicy(generate string) proger.Policy {
 	if generate == "books" {
 		return proger.OLBooksPolicy()
@@ -719,7 +705,7 @@ var resolutionFlags = map[string]bool{
 	"input": true, "generate": true, "n": true, "seed": true, "truth": true,
 	"block": true, "rule": true, "match-threshold": true, "mechanism": true,
 	"scheduler": true, "basic": true, "window": true, "popcorn": true,
-	"machines": true, "slots": true, "engine": true,
+	"machines": true, "slots": true,
 	"fault-rate": true, "fault-seed": true, "max-retries": true,
 }
 

@@ -22,7 +22,6 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "inject simulated task faults at this per-attempt probability (0 disables; results are unaffected)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for deterministic fault injection")
 	maxRetries := flag.Int("max-retries", 3, "per-task retry budget when -fault-rate > 0")
-	barrier := flag.Bool("barrier", false, "use the barrier edge policy instead of the pipelined default (results are identical)")
 	memBudget := flag.Int64("mem-budget", 0, "cap tracked shuffle memory at this many bytes, spilling runs to checksummed run files (0 = all in memory; results are identical)")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	statusAddr := flag.String("status", "", "serve the live status server (/healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof) on this address while the run executes")
@@ -96,11 +95,8 @@ func main() {
 		opts.Faults = proger.NewSeededFaults(*faultSeed, *faultRate)
 		opts.Retry = proger.RetryPolicy{MaxRetries: *maxRetries, Speculation: true}
 	}
-	if *barrier {
-		opts.Execution = proger.ExecBarrier
-	}
 	// Out-of-core knob: a memory budget forces shuffle buffers through
-	// run files on disk. Like -barrier and -fault-rate, the output below
+	// run files on disk. Like -fault-rate, the output below
 	// is identical with or without it.
 	opts.MemBudget = *memBudget
 	opts.SpillDir = *spillDir

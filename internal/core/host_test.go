@@ -29,7 +29,7 @@ func (namedTransport) BeginJob(mapreduce.RemoteJobSpec, *mapreduce.RemoteRunner)
 func TestHostReachesEveryJob(t *testing.T) {
 	values := map[string]any{
 		"Workers":   3,
-		"Execution": mapreduce.ExecBarrier,
+		"Execution": mapreduce.ExecutionMode(1),
 		"Transport": namedTransport("test"),
 		"Faults":    faults.NewSeeded(1, 0.5),
 		"Retry":     mapreduce.RetryPolicy{MaxRetries: 2, Speculation: true},

@@ -145,43 +145,40 @@ func TestLiveEndpointsUnderFaultedRun(t *testing.T) {
 // TestLiveDoesNotChangeArtifacts pins the tentpole determinism gate at
 // the pipeline level: Result events, Chrome trace bytes, and quality
 // JSON are byte-identical with the live hub + event log enabled and
-// disabled, across engines and worker counts.
+// disabled, across worker counts.
 func TestLiveDoesNotChangeArtifacts(t *testing.T) {
-	refRes, refTrace, refQual := equivRun(t, mapreduce.ExecBarrier, 1, 0)
+	refRes, refTrace, refQual := equivRun(t, mapreduce.ExecPipelined, 1, 0)
 	ds, _ := datagen.People()
-	for _, mode := range []mapreduce.ExecutionMode{mapreduce.ExecBarrier, mapreduce.ExecPipelined} {
-		for _, workers := range []int{1, 8} {
-			var events bytes.Buffer
-			run := live.NewRun(live.NewEventLog(&events))
-			opts := liveOpts(run, workers)
-			opts.Execution = mode
-			opts.Trace = obs.New()
-			opts.Metrics = obs.NewRegistry()
-			opts.Quality = quality.NewRecorder()
-			res, err := Resolve(ds, opts)
-			run.Finish(err)
-			if err != nil {
-				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
-			}
-			if !reflect.DeepEqual(res.Events, refRes.Events) || res.TotalTime != refRes.TotalTime {
-				t.Errorf("mode=%v workers=%d: live hub changed the result", mode, workers)
-			}
-			var trace, qual bytes.Buffer
-			if err := opts.Trace.WriteChromeTrace(&trace); err != nil {
-				t.Fatal(err)
-			}
-			if err := opts.Quality.Export(0).WriteJSON(&qual); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(trace.Bytes(), refTrace) {
-				t.Errorf("mode=%v workers=%d: live hub changed the trace bytes", mode, workers)
-			}
-			if !bytes.Equal(qual.Bytes(), refQual) {
-				t.Errorf("mode=%v workers=%d: live hub changed the quality bytes", mode, workers)
-			}
-			if events.Len() == 0 {
-				t.Errorf("mode=%v workers=%d: no events recorded", mode, workers)
-			}
+	for _, workers := range []int{1, 8} {
+		var events bytes.Buffer
+		run := live.NewRun(live.NewEventLog(&events))
+		opts := liveOpts(run, workers)
+		opts.Trace = obs.New()
+		opts.Metrics = obs.NewRegistry()
+		opts.Quality = quality.NewRecorder()
+		res, err := Resolve(ds, opts)
+		run.Finish(err)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(res.Events, refRes.Events) || res.TotalTime != refRes.TotalTime {
+			t.Errorf("workers=%d: live hub changed the result", workers)
+		}
+		var trace, qual bytes.Buffer
+		if err := opts.Trace.WriteChromeTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
+		if err := opts.Quality.Export(0).WriteJSON(&qual); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(trace.Bytes(), refTrace) {
+			t.Errorf("workers=%d: live hub changed the trace bytes", workers)
+		}
+		if !bytes.Equal(qual.Bytes(), refQual) {
+			t.Errorf("workers=%d: live hub changed the quality bytes", workers)
+		}
+		if events.Len() == 0 {
+			t.Errorf("workers=%d: no events recorded", workers)
 		}
 	}
 }
@@ -216,40 +213,36 @@ func eventMultiset(t *testing.T, raw []byte) []string {
 	return keys
 }
 
-// TestEventLogDeterministicSubset runs both edge policies at 1 and 8
-// workers and checks the event streams agree exactly once the
-// wall-clock fields are stripped: same events, same counts, only the
-// interleaving differs.
+// TestEventLogDeterministicSubset runs at 1 and 8 workers and checks
+// the event streams agree exactly once the wall-clock fields are
+// stripped: same events, same counts, only the interleaving differs.
 func TestEventLogDeterministicSubset(t *testing.T) {
 	ds, _ := datagen.People()
 	var ref []string
-	for _, mode := range []mapreduce.ExecutionMode{mapreduce.ExecBarrier, mapreduce.ExecPipelined} {
-		for _, workers := range []int{1, 8} {
-			var events bytes.Buffer
-			run := live.NewRun(live.NewEventLog(&events))
-			opts := liveOpts(run, workers)
-			opts.Execution = mode
-			_, err := Resolve(ds, opts)
-			run.Finish(err)
-			if err != nil {
-				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
-			}
-			got := eventMultiset(t, events.Bytes())
-			if len(got) == 0 {
-				t.Fatal("no events recorded")
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("mode=%v workers=%d: event multiset diverges from barrier/1 worker: %d vs %d lines",
-					mode, workers, len(got), len(ref))
-				for i := range ref {
-					if i < len(got) && ref[i] != got[i] {
-						t.Errorf("first divergence:\n  ref: %s\n  got: %s", ref[i], got[i])
-						break
-					}
+	for _, workers := range []int{1, 8} {
+		var events bytes.Buffer
+		run := live.NewRun(live.NewEventLog(&events))
+		opts := liveOpts(run, workers)
+		_, err := Resolve(ds, opts)
+		run.Finish(err)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := eventMultiset(t, events.Bytes())
+		if len(got) == 0 {
+			t.Fatal("no events recorded")
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers=%d: event multiset diverges from 1 worker: %d vs %d lines",
+				workers, len(got), len(ref))
+			for i := range ref {
+				if i < len(got) && ref[i] != got[i] {
+					t.Errorf("first divergence:\n  ref: %s\n  got: %s", ref[i], got[i])
+					break
 				}
 			}
 		}

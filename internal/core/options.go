@@ -30,8 +30,10 @@ type Host struct {
 	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
 	// affects results or simulated timing.
 	Workers int
-	// Execution picks the task graph's edge policy for every job:
-	// pipelined (default) or the barriered no-overlap reference.
+	// Execution is ignored: every job runs one task graph, in which
+	// each reduce task waits for every map task. It remains, and
+	// configure still copies it, only because the benchmark harness sets
+	// it for its persons-barrier row; it goes with that row.
 	Execution mapreduce.ExecutionMode
 	// Transport, when non-nil, replaces in-process task execution for
 	// every job: a dist.Master leases every task to worker processes, a

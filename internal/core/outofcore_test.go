@@ -16,17 +16,16 @@ import (
 	"proger/internal/sched"
 )
 
-// These tests pin the PR-6 hard constraint end to end: the memory
-// budget and its spill storage are host knobs only. A budget tight
+// These tests pin end to end that the memory budget and its spill storage are host knobs only. A budget tight
 // enough to force both jobs' shuffles through run files on disk must
 // reproduce the in-memory pipeline's Result, Chrome trace bytes, and
 // quality-telemetry JSON exactly.
 
 // outOfCoreRun resolves the People toy dataset with full telemetry
-// under the given engine/workers/budget, and whatever else mutate sets,
+// at the given workers/budget, and whatever else mutate sets,
 // and returns the Result plus the exported trace and quality bytes and
 // the metrics registry.
-func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budget int64, mutate ...func(*Options)) (*Result, []byte, []byte, *obs.Registry) {
+func outOfCoreRun(t *testing.T, workers int, budget int64, mutate ...func(*Options)) (*Result, []byte, []byte, *obs.Registry) {
 	t.Helper()
 	ds, _ := datagen.People()
 	opts := Options{
@@ -39,7 +38,6 @@ func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budge
 		Scheduler:       sched.Ours,
 		Host: Host{
 			Workers:   workers,
-			Execution: mode,
 			Trace:     obs.New(),
 			Metrics:   obs.NewRegistry(),
 			Quality:   quality.NewRecorder(),
@@ -54,7 +52,7 @@ func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budge
 	}
 	res, err := Resolve(ds, opts)
 	if err != nil {
-		t.Fatalf("mode=%v workers=%d budget=%d: %v", mode, workers, budget, err)
+		t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
 	}
 	var trace, qual bytes.Buffer
 	if err := opts.Trace.WriteChromeTrace(&trace); err != nil {
@@ -67,18 +65,20 @@ func outOfCoreRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, budge
 }
 
 // TestResolveBudgetMatchesInMemory compares the out-of-core pipeline
-// against the in-memory reference at every engine × workers point. The
+// against the in-memory reference at every execution mode × worker
+// count. Host.Execution is ignored, but the benchmark still sets the
+// barrier value, so both of its values must give the same bytes. The
 // 1 KiB budget is far below the People shuffle volume, so every
 // reduce-partition store spills; the full Result, trace bytes, and
 // quality JSON must still be byte-identical.
 func TestResolveBudgetMatchesInMemory(t *testing.T) {
-	refRes, refTrace, refQual, _ := outOfCoreRun(t, mapreduce.ExecBarrier, 1, 0)
+	refRes, refTrace, refQual, _ := outOfCoreRun(t, 1, 0)
 	sawPressure := false
-	for _, mode := range []mapreduce.ExecutionMode{mapreduce.ExecBarrier, mapreduce.ExecPipelined} {
+	for _, mode := range []mapreduce.ExecutionMode{0, 1} {
 		for _, workers := range []int{1, 8} {
 			name := fmt.Sprintf("mode=%d/workers=%d", mode, workers)
 			t.Run(name, func(t *testing.T) {
-				res, trace, qual, m := outOfCoreRun(t, mode, workers, 1<<10)
+				res, trace, qual, m := outOfCoreRun(t, workers, 1<<10, func(o *Options) { o.Execution = mode })
 				if !reflect.DeepEqual(res, refRes) {
 					t.Error("Result diverged from in-memory reference")
 				}
@@ -112,8 +112,8 @@ func TestResolveBudgetUnderFaultsMatchesFaultsAlone(t *testing.T) {
 		o.Retry = mapreduce.RetryPolicy{MaxRetries: 3, Speculation: true}
 	}
 	for _, workers := range []int{1, 8} {
-		refRes, refTrace, refQual, _ := outOfCoreRun(t, mapreduce.ExecPipelined, workers, 0, chaos)
-		res, trace, qual, m := outOfCoreRun(t, mapreduce.ExecPipelined, workers, 1<<10, chaos)
+		refRes, refTrace, refQual, _ := outOfCoreRun(t, workers, 0, chaos)
+		res, trace, qual, m := outOfCoreRun(t, workers, 1<<10, chaos)
 		if !reflect.DeepEqual(res, refRes) {
 			t.Errorf("workers=%d: Result diverged from the faults-only run", workers)
 		}
@@ -136,7 +136,7 @@ func TestResolveBudgetUnderFaultsMatchesFaultsAlone(t *testing.T) {
 // single job under a tight budget.
 func TestResolveBasicBudgetMatchesInMemory(t *testing.T) {
 	ds, _ := datagen.People()
-	run := func(mode mapreduce.ExecutionMode, workers int, budget int64) *Result {
+	run := func(workers int, budget int64) *Result {
 		opts := BasicOptions{
 			Families:        peopleFamilies(),
 			Matcher:         peopleMatcher(),
@@ -144,24 +144,22 @@ func TestResolveBasicBudgetMatchesInMemory(t *testing.T) {
 			Window:          5,
 			Machines:        2,
 			SlotsPerMachine: 2,
-			Host:            Host{Workers: workers, Execution: mode, MemBudget: budget},
+			Host:            Host{Workers: workers, MemBudget: budget},
 		}
 		if budget > 0 {
 			opts.SpillDir = t.TempDir()
 		}
 		res, err := ResolveBasic(ds, opts)
 		if err != nil {
-			t.Fatalf("mode=%v workers=%d budget=%d: %v", mode, workers, budget, err)
+			t.Fatalf("workers=%d budget=%d: %v", workers, budget, err)
 		}
 		return res
 	}
-	ref := run(mapreduce.ExecBarrier, 1, 0)
-	for _, mode := range []mapreduce.ExecutionMode{mapreduce.ExecBarrier, mapreduce.ExecPipelined} {
-		for _, workers := range []int{1, 8} {
-			res := run(mode, workers, 1<<10)
-			if !reflect.DeepEqual(res, ref) {
-				t.Errorf("mode=%d workers=%d: Basic result diverged under budget", mode, workers)
-			}
+	ref := run(1, 0)
+	for _, workers := range []int{1, 8} {
+		res := run(workers, 1<<10)
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("workers=%d: Basic result diverged under budget", workers)
 		}
 	}
 }

@@ -24,7 +24,7 @@ type fleet struct {
 	master     *Master
 	reg        *obs.Registry
 	masterLive *live.Run
-	exec       proger.ExecutionMode // every process's edge policy
+	exec       proger.ExecutionMode // every process's Execution (ignored)
 	workers    []*Worker
 	wg         sync.WaitGroup
 	mu         sync.Mutex
@@ -196,16 +196,17 @@ func assertIdentical(t *testing.T, what string, local, dist []byte) {
 
 // TestFleetByteIdentity: a master plus two worker drivers produce
 // Result, trace, and quality bytes identical to a single-process run,
-// under either edge policy. The workers run without their own
-// trace/quality sinks, so span and quality collection rides entirely on
-// the spec-union dummy sinks. A clean run grants one lease per map and
+// at either value of the ignored Execution field (the benchmark still
+// sets the barrier value). The workers run without their own trace/quality
+// sinks, so span and quality collection rides entirely on the
+// spec-union dummy sinks. A clean run grants one lease per map and
 // reduce task: the reduce lease merges its own input, so no shuffle is
 // leased.
 func TestFleetByteIdentity(t *testing.T) {
 	ds, _ := proger.GeneratePublications(600, 1)
 	lres, ltr, lq := localRun(t, ds, 0)
 
-	for _, exec := range []proger.ExecutionMode{proger.ExecPipelined, proger.ExecBarrier} {
+	for _, exec := range []proger.ExecutionMode{0, 1} {
 		t.Run(fmt.Sprintf("mode=%d", exec), func(t *testing.T) {
 			f := newFleet(t, 0)
 			f.exec = exec

@@ -17,9 +17,8 @@ type Phase string
 
 // Engine phases subject to injection.
 const (
-	Map     Phase = "map"
-	Shuffle Phase = "shuffle"
-	Reduce  Phase = "reduce"
+	Map    Phase = "map"
+	Reduce Phase = "reduce"
 )
 
 // Kind classifies what happens to one task attempt.

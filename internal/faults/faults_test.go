@@ -8,7 +8,7 @@ import (
 func TestSeededDeterministic(t *testing.T) {
 	a := NewSeeded(42, 0.5)
 	b := NewSeeded(42, 0.5)
-	for _, phase := range []Phase{Map, Shuffle, Reduce} {
+	for _, phase := range []Phase{Map, Reduce} {
 		for task := 0; task < 50; task++ {
 			for attempt := 1; attempt <= 4; attempt++ {
 				fa := a.Decide(phase, task, attempt)

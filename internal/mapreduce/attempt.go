@@ -330,10 +330,6 @@ func sameMapOutput(backup, committed mapTaskResult) bool {
 		sameRemoteResult(backup.remote, committed.remote)
 }
 
-func sameShuffleOutput(backup, committed shuffleTaskResult) bool {
-	return reduceInputsEqual(backup.in, committed.in)
-}
-
 func sameReduceOutput(backup, committed reduceTaskResult) bool {
 	return reflect.DeepEqual(backup.out, committed.out) &&
 		reflect.DeepEqual(backup.counters, committed.counters) &&

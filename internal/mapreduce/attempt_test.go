@@ -113,10 +113,10 @@ func TestHangConvertsToTimeoutRetry(t *testing.T) {
 		t.Error("hang recovery perturbed Result")
 	}
 	vals := counterValues(cfg.Metrics)
-	// 3 map + 2 shuffle + 2 reduce committed attempts, plus the one
-	// timed-out attempt.
-	if vals[CounterTaskAttempts] != 8 {
-		t.Errorf("%s = %d, want 8", CounterTaskAttempts, vals[CounterTaskAttempts])
+	// 3 map + 2 reduce committed attempts, plus the one timed-out
+	// attempt.
+	if vals[CounterTaskAttempts] != 6 {
+		t.Errorf("%s = %d, want 6", CounterTaskAttempts, vals[CounterTaskAttempts])
 	}
 	if vals[CounterTaskRetries] != 1 {
 		t.Errorf("%s = %d, want 1", CounterTaskRetries, vals[CounterTaskRetries])
@@ -286,8 +286,6 @@ func TestSpeculationIgnoresWorker(t *testing.T) {
 		diverged bool
 	}{
 		{"map", speculateAgainst(mapTaskResult{remote: on(2)}, mapTaskResult{sum: noRuns, remote: on(1)}, sameMapOutput), false},
-		{"shuffle", speculateAgainst(shuffleTaskResult{in: remoteInput{n: 2}},
-			shuffleTaskResult{in: remoteInput{n: 2}}, sameShuffleOutput), false},
 		{"reduce", speculateAgainst(reduceTaskResult{out: on(2).Out, remote: on(2)},
 			reduceTaskResult{out: on(1).Out, remote: on(1)}, sameReduceOutput), false},
 		{"reduce content", speculateAgainst(reduceTaskResult{out: changed.Out, remote: changed},

@@ -49,11 +49,11 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		fr.live = lj
 	}
 
-	// Task execution: one job-graph builder fills phaseOutputs whatever
-	// the edge policy (cfg.Execution) and whoever runs the task bodies
-	// (this process, or workers leased by a remote master), so everything
-	// below this point (the simulated schedule, Result, spans, metrics,
-	// quality) is execution-independent by construction.
+	// Task execution: one job-graph builder fills phaseOutputs whoever
+	// runs the task bodies (this process, or workers leased by a remote
+	// master), so everything below this point (the simulated schedule,
+	// Result, spans, metrics, quality) is execution-independent by
+	// construction.
 	var (
 		po  *phaseOutputs
 		err error
@@ -79,17 +79,15 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	}
 	mapRes, mapCosts := po.mapRes, po.mapCosts
 	reduceRes, reduceCosts := po.reduceRes, po.reduceCosts
-	mapWall, shufWall, reduceWall := po.mapWall, po.shufWall, po.reduceWall
+	mapWall, reduceWall := po.mapWall, po.reduceWall
 
 	jobStart := startAt
 	mapPhaseStart := jobStart + cfg.Cost.JobSetup
 	mapStarts, mapSlots, mapEnd := scheduleTasks(mapCosts, cfg.Cluster.Slots(), mapPhaseStart)
 
 	reduceLens := make([]int, cfg.NumReduceTasks)
-	for r, s := range po.shufRes {
-		if s.in != nil {
-			reduceLens[r] = s.in.Len()
-		}
+	for r, res := range reduceRes {
+		reduceLens[r] = int(res.counters[CounterReduceInRecords])
 	}
 	reduceOuts := make([][]TimedKV, cfg.NumReduceTasks)
 	for i, r := range reduceRes {
@@ -158,7 +156,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 			reduceSpans[i] = r.spans
 		}
 		emitJobSpans(&cfg, fr, res, splits, reduceLens,
-			mapSpans, reduceSpans, mapWall, shufWall, reduceWall)
+			mapSpans, reduceSpans, mapWall, reduceWall)
 	}
 	if m := cfg.Metrics; m != nil {
 		m.AddCounters(counters)
@@ -202,12 +200,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 // The job graph's nodes fill it (a remote worker fills it from the
 // master's broadcast): the finalize half of Run derives the simulated
 // schedule, Result, spans, metrics, and quality exports from it, which
-// is what keeps every execution mode byte-equivalent.
+// is what keeps every worker count and transport byte-equivalent.
 type phaseOutputs struct {
 	mapRes      []mapTaskResult
 	mapCosts    []costmodel.Units
-	shufRes     []shuffleTaskResult
-	shufCosts   []costmodel.Units
 	reduceRes   []reduceTaskResult
 	reduceCosts []costmodel.Units
 	// stores holds one budget-governed store per partition, made before
@@ -217,7 +213,7 @@ type phaseOutputs struct {
 	stores []*spillStore
 	// Host wall-clock measurements per stage; allocated (and recorded)
 	// only when tracing. Wall data never feeds the simulated timeline.
-	mapWall, shufWall, reduceWall []wallSpan
+	mapWall, reduceWall []wallSpan
 }
 
 func newPhaseOutputs(cfg *Config) *phaseOutputs {
@@ -225,8 +221,6 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 	po := &phaseOutputs{
 		mapRes:      make([]mapTaskResult, M),
 		mapCosts:    make([]costmodel.Units, M),
-		shufRes:     make([]shuffleTaskResult, R),
-		shufCosts:   make([]costmodel.Units, R),
 		reduceRes:   make([]reduceTaskResult, R),
 		reduceCosts: make([]costmodel.Units, R),
 	}
@@ -238,7 +232,6 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 	}
 	if cfg.Trace != nil {
 		po.mapWall = make([]wallSpan, M)
-		po.shufWall = make([]wallSpan, R)
 		po.reduceWall = make([]wallSpan, R)
 	}
 	return po
@@ -251,7 +244,6 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 // backups all go through it.
 type taskBodies struct {
 	mapTask func(m int) (mapTaskResult, costmodel.Units, error)
-	shuffle func(r int) (shuffleTaskResult, costmodel.Units, error)
 	reduce  func(i int) (reduceTaskResult, costmodel.Units, error)
 }
 
@@ -282,9 +274,9 @@ func trackTask[T any](lj *live.Job, p live.Phase, i int, wall []wallSpan,
 	return out, cost, nil
 }
 
-// localBodies runs every task body in this process: runMapTask, the
-// partition's store or shuffleForTask, and runReduceTask over po's own
-// slots.
+// localBodies runs every task body in this process: runMapTask, and
+// runReduceTask over the partition's store or, without a budget, the
+// map tasks' runs in po's own slots.
 func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs) taskBodies {
 	return taskBodies{
 		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
@@ -293,15 +285,14 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 				return mapTaskResult{out: out, counters: counters, spans: spans}, cost, len(splits[m]), err
 			})
 		},
-		shuffle: shuffleBody(cfg, lj, po, func(r int) reduceInput {
-			if po.stores != nil {
-				return po.stores[r] // the map tasks handed their runs over as they committed
-			}
-			return shuffleForTask(po.mapRes, r)
-		}),
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
-				in := po.shufRes[i].in
+				var in reduceInput
+				if po.stores != nil {
+					in = po.stores[i] // the map tasks handed their runs over as they committed
+				} else {
+					in = shuffleForTask(po.mapRes, i)
+				}
 				out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, in)
 				return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, in.Len(), err
 			})
@@ -309,25 +300,10 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 	}
 }
 
-// shuffleBody is the shuffle node's body in every mode: it names
-// partition r's reduce input, which input picks. The records are merged
-// as the reduce task reads them, in this process or in a reduce lease.
-// The shuffle has no scheduled cost of its own (the reduce tasks price
-// shuffling on the simulated clock); the attempt runtime keys timeouts
-// and speculation off its simulated sort cost.
-func shuffleBody(cfg *Config, lj *live.Job, po *phaseOutputs, input func(r int) reduceInput) func(r int) (shuffleTaskResult, costmodel.Units, error) {
-	return func(r int) (shuffleTaskResult, costmodel.Units, error) {
-		return trackTask(lj, live.PhaseShuffle, r, po.shufWall, func() (shuffleTaskResult, costmodel.Units, int, error) {
-			in := input(r)
-			return shuffleTaskResult{in: in}, cfg.Cost.ShuffleSortCost(in.Len()), in.Len(), nil
-		})
-	}
-}
-
-// mapTaskResult, shuffleTaskResult, and reduceTaskResult bundle each
-// phase's deterministic per-task outcome for the attempt runtime —
-// committed outputs are compared by content across attempts during
-// speculation, so host wall measurements stay outside.
+// mapTaskResult and reduceTaskResult bundle each phase's deterministic
+// per-task outcome for the attempt runtime — committed outputs are
+// compared by content across attempts during speculation, so host wall
+// measurements stay outside.
 type mapTaskResult struct {
 	out [][]KeyValue // nil once handed over to the stores
 	// sum is runsDigest(out), taken at commit when speculation is on: a
@@ -340,10 +316,6 @@ type mapTaskResult struct {
 	// remote transport (nil for local execution); the master's graph
 	// nodes collect these for the end-of-job broadcast.
 	remote *RemoteTaskResult
-}
-
-type shuffleTaskResult struct {
-	in reduceInput
 }
 
 type reduceTaskResult struct {
@@ -361,18 +333,14 @@ type wallSpan struct {
 }
 
 // emitJobSpans publishes the job's timeline to the tracer: one span
-// per map/reduce task and per shuffle merge, plus every task-local
-// span recorded through TaskContext.Span, rebased from the task-local
-// clock onto the global simulated timeline. The shuffle-merge spans
-// carry the host wall time of the shuffle node — collecting the runs or
-// handing over the partition's store; the merge itself runs inside the
-// reduce task's wall span — and their simulated position is the map
-// barrier (the reduce tasks separately account shuffle cost on the
-// simulated clock as task-local "shuffle" spans). With the attempt runtime
-// active, every task attempt additionally gets an "attempt" span on
-// the shadow attempt timeline.
+// per map/reduce task, plus every task-local span recorded through
+// TaskContext.Span — among them each reduce task's "shuffle" span, the
+// simulated price of reading and merging its input — rebased from the
+// task-local clock onto the global simulated timeline. With the attempt
+// runtime active, every task attempt additionally gets an "attempt"
+// span on the shadow attempt timeline.
 func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int,
-	mapSpans, reduceSpans [][]obs.Span, mapWall, shufWall, reduceWall []wallSpan) {
+	mapSpans, reduceSpans [][]obs.Span, mapWall, reduceWall []wallSpan) {
 	tr := cfg.Trace
 	pid := tr.PID(cfg.Name)
 	rebase := func(spans []obs.Span, tid int, start costmodel.Units) {
@@ -392,15 +360,6 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 		})
 		rebase(mapSpans[i], res.MapSlots[i], res.MapStarts[i])
 	}
-	for r := range reduceLens {
-		tr.Add(obs.Span{
-			Cat: "shuffle", Name: fmt.Sprintf("shuffle merge r%d (host)", r),
-			PID: pid, TID: res.ReduceSlots[r],
-			Start: res.MapEnd, Dur: 0,
-			WallStart: shufWall[r].start, WallDur: shufWall[r].dur,
-			Args: []obs.Arg{obs.A("records", reduceLens[r])},
-		})
-	}
 	for i, cost := range res.ReduceTaskCosts {
 		tr.Add(obs.Span{
 			Cat: "reduce", Name: fmt.Sprintf("reduce %d", i),
@@ -414,9 +373,6 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 	if fr != nil {
 		fr.emitAttemptSpans(tr, pid, faults.Map, func(t int) (costmodel.Units, int) {
 			return res.MapStarts[t], res.MapSlots[t]
-		})
-		fr.emitAttemptSpans(tr, pid, faults.Shuffle, func(t int) (costmodel.Units, int) {
-			return res.MapEnd, res.ReduceSlots[t]
 		})
 		fr.emitAttemptSpans(tr, pid, faults.Reduce, func(t int) (costmodel.Units, int) {
 			return res.ReduceStarts[t], res.ReduceSlots[t]

@@ -143,24 +143,17 @@ func HashPartitioner(key string, numReduce int) int {
 	return int(h % uint64(numReduce))
 }
 
-// ExecutionMode selects how the engine executes a job's tasks on the
-// host machine. Like Workers, it is purely a host-side knob: both modes
-// produce byte-identical Results, traces, counters, and quality
-// exports, because all timing comes from the simulated cost model.
+// ExecutionMode is ignored: the engine builds one task graph, in
+// which reduce task r waits for every map task, so there is no edge
+// policy left to choose. The type and its values remain only because
+// the benchmark harness still sets Config.Execution (its
+// persons-barrier row); they go once that row is dropped.
 type ExecutionMode int
 
 const (
-	// ExecPipelined (the default) runs the job as a dependency-driven
-	// task graph on one shared worker pool: reduce task r fires the
-	// moment its own partition's shuffle completes — no barrier between
-	// the shuffle and reduce phases, so one partition that spills does
-	// not hold back the others' reduce tasks.
+	// ExecPipelined is ignored; see ExecutionMode.
 	ExecPipelined ExecutionMode = iota
-	// ExecBarrier is the barrier edge policy of the same task graph:
-	// all-to-all shuffle→reduce edges beside the map→shuffle ones every
-	// job has, so the job runs as three fully barriered phases
-	// (map → shuffle → reduce). Kept as the no-overlap reference the
-	// pipelined policy is equivalence-tested against.
+	// ExecBarrier is ignored; see ExecutionMode.
 	ExecBarrier
 )
 
@@ -195,14 +188,14 @@ type Config struct {
 	// defaults to GOMAXPROCS. Purely a host-machine knob: it cannot
 	// change results or simulated timing.
 	Workers int
-	// Execution picks the task graph's edge policy: pipelined (default)
-	// or barriered. A host-machine knob like Workers.
+	// Execution is ignored (see ExecutionMode); it remains while the
+	// benchmark harness sets it.
 	Execution ExecutionMode
 	// Transport selects where task bodies execute: in-process on the
 	// channel pool (nil, the default) or leased to worker processes
 	// through a TaskTransport (internal/dist). A host-machine knob like
 	// Workers: every transport produces byte-identical Results, traces,
-	// and quality exports, under either Execution mode. A transport is
+	// and quality exports. A transport is
 	// incompatible with MemBudget (run files, not memory pressure, are
 	// the distributed data plane).
 	Transport TaskTransport
@@ -276,9 +269,6 @@ func (c *Config) validate() error {
 	}
 	if c.Retry.MaxRetries < 0 {
 		return fmt.Errorf("mapreduce: job %q: retry policy %+v invalid", c.Name, c.Retry)
-	}
-	if c.Execution != ExecPipelined && c.Execution != ExecBarrier {
-		return fmt.Errorf("mapreduce: job %q: unknown execution mode %d", c.Name, c.Execution)
 	}
 	// Remote execution does not offer the memory budget: run files are
 	// its data plane.

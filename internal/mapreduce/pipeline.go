@@ -10,20 +10,19 @@ import (
 	"proger/internal/faults"
 )
 
-// This file implements the job graph: every job, in every execution
-// mode, becomes one static dependency DAG executed on one shared worker
-// pool. A node is dispatched the moment its last dependency completes.
-// Two policies shape it. The edge policy (Config.Execution) decides how
-// much may overlap: ExecPipelined fires reduce task r the moment its
-// own partition's shuffle node completes, without any global barrier
-// between the shuffle and reduce phases, while ExecBarrier adds
-// all-to-all shuffle→reduce edges, so no phase starts before the
-// previous one has finished. The body policy (taskBodies) decides who
-// runs a task: this process, or a worker leased by the remote master.
+// This file implements the job graph: every job becomes one static
+// dependency DAG executed on one shared worker pool. A node is
+// dispatched the moment its last dependency completes. Reduce task r
+// depends on every map task — a partition is complete only once every
+// map has committed its run for it — and opens its own input: it
+// merges the partition's runs as it reads them, as a Hadoop reduce task
+// copies and merges its own partition. The body policy (taskBodies)
+// decides who runs a task: this process, or a worker leased by the
+// remote master.
 //
 // The graph per job:
 //
-//	map m  ──┬─▶ shuffle node for partition r ──▶ reduce r
+//	map m  ──┬─▶ reduce r (every r)
 //	         └─▶ (speculation gate ──▶ per-task speculation checks)
 //
 // Determinism is preserved because nothing about real execution order
@@ -37,10 +36,8 @@ type nodePhase int
 
 const (
 	nodeMap nodePhase = iota
-	nodeShuffle
 	nodeReduce
 	nodeSpecMap
-	nodeSpecShuffle
 	nodeSpecReduce
 )
 
@@ -233,23 +230,20 @@ func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttemp
 	return out, cost, err
 }
 
-// runJobGraph is the one job-graph builder: it wires cfg's map, shuffle,
-// reduce, and speculation nodes under the edge policy cfg.Execution,
-// gives them the bodies b, and executes the graph, filling po. po holds
-// the partition stores even when this returns an error; Run settles
-// them.
+// runJobGraph is the one job-graph builder: it wires cfg's map, reduce,
+// and speculation nodes, gives them the bodies b, and executes the
+// graph, filling po. po holds the partition stores even when this
+// returns an error; Run settles them.
 func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b taskBodies) error {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	barrier := cfg.Execution == ExecBarrier
 	speculate := fr != nil && fr.policy.Speculation
 
-	// All three phases' attempt slots are allocated up front: tasks of
+	// Both phases' attempt slots are allocated up front: tasks of
 	// different phases may run interleaved, and each node writes only
 	// its own index.
-	var mapAtt, shufAtt, redAtt []*taskAttempts
+	var mapAtt, redAtt []*taskAttempts
 	if fr != nil {
 		mapAtt = fr.beginPhase(faults.Map, M)
-		shufAtt = fr.beginPhase(faults.Shuffle, R)
 		redAtt = fr.beginPhase(faults.Reduce, R)
 	}
 
@@ -283,28 +277,6 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 		})
 	}
 
-	// Shuffle wiring: one node per partition, gated on every map task, in
-	// both edge policies. A partition's shuffle is ONE attempt-tracked
-	// unit of work — fault decisions are keyed (phase, task, attempt) —
-	// and it is nearly free: its body hands over the partition's store,
-	// collects its runs or, on a remote master, counts them, and the
-	// merge happens inside the reduce task as it reads them.
-	shufNodes := make([]*dagNode, R)
-	for r := 0; r < R; r++ {
-		r := r
-		shufNodes[r] = g.node(nodeKey{nodeShuffle, r}, func() error {
-			out, cost, err := runAttempted(fr, faults.Shuffle, shufAtt, r, b.shuffle)
-			if err != nil {
-				return err
-			}
-			po.shufRes[r], po.shufCosts[r] = out, cost
-			return nil
-		})
-		for _, mn := range mapNodes {
-			g.edge(mn, shufNodes[r])
-		}
-	}
-
 	redNodes := make([]*dagNode, R)
 	for i := 0; i < R; i++ {
 		i := i
@@ -316,18 +288,13 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 			po.reduceRes[i], po.reduceCosts[i] = out, cost
 			return nil
 		})
-		// Pipelined: reduce i waits for its own partition only. Barrier:
-		// for every partition.
-		for r, sn := range shufNodes {
-			if barrier || r == i {
-				g.edge(sn, redNodes[i])
-			}
+		for _, mn := range mapNodes {
+			g.edge(mn, redNodes[i])
 		}
 	}
 
 	if speculate {
 		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask, sameMapOutput)
-		addSpeculationNodes(g, fr, faults.Shuffle, nodeSpecShuffle, shufNodes, po.shufRes, po.shufCosts, b.shuffle, sameShuffleOutput)
 		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce, sameReduceOutput)
 	}
 	return g.execute(workers)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,8 +39,8 @@ func TestTaskGraphRespectsDependencies(t *testing.T) {
 		}
 		g := &taskGraph{}
 		a := g.node(nodeKey{nodeMap, 0}, mark("a"))
-		b := g.node(nodeKey{nodeShuffle, 0}, mark("b"))
-		c := g.node(nodeKey{nodeShuffle, 1}, mark("c"))
+		b := g.node(nodeKey{nodeMap, 1}, mark("b"))
+		c := g.node(nodeKey{nodeMap, 2}, mark("c"))
 		d := g.node(nodeKey{nodeReduce, 0}, mark("d"))
 		g.edge(a, b)
 		g.edge(a, c)
@@ -180,7 +179,7 @@ func TestTaskGraphWorkerClamp(t *testing.T) {
 	}
 }
 
-// ---- barrier ↔ pipelined equivalence ----
+// ---- equivalence across host concurrency ----
 
 // pipelineVariants returns named config mutations covering the engine
 // paths a job can take between map output and reduce input: the
@@ -198,33 +197,29 @@ func pipelineVariants() map[string]func(*Config) {
 
 // TestPipelinedMatchesBarrier: the full Result — output bytes,
 // timestamps, counters, schedule, slot assignments — must be identical
-// between the barriered reference engine and the pipelined engine, for
-// every variant × worker count.
+// at every worker count to the variant's run at workers=1, for every
+// variant. (The name recalls the barriered engine the task graph was
+// once compared with; every job now runs one graph.)
 func TestPipelinedMatchesBarrier(t *testing.T) {
 	for name, mutate := range pipelineVariants() {
+		run := func(workers int) (*Result, *Config) {
+			cfg := wordCountConfig(workers)
+			mutate(&cfg)
+			res, err := Run(cfg, wordCountInput(), 0)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			return res, &cfg
+		}
+		ref, _ := run(1)
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				bCfg := wordCountConfig(workers)
-				mutate(&bCfg)
-				bCfg.Execution = ExecBarrier
-				pCfg := wordCountConfig(workers)
-				mutate(&pCfg)
-				pCfg.Execution = ExecPipelined
-
-				bRes, err := Run(bCfg, wordCountInput(), 0)
-				if err != nil {
-					t.Fatalf("barrier: %v", err)
+				res, cfg := run(workers)
+				if !reflect.DeepEqual(res, ref) {
+					t.Errorf("Result diverged from workers=1:\nworkers=1: %+v\nworkers=%d: %+v", ref, workers, res)
 				}
-				pRes, err := Run(pCfg, wordCountInput(), 0)
-				if err != nil {
-					t.Fatalf("pipelined: %v", err)
-				}
-				if !reflect.DeepEqual(bRes, pRes) {
-					t.Errorf("Result diverged between engines:\nbarrier:   %+v\npipelined: %+v", bRes, pRes)
-				}
-				if bCfg.MemBudget != nil {
-					requireSpilled(t, &bCfg)
-					requireSpilled(t, &pCfg)
+				if cfg.MemBudget != nil {
+					requireSpilled(t, cfg)
 				}
 			})
 		}
@@ -233,10 +228,30 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 
 // TestPipelinedMatchesBarrierUnderFaults extends the equivalence to
 // the attempt runtime: with deterministic fault injection, retries,
-// and speculation active, both engines must produce the identical
-// Result at every worker count — in memory, and (the spill variant)
-// under a memory budget that forces the shuffle to disk.
+// and speculation active, every worker count must produce the Result
+// of the fault-free in-memory run at workers=1 — in memory, and (the
+// spill variant) under a memory budget that forces the shuffle to disk.
 func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
+	run := func(t *testing.T, rate float64, workers int, spill bool) *Result {
+		cfg := wordCountConfig(workers)
+		if rate > 0 {
+			cfg.Faults = faults.NewSeeded(11, rate)
+			cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
+		}
+		if spill {
+			spillEverything(&cfg)
+			cfg.SpillDir = t.TempDir()
+		}
+		res, err := Run(cfg, wordCountInput(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spill {
+			requireSpilled(t, &cfg)
+		}
+		return res
+	}
+	ref := run(t, 0, 1, false)
 	for _, rate := range []float64{0, 0.5} {
 		for _, workers := range []int{1, 4, 8} {
 			for _, spill := range []bool{false, true} {
@@ -245,30 +260,8 @@ func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
 					name += "/spill"
 				}
 				t.Run(name, func(t *testing.T) {
-					run := func(mode ExecutionMode) *Result {
-						cfg := wordCountConfig(workers)
-						cfg.Execution = mode
-						if rate > 0 {
-							cfg.Faults = faults.NewSeeded(11, rate)
-							cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
-						}
-						if spill {
-							spillEverything(&cfg)
-							cfg.SpillDir = t.TempDir()
-						}
-						res, err := Run(cfg, wordCountInput(), 0)
-						if err != nil {
-							t.Fatalf("mode=%v: %v", mode, err)
-						}
-						if spill {
-							requireSpilled(t, &cfg)
-						}
-						return res
-					}
-					bRes := run(ExecBarrier)
-					pRes := run(ExecPipelined)
-					if !reflect.DeepEqual(bRes, pRes) {
-						t.Errorf("Result diverged under faults:\nbarrier:   %+v\npipelined: %+v", bRes, pRes)
+					if res := run(t, rate, workers, spill); !reflect.DeepEqual(res, ref) {
+						t.Errorf("Result diverged under faults:\nreference: %+v\ngot:       %+v", ref, res)
 					}
 				})
 			}
@@ -277,13 +270,11 @@ func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
 }
 
 // TestPipelinedTraceMatchesBarrier: the simulated-clock Chrome trace
-// export must be byte-identical across engines and worker counts —
-// the pipelined engine's different host interleaving must leave no
-// fingerprint on the exported timeline.
+// export must be byte-identical across worker counts — the graph's
+// host interleaving must leave no fingerprint on the exported timeline.
 func TestPipelinedTraceMatchesBarrier(t *testing.T) {
-	export := func(mode ExecutionMode, workers int) []byte {
+	export := func(workers int) []byte {
 		cfg := wordCountConfig(workers)
-		cfg.Execution = mode
 		cfg.Trace = obs.New()
 		cfg.Metrics = obs.NewRegistry()
 		if _, err := Run(cfg, wordCountInput(), 0); err != nil {
@@ -295,10 +286,10 @@ func TestPipelinedTraceMatchesBarrier(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	ref := export(ExecBarrier, 1)
+	ref := export(1)
 	for _, workers := range []int{1, 4, 8} {
-		if got := export(ExecPipelined, workers); !bytes.Equal(got, ref) {
-			t.Errorf("pipelined workers=%d: trace JSON differs from barrier reference", workers)
+		if got := export(workers); !bytes.Equal(got, ref) {
+			t.Errorf("workers=%d: trace JSON differs from the workers=1 reference", workers)
 		}
 	}
 }
@@ -307,7 +298,6 @@ func TestPipelinedTraceMatchesBarrier(t *testing.T) {
 // with the task function's own wrapping.
 func TestPipelinedErrorPropagates(t *testing.T) {
 	cfg := wordCountConfig(4)
-	cfg.Execution = ExecPipelined
 	cfg.NewMapper = func() Mapper { return failingMapper{} }
 	_, err := Run(cfg, wordCountInput(), 0)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
@@ -315,7 +305,7 @@ func TestPipelinedErrorPropagates(t *testing.T) {
 	}
 }
 
-// ---- barrier edge policy ----
+// ---- the map → reduce edges ----
 
 // gatedReducer blocks the first reduce task to reach Setup until
 // released — the reduce-side twin of gatedMapper.
@@ -332,21 +322,19 @@ func (r gatedReducer) Setup(*TaskContext) error {
 	return nil
 }
 
-// TestBarrierModeNeverOverlapsPhases pins the one property the barrier
-// edge policy has to provide as the no-overlap reference: no shuffle or
-// reduce body starts before the last map body returns, and no reduce
-// body starts before the last shuffle finishes. The gates hold a map
-// and a reduce body open while the live task table is inspected; the
-// event log (one mutex-ordered sequence of every body's start and done
-// transition) then proves the ordering over the whole run.
-func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
+// TestReduceWaitsForEveryMap pins the graph's one ordering: no reduce
+// body starts before the last map body returns, since every partition
+// holds a run of every map task. The gates hold a map and a reduce body
+// open while the live task table is inspected; the event log (one
+// mutex-ordered sequence of every body's start and done transition)
+// then proves the ordering over the whole run.
+func TestReduceWaitsForEveryMap(t *testing.T) {
 	mGate := &mapGate{entered: make(chan struct{}), release: make(chan struct{})}
 	rGate := &mapGate{entered: make(chan struct{}), release: make(chan struct{})}
 	var events bytes.Buffer
 	run := live.NewRun(live.NewEventLog(&events))
 	cfg := wordCountConfig(8)
 	cfg.NumReduceTasks = 4
-	cfg.Execution = ExecBarrier
 	cfg.Live = run
 	cfg.NewMapper = func() Mapper { return gatedMapper{gate: mGate} }
 	cfg.NewReducer = func() Reducer { return gatedReducer{gate: rGate} }
@@ -356,11 +344,11 @@ func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
 		_, err := Run(cfg, wordCountInput(), 0)
 		done <- err
 	}()
-	// wantStates asserts every task row of the given phases is in state.
-	wantStates := func(when, state string, phases ...live.Phase) {
+	// wantStates asserts every task row of phase p is in state.
+	wantStates := func(when, state string, p live.Phase) {
 		t.Helper()
 		for _, row := range run.Tasks() {
-			if slices.Contains(phases, row.Phase) && row.State != state {
+			if row.Phase == p && row.State != state {
 				t.Errorf("%s: %s task %d is %s, want %s", when, row.Phase, row.Task, row.State, state)
 			}
 		}
@@ -376,19 +364,18 @@ func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
 		}
 	}
 	await("the gated map body", mGate.entered)
-	wantStates("map body open", "pending", live.PhaseShuffle, live.PhaseReduce)
+	wantStates("map body open", "pending", live.PhaseReduce)
 	close(mGate.release)
 	await("the gated reduce body", rGate.entered)
-	wantStates("reduce body open", "done", live.PhaseMap, live.PhaseShuffle)
+	wantStates("reduce body open", "done", live.PhaseMap)
 	close(rGate.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	// Whole-run ordering: the last done of a phase precedes the first
-	// start of every later phase.
-	lastDone := map[string]int{}
-	firstStart := map[string]int{}
+	// Whole-run ordering: the last map done precedes the first reduce
+	// start.
+	lastMapDone, firstReduceStart := -1, -1
 	sc := bufio.NewScanner(&events)
 	for line := 0; sc.Scan(); line++ {
 		var ev struct {
@@ -397,47 +384,43 @@ func TestBarrierModeNeverOverlapsPhases(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("event line %d: %v", line, err)
 		}
-		switch ev.Event {
-		case live.EventTaskDone:
-			lastDone[ev.Phase] = line
-		case live.EventTaskStart:
-			if _, seen := firstStart[ev.Phase]; !seen {
-				firstStart[ev.Phase] = line
-			}
+		switch {
+		case ev.Event == live.EventTaskDone && ev.Phase == string(live.PhaseMap):
+			lastMapDone = line
+		case ev.Event == live.EventTaskStart && ev.Phase == string(live.PhaseReduce) && firstReduceStart < 0:
+			firstReduceStart = line
 		}
 	}
-	for _, ord := range [][2]string{{"map", "shuffle"}, {"map", "reduce"}, {"shuffle", "reduce"}} {
-		done, okDone := lastDone[ord[0]]
-		start, okStart := firstStart[ord[1]]
-		if !okDone || !okStart {
-			t.Fatalf("event log misses %s done or %s start events", ord[0], ord[1])
-		}
-		if start < done {
-			t.Errorf("a %s body started (event %d) before the last %s body finished (event %d)",
-				ord[1], start, ord[0], done)
-		}
+	if lastMapDone < 0 || firstReduceStart < 0 {
+		t.Fatal("event log misses map done or reduce start events")
+	}
+	if firstReduceStart < lastMapDone {
+		t.Errorf("a reduce body started (event %d) before the last map body finished (event %d)",
+			firstReduceStart, lastMapDone)
 	}
 }
 
-// TestJobGraphShuffleFailureLeavesNoSpill: when one partition's shuffle
-// exhausts its retry ladder, the spill state of the partitions that did
-// shuffle successfully must still be settled — every graph node
-// publishes into phaseOutputs, and Run closes whatever is there.
+// TestJobGraphShuffleFailureLeavesNoSpill: when one reduce task —
+// which shuffles (merges) its own partition — exhausts its retry
+// ladder, the spill state of every partition, the one that reduced
+// successfully included, must still be settled: every graph node
+// publishes into phaseOutputs, and Run closes whatever is there. Both
+// values of the ignored Execution field must settle alike.
 func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
-	for _, mode := range []ExecutionMode{ExecPipelined, ExecBarrier} {
-		t.Run(fmt.Sprintf("mode=%v/budget", mode), func(t *testing.T) {
-			cfg := wordCountConfig(1) // one worker: shuffle 0 commits before shuffle 1 fails
+	for _, mode := range []ExecutionMode{0, 1} {
+		t.Run(fmt.Sprintf("mode=%d/budget", mode), func(t *testing.T) {
+			cfg := wordCountConfig(1) // one worker: reduce 0 reads its store before reduce 1 fails
 			cfg.Execution = mode
 			cfg.SpillDir = t.TempDir()
 			cfg.Retry = RetryPolicy{MaxRetries: 2}
 			cfg.Faults = faults.Script{
-				{Phase: faults.Shuffle, Task: 1, Attempt: 1}: {Kind: faults.Crash},
-				{Phase: faults.Shuffle, Task: 1, Attempt: 2}: {Kind: faults.Crash},
-				{Phase: faults.Shuffle, Task: 1, Attempt: 3}: {Kind: faults.Crash},
+				{Phase: faults.Reduce, Task: 1, Attempt: 1}: {Kind: faults.Crash},
+				{Phase: faults.Reduce, Task: 1, Attempt: 2}: {Kind: faults.Crash},
+				{Phase: faults.Reduce, Task: 1, Attempt: 3}: {Kind: faults.Crash},
 			}
 			cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
 			if _, err := Run(cfg, wordCountInput(), 0); err == nil {
-				t.Fatal("Run succeeded; the scripted shuffle failure never fired")
+				t.Fatal("Run succeeded; the scripted reduce failure never fired")
 			}
 			entries, err := os.ReadDir(cfg.SpillDir)
 			if err != nil {

@@ -14,19 +14,18 @@ package mapreduce
 // quality observations travel back inline over RPC: they are exactly
 // the per-task state phaseOutputs needs.
 //
-// Determinism: the master runs the same job-graph builder (map →
-// shuffle r gated on all maps → reduce r), with the same runAttempted /
-// speculation machinery, as local execution — only its body policy
-// differs: its map and reduce bodies dispatch over RPC instead of
-// calling the task function, and its shuffle body, like the local one,
-// only names the partition's input (remoteInput, a record count).
-// Committed results are byte-identical to local execution because the
-// task bodies are the same deterministic functions, so everything
-// derived in Run's finalize half (schedule, Result, spans, metrics,
-// quality) is transport-independent. Workers fill the same
-// phaseOutputs from the master's end-of-job broadcast, which keeps
-// every process's driver loop (job-2 schedule generation feeds on
-// job-1's Result) in lockstep.
+// Determinism: the master runs the same job-graph builder (reduce r
+// gated on every map), with the same runAttempted / speculation
+// machinery, as local execution — only its body policy differs: its map
+// and reduce bodies dispatch over RPC instead of calling the task
+// function, and a reduce lease carries its partition's record count,
+// Σ PartLens[r] (partitionLen). Committed results are byte-identical to
+// local execution because the task bodies are the same deterministic
+// functions, so everything derived in Run's finalize half (schedule,
+// Result, spans, metrics, quality) is transport-independent. Workers
+// fill the same phaseOutputs from the master's end-of-job broadcast,
+// which keeps every process's driver loop (job-2 schedule generation
+// feeds on job-1's Result) in lockstep.
 
 import (
 	"fmt"
@@ -100,27 +99,14 @@ type RemoteJobResults struct {
 	Reduce []RemoteTaskResult
 }
 
-// remoteInput is a shuffle node's reduceInput on a remote transport:
-// the record count is known (the schedule and trace need it), the
-// records themselves live in the map tasks' shared run files and are
-// only ever merged worker-side, by the reduce lease (mapRunsInput).
-type remoteInput struct {
-	n int
-}
-
-func (r remoteInput) Len() int { return r.n }
-func (r remoteInput) Iter() (kvIter, error) {
-	return nil, fmt.Errorf("mapreduce: remote reduce input holds no local records")
-}
-
-// partitionInput is partition r's remoteInput: Σ PartLens[r] over the
-// committed map tasks, the count the reduce lease's merge must reach.
-func partitionInput(po *phaseOutputs, r int) remoteInput {
+// partitionLen is partition r's record count: Σ PartLens[r] over the
+// committed map tasks, the count a reduce lease's merge must reach.
+func partitionLen(mapRes []mapTaskResult, r int) int {
 	n := 0
-	for _, mr := range po.mapRes {
+	for _, mr := range mapRes {
 		n += mr.remote.PartLens[r]
 	}
-	return remoteInput{n: n}
+	return n
 }
 
 // mapRunsInput is a worker's reduceInput: partition r's M map run files
@@ -230,8 +216,7 @@ func (rr *RemoteRunner) markDone(p live.Phase, task int) {
 
 // publishRemaining back-fills the local live snapshot hub with the
 // tasks this process did not execute, from the master's broadcast —
-// worker attribution included (0 for a shuffle, which no worker runs) —
-// so a worker's status server converges to the complete job view.
+// worker attribution included — so a worker's status server converges to the complete job view.
 func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.Units, records, worker int) {
 	rr.mu.Lock()
 	_, ran := rr.done[remoteTaskKey{p, task}]
@@ -398,8 +383,7 @@ func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, spli
 
 // runRemoteMaster drives the job graph with RPC-dispatching bodies:
 // the same builder — graph shape, attempt runtime, speculation gates,
-// and pool scheduling — as local execution's single-shuffle-node path,
-// so attempt histories — and therefore trace bytes — match a local run
+// and pool scheduling — as local execution, so attempt histories — and therefore trace bytes — match a local run
 // with the same fault configuration. The end-of-job broadcast is
 // assembled from the wire-form results the bodies left in po.
 func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
@@ -428,8 +412,8 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 
 // masterBodies leases every map and reduce body to the worker fleet
 // through rjob.RunTask and wraps the wire-form result into po's slot
-// types. The shuffle body dispatches nothing: the reduce lease merges
-// its own input, so the node only names it.
+// types. A reduce lease merges its own input; the master only tells it
+// how many records to expect.
 func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
 	// Lost leases (worker died mid-task) re-dispatch below the attempt
 	// runtime: host chaos stays off the simulated timeline.
@@ -453,10 +437,9 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 				return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, len(splits[m]), nil
 			})
 		},
-		shuffle: shuffleBody(cfg, lj, po, func(r int) reduceInput { return partitionInput(po, r) }),
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
-				n := po.shufRes[i].in.Len()
+				n := partitionLen(po.mapRes, i)
 				res, err := dispatch(live.PhaseReduce, i, n)
 				if err != nil {
 					return reduceTaskResult{}, 0, 0, err
@@ -470,10 +453,8 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 // runRemoteWorker is the follower side: leases execute concurrently
 // through the transport's pump loops (which call RemoteRunner.RunTask
 // directly); here the driver just waits for the master's broadcast and
-// fills phaseOutputs from it — each partition's input from the map
-// tasks' PartLens, as the master's shuffle node does — so the rest of
-// Run, and the next job's schedule generation, proceeds identically to
-// the master's.
+// fills phaseOutputs from it, so the rest of Run, and the next job's
+// schedule generation, proceeds identically to the master's.
 func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
 	jr, err := rjob.Wait()
 	if err != nil {
@@ -495,15 +476,10 @@ func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *R
 		po.mapCosts[m] = res.Cost
 		runner.publishRemaining(live.PhaseMap, m, res.Cost, len(splits[m]), res.Worker)
 	}
-	for r := range po.shufRes {
-		in := partitionInput(po, r)
-		po.shufRes[r] = shuffleTaskResult{in: in}
-		runner.publishRemaining(live.PhaseShuffle, r, cfg.Cost.ShuffleSortCost(in.n), in.n, 0)
-	}
 	for i, res := range jr.Reduce {
 		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs}
 		po.reduceCosts[i] = res.Cost
-		runner.publishRemaining(live.PhaseReduce, i, res.Cost, po.shufRes[i].in.Len(), res.Worker)
+		runner.publishRemaining(live.PhaseReduce, i, res.Cost, partitionLen(po.mapRes, i), res.Worker)
 	}
 	return po, nil
 }

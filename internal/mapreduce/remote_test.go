@@ -115,11 +115,11 @@ func (broadcastJob) RunTask(string, int, int) (*RemoteTaskResult, error) { retur
 func (broadcastJob) Finish(*RemoteJobResults, error) error               { return nil }
 func (j broadcastJob) Wait() (*RemoteJobResults, error)                  { return j.jr, nil }
 
-// TestWorkerDerivesShuffleFromPartLens: a worker sizes each partition's
-// input from the broadcast's map PartLens, and a map result with
-// another partition count than this process derived is a diverged
-// fleet, not an index out of range.
-func TestWorkerDerivesShuffleFromPartLens(t *testing.T) {
+// TestWorkerDerivesReduceInputFromPartLens: a worker sizes each
+// partition's reduce input from the broadcast's map PartLens
+// (partitionLen), and a map result with another partition count than
+// this process derived is a diverged fleet, not an index out of range.
+func TestWorkerDerivesReduceInputFromPartLens(t *testing.T) {
 	cfg := wordCountConfig(1)
 	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
 	jr := &RemoteJobResults{Map: make([]RemoteTaskResult, cfg.NumMapTasks), Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks)}
@@ -131,7 +131,7 @@ func TestWorkerDerivesShuffleFromPartLens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r, want := range []int{0 + 1 + 2, 0 + 10 + 20} {
-		if got := po.shufRes[r].in.Len(); got != want {
+		if got := partitionLen(po.mapRes, r); got != want {
 			t.Errorf("partition %d: input of %d records, want Σ PartLens = %d", r, got, want)
 		}
 	}

@@ -57,9 +57,9 @@ func sortRun(run []KeyValue) []KeyValue {
 	return sorted
 }
 
-// sortedRunsInput does the map side and the shuffle node's part of the
-// in-memory shuffle on raw map runs: sort each, keep the non-empty ones
-// in map-index order.
+// sortedRunsInput does the map side of the in-memory shuffle on raw map
+// runs and collects them as a reduce task does: sort each, keep the
+// non-empty ones in map-index order.
 func sortedRunsInput(runs [][]KeyValue) memInput {
 	var in memInput
 	for _, run := range runs {

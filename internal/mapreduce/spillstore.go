@@ -20,7 +20,6 @@ package mapreduce
 // matter when or how runs were spilled.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -456,47 +455,4 @@ func (st *spillStore) Close() error {
 		}
 	}
 	return first
-}
-
-// reduceInputsEqual streams both inputs and compares record by record.
-// Remote inputs hold no local records — two are equal when their
-// counts agree (the records are the map tasks' first-write-wins run
-// files, and the reduce lease's merge checks the count).
-func reduceInputsEqual(a, b reduceInput) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if ra, ok := a.(remoteInput); ok {
-		rb, ok := b.(remoteInput)
-		return ok && ra == rb
-	}
-	if _, ok := b.(remoteInput); ok {
-		return false
-	}
-	if a.Len() != b.Len() {
-		return false
-	}
-	ita, err := a.Iter()
-	if err != nil {
-		return false
-	}
-	defer ita.Close()
-	itb, err := b.Iter()
-	if err != nil {
-		return false
-	}
-	defer itb.Close()
-	for {
-		ka, oka, ea := ita.Next()
-		kb, okb, eb := itb.Next()
-		if ea != nil || eb != nil || oka != okb {
-			return false
-		}
-		if !oka {
-			return true
-		}
-		if ka.Key != kb.Key || !bytes.Equal(ka.Value, kb.Value) {
-			return false
-		}
-	}
 }

@@ -280,16 +280,15 @@ func TestSpillingShuffleEquivalence(t *testing.T) {
 // TestBudgetRunMatchesMemoryRun is the storage-mode equivalence
 // property at the job level: a tiny budget that forces everything
 // through run files on disk must reproduce the in-memory Result —
-// output bytes, timestamps, counters, schedule — exactly, across both
-// engines and worker counts, and the Chrome trace bytes too.
+// output bytes, timestamps, counters, schedule — exactly, across
+// worker counts, and the Chrome trace bytes too.
 func TestBudgetRunMatchesMemoryRun(t *testing.T) {
 	type outcome struct {
 		res   *Result
 		trace []byte
 	}
-	run := func(mode ExecutionMode, workers int, budget int64) outcome {
+	run := func(workers int, budget int64) outcome {
 		cfg := wordCountConfig(workers)
-		cfg.Execution = mode
 		cfg.Trace = obs.New()
 		cfg.Metrics = obs.NewRegistry()
 		if budget > 0 {
@@ -309,17 +308,14 @@ func TestBudgetRunMatchesMemoryRun(t *testing.T) {
 		}
 		return outcome{res: res, trace: b.Bytes()}
 	}
-	for _, mode := range []ExecutionMode{ExecPipelined, ExecBarrier} {
-		for _, workers := range []int{1, 8} {
-			name := fmt.Sprintf("mode=%v/workers=%d", mode, workers)
-			base := run(mode, workers, 0)
-			tight := run(mode, workers, 64) // ~one small run; everything spills
-			if !reflect.DeepEqual(base.res, tight.res) {
-				t.Errorf("%s: Result diverged between memory and budget-spill runs", name)
-			}
-			if !bytes.Equal(base.trace, tight.trace) {
-				t.Errorf("%s: trace bytes diverged between memory and budget-spill runs", name)
-			}
+	for _, workers := range []int{1, 8} {
+		base := run(workers, 0)
+		tight := run(workers, 64) // ~one small run; everything spills
+		if !reflect.DeepEqual(base.res, tight.res) {
+			t.Errorf("workers=%d: Result diverged between memory and budget-spill runs", workers)
+		}
+		if !bytes.Equal(base.trace, tight.trace) {
+			t.Errorf("workers=%d: trace bytes diverged between memory and budget-spill runs", workers)
 		}
 	}
 }
@@ -338,7 +334,6 @@ func TestBudgetRunRecordsPressure(t *testing.T) {
 	cfg := wordCountConfig(4)
 	cfg.NumMapTasks = 4
 	cfg.NumReduceTasks = 3
-	cfg.Execution = ExecPipelined
 	mgr := membudget.New(32 << 10)
 	cfg.MemBudget = mgr
 	cfg.SpillDir = t.TempDir()
@@ -468,10 +463,7 @@ func TestBudgetedMapRunsLeavePhaseOutputs(t *testing.T) {
 		}
 	}
 	var forced int64
-	for r, st := range po.stores {
-		if po.shufRes[r].in != reduceInput(st) {
-			t.Errorf("shuffle %d committed something other than its partition's store", r)
-		}
+	for _, st := range po.stores {
 		f, _ := st.budgetStats()
 		forced += f
 		st.Close()
@@ -531,8 +523,8 @@ func TestSpeculationDigestCatchesDivergence(t *testing.T) {
 
 // TestEventLogSameUnderBudget: the event log's deterministic subset —
 // every field but seq and wall_ms, as a set — is the same with and
-// without a memory budget: under both, a shuffle's task.done carries
-// the partition's sort cost.
+// without a memory budget: under both, a reduce task's task.done carries
+// its partition's record count, read from the store under a budget.
 func TestEventLogSameUnderBudget(t *testing.T) {
 	events := func(budget bool) []string {
 		var buf bytes.Buffer
@@ -549,7 +541,7 @@ func TestEventLogSameUnderBudget(t *testing.T) {
 			requireSpilled(t, &cfg)
 		}
 		var lines []string
-		shuffleCost := false
+		reduceRecords := false
 		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 			var ev map[string]any
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -557,14 +549,14 @@ func TestEventLogSameUnderBudget(t *testing.T) {
 			}
 			delete(ev, "seq")
 			delete(ev, "wall_ms")
-			if ev["event"] == live.EventTaskDone && ev["phase"] == string(live.PhaseShuffle) && ev["cost_units"] != 0.0 {
-				shuffleCost = true
+			if ev["event"] == live.EventTaskDone && ev["phase"] == string(live.PhaseReduce) && ev["records"] != 0.0 {
+				reduceRecords = true
 			}
 			det, _ := json.Marshal(ev)
 			lines = append(lines, string(det))
 		}
-		if !shuffleCost {
-			t.Errorf("budget=%v: no shuffle task.done carries a sort cost", budget)
+		if !reduceRecords {
+			t.Errorf("budget=%v: no reduce task.done carries a record count", budget)
 		}
 		slices.Sort(lines)
 		return lines

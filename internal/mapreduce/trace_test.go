@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -91,10 +92,23 @@ func TestEngineTraceSpans(t *testing.T) {
 			t.Errorf("reduce %d span ends at %v, after job end %v", i, end, res.End)
 		}
 	}
-	// Shuffle spans live inside their reduce task's window.
+	// Every shuffle span is the first part of one reduce task: it lies
+	// inside that task's window, on its slot.
+	if len(byCat["shuffle"]) != len(res.ReduceStarts) {
+		t.Errorf("got %d shuffle spans, want one per reduce task (%d)", len(byCat["shuffle"]), len(res.ReduceStarts))
+	}
 	for _, s := range byCat["shuffle"] {
-		if s.Start < res.MapEnd && s.Dur > 0 {
-			t.Errorf("simulated shuffle span starts at %v, before map end %v", s.Start, res.MapEnd)
+		var r int
+		if _, err := fmt.Sscanf(s.Name, "shuffle r%d", &r); err != nil || r < 0 || r >= len(res.ReduceStarts) {
+			t.Errorf("shuffle span %q names no reduce task", s.Name)
+			continue
+		}
+		lo, hi := res.ReduceStarts[r], res.ReduceStarts[r]+res.ReduceTaskCosts[r]
+		if s.Start < lo || s.Start+s.Dur > hi {
+			t.Errorf("%s spans [%v, %v], outside reduce %d's window [%v, %v]", s.Name, s.Start, s.Start+s.Dur, r, lo, hi)
+		}
+		if s.TID != res.ReduceSlots[r] {
+			t.Errorf("%s on slot %d, reduce %d ran on slot %d", s.Name, s.TID, r, res.ReduceSlots[r])
 		}
 	}
 	// Engine counters flow into the registry.

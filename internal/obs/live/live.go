@@ -47,9 +47,8 @@ type Phase string
 
 // Engine phases, in execution (and snapshot) order.
 const (
-	PhaseMap     Phase = "map"
-	PhaseShuffle Phase = "shuffle"
-	PhaseReduce  Phase = "reduce"
+	PhaseMap    Phase = "map"
+	PhaseReduce Phase = "reduce"
 )
 
 // TaskState is one DAG node's lifecycle state.
@@ -165,8 +164,9 @@ func (r *Run) Finish(err error) {
 	r.done.Store(true)
 }
 
-// StartJob registers one MapReduce job's task DAG (maps map tasks, and
-// reduces shuffle+reduce task pairs) and returns its publication
+// StartJob registers one MapReduce job's task DAG (maps map tasks and
+// reduces reduce tasks, each reduce reading its own partition) and
+// returns its publication
 // handle. Jobs append in submission order, which is also snapshot
 // order. Nil-safe: a nil Run returns a nil Job whose methods no-op.
 func (r *Run) StartJob(name string, maps, reduces int) *Job {
@@ -175,8 +175,7 @@ func (r *Run) StartJob(name string, maps, reduces int) *Job {
 	}
 	j := &Job{run: r, name: name}
 	j.phases[0] = newPhaseLive(PhaseMap, maps)
-	j.phases[1] = newPhaseLive(PhaseShuffle, reduces)
-	j.phases[2] = newPhaseLive(PhaseReduce, reduces)
+	j.phases[1] = newPhaseLive(PhaseReduce, reduces)
 	r.mu.Lock()
 	r.jobs = append(r.jobs, j)
 	r.mu.Unlock()
@@ -209,8 +208,8 @@ func (r *Run) snapshotJobs() []*Job {
 type Job struct {
 	run  *Run
 	name string
-	// phases index: 0 map, 1 shuffle, 2 reduce.
-	phases [3]*phaseLive
+	// phases index: 0 map, 1 reduce.
+	phases [2]*phaseLive
 	// retries and speculations count attempt-runtime activity.
 	retries      atomic.Int64
 	speculations atomic.Int64
@@ -238,13 +237,10 @@ func newPhaseLive(p Phase, n int) *phaseLive {
 }
 
 func (j *Job) ph(p Phase) *phaseLive {
-	switch p {
-	case PhaseMap:
+	if p == PhaseMap {
 		return j.phases[0]
-	case PhaseShuffle:
-		return j.phases[1]
 	}
-	return j.phases[2]
+	return j.phases[1]
 }
 
 // TaskStart marks one task execution beginning (every execution: first

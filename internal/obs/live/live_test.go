@@ -107,8 +107,6 @@ func TestRunTaskLifecycleAndProgress(t *testing.T) {
 	j.TaskStart(PhaseMap, 1)
 	j.TaskDone(PhaseMap, 0, 10, 4)
 	j.TaskFailed(PhaseMap, 1, fmt.Errorf("boom"))
-	j.TaskStart(PhaseShuffle, 0)
-	j.TaskDone(PhaseShuffle, 0, 5, 4)
 	j.TaskStart(PhaseReduce, 0)
 	j.TaskDone(PhaseReduce, 0, 30, 4)
 	j.Retry(PhaseMap, 1, 1, "crash")
@@ -134,8 +132,8 @@ func TestRunTaskLifecycleAndProgress(t *testing.T) {
 	}
 
 	rows := r.Tasks()
-	if len(rows) != 4 { // 2 map + 1 shuffle + 1 reduce
-		t.Fatalf("got %d task rows, want 4", len(rows))
+	if len(rows) != 3 { // 2 map + 1 reduce
+		t.Fatalf("got %d task rows, want 3", len(rows))
 	}
 	if rows[0].State != "done" || rows[0].CostUnits != 10 || rows[0].Attempts != 1 {
 		t.Errorf("map task 0 row = %+v", rows[0])
@@ -245,8 +243,8 @@ func TestStatusServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rows); err != nil {
 		t.Fatalf("/tasks not JSON: %v", err)
 	}
-	if len(rows) != 3 {
-		t.Errorf("/tasks rows = %d, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Errorf("/tasks rows = %d, want 2", len(rows))
 	}
 	body, _ = get("/membudget")
 	var mb membudget.Stats

@@ -141,7 +141,7 @@ type TaskRow struct {
 }
 
 // Tasks assembles the full DAG node table, jobs in submission order,
-// phases map→shuffle→reduce, tasks by index.
+// phases map→reduce, tasks by index.
 func (r *Run) Tasks() []TaskRow {
 	if r == nil {
 		return nil

@@ -40,7 +40,7 @@
 // # What decides the answer
 //
 // Options (and BasicOptions for the baseline) embed a Host: the worker
-// count, the execution mode, the transport, fault injection and retry
+// count, the transport, fault injection and retry
 // policy, the trace, metrics, quality and live sinks, and the memory
 // budget with its spill directory. Host settings decide how a run uses
 // the machine and never what it finds; every other field decides the
@@ -236,11 +236,11 @@ type Options = core.Options
 type BasicOptions = core.BasicOptions
 
 // Host holds the settings both Options and BasicOptions embed that
-// decide how a run uses the host machine — workers, execution mode,
-// transport, faults and retries, the trace, metrics, quality and live
-// sinks, the memory budget and its spill directory — and never what it
-// finds: Result bytes are the same whatever Host holds. Set its fields
-// through the embedding (opts.Workers = 4) or as a whole
+// decide how a run uses the host machine — workers, transport, faults
+// and retries, the trace, metrics, quality and live sinks, the memory
+// budget and its spill directory — and never what it finds: Result
+// bytes are the same whatever Host holds. Set its fields through the
+// embedding (opts.Workers = 4) or as a whole
 // (Options{..., Host: proger.Host{Trace: tr}}).
 type Host = core.Host
 
@@ -298,14 +298,14 @@ var NewSeededFaults = faults.NewSeeded
 // when Host.Faults is set.
 type RetryPolicy = mapreduce.RetryPolicy
 
-// ExecutionMode selects how each job's tasks execute on the host
-// machine (Host.Execution). Like every Host setting, both modes
-// produce byte-identical results, traces, and telemetry.
+// ExecutionMode is ignored (Host.Execution): every job runs one task
+// graph, in which each reduce task waits for every map task. It
+// remains, with its two values, only because the benchmark harness
+// still sets it for its persons-barrier row; dropping that row drops
+// the type, its values and Host.Execution.
 type ExecutionMode = mapreduce.ExecutionMode
 
-// Execution modes, the two edge policies of the one task graph:
-// dependency-driven pipelined (default, no phase barriers) and the
-// three-phase barrier reference.
+// Execution modes; both are ignored (see ExecutionMode).
 const (
 	ExecPipelined = mapreduce.ExecPipelined
 	ExecBarrier   = mapreduce.ExecBarrier

@@ -71,11 +71,10 @@ go test -race -count=1 ./internal/mapreduce ./internal/faults
 
 # The job-graph scheduler is the most concurrency-dense code in the
 # repo (one shared pool, cross-phase interleaving, reduce inputs read
-# by several passes at once) and runs every execution mode — pipelined
-# and barrier edges, the failed-run settlement — so hammer all of it
-# repeatedly under the race detector.
+# by several passes at once) — the map → reduce edges, the failed-run
+# settlement — so hammer all of it repeatedly under the race detector.
 echo "== go test -race (job-graph scheduler) =="
-go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|BarrierMode|ConcurrentIter' ./internal/mapreduce
+go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|ReduceWaitsForEveryMap|ConcurrentIter' ./internal/mapreduce
 # Tasks borrow their working memory from process-wide pools, and a
 # buffer only changes hands between runs inside one process: tasks of
 # very different shapes on one stage, and whole Resolves overlapping.
@@ -190,8 +189,7 @@ grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
 # Distributed-transport smoke: the same workload run single-process and
 # across real OS processes (master + 2 forked workers) must produce
 # byte-identical pairs, trace, and quality telemetry — first clean,
-# then with barrier edges on the master (pairs and trace), then with
-# injected task faults AND a worker process that kills itself
+# then with injected task faults AND a worker process that kills itself
 # after its third lease, so the lease-expiry/re-lease path is exercised
 # end to end, and last with faults heavy enough that speculative backups
 # win on the other worker. The clean local run's trace and quality
@@ -241,13 +239,6 @@ cmp "$smoke/dloc-quality.json" "$smoke/ddist-quality.json" || {
 go run ./scripts/tracecheck -events "$smoke/dist-events.jsonl"
 grep -q '"event":"lease"' "$smoke/dist-events.jsonl" || {
     echo "distributed run granted no leases — the smoke test is not distributing work"; exit 1; }
-go run ./cmd/proger -generate publications -n 4000 -seed 5 -machines 2 \
-    -engine barrier -dist 2 \
-    -out "$smoke/edist.tsv" -trace "$smoke/edist-trace.json" 2>/dev/null
-cmp "$smoke/dloc.tsv" "$smoke/edist.tsv" || {
-    echo "barrier edges on a remote master changed the duplicate pairs"; exit 1; }
-cmp "$smoke/dloc-trace.json" "$smoke/edist-trace.json" || {
-    echo "barrier edges on a remote master changed the trace"; exit 1; }
 go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
     -fault-rate 0.2 -fault-seed 7 \
     -out "$smoke/floc.tsv" -trace "$smoke/floc-trace.json" 2>/dev/null

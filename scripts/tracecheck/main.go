@@ -8,8 +8,10 @@
 // validates a structured JSON event log (from cmd/proger -events):
 // one JSON object per line with a non-empty "event" name, segregated
 // wall-clock fields only (no slog "time"/"level" keys), run.start
-// first / run.end last, and per-(proc, job, phase) task accounting
-// (done + failed never exceeds starts). The log may merge events from
+// first / run.end last, every task.start, task.done and task.failed
+// in one of the engine's two task phases (map, reduce), and
+// per-(proc, job, phase) task accounting (done + failed never exceeds
+// starts). The log may merge events from
 // several processes: each line carries an optional "proc" identity key
 // ("w<id>" for a forked worker, absent for the host process), "seq" is
 // gap-free and strictly increasing per process, the run envelope
@@ -18,8 +20,7 @@
 // is strict for the host but relaxed for workers (a killed worker ends
 // fewer jobs than it starts). Distributed-transport events
 // (worker.register, lease, lease.expire) must carry their identity
-// keys, a lease's phase is one of the two lease kinds (map, reduce),
-// leases imply a registered worker, and expiries never exceed grants —
+// keys, a lease's phase is likewise map or reduce, leases imply a registered worker, and expiries never exceed grants —
 // globally and per worker. Used by `make trace-demo` and
 // scripts/check.sh as a CI-grade sanity check.
 //
@@ -173,10 +174,15 @@ func checkEvents(path string) error {
 			jobStarts[jobKey{proc, job}]++
 		case live.EventJobEnd:
 			jobEnds[jobKey{proc, job}]++
-		case live.EventTaskStart:
-			starts[phaseKey{proc, job, phase}]++
-		case live.EventTaskDone, live.EventTaskFailed:
-			dones[phaseKey{proc, job, phase}]++
+		case live.EventTaskStart, live.EventTaskDone, live.EventTaskFailed:
+			if err := checkTaskPhase(phase); err != nil {
+				return fmt.Errorf("%s: line %d (%s): %w", path, lines, name, err)
+			}
+			if name == live.EventTaskStart {
+				starts[phaseKey{proc, job, phase}]++
+			} else {
+				dones[phaseKey{proc, job, phase}]++
+			}
 		case live.EventWorkerRegister:
 			id, ok := ev["worker"].(float64)
 			if !ok {
@@ -192,9 +198,8 @@ func checkEvents(path string) error {
 					return fmt.Errorf("%s: line %d (%s): missing %q", path, lines, name, key)
 				}
 			}
-			if phase != mapreduce.RemotePhaseMap && phase != mapreduce.RemotePhaseReduce {
-				return fmt.Errorf("%s: line %d (%s): phase %q is not a lease kind (%s or %s)",
-					path, lines, name, phase, mapreduce.RemotePhaseMap, mapreduce.RemotePhaseReduce)
+			if err := checkTaskPhase(phase); err != nil {
+				return fmt.Errorf("%s: line %d (%s): %w", path, lines, name, err)
 			}
 			id := int(ev["worker"].(float64))
 			if name == live.EventLease {
@@ -258,6 +263,15 @@ func checkEvents(path string) error {
 	}
 	fmt.Printf("tracecheck: %s ok — %d events (%d task starts), %d jobs, %d procs, kinds %v\n",
 		path, lines, names[live.EventTaskStart], names[live.EventJobStart], len(seqs), catNames(names))
+	return nil
+}
+
+// checkTaskPhase accepts the phases a task or a lease can have: map and
+// reduce, the engine's two task kinds.
+func checkTaskPhase(phase string) error {
+	if phase != mapreduce.RemotePhaseMap && phase != mapreduce.RemotePhaseReduce {
+		return fmt.Errorf("phase %q is not a task kind (%s or %s)", phase, mapreduce.RemotePhaseMap, mapreduce.RemotePhaseReduce)
+	}
 	return nil
 }
 
