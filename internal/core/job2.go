@@ -34,24 +34,25 @@ type job2Side struct {
 
 // Job2Mapper implements §III-B's map function: for each entity, emit a
 // (SQ(X), entity ⊕ List(entity, X)) pair for every scheduled block X
-// containing the entity. Its Setup charges the simulated cost of
-// regenerating the progressive schedule from the Job-1 statistics,
-// which every map task pays (the paper generates the schedule in the
-// setup function of each map task).
+// containing the entity, all of them as one value (Map). Its Setup
+// charges the simulated cost of regenerating the progressive schedule
+// from the Job-1 statistics, which every map task pays (the paper
+// generates the schedule in the setup function of each map task).
 type Job2Mapper struct {
 	mapreduce.MapperBase
 	side *job2Side
 	// Per-task scratch, reused across Map calls: nothing derived from
-	// one input record outlives its Map call except the emitted values,
-	// which are cut from vals.
-	view        entity.View // the input record's entity, read in place
-	key         []byte      // the deepest-level key being looked up
-	listScratch dedup.List
-	listEnc     []byte
-	vals        mapreduce.ValueChunks
+	// one input record outlives its Map call except the emitted value,
+	// which is cut from vals.
+	view   entity.View // the input record's entity, read in place
+	key    []byte      // the deepest-level key being looked up
+	chain  dedup.List
+	chains []byte
+	vals   mapreduce.ValueChunks
 	// path[j][l-1] is the scheduled block of family j at level l that
-	// holds the entity locate was last called on, nil where that block
-	// was pruned: the one schedule lookup a (family, level) costs.
+	// holds the entity locate was last called on, down to the level above
+	// the first pruned one (a block's descendants are pruned with it):
+	// one schedule lookup a (family, level).
 	path [][]*blocking.Block
 }
 
@@ -82,102 +83,111 @@ func (m *Job2Mapper) Setup(ctx *mapreduce.TaskContext) error {
 // of the record. Per family it derives the deepest-level key — the one
 // key derivation an entity pays; every shallower level is a prefix of
 // it (Family.Shallower) — and charges the simulated cost of one key
-// computation per level. It returns the entity's ID and its encoding,
-// which is a prefix of the record's value.
-func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) (entity.ID, []byte, error) {
+// computation per level. It returns the entity's encoding, which is a
+// prefix of the record's value.
+func (m *Job2Mapper) locate(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue) ([]byte, error) {
 	n, err := m.view.Scan(rec.Value)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	fams := m.side.families
 	if m.path == nil {
 		m.path = make([][]*blocking.Block, len(fams))
-		for j, f := range fams {
-			m.path[j] = make([]*blocking.Block, f.Levels())
-		}
 	}
 	totalLevels := 0
 	for j, f := range fams {
 		totalLevels += f.Levels()
 		m.key = f.AppendKey(m.key[:0], m.view.Attr(f.Attr), f.Levels())
-		for l := range m.path[j] {
-			k := m.key[:min(len(m.key), f.PrefixLens[l])]
-			m.path[j][l] = m.side.schedule.ByID.Lookup(j, l+1, k)
+		m.path[j] = m.path[j][:0]
+		for l := range f.Levels() {
+			b := m.side.schedule.ByID.Lookup(j, l+1, m.key[:min(len(m.key), f.PrefixLens[l])])
+			if b == nil {
+				break
+			}
+			m.path[j] = append(m.path[j], b)
 		}
 	}
 	ctx.Charge(ctx.Cost.ReadRecord * costmodel.Units(totalLevels))
-	return m.view.ID, rec.Value[:n], nil
+	return rec.Value[:n], nil
 }
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.Mapper. Every record of the entity carries
+// one value: the entity, then per family j the chain C_j, the Dom of
+// each distinct tree on its family-j path, shallowest first, as a
+// dedup.Encode list. The reducer derives List(entity, X) from it
+// (appendRow).
 func (m *Job2Mapper) Map(ctx *mapreduce.TaskContext, rec mapreduce.KeyValue, emit mapreduce.Emitter) error {
-	id, entBuf, err := m.locate(ctx, rec)
+	entBuf, err := m.locate(ctx, rec)
 	if err != nil {
 		return err
 	}
-	// Emit per scheduled block of the entity's path. The emitted value
-	// (entity ⊕ List) only changes when the path crosses into a different
-	// tree, so one buffer is built per tree and shared by every emission
-	// for that tree's blocks — the engine and all reducers treat values
-	// as read-only, so aliasing is safe.
 	emitted := 0
-	for j, path := range m.path {
-		var lastTree = -1
-		var lastVal []byte
-		for l, b := range path {
-			if b == nil {
-				continue // pruned block
+	m.chains = m.chains[:0]
+	for _, path := range m.path {
+		m.chain = m.chain[:0]
+		for _, b := range path {
+			if dom := m.side.schedule.Trees[b.Tree].Dom; len(m.chain) == 0 || m.chain[len(m.chain)-1] != dom {
+				m.chain = append(m.chain, dom)
 			}
-			if b.Tree != lastTree {
-				lastTree = b.Tree
-				list := m.buildList(id, j, l+1)
-				lastVal = append(append(m.vals.Alloc(len(entBuf)+len(list)), entBuf...), list...)
-			}
-			emit.Emit(b.SQKey, lastVal)
-			emitted++
+		}
+		m.chains, emitted = dedup.Encode(m.chains, m.chain), emitted+len(path)
+	}
+	if emitted == 0 { // (an entity whose every block was pruned must not create the counter)
+		return nil
+	}
+	val := append(append(m.vals.Alloc(len(entBuf)+len(m.chains)), entBuf...), m.chains...)
+	for _, path := range m.path {
+		for _, b := range path {
+			emit.Emit(b.SQKey, val)
 		}
 	}
-	if emitted > 0 { // (an entity whose every block was pruned must not create the counter)
-		ctx.Inc(CounterJob2Emitted, int64(emitted))
-	}
+	ctx.Inc(CounterJob2Emitted, int64(emitted))
 	return nil
 }
 
-// buildList constructs List(e, T) per §V for the entity locate was last
-// called on (id is its ID) and the tree T of its family-j block at
-// `level`, the shallowest block of T on its path. The returned encoding
-// is scratch owned by the mapper — callers must copy it into the
-// emitted value before the next buildList call.
-func (m *Job2Mapper) buildList(id entity.ID, j, level int) []byte {
-	trees := m.side.schedule.Trees
-	ti := m.path[j][level-1].Tree
-	list := m.listScratch[:0]
-	for k, path := range m.path {
-		switch main := path[0]; {
-		case k == j:
-			// Own family: the tree the emitted block belongs to.
-			list = append(list, trees[ti].Dom)
-		case main != nil:
-			list = append(list, trees[main.Tree].Dom)
-		default:
-			list = append(list, dedup.SentinelFor(int32(id)))
+// appendRow appends to doms entity id's List(e, T) of §V for a block of
+// the tree T, Dom t, of family own, from chains, the n tree chains that
+// follow the entity in its value (Job2Mapper.Map): position k ≠ own is
+// C_k's first tree, the entity's main tree of family k; position own is
+// t; position n is the tree after t in C_own, the highest split-off
+// descendant tree containing the entity. Where there is none, the
+// entity's sentinel stands in, which equals no other entity's value, so
+// ShouldResolve decides as it does on the lists. A value that does not
+// hold exactly n chains, with t in C_own, is an error and adds nothing.
+func appendRow(doms dedup.List, chains []byte, n, own int, t dedup.Dom, id entity.ID) (dedup.List, error) {
+	sentinel := dedup.SentinelFor(int32(id))
+	row, next := len(doms), sentinel
+	for k := 0; k < n; k++ {
+		cnt, w := binary.Uvarint(chains)
+		if w <= 0 || cnt > uint64(len(chains)) {
+			return doms[:row], fmt.Errorf("core: job-2 payload of e%d has no tree chain %d", id, k)
 		}
+		chains = chains[w:]
+		v, at := sentinel, -1
+		for i := 0; i < int(cnt); i++ {
+			d, w := binary.Varint(chains)
+			if w <= 0 {
+				return doms[:row], fmt.Errorf("core: job-2 payload of e%d has a truncated tree chain %d", id, k)
+			}
+			chains = chains[w:]
+			switch dom := dedup.Dom(d); {
+			case i == 0 && k != own:
+				v = dom
+			case k == own && at < 0 && dom == t:
+				v, at = dom, i
+			case k == own && at >= 0 && i == at+1:
+				next = dom
+			}
+		}
+		if k == own && at < 0 {
+			return doms[:row], fmt.Errorf("core: job-2 payload of e%d has no tree %d in its chain of family %d", id, t, k)
+		}
+		doms = append(doms, v)
 	}
-	// (n+1)st value: the highest split-off descendant tree containing
-	// the entity — the first deeper level on e's path whose block is
-	// the root of a different tree.
-	for _, b := range m.path[j][max(level, int(trees[ti].Root.ID.Level)):] {
-		if b == nil {
-			break // pruned below; nothing deeper can be scheduled
-		}
-		if b.Tree != ti && trees[b.Tree].Root == b {
-			list = append(list, trees[b.Tree].Dom)
-			break
-		}
+	if len(chains) > 0 {
+		return doms[:row], fmt.Errorf("core: job-2 payload of e%d has %d bytes past its tree chains", id, len(chains))
 	}
-	m.listScratch = list
-	m.listEnc = dedup.Encode(m.listEnc[:0], list)
-	return m.listEnc
+	return append(doms, next), nil
 }
 
 // Job2Partitioner routes each sequence key to its reduce task.
@@ -217,18 +227,15 @@ type treeState struct {
 	resolved pairTable
 	// slotOf finds the slot of an entity that arrives again with a later
 	// block of the tree — one lookup per record. The mapper sends one
-	// (entity ⊕ list) value per entity and tree, so the ID names the
-	// bytes and a known ID is not decoded twice.
+	// value per entity, so the ID names the bytes and a known ID is not
+	// decoded twice.
 	slotOf map[entity.ID]int32
 	// dec owns the storage of ents and sortKeys: slabs sized for the
-	// whole tree and strings shared by each group of arrivals, all
-	// invalidated when the tree is done.
+	// whole tree, attributes read from the values in place, a string of
+	// lowered keys per block, all invalidated when the tree is done.
 	dec  entity.Decoder
 	ents []*entity.Entity
-	// doms holds the dominance lists, stride len(families)+1. A list
-	// without the (n+1)st value gets the entity's own sentinel there,
-	// which equals no other entity's value, so ShouldResolve — handed
-	// two full rows — decides as it does on the lists themselves.
+	// doms holds the dominance rows (appendRow), stride len(families)+1.
 	doms dedup.List
 	// sortKeys is the lower-cased sort attribute of the tree's family:
 	// lowered once per entity and tree, not once per block visit.
@@ -295,36 +302,26 @@ func (ts *treeState) release() {
 	treeStates[ts.class].Put(ts)
 }
 
-// admit decodes a block's new arrivals — (entity ⊕ list) map-output
-// values, in slot order — into the tree's next slots: their entities and
-// sort keys in one Decoder call, then each one's dominance list from the
-// bytes that follow its entity. It overwrites fresh.
+// admit decodes a block's new arrivals — Job-2 values, in slot order —
+// into the tree's next slots: their entities and sort keys in one
+// Decoder call, which leaves them reading the values in place, then each
+// one's dominance row from the chains that follow its entity. It
+// overwrites fresh.
 func (ts *treeState) admit(side *job2Side, fresh [][]byte) error {
 	if len(fresh) == 0 {
 		return nil
 	}
 	first := len(ts.ents)
-	fam := side.families[side.schedule.Trees[ts.tree].Root.ID.Family]
+	t := side.schedule.Trees[ts.tree]
+	own := int(t.Root.ID.Family)
 	var err error
-	if ts.ents, ts.sortKeys, err = ts.dec.DecodeAll(ts.ents, ts.sortKeys, fresh, fam.Attr); err != nil {
+	if ts.ents, ts.sortKeys, err = ts.dec.DecodeAll(ts.ents, ts.sortKeys, fresh, side.families[own].Attr); err != nil {
 		return err
 	}
-	n := len(side.families)
-	for k, rest := range fresh {
-		id := ts.ents[first+k].ID
-		doms, _, err := dedup.AppendDecode(ts.doms, rest)
-		if err != nil {
+	for k, chains := range fresh {
+		if ts.doms, err = appendRow(ts.doms, chains, len(side.families), own, t.Dom, ts.ents[first+k].ID); err != nil {
 			return err
 		}
-		switch len(doms) - len(ts.doms) {
-		case n:
-			doms = append(doms, dedup.SentinelFor(int32(id)))
-		case n + 1:
-		default:
-			return fmt.Errorf("core: job-2 payload of e%d has a dominance list of %d values, want %d or %d",
-				id, len(doms)-len(ts.doms), n, n+1)
-		}
-		ts.doms = doms
 	}
 	return nil
 }

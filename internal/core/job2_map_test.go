@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"proger/internal/blocking"
@@ -15,6 +16,7 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
+	"proger/internal/sched"
 )
 
 // lookupMapper is the Job-2 map function as it was before the mapper
@@ -106,19 +108,27 @@ func (m *lookupMapper) list(e *entity.Entity, deep []string, j, level, ti int) d
 }
 
 // recordingEmitter keeps what a mapper emits, copying each value at the
-// moment of emission so that later reuse of a buffer would show.
-type recordingEmitter struct{ recs []mapreduce.KeyValue }
+// moment of emission so that later reuse of a buffer would show, and
+// where each value's bytes were.
+type recordingEmitter struct {
+	recs  []mapreduce.KeyValue
+	first []*byte
+}
 
 func (e *recordingEmitter) Emit(key string, value []byte) {
 	e.recs = append(e.recs, mapreduce.KeyValue{Key: key, Value: bytes.Clone(value)})
+	e.first = append(e.first, &value[0])
 }
 
 // TestJob2MapperMatchesLookupPerLevelOracle: over seeded random
 // datasets, family shapes and scheduler settings — schedules with
 // pruned blocks and with split-off trees, which the test insists on
-// having seen — the mapper emits, record for record and byte for byte,
-// what the lookup-per-level mapper emits, and charges the same simulated
-// cost.
+// having seen — the mapper emits, record for record, under the same keys
+// and in the same order, what the lookup-per-level mapper emits; every
+// record carries the entity byte for byte, the dominance row the reducer
+// derives for the record's block is the oracle's List(e, X) (with the
+// entity's sentinel where the list has no (n+1)st value), all records of
+// one entity share one value, and the two charge the same simulated cost.
 func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 	sawSplit, sawPruned := false, false
 	for seed := int64(1); seed <= 12; seed++ {
@@ -151,8 +161,14 @@ func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 		wantCtx.Charge(gotCtx.Now()) // the schedule-generation charge
 		var gotOut, wantOut recordingEmitter
 		for _, rec := range input {
+			from := len(gotOut.first)
 			if err := got.Map(gotCtx, rec, &gotOut); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			for i := from; i < len(gotOut.first); i++ {
+				if gotOut.first[i] != gotOut.first[from] {
+					t.Fatalf("%s: record %d of an entity's %d has a value of its own", name, i-from, len(gotOut.first)-from)
+				}
 			}
 			if err := want.Map(wantCtx, rec, &wantOut); err != nil {
 				t.Fatalf("%s: oracle: %v", name, err)
@@ -161,9 +177,26 @@ func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 		if len(gotOut.recs) != len(wantOut.recs) {
 			t.Fatalf("%s: %d records emitted, oracle %d", name, len(gotOut.recs), len(wantOut.recs))
 		}
+		n := len(side.families)
 		for i, w := range wantOut.recs {
-			if g := gotOut.recs[i]; g.Key != w.Key || !bytes.Equal(g.Value, w.Value) {
+			g := gotOut.recs[i]
+			e, size, err := entity.DecodeBinary(w.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			list, _, err := dedup.Decode(w.Value[size:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(list) == n {
+				list = append(list, dedup.SentinelFor(int32(e.ID)))
+			}
+			sq, err := sched.ParseSQKey(g.Key)
+			if err != nil || g.Key != w.Key || !bytes.HasPrefix(g.Value, w.Value[:size]) {
 				t.Fatalf("%s: record %d is (%s, %x), oracle (%s, %x)", name, i, g.Key, g.Value, w.Key, w.Value)
+			}
+			if row := rowOf(t, side, side.schedule.Block(sq), g.Value); !slices.Equal(row, list) {
+				t.Fatalf("%s: record %d (%s): row %v, oracle %v", name, i, g.Key, row, list)
 			}
 		}
 		if g, w := gotCtx.Now(), wantCtx.Now(); g != w {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"proger/internal/blocking"
@@ -53,19 +54,35 @@ func splitSchedule() (*sched.Schedule, blocking.Families) {
 	return s, fams
 }
 
-// listOf locates e with the mapper and decodes List(e, T) for the tree
-// T of e's family-j block at the given level.
+// listOf runs the mapper on e and derives from the value it emits, as
+// the reducer does, e's dominance row for the tree T of its family-j
+// block at the given level: List(e, T), with e's sentinel at position n
+// where the list has no (n+1)st value.
 func listOf(t *testing.T, m *Job2Mapper, e *entity.Entity, j, level int) dedup.List {
 	t.Helper()
-	rec := mapreduce.KeyValue{Value: entity.EncodeBinary(nil, e)}
-	if id, _, err := m.locate(&mapreduce.TaskContext{}, rec); err != nil || id != e.ID {
+	var out recordingEmitter
+	if err := m.Map(&mapreduce.TaskContext{}, mapreduce.KeyValue{Value: entity.EncodeBinary(nil, e)}, &out); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := dedup.Decode(m.buildList(e.ID, j, level))
-	if err != nil {
-		t.Fatal(err)
+	b := m.path[j][level-1]
+	for _, rec := range out.recs {
+		if rec.Key == b.SQKey {
+			return rowOf(t, m.side, b, rec.Value)
+		}
 	}
-	return l
+	t.Fatalf("e%d: nothing emitted for block %s", e.ID, b.ID)
+	return nil
+}
+
+// rowOf is the dominance row that the reducer's admit derives from a
+// Job-2 value arriving with block b.
+func rowOf(t *testing.T, side *job2Side, b *blocking.Block, value []byte) dedup.List {
+	t.Helper()
+	ts := &treeState{tree: b.Tree}
+	if err := ts.admit(side, [][]byte{value}); err != nil {
+		t.Fatalf("block %s: %v", b.ID, err)
+	}
+	return ts.doms
 }
 
 func TestBuildListWithSplitTree(t *testing.T) {
@@ -77,21 +94,23 @@ func TestBuildListWithSplitTree(t *testing.T) {
 
 	// Emission for the X main tree (tree 0, shallowest level 1): the
 	// list must carry [Dom(own X tree)=0, Dom(Y tree)=2] plus the
-	// (n+1)st value Dom(split descendant)=1.
+	// (n+1)st value Dom(split descendant)=1. A list without one gets the
+	// entity's sentinel there.
+	sentinel := dedup.SentinelFor(int32(e.ID))
 	if list := listOf(t, m, e, 0, 1); !reflect.DeepEqual(list, dedup.List{0, 2, 1}) {
 		t.Errorf("List(e, T(X¹ₐ)) = %v, want [0 2 1]", list)
 	}
 
 	// Emission for the split tree itself (tree 1, level 2): own family
 	// position is the split tree's Dom; no deeper split exists.
-	if list := listOf(t, m, e, 0, 2); !reflect.DeepEqual(list, dedup.List{1, 2}) {
-		t.Errorf("List(e, T(X²ₐᵦ)) = %v, want [1 2]", list)
+	if list := listOf(t, m, e, 0, 2); !reflect.DeepEqual(list, dedup.List{1, 2, sentinel}) {
+		t.Errorf("List(e, T(X²ₐᵦ)) = %v, want [1 2 %d]", list, sentinel)
 	}
 
 	// Emission for the Y tree: X position refers to the MAIN X tree
 	// (not the split), as §V specifies.
-	if list := listOf(t, m, e, 1, 1); !reflect.DeepEqual(list, dedup.List{0, 2}) {
-		t.Errorf("List(e, T(Y¹)) = %v, want [0 2]", list)
+	if list := listOf(t, m, e, 1, 1); !reflect.DeepEqual(list, dedup.List{0, 2, sentinel}) {
+		t.Errorf("List(e, T(Y¹)) = %v, want [0 2 %d]", list, sentinel)
 	}
 }
 
@@ -184,4 +203,74 @@ func TestResolveLeavesInputUntouched(t *testing.T) {
 	if !reflect.DeepEqual(got.Events, want.Events) || got.TotalTime != want.TotalTime {
 		t.Error("resolve on a caller's input departs from Resolve")
 	}
+}
+
+// FuzzJob2Payload holds the reducer's row derivation to the value a
+// mapper could have sent: a valid entity followed by arbitrary bytes,
+// arriving with a block of any tree of the §V split schedule. admit
+// either fails, leaving no row, or derives n+1 values, and then only
+// from exactly n chains that dedup.Decode reads — the tree's own Dom
+// among its family's — and equal to the row they spell; it never panics
+// or reads past the value.
+func FuzzJob2Payload(f *testing.F) {
+	s, fams := splitSchedule()
+	side, n := &job2Side{schedule: s, families: fams}, len(fams)
+	const id = 5
+	ent := entity.EncodeBinary(nil, &entity.Entity{ID: id, Attrs: []string{"abq", "z"}})
+	chains := func(cs ...dedup.List) []byte {
+		var b []byte
+		for _, c := range cs {
+			b = dedup.Encode(b, c)
+		}
+		return b
+	}
+	f.Add(uint8(0), chains(dedup.List{0, 1}, dedup.List{2})) // e's own value
+	f.Add(uint8(2), chains(nil, nil))                        // empty chains
+	f.Add(uint8(2), []byte{0x05, 0x00})                      // a count larger than the remaining bytes
+	f.Add(uint8(0), []byte{0x01, 0x80})                      // a truncated varint
+	f.Add(uint8(1), chains(dedup.List{0}, dedup.List{2}))    // an own chain that lacks T
+	f.Fuzz(func(t *testing.T, tree uint8, rest []byte) {
+		ts := &treeState{tree: int(tree) % len(s.Trees)}
+		tr := s.Trees[ts.tree]
+		value := append(ent[:len(ent):len(ent)], rest...)
+		if err := ts.admit(side, [][]byte{value[:len(value):len(value)]}); err != nil {
+			if len(ts.doms) != 0 {
+				t.Fatalf("failed (%v) but left the row %v", err, ts.doms)
+			}
+			return
+		}
+		if len(ts.doms) != n+1 {
+			t.Fatalf("derived %d values, want %d", len(ts.doms), n+1)
+		}
+		var cs []dedup.List
+		for k := 0; k < n; k++ {
+			c, w, err := dedup.Decode(rest)
+			if err != nil {
+				t.Fatalf("derived %v from chain %d that does not decode: %v", ts.doms, k, err)
+			}
+			cs, rest = append(cs, c), rest[w:]
+		}
+		own, sentinel := int(tr.Root.ID.Family), dedup.SentinelFor(id)
+		at := slices.Index(cs[own], tr.Dom)
+		if len(rest) > 0 || at < 0 {
+			t.Fatalf("derived %v from chains %v with %d bytes to spare", ts.doms, cs, len(rest))
+		}
+		want := make(dedup.List, n+1)
+		for k, c := range cs {
+			switch {
+			case k == own:
+				want[k] = tr.Dom
+			case len(c) > 0:
+				want[k] = c[0]
+			default:
+				want[k] = sentinel
+			}
+		}
+		if want[n] = sentinel; at+1 < len(cs[own]) {
+			want[n] = cs[own][at+1]
+		}
+		if !slices.Equal(ts.doms, want) {
+			t.Fatalf("chains %v derive %v, want %v", cs, ts.doms, want)
+		}
+	})
 }

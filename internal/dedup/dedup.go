@@ -1,7 +1,8 @@
 // Package dedup implements redundancy-free resolution (§V of the
 // paper): the per-tree dominance values, the List(eᵢ, X) dominance
-// lists encoded into Job 2's map output, and the SHOULD-RESOLVE check
-// (Fig. 7) that reduce tasks run before resolving each candidate pair.
+// lists (Job 2's reduce tasks derive them from the per-family lists of
+// trees its map output carries), and the SHOULD-RESOLVE check (Fig. 7)
+// that reduce tasks run before resolving each candidate pair.
 // It also provides the smallest-key rule of Kolb et al. [14] that the
 // Basic baseline uses (§II-C, limitation 4).
 package dedup
@@ -9,7 +10,6 @@ package dedup
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // Dom is a tree dominance value. Every tree of the progressive schedule
@@ -68,11 +68,7 @@ func Encode(dst []byte, l List) []byte {
 }
 
 // Decode reads one list, returning bytes consumed.
-func Decode(src []byte) (List, int, error) { return AppendDecode(nil, src) }
-
-// AppendDecode is Decode appending the list's values to dst, for a
-// caller that keeps many lists in one array.
-func AppendDecode(dst List, src []byte) (List, int, error) {
+func Decode(src []byte) (List, int, error) {
 	cnt, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("dedup: truncated list (count)")
@@ -81,16 +77,16 @@ func AppendDecode(dst List, src []byte) (List, int, error) {
 	if cnt > uint64(len(src)) {
 		return nil, 0, fmt.Errorf("dedup: corrupt list count %d", cnt)
 	}
-	dst = slices.Grow(dst, int(cnt))
-	for i := 0; i < int(cnt); i++ {
+	l := make(List, cnt)
+	for i := range l {
 		v, n := binary.Varint(src[off:])
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("dedup: truncated list (value %d)", i)
 		}
-		dst = append(dst, Dom(v))
+		l[i] = Dom(v)
 		off += n
 	}
-	return dst, off, nil
+	return l, off, nil
 }
 
 // SmallestKeyResponsible implements the redundancy-elimination rule of

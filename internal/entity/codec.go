@@ -2,13 +2,13 @@ package entity
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"proger/internal/normkey"
 )
@@ -145,55 +145,34 @@ func DecodeBinary(src []byte) (*Entity, int, error) {
 }
 
 // Decoder is DecodeBinary for a caller that decodes many entities at a
-// time: the Entity structs and attribute slices it hands out are cut
-// from slabs, and the attribute bytes of a group of entities from one
-// string (DecodeAll). The caller says how many are coming — a reduce
-// call's value count, a tree's entity count — and pays for exactly that
-// many: Grow(n) before n entities that must stay valid beside the
-// earlier ones, Reset(n) when the earlier ones are done with and their
-// storage can be reused. Holding one entity keeps its whole slab and
-// its group's strings alive, so a Decoder's entities should die
-// together. The zero Decoder is ready to use.
+// time, without copying them: the Entity structs and attribute slices it
+// hands out are cut from slabs, and each attribute is a view of its
+// source's bytes, so a source must not be written while an entity
+// decoded from it is in use — as a mapreduce.Reducer's values never are.
+// The caller says how many are coming — a reduce call's value count, a
+// tree's entity count — and pays for exactly that many: Grow(n) before n
+// entities that must stay valid beside the earlier ones, Reset(n) when
+// the earlier ones are done with and their storage can be reused.
+// Holding one entity keeps its source and its whole slab alive, so a
+// Decoder's entities should die together. The zero Decoder is ready to
+// use.
 type Decoder struct {
 	ents  []Entity
 	attrs []string
 }
 
-// groupScratch is what DecodeAll builds a group in, all pointer-free:
-// what is known of each entity before the group's strings exist, and
-// the lowered keys' bytes.
-type groupScratch struct {
-	group []decoded
-	keys  []byte
+// keyScratch is where DecodeAll lowers keys before they are a string,
+// all pointer-free: the lowered bytes of the keys that lowering changes,
+// and where each one's key goes in keys and ends in the bytes.
+type keyScratch struct {
+	lowered []byte
+	changed []struct{ key, end int }
 }
 
-// groupScratches lends DecodeAll its scratch for the length of a call: a
+// keyScratches lends DecodeAll its scratch for the length of a call: a
 // Decoder is held per tree, by the hundred, and scratch of its own would
-// stay with it at the size of its largest group.
-var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
-
-// decoded is an entity of the group DecodeAll is cutting: its ID, its
-// attribute count, the bounds of its attribute region in its source and
-// the length of its key, or -1 when lowering leaves the attribute as it
-// is and the key is the attribute itself.
-type decoded struct {
-	id                      ID
-	cnt, start, end, keyLen int
-}
-
-// groupBytes bounds the attribute regions that DecodeAll copies into one
-// string, and so the lowered keys copied into the other. A group closes
-// before the entity that would take it past this size; an entity larger
-// than this is a group of its own. The bound is small on purpose: a
-// group's string lands in the allocator's finely spaced size classes,
-// where strings of every group size share spans and reuse what a
-// finished tree frees. Groups of up to 16 KiB cut allocations a little
-// further on small entities but spread their strings over the coarse
-// classes between 1 and 16 KiB, where a tree's freed strings leave spans
-// part-filled: pubs-local read 3 MiB more peak RSS than with 512-byte
-// groups. (One string per whole block, a large object, read 4 MiB more
-// on books-local.)
-const groupBytes = 512
+// stay with it at the size of its largest call.
+var keyScratches = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // Grow makes room for n more entities. Those handed out stay valid:
 // unless the slab in use has room for all n, a new one of exactly n is
@@ -205,8 +184,8 @@ func (d *Decoder) Grow(n int) {
 }
 
 // Reset invalidates every entity the Decoder has handed out — their
-// storage is zeroed, so an idle Decoder keeps no attribute string alive,
-// and reused — and makes room for n more.
+// storage is zeroed, so an idle Decoder keeps no source alive, and
+// reused — and makes room for n more.
 func (d *Decoder) Reset(n int) {
 	clear(d.ents)
 	clear(d.attrs)
@@ -219,100 +198,64 @@ func (d *Decoder) Reset(n int) {
 // error. It appends each entity to ents and strings.ToLower of the
 // entity's attribute `lower` (Entity.Attr's value, so "" where there is
 // none) to keys, and leaves srcs[i] holding the bytes that follow the
-// i-th entity. Each source is validated once. The attribute regions of a
-// group of consecutive entities are copied into one string, as
-// DecodeBinary copies one entity's, and the keys that lowering changes
-// into a second, both of at most about groupBytes; a key that lowering
-// leaves as it is, is the attribute itself, as strings.ToLower returns
-// it. Past the count it was told to expect the Decoder carries on in
-// small slabs of its own sizing. After an error the entities decoded so
-// far may or may not have been appended.
+// i-th entity. Each source is validated once. The attributes read their
+// sources in place; a key that lowering leaves as it is, is the
+// attribute itself, as strings.ToLower returns it, and the keys that
+// lowering changes are copied into one string per call. Past the count
+// it was told to expect the Decoder carries on in small slabs of its own
+// sizing. After an error, what it appended to ents and keys is not to be
+// used.
 func (d *Decoder) DecodeAll(ents []*Entity, keys []string, srcs [][]byte, lower int) ([]*Entity, []string, error) {
-	gs := groupScratches.Get().(*groupScratch)
-	defer groupScratches.Put(gs)
-	size, first := 0, 0
+	ks := keyScratches.Get().(*keyScratch)
+	defer keyScratches.Put(ks)
+	kb, changed := ks.lowered[:0], ks.changed[:0]
 	for i, src := range srcs {
 		id, cnt, start, end, err := scanBinary(src, nil)
 		if err != nil {
-			gs.group = gs.group[:0]
 			return ents, keys, err
 		}
-		if size > 0 && size+end-start > groupBytes {
-			ents, keys = d.cutGroup(gs, size, ents, keys, srcs[first:i], lower)
-			first, size = i, 0
-		}
-		gs.group = append(gs.group, decoded{id: ID(id), cnt: cnt, start: start, end: end})
-		size += end - start
-	}
-	if len(gs.group) > 0 {
-		ents, keys = d.cutGroup(gs, size, ents, keys, srcs[first:], lower)
-	}
-	return ents, keys, nil
-}
-
-// cutGroup copies the attribute regions of the group in gs, whose
-// sources are srcs and which take size bytes, into one string and their
-// lowered keys into another, cuts the entities and keys from them, into
-// the slabs, advances each source past its entity and empties the group.
-// The regions were validated by the scan.
-func (d *Decoder) cutGroup(gs *groupScratch, size int, ents []*Entity, keys []string, srcs [][]byte, lower int) ([]*Entity, []string) {
-	var b strings.Builder
-	b.Grow(size)
-	kb := gs.keys[:0]
-	for i, g := range gs.group {
-		region := srcs[i][g.start:g.end]
-		b.Write(region)
-		at := len(kb)
-		if 0 <= lower && lower < g.cnt {
-			pos := 0
-			for k := 0; k < lower; k++ {
-				l, n := binary.Uvarint(region[pos:])
-				pos += n + int(l)
-			}
-			l, n := binary.Uvarint(region[pos:])
-			attr := region[pos+n : pos+n+int(l)]
-			if kb = normkey.AppendLower(kb, attr); bytes.Equal(kb[at:], attr) {
-				kb, gs.group[i].keyLen = kb[:at], -1
-				continue
-			}
-		}
-		gs.group[i].keyLen = len(kb) - at
-	}
-	s, lowered := b.String(), string(kb)
-	for i, g := range gs.group {
 		if len(d.ents) == cap(d.ents) {
 			d.Grow(16)
 		}
-		if cap(d.attrs)-len(d.attrs) < g.cnt {
+		if cap(d.attrs)-len(d.attrs) < cnt {
 			// Room for as many entities as the entity slab holds, at this
 			// one's attribute count: a Decoder reused for entities of one
 			// shape takes a new attribute slab with a new entity slab only.
-			d.attrs = make([]string, 0, g.cnt*cap(d.ents))
+			d.attrs = make([]string, 0, cnt*cap(d.ents))
 		}
 		// The row's capacity is clipped so that appending to one entity's
 		// Attrs cannot write into the next one's.
-		attrs := d.attrs[len(d.attrs) : len(d.attrs)+g.cnt : len(d.attrs)+g.cnt]
-		d.attrs = d.attrs[:len(d.attrs)+g.cnt]
-		region, rs := srcs[i][g.start:g.end], s[:g.end-g.start]
-		for k, pos := 0, 0; k < g.cnt; k++ {
-			l, n := binary.Uvarint(region[pos:])
-			pos += n
-			attrs[k] = rs[pos : pos+int(l)]
+		attrs := d.attrs[len(d.attrs) : len(d.attrs)+cnt : len(d.attrs)+cnt]
+		d.attrs = d.attrs[:len(d.attrs)+cnt]
+		for k, pos := 0, start; k < cnt; k++ {
+			l, n := binary.Uvarint(src[pos:])
+			if pos += n; l > 0 {
+				attrs[k] = unsafe.String(&src[pos], int(l))
+			}
 			pos += int(l)
 		}
-		s = s[len(region):]
-		d.ents = append(d.ents, Entity{ID: g.id, Attrs: attrs})
+		d.ents = append(d.ents, Entity{ID: ID(id), Attrs: attrs})
 		ents = append(ents, &d.ents[len(d.ents)-1])
-		if g.keyLen < 0 {
-			keys = append(keys, attrs[lower])
-		} else {
-			keys = append(keys, lowered[:g.keyLen])
-			lowered = lowered[g.keyLen:]
+		key := ""
+		if 0 <= lower && lower < cnt {
+			at := len(kb)
+			if key, kb = attrs[lower], normkey.AppendLower(kb, attrs[lower]); string(kb[at:]) == key {
+				kb = kb[:at]
+			} else {
+				changed = append(changed, struct{ key, end int }{len(keys), len(kb)})
+			}
 		}
-		srcs[i] = srcs[i][g.end:]
+		keys = append(keys, key)
+		srcs[i] = src[end:]
 	}
-	gs.group, gs.keys = gs.group[:0], kb[:0]
-	return ents, keys
+	if len(changed) > 0 {
+		lowered, at := string(kb), 0
+		for _, c := range changed {
+			keys[c.key], at = lowered[at:c.end], c.end
+		}
+	}
+	ks.lowered, ks.changed = kb[:0], changed[:0]
+	return ents, keys, nil
 }
 
 // WriteTSV writes the dataset as tab-separated text: a header line

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewSchema(t *testing.T) {
@@ -441,15 +442,14 @@ func TestDecoderMatchesDecodeBinary(t *testing.T) {
 	sameDecoder(t, "trailing bytes", append(EncodeBinary(nil, &Entity{ID: 10, Attrs: []string{"a", "B", "c"}}), 1, 2, 3))
 }
 
-// TestDecoderSlabs pins what the slabs and the groups are for and what
-// they must not cost: a warm Decoder decodes a group of entities in two
-// allocations — its attribute string and its key string —, one where
-// lowering changes no key (the keys are the attributes), a cold one adds
-// its two slabs, a group closes before the entity that would take it
-// past groupBytes, an entity larger than that is a group of its own, and
-// one entity's Attrs cannot be appended into the next one's. (Under
-// -race, where sync.Pool drops the group scratch a quarter of the time,
-// the counts are held below one allocation per two entities more.)
+// TestDecoderSlabs pins what the slabs are for and what a call must not
+// cost: a warm Decoder decodes a call's entities, whatever their number
+// and size, in one allocation — the string of the keys that lowering
+// changes —, none where lowering changes no key (the keys are the
+// attributes), a cold one adds its two slabs, and one entity's Attrs
+// cannot be appended into the next one's. (Under -race, where sync.Pool
+// drops the key scratch a quarter of the time, the counts are held below
+// one allocation per two entities more.)
 func TestDecoderSlabs(t *testing.T) {
 	entity := func(i, size int) *Entity {
 		return &Entity{ID: ID(i), Attrs: []string{"Ann", "Springfield", strings.Repeat("i", size), fmt.Sprintf("%02d", i)}}
@@ -461,29 +461,21 @@ func TestDecoderSlabs(t *testing.T) {
 		}
 		return recs
 	}
-	region := func(size int) int {
-		_, _, start, end, _ := scanBinary(EncodeBinary(nil, entity(0, size)), nil)
-		return end - start
-	}
-	tenth := 0 // the size whose attribute region is the largest that ten fit in a group
-	for region(tenth+1) <= groupBytes/10 {
-		tenth++
-	}
 	var d Decoder
 	srcs, ents, keys := make([][]byte, 0, 50), make([]*Entity, 0, 50), make([]string, 0, 50)
-	ten, one := encode(50, tenth), encode(50, groupBytes)
+	small, large := encode(50, 10), encode(50, 1000)
 	for _, c := range []struct {
-		name            string
-		recs            [][]byte
-		lower, groups   int
-		stringsPerGroup int
-	}{{"ten to a group", ten, 1, 5, 2}, {"one to a group", one, 1, 50, 2}, {"lower-case keys", ten, 2, 5, 1}} {
+		name   string
+		recs   [][]byte
+		lower  int
+		copies int
+	}{{"small entities", small, 1, 1}, {"large entities", large, 1, 1}, {"lower-case keys", small, 2, 0}, {"no keys", large, -1, 0}} {
 		decodeAll := func(d *Decoder) {
 			if _, _, err := d.DecodeAll(ents, keys, append(srcs[:0], c.recs...), c.lower); err != nil {
 				t.Fatal(err)
 			}
 		}
-		decodeAll(&d) // grows the slabs and the group scratch
+		decodeAll(&d) // grows the slabs and the key scratch
 		warm := testing.AllocsPerRun(20, func() {
 			d.Reset(len(c.recs))
 			decodeAll(&d)
@@ -496,20 +488,20 @@ func TestDecoderSlabs(t *testing.T) {
 		for _, run := range []struct {
 			name      string
 			got, want float64
-		}{{"warm", warm, float64(c.stringsPerGroup * c.groups)}, {"cold", cold, float64(c.stringsPerGroup*c.groups + 2)}} {
+		}{{"warm", warm, float64(c.copies)}, {"cold", cold, float64(c.copies + 2)}} {
 			if raceDetector {
 				// A dropped scratch costs a few allocations per call, one per
 				// entity is still too many.
 				if limit := run.want + float64(len(c.recs)/2); run.got > limit {
-					t.Errorf("%s: %d entities in %d groups: %v allocations %s, at most %v under -race", c.name, len(c.recs), c.groups, run.got, run.name, limit)
+					t.Errorf("%s: %d entities: %v allocations %s, at most %v under -race", c.name, len(c.recs), run.got, run.name, limit)
 				}
 			} else if run.got != run.want {
-				t.Errorf("%s: %d entities in %d groups: %v allocations %s, want %v", c.name, len(c.recs), c.groups, run.got, run.name, run.want)
+				t.Errorf("%s: %d entities: %v allocations %s, want %v", c.name, len(c.recs), run.got, run.name, run.want)
 			}
 		}
 	}
 	d.Reset(2)
-	two, _, err := d.DecodeAll(nil, nil, append(srcs[:0], ten[:2]...), 0)
+	two, _, err := d.DecodeAll(nil, nil, append(srcs[:0], small[:2]...), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,6 +509,45 @@ func TestDecoderSlabs(t *testing.T) {
 	a.Attrs = append(a.Attrs, "extra")
 	if b.Attrs[0] != "Ann" || b.ID != 1 {
 		t.Errorf("appending to one entity's Attrs changed the next: %v", b)
+	}
+}
+
+// TestDecoderAliasesSource pins that DecodeAll copies no attribute:
+// every attribute lies inside the source it was decoded from, and a sort
+// key lies inside its source exactly when lowering left it unchanged.
+func TestDecoderAliasesSource(t *testing.T) {
+	inside := func(s string, src []byte) bool {
+		p, base := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(&src[0]))
+		return base <= p && p+uintptr(len(s)) <= base+uintptr(len(src))
+	}
+	attrs := [][]string{
+		{"Ann", "springfield", "IL"},
+		{"bob", "Shelbyville", ""},
+		{"", "İzmir", "ok"},
+		{"x", "straße", "STRAẞE"},
+	}
+	for lower := -1; lower <= 3; lower++ {
+		var srcs, orig [][]byte
+		for i, a := range attrs {
+			src := EncodeBinary(nil, &Entity{ID: ID(i), Attrs: a})
+			srcs, orig = append(srcs, src), append(orig, src)
+		}
+		var d Decoder
+		ents, keys, err := d.DecodeAll(nil, nil, srcs, lower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range ents {
+			for k, a := range e.Attrs {
+				if a != attrs[i][k] || a != "" && !inside(a, orig[i]) {
+					t.Errorf("lower %d: entity %d attribute %d reads %q, inside its source %v", lower, i, k, a, a != "" && inside(a, orig[i]))
+				}
+			}
+			attr := e.Attr(lower)
+			if key := keys[i]; key != strings.ToLower(attr) || key != "" && inside(key, orig[i]) != (key == attr) {
+				t.Errorf("lower %d: entity %d keyed %q on %q, inside its source %v", lower, i, key, attr, key != "" && inside(key, orig[i]))
+			}
+		}
 	}
 }
 

@@ -66,9 +66,14 @@ type Reducer interface {
 	Setup(ctx *TaskContext) error
 	// Reduce is called once per distinct key, with all values for that
 	// key in emission order. The values slice is scratch owned by the
-	// framework and reused for the next key group: implementations may
-	// keep the []byte elements, but must not retain the slice itself
-	// past the call.
+	// framework and reused for the next key group: implementations must
+	// not retain the slice itself past the call. The []byte elements are
+	// immutable, and that is a guarantee: nothing writes a value's bytes
+	// once it is emitted — not the in-memory shuffle, a memory budget's
+	// stores or a fleet's run files, each of which hands Reduce bytes of
+	// its own — so implementations may keep them, and alias them for as
+	// long as they like, as the entities of an entity.Decoder do. They
+	// must not write them either.
 	Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error
 	Cleanup(ctx *TaskContext, emit Emitter) error
 }

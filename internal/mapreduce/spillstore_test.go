@@ -415,6 +415,87 @@ func TestBudgetedRunsOwnTheirValues(t *testing.T) {
 	}
 }
 
+// TestReduceValuesStayUnwritten: the Reducer contract lets a reducer
+// keep the values it is handed, and the Job-2 and Basic reducers read
+// their entities from them in place (entity.Decoder), so nothing may
+// write a value once Reduce has it — not the in-memory shuffle, not a
+// budgeted store reading its runs from memory or merging spilled ones
+// (RunReader.Next returns a fresh array per value), not a fleet's reduce
+// lease merging the map run files. Every value a reducer was handed
+// still reads, when the job is done, what it read when Reduce got it.
+func TestReduceValuesStayUnwritten(t *testing.T) {
+	type held struct{ v, was []byte }
+	var (
+		mu   sync.Mutex
+		kept []held
+	)
+	configure := func(cfg *Config) {
+		log := &valueLog{emitted: map[*byte]bool{}}
+		cfg.NewMapper = func() Mapper { return &chunkMapper{log: log} }
+		cfg.NewReducer = func() Reducer {
+			return reduceFunc(func(_ string, values [][]byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, v := range values {
+					kept = append(kept, held{v, bytes.Clone(v)})
+				}
+			})
+		}
+	}
+	check := func(name string) {
+		t.Helper()
+		if len(kept) == 0 {
+			t.Fatalf("%s: no value reached a reducer", name)
+		}
+		for _, h := range kept {
+			if !bytes.Equal(h.v, h.was) {
+				t.Errorf("%s: a value handed to Reduce as %q reads %q after the job", name, h.was, h.v)
+			}
+		}
+		kept = nil
+	}
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"memory", 0}, {"budget in memory", 1 << 30}, {"spill", 64}} {
+		cfg := wordCountConfig(4)
+		configure(&cfg)
+		if c.budget > 0 {
+			cfg.MemBudget, cfg.Metrics, cfg.SpillDir = membudget.New(c.budget), obs.NewRegistry(), t.TempDir()
+		}
+		if _, err := Run(cfg, wordCountInput(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "spill" {
+			requireSpilled(t, &cfg)
+		}
+		check(c.name)
+	}
+
+	cfg := wordCountConfig(1)
+	configure(&cfg)
+	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
+	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
+	rr := newRemoteRunner(&cfg, splits, nil)
+	rr.Configure(t.TempDir(), 1, 1, false, false)
+	lens := make([]int, cfg.NumReduceTasks)
+	for m := range splits {
+		res, err := rr.RunTask(RemotePhaseMap, m, len(splits[m]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, n := range res.PartLens {
+			lens[r] += n
+		}
+	}
+	for r := range lens {
+		if _, err := rr.RunTask(RemotePhaseReduce, r, lens[r]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("remote")
+}
+
 // reduceFunc is a Reducer that hands each key group to a function.
 type reduceFunc func(key string, values [][]byte)
 

@@ -122,6 +122,15 @@ echo "== fuzz (lowering, block order) =="
 go test -run '^$' -fuzz FuzzAppendLower -fuzztime 10s ./internal/normkey
 go test -run '^$' -fuzz FuzzBlockOrder -fuzztime 10s ./internal/mechanism
 
+# A Job-2 reducer decodes each entity in place and derives its dominance
+# rows from the tree chains that follow it: a valid entity followed by
+# arbitrary bytes must give an error or a full row, never a panic, and
+# arbitrary bytes must decode through a Decoder as DecodeBinary decodes
+# them.
+echo "== fuzz (Job-2 payload, entity decoder) =="
+go test -run '^$' -fuzz FuzzJob2Payload -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz FuzzDecodeBinary -fuzztime 10s ./internal/entity
+
 # The run-file decoder is the one reader of spilled and shared-directory
 # bytes; arbitrary input must end in io.EOF or an error, never a panic
 # or an endless stream. Arbitrary bytes rarely pass a frame's CRC, so

@@ -1,6 +1,7 @@
 // Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go: pubs and books from the same
 // experiments constructors, persons restated), writes cpu.pprof and allocs.pprof and prints, per operation, wall and CPU
-// milliseconds and the collector's share of that CPU, MiB allocated, mallocs and cycles, plus GCCPUFraction and VmHWM.
+// milliseconds and the collector's share of that CPU, MiB allocated (and bytes per input entity), mallocs and cycles,
+// plus GCCPUFraction and VmHWM.
 package main
 
 import (
@@ -101,8 +102,9 @@ func main() {
 	ops := float64(*n)
 	used := usedAfter - usedBefore
 	log.Printf("per Resolve: %.1f ms wall, %.1f ms CPU, %.1f%% of it the collector's", wall.Seconds()*1e3/ops, used*1e3/ops, 100*(gcAfter-gcBefore)/used)
-	log.Printf("per Resolve: %.1f MiB allocated, %.0f mallocs, %.1f collector cycles; GCCPUFraction %.1f%%, VmHWM %s",
-		float64(after.TotalAlloc-before.TotalAlloc)/ops/(1<<20), float64(after.Mallocs-before.Mallocs)/ops,
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / ops
+	log.Printf("per Resolve: %.1f MiB allocated (%.0f B per input entity), %.0f mallocs, %.1f collector cycles; GCCPUFraction %.1f%%, VmHWM %s",
+		alloc/(1<<20), alloc/float64(w.DS.Len()), float64(after.Mallocs-before.Mallocs)/ops,
 		float64(after.NumGC-before.NumGC)/ops, 100*after.GCCPUFraction, vmHWM())
 	log.Printf("%d × Resolve(%s): go tool pprof -top [-sample_index=alloc_objects] %s/{cpu,allocs}.pprof", *n, *workload, dir)
 }
