@@ -109,7 +109,7 @@ type jobState struct {
 // the first completion, or lease expiry as mapreduce.ErrTaskLost.
 type pendingTask struct {
 	seq      int
-	phase    string
+	phase    live.Phase
 	task     int
 	inputLen int
 	ch       chan taskOutcome
@@ -284,7 +284,7 @@ func (m *Master) deliverExpired(expired []*leaseEntry, ids []uint64) {
 		m.cExpired.Inc()
 		m.log.Emit(live.EventLeaseExpire,
 			live.KV("lease", int64(ids[i])), live.KV("worker", le.worker),
-			live.KV("job", le.task.seq), live.KV("phase", le.task.phase),
+			live.KV("job", le.task.seq), live.KV("phase", string(le.task.phase)),
 			live.KV("task", le.task.task))
 		le.task.ch <- taskOutcome{err: fmt.Errorf("%w: worker %d (lease %d)",
 			mapreduce.ErrTaskLost, le.worker, ids[i])}
@@ -320,7 +320,7 @@ func (j masterJob) Master() bool { return true }
 // RunTask enqueues one task execution and blocks until a worker's
 // first completion — or lease expiry, which the mapreduce dispatch
 // layer retries by calling RunTask again.
-func (j masterJob) RunTask(phase string, task, inputLen int) (*mapreduce.RemoteTaskResult, error) {
+func (j masterJob) RunTask(phase live.Phase, task, inputLen int) (*mapreduce.RemoteTaskResult, error) {
 	t := &pendingTask{seq: j.seq, phase: phase, task: task, inputLen: inputLen,
 		ch: make(chan taskOutcome, 1)}
 	select {
@@ -522,7 +522,7 @@ func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 		m.cLeases.Inc()
 		m.log.Emit(live.EventLease,
 			live.KV("lease", int64(id)), live.KV("worker", args.WorkerID),
-			live.KV("job", t.seq), live.KV("phase", t.phase), live.KV("task", t.task))
+			live.KV("job", t.seq), live.KV("phase", string(t.phase)), live.KV("task", t.task))
 		reply.Kind = LeaseTask
 		reply.Lease = TaskLease{LeaseID: id, JobSeq: t.seq, Phase: t.phase,
 			Task: t.task, InputLen: t.inputLen}
@@ -566,9 +566,9 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 		args.Result.Worker = le.worker
 		if ws := m.workers[le.worker]; ws != nil {
 			switch le.task.phase {
-			case mapreduce.RemotePhaseMap:
+			case live.PhaseMap:
 				ws.mapDone++
-			case mapreduce.RemotePhaseReduce:
+			case live.PhaseReduce:
 				ws.redDone++
 			}
 			ws.busyCost += float64(args.Result.Cost)

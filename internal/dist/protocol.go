@@ -39,14 +39,14 @@ const (
 )
 
 // TaskLease is one granted task execution: which task of which job,
-// under which lease identity. Phase is mapreduce.RemotePhaseMap or
-// RemotePhaseReduce. InputLen is the task's input record count (for a
+// under which lease identity. Phase is live.PhaseMap or
+// live.PhaseReduce. InputLen is the task's input record count (for a
 // reduce task, the count its merge of the map run files must reach;
 // advisory for a map task).
 type TaskLease struct {
 	LeaseID  uint64
 	JobSeq   int
-	Phase    string
+	Phase    live.Phase
 	Task     int
 	InputLen int
 }

@@ -265,9 +265,9 @@ func (w *Worker) pump() {
 		w.busyMs += time.Since(busyStart).Milliseconds()
 		if err == nil && res != nil {
 			switch lease.Phase {
-			case mapreduce.RemotePhaseMap:
+			case live.PhaseMap:
 				w.mapDone++
-			case mapreduce.RemotePhaseReduce:
+			case live.PhaseReduce:
 				w.redDone++
 			}
 			w.busyCost += float64(res.Cost)
@@ -331,7 +331,7 @@ type workerJob struct {
 
 func (j workerJob) Master() bool { return false }
 
-func (j workerJob) RunTask(string, int, int) (*mapreduce.RemoteTaskResult, error) {
+func (j workerJob) RunTask(live.Phase, int, int) (*mapreduce.RemoteTaskResult, error) {
 	return nil, errors.New("dist: workers do not dispatch tasks")
 }
 

@@ -1,10 +1,10 @@
-// Package extsort holds the two pieces of an external merge that the
-// MapReduce shuffle builds on, mirroring Hadoop's spill-and-merge: the
-// run-file codec (RunWriter/RunReader: (seq, key, value) records in
-// checksummed frames) and Merger, a stable k-way merge of pre-sorted
-// sources (merge.go). The engine's budget-governed shuffle store writes
-// its spilled runs with the codec and merges them back with Merger; the
-// distributed transport's shared-directory run files use the same codec.
+// Package extsort is the run-file codec the MapReduce shuffle keeps its
+// runs on disk with, mirroring Hadoop's map-output segments: RunWriter
+// and RunReader, (seq, key, value) records in checksummed frames. The
+// engine's budget-governed shuffle store appends each spilled run to
+// its spill file as a stream of its own, and the distributed transport
+// writes each map task's run for each partition to a shared-directory
+// file; the reduce side's one k-way merge reads both back.
 //
 // A run file is a record stream cut into frames:
 //
@@ -17,8 +17,9 @@
 // no declared record length beyond the bytes the stream has delivered.
 //
 // Stability matters: the engine requires that records with equal keys
-// surface in map-task order, so every record carries a merge priority
-// in its seq field and merges compare (key, seq).
+// surface in map-task order. Every record of a run file carries the
+// index of the map task that produced it in its seq field, and the
+// merge checks it against the run it reads.
 package extsort
 
 import (
@@ -52,6 +53,12 @@ type RunWriter struct {
 // close it (after Flush) itself.
 func NewRunWriter(w io.Writer) *RunWriter {
 	return &RunWriter{w: w, buf: make([]byte, frameHeader, frameHeader+maxFrame)}
+}
+
+// Reset discards what rw has buffered and makes it write to w, so that
+// one writer, and its frame buffer, serves one file after another.
+func (rw *RunWriter) Reset(w io.Writer) {
+	rw.w, rw.buf = w, rw.buf[:frameHeader]
 }
 
 // WriteRecord appends one record: seq, key length, key, value length,
@@ -119,6 +126,12 @@ type RunReader struct {
 // NewRunReader wraps r; the caller retains ownership of r.
 func NewRunReader(r io.Reader) *RunReader {
 	return &RunReader{r: r}
+}
+
+// Reset discards what rr has read and makes it read r, keeping its
+// buffer: the records Next returned are their caller's own.
+func (rr *RunReader) Reset(r io.Reader) {
+	rr.r, rr.buf, rr.pos = r, rr.buf[:0], 0
 }
 
 // fill moves the unread bytes to the front of buf and appends the next

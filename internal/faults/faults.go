@@ -12,14 +12,7 @@
 // construction cannot alter the committed mapreduce.Result.
 package faults
 
-// Phase identifies the engine phase an attempt belongs to.
-type Phase string
-
-// Engine phases subject to injection.
-const (
-	Map    Phase = "map"
-	Reduce Phase = "reduce"
-)
+import "proger/internal/obs/live"
 
 // Kind classifies what happens to one task attempt.
 type Kind int
@@ -68,7 +61,7 @@ type Fault struct {
 // injector for speculative attempts (with an attempt index past the
 // retry range).
 type Injector interface {
-	Decide(phase Phase, task, attempt int) Fault
+	Decide(phase live.Phase, task, attempt int) Fault
 }
 
 // DefaultBudget is the default cap on consecutive faulted attempts per
@@ -104,7 +97,7 @@ func NewSeeded(seed int64, rate float64) *Seeded {
 }
 
 // Decide implements Injector.
-func (s *Seeded) Decide(phase Phase, task, attempt int) Fault {
+func (s *Seeded) Decide(phase live.Phase, task, attempt int) Fault {
 	if s == nil || s.Rate <= 0 {
 		return Fault{}
 	}
@@ -132,7 +125,7 @@ func (s *Seeded) Decide(phase Phase, task, attempt int) Fault {
 
 // mix hashes the decision coordinates: FNV-1a over the fields followed
 // by a splitmix64-style finalizer for avalanche.
-func mix(seed uint64, phase Phase, task, attempt int) uint64 {
+func mix(seed uint64, phase live.Phase, task, attempt int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -161,7 +154,7 @@ func mix(seed uint64, phase Phase, task, attempt int) uint64 {
 
 // ScriptKey addresses one attempt in a Script.
 type ScriptKey struct {
-	Phase   Phase
+	Phase   live.Phase
 	Task    int
 	Attempt int
 }
@@ -171,6 +164,6 @@ type ScriptKey struct {
 type Script map[ScriptKey]Fault
 
 // Decide implements Injector.
-func (s Script) Decide(phase Phase, task, attempt int) Fault {
+func (s Script) Decide(phase live.Phase, task, attempt int) Fault {
 	return s[ScriptKey{Phase: phase, Task: task, Attempt: attempt}]
 }

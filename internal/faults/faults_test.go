@@ -1,14 +1,17 @@
 package faults
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"proger/internal/obs/live"
 )
 
 func TestSeededDeterministic(t *testing.T) {
 	a := NewSeeded(42, 0.5)
 	b := NewSeeded(42, 0.5)
-	for _, phase := range []Phase{Map, Reduce} {
+	for _, phase := range []live.Phase{live.PhaseMap, live.PhaseReduce} {
 		for task := 0; task < 50; task++ {
 			for attempt := 1; attempt <= 4; attempt++ {
 				fa := a.Decide(phase, task, attempt)
@@ -29,7 +32,7 @@ func TestSeededSeedsDiffer(t *testing.T) {
 	a, b := NewSeeded(1, 0.5), NewSeeded(2, 0.5)
 	differ := false
 	for task := 0; task < 100 && !differ; task++ {
-		differ = a.Decide(Map, task, 1) != b.Decide(Map, task, 1)
+		differ = a.Decide(live.PhaseMap, task, 1) != b.Decide(live.PhaseMap, task, 1)
 	}
 	if !differ {
 		t.Error("seeds 1 and 2 injected identical fault patterns over 100 tasks")
@@ -40,15 +43,15 @@ func TestSeededRateBounds(t *testing.T) {
 	none := NewSeeded(7, 0)
 	all := NewSeeded(7, 1)
 	for task := 0; task < 100; task++ {
-		if f := none.Decide(Reduce, task, 1); f.Kind != None {
+		if f := none.Decide(live.PhaseReduce, task, 1); f.Kind != None {
 			t.Fatalf("rate 0 injected %v", f)
 		}
-		if f := all.Decide(Reduce, task, 1); f.Kind == None {
+		if f := all.Decide(live.PhaseReduce, task, 1); f.Kind == None {
 			t.Fatalf("rate 1 stayed clean for task %d", task)
 		}
 	}
 	var nilInj *Seeded
-	if f := nilInj.Decide(Map, 0, 1); f.Kind != None {
+	if f := nilInj.Decide(live.PhaseMap, 0, 1); f.Kind != None {
 		t.Errorf("nil injector returned %v", f)
 	}
 }
@@ -57,7 +60,7 @@ func TestSeededKindMix(t *testing.T) {
 	inj := NewSeeded(3, 1)
 	seen := map[Kind]int{}
 	for task := 0; task < 400; task++ {
-		seen[inj.Decide(Map, task, 1).Kind]++
+		seen[inj.Decide(live.PhaseMap, task, 1).Kind]++
 	}
 	for _, k := range []Kind{Crash, Hang, Slow} {
 		if seen[k] == 0 {
@@ -73,32 +76,32 @@ func TestSeededBudget(t *testing.T) {
 	inj := NewSeeded(9, 1)
 	// Default budget: attempts past DefaultBudget always run clean.
 	for task := 0; task < 20; task++ {
-		if f := inj.Decide(Map, task, DefaultBudget+1); f.Kind != None {
+		if f := inj.Decide(live.PhaseMap, task, DefaultBudget+1); f.Kind != None {
 			t.Fatalf("attempt past budget faulted: %v", f)
 		}
-		if f := inj.Decide(Map, task, DefaultBudget); f.Kind == None {
+		if f := inj.Decide(live.PhaseMap, task, DefaultBudget); f.Kind == None {
 			t.Fatalf("attempt within budget stayed clean at rate 1")
 		}
 	}
 	// Negative budget removes the cap.
 	inj.Budget = -1
-	if f := inj.Decide(Map, 0, DefaultBudget+5); f.Kind == None {
+	if f := inj.Decide(live.PhaseMap, 0, DefaultBudget+5); f.Kind == None {
 		t.Error("uncapped injector stayed clean at rate 1")
 	}
 }
 
 func TestScript(t *testing.T) {
 	s := Script{
-		{Map, 2, 1}:    {Kind: Crash},
-		{Reduce, 0, 2}: {Kind: Slow, Factor: 10},
+		{live.PhaseMap, 2, 1}:    {Kind: Crash},
+		{live.PhaseReduce, 0, 2}: {Kind: Slow, Factor: 10},
 	}
-	if f := s.Decide(Map, 2, 1); f.Kind != Crash {
+	if f := s.Decide(live.PhaseMap, 2, 1); f.Kind != Crash {
 		t.Errorf("scripted crash = %v", f)
 	}
-	if f := s.Decide(Reduce, 0, 2); f.Kind != Slow || f.Factor != 10 {
+	if f := s.Decide(live.PhaseReduce, 0, 2); f.Kind != Slow || f.Factor != 10 {
 		t.Errorf("scripted slow = %v", f)
 	}
-	if f := s.Decide(Map, 2, 2); f.Kind != None {
+	if f := s.Decide(live.PhaseMap, 2, 2); f.Kind != None {
 		t.Errorf("unscripted attempt = %v", f)
 	}
 }
@@ -113,5 +116,24 @@ func TestKindString(t *testing.T) {
 	// Kinds render in fmt verbs via Stringer.
 	if got := fmt.Sprint(Crash); got != "crash" {
 		t.Errorf("fmt.Sprint(Crash) = %q", got)
+	}
+}
+
+// TestSeededDecisionsPinned: a seeded injector's decisions hash the
+// phase name, so they, and every trace of a run with injected faults,
+// stay as they were recorded while the phase names do not change.
+func TestSeededDecisionsPinned(t *testing.T) {
+	h := sha256.New()
+	inj := NewSeeded(7, 0.3)
+	for _, phase := range []live.Phase{live.PhaseMap, live.PhaseReduce} {
+		for task := 0; task < 64; task++ {
+			for attempt := 1; attempt <= 4; attempt++ {
+				fmt.Fprintln(h, inj.Decide(phase, task, attempt))
+			}
+		}
+	}
+	const want = "c176706d371211af5a29b83c7a91d1c04adc717008ac0002c421f5ac377aca9f"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("decisions digest %s, recorded %s", got, want)
 	}
 }

@@ -110,7 +110,7 @@ type faultRuntime struct {
 	// phases holds per-phase attempt histories, indexed by task. Every
 	// phase's slice is allocated before the job graph starts and each
 	// node writes only its own task index, so no locking is needed.
-	phases map[faults.Phase][]*taskAttempts
+	phases map[live.Phase][]*taskAttempts
 	// live is the run's live-introspection handle (nil when off): the
 	// attempt runtime reports retries, speculative launches, and
 	// permanent task failures through it. Set once in Run before any
@@ -133,11 +133,11 @@ func newFaultRuntime(cfg *Config) *faultRuntime {
 		injector: cfg.Faults,
 		policy:   p,
 		startup:  cfg.Cost.TaskStartup,
-		phases:   map[faults.Phase][]*taskAttempts{},
+		phases:   map[live.Phase][]*taskAttempts{},
 	}
 }
 
-func (fr *faultRuntime) decide(phase faults.Phase, task, attempt int) faults.Fault {
+func (fr *faultRuntime) decide(phase live.Phase, task, attempt int) faults.Fault {
 	if fr.injector == nil {
 		return faults.Fault{}
 	}
@@ -171,7 +171,7 @@ func (fr *faultRuntime) timeout(clean costmodel.Units) costmodel.Units {
 	return defaultTimeoutFactor * floor
 }
 
-func (fr *faultRuntime) beginPhase(phase faults.Phase, n int) []*taskAttempts {
+func (fr *faultRuntime) beginPhase(phase live.Phase, n int) []*taskAttempts {
 	s := make([]*taskAttempts, n)
 	fr.phases[phase] = s
 	return s
@@ -185,7 +185,7 @@ func (fr *faultRuntime) beginPhase(phase faults.Phase, n int) []*taskAttempts {
 // timeout. A panicking attempt is a failed attempt, not a dead job.
 // Exhausting the ladder surfaces the full per-attempt history as a
 // joined error.
-func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
+func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
 	exec func() (T, costmodel.Units, error)) (T, costmodel.Units, *taskAttempts, error) {
 	var zero T
 	ta := &taskAttempts{committed: -1}
@@ -207,19 +207,19 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 		case err != nil:
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeError, Start: now, Dur: cost})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, err))
-			fr.live.Retry(live.Phase(phase), task, a, outcomeError)
+			fr.live.Retry(phase, task, a, outcomeError)
 			now += cost + fr.backoff(a)
 		case f.Kind == faults.Crash:
 			d := cost * crashFraction
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeCrash, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: injected crash", a))
-			fr.live.Retry(live.Phase(phase), task, a, outcomeCrash)
+			fr.live.Retry(phase, task, a, outcomeCrash)
 			now += d + fr.backoff(a)
 		case f.Kind == faults.Hang:
 			d := fr.timeout(cost)
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: d})
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: hung, killed at timeout %v", a, d))
-			fr.live.Retry(live.Phase(phase), task, a, outcomeTimeout)
+			fr.live.Retry(phase, task, a, outcomeTimeout)
 			now += d + fr.backoff(a)
 		default:
 			dur, outcome := cost, outcomeOK
@@ -234,7 +234,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 				// Slowed past the attempt timeout: killed like a hang.
 				ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: to})
 				attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: straggling, killed at timeout %v", a, to))
-				fr.live.Retry(live.Phase(phase), task, a, outcomeTimeout)
+				fr.live.Retry(phase, task, a, outcomeTimeout)
 				now += to + fr.backoff(a)
 				continue
 			}
@@ -249,7 +249,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 	// The ladder is exhausted: the exec-level transitions above left the
 	// task re-entered as running (or done, for a final discarded
 	// attempt); pin its terminal live state to failed.
-	fr.live.TaskFailed(live.Phase(phase), task, err)
+	fr.live.TaskFailed(phase, task, err)
 	return zero, 0, ta, err
 }
 
@@ -266,7 +266,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase faults.Phase, task int,
 // way (a winning backup is, by the verified determinism, the same
 // bytes), so speculation can never block or perturb downstream
 // consumers.
-func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costmodel.Units,
+func speculateTask[T any](fr *faultRuntime, phase live.Phase, i int, thr costmodel.Units,
 	out T, cost costmodel.Units, exec func(i int) (T, costmodel.Units, error),
 	same func(backup, committed T) bool) error {
 	ta := fr.phases[phase][i]
@@ -275,7 +275,7 @@ func speculateTask[T any](fr *faultRuntime, phase faults.Phase, i int, thr costm
 	}
 	specIdx := fr.policy.MaxRetries + 2 // first attempt index past the retry ladder
 	f := fr.decide(phase, i, specIdx)
-	fr.live.Speculate(live.Phase(phase), i)
+	fr.live.Speculate(phase, i)
 	specOut, specCost, err := exec(i)
 	launch := ta.commitStart + thr // straggling detected thr units in
 	rec := attemptRecord{Attempt: specIdx, Speculative: true, Start: launch}
@@ -418,7 +418,7 @@ func (fr *faultRuntime) stats() attemptStats {
 // extend past the committed task's scheduled extent — the shadow
 // timeline shows what fault recovery cost, while Result keeps the
 // fault-free schedule.
-func (fr *faultRuntime) emitAttemptSpans(tr *obs.Tracer, pid int, phase faults.Phase,
+func (fr *faultRuntime) emitAttemptSpans(tr *obs.Tracer, pid int, phase live.Phase,
 	base func(task int) (costmodel.Units, int)) {
 	for task, ta := range fr.phases[phase] {
 		if ta == nil {

@@ -10,6 +10,7 @@ import (
 	"proger/internal/costmodel"
 	"proger/internal/faults"
 	"proger/internal/obs"
+	"proger/internal/obs/live"
 )
 
 // counterValues extracts the registry's counters by name.
@@ -53,7 +54,7 @@ func TestRetryExhaustionSurfacesJoinedError(t *testing.T) {
 	// with an error that names the task and recounts every attempt.
 	script := faults.Script{}
 	for a := 1; a <= 3; a++ {
-		script[faults.ScriptKey{Phase: faults.Map, Task: 1, Attempt: a}] = faults.Fault{Kind: faults.Crash}
+		script[faults.ScriptKey{Phase: live.PhaseMap, Task: 1, Attempt: a}] = faults.Fault{Kind: faults.Crash}
 	}
 	cfg := wordCountConfig(4)
 	cfg.Faults = script
@@ -102,7 +103,7 @@ func TestHangConvertsToTimeoutRetry(t *testing.T) {
 	}
 	cfg := wordCountConfig(2)
 	cfg.Faults = faults.Script{
-		{Phase: faults.Map, Task: 0, Attempt: 1}: {Kind: faults.Hang},
+		{Phase: live.PhaseMap, Task: 0, Attempt: 1}: {Kind: faults.Hang},
 	}
 	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg, wordCountInput(), 0)
@@ -134,7 +135,7 @@ func TestSpeculativeAttemptOutrunsStraggler(t *testing.T) {
 	}
 	cfg := wordCountConfig(2)
 	cfg.Faults = faults.Script{
-		{Phase: faults.Reduce, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
+		{Phase: live.PhaseReduce, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
 	}
 	// The default quantile is each phase's max clean cost, so no clean
 	// task can exceed it (> is strict) — only the 4×-slowed reduce
@@ -260,10 +261,10 @@ func TestRetryPolicyValidation(t *testing.T) {
 // attempt that straggled to 100 units, with a backup that finishes at
 // 15: the backup wins the race and is compared through same.
 func speculateAgainst[T any](backup, committed T, same func(backup, committed T) bool) error {
-	fr := &faultRuntime{policy: RetryPolicy{MaxRetries: 3}, phases: map[faults.Phase][]*taskAttempts{
-		faults.Reduce: {{records: []attemptRecord{{Attempt: 1, Outcome: outcomeOK, Dur: 100}}, commitDur: 100}},
+	fr := &faultRuntime{policy: RetryPolicy{MaxRetries: 3}, phases: map[live.Phase][]*taskAttempts{
+		live.PhaseReduce: {{records: []attemptRecord{{Attempt: 1, Outcome: outcomeOK, Dur: 100}}, commitDur: 100}},
 	}}
-	return speculateTask(fr, faults.Reduce, 0, 10, committed, 5, func(int) (T, costmodel.Units, error) {
+	return speculateTask(fr, live.PhaseReduce, 0, 10, committed, 5, func(int) (T, costmodel.Units, error) {
 		return backup, 5, nil
 	}, same)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"proger/internal/costmodel"
-	"proger/internal/faults"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
@@ -371,10 +370,10 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 		rebase(reduceSpans[i], res.ReduceSlots[i], res.ReduceStarts[i])
 	}
 	if fr != nil {
-		fr.emitAttemptSpans(tr, pid, faults.Map, func(t int) (costmodel.Units, int) {
+		fr.emitAttemptSpans(tr, pid, live.PhaseMap, func(t int) (costmodel.Units, int) {
 			return res.MapStarts[t], res.MapSlots[t]
 		})
-		fr.emitAttemptSpans(tr, pid, faults.Reduce, func(t int) (costmodel.Units, int) {
+		fr.emitAttemptSpans(tr, pid, live.PhaseReduce, func(t int) (costmodel.Units, int) {
 			return res.ReduceStarts[t], res.ReduceSlots[t]
 		})
 	}
@@ -382,15 +381,17 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 
 // shuffleForTask assembles reduce task r's sorted input when no memory
 // budget applies: the pre-sorted runs the map tasks produced for the
-// partition, merged as they are read.
-func shuffleForTask(mapRes []mapTaskResult, r int) memInput {
-	runs := make([][]KeyValue, 0, len(mapRes))
-	for _, mr := range mapRes {
+// partition, merged as they are read. (A merge of runs in memory cannot
+// fail, so its errors need no job name.)
+func shuffleForTask(mapRes []mapTaskResult, r int) runsInput {
+	in := runsInput{r: r}
+	for m, mr := range mapRes {
 		if run := mr.out[r]; len(run) > 0 {
-			runs = append(runs, run)
+			in.runs = append(in.runs, sortedRun{m: m, kvs: run})
+			in.n += len(run)
 		}
 	}
-	return memInput{runs: runs}
+	return in
 }
 
 // splitInput divides input into n contiguous, near-equal splits.

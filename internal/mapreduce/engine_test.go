@@ -537,7 +537,7 @@ func TestMergeSortedRunsStableProperty(t *testing.T) {
 			want = append(want, run...)
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
-		return reflect.DeepEqual(drainInput(t, memInput{runs: runs}), want)
+		return reflect.DeepEqual(drainInput(t, memRuns(runs)), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"proger/internal/costmodel"
-	"proger/internal/faults"
+	"proger/internal/obs/live"
 )
 
 // This file implements the job graph: every job becomes one static
@@ -218,7 +218,7 @@ func runNodeSafe(n *dagNode) (err error) {
 // runAttempted executes one task body — through the attempt runtime's
 // retry ladder when it is active, directly otherwise — recording the
 // attempt history in att[i].
-func runAttempted[T any](fr *faultRuntime, phase faults.Phase, att []*taskAttempts, i int,
+func runAttempted[T any](fr *faultRuntime, phase live.Phase, att []*taskAttempts, i int,
 	exec func(i int) (T, costmodel.Units, error)) (T, costmodel.Units, error) {
 	if fr == nil {
 		return exec(i)
@@ -243,8 +243,8 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	// its own index.
 	var mapAtt, redAtt []*taskAttempts
 	if fr != nil {
-		mapAtt = fr.beginPhase(faults.Map, M)
-		redAtt = fr.beginPhase(faults.Reduce, R)
+		mapAtt = fr.beginPhase(live.PhaseMap, M)
+		redAtt = fr.beginPhase(live.PhaseReduce, R)
 	}
 
 	g := &taskGraph{}
@@ -252,7 +252,7 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	for m := 0; m < M; m++ {
 		m := m
 		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
-			out, cost, err := runAttempted(fr, faults.Map, mapAtt, m, b.mapTask)
+			out, cost, err := runAttempted(fr, live.PhaseMap, mapAtt, m, b.mapTask)
 			if err != nil {
 				return err
 			}
@@ -263,9 +263,8 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 				// Hand the committed runs to the partition stores and drop
 				// the task's own references: from here on, residency of
 				// this map task's records is the budget manager's call —
-				// each run's values too, once they are its own.
+				// each run's values too, once addRun has made them its own.
 				for r := 0; r < R; r++ {
-					ownValues(out.out[r])
 					if err := po.stores[r].addRun(m, out.out[r]); err != nil {
 						return err
 					}
@@ -281,7 +280,7 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	for i := 0; i < R; i++ {
 		i := i
 		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
-			out, cost, err := runAttempted(fr, faults.Reduce, redAtt, i, b.reduce)
+			out, cost, err := runAttempted(fr, live.PhaseReduce, redAtt, i, b.reduce)
 			if err != nil {
 				return err
 			}
@@ -294,8 +293,8 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	}
 
 	if speculate {
-		addSpeculationNodes(g, fr, faults.Map, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask, sameMapOutput)
-		addSpeculationNodes(g, fr, faults.Reduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce, sameReduceOutput)
+		addSpeculationNodes(g, fr, live.PhaseMap, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask, sameMapOutput)
+		addSpeculationNodes(g, fr, live.PhaseReduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce, sameReduceOutput)
 	}
 	return g.execute(workers)
 }
@@ -308,7 +307,7 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 // a winning backup with the committed output through same.
 // Speculation nodes have no successors — a winning backup is verified
 // to match the committed output — so reduce work never waits on them.
-func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase faults.Phase, np nodePhase,
+func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase live.Phase, np nodePhase,
 	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error),
 	same func(backup, committed T) bool) {
 	n := len(taskNodes)

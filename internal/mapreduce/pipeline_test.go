@@ -414,9 +414,9 @@ func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
 			cfg.SpillDir = t.TempDir()
 			cfg.Retry = RetryPolicy{MaxRetries: 2}
 			cfg.Faults = faults.Script{
-				{Phase: faults.Reduce, Task: 1, Attempt: 1}: {Kind: faults.Crash},
-				{Phase: faults.Reduce, Task: 1, Attempt: 2}: {Kind: faults.Crash},
-				{Phase: faults.Reduce, Task: 1, Attempt: 3}: {Kind: faults.Crash},
+				{Phase: live.PhaseReduce, Task: 1, Attempt: 1}: {Kind: faults.Crash},
+				{Phase: live.PhaseReduce, Task: 1, Attempt: 2}: {Kind: faults.Crash},
+				{Phase: live.PhaseReduce, Task: 1, Attempt: 3}: {Kind: faults.Crash},
 			}
 			cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
 			if _, err := Run(cfg, wordCountInput(), 0); err == nil {

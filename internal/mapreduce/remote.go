@@ -8,11 +8,11 @@ package mapreduce
 // input payloads. The shared-filesystem run files are the data plane:
 // a map task writes one pre-sorted run file per partition, and a
 // reduce task merges its partition's M map run files as it reads them
-// (runMerge, the merge a budgeted spillStore reads with) — the master
-// hands workers run-file paths (implicitly, via task identity and a
-// shared data dir), not payloads. Reduce output, counters, spans, and
-// quality observations travel back inline over RPC: they are exactly
-// the per-task state phaseOutputs needs.
+// (runReduce, through the one merge every reduce input is read with) —
+// the master hands workers run-file paths (implicitly, via task
+// identity and a shared data dir), not payloads. Reduce output,
+// counters, spans, and quality observations travel back inline over
+// RPC: they are exactly the per-task state phaseOutputs needs.
 //
 // Determinism: the master runs the same job-graph builder (reduce r
 // gated on every map), with the same runAttempted / speculation
@@ -39,14 +39,6 @@ import (
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
-)
-
-// Remote phase names, the wire form of a leased task's phase: map and
-// reduce, the two kinds of lease. They are the live phase names, so
-// either converts to the other directly.
-const (
-	RemotePhaseMap    = string(live.PhaseMap)
-	RemotePhaseReduce = string(live.PhaseReduce)
 )
 
 // RemoteJobSpec describes one job as a process derived it from its own
@@ -107,30 +99,6 @@ func partitionLen(mapRes []mapTaskResult, r int) int {
 		n += mr.remote.PartLens[r]
 	}
 	return n
-}
-
-// mapRunsInput is a worker's reduceInput: partition r's M map run files
-// in the job's shared directory, which the master's job cleanup owns,
-// merged by (key, map index) as they are read. n is the count the map
-// tasks reported; a merge that yields another count fails. Each Iter
-// opens independent handles; c, when non-nil, counts bytes read off the
-// files.
-type mapRunsInput struct {
-	job     string
-	dir     string
-	maps, r int
-	n       int
-	c       *obs.Counter
-}
-
-func (in mapRunsInput) Len() int { return in.n }
-
-func (in mapRunsInput) Iter() (kvIter, error) {
-	paths := make([]string, in.maps)
-	for m := range paths {
-		paths[m] = filepath.Join(in.dir, mapRunName(m, in.r))
-	}
-	return openRunMerge(in.job, in.r, in.n, nil, paths, in.c)
 }
 
 // Run-file naming inside one job's shared directory.
@@ -233,29 +201,28 @@ func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.
 // result. Duplicate executions (re-leases after a lost worker, or the
 // master's speculation pass) are safe: task bodies are deterministic
 // and run files are written atomically with first-write-wins.
-func (rr *RemoteRunner) RunTask(phase string, task, inputLen int) (*RemoteTaskResult, error) {
+func (rr *RemoteRunner) RunTask(phase live.Phase, task, inputLen int) (*RemoteTaskResult, error) {
 	if rr.execCfg == nil {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
 	}
 	var body func() (*RemoteTaskResult, costmodel.Units, int, error)
 	switch phase {
-	case RemotePhaseMap:
+	case live.PhaseMap:
 		if task < 0 || task >= len(rr.splits) {
 			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", task, len(rr.splits))
 		}
 		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runMap(task) }
-	case RemotePhaseReduce:
+	case live.PhaseReduce:
 		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, inputLen) }
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
 	}
-	p := live.Phase(phase)
-	res, _, err := trackTask(rr.lj, p, task, nil, body)
+	res, _, err := trackTask(rr.lj, phase, task, nil, body)
 	if err != nil {
 		return nil, err
 	}
-	rr.lj.TaskWorker(p, task, rr.workerID)
-	rr.markDone(p, task)
+	rr.lj.TaskWorker(phase, task, rr.workerID)
+	rr.markDone(phase, task)
 	return res, nil
 }
 
@@ -277,10 +244,14 @@ func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, 
 	return res, cost, len(rr.splits[m]), nil
 }
 
-// runReduce streams partition i straight from the map run files:
+// runReduce streams partition i straight from the M map run files in
+// the job's shared directory, which the master's job cleanup owns:
 // inputLen is the lease's Σ PartLens[i], which the merge must reach.
 func (rr *RemoteRunner) runReduce(i, inputLen int) (*RemoteTaskResult, costmodel.Units, int, error) {
-	in := mapRunsInput{job: rr.execCfg.Name, dir: rr.jobDir(), maps: rr.execCfg.NumMapTasks, r: i, n: inputLen, c: rr.cRead}
+	in := runsInput{job: rr.execCfg.Name, r: i, n: inputLen, runs: make([]sortedRun, rr.execCfg.NumMapTasks), c: rr.cRead}
+	for m := range in.runs {
+		in.runs[m] = sortedRun{m: m, path: filepath.Join(rr.jobDir(), mapRunName(m, i))}
+	}
 	out, cost, counters, spans, qobs, err := runReduceTask(rr.execCfg, i, in)
 	if err != nil {
 		return nil, 0, 0, err
@@ -301,15 +272,7 @@ func (rr *RemoteRunner) writeMapRun(m, r int, kvs []KeyValue) error {
 	if fileExists(filepath.Join(dir, name)) {
 		return nil
 	}
-	err := commitRunFile(dir, name, rr.cWrite, func(rw *extsort.RunWriter) error {
-		for _, kv := range kvs {
-			if err := rw.WriteRecord(uint64(m), kv.Key, kv.Value); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := commitRunFile(dir, name, rr.cWrite, runRecords(m, kvs)); err != nil {
 		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
 	}
 	return nil
@@ -420,7 +383,7 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 	lost := lostRetryBudget(cfg)
 	dispatch := func(p live.Phase, task, inputLen int) (*RemoteTaskResult, error) {
 		res, err := retryLost(lost, func() (*RemoteTaskResult, error) {
-			return rjob.RunTask(string(p), task, inputLen)
+			return rjob.RunTask(p, task, inputLen)
 		})
 		if err == nil {
 			lj.TaskWorker(p, task, res.Worker)

@@ -11,6 +11,7 @@ import (
 
 	"proger/internal/costmodel"
 	"proger/internal/extsort"
+	"proger/internal/obs/live"
 )
 
 // TestRemoteReduceChecksItsInputCount: a reduce lease merges its
@@ -31,7 +32,7 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 	rr.Configure(t.TempDir(), 1, 1, false, false)
 	lens := make([]int, cfg.NumReduceTasks)
 	for m := range splits {
-		res, err := rr.RunTask(RemotePhaseMap, m, len(splits[m]))
+		res, err := rr.RunTask(live.PhaseMap, m, len(splits[m]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 	}
 
 	for r := range lens {
-		res, err := rr.RunTask(RemotePhaseReduce, r, lens[r])
+		res, err := rr.RunTask(live.PhaseReduce, r, lens[r])
 		if err != nil {
 			t.Fatalf("intact reduce %d: %v", r, err)
 		}
@@ -62,10 +63,52 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 	for cutRun(t, rr.jobDir(), mapRunName(0, r)) == 0 {
 		r++
 	}
-	_, err = rr.RunTask(RemotePhaseReduce, r, lens[r])
+	_, err = rr.RunTask(live.PhaseReduce, r, lens[r])
 	want := fmt.Sprintf("wordcount shuffle for reduce %d: merged %d records, map tasks produced %d", r, lens[r]-1, lens[r])
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("short reduce %d: err = %v, want it to contain %q", r, err, want)
+	}
+}
+
+// TestRunFileRecordsNameTheirMapTask: every record of a run file
+// carries its map task's index as its seq, and one that names another
+// map task fails the pass, naming the job and the partition — whether
+// it heads its file, read as the merge opens, or follows.
+func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
+	run := []KeyValue{{Key: "a", Value: []byte("0")}, {Key: "c", Value: []byte("1")}}
+	for bad := range run {
+		dir := t.TempDir()
+		if err := commitRunFile(dir, mapRunName(0, 2), nil, runRecords(0, run)); err != nil {
+			t.Fatal(err)
+		}
+		err := commitRunFile(dir, mapRunName(1, 2), nil, func(rw *extsort.RunWriter) error {
+			for i, kv := range run {
+				seq := uint64(1)
+				if i == bad {
+					seq = 0
+				}
+				if err := rw.WriteRecord(seq, "b"+kv.Key, kv.Value); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := runsInput{job: "seqcheck", r: 2, n: 4, runs: []sortedRun{
+			{m: 0, path: filepath.Join(dir, mapRunName(0, 2))}, {m: 1, path: filepath.Join(dir, mapRunName(1, 2))}}}
+		it, err := in.Iter()
+		if err == nil {
+			for ok := true; ok && err == nil; {
+				_, ok, err = it.Next()
+			}
+			it.Close()
+		}
+		want := "seqcheck shuffle for reduce 2: the run file of map task 1 holds a record of map task 0"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("record %d of map 1's file names map 0: err = %v, want it to contain %q", bad, err, want)
+		}
 	}
 }
 
@@ -78,30 +121,24 @@ func cutRun(t *testing.T, dir, name string) int {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var recs []prioKV
+	var recs []KeyValue
+	var seq uint64
 	rd := extsort.NewRunReader(f)
 	for {
-		seq, key, val, err := rd.Next()
+		s, key, val, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}})
+		seq = s
+		recs = append(recs, KeyValue{Key: key, Value: val})
 	}
 	if len(recs) == 0 {
 		return 0
 	}
-	err = commitRunFile(dir, name, nil, func(rw *extsort.RunWriter) error {
-		for _, rec := range recs[:len(recs)-1] {
-			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := commitRunFile(dir, name, nil, runRecords(int(seq), recs[:len(recs)-1])); err != nil {
 		t.Fatal(err)
 	}
 	return len(recs)
@@ -110,10 +147,10 @@ func cutRun(t *testing.T, dir, name string) int {
 // broadcastJob is a worker's RemoteJob whose master broadcast jr.
 type broadcastJob struct{ jr *RemoteJobResults }
 
-func (broadcastJob) Master() bool                                        { return false }
-func (broadcastJob) RunTask(string, int, int) (*RemoteTaskResult, error) { return nil, nil }
-func (broadcastJob) Finish(*RemoteJobResults, error) error               { return nil }
-func (j broadcastJob) Wait() (*RemoteJobResults, error)                  { return j.jr, nil }
+func (broadcastJob) Master() bool                                            { return false }
+func (broadcastJob) RunTask(live.Phase, int, int) (*RemoteTaskResult, error) { return nil, nil }
+func (broadcastJob) Finish(*RemoteJobResults, error) error                   { return nil }
+func (j broadcastJob) Wait() (*RemoteJobResults, error)                      { return j.jr, nil }
 
 // TestWorkerDerivesReduceInputFromPartLens: a worker sizes each
 // partition's reduce input from the broadcast's map PartLens

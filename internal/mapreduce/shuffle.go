@@ -1,9 +1,10 @@
 package mapreduce
 
-// The in-memory shuffle. Between Emit and Reduce a record is moved
-// once — the map-side gather from the task's stage into its sorted run
-// — and never copied into a merged slice: a partition's reduce input is
-// the runs themselves, merged as the reduce task reads them.
+// The shuffle. Between Emit and Reduce a record is moved once in
+// memory — the map-side gather from the task's stage into its sorted
+// run — and never copied into a merged slice: a partition's reduce
+// input is the runs themselves, in memory or in run files, merged as
+// the reduce task reads them.
 //
 // Both halves order records through a normalized-key prefix: ord, the
 // 8 key bytes that follow a prefix every key in play shares,
@@ -16,10 +17,16 @@ package mapreduce
 // concatenated map outputs yields.
 
 import (
+	"fmt"
+	"io"
+	"os"
 	"slices"
 	"strings"
+	"sync"
 
+	"proger/internal/extsort"
 	"proger/internal/normkey"
+	"proger/internal/obs"
 )
 
 // runSorter sorts a map task's partitions one after another, reusing
@@ -79,58 +86,145 @@ func (rs *runSorter) sortInto(dst, stage []KeyValue, sel []int32) {
 	}
 }
 
-// memInput is the in-memory reduceInput: the partition's non-empty
-// key-sorted runs in map-index order, aliased, never copied — reduce
-// inputs are read-only — so a single-contributor partition costs
-// nothing to assemble. Every Iter merges them afresh and mutates
-// nothing shared, so passes may repeat and overlap.
-type memInput struct {
-	runs [][]KeyValue
+// runsInput is partition r's reduce input as a fixed list of n records
+// in sorted runs: the map tasks' runs in memory, aliased, never copied —
+// reduce inputs are read-only — so a single-contributor partition costs
+// nothing to assemble, or, in a reduce lease, the map tasks' run files
+// in the job's shared directory (c, when non-nil, counts the bytes read
+// off them). Every Iter merges the runs afresh and mutates nothing
+// shared, so passes may repeat and overlap.
+type runsInput struct {
+	job  string
+	r, n int
+	runs []sortedRun
+	c    *obs.Counter
 }
 
-func (m memInput) Len() int {
-	n := 0
-	for _, run := range m.runs {
-		n += len(run)
-	}
-	return n
+func (in runsInput) Len() int { return in.n }
+
+func (in runsInput) Iter() (kvIter, error) {
+	return mergeRuns(in.job, in.r, in.n, in.runs, in.c, nil)
 }
 
-func (m memInput) Iter() (kvIter, error) { return newMergeIter(m.runs), nil }
+// sortedRun is one map task's key-sorted run for a partition, the unit
+// every reduce input is a list of, in map-index order: its non-empty
+// records in memory, or a run stream in the file at path, each of whose
+// records carries m as its seq. A spilled run is the segment [off, end)
+// of its store's spill file, its first and last keys kept in lo and hi;
+// a fleet map run is a whole file (end 0) whose keys are not known.
+type sortedRun struct {
+	m        int
+	kvs      []KeyValue
+	path     string
+	off, end int64
+	lo, hi   string
+}
 
 // mergeSrc is one run's cursor in a mergeIter.
 type mergeSrc struct {
-	rest []KeyValue // the head record and what follows; empty once drained
-	ord  uint64     // normkey.Ord of the head's key
+	rest []KeyValue  // the head record and what follows; empty once drained
+	ord  uint64      // normkey.Ord of the head's key
+	file *fileCursor // nil for a run in memory
 }
+
+// fileCursor reads a run file one record at a time into head, which its
+// source's rest then holds: the source refills when its slice drains.
+type fileCursor struct {
+	f    *os.File
+	rd   *extsort.RunReader
+	m    uint64
+	head [1]KeyValue
+}
+
+// next points *rest at the file's next record, or leaves it empty at
+// the end of the file. RunReader.Next returns owned bytes, so the
+// record outlives the refill.
+func (fc *fileCursor) next(rest *[]KeyValue) error {
+	seq, key, val, err := fc.rd.Next()
+	if err == io.EOF {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if seq != fc.m {
+		return fmt.Errorf("the run file of map task %d holds a record of map task %d", fc.m, seq)
+	}
+	fc.head[0] = KeyValue{Key: key, Value: val}
+	*rest = fc.head[:]
+	return nil
+}
+
+// runReaders lends file cursors their readers, and so their buffers.
+var runReaders = sync.Pool{New: func() any { return extsort.NewRunReader(nil) }}
 
 // mergeIter streams the stable k-way merge of key-sorted runs through
-// an index-based loser tree — the tournament extsort.Merger plays,
-// specialized to slice sources and integer comparisons. Leaf s sits at
-// node k+s; tree[1..k-1] hold match losers, tree[0] the winner.
+// an index-based loser tree with integer comparisons. Leaf s sits at
+// node k+s; tree[1..k-1] hold match losers, tree[0] the winner. It is
+// the one merge of every reduce input, and it must yield exactly want
+// records: a pass that ends short or long fails, naming the job, the
+// partition and both counts.
 type mergeIter struct {
-	srcs []mergeSrc
-	tree []int
-	skip int // prefix length every key of every run shares
+	srcs    []mergeSrc
+	tree    []int
+	skip    int // prefix length every key of every run shares
+	job     string
+	r       int
+	n, want int
+	err     error
+	release func() // run once by Close; nil = nothing to release
+	closed  bool
 }
 
-func newMergeIter(runs [][]KeyValue) *mergeIter {
-	k := len(runs)
-	if k == 0 {
-		return &mergeIter{srcs: make([]mergeSrc, 1), tree: make([]int, 1)} // one drained run
-	}
+// mergeRuns opens the merge of runs, which are in map-index order. c,
+// when non-nil, counts the bytes read off run files; release, when
+// non-nil, runs when the merge closes, also when opening fails.
+func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, release func()) (kvIter, error) {
+	k := max(len(runs), 1) // no runs: one drained source
+	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), job: job, r: r, want: want, release: release}
 	// Ords of different runs compare only under one skip. A sorted run's
 	// keys all lie between its first and its last, so the prefix those
-	// share across every run is shared by every key.
-	ref := runs[0][0].Key
-	skip := len(ref)
-	for _, run := range runs {
-		skip = normkey.CommonPrefix(ref, run[0].Key, skip)
-		skip = normkey.CommonPrefix(ref, run[len(run)-1].Key, skip)
+	// share across every run is shared by every key; a run whose bounds
+	// are unknown leaves skip at 0.
+	var ref string
+	for i, run := range runs {
+		lo, hi := run.lo, run.hi
+		if run.path == "" {
+			lo, hi = run.kvs[0].Key, run.kvs[len(run.kvs)-1].Key
+		} else if run.end == 0 {
+			it.skip = 0
+			break
+		}
+		if i == 0 {
+			ref, it.skip = lo, len(lo)
+		}
+		it.skip = normkey.CommonPrefix(ref, lo, it.skip)
+		it.skip = normkey.CommonPrefix(ref, hi, it.skip)
 	}
-	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), skip: skip}
 	for s, run := range runs {
-		it.srcs[s] = mergeSrc{rest: run, ord: normkey.Ord(run[0].Key, skip)}
+		src := &it.srcs[s]
+		src.rest = run.kvs
+		if run.path != "" {
+			f, err := os.Open(run.path)
+			if err != nil {
+				it.Close()
+				return nil, it.wrap(err)
+			}
+			var segment io.Reader = f
+			if run.end > 0 {
+				segment = io.NewSectionReader(f, run.off, run.end-run.off)
+			}
+			rd := runReaders.Get().(*extsort.RunReader)
+			rd.Reset(countingReader{segment, c})
+			src.file = &fileCursor{f: f, rd: rd, m: uint64(run.m)}
+			if err := src.file.next(&src.rest); err != nil {
+				it.Close()
+				return nil, it.wrap(err)
+			}
+		}
+		if len(src.rest) > 0 {
+			src.ord = normkey.Ord(src.rest[0].Key, it.skip)
+		}
 	}
 	winners := make([]int, 2*k)
 	for s := 0; s < k; s++ {
@@ -145,7 +239,11 @@ func newMergeIter(runs [][]KeyValue) *mergeIter {
 		}
 	}
 	it.tree[0] = winners[1]
-	return it
+	return it, nil
+}
+
+func (it *mergeIter) wrap(err error) error {
+	return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", it.job, it.r, err)
 }
 
 // beats reports whether run a's head precedes run b's: a drained run
@@ -165,13 +263,27 @@ func (it *mergeIter) beats(a, b int) bool {
 }
 
 func (it *mergeIter) Next() (KeyValue, bool, error) {
+	if it.err != nil {
+		return KeyValue{}, false, it.err
+	}
 	s := it.tree[0]
 	src := &it.srcs[s]
 	if len(src.rest) == 0 {
+		if it.n != it.want {
+			it.err = it.wrap(fmt.Errorf("merged %d records, map tasks produced %d", it.n, it.want))
+			return KeyValue{}, false, it.err
+		}
 		return KeyValue{}, false, nil
 	}
 	kv := src.rest[0]
 	src.rest = src.rest[1:]
+	if len(src.rest) == 0 && src.file != nil {
+		if err := src.file.next(&src.rest); err != nil {
+			it.err = it.wrap(err)
+			return KeyValue{}, false, it.err
+		}
+	}
+	it.n++
 	if len(src.rest) > 0 {
 		if src.rest[0].Key == kv.Key {
 			// Still inside one key group of the winning run: (key, s) has
@@ -190,4 +302,19 @@ func (it *mergeIter) Next() (KeyValue, bool, error) {
 	return kv, true, nil
 }
 
-func (it *mergeIter) Close() error { return nil }
+func (it *mergeIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	for _, src := range it.srcs {
+		if src.file != nil {
+			src.file.f.Close()
+			runReaders.Put(src.file.rd)
+		}
+	}
+	if it.release != nil {
+		it.release()
+	}
+	return nil
+}

@@ -3,7 +3,10 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"proger/internal/membudget"
 )
 
 // benchRuns builds one reduce partition's worth of raw map output:
@@ -35,10 +38,12 @@ func benchRuns(shape string, mapTasks, perRun int) [][]KeyValue {
 	return runs
 }
 
-// BenchmarkShuffle times the two halves of the in-memory shuffle on one
+// BenchmarkShuffle times the two halves of the shuffle on one
 // partition, 16 map tasks × 2000 records: sort is the map side (every
 // run through sortInto, into a run allocated at its length), merge the
-// reduce side (one drain of the streaming merge over the sorted runs).
+// reduce side (one drain of the streaming merge over the sorted runs),
+// and spilled the reduce side on the same runs read back from the run
+// files of a spill store that has spilled every one of them.
 func BenchmarkShuffle(b *testing.B) {
 	const mapTasks, perRun = 16, 2000
 	for _, shape := range []string{"job2", "job1"} {
@@ -71,11 +76,43 @@ func BenchmarkShuffle(b *testing.B) {
 				}
 			}
 		})
+		b.Run("spilled/"+shape, func(b *testing.B) {
+			cfg := &Config{Name: "bench", SpillDir: b.TempDir(), MemBudget: membudget.New(1 << 40)}
+			st := newSpillStore(cfg, 0)
+			defer st.Close()
+			for m, run := range in.runs {
+				if err := st.addRun(m, slices.Clone(run.kvs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := st.budgetSpill(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it, err := st.Iter()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					kv, ok, err := it.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					benchRun[0] = kv
+				}
+				it.Close()
+			}
+		})
 	}
 }
 
 // benchRun keeps the compiler from discarding the measured calls.
-var benchRun []KeyValue
+var benchRun = make([]KeyValue, 1)
 
 // BenchmarkShuffleEngine runs a whole job dominated by shuffle volume,
 // so the number tracks end-to-end engine throughput.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -60,14 +61,22 @@ func sortRun(run []KeyValue) []KeyValue {
 // sortedRunsInput does the map side of the in-memory shuffle on raw map
 // runs and collects them as a reduce task does: sort each, keep the
 // non-empty ones in map-index order.
-func sortedRunsInput(runs [][]KeyValue) memInput {
-	var in memInput
-	for _, run := range runs {
-		if len(run) > 0 {
-			in.runs = append(in.runs, sortRun(run))
-		}
+func sortedRunsInput(runs [][]KeyValue) runsInput {
+	sorted := make([][]KeyValue, len(runs))
+	for m, run := range runs {
+		sorted[m] = sortRun(run)
 	}
-	return in
+	return memRuns(sorted)
+}
+
+// memRuns is the in-memory reduce input of sorted runs, as
+// shuffleForTask builds it.
+func memRuns(runs [][]KeyValue) runsInput {
+	mapRes := make([]mapTaskResult, len(runs))
+	for m, run := range runs {
+		mapRes[m].out = [][]KeyValue{run}
+	}
+	return shuffleForTask(mapRes, 0)
 }
 
 // interleave stages raw runs the way one map task emitting into
@@ -145,12 +154,17 @@ func shuffleRunsFromBytes(data []byte) [][]KeyValue {
 	return runs
 }
 
-// checkShuffleOrder asserts the two halves of the in-memory shuffle on
-// raw map runs: (a) the map-side sort equals the standard library's
-// stable sort — of a run on its own, and of the same run picked out of
-// a stage it shares with the others, one sorter serving them all —
-// (b) draining the streaming merge equals legacyShuffle.
-func checkShuffleOrder(t *testing.T, runs [][]KeyValue) {
+// checkShuffleOrder asserts the two halves of the shuffle on raw map
+// runs: (a) the map-side sort equals the standard library's stable
+// sort — of a run on its own, and of the same run picked out of a stage
+// it shares with the others, one sorter serving them all — (b) draining
+// the streaming merge of the runs in memory equals legacyShuffle, and
+// (c) so does draining it with some runs read from run files: with
+// fleet set, every run, empty ones included, from a map run file whose
+// key bounds the merge does not know; otherwise the runs
+// whose bit m%8 is set in route from a spillStore that has spilled
+// them, the rest from its memory.
+func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) {
 	t.Helper()
 	stage, sels := interleave(runs)
 	var sorter runSorter
@@ -175,6 +189,61 @@ func checkShuffleOrder(t *testing.T, runs [][]KeyValue) {
 	if i := sameRecords(drainInput(t, in), want); i >= 0 {
 		t.Fatalf("streaming merge departs from legacyShuffle at record %d (keys %q)", i, keysOf(want))
 	}
+	if route == 0 && !fleet {
+		return
+	}
+	sorted := make([][]KeyValue, len(runs))
+	for m, run := range runs {
+		sorted[m] = sortRun(run)
+	}
+	var files reduceInput
+	if fleet {
+		files = writeMapRuns(t, sorted, len(want))
+	} else {
+		cfg, _ := storeConfig(t, 1<<30)
+		st := newSpillStore(cfg, 0)
+		defer st.Close()
+		for _, spill := range []bool{true, false} {
+			for m, run := range sorted {
+				if spilled := route>>(m%8)&1 == 1; spilled == spill {
+					if err := st.addRun(m, slices.Clone(run)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if spill {
+				if _, err := st.budgetSpill(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		files = st
+	}
+	got := drainInput(t, files)
+	for i := range want {
+		if i >= len(got) || got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("route %08b, fleet %v: merge with run files departs from legacyShuffle at record %d (keys %q)", route, fleet, i, keysOf(want))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("route %08b, fleet %v: merge with run files yields %d records, want %d", route, fleet, len(got), len(want))
+	}
+}
+
+// writeMapRuns writes each sorted run as map task m's run file for
+// partition 0 of a fleet's job directory, an empty run as an empty
+// file, and returns the reduce input a lease reads them through.
+func writeMapRuns(t *testing.T, sorted [][]KeyValue, n int) runsInput {
+	t.Helper()
+	dir := t.TempDir()
+	in := runsInput{job: "fleet-test", n: n}
+	for m, run := range sorted {
+		in.runs = append(in.runs, sortedRun{m: m, path: filepath.Join(dir, mapRunName(m, 0))})
+		if err := commitRunFile(dir, mapRunName(m, 0), nil, runRecords(m, run)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in
 }
 
 func keysOf(kvs []KeyValue) []string {
@@ -228,24 +297,36 @@ var shuffleOrderSeeds = [][]byte{
 	shuffleSeed(8, seedRec{5, 1, []byte{3}}),
 }
 
+// shuffleRoutes are the ways the seeds' runs reach the merge: all in
+// memory, all from spilled files, alternate runs from each, and all
+// from fleet map run files.
+var shuffleRoutes = []struct {
+	route byte
+	fleet bool
+}{{0, false}, {0xff, false}, {0x55, false}, {0, true}}
+
 func TestShuffleOrderProperty(t *testing.T) {
 	for _, seed := range shuffleOrderSeeds {
-		checkShuffleOrder(t, shuffleRunsFromBytes(seed))
+		for _, r := range shuffleRoutes {
+			checkShuffleOrder(t, shuffleRunsFromBytes(seed), r.route, r.fleet)
+		}
 	}
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 2000; i++ {
 		data := make([]byte, rng.Intn(120))
 		rng.Read(data)
-		checkShuffleOrder(t, shuffleRunsFromBytes(data))
+		checkShuffleOrder(t, shuffleRunsFromBytes(data), byte(rng.Intn(256)), i%4 == 3)
 	}
 }
 
 func FuzzShuffleOrder(f *testing.F) {
 	for _, seed := range shuffleOrderSeeds {
-		f.Add(seed)
+		for _, r := range shuffleRoutes {
+			f.Add(seed, r.route, r.fleet)
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkShuffleOrder(t, shuffleRunsFromBytes(data))
+	f.Fuzz(func(t *testing.T, data []byte, route byte, fleet bool) {
+		checkShuffleOrder(t, shuffleRunsFromBytes(data), route, fleet)
 	})
 }
 
@@ -359,13 +440,13 @@ func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	in := shuffleForTask([]mapTaskResult{
 		{out: [][]KeyValue{nil}}, {out: [][]KeyValue{run}}, {out: [][]KeyValue{nil}},
 	}, 0)
-	if len(in.runs) != 1 || &in.runs[0][0] != &run[0] {
+	if len(in.runs) != 1 || &in.runs[0].kvs[0] != &run[0] {
 		t.Error("a single-contributor partition should alias the run itself, not a copy")
 	}
 	if i := sameRecords(drainInput(t, in), run); i >= 0 {
 		t.Errorf("single-run input departs from the run at record %d", i)
 	}
-	if got := drainInput(t, memInput{}); got != nil {
+	if got := drainInput(t, runsInput{}); got != nil {
 		t.Errorf("empty input yielded %d records", len(got))
 	}
 }

@@ -1,33 +1,28 @@
 package mapreduce
 
-// The pluggable shuffle storage layer. A reduce task's input is a
-// reduceInput — either the map tasks' in-memory runs (memInput in
-// shuffle.go, the classic path), a spillStore holding sorted runs that
-// may live in memory, on disk, or both, or, in a reduce lease, the map
-// tasks' shared run files (mapRunsInput in remote.go). Which one a
-// partition gets is a pure host-machine decision (MemBudget, the one
-// road to disk, or a transport); the record sequence each yields is
-// byte-identical, which is what keeps Result/trace/quality bytes
-// independent of storage mode. The last two read through one merge,
-// runMerge.
-//
-// Ordering invariant: every run is tagged with a priority — its map
-// task index — and all merges compare (key, prio). Because one run is
-// ingested exactly once and moved between memory and disk only whole,
-// a given prio lives in exactly one source at any time, so merging
-// arbitrary groupings of runs reproduces exactly the stable
-// (key, map-index) order of the in-memory k-way merge (mergeIter), no
-// matter when or how runs were spilled.
+// The reduce inputs. A reduce task's input is a reduceInput: a list of
+// key-sorted runs, one per contributing map task in map-index order,
+// each in memory or in a run file, that one merge reads (mergeIter in
+// shuffle.go). runsInput (shuffle.go) holds a fixed list — the map
+// tasks' in-memory runs, or a reduce lease's shared run files — and a
+// spillStore a list whose runs a memory budget may spill. Which one a
+// partition gets is a host decision (MemBudget, the one road to disk,
+// or a transport); the record sequence each yields is byte-identical,
+// which keeps Result/trace/quality bytes independent of storage mode:
+// a run moves between memory and disk only whole, so merging the runs
+// in map-index order by (key, run) reproduces exactly the stable
+// (key, map-index) order, no matter when or which runs were spilled.
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 
 	"proger/internal/extsort"
 	"proger/internal/membudget"
-	"proger/internal/obs"
 )
 
 // reduceInput is a reduce task's shuffled, merge-sorted input.
@@ -52,121 +47,84 @@ type kvIter interface {
 // accounting is deliberately approximate — see membudget.
 const kvMemOverhead = 48
 
-// kvRunBytes estimates the resident size of one run.
-func kvRunBytes(kvs []KeyValue) int64 {
-	b := int64(len(kvs)) * kvMemOverhead
-	for _, kv := range kvs {
-		b += int64(len(kv.Key)) + int64(len(kv.Value))
-	}
-	return b
-}
-
 // ownValues moves the values of a run the caller owns into one array of
 // the run's own, so that spilling the run frees the value bytes it was
 // charged for. A mapper may cut the values of all its partitions from
 // shared chunks (ValueChunks), and a chunk lives as long as any value
 // cut from it: without the copy a spilled run would free nothing while
-// another partition's run of the same task stayed resident. Each value
-// is copied whole, as kvRunBytes charges it, with its capacity clipped;
-// a nil value stays nil.
-func ownValues(kvs []KeyValue) {
-	n := 0
+// another partition's run of the same task stayed resident. Each
+// distinct value is copied once, with its capacity clipped, and the
+// records that share it (Job 2 emits an entity's one value under every
+// block of its path) share the copy; a nil value stays nil. It returns
+// the run's resident size, which the budget charges: the records'
+// bookkeeping and keys, and the value array it allocated.
+func ownValues(kvs []KeyValue) int64 {
+	at := valueOffsets.Get().(map[valueSpan]int)
+	defer func() { clear(at); valueOffsets.Put(at) }()
+	b, n := int64(len(kvs))*kvMemOverhead, 0
 	for _, kv := range kvs {
-		n += len(kv.Value)
+		b += int64(len(kv.Key))
+		if len(kv.Value) > 0 {
+			if _, ok := at[valueSpan{&kv.Value[0], len(kv.Value)}]; !ok {
+				at[valueSpan{&kv.Value[0], len(kv.Value)}] = n
+				n += len(kv.Value)
+			}
+		}
 	}
 	own := make([]byte, 0, n)
 	for i, kv := range kvs {
-		if kv.Value != nil {
-			at := len(own)
-			own = append(own, kv.Value...)
-			kvs[i].Value = own[at:len(own):len(own)]
-		}
-	}
-}
-
-// prioKV is a record tagged with its run's merge priority.
-type prioKV struct {
-	prio uint64
-	kv   KeyValue
-}
-
-func prioKVCmp(a, b prioKV) int {
-	if a.kv.Key != b.kv.Key {
-		if a.kv.Key < b.kv.Key {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case a.prio < b.prio:
-		return -1
-	case a.prio > b.prio:
-		return 1
-	}
-	return 0
-}
-
-// sliceSource is an extsort.Merger source over one in-memory run, every
-// record tagged prio.
-func sliceSource(prio uint64, kvs []KeyValue) func() (prioKV, bool) {
-	pos := 0
-	return func() (prioKV, bool) {
-		if pos >= len(kvs) {
-			return prioKV{}, false
-		}
-		rec := prioKV{prio: prio, kv: kvs[pos]}
-		pos++
-		return rec, true
-	}
-}
-
-// runFileSource is an extsort.Merger source over one run file, each
-// record tagged with the priority it was written with. A read error
-// ends the source; the first one a merge meets is kept in *errp.
-func runFileSource(rr *extsort.RunReader, errp *error) func() (prioKV, bool) {
-	return func() (prioKV, bool) {
-		seq, key, val, err := rr.Next()
-		if err == io.EOF {
-			return prioKV{}, false
-		}
-		if err != nil {
-			if *errp == nil {
-				*errp = err
+		switch {
+		case kv.Value == nil:
+		case len(kv.Value) == 0:
+			kvs[i].Value = own[len(own):len(own):len(own)]
+		default:
+			// Offsets were handed out in record order, so a value's first
+			// record is the one whose offset is the end of what is copied.
+			off := at[valueSpan{&kv.Value[0], len(kv.Value)}]
+			if off == len(own) {
+				own = append(own, kv.Value...)
 			}
-			return prioKV{}, false
+			kvs[i].Value = own[off : off+len(kv.Value) : off+len(kv.Value)]
 		}
-		return prioKV{prio: seq, kv: KeyValue{Key: key, Value: val}}, true
 	}
+	return b + int64(n)
 }
 
-// spillRun is one map task's pre-sorted contribution, held in memory.
-// charged marks that its bytes are recorded with the budget account; a
-// forced spill moves only charged runs (an uncharged run's reservation
-// is still in flight, and spilling it would corrupt the ledger).
+// valueSpan identifies a value by its first byte and its length; a pool
+// of valueOffsets lends ownValues its table of the values it placed.
+type valueSpan struct {
+	p *byte
+	n int
+}
+
+var valueOffsets = sync.Pool{New: func() any { return map[valueSpan]int{} }}
+
+// spillRun is one map task's run in a spillStore. bytes is what the
+// budget account holds for it while it is in memory; 0 while its
+// reservation is still in flight, and a forced spill moves only runs
+// whose charge has landed (spilling another would corrupt the ledger).
 type spillRun struct {
-	prio    uint64
-	kvs     []KeyValue
-	charged bool
+	sortedRun
+	bytes int64
 }
 
 // spillStore is the disk-capable reduceInput. Runs are ingested whole
 // (addRun) and buffer in memory charged against the budget account; a
-// budget-forced spill merges everything buffered into one run file.
-// Iter k-way merges memory and disk sources by (key, prio).
+// budget-forced spill appends each buffered run to the store's one
+// spill file as a segment of its own, so a spill merges nothing. Iter
+// merges the runs, wherever they are, by (key, map index).
 type spillStore struct {
 	job    string
 	r      int
 	parent string // spill parent dir; "" = system temp
 	acct   *membudget.Account
 
-	mu       sync.Mutex
-	tmpDir   string
-	memRuns  []*spillRun
-	memBytes int64 // charged resident bytes
-	files    []string
-	total    int
-	readers  int // live iterators; pins memory runs against spilling
-	closed   bool
+	mu      sync.Mutex
+	file    *os.File    // the spill file, created by the first spill
+	runs    []*spillRun // in ingestion order
+	total   int
+	readers int // live iterators; pins memory runs against spilling
+	closed  bool
 
 	// Budget-pressure driven, reported only through the metrics registry.
 	forcedSpills int64
@@ -182,107 +140,116 @@ func newSpillStore(cfg *Config, r int) *spillStore {
 	return st
 }
 
-// addRun ingests one map task's pre-sorted run for this partition.
-// Safe for concurrent callers (pipelined map tasks commit in any
-// order); prio disjointness keeps the merged order independent of
-// ingestion order. The run is published before its bytes are charged —
-// so a concurrent charge that picks this store as victim always sees a
+// addRun ingests map task m's pre-sorted run for this partition, its
+// values made its own (ownValues). Safe for concurrent callers
+// (pipelined map tasks commit in any order); Iter orders the runs by
+// map index. The run is published before its bytes are charged — so a
+// concurrent charge that picks this store as victim always sees a
 // spillable buffer — but stays uncharged (unspillable) until the
 // reservation lands, keeping the ledger exact. Self-spill during the
 // charge is safe for the same reason: only settled runs move.
-func (st *spillStore) addRun(prio int, kvs []KeyValue) error {
+func (st *spillStore) addRun(m int, kvs []KeyValue) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	b := kvRunBytes(kvs)
-	run := &spillRun{prio: uint64(prio), kvs: kvs}
+	b := ownValues(kvs)
+	run := &spillRun{sortedRun: sortedRun{m: m, kvs: kvs}}
 	st.mu.Lock()
-	st.memRuns = append(st.memRuns, run)
+	st.runs = append(st.runs, run)
 	st.total += len(kvs)
 	st.mu.Unlock()
 	if err := st.acct.Charge(b); err != nil {
 		st.mu.Lock()
-		for i, r := range st.memRuns {
-			if r == run {
-				st.memRuns = append(st.memRuns[:i], st.memRuns[i+1:]...)
-				st.total -= len(kvs)
-				break
-			}
-		}
+		st.runs = slices.DeleteFunc(st.runs, func(r *spillRun) bool { return r == run })
+		st.total -= len(kvs)
 		st.mu.Unlock()
 		return err
 	}
 	st.mu.Lock()
-	run.charged = true
-	st.memBytes += b
+	run.bytes = b
 	st.mu.Unlock()
 	return nil
 }
 
-// budgetSpill is the membudget callback: flush the charged buffered
-// runs into one merged run file and report the bytes freed. Live
+// budgetSpill is the membudget callback: append every charged buffered
+// run to the spill file and report the bytes freed. Live
 // iterators pin the buffer (their merge cursors point into it), so a
 // store being read reports no progress instead of corrupting the pass.
 func (st *spillStore) budgetSpill() (int64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed || st.readers > 0 || st.memBytes == 0 {
+	if st.closed || st.readers > 0 {
 		return 0, nil
 	}
-	var settled, pending []*spillRun
-	for _, r := range st.memRuns {
-		if r.charged {
-			settled = append(settled, r)
-		} else {
-			pending = append(pending, r)
+	var freed int64
+	for _, run := range st.runs {
+		if run.path != "" || run.bytes == 0 {
+			continue // on disk already, or its charge is still in flight
 		}
+		if err := st.spillLocked(run); err != nil {
+			return 0, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
+		}
+		freed += run.bytes
 	}
-	if len(settled) == 0 {
-		return 0, nil
+	if freed > 0 {
+		st.forcedSpills++
+		st.spilledBytes += freed
 	}
-	if err := st.writeRunFileLocked(settled); err != nil {
-		return 0, err
-	}
-	freed := st.memBytes
-	st.memRuns = pending
-	st.memBytes = 0
-	st.forcedSpills++
-	st.spilledBytes += freed
 	return freed, nil
 }
 
-// writeRunFileLocked merges the given runs by (key, prio) into one new
-// run file. Caller holds st.mu.
-func (st *spillStore) writeRunFileLocked(runs []*spillRun) error {
-	if st.tmpDir == "" {
-		dir, err := os.MkdirTemp(st.parent, "proger-shuffle-*")
+// spillLocked appends run's records to the spill file as a run stream
+// of their own and keeps the segment and the run's key bounds in place
+// of the records. One file per store, not per run: creating a file
+// costs more than the run takes to write. Caller holds st.mu.
+func (st *spillStore) spillLocked(run *spillRun) error {
+	if st.file == nil {
+		f, err := os.CreateTemp(st.parent, "proger-shuffle-*.spill")
 		if err != nil {
-			return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
+			return err
 		}
-		st.tmpDir = dir
+		st.file = f
 	}
-	pulls := make([]func() (prioKV, bool), len(runs))
-	for i, run := range runs {
-		pulls[i] = sliceSource(run.prio, run.kvs)
+	// A failed spill's bytes stay in the file, where no segment names them.
+	off, err := st.file.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
 	}
-	merger := extsort.NewMerger(pulls, prioKVCmp)
-	path, err := writeRunFile(st.tmpDir, "run-*.spill", nil, func(rw *extsort.RunWriter) error {
-		for {
-			rec, ok := merger.Next()
-			if !ok {
-				return nil
-			}
-			if err := rw.WriteRecord(rec.prio, rec.kv.Key, rec.kv.Value); err != nil {
+	rw := runWriters.Get().(*extsort.RunWriter)
+	defer runWriters.Put(rw)
+	rw.Reset(st.file)
+	if err := runRecords(run.m, run.kvs)(rw); err != nil {
+		return err
+	}
+	if err := rw.Flush(); err != nil {
+		return err
+	}
+	end, err := st.file.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	kvs := run.kvs
+	run.sortedRun = sortedRun{m: run.m, path: st.file.Name(), off: off, end: end,
+		lo: strings.Clone(kvs[0].Key), hi: strings.Clone(kvs[len(kvs)-1].Key)}
+	return nil
+}
+
+// runRecords streams kvs into a run file, every record carrying map
+// task m as its seq.
+func runRecords(m int, kvs []KeyValue) func(*extsort.RunWriter) error {
+	return func(rw *extsort.RunWriter) error {
+		for _, kv := range kvs {
+			if err := rw.WriteRecord(uint64(m), kv.Key, kv.Value); err != nil {
 				return err
 			}
 		}
-	})
-	if err != nil {
-		return fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
+		return nil
 	}
-	st.files = append(st.files, path)
-	return nil
 }
+
+// runWriters lends run writers: a spill writes a run stream per run,
+// and a frame buffer per stream would outweigh the smaller ones.
+var runWriters = sync.Pool{New: func() any { return extsort.NewRunWriter(nil) }}
 
 // writeRunFile creates a new run file in dir, named from pattern as by
 // os.CreateTemp, streams records into it and flushes and closes it. It
@@ -298,7 +265,9 @@ func writeRunFile(dir, pattern string, out func(*os.File) io.Writer, records fun
 	if out != nil {
 		w = out(f)
 	}
-	rw := extsort.NewRunWriter(w)
+	rw := runWriters.Get().(*extsort.RunWriter)
+	defer runWriters.Put(rw)
+	rw.Reset(w)
 	err = records(rw)
 	if err == nil {
 		err = rw.Flush()
@@ -328,107 +297,32 @@ func (st *spillStore) Len() int {
 	return st.total
 }
 
-// Iter implements reduceInput: an independent merged pass over all
-// memory and disk runs. Concurrent passes are safe — each opens its
-// own file handles, and live passes pin the memory buffer.
+// Iter implements reduceInput: an independent merged pass over the
+// runs, in memory and on disk. Concurrent passes are safe — each opens
+// its own file handles, and live passes pin the memory buffer.
 func (st *spillStore) Iter() (kvIter, error) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed {
+		st.mu.Unlock()
 		return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: Iter after Close", st.job, st.r)
 	}
-	pulls := make([]func() (prioKV, bool), 0, len(st.memRuns)+len(st.files))
-	for _, run := range st.memRuns {
-		pulls = append(pulls, sliceSource(run.prio, run.kvs))
+	runs := make([]sortedRun, len(st.runs))
+	for i, run := range st.runs {
+		runs[i] = run.sortedRun
 	}
-	it, err := openRunMerge(st.job, st.r, st.total, pulls, st.files, nil)
-	if err != nil {
-		return nil, err
-	}
+	total := st.total
 	st.readers++
-	it.release = func() {
+	st.mu.Unlock()
+	slices.SortFunc(runs, func(a, b sortedRun) int { return a.m - b.m })
+	return mergeRuns(st.job, st.r, total, runs, nil, func() {
 		st.mu.Lock()
 		st.readers--
 		st.mu.Unlock()
-	}
-	return it, nil
+	})
 }
 
-// runMerge is the one merged pass over a partition's sorted runs, held
-// in memory or in run files, used by a spillStore and by a reduce
-// lease reading the map tasks' shared run files (mapRunsInput): an
-// extsort.Merger by (key, prio). It must yield exactly want records; a
-// pass that ends short or long fails, naming the job, the partition and
-// both counts.
-type runMerge struct {
-	job     string
-	r       int
-	want, n int
-	fhs     []*os.File
-	merger  *extsort.Merger[prioKV]
-	err     error
-	release func() // run once by Close; nil = nothing to release
-	done    bool
-}
-
-// openRunMerge opens the run files at paths and merges them with the
-// in-memory sources pulls. c, when non-nil, counts the bytes read off
-// the files.
-func openRunMerge(job string, r, want int, pulls []func() (prioKV, bool), paths []string, c *obs.Counter) (*runMerge, error) {
-	it := &runMerge{job: job, r: r, want: want}
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			it.closeFiles()
-			return nil, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", job, r, err)
-		}
-		it.fhs = append(it.fhs, f)
-		pulls = append(pulls, runFileSource(extsort.NewRunReader(countingReader{f, c}), &it.err))
-	}
-	it.merger = extsort.NewMerger(pulls, prioKVCmp)
-	return it, nil
-}
-
-func (it *runMerge) Next() (KeyValue, bool, error) {
-	var rec prioKV
-	ok := false
-	if it.err == nil {
-		rec, ok = it.merger.Next()
-	}
-	if it.err == nil && !ok && it.n != it.want {
-		it.err = fmt.Errorf("merged %d records, map tasks produced %d", it.n, it.want)
-	}
-	if it.err != nil {
-		return KeyValue{}, false, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", it.job, it.r, it.err)
-	}
-	if !ok {
-		return KeyValue{}, false, nil
-	}
-	it.n++
-	return rec.kv, true, nil
-}
-
-func (it *runMerge) closeFiles() {
-	for _, f := range it.fhs {
-		f.Close()
-	}
-	it.fhs = nil
-}
-
-func (it *runMerge) Close() error {
-	if it.done {
-		return nil
-	}
-	it.done = true
-	it.closeFiles()
-	if it.release != nil {
-		it.release()
-	}
-	return nil
-}
-
-// Close removes run files, drops the buffer, and settles the budget
-// account.
+// Close removes the spill file, drops the buffer, and settles the
+// budget account.
 func (st *spillStore) Close() error {
 	st.mu.Lock()
 	if st.closed {
@@ -436,23 +330,13 @@ func (st *spillStore) Close() error {
 		return nil
 	}
 	st.closed = true
-	files := st.files
-	tmp := st.tmpDir
-	st.files, st.tmpDir = nil, ""
-	st.memRuns = nil
-	st.memBytes = 0
+	f := st.file
+	st.file, st.runs = nil, nil
 	st.mu.Unlock()
 	st.acct.Close()
-	var first error
-	for _, path := range files {
-		if err := os.Remove(path); err != nil && first == nil && !os.IsNotExist(err) {
-			first = err
-		}
+	if f == nil {
+		return nil
 	}
-	if tmp != "" {
-		if err := os.RemoveAll(tmp); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	f.Close()
+	return os.Remove(f.Name())
 }

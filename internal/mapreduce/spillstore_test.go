@@ -35,7 +35,7 @@ func spillEverything(cfg *Config) {
 
 // requireSpilled fails t unless the budget-governed run of cfg really
 // reached disk: a budget that turns out large enough to stay in memory
-// would quietly compare memInput with itself.
+// would quietly compare the in-memory shuffle with itself.
 func requireSpilled(t *testing.T, cfg *Config) {
 	t.Helper()
 	if cfg.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
@@ -98,7 +98,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 	for _, run := range runs {
 		total += len(run)
 	}
-	want := drainInput(t, memInput{runs: runs})
+	want := drainInput(t, memRuns(runs))
 
 	cfg, _ := storeConfig(t, 1<<30) // roomy: no pressure unless forced
 	st := newSpillStore(cfg, 0)
@@ -166,7 +166,7 @@ func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	if _, err := st.budgetSpill(); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.files) == 0 {
+	if st.runs[0].path == "" {
 		t.Fatal("spill produced no run file")
 	}
 	if err := st.Close(); err != nil {
@@ -413,6 +413,27 @@ func TestBudgetedRunsOwnTheirValues(t *testing.T) {
 	if len(log.emitted) == 0 || log.shared > 0 {
 		t.Errorf("%d of %d values reached a reducer in their mapper's chunk", log.shared, len(log.emitted))
 	}
+
+	// Records that share a value — as Job 2's share their entity's, one
+	// value under every block of its path — share one copy of it, and
+	// the budget charges that copy once. A prefix of a value is a value
+	// of its own.
+	shared, other := []byte("shared"), []byte("other")
+	run := []KeyValue{{"a", shared}, {"b", other}, {"c", shared}, {"d", shared[:3]}, {"e", nil}, {"f", shared}}
+	if got, want := ownValues(run), int64(len(run)*kvMemOverhead+len(run)+len("shared")+len("other")+len("sha")); got != want {
+		t.Errorf("ownValues charged %d bytes, want %d", got, want)
+	}
+	for i, want := range []string{"shared", "other", "shared", "sha", "", "shared"} {
+		if v := run[i].Value; string(v) != want || cap(v) != len(v) || (len(v) > 0 && (&v[0] == &shared[0] || &v[0] == &other[0])) {
+			t.Errorf("record %d: value %q (cap %d), want its own copy of %q", i, v, cap(v), want)
+		}
+	}
+	if run[4].Value != nil {
+		t.Error("a nil value is no longer nil")
+	}
+	if &run[0].Value[0] != &run[2].Value[0] || &run[0].Value[0] != &run[5].Value[0] || &run[0].Value[0] == &run[3].Value[0] {
+		t.Error("records that shared a value do not share its copy, or a prefix shares it")
+	}
 }
 
 // TestReduceValuesStayUnwritten: the Reducer contract lets a reducer
@@ -480,7 +501,7 @@ func TestReduceValuesStayUnwritten(t *testing.T) {
 	rr.Configure(t.TempDir(), 1, 1, false, false)
 	lens := make([]int, cfg.NumReduceTasks)
 	for m := range splits {
-		res, err := rr.RunTask(RemotePhaseMap, m, len(splits[m]))
+		res, err := rr.RunTask(live.PhaseMap, m, len(splits[m]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +510,7 @@ func TestReduceValuesStayUnwritten(t *testing.T) {
 		}
 	}
 	for r := range lens {
-		if _, err := rr.RunTask(RemotePhaseReduce, r, lens[r]); err != nil {
+		if _, err := rr.RunTask(live.PhaseReduce, r, lens[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -586,7 +607,7 @@ func TestSpeculationDigestCatchesDivergence(t *testing.T) {
 		cfg := wordCountConfig(2)
 		cfg.NewMapper = func() Mapper { return drawMapper{draw: byte('a' + execs.Add(1))} }
 		cfg.Faults = faults.Script{
-			{Phase: faults.Map, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
+			{Phase: live.PhaseMap, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
 		}
 		// As in TestSpeculativeAttemptOutrunsStraggler: only the 4×-slowed
 		// map task straggles, and its backup finishes first.

@@ -13,6 +13,8 @@ package mapreduce
 // Result, trace, and quality bytes cannot depend on which transport
 // executed the work.
 
+import "proger/internal/obs/live"
+
 // TaskTransport executes a job's task bodies in other OS processes
 // (see internal/dist); the nil value runs every task body in this
 // process — the determinism reference every transport is byte-compared
@@ -53,7 +55,7 @@ type RemoteJob interface {
 	// completes (master only). A lease lost to a dead worker surfaces
 	// ErrTaskLost, which the engine retries within the RetryPolicy
 	// budget without touching the simulated attempt timeline.
-	RunTask(phase string, task, inputLen int) (*RemoteTaskResult, error)
+	RunTask(phase live.Phase, task, inputLen int) (*RemoteTaskResult, error)
 	// Finish ends the job (master only): broadcasts the aggregated
 	// results — or the terminal error — to the worker fleet and
 	// releases the job's shared run files.

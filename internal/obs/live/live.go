@@ -42,7 +42,10 @@ import (
 	"proger/internal/obs/quality"
 )
 
-// Phase names one engine phase of a job's task DAG.
+// Phase names one engine phase of a job's task DAG, the one phase type
+// of the repository: a live task row's, an injected fault's coordinate
+// (faults hashes its name), a leased task's kind (dist) and its
+// attempt history's key in the engine.
 type Phase string
 
 // Engine phases, in execution (and snapshot) order.

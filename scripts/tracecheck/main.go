@@ -38,7 +38,6 @@ import (
 	"strconv"
 	"strings"
 
-	"proger/internal/mapreduce"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
 )
@@ -269,8 +268,8 @@ func checkEvents(path string) error {
 // checkTaskPhase accepts the phases a task or a lease can have: map and
 // reduce, the engine's two task kinds.
 func checkTaskPhase(phase string) error {
-	if phase != mapreduce.RemotePhaseMap && phase != mapreduce.RemotePhaseReduce {
-		return fmt.Errorf("phase %q is not a task kind (%s or %s)", phase, mapreduce.RemotePhaseMap, mapreduce.RemotePhaseReduce)
+	if p := live.Phase(phase); p != live.PhaseMap && p != live.PhaseReduce {
+		return fmt.Errorf("phase %q is not a task kind (%s or %s)", phase, live.PhaseMap, live.PhaseReduce)
 	}
 	return nil
 }
