@@ -205,6 +205,9 @@ func TestSmallestKeyExactlyOneResponsible(t *testing.T) {
 	}
 }
 
+// FuzzDecodeList guards the list codec, which Job 2's tree chains are
+// written in: arbitrary bytes decode or fail without a panic, and
+// whatever decodes re-encodes to the same list.
 func FuzzDecodeList(f *testing.F) {
 	f.Add(Encode(nil, List{1, -2, 300000}))
 	f.Add([]byte{})

@@ -108,11 +108,11 @@ type jobState struct {
 // the lease queue. ch (capacity 1) receives exactly one outcome:
 // the first completion, or lease expiry as mapreduce.ErrTaskLost.
 type pendingTask struct {
-	seq      int
-	phase    live.Phase
-	task     int
-	inputLen int
-	ch       chan taskOutcome
+	seq   int
+	phase live.Phase
+	task  int
+	runs  []mapreduce.RunPart
+	ch    chan taskOutcome
 }
 
 type taskOutcome struct {
@@ -294,15 +294,19 @@ func (m *Master) deliverExpired(expired []*leaseEntry, ids []uint64) {
 // TransportName implements mapreduce.TaskTransport.
 func (m *Master) TransportName() string { return "master" }
 
-// BeginJob implements mapreduce.TaskTransport: publish the job's
-// spec (unblocking worker JobInfo polls) and hand back the dispatch
-// handle the driver leases tasks through. The runner is unused on the
-// master — this process executes nothing locally.
+// BeginJob implements mapreduce.TaskTransport: make the job's shared
+// directory, publish the job's spec (unblocking worker JobInfo polls)
+// and hand back the dispatch handle the driver leases tasks through.
+// The runner is unused on the master — this process executes nothing
+// locally.
 func (m *Master) BeginJob(spec mapreduce.RemoteJobSpec, _ *mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closing {
 		return nil, errors.New("dist: master closed")
+	}
+	if err := os.MkdirAll(mapreduce.RemoteJobDir(m.dataDir, m.nextSeq+1), 0o777); err != nil {
+		return nil, fmt.Errorf("dist: job dir: %w", err)
 	}
 	m.nextSeq++
 	m.jobs[m.nextSeq] = &jobState{spec: spec}
@@ -320,8 +324,8 @@ func (j masterJob) Master() bool { return true }
 // RunTask enqueues one task execution and blocks until a worker's
 // first completion — or lease expiry, which the mapreduce dispatch
 // layer retries by calling RunTask again.
-func (j masterJob) RunTask(phase live.Phase, task, inputLen int) (*mapreduce.RemoteTaskResult, error) {
-	t := &pendingTask{seq: j.seq, phase: phase, task: task, inputLen: inputLen,
+func (j masterJob) RunTask(phase live.Phase, task int, runs []mapreduce.RunPart) (*mapreduce.RemoteTaskResult, error) {
+	t := &pendingTask{seq: j.seq, phase: phase, task: task, runs: runs,
 		ch: make(chan taskOutcome, 1)}
 	select {
 	case j.m.tasks <- t:
@@ -333,7 +337,7 @@ func (j masterJob) RunTask(phase live.Phase, task, inputLen int) (*mapreduce.Rem
 }
 
 // Finish records the job's broadcast (or terminal error), waking
-// worker WaitJob polls, then retires the job's run files.
+// worker WaitJob polls, then retires the job's map files.
 func (j masterJob) Finish(results *mapreduce.RemoteJobResults, runErr error) error {
 	j.m.mu.Lock()
 	js := j.m.jobs[j.seq]
@@ -525,7 +529,7 @@ func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 			live.KV("job", t.seq), live.KV("phase", string(t.phase)), live.KV("task", t.task))
 		reply.Kind = LeaseTask
 		reply.Lease = TaskLease{LeaseID: id, JobSeq: t.seq, Phase: t.phase,
-			Task: t.task, InputLen: t.inputLen}
+			Task: t.task, Runs: t.runs}
 		return nil
 	case <-poll.C:
 		reply.Kind = LeaseWait

@@ -40,15 +40,14 @@ const (
 
 // TaskLease is one granted task execution: which task of which job,
 // under which lease identity. Phase is live.PhaseMap or
-// live.PhaseReduce. InputLen is the task's input record count (for a
-// reduce task, the count its merge of the map run files must reach;
-// advisory for a map task).
+// live.PhaseReduce. Runs is a reduce task's input: its partition's part
+// of every map task's file, in map-index order (nil for a map task).
 type TaskLease struct {
-	LeaseID  uint64
-	JobSeq   int
-	Phase    live.Phase
-	Task     int
-	InputLen int
+	LeaseID uint64
+	JobSeq  int
+	Phase   live.Phase
+	Task    int
+	Runs    []mapreduce.RunPart
 }
 
 // RegisterArgs/RegisterReply: a worker process joins the fleet. The
@@ -63,7 +62,7 @@ type RegisterArgs struct {
 
 // RegisterReply is Register's response: the worker's assigned
 // identity, the heartbeat/lease TTL in milliseconds, and the shared
-// run-file directory. WantEvents tells the worker whether the master
+// data directory. WantEvents tells the worker whether the master
 // keeps an event log — when false the worker discards its relay
 // buffer locally instead of shipping lines nobody will write.
 type RegisterReply struct {

@@ -260,7 +260,7 @@ func (w *Worker) pump() {
 			return // closed before the driver reached this job
 		}
 		busyStart := time.Now()
-		res, err := runner.RunTask(lease.Phase, lease.Task, lease.InputLen)
+		res, err := runner.RunTask(lease.Phase, lease.Task, lease.Runs)
 		w.tmu.Lock()
 		w.busyMs += time.Since(busyStart).Milliseconds()
 		if err == nil && res != nil {
@@ -331,7 +331,7 @@ type workerJob struct {
 
 func (j workerJob) Master() bool { return false }
 
-func (j workerJob) RunTask(live.Phase, int, int) (*mapreduce.RemoteTaskResult, error) {
+func (j workerJob) RunTask(live.Phase, int, []mapreduce.RunPart) (*mapreduce.RemoteTaskResult, error) {
 	return nil, errors.New("dist: workers do not dispatch tasks")
 }
 

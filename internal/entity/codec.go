@@ -260,10 +260,16 @@ func (d *Decoder) DecodeAll(ents []*Entity, keys []string, srcs [][]byte, lower 
 
 // WriteTSV writes the dataset as tab-separated text: a header line
 // "#id<TAB>attr1<TAB>attr2..." followed by one line per entity.
-// Tab and newline characters inside values are escaped as \t, \n, \\.
+// Tab, newline and carriage-return bytes inside names and values are
+// escaped as \t, \n, \r, and backslashes as \\; every other byte is
+// written as it is.
 func WriteTSV(w io.Writer, d *Dataset) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#id\t%s\n", strings.Join(d.Schema.Attributes, "\t")); err != nil {
+	names := make([]string, len(d.Schema.Attributes))
+	for i, name := range d.Schema.Attributes {
+		names[i] = escapeTSV(name)
+	}
+	if _, err := fmt.Fprintf(bw, "#id\t%s\n", strings.Join(names, "\t")); err != nil {
 		return err
 	}
 	for _, e := range d.Entities {
@@ -302,6 +308,9 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("entity: TSV header must start with %q, got %q", "#id\t", firstN(header, 32))
 	}
 	attrNames := strings.Split(header[len("#id\t"):], "\t")
+	for i, name := range attrNames {
+		attrNames[i] = unescapeTSV(name)
+	}
 	schema, err := NewSchema(attrNames...)
 	if err != nil {
 		return nil, err
@@ -324,20 +333,22 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 }
 
 func escapeTSV(s string) string {
-	if !strings.ContainsAny(s, "\t\n\\") {
+	if !strings.ContainsAny(s, "\t\n\r\\") {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\t':
 			b.WriteString(`\t`)
 		case '\n':
 			b.WriteString(`\n`)
+		case '\r':
+			b.WriteString(`\r`)
 		case '\\':
 			b.WriteString(`\\`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
@@ -349,30 +360,33 @@ func unescapeTSV(s string) string {
 	}
 	var b strings.Builder
 	esc := false
-	for _, r := range s {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		if esc {
-			switch r {
+			switch c {
 			case 't':
-				b.WriteRune('\t')
+				b.WriteByte('\t')
 			case 'n':
-				b.WriteRune('\n')
+				b.WriteByte('\n')
+			case 'r':
+				b.WriteByte('\r')
 			case '\\':
-				b.WriteRune('\\')
+				b.WriteByte('\\')
 			default:
-				b.WriteRune('\\')
-				b.WriteRune(r)
+				b.WriteByte('\\')
+				b.WriteByte(c)
 			}
 			esc = false
 			continue
 		}
-		if r == '\\' {
+		if c == '\\' {
 			esc = true
 			continue
 		}
-		b.WriteRune(r)
+		b.WriteByte(c)
 	}
 	if esc {
-		b.WriteRune('\\')
+		b.WriteByte('\\')
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -565,10 +566,11 @@ func TestBinaryCodecQuickRoundTrip(t *testing.T) {
 }
 
 func TestTSVRoundTrip(t *testing.T) {
-	d := NewDataset(MustSchema("name", "state"))
-	d.Append("John Lopez", "HI")
-	d.Append("tabby\tcat", "line\nbreak")
-	d.Append("back\\slash", "")
+	d := NewDataset(MustSchema("name", "state", "trailing\r"))
+	d.Append("John Lopez", "HI", "")
+	d.Append("tabby\tcat", "line\nbreak", "cr\r")
+	d.Append("back\\slash", "", "\r\r")
+	d.Append("not utf-8: \\\xff\t\xfe", "\\", "\\r")
 	var buf bytes.Buffer
 	if err := WriteTSV(&buf, d); err != nil {
 		t.Fatalf("WriteTSV: %v", err)
@@ -585,8 +587,8 @@ func TestTSVRoundTrip(t *testing.T) {
 			t.Errorf("entity %d: %v vs %v", i, d.Entities[i], got.Entities[i])
 		}
 	}
-	if got.Schema.Index("state") != 1 {
-		t.Error("schema lost in round trip")
+	if !slices.Equal(got.Schema.Attributes, d.Schema.Attributes) {
+		t.Errorf("schema %q came back as %q", d.Schema.Attributes, got.Schema.Attributes)
 	}
 }
 

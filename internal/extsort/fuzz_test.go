@@ -47,8 +47,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRunReaderArbitraryInput feeds arbitrary bytes to the reader: it
-// must terminate with io.EOF or an error, never panic or loop.
+// FuzzRunReaderArbitraryInput feeds arbitrary bytes to the reader, the
+// one reader of spilled and shared-directory bytes: it must terminate
+// with io.EOF or an error, never panic or loop. Arbitrary bytes rarely
+// pass a frame's CRC; FuzzRunRecordsInValidFrames reaches the record
+// decoder behind it.
 func FuzzRunReaderArbitraryInput(f *testing.F) {
 	// Seed with a valid stream and a few mutations of it.
 	var buf bytes.Buffer

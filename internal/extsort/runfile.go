@@ -1,10 +1,11 @@
 // Package extsort is the run-file codec the MapReduce shuffle keeps its
 // runs on disk with, mirroring Hadoop's map-output segments: RunWriter
-// and RunReader, (seq, key, value) records in checksummed frames. The
-// engine's budget-governed shuffle store appends each spilled run to
-// its spill file as a stream of its own, and the distributed transport
-// writes each map task's run for each partition to a shared-directory
-// file; the reduce side's one k-way merge reads both back.
+// and RunReader, (seq, key, value) records in checksummed frames. A
+// file holds runs as segments, one stream each: the engine's
+// budget-governed shuffle store appends each spilled run to its spill
+// file, and a distributed map task writes its run for every partition
+// to its one shared-directory file; the reduce side's one k-way merge
+// reads the segments back.
 //
 // A run file is a record stream cut into frames:
 //

@@ -275,7 +275,7 @@ func speculateAgainst[T any](backup, committed T, same func(backup, committed T)
 // is one.
 func TestSpeculationIgnoresWorker(t *testing.T) {
 	on := func(worker int) *RemoteTaskResult {
-		return &RemoteTaskResult{Cost: 5, Worker: worker, PartLens: []int{2},
+		return &RemoteTaskResult{Cost: 5, Worker: worker, Parts: []RunPart{{N: 2}},
 			Out: []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("v")}}}}
 	}
 	changed := on(2)

@@ -5,21 +5,21 @@ package mapreduce
 // resolution-affecting configuration, so each can reconstruct the
 // job's Config (mappers, reducers, side data) locally: only task
 // identity and result metadata cross the wire, never closures or
-// input payloads. The shared-filesystem run files are the data plane:
-// a map task writes one pre-sorted run file per partition, and a
-// reduce task merges its partition's M map run files as it reads them
-// (runReduce, through the one merge every reduce input is read with) —
-// the master hands workers run-file paths (implicitly, via task
-// identity and a shared data dir), not payloads. Reduce output,
-// counters, spans, and quality observations travel back inline over
-// RPC: they are exactly the per-task state phaseOutputs needs.
+// input payloads. The shared-filesystem map files are the data plane:
+// map task m writes one file, m<m>.run, its R pre-sorted partition runs
+// back to back as segments, and reports each segment's place, record
+// count and key bounds (RunPart); a reduce task merges its partition's
+// M segments as it reads them (runReduce, through the one merge every
+// reduce input is read with). Reduce output, counters, spans, and
+// quality observations travel back inline over RPC: they are exactly
+// the per-task state phaseOutputs needs.
 //
 // Determinism: the master runs the same job-graph builder (reduce r
 // gated on every map), with the same runAttempted / speculation
 // machinery, as local execution — only its body policy differs: its map
 // and reduce bodies dispatch over RPC instead of calling the task
-// function, and a reduce lease carries its partition's record count,
-// Σ PartLens[r] (partitionLen). Committed results are byte-identical to
+// function, and a reduce lease carries its partition's part of every
+// map file, whose record counts its merge must reach. Committed results are byte-identical to
 // local execution because the task bodies are the same deterministic
 // functions, so everything derived in Run's finalize half (schedule,
 // Result, spans, metrics, quality) is transport-independent. Workers
@@ -30,12 +30,10 @@ package mapreduce
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
 	"proger/internal/costmodel"
-	"proger/internal/extsort"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
@@ -59,10 +57,10 @@ type RemoteJobSpec struct {
 
 // RemoteTaskResult is one completed task's wire-form outcome — the
 // per-task slice of phaseOutputs that must cross processes. Bulk data
-// stays on the shared filesystem: a map task reports only per-partition
-// record counts (the runs themselves are files), which is all any
-// process needs to know of a shuffle. Reduce output is the job's actual
-// product and returns inline.
+// stays on the shared filesystem: a map task reports only where each
+// partition's run lies in its file, which is all any process needs to
+// know of a shuffle. Reduce output is the job's actual product and
+// returns inline.
 type RemoteTaskResult struct {
 	Cost     costmodel.Units
 	Counters Counters
@@ -74,8 +72,9 @@ type RemoteTaskResult struct {
 	// result reads it, and speculation leaves it out when it compares a
 	// backup with the committed attempt.
 	Worker int
-	// PartLens is a map task's record count per partition.
-	PartLens []int
+	// Parts is a map task's run per partition: Parts[r] is partition
+	// r's segment of its file.
+	Parts []RunPart
 	// Out and Qobs are a reduce task's output records and quality
 	// observations.
 	Out  []TimedKV
@@ -91,44 +90,51 @@ type RemoteJobResults struct {
 	Reduce []RemoteTaskResult
 }
 
-// partitionLen is partition r's record count: Σ PartLens[r] over the
-// committed map tasks, the count a reduce lease's merge must reach.
+// partitionRuns is partition r's part of every committed map task's
+// file, in map-index order: what a reduce lease reads.
+func partitionRuns(mapRes []mapTaskResult, r int) []RunPart {
+	runs := make([]RunPart, len(mapRes))
+	for m, mr := range mapRes {
+		runs[m] = mr.remote.Parts[r]
+	}
+	return runs
+}
+
+// partitionLen is partition r's record count, the count a reduce
+// lease's merge must reach.
 func partitionLen(mapRes []mapTaskResult, r int) int {
 	n := 0
 	for _, mr := range mapRes {
-		n += mr.remote.PartLens[r]
+		n += mr.remote.Parts[r].N
 	}
 	return n
 }
 
-// Run-file naming inside one job's shared directory.
-func remoteJobDirName(seq int) string { return fmt.Sprintf("job%d", seq) }
-func mapRunName(m, r int) string      { return fmt.Sprintf("m%d.p%d.run", m, r) }
-func remoteJobDir(dataDir string, seq int) string {
-	return filepath.Join(dataDir, remoteJobDirName(seq))
+// RemoteJobDir returns job seq's shared directory under dataDir, which
+// holds one file per map task. The transport creates it before the job's
+// first lease and removes it when the job ends.
+func RemoteJobDir(dataDir string, seq int) string {
+	return filepath.Join(dataDir, fmt.Sprintf("job%d", seq))
 }
 
-// RemoteJobDir returns job seq's shared run-file directory under
-// dataDir. Exported so a transport can clean a finished job's runs.
-func RemoteJobDir(dataDir string, seq int) string { return remoteJobDir(dataDir, seq) }
+func mapFileName(m int) string { return fmt.Sprintf("m%d.run", m) }
 
 // RemoteRunner executes leased task bodies worker-side: the same
 // deterministic runMapTask/runReduceTask functions the local engine
 // calls, against the job Config this process reconstructed locally,
-// with run files on the shared data dir as input/output. The transport
+// with map files on the shared data dir as input/output. The transport
 // calls Configure once placement is known, then RunTask per lease.
 type RemoteRunner struct {
 	cfg    *Config
 	splits [][]KeyValue
 	lj     *live.Job
 
-	dataDir string
-	seq     int
+	jobDir  string // RemoteJobDir of the job
 	execCfg *Config
 
 	// workerID is this process's master-assigned identity (0 until
 	// Configure), fed to the live task table rows this runner executes.
-	// cRead/cWrite count shared-directory run-file bytes this process
+	// cRead/cWrite count shared-directory map-file bytes this process
 	// streams — registry-only fleet telemetry (nil without metrics).
 	workerID      int
 	cRead, cWrite *obs.Counter
@@ -152,7 +158,7 @@ func newRemoteRunner(cfg *Config, splits [][]KeyValue, lj *live.Job) *RemoteRunn
 		done:   map[remoteTaskKey]struct{}{}}
 }
 
-// Configure binds the runner to its placement: the shared run-file
+// Configure binds the runner to its placement: the shared data
 // directory, the job's sequence number in the chain, this process's
 // master-assigned worker identity, and the fleet's sink flags.
 // tracing/quality are ORed with the local config's own sinks — a
@@ -161,8 +167,7 @@ func newRemoteRunner(cfg *Config, splits [][]KeyValue, lj *live.Job) *RemoteRunn
 // functions key collection off sink non-nilness; the copies' sinks are
 // never exported, results ship back inside RemoteTaskResult instead).
 func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int, tracing, qual bool) {
-	rr.dataDir = dataDir
-	rr.seq = seq
+	rr.jobDir = RemoteJobDir(dataDir, seq)
 	rr.workerID = workerID
 	c := *rr.cfg
 	if tracing && c.Trace == nil {
@@ -173,8 +178,6 @@ func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int, tracing, qu
 	}
 	rr.execCfg = &c
 }
-
-func (rr *RemoteRunner) jobDir() string { return remoteJobDir(rr.dataDir, rr.seq) }
 
 func (rr *RemoteRunner) markDone(p live.Phase, task int) {
 	rr.mu.Lock()
@@ -198,10 +201,12 @@ func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.
 }
 
 // RunTask executes one leased task body and returns its wire-form
-// result. Duplicate executions (re-leases after a lost worker, or the
-// master's speculation pass) are safe: task bodies are deterministic
-// and run files are written atomically with first-write-wins.
-func (rr *RemoteRunner) RunTask(phase live.Phase, task, inputLen int) (*RemoteTaskResult, error) {
+// result; a reduce task's runs are its partition's part of every map
+// file. Duplicate executions (re-leases after a lost worker, or the
+// master's speculation pass) are safe: task bodies are deterministic,
+// so a map file's rename replaces identical bytes, and a reader that
+// has the old file open keeps reading it.
+func (rr *RemoteRunner) RunTask(phase live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error) {
 	if rr.execCfg == nil {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
 	}
@@ -213,7 +218,7 @@ func (rr *RemoteRunner) RunTask(phase live.Phase, task, inputLen int) (*RemoteTa
 		}
 		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runMap(task) }
 	case live.PhaseReduce:
-		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, inputLen) }
+		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, runs) }
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
 	}
@@ -234,73 +239,62 @@ func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res := &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, PartLens: make([]int, len(out))}
-	for r, part := range out {
-		res.PartLens[r] = len(part)
-		if err := rr.writeMapRun(m, r, part); err != nil {
-			return nil, 0, 0, err
-		}
+	parts, err := writeMapFile(rr.jobDir, m, out, rr.cWrite)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return res, cost, len(rr.splits[m]), nil
+	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Parts: parts}, cost, len(rr.splits[m]), nil
 }
 
-// runReduce streams partition i straight from the M map run files in
-// the job's shared directory, which the master's job cleanup owns:
-// inputLen is the lease's Σ PartLens[i], which the merge must reach.
-func (rr *RemoteRunner) runReduce(i, inputLen int) (*RemoteTaskResult, costmodel.Units, int, error) {
-	in := runsInput{job: rr.execCfg.Name, r: i, n: inputLen, runs: make([]sortedRun, rr.execCfg.NumMapTasks), c: rr.cRead}
-	for m := range in.runs {
-		in.runs[m] = sortedRun{m: m, path: filepath.Join(rr.jobDir(), mapRunName(m, i))}
-	}
+// runReduce streams partition i straight from its segments of the M map
+// files in the job's shared directory, which the master's job cleanup
+// owns; the merge must reach the Σ N the lease's runs claim.
+func (rr *RemoteRunner) runReduce(i int, runs []RunPart) (*RemoteTaskResult, costmodel.Units, int, error) {
+	in := mapFileInput(rr.execCfg.Name, i, rr.jobDir, runs, rr.cRead)
 	out, cost, counters, spans, qobs, err := runReduceTask(rr.execCfg, i, in)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Out: out, Qobs: qobs}, cost, inputLen, nil
+	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Out: out, Qobs: qobs}, cost, in.n, nil
 }
 
-// writeMapRun writes map task m's pre-sorted run for partition r into
-// the job's shared directory with first-write-wins semantics: an
-// existing file is left untouched (any two executions of the same
-// deterministic task produce identical bytes, so whichever landed first
-// is the truth).
-func (rr *RemoteRunner) writeMapRun(m, r int, kvs []KeyValue) error {
-	dir, name := rr.jobDir(), mapRunName(m, r)
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return fmt.Errorf("mapreduce: run dir: %w", err)
-	}
-	if fileExists(filepath.Join(dir, name)) {
+// writeMapFile writes map task m's runs, one per partition, back to
+// back into its file in dir and returns where each lies. Every
+// execution writes the whole file and renames it into place. c, when
+// non-nil, counts the bytes written.
+func writeMapFile(dir string, m int, out [][]KeyValue, c *obs.Counter) ([]RunPart, error) {
+	parts := make([]RunPart, len(out))
+	err := commitRunFile(dir, mapFileName(m), c, func(rf *runFile) error {
+		for r, kvs := range out {
+			var err error
+			if parts[r], err = rf.appendRun(m, kvs); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	if err := commitRunFile(dir, name, rr.cWrite, runRecords(m, kvs)); err != nil {
-		return fmt.Errorf("mapreduce: write run %s: %w", name, err)
-	}
-	return nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// commitRunFile writes the run file dir/name atomically: write streams
-// the records into a temp file beside it (writeRunFile), which is then
-// renamed into place. A failure at any step removes the temp file. c,
-// when non-nil, counts the bytes written.
-func commitRunFile(dir, name string, c *obs.Counter, write func(rw *extsort.RunWriter) error) error {
-	tmp, err := writeRunFile(dir, name+".tmp-", func(f *os.File) io.Writer { return countingWriter{f, c} }, write)
+	})
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("mapreduce: write %s: %w", mapFileName(m), err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return parts, nil
 }
 
-// countingReader/countingWriter feed a run-file byte counter from the
-// raw stream. Nil counters no-op, so the wrappers are always safe.
+// mapFileInput is partition r's reduce input read from the map files in
+// dir, runs[m] being its part of map task m's file; c, when non-nil,
+// counts the bytes read.
+func mapFileInput(job string, r int, dir string, runs []RunPart, c *obs.Counter) runsInput {
+	in := runsInput{job: job, r: r, c: c}
+	for m, p := range runs {
+		in.n += p.N
+		if p.N > 0 {
+			in.runs = append(in.runs, sortedRun{m: m, path: filepath.Join(dir, mapFileName(m)), RunPart: p})
+		}
+	}
+	return in
+}
+
+// countingReader feeds a run-file byte counter from the raw stream. A
+// nil counter no-ops, so the wrapper is always safe.
 type countingReader struct {
 	r io.Reader
 	c *obs.Counter
@@ -309,17 +303,6 @@ type countingReader struct {
 func (cr countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.c.Add(int64(n))
-	return n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
 	return n, err
 }
 
@@ -375,15 +358,15 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 
 // masterBodies leases every map and reduce body to the worker fleet
 // through rjob.RunTask and wraps the wire-form result into po's slot
-// types. A reduce lease merges its own input; the master only tells it
-// how many records to expect.
+// types. A reduce lease merges its own input; the master tells it where
+// its partition's runs lie and how many records each holds.
 func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
 	// Lost leases (worker died mid-task) re-dispatch below the attempt
 	// runtime: host chaos stays off the simulated timeline.
 	lost := lostRetryBudget(cfg)
-	dispatch := func(p live.Phase, task, inputLen int) (*RemoteTaskResult, error) {
+	dispatch := func(p live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error) {
 		res, err := retryLost(lost, func() (*RemoteTaskResult, error) {
-			return rjob.RunTask(p, task, inputLen)
+			return rjob.RunTask(p, task, runs)
 		})
 		if err == nil {
 			lj.TaskWorker(p, task, res.Worker)
@@ -393,7 +376,7 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 	return taskBodies{
 		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
-				res, err := dispatch(live.PhaseMap, m, len(splits[m]))
+				res, err := dispatch(live.PhaseMap, m, nil)
 				if err != nil {
 					return mapTaskResult{}, 0, 0, err
 				}
@@ -403,7 +386,7 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
 			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
 				n := partitionLen(po.mapRes, i)
-				res, err := dispatch(live.PhaseReduce, i, n)
+				res, err := dispatch(live.PhaseReduce, i, partitionRuns(po.mapRes, i))
 				if err != nil {
 					return reduceTaskResult{}, 0, 0, err
 				}
@@ -431,9 +414,9 @@ func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *R
 	po := newPhaseOutputs(cfg)
 	for m := range jr.Map {
 		res := &jr.Map[m]
-		if len(res.PartLens) != R {
+		if len(res.Parts) != R {
 			return nil, fmt.Errorf("mapreduce: %s: master broadcast map task %d with %d partitions, this process expects %d — fleet configs diverged",
-				cfg.Name, m, len(res.PartLens), R)
+				cfg.Name, m, len(res.Parts), R)
 		}
 		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}
 		po.mapCosts[m] = res.Cost

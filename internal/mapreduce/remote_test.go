@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,95 +9,236 @@ import (
 	"testing"
 
 	"proger/internal/costmodel"
-	"proger/internal/extsort"
 	"proger/internal/obs/live"
 )
 
+// runFleetMaps executes every map task of cfg over input as a fleet's
+// leases do, writing the map files into a fresh shared job directory
+// (which the master's BeginJob makes), and returns the runner and each
+// partition's runs as a reduce lease carries them.
+func runFleetMaps(t *testing.T, cfg *Config, input []KeyValue) (*RemoteRunner, [][]RunPart) {
+	t.Helper()
+	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
+	splits := splitInput(input, cfg.NumMapTasks)
+	rr := newRemoteRunner(cfg, splits, nil)
+	rr.Configure(t.TempDir(), 1, 1, false, false)
+	if err := os.Mkdir(rr.jobDir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	runs := make([][]RunPart, cfg.NumReduceTasks)
+	for r := range runs {
+		runs[r] = make([]RunPart, len(splits))
+	}
+	for m := range splits {
+		res, err := rr.RunTask(live.PhaseMap, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, p := range res.Parts {
+			runs[r][m] = p
+		}
+	}
+	return rr, runs
+}
+
+// localReduceOutput is what a local run's reduce task r emitted, as a
+// reduce lease returns it.
+func localReduceOutput(res *Result, r int) []TimedKV {
+	var want []TimedKV
+	for _, kv := range res.Output {
+		if kv.Task == r {
+			kv.Global = 0
+			want = append(want, kv)
+		}
+	}
+	return want
+}
+
 // TestRemoteReduceChecksItsInputCount: a reduce lease merges its
-// partition's map run files itself and must reach the lease's input
-// length, the Σ PartLens the map tasks reported. An intact partition
-// reduces to exactly the records a local run's reduce task emits; with
-// one record cut from one map run file the lease fails, naming the job,
-// the partition and both counts.
+// partition's segments of the map files itself and must reach the Σ N
+// of the runs it was leased. An intact partition reduces to exactly the
+// records a local run's reduce task emits; a lease whose part claims
+// one record more than its segment holds fails, naming the job, the
+// partition and both counts.
 func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 	cfg := wordCountConfig(1)
 	local, err := Run(cfg, wordCountInput(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
-	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
-	rr := newRemoteRunner(&cfg, splits, nil)
-	rr.Configure(t.TempDir(), 1, 1, false, false)
-	lens := make([]int, cfg.NumReduceTasks)
-	for m := range splits {
-		res, err := rr.RunTask(live.PhaseMap, m, len(splits[m]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, n := range res.PartLens {
-			lens[r] += n
-		}
-	}
-
-	for r := range lens {
-		res, err := rr.RunTask(live.PhaseReduce, r, lens[r])
+	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
+	for r := range runs {
+		res, err := rr.RunTask(live.PhaseReduce, r, runs[r])
 		if err != nil {
 			t.Fatalf("intact reduce %d: %v", r, err)
 		}
-		var want []TimedKV
-		for _, kv := range local.Output {
-			if kv.Task == r {
-				kv.Global = 0
-				want = append(want, kv)
-			}
-		}
-		if !reflect.DeepEqual(res.Out, want) {
+		if want := localReduceOutput(local, r); !reflect.DeepEqual(res.Out, want) {
 			t.Errorf("reduce %d: lease emitted %v, local run %v", r, res.Out, want)
 		}
 	}
 
-	// Cut the last record of map 0's run for the first partition it feeds.
+	// Claim one record more for map 0's run of the first partition it feeds.
 	r := 0
-	for cutRun(t, rr.jobDir(), mapRunName(0, r)) == 0 {
+	for runs[r][0].N == 0 {
 		r++
 	}
-	_, err = rr.RunTask(live.PhaseReduce, r, lens[r])
-	want := fmt.Sprintf("wordcount shuffle for reduce %d: merged %d records, map tasks produced %d", r, lens[r]-1, lens[r])
+	n := 0
+	for _, p := range runs[r] {
+		n += p.N
+	}
+	runs[r][0].N++
+	_, err = rr.RunTask(live.PhaseReduce, r, runs[r])
+	want := fmt.Sprintf("wordcount shuffle for reduce %d: merged %d records, map tasks produced %d", r, n, n+1)
 	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("short reduce %d: err = %v, want it to contain %q", r, err, want)
+		t.Fatalf("overclaimed reduce %d: err = %v, want it to contain %q", r, err, want)
 	}
 }
 
-// TestRunFileRecordsNameTheirMapTask: every record of a run file
-// carries its map task's index as its seq, and one that names another
-// map task fails the pass, naming the job and the partition — whether
-// it heads its file, read as the merge opens, or follows.
-func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
-	run := []KeyValue{{Key: "a", Value: []byte("0")}, {Key: "c", Value: []byte("1")}}
-	for bad := range run {
-		dir := t.TempDir()
-		if err := commitRunFile(dir, mapRunName(0, 2), nil, runRecords(0, run)); err != nil {
+// TestCorruptSegmentFailsItsPartitionOnly: one flipped byte inside map
+// m's segment for partition r fails reduce r with the frame's CRC
+// error, naming the job and the partition, while every other partition
+// of that same file still reduces to the local run's output.
+func TestCorruptSegmentFailsItsPartitionOnly(t *testing.T) {
+	cfg := wordCountConfig(1)
+	cfg.NumReduceTasks = 4
+	local, err := Run(cfg, wordCountInput(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
+	// The map whose file feeds the most partitions; the first it feeds.
+	m, fed := 0, 0
+	for mm := range runs[0] {
+		k := 0
+		for r := range runs {
+			if runs[r][mm].N > 0 {
+				k++
+			}
+		}
+		if k > fed {
+			m, fed = mm, k
+		}
+	}
+	if fed < 2 {
+		t.Fatalf("no map file holds two non-empty segments")
+	}
+	bad := 0
+	for runs[bad][m].N == 0 {
+		bad++
+	}
+	f, err := os.OpenFile(filepath.Join(rr.jobDir, mapFileName(m)), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The segment's first payload byte follows its frame's 8-byte header.
+	at := runs[bad][m].Off + 8
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for r := range runs {
+		res, err := rr.RunTask(live.PhaseReduce, r, runs[r])
+		if r == bad {
+			want := fmt.Sprintf("wordcount shuffle for reduce %d: extsort: frame CRC mismatch", r)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("reduce %d over the flipped byte: err = %v, want it to contain %q", r, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("reduce %d: %v", r, err)
+		}
+		if want := localReduceOutput(local, r); !reflect.DeepEqual(res.Out, want) {
+			t.Errorf("reduce %d: lease emitted %v, local run %v", r, res.Out, want)
+		}
+	}
+}
+
+// TestMapTasksWriteOneFileEach: a job's map phase leaves exactly one
+// file per map task in its shared directory, not one per map task and
+// partition, and a second execution of a map task reports the same
+// parts and replaces its file, leaving no temp file behind.
+func TestMapTasksWriteOneFileEach(t *testing.T) {
+	cfg := wordCountConfig(1)
+	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
+	files := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(rr.jobDir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		err := commitRunFile(dir, mapRunName(1, 2), nil, func(rw *extsort.RunWriter) error {
-			for i, kv := range run {
-				seq := uint64(1)
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	want := []string{"m0.run", "m1.run", "m2.run"}
+	if got := files(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("job dir after the map phase holds %q, want %q", got, want)
+	}
+	for m := range want {
+		res, err := rr.RunTask(live.PhaseMap, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, p := range res.Parts {
+			if p != runs[r][m] {
+				t.Errorf("map %d partition %d: second execution reports %+v, first %+v", m, r, p, runs[r][m])
+			}
+		}
+	}
+	if got := files(); !reflect.DeepEqual(got, want) {
+		t.Errorf("job dir after every map ran twice holds %q, want %q", got, want)
+	}
+}
+
+// TestRunFileRecordsNameTheirMapTask: every record of a run carries its
+// map task's index as its seq, and one that names another map task
+// fails the pass, naming the job and the partition — whether it heads
+// its segment, read as the merge opens, or follows.
+func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
+	run := []KeyValue{{Key: "ba", Value: []byte("0")}, {Key: "bc", Value: []byte("1")}}
+	decoy := []KeyValue{{Key: "decoy", Value: []byte("d")}}
+	for bad := range run {
+		dir := t.TempDir()
+		own, err := writeMapFile(dir, 0, [][]KeyValue{decoy, nil, {{Key: "a", Value: []byte("0")}, {Key: "c", Value: []byte("1")}}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Map 1's segment for partition 2 is two run streams back to
+		// back, one record each: one stream, whose record bad names map 0.
+		part := RunPart{N: len(run), Lo: run[0].Key, Hi: run[len(run)-1].Key}
+		err = commitRunFile(dir, mapFileName(1), nil, func(rf *runFile) error {
+			if _, err := rf.appendRun(1, decoy); err != nil {
+				return err
+			}
+			part.Off = rf.off
+			for i := range run {
+				m := 1
 				if i == bad {
-					seq = 0
+					m = 0
 				}
-				if err := rw.WriteRecord(seq, "b"+kv.Key, kv.Value); err != nil {
+				if _, err := rf.appendRun(m, run[i:i+1]); err != nil {
 					return err
 				}
 			}
-			return nil
+			part.End = rf.off
+			_, err := rf.appendRun(1, decoy)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := runsInput{job: "seqcheck", r: 2, n: 4, runs: []sortedRun{
-			{m: 0, path: filepath.Join(dir, mapRunName(0, 2))}, {m: 1, path: filepath.Join(dir, mapRunName(1, 2))}}}
-		it, err := in.Iter()
+		it, err := mapFileInput("seqcheck", 2, dir, []RunPart{own[2], part}, nil).Iter()
 		if err == nil {
 			for ok := true; ok && err == nil; {
 				_, ok, err = it.Next()
@@ -107,61 +247,29 @@ func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
 		}
 		want := "seqcheck shuffle for reduce 2: the run file of map task 1 holds a record of map task 0"
 		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("record %d of map 1's file names map 0: err = %v, want it to contain %q", bad, err, want)
+			t.Errorf("record %d of map 1's segment names map 0: err = %v, want it to contain %q", bad, err, want)
 		}
 	}
-}
-
-// cutRun rewrites the run file dir/name without its last record and
-// returns how many records it held.
-func cutRun(t *testing.T, dir, name string) int {
-	t.Helper()
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var recs []KeyValue
-	var seq uint64
-	rd := extsort.NewRunReader(f)
-	for {
-		s, key, val, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = s
-		recs = append(recs, KeyValue{Key: key, Value: val})
-	}
-	if len(recs) == 0 {
-		return 0
-	}
-	if err := commitRunFile(dir, name, nil, runRecords(int(seq), recs[:len(recs)-1])); err != nil {
-		t.Fatal(err)
-	}
-	return len(recs)
 }
 
 // broadcastJob is a worker's RemoteJob whose master broadcast jr.
 type broadcastJob struct{ jr *RemoteJobResults }
 
-func (broadcastJob) Master() bool                                            { return false }
-func (broadcastJob) RunTask(live.Phase, int, int) (*RemoteTaskResult, error) { return nil, nil }
-func (broadcastJob) Finish(*RemoteJobResults, error) error                   { return nil }
-func (j broadcastJob) Wait() (*RemoteJobResults, error)                      { return j.jr, nil }
+func (broadcastJob) Master() bool                                                  { return false }
+func (broadcastJob) RunTask(live.Phase, int, []RunPart) (*RemoteTaskResult, error) { return nil, nil }
+func (broadcastJob) Finish(*RemoteJobResults, error) error                         { return nil }
+func (j broadcastJob) Wait() (*RemoteJobResults, error)                            { return j.jr, nil }
 
-// TestWorkerDerivesReduceInputFromPartLens: a worker sizes each
-// partition's reduce input from the broadcast's map PartLens
+// TestWorkerDerivesReduceInputFromParts: a worker sizes each
+// partition's reduce input from the broadcast's map Parts
 // (partitionLen), and a map result with another partition count than
 // this process derived is a diverged fleet, not an index out of range.
-func TestWorkerDerivesReduceInputFromPartLens(t *testing.T) {
+func TestWorkerDerivesReduceInputFromParts(t *testing.T) {
 	cfg := wordCountConfig(1)
 	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
 	jr := &RemoteJobResults{Map: make([]RemoteTaskResult, cfg.NumMapTasks), Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks)}
 	for m := range jr.Map {
-		jr.Map[m].PartLens = []int{m, 10 * m}
+		jr.Map[m].Parts = []RunPart{{N: m}, {N: 10 * m}}
 	}
 	po, err := runRemoteWorker(&cfg, splits, broadcastJob{jr}, newRemoteRunner(&cfg, splits, nil))
 	if err != nil {
@@ -169,11 +277,11 @@ func TestWorkerDerivesReduceInputFromPartLens(t *testing.T) {
 	}
 	for r, want := range []int{0 + 1 + 2, 0 + 10 + 20} {
 		if got := partitionLen(po.mapRes, r); got != want {
-			t.Errorf("partition %d: input of %d records, want Σ PartLens = %d", r, got, want)
+			t.Errorf("partition %d: input of %d records, want Σ N = %d", r, got, want)
 		}
 	}
 
-	jr.Map[1].PartLens = jr.Map[1].PartLens[:1]
+	jr.Map[1].Parts = jr.Map[1].Parts[:1]
 	_, err = runRemoteWorker(&cfg, splits, broadcastJob{jr}, newRemoteRunner(&cfg, splits, nil))
 	if err == nil || !strings.Contains(err.Error(), "map task 1 with 1 partitions, this process expects 2") {
 		t.Errorf("err = %v, want the diverged broadcast named", err)

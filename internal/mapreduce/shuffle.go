@@ -89,10 +89,10 @@ func (rs *runSorter) sortInto(dst, stage []KeyValue, sel []int32) {
 // runsInput is partition r's reduce input as a fixed list of n records
 // in sorted runs: the map tasks' runs in memory, aliased, never copied —
 // reduce inputs are read-only — so a single-contributor partition costs
-// nothing to assemble, or, in a reduce lease, the map tasks' run files
-// in the job's shared directory (c, when non-nil, counts the bytes read
-// off them). Every Iter merges the runs afresh and mutates nothing
-// shared, so passes may repeat and overlap.
+// nothing to assemble, or, in a reduce lease, the partition's segments
+// of the map tasks' files in the job's shared directory (c, when
+// non-nil, counts the bytes read off them). Every Iter merges the runs
+// afresh and mutates nothing shared, so passes may repeat and overlap.
 type runsInput struct {
 	job  string
 	r, n int
@@ -108,16 +108,15 @@ func (in runsInput) Iter() (kvIter, error) {
 
 // sortedRun is one map task's key-sorted run for a partition, the unit
 // every reduce input is a list of, in map-index order: its non-empty
-// records in memory, or a run stream in the file at path, each of whose
-// records carries m as its seq. A spilled run is the segment [off, end)
-// of its store's spill file, its first and last keys kept in lo and hi;
-// a fleet map run is a whole file (end 0) whose keys are not known.
+// records in memory, or the run stream of a RunPart — a segment with
+// known key bounds — of the file at path, each of whose records carries
+// m as its seq. The file is a spill file or a fleet map task's file;
+// either holds one segment per run it was given.
 type sortedRun struct {
-	m        int
-	kvs      []KeyValue
-	path     string
-	off, end int64
-	lo, hi   string
+	m    int
+	kvs  []KeyValue
+	path string
+	RunPart
 }
 
 // mergeSrc is one run's cursor in a mergeIter.
@@ -184,16 +183,12 @@ func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, releas
 	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), job: job, r: r, want: want, release: release}
 	// Ords of different runs compare only under one skip. A sorted run's
 	// keys all lie between its first and its last, so the prefix those
-	// share across every run is shared by every key; a run whose bounds
-	// are unknown leaves skip at 0.
+	// share across every run is shared by every key.
 	var ref string
 	for i, run := range runs {
-		lo, hi := run.lo, run.hi
+		lo, hi := run.Lo, run.Hi
 		if run.path == "" {
 			lo, hi = run.kvs[0].Key, run.kvs[len(run.kvs)-1].Key
-		} else if run.end == 0 {
-			it.skip = 0
-			break
 		}
 		if i == 0 {
 			ref, it.skip = lo, len(lo)
@@ -210,12 +205,8 @@ func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, releas
 				it.Close()
 				return nil, it.wrap(err)
 			}
-			var segment io.Reader = f
-			if run.end > 0 {
-				segment = io.NewSectionReader(f, run.off, run.end-run.off)
-			}
 			rd := runReaders.Get().(*extsort.RunReader)
-			rd.Reset(countingReader{segment, c})
+			rd.Reset(countingReader{io.NewSectionReader(f, run.Off, run.End-run.Off), c})
 			src.file = &fileCursor{f: f, rd: rd, m: uint64(run.m)}
 			if err := src.file.next(&src.rest); err != nil {
 				it.Close()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -160,10 +159,11 @@ func shuffleRunsFromBytes(data []byte) [][]KeyValue {
 // it shares with the others, one sorter serving them all — (b) draining
 // the streaming merge of the runs in memory equals legacyShuffle, and
 // (c) so does draining it with some runs read from run files: with
-// fleet set, every run, empty ones included, from a map run file whose
-// key bounds the merge does not know; otherwise the runs
-// whose bit m%8 is set in route from a spillStore that has spilled
-// them, the rest from its memory.
+// fleet set, every run from the middle one of three segments of its map
+// task's file, the segments around it holding decoy records that a
+// merge reading past [off, end) would yield; otherwise the runs whose
+// bit m%8 is set in route from a spillStore that has spilled them, the
+// rest from its memory.
 func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) {
 	t.Helper()
 	stage, sels := interleave(runs)
@@ -198,7 +198,7 @@ func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) 
 	}
 	var files reduceInput
 	if fleet {
-		files = writeMapRuns(t, sorted, len(want))
+		files = writeMapRuns(t, sorted)
 	} else {
 		cfg, _ := storeConfig(t, 1<<30)
 		st := newSpillStore(cfg, 0)
@@ -230,20 +230,23 @@ func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) 
 	}
 }
 
-// writeMapRuns writes each sorted run as map task m's run file for
-// partition 0 of a fleet's job directory, an empty run as an empty
-// file, and returns the reduce input a lease reads them through.
-func writeMapRuns(t *testing.T, sorted [][]KeyValue, n int) runsInput {
+// writeMapRuns writes each sorted run as partition 1 of map task m's
+// file in a fleet's job directory, between decoy runs for partitions 0
+// and 2, and returns the reduce input a lease reads partition 1
+// through.
+func writeMapRuns(t *testing.T, sorted [][]KeyValue) runsInput {
 	t.Helper()
 	dir := t.TempDir()
-	in := runsInput{job: "fleet-test", n: n}
+	runs := make([]RunPart, len(sorted))
 	for m, run := range sorted {
-		in.runs = append(in.runs, sortedRun{m: m, path: filepath.Join(dir, mapRunName(m, 0))})
-		if err := commitRunFile(dir, mapRunName(m, 0), nil, runRecords(m, run)); err != nil {
+		decoy := []KeyValue{{Key: "decoy", Value: []byte("d")}, {Key: "\xff", Value: []byte{}}}
+		parts, err := writeMapFile(dir, m, [][]KeyValue{decoy, run, decoy}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		runs[m] = parts[1]
 	}
-	return in
+	return mapFileInput("fleet-test", 1, dir, runs, nil)
 }
 
 func keysOf(kvs []KeyValue) []string {
@@ -319,6 +322,11 @@ func TestShuffleOrderProperty(t *testing.T) {
 	}
 }
 
+// FuzzShuffleOrder runs checkShuffleOrder on arbitrary byte keys. Every
+// shuffle record is ordered by a normalized-key prefix, the key bytes
+// consulted only on ties, so both halves are held to a stable sort of
+// the concatenated runs, whichever route — memory, spill file segments,
+// fleet map file segments — the runs take to the merge.
 func FuzzShuffleOrder(f *testing.F) {
 	for _, seed := range shuffleOrderSeeds {
 		for _, r := range shuffleRoutes {

@@ -4,25 +4,28 @@ package mapreduce
 // key-sorted runs, one per contributing map task in map-index order,
 // each in memory or in a run file, that one merge reads (mergeIter in
 // shuffle.go). runsInput (shuffle.go) holds a fixed list — the map
-// tasks' in-memory runs, or a reduce lease's shared run files — and a
-// spillStore a list whose runs a memory budget may spill. Which one a
-// partition gets is a host decision (MemBudget, the one road to disk,
-// or a transport); the record sequence each yields is byte-identical,
-// which keeps Result/trace/quality bytes independent of storage mode:
-// a run moves between memory and disk only whole, so merging the runs
-// in map-index order by (key, run) reproduces exactly the stable
-// (key, map-index) order, no matter when or which runs were spilled.
+// tasks' in-memory runs, or a reduce lease's segments of the map files
+// on the fleet's shared directory — and a spillStore a list whose runs
+// a memory budget may spill. Which one a partition gets is a host
+// decision (MemBudget, the one road to disk, or a transport); the
+// record sequence each yields is byte-identical, which keeps
+// Result/trace/quality bytes independent of storage mode: a run moves
+// between memory and disk only whole, so merging the runs in map-index
+// order by (key, run) reproduces exactly the stable (key, map-index)
+// order, no matter when or which runs were spilled.
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 
 	"proger/internal/extsort"
 	"proger/internal/membudget"
+	"proger/internal/obs"
 )
 
 // reduceInput is a reduce task's shuffled, merge-sorted input.
@@ -121,6 +124,7 @@ type spillStore struct {
 
 	mu      sync.Mutex
 	file    *os.File    // the spill file, created by the first spill
+	out     runFile     // writes file
 	runs    []*spillRun // in ingestion order
 	total   int
 	readers int // live iterators; pins memory runs against spilling
@@ -208,78 +212,90 @@ func (st *spillStore) spillLocked(run *spillRun) error {
 		if err != nil {
 			return err
 		}
-		st.file = f
+		st.file, st.out = f, runFile{w: f}
 	}
 	// A failed spill's bytes stay in the file, where no segment names them.
-	off, err := st.file.Seek(0, io.SeekCurrent)
+	part, err := st.out.appendRun(run.m, run.kvs)
 	if err != nil {
 		return err
 	}
-	rw := runWriters.Get().(*extsort.RunWriter)
-	defer runWriters.Put(rw)
-	rw.Reset(st.file)
-	if err := runRecords(run.m, run.kvs)(rw); err != nil {
-		return err
-	}
-	if err := rw.Flush(); err != nil {
-		return err
-	}
-	end, err := st.file.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
-	}
-	kvs := run.kvs
-	run.sortedRun = sortedRun{m: run.m, path: st.file.Name(), off: off, end: end,
-		lo: strings.Clone(kvs[0].Key), hi: strings.Clone(kvs[len(kvs)-1].Key)}
+	run.sortedRun = sortedRun{m: run.m, path: st.file.Name(), RunPart: part}
 	return nil
 }
 
-// runRecords streams kvs into a run file, every record carrying map
-// task m as its seq.
-func runRecords(m int, kvs []KeyValue) func(*extsort.RunWriter) error {
-	return func(rw *extsort.RunWriter) error {
-		for _, kv := range kvs {
-			if err := rw.WriteRecord(uint64(m), kv.Key, kv.Value); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// RunPart is one sorted run in a run file: the segment [Off, End)
+// holding its N records as a stream of their own, and its first and
+// last keys Lo and Hi (empty when N is 0). A fleet map task reports one
+// per partition of its file.
+type RunPart struct {
+	N        int
+	Off, End int64
+	Lo, Hi   string
 }
 
-// runWriters lends run writers: a spill writes a run stream per run,
-// and a frame buffer per stream would outweigh the smaller ones.
-var runWriters = sync.Pool{New: func() any { return extsort.NewRunWriter(nil) }}
+// runFile is a file being written as run streams back to back — a
+// spill file, or a fleet map task's file. off is the bytes written so
+// far, where the next stream begins; c, when non-nil, counts them.
+type runFile struct {
+	w   io.Writer
+	off int64
+	c   *obs.Counter
+}
 
-// writeRunFile creates a new run file in dir, named from pattern as by
-// os.CreateTemp, streams records into it and flushes and closes it. It
-// returns the file's path; a failure at any step removes the partial
-// file. out, when non-nil, wraps the file the records go to (to count
-// the bytes written).
-func writeRunFile(dir, pattern string, out func(*os.File) io.Writer, records func(*extsort.RunWriter) error) (string, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return "", err
-	}
-	var w io.Writer = f
-	if out != nil {
-		w = out(f)
-	}
+func (rf *runFile) Write(p []byte) (int, error) {
+	n, err := rf.w.Write(p)
+	rf.off += int64(n)
+	rf.c.Add(int64(n))
+	return n, err
+}
+
+// appendRun writes kvs, map task m's key-sorted run, as a run stream of
+// its own, every record carrying m as its seq. It is the one writer of
+// on-disk runs.
+func (rf *runFile) appendRun(m int, kvs []KeyValue) (RunPart, error) {
+	part := RunPart{N: len(kvs), Off: rf.off}
 	rw := runWriters.Get().(*extsort.RunWriter)
 	defer runWriters.Put(rw)
-	rw.Reset(w)
-	err = records(rw)
-	if err == nil {
-		err = rw.Flush()
+	rw.Reset(rf)
+	for _, kv := range kvs {
+		if err := rw.WriteRecord(uint64(m), kv.Key, kv.Value); err != nil {
+			return RunPart{}, err
+		}
 	}
+	if err := rw.Flush(); err != nil {
+		return RunPart{}, err
+	}
+	part.End = rf.off
+	if len(kvs) > 0 {
+		part.Lo, part.Hi = strings.Clone(kvs[0].Key), strings.Clone(kvs[len(kvs)-1].Key)
+	}
+	return part, nil
+}
+
+// runWriters lends run writers: a file holds a run stream per run, and
+// a frame buffer per stream would outweigh the smaller ones.
+var runWriters = sync.Pool{New: func() any { return extsort.NewRunWriter(nil) }}
+
+// commitRunFile writes the file dir/name atomically: write fills a temp
+// file beside it, which is then renamed into place, replacing any file
+// of that name. A failure at any step removes the temp file. c, when
+// non-nil, counts the bytes written.
+func commitRunFile(dir, name string, c *obs.Counter, write func(*runFile) error) error {
+	f, err := os.CreateTemp(dir, name+".tmp-")
+	if err != nil {
+		return err
+	}
+	err = write(&runFile{w: f, c: c})
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
+	}
 	if err != nil {
 		os.Remove(f.Name())
-		return "", err
 	}
-	return f.Name(), nil
+	return err
 }
 
 // budgetStats reports the budget-pressure spill activity (forced spill

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"proger/internal/costmodel"
-	"proger/internal/extsort"
 	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
@@ -207,42 +206,42 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return f.w.Write(p)
 }
 
-// TestRunFileWriteFailureLeavesNoFile: a run file whose writes fail
-// part-way — in a full frame, in the last partial one, or before the
-// first byte — is removed, and the writer's error comes back wrapped.
+// TestRunFileWriteFailureLeavesNoFile: a map file whose writes fail
+// part-way — before the first byte, in the first or a later frame of
+// its first segment, or in its second segment — is removed with its
+// temp file, and the writer's error comes back wrapped; a file whose
+// writes all land holds both segments.
 func TestRunFileWriteFailureLeavesNoFile(t *testing.T) {
-	records := func(rw *extsort.RunWriter) error {
-		for i := 0; i < 3000; i++ {
-			if err := rw.WriteRecord(uint64(i), fmt.Sprintf("key-%05d", i), bytes.Repeat([]byte{'v'}, 100)); err != nil {
-				return err
-			}
-		}
-		return nil
+	var run []KeyValue
+	for i := 0; i < 1500; i++ {
+		run = append(run, KeyValue{Key: fmt.Sprintf("key-%05d", i), Value: bytes.Repeat([]byte{'v'}, 100)})
 	}
-	for _, k := range []int{0, 100, 200 << 10, 1 << 30} {
+	for _, k := range []int{0, 100, 100 << 10, 200 << 10, 1 << 30} {
 		dir := t.TempDir()
-		path, err := writeRunFile(dir, "run-*.spill", func(f *os.File) io.Writer { return &failAfter{f, k} }, records)
+		var parts [2]RunPart
+		err := commitRunFile(dir, mapFileName(0), nil, func(rf *runFile) error {
+			rf.w = &failAfter{rf.w, k}
+			for r := range parts {
+				var err error
+				if parts[r], err = rf.appendRun(0, run); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		entries, rerr := os.ReadDir(dir)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
 		if k == 1<<30 {
 			if err != nil || len(entries) != 1 {
-				t.Fatalf("k=%d: err %v, %d files, want the run file", k, err, len(entries))
+				t.Fatalf("k=%d: err %v, %d files, want the map file", k, err, len(entries))
 			}
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rr, n := extsort.NewRunReader(f), 0
-			for err == nil {
-				if _, _, _, err = rr.Next(); err == nil {
-					n++
+			for r, p := range parts {
+				in := mapFileInput("writefail", r, dir, []RunPart{p}, nil)
+				if got := drainInput(t, in); len(got) != len(run) {
+					t.Fatalf("k=%d: segment %d reads back %d records, want %d", k, r, len(got), len(run))
 				}
-			}
-			f.Close()
-			if err != io.EOF || n != 3000 {
-				t.Fatalf("k=%d: read back %d records, %v", k, n, err)
 			}
 			continue
 		}
@@ -495,22 +494,9 @@ func TestReduceValuesStayUnwritten(t *testing.T) {
 
 	cfg := wordCountConfig(1)
 	configure(&cfg)
-	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
-	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
-	rr := newRemoteRunner(&cfg, splits, nil)
-	rr.Configure(t.TempDir(), 1, 1, false, false)
-	lens := make([]int, cfg.NumReduceTasks)
-	for m := range splits {
-		res, err := rr.RunTask(live.PhaseMap, m, len(splits[m]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, n := range res.PartLens {
-			lens[r] += n
-		}
-	}
-	for r := range lens {
-		if _, err := rr.RunTask(live.PhaseReduce, r, lens[r]); err != nil {
+	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
+	for r := range runs {
+		if _, err := rr.RunTask(live.PhaseReduce, r, runs[r]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,13 +52,15 @@ type RemoteJob interface {
 	// then waiting for the broadcast).
 	Master() bool
 	// RunTask executes one task on some worker and blocks until it
-	// completes (master only). A lease lost to a dead worker surfaces
-	// ErrTaskLost, which the engine retries within the RetryPolicy
-	// budget without touching the simulated attempt timeline.
-	RunTask(phase live.Phase, task, inputLen int) (*RemoteTaskResult, error)
+	// completes (master only); a reduce task's runs are its
+	// partition's part of every map task's file, nil for a map task. A
+	// lease lost to a dead worker surfaces ErrTaskLost, which the engine
+	// retries within the RetryPolicy budget without touching the
+	// simulated attempt timeline.
+	RunTask(phase live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error)
 	// Finish ends the job (master only): broadcasts the aggregated
 	// results — or the terminal error — to the worker fleet and
-	// releases the job's shared run files.
+	// releases the job's shared map files.
 	Finish(results *RemoteJobResults, runErr error) error
 	// Wait blocks until the master broadcasts the job's results
 	// (worker only).

@@ -81,7 +81,9 @@ func TestEditDistanceMatchesDP(t *testing.T) {
 	}
 }
 
-// FuzzEditDistance checks the same contract on arbitrary bytes.
+// FuzzEditDistance checks the same contract on arbitrary bytes: the
+// kernel reads whatever bytes an attribute holds, and the row DP is its
+// oracle.
 func FuzzEditDistance(f *testing.F) {
 	long := make([]byte, 129)
 	for i := range long {

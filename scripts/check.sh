@@ -84,62 +84,19 @@ go test -race -count=5 -run 'ConcurrentResolvesShareNothing' .
 echo "== go test -race =="
 go test -race ./...
 
-# The edit-distance kernel reads arbitrary attribute bytes; a short
-# coverage-guided run against the row-DP oracle rides along with the
-# race passes.
-echo "== fuzz (edit-distance kernel) =="
-go test -run '^$' -fuzz FuzzEditDistance -fuzztime 10s ./internal/textsim
-
-# Match decides from bounds and budgets what Score decides by summing;
-# fuzzed rule sets, thresholds and attribute strings hold the two to the
-# same bit, at the fuzzed threshold and on the pair's own score.
-echo "== fuzz (match decision) =="
-go test -run '^$' -fuzz FuzzMatchDecision -fuzztime 10s ./internal/match
-
-# Every Job-2 map-output record goes through the hand-written sequence
-# key parser; it gets the same treatment, against strconv.
-echo "== fuzz (sequence-key parser) =="
-go test -run '^$' -fuzz FuzzParseSQKey -fuzztime 10s ./internal/sched
-
-# Every in-memory shuffle record is ordered by a normalized-key prefix,
-# with the key bytes consulted only on ties; arbitrary byte keys go
-# through both halves against a stable sort of the concatenation.
-echo "== fuzz (shuffle order) =="
-go test -run '^$' -fuzz FuzzShuffleOrder -fuzztime 10s ./internal/mapreduce
-
-# Blocking derives its keys from the bytes of encoded records, and one
-# sort of deepest-level keys stands for a whole tree: arbitrary attribute
-# bytes and prefix lengths hold the byte keys to Family.Key at every
-# level, and every level's key to the deepest one truncated.
-echo "== fuzz (blocking keys on bytes) =="
-go test -run '^$' -fuzz FuzzFamilyKeyBytes -fuzztime 10s ./internal/blocking
-
-# A block's sort keys are lowered by an ASCII loop that must equal
-# strings.ToLower byte for byte, and its order comes from a radix sort
-# wherever the block arrives in ID order: arbitrary strings hold the one
-# to strings.ToLower, random blocks the other to the comparator sort.
-echo "== fuzz (lowering, block order) =="
-go test -run '^$' -fuzz FuzzAppendLower -fuzztime 10s ./internal/normkey
-go test -run '^$' -fuzz FuzzBlockOrder -fuzztime 10s ./internal/mechanism
-
-# A Job-2 reducer decodes each entity in place and derives its dominance
-# rows from the tree chains that follow it: a valid entity followed by
-# arbitrary bytes must give an error or a full row, never a panic, and
-# arbitrary bytes must decode through a Decoder as DecodeBinary decodes
-# them.
-echo "== fuzz (Job-2 payload, entity decoder) =="
-go test -run '^$' -fuzz FuzzJob2Payload -fuzztime 10s ./internal/core
-go test -run '^$' -fuzz FuzzDecodeBinary -fuzztime 10s ./internal/entity
-
-# The run-file decoder is the one reader of spilled and shared-directory
-# bytes; arbitrary input must end in io.EOF or an error, never a panic
-# or an endless stream. Arbitrary bytes rarely pass a frame's CRC, so
-# the second target wraps them in valid frames to reach the record
-# decoder, which must also never allocate more than the input justifies.
-# Minimising a new input is capped so that the ten seconds go to fuzzing.
-echo "== fuzz (run-file decoder) =="
-go test -run '^$' -fuzz FuzzRunReaderArbitraryInput -fuzztime 10s -fuzzminimizetime 200x ./internal/extsort
-go test -run '^$' -fuzz FuzzRunRecordsInValidFrames -fuzztime 10s -fuzzminimizetime 200x ./internal/extsort
+# Every fuzz target in the module gets a short coverage-guided run; what
+# each one holds, and why, is its doc comment. Minimising a new input is
+# capped so that the ten seconds go to fuzzing.
+echo "== fuzz =="
+fuzzlist="$(go test -list '^Fuzz' ./...)"
+printf '%s\n' "$fuzzlist" |
+    awk '/^Fuzz/ { t = t " " $1 } /^ok / { if (t != "") print $2 t; t = "" }' |
+    while read -r pkg targets; do
+        for target in $targets; do
+            echo "-- $target ($pkg)"
+            go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 200x "$pkg" </dev/null
+        done
+    done
 
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
@@ -156,6 +113,10 @@ go test -run '^$' -fuzz FuzzRunRecordsInValidFrames -fuzztime 10s -fuzzminimizet
 echo "== bounded-memory + live-introspection smoke =="
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
+# The polls below may read a log before the background run has opened
+# it, so the logs exist from the start.
+: >"$smoke/stderr.log"
+: >"$smoke/dist-stderr.log"
 go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
     -out "$smoke/base.tsv" -quality-out "$smoke/base-quality.json" 2>/dev/null
 go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
