@@ -1,11 +1,14 @@
 # Standard gate for every change: `make check` must pass before a PR.
-# Individual targets are available for quicker iteration.
+# It runs scripts/check.sh: gofmt, vet, the telemetry-key lint, build,
+# the bench module, the race suite, every fuzz target and the smoke
+# runs. Individual targets are available for quicker iteration.
 
 GO ?= go
 
 .PHONY: check vet build test race fmt bench profile trace-demo chaos
 
-check: fmt vet build race
+check:
+	sh scripts/check.sh
 
 vet:
 	$(GO) vet ./...

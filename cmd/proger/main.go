@@ -27,6 +27,7 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
 
 	"proger"
 	"proger/internal/clustering"
@@ -209,7 +210,7 @@ func main() {
 		transport proger.TaskTransport
 		dmaster   *dist.Master
 		dworker   *dist.Worker
-		children  []*exec.Cmd
+		workers   *fleet
 	)
 	switch {
 	case *workerMode:
@@ -241,7 +242,7 @@ func main() {
 		if *masterMode {
 			fmt.Fprintf(os.Stderr, "proger: master serving task leases on %s\n", m.Addr())
 		}
-		children = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
+		workers = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
 	}
 
 	var (
@@ -298,9 +299,7 @@ func main() {
 	// master's Close drain (which waits for worker goodbyes) is
 	// instant; a worker says goodbye and disconnects.
 	if dmaster != nil {
-		for _, c := range children {
-			c.Wait() // exit statuses are the fleet's business, not ours
-		}
+		workers.wait()
 		dmaster.Close()
 	}
 	if dworker != nil {
@@ -717,9 +716,10 @@ var resolutionFlags = map[string]bool{
 // the master's /fleet via registration). Each child's stderr is
 // prefixed "w<i>: " by fork ordinal — normally the master-assigned
 // worker ID too, though a registration race can order IDs differently.
-func forkWorkers(n int, addr string, dieAt int, withStatus bool) []*exec.Cmd {
+func forkWorkers(n int, addr string, dieAt int, withStatus bool) *fleet {
+	f := &fleet{}
 	if n <= 0 {
-		return nil
+		return f
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -738,7 +738,6 @@ func forkWorkers(n int, addr string, dieAt int, withStatus bool) []*exec.Cmd {
 		}
 		forwarded = append(forwarded, "-"+f.Name+"="+f.Value.String())
 	})
-	children := make([]*exec.Cmd, 0, n)
 	for i := 0; i < n; i++ {
 		args := []string{"-worker", "-connect=" + addr}
 		if i == 0 && dieAt > 0 {
@@ -758,20 +757,47 @@ func forkWorkers(n int, addr string, dieAt int, withStatus bool) []*exec.Cmd {
 			log.Fatal(err)
 		}
 		pw.Close()
-		go prefixLines(pr, fmt.Sprintf("w%d: ", i+1))
-		children = append(children, c)
+		f.relay(pr, os.Stderr, fmt.Sprintf("w%d: ", i+1))
+		f.children = append(f.children, c)
 	}
-	return children
+	return f
 }
 
-// prefixLines copies r to stderr line by line with a prefix, so the
-// fleet's interleaved chatter stays attributable.
-func prefixLines(r io.ReadCloser, prefix string) {
+// fleet is the worker processes forkWorkers started and the goroutines
+// relaying their stderr.
+type fleet struct {
+	children []*exec.Cmd
+	relays   sync.WaitGroup
+}
+
+// relay copies r to w through prefixLines on a goroutine that wait
+// waits for.
+func (f *fleet) relay(r io.ReadCloser, w io.Writer, prefix string) {
+	f.relays.Add(1)
+	go func() {
+		defer f.relays.Done()
+		prefixLines(r, w, prefix)
+	}()
+}
+
+// wait reaps the children, then waits until their relays have copied
+// every line the children wrote: a failing worker's last lines, the
+// ones that explain the failure, come just before its pipe closes.
+func (f *fleet) wait() {
+	for _, c := range f.children {
+		c.Wait() // exit statuses are the fleet's business, not ours
+	}
+	f.relays.Wait()
+}
+
+// prefixLines copies r to w line by line with a prefix, so the fleet's
+// interleaved chatter stays attributable.
+func prefixLines(r io.ReadCloser, w io.Writer, prefix string) {
 	defer r.Close()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
-		fmt.Fprintf(os.Stderr, "%s%s\n", prefix, sc.Bytes())
+		fmt.Fprintf(w, "%s%s\n", prefix, sc.Bytes())
 	}
 }
 

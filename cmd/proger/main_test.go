@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -149,5 +151,24 @@ func TestParseSize(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("parseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
+	}
+}
+
+// TestFleetWaitCopiesLastLines: wait returns only once a worker's relay
+// has copied every line written before its pipe closed, the last one
+// included, unterminated or not.
+func TestFleetWaitCopiesLastLines(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	var f fleet
+	f.relay(pr, &out, "w1: ")
+	fmt.Fprint(pw, "lease 3 failed\nworker exiting: disk full")
+	pw.Close()
+	f.wait()
+	if got, want := out.String(), "w1: lease 3 failed\nw1: worker exiting: disk full\n"; got != want {
+		t.Errorf("relayed %q, want %q", got, want)
 	}
 }

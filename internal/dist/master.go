@@ -116,7 +116,7 @@ type pendingTask struct {
 }
 
 type taskOutcome struct {
-	res *mapreduce.RemoteTaskResult
+	res *mapreduce.TaskResult
 	err error
 }
 
@@ -324,7 +324,7 @@ func (j masterJob) Master() bool { return true }
 // RunTask enqueues one task execution and blocks until a worker's
 // first completion — or lease expiry, which the mapreduce dispatch
 // layer retries by calling RunTask again.
-func (j masterJob) RunTask(phase live.Phase, task int, runs []mapreduce.RunPart) (*mapreduce.RemoteTaskResult, error) {
+func (j masterJob) RunTask(phase live.Phase, task int, runs []mapreduce.RunPart) (*mapreduce.TaskResult, error) {
 	t := &pendingTask{seq: j.seq, phase: phase, task: task, runs: runs,
 		ch: make(chan taskOutcome, 1)}
 	select {

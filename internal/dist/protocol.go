@@ -102,7 +102,7 @@ type LeaseReply struct {
 type CompleteArgs struct {
 	WorkerID int
 	LeaseID  uint64
-	Result   *mapreduce.RemoteTaskResult
+	Result   *mapreduce.TaskResult
 	Err      string
 }
 

@@ -331,7 +331,7 @@ type workerJob struct {
 
 func (j workerJob) Master() bool { return false }
 
-func (j workerJob) RunTask(live.Phase, int, []mapreduce.RunPart) (*mapreduce.RemoteTaskResult, error) {
+func (j workerJob) RunTask(live.Phase, int, []mapreduce.RunPart) (*mapreduce.TaskResult, error) {
 	return nil, errors.New("dist: workers do not dispatch tasks")
 }
 

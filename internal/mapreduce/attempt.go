@@ -185,14 +185,13 @@ func (fr *faultRuntime) beginPhase(phase live.Phase, n int) []*taskAttempts {
 // timeout. A panicking attempt is a failed attempt, not a dead job.
 // Exhausting the ladder surfaces the full per-attempt history as a
 // joined error.
-func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
-	exec func() (T, costmodel.Units, error)) (T, costmodel.Units, *taskAttempts, error) {
-	var zero T
+func runTaskAttempts(fr *faultRuntime, phase live.Phase, task int,
+	exec func() (TaskResult, error)) (TaskResult, *taskAttempts, error) {
 	ta := &taskAttempts{committed: -1}
-	execSafe := func() (out T, cost costmodel.Units, err error) {
+	execSafe := func() (res TaskResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				out, cost, err = zero, 0, fmt.Errorf("attempt panicked: %v", r)
+				res, err = TaskResult{}, fmt.Errorf("attempt panicked: %v", r)
 			}
 		}()
 		return exec()
@@ -202,7 +201,8 @@ func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
 	var attemptErrs []error
 	for a := 1; a <= maxAttempts; a++ {
 		f := fr.decide(phase, task, a)
-		out, cost, err := execSafe()
+		res, err := execSafe()
+		cost := res.Cost
 		switch {
 		case err != nil:
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeError, Start: now, Dur: cost})
@@ -241,7 +241,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
 			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcome, Start: now, Dur: dur})
 			ta.committed = len(ta.records) - 1
 			ta.commitStart, ta.commitDur = now, dur
-			return out, cost, ta, nil
+			return res, ta, nil
 		}
 	}
 	err := fmt.Errorf("mapreduce: %s task %d failed after %d attempts: %w",
@@ -250,7 +250,7 @@ func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
 	// task re-entered as running (or done, for a final discarded
 	// attempt); pin its terminal live state to failed.
 	fr.live.TaskFailed(phase, task, err)
-	return zero, 0, ta, err
+	return TaskResult{}, ta, err
 }
 
 // speculateTask runs the straggler check for one committed task: if
@@ -261,14 +261,13 @@ func runTaskAttempts[T any](fr *faultRuntime, phase live.Phase, task int,
 // straggler crossed the threshold. First finisher wins the commit on
 // the attempt timeline; the loser is killed. Deterministic task
 // functions make both attempts produce the same content, which a
-// winning backup is checked for with same — speculation doubles as an
-// engine self-check. The caller's committed output always stands either
+// winning backup is checked for with sameOutput — speculation doubles
+// as an engine self-check. The caller's committed output always stands either
 // way (a winning backup is, by the verified determinism, the same
 // bytes), so speculation can never block or perturb downstream
 // consumers.
-func speculateTask[T any](fr *faultRuntime, phase live.Phase, i int, thr costmodel.Units,
-	out T, cost costmodel.Units, exec func(i int) (T, costmodel.Units, error),
-	same func(backup, committed T) bool) error {
+func speculateTask(fr *faultRuntime, phase live.Phase, i int, thr costmodel.Units,
+	committed TaskResult, exec func(i int) (TaskResult, error)) error {
 	ta := fr.phases[phase][i]
 	if ta == nil || ta.committed < 0 || ta.commitDur <= thr {
 		return nil
@@ -276,7 +275,8 @@ func speculateTask[T any](fr *faultRuntime, phase live.Phase, i int, thr costmod
 	specIdx := fr.policy.MaxRetries + 2 // first attempt index past the retry ladder
 	f := fr.decide(phase, i, specIdx)
 	fr.live.Speculate(phase, i)
-	specOut, specCost, err := exec(i)
+	spec, err := exec(i)
+	specCost := spec.Cost
 	launch := ta.commitStart + thr // straggling detected thr units in
 	rec := attemptRecord{Attempt: specIdx, Speculative: true, Start: launch}
 	switch {
@@ -302,7 +302,7 @@ func speculateTask[T any](fr *faultRuntime, phase live.Phase, i int, thr costmod
 			// timeline and the original is killed. Its output is verified
 			// to match, so the already-published task output needs no
 			// replacement.
-			if specCost != cost || !same(specOut, out) {
+			if !sameOutput(spec, committed) {
 				return fmt.Errorf("mapreduce: %s task %d speculative attempt diverged from committed attempt", phase, i)
 			}
 			ta.records[ta.committed].Killed = true
@@ -317,35 +317,19 @@ func speculateTask[T any](fr *faultRuntime, phase live.Phase, i int, thr costmod
 	return nil
 }
 
-// The content comparers speculateTask checks a winning backup with: a
-// backup matches when it produced the committed attempt's records,
-// counters, spans and observations. Host-side facts are left out — wall
-// spans never enter a result, and a remote result's Worker names the
-// process that ran it, which a backup may well not share.
-
-func sameMapOutput(backup, committed mapTaskResult) bool {
-	return runsDigest(backup.out) == committed.sum &&
-		reflect.DeepEqual(backup.counters, committed.counters) &&
-		reflect.DeepEqual(backup.spans, committed.spans) &&
-		sameRemoteResult(backup.remote, committed.remote)
-}
-
-func sameReduceOutput(backup, committed reduceTaskResult) bool {
-	return reflect.DeepEqual(backup.out, committed.out) &&
-		reflect.DeepEqual(backup.counters, committed.counters) &&
-		reflect.DeepEqual(backup.spans, committed.spans) &&
-		reflect.DeepEqual(backup.qobs, committed.qobs) &&
-		sameRemoteResult(backup.remote, committed.remote)
-}
-
-// sameRemoteResult compares two wire-form results without their Worker.
-func sameRemoteResult(a, b *RemoteTaskResult) bool {
-	if a == nil || b == nil {
-		return a == b
+// sameOutput is the content check speculateTask applies to a winning
+// backup: it matches when it produced the committed attempt's cost,
+// counters, spans, parts, records and observations, and runs with the
+// committed digest. Only Worker is left out — it names the process that
+// ran the execution, which a backup may well not share — and host wall
+// spans never enter a result.
+func sameOutput(backup, committed TaskResult) bool {
+	if runsDigest(backup.runs) != committed.sum {
+		return false
 	}
-	ac, bc := *a, *b
-	ac.Worker, bc.Worker = 0, 0
-	return reflect.DeepEqual(ac, bc)
+	backup.Worker, backup.runs, backup.sum = 0, nil, [sha256.Size]byte{}
+	committed.Worker, committed.runs, committed.sum = 0, nil, [sha256.Size]byte{}
+	return reflect.DeepEqual(backup, committed)
 }
 
 // runsDigest is the SHA-256 of a map task's runs: per partition its
@@ -472,7 +456,7 @@ func lostRetryBudget(cfg *Config) int {
 // Re-executing the deterministic task body instead yields the exact
 // output the first lease would have produced, keeping Result, trace,
 // and quality bytes identical to a loss-free run.
-func retryLost[T any](budget int, exec func() (T, error)) (T, error) {
+func retryLost(budget int, exec func() (*TaskResult, error)) (*TaskResult, error) {
 	for attempt := 0; ; attempt++ {
 		out, err := exec()
 		if err == nil || !errors.Is(err, ErrTaskLost) || attempt >= budget {

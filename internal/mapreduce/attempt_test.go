@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"proger/internal/costmodel"
 	"proger/internal/faults"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
+	"proger/internal/obs/quality"
 )
 
 // counterValues extracts the registry's counters by name.
@@ -259,40 +259,62 @@ func TestRetryPolicyValidation(t *testing.T) {
 
 // speculateAgainst runs task 0's speculation check against a committed
 // attempt that straggled to 100 units, with a backup that finishes at
-// 15: the backup wins the race and is compared through same.
-func speculateAgainst[T any](backup, committed T, same func(backup, committed T) bool) error {
+// 10 + its cost: the backup wins the race and is compared through
+// sameOutput. The committed result is as runAttempted leaves it, its
+// runs replaced by their digest.
+func speculateAgainst(backup, committed TaskResult) error {
+	committed.sum, committed.runs = runsDigest(committed.runs), nil
 	fr := &faultRuntime{policy: RetryPolicy{MaxRetries: 3}, phases: map[live.Phase][]*taskAttempts{
 		live.PhaseReduce: {{records: []attemptRecord{{Attempt: 1, Outcome: outcomeOK, Dur: 100}}, commitDur: 100}},
 	}}
-	return speculateTask(fr, live.PhaseReduce, 0, 10, committed, 5, func(int) (T, costmodel.Units, error) {
-		return backup, 5, nil
-	}, same)
+	return speculateTask(fr, live.PhaseReduce, 0, 10, committed, func(int) (TaskResult, error) {
+		return backup, nil
+	})
 }
 
 // TestSpeculationIgnoresWorker: a winning backup that another worker
-// ran is no divergence — a remote result's Worker only says which
-// process ran it — in every phase, while a backup whose content differs
-// is one.
+// ran is no divergence — a result's Worker only says which process ran
+// it — in every phase, while a backup that differs in any field
+// sameOutput compares is one.
 func TestSpeculationIgnoresWorker(t *testing.T) {
-	on := func(worker int) *RemoteTaskResult {
-		return &RemoteTaskResult{Cost: 5, Worker: worker, Parts: []RunPart{{N: 2}},
-			Out: []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("v")}}}}
+	mapOn := func(worker int) TaskResult {
+		return TaskResult{Cost: 5, Worker: worker, Parts: []RunPart{{N: 2}}}
 	}
-	changed := on(2)
+	reduceOn := func(worker int) TaskResult {
+		return TaskResult{Cost: 5, Worker: worker, Out: []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("v")}}}}
+	}
+	changed := reduceOn(2)
 	changed.Out = []TimedKV{{KeyValue: KeyValue{Key: "k", Value: []byte("w")}}}
-	noRuns := runsDigest(nil)
+	withRuns := mapOn(2)
+	withRuns.runs = [][]KeyValue{{{Key: "k"}}}
+	// full sets every field sameOutput compares; but changes one of them.
+	full := func(worker int) TaskResult {
+		return TaskResult{Cost: 5, Worker: worker, Counters: Counters{"c": 1}, Spans: []obs.Span{{Name: "s"}},
+			Parts: []RunPart{{N: 1, Lo: "k", Hi: "k"}}, Out: reduceOn(worker).Out,
+			Qobs: []quality.BlockObs{{ID: "b", Compared: 1}}, runs: [][]KeyValue{{{Key: "k", Value: []byte("v")}}}}
+	}
+	but := func(change func(*TaskResult)) TaskResult {
+		r := full(2)
+		change(&r)
+		return r
+	}
 	for _, tc := range []struct {
 		name     string
 		err      error
 		diverged bool
 	}{
-		{"map", speculateAgainst(mapTaskResult{remote: on(2)}, mapTaskResult{sum: noRuns, remote: on(1)}, sameMapOutput), false},
-		{"reduce", speculateAgainst(reduceTaskResult{out: on(2).Out, remote: on(2)},
-			reduceTaskResult{out: on(1).Out, remote: on(1)}, sameReduceOutput), false},
-		{"reduce content", speculateAgainst(reduceTaskResult{out: changed.Out, remote: changed},
-			reduceTaskResult{out: on(1).Out, remote: on(1)}, sameReduceOutput), true},
-		{"map runs", speculateAgainst(mapTaskResult{out: [][]KeyValue{{{Key: "k"}}}, remote: on(1)},
-			mapTaskResult{sum: noRuns, remote: on(1)}, sameMapOutput), true},
+		{"map", speculateAgainst(mapOn(2), mapOn(1)), false},
+		{"reduce", speculateAgainst(reduceOn(2), reduceOn(1)), false},
+		{"reduce content", speculateAgainst(changed, reduceOn(1)), true},
+		{"map runs", speculateAgainst(withRuns, mapOn(1)), true},
+		{"only Worker differs", speculateAgainst(full(2), full(1)), false},
+		{"Cost", speculateAgainst(but(func(r *TaskResult) { r.Cost = 6 }), full(1)), true},
+		{"Counters", speculateAgainst(but(func(r *TaskResult) { r.Counters = Counters{"c": 2} }), full(1)), true},
+		{"Spans", speculateAgainst(but(func(r *TaskResult) { r.Spans = []obs.Span{{Name: "t"}} }), full(1)), true},
+		{"runs digest", speculateAgainst(but(func(r *TaskResult) { r.runs = [][]KeyValue{{{Key: "k", Value: []byte("w")}}} }), full(1)), true},
+		{"Parts", speculateAgainst(but(func(r *TaskResult) { r.Parts = []RunPart{{N: 1, Lo: "k", Hi: "l"}} }), full(1)), true},
+		{"Out", speculateAgainst(but(func(r *TaskResult) { r.Out = changed.Out }), full(1)), true},
+		{"Qobs", speculateAgainst(but(func(r *TaskResult) { r.Qobs = []quality.BlockObs{{ID: "b", Compared: 2}} }), full(1)), true},
 	} {
 		if got := tc.err != nil && strings.Contains(tc.err.Error(), "diverged"); got != tc.diverged {
 			t.Errorf("%s: err = %v, want diverged = %v", tc.name, tc.err, tc.diverged)

@@ -1,5 +1,11 @@
 package mapreduce
 
+// The engine. Run executes one job as a graph of task bodies
+// (pipeline.go) and derives everything observable from phaseOutputs:
+// one TaskResult per task, whoever ran it — this process, or a worker
+// leased by a remote master (remote.go) — and one partitionStore per
+// partition, the reduce input on every route (spillstore.go).
+
 import (
 	"crypto/sha256"
 	"fmt"
@@ -76,8 +82,8 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		lj.End(err)
 		return nil, err
 	}
-	mapRes, mapCosts := po.mapRes, po.mapCosts
-	reduceRes, reduceCosts := po.reduceRes, po.reduceCosts
+	mapRes, reduceRes := po.mapRes, po.reduceRes
+	mapCosts, reduceCosts := taskCosts(mapRes), taskCosts(reduceRes)
 	mapWall, reduceWall := po.mapWall, po.reduceWall
 
 	jobStart := startAt
@@ -86,11 +92,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 	reduceLens := make([]int, cfg.NumReduceTasks)
 	for r, res := range reduceRes {
-		reduceLens[r] = int(res.counters[CounterReduceInRecords])
-	}
-	reduceOuts := make([][]TimedKV, cfg.NumReduceTasks)
-	for i, r := range reduceRes {
-		reduceOuts[i] = r.out
+		reduceLens[r] = int(res.Counters[CounterReduceInRecords])
 	}
 
 	reduceStarts, reduceSlots, end := scheduleTasks(reduceCosts, cfg.Cluster.Slots(), mapEnd)
@@ -102,7 +104,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	// result (exactly like output records and counters).
 	if q := cfg.Quality; q.Enabled() {
 		for i, r := range reduceRes {
-			for _, o := range r.qobs {
+			for _, o := range r.Qobs {
 				o.Task = i
 				o.Start += reduceStarts[i]
 				o.End += reduceStarts[i]
@@ -113,12 +115,12 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 	// Stamp global times and flatten output in (task, emission) order.
 	var total int
-	for _, out := range reduceOuts {
-		total += len(out)
+	for _, r := range reduceRes {
+		total += len(r.Out)
 	}
 	output := make([]TimedKV, 0, total)
-	for r, out := range reduceOuts {
-		for _, kv := range out {
+	for r, res := range reduceRes {
+		for _, kv := range res.Out {
 			kv.Global = reduceStarts[r] + kv.Local
 			output = append(output, kv)
 		}
@@ -126,10 +128,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 	counters := Counters{}
 	for _, r := range mapRes {
-		counters.Merge(r.counters)
+		counters.Merge(r.Counters)
 	}
 	for _, r := range reduceRes {
-		counters.Merge(r.counters)
+		counters.Merge(r.Counters)
 	}
 	res := &Result{
 		Output:          output,
@@ -148,11 +150,11 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	if tracing {
 		mapSpans := make([][]obs.Span, cfg.NumMapTasks)
 		for i, r := range mapRes {
-			mapSpans[i] = r.spans
+			mapSpans[i] = r.Spans
 		}
 		reduceSpans := make([][]obs.Span, cfg.NumReduceTasks)
 		for i, r := range reduceRes {
-			reduceSpans[i] = r.spans
+			reduceSpans[i] = r.Spans
 		}
 		emitJobSpans(&cfg, fr, res, splits, reduceLens,
 			mapSpans, reduceSpans, mapWall, reduceWall)
@@ -195,21 +197,20 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	return res, nil
 }
 
-// phaseOutputs is everything task execution produces, indexed by task.
-// The job graph's nodes fill it (a remote worker fills it from the
-// master's broadcast): the finalize half of Run derives the simulated
-// schedule, Result, spans, metrics, and quality exports from it, which
-// is what keeps every worker count and transport byte-equivalent.
+// phaseOutputs is everything task execution produces, indexed by task:
+// one TaskResult per task and one partitionStore per partition, whoever
+// ran the task bodies. The job graph's nodes fill it (a remote worker
+// copies the master's broadcast into it): the finalize half of Run
+// derives the simulated schedule, Result, spans, metrics, and quality
+// exports from it, which is what keeps every worker count and transport
+// byte-equivalent.
 type phaseOutputs struct {
-	mapRes      []mapTaskResult
-	mapCosts    []costmodel.Units
-	reduceRes   []reduceTaskResult
-	reduceCosts []costmodel.Units
-	// stores holds one budget-governed store per partition, made before
-	// the graph runs when a memory budget applies (nil otherwise): each
-	// map task hands its committed runs over and keeps no reference, so
-	// what stays resident is the budget manager's call. Run closes them.
-	stores []*spillStore
+	mapRes, reduceRes []TaskResult
+	// stores holds partition r's reduce input, made before the graph
+	// runs: each committed local map task hands its runs over and keeps
+	// no reference, so what stays resident is the store's call — under a
+	// memory budget, the budget manager's. Run closes them.
+	stores []*partitionStore
 	// Host wall-clock measurements per stage; allocated (and recorded)
 	// only when tracing. Wall data never feeds the simulated timeline.
 	mapWall, reduceWall []wallSpan
@@ -218,16 +219,12 @@ type phaseOutputs struct {
 func newPhaseOutputs(cfg *Config) *phaseOutputs {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
 	po := &phaseOutputs{
-		mapRes:      make([]mapTaskResult, M),
-		mapCosts:    make([]costmodel.Units, M),
-		reduceRes:   make([]reduceTaskResult, R),
-		reduceCosts: make([]costmodel.Units, R),
+		mapRes:    make([]TaskResult, M),
+		reduceRes: make([]TaskResult, R),
+		stores:    make([]*partitionStore, R),
 	}
-	if cfg.MemBudget != nil {
-		po.stores = make([]*spillStore, R)
-		for r := range po.stores {
-			po.stores[r] = newSpillStore(cfg, r)
-		}
+	for r := range po.stores {
+		po.stores[r] = newPartitionStore(cfg, r)
 	}
 	if cfg.Trace != nil {
 		po.mapWall = make([]wallSpan, M)
@@ -242,8 +239,7 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 // body is one *execution* — first attempts, retries, and speculative
 // backups all go through it.
 type taskBodies struct {
-	mapTask func(m int) (mapTaskResult, costmodel.Units, error)
-	reduce  func(i int) (reduceTaskResult, costmodel.Units, error)
+	mapTask, reduce func(i int) (TaskResult, error)
 }
 
 // trackTask is the one wrap point every task execution shares, in every
@@ -253,76 +249,88 @@ type taskBodies struct {
 // (retries, speculation) overwrite the wall measurement, never the
 // committed deterministic output. body also reports the record count
 // the done transition carries.
-func trackTask[T any](lj *live.Job, p live.Phase, i int, wall []wallSpan,
-	body func() (T, costmodel.Units, int, error)) (T, costmodel.Units, error) {
+func trackTask(lj *live.Job, p live.Phase, i int, wall []wallSpan,
+	body func() (TaskResult, int, error)) (TaskResult, error) {
 	lj.TaskStart(p, i)
 	var w0 time.Time
 	if wall != nil {
 		w0 = time.Now()
 	}
-	out, cost, records, err := body()
+	res, records, err := body()
 	if err != nil {
 		lj.TaskFailed(p, i, err)
-		var zero T
-		return zero, 0, err
+		return TaskResult{}, err
 	}
 	if wall != nil {
 		wall[i] = wallSpan{w0, time.Since(w0)}
 	}
-	lj.TaskDone(p, i, float64(cost), records)
-	return out, cost, nil
+	lj.TaskDone(p, i, float64(res.Cost), records)
+	return res, nil
 }
 
 // localBodies runs every task body in this process: runMapTask, and
-// runReduceTask over the partition's store or, without a budget, the
-// map tasks' runs in po's own slots.
+// runReduceTask over the partition's store, to which the map tasks
+// handed their runs as they committed.
 func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs) taskBodies {
 	return taskBodies{
-		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
-				out, cost, counters, spans, err := runMapTask(cfg, m, splits[m])
-				return mapTaskResult{out: out, counters: counters, spans: spans}, cost, len(splits[m]), err
+		mapTask: func(m int) (TaskResult, error) {
+			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (TaskResult, int, error) {
+				res, err := runMapTask(cfg, m, splits[m])
+				return res, len(splits[m]), err
 			})
 		},
-		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
-				var in reduceInput
-				if po.stores != nil {
-					in = po.stores[i] // the map tasks handed their runs over as they committed
-				} else {
-					in = shuffleForTask(po.mapRes, i)
-				}
-				out, cost, counters, spans, qobs, err := runReduceTask(cfg, i, in)
-				return reduceTaskResult{out: out, counters: counters, spans: spans, qobs: qobs}, cost, in.Len(), err
+		reduce: func(i int) (TaskResult, error) {
+			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (TaskResult, int, error) {
+				res, err := runReduceTask(cfg, i, po.stores[i])
+				return res, po.stores[i].Len(), err
 			})
 		},
 	}
 }
 
-// mapTaskResult and reduceTaskResult bundle each phase's deterministic
-// per-task outcome for the attempt runtime — committed outputs are
-// compared by content across attempts during speculation, so host wall
-// measurements stay outside.
-type mapTaskResult struct {
-	out [][]KeyValue // nil once handed over to the stores
-	// sum is runsDigest(out), taken at commit when speculation is on: a
-	// backup attempt is checked against it, so nothing has to keep the
-	// committed runs alive for the check.
-	sum      [sha256.Size]byte
-	counters Counters
-	spans    []obs.Span
-	// remote carries the wire-form result when the task executed on a
-	// remote transport (nil for local execution); the master's graph
-	// nodes collect these for the end-of-job broadcast.
-	remote *RemoteTaskResult
+// TaskResult is one committed task execution's deterministic outcome,
+// the one type every body returns — local or leased, first attempt,
+// retry or speculative backup — and the per-task slice of phaseOutputs
+// that crosses processes: a leased task returns it over RPC and the
+// master's end-of-job broadcast carries one per task. Bulk data stays
+// out of it: a local map task's runs go to the partition stores at
+// commit, a leased one's stay in its file on the shared directory,
+// which Parts locates. Host wall measurements stay outside, since
+// speculation compares results by content.
+type TaskResult struct {
+	Cost     costmodel.Units
+	Counters Counters
+	Spans    []obs.Span
+	// Worker is the master-attributed executor identity of a leased
+	// task, stamped when the completion is accepted
+	// (first-completion-wins) and carried into the end-of-job broadcast
+	// so every process's live task table shows who ran what.
+	// Observability-only: nothing derived from the result reads it, and
+	// sameOutput leaves it out.
+	Worker int
+	// Parts is a leased map task's run per partition: Parts[r] is
+	// partition r's segment of its file.
+	Parts []RunPart
+	// Out and Qobs are a reduce task's output records and quality
+	// observations.
+	Out  []TimedKV
+	Qobs []quality.BlockObs
+
+	// runs is a local map task's sorted run per partition until the
+	// task commits and hands them to the stores; sum is runsDigest(runs),
+	// taken at commit when speculation is on, so that a backup can be
+	// checked without the runs. Neither crosses processes.
+	runs [][]KeyValue
+	sum  [sha256.Size]byte
 }
 
-type reduceTaskResult struct {
-	out      []TimedKV
-	counters Counters
-	spans    []obs.Span
-	qobs     []quality.BlockObs
-	remote   *RemoteTaskResult
+// taskCosts is each task's cost, in task order.
+func taskCosts(res []TaskResult) []costmodel.Units {
+	costs := make([]costmodel.Units, len(res))
+	for i, r := range res {
+		costs[i] = r.Cost
+	}
+	return costs
 }
 
 // wallSpan is a host wall-clock measurement of one engine stage.
@@ -377,21 +385,6 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			return res.ReduceStarts[t], res.ReduceSlots[t]
 		})
 	}
-}
-
-// shuffleForTask assembles reduce task r's sorted input when no memory
-// budget applies: the pre-sorted runs the map tasks produced for the
-// partition, merged as they are read. (A merge of runs in memory cannot
-// fail, so its errors need no job name.)
-func shuffleForTask(mapRes []mapTaskResult, r int) runsInput {
-	in := runsInput{r: r}
-	for m, mr := range mapRes {
-		if run := mr.out[r]; len(run) > 0 {
-			in.runs = append(in.runs, sortedRun{m: m, kvs: run})
-			in.n += len(run)
-		}
-	}
-	return in
 }
 
 // splitInput divides input into n contiguous, near-equal splits.
@@ -504,7 +497,9 @@ func (st *mapStage) release() {
 	mapStages.Put(st)
 }
 
-func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmodel.Units, Counters, []obs.Span, error) {
+// runMapTask runs map task index over split; its result carries the
+// task's sorted run per partition.
+func runMapTask(cfg *Config, index int, split []KeyValue) (TaskResult, error) {
 	ctx := &TaskContext{
 		Job:       cfg.Name,
 		Type:      MapTask,
@@ -519,12 +514,12 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 	st := mapStages.Get().(*mapStage)
 	emitter := &mapEmitter{ctx: ctx, cfg: cfg, partition: cfg.Partition, stage: st}
 	if err := mapper.Setup(ctx); err != nil {
-		return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d setup: %w", cfg.Name, index, err)
+		return TaskResult{}, fmt.Errorf("mapreduce: %s map task %d setup: %w", cfg.Name, index, err)
 	}
 	for _, rec := range split {
 		ctx.Charge(cfg.Cost.ReadRecord)
 		if err := mapper.Map(ctx, rec, emitter); err != nil {
-			return nil, 0, nil, nil, fmt.Errorf("mapreduce: %s map task %d: %w", cfg.Name, index, err)
+			return TaskResult{}, fmt.Errorf("mapreduce: %s map task %d: %w", cfg.Name, index, err)
 		}
 	}
 	ctx.Inc(CounterMapInRecords, int64(len(split)))
@@ -546,7 +541,7 @@ func runMapTask(cfg *Config, index int, split []KeyValue) ([][]KeyValue, costmod
 		lo = hi
 	}
 	st.release()
-	return out, ctx.Now(), ctx.counters, ctx.spans, nil
+	return TaskResult{Cost: ctx.Now(), Counters: ctx.counters, Spans: ctx.spans, runs: out}, nil
 }
 
 // reduceEmitter stamps each output record with the task-local clock.
@@ -570,7 +565,8 @@ func (e *reduceEmitter) Emit(key string, value []byte) {
 // all. It is cleared group by group, so what comes back holds no value.
 var groupScratch = sync.Pool{New: func() any { return new([][]byte) }}
 
-func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel.Units, Counters, []obs.Span, []quality.BlockObs, error) {
+// runReduceTask runs reduce task index over its partition's store.
+func runReduceTask(cfg *Config, index int, in *partitionStore) (TaskResult, error) {
 	ctx := &TaskContext{
 		Job:       cfg.Name,
 		Type:      ReduceTask,
@@ -582,10 +578,7 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 		quality:   cfg.Quality != nil,
 		lv:        cfg.Live,
 	}
-	n := 0
-	if in != nil {
-		n = in.Len()
-	}
+	n := in.Len()
 	ctx.Charge(cfg.Cost.TaskStartup)
 	// Framework shuffle cost: reading and merge-sorting this task's
 	// input. (The real sort already happened in Run; here we only
@@ -601,7 +594,7 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 	reducer := cfg.NewReducer()
 	emitter := &reduceEmitter{ctx: ctx}
 	if err := reducer.Setup(ctx); err != nil {
-		return nil, 0, nil, nil, nil, fmt.Errorf("mapreduce: %s reduce task %d setup: %w", cfg.Name, index, err)
+		return TaskResult{}, fmt.Errorf("mapreduce: %s reduce task %d setup: %w", cfg.Name, index, err)
 	}
 	// Stream the input and feed the reducer one key group at a time —
 	// the group buffer, not the whole partition, bounds the resident
@@ -612,7 +605,7 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 	if n > 0 {
 		it, err := in.Iter()
 		if err != nil {
-			return nil, 0, nil, nil, nil, fmt.Errorf("mapreduce: %s reduce task %d input: %w", cfg.Name, index, err)
+			return TaskResult{}, fmt.Errorf("mapreduce: %s reduce task %d input: %w", cfg.Name, index, err)
 		}
 		defer it.Close()
 		var curKey string
@@ -630,14 +623,14 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 		for {
 			kv, ok, err := it.Next()
 			if err != nil {
-				return nil, 0, nil, nil, nil, fmt.Errorf("mapreduce: %s reduce task %d input: %w", cfg.Name, index, err)
+				return TaskResult{}, fmt.Errorf("mapreduce: %s reduce task %d input: %w", cfg.Name, index, err)
 			}
 			if !ok {
 				break
 			}
 			if !have || kv.Key != curKey {
 				if err := flush(); err != nil {
-					return nil, 0, nil, nil, nil, err
+					return TaskResult{}, err
 				}
 				curKey, have = kv.Key, true
 				clear(values)
@@ -646,17 +639,17 @@ func runReduceTask(cfg *Config, index int, in reduceInput) ([]TimedKV, costmodel
 			values = append(values, kv.Value)
 		}
 		if err := flush(); err != nil {
-			return nil, 0, nil, nil, nil, err
+			return TaskResult{}, err
 		}
 	}
 	clear(values)
 	*scratch = values[:0]
 	groupScratch.Put(scratch)
 	if err := reducer.Cleanup(ctx, emitter); err != nil {
-		return nil, 0, nil, nil, nil, fmt.Errorf("mapreduce: %s reduce task %d cleanup: %w", cfg.Name, index, err)
+		return TaskResult{}, fmt.Errorf("mapreduce: %s reduce task %d cleanup: %w", cfg.Name, index, err)
 	}
 	ctx.Inc(CounterReduceInRecords, int64(n))
 	ctx.Inc(CounterReduceInGroups, int64(groups))
 	ctx.Inc(CounterReduceOutRecords, int64(len(emitter.out)))
-	return emitter.out, ctx.Now(), ctx.counters, ctx.spans, ctx.qobs, nil
+	return TaskResult{Cost: ctx.Now(), Counters: ctx.counters, Spans: ctx.spans, Out: emitter.out, Qobs: ctx.qobs}, nil
 }

@@ -217,17 +217,22 @@ func runNodeSafe(n *dagNode) (err error) {
 
 // runAttempted executes one task body — through the attempt runtime's
 // retry ladder when it is active, directly otherwise — recording the
-// attempt history in att[i].
-func runAttempted[T any](fr *faultRuntime, phase live.Phase, att []*taskAttempts, i int,
-	exec func(i int) (T, costmodel.Units, error)) (T, costmodel.Units, error) {
+// attempt history in att[i]. With speculation on, the committed result
+// keeps its runs' digest, which a backup is checked against once the
+// runs are handed over.
+func runAttempted(fr *faultRuntime, phase live.Phase, att []*taskAttempts, i int,
+	exec func(i int) (TaskResult, error)) (TaskResult, error) {
 	if fr == nil {
 		return exec(i)
 	}
-	out, cost, ta, err := runTaskAttempts(fr, phase, i, func() (T, costmodel.Units, error) {
+	res, ta, err := runTaskAttempts(fr, phase, i, func() (TaskResult, error) {
 		return exec(i)
 	})
 	att[i] = ta
-	return out, cost, err
+	if err == nil && fr.policy.Speculation {
+		res.sum = runsDigest(res.runs)
+	}
+	return res, err
 }
 
 // runJobGraph is the one job-graph builder: it wires cfg's map, reduce,
@@ -252,26 +257,22 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	for m := 0; m < M; m++ {
 		m := m
 		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
-			out, cost, err := runAttempted(fr, live.PhaseMap, mapAtt, m, b.mapTask)
+			res, err := runAttempted(fr, live.PhaseMap, mapAtt, m, b.mapTask)
 			if err != nil {
 				return err
 			}
-			if speculate {
-				out.sum = runsDigest(out.out)
-			}
-			if po.stores != nil {
-				// Hand the committed runs to the partition stores and drop
-				// the task's own references: from here on, residency of
-				// this map task's records is the budget manager's call —
-				// each run's values too, once addRun has made them its own.
-				for r := 0; r < R; r++ {
-					if err := po.stores[r].addRun(m, out.out[r]); err != nil {
-						return err
-					}
+			// Hand the committed runs to the partition stores and drop the
+			// task's own references: from here on, residency of this map
+			// task's records is the stores' call — under a budget, each
+			// run's values too, once addRun has made them its own. A
+			// leased map task has no runs here; its Parts locate them.
+			for r, run := range res.runs {
+				if err := po.stores[r].addRun(m, run); err != nil {
+					return err
 				}
-				out.out = nil
 			}
-			po.mapRes[m], po.mapCosts[m] = out, cost
+			res.runs = nil
+			po.mapRes[m] = res
 			return nil
 		})
 	}
@@ -280,11 +281,11 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	for i := 0; i < R; i++ {
 		i := i
 		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
-			out, cost, err := runAttempted(fr, live.PhaseReduce, redAtt, i, b.reduce)
+			res, err := runAttempted(fr, live.PhaseReduce, redAtt, i, b.reduce)
 			if err != nil {
 				return err
 			}
-			po.reduceRes[i], po.reduceCosts[i] = out, cost
+			po.reduceRes[i] = res
 			return nil
 		})
 		for _, mn := range mapNodes {
@@ -293,8 +294,8 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 	}
 
 	if speculate {
-		addSpeculationNodes(g, fr, live.PhaseMap, nodeSpecMap, mapNodes, po.mapRes, po.mapCosts, b.mapTask, sameMapOutput)
-		addSpeculationNodes(g, fr, live.PhaseReduce, nodeSpecReduce, redNodes, po.reduceRes, po.reduceCosts, b.reduce, sameReduceOutput)
+		addSpeculationNodes(g, fr, live.PhaseMap, nodeSpecMap, mapNodes, po.mapRes, b.mapTask)
+		addSpeculationNodes(g, fr, live.PhaseReduce, nodeSpecReduce, redNodes, po.reduceRes, b.reduce)
 	}
 	return g.execute(workers)
 }
@@ -303,20 +304,19 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 // a gate node, dependent on every task of the phase, computes the
 // straggler threshold (the quantile needs the whole phase's cost
 // distribution — the one ordering constraint speculation genuinely
-// has); then one node per task runs the speculateTask check, comparing
-// a winning backup with the committed output through same.
-// Speculation nodes have no successors — a winning backup is verified
-// to match the committed output — so reduce work never waits on them.
-func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase live.Phase, np nodePhase,
-	taskNodes []*dagNode, outs []T, costs []costmodel.Units, exec func(i int) (T, costmodel.Units, error),
-	same func(backup, committed T) bool) {
+// has); then one node per task runs the speculateTask check against
+// the committed result in res. Speculation nodes have no successors —
+// a winning backup is verified to match the committed output — so
+// reduce work never waits on them.
+func addSpeculationNodes(g *taskGraph, fr *faultRuntime, phase live.Phase, np nodePhase,
+	taskNodes []*dagNode, res []TaskResult, exec func(i int) (TaskResult, error)) {
 	n := len(taskNodes)
 	if n < 2 {
 		return
 	}
 	var thr costmodel.Units
 	gate := g.node(nodeKey{np, -1}, func() error {
-		thr = quantile(costs, defaultSpeculationQuantile)
+		thr = quantile(taskCosts(res), defaultSpeculationQuantile)
 		return nil
 	})
 	for _, tn := range taskNodes {
@@ -328,7 +328,7 @@ func addSpeculationNodes[T any](g *taskGraph, fr *faultRuntime, phase live.Phase
 			if thr <= 0 {
 				return nil
 			}
-			return speculateTask(fr, phase, i, thr, outs[i], costs[i], exec, same)
+			return speculateTask(fr, phase, i, thr, res[i], exec)
 		})
 		g.edge(gate, sn)
 	}

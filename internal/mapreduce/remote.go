@@ -8,22 +8,24 @@ package mapreduce
 // input payloads. The shared-filesystem map files are the data plane:
 // map task m writes one file, m<m>.run, its R pre-sorted partition runs
 // back to back as segments, and reports each segment's place, record
-// count and key bounds (RunPart); a reduce task merges its partition's
-// M segments as it reads them (runReduce, through the one merge every
-// reduce input is read with). Reduce output, counters, spans, and
-// quality observations travel back inline over RPC: they are exactly
-// the per-task state phaseOutputs needs.
+// count and key bounds (RunPart); a reduce lease builds its partition's
+// store of the M segments (mapFileInput) and merges them as it reads
+// them, through the one merge every reduce input is read with. A task
+// returns the engine's one outcome type, TaskResult, inline over RPC:
+// the same value a local body returns, holding exactly the per-task
+// state phaseOutputs needs.
 //
 // Determinism: the master runs the same job-graph builder (reduce r
 // gated on every map), with the same runAttempted / speculation
 // machinery, as local execution — only its body policy differs: its map
 // and reduce bodies dispatch over RPC instead of calling the task
 // function, and a reduce lease carries its partition's part of every
-// map file, whose record counts its merge must reach. Committed results are byte-identical to
-// local execution because the task bodies are the same deterministic
-// functions, so everything derived in Run's finalize half (schedule,
-// Result, spans, metrics, quality) is transport-independent. Workers
-// fill the same phaseOutputs from the master's end-of-job broadcast,
+// map file, whose record counts its merge must reach. Committed results
+// are byte-identical to local execution because the task bodies are the
+// same deterministic functions, so everything derived in Run's finalize
+// half (schedule, Result, spans, metrics, quality) is
+// transport-independent. The master broadcasts its phaseOutputs results
+// at the end of the job and workers copy them into theirs unchanged,
 // which keeps every process's driver loop (job-2 schedule generation
 // feeds on job-1's Result) in lockstep.
 
@@ -55,57 +57,32 @@ type RemoteJobSpec struct {
 	Quality bool
 }
 
-// RemoteTaskResult is one completed task's wire-form outcome — the
-// per-task slice of phaseOutputs that must cross processes. Bulk data
-// stays on the shared filesystem: a map task reports only where each
-// partition's run lies in its file, which is all any process needs to
-// know of a shuffle. Reduce output is the job's actual product and
-// returns inline.
-type RemoteTaskResult struct {
-	Cost     costmodel.Units
-	Counters Counters
-	Spans    []obs.Span
-	// Worker is the master-attributed executor identity, stamped when
-	// the completion is accepted (first-completion-wins) and carried
-	// into the end-of-job broadcast so every process's live task table
-	// shows who ran what. Observability-only: nothing derived from the
-	// result reads it, and speculation leaves it out when it compares a
-	// backup with the committed attempt.
-	Worker int
-	// Parts is a map task's run per partition: Parts[r] is partition
-	// r's segment of its file.
-	Parts []RunPart
-	// Out and Qobs are a reduce task's output records and quality
-	// observations.
-	Out  []TimedKV
-	Qobs []quality.BlockObs
-}
-
 // RemoteJobResults is the master's end-of-job broadcast: every map and
-// reduce task's committed result, indexed by task. Workers fill
-// phaseOutputs from it and proceed exactly as if they had executed the
-// job locally.
+// reduce task's committed result, indexed by task — the master's
+// phaseOutputs results as they stand. Workers copy them into their own
+// phaseOutputs and proceed exactly as if they had executed the job
+// locally.
 type RemoteJobResults struct {
-	Map    []RemoteTaskResult
-	Reduce []RemoteTaskResult
+	Map    []TaskResult
+	Reduce []TaskResult
 }
 
 // partitionRuns is partition r's part of every committed map task's
 // file, in map-index order: what a reduce lease reads.
-func partitionRuns(mapRes []mapTaskResult, r int) []RunPart {
+func partitionRuns(mapRes []TaskResult, r int) []RunPart {
 	runs := make([]RunPart, len(mapRes))
 	for m, mr := range mapRes {
-		runs[m] = mr.remote.Parts[r]
+		runs[m] = mr.Parts[r]
 	}
 	return runs
 }
 
 // partitionLen is partition r's record count, the count a reduce
 // lease's merge must reach.
-func partitionLen(mapRes []mapTaskResult, r int) int {
+func partitionLen(mapRes []TaskResult, r int) int {
 	n := 0
 	for _, mr := range mapRes {
-		n += mr.remote.Parts[r].N
+		n += mr.Parts[r].N
 	}
 	return n
 }
@@ -165,7 +142,7 @@ func newRemoteRunner(cfg *Config, splits [][]KeyValue, lj *live.Job) *RemoteRunn
 // worker collects spans/qobs whenever anyone needs them — by
 // installing throwaway sinks on a copy of the config (the task
 // functions key collection off sink non-nilness; the copies' sinks are
-// never exported, results ship back inside RemoteTaskResult instead).
+// never exported, results ship back inside TaskResult instead).
 func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int, tracing, qual bool) {
 	rr.jobDir = RemoteJobDir(dataDir, seq)
 	rr.workerID = workerID
@@ -200,62 +177,60 @@ func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.
 	rr.lj.TaskWorker(p, task, worker)
 }
 
-// RunTask executes one leased task body and returns its wire-form
-// result; a reduce task's runs are its partition's part of every map
-// file. Duplicate executions (re-leases after a lost worker, or the
-// master's speculation pass) are safe: task bodies are deterministic,
-// so a map file's rename replaces identical bytes, and a reader that
-// has the old file open keeps reading it.
-func (rr *RemoteRunner) RunTask(phase live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error) {
+// RunTask executes one leased task body and returns its result; a
+// reduce task's runs are its partition's part of every map file.
+// Duplicate executions (re-leases after a lost worker, or the master's
+// speculation pass) are safe: task bodies are deterministic, so a map
+// file's rename replaces identical bytes, and a reader that has the old
+// file open keeps reading it.
+func (rr *RemoteRunner) RunTask(phase live.Phase, task int, runs []RunPart) (*TaskResult, error) {
 	if rr.execCfg == nil {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
 	}
-	var body func() (*RemoteTaskResult, costmodel.Units, int, error)
+	var body func() (TaskResult, int, error)
 	switch phase {
 	case live.PhaseMap:
 		if task < 0 || task >= len(rr.splits) {
 			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", task, len(rr.splits))
 		}
-		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runMap(task) }
+		body = func() (TaskResult, int, error) { return rr.runMap(task) }
 	case live.PhaseReduce:
-		body = func() (*RemoteTaskResult, costmodel.Units, int, error) { return rr.runReduce(task, runs) }
+		body = func() (TaskResult, int, error) { return rr.runReduce(task, runs) }
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
 	}
-	res, _, err := trackTask(rr.lj, phase, task, nil, body)
+	res, err := trackTask(rr.lj, phase, task, nil, body)
 	if err != nil {
 		return nil, err
 	}
 	rr.lj.TaskWorker(phase, task, rr.workerID)
 	rr.markDone(phase, task)
-	return res, nil
+	return &res, nil
 }
 
 // runMap and runReduce are the worker-side task bodies; beside the
-// wire-form result each reports what trackTask publishes — the task's
-// cost and the record count of its live done transition.
-func (rr *RemoteRunner) runMap(m int) (*RemoteTaskResult, costmodel.Units, int, error) {
-	out, cost, counters, spans, err := runMapTask(rr.execCfg, m, rr.splits[m])
+// result each reports the record count of its live done transition.
+// A leased map task's result keeps only the Parts of its runs, which
+// it has written to its file.
+func (rr *RemoteRunner) runMap(m int) (TaskResult, int, error) {
+	res, err := runMapTask(rr.execCfg, m, rr.splits[m])
 	if err != nil {
-		return nil, 0, 0, err
+		return TaskResult{}, 0, err
 	}
-	parts, err := writeMapFile(rr.jobDir, m, out, rr.cWrite)
-	if err != nil {
-		return nil, 0, 0, err
+	if res.Parts, err = writeMapFile(rr.jobDir, m, res.runs, rr.cWrite); err != nil {
+		return TaskResult{}, 0, err
 	}
-	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Parts: parts}, cost, len(rr.splits[m]), nil
+	res.runs = nil
+	return res, len(rr.splits[m]), nil
 }
 
 // runReduce streams partition i straight from its segments of the M map
 // files in the job's shared directory, which the master's job cleanup
 // owns; the merge must reach the Σ N the lease's runs claim.
-func (rr *RemoteRunner) runReduce(i int, runs []RunPart) (*RemoteTaskResult, costmodel.Units, int, error) {
+func (rr *RemoteRunner) runReduce(i int, runs []RunPart) (TaskResult, int, error) {
 	in := mapFileInput(rr.execCfg.Name, i, rr.jobDir, runs, rr.cRead)
-	out, cost, counters, spans, qobs, err := runReduceTask(rr.execCfg, i, in)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return &RemoteTaskResult{Cost: cost, Counters: counters, Spans: spans, Out: out, Qobs: qobs}, cost, in.n, nil
+	res, err := runReduceTask(rr.execCfg, i, in)
+	return res, in.Len(), err
 }
 
 // writeMapFile writes map task m's runs, one per partition, back to
@@ -279,18 +254,20 @@ func writeMapFile(dir string, m int, out [][]KeyValue, c *obs.Counter) ([]RunPar
 	return parts, nil
 }
 
-// mapFileInput is partition r's reduce input read from the map files in
-// dir, runs[m] being its part of map task m's file; c, when non-nil,
-// counts the bytes read.
-func mapFileInput(job string, r int, dir string, runs []RunPart, c *obs.Counter) runsInput {
-	in := runsInput{job: job, r: r, c: c}
+// mapFileInput is partition r's store in a reduce lease: its runs are
+// the partition's segments of the map files in dir, runs[m] being its
+// part of map task m's file, and c, when non-nil, counts the bytes read
+// off them. It has no budget account and owns no file, so it needs no
+// Close.
+func mapFileInput(job string, r int, dir string, runs []RunPart, c *obs.Counter) *partitionStore {
+	st := &partitionStore{job: job, r: r, c: c}
 	for m, p := range runs {
-		in.n += p.N
+		st.total += p.N
 		if p.N > 0 {
-			in.runs = append(in.runs, sortedRun{m: m, path: filepath.Join(dir, mapFileName(m)), RunPart: p})
+			st.runs = append(st.runs, &spillRun{sortedRun: sortedRun{m: m, path: filepath.Join(dir, mapFileName(m)), RunPart: p}})
 		}
 	}
-	return in
+	return st
 }
 
 // countingReader feeds a run-file byte counter from the raw stream. A
@@ -329,24 +306,16 @@ func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, spli
 
 // runRemoteMaster drives the job graph with RPC-dispatching bodies:
 // the same builder — graph shape, attempt runtime, speculation gates,
-// and pool scheduling — as local execution, so attempt histories — and therefore trace bytes — match a local run
-// with the same fault configuration. The end-of-job broadcast is
-// assembled from the wire-form results the bodies left in po.
+// and pool scheduling — as local execution, so attempt histories — and
+// therefore trace bytes — match a local run with the same fault
+// configuration. The end-of-job broadcast is po's results as they
+// stand.
 func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
 	po := newPhaseOutputs(cfg)
 	err := runJobGraph(cfg, fr, workers, po, masterBodies(cfg, lj, splits, po, rjob))
 	var results *RemoteJobResults
 	if err == nil {
-		results = &RemoteJobResults{
-			Map:    make([]RemoteTaskResult, cfg.NumMapTasks),
-			Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks),
-		}
-		for m, res := range po.mapRes {
-			results.Map[m] = *res.remote
-		}
-		for i, res := range po.reduceRes {
-			results.Reduce[i] = *res.remote
-		}
+		results = &RemoteJobResults{Map: po.mapRes, Reduce: po.reduceRes}
 	}
 	// Broadcast results — or the terminal error — so the worker fleet's
 	// lockstep drivers can proceed (or abort) too.
@@ -357,41 +326,31 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 }
 
 // masterBodies leases every map and reduce body to the worker fleet
-// through rjob.RunTask and wraps the wire-form result into po's slot
-// types. A reduce lease merges its own input; the master tells it where
-// its partition's runs lie and how many records each holds.
+// through rjob.RunTask. A reduce lease merges its own input; the master
+// tells it where its partition's runs lie and how many records each
+// holds.
 func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
 	// Lost leases (worker died mid-task) re-dispatch below the attempt
 	// runtime: host chaos stays off the simulated timeline.
 	lost := lostRetryBudget(cfg)
-	dispatch := func(p live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error) {
-		res, err := retryLost(lost, func() (*RemoteTaskResult, error) {
-			return rjob.RunTask(p, task, runs)
-		})
-		if err == nil {
+	dispatch := func(p live.Phase, task, records int, wall []wallSpan, runs []RunPart) (TaskResult, error) {
+		return trackTask(lj, p, task, wall, func() (TaskResult, int, error) {
+			res, err := retryLost(lost, func() (*TaskResult, error) {
+				return rjob.RunTask(p, task, runs)
+			})
+			if err != nil {
+				return TaskResult{}, 0, err
+			}
 			lj.TaskWorker(p, task, res.Worker)
-		}
-		return res, err
+			return *res, records, nil
+		})
 	}
 	return taskBodies{
-		mapTask: func(m int) (mapTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseMap, m, po.mapWall, func() (mapTaskResult, costmodel.Units, int, error) {
-				res, err := dispatch(live.PhaseMap, m, nil)
-				if err != nil {
-					return mapTaskResult{}, 0, 0, err
-				}
-				return mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}, res.Cost, len(splits[m]), nil
-			})
+		mapTask: func(m int) (TaskResult, error) {
+			return dispatch(live.PhaseMap, m, len(splits[m]), po.mapWall, nil)
 		},
-		reduce: func(i int) (reduceTaskResult, costmodel.Units, error) {
-			return trackTask(lj, live.PhaseReduce, i, po.reduceWall, func() (reduceTaskResult, costmodel.Units, int, error) {
-				n := partitionLen(po.mapRes, i)
-				res, err := dispatch(live.PhaseReduce, i, partitionRuns(po.mapRes, i))
-				if err != nil {
-					return reduceTaskResult{}, 0, 0, err
-				}
-				return reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs, remote: res}, res.Cost, n, nil
-			})
+		reduce: func(i int) (TaskResult, error) {
+			return dispatch(live.PhaseReduce, i, partitionLen(po.mapRes, i), po.reduceWall, partitionRuns(po.mapRes, i))
 		},
 	}
 }
@@ -399,8 +358,9 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 // runRemoteWorker is the follower side: leases execute concurrently
 // through the transport's pump loops (which call RemoteRunner.RunTask
 // directly); here the driver just waits for the master's broadcast and
-// fills phaseOutputs from it, so the rest of Run, and the next job's
-// schedule generation, proceeds identically to the master's.
+// copies its results into phaseOutputs unchanged, so the rest of Run,
+// and the next job's schedule generation, proceeds identically to the
+// master's.
 func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *RemoteRunner) (*phaseOutputs, error) {
 	jr, err := rjob.Wait()
 	if err != nil {
@@ -411,21 +371,17 @@ func runRemoteWorker(cfg *Config, splits [][]KeyValue, rjob RemoteJob, runner *R
 		return nil, fmt.Errorf("mapreduce: %s: master broadcast %d/%d task results, this process expects %d/%d — fleet configs diverged",
 			cfg.Name, len(jr.Map), len(jr.Reduce), M, R)
 	}
-	po := newPhaseOutputs(cfg)
-	for m := range jr.Map {
-		res := &jr.Map[m]
+	for m, res := range jr.Map {
 		if len(res.Parts) != R {
 			return nil, fmt.Errorf("mapreduce: %s: master broadcast map task %d with %d partitions, this process expects %d — fleet configs diverged",
 				cfg.Name, m, len(res.Parts), R)
 		}
-		po.mapRes[m] = mapTaskResult{counters: res.Counters, spans: res.Spans, remote: res}
-		po.mapCosts[m] = res.Cost
 		runner.publishRemaining(live.PhaseMap, m, res.Cost, len(splits[m]), res.Worker)
 	}
 	for i, res := range jr.Reduce {
-		po.reduceRes[i] = reduceTaskResult{out: res.Out, counters: res.Counters, spans: res.Spans, qobs: res.Qobs}
-		po.reduceCosts[i] = res.Cost
-		runner.publishRemaining(live.PhaseReduce, i, res.Cost, partitionLen(po.mapRes, i), res.Worker)
+		runner.publishRemaining(live.PhaseReduce, i, res.Cost, partitionLen(jr.Map, i), res.Worker)
 	}
+	po := newPhaseOutputs(cfg)
+	po.mapRes, po.reduceRes = jr.Map, jr.Reduce
 	return po, nil
 }

@@ -96,8 +96,10 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 
 // TestCorruptSegmentFailsItsPartitionOnly: one flipped byte inside map
 // m's segment for partition r fails reduce r with the frame's CRC
-// error, naming the job and the partition, while every other partition
-// of that same file still reduces to the local run's output.
+// error, naming the job, the partition and map task m, while every
+// other partition of that same file still reduces to the local run's
+// output. A flipped byte in a spilled run's segment of a store's spill
+// file names the map task whose run it is the same way.
 func TestCorruptSegmentFailsItsPartitionOnly(t *testing.T) {
 	cfg := wordCountConfig(1)
 	cfg.NumReduceTasks = 4
@@ -126,28 +128,13 @@ func TestCorruptSegmentFailsItsPartitionOnly(t *testing.T) {
 	for runs[bad][m].N == 0 {
 		bad++
 	}
-	f, err := os.OpenFile(filepath.Join(rr.jobDir, mapFileName(m)), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The segment's first payload byte follows its frame's 8-byte header.
-	at := runs[bad][m].Off + 8
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, at); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x40
-	if _, err := f.WriteAt(b, at); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, filepath.Join(rr.jobDir, mapFileName(m)), runs[bad][m].Off+8)
 
 	for r := range runs {
 		res, err := rr.RunTask(live.PhaseReduce, r, runs[r])
 		if r == bad {
-			want := fmt.Sprintf("wordcount shuffle for reduce %d: extsort: frame CRC mismatch", r)
+			want := fmt.Sprintf("wordcount shuffle for reduce %d: map task %d's run: extsort: frame CRC mismatch", r, m)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("reduce %d over the flipped byte: err = %v, want it to contain %q", r, err, want)
 			}
@@ -159,6 +146,53 @@ func TestCorruptSegmentFailsItsPartitionOnly(t *testing.T) {
 		if want := localReduceOutput(local, r); !reflect.DeepEqual(res.Out, want) {
 			t.Errorf("reduce %d: lease emitted %v, local run %v", r, res.Out, want)
 		}
+	}
+
+	// Under a 64-byte budget each run's charge spills the runs before it,
+	// so runs 0 and 1 lie in the store's spill file; flip a byte of run 1's.
+	scfg, _ := storeConfig(t, 64)
+	st := newPartitionStore(scfg, 2)
+	defer st.Close()
+	for m, run := range storeRuns(3, 10) {
+		if err := st.addRun(m, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spilled := st.runs[1]
+	if spilled.m != 1 || spilled.path == "" {
+		t.Fatalf("run %d at %q: map task 1's run was not spilled", spilled.m, spilled.path)
+	}
+	flipByte(t, spilled.path, spilled.Off+8)
+	it, err := st.Iter()
+	if err == nil {
+		for ok := true; ok && err == nil; {
+			_, ok, err = it.Next()
+		}
+		it.Close()
+	}
+	want := "store-test shuffle for reduce 2: map task 1's run: extsort: frame CRC mismatch"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("merge over the flipped spill byte: err = %v, want it to contain %q", err, want)
+	}
+}
+
+// flipByte flips one bit of the byte at offset at of the file at path.
+func flipByte(t *testing.T, path string, at int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -255,10 +289,10 @@ func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
 // broadcastJob is a worker's RemoteJob whose master broadcast jr.
 type broadcastJob struct{ jr *RemoteJobResults }
 
-func (broadcastJob) Master() bool                                                  { return false }
-func (broadcastJob) RunTask(live.Phase, int, []RunPart) (*RemoteTaskResult, error) { return nil, nil }
-func (broadcastJob) Finish(*RemoteJobResults, error) error                         { return nil }
-func (j broadcastJob) Wait() (*RemoteJobResults, error)                            { return j.jr, nil }
+func (broadcastJob) Master() bool                                            { return false }
+func (broadcastJob) RunTask(live.Phase, int, []RunPart) (*TaskResult, error) { return nil, nil }
+func (broadcastJob) Finish(*RemoteJobResults, error) error                   { return nil }
+func (j broadcastJob) Wait() (*RemoteJobResults, error)                      { return j.jr, nil }
 
 // TestWorkerDerivesReduceInputFromParts: a worker sizes each
 // partition's reduce input from the broadcast's map Parts
@@ -267,7 +301,7 @@ func (j broadcastJob) Wait() (*RemoteJobResults, error)                         
 func TestWorkerDerivesReduceInputFromParts(t *testing.T) {
 	cfg := wordCountConfig(1)
 	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
-	jr := &RemoteJobResults{Map: make([]RemoteTaskResult, cfg.NumMapTasks), Reduce: make([]RemoteTaskResult, cfg.NumReduceTasks)}
+	jr := &RemoteJobResults{Map: make([]TaskResult, cfg.NumMapTasks), Reduce: make([]TaskResult, cfg.NumReduceTasks)}
 	for m := range jr.Map {
 		jr.Map[m].Parts = []RunPart{{N: m}, {N: 10 * m}}
 	}

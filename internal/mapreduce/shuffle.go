@@ -86,26 +86,6 @@ func (rs *runSorter) sortInto(dst, stage []KeyValue, sel []int32) {
 	}
 }
 
-// runsInput is partition r's reduce input as a fixed list of n records
-// in sorted runs: the map tasks' runs in memory, aliased, never copied —
-// reduce inputs are read-only — so a single-contributor partition costs
-// nothing to assemble, or, in a reduce lease, the partition's segments
-// of the map tasks' files in the job's shared directory (c, when
-// non-nil, counts the bytes read off them). Every Iter merges the runs
-// afresh and mutates nothing shared, so passes may repeat and overlap.
-type runsInput struct {
-	job  string
-	r, n int
-	runs []sortedRun
-	c    *obs.Counter
-}
-
-func (in runsInput) Len() int { return in.n }
-
-func (in runsInput) Iter() (kvIter, error) {
-	return mergeRuns(in.job, in.r, in.n, in.runs, in.c, nil)
-}
-
 // sortedRun is one map task's key-sorted run for a partition, the unit
 // every reduce input is a list of, in map-index order: its non-empty
 // records in memory, or the run stream of a RunPart — a segment with
@@ -144,7 +124,7 @@ func (fc *fileCursor) next(rest *[]KeyValue) error {
 		return nil
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("map task %d's run: %w", fc.m, err)
 	}
 	if seq != fc.m {
 		return fmt.Errorf("the run file of map task %d holds a record of map task %d", fc.m, seq)
@@ -171,14 +151,14 @@ type mergeIter struct {
 	r       int
 	n, want int
 	err     error
-	release func() // run once by Close; nil = nothing to release
+	release func() // run once by Close
 	closed  bool
 }
 
 // mergeRuns opens the merge of runs, which are in map-index order. c,
-// when non-nil, counts the bytes read off run files; release, when
-// non-nil, runs when the merge closes, also when opening fails.
-func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, release func()) (kvIter, error) {
+// when non-nil, counts the bytes read off run files; release runs when
+// the merge closes, also when opening fails.
+func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, release func()) (*mergeIter, error) {
 	k := max(len(runs), 1) // no runs: one drained source
 	it := &mergeIter{srcs: make([]mergeSrc, k), tree: make([]int, k), job: job, r: r, want: want, release: release}
 	// Ords of different runs compare only under one skip. A sorted run's
@@ -203,7 +183,7 @@ func mergeRuns(job string, r, want int, runs []sortedRun, c *obs.Counter, releas
 			f, err := os.Open(run.path)
 			if err != nil {
 				it.Close()
-				return nil, it.wrap(err)
+				return nil, it.wrap(fmt.Errorf("map task %d's run: %w", run.m, err))
 			}
 			rd := runReaders.Get().(*extsort.RunReader)
 			rd.Reset(countingReader{io.NewSectionReader(f, run.Off, run.End-run.Off), c})
@@ -304,8 +284,6 @@ func (it *mergeIter) Close() error {
 			runReaders.Put(src.file.rd)
 		}
 	}
-	if it.release != nil {
-		it.release()
-	}
+	it.release()
 	return nil
 }

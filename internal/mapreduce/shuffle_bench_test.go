@@ -78,7 +78,7 @@ func BenchmarkShuffle(b *testing.B) {
 		})
 		b.Run("spilled/"+shape, func(b *testing.B) {
 			cfg := &Config{Name: "bench", SpillDir: b.TempDir(), MemBudget: membudget.New(1 << 40)}
-			st := newSpillStore(cfg, 0)
+			st := newPartitionStore(cfg, 0)
 			defer st.Close()
 			for m, run := range in.runs {
 				if err := st.addRun(m, slices.Clone(run.kvs)); err != nil {

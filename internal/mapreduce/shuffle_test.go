@@ -60,7 +60,7 @@ func sortRun(run []KeyValue) []KeyValue {
 // sortedRunsInput does the map side of the in-memory shuffle on raw map
 // runs and collects them as a reduce task does: sort each, keep the
 // non-empty ones in map-index order.
-func sortedRunsInput(runs [][]KeyValue) runsInput {
+func sortedRunsInput(runs [][]KeyValue) *partitionStore {
 	sorted := make([][]KeyValue, len(runs))
 	for m, run := range runs {
 		sorted[m] = sortRun(run)
@@ -68,14 +68,17 @@ func sortedRunsInput(runs [][]KeyValue) runsInput {
 	return memRuns(sorted)
 }
 
-// memRuns is the in-memory reduce input of sorted runs, as
-// shuffleForTask builds it.
-func memRuns(runs [][]KeyValue) runsInput {
-	mapRes := make([]mapTaskResult, len(runs))
+// memRuns is the reduce input of sorted runs held in memory, as a
+// partition store without a budget holds the runs its map tasks hand
+// over.
+func memRuns(runs [][]KeyValue) *partitionStore {
+	st := newPartitionStore(&Config{Name: "mem-runs"}, 0)
 	for m, run := range runs {
-		mapRes[m].out = [][]KeyValue{run}
+		if err := st.addRun(m, run); err != nil {
+			panic(err) // a store without a budget charges nothing
+		}
 	}
-	return shuffleForTask(mapRes, 0)
+	return st
 }
 
 // interleave stages raw runs the way one map task emitting into
@@ -162,8 +165,8 @@ func shuffleRunsFromBytes(data []byte) [][]KeyValue {
 // fleet set, every run from the middle one of three segments of its map
 // task's file, the segments around it holding decoy records that a
 // merge reading past [off, end) would yield; otherwise the runs whose
-// bit m%8 is set in route from a spillStore that has spilled them, the
-// rest from its memory.
+// bit m%8 is set in route from a partitionStore that has spilled them,
+// the rest from its memory.
 func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) {
 	t.Helper()
 	stage, sels := interleave(runs)
@@ -196,12 +199,12 @@ func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) 
 	for m, run := range runs {
 		sorted[m] = sortRun(run)
 	}
-	var files reduceInput
+	var files *partitionStore
 	if fleet {
 		files = writeMapRuns(t, sorted)
 	} else {
 		cfg, _ := storeConfig(t, 1<<30)
-		st := newSpillStore(cfg, 0)
+		st := newPartitionStore(cfg, 0)
 		defer st.Close()
 		for _, spill := range []bool{true, false} {
 			for m, run := range sorted {
@@ -234,7 +237,7 @@ func checkShuffleOrder(t *testing.T, runs [][]KeyValue, route byte, fleet bool) 
 // file in a fleet's job directory, between decoy runs for partitions 0
 // and 2, and returns the reduce input a lease reads partition 1
 // through.
-func writeMapRuns(t *testing.T, sorted [][]KeyValue) runsInput {
+func writeMapRuns(t *testing.T, sorted [][]KeyValue) *partitionStore {
 	t.Helper()
 	dir := t.TempDir()
 	runs := make([]RunPart, len(sorted))
@@ -445,16 +448,14 @@ func TestShuffleEquivalenceAcrossWorkersProperty(t *testing.T) {
 
 func TestMergeSortedRunsSharesSingleRun(t *testing.T) {
 	run := []KeyValue{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}
-	in := shuffleForTask([]mapTaskResult{
-		{out: [][]KeyValue{nil}}, {out: [][]KeyValue{run}}, {out: [][]KeyValue{nil}},
-	}, 0)
+	in := memRuns([][]KeyValue{nil, run, nil})
 	if len(in.runs) != 1 || &in.runs[0].kvs[0] != &run[0] {
 		t.Error("a single-contributor partition should alias the run itself, not a copy")
 	}
 	if i := sameRecords(drainInput(t, in), run); i >= 0 {
 		t.Errorf("single-run input departs from the run at record %d", i)
 	}
-	if got := drainInput(t, runsInput{}); got != nil {
+	if got := drainInput(t, memRuns(nil)); got != nil {
 		t.Errorf("empty input yielded %d records", len(got))
 	}
 }
@@ -580,10 +581,11 @@ func TestMapOutputRunsAreExact(t *testing.T) {
 		NumReduceTasks: 6, // partition 5 stays empty
 	}
 	for round := 0; round < 2; round++ { // the second task runs on the first one's stage
-		out, _, _, _, err := runMapTask(cfg, 0, split)
+		res, err := runMapTask(cfg, 0, split)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := res.runs
 		type span struct{ lo, hi uintptr }
 		var spans []span
 		size := reflect.TypeOf(KeyValue{}).Size()

@@ -1,18 +1,21 @@
 package mapreduce
 
-// The reduce inputs. A reduce task's input is a reduceInput: a list of
-// key-sorted runs, one per contributing map task in map-index order,
-// each in memory or in a run file, that one merge reads (mergeIter in
-// shuffle.go). runsInput (shuffle.go) holds a fixed list — the map
-// tasks' in-memory runs, or a reduce lease's segments of the map files
-// on the fleet's shared directory — and a spillStore a list whose runs
-// a memory budget may spill. Which one a partition gets is a host
-// decision (MemBudget, the one road to disk, or a transport); the
-// record sequence each yields is byte-identical, which keeps
-// Result/trace/quality bytes independent of storage mode: a run moves
-// between memory and disk only whole, so merging the runs in map-index
-// order by (key, run) reproduces exactly the stable (key, map-index)
-// order, no matter when or which runs were spilled.
+// The partition store, the one reduce input. Partition r's reduce input
+// is a partitionStore: a list of key-sorted runs, one per contributing
+// map task, each in memory or in a run file, that one merge reads in
+// map-index order (mergeIter in shuffle.go). Every job makes one store
+// per partition, to which each local map task hands its runs as it
+// commits; a reduce lease makes one of its partition's segments of the
+// map files on the fleet's shared directory (mapFileInput in
+// remote.go). Under a memory budget — MemBudget, the one road to disk —
+// a store charges the runs it buffers to its account and may spill them
+// to a file of its own; without one its account is nil and its runs
+// stay in memory as the mappers made them. The record sequence is the
+// same whatever the route, which keeps Result/trace/quality bytes
+// independent of storage mode: a run moves between memory and disk only
+// whole, so merging the runs in map-index order by (key, run) reproduces
+// exactly the stable (key, map-index) order, no matter when or which
+// runs were spilled.
 
 import (
 	"fmt"
@@ -27,23 +30,6 @@ import (
 	"proger/internal/membudget"
 	"proger/internal/obs"
 )
-
-// reduceInput is a reduce task's shuffled, merge-sorted input.
-// Iter may be called multiple times (retries, speculation) and
-// concurrently (a speculative shuffle check can overlap the reduce
-// task); each call yields an independent pass over the same records.
-// An input owns nothing its reader must release: the one that holds
-// host resources, a partition's spillStore, belongs to phaseOutputs.
-type reduceInput interface {
-	Len() int
-	Iter() (kvIter, error)
-}
-
-// kvIter streams records in (key, map-index) order.
-type kvIter interface {
-	Next() (KeyValue, bool, error)
-	Close() error
-}
 
 // kvMemOverhead approximates the per-record bookkeeping bytes beyond
 // the key/value payloads (string + slice headers, padding). Budget
@@ -102,25 +88,28 @@ type valueSpan struct {
 
 var valueOffsets = sync.Pool{New: func() any { return map[valueSpan]int{} }}
 
-// spillRun is one map task's run in a spillStore. bytes is what the
+// spillRun is one map task's run in a partitionStore. bytes is what the
 // budget account holds for it while it is in memory; 0 while its
-// reservation is still in flight, and a forced spill moves only runs
-// whose charge has landed (spilling another would corrupt the ledger).
+// reservation is still in flight or without a budget, and a forced
+// spill moves only runs whose charge has landed (spilling another would
+// corrupt the ledger).
 type spillRun struct {
 	sortedRun
 	bytes int64
 }
 
-// spillStore is the disk-capable reduceInput. Runs are ingested whole
-// (addRun) and buffer in memory charged against the budget account; a
-// budget-forced spill appends each buffered run to the store's one
-// spill file as a segment of its own, so a spill merges nothing. Iter
-// merges the runs, wherever they are, by (key, map index).
-type spillStore struct {
+// partitionStore is partition r's reduce input. Runs are ingested
+// whole (addRun) and buffer in memory, charged against the budget
+// account when there is one; a budget-forced spill appends each
+// buffered run to the store's one spill file as a segment of its own,
+// so a spill merges nothing. Iter merges the runs, wherever they are,
+// by (key, map index).
+type partitionStore struct {
 	job    string
 	r      int
-	parent string // spill parent dir; "" = system temp
-	acct   *membudget.Account
+	parent string             // spill parent dir; "" = system temp
+	acct   *membudget.Account // nil without a budget: nothing spills
+	c      *obs.Counter       // counts the bytes a lease reads off map files; nil elsewhere
 
 	mu      sync.Mutex
 	file    *os.File    // the spill file, created by the first spill
@@ -135,28 +124,33 @@ type spillStore struct {
 	spilledBytes int64
 }
 
-// newSpillStore creates a store for reduce partition r whose buffered
-// bytes are charged to a fresh cfg.MemBudget account; the account's
-// forced-spill callback flushes the buffer.
-func newSpillStore(cfg *Config, r int) *spillStore {
-	st := &spillStore{job: cfg.Name, r: r, parent: cfg.SpillDir}
+// newPartitionStore creates the store for reduce partition r. Under a
+// memory budget its buffered bytes are charged to a fresh cfg.MemBudget
+// account, whose forced-spill callback flushes the buffer; without one
+// the account is nil.
+func newPartitionStore(cfg *Config, r int) *partitionStore {
+	st := &partitionStore{job: cfg.Name, r: r, parent: cfg.SpillDir}
 	st.acct = cfg.MemBudget.NewAccount(fmt.Sprintf("%s/shuffle-%d", cfg.Name, r), st.budgetSpill)
 	return st
 }
 
-// addRun ingests map task m's pre-sorted run for this partition, its
-// values made its own (ownValues). Safe for concurrent callers
+// addRun ingests map task m's pre-sorted run for this partition —
+// under a budget with its values made its own (ownValues); without one
+// as the mapper made it, copying nothing. Safe for concurrent callers
 // (pipelined map tasks commit in any order); Iter orders the runs by
 // map index. The run is published before its bytes are charged — so a
 // concurrent charge that picks this store as victim always sees a
 // spillable buffer — but stays uncharged (unspillable) until the
 // reservation lands, keeping the ledger exact. Self-spill during the
 // charge is safe for the same reason: only settled runs move.
-func (st *spillStore) addRun(m int, kvs []KeyValue) error {
+func (st *partitionStore) addRun(m int, kvs []KeyValue) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	b := ownValues(kvs)
+	var b int64
+	if st.acct != nil {
+		b = ownValues(kvs)
+	}
 	run := &spillRun{sortedRun: sortedRun{m: m, kvs: kvs}}
 	st.mu.Lock()
 	st.runs = append(st.runs, run)
@@ -179,7 +173,7 @@ func (st *spillStore) addRun(m int, kvs []KeyValue) error {
 // run to the spill file and report the bytes freed. Live
 // iterators pin the buffer (their merge cursors point into it), so a
 // store being read reports no progress instead of corrupting the pass.
-func (st *spillStore) budgetSpill() (int64, error) {
+func (st *partitionStore) budgetSpill() (int64, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed || st.readers > 0 {
@@ -206,7 +200,7 @@ func (st *spillStore) budgetSpill() (int64, error) {
 // of their own and keeps the segment and the run's key bounds in place
 // of the records. One file per store, not per run: creating a file
 // costs more than the run takes to write. Caller holds st.mu.
-func (st *spillStore) spillLocked(run *spillRun) error {
+func (st *partitionStore) spillLocked(run *spillRun) error {
 	if st.file == nil {
 		f, err := os.CreateTemp(st.parent, "proger-shuffle-*.spill")
 		if err != nil {
@@ -300,23 +294,24 @@ func commitRunFile(dir, name string, c *obs.Counter, write func(*runFile) error)
 
 // budgetStats reports the budget-pressure spill activity (forced spill
 // count, bytes moved to disk) for the metrics registry.
-func (st *spillStore) budgetStats() (int64, int64) {
+func (st *partitionStore) budgetStats() (int64, int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.forcedSpills, st.spilledBytes
 }
 
-// Len implements reduceInput.
-func (st *spillStore) Len() int {
+// Len is the number of records the store's runs hold.
+func (st *partitionStore) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.total
 }
 
-// Iter implements reduceInput: an independent merged pass over the
-// runs, in memory and on disk. Concurrent passes are safe — each opens
-// its own file handles, and live passes pin the memory buffer.
-func (st *spillStore) Iter() (kvIter, error) {
+// Iter opens an independent merged pass over the runs, in memory and
+// on disk. It may be called several times (retries, speculation), also
+// concurrently — each pass opens its own file handles, and live passes
+// pin the memory buffer.
+func (st *partitionStore) Iter() (*mergeIter, error) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -330,7 +325,7 @@ func (st *spillStore) Iter() (kvIter, error) {
 	st.readers++
 	st.mu.Unlock()
 	slices.SortFunc(runs, func(a, b sortedRun) int { return a.m - b.m })
-	return mergeRuns(st.job, st.r, total, runs, nil, func() {
+	return mergeRuns(st.job, st.r, total, runs, st.c, func() {
 		st.mu.Lock()
 		st.readers--
 		st.mu.Unlock()
@@ -339,7 +334,7 @@ func (st *spillStore) Iter() (kvIter, error) {
 
 // Close removes the spill file, drops the buffer, and settles the
 // budget account.
-func (st *spillStore) Close() error {
+func (st *partitionStore) Close() error {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()

@@ -42,8 +42,8 @@ func requireSpilled(t *testing.T, cfg *Config) {
 	}
 }
 
-// storeConfig builds a minimal Config for driving a spillStore
-// directly in tests.
+// storeConfig builds a minimal Config for driving a partitionStore
+// under a budget directly in tests.
 func storeConfig(t *testing.T, budget int64) (*Config, *membudget.Manager) {
 	t.Helper()
 	mgr := membudget.New(budget)
@@ -67,7 +67,7 @@ func storeRuns(mapTasks, perRun int) [][]KeyValue {
 	return runs
 }
 
-func drainInput(t *testing.T, in reduceInput) []KeyValue {
+func drainInput(t *testing.T, in *partitionStore) []KeyValue {
 	t.Helper()
 	it, err := in.Iter()
 	if err != nil {
@@ -100,7 +100,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 	want := drainInput(t, memRuns(runs))
 
 	cfg, _ := storeConfig(t, 1<<30) // roomy: no pressure unless forced
-	st := newSpillStore(cfg, 0)
+	st := newPartitionStore(cfg, 0)
 	defer st.Close()
 	// Ingest out of order, spilling the buffer partway through.
 	order := []int{3, 0, 4}
@@ -136,7 +136,7 @@ func TestSpillStoreMatchesMemoryMerge(t *testing.T) {
 // instead of mutating them.
 func TestSpillStoreIterPinsBuffer(t *testing.T) {
 	cfg, _ := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, 0)
+	st := newPartitionStore(cfg, 0)
 	defer st.Close()
 	if err := st.addRun(0, storeRuns(1, 10)[0]); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestSpillStoreIterPinsBuffer(t *testing.T) {
 // dir, and settles the budget account.
 func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	cfg, mgr := storeConfig(t, 1<<30)
-	st := newSpillStore(cfg, 3)
+	st := newPartitionStore(cfg, 3)
 	if err := st.addRun(0, storeRuns(1, 50)[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -513,59 +513,67 @@ func (f reduceFunc) Reduce(_ *TaskContext, key string, values [][]byte, _ Emitte
 	return nil
 }
 
-// TestBudgetedMapRunsLeavePhaseOutputs: under a budget with the fault
-// runtime on — retries, crashed attempts and speculative backups
-// included — a map task's committed runs go to the partition stores
-// and nothing else keeps them: phaseOutputs holds no run, and once the
-// stores are closed every run any map execution made is collected. So
-// a spilled run frees what it was charged for.
-func TestBudgetedMapRunsLeavePhaseOutputs(t *testing.T) {
-	cfg := wordCountConfig(4)
-	spillEverything(&cfg)
-	cfg.SpillDir = t.TempDir()
-	cfg.Faults = faults.NewSeeded(11, 0.5)
-	cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
-	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
-	fr := newFaultRuntime(&cfg)
-	po := newPhaseOutputs(&cfg)
-	splits := splitInput(wordCountInput(), cfg.NumMapTasks)
-	b := localBodies(&cfg, nil, splits, po)
-	var produced, collected atomic.Int32
-	mapTask := b.mapTask
-	b.mapTask = func(m int) (mapTaskResult, costmodel.Units, error) {
-		out, cost, err := mapTask(m)
-		for _, run := range out.out {
-			if len(run) > 0 {
-				produced.Add(1)
-				runtime.SetFinalizer(&run[0], func(*KeyValue) { collected.Add(1) })
+// TestCommittedMapRunsLeavePhaseOutputs: on every local route — under
+// a budget, and without one, where the stores keep the runs as their
+// mappers made them — with the fault runtime on (retries, crashed
+// attempts and speculative backups included), a map task's committed
+// runs go to the partition stores and nothing else keeps them:
+// phaseOutputs holds no run, and once the stores are closed every run
+// any map execution made is collected. So a spilled run frees what it
+// was charged for.
+func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
+	for _, budget := range []bool{true, false} {
+		t.Run(map[bool]string{true: "budget", false: "no budget"}[budget], func(t *testing.T) {
+			cfg := wordCountConfig(4)
+			if budget {
+				spillEverything(&cfg)
+				cfg.SpillDir = t.TempDir()
 			}
-		}
-		return out, cost, err
+			cfg.Faults = faults.NewSeeded(11, 0.5)
+			cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
+			cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
+			fr := newFaultRuntime(&cfg)
+			po := newPhaseOutputs(&cfg)
+			splits := splitInput(wordCountInput(), cfg.NumMapTasks)
+			b := localBodies(&cfg, nil, splits, po)
+			var produced, collected atomic.Int32
+			mapTask := b.mapTask
+			b.mapTask = func(m int) (TaskResult, error) {
+				res, err := mapTask(m)
+				for _, run := range res.runs {
+					if len(run) > 0 {
+						produced.Add(1)
+						runtime.SetFinalizer(&run[0], func(*KeyValue) { collected.Add(1) })
+					}
+				}
+				return res, err
+			}
+			if err := runJobGraph(&cfg, fr, cfg.Workers, po, b); err != nil {
+				t.Fatal(err)
+			}
+			for m, mr := range po.mapRes {
+				if mr.runs != nil {
+					t.Errorf("map task %d's runs are still reachable from phaseOutputs", m)
+				}
+			}
+			var forced int64
+			for _, st := range po.stores {
+				f, _ := st.budgetStats()
+				forced += f
+				st.Close()
+			}
+			if budget && forced == 0 {
+				t.Fatal("the memory budget forced no spill")
+			}
+			for deadline := time.Now().Add(5 * time.Second); collected.Load() < produced.Load() && time.Now().Before(deadline); {
+				runtime.GC()
+			}
+			if n, c := produced.Load(), collected.Load(); n == 0 || c != n {
+				t.Errorf("%d of the %d runs map executions made outlived their stores", n-c, n)
+			}
+			runtime.KeepAlive(po)
+		})
 	}
-	if err := runJobGraph(&cfg, fr, cfg.Workers, po, b); err != nil {
-		t.Fatal(err)
-	}
-	for m, mr := range po.mapRes {
-		if mr.out != nil {
-			t.Errorf("map task %d's runs are still reachable from phaseOutputs", m)
-		}
-	}
-	var forced int64
-	for _, st := range po.stores {
-		f, _ := st.budgetStats()
-		forced += f
-		st.Close()
-	}
-	if forced == 0 {
-		t.Fatal("the memory budget forced no spill")
-	}
-	for deadline := time.Now().Add(5 * time.Second); collected.Load() < produced.Load() && time.Now().Before(deadline); {
-		runtime.GC()
-	}
-	if n, c := produced.Load(), collected.Load(); c != n {
-		t.Errorf("%d of the %d runs map executions made outlived their stores", n-c, n)
-	}
-	runtime.KeepAlive(po)
 }
 
 // drawMapper is wordCountMapper whose values, one byte each, depend on

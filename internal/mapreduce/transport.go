@@ -9,9 +9,10 @@ package mapreduce
 // attempt/retry/speculation runtime, and all observability stay in
 // this package and are shared verbatim between the two. That sharing
 // is the determinism argument: both placements run the same builder
-// with the same attempt machinery and fill the same phaseOutputs, so
-// Result, trace, and quality bytes cannot depend on which transport
-// executed the work.
+// with the same attempt machinery, their bodies return the same
+// TaskResult and their reduce tasks read the same partitionStore, so
+// phaseOutputs — and with it Result, trace, and quality bytes — cannot
+// depend on which transport executed the work.
 
 import "proger/internal/obs/live"
 
@@ -34,8 +35,8 @@ import "proger/internal/obs/live"
 //     aggregated job results;
 //   - on a worker, the transport registers the runner to execute
 //     incoming leases, and Wait blocks until the master's broadcast,
-//     from which the worker fills the same phaseOutputs the master
-//     computed — keeping every process's driver loop in lockstep.
+//     whose results the worker copies into its phaseOutputs unchanged —
+//     keeping every process's driver loop in lockstep.
 type TaskTransport interface {
 	// TransportName labels the transport in errors and diagnostics.
 	TransportName() string
@@ -57,10 +58,10 @@ type RemoteJob interface {
 	// lease lost to a dead worker surfaces ErrTaskLost, which the engine
 	// retries within the RetryPolicy budget without touching the
 	// simulated attempt timeline.
-	RunTask(phase live.Phase, task int, runs []RunPart) (*RemoteTaskResult, error)
-	// Finish ends the job (master only): broadcasts the aggregated
-	// results — or the terminal error — to the worker fleet and
-	// releases the job's shared map files.
+	RunTask(phase live.Phase, task int, runs []RunPart) (*TaskResult, error)
+	// Finish ends the job (master only): broadcasts every task's
+	// committed result — or the terminal error — to the worker fleet
+	// and releases the job's shared map files.
 	Finish(results *RemoteJobResults, runErr error) error
 	// Wait blocks until the master broadcasts the job's results
 	// (worker only).

@@ -1,8 +1,10 @@
 #!/bin/sh
-# The repo's standard verification gate, equivalent to `make check`:
+# The repo's standard verification gate, which `make check` runs:
 # gofmt cleanliness, go vet (plus staticcheck when installed), a
 # telemetry-key lint, full build, the bench module's vet and quick
-# suite, and the race-enabled test suite. Run from the repo root.
+# suite, the race-enabled test suite, a short run of every fuzz target,
+# and the bounded-memory, live, fleet and Basic-baseline smokes. Run
+# from the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
