@@ -650,8 +650,6 @@ func printReport(res *proger.Result) {
 		fmt.Fprint(os.Stderr, report.Summarize("job2-progressive-resolution", res.Job2).Render())
 		fmt.Fprint(os.Stderr, report.Timeline(res.Job2, 64))
 	}
-	fmt.Fprintln(os.Stderr, "counters:")
-	fmt.Fprint(os.Stderr, report.Counters(res.Counters))
 	if res.Schedule != nil {
 		costs := map[string]costmodel.Units{}
 		for _, blocks := range res.Schedule.TaskBlocks {

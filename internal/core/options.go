@@ -30,8 +30,8 @@ type Host struct {
 	// Workers caps host-machine concurrency (0 = GOMAXPROCS); never
 	// affects results or simulated timing.
 	Workers int
-	// Execution is ignored: every job runs one task graph, in which
-	// each reduce task waits for every map task. It remains, and
+	// Execution is ignored: every job runs its map phase, then its
+	// reduce phase, so each reduce task waits for every map task. It remains, and
 	// configure still copies it, only because the benchmark harness sets
 	// it for its persons-barrier row; it goes with that row.
 	Execution mapreduce.ExecutionMode
@@ -66,7 +66,7 @@ type Host struct {
 	// Trace. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state from every
-	// job (task DAG transitions, retry/speculation activity, streamed
+	// job (task state transitions, retry/speculation activity, streamed
 	// per-block resolutions) plus the quality recorder and memory-budget
 	// manager attachments that denominate its recall/ETA estimates —
 	// the feed behind the live status server. With no schedule (Basic)

@@ -63,8 +63,8 @@ func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, rate floa
 
 // TestResolvePipelinedMatchesBarrier runs the pipeline at every
 // execution mode × workers × fault-rate point. (Its name recalls the
-// barriered engine it was once compared with; every job now runs one
-// task graph, and Host.Execution is ignored — both of its values must
+// barriered engine it was once compared with; every job now runs its
+// map phase, then its reduce phase, and Host.Execution is ignored — both of its values must
 // give the same bytes, because the benchmark still sets the barrier value.)
 // Per fault rate, the run at workers=1 is the source of truth (fault
 // injection legitimately adds retry/attempt spans to the trace, so

@@ -42,8 +42,8 @@ type MasterOptions struct {
 
 // Master is the lease-granting side of the distributed transport. It
 // implements mapreduce.TaskTransport: the process that owns it runs
-// the deterministic driver as usual, and every task execution the
-// task graph requests is leased out to a registered worker process.
+// the deterministic driver as usual, and every task execution its
+// job's phases request is leased out to a registered worker process.
 type Master struct {
 	ln      net.Listener
 	dataDir string

@@ -1,5 +1,5 @@
 // Package dist is the multi-process execution transport: a master
-// process drives the deterministic task graph and leases task
+// process drives each job's map and reduce phases and leases task
 // executions to worker processes over net/rpc (stdlib, gob encoding,
 // TCP or unix sockets). Every process runs the same driver with the
 // same resolution-affecting flags — the lockstep-replay contract of

@@ -108,13 +108,13 @@ type faultRuntime struct {
 	policy   RetryPolicy
 	startup  costmodel.Units
 	// phases holds per-phase attempt histories, indexed by task. Every
-	// phase's slice is allocated before the job graph starts and each
-	// node writes only its own task index, so no locking is needed.
+	// phase's slice is allocated before the map phase starts and each
+	// task writes only its own index, so no locking is needed.
 	phases map[live.Phase][]*taskAttempts
 	// live is the run's live-introspection handle (nil when off): the
 	// attempt runtime reports retries, speculative launches, and
 	// permanent task failures through it. Set once in Run before any
-	// graph goroutine starts.
+	// task goroutine starts.
 	live *live.Job
 }
 

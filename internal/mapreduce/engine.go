@@ -1,10 +1,11 @@
 package mapreduce
 
-// The engine. Run executes one job as a graph of task bodies
-// (pipeline.go) and derives everything observable from phaseOutputs:
-// one TaskResult per task, whoever ran it — this process, or a worker
-// leased by a remote master (remote.go) — and one partitionStore per
-// partition, the reduce input on every route (spillstore.go).
+// The engine. Run executes one job's task bodies as a map phase, then a
+// reduce phase (pipeline.go), and derives everything observable from
+// phaseOutputs: one TaskResult per task, whoever ran it — this process,
+// or a worker leased by a remote master (remote.go) — and one
+// partitionStore per partition, the reduce input on every route
+// (spillstore.go).
 
 import (
 	"crypto/sha256"
@@ -45,7 +46,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	fr := newFaultRuntime(&cfg)
 	splits := splitInput(input, cfg.NumMapTasks)
 
-	// Live introspection: register the job's task DAG and hand every
+	// Live introspection: register the job's tasks and hand every
 	// execution layer the publication handle. lj is nil when live
 	// introspection is off — all its methods no-op — and nothing below
 	// ever reads it back, so it cannot perturb the deterministic run.
@@ -54,7 +55,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		fr.live = lj
 	}
 
-	// Task execution: one job-graph builder fills phaseOutputs whoever
+	// Task execution: one two-phase runner fills phaseOutputs whoever
 	// runs the task bodies (this process, or workers leased by a remote
 	// master), so everything below this point (the simulated schedule,
 	// Result, spans, metrics, quality) is execution-independent by
@@ -71,7 +72,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	}
 	if po != nil {
 		// The stores hold host resources (spill files, budget accounts);
-		// settle them even when the graph errors out partway.
+		// settle them even when a task errors out partway.
 		defer func() {
 			for _, st := range po.stores {
 				st.Close()
@@ -199,17 +200,17 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 // phaseOutputs is everything task execution produces, indexed by task:
 // one TaskResult per task and one partitionStore per partition, whoever
-// ran the task bodies. The job graph's nodes fill it (a remote worker
+// ran the task bodies. The job's tasks fill it (a remote worker
 // copies the master's broadcast into it): the finalize half of Run
 // derives the simulated schedule, Result, spans, metrics, and quality
 // exports from it, which is what keeps every worker count and transport
 // byte-equivalent.
 type phaseOutputs struct {
 	mapRes, reduceRes []TaskResult
-	// stores holds partition r's reduce input, made before the graph
-	// runs: each committed local map task hands its runs over and keeps
-	// no reference, so what stays resident is the store's call — under a
-	// memory budget, the budget manager's. Run closes them.
+	// stores holds partition r's reduce input, made before the map
+	// phase runs: each committed local map task hands its runs over and
+	// keeps no reference, so what stays resident is the store's call —
+	// under a memory budget, the budget manager's. Run closes them.
 	stores []*partitionStore
 	// Host wall-clock measurements per stage; allocated (and recorded)
 	// only when tracing. Wall data never feeds the simulated timeline.
@@ -233,7 +234,7 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 	return po
 }
 
-// taskBodies is the job graph's body policy: how one execution of each
+// taskBodies is runJobGraph's body policy: how one execution of each
 // phase's task runs. Local bodies call the deterministic task functions
 // in this process; a remote master's bodies lease them to workers. Each
 // body is one *execution* — first attempts, retries, and speculative

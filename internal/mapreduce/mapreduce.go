@@ -148,11 +148,12 @@ func HashPartitioner(key string, numReduce int) int {
 	return int(h % uint64(numReduce))
 }
 
-// ExecutionMode is ignored: the engine builds one task graph, in
-// which reduce task r waits for every map task, so there is no edge
-// policy left to choose. The type and its values remain only because
-// the benchmark harness still sets Config.Execution (its
-// persons-barrier row); they go once that row is dropped.
+// ExecutionMode is ignored: the engine runs a job's map phase, then
+// its reduce phase, so reduce task r waits for every map task and
+// there is no scheduling policy left to choose. The type and its values
+// remain only because the benchmark harness still sets
+// Config.Execution (its persons-barrier row); they go once that row is
+// dropped.
 type ExecutionMode int
 
 const (
@@ -247,7 +248,7 @@ type Config struct {
 	// construction. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state: per-task
-	// DAG node transitions, attempt/retry/speculation activity, and
+	// state transitions, attempt/retry/speculation activity, and
 	// per-block resolution realizations as they happen — the feed
 	// behind the status server's /progress and /tasks endpoints.
 	// Strictly write-only from the engine's side (nothing in the run

@@ -3,216 +3,80 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
-	"proger/internal/costmodel"
 	"proger/internal/obs/live"
 )
 
-// This file implements the job graph: every job becomes one static
-// dependency DAG executed on one shared worker pool. A node is
-// dispatched the moment its last dependency completes. Reduce task r
-// depends on every map task — a partition is complete only once every
-// map has committed its run for it — and opens its own input: it
-// merges the partition's runs as it reads them, as a Hadoop reduce task
-// copies and merges its own partition. The body policy (taskBodies)
-// decides who runs a task: this process, or a worker leased by the
-// remote master.
+// This file runs a job's two phases. Reduce task r depends on every map
+// task — a partition is complete only once every map has committed its
+// run for it — so a job is the map tasks, a barrier, then the reduce
+// tasks, each of which opens its own input: it merges the partition's
+// runs as it reads them, as a Hadoop reduce task copies and merges its
+// own partition. The body policy (taskBodies) decides who runs a task:
+// this process, or a worker leased by the remote master.
 //
-// The graph per job:
+// With speculation on, each phase's straggler checks follow it: the
+// map checks run beside the reduce tasks, the reduce checks after them.
 //
-//	map m  ──┬─▶ reduce r (every r)
-//	         └─▶ (speculation gate ──▶ per-task speculation checks)
+//	map tasks  ──▶  reduce tasks + map speculation checks  ──▶  reduce speculation checks
 //
 // Determinism is preserved because nothing about real execution order
-// is observable: every node writes only its own task-indexed slots of
+// is observable: every task writes only its own task-indexed slots of
 // phaseOutputs, and the simulated schedule, Result, spans, metrics,
 // and quality exports are all derived afterwards from those outputs.
 
-// nodePhase ranks graph nodes for deterministic error reporting, in
-// phase order.
-type nodePhase int
-
-const (
-	nodeMap nodePhase = iota
-	nodeReduce
-	nodeSpecMap
-	nodeSpecReduce
-)
-
-// nodeKey identifies a node's (phase, task) for error attribution.
-type nodeKey struct {
-	phase nodePhase
-	task  int
+// phaseTask is one schedulable unit of engine work; task names it in
+// error messages.
+type phaseTask struct {
+	task int
+	run  func() error
 }
 
-// dagNode is one schedulable unit of engine work.
-type dagNode struct {
-	key nodeKey
-	seq int // insertion order; error-ordering tie-break
-	run func() error
-	// waits counts unmet dependencies; mutated only under dagRun.mu.
-	waits int
-	succs []*dagNode
-}
-
-// taskGraph is a static dependency DAG. Build it single-threaded with
-// node/edge, then call execute exactly once.
-type taskGraph struct {
-	nodes []*dagNode
-}
-
-func (g *taskGraph) node(key nodeKey, run func() error) *dagNode {
-	n := &dagNode{key: key, seq: len(g.nodes), run: run}
-	g.nodes = append(g.nodes, n)
-	return n
-}
-
-func (g *taskGraph) edge(from, to *dagNode) {
-	from.succs = append(from.succs, to)
-	to.waits++
-}
-
-// dagRun is the mutable state of one graph execution. Ready nodes
-// flow through the buffered `ready` channel (capacity = node count,
-// so enqueues never block); bookkeeping is guarded by mu. Completion
-// of a node happens-before dispatch of its successors, which is what
-// makes single-writer task slots safe to read downstream without
-// atomics.
-type dagRun struct {
-	ready    chan *dagNode
-	done     chan struct{}
-	mu       sync.Mutex
-	undone   int // nodes not yet completed
-	inflight int // nodes currently executing
-	failed   bool
-	failures []nodeFailure
-}
-
-type nodeFailure struct {
-	key nodeKey
-	seq int
-	err error
-}
-
-// execute runs the graph on up to `workers` goroutines. After the
-// first failure no further node is dispatched (in-flight nodes drain),
-// and every collected failure is reported, joined in deterministic
-// (phase, task, insertion) order, so a multi-task failure is
-// attributable task by task rather than collapsing to whichever error
-// won the race. A panicking node becomes a node failure rather than a
-// dead engine — the moral equivalent of a Hadoop task attempt dying
-// without taking the job tracker down.
-func (g *taskGraph) execute(workers int) error {
-	if len(g.nodes) == 0 {
-		return nil
-	}
-	if workers > len(g.nodes) {
-		workers = len(g.nodes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	r := &dagRun{
-		ready:  make(chan *dagNode, len(g.nodes)),
-		done:   make(chan struct{}),
-		undone: len(g.nodes),
-	}
-	for _, n := range g.nodes {
-		if n.waits == 0 {
-			r.ready <- n
-		}
-	}
+// runTasks runs tasks in slice order on at most workers goroutines.
+// After the first failure no further task starts (running ones finish),
+// and every failure is reported, joined in slice order, so a
+// multi-task failure is attributable task by task rather than
+// collapsing to whichever error won the race. A panicking task becomes
+// a task failure rather than a dead engine — the moral equivalent of a
+// Hadoop task attempt dying without taking the job tracker down.
+//
+// Each task runs on a goroutine of its own: task goroutines start with
+// zero GC assist debt, instead of long-lived workers accumulating the
+// whole job's debt and stalling on assists.
+func runTasks(workers int, tasks []phaseTask) error {
+	slots := make(chan struct{}, max(1, min(workers, len(tasks))))
+	errs := make([]error, len(tasks))
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, t := range tasks {
+		slots <- struct{}{}
+		// A failing task records its failure before it frees its slot,
+		// so the task waiting for that slot sees it.
+		if failed.Load() {
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.work()
+			if errs[i] = runTaskSafe(t); errs[i] != nil {
+				failed.Store(true)
+			}
+			<-slots
 		}()
 	}
 	wg.Wait()
-	if len(r.failures) == 0 {
-		return nil
-	}
-	sort.Slice(r.failures, func(i, j int) bool {
-		a, b := r.failures[i], r.failures[j]
-		if a.key.phase != b.key.phase {
-			return a.key.phase < b.key.phase
-		}
-		if a.key.task != b.key.task {
-			return a.key.task < b.key.task
-		}
-		return a.seq < b.seq
-	})
-	errs := make([]error, len(r.failures))
-	for i, f := range r.failures {
-		errs[i] = f.err
-	}
 	return errors.Join(errs...)
 }
 
-// work is one worker's dispatch loop. A queued node is only executed
-// if no failure has landed yet — after the first failure, queued nodes
-// are drained without running (stop-dispatch), in-flight nodes finish,
-// and the last completion closes `done`.
-func (r *dagRun) work() {
-	for {
-		select {
-		case <-r.done:
-			return
-		case n := <-r.ready:
-			r.mu.Lock()
-			if r.failed {
-				r.mu.Unlock()
-				continue
-			}
-			r.inflight++
-			r.mu.Unlock()
-			// Each node runs on a fresh goroutine (the worker blocks on
-			// it, so concurrency stays capped at `workers`): task goroutines
-			// start with zero GC assist debt, instead of long-lived workers
-			// accumulating the whole job's debt and stalling on assists.
-			ch := make(chan error, 1)
-			go func() { ch <- runNodeSafe(n) }()
-			r.complete(n, <-ch)
-		}
-	}
-}
-
-// complete records one node's outcome and enqueues newly-ready
-// successors; when the graph can make no further progress — all nodes
-// done, or a failure landed and the in-flight tail drained — it closes
-// `done` to release the workers.
-func (r *dagRun) complete(n *dagNode, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inflight--
-	r.undone--
-	if err != nil {
-		r.failures = append(r.failures, nodeFailure{key: n.key, seq: n.seq, err: err})
-		r.failed = true
-	} else if !r.failed {
-		for _, s := range n.succs {
-			s.waits--
-			if s.waits == 0 {
-				r.ready <- s // buffered to node count; never blocks
-			}
-		}
-	}
-	if r.undone == 0 || (r.failed && r.inflight == 0) {
-		close(r.done)
-	}
-}
-
-func runNodeSafe(n *dagNode) (err error) {
+func runTaskSafe(t phaseTask) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("mapreduce: task %d panicked: %v", n.key.task, p)
+			err = fmt.Errorf("mapreduce: task %d panicked: %v", t.task, p)
 		}
 	}()
-	return n.run()
+	return t.run()
 }
 
 // runAttempted executes one task body — through the attempt runtime's
@@ -235,28 +99,23 @@ func runAttempted(fr *faultRuntime, phase live.Phase, att []*taskAttempts, i int
 	return res, err
 }
 
-// runJobGraph is the one job-graph builder: it wires cfg's map, reduce,
-// and speculation nodes, gives them the bodies b, and executes the
-// graph, filling po. po holds the partition stores even when this
+// runJobGraph runs cfg's map tasks, then its reduce tasks, with the
+// bodies b, filling po; with speculation on, each phase's straggler
+// checks follow it. po holds the partition stores even when this
 // returns an error; Run settles them.
 func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b taskBodies) error {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
 	speculate := fr != nil && fr.policy.Speculation
 
-	// Both phases' attempt slots are allocated up front: tasks of
-	// different phases may run interleaved, and each node writes only
-	// its own index.
 	var mapAtt, redAtt []*taskAttempts
 	if fr != nil {
 		mapAtt = fr.beginPhase(live.PhaseMap, M)
 		redAtt = fr.beginPhase(live.PhaseReduce, R)
 	}
 
-	g := &taskGraph{}
-	mapNodes := make([]*dagNode, M)
-	for m := 0; m < M; m++ {
-		m := m
-		mapNodes[m] = g.node(nodeKey{nodeMap, m}, func() error {
+	maps := make([]phaseTask, M)
+	for m := range maps {
+		maps[m] = phaseTask{m, func() error {
 			res, err := runAttempted(fr, live.PhaseMap, mapAtt, m, b.mapTask)
 			if err != nil {
 				return err
@@ -274,62 +133,53 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 			res.runs = nil
 			po.mapRes[m] = res
 			return nil
-		})
+		}}
+	}
+	if err := runTasks(workers, maps); err != nil {
+		return err
 	}
 
-	redNodes := make([]*dagNode, R)
-	for i := 0; i < R; i++ {
-		i := i
-		redNodes[i] = g.node(nodeKey{nodeReduce, i}, func() error {
+	reduces := make([]phaseTask, R, R+M)
+	for i := range R {
+		reduces[i] = phaseTask{i, func() error {
 			res, err := runAttempted(fr, live.PhaseReduce, redAtt, i, b.reduce)
 			if err != nil {
 				return err
 			}
 			po.reduceRes[i] = res
 			return nil
-		})
-		for _, mn := range mapNodes {
-			g.edge(mn, redNodes[i])
-		}
+		}}
 	}
-
 	if speculate {
-		addSpeculationNodes(g, fr, live.PhaseMap, nodeSpecMap, mapNodes, po.mapRes, b.mapTask)
-		addSpeculationNodes(g, fr, live.PhaseReduce, nodeSpecReduce, redNodes, po.reduceRes, b.reduce)
+		reduces = append(reduces, speculationChecks(fr, live.PhaseMap, po.mapRes, b.mapTask)...)
 	}
-	return g.execute(workers)
+	if err := runTasks(workers, reduces); err != nil || !speculate {
+		return err
+	}
+	return runTasks(workers, speculationChecks(fr, live.PhaseReduce, po.reduceRes, b.reduce))
 }
 
-// addSpeculationNodes wires one phase's straggler pass into the graph:
-// a gate node, dependent on every task of the phase, computes the
-// straggler threshold (the quantile needs the whole phase's cost
-// distribution — the one ordering constraint speculation genuinely
-// has); then one node per task runs the speculateTask check against
-// the committed result in res. Speculation nodes have no successors —
-// a winning backup is verified to match the committed output — so
-// reduce work never waits on them.
-func addSpeculationNodes(g *taskGraph, fr *faultRuntime, phase live.Phase, np nodePhase,
-	taskNodes []*dagNode, res []TaskResult, exec func(i int) (TaskResult, error)) {
-	n := len(taskNodes)
-	if n < 2 {
-		return
-	}
-	var thr costmodel.Units
-	gate := g.node(nodeKey{np, -1}, func() error {
-		thr = quantile(taskCosts(res), defaultSpeculationQuantile)
+// speculationChecks is one phase's straggler pass, made once the phase's
+// tasks have all committed: the threshold is a quantile of the whole
+// phase's cost distribution — the one ordering constraint speculation
+// genuinely has — and each check runs speculateTask against the
+// committed result in res. Nothing waits on a check — a winning backup
+// is verified to match the committed output — so the map checks run
+// beside the reduce tasks.
+func speculationChecks(fr *faultRuntime, phase live.Phase, res []TaskResult,
+	exec func(i int) (TaskResult, error)) []phaseTask {
+	if len(res) < 2 {
 		return nil
-	})
-	for _, tn := range taskNodes {
-		g.edge(tn, gate)
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		sn := g.node(nodeKey{np, i}, func() error {
-			if thr <= 0 {
-				return nil
-			}
+	thr := quantile(taskCosts(res), defaultSpeculationQuantile)
+	if thr <= 0 {
+		return nil
+	}
+	checks := make([]phaseTask, len(res))
+	for i := range checks {
+		checks[i] = phaseTask{i, func() error {
 			return speculateTask(fr, phase, i, thr, res[i], exec)
-		})
-		g.edge(gate, sn)
+		}}
 	}
+	return checks
 }

@@ -9,99 +9,46 @@ import (
 	"os"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"proger/internal/costmodel"
 	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 )
 
-// ---- taskGraph unit tests ----
+// ---- runTasks unit tests ----
 
-// TestTaskGraphRespectsDependencies runs a diamond a→{b,c}→d many
-// times concurrently and asserts every observed completion order is a
-// topological order of the graph.
-func TestTaskGraphRespectsDependencies(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		var mu sync.Mutex
-		var order []string
-		mark := func(name string) func() error {
-			return func() error {
-				mu.Lock()
-				order = append(order, name)
-				mu.Unlock()
-				return nil
-			}
-		}
-		g := &taskGraph{}
-		a := g.node(nodeKey{nodeMap, 0}, mark("a"))
-		b := g.node(nodeKey{nodeMap, 1}, mark("b"))
-		c := g.node(nodeKey{nodeMap, 2}, mark("c"))
-		d := g.node(nodeKey{nodeReduce, 0}, mark("d"))
-		g.edge(a, b)
-		g.edge(a, c)
-		g.edge(b, d)
-		g.edge(c, d)
-		if err := g.execute(4); err != nil {
-			t.Fatal(err)
-		}
-		pos := map[string]int{}
-		for i, name := range order {
-			pos[name] = i
-		}
-		if len(pos) != 4 {
-			t.Fatalf("ran %d nodes, want 4 (order %v)", len(pos), order)
-		}
-		for _, dep := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}} {
-			if pos[dep[0]] > pos[dep[1]] {
-				t.Fatalf("node %q ran before its dependency %q (order %v)", dep[1], dep[0], order)
-			}
-		}
-	}
-}
-
-// TestTaskGraphFailureStopsDispatch: once a node fails, no
-// not-yet-dispatched node runs — including ready siblings still in the
-// queue when the failure lands (workers=1 makes that deterministic, and
-// dispatches independent nodes strictly in insertion order).
-func TestTaskGraphFailureStopsDispatch(t *testing.T) {
+// TestRunTasksFailureStopsDispatch: once a task fails, no task not yet
+// started runs — including the next one in the slice, waiting for the
+// failing task's slot (workers=1 makes that deterministic, and starts
+// tasks strictly in slice order). The next phase is never started
+// either: TestJobGraphFailureStopsLaterPhases checks that.
+func TestRunTasksFailureStopsDispatch(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		nodes    int  // independent root nodes
-		failAt   int  // the root that fails
-		joinRoot bool // add one node depending on every root
+		name   string
+		tasks  int
+		failAt int // the task that fails
 	}{
-		{name: "ready sibling and dependent", nodes: 2, failAt: 0, joinRoot: true},
-		{name: "sequential short-circuit", nodes: 100, failAt: 4},
+		{name: "ready sibling", tasks: 2, failAt: 0},
+		{name: "sequential short-circuit", tasks: 100, failAt: 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ran []int
-			g := &taskGraph{}
-			roots := make([]*dagNode, tc.nodes)
-			for i := range roots {
-				i := i
-				roots[i] = g.node(nodeKey{nodeMap, i}, func() error {
+			tasks := make([]phaseTask, tc.tasks)
+			for i := range tasks {
+				tasks[i] = phaseTask{i, func() error {
 					ran = append(ran, i)
 					if i == tc.failAt {
 						return errors.New("boom")
 					}
 					return nil
-				})
+				}}
 			}
-			if tc.joinRoot {
-				join := g.node(nodeKey{nodeReduce, 0}, func() error {
-					ran = append(ran, -1)
-					return nil
-				})
-				for _, n := range roots {
-					g.edge(n, join)
-				}
-			}
-			err := g.execute(1)
+			err := runTasks(1, tasks)
 			if err == nil || !strings.Contains(err.Error(), "boom") {
 				t.Fatalf("err = %v, want boom", err)
 			}
@@ -110,72 +57,81 @@ func TestTaskGraphFailureStopsDispatch(t *testing.T) {
 				want[i] = i
 			}
 			if !reflect.DeepEqual(ran, want) {
-				t.Errorf("ran %v, want exactly the nodes up to the failing one %v", ran, want)
+				t.Errorf("ran %v, want exactly the tasks up to the failing one %v", ran, want)
 			}
 		})
 	}
 }
 
-// TestTaskGraphPanicBecomesError: a panicking node is converted to an
+// TestRunTasksPanicBecomesError: a panicking task is converted to an
 // attributable task error, not a dead process.
-func TestTaskGraphPanicBecomesError(t *testing.T) {
-	g := &taskGraph{}
-	g.node(nodeKey{nodeMap, 7}, func() error { panic("kaboom") })
-	err := g.execute(2)
+func TestRunTasksPanicBecomesError(t *testing.T) {
+	err := runTasks(2, []phaseTask{{7, func() error { panic("kaboom") }}})
 	if err == nil || !strings.Contains(err.Error(), "task 7 panicked: kaboom") {
 		t.Fatalf("err = %v, want task-7 panic error", err)
 	}
 }
 
-// TestTaskGraphFailureOrderDeterministic: failures collected from
-// concurrently running nodes are always reported in (phase, task)
-// order, no matter which finished first.
-func TestTaskGraphFailureOrderDeterministic(t *testing.T) {
+// TestRunTasksFailureOrderDeterministic: failures collected from
+// concurrently running tasks are always reported in slice order — which
+// runJobGraph makes (phase, task) order — no matter which finished
+// first.
+func TestRunTasksFailureOrderDeterministic(t *testing.T) {
 	want := "mapreduce: map task 1 failed\nmapreduce: reduce task 0 failed"
 	for trial := 0; trial < 30; trial++ {
-		g := &taskGraph{}
-		// Both roots are ready immediately and run concurrently.
-		g.node(nodeKey{nodeReduce, 0}, func() error {
-			return errors.New("mapreduce: reduce task 0 failed")
+		// Both tasks start at once; the first returns only after the
+		// second has failed.
+		second := make(chan struct{})
+		err := runTasks(2, []phaseTask{
+			{1, func() error {
+				<-second
+				return errors.New("mapreduce: map task 1 failed")
+			}},
+			{0, func() error {
+				defer close(second)
+				return errors.New("mapreduce: reduce task 0 failed")
+			}},
 		})
-		g.node(nodeKey{nodeMap, 1}, func() error {
-			return errors.New("mapreduce: map task 1 failed")
-		})
-		err := g.execute(2)
 		if err == nil {
 			t.Fatal("no error")
 		}
 		if got := err.Error(); got != want {
-			// Both may not always fail (first failure stops dispatch only
-			// for queued nodes; these two are usually both in flight). If
-			// only one landed, it must still be a clean single error.
-			if got != "mapreduce: map task 1 failed" && got != "mapreduce: reduce task 0 failed" {
-				t.Fatalf("trial %d: err = %q", trial, got)
-			}
+			t.Fatalf("trial %d: err = %q, want %q", trial, got, want)
 		}
 	}
 }
 
-// TestTaskGraphWorkerClamp: every node runs exactly once without error,
-// at degenerate worker counts and with far more nodes than workers.
-func TestTaskGraphWorkerClamp(t *testing.T) {
-	for _, tc := range []struct{ workers, nodes int }{
+// TestRunTasksWorkerClamp: every task runs exactly once without error,
+// at degenerate worker counts and with far more tasks than workers, and
+// never more than workers at a time.
+func TestRunTasksWorkerClamp(t *testing.T) {
+	for _, tc := range []struct{ workers, tasks int }{
 		{-1, 1}, {0, 1}, {1, 1}, {100, 1}, {8, 257},
 	} {
-		var executed atomic.Int64
-		g := &taskGraph{}
-		for i := 0; i < tc.nodes; i++ {
-			g.node(nodeKey{nodeMap, i}, func() error { executed.Add(1); return nil })
+		var executed, running, peak atomic.Int64
+		tasks := make([]phaseTask, tc.tasks)
+		for i := range tasks {
+			tasks[i] = phaseTask{i, func() error {
+				n := running.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				executed.Add(1)
+				running.Add(-1)
+				return nil
+			}}
 		}
-		if err := g.execute(tc.workers); err != nil {
+		if err := runTasks(tc.workers, tasks); err != nil {
 			t.Fatalf("workers=%d: %v", tc.workers, err)
 		}
-		if got := executed.Load(); got != int64(tc.nodes) {
-			t.Fatalf("workers=%d: executed %d of %d nodes", tc.workers, got, tc.nodes)
+		if got := executed.Load(); got != int64(tc.tasks) {
+			t.Fatalf("workers=%d: executed %d of %d tasks", tc.workers, got, tc.tasks)
+		}
+		if p := peak.Load(); p > int64(max(1, tc.workers)) {
+			t.Fatalf("workers=%d: %d tasks ran at once", tc.workers, p)
 		}
 	}
-	if err := (&taskGraph{}).execute(4); err != nil {
-		t.Fatalf("empty graph: %v", err)
+	if err := runTasks(4, nil); err != nil {
+		t.Fatalf("no tasks: %v", err)
 	}
 }
 
@@ -198,8 +154,8 @@ func pipelineVariants() map[string]func(*Config) {
 // TestPipelinedMatchesBarrier: the full Result — output bytes,
 // timestamps, counters, schedule, slot assignments — must be identical
 // at every worker count to the variant's run at workers=1, for every
-// variant. (The name recalls the barriered engine the task graph was
-// once compared with; every job now runs one graph.)
+// variant. (The name recalls the barriered engine the pipelined one
+// was once compared with; every job now runs two phases.)
 func TestPipelinedMatchesBarrier(t *testing.T) {
 	for name, mutate := range pipelineVariants() {
 		run := func(workers int) (*Result, *Config) {
@@ -270,7 +226,7 @@ func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
 }
 
 // TestPipelinedTraceMatchesBarrier: the simulated-clock Chrome trace
-// export must be byte-identical across worker counts — the graph's
+// export must be byte-identical across worker counts — the runner's
 // host interleaving must leave no fingerprint on the exported timeline.
 func TestPipelinedTraceMatchesBarrier(t *testing.T) {
 	export := func(workers int) []byte {
@@ -294,7 +250,7 @@ func TestPipelinedTraceMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestPipelinedErrorPropagates: task errors surface through the graph
+// TestPipelinedErrorPropagates: task errors surface through the runner
 // with the task function's own wrapping.
 func TestPipelinedErrorPropagates(t *testing.T) {
 	cfg := wordCountConfig(4)
@@ -305,7 +261,7 @@ func TestPipelinedErrorPropagates(t *testing.T) {
 	}
 }
 
-// ---- the map → reduce edges ----
+// ---- the map → reduce barrier ----
 
 // gatedReducer blocks the first reduce task to reach Setup until
 // released — the reduce-side twin of gatedMapper.
@@ -322,7 +278,7 @@ func (r gatedReducer) Setup(*TaskContext) error {
 	return nil
 }
 
-// TestReduceWaitsForEveryMap pins the graph's one ordering: no reduce
+// TestReduceWaitsForEveryMap pins the job's one ordering: no reduce
 // body starts before the last map body returns, since every partition
 // holds a run of every map task. The gates hold a map and a reduce body
 // open while the live task table is inspected; the event log (one
@@ -400,10 +356,115 @@ func TestReduceWaitsForEveryMap(t *testing.T) {
 	}
 }
 
+// TestJobGraphPhases: runJobGraph starts a phase only once the phase
+// before it has succeeded, and runs the map speculation checks beside
+// the reduce tasks. The first attempts of map 0 and reduce 0 straggle
+// 4× (under the 8× timeout), so speculation gives each a backup
+// execution; the bodies count every execution of every task, and hook
+// runs before each one.
+func TestJobGraphPhases(t *testing.T) {
+	run := func(hook func(p live.Phase, task, exec int) error) (maps, reduces []int32, err error) {
+		cfg := wordCountConfig(2)
+		cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
+		cfg.Faults = faults.Script{
+			{Phase: live.PhaseMap, Task: 0, Attempt: 1}:    {Kind: faults.Slow, Factor: 4},
+			{Phase: live.PhaseReduce, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
+		}
+		cfg.Retry = RetryPolicy{MaxRetries: 1, Speculation: true}
+		po := newPhaseOutputs(&cfg)
+		defer func() {
+			for _, st := range po.stores {
+				st.Close()
+			}
+		}()
+		b := localBodies(&cfg, nil, splitInput(wordCountInput(), cfg.NumMapTasks), po)
+		execs := map[live.Phase][]atomic.Int32{
+			live.PhaseMap:    make([]atomic.Int32, cfg.NumMapTasks),
+			live.PhaseReduce: make([]atomic.Int32, cfg.NumReduceTasks),
+		}
+		counted := func(p live.Phase, body func(int) (TaskResult, error)) func(int) (TaskResult, error) {
+			return func(i int) (TaskResult, error) {
+				if err := hook(p, i, int(execs[p][i].Add(1))); err != nil {
+					return TaskResult{}, err
+				}
+				return body(i)
+			}
+		}
+		b.mapTask, b.reduce = counted(live.PhaseMap, b.mapTask), counted(live.PhaseReduce, b.reduce)
+		err = runJobGraph(&cfg, newFaultRuntime(&cfg), cfg.Workers, po, b)
+		load := func(p live.Phase) []int32 {
+			n := make([]int32, len(execs[p]))
+			for i := range n {
+				n[i] = execs[p][i].Load()
+			}
+			return n
+		}
+		return load(live.PhaseMap), load(live.PhaseReduce), err
+	}
+	failing := func(phase live.Phase, task int) func(live.Phase, int, int) error {
+		return func(p live.Phase, i, _ int) error {
+			if p == phase && i == task {
+				return errors.New("boom")
+			}
+			return nil
+		}
+	}
+
+	t.Run("failing map", func(t *testing.T) {
+		maps, reduces, err := run(failing(live.PhaseMap, 1))
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("err = %v, want the map failure", err)
+		}
+		if !reflect.DeepEqual(reduces, []int32{0, 0}) {
+			t.Errorf("reduce executions %v after a failed map phase, want none", reduces)
+		}
+		if maps[0] != 1 {
+			t.Errorf("map 0 ran %d times after a failed map phase, want once: its speculation check ran", maps[0])
+		}
+	})
+	t.Run("failing reduce", func(t *testing.T) {
+		_, reduces, err := run(failing(live.PhaseReduce, 1))
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("err = %v, want the reduce failure", err)
+		}
+		if reduces[0] != 1 {
+			t.Errorf("reduce 0 ran %d times after a failed reduce phase, want once: its speculation check ran", reduces[0])
+		}
+	})
+	t.Run("map speculation beside reduces", func(t *testing.T) {
+		// Reduce 0's first execution holds its slot until map 0's backup
+		// has started: a map speculation check left for after the reduce
+		// tasks would never release it.
+		backup := make(chan struct{})
+		maps, reduces, err := run(func(p live.Phase, i, exec int) error {
+			switch {
+			case p == live.PhaseMap && i == 0 && exec == 2:
+				close(backup)
+			case p == live.PhaseReduce && i == 0 && exec == 1:
+				select {
+				case <-backup:
+				case <-time.After(30 * time.Second):
+					t.Error("map 0's speculation check did not run beside the reduce tasks")
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int32{2, 1, 1}; !reflect.DeepEqual(maps, want) {
+			t.Errorf("map executions %v, want %v", maps, want)
+		}
+		if want := []int32{2, 1}; !reflect.DeepEqual(reduces, want) {
+			t.Errorf("reduce executions %v, want %v", reduces, want)
+		}
+	})
+}
+
 // TestJobGraphShuffleFailureLeavesNoSpill: when one reduce task —
 // which shuffles (merges) its own partition — exhausts its retry
 // ladder, the spill state of every partition, the one that reduced
-// successfully included, must still be settled: every graph node
+// successfully included, must still be settled: every task
 // publishes into phaseOutputs, and Run closes whatever is there. Both
 // values of the ignored Execution field must settle alike.
 func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {

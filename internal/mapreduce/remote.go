@@ -15,8 +15,8 @@ package mapreduce
 // the same value a local body returns, holding exactly the per-task
 // state phaseOutputs needs.
 //
-// Determinism: the master runs the same job-graph builder (reduce r
-// gated on every map), with the same runAttempted / speculation
+// Determinism: the master runs the same two phases (reduce r after
+// every map), with the same runAttempted / speculation
 // machinery, as local execution — only its body policy differs: its map
 // and reduce bodies dispatch over RPC instead of calling the task
 // function, and a reduce lease carries its partition's part of every
@@ -304,10 +304,10 @@ func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, spli
 	return runRemoteWorker(cfg, splits, job, runner)
 }
 
-// runRemoteMaster drives the job graph with RPC-dispatching bodies:
-// the same builder — graph shape, attempt runtime, speculation gates,
-// and pool scheduling — as local execution, so attempt histories — and
-// therefore trace bytes — match a local run with the same fault
+// runRemoteMaster runs the job's phases with RPC-dispatching bodies:
+// the same runner — phase order, attempt runtime, speculation checks,
+// and bounded concurrency — as local execution, so attempt histories —
+// and therefore trace bytes — match a local run with the same fault
 // configuration. The end-of-job broadcast is po's results as they
 // stand.
 func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {

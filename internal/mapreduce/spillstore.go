@@ -137,7 +137,7 @@ func newPartitionStore(cfg *Config, r int) *partitionStore {
 // addRun ingests map task m's pre-sorted run for this partition —
 // under a budget with its values made its own (ownValues); without one
 // as the mapper made it, copying nothing. Safe for concurrent callers
-// (pipelined map tasks commit in any order); Iter orders the runs by
+// (map tasks commit concurrently, in any order); Iter orders the runs by
 // map index. The run is published before its bytes are charged — so a
 // concurrent charge that picks this store as victim always sees a
 // spillable buffer — but stays uncharged (unspillable) until the

@@ -1,14 +1,14 @@
 package mapreduce
 
-// The task transport layer: where one job's task bodies (the job
-// graph's body policy) execute. With no transport every body runs
-// in-process; a TaskTransport (internal/dist) instead leases the
-// deterministic map and reduce bodies — identified by (job seq, phase,
-// task index); a reduce merges its own input — to worker processes,
-// while the graph builder, its channel-pool scheduler, the
-// attempt/retry/speculation runtime, and all observability stay in
-// this package and are shared verbatim between the two. That sharing
-// is the determinism argument: both placements run the same builder
+// The task transport layer: where one job's task bodies (runJobGraph's
+// body policy) execute. With no transport every body runs in-process;
+// a TaskTransport (internal/dist) instead leases the deterministic map
+// and reduce bodies — identified by (job seq, phase, task index); a
+// reduce merges its own input — to worker processes, while the
+// two-phase task runner, the attempt/retry/speculation runtime, and
+// all observability stay in this package and are shared verbatim
+// between the two. That sharing
+// is the determinism argument: both placements run the same runner
 // with the same attempt machinery, their bodies return the same
 // TaskResult and their reduce tasks read the same partitionStore, so
 // phaseOutputs — and with it Result, trace, and quality bytes — cannot

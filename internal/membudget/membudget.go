@@ -1,9 +1,11 @@
 // Package membudget implements a process-wide memory budget for the
-// out-of-core pipeline. Holders of large in-memory state (map output
-// buffers, shuffle stores, Job-1 blocking statistics) register an
+// out-of-core pipeline. Holders of large in-memory state register an
 // Account and charge it for the bytes they retain; when a charge would
 // push the total over budget, the manager forces the largest spillable
-// holders to move their bytes to disk first.
+// holders to move their bytes to disk first. The one holder is the
+// MapReduce engine's partition store (newPartitionStore in
+// internal/mapreduce): one account per reduce partition, charged for
+// the map runs it buffers, spilled by appending them to its spill file.
 //
 // Enforcement is *reservation-style*: victims spill before the new
 // bytes are recorded, so as long as no single charge exceeds the whole

@@ -1,7 +1,7 @@
 // Package live is the pipeline's *in-flight* introspection layer.
 // Where internal/obs and internal/obs/quality export artifacts after a
 // run ends, this package answers "what is the run doing right now":
-// per-task DAG node states, attempt/retry/speculation counts,
+// per-task states, attempt/retry/speculation counts,
 // memory-budget pressure (forced spills included), and an incremental
 // progressive-recall estimate — all published by the engines at atomic-
 // counter cost and readable at any instant, plus an HTTP status server
@@ -42,7 +42,7 @@ import (
 	"proger/internal/obs/quality"
 )
 
-// Phase names one engine phase of a job's task DAG, the one phase type
+// Phase names one of a job's two engine phases, the one phase type
 // of the repository: a live task row's, an injected fault's coordinate
 // (faults hashes its name), a leased task's kind (dist) and its
 // attempt history's key in the engine.
@@ -54,7 +54,7 @@ const (
 	PhaseReduce Phase = "reduce"
 )
 
-// TaskState is one DAG node's lifecycle state.
+// TaskState is one task's lifecycle state.
 type TaskState int32
 
 // Task states. Transitions only ever advance, except that a retry or
@@ -83,7 +83,7 @@ func (s TaskState) String() string {
 }
 
 // Run is the process-wide live-introspection hub: jobs register their
-// task DAGs into it, reduce tasks stream resolution progress through
+// tasks into it, reduce tasks stream resolution progress through
 // it, and the status server / progress renderer read snapshots from
 // it. Create one with NewRun; a nil *Run disables everything.
 type Run struct {
@@ -167,7 +167,7 @@ func (r *Run) Finish(err error) {
 	r.done.Store(true)
 }
 
-// StartJob registers one MapReduce job's task DAG (maps map tasks and
+// StartJob registers one MapReduce job's tasks (maps map tasks and
 // reduces reduce tasks, each reduce reading its own partition) and
 // returns its publication
 // handle. Jobs append in submission order, which is also snapshot
@@ -338,7 +338,7 @@ func (j *Job) Speculate(p Phase, task int) {
 		KV("job", j.name), KV("phase", string(p)), KV("task", task))
 }
 
-// End marks the job's DAG fully executed (or failed).
+// End marks the job's tasks fully executed (or failed).
 func (j *Job) End(err error) {
 	if j == nil {
 		return

@@ -16,7 +16,7 @@ import (
 //
 //	/healthz         liveness + run state (running/done/failed; 503 once failed)
 //	/progress        ProgressSnapshot JSON: recall-so-far, ETA in cost units
-//	/tasks           TaskRow JSON array: DAG node table with per-task skew
+//	/tasks           TaskRow JSON array: task table with per-task skew
 //	/fleet           FleetSnapshot JSON: per-worker lease ledger + telemetry
 //	/membudget       membudget.Stats JSON: live budget pressure
 //	/metrics         Prometheus text scrape of reg (live, not post-run)

@@ -122,7 +122,7 @@ func (r *Run) Progress() ProgressSnapshot {
 	return s
 }
 
-// TaskRow is one DAG node's live state for the /tasks table.
+// TaskRow is one task's live state for the /tasks table.
 type TaskRow struct {
 	Job      string `json:"job"`
 	Phase    Phase  `json:"phase"`
@@ -140,7 +140,7 @@ type TaskRow struct {
 	Skew float64 `json:"skew"`
 }
 
-// Tasks assembles the full DAG node table, jobs in submission order,
+// Tasks assembles the full task table, jobs in submission order,
 // phases map→reduce, tasks by index.
 func (r *Run) Tasks() []TaskRow {
 	if r == nil {

@@ -1,6 +1,7 @@
 // Package report renders human-readable diagnostics for pipeline runs:
-// a per-job summary (phases, task utilization, counters) and an ASCII
-// Gantt timeline of the simulated task schedule. This is the
+// a per-job summary (phases, task utilization), an ASCII Gantt timeline
+// of the simulated task schedule, and the run summary, whose metrics
+// section lists every job counter. This is the
 // operational visibility a production deployment would get from the
 // Hadoop job tracker UI.
 package report
@@ -97,22 +98,6 @@ func Timeline(res *mapreduce.Result, width int) string {
 			row[c] = '#'
 		}
 		fmt.Fprintf(&b, "  r%02d |%s|\n", i, string(row))
-	}
-	return b.String()
-}
-
-// Counters renders the counter map sorted by name.
-func Counters(c mapreduce.Counters) string {
-	var b strings.Builder
-	names := c.Names()
-	widest := 0
-	for _, n := range names {
-		if len(n) > widest {
-			widest = len(n)
-		}
-	}
-	for _, n := range names {
-		fmt.Fprintf(&b, "  %-*s %12d\n", widest, n, c.Get(n))
 	}
 	return b.String()
 }

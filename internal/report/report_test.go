@@ -84,17 +84,6 @@ func TestTimelineDegenerate(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	out := Counters(mapreduce.Counters{"zz": 5, "aa": 7})
-	if !strings.Contains(out, "aa") || !strings.Contains(out, "zz") {
-		t.Errorf("counters render: %q", out)
-	}
-	// Sorted: aa before zz.
-	if strings.Index(out, "aa") > strings.Index(out, "zz") {
-		t.Error("counters not sorted")
-	}
-}
-
 func TestTopBlocks(t *testing.T) {
 	costs := map[string]costmodel.Units{"small": 10, "big": 500, "mid": 100}
 	out := TopBlocks(costs, 2)

@@ -393,7 +393,7 @@ type QualityExport = quality.Export
 // NewQualityRecorder creates an enabled quality recorder.
 var NewQualityRecorder = quality.NewRecorder
 
-// LiveRun is the in-flight introspection hub: engines publish task DAG
+// LiveRun is the in-flight introspection hub: engines publish task
 // states, attempt/speculation counts, and streamed per-block
 // resolutions into it at low, lock-free cost, and
 // the status server reads racefree per-field-atomic snapshots back out.

@@ -71,12 +71,13 @@ echo "== bench module =="
 echo "== go test -race (fault runtime) =="
 go test -race -count=1 ./internal/mapreduce ./internal/faults
 
-# The job-graph scheduler is the most concurrency-dense code in the
-# repo (one shared pool, cross-phase interleaving, reduce inputs read
-# by several passes at once) — the map → reduce edges, the failed-run
-# settlement — so hammer all of it repeatedly under the race detector.
-echo "== go test -race (job-graph scheduler) =="
-go test -race -count=3 -run 'TaskGraph|JobGraph|Pipelined|ReduceWaitsForEveryMap|ConcurrentIter' ./internal/mapreduce
+# The task runner is the most concurrency-dense code in the repo (two
+# phases on one bounded pool, the map speculation checks beside the
+# reduce tasks, reduce inputs read by several passes at once) — the
+# map → reduce barrier, the failed-run settlement — so hammer all of it
+# repeatedly under the race detector.
+echo "== go test -race (task runner) =="
+go test -race -count=3 -run 'RunTasks|JobGraph|Pipelined|ReduceWaitsForEveryMap|ConcurrentIter' ./internal/mapreduce
 # Tasks borrow their working memory from process-wide pools, and a
 # buffer only changes hands between runs inside one process: tasks of
 # very different shapes on one stage, and whole Resolves overlapping.
