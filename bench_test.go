@@ -284,21 +284,20 @@ func BenchmarkMatcherBooks(b *testing.B) {
 // persons-exact workload: name-sorted neighbours that are not
 // duplicates, settled by the first rule that differs.
 func BenchmarkMatcherPersons(b *testing.B) {
-	ds, gt := proger.GeneratePersons(2000, 1)
-	idx := ds.Schema.Index
-	m := proger.MustMatcher(0.6,
-		proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
-		proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch},
-	)
+	w, err := experiments.Generate("persons-exact", 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, gt := w.DS, w.GT
 	nonDup := matchCase{name: "nondup"}
-	sorted := sortedBy(ds, idx("name"))
+	sorted := sortedBy(ds, ds.Schema.Index("name"))
 	for i := 0; i+1 < len(sorted); i++ {
 		if x, y := sorted[i], sorted[i+1]; !gt.IsDup(entity.MakePair(x.ID, y.ID)) {
 			nonDup.x, nonDup.y = x, y
 			break
 		}
 	}
-	benchMatch(b, m, nonDup)
+	benchMatch(b, w.Matcher, nonDup)
 }
 
 func BenchmarkDatagenPublications(b *testing.B) {

@@ -1,7 +1,7 @@
-// Command datagen generates the synthetic datasets used by this
-// reproduction (publications ≈ CiteSeerX, books ≈ OL-Books, people =
-// the paper's Table-I toy), writing the records as TSV and the ground
-// truth as an id→cluster table.
+// Command datagen generates the synthetic dataset of a workload of the
+// internal/experiments catalogue (publications ≈ CiteSeerX, books ≈
+// OL-Books, people = the paper's Table-I toy, persons), writing the
+// records as TSV and the ground truth as an id→cluster table.
 //
 // Usage:
 //
@@ -13,34 +13,24 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"proger/internal/datagen"
 	"proger/internal/entity"
+	"proger/internal/experiments"
 )
 
 func main() {
-	kind := flag.String("kind", "publications", "dataset kind: publications | books | people | persons")
+	kind := flag.String("kind", "publications", "dataset kind: "+strings.Join(experiments.Names(), " | "))
 	n := flag.Int("n", 10000, "number of entities (ignored for people)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "", "output TSV path (default stdout)")
 	truth := flag.String("truth", "", "ground-truth output path (optional)")
 	flag.Parse()
 
-	var (
-		ds *entity.Dataset
-		gt *datagen.GroundTruth
-	)
-	switch *kind {
-	case "publications":
-		ds, gt = datagen.Publications(datagen.DefaultPublications(*n, *seed))
-	case "books":
-		ds, gt = datagen.Books(datagen.DefaultBooks(*n, *seed))
-	case "people":
-		ds, gt = datagen.People()
-	case "persons":
-		ds, gt = datagen.PersonRecords(datagen.DefaultPeople(*n, *seed))
-	default:
-		log.Fatalf("datagen: unknown kind %q (want publications, books, people, or persons)", *kind)
+	wl, err := experiments.Generate(*kind, *n, *seed)
+	if err != nil {
+		log.Fatalf("datagen: %v", err)
 	}
 
 	w := os.Stdout
@@ -52,7 +42,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := entity.WriteTSV(w, ds); err != nil {
+	if err := entity.WriteTSV(w, wl.DS); err != nil {
 		log.Fatal(err)
 	}
 	if *truth != "" {
@@ -61,10 +51,10 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		if err := datagen.WriteGroundTruth(f, gt); err != nil {
+		if err := datagen.WriteGroundTruth(f, wl.GT); err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "datagen: %d entities, %d clusters, %d true duplicate pairs\n",
-		ds.Len(), len(gt.Clusters), gt.NumDupPairs())
+		wl.DS.Len(), len(wl.GT.Clusters), wl.GT.NumDupPairs())
 }

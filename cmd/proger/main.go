@@ -34,6 +34,7 @@ import (
 	"proger/internal/costmodel"
 	"proger/internal/datagen"
 	"proger/internal/dist"
+	"proger/internal/experiments"
 	"proger/internal/report"
 )
 
@@ -48,7 +49,7 @@ func main() {
 	log.SetPrefix("proger: ")
 
 	input := flag.String("input", "", "input dataset TSV (mutually exclusive with -generate)")
-	generate := flag.String("generate", "", "generate a synthetic dataset: publications | books | people | persons")
+	generate := flag.String("generate", "", "generate a synthetic workload: "+strings.Join(experiments.Names(), " | "))
 	n := flag.Int("n", 10000, "entities to generate")
 	seed := flag.Int64("seed", 1, "generator seed")
 	truthPath := flag.String("truth", "", "ground-truth TSV for recall reporting")
@@ -188,9 +189,8 @@ func main() {
 		metrics = proger.NewMetricsRegistry()
 	}
 
-	ds, gt := loadDataset(*input, *generate, *n, *seed, *truthPath)
-	fams := buildFamilies(ds, blocks, *generate)
-	matcher := buildMatcher(ds, rules, *threshold, *generate)
+	wl := loadWorkload(*input, *generate, *n, *seed, *truthPath, blocks, rules, *threshold, !*basic)
+	ds, gt := wl.DS, wl.GT
 	mechanism := pickMechanism(*mech)
 
 	elog.Emit(proger.EventRunStart,
@@ -262,8 +262,8 @@ func main() {
 	}
 	if *basic {
 		res, err = proger.ResolveBasic(ds, proger.BasicOptions{
-			Families:         fams,
-			Matcher:          matcher,
+			Families:         wl.Fams,
+			Matcher:          wl.Matcher,
 			Mechanism:        mechanism,
 			Window:           *window,
 			PopcornThreshold: *popcorn,
@@ -272,24 +272,17 @@ func main() {
 			Host:             host,
 		})
 	} else {
-		opts := proger.Options{
-			Families:        fams,
-			Matcher:         matcher,
+		res, err = proger.Resolve(ds, proger.Options{
+			Families:        wl.Fams,
+			Matcher:         wl.Matcher,
 			Mechanism:       mechanism,
-			Policy:          pickPolicy(*generate),
+			Policy:          wl.Policy,
+			DupModel:        wl.Model,
 			Machines:        *machines,
 			SlotsPerMachine: *slots,
 			Scheduler:       pickScheduler(*scheduler),
 			Host:            host,
-		}
-		if gt != nil {
-			// Train the duplicate model on a disjoint sample when the
-			// workload is synthetic (we can regenerate with a new seed).
-			if tds, tgt := trainSet(*generate, *n, *seed); tds != nil {
-				opts.DupModel = proger.TrainDupModel(tds, tgt, buildFamilies(tds, blocks, *generate))
-			}
-		}
-		res, err = proger.Resolve(ds, opts)
+		})
 	}
 	lvRun.Finish(err)
 	renderer.Stop()
@@ -378,7 +371,14 @@ func main() {
 	}
 }
 
-func loadDataset(input, generate string, n int, seed int64, truthPath string) (*proger.Dataset, *proger.GroundTruth) {
+// loadWorkload reads -input (and -truth), resolved with the CiteSeerX
+// policy and the analytic model, or generates the catalogue workload
+// -generate names; then -block and -rule replace its families and
+// matcher. train trains the catalogue's model, if it has one, for the
+// families the run uses.
+func loadWorkload(input, generate string, n int, seed int64, truthPath string, blocks, rules stringList, threshold float64, train bool) *experiments.Workload {
+	w := &experiments.Workload{Policy: proger.CiteSeerXPolicy()}
+	var err error
 	switch {
 	case input != "" && generate != "":
 		log.Fatal("-input and -generate are mutually exclusive")
@@ -388,61 +388,44 @@ func loadDataset(input, generate string, n int, seed int64, truthPath string) (*
 			log.Fatal(err)
 		}
 		defer f.Close()
-		ds, err := proger.ReadTSV(f)
-		if err != nil {
+		if w.DS, err = proger.ReadTSV(f); err != nil {
 			log.Fatal(err)
 		}
-		var gt *proger.GroundTruth
 		if truthPath != "" {
 			tf, err := os.Open(truthPath)
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer tf.Close()
-			if gt, err = datagen.ReadGroundTruth(tf); err != nil {
+			if w.GT, err = datagen.ReadGroundTruth(tf); err != nil {
 				log.Fatal(err)
 			}
 		}
-		return ds, gt
-	case generate == "publications":
-		ds, gt := proger.GeneratePublications(n, seed)
-		return ds, gt
-	case generate == "books":
-		ds, gt := proger.GenerateBooks(n, seed)
-		return ds, gt
-	case generate == "people":
-		ds, gt := proger.GeneratePeople()
-		return ds, gt
-	case generate == "persons":
-		ds, gt := datagen.PersonRecords(datagen.DefaultPeople(n, seed))
-		return ds, gt
-	}
-	log.Fatal("need -input FILE or -generate publications|books|people|persons")
-	return nil, nil
-}
-
-func buildFamilies(ds *proger.Dataset, blocks stringList, generate string) proger.Families {
-	if len(blocks) == 0 {
-		switch generate {
-		case "publications":
-			return proger.CiteSeerXFamilies(ds.Schema)
-		case "books":
-			return proger.OLBooksFamilies(ds.Schema)
-		case "people":
-			return proger.Families{
-				{Name: "X", Attr: 0, PrefixLens: []int{2, 3, 5}, Index: 1},
-				{Name: "Y", Attr: 1, PrefixLens: []int{2}, Index: 2},
-			}
-		case "persons":
-			idx := ds.Schema.Index
-			return proger.Families{
-				{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
-				{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
-				{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
-			}
+	case generate != "":
+		if w, err = experiments.Generate(generate, n, seed); err != nil {
+			log.Fatal(err)
 		}
+	default:
+		log.Fatalf("need -input FILE or -generate %s", strings.Join(experiments.Names(), "|"))
+	}
+	if len(blocks) > 0 {
+		w.Fams = buildFamilies(w.DS, blocks)
+	} else if w.Fams == nil {
 		log.Fatal("custom datasets need at least one -block attr:len1,len2,...")
 	}
+	if len(rules) > 0 {
+		w.Matcher = buildMatcher(w.DS, rules, threshold)
+	} else if w.Matcher == nil {
+		log.Fatal("custom datasets need at least one -rule attr:kind:weight")
+	}
+	if train && generate != "" {
+		w.Train(n, seed)
+	}
+	return w
+}
+
+// buildFamilies parses -block specs against ds's schema.
+func buildFamilies(ds *proger.Dataset, blocks stringList) proger.Families {
 	fams := make(proger.Families, 0, len(blocks))
 	for i, spec := range blocks {
 		attr, rest, ok := strings.Cut(spec, ":")
@@ -487,43 +470,8 @@ func buildFamilies(ds *proger.Dataset, blocks stringList, generate string) proge
 	return fams
 }
 
-func buildMatcher(ds *proger.Dataset, rules stringList, threshold float64, generate string) *proger.Matcher {
-	if len(rules) == 0 {
-		switch generate {
-		case "publications":
-			return proger.MustMatcher(0.75,
-				proger.Rule{Attr: ds.Schema.Index("title"), Weight: 0.5, Kind: proger.EditDistance},
-				proger.Rule{Attr: ds.Schema.Index("abstract"), Weight: 0.3, Kind: proger.EditDistance, MaxChars: 350},
-				proger.Rule{Attr: ds.Schema.Index("venue"), Weight: 0.2, Kind: proger.EditDistance},
-			)
-		case "books":
-			idx := ds.Schema.Index
-			return proger.MustMatcher(0.62,
-				proger.Rule{Attr: idx("title"), Weight: 0.35, Kind: proger.EditDistance},
-				proger.Rule{Attr: idx("authors"), Weight: 0.25, Kind: proger.EditDistance},
-				proger.Rule{Attr: idx("publisher"), Weight: 0.10, Kind: proger.EditDistance},
-				proger.Rule{Attr: idx("year"), Weight: 0.08, Kind: proger.ExactMatch},
-				proger.Rule{Attr: idx("language"), Weight: 0.06, Kind: proger.ExactMatch},
-				proger.Rule{Attr: idx("format"), Weight: 0.05, Kind: proger.ExactMatch},
-				proger.Rule{Attr: idx("pages"), Weight: 0.05, Kind: proger.ExactMatch},
-				proger.Rule{Attr: idx("edition"), Weight: 0.06, Kind: proger.ExactMatch},
-			)
-		case "people":
-			return proger.MustMatcher(0.75,
-				proger.Rule{Attr: 0, Weight: 0.8, Kind: proger.EditDistance},
-				proger.Rule{Attr: 1, Weight: 0.2, Kind: proger.EditDistance},
-			)
-		case "persons":
-			idx := ds.Schema.Index
-			return proger.MustMatcher(0.78,
-				proger.Rule{Attr: idx("name"), Weight: 0.55, Kind: proger.EditDistance},
-				proger.Rule{Attr: idx("city"), Weight: 0.20, Kind: proger.EditDistance},
-				proger.Rule{Attr: idx("state"), Weight: 0.10, Kind: proger.ExactMatch},
-				proger.Rule{Attr: idx("phone"), Weight: 0.15, Kind: proger.ExactMatch},
-			)
-		}
-		log.Fatal("custom datasets need at least one -rule attr:kind:weight")
-	}
+// buildMatcher parses -rule specs against ds's schema.
+func buildMatcher(ds *proger.Dataset, rules stringList, threshold float64) *proger.Matcher {
 	parsed := make([]proger.Rule, 0, len(rules))
 	for _, spec := range rules {
 		parts := strings.Split(spec, ":")
@@ -617,29 +565,6 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("bad -mem-budget %q: more bytes than an int64 holds", s)
 	}
 	return v * mult, nil
-}
-
-func pickPolicy(generate string) proger.Policy {
-	if generate == "books" {
-		return proger.OLBooksPolicy()
-	}
-	return proger.CiteSeerXPolicy()
-}
-
-func trainSet(generate string, n int, seed int64) (*proger.Dataset, *proger.GroundTruth) {
-	tn := n / 4
-	if tn < 500 {
-		tn = 500
-	}
-	switch generate {
-	case "publications":
-		ds, gt := proger.GeneratePublications(tn, seed+100000)
-		return ds, gt
-	case "books":
-		ds, gt := proger.GenerateBooks(tn, seed+100000)
-		return ds, gt
-	}
-	return nil, nil
 }
 
 func printReport(res *proger.Result) {

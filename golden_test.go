@@ -78,26 +78,15 @@ func TestMatchKernelKeepsResolveBytes(t *testing.T) {
 	}
 }
 
-// personsOptions is the configuration of the benchmark's persons-exact
-// workload on a smaller cluster: Soundex and prefix families, exact
-// rules, SN.
-func personsOptions(ds *proger.Dataset) core.Options {
-	idx := ds.Schema.Index
-	return core.Options{
-		Families: proger.Families{
-			{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
-			{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
-			{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
-		},
-		Matcher: proger.MustMatcher(0.6,
-			proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
-			proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch},
-		),
-		Mechanism:       mechanism.SN{},
-		Policy:          proger.CiteSeerXPolicy(),
-		Machines:        4,
-		SlotsPerMachine: 2,
+// persons is the benchmark's persons-exact workload on n entities from
+// seed, resolved on a smaller cluster: Soundex and prefix families,
+// exact rules, SN.
+func persons(t testing.TB, n int, seed int64) (*proger.Dataset, core.Options) {
+	w, err := experiments.Generate("persons-exact", n, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return w.DS, workloadOptions(w, w.Mech)
 }
 
 // TestRecordPathKeepsResolveBytes pins the Job-2 record path — sequence
@@ -108,8 +97,8 @@ func personsOptions(ds *proger.Dataset) core.Options {
 // shape of the benchmark's persons-exact workload (Soundex and prefix
 // families, exact rules, SN).
 func TestRecordPathKeepsResolveBytes(t *testing.T) {
-	ds, _ := proger.GeneratePersons(5000, 3)
-	res, err := core.Resolve(ds, personsOptions(ds))
+	ds, opts := persons(t, 5000, 3)
+	res, err := core.Resolve(ds, opts)
 	if err != nil {
 		t.Fatalf("persons/SN: Resolve: %v", err)
 	}
@@ -155,8 +144,7 @@ const resolveAllocBytesCeiling = 4_000_000
 // a change allocates more for a reason, record the new figure here with
 // the reason in the commit.
 func TestResolveAllocBudget(t *testing.T) {
-	ds, _ := proger.GeneratePersons(2000, 3)
-	opts := personsOptions(ds)
+	ds, opts := persons(t, 2000, 3)
 	opts.Workers = 1
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := core.Resolve(ds, opts); err != nil {
@@ -203,9 +191,9 @@ func TestResolveAllocBudget(t *testing.T) {
 // the check that a buffer is never put back while something can still
 // reach it.
 func TestConcurrentResolvesShareNothing(t *testing.T) {
-	persons, _ := proger.GeneratePersons(3000, 5)
-	fewPersons, _ := proger.GeneratePersons(400, 6)
-	noDedup := personsOptions(persons)
+	many, manyOpts := persons(t, 3000, 5)
+	few, fewOpts := persons(t, 400, 6)
+	noDedup := manyOpts
 	noDedup.DisableRedundancyElimination = true
 	books := experiments.BooksWorkload(1200, 4)
 	pubs := experiments.PublicationsWorkload(500, 4)
@@ -215,9 +203,9 @@ func TestConcurrentResolvesShareNothing(t *testing.T) {
 		opts core.Options
 		want string
 	}{
-		{name: "persons/SN", ds: persons, opts: personsOptions(persons)},
-		{name: "persons/SN/no dedup", ds: persons, opts: noDedup},
-		{name: "few persons/SN", ds: fewPersons, opts: personsOptions(fewPersons)},
+		{name: "persons/SN", ds: many, opts: manyOpts},
+		{name: "persons/SN/no dedup", ds: many, opts: noDedup},
+		{name: "few persons/SN", ds: few, opts: fewOpts},
 		{name: "books/PSNM", ds: books.DS, opts: workloadOptions(books, mechanism.PSNM{})},
 		{name: "books/Hierarchy", ds: books.DS, opts: workloadOptions(books, mechanism.Hierarchy{})},
 		{name: "publications/SN", ds: pubs.DS, opts: workloadOptions(pubs, mechanism.SN{})},

@@ -147,6 +147,8 @@ type Histogram struct {
 	counts []uint64 // len(bounds)+1; counts[len(bounds)] is +Inf
 	sum    float64
 	n      uint64
+	// min and max are the extreme observations: Quantile's outer edges.
+	min, max float64
 }
 
 // Observe records one observation.
@@ -158,6 +160,12 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
 	h.counts[i]++
 	h.sum += v
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	h.mu.Unlock()
 }
@@ -196,13 +204,15 @@ type GaugeValue struct {
 
 // HistogramValue is one histogram in a snapshot. Counts are per-bucket
 // (not cumulative); Bounds[i] is bucket i's upper bound and the last
-// Counts entry is the +Inf bucket.
+// Counts entry is the +Inf bucket. Min and Max are the extreme
+// observations (0 when empty).
 type HistogramValue struct {
-	Name   string
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
+	Name     string
+	Bounds   []float64
+	Counts   []uint64
+	Sum      float64
+	Count    uint64
+	Min, Max float64
 }
 
 // Mean returns the mean observation, or 0 when empty.
@@ -215,41 +225,40 @@ func (h HistogramValue) Mean() float64 {
 
 // Quantile estimates the q-quantile (q in [0,1]) from the bucket
 // counts, interpolating linearly within the containing bucket
-// (Prometheus histogram_quantile semantics). The first bucket
-// interpolates from 0; an answer in the +Inf bucket is clamped to the
-// last finite bound. Returns 0 when the histogram is empty.
+// (Prometheus histogram_quantile semantics) narrowed to the observed
+// range: a bucket spans [max(lower bound, Min), min(upper bound, Max)],
+// so every answer lies in [Min, Max], q = 0 is Min, q = 1 is Max and an
+// answer in the +Inf bucket is at most Max. Returns 0 when the
+// histogram is empty.
 func (h HistogramValue) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
+	if h.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	rank := q * float64(h.Count)
 	cum := uint64(0)
 	for i, c := range h.Counts {
+		if c == 0 {
+			continue
+		}
 		cum += c
 		if float64(cum) < rank {
 			continue
 		}
-		if i >= len(h.Bounds) {
-			// +Inf bucket: no finite upper edge to interpolate toward.
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
+		lo, hi := h.Min, h.Max
 		if i > 0 {
-			lo = h.Bounds[i-1]
+			lo = max(lo, h.Bounds[i-1])
 		}
-		hi := h.Bounds[i]
-		if c == 0 {
+		if i < len(h.Bounds) {
+			hi = min(hi, h.Bounds[i])
+		}
+		f := (rank - float64(cum-c)) / float64(c)
+		if f >= 1 {
 			return hi
 		}
-		within := rank - float64(cum-c)
-		return lo + (hi-lo)*within/float64(c)
+		return min(lo+(hi-lo)*f, hi)
 	}
-	return h.Bounds[len(h.Bounds)-1]
+	return h.Max
 }
 
 // Snapshot is a point-in-time copy of the registry, each section
@@ -282,6 +291,8 @@ func (r *Registry) Snapshot() Snapshot {
 			Counts: append([]uint64(nil), h.counts...),
 			Sum:    h.sum,
 			Count:  h.n,
+			Min:    h.min,
+			Max:    h.max,
 		}
 		h.mu.Unlock()
 		s.Histograms = append(s.Histograms, hv)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -82,24 +83,26 @@ func TestHistogramQuantiles(t *testing.T) {
 		Counts: []uint64{0, 2, 0, 0},
 		Sum:    12,
 		Count:  2,
+		Min:    2,
+		Max:    10,
 	}
 	if got := hv.Mean(); got != 6 {
 		t.Errorf("Mean = %v, want 6", got)
 	}
-	if got := hv.Quantile(0.5); got != 5.5 {
-		t.Errorf("p50 = %v, want 5.5", got)
+	if got := hv.Quantile(0.5); got != 6 {
+		t.Errorf("p50 = %v, want 6 (half way across the observed [2, 10])", got)
 	}
-	if got := hv.Quantile(0); got != 1 {
-		t.Errorf("p0 = %v, want 1 (lower edge of first occupied bucket)", got)
+	if got := hv.Quantile(0); got != 2 {
+		t.Errorf("p0 = %v, want 2 (the smallest observation)", got)
 	}
 	if got := hv.Quantile(1); got != 10 {
 		t.Errorf("p100 = %v, want 10", got)
 	}
 
-	// +Inf-bucket observations clamp to the last finite bound.
-	inf := HistogramValue{Bounds: []float64{1}, Counts: []uint64{0, 3}, Count: 3}
-	if got := inf.Quantile(0.99); got != 1 {
-		t.Errorf("+Inf-bucket quantile = %v, want 1", got)
+	// +Inf-bucket observations interpolate up to the largest one.
+	inf := HistogramValue{Bounds: []float64{1}, Counts: []uint64{0, 3}, Count: 3, Min: 5, Max: 9}
+	if got := inf.Quantile(1); got != 9 {
+		t.Errorf("+Inf-bucket p100 = %v, want 9", got)
 	}
 
 	// Empty histogram.
@@ -109,5 +112,38 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if got := empty.Mean(); got != 0 {
 		t.Errorf("empty mean = %v, want 0", got)
+	}
+}
+
+// TestQuantilesStayInTheObservedRange: over random observation sets
+// spread across decade buckets and past the last bound, every
+// Quantile(q) of a registry histogram's snapshot lies in [min, max],
+// q = 0 is the smallest observation and q = 1 the largest.
+func TestQuantilesStayInTheObservedRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		r := NewRegistry()
+		h := r.Histogram("h")
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := rng.Intn(20) + 1; i > 0; i-- {
+			v := math.Pow(10, rng.Float64()*9-2) // 0.01 .. 1e7, past DefaultBuckets' last bound
+			if rng.Intn(4) == 0 {
+				v = float64(rng.Intn(5) * 100) // exact bounds, repeats, zero
+			}
+			h.Observe(v)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		hv := r.Snapshot().Histograms[0]
+		if got := hv.Quantile(0); got != lo {
+			t.Fatalf("round %d: p0 = %v, smallest observation %v", round, got, lo)
+		}
+		if got := hv.Quantile(1); got != hi {
+			t.Fatalf("round %d: p100 = %v, largest observation %v", round, got, hi)
+		}
+		for q := 0.0; q <= 1; q += 0.01 {
+			if got := hv.Quantile(q); got < lo || got > hi {
+				t.Fatalf("round %d: Quantile(%v) = %v outside [%v, %v]", round, q, got, lo, hi)
+			}
+		}
 	}
 }

@@ -61,7 +61,7 @@ func TestWriteRunSummary(t *testing.T) {
 		"1 counters, 1 gauges, 1 histograms",
 		"job.records", "42",
 		"job.end", "20.0",
-		"job.task_cost: n=2 mean=6.0 p50=5.5", "p99=9.9",
+		"job.task_cost: n=2 mean=6.0 p50=6.0", "p99=7.0", // observations 5 and 7: no quantile past 7
 		"membudget: 1048576 B cap, peak 786432 B (75%), charged 4194304 B",
 		"forced spills 3 (2097152 B spilled to disk)",
 		"fleet: 2 workers (1 alive, 1 dead)",

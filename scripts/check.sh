@@ -2,9 +2,10 @@
 # The repo's standard verification gate, which `make check` runs:
 # gofmt cleanliness, go vet (plus staticcheck when installed), a
 # telemetry-key lint, full build, the bench module's vet and quick
-# suite, the race-enabled test suite, a short run of every fuzz target,
-# and the bounded-memory, live, fleet and Basic-baseline smokes. Run
-# from the repo root.
+# suite, the race-enabled test suite with the whole-pipeline oracle, a
+# short run of every fuzz target, and the bounded-memory (publications
+# and persons-exact), live, fleet and Basic-baseline smokes. Run from
+# the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -84,6 +85,12 @@ go test -race -count=3 -run 'RunTasks|JobGraph|Pipelined|ReduceWaitsForEveryMap|
 go test -race -count=5 -run 'StageReuseAcrossTaskShapes' ./internal/mapreduce
 go test -race -count=5 -run 'ConcurrentResolvesShareNothing' .
 
+# The whole-pipeline oracle (internal/core/oracle_test.go): whole
+# Resolves on its fixed seed list, held to a reference resolver written
+# from the paper's definitions, under the race detector.
+echo "== go test -race (oracle) =="
+go test -race -count=1 -run '^TestOracle$' ./internal/core
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -158,6 +165,21 @@ cmp "$smoke/base-quality.json" "$smoke/budget-quality.json" || {
 grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
     echo "64K budget forced no spills — the smoke test is not exercising out-of-core paths"
     exit 1; }
+
+# The same gate on the benchmark's persons-spill shape (persons-exact:
+# Soundex blocking, exact rules, no similarity kernel) under the same
+# budget: byte-identical pairs and quality telemetry, and real spills.
+echo "== persons-exact bounded-memory smoke =="
+persons="go run ./cmd/proger -generate persons-exact -n 3000 -machines 4"
+$persons -out "$smoke/pbase.tsv" -quality-out "$smoke/pbase-quality.json" 2>/dev/null
+$persons -mem-budget 64K -spill-dir "$smoke" -metrics-out "$smoke/pbudget.prom" \
+    -out "$smoke/pbudget.tsv" -quality-out "$smoke/pbudget-quality.json" 2>/dev/null
+cmp "$smoke/pbase.tsv" "$smoke/pbudget.tsv" || {
+    echo "persons-exact bounded-memory run changed the duplicate pairs"; exit 1; }
+cmp "$smoke/pbase-quality.json" "$smoke/pbudget-quality.json" || {
+    echo "persons-exact bounded-memory run changed the quality telemetry"; exit 1; }
+grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/pbudget.prom" || {
+    echo "persons-exact 64K budget forced no spills"; exit 1; }
 
 # Distributed-transport smoke: the same workload run single-process and
 # across real OS processes (master + 2 forked workers) must produce

@@ -1,5 +1,5 @@
-// Command profile runs Resolve on a benchmark driver workload's inputs (bench/workloads.go: pubs and books from the same
-// experiments constructors, persons restated), writes cpu.pprof and allocs.pprof and prints, per operation, wall and CPU
+// Command profile runs Resolve on a benchmark driver workload's inputs (the internal/experiments catalogue's workloads that
+// bench/workloads.go runs as pubs-local, books-local and persons-exact), writes cpu.pprof and allocs.pprof and prints, per operation, wall and CPU
 // milliseconds and the collector's share of that CPU, MiB allocated (and bytes per input entity), mallocs and cycles,
 // plus GCCPUFraction and VmHWM.
 package main
@@ -46,38 +46,22 @@ func cpuSeconds() (used, gc float64) {
 	return s[0].Value.Float64() - s[1].Value.Float64(), s[2].Value.Float64()
 }
 
-// persons is persons-exact's input. It must match the persons function
-// of bench/workloads.go, which defines it: Soundex + city + state
-// blocking, phone and state compared exactly, no trained model.
-func persons() *experiments.Workload {
-	ds, gt := proger.GeneratePersons(50000, 1)
-	idx := ds.Schema.Index
-	return &experiments.Workload{
-		Name: "persons", DS: ds, GT: gt, Mech: proger.SN, Policy: proger.CiteSeerXPolicy(),
-		Fams: proger.Families{
-			{Name: "S", Attr: idx("name"), PrefixLens: []int{1, 2, 4}, Index: 1, Kind: proger.KeySoundex},
-			{Name: "C", Attr: idx("city"), PrefixLens: []int{3, 5}, Index: 2},
-			{Name: "T", Attr: idx("state"), PrefixLens: []int{2}, Index: 3},
-		},
-		Matcher: proger.MustMatcher(0.6,
-			proger.Rule{Attr: idx("phone"), Weight: 0.6, Kind: proger.ExactMatch},
-			proger.Rule{Attr: idx("state"), Weight: 0.4, Kind: proger.ExactMatch}),
-	}
-}
+// profiled names each workload by its benchmark shorthand: its catalogue name and size.
+var profiled = map[string]struct {
+	name string
+	n    int
+}{"persons": {"persons-exact", 50000}, "books": {"books", 10000}, "pubs": {"publications", 5000}}
 
 func main() {
 	workload := flag.String("workload", "persons", "persons, books or pubs")
 	n := flag.Int("n", 15, "Resolve operations to run")
 	flag.Parse()
-	build, ok := map[string]func() *experiments.Workload{
-		"persons": persons,
-		"books":   func() *experiments.Workload { return experiments.BooksWorkload(10000, 1) },
-		"pubs":    func() *experiments.Workload { return experiments.PublicationsWorkload(5000, 1) },
-	}[*workload]
+	p, ok := profiled[*workload]
 	if !ok {
 		log.Fatalf("profile: unknown workload %q (want persons, books or pubs)", *workload)
 	}
-	w := build()
+	w := must(experiments.Generate(p.name, p.n, 1))
+	w.Train(p.n, 1)
 	o := proger.Options{Families: w.Fams, Matcher: w.Matcher, Mechanism: w.Mech, Policy: w.Policy, DupModel: w.Model, Machines: 10, SlotsPerMachine: 2}
 	dir := must(os.MkdirTemp("", "proger-profile-"))
 	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
