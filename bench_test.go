@@ -5,16 +5,20 @@
 // headline quality metric alongside ns/op, so `go test -bench=.`
 // doubles as a reproduction run:
 //
+//	BenchmarkFig1     — progressive vs incremental vs traditional ER
 //	BenchmarkFig8     — ours vs Basic (popcorn thresholds, w ∈ {5,15})
 //	BenchmarkTable3   — final recall / total time per Basic threshold
 //	BenchmarkFig9     — tree schedulers (ours vs NoSplit vs LPT)
 //	BenchmarkFig10    — entities-per-machine sweep (books, PSNM)
 //	BenchmarkFig11    — recall speedup vs machine count
+//	BenchmarkAblation — mechanisms and components ablated
 //
+// Each runs its entry of experiments.Catalogue.
 // Larger (paper-scale-shaped) runs: use cmd/experiments with -entities.
 package proger_test
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -50,69 +54,61 @@ func qtyOf(f *experiments.Figure, label string) float64 {
 	return 0
 }
 
-func BenchmarkFig8(b *testing.B) {
-	var lastOurs, lastBasicF float64
+// runExperiment runs the catalogue entry name with cfg b.N times and
+// returns the last Output.
+func runExperiment(b *testing.B, name string, cfg experiments.Config) *experiments.Output {
+	var e *experiments.Experiment
+	for i := range experiments.Catalogue {
+		if experiments.Catalogue[i].Name == name {
+			e = &experiments.Catalogue[i]
+		}
+	}
+	if e == nil {
+		b.Fatalf("no experiment %q in the catalogue", name)
+	}
+	var out *experiments.Output
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Fig8Config{Entities: 2000, Seed: 81, Machines: 5, GridPoints: 10})
-		if err != nil {
+		var err error
+		if out, err = e.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		lastOurs = qtyOf(res.Left, "Our Approach")
-		lastBasicF = qtyOf(res.Left, "Basic F")
 	}
-	b.ReportMetric(lastOurs, "qty-ours")
-	b.ReportMetric(lastBasicF, "qty-basicF")
+	return out
+}
+
+func BenchmarkFig8(b *testing.B) {
+	left := runExperiment(b, "fig8", experiments.Config{Entities: 2000, Seed: 81, Machines: []int{5}, GridPoints: 10}).Figures[0]
+	b.ReportMetric(qtyOf(left, "Our Approach"), "qty-ours")
+	b.ReportMetric(qtyOf(left, "Basic F"), "qty-basicF")
 }
 
 func BenchmarkTable3(b *testing.B) {
-	var finalRecall float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(experiments.Fig8Config{Entities: 2000, Seed: 81, Machines: 5, GridPoints: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.TableIII.Rows) == 0 {
-			b.Fatal("empty Table III")
-		}
-		finalRecall = qtyOf(res.Left, "Our Approach")
+	out := runExperiment(b, "fig8", experiments.Config{Entities: 2000, Seed: 81, Machines: []int{5}, GridPoints: 8})
+	if len(out.Tables[0].Rows) == 0 {
+		b.Fatal("empty Table III")
 	}
-	b.ReportMetric(finalRecall, "qty-ours")
+	b.ReportMetric(qtyOf(out.Figures[0], "Our Approach"), "qty-ours")
 }
 
 func BenchmarkFig9(b *testing.B) {
-	var ours, lpt float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(experiments.Fig9Config{Entities: 1500, Seed: 9, Machines: []int{6}, GridPoints: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ours = qtyOf(res.SubFigures[0], "Our Algorithm")
-		lpt = qtyOf(res.SubFigures[0], "LPT")
-	}
-	b.ReportMetric(ours, "qty-ours")
-	b.ReportMetric(lpt, "qty-lpt")
+	fig := runExperiment(b, "fig9", experiments.Config{Entities: 1500, Seed: 9, Machines: []int{6}, GridPoints: 10}).Figures[0]
+	b.ReportMetric(qtyOf(fig, "Our Algorithm"), "qty-ours")
+	b.ReportMetric(qtyOf(fig, "LPT"), "qty-lpt")
 }
 
 func BenchmarkFig10(b *testing.B) {
-	var ours float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(experiments.Fig10Config{Entities: 2500, Seed: 10, Machines: []int{4}, GridPoints: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ours = qtyOf(res.SubFigures[0], "Our Approach")
-	}
-	b.ReportMetric(ours, "qty-ours")
+	fig := runExperiment(b, "fig10", experiments.Config{Entities: 2500, Seed: 10, Machines: []int{4}, GridPoints: 10}).Figures[0]
+	b.ReportMetric(qtyOf(fig, "Our Approach"), "qty-ours")
 }
 
 func BenchmarkFig11(b *testing.B) {
+	table := runExperiment(b, "fig11", experiments.Config{Entities: 2000, Seed: 11, Machines: []int{4, 12}}).Tables[0]
+	// The speedup of recall 0.6 at 12 machines: 0 when unreached.
 	var speedup float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(experiments.Fig11Config{Entities: 2000, Seed: 11, Machines: []int{4, 12}, Recalls: []float64{0.3, 0.6}})
-		if err != nil {
-			b.Fatal(err)
+	for _, row := range table.Rows {
+		if row[0] == "0.6" {
+			fmt.Sscan(row[2], &speedup)
 		}
-		speedup = res.Speedup[1][1]
 	}
 	b.ReportMetric(speedup, "speedup@0.6")
 }
@@ -338,9 +334,9 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 		for _, t := range trees {
 			est.EstimateTree(t)
 		}
-		cv := sched.AutoCostVector(trees, 10, 6)
+		cv := sched.AutoCostVector(trees, 10, sched.CostPoints)
 		if _, err := sched.Generate(trees, sched.Config{
-			R: 10, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Estimator: est,
+			R: 10, CostVector: cv, Weights: sched.LinearWeights(len(cv)), Batch: sched.SplitBatch, Estimator: est,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -388,15 +384,8 @@ func BenchmarkResolveBasic(b *testing.B) {
 }
 
 func BenchmarkFig1(b *testing.B) {
-	var q float64
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig1(experiments.Fig1Config{Entities: 1500, Seed: 1, Machines: 5, GridPoints: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		q = qtyOf(fig, "Progressive (ours)")
-	}
-	b.ReportMetric(q, "qty-progressive")
+	fig := runExperiment(b, "fig1", experiments.Config{Entities: 1500, Seed: 1, Machines: []int{5}, GridPoints: 10}).Figures[0]
+	b.ReportMetric(qtyOf(fig, "Progressive (ours)"), "qty-progressive")
 }
 
 func BenchmarkMechanismSN(b *testing.B) {
@@ -444,13 +433,6 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 }
 
 func BenchmarkAblation(b *testing.B) {
-	var full float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Ablation(experiments.AblationConfig{Entities: 1200, Seed: 42, Machines: 4, GridPoints: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		full = qtyOf(res.Components, "Full approach")
-	}
-	b.ReportMetric(full, "qty-full")
+	components := runExperiment(b, "ablation", experiments.Config{Entities: 1200, Seed: 42, Machines: []int{4}, GridPoints: 8}).Figures[1]
+	b.ReportMetric(qtyOf(components, "Full approach"), "qty-full")
 }

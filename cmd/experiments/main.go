@@ -4,14 +4,12 @@
 //
 // Usage:
 //
-//	experiments fig1   [-entities 4000] [-machines 10]
-//	experiments fig8   [-entities 4000] [-machines 10] [-seed 8]
-//	experiments table3 [-entities 4000] [-machines 10]
-//	experiments fig9   [-entities 4000] [-machines 10,15,20]
-//	experiments fig10  [-entities 6000] [-machines 20,10,5]
-//	experiments fig11  [-entities 6000] [-machines 5,10,15,20,25]
-//	experiments ablation [-entities 4000]   (design-choice studies)
-//	experiments all    [-entities N]
+//	experiments <command> [-entities N] [-seed S] [-machines a,b,...] [-points P] [-plot | -json]
+//
+// A command is an entry of experiments.Catalogue (fig1, fig8, fig9,
+// fig10, fig11, ablation), table3 (the table of the fig8 run), or all,
+// which prints every entry in catalogue order, each at its own machine
+// counts. A flag left at zero takes the experiment's default.
 //
 // All numbers are simulated cost units; the shapes (who wins, by what
 // factor, where the crossovers fall) are the reproduction target — see
@@ -21,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -42,41 +41,61 @@ func main() {
 	seed := fs.Int64("seed", 0, "generator seed (0 = experiment default)")
 	points := fs.Int("points", 0, "curve grid points (0 = default)")
 	plot := fs.Bool("plot", false, "render ASCII charts instead of data tables")
-	fs.BoolVar(&jsonOut, "json", false, "emit figures and tables as JSON documents")
+	asJSON := fs.Bool("json", false, "emit figures and tables as JSON documents")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		log.Fatal(err)
 	}
-	machines := parseMachines(*machinesFlag)
-
-	switch cmd {
-	case "fig1":
-		runFig1(*entities, firstOr(machines, 0), *seed, *points, *plot)
-	case "fig8":
-		runFig8(*entities, firstOr(machines, 0), *seed, *points, true, false, *plot)
-	case "table3":
-		runFig8(*entities, firstOr(machines, 0), *seed, *points, false, true, *plot)
-	case "fig9":
-		runFig9(*entities, machines, *seed, *points, *plot)
-	case "fig10":
-		runFig10(*entities, machines, *seed, *points, *plot)
-	case "fig11":
-		runFig11(*entities, machines, *seed)
-	case "ablation":
-		runAblation(*entities, firstOr(machines, 0), *seed, *points, *plot)
-	case "all":
-		runFig1(*entities, 0, *seed, *points, *plot)
-		runFig8(*entities, 0, *seed, *points, true, true, *plot)
-		runFig9(*entities, nil, *seed, *points, *plot)
-		runFig10(*entities, nil, *seed, *points, *plot)
-		runFig11(*entities, nil, *seed)
-		runAblation(*entities, 0, *seed, *points, *plot)
-	default:
+	cfg := experiments.Config{Entities: *entities, Seed: *seed, Machines: parseMachines(*machinesFlag), GridPoints: *points}
+	ran, err := run(os.Stdout, cmd, cfg, *plot, *asJSON)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !ran {
 		usage()
 	}
 }
 
+// run runs every catalogue entry that cmd prints a part of, in
+// catalogue order, and writes those parts to w. It reports whether any
+// entry answered to cmd.
+func run(w io.Writer, cmd string, cfg experiments.Config, plot, asJSON bool) (bool, error) {
+	if cmd == "all" {
+		// Machine counts mean something different to each experiment.
+		cfg.Machines = nil
+	}
+	ran := false
+	for _, e := range experiments.Catalogue {
+		figures, tables := e.Prints(cmd)
+		if !figures && !tables {
+			continue
+		}
+		ran = true
+		out, err := e.Run(cfg)
+		if err != nil {
+			return ran, err
+		}
+		if !figures {
+			out.Figures = nil
+		}
+		if !tables {
+			out.Tables = nil
+		}
+		if err := out.Write(w, plot, asJSON); err != nil {
+			return ran, err
+		}
+	}
+	return ran, nil
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: experiments <fig1|fig8|table3|fig9|fig10|fig11|ablation|all> [flags]")
+	var cmds []string
+	for _, e := range experiments.Catalogue {
+		cmds = append(cmds, e.Name)
+		if e.TableName != "" {
+			cmds = append(cmds, e.TableName)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "usage: experiments <%s|all> [flags]\n", strings.Join(cmds, "|"))
 	os.Exit(2)
 }
 
@@ -94,111 +113,4 @@ func parseMachines(s string) []int {
 		out = append(out, v)
 	}
 	return out
-}
-
-func firstOr(xs []int, def int) int {
-	if len(xs) > 0 {
-		return xs[0]
-	}
-	return def
-}
-
-// jsonOut switches all figure/table output to JSON.
-var jsonOut bool
-
-func renderFig(fig *experiments.Figure, plot bool) {
-	if jsonOut {
-		if err := fig.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if plot {
-		fmt.Println(fig.Plot(64, 16))
-		return
-	}
-	fmt.Println(fig.Render())
-}
-
-func renderTable(t *experiments.Table) {
-	if jsonOut {
-		if err := t.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	fmt.Println(t.Render())
-}
-
-func runFig1(entities, machines int, seed int64, points int, plot bool) {
-	fig, err := experiments.Fig1(experiments.Fig1Config{
-		Entities: entities, Machines: machines, Seed: seed, GridPoints: points,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	renderFig(fig, plot)
-}
-
-func runFig8(entities, machines int, seed int64, points int, figures, table, plot bool) {
-	res, err := experiments.Fig8(experiments.Fig8Config{
-		Entities: entities, Machines: machines, Seed: seed, GridPoints: points,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if figures {
-		renderFig(res.Left, plot)
-		renderFig(res.Mid, plot)
-		renderFig(res.Right, plot)
-	}
-	if table {
-		renderTable(res.TableIII)
-	}
-}
-
-func runFig9(entities int, machines []int, seed int64, points int, plot bool) {
-	res, err := experiments.Fig9(experiments.Fig9Config{
-		Entities: entities, Machines: machines, Seed: seed, GridPoints: points,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, fig := range res.SubFigures {
-		renderFig(fig, plot)
-	}
-}
-
-func runFig10(entities int, machines []int, seed int64, points int, plot bool) {
-	res, err := experiments.Fig10(experiments.Fig10Config{
-		Entities: entities, Machines: machines, Seed: seed, GridPoints: points,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, fig := range res.SubFigures {
-		renderFig(fig, plot)
-	}
-}
-
-func runFig11(entities int, machines []int, seed int64) {
-	res, err := experiments.Fig11(experiments.Fig11Config{
-		Entities: entities, Machines: machines, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	renderTable(res.Table)
-}
-
-func runAblation(entities, machines int, seed int64, points int, plot bool) {
-	res, err := experiments.Ablation(experiments.AblationConfig{
-		Entities: entities, Machines: machines, Seed: seed, GridPoints: points,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	renderFig(res.Mechanisms, plot)
-	renderFig(res.Components, plot)
-	renderTable(res.Summary)
 }

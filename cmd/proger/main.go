@@ -57,7 +57,7 @@ func main() {
 	flag.Var(&blocks, "block", "blocking family as attr:len1,len2,... (repeatable, dominance order)")
 	flag.Var(&rules, "rule", "match rule as attr:kind:weight[:maxchars], kind ∈ edit|exact|jaro|jaccard|cosine (repeatable)")
 	threshold := flag.Float64("match-threshold", 0.75, "weighted-similarity match threshold")
-	mech := flag.String("mechanism", "sn", "progressive mechanism: sn | psnm")
+	mech := flag.String("mechanism", "", "progressive mechanism: sn | psnm (default: the -generate workload's; sn for -input)")
 	scheduler := flag.String("scheduler", "ours", "tree scheduler: ours | nosplit | lpt")
 	basic := flag.Bool("basic", false, "run the Basic baseline instead of the full pipeline")
 	window := flag.Int("window", 15, "SN window for -basic")
@@ -191,7 +191,9 @@ func main() {
 
 	wl := loadWorkload(*input, *generate, *n, *seed, *truthPath, blocks, rules, *threshold, !*basic)
 	ds, gt := wl.DS, wl.GT
-	mechanism := pickMechanism(*mech)
+	if *mech != "" {
+		wl.Mech = pickMechanism(*mech)
+	}
 
 	elog.Emit(proger.EventRunStart,
 		proger.EventKV("entities", ds.Len()),
@@ -261,28 +263,13 @@ func main() {
 		SpillDir:  *spillDir,
 	}
 	if *basic {
-		res, err = proger.ResolveBasic(ds, proger.BasicOptions{
-			Families:         wl.Fams,
-			Matcher:          wl.Matcher,
-			Mechanism:        mechanism,
-			Window:           *window,
-			PopcornThreshold: *popcorn,
-			Machines:         *machines,
-			SlotsPerMachine:  *slots,
-			Host:             host,
-		})
+		opts := wl.BasicOptions(*machines, *window, *popcorn)
+		opts.SlotsPerMachine, opts.Host = *slots, host
+		res, err = proger.ResolveBasic(ds, opts)
 	} else {
-		res, err = proger.Resolve(ds, proger.Options{
-			Families:        wl.Fams,
-			Matcher:         wl.Matcher,
-			Mechanism:       mechanism,
-			Policy:          wl.Policy,
-			DupModel:        wl.Model,
-			Machines:        *machines,
-			SlotsPerMachine: *slots,
-			Scheduler:       pickScheduler(*scheduler),
-			Host:            host,
-		})
+		opts := wl.Options(*machines, pickScheduler(*scheduler))
+		opts.SlotsPerMachine, opts.Host = *slots, host
+		res, err = proger.Resolve(ds, opts)
 	}
 	lvRun.Finish(err)
 	renderer.Stop()
@@ -371,13 +358,13 @@ func main() {
 	}
 }
 
-// loadWorkload reads -input (and -truth), resolved with the CiteSeerX
-// policy and the analytic model, or generates the catalogue workload
-// -generate names; then -block and -rule replace its families and
-// matcher. train trains the catalogue's model, if it has one, for the
-// families the run uses.
+// loadWorkload reads -input (and -truth), resolved with SN, the
+// CiteSeerX policy and the analytic model, or generates the catalogue
+// workload -generate names; then -block and -rule replace its families
+// and matcher. train trains the catalogue's model, if it has one, for
+// the families the run uses.
 func loadWorkload(input, generate string, n int, seed int64, truthPath string, blocks, rules stringList, threshold float64, train bool) *experiments.Workload {
-	w := &experiments.Workload{Policy: proger.CiteSeerXPolicy()}
+	w := &experiments.Workload{Mech: proger.SN, Policy: proger.CiteSeerXPolicy()}
 	var err error
 	switch {
 	case input != "" && generate != "":

@@ -99,40 +99,45 @@ func TestWorkloadsAreTheCatalogues(t *testing.T) {
 	}
 }
 
-// TestGeneratedRunIsCatalogueResolve: `proger -generate persons-exact`
-// writes the pairs core.Resolve finds on the catalogue workload with the
-// flags' defaults (SN, our scheduler, 10 machines × 2 slots).
+// TestGeneratedRunIsCatalogueResolve: `proger -generate NAME` writes
+// the pairs core.Resolve finds on the catalogue workload, trained, with
+// its own mechanism (PSNM for books, SN for persons-exact) and the
+// flags' defaults (our scheduler, 10 machines × 2 slots).
 func TestGeneratedRunIsCatalogueResolve(t *testing.T) {
-	out := t.TempDir() + "/pairs.tsv"
-	cmd := exec.Command(os.Args[0], "-generate", "persons-exact", "-n", "1500", "-seed", "4", "-out", out)
-	cmd.Env = append(os.Environ(), "PROGER_TEST_MAIN=1")
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("proger: %v\n%s", err, msg)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := experiments.Generate("persons-exact", 1500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Resolve(w.DS, core.Options{
-		Families: w.Fams, Matcher: w.Matcher, Mechanism: w.Mech, Policy: w.Policy, DupModel: w.Model,
-		Machines: 10, SlotsPerMachine: 2, Scheduler: proger.SchedulerOurs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Events) == 0 {
-		t.Fatal("Resolve found no duplicates; the test compares nothing")
-	}
-	want := "#lo\thi\ttime\n"
-	for _, ev := range res.Events {
-		want += fmt.Sprintf("%d\t%d\t%.1f\n", ev.Pair.Lo, ev.Pair.Hi, ev.Time)
-	}
-	if string(got) != want {
-		t.Errorf("the CLI wrote %d bytes of pairs, Resolve's %d differ", len(got), len(want))
+	for _, c := range []struct {
+		name string
+		n    int
+		seed int64
+	}{{"persons-exact", 1500, 4}, {"books", 1500, 4}} {
+		out := t.TempDir() + "/pairs.tsv"
+		cmd := exec.Command(os.Args[0], "-generate", c.name, "-n", fmt.Sprint(c.n), "-seed", fmt.Sprint(c.seed), "-out", out)
+		cmd.Env = append(os.Environ(), "PROGER_TEST_MAIN=1")
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("proger -generate %s: %v\n%s", c.name, err, msg)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := experiments.Generate(c.name, c.n, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Train(c.n, c.seed)
+		res, err := core.Resolve(w.DS, w.Options(10, proger.SchedulerOurs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Events) == 0 {
+			t.Fatalf("%s: Resolve found no duplicates; the test compares nothing", c.name)
+		}
+		want := "#lo\thi\ttime\n"
+		for _, ev := range res.Events {
+			want += fmt.Sprintf("%d\t%d\t%.1f\n", ev.Pair.Lo, ev.Pair.Hi, ev.Time)
+		}
+		if string(got) != want {
+			t.Errorf("%s: the CLI wrote %d bytes of pairs, Resolve's %d differ", c.name, len(got), len(want))
+		}
 	}
 }
 

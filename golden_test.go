@@ -14,6 +14,7 @@ import (
 	"proger/internal/core"
 	"proger/internal/experiments"
 	"proger/internal/mechanism"
+	"proger/internal/sched"
 )
 
 // resolveDigest hashes everything a Resolve hands back that a caller
@@ -35,15 +36,9 @@ func resolveDigest(res *core.Result) string {
 
 // workloadOptions is the 4×2-slot configuration every golden case runs.
 func workloadOptions(w *experiments.Workload, mech mechanism.Mechanism) core.Options {
-	return core.Options{
-		Families:        w.Fams,
-		Matcher:         w.Matcher,
-		Mechanism:       mech,
-		Policy:          w.Policy,
-		DupModel:        w.Model,
-		Machines:        4,
-		SlotsPerMachine: 2,
-	}
+	opts := w.Options(4, sched.Ours)
+	opts.Mechanism = mech
+	return opts
 }
 
 // TestMatchKernelKeepsResolveBytes pins Resolve's output to digests

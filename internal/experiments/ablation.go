@@ -5,137 +5,73 @@ import (
 
 	"proger/internal/core"
 	"proger/internal/mechanism"
-	"proger/internal/progress"
 	"proger/internal/sched"
 )
 
-// AblationConfig scales the design-choice ablation studies that go
-// beyond the paper's own evaluation: they quantify what each mechanism
-// of the approach contributes on the same workload.
-type AblationConfig struct {
-	Entities   int
-	Seed       int64
-	Machines   int
-	GridPoints int
-}
-
-func (c *AblationConfig) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 4000
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Machines <= 0 {
-		c.Machines = 10
-	}
-	if c.GridPoints <= 0 {
-		c.GridPoints = 16
-	}
-}
-
-// AblationResult carries the three ablation figures plus a summary
-// table.
-type AblationResult struct {
-	// Mechanisms compares the pluggable mechanisms M (SN, PSNM,
-	// hierarchy hint, R-Swoosh) inside the full pipeline.
-	Mechanisms *Figure
-	// Components compares the full approach against itself with
-	// redundancy-free resolution disabled and with sub-blocking
-	// disabled.
-	Components *Figure
-	// Summary tabulates final recall, total time, AUC, and comparison
-	// counts per configuration.
-	Summary *Table
-}
-
-// Ablation runs the design-choice studies on the publications workload.
-func Ablation(cfg AblationConfig) (*AblationResult, error) {
-	cfg.defaults()
-	w := PublicationsWorkload(cfg.Entities, cfg.Seed)
+// ablation runs the design-choice studies that go beyond the paper's
+// own evaluation, on the publications workload: they quantify what
+// each mechanism of the approach contributes. Its figures compare the
+// pluggable mechanisms M (SN, PSNM, hierarchy hint, R-Swoosh) inside
+// the full pipeline, and the full approach against itself with
+// redundancy-free resolution disabled and with sub-blocking disabled;
+// its table holds final recall, total time, AUC and comparison counts
+// per configuration.
+func ablation(c Config) (*Output, error) {
+	w := PublicationsWorkload(c.Entities, c.Seed)
 
 	type variant struct {
 		label  string
 		mech   mechanism.Mechanism
 		mutate func(*core.Options)
 	}
-	run := func(v variant) (*Run, int64, error) {
-		opts := core.Options{
-			Families:        w.Fams,
-			Matcher:         w.Matcher,
-			Mechanism:       v.mech,
-			Policy:          w.Policy,
-			DupModel:        w.Model,
-			Machines:        cfg.Machines,
-			SlotsPerMachine: 2,
-			Scheduler:       sched.Ours,
-		}
-		if v.mutate != nil {
-			v.mutate(&opts)
-		}
-		res, err := core.Resolve(w.DS, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ablation %s: %w", v.label, err)
-		}
-		curve := progress.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
-		return &Run{Label: v.label, Curve: curve, Total: res.TotalTime},
-			res.Counters.Get(core.CounterJob2Compared), nil
-	}
-
-	out := &AblationResult{}
 	summary := &Table{
 		ID:     "Ablation",
 		Title:  "Design-choice ablations (publications workload)",
 		Header: []string{"Configuration", "Final recall", "Total time", "AUC", "Comparisons"},
 	}
-	addRow := func(r *Run, compared int64) {
-		summary.Rows = append(summary.Rows, []string{
-			r.Label,
-			fmt.Sprintf("%.3f", r.Curve.FinalRecall()),
-			fmt.Sprintf("%.0f", r.Total),
-			fmt.Sprintf("%.3f", r.Curve.AUC()),
-			fmt.Sprintf("%d", compared),
-		})
-	}
-
-	// --- Mechanism ablation ---
-	mechVariants := []variant{
-		{label: "SN hint", mech: mechanism.SN{}},
-		{label: "PSNM", mech: mechanism.PSNM{}},
-		{label: "Hierarchy hint", mech: mechanism.Hierarchy{}},
-		{label: "R-Swoosh", mech: mechanism.RSwoosh{}},
-	}
-	mechRuns := make([]*Run, 0, len(mechVariants))
-	for _, v := range mechVariants {
-		r, compared, err := run(v)
-		if err != nil {
-			return nil, err
+	figure := func(id, title string, variants ...variant) (*Figure, error) {
+		runs := make([]*Run, 0, len(variants))
+		for _, v := range variants {
+			opts := w.Options(c.Machines[0], sched.Ours)
+			opts.Mechanism = v.mech
+			if v.mutate != nil {
+				v.mutate(&opts)
+			}
+			res, err := core.Resolve(w.DS, opts)
+			r, err := w.newRun(v.label, res, err)
+			if err != nil {
+				return nil, fmt.Errorf("ablation %s: %w", v.label, err)
+			}
+			runs = append(runs, r)
+			summary.Rows = append(summary.Rows, []string{
+				r.Label,
+				fmt.Sprintf("%.3f", r.Curve.FinalRecall()),
+				fmt.Sprintf("%.0f", r.Total),
+				fmt.Sprintf("%.3f", r.Curve.AUC()),
+				fmt.Sprintf("%d", res.Counters.Get(core.CounterJob2Compared)),
+			})
 		}
-		mechRuns = append(mechRuns, r)
-		addRow(r, compared)
+		return NewFigure(id, title, c.GridPoints, runs...), nil
 	}
-	out.Mechanisms = NewFigure("Ablation-mechanisms", "Progressive mechanisms M inside the pipeline", cfg.GridPoints, mechRuns...)
 
-	// --- Component ablation ---
-	compVariants := []variant{
-		{label: "Full approach", mech: mechanism.SN{}},
-		{label: "No dedup (§V off)", mech: mechanism.SN{}, mutate: func(o *core.Options) {
+	mechanisms, err := figure("Ablation-mechanisms", "Progressive mechanisms M inside the pipeline",
+		variant{label: "SN hint", mech: mechanism.SN{}},
+		variant{label: "PSNM", mech: mechanism.PSNM{}},
+		variant{label: "Hierarchy hint", mech: mechanism.Hierarchy{}},
+		variant{label: "R-Swoosh", mech: mechanism.RSwoosh{}})
+	if err != nil {
+		return nil, err
+	}
+	components, err := figure("Ablation-components", "Redundancy elimination and progressive blocking ablated",
+		variant{label: "Full approach", mech: mechanism.SN{}},
+		variant{label: "No dedup (§V off)", mech: mechanism.SN{}, mutate: func(o *core.Options) {
 			o.DisableRedundancyElimination = true
 		}},
-		{label: "No sub-blocking", mech: mechanism.SN{}, mutate: func(o *core.Options) {
+		variant{label: "No sub-blocking", mech: mechanism.SN{}, mutate: func(o *core.Options) {
 			o.DisableSubBlocking = true
-		}},
+		}})
+	if err != nil {
+		return nil, err
 	}
-	compRuns := make([]*Run, 0, len(compVariants))
-	for _, v := range compVariants {
-		r, compared, err := run(v)
-		if err != nil {
-			return nil, err
-		}
-		compRuns = append(compRuns, r)
-		addRow(r, compared)
-	}
-	out.Components = NewFigure("Ablation-components", "Redundancy elimination and progressive blocking ablated", cfg.GridPoints, compRuns...)
-	out.Summary = summary
-	return out, nil
+	return &Output{Figures: []*Figure{mechanisms, components}, Tables: []*Table{summary}}, nil
 }

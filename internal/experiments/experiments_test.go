@@ -44,12 +44,58 @@ func finalRecall(t *testing.T, f *Figure, label string) float64 {
 	return 0
 }
 
-func TestFig8Shapes(t *testing.T) {
-	res, err := Fig8(Fig8Config{Entities: 2000, Seed: 81, Machines: 5, GridPoints: 12})
-	if err != nil {
-		t.Fatalf("Fig8: %v", err)
+// entry is the catalogue entry name.
+func entry(t *testing.T, name string) *Experiment {
+	t.Helper()
+	for i := range Catalogue {
+		if Catalogue[i].Name == name {
+			return &Catalogue[i]
+		}
 	}
-	for _, fig := range []*Figure{res.Left, res.Mid, res.Right} {
+	t.Fatalf("no experiment %q in the catalogue", name)
+	return nil
+}
+
+// output runs the catalogue entry name with cfg.
+func output(t *testing.T, name string, cfg Config) *Output {
+	t.Helper()
+	out, err := entry(t, name).Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return out
+}
+
+// cell parses a numeric table cell; "—" (a level never reached) reads 0.
+func cell(t *testing.T, s string) float64 {
+	t.Helper()
+	if s == "—" {
+		return 0
+	}
+	var v float64
+	if _, err := sscan(s, &v); err != nil {
+		t.Fatalf("bad cell %q", s)
+	}
+	return v
+}
+
+// TestConfigZeroFieldsTakeDefaults: a zero Config is the defaults, and
+// a set field is kept.
+func TestConfigZeroFieldsTakeDefaults(t *testing.T) {
+	d := Config{Entities: 4000, Seed: 8, Machines: []int{10}, GridPoints: 16}
+	if got := (Config{}).or(d); !reflect.DeepEqual(got, d) {
+		t.Errorf("zero config → %+v, want %+v", got, d)
+	}
+	set := Config{Entities: 600, Seed: 3, Machines: []int{4, 8}, GridPoints: 5}
+	if got := set.or(d); !reflect.DeepEqual(got, set) {
+		t.Errorf("set config → %+v, want it kept", got)
+	}
+}
+
+func TestFig8Shapes(t *testing.T) {
+	out := output(t, "fig8", Config{Entities: 2000, Seed: 81, Machines: []int{5}, GridPoints: 12})
+	left, table3 := out.Figures[0], out.Tables[0]
+	for _, fig := range out.Figures {
 		if len(fig.Series) < 2 {
 			t.Fatalf("%s has %d series", fig.ID, len(fig.Series))
 		}
@@ -65,46 +111,34 @@ func TestFig8Shapes(t *testing.T) {
 		}
 	}
 	// Optimistic popcorn plateaus below Basic F (the Fig. 8 story).
-	if fr, frF := finalRecall(t, res.Left, "Basic 0.1"), finalRecall(t, res.Left, "Basic F"); fr >= frF {
+	if fr, frF := finalRecall(t, left, "Basic 0.1"), finalRecall(t, left, "Basic F"); fr >= frF {
 		t.Errorf("Basic 0.1 final recall %.3f should be below Basic F %.3f", fr, frF)
 	}
 	// Our final recall is at least Basic F's (progressive blocking
 	// resolves within smaller blocks where the window misses less).
-	if fo, fb := finalRecall(t, res.Left, "Our Approach"), finalRecall(t, res.Left, "Basic F"); fo < fb-0.02 {
+	if fo, fb := finalRecall(t, left, "Our Approach"), finalRecall(t, left, "Basic F"); fo < fb-0.02 {
 		t.Errorf("our final recall %.3f clearly below Basic F %.3f", fo, fb)
 	}
-	if res.TableIII == nil || len(res.TableIII.Rows) != len(table3Thresholds)+1 {
-		t.Fatal("Table III missing rows")
+	if len(out.Figures) != 3 || len(out.Tables) != 1 || len(table3.Rows) != len(table3Thresholds)+1 {
+		t.Fatal("Fig. 8 sub-figures or Table III rows missing")
 	}
-	out := res.TableIII.Render()
-	if !strings.Contains(out, "Thresh.") || !strings.Contains(out, "Ours") {
-		t.Errorf("Table III render malformed:\n%s", out)
+	if text := table3.Render(); !strings.Contains(text, "Thresh.") || !strings.Contains(text, "Ours") {
+		t.Errorf("Table III render malformed:\n%s", text)
 	}
 }
 
 func TestTable3Tradeoff(t *testing.T) {
-	res, err := Fig8(Fig8Config{Entities: 1500, Seed: 83, Machines: 4, GridPoints: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.TableIII.Rows
+	rows := output(t, "fig8", Config{Entities: 1500, Seed: 83, Machines: []int{4}, GridPoints: 8}).Tables[0].Rows
 	// First row is the most aggressive threshold (0.1), the row before
 	// "Ours" is F. Recall must not decrease from first to F; time must
 	// increase substantially.
-	parse := func(s string) float64 {
-		var v float64
-		if _, err := sscan(s, &v); err != nil {
-			t.Fatalf("bad cell %q", s)
-		}
-		return v
-	}
-	firstRecall15 := parse(rows[0][2])
-	fRecall15 := parse(rows[len(rows)-2][2])
+	firstRecall15 := cell(t, rows[0][2])
+	fRecall15 := cell(t, rows[len(rows)-2][2])
 	if firstRecall15 > fRecall15 {
 		t.Errorf("aggressive threshold recall %.2f exceeds F %.2f", firstRecall15, fRecall15)
 	}
-	firstTime15 := parse(rows[0][4])
-	fTime15 := parse(rows[len(rows)-2][4])
+	firstTime15 := cell(t, rows[0][4])
+	fTime15 := cell(t, rows[len(rows)-2][4])
 	if firstTime15 >= fTime15 {
 		t.Errorf("aggressive threshold time %.0f not below F time %.0f", firstTime15, fTime15)
 	}
@@ -115,14 +149,11 @@ func sscan(s string, v *float64) (int, error) {
 }
 
 func TestFig9SchedulerOrdering(t *testing.T) {
-	res, err := Fig9(Fig9Config{Entities: 2500, Seed: 91, Machines: []int{6, 10}, GridPoints: 12})
-	if err != nil {
-		t.Fatalf("Fig9: %v", err)
+	figs := output(t, "fig9", Config{Entities: 2500, Seed: 91, Machines: []int{6, 10}, GridPoints: 12}).Figures
+	if len(figs) != 2 {
+		t.Fatalf("subfigures = %d", len(figs))
 	}
-	if len(res.SubFigures) != 2 {
-		t.Fatalf("subfigures = %d", len(res.SubFigures))
-	}
-	for _, fig := range res.SubFigures {
+	for _, fig := range figs {
 		qOurs := qty(t, fig, "Our Algorithm")
 		qNoSplit := qty(t, fig, "NoSplit")
 		qLPT := qty(t, fig, "LPT")
@@ -137,15 +168,12 @@ func TestFig9SchedulerOrdering(t *testing.T) {
 }
 
 func TestFig10OursBeatsBasic(t *testing.T) {
-	res, err := Fig10(Fig10Config{Entities: 6000, Seed: 101, Machines: []int{8, 4}, GridPoints: 12})
-	if err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
-	if len(res.SubFigures) != 2 {
-		t.Fatalf("subfigures = %d", len(res.SubFigures))
+	figs := output(t, "fig10", Config{Entities: 6000, Seed: 101, Machines: []int{8, 4}, GridPoints: 12}).Figures
+	if len(figs) != 2 {
+		t.Fatalf("subfigures = %d", len(figs))
 	}
 	var gaps []float64
-	for _, fig := range res.SubFigures {
+	for _, fig := range figs {
 		qOurs := qty(t, fig, "Our Approach")
 		best := 0.0
 		for _, s := range fig.Series {
@@ -169,35 +197,49 @@ func TestFig10OursBeatsBasic(t *testing.T) {
 }
 
 func TestFig11Speedup(t *testing.T) {
-	res, err := Fig11(Fig11Config{Entities: 3000, Seed: 111, Machines: []int{4, 8, 16}, Recalls: []float64{0.2, 0.4, 0.6}})
-	if err != nil {
-		t.Fatalf("Fig11: %v", err)
+	machines := []int{4, 8, 16}
+	table := output(t, "fig11", Config{Entities: 3000, Seed: 111, Machines: machines}).Tables[0]
+	if len(table.Rows) != len(fig11Recalls) {
+		t.Fatalf("rows = %d", len(table.Rows))
 	}
-	if len(res.Speedup) != 3 {
-		t.Fatalf("rows = %d", len(res.Speedup))
+	// The speedups of the recall levels 0.2, 0.4 and 0.6, read from the
+	// table's cells; 0 when unreached.
+	recalls := []float64{0.2, 0.4, 0.6}
+	var speedup [][]float64
+	for _, rho := range recalls {
+		for _, row := range table.Rows {
+			if cell(t, row[0]) != rho {
+				continue
+			}
+			cells := make([]float64, len(machines))
+			for j := range machines {
+				cells[j] = cell(t, row[j+1])
+			}
+			speedup = append(speedup, cells)
+		}
 	}
-	for i, row := range res.Speedup {
+	if len(speedup) != len(recalls) {
+		t.Fatalf("rows for recalls %v: %d", recalls, len(speedup))
+	}
+	for i, row := range speedup {
 		// Speedup at the base machine count is 1 when reached.
 		if row[0] != 0 && (row[0] < 0.999 || row[0] > 1.001) {
-			t.Errorf("recall %.1f: self-speedup %.3f ≠ 1", res.Recalls[i], row[0])
+			t.Errorf("recall %.1f: self-speedup %.3f ≠ 1", recalls[i], row[0])
 		}
 		// The largest cluster must be at least as fast as the base for
 		// the highest recall level measured.
-		if i == len(res.Speedup)-1 && row[len(row)-1] != 0 && row[len(row)-1] < 1 {
-			t.Errorf("recall %.1f: %d machines slower than base (%.3f)", res.Recalls[i], res.Machines[len(row)-1], row[len(row)-1])
+		if i == len(speedup)-1 && row[len(row)-1] != 0 && row[len(row)-1] < 1 {
+			t.Errorf("recall %.1f: %d machines slower than base (%.3f)", recalls[i], machines[len(row)-1], row[len(row)-1])
 		}
 	}
 	// The paper: speedup grows (or at least does not shrink much) with
 	// the recall level for the biggest cluster.
-	last := len(res.Machines) - 1
-	lowR, highR := res.Speedup[0][last], res.Speedup[len(res.Speedup)-1][last]
+	last := len(machines) - 1
+	lowR, highR := speedup[0][last], speedup[len(speedup)-1][last]
 	t.Logf("speedup at %d machines: recall %.1f → %.2f, recall %.1f → %.2f",
-		res.Machines[last], res.Recalls[0], lowR, res.Recalls[len(res.Recalls)-1], highR)
+		machines[last], recalls[0], lowR, recalls[len(recalls)-1], highR)
 	if lowR != 0 && highR != 0 && highR < lowR*0.7 {
 		t.Errorf("speedup should not collapse at higher recall: %.2f → %.2f", lowR, highR)
-	}
-	if res.Table == nil || len(res.Table.Rows) != 3 {
-		t.Error("Fig11 table missing")
 	}
 }
 
@@ -251,10 +293,7 @@ func TestWorkloadConstruction(t *testing.T) {
 }
 
 func TestFig1Concept(t *testing.T) {
-	fig, err := Fig1(Fig1Config{Entities: 2500, Seed: 81, Machines: 5, GridPoints: 12})
-	if err != nil {
-		t.Fatalf("Fig1: %v", err)
-	}
+	fig := output(t, "fig1", Config{Entities: 2500, Seed: 81, Machines: []int{5}, GridPoints: 12}).Figures[0]
 	if len(fig.Series) != 3 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -326,29 +365,23 @@ func TestPlotDegenerate(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	res, err := Ablation(AblationConfig{Entities: 1500, Seed: 42, Machines: 4, GridPoints: 10})
-	if err != nil {
-		t.Fatalf("Ablation: %v", err)
+	out := output(t, "ablation", Config{Entities: 1500, Seed: 42, Machines: []int{4}, GridPoints: 10})
+	mechanisms, components, summary := out.Figures[0], out.Figures[1], out.Tables[0]
+	if len(mechanisms.Series) != 4 {
+		t.Fatalf("mechanism series = %d", len(mechanisms.Series))
 	}
-	if len(res.Mechanisms.Series) != 4 {
-		t.Fatalf("mechanism series = %d", len(res.Mechanisms.Series))
+	if len(components.Series) != 3 {
+		t.Fatalf("component series = %d", len(components.Series))
 	}
-	if len(res.Components.Series) != 3 {
-		t.Fatalf("component series = %d", len(res.Components.Series))
-	}
-	if len(res.Summary.Rows) != 7 {
-		t.Fatalf("summary rows = %d", len(res.Summary.Rows))
+	if len(summary.Rows) != 7 {
+		t.Fatalf("summary rows = %d", len(summary.Rows))
 	}
 	// The no-dedup variant must do at least as many comparisons as the
 	// full approach (it re-resolves shared pairs).
 	comparisons := func(label string) float64 {
-		for _, row := range res.Summary.Rows {
+		for _, row := range summary.Rows {
 			if row[0] == label {
-				var v float64
-				if _, err := sscan(row[4], &v); err != nil {
-					t.Fatalf("bad comparisons cell %q", row[4])
-				}
-				return v
+				return cell(t, row[4])
 			}
 		}
 		t.Fatalf("row %q missing", label)
@@ -360,54 +393,50 @@ func TestAblation(t *testing.T) {
 		t.Errorf("no-dedup comparisons %v should exceed full %v", noDedup, full)
 	}
 	// Every configuration still finds a sensible number of duplicates.
-	for _, row := range res.Summary.Rows {
-		var recall float64
-		if _, err := sscan(row[1], &recall); err != nil || recall < 0.3 {
+	for _, row := range summary.Rows {
+		if recall := cell(t, row[1]); recall < 0.3 {
 			t.Errorf("configuration %s has recall %s", row[0], row[1])
 		}
 	}
 }
 
+// TestFigureJSONRoundTrip: a figure's JSON document decodes back into
+// the figure.
 func TestFigureJSONRoundTrip(t *testing.T) {
 	run := &Run{Label: "alpha", Curve: progress.BuildCurve([]progress.Event{
 		{Time: 10, Pair: pair(0, 1), TrueDup: true},
 	}, 2, 40), Total: 40}
 	fig := NewFigure("J", "json demo", 5, run)
 	var buf bytes.Buffer
-	if err := fig.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := (&Output{Figures: []*Figure{fig}}).Write(&buf, false, true); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	var back figureJSON
+	var back Figure
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("decoding WriteJSON output: %v", err)
+		t.Fatalf("decoding the JSON document: %v", err)
 	}
-	if back.ID != fig.ID || back.Title != fig.Title || len(back.Times) != len(fig.Times) {
-		t.Errorf("figure metadata lost: %+v", back)
-	}
-	if len(back.Series) != 1 || back.Series[0].Label != "alpha" {
-		t.Errorf("series lost: %+v", back.Series)
-	}
-	for i := range fig.Times {
-		if back.Times[i] != float64(fig.Times[i]) {
-			t.Errorf("time %d differs", i)
-		}
-		if back.Series[0].Recalls[i] != fig.Series[0].Recalls[i] {
-			t.Errorf("recall %d differs", i)
-		}
+	if !reflect.DeepEqual(&back, fig) {
+		t.Errorf("round trip: %+v vs %+v", back, *fig)
 	}
 }
 
+// TestTableJSONRoundTrip: a table's JSON document decodes back into the
+// table, and its keys are the documented lower-case ones.
 func TestTableJSONRoundTrip(t *testing.T) {
 	tb := &Table{ID: "T", Title: "json table", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
 	var buf bytes.Buffer
-	if err := tb.WriteJSON(&buf); err != nil {
+	if err := (&Output{Tables: []*Table{tb}}).Write(&buf, false, true); err != nil {
 		t.Fatal(err)
 	}
-	var back tableJSON
+	const want = "{\n  \"id\": \"T\",\n  \"title\": \"json table\",\n  \"header\": [\n    \"a\",\n    \"b\"\n  ],\n  \"rows\": [\n    [\n      \"1\",\n      \"2\"\n    ]\n  ]\n}\n"
+	if buf.String() != want {
+		t.Errorf("table JSON:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	var back Table
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if got := (&Table{ID: back.ID, Title: back.Title, Header: back.Header, Rows: back.Rows}); !reflect.DeepEqual(got, tb) {
-		t.Errorf("round trip: %+v vs %+v", got, tb)
+	if !reflect.DeepEqual(&back, tb) {
+		t.Errorf("round trip: %+v vs %+v", back, *tb)
 	}
 }

@@ -5,43 +5,19 @@ import (
 	"proger/internal/sched"
 )
 
-// Fig1Config scales the conceptual Fig. 1 demonstration: the quality of
+// fig1 reproduces the conceptual Fig. 1 with real runs: the quality of
 // the cleaned data as a function of resolution cost for three approach
 // types — traditional ER (results only at the very end), an
 // incremental configuration (results stream out, but in an order blind
 // to duplicates: the Basic F baseline), and progressive ER (this
 // paper's approach).
-type Fig1Config struct {
-	Entities   int
-	Seed       int64
-	Machines   int
-	GridPoints int
-}
-
-func (c *Fig1Config) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 4000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Machines <= 0 {
-		c.Machines = 10
-	}
-	if c.GridPoints <= 0 {
-		c.GridPoints = 16
-	}
-}
-
-// Fig1 reproduces the concept figure with real runs.
-func Fig1(cfg Fig1Config) (*Figure, error) {
-	cfg.defaults()
-	w := PublicationsWorkload(cfg.Entities, cfg.Seed)
+func fig1(c Config) (*Output, error) {
+	w := PublicationsWorkload(c.Entities, c.Seed)
 
 	// Incremental: Basic F — every block resolved fully, results
 	// written as they are found, but block order is oblivious to where
 	// the duplicates are.
-	incremental, err := w.RunBasic(cfg.Machines, 15, -1, "Incremental")
+	incremental, err := w.RunBasic(c.Machines[0], 15, -1, "Incremental")
 	if err != nil {
 		return nil, err
 	}
@@ -64,11 +40,10 @@ func Fig1(cfg Fig1Config) (*Figure, error) {
 		Total: incremental.Total,
 	}
 
-	ours, err := w.RunOurs(cfg.Machines, sched.Ours, "Progressive (ours)")
+	ours, err := w.RunOurs(c.Machines[0], sched.Ours, "Progressive (ours)")
 	if err != nil {
 		return nil, err
 	}
-
-	return NewFigure("Fig1", "Progressive vs incremental vs traditional ER", cfg.GridPoints,
-		traditional, incremental, ours), nil
+	return &Output{Figures: []*Figure{NewFigure("Fig1", "Progressive vs incremental vs traditional ER", c.GridPoints,
+		traditional, incremental, ours)}}, nil
 }

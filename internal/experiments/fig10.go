@@ -6,67 +6,35 @@ import (
 	"proger/internal/sched"
 )
 
-// Fig10Config scales the entities-per-machine experiment (§VI-B3): the
-// books workload with PSNM, fixed dataset size, machine counts
-// {20, 10, 5} — so θ = |D|/μ grows left to right, as in the paper
-// (30M/20, 30M/10, 30M/5).
-type Fig10Config struct {
-	Entities   int
-	Seed       int64
-	Machines   []int
-	Thresholds []float64
-	GridPoints int
-}
+// fig10Thresholds are the Basic popcorn thresholds of Fig. 10.
+var fig10Thresholds = []float64{0.0005, 0.005, 0.05}
 
-func (c *Fig10Config) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 6000
-	}
-	if c.Seed == 0 {
-		c.Seed = 10
-	}
-	if len(c.Machines) == 0 {
-		c.Machines = []int{20, 10, 5}
-	}
-	if len(c.Thresholds) == 0 {
-		c.Thresholds = []float64{0.0005, 0.005, 0.05}
-	}
-	if c.GridPoints <= 0 {
-		c.GridPoints = 16
-	}
-}
-
-// Fig10Result holds one sub-figure per θ value.
-type Fig10Result struct {
-	SubFigures []*Figure
-}
-
-// Fig10 runs our approach vs Basic (three popcorn thresholds) on the
-// books workload at each machine count.
-func Fig10(cfg Fig10Config) (*Fig10Result, error) {
-	cfg.defaults()
-	w := BooksWorkload(cfg.Entities, cfg.Seed)
-	res := &Fig10Result{}
-	for _, mu := range cfg.Machines {
-		runs := []*Run{}
+// fig10 is the entities-per-machine experiment (§VI-B3): our approach
+// vs Basic on the books workload with PSNM, at a fixed dataset size
+// and one sub-figure per machine count — so with the default counts
+// {20, 10, 5} θ = |D|/μ grows left to right, as in the paper (30M/20,
+// 30M/10, 30M/5).
+func fig10(c Config) (*Output, error) {
+	w := BooksWorkload(c.Entities, c.Seed)
+	out := &Output{}
+	for _, mu := range c.Machines {
 		ours, err := w.RunOurs(mu, sched.Ours, "Our Approach")
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, ours)
-		for _, th := range cfg.Thresholds {
+		runs := []*Run{ours}
+		for _, th := range fig10Thresholds {
 			r, err := w.RunBasic(mu, 15, th, thresholdLabel(th))
 			if err != nil {
 				return nil, err
 			}
 			runs = append(runs, r)
 		}
-		theta := cfg.Entities / mu
-		fig := NewFigure(
+		theta := c.Entities / mu
+		out.Figures = append(out.Figures, NewFigure(
 			fmt.Sprintf("Fig10-theta%d", theta),
-			fmt.Sprintf("θ = %d entities / %d machines = %d", cfg.Entities, mu, theta),
-			cfg.GridPoints, runs...)
-		res.SubFigures = append(res.SubFigures, fig)
+			fmt.Sprintf("θ = %d entities / %d machines = %d", c.Entities, mu, theta),
+			c.GridPoints, runs...))
 	}
-	return res, nil
+	return out, nil
 }

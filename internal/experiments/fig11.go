@@ -7,80 +7,41 @@ import (
 	"proger/internal/sched"
 )
 
-// Fig11Config scales the recall-speedup experiment (§VI-B4): our
-// approach on the books workload at μ ∈ {5, 10, 15, 20, 25}; the
-// speedup of recall level ρ at μ = x is time(μ=5 reaches ρ) divided by
-// time(μ=x reaches ρ).
-type Fig11Config struct {
-	Entities int
-	Seed     int64
-	Machines []int
-	Recalls  []float64
-}
+// fig11Recalls are the recall levels (rows) of Fig. 11.
+var fig11Recalls = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 
-func (c *Fig11Config) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 6000
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if len(c.Machines) == 0 {
-		c.Machines = []int{5, 10, 15, 20, 25}
-	}
-	if len(c.Recalls) == 0 {
-		c.Recalls = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	}
-}
-
-// Fig11Result is the speedup table: rows = recall levels, columns =
-// machine counts.
-type Fig11Result struct {
-	Machines []int
-	Recalls  []float64
-	// Speedup[i][j] is the speedup of Recalls[i] at Machines[j]
-	// relative to the first machine count; 0 when unreached.
-	Speedup [][]float64
-	Table   *Table
-}
-
-// Fig11 measures recall speedup relative to the smallest cluster.
-func Fig11(cfg Fig11Config) (*Fig11Result, error) {
-	cfg.defaults()
-	w := BooksWorkload(cfg.Entities, cfg.Seed)
-	curves := make([]*progress.Curve, len(cfg.Machines))
-	for j, mu := range cfg.Machines {
+// fig11 is the recall-speedup experiment (§VI-B4): our approach on the
+// books workload at each machine count. The speedup of recall level ρ
+// at μ = x is time(first count reaches ρ) divided by time(μ = x
+// reaches ρ); a level a run never reaches reads "—".
+func fig11(c Config) (*Output, error) {
+	w := BooksWorkload(c.Entities, c.Seed)
+	curves := make([]*progress.Curve, len(c.Machines))
+	for j, mu := range c.Machines {
 		run, err := w.RunOurs(mu, sched.Ours, fmt.Sprintf("mu=%d", mu))
 		if err != nil {
 			return nil, err
 		}
 		curves[j] = run.Curve
 	}
-	base := curves[0]
-	res := &Fig11Result{Machines: cfg.Machines, Recalls: cfg.Recalls}
 	table := &Table{
 		ID:     "Fig11",
-		Title:  fmt.Sprintf("Recall speedup relative to %d machines", cfg.Machines[0]),
+		Title:  fmt.Sprintf("Recall speedup relative to %d machines", c.Machines[0]),
 		Header: []string{"Recall"},
 	}
-	for _, mu := range cfg.Machines {
+	for _, mu := range c.Machines {
 		table.Header = append(table.Header, fmt.Sprintf("mu=%d", mu))
 	}
-	for _, rho := range cfg.Recalls {
+	for _, rho := range fig11Recalls {
 		row := []string{fmt.Sprintf("%.1f", rho)}
-		speedups := make([]float64, len(cfg.Machines))
-		for j := range cfg.Machines {
-			s, ok := progress.Speedup(base, curves[j], rho)
-			if !ok {
+		for _, curve := range curves {
+			if s, ok := progress.Speedup(curves[0], curve, rho); ok {
+				row = append(row, fmt.Sprintf("%.2f", s))
+			} else {
 				row = append(row, "—")
-				continue
 			}
-			speedups[j] = s
-			row = append(row, fmt.Sprintf("%.2f", s))
 		}
-		res.Speedup = append(res.Speedup, speedups)
 		table.Rows = append(table.Rows, row)
 	}
-	res.Table = table
-	return res, nil
+	return &Output{Tables: []*Table{table}}, nil
 }

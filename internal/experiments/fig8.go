@@ -4,43 +4,7 @@ import (
 	"fmt"
 )
 
-// Fig8Config scales the Fig. 8 / Table III experiment: comparison of
-// our approach with the Basic baseline on the publications workload
-// with μ = 10 machines (§VI-B1).
-type Fig8Config struct {
-	// Entities is the dataset size (the paper uses CiteSeerX's 1.5 M;
-	// defaults to 4000 for laptop-scale runs).
-	Entities int
-	Seed     int64
-	Machines int
-	// GridPoints is the number of samples per curve.
-	GridPoints int
-}
-
-func (c *Fig8Config) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 4000
-	}
-	if c.Seed == 0 {
-		c.Seed = 8
-	}
-	if c.Machines <= 0 {
-		c.Machines = 10
-	}
-	if c.GridPoints <= 0 {
-		c.GridPoints = 16
-	}
-}
-
-// Fig8Result carries the three sub-figures of Fig. 8 and Table III.
-type Fig8Result struct {
-	// Left: w=15 with optimistic popcorn thresholds; Mid: w=15 with
-	// conservative thresholds; Right: w=5 with the best four thresholds.
-	Left, Mid, Right *Figure
-	TableIII         *Table
-}
-
-// popcorn threshold sets, exactly as in Fig. 8.
+// popcorn threshold sets, exactly as in Fig. 8 and Table III.
 var (
 	fig8LeftThresholds  = []float64{-1, 0.1, 0.07, 0.04, 0.01}
 	fig8MidThresholds   = []float64{-1, 0.007, 0.004, 0.001, 0.00001}
@@ -55,13 +19,14 @@ func thresholdLabel(th float64) string {
 	return fmt.Sprintf("Basic %g", th)
 }
 
-// Fig8 runs the comparison-with-Basic experiment and regenerates the
-// three sub-figures of Fig. 8 plus Table III.
-func Fig8(cfg Fig8Config) (*Fig8Result, error) {
-	cfg.defaults()
-	w := PublicationsWorkload(cfg.Entities, cfg.Seed)
-
-	ours, err := w.RunOurs(cfg.Machines, 0, "Our Approach")
+// fig8 is the comparison with Basic on the publications workload
+// (§VI-B1): the three sub-figures of Fig. 8 — w=15 with optimistic
+// popcorn thresholds, w=15 with conservative ones, w=5 with the best
+// four — and Table III.
+func fig8(c Config) (*Output, error) {
+	w := PublicationsWorkload(c.Entities, c.Seed)
+	mu := c.Machines[0]
+	ours, err := w.RunOurs(mu, 0, "Our Approach")
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +43,7 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		if r, ok := runs[k]; ok {
 			return r, nil
 		}
-		r, err := w.RunBasic(cfg.Machines, window, th, thresholdLabel(th))
+		r, err := w.RunBasic(mu, window, th, thresholdLabel(th))
 		if err != nil {
 			return nil, err
 		}
@@ -86,36 +51,25 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		return r, nil
 	}
 
-	collect := func(window int, ths []float64) ([]*Run, error) {
-		out := make([]*Run, 0, len(ths)+1)
-		for _, th := range ths {
-			r, err := runBasic(window, th)
+	out := &Output{}
+	for _, sub := range []struct {
+		id, title string
+		window    int
+		ths       []float64
+	}{
+		{"Fig8-left", "Ours vs Basic, w=15, optimistic thresholds", 15, fig8LeftThresholds},
+		{"Fig8-mid", "Ours vs Basic, w=15, conservative thresholds", 15, fig8MidThresholds},
+		{"Fig8-right", "Ours vs Basic, w=5", 5, fig8RightThresholds},
+	} {
+		series := make([]*Run, 0, len(sub.ths)+1)
+		for _, th := range sub.ths {
+			r, err := runBasic(sub.window, th)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, r)
+			series = append(series, r)
 		}
-		out = append(out, ours)
-		return out, nil
-	}
-
-	left, err := collect(15, fig8LeftThresholds)
-	if err != nil {
-		return nil, err
-	}
-	mid, err := collect(15, fig8MidThresholds)
-	if err != nil {
-		return nil, err
-	}
-	right, err := collect(5, fig8RightThresholds)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Fig8Result{
-		Left:  NewFigure("Fig8-left", "Ours vs Basic, w=15, optimistic thresholds", cfg.GridPoints, left...),
-		Mid:   NewFigure("Fig8-mid", "Ours vs Basic, w=15, conservative thresholds", cfg.GridPoints, mid...),
-		Right: NewFigure("Fig8-right", "Ours vs Basic, w=5", cfg.GridPoints, right...),
+		out.Figures = append(out.Figures, NewFigure(sub.id, sub.title, c.GridPoints, append(series, ours)...))
 	}
 
 	// Table III: final recall and total execution time per threshold,
@@ -124,6 +78,15 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		ID:     "TableIII",
 		Title:  "Final recall and total execution time for Basic",
 		Header: []string{"Thresh.", "Recall w=5", "Recall w=15", "Time w=5", "Time w=15"},
+	}
+	row := func(name string, r5, r15 *Run) {
+		table.Rows = append(table.Rows, []string{
+			name,
+			fmt.Sprintf("%.2f", r5.Curve.FinalRecall()),
+			fmt.Sprintf("%.2f", r15.Curve.FinalRecall()),
+			fmt.Sprintf("%.0f", r5.Total),
+			fmt.Sprintf("%.0f", r15.Total),
+		})
 	}
 	for _, th := range table3Thresholds {
 		r5, err := runBasic(5, th)
@@ -138,21 +101,9 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		if th >= 0 {
 			name = fmt.Sprintf("%g", th)
 		}
-		table.Rows = append(table.Rows, []string{
-			name,
-			fmt.Sprintf("%.2f", r5.Curve.FinalRecall()),
-			fmt.Sprintf("%.2f", r15.Curve.FinalRecall()),
-			fmt.Sprintf("%.0f", r5.Total),
-			fmt.Sprintf("%.0f", r15.Total),
-		})
+		row(name, r5, r15)
 	}
-	table.Rows = append(table.Rows, []string{
-		"Ours",
-		fmt.Sprintf("%.2f", ours.Curve.FinalRecall()),
-		fmt.Sprintf("%.2f", ours.Curve.FinalRecall()),
-		fmt.Sprintf("%.0f", ours.Total),
-		fmt.Sprintf("%.0f", ours.Total),
-	})
-	res.TableIII = table
-	return res, nil
+	row("Ours", ours, ours)
+	out.Tables = []*Table{table}
+	return out, nil
 }

@@ -6,59 +6,28 @@ import (
 	"proger/internal/sched"
 )
 
-// Fig9Config scales the tree-scheduler experiment (§VI-B2): our
-// schedule generator vs NoSplit vs LPT at μ ∈ {10, 15, 20} machines.
-type Fig9Config struct {
-	Entities   int
-	Seed       int64
-	Machines   []int
-	GridPoints int
-}
-
-func (c *Fig9Config) defaults() {
-	if c.Entities <= 0 {
-		c.Entities = 8000
-	}
-	if c.Seed == 0 {
-		c.Seed = 9
-	}
-	if len(c.Machines) == 0 {
-		c.Machines = []int{10, 15, 20}
-	}
-	if c.GridPoints <= 0 {
-		c.GridPoints = 24
-	}
-}
-
-// Fig9Result holds one sub-figure per machine count.
-type Fig9Result struct {
-	SubFigures []*Figure
-}
-
-// Fig9 runs the three schedulers on the publications workload for each
-// machine count.
-func Fig9(cfg Fig9Config) (*Fig9Result, error) {
-	cfg.defaults()
-	w := PublicationsWorkload(cfg.Entities, cfg.Seed)
-	res := &Fig9Result{}
-	for _, mu := range cfg.Machines {
-		lpt, err := w.RunOurs(mu, sched.LPT, "LPT")
-		if err != nil {
-			return nil, err
+// fig9 is the tree-scheduler experiment (§VI-B2): our schedule
+// generator vs NoSplit vs LPT on the publications workload, one
+// sub-figure per machine count.
+func fig9(c Config) (*Output, error) {
+	w := PublicationsWorkload(c.Entities, c.Seed)
+	out := &Output{}
+	for _, mu := range c.Machines {
+		var runs []*Run
+		for _, s := range []struct {
+			kind  sched.Kind
+			label string
+		}{{sched.LPT, "LPT"}, {sched.NoSplit, "NoSplit"}, {sched.Ours, "Our Algorithm"}} {
+			r, err := w.RunOurs(mu, s.kind, s.label)
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, r)
 		}
-		noSplit, err := w.RunOurs(mu, sched.NoSplit, "NoSplit")
-		if err != nil {
-			return nil, err
-		}
-		ours, err := w.RunOurs(mu, sched.Ours, "Our Algorithm")
-		if err != nil {
-			return nil, err
-		}
-		fig := NewFigure(
+		out.Figures = append(out.Figures, NewFigure(
 			fmt.Sprintf("Fig9-mu%d", mu),
 			fmt.Sprintf("Tree schedulers, μ=%d", mu),
-			cfg.GridPoints, lpt, noSplit, ours)
-		res.SubFigures = append(res.SubFigures, fig)
+			c.GridPoints, runs...))
 	}
-	return res, nil
+	return out, nil
 }

@@ -8,23 +8,25 @@ import (
 )
 
 // Figure is one recall-vs-cost plot: several labeled curves sampled on
-// a shared time grid, matching the sub-figures of Figs. 8–10.
+// a shared time grid, matching the sub-figures of Figs. 8–10. Its JSON
+// form is the stable shape external plotting tools (gnuplot,
+// matplotlib, vega) read.
 type Figure struct {
-	ID     string
-	Title  string
-	Times  []costmodel.Units
-	Series []FigureSeries
-	XLabel string
-	YLabel string
+	ID     string            `json:"id"`
+	Title  string            `json:"title"`
+	XLabel string            `json:"xLabel"`
+	YLabel string            `json:"yLabel"`
+	Times  []costmodel.Units `json:"times"`
+	Series []FigureSeries    `json:"series"`
 }
 
 // FigureSeries is one curve of a figure.
 type FigureSeries struct {
-	Label   string
-	Recalls []float64
+	Label   string    `json:"label"`
+	Recalls []float64 `json:"recalls"`
 	// AUC is the normalized area under the plotted curve, the run's
 	// Curve.AUC().
-	AUC float64
+	AUC float64 `json:"auc,omitempty"`
 }
 
 // NewFigure samples each run's curve on a uniform grid up to the
@@ -84,12 +86,13 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// Table is a rendered result table (Table III and the Fig. 11 rows).
+// Table is a rendered result table (Table III, the Fig. 11 rows and
+// the ablation summary).
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // Render prints the table with aligned columns.

@@ -1,14 +1,3 @@
-// Package experiments regenerates every table and figure of the
-// paper's evaluation (§VI): Fig. 8 + Table III (comparison with Basic),
-// Fig. 9 (tree schedulers), Fig. 10 (entities per machine), and
-// Fig. 11 (recall speedup). Each experiment returns plot-ready series
-// (recall vs simulated cost) and renders the same rows the paper
-// reports. Scale is configurable; the defaults are sized for laptop
-// runs and the shapes — who wins, by what factor, where the crossovers
-// fall — are what reproduce the paper, not absolute values (the
-// substrate is a simulator; see DESIGN.md). The workloads they run are
-// the catalogue's (Generate), which the CLI, the profiler and the tests
-// read too.
 package experiments
 
 import (
@@ -62,9 +51,9 @@ type rule struct {
 	maxChars int
 }
 
-// catalogue is every generated workload, by the name `proger -generate`
+// workloads is every generated workload, by the name `proger -generate`
 // takes: the one place a workload is written down.
-var catalogue = map[string]recipe{
+var workloads = map[string]recipe{
 	// CiteSeerX-like: SN with the Whang et al. hint, the Table-II
 	// families, the CiteSeerX policy (§VI-A2..A5).
 	"publications": {
@@ -131,8 +120,8 @@ func personFamilies(s *entity.Schema) blocking.Families {
 
 // Names lists the catalogue's workloads in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(catalogue))
-	for name := range catalogue {
+	names := make([]string, 0, len(workloads))
+	for name := range workloads {
 		names = append(names, name)
 	}
 	slices.Sort(names)
@@ -142,7 +131,7 @@ func Names() []string {
 // Generate builds the catalogue workload name on about n entities from
 // seed: everything but the duplicate model, which Train adds.
 func Generate(name string, n int, seed int64) (*Workload, error) {
-	r, ok := catalogue[name]
+	r, ok := workloads[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q (want one of %s)", name, strings.Join(Names(), ", "))
 	}
@@ -162,7 +151,7 @@ func Generate(name string, n int, seed int64) (*Workload, error) {
 // (§VI-A4). A workload the catalogue trains no model for keeps a nil
 // Model (the analytic default).
 func (w *Workload) Train(n int, seed int64) {
-	r := catalogue[w.Name]
+	r := workloads[w.Name]
 	if !r.trained {
 		return
 	}
@@ -194,10 +183,11 @@ type Run struct {
 	Total costmodel.Units
 }
 
-// RunOurs executes the paper's approach on μ machines with the given
-// tree scheduler.
-func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, error) {
-	res, err := core.Resolve(w.DS, core.Options{
+// Options is the paper's pipeline on the workload: its families,
+// matcher, mechanism, policy and duplicate model, with the tree
+// scheduler kind, on machines machines of two slots each (§VI-A).
+func (w *Workload) Options(machines int, kind sched.Kind) core.Options {
+	return core.Options{
 		Families:        w.Fams,
 		Matcher:         w.Matcher,
 		Mechanism:       w.Mech,
@@ -206,18 +196,14 @@ func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, e
 		Machines:        machines,
 		SlotsPerMachine: 2,
 		Scheduler:       kind,
-	})
-	if err != nil {
-		return nil, err
 	}
-	curve := progress.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
-	return &Run{Label: label, Curve: curve, Total: res.TotalTime}, nil
 }
 
-// RunBasic executes the Basic baseline with window w and popcorn
-// threshold (negative = Basic F).
-func (w *Workload) RunBasic(machines, window int, threshold float64, label string) (*Run, error) {
-	res, err := core.ResolveBasic(w.DS, core.BasicOptions{
+// BasicOptions is the Basic baseline on the workload with SN window
+// and popcorn threshold (negative = Basic F), on machines machines of
+// two slots each.
+func (w *Workload) BasicOptions(machines, window int, threshold float64) core.BasicOptions {
+	return core.BasicOptions{
 		Families:         w.Fams,
 		Matcher:          w.Matcher,
 		Mechanism:        w.Mech,
@@ -225,7 +211,26 @@ func (w *Workload) RunBasic(machines, window int, threshold float64, label strin
 		PopcornThreshold: threshold,
 		Machines:         machines,
 		SlotsPerMachine:  2,
-	})
+	}
+}
+
+// RunOurs executes the paper's approach on μ machines with the given
+// tree scheduler.
+func (w *Workload) RunOurs(machines int, kind sched.Kind, label string) (*Run, error) {
+	res, err := core.Resolve(w.DS, w.Options(machines, kind))
+	return w.newRun(label, res, err)
+}
+
+// RunBasic executes the Basic baseline with window w and popcorn
+// threshold (negative = Basic F).
+func (w *Workload) RunBasic(machines, window int, threshold float64, label string) (*Run, error) {
+	res, err := core.ResolveBasic(w.DS, w.BasicOptions(machines, window, threshold))
+	return w.newRun(label, res, err)
+}
+
+// newRun is the recall curve of a resolution of the workload, against
+// its ground truth.
+func (w *Workload) newRun(label string, res *core.Result, err error) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -171,6 +171,27 @@ func (fr *faultRuntime) timeout(clean costmodel.Units) costmodel.Units {
 	return defaultTimeoutFactor * floor
 }
 
+// faultOutcome is the one rule that turns an injected fault into an
+// attempt's outcome and duration, for an attempt whose clean cost is
+// cost: a crash dies crashFraction of the way through, a hang runs to
+// the attempt timeout, and a slow attempt takes its Factor (≤ 1 means
+// defaultSlowFactor) times its cost. Without a fault it runs clean.
+func (fr *faultRuntime) faultOutcome(f faults.Fault, cost costmodel.Units) (string, costmodel.Units) {
+	switch f.Kind {
+	case faults.Crash:
+		return outcomeCrash, cost * crashFraction
+	case faults.Hang:
+		return outcomeTimeout, fr.timeout(cost)
+	case faults.Slow:
+		factor := f.Factor
+		if factor <= 1 {
+			factor = defaultSlowFactor
+		}
+		return outcomeSlow, cost * factor
+	}
+	return outcomeOK, cost
+}
+
 func (fr *faultRuntime) beginPhase(phase live.Phase, n int) []*taskAttempts {
 	s := make([]*taskAttempts, n)
 	fr.phases[phase] = s
@@ -202,47 +223,28 @@ func runTaskAttempts(fr *faultRuntime, phase live.Phase, task int,
 	for a := 1; a <= maxAttempts; a++ {
 		f := fr.decide(phase, task, a)
 		res, err := execSafe()
-		cost := res.Cost
+		outcome, dur := fr.faultOutcome(f, res.Cost)
 		switch {
 		case err != nil:
-			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeError, Start: now, Dur: cost})
-			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, err))
-			fr.live.Retry(phase, task, a, outcomeError)
-			now += cost + fr.backoff(a)
-		case f.Kind == faults.Crash:
-			d := cost * crashFraction
-			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeCrash, Start: now, Dur: d})
-			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: injected crash", a))
-			fr.live.Retry(phase, task, a, outcomeCrash)
-			now += d + fr.backoff(a)
-		case f.Kind == faults.Hang:
-			d := fr.timeout(cost)
-			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: d})
-			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: hung, killed at timeout %v", a, d))
-			fr.live.Retry(phase, task, a, outcomeTimeout)
-			now += d + fr.backoff(a)
-		default:
-			dur, outcome := cost, outcomeOK
-			if f.Kind == faults.Slow {
-				factor := f.Factor
-				if factor <= 1 {
-					factor = defaultSlowFactor
-				}
-				dur, outcome = cost*factor, outcomeSlow
-			}
-			if to := fr.timeout(cost); dur > to {
-				// Slowed past the attempt timeout: killed like a hang.
-				ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcomeTimeout, Start: now, Dur: to})
-				attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: straggling, killed at timeout %v", a, to))
-				fr.live.Retry(phase, task, a, outcomeTimeout)
-				now += to + fr.backoff(a)
-				continue
-			}
-			ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcome, Start: now, Dur: dur})
+			outcome, dur = outcomeError, res.Cost
+		case outcome == outcomeCrash:
+			err = errors.New("injected crash")
+		case outcome == outcomeTimeout:
+			err = fmt.Errorf("hung, killed at timeout %v", dur)
+		case dur > fr.timeout(res.Cost):
+			// Slowed past the attempt timeout: killed like a hang.
+			outcome, dur = outcomeTimeout, fr.timeout(res.Cost)
+			err = fmt.Errorf("straggling, killed at timeout %v", dur)
+		}
+		ta.records = append(ta.records, attemptRecord{Attempt: a, Outcome: outcome, Start: now, Dur: dur})
+		if err == nil {
 			ta.committed = len(ta.records) - 1
 			ta.commitStart, ta.commitDur = now, dur
 			return res, ta, nil
 		}
+		attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", a, err))
+		fr.live.Retry(phase, task, a, outcome)
+		now += dur + fr.backoff(a)
 	}
 	err := fmt.Errorf("mapreduce: %s task %d failed after %d attempts: %w",
 		phase, task, maxAttempts, errors.Join(attemptErrs...))
@@ -276,41 +278,30 @@ func speculateTask(fr *faultRuntime, phase live.Phase, i int, thr costmodel.Unit
 	f := fr.decide(phase, i, specIdx)
 	fr.live.Speculate(phase, i)
 	spec, err := exec(i)
-	specCost := spec.Cost
 	launch := ta.commitStart + thr // straggling detected thr units in
 	rec := attemptRecord{Attempt: specIdx, Speculative: true, Start: launch}
+	rec.Outcome, rec.Dur = fr.faultOutcome(f, spec.Cost)
 	switch {
 	case err != nil:
 		// Unreachable for deterministic tasks (the committed attempt
 		// succeeded); recorded for completeness.
-		rec.Outcome, rec.Dur = outcomeError, specCost
-	case f.Kind == faults.Crash:
-		rec.Outcome, rec.Dur = outcomeCrash, specCost*crashFraction
-	case f.Kind == faults.Hang:
-		rec.Outcome, rec.Dur = outcomeTimeout, fr.timeout(specCost)
+		rec.Outcome, rec.Dur = outcomeError, spec.Cost
+	case rec.Outcome == outcomeCrash || rec.Outcome == outcomeTimeout:
+		// A failed backup: the original commit stands.
+	case launch+rec.Dur < ta.commitStart+ta.commitDur:
+		// The backup finishes first: it commits on the attempt
+		// timeline and the original is killed. Its output is verified
+		// to match, so the already-published task output needs no
+		// replacement.
+		if !sameOutput(spec, committed) {
+			return fmt.Errorf("mapreduce: %s task %d speculative attempt diverged from committed attempt", phase, i)
+		}
+		ta.records[ta.committed].Killed = true
+		ta.records = append(ta.records, rec)
+		ta.committed = len(ta.records) - 1
+		ta.commitStart, ta.commitDur = launch, rec.Dur
+		return nil
 	default:
-		rec.Outcome, rec.Dur = outcomeOK, specCost
-		if f.Kind == faults.Slow {
-			factor := f.Factor
-			if factor <= 1 {
-				factor = defaultSlowFactor
-			}
-			rec.Outcome, rec.Dur = outcomeSlow, specCost*factor
-		}
-		if launch+rec.Dur < ta.commitStart+ta.commitDur {
-			// The backup finishes first: it commits on the attempt
-			// timeline and the original is killed. Its output is verified
-			// to match, so the already-published task output needs no
-			// replacement.
-			if !sameOutput(spec, committed) {
-				return fmt.Errorf("mapreduce: %s task %d speculative attempt diverged from committed attempt", phase, i)
-			}
-			ta.records[ta.committed].Killed = true
-			ta.records = append(ta.records, rec)
-			ta.committed = len(ta.records) - 1
-			ta.commitStart, ta.commitDur = launch, rec.Dur
-			return nil
-		}
 		rec.Killed = true // lost the race; the original commit stands
 	}
 	ta.records = append(ta.records, rec)

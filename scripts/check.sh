@@ -1,7 +1,8 @@
 #!/bin/sh
 # The repo's standard verification gate, which `make check` runs:
 # gofmt cleanliness, go vet (plus staticcheck when installed), a
-# telemetry-key lint, full build, the bench module's vet and quick
+# telemetry-key lint, a docs lint, full build, a JSON decode of every
+# figure and table cmd/experiments prints, the bench module's vet and quick
 # suite, the race-enabled test suite with the whole-pipeline oracle, a
 # short run of every fuzz target, and the bounded-memory (publications
 # and persons-exact), live, fleet and Basic-baseline smokes. Run from
@@ -56,8 +57,55 @@ if [ -n "$dist_offenders" ]; then
     exit 1
 fi
 
+# The docs name tests and files as the way to check a claim: every
+# Test…/Fuzz…/Benchmark… name DESIGN.md or README.md mentions must be
+# defined somewhere in the repo (a trailing * makes it a prefix), and
+# every *.go path they mention must exist (a bare file name, or a path
+# that starts inside a package, matches by its tail).
+echo "== docs lint =="
+gofiles="$(find . -name '*.go' -not -path './.bench_build/*' | sed 's|^\.||')"
+defined="$(find . -name '*_test.go' -not -path './.bench_build/*' \
+    -exec grep -hoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' {} + | sed 's/^func //')"
+stale="$(
+    grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' DESIGN.md README.md | sort -u |
+        while read -r name; do
+            case "$name" in
+            *\*) printf '%s\n' "$defined" | grep -q "^${name%\*}" || echo "$name" ;;
+            *) printf '%s\n' "$defined" | grep -qx "$name" || echo "$name" ;;
+            esac
+        done
+    grep -ohE '[A-Za-z0-9_./-]+\.go\b' DESIGN.md README.md | sort -u |
+        while read -r path; do
+            printf '%s\n' "$gofiles" | grep -qE "/$(printf '%s' "$path" | sed 's/\./\\./g')\$" || echo "$path"
+        done
+)"
+if [ -n "$stale" ]; then
+    echo "DESIGN.md / README.md name tests or files that do not exist:"
+    echo "$stale"
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
+
+# Scratch space for the smoke runs below.
+smoke="$(mktemp -d)"
+trap 'rm -rf "$smoke"' EXIT
+
+# Every figure and table of cmd/experiments, as JSON: each document
+# must decode, a figure with one recall per grid time in every series, a
+# table with one cell per header column in every row.
+echo "== experiments JSON =="
+if command -v jq >/dev/null 2>&1; then
+    go run ./cmd/experiments all -entities 600 -json >"$smoke/experiments.json"
+    jq -e -s 'length > 0 and all(.[]; (.id | type) == "string" and
+        if has("series") then (.times | length) as $n | all(.series[]; (.recalls | length) == $n)
+        else (.header | length) as $n | all(.rows[]; length == $n) end)' \
+        "$smoke/experiments.json" >/dev/null || {
+        echo "experiments all -json wrote a malformed document"; exit 1; }
+else
+    echo "(skipped: jq not installed)"
+fi
 
 # The benchmark harness is a module of its own (bench/go.mod) that
 # imports the library's internal packages, so the root's ./... never
@@ -121,8 +169,6 @@ printf '%s\n' "$fuzzlist" |
 # half a second on a 2-core box (~1.1 s at n=12000): any shorter, and
 # the curls below race the end of the run.
 echo "== bounded-memory + live-introspection smoke =="
-smoke="$(mktemp -d)"
-trap 'rm -rf "$smoke"' EXIT
 # The polls below may read a log before the background run has opened
 # it, so the logs exist from the start.
 : >"$smoke/stderr.log"

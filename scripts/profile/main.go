@@ -62,7 +62,7 @@ func main() {
 	}
 	w := must(experiments.Generate(p.name, p.n, 1))
 	w.Train(p.n, 1)
-	o := proger.Options{Families: w.Fams, Matcher: w.Matcher, Mechanism: w.Mech, Policy: w.Policy, DupModel: w.Model, Machines: 10, SlotsPerMachine: 2}
+	o := w.Options(10, proger.SchedulerOurs)
 	dir := must(os.MkdirTemp("", "proger-profile-"))
 	cpu, allocs := must(os.Create(dir+"/cpu.pprof")), must(os.Create(dir+"/allocs.pprof"))
 	var before, after runtime.MemStats
