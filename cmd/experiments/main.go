@@ -9,7 +9,8 @@
 // A command is an entry of experiments.Catalogue (fig1, fig8, fig9,
 // fig10, fig11, ablation), table3 (the table of the fig8 run), or all,
 // which prints every entry in catalogue order, each at its own machine
-// counts. A flag left at zero takes the experiment's default.
+// counts, and so refuses -machines. A flag left at zero takes the
+// experiment's default.
 //
 // All numbers are simulated cost units; the shapes (who wins, by what
 // factor, where the crossovers fall) are the reproduction target — see
@@ -17,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +49,10 @@ func main() {
 	}
 	cfg := experiments.Config{Entities: *entities, Seed: *seed, Machines: parseMachines(*machinesFlag), GridPoints: *points}
 	ran, err := run(os.Stdout, cmd, cfg, *plot, *asJSON)
+	if errors.Is(err, errAllMachines) {
+		log.Print(err)
+		os.Exit(2)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,13 +61,16 @@ func main() {
 	}
 }
 
+// errAllMachines refuses machine counts for all: they mean something
+// different to each experiment.
+var errAllMachines = errors.New("-machines applies to one command; all runs every experiment at its own machine counts")
+
 // run runs every catalogue entry that cmd prints a part of, in
 // catalogue order, and writes those parts to w. It reports whether any
 // entry answered to cmd.
 func run(w io.Writer, cmd string, cfg experiments.Config, plot, asJSON bool) (bool, error) {
-	if cmd == "all" {
-		// Machine counts mean something different to each experiment.
-		cfg.Machines = nil
+	if cmd == "all" && cfg.Machines != nil {
+		return false, errAllMachines
 	}
 	ran := false
 	for _, e := range experiments.Catalogue {

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"proger/internal/experiments"
@@ -43,4 +47,32 @@ func TestAllIsEveryCommandInOrder(t *testing.T) {
 			t.Errorf("the unknown command %q ran an experiment", cmd)
 		}
 	}
+}
+
+// TestAllRefusesMachines: machine counts mean something different to
+// each experiment, so all refuses -machines, printing nothing, and the
+// command exits with status 2.
+func TestAllRefusesMachines(t *testing.T) {
+	var out bytes.Buffer
+	ran, err := run(&out, "all", experiments.Config{Entities: 600, Machines: []int{4, 8}}, false, false)
+	if ran || !errors.Is(err, errAllMachines) || out.Len() > 0 {
+		t.Errorf("all with machines: ran %v, %v, printed %d bytes; want errAllMachines and nothing run", ran, err, out.Len())
+	}
+	cmd := exec.Command(os.Args[0], "all", "-entities", "600", "-machines", "4,8")
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_TEST_MAIN=1")
+	msg, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "-machines") {
+		t.Errorf("experiments all -machines 4,8: %v\n%s; want exit status 2 naming -machines", err, msg)
+	}
+}
+
+// TestMain runs the command itself when a test re-executes the test
+// binary with EXPERIMENTS_TEST_MAIN set.
+func TestMain(m *testing.M) {
+	if os.Getenv("EXPERIMENTS_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
 }

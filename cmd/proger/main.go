@@ -48,31 +48,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("proger: ")
 
-	input := flag.String("input", "", "input dataset TSV (mutually exclusive with -generate)")
-	generate := flag.String("generate", "", "generate a synthetic workload: "+strings.Join(experiments.Names(), " | "))
-	n := flag.Int("n", 10000, "entities to generate")
-	seed := flag.Int64("seed", 1, "generator seed")
-	truthPath := flag.String("truth", "", "ground-truth TSV for recall reporting")
-	var blocks, rules stringList
-	flag.Var(&blocks, "block", "blocking family as attr:len1,len2,... (repeatable, dominance order)")
-	flag.Var(&rules, "rule", "match rule as attr:kind:weight[:maxchars], kind ∈ edit|exact|jaro|jaccard|cosine (repeatable)")
-	threshold := flag.Float64("match-threshold", 0.75, "weighted-similarity match threshold")
-	mech := flag.String("mechanism", "", "progressive mechanism: sn | psnm (default: the -generate workload's; sn for -input)")
-	scheduler := flag.String("scheduler", "ours", "tree scheduler: ours | nosplit | lpt")
-	basic := flag.Bool("basic", false, "run the Basic baseline instead of the full pipeline")
-	window := flag.Int("window", 15, "SN window for -basic")
-	popcorn := flag.Float64("popcorn", -1, "popcorn threshold for -basic (negative = resolve fully)")
-	machines := flag.Int("machines", 10, "simulated machines")
-	slots := flag.Int("slots", 2, "task slots per machine")
+	r := bindRun(flag.CommandLine)
 	out := flag.String("out", "", "output path for duplicate pairs (default stdout)")
 	clustersOut := flag.String("clusters", "", "also write transitive-closure clusters to this path")
 	showReport := flag.Bool("report", false, "print per-job diagnostics (summary, timeline, counters)")
 	segmentsDir := flag.String("segments", "", "write α-interval incremental result files to this directory")
 	alpha := flag.Float64("alpha", 500, "segment interval in cost units for -segments")
 	curvePoints := flag.Int("curve", 12, "recall-curve points to print when -truth is given")
-	faultRate := flag.Float64("fault-rate", 0, "inject simulated task faults at this per-attempt probability (0 disables; results are unaffected)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for deterministic fault injection")
-	maxRetries := flag.Int("max-retries", 3, "per-task retry budget when -fault-rate > 0")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path (load in Perfetto / chrome://tracing)")
 	metricsPath := flag.String("metrics-out", "", "write run metrics in Prometheus text format to this path")
 	qualityOut := flag.String("quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
@@ -83,24 +65,18 @@ func main() {
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
 	distN := flag.Int("dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
-	masterMode := flag.Bool("master", false, "run as a distributed master: serve task leases on -listen, execute nothing locally (start workers with the same resolution flags plus -worker -connect)")
-	workerMode := flag.Bool("worker", false, "run as a distributed worker: connect to the master at -connect, execute leased tasks, write no output")
+	masterMode := flag.Bool("master", false, "run as a distributed master: serve task leases on -listen, execute nothing locally; each worker (-worker -connect ADDR, no resolution flag) receives this run when it registers")
+	workerMode := flag.Bool("worker", false, "run as a distributed worker: connect to the master at -connect, resolve the run it hands over, execute leased tasks, write no output; takes no resolution flag")
 	listenAddr := flag.String("listen", "127.0.0.1:0", "master RPC endpoint: host:port, or unix:/path for a unix socket")
 	connectAddr := flag.String("connect", "", "master endpoint for -worker, in -listen notation")
 	leaseTTL := flag.Duration("lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
 	workerDie := flag.Int("worker-die-after", 0, "fault harness: a worker exits abruptly after taking this many task leases; in -dist mode, applied to the first forked worker")
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*distN > 0, *masterMode, *workerMode} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
+	if (*distN > 0 && *masterMode) || (*workerMode && (*distN > 0 || *masterMode)) {
 		log.Fatal("-dist, -master, and -worker are mutually exclusive")
 	}
-	distActive := modes == 1
+	distActive := *distN > 0 || *masterMode || *workerMode
 	if *workerMode && *connectAddr == "" {
 		log.Fatal("-worker requires -connect ADDR")
 	}
@@ -109,6 +85,17 @@ func main() {
 	}
 	if distActive && *memBudget != "" {
 		log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
+	}
+	if *workerMode {
+		runFlags := flag.NewFlagSet("", flag.ContinueOnError)
+		bindRun(runFlags)
+		flag.Visit(func(f *flag.Flag) {
+			if runFlags.Lookup(f.Name) != nil {
+				log.Fatalf("-%s: a worker resolves the run its master hands over and takes no resolution flag", f.Name)
+			}
+		})
+	} else if err := r.refuseUnread(flag.CommandLine); err != nil {
+		log.Fatal(err)
 	}
 	var (
 		tracer  *proger.Tracer
@@ -171,51 +158,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "proger: status listening on http://%s/\n", srv.Addr())
 	}
 
-	var (
-		injector proger.FaultInjector
-		retry    proger.RetryPolicy
-	)
-	if *faultRate > 0 {
-		injector = proger.NewSeededFaults(*faultSeed, *faultRate)
-		retry = proger.RetryPolicy{MaxRetries: *maxRetries, Speculation: true}
-	}
-	budgetBytes, sizeErr := parseSize(*memBudget)
-	if sizeErr != nil {
-		log.Fatal(sizeErr)
-	}
-	if budgetBytes > 0 && metrics == nil {
-		// The budget pressure summary reads registry gauges, so a budget
-		// implies a registry even when no metrics output was requested.
-		metrics = proger.NewMetricsRegistry()
-	}
-
-	wl := loadWorkload(*input, *generate, *n, *seed, *truthPath, blocks, rules, *threshold, !*basic)
-	ds, gt := wl.DS, wl.GT
-	if *mech != "" {
-		wl.Mech = pickMechanism(*mech)
-	}
-
-	elog.Emit(proger.EventRunStart,
-		proger.EventKV("entities", ds.Len()),
-		proger.EventKV("mode", runMode(*basic)),
-		proger.EventKV("machines", *machines),
-		proger.EventKV("slots", *slots))
-	renderer := (*proger.LiveProgressRenderer)(nil)
-	if *showProgress {
-		renderer = proger.StartLiveProgress(os.Stderr, lvRun, 0)
-	}
-
-	// Distributed transport. The master is created only after run.start
-	// is emitted, so every worker.register/lease event lands inside the
-	// run envelope; it is closed again before run.end.
+	// A worker joins its master first: the master hands over the run.
 	var (
 		transport proger.TaskTransport
-		dmaster   *dist.Master
 		dworker   *dist.Worker
-		workers   *fleet
 	)
-	switch {
-	case *workerMode:
+	if *workerMode {
 		w, werr := dist.NewWorker(dist.WorkerOptions{
 			Connect:    *connectAddr,
 			OnLease:    dieAfter(*workerDie),
@@ -227,12 +175,58 @@ func main() {
 			log.Fatal(werr)
 		}
 		dworker, transport = w, w
-	case *masterMode, *distN > 0:
+		if r, werr = decodeRun(w.Run()); werr != nil {
+			w.Close()
+			log.Fatalf("the master's run: %v", werr)
+		}
+		r.Truth = "" // recall is the master's to report
+	}
+
+	budgetBytes, sizeErr := parseSize(*memBudget)
+	if sizeErr != nil {
+		log.Fatal(sizeErr)
+	}
+	if budgetBytes > 0 && metrics == nil {
+		// The budget pressure summary reads registry gauges, so a budget
+		// implies a registry even when no metrics output was requested.
+		metrics = proger.NewMetricsRegistry()
+	}
+
+	wl := loadWorkload(r)
+	ds, gt := wl.DS, wl.GT
+
+	mode := "pipeline"
+	if r.Basic {
+		mode = "basic"
+	}
+	elog.Emit(proger.EventRunStart,
+		proger.EventKV("entities", ds.Len()),
+		proger.EventKV("mode", mode),
+		proger.EventKV("machines", r.Machines),
+		proger.EventKV("slots", r.Slots))
+	renderer := (*proger.LiveProgressRenderer)(nil)
+	if *showProgress {
+		renderer = proger.StartLiveProgress(os.Stderr, lvRun, 0)
+	}
+
+	// Distributed transport. The master is created only after run.start
+	// is emitted, so every worker.register/lease event lands inside the
+	// run envelope; it is closed again before run.end.
+	var (
+		dmaster *dist.Master
+		workers *fleet
+	)
+	if *masterMode || *distN > 0 {
+		encoded, merr := r.encode()
+		if merr != nil {
+			log.Fatalf("encoding the run for its workers: %v", merr)
+		}
 		m, merr := dist.NewMaster(dist.MasterOptions{
 			Listen:   *listenAddr,
 			LeaseTTL: *leaseTTL,
 			Metrics:  metrics,
 			Log:      elog,
+			Run:      encoded,
 		})
 		if merr != nil {
 			log.Fatal(merr)
@@ -247,6 +241,7 @@ func main() {
 		workers = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
 	}
 
+	injector, retry := r.faults()
 	var (
 		res *proger.Result
 		err error
@@ -262,13 +257,13 @@ func main() {
 		MemBudget: budgetBytes,
 		SpillDir:  *spillDir,
 	}
-	if *basic {
-		opts := wl.BasicOptions(*machines, *window, *popcorn)
-		opts.SlotsPerMachine, opts.Host = *slots, host
+	if r.Basic {
+		opts := wl.BasicOptions(r.Machines, r.Window, r.Popcorn)
+		opts.SlotsPerMachine, opts.Host = r.Slots, host
 		res, err = proger.ResolveBasic(ds, opts)
 	} else {
-		opts := wl.Options(*machines, pickScheduler(*scheduler))
-		opts.SlotsPerMachine, opts.Host = *slots, host
+		opts := wl.Options(r.Machines, pickScheduler(r.Scheduler))
+		opts.SlotsPerMachine, opts.Host = r.Slots, host
 		res, err = proger.Resolve(ds, opts)
 	}
 	lvRun.Finish(err)
@@ -296,8 +291,8 @@ func main() {
 	flushEvents(eventsSink)
 
 	if *workerMode {
-		// A worker computes the same Result as the master (that is the
-		// lockstep contract) but the master's process owns every output.
+		// A worker computes the same Result as the master (it resolves
+		// the master's run) but the master's process owns every output.
 		return
 	}
 
@@ -361,16 +356,17 @@ func main() {
 // loadWorkload reads -input (and -truth), resolved with SN, the
 // CiteSeerX policy and the analytic model, or generates the catalogue
 // workload -generate names; then -block and -rule replace its families
-// and matcher. train trains the catalogue's model, if it has one, for
-// the families the run uses.
-func loadWorkload(input, generate string, n int, seed int64, truthPath string, blocks, rules stringList, threshold float64, train bool) *experiments.Workload {
+// and matcher, and -mechanism its mechanism. Unless the run is -basic,
+// it trains the catalogue's model, if it has one, for the families the
+// run uses.
+func loadWorkload(r *run) *experiments.Workload {
 	w := &experiments.Workload{Mech: proger.SN, Policy: proger.CiteSeerXPolicy()}
 	var err error
 	switch {
-	case input != "" && generate != "":
+	case r.Input != "" && r.Generate != "":
 		log.Fatal("-input and -generate are mutually exclusive")
-	case input != "":
-		f, err := os.Open(input)
+	case r.Input != "":
+		f, err := os.Open(r.Input)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -378,8 +374,8 @@ func loadWorkload(input, generate string, n int, seed int64, truthPath string, b
 		if w.DS, err = proger.ReadTSV(f); err != nil {
 			log.Fatal(err)
 		}
-		if truthPath != "" {
-			tf, err := os.Open(truthPath)
+		if r.Truth != "" {
+			tf, err := os.Open(r.Truth)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -388,25 +384,28 @@ func loadWorkload(input, generate string, n int, seed int64, truthPath string, b
 				log.Fatal(err)
 			}
 		}
-	case generate != "":
-		if w, err = experiments.Generate(generate, n, seed); err != nil {
+	case r.Generate != "":
+		if w, err = experiments.Generate(r.Generate, r.N, r.Seed); err != nil {
 			log.Fatal(err)
 		}
 	default:
 		log.Fatalf("need -input FILE or -generate %s", strings.Join(experiments.Names(), "|"))
 	}
-	if len(blocks) > 0 {
-		w.Fams = buildFamilies(w.DS, blocks)
+	if len(r.Blocks) > 0 {
+		w.Fams = buildFamilies(w.DS, r.Blocks)
 	} else if w.Fams == nil {
 		log.Fatal("custom datasets need at least one -block attr:len1,len2,...")
 	}
-	if len(rules) > 0 {
-		w.Matcher = buildMatcher(w.DS, rules, threshold)
+	if len(r.Rules) > 0 {
+		w.Matcher = buildMatcher(w.DS, r.Rules, r.Threshold)
 	} else if w.Matcher == nil {
 		log.Fatal("custom datasets need at least one -rule attr:kind:weight")
 	}
-	if train && generate != "" {
-		w.Train(n, seed)
+	if r.Mechanism != "" {
+		w.Mech = pickMechanism(r.Mechanism)
+	}
+	if !r.Basic && r.Generate != "" {
+		w.Train(r.N, r.Seed)
 	}
 	return w
 }
@@ -606,21 +605,8 @@ func dieAfter(n int) func(int) {
 	}
 }
 
-// resolutionFlags are the flags every process in a fleet must agree
-// on (plus the chaos knobs, which only the master's dispatch reads but
-// cost nothing to mirror). Host-only flags — outputs, tracing, status
-// server, worker counts — deliberately stay per-process.
-var resolutionFlags = map[string]bool{
-	"input": true, "generate": true, "n": true, "seed": true, "truth": true,
-	"block": true, "rule": true, "match-threshold": true, "mechanism": true,
-	"scheduler": true, "basic": true, "window": true, "popcorn": true,
-	"machines": true, "slots": true,
-	"fault-rate": true, "fault-seed": true, "max-retries": true,
-}
-
 // forkWorkers starts n copies of this binary in -worker mode against
-// addr, forwarding every explicitly-set resolution flag so the fleet's
-// drivers derive identical job configurations. dieAt > 0 arms the
+// addr; each receives the master's run when it registers. dieAt > 0 arms the
 // first worker's -worker-die-after harness. withStatus gives each
 // child its own status server on a free port (the address lands in
 // the master's /fleet via registration). Each child's stderr is
@@ -635,19 +621,6 @@ func forkWorkers(n int, addr string, dieAt int, withStatus bool) *fleet {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var forwarded []string
-	flag.Visit(func(f *flag.Flag) {
-		if !resolutionFlags[f.Name] {
-			return
-		}
-		if sl, ok := f.Value.(*stringList); ok {
-			for _, v := range *sl {
-				forwarded = append(forwarded, "-"+f.Name+"="+v)
-			}
-			return
-		}
-		forwarded = append(forwarded, "-"+f.Name+"="+f.Value.String())
-	})
 	for i := 0; i < n; i++ {
 		args := []string{"-worker", "-connect=" + addr}
 		if i == 0 && dieAt > 0 {
@@ -656,7 +629,6 @@ func forkWorkers(n int, addr string, dieAt int, withStatus bool) *fleet {
 		if withStatus {
 			args = append(args, "-status=127.0.0.1:0")
 		}
-		args = append(args, forwarded...)
 		c := exec.Command(exe, args...)
 		pr, pw, err := os.Pipe()
 		if err != nil {
@@ -709,13 +681,6 @@ func prefixLines(r io.ReadCloser, w io.Writer, prefix string) {
 	for sc.Scan() {
 		fmt.Fprintf(w, "%s%s\n", prefix, sc.Bytes())
 	}
-}
-
-func runMode(basic bool) string {
-	if basic {
-		return "basic"
-	}
-	return "pipeline"
 }
 
 // flushEvents flushes the buffered -events sink, if any.

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"proger"
 	"proger/internal/core"
@@ -36,12 +39,18 @@ func TestBuildFamiliesCustom(t *testing.T) {
 	}
 }
 
+// generated is the run of -generate name -n n -seed seed, with -basic
+// when basic.
+func generated(name string, n int, seed int64, basic bool) *run {
+	return &run{Generate: name, N: n, Seed: seed, Threshold: 0.75, Basic: basic}
+}
+
 func TestBuildFamiliesPresets(t *testing.T) {
-	fams := loadWorkload("", "publications", 50, 1, "", nil, nil, 0.75, false).Fams
+	fams := loadWorkload(generated("publications", 50, 1, true)).Fams
 	if len(fams) != 3 || fams[0].PrefixLens[0] != 2 {
 		t.Errorf("publications preset = %+v", fams)
 	}
-	fams = loadWorkload("", "books", 50, 1, "", nil, nil, 0.75, false).Fams
+	fams = loadWorkload(generated("books", 50, 1, true)).Fams
 	if len(fams) != 3 || fams[0].PrefixLens[0] != 3 {
 		t.Errorf("books preset = %+v", fams)
 	}
@@ -51,12 +60,12 @@ func TestBuildFamiliesPresets(t *testing.T) {
 // entities (at least 500) generated from seed + 100000; people trains
 // none.
 func TestTrainSet(t *testing.T) {
-	w := loadWorkload("", "publications", 4000, 1, "", nil, nil, 0.75, true)
+	w := loadWorkload(generated("publications", 4000, 1, false))
 	ds, gt := proger.GeneratePublications(1000, 100001)
 	if w.Model == nil || !reflect.DeepEqual(w.Model, estimate.DupModel(estimate.Train(ds, gt, w.Fams))) {
 		t.Error("publications model is not trained on its train set")
 	}
-	if w := loadWorkload("", "people", 4000, 1, "", nil, nil, 0.75, true); w.Model != nil {
+	if w := loadWorkload(generated("people", 4000, 1, false)); w.Model != nil {
 		t.Error("people has no train set")
 	}
 }
@@ -77,7 +86,7 @@ func TestWorkloadsAreTheCatalogues(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Train(n, seed)
-		got := loadWorkload("", name, n, seed, "", nil, nil, 0.75, true)
+		got := loadWorkload(generated(name, n, seed, false))
 		if !reflect.DeepEqual(got.Fams, want.Fams) || !reflect.DeepEqual(got.Matcher, want.Matcher) || got.Policy != want.Policy {
 			t.Errorf("%s: CLI families %v, matcher %+v, policy %+v; catalogue %v, %+v, %+v",
 				name, got.Fams, got.Matcher, got.Policy, want.Fams, want.Matcher, want.Policy)
@@ -85,12 +94,14 @@ func TestWorkloadsAreTheCatalogues(t *testing.T) {
 		if !reflect.DeepEqual(got.Model, want.Model) || (got.Model != nil) != trained[name] {
 			t.Errorf("%s: CLI model %v, catalogue %v, want trained = %v", name, got.Model, want.Model, trained[name])
 		}
-		if basic := loadWorkload("", name, n, seed, "", nil, nil, 0.75, false); basic.Model != nil {
+		if basic := loadWorkload(generated(name, n, seed, true)); basic.Model != nil {
 			t.Errorf("%s: -basic trained a model", name)
 		}
 	}
 	blocks := stringList{"title:2,4", "venue:3"}
-	got := loadWorkload("", "publications", n, seed, "", blocks, nil, 0.75, true)
+	r := generated("publications", n, seed, false)
+	r.Blocks = blocks
+	got := loadWorkload(r)
 	want, _ := experiments.Generate("publications", n, seed)
 	want.Fams = buildFamilies(want.DS, blocks)
 	want.Train(n, seed)
@@ -261,5 +272,161 @@ func TestFleetWaitCopiesLastLines(t *testing.T) {
 	f.wait()
 	if got, want := out.String(), "w1: lease 3 failed\nw1: worker exiting: disk full\n"; got != want {
 		t.Errorf("relayed %q, want %q", got, want)
+	}
+}
+
+// command is this binary re-executed as proger with args.
+func command(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PROGER_TEST_MAIN=1")
+	return cmd
+}
+
+// TestHandStartedWorkerTakesTheMastersRun: a -master and one worker
+// started by hand with nothing but -worker -connect write the pairs,
+// trace and quality export of the local run with the master's flags,
+// whichever resolution flags the master carries; the worker resolves
+// the run the master hands it at registration. A worker given a
+// resolution flag refuses to start.
+func TestHandStartedWorkerTakesTheMastersRun(t *testing.T) {
+	base := []string{"-generate", "publications", "-n", "2000", "-seed", "3", "-machines", "2"}
+	for _, extra := range [][]string{
+		{"-rule", "title:edit:1", "-match-threshold", "0.9", "-scheduler", "lpt"},
+		{"-mechanism", "psnm", "-fault-rate", "0.2", "-fault-seed", "7"},
+		{"-basic"},
+	} {
+		t.Run(strings.Join(extra, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			outputs := func(prefix string) []string {
+				return []string{"-out", dir + "/" + prefix + ".tsv", "-trace", dir + "/" + prefix + "-trace.json",
+					"-quality-out", dir + "/" + prefix + "-quality.json"}
+			}
+			flags := append(append([]string{}, base...), extra...)
+			if msg, err := command(append(flags, outputs("local")...)...).CombinedOutput(); err != nil {
+				t.Fatalf("local run: %v\n%s", err, msg)
+			}
+
+			// A unix socket path must stay short; the test's TempDir can be long.
+			sockDir, err := os.MkdirTemp("", "proger")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer os.RemoveAll(sockDir)
+			sock := sockDir + "/master.sock"
+			var masterOut bytes.Buffer
+			master := command(append(append(flags, "-master", "-listen", "unix:"+sock), outputs("fleet")...)...)
+			master.Stdout, master.Stderr = &masterOut, &masterOut
+			if err := master.Start(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- master.Wait() }()
+			for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				if _, err := os.Stat(sock); err == nil {
+					break
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("the master exited before listening: %v\n%s", err, masterOut.Bytes())
+				default:
+				}
+				if time.Now().After(deadline) {
+					master.Process.Kill()
+					t.Fatalf("the master never listened on %s: %v\n%s", sock, <-done, masterOut.Bytes())
+				}
+			}
+			if msg, err := command("-worker", "-connect", "unix:"+sock).CombinedOutput(); err != nil {
+				master.Process.Kill()
+				<-done
+				t.Fatalf("bare worker: %v\n%s", err, msg)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("master: %v\n%s", err, masterOut.Bytes())
+				}
+			case <-time.After(60 * time.Second):
+				master.Process.Kill()
+				t.Fatalf("the master did not finish after its worker left\n%s", <-done)
+			}
+			for _, suffix := range []string{".tsv", "-trace.json", "-quality.json"} {
+				local, err := os.ReadFile(dir + "/local" + suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fleet, err := os.ReadFile(dir + "/fleet" + suffix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(local, fleet) {
+					t.Errorf("%s: the fleet wrote %d bytes, the local run %d that differ", suffix, len(fleet), len(local))
+				}
+			}
+		})
+	}
+
+	msg, err := command("-worker", "-connect", "unix:"+t.TempDir()+"/none.sock", "-rule", "title:edit:1").CombinedOutput()
+	if err == nil || !strings.Contains(string(msg), "-rule") {
+		t.Errorf("a worker given -rule: %v\n%s; want a non-zero exit naming -rule", err, msg)
+	}
+}
+
+// TestUnreadFlagsAreRefused: a resolution flag that the chosen pipeline
+// never reads is an error naming it, not a setting silently dropped.
+func TestUnreadFlagsAreRefused(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		refuse string // "" when the run is accepted
+	}{
+		{[]string{"-match-threshold", "0.95"}, "-match-threshold"},
+		{[]string{"-rule", "title:edit:1", "-match-threshold", "0.95"}, ""},
+		{[]string{"-window", "3"}, "-window"},
+		{[]string{"-popcorn", "0.1"}, "-popcorn"},
+		{[]string{"-basic", "-window", "3", "-popcorn", "0.1"}, ""},
+		{[]string{"-basic", "-scheduler", "lpt"}, "-scheduler"},
+		{[]string{"-scheduler", "lpt"}, ""},
+		{nil, ""},
+	} {
+		fs := flag.NewFlagSet("proger", flag.ContinueOnError)
+		r := bindRun(fs)
+		if err := fs.Parse(append([]string{"-generate", "publications"}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		err := r.refuseUnread(fs)
+		switch {
+		case c.refuse == "" && err != nil:
+			t.Errorf("%q: refused: %v", c.args, err)
+		case c.refuse != "" && (err == nil || !strings.Contains(err.Error(), c.refuse)):
+			t.Errorf("%q: err = %v, want an error naming %s", c.args, err, c.refuse)
+		}
+	}
+}
+
+// TestRunRoundTrip: a worker decodes the master's run into the run the
+// master's flags filled, and a run it cannot read is an error, not a
+// crash or a field silently dropped.
+func TestRunRoundTrip(t *testing.T) {
+	fs := flag.NewFlagSet("proger", flag.ContinueOnError)
+	want := bindRun(fs)
+	if err := fs.Parse([]string{"-input", "x.tsv", "-block", "name:2,3", "-block", "state:2", "-rule", "name:edit:1",
+		"-match-threshold", "0.8", "-mechanism", "psnm", "-basic", "-window", "4", "-popcorn", "0.2",
+		"-machines", "3", "-slots", "1", "-fault-rate", "0.1", "-fault-seed", "9", "-max-retries", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := want.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeRun(b)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, %v; want %+v", got, err, want)
+	}
+	for _, bad := range []string{"", "{", `{"Window": "4"}`, `{"Deadline": 3}`} {
+		if r, err := decodeRun([]byte(bad)); err == nil {
+			t.Errorf("decodeRun(%q) = %+v, want an error", bad, r)
+		}
+	}
+	if _, err := (&run{FaultRate: math.NaN()}).encode(); err == nil {
+		t.Error("a NaN fault rate encoded")
 	}
 }

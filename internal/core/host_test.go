@@ -18,7 +18,7 @@ type namedTransport string
 
 func (t namedTransport) TransportName() string { return string(t) }
 
-func (namedTransport) BeginJob(mapreduce.RemoteJobSpec, *mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
+func (namedTransport) BeginJob(*mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
 	return nil, errors.New("namedTransport runs no jobs")
 }
 

@@ -38,8 +38,9 @@ type Host struct {
 	// Transport, when non-nil, replaces in-process task execution for
 	// every job: a dist.Master leases every task to worker processes, a
 	// dist.Worker executes leases and follows the master's broadcasts.
-	// Every process must run with identical resolution-affecting
-	// options.
+	// Every process must resolve with the same non-Host options;
+	// cmd/proger's workers take them from their master's run
+	// (dist.MasterOptions.Run).
 	Transport mapreduce.TaskTransport
 	// Faults, when non-nil, injects deterministic simulated task
 	// failures into every job's attempt runtime (chaos testing).

@@ -38,6 +38,11 @@ type MasterOptions struct {
 	// Log receives worker.register / lease / lease.expire events, when
 	// non-nil.
 	Log *live.EventLog
+	// Run describes the run every process's driver resolves. It is
+	// handed unread to each worker at registration (Worker.Run); an
+	// in-process fleet whose drivers share their options leaves it
+	// empty.
+	Run []byte
 }
 
 // Master is the lease-granting side of the distributed transport. It
@@ -50,6 +55,7 @@ type Master struct {
 	ownData bool
 	ttl     time.Duration
 	log     *live.EventLog
+	run     []byte
 
 	cWorkers, cLeases, cExpired, cIn, cOut, cRPC *obs.Counter
 	hRPC                                         *obs.Histogram
@@ -62,7 +68,7 @@ type Master struct {
 	cond       *sync.Cond
 	workers    map[int]*workerState
 	leases     map[uint64]*leaseEntry
-	jobs       map[int]*jobState
+	done       map[int]*WaitJobReply // each finished job's broadcast, by seq
 	conns      map[net.Conn]struct{}
 	nextWorker int
 	nextLease  uint64
@@ -97,22 +103,13 @@ type leaseEntry struct {
 	worker int
 }
 
-type jobState struct {
-	spec    mapreduce.RemoteJobSpec
-	done    bool
-	results *mapreduce.RemoteJobResults
-	errMsg  string
-}
-
 // pendingTask is one requested task execution making its way through
 // the lease queue. ch (capacity 1) receives exactly one outcome:
 // the first completion, or lease expiry as mapreduce.ErrTaskLost.
 type pendingTask struct {
-	seq   int
-	phase live.Phase
-	task  int
-	runs  []mapreduce.RunPart
-	ch    chan taskOutcome
+	seq int
+	mapreduce.RemoteTask
+	ch chan taskOutcome
 }
 
 type taskOutcome struct {
@@ -166,6 +163,7 @@ func NewMaster(opts MasterOptions) (*Master, error) {
 		ownData:  ownData,
 		ttl:      ttl,
 		log:      opts.Log,
+		run:      opts.Run,
 		cWorkers: opts.Metrics.Counter(mapreduce.CounterDistWorkersRegistered),
 		cLeases:  opts.Metrics.Counter(mapreduce.CounterDistLeasesGranted),
 		cExpired: opts.Metrics.Counter(mapreduce.CounterDistLeasesExpired),
@@ -177,7 +175,7 @@ func NewMaster(opts MasterOptions) (*Master, error) {
 		closed:   make(chan struct{}),
 		workers:  map[int]*workerState{},
 		leases:   map[uint64]*leaseEntry{},
-		jobs:     map[int]*jobState{},
+		done:     map[int]*WaitJobReply{},
 		conns:    map[net.Conn]struct{}{},
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -199,9 +197,6 @@ func (m *Master) Addr() string {
 	}
 	return m.ln.Addr().String()
 }
-
-// DataDir returns the shared run-file directory.
-func (m *Master) DataDir() string { return m.dataDir }
 
 func (m *Master) accept(srv *rpc.Server) {
 	for {
@@ -284,8 +279,8 @@ func (m *Master) deliverExpired(expired []*leaseEntry, ids []uint64) {
 		m.cExpired.Inc()
 		m.log.Emit(live.EventLeaseExpire,
 			live.KV("lease", int64(ids[i])), live.KV("worker", le.worker),
-			live.KV("job", le.task.seq), live.KV("phase", string(le.task.phase)),
-			live.KV("task", le.task.task))
+			live.KV("job", le.task.seq), live.KV("phase", string(le.task.Phase)),
+			live.KV("task", le.task.Task))
 		le.task.ch <- taskOutcome{err: fmt.Errorf("%w: worker %d (lease %d)",
 			mapreduce.ErrTaskLost, le.worker, ids[i])}
 	}
@@ -295,11 +290,10 @@ func (m *Master) deliverExpired(expired []*leaseEntry, ids []uint64) {
 func (m *Master) TransportName() string { return "master" }
 
 // BeginJob implements mapreduce.TaskTransport: make the job's shared
-// directory, publish the job's spec (unblocking worker JobInfo polls)
-// and hand back the dispatch handle the driver leases tasks through.
-// The runner is unused on the master — this process executes nothing
-// locally.
-func (m *Master) BeginJob(spec mapreduce.RemoteJobSpec, _ *mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
+// directory and hand back the dispatch handle the driver leases tasks
+// through. The runner is unused on the master — this process executes
+// nothing locally.
+func (m *Master) BeginJob(*mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closing {
@@ -309,8 +303,6 @@ func (m *Master) BeginJob(spec mapreduce.RemoteJobSpec, _ *mapreduce.RemoteRunne
 		return nil, fmt.Errorf("dist: job dir: %w", err)
 	}
 	m.nextSeq++
-	m.jobs[m.nextSeq] = &jobState{spec: spec}
-	m.cond.Broadcast()
 	return masterJob{m: m, seq: m.nextSeq}, nil
 }
 
@@ -324,9 +316,8 @@ func (j masterJob) Master() bool { return true }
 // RunTask enqueues one task execution and blocks until a worker's
 // first completion — or lease expiry, which the mapreduce dispatch
 // layer retries by calling RunTask again.
-func (j masterJob) RunTask(phase live.Phase, task int, runs []mapreduce.RunPart) (*mapreduce.TaskResult, error) {
-	t := &pendingTask{seq: j.seq, phase: phase, task: task, runs: runs,
-		ch: make(chan taskOutcome, 1)}
+func (j masterJob) RunTask(rt mapreduce.RemoteTask) (*mapreduce.TaskResult, error) {
+	t := &pendingTask{seq: j.seq, RemoteTask: rt, ch: make(chan taskOutcome, 1)}
 	select {
 	case j.m.tasks <- t:
 	case <-j.m.closed:
@@ -339,13 +330,14 @@ func (j masterJob) RunTask(phase live.Phase, task int, runs []mapreduce.RunPart)
 // Finish records the job's broadcast (or terminal error), waking
 // worker WaitJob polls, then retires the job's map files.
 func (j masterJob) Finish(results *mapreduce.RemoteJobResults, runErr error) error {
-	j.m.mu.Lock()
-	js := j.m.jobs[j.seq]
-	js.done = true
-	js.results = results
+	done := &WaitJobReply{}
 	if runErr != nil {
-		js.errMsg = runErr.Error()
+		done.Err = runErr.Error()
+	} else {
+		done.Results = *results
 	}
+	j.m.mu.Lock()
+	j.m.done[j.seq] = done
 	j.m.cond.Broadcast()
 	j.m.mu.Unlock()
 	return os.RemoveAll(mapreduce.RemoteJobDir(j.m.dataDir, j.seq))
@@ -447,6 +439,7 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	reply.WorkerID = id
 	reply.TTLMillis = m.ttl.Milliseconds()
 	reply.DataDir = m.dataDir
+	reply.Run = m.run
 	reply.WantEvents = m.log != nil
 	return nil
 }
@@ -526,10 +519,9 @@ func (r *masterRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 		m.cLeases.Inc()
 		m.log.Emit(live.EventLease,
 			live.KV("lease", int64(id)), live.KV("worker", args.WorkerID),
-			live.KV("job", t.seq), live.KV("phase", string(t.phase)), live.KV("task", t.task))
+			live.KV("job", t.seq), live.KV("phase", string(t.Phase)), live.KV("task", t.Task))
 		reply.Kind = LeaseTask
-		reply.Lease = TaskLease{LeaseID: id, JobSeq: t.seq, Phase: t.phase,
-			Task: t.task, Runs: t.runs}
+		reply.Lease = TaskLease{LeaseID: id, JobSeq: t.seq, RemoteTask: t.RemoteTask}
 		return nil
 	case <-poll.C:
 		reply.Kind = LeaseWait
@@ -569,7 +561,7 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 	if ok && args.Err == "" && args.Result != nil {
 		args.Result.Worker = le.worker
 		if ws := m.workers[le.worker]; ws != nil {
-			switch le.task.phase {
+			switch le.task.Phase {
 			case live.PhaseMap:
 				ws.mapDone++
 			case live.PhaseReduce:
@@ -593,24 +585,6 @@ func (r *masterRPC) Complete(args *CompleteArgs, _ *CompleteReply) error {
 	return nil
 }
 
-// JobInfo blocks until the master's driver begins job Seq, then
-// returns its spec.
-func (r *masterRPC) JobInfo(args *JobInfoArgs, reply *JobInfoReply) error {
-	defer r.timed(time.Now())
-	m := r.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.jobs[args.Seq] == nil && !m.closing {
-		m.cond.Wait()
-	}
-	js := m.jobs[args.Seq]
-	if js == nil {
-		return fmt.Errorf("dist: master closed before job %d began", args.Seq)
-	}
-	reply.Spec = js.spec
-	return nil
-}
-
 // WaitJob blocks until job Seq finishes, then returns the master's
 // end-of-job broadcast (or the job's terminal error).
 func (r *masterRPC) WaitJob(args *WaitJobArgs, reply *WaitJobReply) error {
@@ -618,20 +592,16 @@ func (r *masterRPC) WaitJob(args *WaitJobArgs, reply *WaitJobReply) error {
 	m := r.m
 	m.mu.Lock()
 	m.waiters++
-	for (m.jobs[args.Seq] == nil || !m.jobs[args.Seq].done) && !m.closing {
+	for m.done[args.Seq] == nil && !m.closing {
 		m.cond.Wait()
 	}
-	js := m.jobs[args.Seq]
+	done := m.done[args.Seq]
 	m.waiters--
 	m.mu.Unlock()
-	if js == nil || !js.done {
+	if done == nil {
 		return fmt.Errorf("dist: master closed before job %d finished", args.Seq)
 	}
-	if js.errMsg != "" {
-		reply.Err = js.errMsg
-		return nil
-	}
-	reply.Results = *js.results
+	*reply = *done
 	return nil
 }
 

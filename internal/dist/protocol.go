@@ -1,11 +1,14 @@
 // Package dist is the multi-process execution transport: a master
 // process drives each job's map and reduce phases and leases task
 // executions to worker processes over net/rpc (stdlib, gob encoding,
-// TCP or unix sockets). Every process runs the same driver with the
-// same resolution-affecting flags — the lockstep-replay contract of
-// mapreduce.TaskTransport — so the wire carries only task identity,
-// result metadata, and the master's end-of-job broadcast; bulk
-// intermediate data moves through run files on a shared directory.
+// TCP or unix sockets). Every process runs the same driver on the same
+// run — the lockstep-replay contract of mapreduce.TaskTransport. The
+// master's MasterOptions.Run is that run's description, opaque to this
+// package: each worker receives it at registration (Worker.Run) and
+// derives its jobs from it, never from settings of its own. So the
+// wire carries only the run, task identity, result metadata, and the
+// master's end-of-job broadcast; bulk intermediate data moves through
+// run files on a shared directory.
 //
 // Fault model: workers heartbeat; a worker silent for a full lease
 // TTL is declared dead and its outstanding leases expire. Expiry
@@ -39,15 +42,11 @@ const (
 )
 
 // TaskLease is one granted task execution: which task of which job,
-// under which lease identity. Phase is live.PhaseMap or
-// live.PhaseReduce. Runs is a reduce task's input: its partition's part
-// of every map task's file, in map-index order (nil for a map task).
+// under which lease identity.
 type TaskLease struct {
 	LeaseID uint64
 	JobSeq  int
-	Phase   live.Phase
-	Task    int
-	Runs    []mapreduce.RunPart
+	mapreduce.RemoteTask
 }
 
 // RegisterArgs/RegisterReply: a worker process joins the fleet. The
@@ -61,14 +60,16 @@ type RegisterArgs struct {
 }
 
 // RegisterReply is Register's response: the worker's assigned
-// identity, the heartbeat/lease TTL in milliseconds, and the shared
-// data directory. WantEvents tells the worker whether the master
-// keeps an event log — when false the worker discards its relay
-// buffer locally instead of shipping lines nobody will write.
+// identity, the heartbeat/lease TTL in milliseconds, the shared data
+// directory, and the master's run (MasterOptions.Run). WantEvents tells
+// the worker whether the master keeps an event log — when false the
+// worker discards its relay buffer locally instead of shipping lines
+// nobody will write.
 type RegisterReply struct {
 	WorkerID   int
 	TTLMillis  int64
 	DataDir    string
+	Run        []byte
 	WantEvents bool
 }
 
@@ -123,18 +124,6 @@ type GoodbyeArgs struct {
 
 // GoodbyeReply is empty.
 type GoodbyeReply struct{}
-
-// JobInfoArgs asks (blocking) for job Seq's spec, available once the
-// master's driver has begun that job. Workers cross-check it against
-// their own derived spec before executing any of its leases.
-type JobInfoArgs struct {
-	Seq int
-}
-
-// JobInfoReply carries the master's job spec.
-type JobInfoReply struct {
-	Spec mapreduce.RemoteJobSpec
-}
 
 // WaitJobArgs asks (blocking) for job Seq's end-of-job broadcast.
 type WaitJobArgs struct {

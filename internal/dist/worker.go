@@ -56,6 +56,7 @@ type Worker struct {
 	id      int
 	ttl     time.Duration
 	dataDir string
+	run     []byte
 	onLease func(n int)
 
 	relay      *live.EventLog
@@ -121,6 +122,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	w.id = reg.WorkerID
 	w.ttl = time.Duration(reg.TTLMillis) * time.Millisecond
 	w.dataDir = reg.DataDir
+	w.run = reg.Run
 	w.wantEvents = reg.WantEvents
 	w.cond = sync.NewCond(&w.mu)
 	parallel := opts.Parallel
@@ -134,8 +136,9 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	return w, nil
 }
 
-// ID returns the master-assigned worker identity.
-func (w *Worker) ID() int { return w.id }
+// Run returns the run the master described in MasterOptions.Run, as
+// received at registration: this process's driver must resolve it.
+func (w *Worker) Run() []byte { return w.run }
 
 // call is the instrumented RPC round-trip every worker-side call goes
 // through.
@@ -260,7 +263,7 @@ func (w *Worker) pump() {
 			return // closed before the driver reached this job
 		}
 		busyStart := time.Now()
-		res, err := runner.RunTask(lease.Phase, lease.Task, lease.Runs)
+		res, err := runner.RunTask(lease.RemoteTask)
 		w.tmu.Lock()
 		w.busyMs += time.Since(busyStart).Milliseconds()
 		if err == nil && res != nil {
@@ -297,31 +300,17 @@ func (w *Worker) runnerFor(seq int) *mapreduce.RemoteRunner {
 // TransportName implements mapreduce.TaskTransport.
 func (w *Worker) TransportName() string { return "worker" }
 
-// BeginJob implements mapreduce.TaskTransport: fetch the master's
-// spec for the next job in the chain, cross-check it against this
-// process's own derivation (lockstep replay is unsound if the fleet's
-// resolution flags diverge), bind the runner to the shared data dir,
-// and expose it to the lease pumps.
-func (w *Worker) BeginJob(spec mapreduce.RemoteJobSpec, runner *mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
+// BeginJob implements mapreduce.TaskTransport: bind the runner of the
+// next job in the chain to the shared data dir and expose it to the
+// lease pumps.
+func (w *Worker) BeginJob(runner *mapreduce.RemoteRunner) (mapreduce.RemoteJob, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.nextSeq++
-	seq := w.nextSeq
-	w.mu.Unlock()
-	var rep JobInfoReply
-	if err := w.call("JobInfo", &JobInfoArgs{Seq: seq}, &rep); err != nil {
-		return nil, fmt.Errorf("dist: job %d info: %w", seq, err)
-	}
-	ms := rep.Spec
-	if ms.Name != spec.Name || ms.NumMapTasks != spec.NumMapTasks || ms.NumReduceTasks != spec.NumReduceTasks {
-		return nil, fmt.Errorf("dist: job %d diverged: master runs %s (%d map/%d reduce), this worker derived %s (%d map/%d reduce) — master and workers must share all resolution flags",
-			seq, ms.Name, ms.NumMapTasks, ms.NumReduceTasks, spec.Name, spec.NumMapTasks, spec.NumReduceTasks)
-	}
-	runner.Configure(w.dataDir, seq, w.id, ms.Tracing, ms.Quality)
-	w.mu.Lock()
-	w.runners[seq] = runner
+	runner.Configure(w.dataDir, w.nextSeq, w.id)
+	w.runners[w.nextSeq] = runner
 	w.cond.Broadcast()
-	w.mu.Unlock()
-	return workerJob{w: w, seq: seq}, nil
+	return workerJob{w: w, seq: w.nextSeq}, nil
 }
 
 type workerJob struct {
@@ -331,7 +320,7 @@ type workerJob struct {
 
 func (j workerJob) Master() bool { return false }
 
-func (j workerJob) RunTask(live.Phase, int, []mapreduce.RunPart) (*mapreduce.TaskResult, error) {
+func (j workerJob) RunTask(mapreduce.RemoteTask) (*mapreduce.TaskResult, error) {
 	return nil, errors.New("dist: workers do not dispatch tasks")
 }
 

@@ -1,33 +1,19 @@
 package mapreduce
 
-// Remote (multi-process) execution of one job. Every process — master
-// and workers — runs the same deterministic driver with the same
-// resolution-affecting configuration, so each can reconstruct the
-// job's Config (mappers, reducers, side data) locally: only task
-// identity and result metadata cross the wire, never closures or
-// input payloads. The shared-filesystem map files are the data plane:
-// map task m writes one file, m<m>.run, its R pre-sorted partition runs
-// back to back as segments, and reports each segment's place, record
-// count and key bounds (RunPart); a reduce lease builds its partition's
-// store of the M segments (mapFileInput) and merges them as it reads
-// them, through the one merge every reduce input is read with. A task
-// returns the engine's one outcome type, TaskResult, inline over RPC:
-// the same value a local body returns, holding exactly the per-task
-// state phaseOutputs needs.
-//
-// Determinism: the master runs the same two phases (reduce r after
-// every map), with the same runAttempted / speculation
-// machinery, as local execution — only its body policy differs: its map
-// and reduce bodies dispatch over RPC instead of calling the task
-// function, and a reduce lease carries its partition's part of every
-// map file, whose record counts its merge must reach. Committed results
-// are byte-identical to local execution because the task bodies are the
-// same deterministic functions, so everything derived in Run's finalize
-// half (schedule, Result, spans, metrics, quality) is
-// transport-independent. The master broadcasts its phaseOutputs results
-// at the end of the job and workers copy them into theirs unchanged,
-// which keeps every process's driver loop (job-2 schedule generation
-// feeds on job-1's Result) in lockstep.
+// Remote (multi-process) execution of one job; transport.go states the
+// lockstep contract and why it keeps every byte. Every process can
+// reconstruct the job's Config (mappers, reducers, side data) locally,
+// so only task identity and result metadata cross the wire, never
+// closures or input payloads. The shared-filesystem map files are the
+// data plane: map task m writes one file, m<m>.run, its R pre-sorted
+// partition runs back to back as segments, and reports each segment's
+// place, record count and key bounds (RunPart); a reduce lease builds
+// its partition's store of the M segments (mapFileInput) and merges
+// them as it reads them, through the one merge every reduce input is
+// read with, and must reach their record counts. A task returns the
+// engine's one outcome type, TaskResult, inline over RPC: the same
+// value a local body returns, holding exactly the per-task state
+// phaseOutputs needs.
 
 import (
 	"fmt"
@@ -41,18 +27,16 @@ import (
 	"proger/internal/obs/quality"
 )
 
-// RemoteJobSpec describes one job as a process derived it from its own
-// configuration. The master publishes its spec; workers cross-check
-// theirs against it before executing leases — a mismatch means the
-// fleet's configurations have diverged and lockstep replay is unsound.
-type RemoteJobSpec struct {
-	Name           string
-	NumMapTasks    int
-	NumReduceTasks int
-	// Tracing and Quality are the master's sink flags: workers collect
-	// spans and block observations whenever the master (or they
-	// themselves) need them, since a worker cannot know locally whether
-	// the master runs with -trace.
+// RemoteTask is one task execution a master leases to a worker: its
+// phase (live.PhaseMap or live.PhaseReduce) and index, a reduce task's
+// runs — its partition's part of every map task's file, in map-index
+// order; nil for a map task — and the master's two sink flags. A
+// worker collects spans and block observations whenever the master
+// keeps them, since it cannot know locally whether the master traces.
+type RemoteTask struct {
+	Phase   live.Phase
+	Task    int
+	Runs    []RunPart
 	Tracing bool
 	Quality bool
 }
@@ -106,8 +90,7 @@ type RemoteRunner struct {
 	splits [][]KeyValue
 	lj     *live.Job
 
-	jobDir  string // RemoteJobDir of the job
-	execCfg *Config
+	jobDir string // RemoteJobDir of the job; empty until Configure
 
 	// workerID is this process's master-assigned identity (0 until
 	// Configure), fed to the live task table rows this runner executes.
@@ -136,24 +119,28 @@ func newRemoteRunner(cfg *Config, splits [][]KeyValue, lj *live.Job) *RemoteRunn
 }
 
 // Configure binds the runner to its placement: the shared data
-// directory, the job's sequence number in the chain, this process's
-// master-assigned worker identity, and the fleet's sink flags.
-// tracing/quality are ORed with the local config's own sinks — a
-// worker collects spans/qobs whenever anyone needs them — by
-// installing throwaway sinks on a copy of the config (the task
-// functions key collection off sink non-nilness; the copies' sinks are
-// never exported, results ship back inside TaskResult instead).
-func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int, tracing, qual bool) {
+// directory, the job's sequence number in the chain and this process's
+// master-assigned worker identity.
+func (rr *RemoteRunner) Configure(dataDir string, seq, workerID int) {
 	rr.jobDir = RemoteJobDir(dataDir, seq)
 	rr.workerID = workerID
+}
+
+// execConfig is the config a lease's body runs with: the master's sink
+// flags are ORed with the local config's own sinks — a worker collects
+// spans/qobs whenever anyone needs them — by installing throwaway sinks
+// on a copy of the config (the task functions key collection off sink
+// non-nilness; the copies' sinks are never exported, results ship back
+// inside TaskResult instead).
+func (rr *RemoteRunner) execConfig(t RemoteTask) *Config {
 	c := *rr.cfg
-	if tracing && c.Trace == nil {
+	if t.Tracing && c.Trace == nil {
 		c.Trace = obs.New()
 	}
-	if qual && c.Quality == nil {
+	if t.Quality && c.Quality == nil {
 		c.Quality = quality.NewRecorder()
 	}
-	rr.execCfg = &c
+	return &c
 }
 
 func (rr *RemoteRunner) markDone(p live.Phase, task int) {
@@ -177,34 +164,37 @@ func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.
 	rr.lj.TaskWorker(p, task, worker)
 }
 
-// RunTask executes one leased task body and returns its result; a
-// reduce task's runs are its partition's part of every map file.
+// RunTask executes one leased task body and returns its result.
 // Duplicate executions (re-leases after a lost worker, or the master's
 // speculation pass) are safe: task bodies are deterministic, so a map
 // file's rename replaces identical bytes, and a reader that has the old
 // file open keeps reading it.
-func (rr *RemoteRunner) RunTask(phase live.Phase, task int, runs []RunPart) (*TaskResult, error) {
-	if rr.execCfg == nil {
+func (rr *RemoteRunner) RunTask(t RemoteTask) (*TaskResult, error) {
+	if rr.jobDir == "" {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
 	}
+	cfg := rr.execConfig(t)
 	var body func() (TaskResult, int, error)
-	switch phase {
+	switch t.Phase {
 	case live.PhaseMap:
-		if task < 0 || task >= len(rr.splits) {
-			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", task, len(rr.splits))
+		if t.Task < 0 || t.Task >= len(rr.splits) {
+			return nil, fmt.Errorf("mapreduce: map task %d outside %d splits", t.Task, len(rr.splits))
 		}
-		body = func() (TaskResult, int, error) { return rr.runMap(task) }
+		body = func() (TaskResult, int, error) { return rr.runMap(cfg, t.Task) }
 	case live.PhaseReduce:
-		body = func() (TaskResult, int, error) { return rr.runReduce(task, runs) }
+		if t.Task < 0 || t.Task >= cfg.NumReduceTasks {
+			return nil, fmt.Errorf("mapreduce: reduce task %d outside %d partitions", t.Task, cfg.NumReduceTasks)
+		}
+		body = func() (TaskResult, int, error) { return rr.runReduce(cfg, t.Task, t.Runs) }
 	default:
-		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", phase)
+		return nil, fmt.Errorf("mapreduce: unknown remote phase %q", t.Phase)
 	}
-	res, err := trackTask(rr.lj, phase, task, nil, body)
+	res, err := trackTask(rr.lj, t.Phase, t.Task, nil, body)
 	if err != nil {
 		return nil, err
 	}
-	rr.lj.TaskWorker(phase, task, rr.workerID)
-	rr.markDone(phase, task)
+	rr.lj.TaskWorker(t.Phase, t.Task, rr.workerID)
+	rr.markDone(t.Phase, t.Task)
 	return &res, nil
 }
 
@@ -212,8 +202,8 @@ func (rr *RemoteRunner) RunTask(phase live.Phase, task int, runs []RunPart) (*Ta
 // result each reports the record count of its live done transition.
 // A leased map task's result keeps only the Parts of its runs, which
 // it has written to its file.
-func (rr *RemoteRunner) runMap(m int) (TaskResult, int, error) {
-	res, err := runMapTask(rr.execCfg, m, rr.splits[m])
+func (rr *RemoteRunner) runMap(cfg *Config, m int) (TaskResult, int, error) {
+	res, err := runMapTask(cfg, m, rr.splits[m])
 	if err != nil {
 		return TaskResult{}, 0, err
 	}
@@ -227,9 +217,9 @@ func (rr *RemoteRunner) runMap(m int) (TaskResult, int, error) {
 // runReduce streams partition i straight from its segments of the M map
 // files in the job's shared directory, which the master's job cleanup
 // owns; the merge must reach the Σ N the lease's runs claim.
-func (rr *RemoteRunner) runReduce(i int, runs []RunPart) (TaskResult, int, error) {
-	in := mapFileInput(rr.execCfg.Name, i, rr.jobDir, runs, rr.cRead)
-	res, err := runReduceTask(rr.execCfg, i, in)
+func (rr *RemoteRunner) runReduce(cfg *Config, i int, runs []RunPart) (TaskResult, int, error) {
+	in := mapFileInput(cfg.Name, i, rr.jobDir, runs, rr.cRead)
+	res, err := runReduceTask(cfg, i, in)
 	return res, in.Len(), err
 }
 
@@ -286,15 +276,8 @@ func (cr countingReader) Read(p []byte) (int, error) {
 // runRemoteJob executes one job over a remote transport, filling
 // phaseOutputs byte-identically to local execution.
 func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
-	spec := RemoteJobSpec{
-		Name:           cfg.Name,
-		NumMapTasks:    cfg.NumMapTasks,
-		NumReduceTasks: cfg.NumReduceTasks,
-		Tracing:        cfg.Trace != nil,
-		Quality:        cfg.Quality != nil,
-	}
 	runner := newRemoteRunner(cfg, splits, lj)
-	job, err := cfg.Transport.BeginJob(spec, runner)
+	job, err := cfg.Transport.BeginJob(runner)
 	if err != nil {
 		return nil, err
 	}
@@ -334,9 +317,10 @@ func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutpu
 	// runtime: host chaos stays off the simulated timeline.
 	lost := lostRetryBudget(cfg)
 	dispatch := func(p live.Phase, task, records int, wall []wallSpan, runs []RunPart) (TaskResult, error) {
+		t := RemoteTask{Phase: p, Task: task, Runs: runs, Tracing: cfg.Trace != nil, Quality: cfg.Quality != nil}
 		return trackTask(lj, p, task, wall, func() (TaskResult, int, error) {
 			res, err := retryLost(lost, func() (*TaskResult, error) {
-				return rjob.RunTask(p, task, runs)
+				return rjob.RunTask(t)
 			})
 			if err != nil {
 				return TaskResult{}, 0, err

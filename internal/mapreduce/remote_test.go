@@ -21,7 +21,7 @@ func runFleetMaps(t *testing.T, cfg *Config, input []KeyValue) (*RemoteRunner, [
 	cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // Run's defaults
 	splits := splitInput(input, cfg.NumMapTasks)
 	rr := newRemoteRunner(cfg, splits, nil)
-	rr.Configure(t.TempDir(), 1, 1, false, false)
+	rr.Configure(t.TempDir(), 1, 1)
 	if err := os.Mkdir(rr.jobDir, 0o777); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func runFleetMaps(t *testing.T, cfg *Config, input []KeyValue) (*RemoteRunner, [
 		runs[r] = make([]RunPart, len(splits))
 	}
 	for m := range splits {
-		res, err := rr.RunTask(live.PhaseMap, m, nil)
+		res, err := rr.RunTask(RemoteTask{Phase: live.PhaseMap, Task: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 	}
 	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
 	for r := range runs {
-		res, err := rr.RunTask(live.PhaseReduce, r, runs[r])
+		res, err := rr.RunTask(RemoteTask{Phase: live.PhaseReduce, Task: r, Runs: runs[r]})
 		if err != nil {
 			t.Fatalf("intact reduce %d: %v", r, err)
 		}
@@ -87,10 +87,33 @@ func TestRemoteReduceChecksItsInputCount(t *testing.T) {
 		n += p.N
 	}
 	runs[r][0].N++
-	_, err = rr.RunTask(live.PhaseReduce, r, runs[r])
+	_, err = rr.RunTask(RemoteTask{Phase: live.PhaseReduce, Task: r, Runs: runs[r]})
 	want := fmt.Sprintf("wordcount shuffle for reduce %d: merged %d records, map tasks produced %d", r, n, n+1)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("overclaimed reduce %d: err = %v, want it to contain %q", r, err, want)
+	}
+}
+
+// TestLeaseOutsideTheJobIsAnError: a lease whose task index lies
+// outside the job this process derived — a map index past its splits,
+// a reduce index past its partitions — fails with an error naming both,
+// before any task body runs.
+func TestLeaseOutsideTheJobIsAnError(t *testing.T) {
+	cfg := wordCountConfig(1)
+	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
+	for _, c := range []struct {
+		task RemoteTask
+		want string
+	}{
+		{RemoteTask{Phase: live.PhaseMap, Task: cfg.NumMapTasks}, fmt.Sprintf("map task %d outside %d splits", cfg.NumMapTasks, cfg.NumMapTasks)},
+		{RemoteTask{Phase: live.PhaseMap, Task: -1}, fmt.Sprintf("map task -1 outside %d splits", cfg.NumMapTasks)},
+		{RemoteTask{Phase: live.PhaseReduce, Task: cfg.NumReduceTasks, Runs: runs[0]}, fmt.Sprintf("reduce task %d outside %d partitions", cfg.NumReduceTasks, cfg.NumReduceTasks)},
+		{RemoteTask{Phase: live.PhaseReduce, Task: -1, Runs: runs[0]}, fmt.Sprintf("reduce task -1 outside %d partitions", cfg.NumReduceTasks)},
+	} {
+		res, err := rr.RunTask(c.task)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s lease %d: result %v, err = %v; want an error containing %q", c.task.Phase, c.task.Task, res, err, c.want)
+		}
 	}
 }
 
@@ -132,7 +155,7 @@ func TestCorruptSegmentFailsItsPartitionOnly(t *testing.T) {
 	flipByte(t, filepath.Join(rr.jobDir, mapFileName(m)), runs[bad][m].Off+8)
 
 	for r := range runs {
-		res, err := rr.RunTask(live.PhaseReduce, r, runs[r])
+		res, err := rr.RunTask(RemoteTask{Phase: live.PhaseReduce, Task: r, Runs: runs[r]})
 		if r == bad {
 			want := fmt.Sprintf("wordcount shuffle for reduce %d: map task %d's run: extsort: frame CRC mismatch", r, m)
 			if err == nil || !strings.Contains(err.Error(), want) {
@@ -220,7 +243,7 @@ func TestMapTasksWriteOneFileEach(t *testing.T) {
 		t.Fatalf("job dir after the map phase holds %q, want %q", got, want)
 	}
 	for m := range want {
-		res, err := rr.RunTask(live.PhaseMap, m, nil)
+		res, err := rr.RunTask(RemoteTask{Phase: live.PhaseMap, Task: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +312,10 @@ func TestRunFileRecordsNameTheirMapTask(t *testing.T) {
 // broadcastJob is a worker's RemoteJob whose master broadcast jr.
 type broadcastJob struct{ jr *RemoteJobResults }
 
-func (broadcastJob) Master() bool                                            { return false }
-func (broadcastJob) RunTask(live.Phase, int, []RunPart) (*TaskResult, error) { return nil, nil }
-func (broadcastJob) Finish(*RemoteJobResults, error) error                   { return nil }
-func (j broadcastJob) Wait() (*RemoteJobResults, error)                      { return j.jr, nil }
+func (broadcastJob) Master() bool                            { return false }
+func (broadcastJob) RunTask(RemoteTask) (*TaskResult, error) { return nil, nil }
+func (broadcastJob) Finish(*RemoteJobResults, error) error   { return nil }
+func (j broadcastJob) Wait() (*RemoteJobResults, error)      { return j.jr, nil }
 
 // TestWorkerDerivesReduceInputFromParts: a worker sizes each
 // partition's reduce input from the broadcast's map Parts

@@ -496,7 +496,7 @@ func TestReduceValuesStayUnwritten(t *testing.T) {
 	configure(&cfg)
 	rr, runs := runFleetMaps(t, &cfg, wordCountInput())
 	for r := range runs {
-		if _, err := rr.RunTask(live.PhaseReduce, r, runs[r]); err != nil {
+		if _, err := rr.RunTask(RemoteTask{Phase: live.PhaseReduce, Task: r, Runs: runs[r]}); err != nil {
 			t.Fatal(err)
 		}
 	}

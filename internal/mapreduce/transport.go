@@ -14,8 +14,6 @@ package mapreduce
 // phaseOutputs — and with it Result, trace, and quality bytes — cannot
 // depend on which transport executed the work.
 
-import "proger/internal/obs/live"
-
 // TaskTransport executes a job's task bodies in other OS processes
 // (see internal/dist); the nil value runs every task body in this
 // process — the determinism reference every transport is byte-compared
@@ -24,11 +22,11 @@ import "proger/internal/obs/live"
 // quality exports.
 //
 // Every process in the fleet — the master and each worker — runs the
-// *same* deterministic driver (the full job chain with identical
-// resolution-affecting configuration); what crosses the wire is task
-// identity and result metadata, never closures or input payloads. The
-// engine calls BeginJob once per job, in job-chain order, on every
-// process:
+// *same* deterministic driver (the full job chain) on the same run (a
+// dist.Master hands each worker its run description at registration);
+// what crosses the wire is task identity and result metadata, never
+// closures or input payloads. The engine calls BeginJob once per job,
+// in job-chain order, on every process:
 //
 //   - on the master, the returned RemoteJob dispatches tasks
 //     (RunTask leases them to workers) and Finish broadcasts the
@@ -36,14 +34,14 @@ import "proger/internal/obs/live"
 //   - on a worker, the transport registers the runner to execute
 //     incoming leases, and Wait blocks until the master's broadcast,
 //     whose results the worker copies into its phaseOutputs unchanged —
-//     keeping every process's driver loop in lockstep.
+//     keeping every process's driver loop (job 2's schedule feeds on
+//     job 1's Result) in lockstep.
 type TaskTransport interface {
 	// TransportName labels the transport in errors and diagnostics.
 	TransportName() string
-	// BeginJob starts the next job in the chain. spec describes the
-	// job as this process derived it (used to cross-check lockstep);
-	// runner executes leased task bodies worker-side.
-	BeginJob(spec RemoteJobSpec, runner *RemoteRunner) (RemoteJob, error)
+	// BeginJob starts the next job in the chain; runner executes
+	// leased task bodies worker-side.
+	BeginJob(runner *RemoteRunner) (RemoteJob, error)
 }
 
 // RemoteJob is one job's handle on a remote transport.
@@ -53,12 +51,10 @@ type RemoteJob interface {
 	// then waiting for the broadcast).
 	Master() bool
 	// RunTask executes one task on some worker and blocks until it
-	// completes (master only); a reduce task's runs are its
-	// partition's part of every map task's file, nil for a map task. A
-	// lease lost to a dead worker surfaces ErrTaskLost, which the engine
-	// retries within the RetryPolicy budget without touching the
-	// simulated attempt timeline.
-	RunTask(phase live.Phase, task int, runs []RunPart) (*TaskResult, error)
+	// completes (master only). A lease lost to a dead worker surfaces
+	// ErrTaskLost, which the engine retries within the RetryPolicy
+	// budget without touching the simulated attempt timeline.
+	RunTask(t RemoteTask) (*TaskResult, error)
 	// Finish ends the job (master only): broadcasts every task's
 	// committed result — or the terminal error — to the worker fleet
 	// and releases the job's shared map files.

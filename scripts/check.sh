@@ -305,6 +305,30 @@ cmp "$smoke/sloc.tsv" "$smoke/sdist.tsv" || {
 cmp "$smoke/sloc-trace.json" "$smoke/sdist-trace.json" || {
     echo "speculation across workers changed the trace"; exit 1; }
 
+# The hand-started fleet shape: a -master carrying resolution flags away
+# from their defaults and one worker started with nothing but -worker
+# -connect. The worker resolves the run the master hands it at
+# registration, so pairs and quality telemetry equal the local run's.
+hand="-generate publications -n 2000 -seed 3 -machines 2 -rule title:edit:1 -match-threshold 0.9 -scheduler lpt"
+go run ./cmd/proger $hand -out "$smoke/hloc.tsv" -quality-out "$smoke/hloc-quality.json" 2>/dev/null
+go run ./cmd/proger $hand -master -listen "unix:$smoke/master.sock" \
+    -out "$smoke/hmaster.tsv" -quality-out "$smoke/hmaster-quality.json" 2>"$smoke/hmaster-stderr.log" &
+handpid=$!
+for _ in $(seq 1 300); do
+    [ -S "$smoke/master.sock" ] && break
+    kill -0 "$handpid" 2>/dev/null || break
+    sleep 0.1
+done
+[ -S "$smoke/master.sock" ] || {
+    echo "hand-started master never listened"; cat "$smoke/hmaster-stderr.log"; exit 1; }
+go run ./cmd/proger -worker -connect "unix:$smoke/master.sock" 2>"$smoke/hworker-stderr.log" || {
+    echo "bare worker failed:"; cat "$smoke/hworker-stderr.log"; kill "$handpid"; exit 1; }
+wait "$handpid" || { echo "hand-started master failed:"; cat "$smoke/hmaster-stderr.log"; exit 1; }
+cmp "$smoke/hloc.tsv" "$smoke/hmaster.tsv" || {
+    echo "a bare worker changed the duplicate pairs"; exit 1; }
+cmp "$smoke/hloc-quality.json" "$smoke/hmaster-quality.json" || {
+    echo "a bare worker changed the quality telemetry"; exit 1; }
+
 # Basic baseline smoke: the single-job baseline (-basic) run plain,
 # under a 64K memory budget with injected task faults, and across a
 # master and 2 forked workers must produce byte-identical pairs and
