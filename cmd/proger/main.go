@@ -35,6 +35,7 @@ import (
 	"proger/internal/datagen"
 	"proger/internal/dist"
 	"proger/internal/experiments"
+	"proger/internal/obs/quality"
 	"proger/internal/report"
 )
 
@@ -346,9 +347,9 @@ func main() {
 		curve := proger.BuildCurve(res.EventsAgainst(gt.IsDup), gt.NumDupPairs(), res.TotalTime)
 		fmt.Fprintf(os.Stderr, "proger: final duplicate recall %.3f (of %d true pairs)\n",
 			curve.FinalRecall(), gt.NumDupPairs())
-		for i := 1; i <= *curvePoints; i++ {
-			at := res.TotalTime * proger.CostUnits(i) / proger.CostUnits(*curvePoints)
-			fmt.Fprintf(os.Stderr, "proger:   t=%12.0f  recall=%.3f\n", at, curve.RecallAt(at))
+		grid := quality.Grid(res.TotalTime, *curvePoints)
+		for i, recall := range curve.Sample(grid) {
+			fmt.Fprintf(os.Stderr, "proger:   t=%12.0f  recall=%.3f\n", grid[i], recall)
 		}
 	}
 }

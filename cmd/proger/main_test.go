@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -385,11 +386,23 @@ func TestUnreadFlagsAreRefused(t *testing.T) {
 		{[]string{"-basic", "-window", "3", "-popcorn", "0.1"}, ""},
 		{[]string{"-basic", "-scheduler", "lpt"}, "-scheduler"},
 		{[]string{"-scheduler", "lpt"}, ""},
+		{[]string{"-fault-seed", "7"}, "-fault-seed"},
+		{[]string{"-max-retries", "4"}, "-max-retries"},
+		{[]string{"-fault-rate", "0", "-fault-seed", "7"}, "-fault-seed"},
+		{[]string{"-fault-rate", "0.2", "-fault-seed", "7", "-max-retries", "4"}, ""},
+		{[]string{"-input", "x.tsv", "-n", "500"}, "-n"},
+		{[]string{"-input", "x.tsv", "-seed", "9"}, "-seed"},
+		{[]string{"-input", "x.tsv", "-truth", "t.tsv"}, ""},
+		{[]string{"-n", "500", "-seed", "9"}, ""},
 		{nil, ""},
 	} {
 		fs := flag.NewFlagSet("proger", flag.ContinueOnError)
 		r := bindRun(fs)
-		if err := fs.Parse(append([]string{"-generate", "publications"}, c.args...)); err != nil {
+		args := c.args
+		if !slices.Contains(args, "-input") {
+			args = append([]string{"-generate", "publications"}, args...)
+		}
+		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
 		err := r.refuseUnread(fs)

@@ -64,6 +64,14 @@ func (r *run) refuseUnread(fs *flag.FlagSet) error {
 		return errors.New("-popcorn applies only to -basic")
 	case set["scheduler"] && r.Basic:
 		return errors.New("-scheduler does not apply to -basic, which schedules no trees")
+	case set["fault-seed"] && r.FaultRate <= 0:
+		return errors.New("-fault-seed seeds fault injection; it needs a positive -fault-rate")
+	case set["max-retries"] && r.FaultRate <= 0:
+		return errors.New("-max-retries bounds the retries of injected faults; it needs a positive -fault-rate")
+	case set["n"] && r.Input != "":
+		return errors.New("-n sizes a -generate workload; -input reads its entities from the file")
+	case set["seed"] && r.Input != "":
+		return errors.New("-seed seeds a -generate workload; -input reads its entities from the file")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package proger_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -69,6 +70,96 @@ func TestMatchKernelKeepsResolveBytes(t *testing.T) {
 		}
 		if got := resolveDigest(res); got != c.want {
 			t.Errorf("%s: %d events, total %v: digest %s, want %s", c.name, len(res.Events), res.TotalTime, got, c.want)
+		}
+	}
+}
+
+// TestRecallCurvesKeepTheirBytes pins both recall curves of the golden
+// workloads, under the paper's approach and under Basic F, on 4×2
+// slots: the SHA-256 of the quality export's JSON and of its curve CSV
+// (the self-relative curve of the recorder's block observations), and
+// of the float bits of the ground-truth curve's AUC, final recall and
+// recall on a 12-point grid up to the run's end. A change to how either
+// curve is built or integrated that moves one bit fails here.
+func TestRecallCurvesKeepTheirBytes(t *testing.T) {
+	pubs := experiments.PublicationsWorkload(1200, 3)
+	books := experiments.BooksWorkload(2000, 3)
+	persons, err := experiments.Generate("persons-exact", 5000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name             string
+		w                *experiments.Workload
+		basic            bool
+		json, csv, curve string
+	}{
+		{"publications/Ours", pubs, false,
+			"f54cadbebd64310deb967b0dc16754ea652236c26b9237efa61c19d9908314a4",
+			"37dbf53a72c3e009b4ad2e12507087f784095ec2dc5695144f1c012bd3284c03",
+			"911066c0f83e9037ea58a76e0f4ffa7856a4b275e25bd2496d2ff97eb08f1209"},
+		{"publications/Basic", pubs, true,
+			"d579e97228ac1e6d4ae44499f2cbe608aa92925c17a44c2674db88638d428a24",
+			"b0ebaed82e03c486aa50654fa61799e8a084097165241fdf783d9d062beb7424",
+			"149f2184fd50671146608407c15fc1524ab7ea167080239b0745d404a2cf4235"},
+		{"books/Ours", books, false,
+			"3a4335e8796756605d4ff59c71ebdeb1ba8c6a33eb80f632f9b54eb0b863f35b",
+			"9690306eb8e420a356eed14c70c750d395c549e0869d9756c0d8c343ba8d9d65",
+			"1fa473a6ed95a3d03f1cfce2c3786e960ba1a52e8849936783e468fa1ebabd87"},
+		{"books/Basic", books, true,
+			"732bf81898d2fb8fcb0e40bd8bd4097f69c200f0631f5f2aa659b762a3e266c8",
+			"435f6f72b02ce1db7389851fb0233a9d0c7e80e15c883c6fe0d73d96f7d4c55f",
+			"f99c114f2ebefee502138fcbbca1cb83859dfd65b420e5c8730ec5877c065768"},
+		{"persons-exact/Ours", persons, false,
+			"44509c389ed69c22ec759ceb089349e1b44250c30dbffe843a991e408100ed31",
+			"845f3a917f40aab34cf8e345f7baaca86dc22f1f620422a1d5ff83eda3e051b8",
+			"3df91358927db89a6e9a865079af71daf9ebdc37462c1e94af21388fd299f633"},
+		{"persons-exact/Basic", persons, true,
+			"74c710518f43233ef69a09a453dd50faae25bbb1263e1435ce4393f13d6f5722",
+			"845db5701a99985bbfa7237f8f39cd2986ca10f4377362ee50811fd08852296a",
+			"d44760334ae3271ed68cab5cde4cc134f8f6f348b465ee338e1d48b3212381a1"},
+	}
+	digest := func(b []byte) string { s := sha256.Sum256(b); return hex.EncodeToString(s[:]) }
+	for _, c := range cases {
+		rec := proger.NewQualityRecorder()
+		var res *core.Result
+		if c.basic {
+			opts := c.w.BasicOptions(4, 15, -1)
+			opts.Quality = rec
+			res, err = core.ResolveBasic(c.w.DS, opts)
+		} else {
+			opts := c.w.Options(4, sched.Ours)
+			opts.Quality = rec
+			res, err = core.Resolve(c.w.DS, opts)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		exp := rec.Export(0)
+		var js, csv bytes.Buffer
+		if err := exp.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.Curve.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		curve := proger.BuildCurve(res.EventsAgainst(c.w.GT.IsDup), c.w.GT.NumDupPairs(), res.TotalTime)
+		grid := make([]proger.CostUnits, 12)
+		for i := range grid {
+			grid[i] = res.TotalTime * proger.CostUnits(i+1) / proger.CostUnits(len(grid))
+		}
+		var bits []byte
+		for _, f := range append([]float64{curve.AUC(), curve.FinalRecall()}, curve.Sample(grid)...) {
+			bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(f))
+		}
+		for _, d := range []struct{ what, got, want string }{
+			{"quality JSON", digest(js.Bytes()), c.json},
+			{"curve CSV", digest(csv.Bytes()), c.csv},
+			{"ground-truth curve", digest(bits), c.curve},
+		} {
+			if d.got != d.want {
+				t.Errorf("%s: %s digest %s, want %s", c.name, d.what, d.got, d.want)
+			}
 		}
 	}
 }

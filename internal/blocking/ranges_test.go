@@ -13,6 +13,7 @@ import (
 	"proger/internal/datagen"
 	"proger/internal/entity"
 	"proger/internal/mapreduce"
+	"proger/internal/obs/live"
 )
 
 // ---- The oracle -------------------------------------------------------
@@ -355,8 +356,8 @@ func TestJob1MatchesEntityDecodingOracle(t *testing.T) {
 		ds, fams := shape.make(700)
 		input := MakeJob1Input(ds)
 		got, want := &Job1Mapper{Families: fams}, &oracleJob1Mapper{Families: fams}
-		gotCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Cost: costmodel.Default()}
-		wantCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Cost: costmodel.Default()}
+		gotCtx := &mapreduce.TaskContext{Type: live.PhaseMap, Cost: costmodel.Default()}
+		wantCtx := &mapreduce.TaskContext{Type: live.PhaseMap, Cost: costmodel.Default()}
 		var gotOut, wantOut recordingEmitter
 		for _, rec := range input {
 			if err := got.Map(gotCtx, rec, &gotOut); err != nil {
@@ -372,8 +373,8 @@ func TestJob1MatchesEntityDecodingOracle(t *testing.T) {
 		}
 
 		gotRed, wantRed := &Job1Reducer{Families: fams}, &oracleJob1Reducer{Families: fams}
-		gotCtx = &mapreduce.TaskContext{Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
-		wantCtx = &mapreduce.TaskContext{Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
+		gotCtx = &mapreduce.TaskContext{Type: live.PhaseReduce, Cost: costmodel.Default()}
+		wantCtx = &mapreduce.TaskContext{Type: live.PhaseReduce, Cost: costmodel.Default()}
 		var gotStats, wantStats recordingEmitter
 		for _, g := range shuffled(wantOut.recs) {
 			if err := gotRed.Reduce(gotCtx, g.key, g.values, &gotStats); err != nil {
@@ -485,7 +486,7 @@ func BenchmarkJob1Map(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := &Job1Mapper{Families: fams}
-				ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
+				ctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseMap, Cost: costmodel.Default()}
 				emit := &discardEmitter{}
 				for _, rec := range input {
 					if err := m.Map(ctx, rec, emit); err != nil {
@@ -510,7 +511,7 @@ func BenchmarkJob1Reduce(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			ds, fams := shape.make(6000)
 			m := &Job1Mapper{Families: fams}
-			mctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
+			mctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseMap, Cost: costmodel.Default()}
 			var out recordingEmitter
 			for _, rec := range MakeJob1Input(ds) {
 				if err := m.Map(mctx, rec, &out); err != nil {
@@ -522,7 +523,7 @@ func BenchmarkJob1Reduce(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				red := &Job1Reducer{Families: fams}
-				ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
+				ctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseReduce, Cost: costmodel.Default()}
 				emit := &discardEmitter{}
 				for _, g := range groups {
 					if err := red.Reduce(ctx, g.key, g.values, emit); err != nil {

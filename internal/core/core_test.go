@@ -9,7 +9,7 @@ import (
 	"proger/internal/estimate"
 	"proger/internal/match"
 	"proger/internal/mechanism"
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -101,7 +101,7 @@ func TestResolvePublicationsRecall(t *testing.T) {
 		t.Fatalf("Resolve: %v", err)
 	}
 	events := res.EventsAgainst(gt.IsDup)
-	curve := progress.BuildCurve(events, gt.NumDupPairs(), res.TotalTime)
+	curve := quality.BuildCurve(events, gt.NumDupPairs(), res.TotalTime)
 	if fr := curve.FinalRecall(); fr < 0.85 {
 		t.Errorf("final recall %v below 0.85 — pipeline loses duplicates", fr)
 	}
@@ -247,7 +247,7 @@ func TestResolveBasicPopcornTradeoff(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := res.EventsAgainst(gt.IsDup)
-		curve := progress.BuildCurve(events, gt.NumDupPairs(), res.TotalTime)
+		curve := quality.BuildCurve(events, gt.NumDupPairs(), res.TotalTime)
 		return curve.FinalRecall(), float64(res.TotalTime)
 	}
 	recallF, timeF := run(-1)
@@ -311,8 +311,8 @@ func TestOurApproachBeatsBasicOnQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := gt.NumDupPairs()
-	oursCurve := progress.BuildCurve(ours.EventsAgainst(gt.IsDup), total, ours.TotalTime)
-	basicCurve := progress.BuildCurve(basic.EventsAgainst(gt.IsDup), total, basic.TotalTime)
+	oursCurve := quality.BuildCurve(ours.EventsAgainst(gt.IsDup), total, ours.TotalTime)
+	basicCurve := quality.BuildCurve(basic.EventsAgainst(gt.IsDup), total, basic.TotalTime)
 	end := ours.TotalTime
 	if basic.TotalTime > end {
 		end = basic.TotalTime
@@ -324,11 +324,11 @@ func TestOurApproachBeatsBasicOnQuality(t *testing.T) {
 		costs[i] = end * float64(i+1) / float64(k)
 		weights[i] = float64(k-i) / float64(k)
 	}
-	qOurs, err := progress.Qty(oursCurve, costs, weights)
+	qOurs, err := quality.Qty(oursCurve, costs, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qBasic, err := progress.Qty(basicCurve, costs, weights)
+	qBasic, err := quality.Qty(basicCurve, costs, weights)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
+	"proger/internal/obs/live"
 	"proger/internal/sched"
 )
 
@@ -117,7 +118,7 @@ func BenchmarkJob2Map(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := &Job2Mapper{side: side}
-				ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
+				ctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseMap, Cost: costmodel.Default()}
 				emit := &discardEmitter{}
 				for _, rec := range input {
 					if err := m.Map(ctx, rec, emit); err != nil {
@@ -159,7 +160,7 @@ func benchJob2Reduce(b *testing.B, shape benchShape) {
 	// Map once, partition, and group — the reduce input the engine
 	// would hand each reduce task.
 	m := &Job2Mapper{side: side}
-	mctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.MapTask, Cost: costmodel.Default()}
+	mctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseMap, Cost: costmodel.Default()}
 	pe := &partEmitter{parts: make([][]mapreduce.KeyValue, r)}
 	for _, rec := range input {
 		if err := m.Map(mctx, rec, pe); err != nil {
@@ -197,7 +198,7 @@ func benchJob2Reduce(b *testing.B, shape benchShape) {
 	for i := 0; i < b.N; i++ {
 		for p := range groups {
 			red := &Job2Reducer{side: side}
-			ctx := &mapreduce.TaskContext{Job: "bench", Type: mapreduce.ReduceTask, Cost: costmodel.Default()}
+			ctx := &mapreduce.TaskContext{Job: "bench", Type: live.PhaseReduce, Cost: costmodel.Default()}
 			if err := red.Setup(ctx); err != nil {
 				b.Fatal(err)
 			}

@@ -16,6 +16,7 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
+	"proger/internal/obs/live"
 	"proger/internal/sched"
 )
 
@@ -153,8 +154,8 @@ func TestJob2MapperMatchesLookupPerLevelOracle(t *testing.T) {
 		}
 		name := fmt.Sprintf("seed %d", seed)
 		got, want := &Job2Mapper{side: side}, newLookupMapper(side)
-		gotCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
-		wantCtx := &mapreduce.TaskContext{Type: mapreduce.MapTask, Index: 1, Cost: costmodel.Default()}
+		gotCtx := &mapreduce.TaskContext{Type: live.PhaseMap, Index: 1, Cost: costmodel.Default()}
+		wantCtx := &mapreduce.TaskContext{Type: live.PhaseMap, Index: 1, Cost: costmodel.Default()}
 		if err := got.Setup(gotCtx); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/membudget"
 	"proger/internal/obs"
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -24,7 +24,7 @@ type Result struct {
 	// Events lists every duplicate discovery in emission order with its
 	// global simulated time. TrueDup is left false; the evaluation layer
 	// fills it against ground truth via EventsAgainst.
-	Events []progress.Event
+	Events []quality.Event
 	// TotalTime is the end-to-end simulated time.
 	TotalTime costmodel.Units
 	// Job1 and Job2 are the raw MapReduce results (Job1 is nil for the
@@ -45,8 +45,8 @@ func (r *Result) Clusters(n int) [][]entity.ID {
 
 // EventsAgainst returns the run's events with TrueDup filled from the
 // given ground-truth oracle.
-func (r *Result) EventsAgainst(isDup func(entity.Pair) bool) []progress.Event {
-	out := make([]progress.Event, len(r.Events))
+func (r *Result) EventsAgainst(isDup func(entity.Pair) bool) []quality.Event {
+	out := make([]quality.Event, len(r.Events))
 	for i, ev := range r.Events {
 		ev.TrueDup = isDup(ev.Pair)
 		out[i] = ev
@@ -169,7 +169,7 @@ func newResult(last *mapreduce.Result, m *obs.Registry, mgr *membudget.Manager) 
 	}
 	res.Counters.Merge(last.Counters)
 	if found > 0 { // (a run that finds nothing keeps its nil Events)
-		res.Events = make([]progress.Event, 0, found)
+		res.Events = make([]quality.Event, 0, found)
 	}
 	for _, kv := range last.Output {
 		p, _, err := entity.DecodePair(kv.Value)
@@ -177,7 +177,7 @@ func newResult(last *mapreduce.Result, m *obs.Registry, mgr *membudget.Manager) 
 			return nil, fmt.Errorf("core: decoding output pair: %w", err)
 		}
 		res.Duplicates.Add(p)
-		res.Events = append(res.Events, progress.Event{Time: kv.Global, Pair: p})
+		res.Events = append(res.Events, quality.Event{Time: kv.Global, Pair: p})
 	}
 	return res, nil
 }

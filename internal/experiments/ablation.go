@@ -46,7 +46,7 @@ func ablation(c Config) (*Output, error) {
 			summary.Rows = append(summary.Rows, []string{
 				r.Label,
 				fmt.Sprintf("%.3f", r.Curve.FinalRecall()),
-				fmt.Sprintf("%.0f", r.Total),
+				fmt.Sprintf("%.0f", r.Curve.End),
 				fmt.Sprintf("%.3f", r.Curve.AUC()),
 				fmt.Sprintf("%d", res.Counters.Get(core.CounterJob2Compared)),
 			})

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -244,7 +244,7 @@ func TestFig11Speedup(t *testing.T) {
 }
 
 func TestFigureRender(t *testing.T) {
-	run := &Run{Label: "demo", Curve: progress.BuildCurve(nil, 1, 10), Total: 10}
+	run := &Run{Label: "demo", Curve: quality.BuildCurve(nil, 1, 10)}
 	fig := NewFigure("F", "demo fig", 4, run)
 	out := fig.Render()
 	if !strings.Contains(out, "demo fig") || !strings.Contains(out, "cost units") {
@@ -323,13 +323,13 @@ func TestFig1Concept(t *testing.T) {
 }
 
 func TestPlot(t *testing.T) {
-	run1 := &Run{Label: "alpha", Curve: progress.BuildCurve([]progress.Event{
+	run1 := &Run{Label: "alpha", Curve: quality.BuildCurve([]quality.Event{
 		{Time: 10, Pair: pair(0, 1), TrueDup: true},
 		{Time: 20, Pair: pair(2, 3), TrueDup: true},
-	}, 2, 40), Total: 40}
-	run2 := &Run{Label: "beta", Curve: progress.BuildCurve([]progress.Event{
+	}, 2, 40)}
+	run2 := &Run{Label: "beta", Curve: quality.BuildCurve([]quality.Event{
 		{Time: 35, Pair: pair(0, 1), TrueDup: true},
-	}, 2, 40), Total: 40}
+	}, 2, 40)}
 	fig := NewFigure("P", "plot demo", 8, run1, run2)
 	out := fig.Plot(24, 6)
 	if !strings.Contains(out, "o = alpha") || !strings.Contains(out, "+ = beta") {
@@ -403,9 +403,9 @@ func TestAblation(t *testing.T) {
 // TestFigureJSONRoundTrip: a figure's JSON document decodes back into
 // the figure.
 func TestFigureJSONRoundTrip(t *testing.T) {
-	run := &Run{Label: "alpha", Curve: progress.BuildCurve([]progress.Event{
+	run := &Run{Label: "alpha", Curve: quality.BuildCurve([]quality.Event{
 		{Time: 10, Pair: pair(0, 1), TrueDup: true},
-	}, 2, 40), Total: 40}
+	}, 2, 40)}
 	fig := NewFigure("J", "json demo", 5, run)
 	var buf bytes.Buffer
 	if err := (&Output{Figures: []*Figure{fig}}).Write(&buf, false, true); err != nil {

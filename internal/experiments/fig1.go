@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -25,19 +25,10 @@ func fig1(c Config) (*Output, error) {
 	// Traditional: the same computation, but results become visible
 	// only when the whole job finishes — the curve is a single step to
 	// the incremental run's final recall, at its completion time.
-	totalDups := w.GT.NumDupPairs()
-	burst := int64(incremental.Curve.FinalRecall() * float64(totalDups))
-	events := make([]progress.Event, 0, burst)
-	for _, pr := range w.GT.DupPairs() {
-		if int64(len(events)) >= burst {
-			break
-		}
-		events = append(events, progress.Event{Time: incremental.Total, Pair: pr, TrueDup: true})
-	}
-	traditional := &Run{
-		Label: "Traditional",
-		Curve: progress.BuildCurve(events, totalDups, incremental.Total),
-		Total: incremental.Total,
+	inc := incremental.Curve
+	traditional := &Run{Label: "Traditional", Curve: &quality.Curve{Total: inc.Total, End: inc.End}}
+	if n := len(inc.Points); n > 0 {
+		traditional.Curve.Points = []quality.Point{{Time: inc.End, Found: inc.Points[n-1].Found}}
 	}
 
 	ours, err := w.RunOurs(c.Machines[0], sched.Ours, "Progressive (ours)")

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -16,7 +16,7 @@ var fig11Recalls = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 // reaches ρ); a level a run never reaches reads "—".
 func fig11(c Config) (*Output, error) {
 	w := BooksWorkload(c.Entities, c.Seed)
-	curves := make([]*progress.Curve, len(c.Machines))
+	curves := make([]*quality.Curve, len(c.Machines))
 	for j, mu := range c.Machines {
 		run, err := w.RunOurs(mu, sched.Ours, fmt.Sprintf("mu=%d", mu))
 		if err != nil {
@@ -35,7 +35,7 @@ func fig11(c Config) (*Output, error) {
 	for _, rho := range fig11Recalls {
 		row := []string{fmt.Sprintf("%.1f", rho)}
 		for _, curve := range curves {
-			if s, ok := progress.Speedup(curves[0], curve, rho); ok {
+			if s, ok := quality.Speedup(curves[0], curve, rho); ok {
 				row = append(row, fmt.Sprintf("%.2f", s))
 			} else {
 				row = append(row, "—")

@@ -84,8 +84,8 @@ func fig8(c Config) (*Output, error) {
 			name,
 			fmt.Sprintf("%.2f", r5.Curve.FinalRecall()),
 			fmt.Sprintf("%.2f", r15.Curve.FinalRecall()),
-			fmt.Sprintf("%.0f", r5.Total),
-			fmt.Sprintf("%.0f", r15.Total),
+			fmt.Sprintf("%.0f", r5.Curve.End),
+			fmt.Sprintf("%.0f", r15.Curve.End),
 		})
 	}
 	for _, th := range table3Thresholds {

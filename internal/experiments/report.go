@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"proger/internal/costmodel"
+	"proger/internal/obs/quality"
 )
 
 // Figure is one recall-vs-cost plot: several labeled curves sampled on
@@ -34,18 +35,13 @@ type FigureSeries struct {
 func NewFigure(id, title string, points int, runs ...*Run) *Figure {
 	var end costmodel.Units
 	for _, r := range runs {
-		if r.Total > end {
-			end = r.Total
-		}
+		end = max(end, r.Curve.End)
 	}
 	if points < 2 {
 		points = 2
 	}
 	f := &Figure{ID: id, Title: title, XLabel: "cost units", YLabel: "duplicate recall"}
-	f.Times = make([]costmodel.Units, points)
-	for i := range f.Times {
-		f.Times[i] = end * costmodel.Units(i+1) / costmodel.Units(points)
-	}
+	f.Times = quality.Grid(end, points)
 	for _, r := range runs {
 		f.Series = append(f.Series, FigureSeries{Label: r.Label, Recalls: r.Curve.Sample(f.Times), AUC: r.Curve.AUC()})
 	}

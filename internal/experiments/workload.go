@@ -7,13 +7,12 @@ import (
 
 	"proger/internal/blocking"
 	"proger/internal/core"
-	"proger/internal/costmodel"
 	"proger/internal/datagen"
 	"proger/internal/entity"
 	"proger/internal/estimate"
 	"proger/internal/match"
 	"proger/internal/mechanism"
-	"proger/internal/progress"
+	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
 
@@ -179,8 +178,7 @@ func BooksWorkload(n int, seed int64) *Workload { return trained("books", n, see
 // truth) and identifiers.
 type Run struct {
 	Label string
-	Curve *progress.Curve
-	Total costmodel.Units
+	Curve *quality.Curve
 }
 
 // Options is the paper's pipeline on the workload: its families,
@@ -234,6 +232,6 @@ func (w *Workload) newRun(label string, res *core.Result, err error) (*Run, erro
 	if err != nil {
 		return nil, err
 	}
-	curve := progress.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
-	return &Run{Label: label, Curve: curve, Total: res.TotalTime}, nil
+	curve := quality.BuildCurve(res.EventsAgainst(w.GT.IsDup), w.GT.NumDupPairs(), res.TotalTime)
+	return &Run{Label: label, Curve: curve}, nil
 }

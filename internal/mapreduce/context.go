@@ -10,30 +10,13 @@ import (
 	"proger/internal/obs/quality"
 )
 
-// TaskType distinguishes map from reduce tasks in contexts and errors.
-type TaskType int
-
-// Task types.
-const (
-	MapTask TaskType = iota
-	ReduceTask
-)
-
-// String implements fmt.Stringer.
-func (t TaskType) String() string {
-	if t == MapTask {
-		return "map"
-	}
-	return "reduce"
-}
-
 // TaskContext is the per-task environment handed to Mapper and Reducer
 // methods: identity, the cost model, the cost clock, and counters. It is not
 // safe for concurrent use by multiple goroutines (a task is a single
 // logical thread, as in Hadoop).
 type TaskContext struct {
 	Job       string
-	Type      TaskType
+	Type      live.Phase
 	Index     int
 	NumReduce int
 	// Cost is the job's cost model, for tasks that price their own work.

@@ -503,7 +503,7 @@ func (st *mapStage) release() {
 func runMapTask(cfg *Config, index int, split []KeyValue) (TaskResult, error) {
 	ctx := &TaskContext{
 		Job:       cfg.Name,
-		Type:      MapTask,
+		Type:      live.PhaseMap,
 		Index:     index,
 		NumReduce: cfg.NumReduceTasks,
 		Cost:      cfg.Cost,
@@ -570,7 +570,7 @@ var groupScratch = sync.Pool{New: func() any { return new([][]byte) }}
 func runReduceTask(cfg *Config, index int, in *partitionStore) (TaskResult, error) {
 	ctx := &TaskContext{
 		Job:       cfg.Name,
-		Type:      ReduceTask,
+		Type:      live.PhaseReduce,
 		Index:     index,
 		NumReduce: cfg.NumReduceTasks,
 		Cost:      cfg.Cost,

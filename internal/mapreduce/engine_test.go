@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"proger/internal/costmodel"
+	"proger/internal/obs/live"
 )
 
 // wordCountMapper splits values into words and emits (word, "1").
@@ -461,11 +462,13 @@ func TestSegmentsPanicsOnBadAlpha(t *testing.T) {
 	res.Segments(0, 0)
 }
 
+// TestChargePanicsOnNegative: a negative charge panics, naming the
+// task's phase and index.
 func TestChargePanicsOnNegative(t *testing.T) {
-	ctx := &TaskContext{}
+	ctx := &TaskContext{Type: live.PhaseReduce, Index: 3}
 	defer func() {
-		if recover() == nil {
-			t.Error("negative charge should panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "in reduce task 3") {
+			t.Errorf("negative charge panicked with %q, want one naming reduce task 3", msg)
 		}
 	}()
 	ctx.Charge(-1)
@@ -480,12 +483,6 @@ func TestCountersMergeAndNames(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Names(), []string{"x", "y", "z"}) {
 		t.Errorf("names = %v", a.Names())
-	}
-}
-
-func TestTaskTypeString(t *testing.T) {
-	if MapTask.String() != "map" || ReduceTask.String() != "reduce" {
-		t.Error("TaskType strings wrong")
 	}
 }
 

@@ -1,137 +1,213 @@
 package quality
 
 import (
-	"math"
+	"fmt"
+	"sort"
 
 	"proger/internal/costmodel"
+	"proger/internal/entity"
 )
 
-// maxCurvePoints caps a curve's samples: a sampling interval shorter
-// than End/maxCurvePoints is raised to it, so a curve holds at most
-// maxCurvePoints+1 points (the last at End) whatever the caller asks.
-const maxCurvePoints = 1 << 16
-
-// CurvePoint is one sample of the progressive-recall curve.
-type CurvePoint struct {
-	// Cost is the cumulative global simulated cost at the sample.
-	Cost float64 `json:"cost"`
-	// Blocks, Pairs, and Dups are the cumulative blocks resolved,
-	// pairs compared, and duplicates emitted by Cost.
-	Blocks int64 `json:"blocks"`
-	Pairs  int64 `json:"pairs"`
-	Dups   int64 `json:"dups"`
-	// Recall is Dups / FinalDups (the self-relative recall proxy: the
-	// pipeline has no ground truth, so the curve normalizes against its
-	// own final duplicate count; 0 when the run found nothing).
-	Recall float64 `json:"recall"`
+// Event is one resolved duplicate pair with the global simulated time
+// at which it was produced.
+type Event struct {
+	Time costmodel.Units
+	Pair entity.Pair
+	// TrueDup marks whether the pair is a ground-truth duplicate
+	// (the resolve function can have false positives).
+	TrueDup bool
 }
 
-// Curve is the progressive-recall curve: cumulative resolution
-// progress sampled every SampleEvery cost units on the global
-// simulated clock, plus its normalized area under the recall-vs-cost
-// step function.
+// Point is one step of a recall curve: Found duplicates are known by
+// Time.
+type Point struct {
+	Time  costmodel.Units
+	Found int64
+}
+
+// Curve is duplicate recall as a non-decreasing step function of
+// simulated cost: the y/x axes of Figs. 8–10, and the one curve every
+// recall figure, AUC and export of the repository reads. Recall at a
+// step is Found / Total.
 type Curve struct {
-	// SampleEvery is the sampling interval actually used.
-	SampleEvery float64 `json:"sample_every"`
-	// End is the completion time of the last block resolution.
-	End float64 `json:"end"`
-	// FinalBlocks, FinalPairs, and FinalDups are the run totals.
-	FinalBlocks int64 `json:"final_blocks"`
-	FinalPairs  int64 `json:"final_pairs"`
-	FinalDups   int64 `json:"final_dups"`
-	// AUC is the exact area under recall(t) over [0, End], normalized
-	// by End — in [0, 1], 1 meaning every duplicate surfaced
-	// immediately (perfect progressiveness), computed from the
-	// un-sampled completion events rather than the Points grid.
-	AUC float64 `json:"auc"`
-	// Points are the samples, at strictly increasing cost.
-	Points []CurvePoint `json:"points"`
+	// Points are the steps, at non-decreasing Time.
+	Points []Point
+	// Total is N: the number of duplicate pairs recall is relative to.
+	Total int64
+	// End is the completion time of the whole run (recall stays flat
+	// from the last step to End).
+	End costmodel.Units
 }
 
-// BuildCurve derives the progressive-recall curve from the recorded
-// block realizations. sampleEvery ≤ 0, NaN or infinite picks End/64,
-// and one below End/maxCurvePoints is raised to it. Each block's
-// progress is attributed to its completion time — exact on the
-// simulated clock, since the engine replays block resolutions with
-// deterministic timestamps (sampling "during" and "after" the run are
-// the same operation when time is simulated; see DESIGN.md §10).
-func (r *Recorder) BuildCurve(sampleEvery costmodel.Units) *Curve {
-	if math.IsNaN(sampleEvery) || math.IsInf(sampleEvery, 0) {
-		sampleEvery = 0
-	}
-	obs := r.Observations()
-	c := &Curve{SampleEvery: float64(sampleEvery)}
-	if len(obs) == 0 {
-		return c
-	}
-	end := obs[len(obs)-1].End
-	c.End = float64(end)
-	for _, o := range obs {
-		c.FinalBlocks++
-		c.FinalPairs += o.Compared
-		c.FinalDups += o.Dups
-	}
-
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = c.End / 64
-	}
-	c.SampleEvery = max(c.SampleEvery, c.End/maxCurvePoints)
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
-	}
-
-	// Sample the cumulative counts at k·Δ for k = 1, 2, …, closing with
-	// a final sample exactly at End. Cost is strictly increasing by
-	// construction; the cumulative counts make Recall non-decreasing.
-	var (
-		i                   int
-		blocks, pairs, dups int64
-	)
-	advance := func(t float64) {
-		for i < len(obs) && float64(obs[i].End) <= t {
-			blocks++
-			pairs += obs[i].Compared
-			dups += obs[i].Dups
-			i++
+// BuildCurve constructs the recall curve from resolution events.
+// Events are sorted by time; only the first discovery of each
+// ground-truth pair counts (re-finds and false positives contribute
+// nothing to recall).
+func BuildCurve(events []Event, totalDups int64, end costmodel.Units) *Curve {
+	sorted := make([]Event, len(events))
+	copy(sorted, events)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	c := &Curve{Total: totalDups, End: end}
+	seen := entity.PairSet{}
+	var found int64
+	for _, ev := range sorted {
+		if !ev.TrueDup || !seen.Add(ev.Pair) {
+			continue
 		}
+		found++
+		c.Points = append(c.Points, Point{Time: ev.Time, Found: found})
 	}
-	sample := func(t float64) {
-		advance(t)
-		p := CurvePoint{Cost: t, Blocks: blocks, Pairs: pairs, Dups: dups}
-		if c.FinalDups > 0 {
-			p.Recall = float64(dups) / float64(c.FinalDups)
-		}
-		c.Points = append(c.Points, p)
-	}
-	for t := c.SampleEvery; t < c.End; t += c.SampleEvery {
-		sample(t)
-	}
-	sample(c.End)
-
-	c.AUC = recallAUC(obs, c.End, c.FinalDups)
 	return c
 }
 
-// recallAUC integrates the recall step function exactly over [0, end]:
-// recall is constant between completion events, so the area is the sum
-// of recall-after-event × time-to-next-event.
-func recallAUC(obs []BlockObs, end float64, finalDups int64) float64 {
-	if end <= 0 || finalDups == 0 {
+// observedCurve is the recall curve of block resolutions in completion
+// order: one step at every distinct End, blocks that found nothing
+// included, relative to the blocks' own duplicate total (the pipeline
+// has no ground truth).
+func observedCurve(obs []BlockObs) *Curve {
+	c := &Curve{}
+	for _, o := range obs {
+		c.Total += o.Dups
+		if n := len(c.Points); n > 0 && c.Points[n-1].Time == o.End {
+			c.Points[n-1].Found = c.Total
+		} else {
+			c.Points = append(c.Points, Point{Time: o.End, Found: c.Total})
+		}
+		c.End = o.End
+	}
+	return c
+}
+
+// recall is found as a share of Total (0 when Total is 0).
+func (c *Curve) recall(found int64) float64 {
+	if c.Total <= 0 {
 		return 0
 	}
-	var area float64
-	var dups int64
-	for i := 0; i < len(obs); {
-		t := obs[i].End
-		for i < len(obs) && obs[i].End == t {
-			dups += obs[i].Dups
-			i++
-		}
-		next := end
-		if i < len(obs) {
-			next = float64(obs[i].End)
-		}
-		area += float64(dups) / float64(finalDups) * (next - float64(t))
+	return float64(found) / float64(c.Total)
+}
+
+// foundAt returns the duplicates known by time t.
+func (c *Curve) foundAt(t costmodel.Units) int64 {
+	i := sort.Search(len(c.Points), func(i int) bool { return c.Points[i].Time > t })
+	if i == 0 {
+		return 0
 	}
-	return area / end
+	return c.Points[i-1].Found
+}
+
+// RecallAt returns the recall achieved by time t.
+func (c *Curve) RecallAt(t costmodel.Units) float64 { return c.recall(c.foundAt(t)) }
+
+// FinalRecall returns the recall at the end of the run.
+func (c *Curve) FinalRecall() float64 {
+	if len(c.Points) == 0 {
+		return 0
+	}
+	return c.recall(c.Points[len(c.Points)-1].Found)
+}
+
+// TimeToRecall returns the earliest time at which the curve reaches
+// recall r, and whether it ever does.
+func (c *Curve) TimeToRecall(r float64) (costmodel.Units, bool) {
+	for _, p := range c.Points {
+		if c.recall(p.Found) >= r {
+			return p.Time, true
+		}
+	}
+	return 0, false
+}
+
+// Sample evaluates recall at each time, for plotting a fixed grid.
+func (c *Curve) Sample(times []costmodel.Units) []float64 {
+	out := make([]float64, len(times))
+	for i, t := range times {
+		out[i] = c.RecallAt(t)
+	}
+	return out
+}
+
+// Grid is the uniform grid of n times that ends at end: end·i/n for
+// i = 1, …, n.
+func Grid(end costmodel.Units, n int) []costmodel.Units {
+	times := make([]costmodel.Units, max(n, 0))
+	for i := range times {
+		times[i] = end * costmodel.Units(i+1) / costmodel.Units(n)
+	}
+	return times
+}
+
+// Qty is the discrete sampling quality function of Eq. 1:
+//
+//	Qty = (1/N) · Σᵢ W(cᵢ) · Result(cᵢ)
+//
+// where Result(cᵢ) is the number of correct duplicate pairs identified
+// in (cᵢ₋₁, cᵢ]. costs must be strictly increasing and weights
+// non-increasing in [0,1], one per cost.
+func Qty(c *Curve, costs []costmodel.Units, weights []float64) (float64, error) {
+	if len(costs) == 0 || len(costs) != len(weights) {
+		return 0, fmt.Errorf("quality: need equal non-empty costs and weights (%d, %d)", len(costs), len(weights))
+	}
+	prevCost := costmodel.Units(0)
+	prevW := 1.0
+	for i := range costs {
+		if costs[i] <= prevCost {
+			return 0, fmt.Errorf("quality: costs must be strictly increasing at %d", i)
+		}
+		if weights[i] < 0 || weights[i] > 1 || weights[i] > prevW {
+			return 0, fmt.Errorf("quality: weights must be non-increasing in [0,1] at %d", i)
+		}
+		prevCost, prevW = costs[i], weights[i]
+	}
+	if c.Total == 0 {
+		return 0, nil
+	}
+	q := 0.0
+	var prevFound int64
+	for i, ci := range costs {
+		found := c.foundAt(ci)
+		q += weights[i] * float64(found-prevFound)
+		prevFound = found
+	}
+	return q / float64(c.Total), nil
+}
+
+// AUC returns the normalized area under the recall-vs-cost step
+// function over [0, End], integrated exactly: 1.0 means all duplicates
+// were known from time zero, 0 means none were ever found. A scalar
+// summary of progressiveness that, like Qty with uniform weights,
+// rewards early discovery. It is the repository's one integrator of
+// recall over cost.
+func (c *Curve) AUC() float64 {
+	if c.End <= 0 || c.Total == 0 {
+		return 0
+	}
+	area := 0.0
+	prevTime := costmodel.Units(0)
+	prevRecall := 0.0
+	for _, p := range c.Points {
+		t := min(p.Time, c.End)
+		area += float64(t-prevTime) * prevRecall
+		prevTime = t
+		prevRecall = c.recall(p.Found)
+	}
+	if prevTime < c.End {
+		area += float64(c.End-prevTime) * prevRecall
+	}
+	return area / float64(c.End)
+}
+
+// Speedup returns how much faster `fast` reaches the given recall than
+// `slow`: time(slow, r) / time(fast, r). The second return is false if
+// either curve never reaches r. This is the recall speedup of Fig. 11
+// (slow = the 5-machine run, fast = the μ-machine run).
+func Speedup(slow, fast *Curve, recall float64) (float64, bool) {
+	ts, ok := slow.TimeToRecall(recall)
+	if !ok {
+		return 0, false
+	}
+	tf, ok := fast.TimeToRecall(recall)
+	if !ok || tf <= 0 {
+		return 0, false
+	}
+	return float64(ts) / float64(tf), true
 }

@@ -1,7 +1,8 @@
-package progress
+package quality
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"proger/internal/costmodel"
@@ -49,7 +50,7 @@ func TestCurveMonotonicityProperty(t *testing.T) {
 		if c.Points[i].Found != c.Points[i-1].Found+1 {
 			t.Fatalf("found not incrementing at %d", i)
 		}
-		if c.Points[i].Recall <= c.Points[i-1].Recall {
+		if c.recall(c.Points[i].Found) <= c.recall(c.Points[i-1].Found) {
 			t.Fatalf("recall not increasing at %d", i)
 		}
 	}
@@ -92,6 +93,13 @@ func TestSample(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("sample[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+	// Grid(End, n) ends at End: 10, 20, 30.
+	if got := c.Sample(Grid(c.End, 3)); !reflect.DeepEqual(got, []float64{0.5, 1, 1}) {
+		t.Errorf("samples on Grid(30, 3) = %v, want [0.5 1 1]", got)
+	}
+	if g := Grid(c.End, 0); len(g) != 0 {
+		t.Errorf("Grid(30, 0) = %v, want no times", g)
 	}
 }
 

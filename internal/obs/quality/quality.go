@@ -12,11 +12,15 @@
 //     mapreduce.TaskContext.ObserveBlock and rebased by the engine
 //     exactly like trace spans;
 //
-// — and derives from them a progressive-recall Curve (sampled at fixed
+// — and derives from them the run's recall Curve (sampled at fixed
 // cost intervals, with its normalized AUC) and a calibration Report
 // (per-block prediction error joined on SQ, bucketed by the
 // estimator's size-fraction sub-ranges, plus a per-task
 // planned-vs-realized skew table).
+//
+// Curve is also the repository's one recall curve against ground
+// truth (BuildCurve over a run's duplicate events): the figures, Qty
+// (Eq. 1), the recall speedup of Fig. 11 and every AUC read it.
 //
 // Everything is deterministic: realizations flow through the committed
 // task attempt's result only and are fed serially in task order, so

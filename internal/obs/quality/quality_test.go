@@ -45,7 +45,7 @@ func TestBuildCurve(t *testing.T) {
 	r.ObserveBlock(BlockObs{ID: "b", SQ: 2, Start: 10, End: 20, Compared: 3})
 	r.ObserveBlock(BlockObs{ID: "c", SQ: 3, Start: 20, End: 40, Compared: 8, Dups: 2})
 
-	c := r.BuildCurve(10)
+	c := r.Samples(10)
 	if c.End != 40 || c.FinalBlocks != 3 || c.FinalPairs != 16 || c.FinalDups != 4 {
 		t.Fatalf("curve totals: %+v", c)
 	}
@@ -70,7 +70,7 @@ func TestBuildCurve(t *testing.T) {
 	}
 
 	// Monotonicity invariants hold for an uneven interval too.
-	c7 := r.BuildCurve(7)
+	c7 := r.Samples(7)
 	prevCost, prevRecall := -1.0, 0.0
 	for _, p := range c7.Points {
 		if p.Cost <= prevCost {
@@ -86,24 +86,24 @@ func TestBuildCurve(t *testing.T) {
 	}
 
 	// Empty recorder yields a zero curve and AUC 0.
-	empty := NewRecorder().BuildCurve(0)
+	empty := NewRecorder().Samples(0)
 	if empty.AUC != 0 || len(empty.Points) != 0 {
 		t.Errorf("empty curve = %+v", empty)
 	}
 }
 
 // TestBuildCurveBoundsItsInterval: a tiny sampling interval is raised
-// to End/maxCurvePoints, and a non-finite one means the default, so
+// to End/maxSamples, and a non-finite one means the default, so
 // the curve stays small and its export encodes.
 func TestBuildCurveBoundsItsInterval(t *testing.T) {
 	r := NewRecorder()
 	r.ObserveBlock(BlockObs{ID: "a", SQ: 1, End: 1e4, Compared: 1, Dups: 1})
-	c := r.BuildCurve(1e-2)
-	if c.SampleEvery != 1e4/maxCurvePoints || len(c.Points) > maxCurvePoints+1 {
+	c := r.Samples(1e-2)
+	if c.SampleEvery != 1e4/maxSamples || len(c.Points) > maxSamples+1 {
 		t.Errorf("interval 1e-2 on end 1e4: sampled every %g, %d points", c.SampleEvery, len(c.Points))
 	}
 	for _, every := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if got := r.BuildCurve(every).SampleEvery; got != 1e4/64 {
+		if got := r.Samples(every).SampleEvery; got != 1e4/64 {
 			t.Errorf("interval %g: sampled every %g, want the default %g", every, got, 1e4/64)
 		}
 		for _, rec := range []*Recorder{r, NewRecorder()} {

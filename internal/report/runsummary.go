@@ -212,7 +212,7 @@ func writeQualitySummary(w io.Writer, q *quality.Recorder) error {
 var sparkBars = []rune("▁▂▃▄▅▆▇█")
 
 // sparkline renders the curve's recall values as one bar per sample.
-func sparkline(points []quality.CurvePoint) string {
+func sparkline(points []quality.SamplePoint) string {
 	var b strings.Builder
 	for _, p := range points {
 		i := int(p.Recall * float64(len(sparkBars)))

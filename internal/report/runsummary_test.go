@@ -96,7 +96,7 @@ func TestWriteRunSummary(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	pts := []quality.CurvePoint{{Recall: 0}, {Recall: 0.5}, {Recall: 1}}
+	pts := []quality.SamplePoint{{Recall: 0}, {Recall: 0.5}, {Recall: 1}}
 	got := sparkline(pts)
 	if got != "▁▅█" {
 		t.Errorf("sparkline = %q, want %q", got, "▁▅█")

@@ -70,7 +70,6 @@ import (
 	"proger/internal/obs"
 	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
-	"proger/internal/progress"
 	"proger/internal/sched"
 )
 
@@ -481,22 +480,22 @@ var EventKV = live.KV
 // ---- Evaluation ----
 
 // Event is a timestamped duplicate discovery.
-type Event = progress.Event
+type Event = quality.Event
 
 // Curve is duplicate recall as a step function of cost.
-type Curve = progress.Curve
+type Curve = quality.Curve
 
 // GroundTruth records the true clustering of a synthetic dataset.
 type GroundTruth = datagen.GroundTruth
 
 // BuildCurve builds the recall-vs-cost curve from resolution events.
-var BuildCurve = progress.BuildCurve
+var BuildCurve = quality.BuildCurve
 
 // Qty is the discrete sampling quality function of Eq. 1.
-var Qty = progress.Qty
+var Qty = quality.Qty
 
 // Speedup compares how fast two curves reach a recall level.
-var Speedup = progress.Speedup
+var Speedup = quality.Speedup
 
 // ---- Clustering ----
 

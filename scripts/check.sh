@@ -59,9 +59,11 @@ fi
 
 # The docs name tests and files as the way to check a claim: every
 # Test…/Fuzz…/Benchmark… name DESIGN.md or README.md mentions must be
-# defined somewhere in the repo (a trailing * makes it a prefix), and
-# every *.go path they mention must exist (a bare file name, or a path
-# that starts inside a package, matches by its tail).
+# defined somewhere in the repo (a trailing * makes it a prefix), every
+# *.go path they mention must exist (a bare file name, or a path that
+# starts inside a package, matches by its tail), and so must every path
+# under internal/, cmd/, scripts/ or examples/ they name (a package
+# path followed by .Identifier names the package).
 echo "== docs lint =="
 gofiles="$(find . -name '*.go' -not -path './.bench_build/*' | sed 's|^\.||')"
 defined="$(find . -name '*_test.go' -not -path './.bench_build/*' \
@@ -78,9 +80,14 @@ stale="$(
         while read -r path; do
             printf '%s\n' "$gofiles" | grep -qE "/$(printf '%s' "$path" | sed 's/\./\\./g')\$" || echo "$path"
         done
+    grep -ohE '\b(internal|cmd|scripts|examples)/[A-Za-z0-9_/-]*(\.[a-z]+\b)?' DESIGN.md README.md |
+        sed 's|/*$||' | sort -u |
+        while read -r path; do
+            [ -e "$path" ] || echo "$path"
+        done
 )"
 if [ -n "$stale" ]; then
-    echo "DESIGN.md / README.md name tests or files that do not exist:"
+    echo "DESIGN.md / README.md name tests, files or directories that do not exist:"
     echo "$stale"
     exit 1
 fi
