@@ -49,12 +49,12 @@ profile:
 chaos:
 	./scripts/chaos.sh
 
-# trace-demo runs the quickstart example with tracing + metrics +
+# trace-demo resolves the Table-I toy workload with tracing + metrics +
 # quality telemetry enabled and sanity-checks the exported Chrome trace
 # JSON and quality JSON with tracecheck.
 trace-demo:
 	@tmp="$$(mktemp -d)"; \
 	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./examples/quickstart -trace "$$tmp/trace.json" -metrics-out "$$tmp/metrics.prom" -quality-out "$$tmp/quality.json" >/dev/null && \
+	$(GO) run ./cmd/proger -generate people -machines 2 -out /dev/null -trace "$$tmp/trace.json" -metrics-out "$$tmp/metrics.prom" -quality-out "$$tmp/quality.json" 2>/dev/null && \
 	$(GO) run ./scripts/tracecheck -quality "$$tmp/quality.json" "$$tmp/trace.json" && \
 	head -n 4 "$$tmp/metrics.prom"

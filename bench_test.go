@@ -164,7 +164,7 @@ func BenchmarkTokenCosine(b *testing.B) {
 }
 
 func BenchmarkMatcher(b *testing.B) {
-	ds, _ := proger.GeneratePublications(100, 1)
+	ds, _, _ := workload(b, "publications", 100, 1)
 	m := proger.MustMatcher(0.75,
 		proger.Rule{Attr: 0, Weight: 0.5, Kind: proger.EditDistance},
 		proger.Rule{Attr: 1, Weight: 0.3, Kind: proger.EditDistance, MaxChars: 350},
@@ -303,7 +303,7 @@ func BenchmarkDatagenPublications(b *testing.B) {
 }
 
 func BenchmarkJob1(b *testing.B) {
-	ds, _ := proger.GeneratePublications(2000, 3)
+	ds, _, _ := workload(b, "publications", 2000, 3)
 	fams := blocking.CiteSeerXFamilies(ds.Schema)
 	cluster := mapreduce.Cluster{Machines: 5, SlotsPerMachine: 2}
 	b.ResetTimer()
@@ -315,7 +315,7 @@ func BenchmarkJob1(b *testing.B) {
 }
 
 func BenchmarkScheduleGeneration(b *testing.B) {
-	ds, gt := proger.GeneratePublications(2000, 3)
+	ds, gt, _ := workload(b, "publications", 2000, 3)
 	fams := blocking.CiteSeerXFamilies(ds.Schema)
 	model := estimate.Train(ds, gt, fams)
 	cluster := mapreduce.Cluster{Machines: 5, SlotsPerMachine: 2}
@@ -344,7 +344,7 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 }
 
 func BenchmarkResolvePipeline(b *testing.B) {
-	ds, gt := proger.GeneratePublications(1500, 5)
+	ds, gt, _ := workload(b, "publications", 1500, 5)
 	fams := proger.CiteSeerXFamilies(ds.Schema)
 	model := proger.TrainDupModel(ds, gt, fams)
 	matcher := proger.MustMatcher(0.75,
@@ -365,7 +365,7 @@ func BenchmarkResolvePipeline(b *testing.B) {
 }
 
 func BenchmarkResolveBasic(b *testing.B) {
-	ds, _ := proger.GeneratePublications(1500, 5)
+	ds, _, _ := workload(b, "publications", 1500, 5)
 	fams := proger.CiteSeerXFamilies(ds.Schema)
 	matcher := proger.MustMatcher(0.75,
 		proger.Rule{Attr: 0, Weight: 0.5, Kind: proger.EditDistance},
@@ -402,7 +402,7 @@ func BenchmarkMechanismHierarchy(b *testing.B) {
 
 // benchmarkMechanism resolves one 200-entity block to exhaustion.
 func benchmarkMechanism(b *testing.B, m proger.Mechanism) {
-	ds, _ := proger.GeneratePublications(200, 2)
+	ds, _, _ := workload(b, "publications", 200, 2)
 	matcher := proger.MustMatcher(0.75,
 		proger.Rule{Attr: 0, Weight: 0.6, Kind: proger.EditDistance},
 		proger.Rule{Attr: 2, Weight: 0.4, Kind: proger.EditDistance},
@@ -421,7 +421,7 @@ func benchmarkMechanism(b *testing.B, m proger.Mechanism) {
 }
 
 func BenchmarkTransitiveClosure(b *testing.B) {
-	ds, gt := proger.GeneratePublications(5000, 3)
+	ds, gt, _ := workload(b, "publications", 5000, 3)
 	pairs := proger.PairSet{}
 	for _, p := range gt.DupPairs() {
 		pairs.Add(p)

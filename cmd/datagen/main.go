@@ -22,11 +22,16 @@ import (
 
 func main() {
 	kind := flag.String("kind", "publications", "dataset kind: "+strings.Join(experiments.Names(), " | "))
-	n := flag.Int("n", 10000, "number of entities (ignored for people)")
+	n := flag.Int("n", 10000, "number of entities (not for a dataset of fixed size: people)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "", "output TSV path (default stdout)")
 	truth := flag.String("truth", "", "ground-truth output path (optional)")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "n" || f.Name == "seed") && experiments.FixedSize(*kind) {
+			log.Fatalf("datagen: -%s: %s is a dataset of fixed size", f.Name, *kind)
+		}
+	})
 
 	wl, err := experiments.Generate(*kind, *n, *seed)
 	if err != nil {

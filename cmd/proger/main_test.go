@@ -62,7 +62,10 @@ func TestBuildFamiliesPresets(t *testing.T) {
 // none.
 func TestTrainSet(t *testing.T) {
 	w := loadWorkload(generated("publications", 4000, 1, false))
-	ds, gt := proger.GeneratePublications(1000, 100001)
+	ds, gt, _, err := proger.Workload("publications", 1000, 100001)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if w.Model == nil || !reflect.DeepEqual(w.Model, estimate.DupModel(estimate.Train(ds, gt, w.Fams))) {
 		t.Error("publications model is not trained on its train set")
 	}
@@ -180,7 +183,10 @@ func TestBuildMatcherCustom(t *testing.T) {
 }
 
 func TestBuildMatcherWithMaxChars(t *testing.T) {
-	pubs, _ := proger.GeneratePublications(50, 1)
+	pubs, _, _, err := proger.Workload("publications", 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := buildMatcher(pubs, stringList{"abstract:edit:1:350"}, 0.8)
 	if m.Rules[0].MaxChars != 350 {
 		t.Errorf("maxchars = %d", m.Rules[0].MaxChars)
@@ -394,12 +400,16 @@ func TestUnreadFlagsAreRefused(t *testing.T) {
 		{[]string{"-input", "x.tsv", "-seed", "9"}, "-seed"},
 		{[]string{"-input", "x.tsv", "-truth", "t.tsv"}, ""},
 		{[]string{"-n", "500", "-seed", "9"}, ""},
+		{[]string{"-truth", "t.tsv"}, "-truth"},
+		{[]string{"-generate", "people", "-n", "50"}, "-n"},
+		{[]string{"-generate", "people", "-seed", "3"}, "-seed"},
+		{[]string{"-generate", "people", "-machines", "2"}, ""},
 		{nil, ""},
 	} {
 		fs := flag.NewFlagSet("proger", flag.ContinueOnError)
 		r := bindRun(fs)
 		args := c.args
-		if !slices.Contains(args, "-input") {
+		if !slices.Contains(args, "-input") && !slices.Contains(args, "-generate") {
 			args = append([]string{"-generate", "publications"}, args...)
 		}
 		if err := fs.Parse(args); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"strings"
 
 	"proger"
@@ -72,6 +73,12 @@ func (r *run) refuseUnread(fs *flag.FlagSet) error {
 		return errors.New("-n sizes a -generate workload; -input reads its entities from the file")
 	case set["seed"] && r.Input != "":
 		return errors.New("-seed seeds a -generate workload; -input reads its entities from the file")
+	case set["n"] && experiments.FixedSize(r.Generate):
+		return fmt.Errorf("-n sizes a -generate workload; %s is a dataset of fixed size", r.Generate)
+	case set["seed"] && experiments.FixedSize(r.Generate):
+		return fmt.Errorf("-seed seeds a -generate workload; %s is a dataset of fixed size", r.Generate)
+	case set["truth"] && r.Input == "":
+		return errors.New("-truth is the ground truth of an -input file; a -generate workload brings its own")
 	}
 	return nil
 }

@@ -67,6 +67,17 @@ func baseOptions(faultRate float64) proger.Options {
 	return opts
 }
 
+// publications is the catalogue's publications dataset on n entities
+// from seed 1.
+func publications(t *testing.T, n int) *proger.Dataset {
+	t.Helper()
+	ds, _, _, err := proger.Workload("publications", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 func fillDataset(ds *proger.Dataset, opts *proger.Options) {
 	opts.Families = proger.CiteSeerXFamilies(ds.Schema)
 	opts.Matcher = proger.MustMatcher(0.75,
@@ -114,6 +125,20 @@ func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOpt
 // returns the master's artifacts.
 func (f *fleet) run(ds *proger.Dataset, faultRate float64) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
 	f.t.Helper()
+	return f.wait(f.start(ds, faultRate))
+}
+
+// masterRun is the master's pipeline outcome and artifacts.
+type masterRun struct {
+	res *proger.Result
+	tr  *proger.Tracer
+	q   *proger.QualityRecorder
+	err error
+}
+
+// start drives the master's pipeline in the background; wait collects
+// it.
+func (f *fleet) start(ds *proger.Dataset, faultRate float64) <-chan masterRun {
 	opts := baseOptions(faultRate)
 	fillDataset(ds, &opts)
 	opts.Transport = f.master
@@ -121,12 +146,24 @@ func (f *fleet) run(ds *proger.Dataset, faultRate float64) (*proger.Result, *pro
 	opts.Trace = proger.NewTracer()
 	opts.Quality = proger.NewQualityRecorder()
 	opts.Live = f.masterLive
-	res, err := proger.Resolve(ds, opts)
+	done := make(chan masterRun, 1)
+	go func() {
+		res, err := proger.Resolve(ds, opts)
+		done <- masterRun{res, opts.Trace, opts.Quality, err}
+	}()
+	return done
+}
+
+// wait waits for the master's pipeline, closes the fleet down, and
+// returns the master's artifacts.
+func (f *fleet) wait(done <-chan masterRun) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
+	f.t.Helper()
+	m := <-done
 	f.shutdown()
-	if err != nil {
-		f.t.Fatalf("master resolve: %v", err)
+	if m.err != nil {
+		f.t.Fatalf("master resolve: %v", m.err)
 	}
-	return res, opts.Trace, opts.Quality
+	return m.res, m.tr, m.q
 }
 
 func (f *fleet) shutdown() {
@@ -203,7 +240,7 @@ func assertIdentical(t *testing.T, what string, local, dist []byte) {
 // reduce task: the reduce lease merges its own input, so no shuffle is
 // leased.
 func TestFleetByteIdentity(t *testing.T) {
-	ds, _ := proger.GeneratePublications(600, 1)
+	ds := publications(t, 600)
 	lres, ltr, lq := localRun(t, ds, 0)
 
 	for _, exec := range []proger.ExecutionMode{0, 1} {
@@ -239,7 +276,7 @@ func TestFleetByteIdentity(t *testing.T) {
 // and speculation are decided on the master, and the attempt history
 // must land in the trace exactly as in a local faulty run.
 func TestFleetByteIdentityUnderFaults(t *testing.T) {
-	ds, _ := proger.GeneratePublications(600, 1)
+	ds := publications(t, 600)
 	lres, ltr, lq := localRun(t, ds, 0.3)
 
 	f := newFleet(t, 0)
@@ -259,7 +296,7 @@ func TestFleetByteIdentityUnderFaults(t *testing.T) {
 // test blocks on protocol steps and the run's own completion, never
 // asserts after a wall-clock sleep.
 func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
-	ds, _ := proger.GeneratePublications(400, 1)
+	ds := publications(t, 400)
 	lres, _, _ := localRun(t, ds, 0)
 
 	f := newFleet(t, 200*time.Millisecond)
@@ -332,38 +369,39 @@ func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 }
 
 // TestWorkerKilledMidRun: one of two workers cuts its connection
-// abruptly after its third lease (taken, never completed). The master
+// abruptly on its first lease (taken, never completed). The master
 // recovers via heartbeat expiry and every artifact stays
-// byte-identical.
+// byte-identical. The healthy worker joins only once the doomed one
+// holds its lease, so the run cannot finish without that lease
+// expiring.
 func TestWorkerKilledMidRun(t *testing.T) {
-	ds, _ := proger.GeneratePublications(400, 1)
+	ds := publications(t, 400)
 	lres, ltr, lq := localRun(t, ds, 0)
 
 	f := newFleet(t, 200*time.Millisecond)
 	kill := make(chan struct{})
-	var once sync.Once
-	doomed := f.addWorker(ds, 0, WorkerOptions{
-		Parallel: 1,
-		OnLease: func(n int) {
-			if n >= 3 {
-				once.Do(func() { close(kill) })
-				<-make(chan struct{}) // hold the lease forever: this pump is dead
-			}
-		},
-	}, true)
-	go func() {
-		<-kill
-		doomed.Kill()
-	}()
+	doomed := f.addWorker(ds, 0, WorkerOptions{Parallel: 1, OnLease: dieOnFirstLease(kill)}, true)
+	done := f.start(ds, 0)
+	<-kill
 	f.addWorker(ds, 0, WorkerOptions{}, false)
-
-	res, tr, q := f.run(ds, 0)
+	doomed.Kill()
+	res, tr, q := f.wait(done)
 
 	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
 	assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
 	assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
 	if got := f.reg.Counter(mapreduce.CounterDistLeasesExpired).Value(); got < 1 {
 		t.Errorf("leases expired = %d, want >= 1", got)
+	}
+}
+
+// dieOnFirstLease is an OnLease hook for a worker with one lease pump:
+// on the first lease it closes kill and never returns, so the lease is
+// held until the test kills the worker.
+func dieOnFirstLease(kill chan<- struct{}) func(n int) {
+	return func(int) {
+		close(kill)
+		<-make(chan struct{}) // hold the lease forever: this pump is dead
 	}
 }
 
@@ -407,7 +445,7 @@ func checkMergedLog(t *testing.T, data []byte) map[string]int {
 // the workers' self-reports, and the merged event log must hold the
 // per-process gap-free seq invariant.
 func TestFleetObservability(t *testing.T) {
-	ds, _ := proger.GeneratePublications(600, 1)
+	ds := publications(t, 600)
 	lres, ltr, lq := localRun(t, ds, 0)
 
 	var logBuf bytes.Buffer
@@ -488,12 +526,13 @@ func TestFleetObservability(t *testing.T) {
 // TestFleetDeadWorkerPostMortem: a worker killed mid-run must keep its
 // fleet row — marked dead, last telemetry snapshot retained — and the
 // per-worker lease ledger must reconcile (expiries never exceed
-// grants, rows sum to the global counters). Script-driven: the kill
-// waits until the master provably holds the doomed worker's telemetry,
-// so the post-mortem snapshot assertion cannot race the first
-// heartbeat.
+// grants, rows sum to the global counters). Script-driven: the doomed
+// worker hangs on its first lease before the healthy worker joins, so
+// that lease must expire, and the kill waits until the master provably
+// holds the doomed worker's telemetry, so the post-mortem snapshot
+// assertion cannot race the first heartbeat.
 func TestFleetDeadWorkerPostMortem(t *testing.T) {
-	ds, _ := proger.GeneratePublications(400, 1)
+	ds := publications(t, 400)
 	lres, _, _ := localRun(t, ds, 0)
 
 	var logBuf bytes.Buffer
@@ -501,37 +540,29 @@ func TestFleetDeadWorkerPostMortem(t *testing.T) {
 	f := newFleetOpts(t, MasterOptions{LeaseTTL: 200 * time.Millisecond, Log: elog})
 
 	kill := make(chan struct{})
-	var once sync.Once
 	doomed := f.addWorker(ds, 0, WorkerOptions{
 		Parallel: 1,
 		Relay:    live.NewRelayEventLog(0),
 		Metrics:  obs.NewRegistry(),
-		OnLease: func(n int) {
-			if n >= 3 {
-				once.Do(func() { close(kill) })
-				<-make(chan struct{}) // hold the lease forever: this pump is dead
-			}
-		},
+		OnLease:  dieOnFirstLease(kill),
 	}, true)
-	go func() {
-		<-kill
-		// Heartbeats keep flowing while the pump hangs; wait for one to
-		// land telemetry before cutting the connection.
-		for {
-			fs := f.master.FleetSnapshot()
-			if len(fs.Workers) > 0 && fs.Workers[0].Telemetry != nil {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		doomed.Kill()
-	}()
+	done := f.start(ds, 0)
+	<-kill
 	f.addWorker(ds, 0, WorkerOptions{
 		Relay:   live.NewRelayEventLog(0),
 		Metrics: obs.NewRegistry(),
 	}, false)
-
-	res, _, _ := f.run(ds, 0)
+	// Heartbeats keep flowing while the pump hangs; wait for one to
+	// land telemetry before cutting the connection.
+	for {
+		fs := f.master.FleetSnapshot()
+		if len(fs.Workers) > 0 && fs.Workers[0].Telemetry != nil {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	doomed.Kill()
+	res, _, _ := f.wait(done)
 	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
 
 	fs := f.master.FleetSnapshot()

@@ -29,11 +29,13 @@ type Workload struct {
 }
 
 // recipe is one generated workload's configuration (§VI-A): its
-// generator, blocking families, match rules over named attributes,
+// generator, whether that generator ignores n and seed (a dataset of
+// fixed size), blocking families, match rules over named attributes,
 // mechanism and per-level policy, and whether a duplicate model is
 // trained for it.
 type recipe struct {
 	generate  func(n int, seed int64) (*entity.Dataset, *datagen.GroundTruth)
+	fixed     bool
 	families  func(*entity.Schema) blocking.Families
 	threshold float64
 	rules     []rule
@@ -76,9 +78,10 @@ var workloads = map[string]recipe{
 			{"pages", 0.05, match.ExactMatch, 0}, {"edition", 0.06, match.ExactMatch, 0}},
 		mech: mechanism.PSNM{}, policy: estimate.OLBooksPolicy(), trained: true,
 	},
-	// The paper's Table-I toy: n and seed are ignored.
+	// The paper's Table-I toy: nine records, whatever n and seed say.
 	"people": {
 		generate: func(int, int64) (*entity.Dataset, *datagen.GroundTruth) { return datagen.People() },
+		fixed:    true,
 		families: func(s *entity.Schema) blocking.Families {
 			return blocking.Families{
 				{Name: "X", Attr: s.Index("name"), PrefixLens: []int{2, 3, 5}, Index: 1},
@@ -126,6 +129,10 @@ func Names() []string {
 	slices.Sort(names)
 	return names
 }
+
+// FixedSize reports whether the catalogue workload name is a dataset of
+// fixed size, which Generate builds whatever n and seed it is given.
+func FixedSize(name string) bool { return workloads[name].fixed }
 
 // Generate builds the catalogue workload name on about n entities from
 // seed: everything but the duplicate model, which Train adds.

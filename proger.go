@@ -24,7 +24,17 @@
 //
 // # Quick start
 //
-//	ds, gt := proger.GeneratePublications(10000, 1)
+// Every synthetic workload of the paper's evaluation (§VI-A) is one
+// entry of a catalogue; Workload reads one, with the Options that
+// resolve it:
+//
+//	ds, gt, opts, err := proger.Workload("publications", 10000, 1)
+//	res, err := proger.Resolve(ds, opts)
+//	// res.Events carries every duplicate discovery with its simulated
+//	// timestamp; res.Duplicates is the final pair set, and gt scores it.
+//
+// On a dataset of your own (ReadTSV), write the Options out:
+//
 //	opts := proger.Options{
 //	    Families:        proger.CiteSeerXFamilies(ds.Schema),
 //	    Matcher:         proger.MustMatcher(0.75, proger.Rule{Attr: 0, Weight: 1, Kind: proger.EditDistance}),
@@ -33,9 +43,6 @@
 //	    Machines:        10,
 //	    SlotsPerMachine: 2,
 //	}
-//	res, err := proger.Resolve(ds, opts)
-//	// res.Events carries every duplicate discovery with its simulated
-//	// timestamp; res.Duplicates is the final pair set.
 //
 // # What decides the answer
 //
@@ -48,9 +55,9 @@
 //
 //	opts.Host = proger.Host{Trace: proger.NewTracer(), MemBudget: 64 << 20}
 //
-// See the examples directory for complete programs and internal/
-// experiments for the harnesses that regenerate every table and figure
-// of the paper.
+// The package's Example functions are complete programs, checked by go
+// test; cmd/proger runs the pipeline from the command line, and
+// cmd/experiments regenerates every table and figure of the paper.
 package proger
 
 import (
@@ -63,6 +70,7 @@ import (
 	"proger/internal/datagen"
 	"proger/internal/entity"
 	"proger/internal/estimate"
+	"proger/internal/experiments"
 	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/match"
@@ -512,23 +520,28 @@ var EvaluatePairs = clustering.EvaluatePairs
 
 // ---- Synthetic workloads ----
 
-// GeneratePublications builds a CiteSeerX-like synthetic dataset with
-// ground truth (n entities, deterministic in seed).
-func GeneratePublications(n int, seed int64) (*Dataset, *GroundTruth) {
-	return datagen.Publications(datagen.DefaultPublications(n, seed))
+// Workload reads the workload catalogue, where each generated workload
+// of the evaluation (§VI-A) is written down once: it generates the
+// workload name on about n entities from seed, with its ground truth,
+// and returns the Options that resolve it — the workload's blocking
+// families, matcher, mechanism, policy and, for publications and books,
+// a duplicate model trained on a disjoint sample (§VI-A4) — on 10
+// machines of two slots each under the paper's scheduler. The names are
+// those `proger -generate` takes: publications, books, people (the
+// paper's Table-I toy, whose size is fixed: n and seed are ignored),
+// persons and persons-exact. Unknown names are an error.
+func Workload(name string, n int, seed int64) (*Dataset, *GroundTruth, Options, error) {
+	w, err := experiments.Generate(name, n, seed)
+	if err != nil {
+		return nil, nil, Options{}, err
+	}
+	w.Train(n, seed)
+	return w.DS, w.GT, w.Options(10, sched.Ours), nil
 }
 
-// GenerateBooks builds an OL-Books-like synthetic dataset with ground
-// truth.
-func GenerateBooks(n int, seed int64) (*Dataset, *GroundTruth) {
-	return datagen.Books(datagen.DefaultBooks(n, seed))
-}
-
-// GeneratePeople returns the paper's Table-I toy dataset.
-var GeneratePeople = datagen.People
-
-// GeneratePersons builds a scalable people dataset (name, city, state,
-// phone) suited to phonetic blocking demonstrations.
+// GeneratePersons builds the persons workload's dataset. It stays only
+// because the benchmark harness (bench/workloads.go) calls it; ROADMAP
+// item 18 removes that caller, and then this function. Use Workload.
 func GeneratePersons(n int, seed int64) (*Dataset, *GroundTruth) {
 	return datagen.PersonRecords(datagen.DefaultPeople(n, seed))
 }

@@ -7,23 +7,19 @@ import (
 	"proger"
 )
 
-func TestPublicAPIQuickstart(t *testing.T) {
-	ds, gt := proger.GeneratePeople()
-	opts := proger.Options{
-		Families: proger.Families{
-			{Name: "X", Attr: 0, PrefixLens: []int{2, 3, 5}, Index: 1},
-			{Name: "Y", Attr: 1, PrefixLens: []int{2}, Index: 2},
-		},
-		Matcher: proger.MustMatcher(0.75,
-			proger.Rule{Attr: 0, Weight: 0.8, Kind: proger.EditDistance},
-			proger.Rule{Attr: 1, Weight: 0.2, Kind: proger.EditDistance},
-		),
-		Mechanism:       proger.SN,
-		Policy:          proger.CiteSeerXPolicy(),
-		Machines:        2,
-		SlotsPerMachine: 2,
-		Scheduler:       proger.SchedulerOurs,
+// workload is proger.Workload of a name the catalogue holds.
+func workload(tb testing.TB, name string, n int, seed int64) (*proger.Dataset, *proger.GroundTruth, proger.Options) {
+	tb.Helper()
+	ds, gt, opts, err := proger.Workload(name, n, seed)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return ds, gt, opts
+}
+
+func TestPublicAPIQuickstart(t *testing.T) {
+	ds, gt, opts := workload(t, "people", 0, 0)
+	opts.Machines = 2
 	res, err := proger.Resolve(ds, opts)
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
@@ -38,9 +34,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIGenerateAndTSV(t *testing.T) {
-	ds, gt := proger.GeneratePublications(400, 7)
+	ds, gt, _ := workload(t, "publications", 400, 7)
 	if ds.Len() < 400 || gt.NumDupPairs() == 0 {
 		t.Fatal("generator broken via facade")
+	}
+	if _, _, _, err := proger.Workload("citeseer", 400, 7); err == nil {
+		t.Error("Workload read a name the catalogue does not hold")
 	}
 	var buf bytes.Buffer
 	if err := proger.WriteTSV(&buf, ds); err != nil {
@@ -56,7 +55,7 @@ func TestPublicAPIGenerateAndTSV(t *testing.T) {
 }
 
 func TestPublicAPITrainedModelAndBasic(t *testing.T) {
-	ds, gt := proger.GenerateBooks(800, 9)
+	ds, gt, _ := workload(t, "books", 800, 9)
 	fams := proger.OLBooksFamilies(ds.Schema)
 	model := proger.TrainDupModel(ds, gt, fams)
 	if model == nil {

@@ -16,24 +16,9 @@ func TestScalePipeline(t *testing.T) {
 		t.Skip("scale test skipped in -short mode")
 	}
 	const n = 20000
-	ds, gt := proger.GeneratePublications(n, 77)
-	fams := proger.CiteSeerXFamilies(ds.Schema)
-	trainDS, trainGT := proger.GeneratePublications(n/8, 770077)
-	model := proger.TrainDupModel(trainDS, trainGT, proger.CiteSeerXFamilies(trainDS.Schema))
-	matcher := proger.MustMatcher(0.75,
-		proger.Rule{Attr: 0, Weight: 0.5, Kind: proger.EditDistance},
-		proger.Rule{Attr: 1, Weight: 0.3, Kind: proger.EditDistance, MaxChars: 350},
-		proger.Rule{Attr: 2, Weight: 0.2, Kind: proger.EditDistance},
-	)
-	res, err := proger.Resolve(ds, proger.Options{
-		Families:        fams,
-		Matcher:         matcher,
-		Mechanism:       proger.SN,
-		Policy:          proger.CiteSeerXPolicy(),
-		DupModel:        model,
-		Machines:        25, // the paper's full cluster
-		SlotsPerMachine: 2,
-	})
+	ds, gt, opts := workload(t, "publications", n, 77)
+	opts.Machines = 25 // the paper's full cluster
+	res, err := proger.Resolve(ds, opts)
 	if err != nil {
 		t.Fatalf("Resolve at scale: %v", err)
 	}
@@ -70,22 +55,11 @@ func TestScaleOutOfCore(t *testing.T) {
 	}
 	const n = 12000
 	const budget = 1 << 20 // 1 MiB, far below the shuffle volume
-	ds, gt := proger.GeneratePublications(n, 77)
+	ds, gt, opts := workload(t, "publications", n, 77)
 	run := func(budgetBytes int64, spillDir string) (*proger.Result, *proger.MetricsRegistry) {
 		metrics := proger.NewMetricsRegistry()
-		res, err := proger.Resolve(ds, proger.Options{
-			Families: proger.CiteSeerXFamilies(ds.Schema),
-			Matcher: proger.MustMatcher(0.75,
-				proger.Rule{Attr: 0, Weight: 0.5, Kind: proger.EditDistance},
-				proger.Rule{Attr: 1, Weight: 0.3, Kind: proger.EditDistance, MaxChars: 350},
-				proger.Rule{Attr: 2, Weight: 0.2, Kind: proger.EditDistance},
-			),
-			Mechanism:       proger.SN,
-			Policy:          proger.CiteSeerXPolicy(),
-			Machines:        10,
-			SlotsPerMachine: 2,
-			Host:            proger.Host{Metrics: metrics, MemBudget: budgetBytes, SpillDir: spillDir},
-		})
+		opts.Host = proger.Host{Metrics: metrics, MemBudget: budgetBytes, SpillDir: spillDir}
+		res, err := proger.Resolve(ds, opts)
 		if err != nil {
 			t.Fatalf("Resolve (budget %d): %v", budgetBytes, err)
 		}

@@ -38,7 +38,7 @@ echo "== telemetry-key lint =="
 # (log.Emit catches EventLog emissions — elog.Emit / r.log.Emit —
 # without tripping on MapReduce Emitter.Emit KV calls.)
 offenders="$(grep -rn --include='*.go' -E '\.Inc\("|Counters\.Get\("|\.Counter\("|\.Gauge\("|\.Histogram\("|log\.Emit\("' \
-    internal cmd examples | grep -v '_test\.go:' || true)"
+    internal cmd | grep -v '_test\.go:' || true)"
 if [ -n "$offenders" ]; then
     echo "string-literal telemetry keys (use the exported constants):"
     echo "$offenders"
@@ -49,7 +49,7 @@ fi
 # literal occurrence is a key that will silently drift from the
 # constant.
 dist_offenders="$(grep -rn --include='*.go' -E '"mr\.dist\.|"mr_dist_' \
-    internal cmd examples | grep -v '_test\.go:' \
+    internal cmd | grep -v '_test\.go:' \
     | grep -v 'internal/mapreduce/counters\.go:' || true)"
 if [ -n "$dist_offenders" ]; then
     echo "literal mr.dist telemetry keys (use the mapreduce.CounterDist*/HistDist* constants):"
