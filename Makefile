@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt bench profile trace-demo chaos
+.PHONY: check vet build test race fmt bench profile trace-demo
 
 check:
 	sh scripts/check.sh
@@ -43,11 +43,6 @@ WORKLOAD ?= persons
 N ?= 15
 profile:
 	$(GO) run ./scripts/profile -workload $(WORKLOAD) -n $(N)
-
-# chaos runs the pipeline under deterministic fault injection and
-# asserts the output is byte-identical to the fault-free baseline.
-chaos:
-	./scripts/chaos.sh
 
 # trace-demo resolves the Table-I toy workload with tracing + metrics +
 # quality telemetry enabled and sanity-checks the exported Chrome trace

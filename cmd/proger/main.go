@@ -61,7 +61,7 @@ func main() {
 	qualityOut := flag.String("quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
 	sampleEvery := flag.Float64("sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
 	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
-	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, retries, speculation) to this path; \"-\" writes to stderr")
+	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, worker registrations and leases) to this path; \"-\" writes to stderr")
 	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
 	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
 	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
@@ -71,7 +71,7 @@ func main() {
 	listenAddr := flag.String("listen", "127.0.0.1:0", "master RPC endpoint: host:port, or unix:/path for a unix socket")
 	connectAddr := flag.String("connect", "", "master endpoint for -worker, in -listen notation")
 	leaseTTL := flag.Duration("lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
-	workerDie := flag.Int("worker-die-after", 0, "fault harness: a worker exits abruptly after taking this many task leases; in -dist mode, applied to the first forked worker")
+	workerDie := flag.Int("worker-die-after", 0, "worker-loss harness: a worker exits abruptly as it takes one lease more than this; in -dist mode, applied to the first forked worker")
 	flag.Parse()
 
 	if (*distN > 0 && *masterMode) || (*workerMode && (*distN > 0 || *masterMode)) {
@@ -242,15 +242,12 @@ func main() {
 		workers = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
 	}
 
-	injector, retry := r.faults()
 	var (
 		res *proger.Result
 		err error
 	)
 	host := proger.Host{
 		Transport: transport,
-		Faults:    injector,
-		Retry:     retry,
 		Trace:     tracer,
 		Metrics:   metrics,
 		Quality:   qrec,

@@ -299,7 +299,7 @@ func TestHandStartedWorkerTakesTheMastersRun(t *testing.T) {
 	base := []string{"-generate", "publications", "-n", "2000", "-seed", "3", "-machines", "2"}
 	for _, extra := range [][]string{
 		{"-rule", "title:edit:1", "-match-threshold", "0.9", "-scheduler", "lpt"},
-		{"-mechanism", "psnm", "-fault-rate", "0.2", "-fault-seed", "7"},
+		{"-mechanism", "psnm"},
 		{"-basic"},
 	} {
 		t.Run(strings.Join(extra, " "), func(t *testing.T) {
@@ -392,10 +392,6 @@ func TestUnreadFlagsAreRefused(t *testing.T) {
 		{[]string{"-basic", "-window", "3", "-popcorn", "0.1"}, ""},
 		{[]string{"-basic", "-scheduler", "lpt"}, "-scheduler"},
 		{[]string{"-scheduler", "lpt"}, ""},
-		{[]string{"-fault-seed", "7"}, "-fault-seed"},
-		{[]string{"-max-retries", "4"}, "-max-retries"},
-		{[]string{"-fault-rate", "0", "-fault-seed", "7"}, "-fault-seed"},
-		{[]string{"-fault-rate", "0.2", "-fault-seed", "7", "-max-retries", "4"}, ""},
 		{[]string{"-input", "x.tsv", "-n", "500"}, "-n"},
 		{[]string{"-input", "x.tsv", "-seed", "9"}, "-seed"},
 		{[]string{"-input", "x.tsv", "-truth", "t.tsv"}, ""},
@@ -433,7 +429,7 @@ func TestRunRoundTrip(t *testing.T) {
 	want := bindRun(fs)
 	if err := fs.Parse([]string{"-input", "x.tsv", "-block", "name:2,3", "-block", "state:2", "-rule", "name:edit:1",
 		"-match-threshold", "0.8", "-mechanism", "psnm", "-basic", "-window", "4", "-popcorn", "0.2",
-		"-machines", "3", "-slots", "1", "-fault-rate", "0.1", "-fault-seed", "9", "-max-retries", "5"}); err != nil {
+		"-machines", "3", "-slots", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := want.encode()
@@ -449,7 +445,7 @@ func TestRunRoundTrip(t *testing.T) {
 			t.Errorf("decodeRun(%q) = %+v, want an error", bad, r)
 		}
 	}
-	if _, err := (&run{FaultRate: math.NaN()}).encode(); err == nil {
-		t.Error("a NaN fault rate encoded")
+	if _, err := (&run{Popcorn: math.NaN()}).encode(); err == nil {
+		t.Error("a NaN popcorn threshold encoded")
 	}
 }

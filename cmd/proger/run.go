@@ -8,20 +8,19 @@ import (
 	"fmt"
 	"strings"
 
-	"proger"
 	"proger/internal/experiments"
 )
 
 // run is everything that decides a resolution's answer: the workload,
 // its families and rules, the pipeline and its settings, the simulated
-// cluster and the fault plan. The flags bindRun defines fill it. A
+// cluster. The flags bindRun defines fill it. A
 // -master hands it, encoded, to every worker at registration, so a
 // worker's driver resolves the master's run and never one of its own.
 type run struct {
 	Input, Generate, Truth, Mechanism, Scheduler string
-	N, Window, Machines, Slots, MaxRetries       int
-	Seed, FaultSeed                              int64
-	Threshold, Popcorn, FaultRate                float64
+	N, Window, Machines, Slots                   int
+	Seed                                         int64
+	Threshold, Popcorn                           float64
 	Blocks, Rules                                stringList
 	Basic                                        bool
 }
@@ -45,9 +44,6 @@ func bindRun(fs *flag.FlagSet) *run {
 	fs.Float64Var(&r.Popcorn, "popcorn", -1, "popcorn threshold for -basic (negative = resolve fully)")
 	fs.IntVar(&r.Machines, "machines", 10, "simulated machines")
 	fs.IntVar(&r.Slots, "slots", 2, "task slots per machine")
-	fs.Float64Var(&r.FaultRate, "fault-rate", 0, "inject simulated task faults at this per-attempt probability (0 disables; results are unaffected)")
-	fs.Int64Var(&r.FaultSeed, "fault-seed", 1, "seed for deterministic fault injection")
-	fs.IntVar(&r.MaxRetries, "max-retries", 3, "per-task retry budget when -fault-rate > 0")
 	return r
 }
 
@@ -65,10 +61,6 @@ func (r *run) refuseUnread(fs *flag.FlagSet) error {
 		return errors.New("-popcorn applies only to -basic")
 	case set["scheduler"] && r.Basic:
 		return errors.New("-scheduler does not apply to -basic, which schedules no trees")
-	case set["fault-seed"] && r.FaultRate <= 0:
-		return errors.New("-fault-seed seeds fault injection; it needs a positive -fault-rate")
-	case set["max-retries"] && r.FaultRate <= 0:
-		return errors.New("-max-retries bounds the retries of injected faults; it needs a positive -fault-rate")
 	case set["n"] && r.Input != "":
 		return errors.New("-n sizes a -generate workload; -input reads its entities from the file")
 	case set["seed"] && r.Input != "":
@@ -81,16 +73,6 @@ func (r *run) refuseUnread(fs *flag.FlagSet) error {
 		return errors.New("-truth is the ground truth of an -input file; a -generate workload brings its own")
 	}
 	return nil
-}
-
-// faults is r's fault plan: a seeded injector and the retry policy that
-// absorbs it, or neither when the fault rate is 0.
-func (r *run) faults() (proger.FaultInjector, proger.RetryPolicy) {
-	if r.FaultRate <= 0 {
-		return nil, proger.RetryPolicy{}
-	}
-	return proger.NewSeededFaults(r.FaultSeed, r.FaultRate),
-		proger.RetryPolicy{MaxRetries: r.MaxRetries, Speculation: true}
 }
 
 // encode is r as the master hands it to its workers; it fails on a

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
@@ -31,8 +30,6 @@ func TestHostReachesEveryJob(t *testing.T) {
 		"Workers":   3,
 		"Execution": mapreduce.ExecutionMode(1),
 		"Transport": namedTransport("test"),
-		"Faults":    faults.NewSeeded(1, 0.5),
-		"Retry":     mapreduce.RetryPolicy{MaxRetries: 2, Speculation: true},
 		"Trace":     obs.New(),
 		"Metrics":   obs.NewRegistry(),
 		"Quality":   quality.NewRecorder(),

@@ -14,7 +14,6 @@ import (
 
 	"proger/internal/datagen"
 	"proger/internal/estimate"
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs"
@@ -37,20 +36,18 @@ func liveOpts(run *live.Run, workers int) Options {
 	}
 }
 
-// TestLiveEndpointsUnderFaultedRun hammers /tasks and /progress from
-// concurrent readers while an 8-worker faulted, speculating pipeline
-// publishes into the hub — the race-detector gate for the snapshot
-// layer — and simultaneously checks that the live recall estimate and
-// streamed duplicate count are monotonically nondecreasing.
-func TestLiveEndpointsUnderFaultedRun(t *testing.T) {
+// TestLiveEndpointsDuringRun hammers /tasks and /progress from
+// concurrent readers while an 8-worker pipeline publishes into the hub
+// — the race-detector gate for the snapshot layer — and simultaneously
+// checks that the live recall estimate and streamed duplicate count are
+// monotonically nondecreasing.
+func TestLiveEndpointsDuringRun(t *testing.T) {
 	ds, _ := datagen.People()
 	run := live.NewRun(nil)
 	q := quality.NewRecorder()
 	run.AttachQuality(q)
 	opts := liveOpts(run, 8)
 	opts.Quality = q
-	opts.Faults = faults.NewSeeded(1, 0.5)
-	opts.Retry = mapreduce.RetryPolicy{MaxRetries: 3, Speculation: true}
 
 	srv, err := live.Serve("127.0.0.1:0", run, nil)
 	if err != nil {
@@ -133,13 +130,6 @@ func TestLiveEndpointsUnderFaultedRun(t *testing.T) {
 	if s.Dups == 0 || s.BlocksResolved == 0 {
 		t.Errorf("live totals empty after run: %+v", s)
 	}
-	var attempts int64
-	for _, j := range s.Jobs {
-		attempts += j.Retries + j.Speculations
-	}
-	if attempts == 0 {
-		t.Error("rate-0.5 faulted run recorded no retries or speculations")
-	}
 }
 
 // TestLiveDoesNotChangeArtifacts pins the tentpole determinism gate at
@@ -147,7 +137,7 @@ func TestLiveEndpointsUnderFaultedRun(t *testing.T) {
 // JSON are byte-identical with the live hub + event log enabled and
 // disabled, across worker counts.
 func TestLiveDoesNotChangeArtifacts(t *testing.T) {
-	refRes, refTrace, refQual := equivRun(t, mapreduce.ExecPipelined, 1, 0)
+	refRes, refTrace, refQual := equivRun(t, mapreduce.ExecPipelined, 1)
 	ds, _ := datagen.People()
 	for _, workers := range []int{1, 8} {
 		var events bytes.Buffer

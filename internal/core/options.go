@@ -11,7 +11,6 @@ import (
 
 	"proger/internal/blocking"
 	"proger/internal/estimate"
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
@@ -42,15 +41,6 @@ type Host struct {
 	// cmd/proger's workers take them from their master's run
 	// (dist.MasterOptions.Run).
 	Transport mapreduce.TaskTransport
-	// Faults, when non-nil, injects deterministic simulated task
-	// failures into every job's attempt runtime (chaos testing).
-	// Injected faults are retried, timed out, or speculated around and
-	// can never alter the Result.
-	Faults faults.Injector
-	// Retry tunes the attempt runtime (retries, backoff, timeouts,
-	// speculation); the zero value means engine defaults when Faults is
-	// set, disabled otherwise.
-	Retry mapreduce.RetryPolicy
 	// Trace, when non-nil, collects spans from every job, schedule
 	// generation, and per-block resolution. Nil disables at zero cost.
 	Trace *obs.Tracer
@@ -63,14 +53,13 @@ type Host struct {
 	// per-block resolutions — the inputs to the progressive-recall
 	// curve and the calibration report. The Basic baseline has no
 	// schedule, so it records realizations only (curve yes, calibration
-	// join no). Deterministic across Workers and fault injection, like
+	// join no). Deterministic across Workers and transports, like
 	// Trace. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state from every
-	// job (task state transitions, retry/speculation activity, streamed
-	// per-block resolutions) plus the quality recorder and memory-budget
-	// manager attachments that denominate its recall/ETA estimates —
-	// the feed behind the live status server. With no schedule (Basic)
+	// job (task state transitions, streamed per-block resolutions) plus
+	// the quality recorder and memory-budget manager attachments that
+	// denominate its recall/ETA estimates — the feed behind the live status server. With no schedule (Basic)
 	// there are no predicted totals, so /progress reports raw streamed
 	// counts without a recall estimate. Write-only from the run's
 	// perspective. Nil disables at zero cost.
@@ -102,8 +91,6 @@ func (h *Host) configure(jobs ...*mapreduce.Config) *membudget.Manager {
 		c.Workers = h.Workers
 		c.Execution = h.Execution
 		c.Transport = h.Transport
-		c.Faults = h.Faults
-		c.Retry = h.Retry
 		c.Trace = h.Trace
 		c.Metrics = h.Metrics
 		c.Quality = h.Quality

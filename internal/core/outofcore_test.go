@@ -8,7 +8,6 @@ import (
 
 	"proger/internal/datagen"
 	"proger/internal/estimate"
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs"
@@ -99,36 +98,6 @@ func TestResolveBudgetMatchesInMemory(t *testing.T) {
 	}
 	if !sawPressure {
 		t.Error("no configuration recorded a forced spill — the budget never bit")
-	}
-}
-
-// TestResolveBudgetUnderFaultsMatchesFaultsAlone: with the fault
-// runtime on — retries, timeouts and speculation — a budget that forces
-// every shuffle to disk still moves no byte: the Result, trace and
-// quality exports equal those of the same faults without a budget.
-func TestResolveBudgetUnderFaultsMatchesFaultsAlone(t *testing.T) {
-	chaos := func(o *Options) {
-		o.Faults = faults.NewSeeded(11, 0.5)
-		o.Retry = mapreduce.RetryPolicy{MaxRetries: 3, Speculation: true}
-	}
-	for _, workers := range []int{1, 8} {
-		refRes, refTrace, refQual, _ := outOfCoreRun(t, workers, 0, chaos)
-		res, trace, qual, m := outOfCoreRun(t, workers, 1<<10, chaos)
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("workers=%d: Result diverged from the faults-only run", workers)
-		}
-		if !bytes.Equal(trace, refTrace) {
-			t.Errorf("workers=%d: Chrome trace JSON diverged from the faults-only run", workers)
-		}
-		if !bytes.Equal(qual, refQual) {
-			t.Errorf("workers=%d: quality-telemetry JSON diverged from the faults-only run", workers)
-		}
-		if m.Counter(mapreduce.CounterBudgetForcedSpills).Value() == 0 {
-			t.Errorf("workers=%d: the budget forced no spill", workers)
-		}
-		if m.Counter(mapreduce.CounterTaskRetries).Value() == 0 {
-			t.Errorf("workers=%d: the fault runtime retried nothing", workers)
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"proger/internal/datagen"
 	"proger/internal/estimate"
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs"
@@ -19,12 +18,12 @@ import (
 // These tests pin end to end that the task-graph engine's host
 // concurrency is invisible: the full two-job pipeline's Result, Chrome
 // trace bytes, and quality-telemetry JSON are byte-identical across
-// worker counts and under fault injection.
+// worker counts.
 
 // equivRun resolves the People toy dataset with full telemetry at the
-// given execution mode/workers/fault-rate and returns the Result plus
-// the exported trace and quality bytes.
-func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, rate float64) (*Result, []byte, []byte) {
+// given execution mode and workers and returns the Result plus the
+// exported trace and quality bytes.
+func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int) (*Result, []byte, []byte) {
 	t.Helper()
 	ds, _ := datagen.People()
 	opts := Options{
@@ -43,13 +42,9 @@ func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, rate floa
 			Quality:   quality.NewRecorder(),
 		},
 	}
-	if rate > 0 {
-		opts.Faults = faults.NewSeeded(11, rate)
-		opts.Retry = mapreduce.RetryPolicy{MaxRetries: 3, Speculation: true}
-	}
 	res, err := Resolve(ds, opts)
 	if err != nil {
-		t.Fatalf("mode=%d workers=%d rate=%v: %v", mode, workers, rate, err)
+		t.Fatalf("mode=%d workers=%d: %v", mode, workers, err)
 	}
 	var trace, qual bytes.Buffer
 	if err := opts.Trace.WriteChromeTrace(&trace); err != nil {
@@ -62,49 +57,37 @@ func equivRun(t *testing.T, mode mapreduce.ExecutionMode, workers int, rate floa
 }
 
 // TestResolvePipelinedMatchesBarrier runs the pipeline at every
-// execution mode × workers × fault-rate point. (Its name recalls the
-// barriered engine it was once compared with; every job now runs its
-// map phase, then its reduce phase, and Host.Execution is ignored — both of its values must
-// give the same bytes, because the benchmark still sets the barrier value.)
-// Per fault rate, the run at workers=1 is the source of truth (fault
-// injection legitimately adds retry/attempt spans to the trace, so
-// faulted and fault-free traces differ by design); every run at that
-// rate, workers=1 again included, must reproduce it byte for byte. The
-// duplicate set, event timeline, and total time must additionally match
-// across rates — results are fault-immune even though traces record the
-// extra attempts.
+// execution mode × workers point. (Its name recalls the barriered
+// engine it was once compared with; every job now runs its map phase,
+// then its reduce phase, and Host.Execution is ignored — both of its
+// values must give the same bytes, because the benchmark still sets the
+// barrier value.) The run at workers=1 is the source of truth; every
+// run, workers=1 again included, must reproduce it byte for byte.
 func TestResolvePipelinedMatchesBarrier(t *testing.T) {
-	plainRes, _, _ := equivRun(t, mapreduce.ExecPipelined, 1, 0)
-	for _, rate := range []float64{0, 0.5} {
-		refRes, refTrace, refQual := equivRun(t, mapreduce.ExecPipelined, 1, rate)
-		if !reflect.DeepEqual(refRes.Events, plainRes.Events) || refRes.TotalTime != plainRes.TotalTime {
-			t.Fatalf("rate=%v: reference result diverged from fault-free run", rate)
-		}
-		for _, mode := range []mapreduce.ExecutionMode{0, 1} {
-			for _, workers := range []int{1, 4, 8} {
-				name := fmt.Sprintf("mode=%d/workers=%d/rate=%v", mode, workers, rate)
-				t.Run(name, func(t *testing.T) {
-					res, trace, qual := equivRun(t, mode, workers, rate)
-					if !reflect.DeepEqual(res.Duplicates, refRes.Duplicates) {
-						t.Error("duplicates diverged from the workers=1 reference")
-					}
-					if !reflect.DeepEqual(res.Events, refRes.Events) {
-						t.Error("event timeline diverged from the workers=1 reference")
-					}
-					if res.TotalTime != refRes.TotalTime {
-						t.Errorf("total time %v, want %v", res.TotalTime, refRes.TotalTime)
-					}
-					if !reflect.DeepEqual(res.Counters, refRes.Counters) {
-						t.Error("counters diverged from the workers=1 reference")
-					}
-					if !bytes.Equal(trace, refTrace) {
-						t.Error("Chrome trace JSON diverged from the workers=1 reference")
-					}
-					if !bytes.Equal(qual, refQual) {
-						t.Error("quality-telemetry JSON diverged from the workers=1 reference")
-					}
-				})
-			}
+	refRes, refTrace, refQual := equivRun(t, mapreduce.ExecPipelined, 1)
+	for _, mode := range []mapreduce.ExecutionMode{0, 1} {
+		for _, workers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("mode=%d/workers=%d", mode, workers), func(t *testing.T) {
+				res, trace, qual := equivRun(t, mode, workers)
+				if !reflect.DeepEqual(res.Duplicates, refRes.Duplicates) {
+					t.Error("duplicates diverged from the workers=1 reference")
+				}
+				if !reflect.DeepEqual(res.Events, refRes.Events) {
+					t.Error("event timeline diverged from the workers=1 reference")
+				}
+				if res.TotalTime != refRes.TotalTime {
+					t.Errorf("total time %v, want %v", res.TotalTime, refRes.TotalTime)
+				}
+				if !reflect.DeepEqual(res.Counters, refRes.Counters) {
+					t.Error("counters diverged from the workers=1 reference")
+				}
+				if !bytes.Equal(trace, refTrace) {
+					t.Error("Chrome trace JSON diverged from the workers=1 reference")
+				}
+				if !bytes.Equal(qual, refQual) {
+					t.Error("quality-telemetry JSON diverged from the workers=1 reference")
+				}
+			})
 		}
 	}
 }

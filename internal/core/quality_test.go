@@ -6,8 +6,6 @@ import (
 
 	"proger/internal/datagen"
 	"proger/internal/estimate"
-	"proger/internal/faults"
-	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs/quality"
 	"proger/internal/sched"
@@ -123,7 +121,7 @@ func TestResolveQualityCoverage(t *testing.T) {
 	}
 }
 
-func TestQualityDeterministicAcrossWorkersAndFaults(t *testing.T) {
+func TestQualityDeterministicAcrossWorkers(t *testing.T) {
 	ds, _ := datagen.People()
 
 	opts1 := qualityPeopleOptions(1)
@@ -138,18 +136,6 @@ func TestQualityDeterministicAcrossWorkersAndFaults(t *testing.T) {
 	}
 	if !bytes.Equal(base, exportJSON(t, opts8.Quality)) {
 		t.Error("quality export differs between 1 and 8 workers")
-	}
-
-	for _, seed := range []int64{1, 7} {
-		chaos := qualityPeopleOptions(4)
-		chaos.Faults = faults.NewSeeded(seed, 0.5)
-		chaos.Retry = mapreduce.RetryPolicy{MaxRetries: 4, Speculation: true}
-		if _, err := Resolve(ds, chaos); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(base, exportJSON(t, chaos.Quality)) {
-			t.Errorf("quality export differs under fault injection (seed %d, rate 0.5)", seed)
-		}
 	}
 }
 

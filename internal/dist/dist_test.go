@@ -53,18 +53,13 @@ func newFleetOpts(t *testing.T, mo MasterOptions) *fleet {
 	return &fleet{t: t, master: m, reg: mo.Metrics}
 }
 
-func baseOptions(faultRate float64) proger.Options {
-	opts := proger.Options{
+func baseOptions() proger.Options {
+	return proger.Options{
 		Machines:        2,
 		SlotsPerMachine: 2,
 		Policy:          proger.CiteSeerXPolicy(),
 		Host:            proger.Host{Workers: 2},
 	}
-	if faultRate > 0 {
-		opts.Faults = proger.NewSeededFaults(11, faultRate)
-		opts.Retry = proger.RetryPolicy{MaxRetries: 3, Speculation: true}
-	}
-	return opts
 }
 
 // publications is the catalogue's publications dataset on n entities
@@ -90,7 +85,7 @@ func fillDataset(ds *proger.Dataset, opts *proger.Options) {
 // addWorker starts one worker process-equivalent: a Worker transport
 // plus its own full driver run with identical resolution options.
 // Driver errors are recorded unless mayFail (a worker the test kills).
-func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOptions, mayFail bool) *Worker {
+func (f *fleet) addWorker(ds *proger.Dataset, wopts WorkerOptions, mayFail bool) *Worker {
 	f.t.Helper()
 	wopts.Connect = f.master.Addr()
 	w, err := NewWorker(wopts)
@@ -101,7 +96,7 @@ func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOpt
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		opts := baseOptions(faultRate)
+		opts := baseOptions()
 		fillDataset(ds, &opts)
 		opts.Transport = w
 		opts.Execution = f.exec
@@ -123,9 +118,9 @@ func (f *fleet) addWorker(ds *proger.Dataset, faultRate float64, wopts WorkerOpt
 
 // run drives the master's pipeline, closes the fleet down, and
 // returns the master's artifacts.
-func (f *fleet) run(ds *proger.Dataset, faultRate float64) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
+func (f *fleet) run(ds *proger.Dataset) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
 	f.t.Helper()
-	return f.wait(f.start(ds, faultRate))
+	return f.wait(f.start(ds))
 }
 
 // masterRun is the master's pipeline outcome and artifacts.
@@ -138,8 +133,8 @@ type masterRun struct {
 
 // start drives the master's pipeline in the background; wait collects
 // it.
-func (f *fleet) start(ds *proger.Dataset, faultRate float64) <-chan masterRun {
-	opts := baseOptions(faultRate)
+func (f *fleet) start(ds *proger.Dataset) <-chan masterRun {
+	opts := baseOptions()
 	fillDataset(ds, &opts)
 	opts.Transport = f.master
 	opts.Execution = f.exec
@@ -182,9 +177,9 @@ func (f *fleet) shutdown() {
 }
 
 // localRun is the single-process determinism reference.
-func localRun(t *testing.T, ds *proger.Dataset, faultRate float64) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
+func localRun(t *testing.T, ds *proger.Dataset) (*proger.Result, *proger.Tracer, *proger.QualityRecorder) {
 	t.Helper()
-	opts := baseOptions(faultRate)
+	opts := baseOptions()
 	fillDataset(ds, &opts)
 	opts.Trace = proger.NewTracer()
 	opts.Quality = proger.NewQualityRecorder()
@@ -241,15 +236,15 @@ func assertIdentical(t *testing.T, what string, local, dist []byte) {
 // leased.
 func TestFleetByteIdentity(t *testing.T) {
 	ds := publications(t, 600)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds)
 
 	for _, exec := range []proger.ExecutionMode{0, 1} {
 		t.Run(fmt.Sprintf("mode=%d", exec), func(t *testing.T) {
 			f := newFleet(t, 0)
 			f.exec = exec
-			f.addWorker(ds, 0, WorkerOptions{}, false)
-			f.addWorker(ds, 0, WorkerOptions{}, false)
-			res, tr, q := f.run(ds, 0)
+			f.addWorker(ds, WorkerOptions{}, false)
+			f.addWorker(ds, WorkerOptions{}, false)
+			res, tr, q := f.run(ds)
 
 			assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
 			assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
@@ -271,24 +266,6 @@ func TestFleetByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetByteIdentityUnderFaults: same identity with the simulated
-// fault runtime active on every process — injected crashes, retries,
-// and speculation are decided on the master, and the attempt history
-// must land in the trace exactly as in a local faulty run.
-func TestFleetByteIdentityUnderFaults(t *testing.T) {
-	ds := publications(t, 600)
-	lres, ltr, lq := localRun(t, ds, 0.3)
-
-	f := newFleet(t, 0)
-	f.addWorker(ds, 0.3, WorkerOptions{}, false)
-	f.addWorker(ds, 0.3, WorkerOptions{}, false)
-	res, tr, q := f.run(ds, 0.3)
-
-	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
-	assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
-	assertIdentical(t, "quality", qualityBytes(t, lq), qualityBytes(t, q))
-}
-
 // TestLeaseExpiryOnHeartbeatLoss: a worker registers, takes a lease,
 // and goes silent. The master must declare it dead within the TTL,
 // expire the lease, re-lease the task to the worker that joins later,
@@ -297,7 +274,7 @@ func TestFleetByteIdentityUnderFaults(t *testing.T) {
 // asserts after a wall-clock sleep.
 func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 	ds := publications(t, 400)
-	lres, _, _ := localRun(t, ds, 0)
+	lres, _, _ := localRun(t, ds)
 
 	f := newFleet(t, 200*time.Millisecond)
 
@@ -335,7 +312,7 @@ func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 	// orchestrate: leases start flowing once its driver reaches job 1.
 	resCh := make(chan *proger.Result, 1)
 	go func() {
-		opts := baseOptions(0)
+		opts := baseOptions()
 		fillDataset(ds, &opts)
 		opts.Transport = f.master
 		res, err := proger.Resolve(ds, opts)
@@ -351,7 +328,7 @@ func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 	if lease.JobSeq != 1 {
 		t.Errorf("silent worker leased job %d, want 1", lease.JobSeq)
 	}
-	f.addWorker(ds, 0, WorkerOptions{}, false)
+	f.addWorker(ds, WorkerOptions{}, false)
 
 	res := <-resCh
 	f.shutdown()
@@ -376,14 +353,14 @@ func TestLeaseExpiryOnHeartbeatLoss(t *testing.T) {
 // expiring.
 func TestWorkerKilledMidRun(t *testing.T) {
 	ds := publications(t, 400)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds)
 
 	f := newFleet(t, 200*time.Millisecond)
 	kill := make(chan struct{})
-	doomed := f.addWorker(ds, 0, WorkerOptions{Parallel: 1, OnLease: dieOnFirstLease(kill)}, true)
-	done := f.start(ds, 0)
+	doomed := f.addWorker(ds, WorkerOptions{Parallel: 1, OnLease: dieOnFirstLease(kill)}, true)
+	done := f.start(ds)
 	<-kill
-	f.addWorker(ds, 0, WorkerOptions{}, false)
+	f.addWorker(ds, WorkerOptions{}, false)
 	doomed.Kill()
 	res, tr, q := f.wait(done)
 
@@ -446,7 +423,7 @@ func checkMergedLog(t *testing.T, data []byte) map[string]int {
 // per-process gap-free seq invariant.
 func TestFleetObservability(t *testing.T) {
 	ds := publications(t, 600)
-	lres, ltr, lq := localRun(t, ds, 0)
+	lres, ltr, lq := localRun(t, ds)
 
 	var logBuf bytes.Buffer
 	elog := live.NewEventLog(&logBuf)
@@ -456,12 +433,12 @@ func TestFleetObservability(t *testing.T) {
 
 	wregs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	for _, wreg := range wregs {
-		f.addWorker(ds, 0, WorkerOptions{
+		f.addWorker(ds, WorkerOptions{
 			Relay:   live.NewRelayEventLog(0),
 			Metrics: wreg,
 		}, false)
 	}
-	res, tr, q := f.run(ds, 0)
+	res, tr, q := f.run(ds)
 
 	assertIdentical(t, "result", resultBytes(t, lres), resultBytes(t, res))
 	assertIdentical(t, "trace", traceBytes(t, ltr), traceBytes(t, tr))
@@ -533,22 +510,22 @@ func TestFleetObservability(t *testing.T) {
 // assertion cannot race the first heartbeat.
 func TestFleetDeadWorkerPostMortem(t *testing.T) {
 	ds := publications(t, 400)
-	lres, _, _ := localRun(t, ds, 0)
+	lres, _, _ := localRun(t, ds)
 
 	var logBuf bytes.Buffer
 	elog := live.NewEventLog(&logBuf)
 	f := newFleetOpts(t, MasterOptions{LeaseTTL: 200 * time.Millisecond, Log: elog})
 
 	kill := make(chan struct{})
-	doomed := f.addWorker(ds, 0, WorkerOptions{
+	doomed := f.addWorker(ds, WorkerOptions{
 		Parallel: 1,
 		Relay:    live.NewRelayEventLog(0),
 		Metrics:  obs.NewRegistry(),
 		OnLease:  dieOnFirstLease(kill),
 	}, true)
-	done := f.start(ds, 0)
+	done := f.start(ds)
 	<-kill
-	f.addWorker(ds, 0, WorkerOptions{
+	f.addWorker(ds, WorkerOptions{
 		Relay:   live.NewRelayEventLog(0),
 		Metrics: obs.NewRegistry(),
 	}, false)

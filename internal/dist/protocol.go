@@ -13,8 +13,8 @@
 // Fault model: workers heartbeat; a worker silent for a full lease
 // TTL is declared dead and its outstanding leases expire. Expiry
 // surfaces to the master's dispatch loop as mapreduce.ErrTaskLost,
-// which re-enqueues the task below the simulated attempt runtime —
-// host chaos never touches the simulated timeline, so Result, trace,
+// which re-enqueues the task (mapreduce's retryLost) — a lost lease
+// never touches the simulated timeline, so Result, trace,
 // and quality bytes stay identical to a single-process run even when
 // workers die mid-run.
 package dist

@@ -24,9 +24,9 @@ type WorkerOptions struct {
 	// (default GOMAXPROCS).
 	Parallel int
 	// OnLease, when non-nil, observes every lease granted to this
-	// worker (called with the running count, before execution). The
-	// fault-injection harness uses it to kill a worker process after
-	// taking — and never completing — its Nth lease.
+	// worker (called with the running count, before execution).
+	// cmd/proger's -worker-die-after uses it to kill a worker process
+	// after taking — and never completing — its Nth lease.
 	OnLease func(n int)
 	// Relay, when non-nil, is this process's relay event log
 	// (live.NewRelayEventLog): lines it buffers are drained and shipped

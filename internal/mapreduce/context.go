@@ -31,15 +31,14 @@ type TaskContext struct {
 	spans   []obs.Span
 	// quality is set for reduce tasks when Config.Quality is non-nil;
 	// qobs buffers the task's block observations — like spans, they are
-	// part of the task's deterministic result, so only the committed
-	// attempt's observations reach the recorder under fault injection.
+	// part of the task's deterministic result.
 	quality bool
 	qobs    []quality.BlockObs
 	// lv is Config.Live for reduce tasks: block observations stream
 	// into it the moment they are recorded (not at job end), feeding
 	// the live progressive-recall estimate. Unlike qobs, the stream is
-	// per-execution — a retried or speculated attempt feeds it again —
-	// so it is advisory by design, never part of any artifact.
+	// per-execution — a re-dispatched lease feeds it again — so it is
+	// advisory by design, never part of any artifact.
 	lv *live.Run
 }
 

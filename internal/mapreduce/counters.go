@@ -18,23 +18,10 @@ const (
 	CounterReduceInGroups  = "mr.reduce.in_groups"
 	// CounterReduceOutRecords counts records emitted by reduce functions.
 	CounterReduceOutRecords = "mr.reduce.out_records"
-	// Attempt-runtime counters (0 unless Config.Faults / Config.Retry
-	// engage the attempt layer): attempts started (including retries and
-	// speculative backups), failed attempts re-executed, speculative
-	// attempts launched for stragglers, and completed attempts killed
-	// because another attempt committed first. Fault injection is a
-	// chaos knob, so these report only through Config.Metrics, never
-	// Result.Counters, which must stay bit-for-bit identical to the
-	// fault-free run.
-	CounterTaskAttempts       = "mr.attempt.started"
-	CounterTaskRetries        = "mr.attempt.retried"
-	CounterTaskSpeculations   = "mr.attempt.speculated"
-	CounterTaskAttemptsKilled = "mr.attempt.killed"
 	// Budget-forced spill activity across this job's shuffle stores:
 	// how often the process-wide memory budget (Config.MemBudget)
 	// squeezed buffered runs to disk and how many tracked bytes moved.
-	// Memory pressure is a host condition, so — like the attempt
-	// counters above — these report only through Config.Metrics, never
+	// Memory pressure is a host condition, so these report only through Config.Metrics, never
 	// Result.Counters.
 	CounterBudgetForcedSpills = "mr.membudget.forced_spills"
 	CounterBudgetSpilledBytes = "mr.membudget.spilled_bytes"

@@ -8,7 +8,6 @@ package mapreduce
 // (spillstore.go).
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -43,7 +42,6 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	}
 
 	tracing := cfg.Trace != nil
-	fr := newFaultRuntime(&cfg)
 	splits := splitInput(input, cfg.NumMapTasks)
 
 	// Live introspection: register the job's tasks and hand every
@@ -51,9 +49,6 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	// introspection is off — all its methods no-op — and nothing below
 	// ever reads it back, so it cannot perturb the deterministic run.
 	lj := cfg.Live.StartJob(cfg.Name, cfg.NumMapTasks, cfg.NumReduceTasks)
-	if fr != nil {
-		fr.live = lj
-	}
 
 	// Task execution: one two-phase runner fills phaseOutputs whoever
 	// runs the task bodies (this process, or workers leased by a remote
@@ -65,10 +60,10 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		err error
 	)
 	if cfg.Transport != nil {
-		po, err = runRemoteJob(&cfg, fr, lj, workers, splits)
+		po, err = runRemoteJob(&cfg, lj, workers, splits)
 	} else {
 		po = newPhaseOutputs(&cfg)
-		err = runJobGraph(&cfg, fr, workers, po, localBodies(&cfg, lj, splits, po))
+		err = runJobGraph(&cfg, workers, po, localBodies(&cfg, lj, splits, po))
 	}
 	if po != nil {
 		// The stores hold host resources (spill files, budget accounts);
@@ -100,9 +95,9 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 
 	// Publish quality observations: rebase each committed task's local
 	// clocks onto the scheduled timeline and feed the recorder serially
-	// in task-index order — deterministic regardless of Workers, and
-	// fault-immune because qobs rode inside the committed attempt's
-	// result (exactly like output records and counters).
+	// in task-index order — deterministic regardless of Workers, because
+	// qobs rode inside the task's result (exactly like output records
+	// and counters).
 	if q := cfg.Quality; q.Enabled() {
 		for i, r := range reduceRes {
 			for _, o := range r.Qobs {
@@ -157,7 +152,7 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		for i, r := range reduceRes {
 			reduceSpans[i] = r.Spans
 		}
-		emitJobSpans(&cfg, fr, res, splits, reduceLens,
+		emitJobSpans(&cfg, res, splits, reduceLens,
 			mapSpans, reduceSpans, mapWall, reduceWall)
 	}
 	if m := cfg.Metrics; m != nil {
@@ -181,17 +176,6 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 		}
 		for _, c := range reduceCosts {
 			h.Observe(float64(c))
-		}
-		if fr != nil {
-			// Attempt accounting, like spill stats, reflects chaos/host
-			// knobs (the injector and retry policy), so it reports only
-			// through the registry — Result stays byte-identical to the
-			// fault-free run.
-			st := fr.stats()
-			m.Counter(CounterTaskAttempts).Add(st.started)
-			m.Counter(CounterTaskRetries).Add(st.retried)
-			m.Counter(CounterTaskSpeculations).Add(st.speculated)
-			m.Counter(CounterTaskAttemptsKilled).Add(st.killed)
 		}
 	}
 	lj.End(nil)
@@ -236,9 +220,7 @@ func newPhaseOutputs(cfg *Config) *phaseOutputs {
 
 // taskBodies is runJobGraph's body policy: how one execution of each
 // phase's task runs. Local bodies call the deterministic task functions
-// in this process; a remote master's bodies lease them to workers. Each
-// body is one *execution* — first attempts, retries, and speculative
-// backups all go through it.
+// in this process; a remote master's bodies lease them to workers.
 type taskBodies struct {
 	mapTask, reduce func(i int) (TaskResult, error)
 }
@@ -246,10 +228,8 @@ type taskBodies struct {
 // trackTask is the one wrap point every task execution shares, in every
 // mode and on both ends of a remote transport: it publishes the
 // execution's live start/done/failed transition and, when wall is
-// non-nil (tracing), records its host wall span. Re-executions
-// (retries, speculation) overwrite the wall measurement, never the
-// committed deterministic output. body also reports the record count
-// the done transition carries.
+// non-nil (tracing), records its host wall span. body also reports the
+// record count the done transition carries.
 func trackTask(lj *live.Job, p live.Phase, i int, wall []wallSpan,
 	body func() (TaskResult, int, error)) (TaskResult, error) {
 	lj.TaskStart(p, i)
@@ -289,15 +269,13 @@ func localBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutput
 	}
 }
 
-// TaskResult is one committed task execution's deterministic outcome,
-// the one type every body returns — local or leased, first attempt,
-// retry or speculative backup — and the per-task slice of phaseOutputs
-// that crosses processes: a leased task returns it over RPC and the
-// master's end-of-job broadcast carries one per task. Bulk data stays
+// TaskResult is one task execution's deterministic outcome, the one
+// type every body returns — local or leased — and the per-task slice
+// of phaseOutputs that crosses processes: a leased task returns it over
+// RPC and the master's end-of-job broadcast carries one per task. Bulk data stays
 // out of it: a local map task's runs go to the partition stores at
 // commit, a leased one's stay in its file on the shared directory,
-// which Parts locates. Host wall measurements stay outside, since
-// speculation compares results by content.
+// which Parts locates. Host wall measurements stay outside.
 type TaskResult struct {
 	Cost     costmodel.Units
 	Counters Counters
@@ -306,8 +284,7 @@ type TaskResult struct {
 	// task, stamped when the completion is accepted
 	// (first-completion-wins) and carried into the end-of-job broadcast
 	// so every process's live task table shows who ran what.
-	// Observability-only: nothing derived from the result reads it, and
-	// sameOutput leaves it out.
+	// Observability-only: nothing derived from the result reads it.
 	Worker int
 	// Parts is a leased map task's run per partition: Parts[r] is
 	// partition r's segment of its file.
@@ -318,11 +295,9 @@ type TaskResult struct {
 	Qobs []quality.BlockObs
 
 	// runs is a local map task's sorted run per partition until the
-	// task commits and hands them to the stores; sum is runsDigest(runs),
-	// taken at commit when speculation is on, so that a backup can be
-	// checked without the runs. Neither crosses processes.
+	// task commits and hands them to the stores. It never crosses
+	// processes.
 	runs [][]KeyValue
-	sum  [sha256.Size]byte
 }
 
 // taskCosts is each task's cost, in task order.
@@ -344,10 +319,8 @@ type wallSpan struct {
 // per map/reduce task, plus every task-local span recorded through
 // TaskContext.Span — among them each reduce task's "shuffle" span, the
 // simulated price of reading and merging its input — rebased from the
-// task-local clock onto the global simulated timeline. With the attempt
-// runtime active, every task attempt additionally gets an "attempt"
-// span on the shadow attempt timeline.
-func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValue, reduceLens []int,
+// task-local clock onto the global simulated timeline.
+func emitJobSpans(cfg *Config, res *Result, splits [][]KeyValue, reduceLens []int,
 	mapSpans, reduceSpans [][]obs.Span, mapWall, reduceWall []wallSpan) {
 	tr := cfg.Trace
 	pid := tr.PID(cfg.Name)
@@ -377,14 +350,6 @@ func emitJobSpans(cfg *Config, fr *faultRuntime, res *Result, splits [][]KeyValu
 			Args: []obs.Arg{obs.A("records", reduceLens[i])},
 		})
 		rebase(reduceSpans[i], res.ReduceSlots[i], res.ReduceStarts[i])
-	}
-	if fr != nil {
-		fr.emitAttemptSpans(tr, pid, live.PhaseMap, func(t int) (costmodel.Units, int) {
-			return res.MapStarts[t], res.MapSlots[t]
-		})
-		fr.emitAttemptSpans(tr, pid, live.PhaseReduce, func(t int) (costmodel.Units, int) {
-			return res.ReduceStarts[t], res.ReduceSlots[t]
-		})
 	}
 }
 

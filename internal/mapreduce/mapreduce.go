@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"proger/internal/costmodel"
-	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
@@ -217,20 +216,8 @@ type Config struct {
 	// but the record sequences — and therefore Result, traces, and
 	// quality exports — are byte-identical to the in-memory run.
 	MemBudget *membudget.Manager
-	// Faults, when non-nil, injects deterministic simulated task
-	// failures (crash/hang/slow) into the attempt runtime — see
-	// internal/faults. A chaos/testing knob like Workers: injected
-	// faults are retried, timed out, or speculated around on a shadow
-	// attempt timeline, and can never alter Result.
-	Faults faults.Injector
-	// Retry configures the attempt runtime (bounded retries with
-	// exponential backoff in cost units, per-attempt timeouts, and
-	// speculative execution). The zero value disables the runtime
-	// unless Faults is set, in which case defaults apply.
-	Retry RetryPolicy
 	// Trace, when non-nil, receives a span per map/reduce task, per
-	// shuffle merge, per task attempt (when the attempt runtime is
-	// active), and per task-local span recorded through
+	// shuffle merge, and per task-local span recorded through
 	// TaskContext.Span — all placed on the simulated global timeline
 	// (wall-clock data is carried alongside). Nil disables tracing at
 	// zero cost.
@@ -243,13 +230,11 @@ type Config struct {
 	// functions record through TaskContext.ObserveBlock, rebased onto
 	// the global simulated timeline and fed in task-index order. Like
 	// Trace and Metrics, a host-side sink that can never affect Result;
-	// because observations travel inside each task's committed result,
-	// they are immune to fault injection and worker count by
-	// construction. Nil disables at zero cost.
+	// because observations travel inside each task's result, they are
+	// immune to worker count and transport by construction. Nil disables at zero cost.
 	Quality *quality.Recorder
 	// Live, when non-nil, receives in-flight execution state: per-task
-	// state transitions, attempt/retry/speculation activity, and
-	// per-block resolution realizations as they happen — the feed
+	// state transitions and per-block resolution realizations as they happen — the feed
 	// behind the status server's /progress and /tasks endpoints.
 	// Strictly write-only from the engine's side (nothing in the run
 	// reads it back), so Result, traces, metrics, and quality exports
@@ -272,9 +257,6 @@ func (c *Config) validate() error {
 	}
 	if c.Cluster.Machines <= 0 || c.Cluster.SlotsPerMachine <= 0 {
 		return fmt.Errorf("mapreduce: job %q: cluster %+v invalid", c.Name, c.Cluster)
-	}
-	if c.Retry.MaxRetries < 0 {
-		return fmt.Errorf("mapreduce: job %q: retry policy %+v invalid", c.Name, c.Retry)
 	}
 	// Remote execution does not offer the memory budget: run files are
 	// its data plane.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"proger/internal/obs/live"
 )
 
 // This file runs a job's two phases. Reduce task r depends on every map
@@ -17,15 +15,14 @@ import (
 // own partition. The body policy (taskBodies) decides who runs a task:
 // this process, or a worker leased by the remote master.
 //
-// With speculation on, each phase's straggler checks follow it: the
-// map checks run beside the reduce tasks, the reduce checks after them.
+//	map tasks  ──▶  reduce tasks
 //
-//	map tasks  ──▶  reduce tasks + map speculation checks  ──▶  reduce speculation checks
-//
-// Determinism is preserved because nothing about real execution order
-// is observable: every task writes only its own task-indexed slots of
-// phaseOutputs, and the simulated schedule, Result, spans, metrics,
-// and quality exports are all derived afterwards from those outputs.
+// Each task runs once; the only re-execution is a lost lease's
+// re-dispatch (retryLost). Determinism is preserved because nothing
+// about real execution order is observable: every task writes only its
+// own task-indexed slots of phaseOutputs, and the simulated schedule,
+// Result, spans, metrics, and quality exports are all derived
+// afterwards from those outputs.
 
 // phaseTask is one schedulable unit of engine work; task names it in
 // error messages.
@@ -79,52 +76,23 @@ func runTaskSafe(t phaseTask) (err error) {
 	return t.run()
 }
 
-// runAttempted executes one task body — through the attempt runtime's
-// retry ladder when it is active, directly otherwise — recording the
-// attempt history in att[i]. With speculation on, the committed result
-// keeps its runs' digest, which a backup is checked against once the
-// runs are handed over.
-func runAttempted(fr *faultRuntime, phase live.Phase, att []*taskAttempts, i int,
-	exec func(i int) (TaskResult, error)) (TaskResult, error) {
-	if fr == nil {
-		return exec(i)
-	}
-	res, ta, err := runTaskAttempts(fr, phase, i, func() (TaskResult, error) {
-		return exec(i)
-	})
-	att[i] = ta
-	if err == nil && fr.policy.Speculation {
-		res.sum = runsDigest(res.runs)
-	}
-	return res, err
-}
-
 // runJobGraph runs cfg's map tasks, then its reduce tasks, with the
-// bodies b, filling po; with speculation on, each phase's straggler
-// checks follow it. po holds the partition stores even when this
+// bodies b, filling po. po holds the partition stores even when this
 // returns an error; Run settles them.
-func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b taskBodies) error {
+func runJobGraph(cfg *Config, workers int, po *phaseOutputs, b taskBodies) error {
 	M, R := cfg.NumMapTasks, cfg.NumReduceTasks
-	speculate := fr != nil && fr.policy.Speculation
-
-	var mapAtt, redAtt []*taskAttempts
-	if fr != nil {
-		mapAtt = fr.beginPhase(live.PhaseMap, M)
-		redAtt = fr.beginPhase(live.PhaseReduce, R)
-	}
-
 	maps := make([]phaseTask, M)
 	for m := range maps {
 		maps[m] = phaseTask{m, func() error {
-			res, err := runAttempted(fr, live.PhaseMap, mapAtt, m, b.mapTask)
+			res, err := b.mapTask(m)
 			if err != nil {
 				return err
 			}
-			// Hand the committed runs to the partition stores and drop the
-			// task's own references: from here on, residency of this map
-			// task's records is the stores' call — under a budget, each
-			// run's values too, once addRun has made them its own. A
-			// leased map task has no runs here; its Parts locate them.
+			// Hand the runs to the partition stores and drop the task's own
+			// references: from here on, residency of this map task's
+			// records is the stores' call — under a budget, each run's
+			// values too, once addRun has made them its own. A leased map
+			// task has no runs here; its Parts locate them.
 			for r, run := range res.runs {
 				if err := po.stores[r].addRun(m, run); err != nil {
 					return err
@@ -139,10 +107,10 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 		return err
 	}
 
-	reduces := make([]phaseTask, R, R+M)
-	for i := range R {
+	reduces := make([]phaseTask, R)
+	for i := range reduces {
 		reduces[i] = phaseTask{i, func() error {
-			res, err := runAttempted(fr, live.PhaseReduce, redAtt, i, b.reduce)
+			res, err := b.reduce(i)
 			if err != nil {
 				return err
 			}
@@ -150,36 +118,5 @@ func runJobGraph(cfg *Config, fr *faultRuntime, workers int, po *phaseOutputs, b
 			return nil
 		}}
 	}
-	if speculate {
-		reduces = append(reduces, speculationChecks(fr, live.PhaseMap, po.mapRes, b.mapTask)...)
-	}
-	if err := runTasks(workers, reduces); err != nil || !speculate {
-		return err
-	}
-	return runTasks(workers, speculationChecks(fr, live.PhaseReduce, po.reduceRes, b.reduce))
-}
-
-// speculationChecks is one phase's straggler pass, made once the phase's
-// tasks have all committed: the threshold is a quantile of the whole
-// phase's cost distribution — the one ordering constraint speculation
-// genuinely has — and each check runs speculateTask against the
-// committed result in res. Nothing waits on a check — a winning backup
-// is verified to match the committed output — so the map checks run
-// beside the reduce tasks.
-func speculationChecks(fr *faultRuntime, phase live.Phase, res []TaskResult,
-	exec func(i int) (TaskResult, error)) []phaseTask {
-	if len(res) < 2 {
-		return nil
-	}
-	thr := quantile(taskCosts(res), defaultSpeculationQuantile)
-	if thr <= 0 {
-		return nil
-	}
-	checks := make([]phaseTask, len(res))
-	for i := range checks {
-		checks[i] = phaseTask{i, func() error {
-			return speculateTask(fr, phase, i, thr, res[i], exec)
-		}}
-	}
-	return checks
+	return runTasks(workers, reduces)
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"proger/internal/costmodel"
-	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
@@ -69,6 +68,23 @@ func TestRunTasksPanicBecomesError(t *testing.T) {
 	err := runTasks(2, []phaseTask{{7, func() error { panic("kaboom") }}})
 	if err == nil || !strings.Contains(err.Error(), "task 7 panicked: kaboom") {
 		t.Fatalf("err = %v, want task-7 panic error", err)
+	}
+}
+
+type panickyMapper struct{ MapperBase }
+
+func (panickyMapper) Map(*TaskContext, KeyValue, Emitter) error {
+	panic("mapper exploded")
+}
+
+// TestEngineSurvivesPanickingMapper: a panic in a user map function
+// fails the job with the panic's message, through runTasks.
+func TestEngineSurvivesPanickingMapper(t *testing.T) {
+	cfg := wordCountConfig(2)
+	cfg.NewMapper = func() Mapper { return panickyMapper{} }
+	_, err := Run(cfg, wordCountInput(), 0)
+	if err == nil || !strings.Contains(err.Error(), "panicked: mapper exploded") {
+		t.Errorf("want panic converted to error, got %v", err)
 	}
 }
 
@@ -178,49 +194,6 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 					requireSpilled(t, cfg)
 				}
 			})
-		}
-	}
-}
-
-// TestPipelinedMatchesBarrierUnderFaults extends the equivalence to
-// the attempt runtime: with deterministic fault injection, retries,
-// and speculation active, every worker count must produce the Result
-// of the fault-free in-memory run at workers=1 — in memory, and (the
-// spill variant) under a memory budget that forces the shuffle to disk.
-func TestPipelinedMatchesBarrierUnderFaults(t *testing.T) {
-	run := func(t *testing.T, rate float64, workers int, spill bool) *Result {
-		cfg := wordCountConfig(workers)
-		if rate > 0 {
-			cfg.Faults = faults.NewSeeded(11, rate)
-			cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
-		}
-		if spill {
-			spillEverything(&cfg)
-			cfg.SpillDir = t.TempDir()
-		}
-		res, err := Run(cfg, wordCountInput(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spill {
-			requireSpilled(t, &cfg)
-		}
-		return res
-	}
-	ref := run(t, 0, 1, false)
-	for _, rate := range []float64{0, 0.5} {
-		for _, workers := range []int{1, 4, 8} {
-			for _, spill := range []bool{false, true} {
-				name := fmt.Sprintf("rate=%v/workers=%d", rate, workers)
-				if spill {
-					name += "/spill"
-				}
-				t.Run(name, func(t *testing.T) {
-					if res := run(t, rate, workers, spill); !reflect.DeepEqual(res, ref) {
-						t.Errorf("Result diverged under faults:\nreference: %+v\ngot:       %+v", ref, res)
-					}
-				})
-			}
 		}
 	}
 }
@@ -357,20 +330,12 @@ func TestReduceWaitsForEveryMap(t *testing.T) {
 }
 
 // TestJobGraphPhases: runJobGraph starts a phase only once the phase
-// before it has succeeded, and runs the map speculation checks beside
-// the reduce tasks. The first attempts of map 0 and reduce 0 straggle
-// 4× (under the 8× timeout), so speculation gives each a backup
-// execution; the bodies count every execution of every task, and hook
-// runs before each one.
+// before it has succeeded, and runs each task once. The bodies count
+// every execution of every task, and hook runs before each one.
 func TestJobGraphPhases(t *testing.T) {
-	run := func(hook func(p live.Phase, task, exec int) error) (maps, reduces []int32, err error) {
+	run := func(hook func(p live.Phase, task int) error) (maps, reduces []int32, err error) {
 		cfg := wordCountConfig(2)
 		cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
-		cfg.Faults = faults.Script{
-			{Phase: live.PhaseMap, Task: 0, Attempt: 1}:    {Kind: faults.Slow, Factor: 4},
-			{Phase: live.PhaseReduce, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
-		}
-		cfg.Retry = RetryPolicy{MaxRetries: 1, Speculation: true}
 		po := newPhaseOutputs(&cfg)
 		defer func() {
 			for _, st := range po.stores {
@@ -384,14 +349,15 @@ func TestJobGraphPhases(t *testing.T) {
 		}
 		counted := func(p live.Phase, body func(int) (TaskResult, error)) func(int) (TaskResult, error) {
 			return func(i int) (TaskResult, error) {
-				if err := hook(p, i, int(execs[p][i].Add(1))); err != nil {
+				execs[p][i].Add(1)
+				if err := hook(p, i); err != nil {
 					return TaskResult{}, err
 				}
 				return body(i)
 			}
 		}
 		b.mapTask, b.reduce = counted(live.PhaseMap, b.mapTask), counted(live.PhaseReduce, b.reduce)
-		err = runJobGraph(&cfg, newFaultRuntime(&cfg), cfg.Workers, po, b)
+		err = runJobGraph(&cfg, cfg.Workers, po, b)
 		load := func(p live.Phase) []int32 {
 			n := make([]int32, len(execs[p]))
 			for i := range n {
@@ -401,8 +367,8 @@ func TestJobGraphPhases(t *testing.T) {
 		}
 		return load(live.PhaseMap), load(live.PhaseReduce), err
 	}
-	failing := func(phase live.Phase, task int) func(live.Phase, int, int) error {
-		return func(p live.Phase, i, _ int) error {
+	failing := func(phase live.Phase, task int) func(live.Phase, int) error {
+		return func(p live.Phase, i int) error {
 			if p == phase && i == task {
 				return errors.New("boom")
 			}
@@ -418,70 +384,50 @@ func TestJobGraphPhases(t *testing.T) {
 		if !reflect.DeepEqual(reduces, []int32{0, 0}) {
 			t.Errorf("reduce executions %v after a failed map phase, want none", reduces)
 		}
-		if maps[0] != 1 {
-			t.Errorf("map 0 ran %d times after a failed map phase, want once: its speculation check ran", maps[0])
+		for m, n := range maps {
+			if n > 1 {
+				t.Errorf("map %d ran %d times, want at most once", m, n)
+			}
 		}
 	})
 	t.Run("failing reduce", func(t *testing.T) {
-		_, reduces, err := run(failing(live.PhaseReduce, 1))
+		maps, reduces, err := run(failing(live.PhaseReduce, 1))
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("err = %v, want the reduce failure", err)
 		}
-		if reduces[0] != 1 {
-			t.Errorf("reduce 0 ran %d times after a failed reduce phase, want once: its speculation check ran", reduces[0])
-		}
-	})
-	t.Run("map speculation beside reduces", func(t *testing.T) {
-		// Reduce 0's first execution holds its slot until map 0's backup
-		// has started: a map speculation check left for after the reduce
-		// tasks would never release it.
-		backup := make(chan struct{})
-		maps, reduces, err := run(func(p live.Phase, i, exec int) error {
-			switch {
-			case p == live.PhaseMap && i == 0 && exec == 2:
-				close(backup)
-			case p == live.PhaseReduce && i == 0 && exec == 1:
-				select {
-				case <-backup:
-				case <-time.After(30 * time.Second):
-					t.Error("map 0's speculation check did not run beside the reduce tasks")
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := []int32{2, 1, 1}; !reflect.DeepEqual(maps, want) {
-			t.Errorf("map executions %v, want %v", maps, want)
-		}
-		if want := []int32{2, 1}; !reflect.DeepEqual(reduces, want) {
-			t.Errorf("reduce executions %v, want %v", reduces, want)
+		if !reflect.DeepEqual(maps, []int32{1, 1, 1}) || !reflect.DeepEqual(reduces, []int32{1, 1}) {
+			t.Errorf("map executions %v, reduce executions %v: want each task once", maps, reduces)
 		}
 	})
 }
 
+// failOnTask1Reducer counts words like wordCountReducer, except in
+// reduce task 1, which fails.
+type failOnTask1Reducer struct{ wordCountReducer }
+
+func (r failOnTask1Reducer) Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error {
+	if ctx.Index == 1 {
+		return errors.New("reduce task 1 fails")
+	}
+	return r.wordCountReducer.Reduce(ctx, key, values, emit)
+}
+
 // TestJobGraphShuffleFailureLeavesNoSpill: when one reduce task —
-// which shuffles (merges) its own partition — exhausts its retry
-// ladder, the spill state of every partition, the one that reduced
-// successfully included, must still be settled: every task
-// publishes into phaseOutputs, and Run closes whatever is there. Both
-// values of the ignored Execution field must settle alike.
+// which shuffles (merges) its own partition — fails, the spill state of
+// every partition, the one that reduced successfully included, must
+// still be settled: every task publishes into phaseOutputs, and Run
+// closes whatever is there. Both values of the ignored Execution field
+// must settle alike.
 func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
 	for _, mode := range []ExecutionMode{0, 1} {
 		t.Run(fmt.Sprintf("mode=%d/budget", mode), func(t *testing.T) {
 			cfg := wordCountConfig(1) // one worker: reduce 0 reads its store before reduce 1 fails
 			cfg.Execution = mode
 			cfg.SpillDir = t.TempDir()
-			cfg.Retry = RetryPolicy{MaxRetries: 2}
-			cfg.Faults = faults.Script{
-				{Phase: live.PhaseReduce, Task: 1, Attempt: 1}: {Kind: faults.Crash},
-				{Phase: live.PhaseReduce, Task: 1, Attempt: 2}: {Kind: faults.Crash},
-				{Phase: live.PhaseReduce, Task: 1, Attempt: 3}: {Kind: faults.Crash},
-			}
+			cfg.NewReducer = func() Reducer { return failOnTask1Reducer{} }
 			cfg.MemBudget = membudget.New(64) // ~one small run; everything spills
-			if _, err := Run(cfg, wordCountInput(), 0); err == nil {
-				t.Fatal("Run succeeded; the scripted reduce failure never fired")
+			if _, err := Run(cfg, wordCountInput(), 0); err == nil || !strings.Contains(err.Error(), "reduce task 1 fails") {
+				t.Fatalf("err = %v, want reduce task 1's failure", err)
 			}
 			entries, err := os.ReadDir(cfg.SpillDir)
 			if err != nil {

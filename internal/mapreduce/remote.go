@@ -165,10 +165,9 @@ func (rr *RemoteRunner) publishRemaining(p live.Phase, task int, cost costmodel.
 }
 
 // RunTask executes one leased task body and returns its result.
-// Duplicate executions (re-leases after a lost worker, or the master's
-// speculation pass) are safe: task bodies are deterministic, so a map
-// file's rename replaces identical bytes, and a reader that has the old
-// file open keeps reading it.
+// Duplicate executions (re-leases after a lost worker) are safe: task
+// bodies are deterministic, so a map file's rename replaces identical
+// bytes, and a reader that has the old file open keeps reading it.
 func (rr *RemoteRunner) RunTask(t RemoteTask) (*TaskResult, error) {
 	if rr.jobDir == "" {
 		return nil, fmt.Errorf("mapreduce: remote runner not configured")
@@ -275,27 +274,24 @@ func (cr countingReader) Read(p []byte) (int, error) {
 
 // runRemoteJob executes one job over a remote transport, filling
 // phaseOutputs byte-identically to local execution.
-func runRemoteJob(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
+func runRemoteJob(cfg *Config, lj *live.Job, workers int, splits [][]KeyValue) (*phaseOutputs, error) {
 	runner := newRemoteRunner(cfg, splits, lj)
 	job, err := cfg.Transport.BeginJob(runner)
 	if err != nil {
 		return nil, err
 	}
 	if job.Master() {
-		return runRemoteMaster(cfg, fr, lj, workers, splits, job)
+		return runRemoteMaster(cfg, lj, workers, splits, job)
 	}
 	return runRemoteWorker(cfg, splits, job, runner)
 }
 
 // runRemoteMaster runs the job's phases with RPC-dispatching bodies:
-// the same runner — phase order, attempt runtime, speculation checks,
-// and bounded concurrency — as local execution, so attempt histories —
-// and therefore trace bytes — match a local run with the same fault
-// configuration. The end-of-job broadcast is po's results as they
-// stand.
-func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
+// the same runner — phase order and bounded concurrency — as local
+// execution. The end-of-job broadcast is po's results as they stand.
+func runRemoteMaster(cfg *Config, lj *live.Job, workers int, splits [][]KeyValue, rjob RemoteJob) (*phaseOutputs, error) {
 	po := newPhaseOutputs(cfg)
-	err := runJobGraph(cfg, fr, workers, po, masterBodies(cfg, lj, splits, po, rjob))
+	err := runJobGraph(cfg, workers, po, masterBodies(cfg, lj, splits, po, rjob))
 	var results *RemoteJobResults
 	if err == nil {
 		results = &RemoteJobResults{Map: po.mapRes, Reduce: po.reduceRes}
@@ -313,13 +309,12 @@ func runRemoteMaster(cfg *Config, fr *faultRuntime, lj *live.Job, workers int, s
 // tells it where its partition's runs lie and how many records each
 // holds.
 func masterBodies(cfg *Config, lj *live.Job, splits [][]KeyValue, po *phaseOutputs, rjob RemoteJob) taskBodies {
-	// Lost leases (worker died mid-task) re-dispatch below the attempt
-	// runtime: host chaos stays off the simulated timeline.
-	lost := lostRetryBudget(cfg)
+	// A lost lease (worker died mid-task) is re-dispatched; it stays off
+	// the simulated timeline.
 	dispatch := func(p live.Phase, task, records int, wall []wallSpan, runs []RunPart) (TaskResult, error) {
 		t := RemoteTask{Phase: p, Task: task, Runs: runs, Tracing: cfg.Trace != nil, Quality: cfg.Quality != nil}
 		return trackTask(lj, p, task, wall, func() (TaskResult, int, error) {
-			res, err := retryLost(lost, func() (*TaskResult, error) {
+			res, err := retryLost(func() (*TaskResult, error) {
 				return rjob.RunTask(t)
 			})
 			if err != nil {

@@ -341,9 +341,8 @@ func FuzzShuffleOrder(f *testing.F) {
 	})
 }
 
-// TestMemInputConcurrentIter: Iter may run several times at once (a
-// speculative shuffle check overlaps the reduce task); every pass must
-// see the same records.
+// TestMemInputConcurrentIter: Iter may run several times at once; every
+// pass must see the same records.
 func TestMemInputConcurrentIter(t *testing.T) {
 	runs := randomKVRuns(rand.New(rand.NewSource(5)), 6, 400)
 	in := sortedRunsInput(runs)

@@ -308,8 +308,7 @@ func (st *partitionStore) Len() int {
 }
 
 // Iter opens an independent merged pass over the runs, in memory and
-// on disk. It may be called several times (retries, speculation), also
-// concurrently — each pass opens its own file handles, and live passes
+// on disk. It may be called several times, also concurrently — each pass opens its own file handles, and live passes
 // pin the memory buffer.
 func (st *partitionStore) Iter() (*mergeIter, error) {
 	st.mu.Lock()

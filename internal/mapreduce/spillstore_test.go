@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"proger/internal/costmodel"
-	"proger/internal/faults"
 	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/live"
@@ -515,11 +514,9 @@ func (f reduceFunc) Reduce(_ *TaskContext, key string, values [][]byte, _ Emitte
 
 // TestCommittedMapRunsLeavePhaseOutputs: on every local route — under
 // a budget, and without one, where the stores keep the runs as their
-// mappers made them — with the fault runtime on (retries, crashed
-// attempts and speculative backups included), a map task's committed
-// runs go to the partition stores and nothing else keeps them:
-// phaseOutputs holds no run, and once the stores are closed every run
-// any map execution made is collected. So a spilled run frees what it
+// mappers made them — a map task's runs go to the partition stores and
+// nothing else keeps them: phaseOutputs holds no run, and once the
+// stores are closed every run any map execution made is collected. So a spilled run frees what it
 // was charged for.
 func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
 	for _, budget := range []bool{true, false} {
@@ -529,10 +526,7 @@ func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
 				spillEverything(&cfg)
 				cfg.SpillDir = t.TempDir()
 			}
-			cfg.Faults = faults.NewSeeded(11, 0.5)
-			cfg.Retry = RetryPolicy{MaxRetries: 3, Speculation: true}
 			cfg.Partition, cfg.Cost = HashPartitioner, costmodel.Default() // as Run defaults them
-			fr := newFaultRuntime(&cfg)
 			po := newPhaseOutputs(&cfg)
 			splits := splitInput(wordCountInput(), cfg.NumMapTasks)
 			b := localBodies(&cfg, nil, splits, po)
@@ -548,7 +542,7 @@ func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
 				}
 				return res, err
 			}
-			if err := runJobGraph(&cfg, fr, cfg.Workers, po, b); err != nil {
+			if err := runJobGraph(&cfg, cfg.Workers, po, b); err != nil {
 				t.Fatal(err)
 			}
 			for m, mr := range po.mapRes {
@@ -573,47 +567,6 @@ func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
 			}
 			runtime.KeepAlive(po)
 		})
-	}
-}
-
-// drawMapper is wordCountMapper whose values, one byte each, depend on
-// which execution of its task it is: equal costs, counters and lengths,
-// different bytes — what only a check of the content tells apart.
-type drawMapper struct {
-	MapperBase
-	draw byte
-}
-
-func (m drawMapper) Map(ctx *TaskContext, rec KeyValue, emit Emitter) error {
-	for _, w := range strings.Fields(string(rec.Value)) {
-		emit.Emit(w, []byte{m.draw})
-	}
-	return nil
-}
-
-// TestSpeculationDigestCatchesDivergence: a map backup that wins its
-// race is checked against the committed attempt's digest — with or
-// without a budget, where the committed runs are gone by then — so a
-// nondeterministic mapper still fails the job.
-func TestSpeculationDigestCatchesDivergence(t *testing.T) {
-	for _, budget := range []bool{false, true} {
-		var execs atomic.Int32
-		cfg := wordCountConfig(2)
-		cfg.NewMapper = func() Mapper { return drawMapper{draw: byte('a' + execs.Add(1))} }
-		cfg.Faults = faults.Script{
-			{Phase: live.PhaseMap, Task: 0, Attempt: 1}: {Kind: faults.Slow, Factor: 4},
-		}
-		// As in TestSpeculativeAttemptOutrunsStraggler: only the 4×-slowed
-		// map task straggles, and its backup finishes first.
-		cfg.Retry = RetryPolicy{MaxRetries: 2, Speculation: true}
-		if budget {
-			spillEverything(&cfg)
-			cfg.SpillDir = t.TempDir()
-		}
-		_, err := Run(cfg, wordCountInput(), 0)
-		if err == nil || !strings.Contains(err.Error(), "map task 0 speculative attempt diverged") {
-			t.Errorf("budget=%v: err = %v, want the map backup's divergence", budget, err)
-		}
 	}
 }
 

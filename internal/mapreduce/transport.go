@@ -5,11 +5,10 @@ package mapreduce
 // a TaskTransport (internal/dist) instead leases the deterministic map
 // and reduce bodies — identified by (job seq, phase, task index); a
 // reduce merges its own input — to worker processes, while the
-// two-phase task runner, the attempt/retry/speculation runtime, and
-// all observability stay in this package and are shared verbatim
-// between the two. That sharing
-// is the determinism argument: both placements run the same runner
-// with the same attempt machinery, their bodies return the same
+// two-phase task runner and all observability stay in this package and
+// are shared verbatim between the two. That sharing is the determinism
+// argument: both placements run the same runner, their bodies return
+// the same
 // TaskResult and their reduce tasks read the same partitionStore, so
 // phaseOutputs — and with it Result, trace, and quality bytes — cannot
 // depend on which transport executed the work.
@@ -52,8 +51,8 @@ type RemoteJob interface {
 	Master() bool
 	// RunTask executes one task on some worker and blocks until it
 	// completes (master only). A lease lost to a dead worker surfaces
-	// ErrTaskLost, which the engine retries within the RetryPolicy
-	// budget without touching the simulated attempt timeline.
+	// ErrTaskLost, which the engine re-dispatches (retryLost) without
+	// touching the simulated timeline.
 	RunTask(t RemoteTask) (*TaskResult, error)
 	// Finish ends the job (master only): broadcasts every task's
 	// committed result — or the terminal error — to the worker fleet

@@ -13,15 +13,13 @@ import (
 // constants so emit sites never embed string literals (the check.sh
 // lint enforces it).
 const (
-	EventRunStart      = "run.start"
-	EventRunEnd        = "run.end"
-	EventJobStart      = "job.start"
-	EventJobEnd        = "job.end"
-	EventTaskStart     = "task.start"
-	EventTaskDone      = "task.done"
-	EventTaskFailed    = "task.failed"
-	EventTaskRetry     = "task.retry"
-	EventTaskSpeculate = "task.speculate"
+	EventRunStart   = "run.start"
+	EventRunEnd     = "run.end"
+	EventJobStart   = "job.start"
+	EventJobEnd     = "job.end"
+	EventTaskStart  = "task.start"
+	EventTaskDone   = "task.done"
+	EventTaskFailed = "task.failed"
 	// Distributed-runtime events, emitted by the master's lease ledger:
 	// a worker process registering, a task lease being granted, and a
 	// lease expiring after its worker went silent. All host-side — they

@@ -1,7 +1,7 @@
 // Package live is the pipeline's *in-flight* introspection layer.
 // Where internal/obs and internal/obs/quality export artifacts after a
 // run ends, this package answers "what is the run doing right now":
-// per-task states, attempt/retry/speculation counts,
+// per-task states and execution counts,
 // memory-budget pressure (forced spills included), and an incremental
 // progressive-recall estimate — all published by the engines at atomic-
 // counter cost and readable at any instant, plus an HTTP status server
@@ -26,7 +26,7 @@
 // execution order and must never feed back into it. Nothing in this
 // package is read by the engines, so Result, traces, metrics, and
 // quality exports are byte-identical with or without a Run attached —
-// the same contract Workers and Config.Faults obey.
+// the same contract Workers and Config.MemBudget obey.
 //
 // A nil *Run (and the nil *Job it hands out) is the disabled layer:
 // every method is a cheap no-op, so call sites need no gating branches.
@@ -43,9 +43,7 @@ import (
 )
 
 // Phase names one of a job's two engine phases, the one phase type
-// of the repository: a live task row's, an injected fault's coordinate
-// (faults hashes its name), a leased task's kind (dist) and its
-// attempt history's key in the engine.
+// of the repository: a live task row's and a leased task's kind (dist).
 type Phase string
 
 // Engine phases, in execution (and snapshot) order.
@@ -57,9 +55,8 @@ const (
 // TaskState is one task's lifecycle state.
 type TaskState int32
 
-// Task states. Transitions only ever advance, except that a retry or
-// speculative re-execution moves a task back to TaskRunning until its
-// ladder settles.
+// Task states. Transitions only ever advance, except that a task
+// started again after it failed moves back to TaskRunning.
 const (
 	TaskPending TaskState = iota
 	TaskRunning
@@ -213,9 +210,6 @@ type Job struct {
 	name string
 	// phases index: 0 map, 1 reduce.
 	phases [2]*phaseLive
-	// retries and speculations count attempt-runtime activity.
-	retries      atomic.Int64
-	speculations atomic.Int64
 }
 
 // phaseLive is one phase's per-task atomic state.
@@ -246,9 +240,8 @@ func (j *Job) ph(p Phase) *phaseLive {
 	return j.phases[1]
 }
 
-// TaskStart marks one task execution beginning (every execution: first
-// attempts, retries, and speculative backups alike increment the
-// attempt count).
+// TaskStart marks one task execution beginning and increments its
+// attempt count.
 func (j *Job) TaskStart(p Phase, task int) {
 	if j == nil {
 		return
@@ -280,8 +273,7 @@ func (j *Job) TaskDone(p Phase, task int, costUnits float64, records int) {
 		KV("cost_units", costUnits), KV("records", records))
 }
 
-// TaskFailed marks one task execution erroring out. The attempt
-// runtime may still retry it (see Retry).
+// TaskFailed marks one task execution erroring out.
 func (j *Job) TaskFailed(p Phase, task int, err error) {
 	if j == nil {
 		return
@@ -307,35 +299,6 @@ func (j *Job) TaskWorker(p Phase, task, worker int) {
 		return
 	}
 	ph.workers[task].Store(int32(worker))
-}
-
-// Retry records the attempt runtime discarding attempt `attempt` of a
-// task with the given outcome (crash/timeout/error) and re-entering
-// the retry ladder: the task goes back to running.
-func (j *Job) Retry(p Phase, task, attempt int, outcome string) {
-	if j == nil {
-		return
-	}
-	ph := j.ph(p)
-	if task < 0 || task >= len(ph.states) {
-		return
-	}
-	ph.states[task].Store(int32(TaskRunning))
-	j.retries.Add(1)
-	j.run.log.Emit(EventTaskRetry,
-		KV("job", j.name), KV("phase", string(p)), KV("task", task),
-		KV("attempt", attempt), KV("outcome", outcome))
-}
-
-// Speculate records a speculative backup attempt launching for a
-// straggling (already committed) task.
-func (j *Job) Speculate(p Phase, task int) {
-	if j == nil {
-		return
-	}
-	j.speculations.Add(1)
-	j.run.log.Emit(EventTaskSpeculate,
-		KV("job", j.name), KV("phase", string(p)), KV("task", task))
 }
 
 // End marks the job's tasks fully executed (or failed).

@@ -109,20 +109,15 @@ func TestRunTaskLifecycleAndProgress(t *testing.T) {
 	j.TaskFailed(PhaseMap, 1, fmt.Errorf("boom"))
 	j.TaskStart(PhaseReduce, 0)
 	j.TaskDone(PhaseReduce, 0, 30, 4)
-	j.Retry(PhaseMap, 1, 1, "crash")
-	j.TaskStart(PhaseMap, 1) // the retried execution begins
-	j.Speculate(PhaseMap, 1)
+	j.TaskStart(PhaseMap, 1) // a second execution begins
 	r.ObserveResolution(6, 2, 30)
 	r.Finish(nil)
 
 	s := r.Progress()
 	mp := s.Jobs[0].Phases[0]
-	// Retry moved task 1 back to running after its failure.
+	// The second execution moved task 1 back to running after its failure.
 	if mp.Done != 1 || mp.Running != 1 {
 		t.Errorf("map phase = %+v, want 1 done 1 running", mp)
-	}
-	if s.Jobs[0].Retries != 1 || s.Jobs[0].Speculations != 1 {
-		t.Errorf("retries/speculations = %d/%d, want 1/1", s.Jobs[0].Retries, s.Jobs[0].Speculations)
 	}
 	if s.BlocksResolved != 1 || s.PairsCompared != 6 || s.Dups != 2 || s.RealizedCost != 30 {
 		t.Errorf("resolution totals = %+v", s)
@@ -176,8 +171,6 @@ func TestNilRunSafe(t *testing.T) {
 	j.TaskStart(PhaseMap, 0)
 	j.TaskDone(PhaseMap, 0, 1, 1)
 	j.TaskFailed(PhaseMap, 0, fmt.Errorf("x"))
-	j.Retry(PhaseMap, 0, 1, "crash")
-	j.Speculate(PhaseMap, 0)
 	j.End(nil)
 	r.ObserveResolution(1, 1, 1)
 	r.AttachQuality(nil)

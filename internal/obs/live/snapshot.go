@@ -49,9 +49,6 @@ type ProgressSnapshot struct {
 type JobProgress struct {
 	Name   string          `json:"name"`
 	Phases []PhaseProgress `json:"phases"`
-	// Retries and Speculations count attempt-runtime activity.
-	Retries      int64 `json:"retries"`
-	Speculations int64 `json:"speculations"`
 }
 
 // PhaseProgress is one phase's task-state histogram.
@@ -78,11 +75,7 @@ func (r *Run) Progress() ProgressSnapshot {
 		s.Err = *e
 	}
 	for _, j := range r.snapshotJobs() {
-		jp := JobProgress{
-			Name:         j.name,
-			Retries:      j.retries.Load(),
-			Speculations: j.speculations.Load(),
-		}
+		jp := JobProgress{Name: j.name}
 		for _, ph := range j.phases {
 			pp := PhaseProgress{Phase: ph.phase, Tasks: len(ph.states)}
 			for i := range ph.states {

@@ -22,10 +22,10 @@
 // truth (BuildCurve over a run's duplicate events): the figures, Qty
 // (Eq. 1), the recall speedup of Fig. 11 and every AUC read it.
 //
-// Everything is deterministic: realizations flow through the committed
-// task attempt's result only and are fed serially in task order, so
-// every export is byte-identical across worker counts and fault
-// injection, like the trace contract. A nil *Recorder is the disabled
+// Everything is deterministic: realizations flow through each task's
+// result only and are fed serially in task order, so every export is
+// byte-identical across worker counts and transports, like the trace
+// contract. A nil *Recorder is the disabled
 // recorder: every method is a no-op.
 package quality
 

@@ -47,9 +47,8 @@
 // # What decides the answer
 //
 // Options (and BasicOptions for the baseline) embed a Host: the worker
-// count, the transport, fault injection and retry
-// policy, the trace, metrics, quality and live sinks, and the memory
-// budget with its spill directory. Host settings decide how a run uses
+// count, the transport, the trace, metrics, quality and live sinks, and
+// the memory budget with its spill directory. Host settings decide how a run uses
 // the machine and never what it finds; every other field decides the
 // answer. Attach observability without touching the rest:
 //
@@ -71,7 +70,6 @@ import (
 	"proger/internal/entity"
 	"proger/internal/estimate"
 	"proger/internal/experiments"
-	"proger/internal/faults"
 	"proger/internal/mapreduce"
 	"proger/internal/match"
 	"proger/internal/mechanism"
@@ -243,10 +241,10 @@ type Options = core.Options
 type BasicOptions = core.BasicOptions
 
 // Host holds the settings both Options and BasicOptions embed that
-// decide how a run uses the host machine — workers, transport, faults
-// and retries, the trace, metrics, quality and live sinks, the memory
-// budget and its spill directory — and never what it finds: Result
-// bytes are the same whatever Host holds. Set its fields through the
+// decide how a run uses the host machine — workers, transport, the
+// trace, metrics, quality and live sinks, the memory budget and its
+// spill directory — and never what it finds: Result bytes are the same
+// whatever Host holds. Set its fields through the
 // embedding (opts.Workers = 4) or as a whole
 // (Options{..., Host: proger.Host{Trace: tr}}).
 type Host = core.Host
@@ -266,44 +264,6 @@ func Resolve(ds *Dataset, opts Options) (*Result, error) { return core.Resolve(d
 func ResolveBasic(ds *Dataset, opts BasicOptions) (*Result, error) {
 	return core.ResolveBasic(ds, opts)
 }
-
-// ---- Fault tolerance ----
-
-// FaultInjector decides, deterministically, which simulated fault (if
-// any) a given task attempt suffers. Attach one via Host.Faults to
-// chaos-test a pipeline: injected faults are retried, timed out, or
-// speculated around by the attempt runtime and can never alter the
-// Result.
-type FaultInjector = faults.Injector
-
-// Fault is one injected failure: a kind plus an optional slowdown
-// factor.
-type Fault = faults.Fault
-
-// FaultKind enumerates the simulated failure modes.
-type FaultKind = faults.Kind
-
-// Fault kinds: none, crash mid-task, hang until the attempt timeout,
-// or run slower by Fault.Factor.
-const (
-	FaultNone  = faults.None
-	FaultCrash = faults.Crash
-	FaultHang  = faults.Hang
-	FaultSlow  = faults.Slow
-)
-
-// NewSeededFaults returns the standard deterministic injector: each
-// (phase, task, attempt) independently faults with the given rate,
-// decided purely by hashing the seed — reproducible across runs and
-// host concurrency. Its fault budget guarantees every task eventually
-// succeeds within the default retry allowance.
-var NewSeededFaults = faults.NewSeeded
-
-// RetryPolicy tunes the attempt runtime: bounded retries with
-// exponential backoff in cost units, per-attempt timeouts, and
-// speculative re-execution of stragglers. Zero value = engine defaults
-// when Host.Faults is set.
-type RetryPolicy = mapreduce.RetryPolicy
 
 // ExecutionMode is ignored (Host.Execution): every job runs one task
 // graph, in which each reduce task waits for every map task. It
@@ -331,9 +291,9 @@ const (
 type TaskTransport = mapreduce.TaskTransport
 
 // ErrTaskLost is the sentinel a transport reports when a leased task's
-// worker went silent past the lease TTL. The engine re-dispatches lost
-// tasks below the simulated attempt runtime, so lease churn never
-// shows up in traces or results.
+// worker went silent past the lease TTL. The engine re-dispatches a
+// lost task up to three times, and lease churn never shows up in
+// traces or results.
 var ErrTaskLost = mapreduce.ErrTaskLost
 
 // Distributed-runtime telemetry keys, reported only through
@@ -390,7 +350,7 @@ const (
 // realized per-block resolutions. Attach one via Host.Quality and
 // export the progressive-recall curve and calibration report
 // afterwards with Export — deterministic across worker counts and
-// fault injection, like Tracer.
+// transports, like Tracer.
 type QualityRecorder = quality.Recorder
 
 // QualityExport bundles the derived curve and calibration report for
@@ -401,7 +361,7 @@ type QualityExport = quality.Export
 var NewQualityRecorder = quality.NewRecorder
 
 // LiveRun is the in-flight introspection hub: engines publish task
-// states, attempt/speculation counts, and streamed per-block
+// states, execution counts, and streamed per-block
 // resolutions into it at low, lock-free cost, and
 // the status server reads racefree per-field-atomic snapshots back out.
 // Attach one via Host.Live. Strictly write-only from the run's
@@ -410,8 +370,7 @@ var NewQualityRecorder = quality.NewRecorder
 type LiveRun = live.Run
 
 // LiveEventLog is the structured JSON event log (log/slog) fed by a
-// LiveRun: run/job lifecycle, task transitions, retries and
-// speculation. The deterministic field subset (everything
+// LiveRun: run/job lifecycle and task transitions. The deterministic field subset (everything
 // except seq and wall_ms) is stable across worker counts and edge
 // policies.
 type LiveEventLog = live.EventLog
@@ -466,15 +425,13 @@ var StartLiveProgress = live.StartProgress
 // Resolve and run.end after); everything else is emitted by the
 // engines.
 const (
-	EventRunStart      = live.EventRunStart
-	EventRunEnd        = live.EventRunEnd
-	EventJobStart      = live.EventJobStart
-	EventJobEnd        = live.EventJobEnd
-	EventTaskStart     = live.EventTaskStart
-	EventTaskDone      = live.EventTaskDone
-	EventTaskFailed    = live.EventTaskFailed
-	EventTaskRetry     = live.EventTaskRetry
-	EventTaskSpeculate = live.EventTaskSpeculate
+	EventRunStart   = live.EventRunStart
+	EventRunEnd     = live.EventRunEnd
+	EventJobStart   = live.EventJobStart
+	EventJobEnd     = live.EventJobEnd
+	EventTaskStart  = live.EventTaskStart
+	EventTaskDone   = live.EventTaskDone
+	EventTaskFailed = live.EventTaskFailed
 	// Distributed-runtime events, emitted by a dist.Master's lease
 	// ledger into the same log.
 	EventWorkerRegister = live.EventWorkerRegister

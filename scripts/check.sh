@@ -121,17 +121,16 @@ fi
 echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
-# Fast-fail on the fault-tolerance runtime before the full suite: the
-# attempt layer is where host concurrency and retries interleave, so it
-# gets a dedicated race-enabled pass.
-echo "== go test -race (fault runtime) =="
-go test -race -count=1 ./internal/mapreduce ./internal/faults
+# Fast-fail on the engine before the full suite: it is where host
+# concurrency, spills and lost-lease re-dispatch interleave, so it gets
+# a dedicated race-enabled pass.
+echo "== go test -race (engine) =="
+go test -race -count=1 ./internal/mapreduce
 
 # The task runner is the most concurrency-dense code in the repo (two
-# phases on one bounded pool, the map speculation checks beside the
-# reduce tasks, reduce inputs read by several passes at once) — the
-# map → reduce barrier, the failed-run settlement — so hammer all of it
-# repeatedly under the race detector.
+# phases on one bounded pool, reduce inputs read by several passes at
+# once) — the map → reduce barrier, the failed-run settlement — so
+# hammer all of it repeatedly under the race detector.
 echo "== go test -race (task runner) =="
 go test -race -count=3 -run 'RunTasks|JobGraph|Pipelined|ReduceWaitsForEveryMap|ConcurrentIter' ./internal/mapreduce
 # Tasks borrow their working memory from process-wide pools, and a
@@ -166,25 +165,22 @@ printf '%s\n' "$fuzzlist" |
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
 # telemetry, and the budget run must actually have spilled. The budget
-# run also injects task faults (retries and speculation on top of the
-# budget's one road to disk), and additionally serves the live status
-# server and writes the structured event log, so this one pass also
+# run also serves the live status server and writes the structured event log, so this one pass also
 # gates the §13 live introspection layer: the endpoints must answer
 # while the run is in flight, the mid-run scrape must be Prometheus
 # text, the event log must validate, and none of it may perturb the
-# byte-determinism cmp below. The workload is sized so that the budget run lasts well over
-# half a second on a 2-core box (~1.1 s at n=12000): any shorter, and
-# the curls below race the end of the run.
+# byte-determinism cmp below. The workload is sized so that the budget
+# run lasts well over half a second on a 2-core box (~0.8 s at
+# n=20000): any shorter, and the curls below race the end of the run.
 echo "== bounded-memory + live-introspection smoke =="
 # The polls below may read a log before the background run has opened
 # it, so the logs exist from the start.
 : >"$smoke/stderr.log"
 : >"$smoke/dist-stderr.log"
-go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 20000 -seed 3 -machines 4 \
     -out "$smoke/base.tsv" -quality-out "$smoke/base-quality.json" 2>/dev/null
-go run ./cmd/proger -generate publications -n 12000 -seed 3 -machines 4 \
+go run ./cmd/proger -generate publications -n 20000 -seed 3 -machines 4 \
     -mem-budget 64K -spill-dir "$smoke" -metrics-out "$smoke/budget.prom" \
-    -fault-rate 0.2 -fault-seed 7 \
     -status 127.0.0.1:0 -events "$smoke/events.jsonl" \
     -out "$smoke/budget.tsv" -quality-out "$smoke/budget-quality.json" \
     2>"$smoke/stderr.log" &
@@ -237,10 +233,9 @@ grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/pbudget.prom" || {
 # Distributed-transport smoke: the same workload run single-process and
 # across real OS processes (master + 2 forked workers) must produce
 # byte-identical pairs, trace, and quality telemetry — first clean,
-# then with injected task faults AND a worker process that kills itself
-# after its third lease, so the lease-expiry/re-lease path is exercised
-# end to end, and last with faults heavy enough that speculative backups
-# win on the other worker. The clean local run's trace and quality
+# then with a worker process that kills itself as it takes its second
+# lease, so the lease-expiry/re-lease path is exercised end to end. The
+# clean local run's trace and quality
 # export go through tracecheck (span categories; curve and calibration
 # invariants). The event logs gate the dist event grammar
 # through tracecheck — the clean run with full fleet observability on (status
@@ -288,11 +283,9 @@ go run ./scripts/tracecheck -events "$smoke/dist-events.jsonl"
 grep -q '"event":"lease"' "$smoke/dist-events.jsonl" || {
     echo "distributed run granted no leases — the smoke test is not distributing work"; exit 1; }
 go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
-    -fault-rate 0.2 -fault-seed 7 \
     -out "$smoke/floc.tsv" -trace "$smoke/floc-trace.json" 2>/dev/null
 go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
-    -fault-rate 0.2 -fault-seed 7 \
-    -dist 2 -worker-die-after 3 -lease-ttl 400ms -events "$smoke/fdist-events.jsonl" \
+    -dist 2 -worker-die-after 1 -lease-ttl 400ms -events "$smoke/fdist-events.jsonl" \
     -out "$smoke/fdist.tsv" -trace "$smoke/fdist-trace.json" 2>/dev/null
 cmp "$smoke/floc.tsv" "$smoke/fdist.tsv" || {
     echo "worker loss changed the duplicate pairs"; exit 1; }
@@ -301,16 +294,6 @@ cmp "$smoke/floc-trace.json" "$smoke/fdist-trace.json" || {
 go run ./scripts/tracecheck -events "$smoke/fdist-events.jsonl"
 grep -q '"event":"lease.expire"' "$smoke/fdist-events.jsonl" || {
     echo "killed worker expired no leases — the smoke test is not exercising worker loss"; exit 1; }
-go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
-    -fault-rate 0.3 -fault-seed 3 \
-    -out "$smoke/sloc.tsv" -trace "$smoke/sloc-trace.json" 2>/dev/null
-go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 \
-    -fault-rate 0.3 -fault-seed 3 -dist 2 \
-    -out "$smoke/sdist.tsv" -trace "$smoke/sdist-trace.json" 2>/dev/null
-cmp "$smoke/sloc.tsv" "$smoke/sdist.tsv" || {
-    echo "speculation across workers changed the duplicate pairs"; exit 1; }
-cmp "$smoke/sloc-trace.json" "$smoke/sdist-trace.json" || {
-    echo "speculation across workers changed the trace"; exit 1; }
 
 # The hand-started fleet shape: a -master carrying resolution flags away
 # from their defaults and one worker started with nothing but -worker
@@ -337,14 +320,14 @@ cmp "$smoke/hloc-quality.json" "$smoke/hmaster-quality.json" || {
     echo "a bare worker changed the quality telemetry"; exit 1; }
 
 # Basic baseline smoke: the single-job baseline (-basic) run plain,
-# under a 64K memory budget with injected task faults, and across a
+# under a 64K memory budget, and across a
 # master and 2 forked workers must produce byte-identical pairs and
 # quality telemetry. The budget run must actually have spilled and the
 # fleet run must actually have leased tasks.
 echo "== basic baseline smoke =="
 basic="go run ./cmd/proger -generate publications -n 1000 -seed 5 -machines 2 -basic"
 $basic -out "$smoke/bloc.tsv" -quality-out "$smoke/bloc-quality.json" 2>/dev/null
-$basic -mem-budget 64K -spill-dir "$smoke" -fault-rate 0.2 -fault-seed 7 \
+$basic -mem-budget 64K -spill-dir "$smoke" \
     -metrics-out "$smoke/bbudget.prom" \
     -out "$smoke/bbudget.tsv" -quality-out "$smoke/bbudget-quality.json" 2>/dev/null
 $basic -dist 2 -events "$smoke/bdist-events.jsonl" \
