@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"proger"
 	"proger/internal/clustering"
@@ -45,57 +46,67 @@ type stringList []string
 func (s *stringList) String() string     { return strings.Join(*s, ";") }
 func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 
+// driver is how this process carries a run out and what it writes,
+// never the run's answer: the output and host flags bindDriver defines.
+type driver struct {
+	out, clusters, segments, trace, metricsOut, qualityOut, status, events string
+	memBudget, spillDir, listen, connect                                   string
+	report, progress, master, worker                                       bool
+	alpha, sampleEvery                                                     float64
+	curve, dist, workerDie                                                 int
+	leaseTTL                                                               time.Duration
+}
+
+// bindDriver defines the output and host flags on fs.
+func bindDriver(fs *flag.FlagSet) *driver {
+	d := &driver{}
+	fs.StringVar(&d.out, "out", "", "output path for duplicate pairs (default stdout)")
+	fs.StringVar(&d.clusters, "clusters", "", "also write transitive-closure clusters to this path")
+	fs.BoolVar(&d.report, "report", false, "print per-job diagnostics (summary, timeline, counters)")
+	fs.StringVar(&d.segments, "segments", "", "write α-interval incremental result files to this directory")
+	fs.Float64Var(&d.alpha, "alpha", 500, "segment interval in cost units for -segments")
+	fs.IntVar(&d.curve, "curve", 12, "recall-curve points to print when -truth is given")
+	fs.StringVar(&d.trace, "trace", "", "write a Chrome trace-event JSON timeline to this path (load in Perfetto / chrome://tracing)")
+	fs.StringVar(&d.metricsOut, "metrics-out", "", "write run metrics in Prometheus text format to this path")
+	fs.StringVar(&d.qualityOut, "quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
+	fs.Float64Var(&d.sampleEvery, "sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
+	fs.StringVar(&d.status, "status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
+	fs.StringVar(&d.events, "events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, worker registrations and leases) to this path; \"-\" writes to stderr")
+	fs.BoolVar(&d.progress, "progress", false, "render a single-line live progress indicator on stderr while the run executes")
+	fs.StringVar(&d.memBudget, "mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
+	fs.StringVar(&d.spillDir, "spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
+	fs.IntVar(&d.dist, "dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
+	fs.BoolVar(&d.master, "master", false, "run as a distributed master: serve task leases on -listen, execute nothing locally; each worker (-worker -connect ADDR, no resolution flag) receives this run when it registers")
+	fs.BoolVar(&d.worker, "worker", false, "run as a distributed worker: connect to the master at -connect, resolve the run it hands over, execute leased tasks, write no output; takes no resolution flag")
+	fs.StringVar(&d.listen, "listen", "127.0.0.1:0", "master RPC endpoint: host:port, or unix:/path for a unix socket")
+	fs.StringVar(&d.connect, "connect", "", "master endpoint for -worker, in -listen notation")
+	fs.DurationVar(&d.leaseTTL, "lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
+	fs.IntVar(&d.workerDie, "worker-die-after", 0, "worker-loss harness: a worker exits abruptly as it takes one lease more than this; in -dist mode, applied to the first forked worker")
+	return d
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("proger: ")
 
 	r := bindRun(flag.CommandLine)
-	out := flag.String("out", "", "output path for duplicate pairs (default stdout)")
-	clustersOut := flag.String("clusters", "", "also write transitive-closure clusters to this path")
-	showReport := flag.Bool("report", false, "print per-job diagnostics (summary, timeline, counters)")
-	segmentsDir := flag.String("segments", "", "write α-interval incremental result files to this directory")
-	alpha := flag.Float64("alpha", 500, "segment interval in cost units for -segments")
-	curvePoints := flag.Int("curve", 12, "recall-curve points to print when -truth is given")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this path (load in Perfetto / chrome://tracing)")
-	metricsPath := flag.String("metrics-out", "", "write run metrics in Prometheus text format to this path")
-	qualityOut := flag.String("quality-out", "", "write quality telemetry (progressive-recall curve + calibration report) to this path; a .csv suffix writes the curve as CSV, anything else the full export as JSON")
-	sampleEvery := flag.Float64("sample-every", 0, "progressive-recall sampling interval in cost units for -quality-out (0 = total time / 64)")
-	statusAddr := flag.String("status", "", "serve the live status server on this address while the run executes: /healthz, /progress, /tasks, /membudget, /metrics, /debug/pprof (\":0\" picks a free port)")
-	eventsPath := flag.String("events", "", "write a structured JSON event log (one event per line: run/job lifecycle, task transitions, worker registrations and leases) to this path; \"-\" writes to stderr")
-	showProgress := flag.Bool("progress", false, "render a single-line live progress indicator on stderr while the run executes")
-	memBudget := flag.String("mem-budget", "", "cap tracked shuffle memory at this size (e.g. 64M, 2G; K/M/G suffixes), spilling runs to checksummed run files when exceeded; results are identical")
-	spillDir := flag.String("spill-dir", "", "directory for spill files (default system temp; only used with -mem-budget)")
-	distN := flag.Int("dist", 0, "single-machine distributed run: fork this many worker processes and lease every task execution to them over RPC; results are byte-identical to an in-process run")
-	masterMode := flag.Bool("master", false, "run as a distributed master: serve task leases on -listen, execute nothing locally; each worker (-worker -connect ADDR, no resolution flag) receives this run when it registers")
-	workerMode := flag.Bool("worker", false, "run as a distributed worker: connect to the master at -connect, resolve the run it hands over, execute leased tasks, write no output; takes no resolution flag")
-	listenAddr := flag.String("listen", "127.0.0.1:0", "master RPC endpoint: host:port, or unix:/path for a unix socket")
-	connectAddr := flag.String("connect", "", "master endpoint for -worker, in -listen notation")
-	leaseTTL := flag.Duration("lease-ttl", 0, "declare a worker dead after this long without a heartbeat and re-lease its outstanding tasks (default 10s)")
-	workerDie := flag.Int("worker-die-after", 0, "worker-loss harness: a worker exits abruptly as it takes one lease more than this; in -dist mode, applied to the first forked worker")
+	d := bindDriver(flag.CommandLine)
 	flag.Parse()
 
-	if (*distN > 0 && *masterMode) || (*workerMode && (*distN > 0 || *masterMode)) {
+	if (d.dist > 0 && d.master) || (d.worker && (d.dist > 0 || d.master)) {
 		log.Fatal("-dist, -master, and -worker are mutually exclusive")
 	}
-	distActive := *distN > 0 || *masterMode || *workerMode
-	if *workerMode && *connectAddr == "" {
+	distActive := d.dist > 0 || d.master || d.worker
+	if d.worker && d.connect == "" {
 		log.Fatal("-worker requires -connect ADDR")
 	}
-	if *connectAddr != "" && !*workerMode {
+	if d.connect != "" && !d.worker {
 		log.Fatal("-connect only applies to -worker mode")
 	}
-	if distActive && *memBudget != "" {
+	if distActive && d.memBudget != "" {
 		log.Fatal("distributed modes are incompatible with -mem-budget (run files are the out-of-core path)")
 	}
-	if *workerMode {
-		runFlags := flag.NewFlagSet("", flag.ContinueOnError)
-		bindRun(runFlags)
-		flag.Visit(func(f *flag.Flag) {
-			if runFlags.Lookup(f.Name) != nil {
-				log.Fatalf("-%s: a worker resolves the run its master hands over and takes no resolution flag", f.Name)
-			}
-		})
-	} else if err := r.refuseUnread(flag.CommandLine); err != nil {
+	if err := d.refuseUnread(flag.CommandLine, r); err != nil {
 		log.Fatal(err)
 	}
 	var (
@@ -103,24 +114,24 @@ func main() {
 		metrics *proger.MetricsRegistry
 		qrec    *proger.QualityRecorder
 	)
-	if *tracePath != "" {
+	if d.trace != "" {
 		tracer = proger.NewTracer()
 	}
-	if *metricsPath != "" || *showReport || *statusAddr != "" || *workerMode {
+	if d.metricsOut != "" || d.report || d.status != "" || d.worker {
 		// Workers always keep a registry: its counters feed the telemetry
 		// snapshot each heartbeat ships to the master's fleet table.
 		metrics = proger.NewMetricsRegistry()
 	}
-	if *qualityOut != "" || *showReport || *statusAddr != "" {
+	if d.qualityOut != "" || d.report || d.status != "" {
 		qrec = proger.NewQualityRecorder()
 	}
 
 	var elog *proger.LiveEventLog
 	var eventsSink *bufio.Writer
-	if *eventsPath != "" {
+	if d.events != "" {
 		w := io.Writer(os.Stderr)
-		if *eventsPath != "-" {
-			f, err := os.Create(*eventsPath)
+		if d.events != "-" {
+			f, err := os.Create(d.events)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -135,11 +146,11 @@ func main() {
 	// into the master's -events file under this worker's proc identity.
 	// (If the master keeps no event log, drained lines are discarded.)
 	var relay *proger.LiveEventLog
-	if *workerMode && elog == nil {
+	if d.worker && elog == nil {
 		relay = proger.NewRelayEventLog(0)
 	}
 	var lvRun *proger.LiveRun
-	if *statusAddr != "" || elog != nil || relay != nil || *showProgress || *showReport {
+	if d.status != "" || elog != nil || relay != nil || d.progress || d.report {
 		// -report also wants a live hub: the run summary's membudget
 		// pressure section reads the attached manager's snapshot.
 		runLog := elog
@@ -149,8 +160,8 @@ func main() {
 		lvRun = proger.NewLiveRun(runLog)
 	}
 	var statusSrv *proger.StatusServer
-	if *statusAddr != "" {
-		srv, err := proger.ServeStatus(*statusAddr, lvRun, metrics)
+	if d.status != "" {
+		srv, err := proger.ServeStatus(d.status, lvRun, metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -164,10 +175,10 @@ func main() {
 		transport proger.TaskTransport
 		dworker   *dist.Worker
 	)
-	if *workerMode {
+	if d.worker {
 		w, werr := dist.NewWorker(dist.WorkerOptions{
-			Connect:    *connectAddr,
-			OnLease:    dieAfter(*workerDie),
+			Connect:    d.connect,
+			OnLease:    dieAfter(d.workerDie),
 			Relay:      relay,
 			Metrics:    metrics,
 			StatusAddr: statusSrv.Addr(),
@@ -183,7 +194,7 @@ func main() {
 		r.Truth = "" // recall is the master's to report
 	}
 
-	budgetBytes, sizeErr := parseSize(*memBudget)
+	budgetBytes, sizeErr := parseSize(d.memBudget)
 	if sizeErr != nil {
 		log.Fatal(sizeErr)
 	}
@@ -206,7 +217,7 @@ func main() {
 		proger.EventKV("machines", r.Machines),
 		proger.EventKV("slots", r.Slots))
 	renderer := (*proger.LiveProgressRenderer)(nil)
-	if *showProgress {
+	if d.progress {
 		renderer = proger.StartLiveProgress(os.Stderr, lvRun, 0)
 	}
 
@@ -217,14 +228,14 @@ func main() {
 		dmaster *dist.Master
 		workers *fleet
 	)
-	if *masterMode || *distN > 0 {
+	if d.master || d.dist > 0 {
 		encoded, merr := r.encode()
 		if merr != nil {
 			log.Fatalf("encoding the run for its workers: %v", merr)
 		}
 		m, merr := dist.NewMaster(dist.MasterOptions{
-			Listen:   *listenAddr,
-			LeaseTTL: *leaseTTL,
+			Listen:   d.listen,
+			LeaseTTL: d.leaseTTL,
 			Metrics:  metrics,
 			Log:      elog,
 			Run:      encoded,
@@ -236,10 +247,10 @@ func main() {
 		// The master's fleet table backs the status server's /fleet
 		// endpoint and the -report fleet summary.
 		lvRun.AttachFleet(m)
-		if *masterMode {
+		if d.master {
 			fmt.Fprintf(os.Stderr, "proger: master serving task leases on %s\n", m.Addr())
 		}
-		workers = forkWorkers(*distN, m.Addr(), *workerDie, *statusAddr != "")
+		workers = forkWorkers(d.dist, m.Addr(), d.workerDie, d.status != "")
 	}
 
 	var (
@@ -253,7 +264,7 @@ func main() {
 		Quality:   qrec,
 		Live:      lvRun,
 		MemBudget: budgetBytes,
-		SpillDir:  *spillDir,
+		SpillDir:  d.spillDir,
 	}
 	if r.Basic {
 		opts := wl.BasicOptions(r.Machines, r.Window, r.Popcorn)
@@ -288,15 +299,15 @@ func main() {
 		proger.EventKV("total_cost", res.TotalTime))
 	flushEvents(eventsSink)
 
-	if *workerMode {
+	if d.worker {
 		// A worker computes the same Result as the master (it resolves
 		// the master's run) but the master's process owns every output.
 		return
 	}
 
-	writePairs(*out, res)
-	if *clustersOut != "" {
-		writeClusters(*clustersOut, res, ds.Len())
+	writePairs(d.out, res)
+	if d.clusters != "" {
+		writeClusters(d.clusters, res, ds.Len())
 	}
 	fmt.Fprintf(os.Stderr, "proger: %d duplicate pairs in %.0f simulated cost units\n",
 		len(res.Duplicates), res.TotalTime)
@@ -308,43 +319,43 @@ func main() {
 			metrics.Counter(proger.CounterBudgetForcedSpills).Value(),
 			float64(metrics.Counter(proger.CounterBudgetSpilledBytes).Value()))
 	}
-	if *showReport {
+	if d.report {
 		printReport(res)
 		if err := report.WriteRunSummary(os.Stderr, tracer, metrics, qrec, lvRun.Budget(), lvRun.Fleet()); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if *tracePath != "" {
-		writeFileWith(*tracePath, tracer.WriteChromeTrace)
-		fmt.Fprintf(os.Stderr, "proger: wrote %d trace spans to %s\n", tracer.Len(), *tracePath)
+	if d.trace != "" {
+		writeFileWith(d.trace, tracer.WriteChromeTrace)
+		fmt.Fprintf(os.Stderr, "proger: wrote %d trace spans to %s\n", tracer.Len(), d.trace)
 	}
-	if *metricsPath != "" {
-		writeFileWith(*metricsPath, metrics.WritePrometheus)
-		fmt.Fprintf(os.Stderr, "proger: wrote metrics to %s\n", *metricsPath)
+	if d.metricsOut != "" {
+		writeFileWith(d.metricsOut, metrics.WritePrometheus)
+		fmt.Fprintf(os.Stderr, "proger: wrote metrics to %s\n", d.metricsOut)
 	}
-	if *qualityOut != "" {
-		exp := qrec.Export(proger.CostUnits(*sampleEvery))
-		if strings.HasSuffix(*qualityOut, ".csv") {
-			writeFileWith(*qualityOut, exp.Curve.WriteCSV)
+	if d.qualityOut != "" {
+		exp := qrec.Export(proger.CostUnits(d.sampleEvery))
+		if strings.HasSuffix(d.qualityOut, ".csv") {
+			writeFileWith(d.qualityOut, exp.Curve.WriteCSV)
 		} else {
-			writeFileWith(*qualityOut, exp.WriteJSON)
+			writeFileWith(d.qualityOut, exp.WriteJSON)
 		}
 		fmt.Fprintf(os.Stderr, "proger: wrote quality telemetry (%d curve points, %d calibration rows, AUC %.3f) to %s\n",
-			len(exp.Curve.Points), len(exp.Calibration.Blocks), exp.Curve.AUC, *qualityOut)
+			len(exp.Curve.Points), len(exp.Calibration.Blocks), exp.Curve.AUC, d.qualityOut)
 	}
-	if *segmentsDir != "" {
-		nFiles, err := report.WriteSegments(res.Job2, *alpha, *segmentsDir)
+	if d.segments != "" {
+		nFiles, err := report.WriteSegments(res.Job2, d.alpha, d.segments)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "proger: wrote %d incremental segment files to %s\n", nFiles, *segmentsDir)
+		fmt.Fprintf(os.Stderr, "proger: wrote %d incremental segment files to %s\n", nFiles, d.segments)
 	}
 
 	if gt != nil {
 		curve := proger.BuildCurve(res.EventsAgainst(gt.IsDup), gt.NumDupPairs(), res.TotalTime)
 		fmt.Fprintf(os.Stderr, "proger: final duplicate recall %.3f (of %d true pairs)\n",
 			curve.FinalRecall(), gt.NumDupPairs())
-		grid := quality.Grid(res.TotalTime, *curvePoints)
+		grid := quality.Grid(res.TotalTime, d.curve)
 		for i, recall := range curve.Sample(grid) {
 			fmt.Fprintf(os.Stderr, "proger:   t=%12.0f  recall=%.3f\n", grid[i], recall)
 		}

@@ -378,8 +378,10 @@ func TestHandStartedWorkerTakesTheMastersRun(t *testing.T) {
 	}
 }
 
-// TestUnreadFlagsAreRefused: a resolution flag that the chosen pipeline
-// never reads is an error naming it, not a setting silently dropped.
+// TestUnreadFlagsAreRefused: a flag that the run never reads — a
+// resolution flag the chosen pipeline ignores, or an output or host
+// flag the process's mode ignores — is an error naming it, not a
+// setting silently dropped.
 func TestUnreadFlagsAreRefused(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -401,17 +403,41 @@ func TestUnreadFlagsAreRefused(t *testing.T) {
 		{[]string{"-generate", "people", "-seed", "3"}, "-seed"},
 		{[]string{"-generate", "people", "-machines", "2"}, ""},
 		{nil, ""},
+		{[]string{"-alpha", "100"}, "-alpha"},
+		{[]string{"-segments", "segs", "-alpha", "100"}, ""},
+		{[]string{"-sample-every", "10"}, "-sample-every"},
+		{[]string{"-quality-out", "q.json", "-sample-every", "10"}, ""},
+		{[]string{"-spill-dir", "spill"}, "-spill-dir"},
+		{[]string{"-mem-budget", "64K", "-spill-dir", "spill"}, ""},
+		{[]string{"-lease-ttl", "1s"}, "-lease-ttl"},
+		{[]string{"-listen", "unix:m.sock"}, "-listen"},
+		{[]string{"-master", "-listen", "unix:m.sock", "-lease-ttl", "1s"}, ""},
+		{[]string{"-dist", "2", "-lease-ttl", "1s", "-worker-die-after", "1"}, ""},
+		{[]string{"-worker-die-after", "1"}, "-worker-die-after"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-worker-die-after", "1", "-status", "127.0.0.1:0"}, ""},
+		{[]string{"-input", "x.tsv", "-curve", "5"}, "-curve"},
+		{[]string{"-input", "x.tsv", "-truth", "t.tsv", "-curve", "5"}, ""},
+		{[]string{"-curve", "5"}, ""},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-window", "3"}, "-window"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-out", "w.out", "-trace", "w.trace"}, "-out"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-clusters", "w.clusters"}, "-clusters"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-report"}, "-report"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-segments", "segs"}, "-segments"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-trace", "w.trace"}, "-trace"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-metrics-out", "w.prom"}, "-metrics-out"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-quality-out", "w.json"}, "-quality-out"},
+		{[]string{"-worker", "-connect", "unix:m.sock", "-curve", "5"}, "-curve"},
 	} {
 		fs := flag.NewFlagSet("proger", flag.ContinueOnError)
-		r := bindRun(fs)
+		r, d := bindRun(fs), bindDriver(fs)
 		args := c.args
-		if !slices.Contains(args, "-input") && !slices.Contains(args, "-generate") {
+		if !slices.Contains(args, "-input") && !slices.Contains(args, "-generate") && !slices.Contains(args, "-worker") {
 			args = append([]string{"-generate", "publications"}, args...)
 		}
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		err := r.refuseUnread(fs)
+		err := d.refuseUnread(fs, r)
 		switch {
 		case c.refuse == "" && err != nil:
 			t.Errorf("%q: refused: %v", c.args, err)

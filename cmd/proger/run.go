@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"proger/internal/experiments"
@@ -47,11 +48,9 @@ func bindRun(fs *flag.FlagSet) *run {
 	return r
 }
 
-// refuseUnread returns an error naming a flag set on fs that r's
-// pipeline never reads, or nil.
-func (r *run) refuseUnread(fs *flag.FlagSet) error {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// refuseUnread returns an error naming a resolution flag in set that
+// r's pipeline never reads, or nil.
+func (r *run) refuseUnread(set map[string]bool) error {
 	switch {
 	case set["match-threshold"] && !set["rule"]:
 		return errors.New("-match-threshold sets the threshold of a -rule matcher; without -rule the workload's matcher keeps its own")
@@ -93,3 +92,46 @@ func decodeRun(b []byte) (*run, error) {
 	}
 	return r, nil
 }
+
+// refuseUnread returns an error naming a flag set on fs that this
+// process never reads, or nil: a resolution flag r's pipeline ignores
+// (on a worker, any: it resolves its master's run), or an output or
+// host flag d's mode ignores.
+func (d *driver) refuseUnread(fs *flag.FlagSet, r *run) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if d.worker {
+		runFlags := flag.NewFlagSet("", flag.ContinueOnError)
+		bindRun(runFlags)
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && (runFlags.Lookup(f.Name) != nil || slices.Contains(workerOutputs, f.Name)) {
+				err = fmt.Errorf("-%s: a worker resolves the run its master hands over, takes no resolution flag and writes no output", f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	} else if err := r.refuseUnread(set); err != nil {
+		return err
+	}
+	switch {
+	case set["alpha"] && d.segments == "":
+		return errors.New("-alpha is the interval of -segments files")
+	case set["sample-every"] && d.qualityOut == "":
+		return errors.New("-sample-every is the sampling interval of -quality-out")
+	case set["spill-dir"] && d.memBudget == "":
+		return errors.New("-spill-dir holds -mem-budget spill files; without -mem-budget nothing spills")
+	case (set["lease-ttl"] || set["listen"]) && !d.master && d.dist == 0:
+		return errors.New("-lease-ttl and -listen apply only to a master (-master or -dist)")
+	case set["worker-die-after"] && !d.worker && d.dist == 0:
+		return errors.New("-worker-die-after applies only to -worker or -dist")
+	case set["curve"] && r.Input != "" && r.Truth == "":
+		return errors.New("-curve sizes the recall curve, which needs the ground truth of -truth")
+	}
+	return nil
+}
+
+// workerOutputs are the output flags a worker never reads: its master's
+// process writes every output of the run.
+var workerOutputs = []string{"out", "clusters", "report", "segments", "trace", "metrics-out", "quality-out", "curve"}

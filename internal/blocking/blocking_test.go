@@ -458,19 +458,6 @@ func TestRunJob1DeterministicOnGeneratedData(t *testing.T) {
 	}
 }
 
-func TestBlockIDTreeKey(t *testing.T) {
-	fs := peopleFamilies()
-	id := BlockID{Family: 0, Level: 3, Key: "johnl"}
-	root := id.TreeKey(fs)
-	if root.Key != "jo" || root.Level != 1 || root.Family != 0 {
-		t.Errorf("TreeKey = %+v", root)
-	}
-	short := BlockID{Family: 0, Level: 2, Key: "a"}
-	if got := short.TreeKey(fs); got.Key != "a" {
-		t.Errorf("short TreeKey = %+v", got)
-	}
-}
-
 func TestWalkAndDescendants(t *testing.T) {
 	root := &Block{ID: BlockID{Key: "r"}}
 	c1 := &Block{ID: BlockID{Key: "c1"}, Parent: root}

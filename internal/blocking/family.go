@@ -237,10 +237,3 @@ type BlockID struct {
 func (b BlockID) String() string {
 	return "F" + strconv.Itoa(int(b.Family)) + ".L" + strconv.Itoa(int(b.Level)) + "(" + b.Key + ")"
 }
-
-// TreeKey returns the BlockID of the tree root this block descends
-// from, under prefix nesting (the root key is the block key truncated
-// to the family's level-1 prefix length).
-func (b BlockID) TreeKey(fams Families) BlockID {
-	return BlockID{Family: b.Family, Level: 1, Key: fams[b.Family].Shallower(b.Key, 1)}
-}

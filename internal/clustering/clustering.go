@@ -119,14 +119,3 @@ func EvaluatePairs(found entity.PairSet, isDup func(entity.Pair) bool, totalTrue
 	}
 	return m
 }
-
-// ClosurePairs returns the number of pairs implied by the clusters —
-// after transitive closure, the pair count can exceed the directly
-// resolved count (closure infers pairs the matcher never compared).
-func ClosurePairs(clusters [][]entity.ID) int64 {
-	var n int64
-	for _, c := range clusters {
-		n += entity.Pairs(len(c))
-	}
-	return n
-}

@@ -29,37 +29,3 @@ func WriteClusters(w io.Writer, clusters [][]entity.ID) error {
 	}
 	return bw.Flush()
 }
-
-// ReadClusters parses a file written by WriteClusters.
-func ReadClusters(r io.Reader) ([][]entity.ID, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("clustering: empty cluster input")
-	}
-	if got := sc.Text(); got != "#cluster\tmembers" {
-		return nil, fmt.Errorf("clustering: bad header %q", got)
-	}
-	var out [][]entity.ID
-	line := 1
-	for sc.Scan() {
-		line++
-		parts := strings.Split(sc.Text(), "\t")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("clustering: line %d malformed", line)
-		}
-		var members []entity.ID
-		for _, s := range strings.Split(parts[1], ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("clustering: line %d: bad member %q", line, s)
-			}
-			members = append(members, entity.ID(id))
-		}
-		out = append(out, members)
-	}
-	return out, sc.Err()
-}

@@ -187,10 +187,10 @@ func ResolveBasic(ds *entity.Dataset, opts BasicOptions) (*Result, error) {
 		Cluster:        cluster,
 		Cost:           costmodel.Default(),
 	}
-	mgr := opts.configure(&cfg)
+	opts.configure(&cfg)
 	jobRes, err := mapreduce.Run(cfg, blocking.MakeJob1Input(ds), 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: basic job: %w", err)
 	}
-	return newResult(jobRes, opts.Metrics, mgr)
+	return newResult(jobRes, opts.Metrics)
 }

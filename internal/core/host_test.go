@@ -52,8 +52,9 @@ func TestHostReachesEveryJob(t *testing.T) {
 	}
 
 	var job1, job2, basic mapreduce.Config
-	runMgr := h.configure(&job1, &job2)
-	basicMgr := h.configure(&basic)
+	h.configure(&job1, &job2)
+	h.configure(&basic)
+	runMgr, basicMgr := job1.MemBudget, basic.MemBudget
 	if runMgr == nil || basicMgr == nil {
 		t.Fatal("configure made no budget manager for MemBudget > 0")
 	}

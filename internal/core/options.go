@@ -78,9 +78,8 @@ type Host struct {
 // run's memory-budget manager, attaches it and the quality recorder to
 // the live layer before any job starts (so /membudget and the recall
 // denominators are readable from the first scrape), and fills the host
-// fields of every job's config. It returns the manager (nil without a
-// budget).
-func (h *Host) configure(jobs ...*mapreduce.Config) *membudget.Manager {
+// fields of every job's config.
+func (h *Host) configure(jobs ...*mapreduce.Config) {
 	var mgr *membudget.Manager
 	if h.MemBudget > 0 {
 		mgr = membudget.New(h.MemBudget)
@@ -98,7 +97,6 @@ func (h *Host) configure(jobs ...*mapreduce.Config) *membudget.Manager {
 		c.MemBudget = mgr
 		c.SpillDir = h.SpillDir
 	}
-	return mgr
 }
 
 // Options configures the full pipeline.

@@ -11,6 +11,7 @@ import (
 	"proger/internal/mapreduce"
 	"proger/internal/mechanism"
 	"proger/internal/obs"
+	"proger/internal/obs/live"
 	"proger/internal/obs/quality"
 	"proger/internal/sched"
 )
@@ -90,7 +91,7 @@ func TestResolveBudgetMatchesInMemory(t *testing.T) {
 				if m.Counter(mapreduce.CounterBudgetForcedSpills).Value() > 0 {
 					sawPressure = true
 				}
-				if m.Gauge(GaugeMemBudgetChargedBytes).Value() <= 0 {
+				if m.Gauge(mapreduce.GaugeMemBudgetChargedBytes).Value() <= 0 {
 					t.Error("charged-bytes gauge not set under a budget")
 				}
 			})
@@ -130,5 +131,58 @@ func TestResolveBasicBudgetMatchesInMemory(t *testing.T) {
 		if !reflect.DeepEqual(res, ref) {
 			t.Errorf("workers=%d: Basic result diverged under budget", workers)
 		}
+	}
+}
+
+// TestBudgetTelemetryIsTheManagersLedger: the run's budget manager is
+// its one ledger. After Resolve and after ResolveBasic on publications
+// under a 64 KiB budget, the registry's four budget values equal the
+// manager's Snapshot as the live layer reads it, field for field.
+func TestBudgetTelemetryIsTheManagersLedger(t *testing.T) {
+	ds, gt := datagen.Publications(datagen.DefaultPublications(2000, 3))
+	host := func() Host {
+		return Host{MemBudget: 64 << 10, SpillDir: t.TempDir(), Metrics: obs.NewRegistry(), Live: live.NewRun(nil)}
+	}
+	opts := pubOptions(ds, gt, 4)
+	opts.Host = host()
+	basic := BasicOptions{
+		Families:        opts.Families,
+		Matcher:         pubMatcher(),
+		Mechanism:       mechanism.SN{},
+		Window:          15,
+		Machines:        4,
+		SlotsPerMachine: 2,
+		Host:            host(),
+	}
+	for _, run := range []struct {
+		name string
+		h    *Host
+		do   func() error
+	}{
+		{"resolve", &opts.Host, func() error { _, err := Resolve(ds, opts); return err }},
+		{"basic", &basic.Host, func() error { _, err := ResolveBasic(ds, basic); return err }},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			if err := run.do(); err != nil {
+				t.Fatal(err)
+			}
+			b, m := run.h.Live.Budget(), run.h.Metrics
+			if b.ForcedSpills == 0 {
+				t.Fatal("the 64 KiB budget forced no spill")
+			}
+			for _, v := range []struct {
+				name      string
+				got, want float64
+			}{
+				{mapreduce.CounterBudgetForcedSpills, float64(m.Counter(mapreduce.CounterBudgetForcedSpills).Value()), float64(b.ForcedSpills)},
+				{mapreduce.CounterBudgetSpilledBytes, float64(m.Counter(mapreduce.CounterBudgetSpilledBytes).Value()), float64(b.SpilledBytes)},
+				{mapreduce.GaugeMemBudgetPeakBytes, m.Gauge(mapreduce.GaugeMemBudgetPeakBytes).Value(), float64(b.Peak)},
+				{mapreduce.GaugeMemBudgetChargedBytes, m.Gauge(mapreduce.GaugeMemBudgetChargedBytes).Value(), float64(b.ChargedTotal)},
+			} {
+				if v.got != v.want {
+					t.Errorf("%s = %v, manager holds %v", v.name, v.got, v.want)
+				}
+			}
+		})
 	}
 }

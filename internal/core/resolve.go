@@ -9,7 +9,6 @@ import (
 	"proger/internal/entity"
 	"proger/internal/estimate"
 	"proger/internal/mapreduce"
-	"proger/internal/membudget"
 	"proger/internal/obs"
 	"proger/internal/obs/quality"
 	"proger/internal/sched"
@@ -93,7 +92,7 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 		Cluster:        cluster,
 		Cost:           cost,
 	}
-	mgr := opts.configure(&job1Cfg, &job2Cfg)
+	opts.configure(&job1Cfg, &job2Cfg)
 
 	// ---- Job 1: progressive blocking + statistics ----
 	job1Res, err := mapreduce.Run(job1Cfg, input, 0)
@@ -140,7 +139,7 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("core: job 2: %w", err)
 	}
-	res, err := newResult(job2Res, opts.Metrics, mgr)
+	res, err := newResult(job2Res, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +150,10 @@ func resolve(ds *entity.Dataset, input []mapreduce.KeyValue, opts Options) (*Res
 
 // newResult builds the Result of a run whose last job is last — every
 // output record of it is one duplicate pair, found once — and sets the
-// pipeline gauges.
-func newResult(last *mapreduce.Result, m *obs.Registry, mgr *membudget.Manager) (*Result, error) {
+// pipeline's total-time gauge.
+func newResult(last *mapreduce.Result, m *obs.Registry) (*Result, error) {
 	if m != nil {
 		m.Gauge(GaugePipelineTotalTime).Set(float64(last.End))
-		if mgr != nil {
-			m.Gauge(GaugeMemBudgetPeakBytes).Set(float64(mgr.Peak()))
-			m.Gauge(GaugeMemBudgetChargedBytes).Set(float64(mgr.ChargedTotal()))
-		}
 	}
 	found := len(last.Output)
 	res := &Result{

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"proger/internal/costmodel"
 	"proger/internal/obs"
@@ -126,27 +125,5 @@ func (c *Counters) Merge(other Counters) {
 	}
 }
 
-// Clone returns an independent copy of the counters (nil for nil).
-func (c Counters) Clone() Counters {
-	if c == nil {
-		return nil
-	}
-	out := make(Counters, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
 // Get returns the counter value (0 if absent).
 func (c Counters) Get(name string) int64 { return c[name] }
-
-// Names returns the counter names in sorted order.
-func (c Counters) Names() []string {
-	names := make([]string, 0, len(c))
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}

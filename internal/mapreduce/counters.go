@@ -18,13 +18,20 @@ const (
 	CounterReduceInGroups  = "mr.reduce.in_groups"
 	// CounterReduceOutRecords counts records emitted by reduce functions.
 	CounterReduceOutRecords = "mr.reduce.out_records"
-	// Budget-forced spill activity across this job's shuffle stores:
-	// how often the process-wide memory budget (Config.MemBudget)
-	// squeezed buffered runs to disk and how many tracked bytes moved.
-	// Memory pressure is a host condition, so these report only through Config.Metrics, never
-	// Result.Counters.
+	// Budget-forced spill activity during this job: how often the
+	// process-wide memory budget (Config.MemBudget) squeezed buffered
+	// runs to disk and how many tracked bytes moved, read off the
+	// manager's Snapshot. Memory pressure is a host condition, so these
+	// report only through Config.Metrics, never Result.Counters.
 	CounterBudgetForcedSpills = "mr.membudget.forced_spills"
 	CounterBudgetSpilledBytes = "mr.membudget.spilled_bytes"
+	// GaugeMemBudgetPeakBytes and GaugeMemBudgetChargedBytes report the
+	// budget manager's high-water mark of tracked bytes and the
+	// cumulative bytes charged across the run so far (the raw shuffle
+	// volume), set by every job from the manager's Snapshot. Registry
+	// only, like the forced-spill counters.
+	GaugeMemBudgetPeakBytes    = "pipeline.membudget_peak_bytes"
+	GaugeMemBudgetChargedBytes = "pipeline.membudget_charged_bytes"
 	// Distributed-runtime counters, maintained by the master's lease
 	// ledger: worker processes registered, task leases granted, leases
 	// expired after heartbeat loss, and raw RPC bytes moved over the

@@ -49,6 +49,9 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	// introspection is off — all its methods no-op — and nothing below
 	// ever reads it back, so it cannot perturb the deterministic run.
 	lj := cfg.Live.StartJob(cfg.Name, cfg.NumMapTasks, cfg.NumReduceTasks)
+	// The budget ledger as the job starts: the metrics block reports the
+	// job's spills as the difference.
+	budget0 := cfg.MemBudget.Snapshot()
 
 	// Task execution: one two-phase runner fills phaseOutputs whoever
 	// runs the task bodies (this process, or workers leased by a remote
@@ -158,17 +161,15 @@ func Run(cfg Config, input []KeyValue, startAt costmodel.Units) (*Result, error)
 	if m := cfg.Metrics; m != nil {
 		m.AddCounters(counters)
 		if cfg.MemBudget != nil {
-			// Budget-forced spill stats are pure memory-pressure artifacts
-			// of the host, so they live in the metrics registry, not in the
-			// deterministic Result.Counters.
-			var forced, bytes int64
-			for _, st := range po.stores {
-				f, b := st.budgetStats()
-				forced += f
-				bytes += b
-			}
-			m.Counter(CounterBudgetForcedSpills).Add(forced)
-			m.Counter(CounterBudgetSpilledBytes).Add(bytes)
+			// Budget pressure is a host condition, so it lives in the
+			// metrics registry, not in the deterministic Result.Counters.
+			// The spills are this job's: a run's jobs run one after
+			// another, each closing its stores before Run returns.
+			b := cfg.MemBudget.Snapshot()
+			m.Counter(CounterBudgetForcedSpills).Add(b.ForcedSpills - budget0.ForcedSpills)
+			m.Counter(CounterBudgetSpilledBytes).Add(b.SpilledBytes - budget0.SpilledBytes)
+			m.Gauge(GaugeMemBudgetPeakBytes).Set(float64(b.Peak))
+			m.Gauge(GaugeMemBudgetChargedBytes).Set(float64(b.ChargedTotal))
 		}
 		h := m.Histogram(HistTaskCostUnits)
 		for _, c := range mapCosts {

@@ -478,11 +478,8 @@ func TestCountersMergeAndNames(t *testing.T) {
 	a := Counters{"x": 1, "y": 2}
 	b := Counters{"y": 3, "z": 4}
 	a.Merge(b)
-	if a.Get("y") != 5 || a.Get("z") != 4 || a.Get("x") != 1 {
-		t.Errorf("merge result %v", a)
-	}
-	if !reflect.DeepEqual(a.Names(), []string{"x", "y", "z"}) {
-		t.Errorf("names = %v", a.Names())
+	if want := (Counters{"x": 1, "y": 5, "z": 4}); !reflect.DeepEqual(a, want) {
+		t.Errorf("merge result %v, want %v", a, want)
 	}
 }
 

@@ -436,8 +436,8 @@ func TestJobGraphShuffleFailureLeavesNoSpill(t *testing.T) {
 			if len(entries) != 0 {
 				t.Errorf("%d entries left under SpillDir after the failed run", len(entries))
 			}
-			if used := cfg.MemBudget.Used(); used != 0 {
-				t.Errorf("MemBudget.Used() = %d after the failed run, want 0", used)
+			if used := cfg.MemBudget.Snapshot().Used; used != 0 {
+				t.Errorf("tracked bytes = %d after the failed run, want 0", used)
 			}
 		})
 	}

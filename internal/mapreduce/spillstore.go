@@ -118,10 +118,6 @@ type partitionStore struct {
 	total   int
 	readers int // live iterators; pins memory runs against spilling
 	closed  bool
-
-	// Budget-pressure driven, reported only through the metrics registry.
-	forcedSpills int64
-	spilledBytes int64
 }
 
 // newPartitionStore creates the store for reduce partition r. Under a
@@ -188,10 +184,6 @@ func (st *partitionStore) budgetSpill() (int64, error) {
 			return 0, fmt.Errorf("mapreduce: %s shuffle for reduce %d: %w", st.job, st.r, err)
 		}
 		freed += run.bytes
-	}
-	if freed > 0 {
-		st.forcedSpills++
-		st.spilledBytes += freed
 	}
 	return freed, nil
 }
@@ -290,14 +282,6 @@ func commitRunFile(dir, name string, c *obs.Counter, write func(*runFile) error)
 		os.Remove(f.Name())
 	}
 	return err
-}
-
-// budgetStats reports the budget-pressure spill activity (forced spill
-// count, bytes moved to disk) for the metrics registry.
-func (st *partitionStore) budgetStats() (int64, int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.forcedSpills, st.spilledBytes
 }
 
 // Len is the number of records the store's runs hold.

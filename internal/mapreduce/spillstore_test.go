@@ -170,8 +170,8 @@ func TestSpillStoreCloseRemovesFiles(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Used() != 0 {
-		t.Fatalf("tracked bytes after Close = %d, want 0", mgr.Used())
+	if used := mgr.Snapshot().Used; used != 0 {
+		t.Fatalf("tracked bytes after Close = %d, want 0", used)
 	}
 	entries, err := os.ReadDir(cfg.SpillDir)
 	if err != nil {
@@ -339,17 +339,53 @@ func TestBudgetRunRecordsPressure(t *testing.T) {
 	if _, err := Run(cfg, in, 0); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.ForcedSpills() == 0 {
+	b := mgr.Snapshot()
+	if b.ForcedSpills == 0 {
 		t.Error("no forced spills under a tight budget")
 	}
-	if mgr.Peak() > mgr.Budget() {
-		t.Errorf("tracked peak %d exceeded budget %d", mgr.Peak(), mgr.Budget())
+	if b.Peak > b.Budget {
+		t.Errorf("tracked peak %d exceeded budget %d", b.Peak, b.Budget)
 	}
-	if mgr.ChargedTotal() <= mgr.Budget() {
-		t.Errorf("charged total %d should exceed the %d budget for this workload", mgr.ChargedTotal(), mgr.Budget())
+	if b.ChargedTotal <= b.Budget {
+		t.Errorf("charged total %d should exceed the %d budget for this workload", b.ChargedTotal, b.Budget)
 	}
 	if cfg.Metrics.Counter(CounterBudgetForcedSpills).Value() == 0 {
 		t.Error("budget spill counter not exported to the registry")
+	}
+}
+
+// TestBudgetCountersAreTheManagersLedger: two jobs run in turn on one
+// manager and one registry, as a pipeline's jobs do. Each job adds its
+// own spills, so the registry's counters end equal to the manager's
+// totals, and the gauges hold the manager's peak and charged bytes.
+func TestBudgetCountersAreTheManagersLedger(t *testing.T) {
+	mgr, reg := membudget.New(64), obs.NewRegistry()
+	for i := 0; i < 2; i++ {
+		cfg := wordCountConfig(2)
+		cfg.Name = fmt.Sprintf("job%d", i)
+		cfg.MemBudget, cfg.Metrics, cfg.SpillDir = mgr, reg, t.TempDir()
+		if _, err := Run(cfg, wordCountInput(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && reg.Counter(CounterBudgetForcedSpills).Value() == 0 {
+			t.Fatal("the first job forced no spill")
+		}
+	}
+	b := mgr.Snapshot()
+	if b.ForcedSpills == 0 || b.Used != 0 {
+		t.Fatalf("manager after two jobs: %+v, want spills and nothing held", b)
+	}
+	if got := reg.Counter(CounterBudgetForcedSpills).Value(); got != b.ForcedSpills {
+		t.Errorf("forced-spills counter = %d, manager = %d", got, b.ForcedSpills)
+	}
+	if got := reg.Counter(CounterBudgetSpilledBytes).Value(); got != b.SpilledBytes {
+		t.Errorf("spilled-bytes counter = %d, manager = %d", got, b.SpilledBytes)
+	}
+	if got := reg.Gauge(GaugeMemBudgetPeakBytes).Value(); got != float64(b.Peak) {
+		t.Errorf("peak gauge = %v, manager = %d", got, b.Peak)
+	}
+	if got := reg.Gauge(GaugeMemBudgetChargedBytes).Value(); got != float64(b.ChargedTotal) {
+		t.Errorf("charged gauge = %v, manager = %d", got, b.ChargedTotal)
 	}
 }
 
@@ -550,13 +586,10 @@ func TestCommittedMapRunsLeavePhaseOutputs(t *testing.T) {
 					t.Errorf("map task %d's runs are still reachable from phaseOutputs", m)
 				}
 			}
-			var forced int64
 			for _, st := range po.stores {
-				f, _ := st.budgetStats()
-				forced += f
 				st.Close()
 			}
-			if budget && forced == 0 {
+			if budget && cfg.MemBudget.Snapshot().ForcedSpills == 0 {
 				t.Fatal("the memory budget forced no spill")
 			}
 			for deadline := time.Now().Add(5 * time.Second); collected.Load() < produced.Load() && time.Now().Before(deadline); {

@@ -32,22 +32,6 @@ func TestCountersMergeNilReceiver(t *testing.T) {
 	}
 }
 
-func TestCountersClone(t *testing.T) {
-	if got := (Counters)(nil).Clone(); got != nil {
-		t.Errorf("nil.Clone() = %v, want nil", got)
-	}
-	orig := Counters{"a": 1, "b": 2}
-	cp := orig.Clone()
-	if !reflect.DeepEqual(cp, orig) {
-		t.Errorf("clone = %v, want %v", cp, orig)
-	}
-	cp["a"] = 100
-	cp["c"] = 3
-	if orig.Get("a") != 1 || orig.Get("c") != 0 {
-		t.Errorf("clone aliases original: %v", orig)
-	}
-}
-
 // runTraced runs wordcount with a tracer and metrics attached.
 func runTraced(t *testing.T, workers int) (*Result, *obs.Tracer, *obs.Registry) {
 	t.Helper()

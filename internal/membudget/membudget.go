@@ -6,6 +6,11 @@
 // MapReduce engine's partition store (newPartitionStore in
 // internal/mapreduce): one account per reduce partition, charged for
 // the map runs it buffers, spilled by appending them to its spill file.
+// An account shrinks only by a forced spill or by Close.
+//
+// The manager is the run's one ledger of budget activity, and Snapshot
+// its one read API: the engine reports each job's forced spills and
+// spilled bytes as the difference of two snapshots.
 //
 // Enforcement is *reservation-style*: victims spill before the new
 // bytes are recorded, so as long as no single charge exceeds the whole
@@ -27,19 +32,13 @@ import (
 )
 
 // Manager tracks charged bytes across all accounts and forces spills
-// when a charge would exceed the budget.
+// when a charge would exceed the budget. Its ledger is the Stats that
+// Snapshot copies out.
 type Manager struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	budget   int64
-	used     int64
-	peak     int64
-	charged  int64 // lifetime sum of all charges (raw volume)
+	mu       sync.Mutex
+	cond     *sync.Cond
+	st       Stats
 	accounts map[*Account]struct{}
-
-	forcedSpills int64
-	spilledBytes int64
 }
 
 // Account is one holder's ledger within a Manager.
@@ -48,9 +47,8 @@ type Account struct {
 	name string
 	// spill moves the holder's in-memory bytes to disk and returns how
 	// many tracked bytes were freed. nil marks the account unspillable
-	// (its bytes can only be freed via Release). Called WITHOUT the
-	// manager lock held; it may call Release itself, but the returned
-	// freed count must then exclude what it already released.
+	// (its bytes are freed only by Close). Called WITHOUT the manager
+	// lock held.
 	spill func() (int64, error)
 
 	used     int64
@@ -63,7 +61,7 @@ func New(budget int64) *Manager {
 	if budget <= 0 {
 		return nil
 	}
-	m := &Manager{budget: budget, accounts: make(map[*Account]struct{})}
+	m := &Manager{st: Stats{Budget: budget}, accounts: make(map[*Account]struct{})}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -119,7 +117,7 @@ func (a *Account) Charge(n int64) error {
 	m := a.m
 	var skip map[*Account]bool
 	m.mu.Lock()
-	for m.used+n > m.budget {
+	for m.st.Used+n > m.st.Budget {
 		victim := m.pickVictim(skip)
 		if victim == nil {
 			if m.anySpilling() {
@@ -140,14 +138,12 @@ func (a *Account) Charge(n int64) error {
 			m.mu.Unlock()
 			return fmt.Errorf("membudget: spilling %s: %w", victim.name, err)
 		}
-		if freed > victim.used {
-			freed = victim.used
-		}
+		freed = min(freed, victim.used)
 		victim.used -= freed
-		m.used -= freed
+		m.st.Used -= freed
 		if freed > 0 {
-			m.forcedSpills++
-			m.spilledBytes += freed
+			m.st.ForcedSpills++
+			m.st.SpilledBytes += freed
 		} else {
 			// No progress from this victim (pinned or already empty);
 			// don't pick it again within this charge.
@@ -158,40 +154,11 @@ func (a *Account) Charge(n int64) error {
 		}
 	}
 	a.used += n
-	m.used += n
-	m.charged += n
-	if m.used > m.peak {
-		m.peak = m.used
-	}
+	m.st.Used += n
+	m.st.ChargedTotal += n
+	m.st.Peak = max(m.st.Peak, m.st.Used)
 	m.mu.Unlock()
 	return nil
-}
-
-// Release returns n bytes to the budget (the holder freed or spilled
-// them on its own).
-func (a *Account) Release(n int64) {
-	if a == nil || n <= 0 {
-		return
-	}
-	m := a.m
-	m.mu.Lock()
-	if n > a.used {
-		n = a.used
-	}
-	a.used -= n
-	m.used -= n
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// Used returns the account's currently tracked bytes.
-func (a *Account) Used() int64 {
-	if a == nil {
-		return 0
-	}
-	a.m.mu.Lock()
-	defer a.m.mu.Unlock()
-	return a.used
 }
 
 // Close releases everything the account still holds and unregisters
@@ -202,99 +169,32 @@ func (a *Account) Close() {
 	}
 	m := a.m
 	m.mu.Lock()
-	m.used -= a.used
+	m.st.Used -= a.used
 	a.used = 0
 	delete(m.accounts, a)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
 
-// Budget returns the configured budget (0 for a nil manager).
-func (m *Manager) Budget() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.budget
-}
-
-// Used returns the currently tracked bytes.
-func (m *Manager) Used() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
-}
-
-// Peak returns the high-water mark of tracked bytes.
-func (m *Manager) Peak() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.peak
-}
-
-// ChargedTotal returns the lifetime sum of all charges — the raw
-// volume that flowed through tracked memory, regardless of spills.
-func (m *Manager) ChargedTotal() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.charged
-}
-
-// ForcedSpills returns how many times the manager forced a holder to
-// spill.
-func (m *Manager) ForcedSpills() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.forcedSpills
-}
-
-// SpilledBytes returns the total tracked bytes freed by forced spills.
-func (m *Manager) SpilledBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spilledBytes
-}
-
 // Stats is a single-lock snapshot of the manager's pressure telemetry,
-// for live introspection and run summaries. Fields mirror the
-// individual getters.
+// for live introspection, run summaries and the engine's metrics.
 type Stats struct {
 	Budget       int64 `json:"budget_bytes"`
 	Used         int64 `json:"used_bytes"`
 	Peak         int64 `json:"peak_bytes"`
-	ChargedTotal int64 `json:"charged_total_bytes"`
+	ChargedTotal int64 `json:"charged_total_bytes"` // lifetime sum of all charges (raw volume)
 	ForcedSpills int64 `json:"forced_spills"`
 	SpilledBytes int64 `json:"spilled_bytes"`
 }
 
 // Snapshot returns all pressure counters under one lock acquisition,
-// so the fields are mutually consistent. Zero for a nil manager.
+// so the fields are mutually consistent. It is the manager's one read
+// API. Zero for a nil manager.
 func (m *Manager) Snapshot() Stats {
 	if m == nil {
 		return Stats{}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{
-		Budget:       m.budget,
-		Used:         m.used,
-		Peak:         m.peak,
-		ChargedTotal: m.charged,
-		ForcedSpills: m.forcedSpills,
-		SpilledBytes: m.spilledBytes,
-	}
+	return m.st
 }

@@ -8,7 +8,7 @@ import (
 
 func TestNilManagerIsInert(t *testing.T) {
 	var m *Manager
-	if m.Budget() != 0 || m.Used() != 0 || m.Peak() != 0 {
+	if m.Snapshot() != (Stats{}) {
 		t.Error("nil manager reported nonzero state")
 	}
 	a := m.NewAccount("x", nil)
@@ -18,7 +18,6 @@ func TestNilManagerIsInert(t *testing.T) {
 	if err := a.Charge(100); err != nil {
 		t.Fatal(err)
 	}
-	a.Release(100)
 	a.Close()
 	if New(0) != nil || New(-5) != nil {
 		t.Error("non-positive budget should yield a nil manager")
@@ -35,22 +34,16 @@ func TestChargeReleaseTracking(t *testing.T) {
 	if err := b.Charge(400); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Used(); got != 700 {
-		t.Errorf("Used = %d, want 700", got)
-	}
-	a.Release(100)
-	if got := m.Used(); got != 600 {
-		t.Errorf("Used after release = %d, want 600", got)
-	}
-	if got := m.Peak(); got != 700 {
-		t.Errorf("Peak = %d, want 700", got)
-	}
-	if got := m.ChargedTotal(); got != 700 {
-		t.Errorf("ChargedTotal = %d, want 700", got)
+	if got, want := m.Snapshot(), (Stats{Budget: 1000, Used: 700, Peak: 700, ChargedTotal: 700}); got != want {
+		t.Errorf("Snapshot = %+v, want %+v", got, want)
 	}
 	b.Close()
-	if got := m.Used(); got != 200 {
-		t.Errorf("Used after Close = %d, want 200", got)
+	if got, want := m.Snapshot(), (Stats{Budget: 1000, Used: 300, Peak: 700, ChargedTotal: 700}); got != want {
+		t.Errorf("Snapshot after Close = %+v, want %+v", got, want)
+	}
+	a.Close()
+	if got := m.Snapshot().Used; got != 0 {
+		t.Errorf("Used after closing every account = %d, want 0", got)
 	}
 }
 
@@ -81,24 +74,26 @@ func TestChargeForcesLargestSpill(t *testing.T) {
 	if !spilledB || spilledA {
 		t.Errorf("spills: a=%v b=%v, want only b", spilledA, spilledB)
 	}
-	if got := m.Used(); got != 500 {
-		t.Errorf("Used = %d, want 500 (200 + 300)", got)
+	st := m.Snapshot()
+	if st.Used != 500 {
+		t.Errorf("Used = %d, want 500 (200 + 300)", st.Used)
 	}
-	if got := m.Peak(); got > 1000 {
-		t.Errorf("Peak %d exceeded budget 1000 — enforcement must precede recording", got)
+	if st.Peak > 1000 {
+		t.Errorf("Peak %d exceeded budget 1000 — enforcement must precede recording", st.Peak)
 	}
-	if m.ForcedSpills() != 1 || m.SpilledBytes() != 600 {
-		t.Errorf("spill stats: %d spills, %d bytes", m.ForcedSpills(), m.SpilledBytes())
+	if st.ForcedSpills != 1 || st.SpilledBytes != 600 {
+		t.Errorf("spill stats: %d spills, %d bytes", st.ForcedSpills, st.SpilledBytes)
 	}
 }
 
 func TestChargeCascadesAcrossVictims(t *testing.T) {
 	m := New(100)
 	mk := func(n int64) *Account {
-		var a *Account
-		a = m.NewAccount("h", func() (int64, error) {
-			u := a.Used()
-			return u, nil
+		held := n
+		a := m.NewAccount("h", func() (int64, error) {
+			freed := held
+			held = 0
+			return freed, nil
 		})
 		if err := a.Charge(n); err != nil {
 			t.Fatal(err)
@@ -112,11 +107,12 @@ func TestChargeCascadesAcrossVictims(t *testing.T) {
 	if err := fresh.Charge(90); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Peak(); got > 100 {
-		t.Errorf("peak %d exceeded budget", got)
+	st := m.Snapshot()
+	if st.Peak > 100 {
+		t.Errorf("peak %d exceeded budget", st.Peak)
 	}
-	if m.ForcedSpills() < 2 {
-		t.Errorf("expected a cascade of spills, got %d", m.ForcedSpills())
+	if st.ForcedSpills < 2 {
+		t.Errorf("expected a cascade of spills, got %d", st.ForcedSpills)
 	}
 }
 
@@ -126,7 +122,7 @@ func TestUnspillableOvershootAllowed(t *testing.T) {
 	if err := a.Charge(250); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Used(); got != 250 {
+	if got := m.Snapshot().Used; got != 250 {
 		t.Errorf("Used = %d, want 250 (overshoot permitted when nothing can spill)", got)
 	}
 }
@@ -148,7 +144,7 @@ func TestZeroFreedVictimNotRetriedWithinCharge(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("zero-freed victim called %d times in one charge, want 1", calls)
 	}
-	if got := m.Used(); got != 130 {
+	if got := m.Snapshot().Used; got != 130 {
 		t.Errorf("Used = %d, want 130", got)
 	}
 }
@@ -198,10 +194,11 @@ func TestConcurrentChargersStayUnderBudget(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := m.Peak(); got > budget {
-		t.Errorf("concurrent peak %d exceeded budget %d", got, budget)
+	st := m.Snapshot()
+	if st.Peak > budget {
+		t.Errorf("concurrent peak %d exceeded budget %d", st.Peak, budget)
 	}
-	if got := m.ChargedTotal(); got != 8*200*100 {
-		t.Errorf("ChargedTotal = %d, want %d", got, 8*200*100)
+	if st.ChargedTotal != 8*200*100 {
+		t.Errorf("ChargedTotal = %d, want %d", st.ChargedTotal, 8*200*100)
 	}
 }

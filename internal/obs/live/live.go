@@ -118,14 +118,6 @@ func NewRun(log *EventLog) *Run {
 // Enabled reports whether the hub records anything.
 func (r *Run) Enabled() bool { return r != nil }
 
-// EventLog returns the attached event log (nil when none).
-func (r *Run) EventLog() *EventLog {
-	if r == nil {
-		return nil
-	}
-	return r.log
-}
-
 // AttachQuality connects the quality recorder whose schedule-wide
 // totals (predicted duplicates, planned cost) denominate the live
 // recall and ETA estimates.

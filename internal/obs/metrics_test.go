@@ -17,7 +17,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Histogram("h").Observe(3)
 	r.AddCounters(map[string]int64{"x": 1})
-	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 || r.Histogram("h").Count() != 0 {
+	if r.Counter("c").Value() != 0 || r.Gauge("g").Value() != 0 {
 		t.Error("nil instruments hold state")
 	}
 	snap := r.Snapshot()
@@ -48,8 +48,8 @@ func TestRegistryBasics(t *testing.T) {
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(5000)
-	if h.Count() != 3 || h.Sum() != 5055 {
-		t.Errorf("hist count=%d sum=%v", h.Count(), h.Sum())
+	if hv := r.Snapshot().Histograms[0]; hv.Count != 3 || hv.Sum != 5055 {
+		t.Errorf("hist count=%d sum=%v", hv.Count, hv.Sum)
 	}
 	// Same name returns the same instrument; bounds of later calls ignored.
 	if r.Histogram("cost", 1) != h {
@@ -135,7 +135,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Counter("n").Value() != 8000 || r.Histogram("h").Count() != 8000 {
-		t.Errorf("lost updates: n=%d h=%d", r.Counter("n").Value(), r.Histogram("h").Count())
+	if n, h := r.Counter("n").Value(), r.Snapshot().Histograms[0].Count; n != 8000 || h != 8000 {
+		t.Errorf("lost updates: n=%d h=%d", n, h)
 	}
 }

@@ -174,7 +174,7 @@ func (g *generator) subtreeVC(b *blocking.Block) []costmodel.Units {
 // no further progress is possible.
 func (g *generator) splitLoop() {
 	g.unsplittable = map[*blocking.Tree]bool{}
-	for round := 0; round < g.cfg.MaxSplitRounds; round++ {
+	for round := 0; round < maxSplitRounds; round++ {
 		g.buildSL()
 		overflowed := g.identifyTrees()
 		if len(overflowed) == 0 {

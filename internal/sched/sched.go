@@ -57,10 +57,13 @@ func (k Kind) String() string {
 
 // CostPoints (K, the points of the auto-derived cost vector) and
 // SplitBatch (b, trees split per iteration) are the values the pipeline
-// generates its schedules with.
+// generates its schedules with. maxSplitRounds bounds the identify/split
+// loop (a safety valve; the loop also stops when no split makes
+// progress).
 const (
-	CostPoints = 3
-	SplitBatch = 4
+	CostPoints     = 3
+	SplitBatch     = 4
+	maxSplitRounds = 64
 )
 
 // Config parameterizes schedule generation.
@@ -81,9 +84,6 @@ type Config struct {
 	Estimator *estimate.Estimator
 	// Kind selects Ours / NoSplit / LPT.
 	Kind Kind
-	// MaxSplitRounds bounds the identify/split loop (safety valve; the
-	// loop also stops when no split makes progress).
-	MaxSplitRounds int
 	// Trace, when non-nil, receives schedule-generation spans: one
 	// summary, one per detached subtree, and one per reduce task's final
 	// plan (tree/block counts, estimated load, leftover slack). The
@@ -307,9 +307,6 @@ func Generate(trees []*blocking.Tree, cfg Config) (*Schedule, error) {
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = SplitBatch
-	}
-	if cfg.MaxSplitRounds <= 0 {
-		cfg.MaxSplitRounds = 64
 	}
 
 	g := &generator{cfg: cfg, trees: trees}

@@ -157,17 +157,3 @@ func editDistanceBlocks(p, t string, budget int) int {
 	}
 	return score
 }
-
-// Similarity returns the normalized edit similarity
-// 1 − dist/max(len(a), len(b)) in [0, 1]. Two empty strings are
-// similarity 1.
-func Similarity(a, b string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	maxLen := len(a)
-	if len(b) > maxLen {
-		maxLen = len(b)
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
-}

@@ -5,26 +5,6 @@ import (
 	"sync"
 )
 
-// QGrams returns the multiset of q-grams of s as a count map. Strings
-// shorter than q yield a single gram equal to the whole string (so that
-// very short values still compare meaningfully).
-func QGrams(s string, q int) map[string]int {
-	grams := make(map[string]int)
-	if q <= 0 {
-		q = 2
-	}
-	if len(s) < q {
-		if len(s) > 0 {
-			grams[s]++
-		}
-		return grams
-	}
-	for i := 0; i+q <= len(s); i++ {
-		grams[s[i:i+q]]++
-	}
-	return grams
-}
-
 // gramScratch holds the two sorted-gram buffers one JaccardQGram call
 // needs; pooled so the hot path allocates nothing in steady state. The
 // string headers are views into the caller's inputs (substringing

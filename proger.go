@@ -339,8 +339,8 @@ var NewMetricsRegistry = obs.NewRegistry
 // the high-water mark of tracked bytes, the cumulative bytes charged
 // (the raw shuffle volume), and the spills the budget forced.
 const (
-	GaugeMemBudgetPeakBytes    = core.GaugeMemBudgetPeakBytes
-	GaugeMemBudgetChargedBytes = core.GaugeMemBudgetChargedBytes
+	GaugeMemBudgetPeakBytes    = mapreduce.GaugeMemBudgetPeakBytes
+	GaugeMemBudgetChargedBytes = mapreduce.GaugeMemBudgetChargedBytes
 	CounterBudgetForcedSpills  = mapreduce.CounterBudgetForcedSpills
 	CounterBudgetSpilledBytes  = mapreduce.CounterBudgetSpilledBytes
 )
@@ -352,10 +352,6 @@ const (
 // afterwards with Export — deterministic across worker counts and
 // transports, like Tracer.
 type QualityRecorder = quality.Recorder
-
-// QualityExport bundles the derived curve and calibration report for
-// JSON serialization.
-type QualityExport = quality.Export
 
 // NewQualityRecorder creates an enabled quality recorder.
 var NewQualityRecorder = quality.NewRecorder
@@ -407,10 +403,6 @@ type StatusServer = live.Server
 // /debug/pprof. Listen errors are returned synchronously; ":0" picks a
 // free port (see Addr on the returned server).
 var ServeStatus = live.Serve
-
-// NewStatusHandler returns the status server's handler without
-// listening, for embedding into an existing server.
-var NewStatusHandler = live.NewHandler
 
 // LiveProgressRenderer is the periodic single-line terminal progress
 // renderer returned by StartLiveProgress.

@@ -164,7 +164,8 @@ printf '%s\n' "$fuzzlist" |
 
 # Bounded-memory smoke: the same workload with and without a tight
 # memory budget must produce byte-identical duplicate pairs and quality
-# telemetry, and the budget run must actually have spilled. The budget
+# telemetry, and the budget run must actually have spilled and report its
+# spilled and charged bytes. The budget
 # run also serves the live status server and writes the structured event log, so this one pass also
 # gates the §13 live introspection layer: the endpoints must answer
 # while the run is in flight, the mid-run scrape must be Prometheus
@@ -214,6 +215,10 @@ cmp "$smoke/base-quality.json" "$smoke/budget-quality.json" || {
 grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/budget.prom" || {
     echo "64K budget forced no spills — the smoke test is not exercising out-of-core paths"
     exit 1; }
+for key in mr_membudget_spilled_bytes pipeline_membudget_charged_bytes; do
+    grep -q "^$key [1-9]" "$smoke/budget.prom" || {
+        echo "bounded-memory run reported no $key"; exit 1; }
+done
 
 # The same gate on the benchmark's persons-spill shape (persons-exact:
 # Soundex blocking, exact rules, no similarity kernel) under the same
@@ -229,6 +234,10 @@ cmp "$smoke/pbase-quality.json" "$smoke/pbudget-quality.json" || {
     echo "persons-exact bounded-memory run changed the quality telemetry"; exit 1; }
 grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/pbudget.prom" || {
     echo "persons-exact 64K budget forced no spills"; exit 1; }
+for key in mr_membudget_spilled_bytes pipeline_membudget_charged_bytes; do
+    grep -q "^$key [1-9]" "$smoke/pbudget.prom" || {
+        echo "persons-exact bounded-memory run reported no $key"; exit 1; }
+done
 
 # Distributed-transport smoke: the same workload run single-process and
 # across real OS processes (master + 2 forked workers) must produce
@@ -340,6 +349,10 @@ for run in bbudget bdist; do
 done
 grep -q '^mr_membudget_forced_spills [1-9]' "$smoke/bbudget.prom" || {
     echo "basic 64K budget forced no spills"; exit 1; }
+for key in mr_membudget_spilled_bytes pipeline_membudget_charged_bytes; do
+    grep -q "^$key [1-9]" "$smoke/bbudget.prom" || {
+        echo "basic bounded-memory run reported no $key"; exit 1; }
+done
 grep -q '"event":"lease"' "$smoke/bdist-events.jsonl" || {
     echo "basic distributed run granted no leases"; exit 1; }
 
